@@ -1,6 +1,5 @@
 //! Ablation benchmarks for the design choices DESIGN.md calls out:
-//! LA-size-aware costing vs blind (§4.1), early projection on/off, and
-//! join→aggregate fusion on/off.
+//! LA-size-aware costing vs blind (§4.1) and early projection on/off.
 //!
 //! With `--profile-json PATH` the harness additionally runs the RST query
 //! once on the size-aware configuration and writes its query-lifecycle
@@ -9,12 +8,9 @@
 
 use criterion::{criterion_group, Criterion};
 use lardb::{
-    Cluster, DataType, Database, DatabaseConfig, Executor, Matrix, OptimizerConfig,
-    Partitioning, Row, Schema, Value,
+    DataType, Database, DatabaseConfig, Matrix, OptimizerConfig, Partitioning, Row,
+    Schema, Value,
 };
-use lardb_planner::physical::PhysicalPlanner;
-use lardb_sql::{parse_statement, Binder, Statement};
-use lardb_storage::gen;
 
 fn rst_db(config: OptimizerConfig) -> Database {
     let db = Database::with_config(DatabaseConfig {
@@ -88,48 +84,7 @@ fn bench_size_inference(c: &mut Criterion) {
     g.finish();
 }
 
-/// Join→aggregate fusion: tuple-based Gram with and without the pipelined
-/// path (without it, the join output materializes).
-fn bench_fusion(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fusion");
-    g.sample_size(10);
-    let db = Database::new(4);
-    db.create_table(
-        "x",
-        Schema::from_pairs(&[
-            ("row_index", DataType::Integer),
-            ("col_index", DataType::Integer),
-            ("value", DataType::Double),
-        ]),
-        Partitioning::RoundRobin,
-    )
-    .unwrap();
-    db.insert_rows("x", gen::tuple_rows(3, 2000, 20)).unwrap();
-
-    let sql = "SELECT x1.col_index, x2.col_index, SUM(x1.value * x2.value) AS v
-               FROM x AS x1, x AS x2
-               WHERE x1.row_index = x2.row_index
-               GROUP BY x1.col_index, x2.col_index";
-    let Statement::Select(sel) = parse_statement(sql).unwrap() else { unreachable!() };
-    let logical = Binder::new(db.catalog()).bind_select(&sel).unwrap();
-    let optimizer = lardb::Optimizer::with_defaults(db.catalog());
-    let optimized = optimizer.optimize(logical).unwrap();
-    let mut pp = PhysicalPlanner::new(db.catalog(), db.catalog());
-    let physical = pp.plan_gathered(&optimized).unwrap();
-
-    for fuse in [true, false] {
-        let name = if fuse { "fused" } else { "materialized" };
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                let exec = Executor::new(db.catalog(), Cluster::new(4)).with_fusion(fuse);
-                exec.execute(&physical).unwrap()
-            })
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_size_inference, bench_fusion);
+criterion_group!(benches, bench_size_inference);
 
 /// `--profile-json PATH` from argv, ignoring the flags `cargo bench`
 /// itself forwards (`--bench`, filters, ...).

@@ -3,7 +3,7 @@
 //! on, including the cache-blocking ablation called out in DESIGN.md.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use lardb_la::gemm::{gemm_acc_dense, gemm_acc_skipzero, gemm_naive};
+use lardb_la::gemm::{gemm_acc_dense, gemm_naive};
 use lardb_la::{Matrix, Vector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -13,8 +13,7 @@ fn random_matrix(seed: u64, r: usize, c: usize) -> Matrix {
     Matrix::from_fn(r, c, |_, _| rng.gen_range(-1.0..1.0))
 }
 
-/// A matrix with roughly `zero_pct`% zero entries (the sparse-tile shape
-/// the skip-zero inner loop is for).
+/// A dense-typed matrix with roughly `zero_pct`% zero entries.
 fn sparse_matrix(seed: u64, r: usize, c: usize, zero_pct: u32) -> Matrix {
     let mut rng = StdRng::seed_from_u64(seed);
     Matrix::from_fn(r, c, |_, _| {
@@ -41,10 +40,9 @@ fn bench_gemm(c: &mut Criterion) {
     g.finish();
 }
 
-/// Density ablation: the branch-free dense inner loop vs the zero-skip
-/// (branchy) one, on dense and ~60%-zero operands. Motivates the density
-/// heuristic in `gemm_acc`: skipping wins on sparse tiles and loses on
-/// dense ones.
+/// The dense inner loop on dense and ~60%-zero operands: its cost does
+/// not depend on the operand's zero density (sparse-typed tiles are what
+/// make zeros cheap; see the `sparse_density_sweep` bench).
 fn bench_gemm_density(c: &mut Criterion) {
     let mut g = c.benchmark_group("gemm_density");
     let n = 128usize;
@@ -56,13 +54,6 @@ fn bench_gemm_density(c: &mut Criterion) {
             bch.iter(|| {
                 let mut out = Matrix::zeros(n, n);
                 gemm_acc_dense(&a, &b, &mut out);
-                out
-            })
-        });
-        g.bench_with_input(BenchmarkId::new(format!("{label}_skipzero"), n), &n, |bch, _| {
-            bch.iter(|| {
-                let mut out = Matrix::zeros(n, n);
-                gemm_acc_skipzero(&a, &b, &mut out);
                 out
             })
         });

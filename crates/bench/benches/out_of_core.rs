@@ -14,8 +14,7 @@
 
 use criterion::{criterion_group, Criterion};
 use lardb::{
-    DataType, Database, DatabaseConfig, Partitioning, Schema, SchedulerMode,
-    TransportMode,
+    DataType, Database, DatabaseConfig, Partitioning, Schema, TransportMode,
 };
 use lardb_storage::gen::tiled_matrix_rows;
 
@@ -48,7 +47,6 @@ const BUDGETS_MB: &[(&str, Option<u64>)] = &[
 fn matmul_db(mem: Option<u64>) -> Database {
     let db = Database::with_config(DatabaseConfig {
         workers: 4,
-        scheduler: SchedulerMode::Pool,
         transport: TransportMode::Pointer,
         pool_workers: Some(4),
         mem: Some(mem.unwrap_or(0)),

@@ -16,8 +16,7 @@
 use criterion::{criterion_group, Criterion};
 use lardb::{
     dispatch, CooBuilder, DataType, Database, DatabaseConfig, DispatchMode, Matrix,
-    Partitioning, Row, Schema, SchedulerMode, SparseMatrix, TransportMode, Value,
-    Vector,
+    Partitioning, Row, Schema, SparseMatrix, TransportMode, Value, Vector,
 };
 
 const DENSITIES: &[f64] = &[0.001, 0.01, 0.1, 0.5];
@@ -133,7 +132,6 @@ criterion_group!(benches, bench_density_sweep);
 fn workload_db(mode: DispatchMode, tag: &str) -> Database {
     Database::with_config(DatabaseConfig {
         workers: 2,
-        scheduler: SchedulerMode::Pool,
         transport: TransportMode::Serialized,
         pool_workers: Some(4),
         mem: Some(0),

@@ -1,6 +1,6 @@
 //! Tiny argument parser for the harness binaries (no external deps).
 
-use lardb::{ExprEngine, TransportMode};
+use lardb::TransportMode;
 
 /// Common harness options.
 #[derive(Debug, Clone)]
@@ -33,10 +33,6 @@ pub struct Args {
     pub mem_budget_mb: Option<u64>,
     /// Spill directory override (default: `LARDB_SPILL_DIR` or OS temp).
     pub spill_dir: Option<String>,
-    /// Expression engine override: `compiled` (vectorized bytecode) or
-    /// `interpret` (row-at-a-time baseline). `None` inherits the engine
-    /// default (compiled, or `LARDB_EXPR_ENGINE`).
-    pub expr_engine: Option<ExprEngine>,
     /// Rows per column batch for the compiled engine; `None` inherits
     /// the default (or `LARDB_BATCH_ROWS`).
     pub batch_rows: Option<usize>,
@@ -56,7 +52,6 @@ impl Default for Args {
             profile_json: None,
             mem_budget_mb: None,
             spill_dir: None,
-            expr_engine: None,
             batch_rows: None,
         }
     }
@@ -100,13 +95,6 @@ impl Args {
                         Some(parse_num(&value("--mem-budget-mb")) as u64);
                 }
                 "--spill-dir" => args.spill_dir = Some(value("--spill-dir")),
-                "--expr-engine" => {
-                    let v = value("--expr-engine");
-                    args.expr_engine = Some(v.parse().unwrap_or_else(|_| {
-                        eprintln!("bad --expr-engine '{v}' (compiled|interpret)");
-                        std::process::exit(2);
-                    }));
-                }
                 "--batch-rows" => {
                     args.batch_rows = Some(parse_num(&value("--batch-rows")).max(1));
                 }
@@ -115,8 +103,7 @@ impl Args {
                         "options: --n N --n-dist N --dims 10,100,1000 --workers W \
                          --block B --seed S --transport pointer|serialized|tcp \
                          --profile-json PATH --mem-budget-mb N --spill-dir PATH \
-                         --expr-engine compiled|interpret --batch-rows N \
-                         --quick"
+                         --batch-rows N --quick"
                     );
                     std::process::exit(0);
                 }
@@ -145,7 +132,6 @@ impl Args {
     pub fn engine_opts(&self) -> crate::platforms::EngineOpts {
         crate::platforms::EngineOpts {
             transport: self.transport,
-            expr_engine: self.expr_engine,
             batch_rows: self.batch_rows,
         }
     }
@@ -223,18 +209,10 @@ mod tests {
     #[test]
     fn engine_flags() {
         let a = parse(&[]);
-        assert_eq!(a.expr_engine, None);
         assert_eq!(a.batch_rows, None);
-        let a = parse(&["--expr-engine", "interpret", "--batch-rows", "512"]);
-        assert_eq!(a.expr_engine, Some(ExprEngine::Interpret));
+        let a = parse(&["--batch-rows", "512"]);
         assert_eq!(a.batch_rows, Some(512));
-        let opts = a.engine_opts();
-        assert_eq!(opts.expr_engine, Some(ExprEngine::Interpret));
-        assert_eq!(opts.batch_rows, Some(512));
-        assert_eq!(
-            parse(&["--expr-engine", "compiled"]).expr_engine,
-            Some(ExprEngine::Compiled)
-        );
+        assert_eq!(a.engine_opts().batch_rows, Some(512));
     }
 
     #[test]

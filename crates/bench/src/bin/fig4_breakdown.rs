@@ -112,12 +112,8 @@ fn main() {
     // Figure 4 used 1000-dimensional data on a five-machine cluster; the
     // default here uses the sweep's largest dims value.
     let dims = args.dims.iter().copied().max().unwrap_or(100);
-    let engine = args
-        .expr_engine
-        .map(|e| format!(", engine = {e}"))
-        .unwrap_or_default();
     println!(
-        "Figure 4: Gram computation per-operation breakdown (n = {}, dims = {dims}, workers = {}{engine})",
+        "Figure 4: Gram computation per-operation breakdown (n = {}, dims = {dims}, workers = {})",
         args.n, args.workers
     );
 

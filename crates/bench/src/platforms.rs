@@ -3,8 +3,8 @@
 use std::time::{Duration, Instant};
 
 use lardb::{
-    DataType, Database, ExecStats, ExprEngine, Matrix, Partitioning, QueryProfile, Row,
-    Schema, TransportMode, Value,
+    DataType, Database, ExecStats, Matrix, Partitioning, QueryProfile, Row, Schema,
+    TransportMode, Value,
 };
 use lardb_baselines::{scidb_like, spark_like, systemml_like, WorkloadData};
 use lardb_storage::gen;
@@ -121,9 +121,6 @@ pub fn run(
 pub struct EngineOpts {
     /// Exchange transport for boundary-crossing batches.
     pub transport: TransportMode,
-    /// Expression engine override; `None` inherits the database default
-    /// (compiled, or `LARDB_EXPR_ENGINE`).
-    pub expr_engine: Option<ExprEngine>,
     /// Rows per column batch override; `None` inherits the default.
     pub batch_rows: Option<usize>,
 }
@@ -253,9 +250,6 @@ fn run_lardb(
     };
 
     let mut db = Database::new(workers).with_transport(opts.transport);
-    if let Some(engine) = opts.expr_engine {
-        db = db.with_expr_engine(engine);
-    }
     if let Some(rows) = opts.batch_rows {
         db = db.with_batch_rows(rows);
     }

@@ -4,6 +4,7 @@
 //! file is detected as a typed error — never silently wrong rows.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use lardb_buf::{BufError, SpillWriter};
@@ -69,8 +70,12 @@ fn arb_rows() -> impl Strategy<Value = Vec<Row>> {
     vec(vec(arb_value(), 0..5).prop_map(Row::new), 0..40)
 }
 
-fn test_dir(tag: u64) -> PathBuf {
-    std::env::temp_dir().join(format!("lardb-buf-prop-{}-{tag}", std::process::id()))
+/// A directory no other test, and no other case of this test, uses.
+fn test_dir(test: &str) -> PathBuf {
+    static CASE: AtomicU64 = AtomicU64::new(0);
+    let case = CASE.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir()
+        .join(format!("lardb-buf-prop-{}-{test}-{case}", std::process::id()))
 }
 
 fn rows_wire_eq(a: &[Row], b: &[Row]) -> bool {
@@ -87,7 +92,7 @@ proptest! {
     /// Spill then reload is the identity, bit-exactly, for arbitrary batches.
     #[test]
     fn spill_reload_is_identity(rows in arb_rows(), split in 0usize..40) {
-        let dir = test_dir(1);
+        let dir = test_dir("spill_reload_is_identity");
         let mut w = SpillWriter::create(&dir, "prop").expect("create");
         let cut = split.min(rows.len());
         w.write_rows(&rows[..cut]).expect("write");
@@ -105,7 +110,7 @@ proptest! {
     /// the original rows with a matching fin. It must never panic.
     #[test]
     fn flipped_byte_is_detected(rows in arb_rows(), pos_sel in 0usize..10_000, flip in 1u8..=255) {
-        let dir = test_dir(2);
+        let dir = test_dir("flipped_byte_is_detected");
         let mut w = SpillWriter::create(&dir, "flip").expect("create");
         w.write_rows(&rows).expect("write");
         let f = w.finish().expect("finish");

@@ -6,8 +6,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use lardb_exec::{
-    CancelToken, Cluster, ExecStats, Executor, MemoryConfig, NetConfig, SchedulerMode,
-    TransportMode,
+    CancelToken, Cluster, ExecStats, Executor, MemoryConfig, NetConfig, TransportMode,
 };
 use lardb_pool::WorkerPool;
 use lardb_obs::{CollectingSink, OperatorProfile, QueryProfile, SpanGuard, Stage};
@@ -53,24 +52,10 @@ pub struct DatabaseConfig {
     /// [`lardb_exec::DEFAULT_MORSEL_ROWS`]). Smaller morsels balance skew
     /// better; larger ones amortize scheduling further.
     pub morsel_rows: usize,
-    /// Scheduling strategy: morsel-driven pool (default) or the
-    /// one-thread-per-partition-per-operator spawn baseline.
-    pub scheduler: SchedulerMode,
-    /// Flop-count cutoff above which GEMM/SYRK kernels run pool-parallel;
-    /// `Some(0)` keeps all linear algebra inline, `None` (the default)
-    /// leaves the kernel's built-in cutoff untouched. Applied process-wide
-    /// at database construction.
-    pub gemm_parallel_flops: Option<usize>,
-    /// Zero-fraction / density threshold steering the density-adaptive
-    /// kernel dispatch (skip-zero GEMM inner loops, when sparse products
-    /// stay sparse). `None` (the default) honors `LARDB_SPARSE_THRESHOLD`,
-    /// falling back to the kernel default
-    /// ([`lardb_la::dispatch::DEFAULT_SPARSE_THRESHOLD`]). Applied
-    /// process-wide at database construction; clamped to `[0, 1]`.
-    pub sparse_threshold: Option<f64>,
-    /// Kernel-dispatch mode: `Adaptive` (the default) picks dense or
-    /// sparse kernels per tile by measured density; `Dense` / `Sparse`
-    /// force one representation everywhere (ablation / debugging).
+    /// Kernel-dispatch mode for sparse-typed tiles: `Adaptive` (the
+    /// default) keeps a tile sparse or densifies it by its stored
+    /// density; `Dense` / `Sparse` force one choice everywhere (`Dense`
+    /// is the reference arm of the sparse ≡ dense suites).
     /// `None` honors `LARDB_SPARSE_DISPATCH`. Applied process-wide at
     /// database construction.
     pub sparse_dispatch: Option<lardb_la::DispatchMode>,
@@ -106,8 +91,8 @@ pub struct DatabaseConfig {
     /// `Compiled` (the default) pivots morsels into column batches and
     /// evaluates register bytecode with fused vectorized kernels, falling
     /// back to the row interpreter per chunk on any kernel error;
-    /// `Interpret` keeps the row-at-a-time tree walker (the ablation
-    /// baseline). Defaults honor `LARDB_EXPR_ENGINE`.
+    /// `Interpret` runs everything through the row-at-a-time tree walker
+    /// (the differential suite's oracle).
     pub expr_engine: lardb_exec::ExprEngine,
     /// Rows per column batch in the compiled engine (default
     /// [`lardb_exec::DEFAULT_BATCH_ROWS`]; env `LARDB_BATCH_ROWS`).
@@ -131,11 +116,6 @@ impl Default for DatabaseConfig {
             slow_query_ms: None,
             pool_workers: None,
             morsel_rows: lardb_exec::DEFAULT_MORSEL_ROWS,
-            scheduler: SchedulerMode::default(),
-            gemm_parallel_flops: None,
-            sparse_threshold: std::env::var("LARDB_SPARSE_THRESHOLD")
-                .ok()
-                .and_then(|s| s.parse().ok()),
             sparse_dispatch: std::env::var("LARDB_SPARSE_DISPATCH")
                 .ok()
                 .and_then(|s| lardb_la::DispatchMode::parse(&s)),
@@ -145,10 +125,7 @@ impl Default for DatabaseConfig {
             trace_dir: None,
             trace_sample: None,
             trace_capacity: None,
-            expr_engine: std::env::var("LARDB_EXPR_ENGINE")
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_default(),
+            expr_engine: lardb_exec::ExprEngine::default(),
             batch_rows: std::env::var("LARDB_BATCH_ROWS")
                 .ok()
                 .and_then(|s| s.parse().ok())
@@ -281,17 +258,11 @@ impl Database {
 
     /// A database with explicit configuration.
     pub fn with_config(config: DatabaseConfig) -> Self {
-        if let Some(flops) = config.gemm_parallel_flops {
-            lardb_la::gemm::set_parallel_flops(flops);
-        }
-        if let Some(t) = config.sparse_threshold {
-            lardb_la::dispatch::set_sparse_threshold(t);
-        }
         if let Some(mode) = config.sparse_dispatch {
             lardb_la::dispatch::set_dispatch_mode(mode);
         }
-        // Flight-recorder knobs are process-global, like the GEMM cutoff:
-        // applied once at construction.
+        // Flight-recorder knobs are process-global, like the dispatch
+        // mode: applied once at construction.
         match config.trace_sample {
             Some(0) => lardb_obs::recorder().set_enabled(false),
             Some(n) => {
@@ -331,12 +302,11 @@ impl Database {
     }
 
     /// The cluster every query of this database executes on: the
-    /// configured worker count, scheduler, morsel size, and (if
-    /// dedicated) worker pool. With `cancel`, the query runs under an
-    /// externally-owned token (KILL / disconnect wiring).
+    /// configured worker count, morsel size, and (if dedicated) worker
+    /// pool. With `cancel`, the query runs under an externally-owned
+    /// token (KILL / disconnect wiring).
     fn cluster(&self, cancel: Option<&CancelToken>) -> Cluster {
         let mut cluster = Cluster::new(self.config.workers)
-            .with_scheduler(self.config.scheduler)
             .with_morsel_rows(self.config.morsel_rows);
         if let Some(pool) = &self.pool {
             cluster = cluster.with_pool(Arc::clone(pool));
@@ -407,19 +377,6 @@ impl Database {
     /// The configured exchange transport mode.
     pub fn transport(&self) -> TransportMode {
         self.config.transport
-    }
-
-    /// Sets the expression engine (builder style): `Compiled` vectorized
-    /// bytecode over column batches (the default) or the `Interpret`
-    /// row-at-a-time baseline — the `expr_engine` ablation axis.
-    pub fn with_expr_engine(mut self, engine: lardb_exec::ExprEngine) -> Self {
-        self.config.expr_engine = engine;
-        self
-    }
-
-    /// The configured expression engine.
-    pub fn expr_engine(&self) -> lardb_exec::ExprEngine {
-        self.config.expr_engine
     }
 
     /// Sets the compiled engine's rows-per-column-batch (builder style).
@@ -1056,12 +1013,11 @@ impl Database {
                     let d = result.stats.dispatch;
                     if d.any() {
                         text.push_str(&format!(
-                            "la dispatch ({}): {} dense, {} skip-zero, \
-                             {} spmv, {} sp×dense, {} spgemm, {} sp-syrk, \
+                            "la dispatch ({}): {} dense, {} spmv, \
+                             {} sp×dense, {} spgemm, {} sp-syrk, \
                              {} densified\n",
                             lardb_la::dispatch::dispatch_mode().name(),
                             d.dense,
-                            d.skipzero,
                             d.spmv,
                             d.sp_dense,
                             d.spgemm,
@@ -1208,7 +1164,6 @@ impl Database {
         if d.any() {
             let m = lardb_obs::global();
             m.counter("la.dispatch.dense").add(d.dense);
-            m.counter("la.dispatch.skipzero").add(d.skipzero);
             m.counter("la.dispatch.spmv").add(d.spmv);
             m.counter("la.dispatch.sp_dense").add(d.sp_dense);
             m.counter("la.dispatch.spgemm").add(d.spgemm);

@@ -46,8 +46,8 @@ pub use sessions::{SessionRegistry, SessionSnapshot};
 // Re-exports for downstream convenience (examples, benches, tests).
 pub use lardb_exec::{
     BatchStats, CancelToken, ChannelStats, Cluster, ExecStats, Executor, ExprEngine,
-    FaultKind, FaultPlan, MemoryConfig, NetConfig, OperatorStats, SchedulerMode,
-    ShuffleStats, SpillStats, TransportMode,
+    FaultKind, FaultPlan, MemoryConfig, NetConfig, OperatorStats, ShuffleStats,
+    SpillStats, TransportMode,
 };
 pub use lardb_la::{
     dispatch, CooBuilder, DispatchCounters, DispatchMode, LabeledScalar, Matrix,

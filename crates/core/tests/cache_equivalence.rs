@@ -2,12 +2,12 @@
 //!
 //! The plan cache must be a pure performance change: a warm (cached)
 //! execution must return bit-identical rows to the cold run that seeded
-//! it, across worker counts and schedulers. Materialized-view delta
-//! maintenance must be bit-identical to recomputing the defining query
-//! from scratch — the test data uses dyadic rationals so float
-//! aggregation is exact and "bit-identical" is meaningful.
+//! it, across worker counts. Materialized-view delta maintenance must be
+//! bit-identical to recomputing the defining query from scratch — the
+//! test data uses dyadic rationals so float aggregation is exact and
+//! "bit-identical" is meaningful.
 
-use lardb::{Database, DatabaseConfig, Response, SchedulerMode, Value};
+use lardb::{Database, DatabaseConfig, Response, Value};
 
 /// Canonical, bit-exact rendering of a result row: doubles render as
 /// their IEEE-754 bit pattern so `0.1 + 0.2`-style drift can't hide
@@ -31,12 +31,12 @@ fn canon_rows(result: &lardb::QueryResult) -> Vec<String> {
     rows
 }
 
-fn config(workers: usize, scheduler: SchedulerMode) -> DatabaseConfig {
+fn config(workers: usize) -> DatabaseConfig {
     // Pin the capacity: these tests assert hit/miss counters, so they
     // must not inherit a `LARDB_PLAN_CACHE` override from the
     // environment (CI runs the tier-1 suites with the cache forced off
     // and forced tiny).
-    DatabaseConfig { workers, scheduler, plan_cache_entries: 256, ..DatabaseConfig::default() }
+    DatabaseConfig { workers, plan_cache_entries: 256, ..DatabaseConfig::default() }
 }
 
 /// A small schema exercised by every test: a fact table with integer
@@ -64,23 +64,17 @@ const QUERIES: &[&str] = &[
 ];
 
 #[test]
-fn cached_matches_cold_across_schedulers() {
+fn cached_matches_cold_across_workers() {
     for workers in [1usize, 4] {
-        for scheduler in [SchedulerMode::Pool, SchedulerMode::Spawn] {
-            let db = seed_db(config(workers, scheduler));
-            for q in QUERIES {
-                let cold = db.query(q).unwrap();
-                let misses = db.plan_cache_stats().misses;
-                let warm = db.query(q).unwrap();
-                let stats = db.plan_cache_stats();
-                assert_eq!(
-                    canon_rows(&cold),
-                    canon_rows(&warm),
-                    "W={workers} scheduler={scheduler:?} query={q}"
-                );
-                assert!(stats.hits >= 1, "second run should hit: {q}");
-                assert_eq!(stats.misses, misses, "second run re-missed: {q}");
-            }
+        let db = seed_db(config(workers));
+        for q in QUERIES {
+            let cold = db.query(q).unwrap();
+            let misses = db.plan_cache_stats().misses;
+            let warm = db.query(q).unwrap();
+            let stats = db.plan_cache_stats();
+            assert_eq!(canon_rows(&cold), canon_rows(&warm), "W={workers} query={q}");
+            assert!(stats.hits >= 1, "second run should hit: {q}");
+            assert_eq!(stats.misses, misses, "second run re-missed: {q}");
         }
     }
 }
@@ -89,7 +83,7 @@ fn cached_matches_cold_across_schedulers() {
 fn literal_variants_do_not_collide() {
     // Same shape, different literals: both hit the cold path once, and
     // neither is served the other's rows.
-    let db = seed_db(config(2, SchedulerMode::Pool));
+    let db = seed_db(config(2));
     let one = db.query("SELECT id FROM facts WHERE id = 1").unwrap();
     let two = db.query("SELECT id FROM facts WHERE id = 2").unwrap();
     assert_eq!(one.rows.len(), 1);
@@ -105,7 +99,7 @@ fn literal_variants_do_not_collide() {
 
 #[test]
 fn ddl_invalidates_cached_plans() {
-    let db = seed_db(config(2, SchedulerMode::Pool));
+    let db = seed_db(config(2));
     let q = "SELECT g, COUNT(*) AS c FROM facts GROUP BY g";
     db.query(q).unwrap();
     db.query(q).unwrap();
@@ -122,7 +116,7 @@ fn ddl_invalidates_cached_plans() {
 
 #[test]
 fn insert_into_unrelated_table_keeps_cached_plans() {
-    let db = seed_db(config(2, SchedulerMode::Pool));
+    let db = seed_db(config(2));
     let q = "SELECT g, label FROM dims WHERE g >= 0";
     db.query(q).unwrap(); // seeds the cache with a plan over dims only
     // A write to facts must not invalidate plans that never read facts.
@@ -142,7 +136,7 @@ fn insert_into_unrelated_table_keeps_cached_plans() {
 
 #[test]
 fn prepared_statement_reexecution_hits_cache() {
-    let db = seed_db(config(2, SchedulerMode::Pool));
+    let db = seed_db(config(2));
     let prepared = db.prepare("SELECT id, v FROM facts WHERE id >= 195").unwrap();
     // Prepare warmed the cache, so even the *first* execute is a hit.
     let before = db.plan_cache_stats();
@@ -163,7 +157,7 @@ fn prepared_statement_reexecution_hits_cache() {
 
 #[test]
 fn explain_analyze_reports_cache_hit() {
-    let db = seed_db(config(2, SchedulerMode::Pool));
+    let db = seed_db(config(2));
     let q = "SELECT g, SUM(v) AS s FROM facts GROUP BY g";
     db.query(q).unwrap(); // seeds the cache
     let text = match db.execute(&format!("EXPLAIN ANALYZE {q}")).unwrap() {
@@ -233,7 +227,7 @@ fn mv_incremental_refresh_matches_recompute() {
             "SELECT id, label FROM mv_join",
         ),
     ];
-    let db = seed_db(config(2, SchedulerMode::Pool));
+    let db = seed_db(config(2));
     for (name, defining, _) in cases {
         db.execute(&format!("CREATE MATERIALIZED VIEW {name} AS {defining}")).unwrap();
     }
@@ -269,7 +263,7 @@ fn mv_incremental_refresh_matches_recompute() {
 
 #[test]
 fn refresh_statement_matches_recompute() {
-    let db = seed_db(config(2, SchedulerMode::Pool));
+    let db = seed_db(config(2));
     db.execute(
         "CREATE MATERIALIZED VIEW mv_r AS \
          SELECT g, SUM(v) AS s FROM facts GROUP BY g",
@@ -289,7 +283,7 @@ fn refresh_statement_matches_recompute() {
 
 #[test]
 fn matview_over_matview_is_rejected() {
-    let db = seed_db(config(2, SchedulerMode::Pool));
+    let db = seed_db(config(2));
     db.execute(
         "CREATE MATERIALIZED VIEW mv_base AS \
          SELECT g, SUM(v) AS s FROM facts GROUP BY g",
@@ -315,7 +309,7 @@ fn matview_over_matview_is_rejected() {
 
 #[test]
 fn drop_matview_with_dependents_is_refused() {
-    let db = seed_db(config(2, SchedulerMode::Pool));
+    let db = seed_db(config(2));
     db.execute("CREATE MATERIALIZED VIEW mv_d AS SELECT id FROM facts WHERE g = 0")
         .unwrap();
     // CREATE rejects matview-over-matview, so fabricate a dependent
@@ -344,7 +338,7 @@ fn drop_matview_with_dependents_is_refused() {
 fn concurrent_select_during_maintenance_never_fails() {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
-    let db = seed_db(config(2, SchedulerMode::Pool));
+    let db = seed_db(config(2));
     // AVG forces the recompute strategy, which replaces the backing table.
     db.execute(
         "CREATE MATERIALIZED VIEW mv_swap AS \
@@ -380,7 +374,7 @@ fn concurrent_select_during_maintenance_never_fails() {
 
 #[test]
 fn drop_guards_protect_matviews_and_bases() {
-    let db = seed_db(config(2, SchedulerMode::Pool));
+    let db = seed_db(config(2));
     db.execute("CREATE MATERIALIZED VIEW mv_g AS SELECT id FROM facts WHERE g = 0")
         .unwrap();
     // The backing table is not a plain table.
@@ -396,7 +390,7 @@ fn drop_guards_protect_matviews_and_bases() {
 
 #[test]
 fn cache_and_mv_metrics_surface_in_show_metrics() {
-    let db = seed_db(config(2, SchedulerMode::Pool));
+    let db = seed_db(config(2));
     db.execute("CREATE MATERIALIZED VIEW mv_m AS SELECT g, SUM(v) AS s FROM facts GROUP BY g")
         .unwrap();
     db.execute("INSERT INTO facts VALUES (700, 1, 1.5)").unwrap();

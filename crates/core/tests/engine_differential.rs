@@ -13,15 +13,15 @@
 //!   wrong answer — which is exactly why success-implies-identical is the
 //!   whole invariant at this layer.
 //! * **Engine level** (SQL through [`Database`]): the same statements run
-//!   under `--expr-engine interpret` and `compiled`, across worker counts
-//!   and schedulers, must return bit-identical relations — and failing
-//!   statements must fail identically (same error class; at one worker,
-//!   the same message), because the per-chunk fallback hands errors to
-//!   the interpreter.
+//!   under `ExprEngine::Interpret` and `Compiled`, across worker counts,
+//!   must return bit-identical relations — and failing statements must
+//!   fail with the same message, because the per-chunk fallback hands
+//!   errors to the interpreter and the scheduler reports the root cause,
+//!   never a sibling's cancellation echo.
 
 use lardb::{
     Database, DatabaseConfig, DataType, ExprEngine, Partitioning, QueryResult, Row,
-    SchedulerMode, Schema, Value,
+    Schema, Value,
 };
 use lardb_exec::batch::ColumnBatch;
 use lardb_exec::compile::Program;
@@ -208,10 +208,9 @@ fn seed_db(config: DatabaseConfig) -> Database {
     db
 }
 
-fn config(workers: usize, scheduler: SchedulerMode, engine: ExprEngine) -> DatabaseConfig {
+fn config(workers: usize, engine: ExprEngine) -> DatabaseConfig {
     DatabaseConfig {
         workers,
-        scheduler,
         expr_engine: engine,
         // Tiny batches and morsels so even 400 rows cross many chunk and
         // steal boundaries.
@@ -264,47 +263,26 @@ const FAILING: &[&str] = &[
 #[test]
 fn compiled_matches_interpreter_across_configs() {
     for workers in [1usize, 4] {
-        for scheduler in [SchedulerMode::Pool, SchedulerMode::Spawn] {
-            let compiled = seed_db(config(workers, scheduler, ExprEngine::Compiled));
-            let interp = seed_db(config(workers, scheduler, ExprEngine::Interpret));
-            for q in STATEMENTS {
-                let got = compiled.query(q).unwrap();
-                let want = interp.query(q).unwrap();
-                assert_eq!(
-                    canon_rows(&got),
-                    canon_rows(&want),
-                    "W={workers} scheduler={scheduler:?} query={q}"
-                );
-            }
-            for q in FAILING {
-                let got = compiled.query(q).expect_err("compiled should fail").to_string();
-                let want = interp.query(q).expect_err("interpret should fail").to_string();
-                if workers == 1 {
-                    // Single worker: no sibling race, the error message
-                    // must match exactly.
-                    assert_eq!(got, want, "W=1 scheduler={scheduler:?} query={q}");
-                } else {
-                    // Multiple workers race to fail first and the losers
-                    // report "query aborted" — identically so for both
-                    // engines, but which error surfaces is
-                    // timing-dependent. Messages must agree unless one
-                    // side lost that race.
-                    assert!(
-                        got == want
-                            || got.contains("query aborted")
-                            || want.contains("query aborted"),
-                        "W={workers} scheduler={scheduler:?} query={q}: \
-                         compiled '{got}' vs interpret '{want}'"
-                    );
-                }
-            }
+        let compiled = seed_db(config(workers, ExprEngine::Compiled));
+        let interp = seed_db(config(workers, ExprEngine::Interpret));
+        for q in STATEMENTS {
+            let got = compiled.query(q).unwrap();
+            let want = interp.query(q).unwrap();
+            assert_eq!(canon_rows(&got), canon_rows(&want), "W={workers} query={q}");
+        }
+        for q in FAILING {
+            let got = compiled.query(q).expect_err("compiled should fail").to_string();
+            let want = interp.query(q).expect_err("interpret should fail").to_string();
+            // Workers race to fail first and the losers see the flipped
+            // token, but the query reports the root cause, not the echo.
+            assert_eq!(got, want, "W={workers} query={q}");
         }
     }
 }
 
 #[test]
 fn compiled_engine_is_deterministic_across_runs() {
-    let db = seed_db(config(4, SchedulerMode::Pool, ExprEngine::Compiled));
+    let db = seed_db(config(4, ExprEngine::Compiled));
     let q = "SELECT g, AVG(v) AS a, SUM(v) AS s FROM t WHERE id < 390 GROUP BY g";
     let reference = canon_rows(&db.query(q).unwrap());
     for run in 1..5 {
@@ -316,7 +294,7 @@ fn compiled_engine_is_deterministic_across_runs() {
 fn batch_rows_knob_does_not_change_results() {
     let mut cfgs = Vec::new();
     for rows in [1usize, 7, 64, 4096] {
-        let mut c = config(4, SchedulerMode::Pool, ExprEngine::Compiled);
+        let mut c = config(4, ExprEngine::Compiled);
         c.batch_rows = rows;
         cfgs.push((rows, seed_db(c)));
     }
@@ -329,7 +307,7 @@ fn batch_rows_knob_does_not_change_results() {
 
 #[test]
 fn vectorized_counters_surface_in_stats_and_metrics() {
-    let db = seed_db(config(4, SchedulerMode::Pool, ExprEngine::Compiled));
+    let db = seed_db(config(4, ExprEngine::Compiled));
     let r = db.query("SELECT id FROM t WHERE v > -50.0").unwrap();
     assert!(r.stats.total_batches() > 0, "vectorized filter should report batches");
     assert!(r.stats.total_kernels() > 0, "vectorized filter should report kernels");
@@ -348,7 +326,7 @@ fn vectorized_counters_surface_in_stats_and_metrics() {
         );
     }
     // The interpreted engine reports no vectorized work.
-    let idb = seed_db(config(4, SchedulerMode::Pool, ExprEngine::Interpret));
+    let idb = seed_db(config(4, ExprEngine::Interpret));
     let ri = idb.query("SELECT id FROM t WHERE v > -50.0").unwrap();
     assert_eq!(ri.stats.total_batches(), 0);
     assert_eq!(ri.stats.total_kernels(), 0);

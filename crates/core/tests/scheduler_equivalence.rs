@@ -1,14 +1,14 @@
 //! Morsel-scheduler equivalence and determinism tests.
 //!
-//! The morsel-driven pool scheduler must be a pure performance change:
-//! on heavily skewed partitions (one partition holding ~90% of rows),
-//! across worker counts and transports, pool-scheduled execution must
-//! produce the same relations as the per-partition spawn baseline — and
+//! Morsel splitting and stealing must be a pure performance change: on
+//! heavily skewed partitions (one partition holding ~90% of rows), across
+//! worker counts and transports, execution over 16-row stolen morsels
+//! must produce the same relations as one morsel per partition — and
 //! repeated runs over stolen morsels must be bit-for-bit identical.
 
 use lardb::{
-    Database, DatabaseConfig, DataType, Partitioning, QueryResult, Row, SchedulerMode,
-    Schema, Table, TransportMode, Value,
+    Database, DatabaseConfig, DataType, Partitioning, QueryResult, Row, Schema, Table,
+    TransportMode, Value,
 };
 
 /// Builds a database whose `skew` table hash-partitions 90% of its rows
@@ -71,18 +71,17 @@ const QUERIES: &[&str] = &[
     "SELECT s.k, d.label FROM skew AS s, dim AS d WHERE s.g = d.g AND s.k >= 990",
 ];
 
-fn config(
-    workers: usize,
-    transport: TransportMode,
-    scheduler: SchedulerMode,
-) -> DatabaseConfig {
+/// Tiny morsels, so the 900-row partition splits into dozens of
+/// stealable pieces even in a quick test.
+const SPLIT: usize = 16;
+/// One morsel per partition: the reference the split runs must match.
+const WHOLE: usize = usize::MAX;
+
+fn config(workers: usize, transport: TransportMode, morsel_rows: usize) -> DatabaseConfig {
     DatabaseConfig {
         workers,
         transport,
-        scheduler,
-        // Tiny morsels so the 900-row partition splits into dozens of
-        // stealable pieces even in a quick test.
-        morsel_rows: 16,
+        morsel_rows,
         // Oversubscribed dedicated pool: on any core count, preemption
         // forces cross-queue stealing.
         pool_workers: Some(4),
@@ -91,14 +90,14 @@ fn config(
 }
 
 #[test]
-fn pool_matches_spawn_on_skewed_partitions() {
+fn split_morsels_match_whole_partitions_on_skew() {
     for workers in [1usize, 4] {
         for transport in [TransportMode::Pointer, TransportMode::Serialized] {
-            let pool_db = skewed_db(config(workers, transport, SchedulerMode::Pool));
-            let spawn_db = skewed_db(config(workers, transport, SchedulerMode::Spawn));
+            let split_db = skewed_db(config(workers, transport, SPLIT));
+            let whole_db = skewed_db(config(workers, transport, WHOLE));
             for q in QUERIES {
-                let got = pool_db.query(q).unwrap();
-                let want = spawn_db.query(q).unwrap();
+                let got = split_db.query(q).unwrap();
+                let want = whole_db.query(q).unwrap();
                 assert_eq!(
                     sorted_rows(&got),
                     sorted_rows(&want),
@@ -112,15 +111,15 @@ fn pool_matches_spawn_on_skewed_partitions() {
 #[test]
 fn double_aggregates_match_within_tolerance() {
     // Morsel splitting re-associates float addition; sums must agree with
-    // the sequential baseline to rounding error only.
-    let pool_db = skewed_db(config(4, TransportMode::Pointer, SchedulerMode::Pool));
-    let spawn_db = skewed_db(config(4, TransportMode::Pointer, SchedulerMode::Spawn));
+    // the one-morsel-per-partition run to rounding error only.
+    let split_db = skewed_db(config(4, TransportMode::Pointer, SPLIT));
+    let whole_db = skewed_db(config(4, TransportMode::Pointer, WHOLE));
     let q = "SELECT SUM(v) AS s FROM skew";
-    let got = pool_db.query(q).unwrap().scalar().unwrap().as_double().unwrap();
-    let want = spawn_db.query(q).unwrap().scalar().unwrap().as_double().unwrap();
+    let got = split_db.query(q).unwrap().scalar().unwrap().as_double().unwrap();
+    let want = whole_db.query(q).unwrap().scalar().unwrap().as_double().unwrap();
     assert!(
         (got - want).abs() <= 1e-9 * want.abs().max(1.0),
-        "pool {got} vs spawn {want}"
+        "split {got} vs whole {want}"
     );
 }
 
@@ -129,7 +128,7 @@ fn repeated_grouped_aggregation_is_deterministic() {
     // Per-partition partials merge in ascending morsel order no matter
     // which worker ran which morsel, so repeated runs are bit-identical —
     // including float AVG states.
-    let db = skewed_db(config(4, TransportMode::Pointer, SchedulerMode::Pool));
+    let db = skewed_db(config(4, TransportMode::Pointer, SPLIT));
     let q = "SELECT g, AVG(v) AS a, SUM(v) AS s, COUNT(*) AS c FROM skew GROUP BY g";
     let first = db.query(q).unwrap();
     let reference: Vec<Vec<Value>> =
@@ -144,7 +143,7 @@ fn repeated_grouped_aggregation_is_deterministic() {
 
 #[test]
 fn pool_metrics_surface_in_show_metrics() {
-    let db = skewed_db(config(4, TransportMode::Pointer, SchedulerMode::Pool));
+    let db = skewed_db(config(4, TransportMode::Pointer, SPLIT));
     db.query("SELECT g, COUNT(*) AS c FROM skew GROUP BY g").unwrap();
     let r = db.query("SHOW METRICS").unwrap();
     let names: Vec<String> = r.rows.iter().map(|row| row.value(0).to_string()).collect();

@@ -8,7 +8,7 @@
 //! (sparse kernels accumulate each output element over ascending k, the
 //! same order as the dense loops, so `==` on float bits is the contract,
 //! not a tolerance). The matrix sweeps density {0.1%, 1%, 10%, 50%},
-//! W ∈ {1, 4}, both schedulers, both transports, and a 1 MiB spill
+//! W ∈ {1, 4}, both transports, and a 1 MiB spill
 //! budget; the iterative PageRank and logistic-regression drivers must
 //! follow identical trajectories; and serialized exchanges must ship
 //! sparse tiles proportionally to nnz, not rows × cols.
@@ -18,8 +18,8 @@
 
 use lardb::{
     dispatch, CooBuilder, Database, DatabaseConfig, DataType, DispatchMode,
-    Partitioning, QueryResult, Row, SchedulerMode, Schema, SparseMatrix,
-    TransportMode, Value, Vector,
+    Partitioning, QueryResult, Row, Schema, SparseMatrix, TransportMode, Value,
+    Vector,
 };
 use std::sync::Mutex;
 
@@ -73,7 +73,6 @@ fn assert_spill_dir_empty(dir: &std::path::Path) {
 fn config(
     workers: usize,
     transport: TransportMode,
-    scheduler: SchedulerMode,
     mem: Option<u64>,
     mode: DispatchMode,
     tag: &str,
@@ -81,7 +80,6 @@ fn config(
     DatabaseConfig {
         workers,
         transport,
-        scheduler,
         morsel_rows: 64,
         pool_workers: Some(4),
         mem: Some(mem.unwrap_or(0)),
@@ -181,47 +179,44 @@ fn sparse_arm_mode() -> DispatchMode {
 }
 
 #[test]
-fn sparse_matches_dense_across_density_workers_schedulers() {
+fn sparse_matches_dense_across_density_and_workers() {
     let _g = mode_lock();
     let arm = sparse_arm_mode();
     for density in [0.001, 0.01, 0.1, 0.5] {
         for workers in [1usize, 4] {
-            for scheduler in [SchedulerMode::Pool, SchedulerMode::Spawn] {
-                let tag = format!("d{density}-w{workers}-{scheduler:?}");
-                let sparse_db = tile_db(
-                    config(workers, TransportMode::Pointer, scheduler, None, arm, &tag),
-                    true,
-                    density,
+            let tag = format!("d{density}-w{workers}");
+            let sparse_db = tile_db(
+                config(workers, TransportMode::Pointer, None, arm, &tag),
+                true,
+                density,
+            );
+            let dense_db = tile_db(
+                config(
+                    workers,
+                    TransportMode::Pointer,
+                    None,
+                    DispatchMode::Dense,
+                    &format!("{tag}-dense"),
+                ),
+                false,
+                density,
+            );
+            for q in QUERIES {
+                let got = run(&sparse_db, arm, q);
+                let want = run(&dense_db, DispatchMode::Dense, q);
+                assert_eq!(
+                    exact_rows(&got),
+                    exact_rows(&want),
+                    "density={density} W={workers} query={q}"
                 );
-                let dense_db = tile_db(
-                    config(
-                        workers,
-                        TransportMode::Pointer,
-                        scheduler,
-                        None,
-                        DispatchMode::Dense,
-                        &format!("{tag}-dense"),
-                    ),
-                    false,
-                    density,
-                );
-                for q in QUERIES {
-                    let got = run(&sparse_db, arm, q);
-                    let want = run(&dense_db, DispatchMode::Dense, q);
-                    assert_eq!(
-                        exact_rows(&got),
-                        exact_rows(&want),
-                        "density={density} W={workers} scheduler={scheduler:?} query={q}"
-                    );
-                }
             }
         }
     }
     dispatch::set_dispatch_mode(DispatchMode::Adaptive);
 }
 
-/// Forced-sparse mode must agree too — skip-zero loops and sparse
-/// kernels are exact no-op-skipping rewrites of the dense loops.
+/// Forced-sparse mode must agree too — sparse kernels are exact
+/// no-op-skipping rewrites of the dense loops.
 #[test]
 fn forced_sparse_mode_matches_forced_dense() {
     let _g = mode_lock();
@@ -229,7 +224,6 @@ fn forced_sparse_mode_matches_forced_dense() {
         config(
             4,
             TransportMode::Pointer,
-            SchedulerMode::Pool,
             None,
             DispatchMode::Sparse,
             "forced-sparse",
@@ -241,7 +235,6 @@ fn forced_sparse_mode_matches_forced_dense() {
         config(
             4,
             TransportMode::Pointer,
-            SchedulerMode::Pool,
             None,
             DispatchMode::Dense,
             "forced-sparse-dense",
@@ -270,7 +263,6 @@ fn serialized_budgeted_sparse_matches_unbounded_dense() {
             config(
                 4,
                 TransportMode::Serialized,
-                SchedulerMode::Pool,
                 Some(1),
                 arm,
                 &tag,
@@ -282,7 +274,6 @@ fn serialized_budgeted_sparse_matches_unbounded_dense() {
             config(
                 4,
                 TransportMode::Pointer,
-                SchedulerMode::Pool,
                 None,
                 DispatchMode::Dense,
                 &format!("{tag}-dense"),
@@ -312,7 +303,6 @@ fn exchange_bytes_scale_with_nnz_not_shape() {
         config(
             4,
             TransportMode::Serialized,
-            SchedulerMode::Pool,
             None,
             DispatchMode::Adaptive,
             "nnz-sparse",
@@ -324,7 +314,6 @@ fn exchange_bytes_scale_with_nnz_not_shape() {
         config(
             4,
             TransportMode::Serialized,
-            SchedulerMode::Pool,
             None,
             DispatchMode::Dense,
             "nnz-dense",
@@ -358,7 +347,6 @@ fn matrix_from_entries_sql_end_to_end() {
     let db = Database::with_config(config(
         4,
         TransportMode::Pointer,
-        SchedulerMode::Pool,
         None,
         DispatchMode::Adaptive,
         "mfe",
@@ -474,7 +462,6 @@ fn graph_db(mode: DispatchMode, sparse: bool, m: &SparseMatrix, tag: &str) -> Da
     let db = Database::with_config(config(
         2,
         TransportMode::Pointer,
-        SchedulerMode::Pool,
         None,
         mode,
         tag,
@@ -566,7 +553,6 @@ fn logreg_sparse_trajectory_matches_dense() {
         let db = Database::with_config(config(
             2,
             TransportMode::Pointer,
-            SchedulerMode::Pool,
             None,
             mode,
             tag,
@@ -662,7 +648,6 @@ fn dispatch_choices_surface_in_explain_and_metrics() {
         config(
             2,
             TransportMode::Pointer,
-            SchedulerMode::Pool,
             None,
             DispatchMode::Adaptive,
             "explain",

@@ -5,12 +5,12 @@
 //! small enough that the hash-join build side and the grouped-aggregate
 //! state spill to disk — and the budgeted result must be **bit-identical**
 //! to the unbounded one (same rows, same order, same float bits), across
-//! worker counts, transports, and both schedulers. Spill files must be
-//! gone when the query finishes.
+//! worker counts and transports. Spill files must be gone when the query
+//! finishes.
 
 use lardb::{
-    Database, DatabaseConfig, DataType, Partitioning, QueryResult, Row, SchedulerMode,
-    Schema, TransportMode, Value,
+    Database, DatabaseConfig, DataType, Partitioning, QueryResult, Row, Schema,
+    TransportMode, Value,
 };
 use lardb_storage::gen::tiled_matrix_rows;
 
@@ -34,14 +34,12 @@ fn assert_spill_dir_empty(dir: &std::path::Path) {
 fn config(
     workers: usize,
     transport: TransportMode,
-    scheduler: SchedulerMode,
     mem: Option<u64>,
     tag: &str,
 ) -> DatabaseConfig {
     DatabaseConfig {
         workers,
         transport,
-        scheduler,
         morsel_rows: 64,
         pool_workers: Some(4),
         mem: Some(mem.unwrap_or(0)),
@@ -106,46 +104,35 @@ fn exact_rows(r: &QueryResult) -> Vec<Vec<Value>> {
 #[test]
 fn budgeted_queries_match_unbounded_bit_exactly() {
     for workers in [1usize, 4] {
-        for scheduler in [SchedulerMode::Pool, SchedulerMode::Spawn] {
-            let tag = format!("eq-w{workers}-{scheduler:?}");
-            let budgeted = fat_db(config(
-                workers,
-                TransportMode::Pointer,
-                scheduler,
-                Some(1),
-                &tag,
-            ));
-            let unbounded = fat_db(config(
-                workers,
-                TransportMode::Pointer,
-                scheduler,
-                None,
-                &format!("{tag}-unbounded"),
-            ));
-            let mut spilled_bytes = 0usize;
-            for q in QUERIES {
-                let got = budgeted.query(q).unwrap();
-                let want = unbounded.query(q).unwrap();
-                assert_eq!(
-                    exact_rows(&got),
-                    exact_rows(&want),
-                    "W={workers} scheduler={scheduler:?} query={q}"
-                );
-                spilled_bytes += got.stats.total_spill_bytes();
-                assert_eq!(
-                    want.stats.total_spill_bytes(),
-                    0,
-                    "unbounded run must never spill (query={q})"
-                );
-            }
-            // The whole point: the budgeted runs actually went out of core.
-            assert!(
-                spilled_bytes > 0,
-                "W={workers} scheduler={scheduler:?}: no query spilled under 1 MiB"
+        let tag = format!("eq-w{workers}");
+        let budgeted =
+            fat_db(config(workers, TransportMode::Pointer, Some(1), &tag));
+        let unbounded = fat_db(config(
+            workers,
+            TransportMode::Pointer,
+            None,
+            &format!("{tag}-unbounded"),
+        ));
+        let mut spilled_bytes = 0usize;
+        for q in QUERIES {
+            let got = budgeted.query(q).unwrap();
+            let want = unbounded.query(q).unwrap();
+            assert_eq!(
+                exact_rows(&got),
+                exact_rows(&want),
+                "W={workers} query={q}"
             );
-            assert_spill_dir_empty(&spill_dir(&tag));
-            assert_spill_dir_empty(&spill_dir(&format!("{tag}-unbounded")));
+            spilled_bytes += got.stats.total_spill_bytes();
+            assert_eq!(
+                want.stats.total_spill_bytes(),
+                0,
+                "unbounded run must never spill (query={q})"
+            );
         }
+        // The whole point: the budgeted runs actually went out of core.
+        assert!(spilled_bytes > 0, "W={workers}: no query spilled under 1 MiB");
+        assert_spill_dir_empty(&spill_dir(&tag));
+        assert_spill_dir_empty(&spill_dir(&format!("{tag}-unbounded")));
     }
 }
 
@@ -156,14 +143,12 @@ fn budgeted_serialized_transport_matches_pointer() {
     let budgeted = fat_db(config(
         4,
         TransportMode::Serialized,
-        SchedulerMode::Pool,
         Some(1),
         "ser",
     ));
     let unbounded = fat_db(config(
         4,
         TransportMode::Pointer,
-        SchedulerMode::Pool,
         None,
         "ser-unbounded",
     ));
@@ -197,7 +182,6 @@ fn chunked_matmul_spills_and_matches_unbounded() {
         let db = Database::with_config(config(
             workers,
             TransportMode::Pointer,
-            SchedulerMode::Pool,
             mem,
             tag,
         ));
@@ -236,7 +220,6 @@ fn spill_metrics_surface_in_show_metrics() {
     let db = fat_db(config(
         2,
         TransportMode::Pointer,
-        SchedulerMode::Pool,
         Some(1),
         "metrics",
     ));

@@ -65,30 +65,6 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// How per-partition work is put on threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerMode {
-    /// Morsel-driven: work is split into row-range morsels scheduled on
-    /// the persistent work-stealing pool (the default).
-    #[default]
-    Pool,
-    /// One fresh scoped thread per partition per operator — the
-    /// pre-morsel behavior, kept as the ablation baseline.
-    Spawn,
-}
-
-impl std::str::FromStr for SchedulerMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> std::result::Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "pool" => Ok(SchedulerMode::Pool),
-            "spawn" => Ok(SchedulerMode::Spawn),
-            other => Err(format!("unknown scheduler '{other}' (pool|spawn)")),
-        }
-    }
-}
-
 /// Default rows per morsel. Small enough that a skewed partition splits
 /// into many stealable pieces, large enough that per-morsel scheduling
 /// cost is noise; also keeps small inputs on the single-morsel path,
@@ -112,7 +88,6 @@ pub struct Cluster {
     workers: usize,
     /// `None` ⇒ use the process-wide [`lardb_pool::global`] pool.
     pool: Option<Arc<WorkerPool>>,
-    scheduler: SchedulerMode,
     morsel_rows: usize,
     /// Query-wide cancellation token, shared by clones of this cluster.
     cancel: CancelToken,
@@ -136,7 +111,6 @@ impl Cluster {
         Cluster {
             workers,
             pool: None,
-            scheduler: SchedulerMode::default(),
             morsel_rows: DEFAULT_MORSEL_ROWS,
             cancel: CancelToken::new(),
             external_cancel: false,
@@ -179,12 +153,6 @@ impl Cluster {
         self
     }
 
-    /// Selects the scheduling strategy.
-    pub fn with_scheduler(mut self, scheduler: SchedulerMode) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
     /// Sets the morsel size in rows (clamped to ≥ 1).
     pub fn with_morsel_rows(mut self, rows: usize) -> Self {
         self.morsel_rows = rows.max(1);
@@ -201,11 +169,6 @@ impl Cluster {
         self.morsel_rows
     }
 
-    /// Active scheduling strategy.
-    pub fn scheduler(&self) -> SchedulerMode {
-        self.scheduler
-    }
-
     /// The query-wide cancellation token (shared across clones).
     pub fn cancel_token(&self) -> &CancelToken {
         &self.cancel
@@ -220,10 +183,9 @@ impl Cluster {
     }
 
     /// Runs `f(worker_index, item)` for every item in parallel, preserving
-    /// item order in the result. Errors from any worker are propagated
-    /// (first one wins), and a worker that panics surfaces as
-    /// [`ExecError::Runtime`] instead of tearing down the process — a
-    /// query must not crash the database.
+    /// item order in the result. A worker that panics surfaces as
+    /// [`ExecError::Runtime`], and when several fail the first root cause
+    /// in item order wins over any `Cancelled` echo.
     ///
     /// Used for partition-granular stages (hash-table builds, sorts,
     /// frame encoding) where splitting finer buys nothing; row-granular
@@ -234,47 +196,7 @@ impl Cluster {
         R: Send,
         F: Fn(usize, T) -> Result<R> + Sync,
     {
-        let f = self.guard(f);
-        // Single worker or single item: run inline, no scheduling overhead.
-        if items.len() <= 1 {
-            return items.into_iter().enumerate().map(|(i, item)| f(i, item)).collect();
-        }
-        match self.scheduler {
-            SchedulerMode::Pool => self.pool_map(items, f),
-            SchedulerMode::Spawn => spawn_map(items, f),
-        }
-    }
-
-    /// Wraps a work closure with the query's cancellation protocol: a
-    /// cancelled query skips the work outright (morsel-boundary abort),
-    /// and any failure flips the token so siblings stop too. When the
-    /// query is traced, the closure runs under the trace (thread-local)
-    /// inside a per-morsel span, so the flight recorder sees which pool
-    /// thread ran each morsel and leaf code attributes its events.
-    fn guard<T, R, F>(&self, f: F) -> impl Fn(usize, T) -> Result<R> + Sync
-    where
-        F: Fn(usize, T) -> Result<R> + Sync,
-    {
-        let cancel = self.cancel.clone();
-        let trace = self.trace.clone();
-        move |i, item| {
-            if cancel.is_cancelled() {
-                return Err(ExecError::Cancelled(
-                    "a sibling worker failed first".into(),
-                ));
-            }
-            let _cur = trace
-                .as_ref()
-                .map(|t| lardb_obs::trace::push_current(Some(t.clone())));
-            let _span = trace
-                .as_ref()
-                .map(|t| t.span("morsel", "worker").arg("partition", i.to_string()));
-            let r = f(i, item);
-            if let Err(e) = &r {
-                flag_abort(&cancel, e);
-            }
-            r
-        }
+        self.run_tasks(items.into_iter().enumerate().collect(), f)
     }
 
     /// Runs `f(partition, morsel_rows)` over every partition of `parts`,
@@ -288,48 +210,81 @@ impl Cluster {
     /// Every partition yields at least one morsel, so empty partitions
     /// still produce one result (preserving per-partition semantics such
     /// as empty-input aggregates).
-    ///
-    /// Under [`SchedulerMode::Spawn`] each partition is one morsel on its
-    /// own scoped thread — the pre-pool behavior, kept for ablation.
     pub fn morsel_map<T, R, F>(&self, parts: Vec<Vec<T>>, f: F) -> Result<Vec<Vec<R>>>
     where
         T: Send,
         R: Send,
         F: Fn(usize, Vec<T>) -> Result<R> + Sync,
     {
-        if self.scheduler == SchedulerMode::Spawn {
-            return self
-                .par_map(parts, |p, rows| f(p, rows).map(|r| vec![r]))
-                .map(|v| v.into_iter().collect());
-        }
-        let f = self.guard(f);
         // Split partitions into (partition, rows) morsels, partition-major.
         let num_parts = parts.len();
-        let mut homes: Vec<usize> = Vec::new();
-        let mut morsels: Vec<Vec<T>> = Vec::new();
+        let mut morsels: Vec<(usize, Vec<T>)> = Vec::new();
         for (p, rows) in parts.into_iter().enumerate() {
-            for chunk in chunk_rows(rows, self.morsel_rows) {
-                homes.push(p);
-                morsels.push(chunk);
-            }
+            morsels.extend(chunk_rows(rows, self.morsel_rows).into_iter().map(|c| (p, c)));
         }
-        // One morsel total: run inline (bit-identical to sequential).
-        let results: Vec<Result<R>> = if morsels.len() <= 1 {
-            homes
-                .iter()
-                .zip(morsels)
-                .map(|(&p, chunk)| f(p, chunk))
-                .collect()
+        let homes: Vec<usize> = morsels.iter().map(|&(p, _)| p).collect();
+        // Reassemble per partition, morsel order preserved.
+        let mut out: Vec<Vec<R>> = (0..num_parts).map(|_| Vec::new()).collect();
+        for (p, r) in homes.into_iter().zip(self.run_tasks(morsels, f)?) {
+            out[p].push(r);
+        }
+        Ok(out)
+    }
+
+    /// The one scheduling function: runs `f(index, input)` for every task
+    /// on the pool and returns the results in task order.
+    ///
+    /// Each task runs under the query's cancellation protocol: a
+    /// cancelled query skips the work outright (morsel-boundary abort),
+    /// and any failure flips the token so siblings stop too. When the
+    /// query is traced, the task runs under the trace (thread-local)
+    /// inside a per-morsel span, so the flight recorder sees which pool
+    /// thread ran each morsel and leaf code attributes its events.
+    ///
+    /// A task that panics surfaces as [`ExecError::Runtime`] instead of
+    /// tearing down the process — a query must not crash the database.
+    /// When several tasks fail, the first error in task order that is not
+    /// a cancellation echo is returned; `Cancelled` surfaces only when no
+    /// task has a root cause of its own (KILL, disconnect, or a failure in
+    /// an earlier call on this cluster).
+    fn run_tasks<T, R, F>(&self, tasks: Vec<(usize, T)>, f: F) -> Result<Vec<R>>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(usize, T) -> Result<R> + Sync,
+    {
+        let guarded = |i: usize, input: T| -> Result<R> {
+            if self.cancel.is_cancelled() {
+                return Err(ExecError::Cancelled(
+                    "a sibling worker failed first".into(),
+                ));
+            }
+            let _cur = self
+                .trace
+                .as_ref()
+                .map(|t| lardb_obs::trace::push_current(Some(t.clone())));
+            let _span = self
+                .trace
+                .as_ref()
+                .map(|t| t.span("morsel", "worker").arg("partition", i.to_string()));
+            let r = f(i, input);
+            if let Err(e) = &r {
+                flag_abort(&self.cancel, e);
+            }
+            r
+        };
+        // One task: run inline, no scheduling overhead (and bit-identical
+        // to a sequential run).
+        let results: Vec<Result<R>> = if tasks.len() <= 1 {
+            tasks.into_iter().map(|(i, input)| guarded(i, input)).collect()
         } else {
             let mut slots: Vec<Option<Result<R>>> = Vec::new();
-            slots.resize_with(morsels.len(), || None);
+            slots.resize_with(tasks.len(), || None);
             let scoped = self.pool().scope(|s| {
-                for ((&p, chunk), slot) in
-                    homes.iter().zip(morsels).zip(slots.iter_mut())
-                {
-                    let f = &f;
+                for ((i, input), slot) in tasks.into_iter().zip(slots.iter_mut()) {
+                    let guarded = &guarded;
                     s.spawn(move || {
-                        *slot = Some(f(p, chunk));
+                        *slot = Some(guarded(i, input));
                     });
                 }
             });
@@ -339,92 +294,29 @@ impl Cluster {
                 flag_abort(&self.cancel, &e);
                 return Err(e);
             }
-            // An unfilled slot means the pool dropped a morsel without
+            // An unfilled slot means the pool dropped a task without
             // running it — surface as an error instead of panicking the
             // coordinating thread.
             slots
                 .into_iter()
                 .map(|r| {
                     r.unwrap_or_else(|| {
-                        Err(ExecError::Runtime("pool dropped a morsel unrun".into()))
+                        Err(ExecError::Runtime("pool dropped a task unrun".into()))
                     })
                 })
                 .collect()
         };
-        // Reassemble per partition, morsel order preserved.
-        let mut out: Vec<Vec<R>> = (0..num_parts).map(|_| Vec::new()).collect();
-        for (p, r) in homes.into_iter().zip(results) {
-            out[p].push(r?);
-        }
-        Ok(out)
-    }
-
-    /// Partition-granular scheduling on the worker pool: one task per
-    /// item, results in item order.
-    fn pool_map<T, R, F>(&self, items: Vec<T>, f: F) -> Result<Vec<R>>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> Result<R> + Sync,
-    {
-        let mut slots: Vec<Option<Result<R>>> = Vec::new();
-        slots.resize_with(items.len(), || None);
-        let scoped = self.pool().scope(|s| {
-            for ((i, item), slot) in items.into_iter().enumerate().zip(slots.iter_mut())
-            {
-                let f = &f;
-                s.spawn(move || {
-                    *slot = Some(f(i, item));
-                });
+        let mut out = Vec::with_capacity(results.len());
+        let mut echo = None;
+        for r in results {
+            match r {
+                Ok(v) => out.push(v),
+                Err(e @ ExecError::Cancelled(_)) => echo = echo.or(Some(e)),
+                Err(root_cause) => return Err(root_cause),
             }
-        });
-        if let Err(msg) = scoped {
-            lardb_obs::global().counter("exec.worker_panics").inc();
-            let e = ExecError::Runtime(format!("worker thread panicked: {msg}"));
-            flag_abort(&self.cancel, &e);
-            return Err(e);
         }
-        slots
-            .into_iter()
-            .map(|r| {
-                r.unwrap_or_else(|| {
-                    Err(ExecError::Runtime("pool dropped a task unrun".into()))
-                })
-            })
-            .collect()
+        echo.map_or(Ok(out), Err)
     }
-}
-
-/// The pre-pool execution strategy: one scoped OS thread per item.
-fn spawn_map<T, R, F>(items: Vec<T>, f: F) -> Result<Vec<R>>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> Result<R> + Sync,
-{
-    let results: Vec<Result<R>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .into_iter()
-            .enumerate()
-            .map(|(i, item)| {
-                let f = &f;
-                scope.spawn(move || f(i, item))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|payload| {
-                    lardb_obs::global().counter("exec.worker_panics").inc();
-                    Err(ExecError::Runtime(format!(
-                        "worker thread panicked: {}",
-                        panic_message(payload.as_ref())
-                    )))
-                })
-            })
-            .collect()
-    });
-    results.into_iter().collect()
 }
 
 /// Splits `rows` into chunks of ≤ `size` rows, moving (never cloning)
@@ -493,21 +385,49 @@ mod tests {
 
     #[test]
     fn par_map_converts_worker_panics_to_errors() {
-        for mode in [SchedulerMode::Pool, SchedulerMode::Spawn] {
-            let c = Cluster::new(2).with_scheduler(mode);
-            let out: Result<Vec<i32>> = c.par_map(vec![1, 2, 3], |_, x| {
-                if x == 2 {
-                    panic!("kaboom on {x}");
-                }
-                Ok(x)
-            });
-            match out {
-                Err(ExecError::Runtime(msg)) => {
-                    assert!(msg.contains("kaboom"), "unexpected message: {msg}")
-                }
-                other => panic!("expected Runtime error, got {other:?}"),
+        let c = Cluster::new(2);
+        let out: Result<Vec<i32>> = c.par_map(vec![1, 2, 3], |_, x| {
+            if x == 2 {
+                panic!("kaboom on {x}");
             }
+            Ok(x)
+        });
+        match out {
+            Err(ExecError::Runtime(msg)) => {
+                assert!(msg.contains("kaboom"), "unexpected message: {msg}")
+            }
+            other => panic!("expected Runtime error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn root_cause_beats_cancellation_echo() {
+        // Task 0 waits for the token to flip and reports the echo; task 1
+        // holds the real error. The call must report the real one.
+        let c = Cluster::new(2)
+            .with_pool(Arc::new(WorkerPool::new(2)))
+            .with_morsel_rows(1);
+        let task = |token: &CancelToken, i: usize| -> Result<()> {
+            if i == 0 {
+                while !token.is_cancelled() {
+                    std::thread::yield_now();
+                }
+                Err(ExecError::Cancelled("a sibling worker failed first".into()))
+            } else {
+                Err(ExecError::Runtime("root cause".into()))
+            }
+        };
+        let is_root =
+            |e: &ExecError| matches!(e, ExecError::Runtime(m) if m == "root cause");
+        let err = c
+            .par_map(vec![0, 1], |_, i| task(c.cancel_token(), i))
+            .unwrap_err();
+        assert!(is_root(&err), "par_map reported {err:?}");
+        c.cancel_token().reset();
+        let err = c
+            .morsel_map(vec![vec![0, 1]], |_, rows| task(c.cancel_token(), rows[0]))
+            .unwrap_err();
+        assert!(is_root(&err), "morsel_map reported {err:?}");
     }
 
     #[test]
@@ -574,20 +494,6 @@ mod tests {
             .morsel_map(vec![Vec::<i32>::new(), vec![1]], |_, rows| Ok(rows.len()))
             .unwrap();
         assert_eq!(out, vec![vec![0], vec![1]]);
-    }
-
-    #[test]
-    fn morsel_map_spawn_mode_is_partition_granular() {
-        let c = Cluster::new(2)
-            .with_scheduler(SchedulerMode::Spawn)
-            .with_morsel_rows(2);
-        let out = c
-            .morsel_map(vec![(0..10).collect::<Vec<i32>>(), vec![7]], |_, rows| {
-                Ok(rows.len())
-            })
-            .unwrap();
-        // Spawn mode never splits: one morsel per partition.
-        assert_eq!(out, vec![vec![10], vec![1]]);
     }
 
     #[test]

@@ -30,10 +30,10 @@ use crate::{ExecError, Result};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExprEngine {
     /// Row-at-a-time tree-walking interpreter ([`crate::eval`]) — the
-    /// ablation baseline (`--expr-engine interpret`).
+    /// per-chunk fallback and the differential suite's oracle.
     Interpret,
     /// Compiled bytecode over column batches with fused morsel kernels
-    /// (`--expr-engine compiled`, the default).
+    /// (the default).
     #[default]
     Compiled,
 }

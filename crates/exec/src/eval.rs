@@ -1,6 +1,6 @@
 //! Row-at-a-time expression evaluation.
 //!
-//! This is the *interpreted* engine (`--expr-engine interpret`) and the
+//! This is the *interpreted* engine (`ExprEngine::Interpret`) and the
 //! semantic reference for the vectorized engine in [`crate::compile`] /
 //! [`crate::kernels`]: whatever this module computes, per row, is by
 //! definition the right answer. Two allocation patterns matter on the

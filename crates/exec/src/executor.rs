@@ -194,8 +194,9 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Enables or disables pipelined join→aggregate fusion (the ablation
-    /// benchmark measures the difference).
+    /// Disables pipelined join→aggregate fusion, so a test can use the
+    /// materialized plan as the reference for the fused one.
+    #[cfg(test)]
     pub fn with_fusion(mut self, fuse: bool) -> Self {
         self.fuse = fuse;
         self
@@ -802,7 +803,7 @@ impl<'a> Executor<'a> {
     /// kernel declines (a type mix it cannot promote, integer overflow, a
     /// lane-level type error) is replayed wholesale through the row
     /// interpreter, so values *and* error classes are identical to
-    /// `--expr-engine interpret` by construction.
+    /// `ExprEngine::Interpret` by construction.
     fn run_vectorized_chain(
         &self,
         plan: &PhysicalPlan,

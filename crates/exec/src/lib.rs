@@ -27,7 +27,7 @@ pub mod executor;
 pub mod kernels;
 pub mod stats;
 
-pub use cluster::{CancelToken, Cluster, SchedulerMode, DEFAULT_MORSEL_ROWS};
+pub use cluster::{CancelToken, Cluster, DEFAULT_MORSEL_ROWS};
 pub use compile::ExprEngine;
 pub use executor::{ExecutionResult, Executor, MemoryConfig, DEFAULT_BATCH_ROWS};
 pub use lardb_net::{FaultKind, FaultPlan, NetConfig, TransportMode};

@@ -172,7 +172,7 @@ impl OperatorStats {
 #[derive(Debug, Clone, Default)]
 pub struct ExecStats {
     ops: Vec<OperatorStats>,
-    /// Kernel-dispatch choices (dense vs skip-zero vs sparse kernels) made
+    /// Kernel-dispatch choices (dense vs sparse kernels) made
     /// while this query executed. Attributed by snapshotting the
     /// process-wide dispatch counters around execution, so concurrent
     /// queries' kernels can overlap into each other's counts.

@@ -1,17 +1,12 @@
 //! Density-adaptive kernel dispatch.
 //!
-//! PR 3 hardcoded one density heuristic inside `gemm.rs`: sample the left
-//! operand and take the skip-zero loop past 25% zeros. This module
-//! generalizes that into an engine-wide dispatch layer with three
-//! process-wide knobs (mirroring [`crate::gemm::set_parallel_flops`]):
+//! Dense-typed tiles always run the dense loops in [`crate::gemm`]; this
+//! module decides what happens to *sparse-typed* tiles:
 //!
-//! * a [`DispatchMode`] — `dense` forces the branch-free dense loops and
-//!   densifies sparse tiles at kernel entry, `sparse` forces skip-zero /
-//!   sparse kernels, `adaptive` (default) picks per tile pair from the
-//!   sampled density;
-//! * a *sparse threshold* — the zero fraction above which adaptive
-//!   dispatch prefers skip-zero/sparse kernels (default 0.25, the PR 3
-//!   cutoff);
+//! * a process-wide [`DispatchMode`] — `dense` densifies sparse tiles at
+//!   kernel entry (the reference arm of the sparse ≡ dense suites),
+//!   `sparse` keeps them on sparse kernels, `adaptive` (default) picks
+//!   per tile from its stored density against [`DENSIFY_ABOVE`];
 //! * monotone per-kind choice counters, snapshotted by the database layer
 //!   around each query to surface per-query kernel choices in
 //!   EXPLAIN ANALYZE and `la.dispatch.*` metrics in SHOW METRICS.
@@ -21,11 +16,11 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 /// Which kernel family multiplies get routed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DispatchMode {
-    /// Always the branch-free dense loops; sparse tiles densify first.
+    /// Always the dense loops; sparse tiles densify first.
     Dense,
-    /// Always skip-zero / sparse kernels.
+    /// Sparse tiles always stay on sparse kernels.
     Sparse,
-    /// Pick per tile pair from sampled density (the default).
+    /// Pick per sparse tile from its stored density (the default).
     Adaptive,
 }
 
@@ -56,12 +51,9 @@ const MODE_ADAPTIVE: u8 = 2;
 
 static MODE: AtomicU8 = AtomicU8::new(MODE_ADAPTIVE);
 
-/// Default zero-fraction cutoff — the PR 3 `SPARSE_CUTOFF`.
-pub const DEFAULT_SPARSE_THRESHOLD: f64 = 0.25;
-
-// `0.25f64.to_bits()`; spelled as a literal because `to_bits` is not
-// usable in a `static` initializer on this toolchain.
-static SPARSE_THRESHOLD_BITS: AtomicU64 = AtomicU64::new(0x3FD0000000000000);
+/// Stored density above which adaptive dispatch densifies a sparse tile:
+/// past it the dense loop beats the indexed sparse kernels.
+pub const DENSIFY_ABOVE: f64 = 0.75;
 
 /// Sets the process-wide dispatch mode; returns the previous one.
 pub fn set_dispatch_mode(mode: DispatchMode) -> DispatchMode {
@@ -86,51 +78,23 @@ pub fn dispatch_mode() -> DispatchMode {
     }
 }
 
-/// Sets the adaptive zero-fraction cutoff (clamped to `[0, 1]`); returns
-/// the previous value.
-pub fn set_sparse_threshold(threshold: f64) -> f64 {
-    let t = threshold.clamp(0.0, 1.0);
-    f64::from_bits(SPARSE_THRESHOLD_BITS.swap(t.to_bits(), Ordering::Relaxed))
-}
-
-/// Current adaptive zero-fraction cutoff.
-pub fn sparse_threshold() -> f64 {
-    f64::from_bits(SPARSE_THRESHOLD_BITS.load(Ordering::Relaxed))
-}
-
-/// Resolves one density-dispatch decision for a dense tile whose sampled
-/// zero fraction is `zero_fraction`: `true` means take the skip-zero loop.
-/// Also bumps the matching choice counter.
-pub fn choose_skip_zero(zero_fraction: f64) -> bool {
-    let skip = match dispatch_mode() {
-        DispatchMode::Dense => false,
-        DispatchMode::Sparse => true,
-        DispatchMode::Adaptive => zero_fraction > sparse_threshold(),
-    };
-    if skip {
-        COUNTERS.skipzero.fetch_add(1, Ordering::Relaxed);
-    } else {
-        COUNTERS.dense.fetch_add(1, Ordering::Relaxed);
-    }
-    skip
-}
-
 /// Whether a *sparse-typed* tile of the given stored density should stay
 /// on sparse kernels (`true`) or densify first (`false`). Sparse tiles
 /// stay sparse except under forced-dense mode or when adaptive dispatch
-/// sees a tile dense enough that the branch-free loop wins
-/// (`density > 1 - threshold`, the mirror image of the skip-zero rule).
+/// sees a tile denser than [`DENSIFY_ABOVE`].
 pub fn keep_sparse(density: f64) -> bool {
     match dispatch_mode() {
         DispatchMode::Dense => false,
         DispatchMode::Sparse => true,
-        DispatchMode::Adaptive => density <= 1.0 - sparse_threshold(),
+        DispatchMode::Adaptive => density <= DENSIFY_ABOVE,
     }
 }
 
 /// The kernel families whose choices are counted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
+    /// Dense GEMM or SYRK.
+    Dense,
     /// Sparse × dense-vector product.
     Spmv,
     /// Sparse × dense matrix product.
@@ -143,9 +107,10 @@ pub enum Kernel {
     Densified,
 }
 
-/// Records that a sparse kernel (or a densification) ran.
+/// Records that a kernel (or a densification) ran.
 pub fn note_kernel(kernel: Kernel) {
     let c = match kernel {
+        Kernel::Dense => &COUNTERS.dense,
         Kernel::Spmv => &COUNTERS.spmv,
         Kernel::SpDense => &COUNTERS.sp_dense,
         Kernel::SpGemm => &COUNTERS.spgemm,
@@ -157,7 +122,6 @@ pub fn note_kernel(kernel: Kernel) {
 
 struct Counters {
     dense: AtomicU64,
-    skipzero: AtomicU64,
     spmv: AtomicU64,
     sp_dense: AtomicU64,
     spgemm: AtomicU64,
@@ -167,7 +131,6 @@ struct Counters {
 
 static COUNTERS: Counters = Counters {
     dense: AtomicU64::new(0),
-    skipzero: AtomicU64::new(0),
     spmv: AtomicU64::new(0),
     sp_dense: AtomicU64::new(0),
     spgemm: AtomicU64::new(0),
@@ -180,10 +143,8 @@ static COUNTERS: Counters = Counters {
 /// EXPLAIN ANALYZE; concurrent queries overlap, which the display notes).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DispatchCounters {
-    /// Branch-free dense GEMM/SYRK inner-loop choices.
+    /// Dense GEMM/SYRK runs.
     pub dense: u64,
-    /// Skip-zero (branchy) inner-loop choices.
-    pub skipzero: u64,
     /// SpMV kernel runs.
     pub spmv: u64,
     /// Sparse × dense GEMM runs.
@@ -206,7 +167,6 @@ impl DispatchCounters {
     pub fn since(&self, earlier: &DispatchCounters) -> DispatchCounters {
         DispatchCounters {
             dense: self.dense.saturating_sub(earlier.dense),
-            skipzero: self.skipzero.saturating_sub(earlier.skipzero),
             spmv: self.spmv.saturating_sub(earlier.spmv),
             sp_dense: self.sp_dense.saturating_sub(earlier.sp_dense),
             spgemm: self.spgemm.saturating_sub(earlier.spgemm),
@@ -219,7 +179,6 @@ impl DispatchCounters {
     pub fn plus(&self, other: &DispatchCounters) -> DispatchCounters {
         DispatchCounters {
             dense: self.dense + other.dense,
-            skipzero: self.skipzero + other.skipzero,
             spmv: self.spmv + other.spmv,
             sp_dense: self.sp_dense + other.sp_dense,
             spgemm: self.spgemm + other.spgemm,
@@ -238,7 +197,6 @@ impl DispatchCounters {
 pub fn dispatch_counters() -> DispatchCounters {
     DispatchCounters {
         dense: COUNTERS.dense.load(Ordering::Relaxed),
-        skipzero: COUNTERS.skipzero.load(Ordering::Relaxed),
         spmv: COUNTERS.spmv.load(Ordering::Relaxed),
         sp_dense: COUNTERS.sp_dense.load(Ordering::Relaxed),
         spgemm: COUNTERS.spgemm.load(Ordering::Relaxed),
@@ -264,26 +222,13 @@ mod tests {
     fn forced_modes_override_density() {
         // Serialize against other tests touching the global mode.
         let prev = set_dispatch_mode(DispatchMode::Dense);
-        assert!(!choose_skip_zero(1.0));
         assert!(!keep_sparse(0.0001));
         set_dispatch_mode(DispatchMode::Sparse);
-        assert!(choose_skip_zero(0.0));
         assert!(keep_sparse(0.9999));
         set_dispatch_mode(DispatchMode::Adaptive);
-        assert!(choose_skip_zero(0.9));
-        assert!(!choose_skip_zero(0.1));
         assert!(keep_sparse(0.01));
         assert!(!keep_sparse(0.9));
         set_dispatch_mode(prev);
-    }
-
-    #[test]
-    fn threshold_clamps_and_swaps() {
-        let prev = set_sparse_threshold(0.5);
-        assert_eq!(sparse_threshold(), 0.5);
-        set_sparse_threshold(7.0);
-        assert_eq!(sparse_threshold(), 1.0);
-        set_sparse_threshold(prev);
     }
 
     #[test]

@@ -9,22 +9,17 @@
 //! for the reproduction — its cost *scales* exactly like the paper's GEMM
 //! calls, so relative results are preserved.
 //!
-//! Two orthogonal dispatches sit in front of the inner loop:
+//! There is one dense inner loop: every `a[i][k] * b[k][j]` term is
+//! accumulated, zeros included, so non-finite operands follow IEEE 754
+//! (`0 × inf = NaN`) whatever the density of `a`. Sparsity is expressed
+//! with a sparse-typed tile ([`crate::sparse`]), not sampled here.
 //!
-//! * **Density.** The historical kernel skipped `a[i][k] == 0.0` terms,
-//!   which wins big on sparse tiles but costs a branch per FMA on dense
-//!   ones. `gemm_acc` now samples the left operand and picks the
-//!   branch-free dense loop ([`gemm_acc_dense`]) unless the tile looks
-//!   sparse ([`gemm_acc_skipzero`]). Both are public for the kernel bench.
-//! * **Parallelism.** Above a flop-count cutoff
-//!   ([`set_parallel_flops`], default 2 M) the output is tiled into
-//!   `(i-block, j-block)` cache blocks scheduled as morsels on the
-//!   process-wide [`lardb_pool`] worker pool. Each morsel owns a disjoint
-//!   block of `out` and runs the *full* `k` loop in the same block order
-//!   as the sequential kernel, so per-element accumulation order — and
-//!   therefore every output bit — is identical to a sequential run.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! Above `PAR_FLOPS` multiply-adds the output is tiled into
+//! `(i-block, j-block)` cache blocks scheduled as morsels on the
+//! process-wide [`lardb_pool`] worker pool. Each morsel owns a disjoint
+//! block of `out` and runs the *full* `k` loop in the same block order
+//! as the sequential kernel, so per-element accumulation order — and
+//! therefore every output bit — is identical to a sequential run.
 
 use crate::matrix::Matrix;
 
@@ -37,39 +32,9 @@ const BLOCK: usize = 64;
 /// several inner-kernel block iterations).
 const PAR_BLOCK: usize = 2 * BLOCK;
 
-/// Minimum multiply-add count (`m·n·k`) before [`gemm_acc`] fans the
-/// output blocks out onto the worker pool. `0` disables parallel GEMM.
-static PARALLEL_FLOPS: AtomicUsize = AtomicUsize::new(2_000_000);
-
-/// Sets the flop-count cutoff above which GEMM/SYRK run pool-parallel
-/// (`0` keeps every multiply inline). Returns the previous value.
-pub fn set_parallel_flops(flops: usize) -> usize {
-    PARALLEL_FLOPS.swap(flops, Ordering::Relaxed)
-}
-
-/// Current pool-parallel flop cutoff (see [`set_parallel_flops`]).
-pub fn parallel_flops() -> usize {
-    PARALLEL_FLOPS.load(Ordering::Relaxed)
-}
-
-/// Estimates the zero fraction of `data` from ≤ 1024 strided samples.
-pub fn zero_fraction(data: &[f64]) -> f64 {
-    if data.is_empty() {
-        return 0.0;
-    }
-    let step = (data.len() / 1024).max(1);
-    let mut seen = 0usize;
-    let mut zeros = 0usize;
-    let mut i = 0;
-    while i < data.len() {
-        seen += 1;
-        if data[i] == 0.0 {
-            zeros += 1;
-        }
-        i += step;
-    }
-    zeros as f64 / seen as f64
-}
+/// Minimum multiply-add count (`m·n·k`) before GEMM/SYRK fan their
+/// output blocks out onto the worker pool.
+const PAR_FLOPS: usize = 2_000_000;
 
 /// A raw pointer into `out` that can cross thread boundaries. Safety is
 /// by construction: every parallel morsel writes a disjoint
@@ -82,13 +47,10 @@ unsafe impl Sync for OutPtr {}
 /// The blocked inner kernel over one `[i0,i1) × [j0,j1)` block of `out`,
 /// running the full `k` extent in the canonical `kb`-block order.
 ///
-/// `skip_zero` selects the branchy sparse loop; monomorphized via const
-/// generic so the dense path carries no per-FMA branch.
-///
 /// # Safety
 /// `out` must point at an `m × n` row-major buffer; no other thread may
 /// touch elements in `[i0,i1) × [j0,j1)` while this runs.
-unsafe fn gemm_block<const SKIP_ZERO: bool>(
+unsafe fn gemm_block(
     a_data: &[f64],
     b_data: &[f64],
     out: OutPtr,
@@ -109,9 +71,6 @@ unsafe fn gemm_block<const SKIP_ZERO: bool>(
                 );
                 for kk in kb..kmax {
                     let aik = a_row[kk];
-                    if SKIP_ZERO && aik == 0.0 {
-                        continue;
-                    }
                     let b_row = &b_data[kk * n + jb..kk * n + jmax];
                     for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
                         *o += aik * bv;
@@ -129,9 +88,8 @@ fn par_ranges(len: usize) -> Vec<(usize, usize)> {
 
 /// `out += a × b`. Shapes must already be validated by the caller.
 ///
-/// Dispatches on density (dense vs skip-zero inner loop) and size
-/// (inline vs pool-parallel over output cache blocks); every path
-/// produces bit-identical output.
+/// Runs inline or pool-parallel over output cache blocks depending on
+/// size; both produce bit-identical output.
 pub(crate) fn gemm_acc(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     gemm_acc_pooled(lardb_pool::global(), a, b, out)
 }
@@ -150,62 +108,38 @@ pub fn gemm_acc_pooled(
     debug_assert_eq!(b.rows(), k);
     debug_assert_eq!(out.shape(), (m, n));
 
-    let skip_zero = crate::dispatch::choose_skip_zero(zero_fraction(a.as_slice()));
-    let cutoff = parallel_flops();
+    crate::dispatch::note_kernel(crate::dispatch::Kernel::Dense);
     let flops = m.saturating_mul(n).saturating_mul(k);
-    if cutoff > 0 && flops >= cutoff && pool.workers() > 1 && m * n > PAR_BLOCK {
-        let a_data = a.as_slice();
-        let b_data = b.as_slice();
-        let ptr = OutPtr(out.as_mut_slice().as_mut_ptr());
+    let a_data = a.as_slice();
+    let b_data = b.as_slice();
+    let ptr = OutPtr(out.as_mut_slice().as_mut_ptr());
+    if flops >= PAR_FLOPS && pool.workers() > 1 && m * n > PAR_BLOCK {
         pool.scope(|s| {
             for ib in par_ranges(m) {
                 for jb in par_ranges(n) {
+                    // SAFETY: disjoint (ib, jb) block of `out` per morsel.
                     s.spawn(move || unsafe {
-                        // Disjoint (ib, jb) block of `out` per morsel.
-                        if skip_zero {
-                            gemm_block::<true>(a_data, b_data, ptr, k, n, ib, jb);
-                        } else {
-                            gemm_block::<false>(a_data, b_data, ptr, k, n, ib, jb);
-                        }
+                        gemm_block(a_data, b_data, ptr, k, n, ib, jb)
                     });
                 }
             }
         })
         .expect("gemm morsel panicked");
     } else {
-        let a_data = a.as_slice();
-        let b_data = b.as_slice();
-        let ptr = OutPtr(out.as_mut_slice().as_mut_ptr());
-        unsafe {
-            if skip_zero {
-                gemm_block::<true>(a_data, b_data, ptr, k, n, (0, m), (0, n));
-            } else {
-                gemm_block::<false>(a_data, b_data, ptr, k, n, (0, m), (0, n));
-            }
-        }
+        // SAFETY: `out` is m × n and exclusively borrowed.
+        unsafe { gemm_block(a_data, b_data, ptr, k, n, (0, m), (0, n)) }
     }
 }
 
-/// `out += a × b` through the branch-free dense inner loop, sequentially.
-/// Public for differential tests and the kernel bench.
+/// `out += a × b` through the dense inner loop, sequentially. Public for
+/// differential tests and the kernel bench.
 pub fn gemm_acc_dense(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     let (m, k) = a.shape();
     let n = b.cols();
     assert_eq!(b.rows(), k, "gemm shape mismatch");
     assert_eq!(out.shape(), (m, n), "gemm output shape mismatch");
     let ptr = OutPtr(out.as_mut_slice().as_mut_ptr());
-    unsafe { gemm_block::<false>(a.as_slice(), b.as_slice(), ptr, k, n, (0, m), (0, n)) }
-}
-
-/// `out += a × b` through the zero-skipping (branchy) inner loop,
-/// sequentially. Wins when `a` is sparse; public for the kernel bench.
-pub fn gemm_acc_skipzero(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    let (m, k) = a.shape();
-    let n = b.cols();
-    assert_eq!(b.rows(), k, "gemm shape mismatch");
-    assert_eq!(out.shape(), (m, n), "gemm output shape mismatch");
-    let ptr = OutPtr(out.as_mut_slice().as_mut_ptr());
-    unsafe { gemm_block::<true>(a.as_slice(), b.as_slice(), ptr, k, n, (0, m), (0, n)) }
+    unsafe { gemm_block(a.as_slice(), b.as_slice(), ptr, k, n, (0, m), (0, n)) }
 }
 
 /// The SYRK inner kernel: accumulates `aᵀa` rows `[p0,p1)` of the upper
@@ -215,7 +149,7 @@ pub fn gemm_acc_skipzero(a: &Matrix, b: &Matrix, out: &mut Matrix) {
 /// # Safety
 /// `out` must point at an `n × n` row-major buffer; no other thread may
 /// touch rows `[p0,p1)` while this runs.
-unsafe fn syrk_rows<const SKIP_ZERO: bool>(
+unsafe fn syrk_rows(
     data: &[f64],
     out: OutPtr,
     m: usize,
@@ -226,9 +160,6 @@ unsafe fn syrk_rows<const SKIP_ZERO: bool>(
         let row = &data[i * n..(i + 1) * n];
         for p in p0..p1 {
             let v = row[p];
-            if SKIP_ZERO && v == 0.0 {
-                continue;
-            }
             let out_row =
                 std::slice::from_raw_parts_mut(out.0.add(p * n + p), n - p);
             for (o, &w) in out_row.iter_mut().zip(row[p..].iter()) {
@@ -243,8 +174,7 @@ unsafe fn syrk_rows<const SKIP_ZERO: bool>(
 /// the kernel behind Gram-matrix computation (Figure 1) and the normal
 /// equations of least squares (Figure 2).
 ///
-/// Large updates parallelize over output-row blocks on the worker pool;
-/// the density dispatch mirrors [`gemm_acc`].
+/// Large updates parallelize over output-row blocks on the worker pool.
 pub(crate) fn syrk_t(a: &Matrix) -> Matrix {
     syrk_t_pooled(lardb_pool::global(), a)
 }
@@ -254,33 +184,21 @@ pub fn syrk_t_pooled(pool: &lardb_pool::WorkerPool, a: &Matrix) -> Matrix {
     let (m, n) = a.shape();
     let data = a.as_slice();
     let mut out = Matrix::zeros(n, n);
-    let skip_zero = crate::dispatch::choose_skip_zero(zero_fraction(data));
-    let cutoff = parallel_flops();
+    crate::dispatch::note_kernel(crate::dispatch::Kernel::Dense);
     // ~half the multiplies of a full m×n×n GEMM.
     let flops = m.saturating_mul(n).saturating_mul(n) / 2;
     let ptr = OutPtr(out.as_mut_slice().as_mut_ptr());
-    if cutoff > 0 && flops >= cutoff && pool.workers() > 1 && n > PAR_BLOCK {
+    if flops >= PAR_FLOPS && pool.workers() > 1 && n > PAR_BLOCK {
         pool.scope(|s| {
             for pb in par_ranges(n) {
-                s.spawn(move || unsafe {
-                    // Disjoint output rows [pb.0, pb.1) per morsel.
-                    if skip_zero {
-                        syrk_rows::<true>(data, ptr, m, n, pb);
-                    } else {
-                        syrk_rows::<false>(data, ptr, m, n, pb);
-                    }
-                });
+                // SAFETY: disjoint output rows [pb.0, pb.1) per morsel.
+                s.spawn(move || unsafe { syrk_rows(data, ptr, m, n, pb) });
             }
         })
         .expect("syrk morsel panicked");
     } else {
-        unsafe {
-            if skip_zero {
-                syrk_rows::<true>(data, ptr, m, n, (0, n));
-            } else {
-                syrk_rows::<false>(data, ptr, m, n, (0, n));
-            }
-        }
+        // SAFETY: `out` is n × n and exclusively borrowed.
+        unsafe { syrk_rows(data, ptr, m, n, (0, n)) }
     }
     // Mirror the strict upper triangle into the lower one.
     for p in 0..n {
@@ -371,23 +289,8 @@ mod tests {
     }
 
     #[test]
-    fn dense_and_skipzero_loops_agree() {
-        for &(m, k, n) in &[(7, 11, 5), (64, 64, 64), (130, 70, 129)] {
-            let a = Matrix::from_vec(m, k, rngish(3 + k as u64, m * k)).unwrap();
-            let b = Matrix::from_vec(k, n, rngish(5 + n as u64, k * n)).unwrap();
-            let mut dense = Matrix::zeros(m, n);
-            let mut branchy = Matrix::zeros(m, n);
-            gemm_acc_dense(&a, &b, &mut dense);
-            gemm_acc_skipzero(&a, &b, &mut branchy);
-            // Identical loop order ⇒ bitwise-equal accumulation.
-            assert_eq!(dense.as_slice(), branchy.as_slice(), "at {m}x{k}x{n}");
-        }
-    }
-
-    #[test]
     fn sparse_input_dispatch_is_correct() {
-        // ~70% zeros: gemm_acc takes the skip-zero path; result must
-        // still match the naive reference exactly.
+        // ~70% zeros in a dense-typed tile.
         let m = 40;
         let data: Vec<f64> =
             rngish(11, m * m).iter().map(|&v| if v < 1.0 { 0.0 } else { v }).collect();
@@ -404,9 +307,8 @@ mod tests {
         let b = Matrix::from_vec(k, n, rngish(22, k * n)).unwrap();
         let mut inline_out = Matrix::zeros(m, n);
         gemm_acc_dense(&a, &b, &mut inline_out);
-        // A dedicated multi-worker pool + tiny cutoff forces the morsel
-        // path even on single-core machines. The flop count here is far
-        // above the default cutoff, so the global setting is irrelevant.
+        // A dedicated multi-worker pool forces the morsel path even on
+        // single-core machines (the flop count is far above the cutoff).
         let pool = lardb_pool::WorkerPool::new(4);
         let mut par_out = Matrix::zeros(m, n);
         gemm_acc_pooled(&pool, &a, &b, &mut par_out);
@@ -425,14 +327,48 @@ mod tests {
         assert_eq!(inline_out.as_slice(), par_out.as_slice());
     }
 
+    /// `a == b` element-wise, with NaN equal to NaN.
+    fn same_ieee(a: &Matrix, b: &Matrix) -> bool {
+        a.shape() == b.shape()
+            && a.as_slice()
+                .iter()
+                .zip(b.as_slice())
+                .all(|(x, y)| x == y || (x.is_nan() && y.is_nan()))
+    }
+
     #[test]
-    fn zero_fraction_sampling() {
-        assert_eq!(zero_fraction(&[]), 0.0);
-        assert_eq!(zero_fraction(&[1.0, 2.0]), 0.0);
-        assert_eq!(zero_fraction(&[0.0; 8]), 1.0);
-        let half: Vec<f64> =
-            (0..100).map(|i| if i % 2 == 0 { 0.0 } else { 1.0 }).collect();
-        let f = zero_fraction(&half);
-        assert!((f - 0.5).abs() < 0.1, "sampled {f}");
+    fn non_finite_operands_follow_ieee_at_any_zero_density() {
+        // `0 × inf` must be NaN whether the left operand has few or many
+        // zeros: a query's answer may not depend on its operand's density.
+        let m = 40;
+        for zero_below in [-3.2, 1.6] {
+            // ≈10 % and ≈70 % zeros.
+            let data: Vec<f64> = rngish(11, m * m)
+                .iter()
+                .map(|&v| if v < zero_below { 0.0 } else { v })
+                .collect();
+            let zeros = data.iter().filter(|&&v| v == 0.0).count();
+            let a = Matrix::from_vec(m, m, data).unwrap();
+            let mut b_data = rngish(13, m * m);
+            b_data[3 * m + 5] = f64::INFINITY;
+            b_data[17 * m + 9] = f64::NAN;
+            let b = Matrix::from_vec(m, m, b_data).unwrap();
+            let want = gemm_naive(&a, &b);
+            assert!(want.as_slice().iter().any(|v| v.is_nan()));
+            assert!(
+                same_ieee(&a.multiply(&b).unwrap(), &want),
+                "gemm diverged from IEEE with {zeros} zeros"
+            );
+            // SYRK multiplies the matrix with itself, so plant the
+            // non-finite values in the zero-bearing operand.
+            let mut s_data = a.as_slice().to_vec();
+            s_data[3 * m + 5] = f64::INFINITY;
+            s_data[17 * m + 9] = f64::NAN;
+            let s = Matrix::from_vec(m, m, s_data).unwrap();
+            assert!(
+                same_ieee(&syrk_t(&s), &gemm_naive(&s.transpose(), &s)),
+                "syrk diverged from IEEE with {zeros} zeros"
+            );
+        }
     }
 }

@@ -24,8 +24,7 @@ use std::io::{BufRead, Write};
 use std::time::{Duration, Instant};
 
 use lardb::{
-    Database, DatabaseConfig, DispatchMode, FaultKind, FaultPlan, Response,
-    SchedulerMode, TransportMode,
+    Database, DatabaseConfig, DispatchMode, FaultKind, FaultPlan, Response, TransportMode,
 };
 use lardb_server::{Client, QueryOutput, Server, ServerConfig, ServerError};
 
@@ -389,22 +388,8 @@ fn parse_engine_flag(
         "--slow-ms" => config.slow_query_ms = Some(next_parsed(argv)),
         "--pool-workers" => config.pool_workers = Some(next_parsed(argv)),
         "--morsel-rows" => config.morsel_rows = next_parsed(argv),
-        "--scheduler" => {
-            config.scheduler = argv
-                .next()
-                .and_then(|v| v.parse::<SchedulerMode>().ok())
-                .unwrap_or_else(|| usage());
-        }
-        "--expr-engine" => {
-            config.expr_engine = argv
-                .next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| usage());
-        }
         "--batch-rows" => config.batch_rows = std::cmp::max(1, next_parsed(argv)),
         "--plan-cache-entries" => config.plan_cache_entries = next_parsed(argv),
-        "--gemm-par-flops" => config.gemm_parallel_flops = Some(next_parsed(argv)),
-        "--sparse-threshold" => config.sparse_threshold = Some(next_parsed(argv)),
         "--sparse-dispatch" => {
             config.sparse_dispatch = Some(
                 argv.next()
@@ -476,9 +461,8 @@ fn usage() -> ! {
                 lardb-cli serve [engine flags] [server flags]\n\
          engine flags: [--workers N] [--transport pointer|serialized|tcp] \
          [--slow-ms MS] [--pool-workers N] [--morsel-rows N] \
-         [--scheduler pool|spawn] [--expr-engine compiled|interpret] \
-         [--batch-rows N] [--plan-cache-entries N (0 = off)] [--gemm-par-flops N] \
-         [--sparse-threshold F (0..1)] [--sparse-dispatch dense|sparse|adaptive] \
+         [--batch-rows N] [--plan-cache-entries N (0 = off)] \
+         [--sparse-dispatch dense|sparse|adaptive] \
          [--net-timeout-ms MS] [--max-frame-bytes N] \
          [--fault-kind drop|truncate|corrupt|delay|kill] [--fault-seed N] \
          [--fault-rate-ppm N] [--fault-after N] \
