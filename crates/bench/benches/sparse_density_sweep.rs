@@ -15,8 +15,8 @@
 
 use criterion::{criterion_group, Criterion};
 use lardb::{
-    dispatch, CooBuilder, DataType, Database, DatabaseConfig, DispatchMode, Matrix,
-    Partitioning, Row, Schema, SparseMatrix, TransportMode, Value, Vector,
+    dispatch, CooBuilder, DataType, Database, DatabaseConfig, Matrix, Partitioning, Row, Schema,
+    SparseMatrix, TransportMode, Value, Vector,
 };
 
 const DENSITIES: &[f64] = &[0.001, 0.01, 0.1, 0.5];
@@ -56,11 +56,11 @@ fn dense_vector(n: usize) -> Vector {
     Vector::from_vec((0..n).map(|i| (i as f64 + 1.0) / 8.0).collect())
 }
 
-/// One SpMV the way the engine dispatches it: sparse kernel when the
-/// dispatch layer keeps the tile sparse, densify-then-dense otherwise.
-fn spmv_arm(m: &SparseMatrix, dense: &Matrix, x: &Vector, mode: DispatchMode) -> f64 {
-    dispatch::set_dispatch_mode(mode);
-    let y = if dispatch::keep_sparse(m.density()) {
+/// One SpMV. The adaptive arm runs it the way the engine dispatches it:
+/// sparse kernel when the dispatch layer keeps the tile sparse, the dense
+/// loop otherwise. The dense arm multiplies the densified twin directly.
+fn spmv_arm(m: &SparseMatrix, dense: &Matrix, x: &Vector, adaptive: bool) -> f64 {
+    let y = if adaptive && dispatch::keep_sparse(m.density()) {
         m.spmv(x).unwrap()
     } else {
         dense.matrix_vector_multiply(x).unwrap()
@@ -73,10 +73,9 @@ fn gemm_arm(
     b: &SparseMatrix,
     ad: &Matrix,
     bd: &Matrix,
-    mode: DispatchMode,
+    adaptive: bool,
 ) -> f64 {
-    dispatch::set_dispatch_mode(mode);
-    if dispatch::keep_sparse(a.density()) {
+    if adaptive && dispatch::keep_sparse(a.density()) {
         a.multiply_sparse(b).unwrap().sum_elements()
     } else {
         ad.multiply(bd).unwrap().sum_elements()
@@ -103,24 +102,23 @@ fn bench_density_sweep(c: &mut Criterion) {
         let m = sparse_matrix(0x5eed ^ density.to_bits(), SPMV_N, SPMV_N, density);
         let md = m.to_dense();
         g.bench_function(format!("spmv/dense/d{density}"), |b| {
-            b.iter(|| spmv_arm(&m, &md, &x, DispatchMode::Dense))
+            b.iter(|| spmv_arm(&m, &md, &x, false))
         });
         g.bench_function(format!("spmv/adaptive/d{density}"), |b| {
-            b.iter(|| spmv_arm(&m, &md, &x, DispatchMode::Adaptive))
+            b.iter(|| spmv_arm(&m, &md, &x, true))
         });
 
         let a = sparse_matrix(0xa ^ density.to_bits(), GEMM_N, GEMM_N, density);
         let b2 = sparse_matrix(0xb ^ density.to_bits(), GEMM_N, GEMM_N, density);
         let (ad, bd) = (a.to_dense(), b2.to_dense());
         g.bench_function(format!("gemm/dense/d{density}"), |b| {
-            b.iter(|| gemm_arm(&a, &b2, &ad, &bd, DispatchMode::Dense))
+            b.iter(|| gemm_arm(&a, &b2, &ad, &bd, false))
         });
         g.bench_function(format!("gemm/adaptive/d{density}"), |b| {
-            b.iter(|| gemm_arm(&a, &b2, &ad, &bd, DispatchMode::Adaptive))
+            b.iter(|| gemm_arm(&a, &b2, &ad, &bd, true))
         });
     }
     g.finish();
-    dispatch::set_dispatch_mode(DispatchMode::Adaptive);
 }
 
 criterion_group!(benches, bench_density_sweep);
@@ -129,7 +127,7 @@ criterion_group!(benches, bench_density_sweep);
 // End-to-end iterative workloads, driven through SQL.
 // ---------------------------------------------------------------------
 
-fn workload_db(mode: DispatchMode, tag: &str) -> Database {
+fn workload_db(tag: &str) -> Database {
     Database::with_config(DatabaseConfig {
         workers: 2,
         transport: TransportMode::Serialized,
@@ -139,7 +137,6 @@ fn workload_db(mode: DispatchMode, tag: &str) -> Database {
             "lardb-bench-sparse-{tag}-{}",
             std::process::id()
         ))),
-        sparse_dispatch: Some(mode),
         ..DatabaseConfig::default()
     })
 }
@@ -172,11 +169,10 @@ fn stochastic_graph(n: usize) -> SparseMatrix {
 fn pagerank_run(
     m: &SparseMatrix,
     sparse: bool,
-    mode: DispatchMode,
     iters: usize,
 ) -> (f64, usize, f64) {
     let n = m.rows();
-    let db = workload_db(mode, if sparse { "pr-s" } else { "pr-d" });
+    let db = workload_db(if sparse { "pr-s" } else { "pr-d" });
     db.create_table(
         "graph",
         Schema::from_pairs(&[("m", DataType::Matrix(Some(n), Some(n)))]),
@@ -187,7 +183,6 @@ fn pagerank_run(
         if sparse { Value::sparse_matrix(m.clone()) } else { Value::matrix(m.to_dense()) };
     db.insert_rows("graph", std::iter::once(Row::new(vec![cell]))).unwrap();
 
-    dispatch::set_dispatch_mode(mode);
     let mut rank = vec![1.0 / n as f64; n];
     let mut delta = f64::INFINITY;
     let mut shuffled = 0usize;
@@ -226,11 +221,10 @@ fn logreg_run(
     x: &SparseMatrix,
     y: &[f64],
     sparse: bool,
-    mode: DispatchMode,
     iters: usize,
 ) -> (f64, f64) {
     let (rows, feats) = x.shape();
-    let db = workload_db(mode, if sparse { "lr-s" } else { "lr-d" });
+    let db = workload_db(if sparse { "lr-s" } else { "lr-d" });
     db.create_table(
         "feats",
         Schema::from_pairs(&[("m", DataType::Matrix(Some(rows), Some(feats)))]),
@@ -241,7 +235,6 @@ fn logreg_run(
         if sparse { Value::sparse_matrix(x.clone()) } else { Value::matrix(x.to_dense()) };
     db.insert_rows("feats", std::iter::once(Row::new(vec![cell]))).unwrap();
 
-    dispatch::set_dispatch_mode(mode);
     let spmv = |k: usize, tag: &str, v: &[f64], transpose: bool| -> Vec<f64> {
         let table = format!("v_{tag}_{k}");
         db.create_table(
@@ -312,10 +305,10 @@ fn main() {
         let m = sparse_matrix(0x5eed ^ density.to_bits(), SPMV_N, SPMV_N, density);
         let md = m.to_dense();
         let dense_ms = median_ms(7, || {
-            std::hint::black_box(spmv_arm(&m, &md, &x, DispatchMode::Dense));
+            std::hint::black_box(spmv_arm(&m, &md, &x, false));
         });
         let adaptive_ms = median_ms(7, || {
-            std::hint::black_box(spmv_arm(&m, &md, &x, DispatchMode::Adaptive));
+            std::hint::black_box(spmv_arm(&m, &md, &x, true));
         });
         records.push(format!(
             "{{\"op\":\"spmv\",\"n\":{SPMV_N},\"density\":{density},\"nnz\":{},\
@@ -329,10 +322,10 @@ fn main() {
         let b = sparse_matrix(0xb ^ density.to_bits(), GEMM_N, GEMM_N, density);
         let (ad, bd) = (a.to_dense(), b.to_dense());
         let dense_ms = median_ms(5, || {
-            std::hint::black_box(gemm_arm(&a, &b, &ad, &bd, DispatchMode::Dense));
+            std::hint::black_box(gemm_arm(&a, &b, &ad, &bd, false));
         });
         let adaptive_ms = median_ms(5, || {
-            std::hint::black_box(gemm_arm(&a, &b, &ad, &bd, DispatchMode::Adaptive));
+            std::hint::black_box(gemm_arm(&a, &b, &ad, &bd, true));
         });
         records.push(format!(
             "{{\"op\":\"gemm\",\"n\":{GEMM_N},\"density\":{density},\"nnz\":{},\
@@ -348,8 +341,8 @@ fn main() {
     // are the nnz-proportionality evidence — at 1% density the sparse
     // store must ship far fewer wire bytes than the dense twin.
     let (sparse_bytes, dense_bytes) = {
-        let tile_join = |sparse: bool, mode: DispatchMode| -> usize {
-            let db = workload_db(mode, if sparse { "tj-s" } else { "tj-d" });
+        let tile_join = |sparse: bool| -> usize {
+            let db = workload_db(if sparse { "tj-s" } else { "tj-d" });
             let schema = Schema::from_pairs(&[
                 ("tr", DataType::Integer),
                 ("tc", DataType::Integer),
@@ -380,7 +373,6 @@ fn main() {
                 }
                 db.insert_rows(name, rows.into_iter()).unwrap();
             }
-            dispatch::set_dispatch_mode(mode);
             let r = db
                 .query(
                     "SELECT a.tr, b.tc, SUM(matrix_multiply(a.mat, b.mat)) AS m
@@ -389,7 +381,7 @@ fn main() {
                 .unwrap();
             r.stats.total_bytes_shuffled()
         };
-        (tile_join(true, DispatchMode::Adaptive), tile_join(false, DispatchMode::Dense))
+        (tile_join(true), tile_join(false))
     };
     records.push(format!(
         "{{\"op\":\"tile_join_shuffle\",\"tiles\":\"4x4x64\",\"density\":0.01,\
@@ -402,10 +394,8 @@ fn main() {
     // End-to-end arms: same trajectories, different representations.
     let m = stochastic_graph(1200);
     let iters = 12;
-    let (dense_ms, dense_bytes, delta_d) =
-        pagerank_run(&m, false, DispatchMode::Dense, iters);
-    let (adaptive_ms, sparse_bytes, delta_s) =
-        pagerank_run(&m, true, DispatchMode::Adaptive, iters);
+    let (dense_ms, dense_bytes, delta_d) = pagerank_run(&m, false, iters);
+    let (adaptive_ms, sparse_bytes, delta_s) = pagerank_run(&m, true, iters);
     assert_eq!(delta_d, delta_s, "PageRank arms diverged");
     records.push(format!(
         "{{\"op\":\"pagerank\",\"n\":{},\"density\":{:.6},\"iters\":{iters},\
@@ -421,9 +411,8 @@ fn main() {
     let mut rng = rngish(0x1abe1);
     let y: Vec<f64> = (0..2000).map(|_| (rng() % 2) as f64).collect();
     let lr_iters = 8;
-    let (dense_ms, loss_d) = logreg_run(&xm, &y, false, DispatchMode::Dense, lr_iters);
-    let (adaptive_ms, loss_s) =
-        logreg_run(&xm, &y, true, DispatchMode::Adaptive, lr_iters);
+    let (dense_ms, loss_d) = logreg_run(&xm, &y, false, lr_iters);
+    let (adaptive_ms, loss_s) = logreg_run(&xm, &y, true, lr_iters);
     assert_eq!(loss_d, loss_s, "logreg arms diverged");
     records.push(format!(
         "{{\"op\":\"logreg\",\"rows\":2000,\"feats\":64,\"density\":0.01,\
@@ -433,7 +422,6 @@ fn main() {
         dense_ms / adaptive_ms.max(1e-9),
     ));
 
-    dispatch::set_dispatch_mode(DispatchMode::Adaptive);
     let doc = format!(
         "{{\"bench\":\"sparse_density_sweep\",\"densities\":[0.001,0.01,0.1,0.5],\
          \"runs\":[{}]}}",

@@ -52,13 +52,6 @@ pub struct DatabaseConfig {
     /// [`lardb_exec::DEFAULT_MORSEL_ROWS`]). Smaller morsels balance skew
     /// better; larger ones amortize scheduling further.
     pub morsel_rows: usize,
-    /// Kernel-dispatch mode for sparse-typed tiles: `Adaptive` (the
-    /// default) keeps a tile sparse or densifies it by its stored
-    /// density; `Dense` / `Sparse` force one choice everywhere (`Dense`
-    /// is the reference arm of the sparse ≡ dense suites).
-    /// `None` honors `LARDB_SPARSE_DISPATCH`. Applied process-wide at
-    /// database construction.
-    pub sparse_dispatch: Option<lardb_la::DispatchMode>,
     /// Network-layer knobs for serialized/TCP exchanges: I/O timeouts, the
     /// maximum accepted frame size, and an optional deterministic fault
     /// injection plan (see `lardb_exec::FaultPlan`) for chaos testing.
@@ -116,9 +109,6 @@ impl Default for DatabaseConfig {
             slow_query_ms: None,
             pool_workers: None,
             morsel_rows: lardb_exec::DEFAULT_MORSEL_ROWS,
-            sparse_dispatch: std::env::var("LARDB_SPARSE_DISPATCH")
-                .ok()
-                .and_then(|s| lardb_la::DispatchMode::parse(&s)),
             net: NetConfig::default(),
             mem: None,
             spill_dir: None,
@@ -258,11 +248,8 @@ impl Database {
 
     /// A database with explicit configuration.
     pub fn with_config(config: DatabaseConfig) -> Self {
-        if let Some(mode) = config.sparse_dispatch {
-            lardb_la::dispatch::set_dispatch_mode(mode);
-        }
-        // Flight-recorder knobs are process-global, like the dispatch
-        // mode: applied once at construction.
+        // Flight-recorder knobs are process-global: applied once at
+        // construction.
         match config.trace_sample {
             Some(0) => lardb_obs::recorder().set_enabled(false),
             Some(n) => {
@@ -1013,10 +1000,9 @@ impl Database {
                     let d = result.stats.dispatch;
                     if d.any() {
                         text.push_str(&format!(
-                            "la dispatch ({}): {} dense, {} spmv, \
+                            "la dispatch: {} dense, {} spmv, \
                              {} sp×dense, {} spgemm, {} sp-syrk, \
                              {} densified\n",
-                            lardb_la::dispatch::dispatch_mode().name(),
                             d.dense,
                             d.spmv,
                             d.sp_dense,

@@ -50,8 +50,7 @@ pub use lardb_exec::{
     SpillStats, TransportMode,
 };
 pub use lardb_la::{
-    dispatch, CooBuilder, DispatchCounters, DispatchMode, LabeledScalar, Matrix,
-    SparseMatrix, Vector,
+    dispatch, CooBuilder, DispatchCounters, LabeledScalar, Matrix, SparseMatrix, Vector,
 };
 pub use lardb_obs::{
     MetricKind, MetricSample, MetricsRegistry, OperatorProfile, QueryProfile,

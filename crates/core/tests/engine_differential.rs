@@ -251,6 +251,20 @@ const STATEMENTS: &[&str] = &[
     "SELECT x, y * 2.0 FROM empty WHERE x > 0",
     // Projection only (no filter in the chain).
     "SELECT v - 1.0, id + g FROM t",
+    // Fused join→aggregate: a self equi-join with NULL keys and NULL
+    // values (products of halves are exact, so SUM order is immaterial).
+    "SELECT a.g, SUM(a.v * b.v) AS s, COUNT(*) AS c FROM t AS a, t AS b
+     WHERE a.g = b.g GROUP BY a.g",
+    // A cross join with a projection and a filter between join and
+    // aggregate.
+    "SELECT k, COUNT(*) AS c, SUM(p) AS sp
+     FROM (SELECT a.g + b.g AS k, a.v * b.v AS p FROM t AS a, t AS b
+           WHERE a.id < 40 AND b.id >= 350) AS j
+     WHERE p > -8000.0 GROUP BY k",
+    // Joins with an empty side: no groups, and the one global row.
+    "SELECT a.g, COUNT(*) AS c, SUM(e.y) AS sy FROM t AS a, empty AS e
+     WHERE a.id = e.x GROUP BY a.g",
+    "SELECT COUNT(*) AS c, SUM(e.y) AS sy FROM t AS a, empty AS e WHERE a.id = e.x",
 ];
 
 /// Statements that must fail under both engines with the same error.
@@ -258,6 +272,12 @@ const FAILING: &[&str] = &[
     // VARCHAR arithmetic: a runtime type error from the shared ops table.
     "SELECT s + 1 FROM t",
     "SELECT id FROM t WHERE s * 2 > 0",
+    // The same under a join→aggregate, and an argument that only fails
+    // when evaluated (the kernel declines, the interpreter's replay of
+    // the chunk raises).
+    "SELECT a.g, SUM(a.s + 1) AS x FROM t AS a, t AS b WHERE a.id = b.id GROUP BY a.g",
+    "SELECT a.g, SUM(a.id / (b.id - b.id)) AS x FROM t AS a, t AS b
+     WHERE a.id = b.id GROUP BY a.g",
 ];
 
 #[test]
@@ -325,9 +345,18 @@ fn vectorized_counters_surface_in_stats_and_metrics() {
             "metric {metric} missing from SHOW METRICS: {names:?}"
         );
     }
+    // A join→aggregate feeds its joined rows through the same compiled
+    // pipeline.
+    let join_agg = "SELECT a.g, SUM(a.v * b.v) AS s FROM t AS a, t AS b \
+                    WHERE a.id = b.id GROUP BY a.g";
+    let rj = db.query(join_agg).unwrap();
+    assert!(rj.stats.total_batches() > 0, "join→aggregate should report batches");
+    assert_eq!(rj.stats.total_fallbacks(), 0);
     // The interpreted engine reports no vectorized work.
     let idb = seed_db(config(4, ExprEngine::Interpret));
-    let ri = idb.query("SELECT id FROM t WHERE v > -50.0").unwrap();
-    assert_eq!(ri.stats.total_batches(), 0);
-    assert_eq!(ri.stats.total_kernels(), 0);
+    for q in ["SELECT id FROM t WHERE v > -50.0", join_agg] {
+        let ri = idb.query(q).unwrap();
+        assert_eq!(ri.stats.total_batches(), 0, "{q}");
+        assert_eq!(ri.stats.total_kernels(), 0, "{q}");
+    }
 }

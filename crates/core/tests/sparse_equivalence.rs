@@ -2,33 +2,21 @@
 //! never a semantic one.
 //!
 //! Every query here runs twice — once against a database whose matrix
-//! tiles are stored as CSR sparse values under adaptive dispatch, once
-//! against a twin whose tiles are the densified equivalents under
-//! forced-dense dispatch — and the results must be **bit-identical**
+//! tiles are stored as CSR sparse values, once against a twin that stores
+//! the densified equivalents (so only dense kernels ever run on it) — and
+//! the results must be **bit-identical**
 //! (sparse kernels accumulate each output element over ascending k, the
 //! same order as the dense loops, so `==` on float bits is the contract,
-//! not a tolerance). The matrix sweeps density {0.1%, 1%, 10%, 50%},
+//! not a tolerance). The matrix sweeps density {0.1%, 1%, 10%, 50%, 90%},
 //! W ∈ {1, 4}, both transports, and a 1 MiB spill
 //! budget; the iterative PageRank and logistic-regression drivers must
 //! follow identical trajectories; and serialized exchanges must ship
 //! sparse tiles proportionally to nnz, not rows × cols.
-//!
-//! Dispatch mode is process-wide, so every test takes `MODE_LOCK` and
-//! pins the mode it needs; tests never rely on the ambient default.
 
 use lardb::{
-    dispatch, CooBuilder, Database, DatabaseConfig, DataType, DispatchMode,
-    Partitioning, QueryResult, Row, Schema, SparseMatrix, TransportMode, Value,
-    Vector,
+    CooBuilder, Database, DatabaseConfig, DataType, Partitioning, QueryResult, Row, Schema,
+    SparseMatrix, TransportMode, Value, Vector,
 };
-use std::sync::Mutex;
-
-/// Serializes tests that flip the process-wide dispatch mode.
-static MODE_LOCK: Mutex<()> = Mutex::new(());
-
-fn mode_lock() -> std::sync::MutexGuard<'static, ()> {
-    MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Tiny deterministic xorshift so tile contents are identical run-to-run
 /// and across the sparse/dense twins.
@@ -42,18 +30,22 @@ fn rngish(seed: u64) -> impl FnMut() -> u64 {
     }
 }
 
-/// A `rows × cols` CSR tile at roughly the given density. Values are
+/// A `rows × cols` CSR tile whose stored density is the given one (cells
+/// are drawn until that many distinct ones are filled). Values are
 /// positive 64ths (exactly representable; no cancellation, so stored nnz
 /// equals the dense nonzero count and `NNZ()` agrees across twins).
 fn sparse_tile(seed: u64, rows: usize, cols: usize, density: f64) -> SparseMatrix {
     let mut rng = rngish(seed);
     let mut b = CooBuilder::new();
     let target = ((rows * cols) as f64 * density).ceil() as usize;
-    for _ in 0..target {
+    let mut filled = std::collections::HashSet::new();
+    while filled.len() < target {
         let r = (rng() as usize % rows) as i64;
         let c = (rng() as usize % cols) as i64;
         let v = (rng() % 2000 + 1) as f64 / 64.0;
-        b.push(r, c, v).unwrap();
+        if filled.insert((r, c)) {
+            b.push(r, c, v).unwrap();
+        }
     }
     b.build(rows, cols).unwrap()
 }
@@ -74,7 +66,6 @@ fn config(
     workers: usize,
     transport: TransportMode,
     mem: Option<u64>,
-    mode: DispatchMode,
     tag: &str,
 ) -> DatabaseConfig {
     DatabaseConfig {
@@ -84,7 +75,6 @@ fn config(
         pool_workers: Some(4),
         mem: Some(mem.unwrap_or(0)),
         spill_dir: Some(spill_dir(tag)),
-        sparse_dispatch: Some(mode),
         ..DatabaseConfig::default()
     }
 }
@@ -159,95 +149,40 @@ fn exact_rows(r: &QueryResult) -> Vec<Vec<Value>> {
     r.rows.iter().map(|row| row.values().to_vec()).collect()
 }
 
-/// Runs a query with the process-wide dispatch mode pinned.
-fn run(db: &Database, mode: DispatchMode, q: &str) -> QueryResult {
-    dispatch::set_dispatch_mode(mode);
-    db.query(q).unwrap_or_else(|e| panic!("mode={} query={q}: {e}", mode.name()))
-}
-
-/// The sparse arm's dispatch mode. CI re-runs this suite with
-/// `LARDB_SPARSE_DISPATCH` forced to each mode: the differential
-/// contract is mode-independent, so the sparse-stored arm must match
-/// the forced-dense twin under *any* dispatch policy. Tests whose
-/// assertions are representation-specific (wire bytes, EXPLAIN output,
-/// `as_sparse_matrix` downcasts) pin their modes instead.
-fn sparse_arm_mode() -> DispatchMode {
-    std::env::var("LARDB_SPARSE_DISPATCH")
-        .ok()
-        .and_then(|s| DispatchMode::parse(&s))
-        .unwrap_or(DispatchMode::Adaptive)
+fn run(db: &Database, q: &str) -> QueryResult {
+    db.query(q).unwrap_or_else(|e| panic!("query={q}: {e}"))
 }
 
 #[test]
 fn sparse_matches_dense_across_density_and_workers() {
-    let _g = mode_lock();
-    let arm = sparse_arm_mode();
-    for density in [0.001, 0.01, 0.1, 0.5] {
+    for density in [0.001, 0.01, 0.1, 0.5, 0.9] {
         for workers in [1usize, 4] {
             let tag = format!("d{density}-w{workers}");
-            let sparse_db = tile_db(
-                config(workers, TransportMode::Pointer, None, arm, &tag),
-                true,
-                density,
-            );
+            let sparse_db =
+                tile_db(config(workers, TransportMode::Pointer, None, &tag), true, density);
             let dense_db = tile_db(
-                config(
-                    workers,
-                    TransportMode::Pointer,
-                    None,
-                    DispatchMode::Dense,
-                    &format!("{tag}-dense"),
-                ),
+                config(workers, TransportMode::Pointer, None, &format!("{tag}-dense")),
                 false,
                 density,
             );
+            let mut densified = 0;
             for q in QUERIES {
-                let got = run(&sparse_db, arm, q);
-                let want = run(&dense_db, DispatchMode::Dense, q);
+                let got = run(&sparse_db, q);
+                let want = run(&dense_db, q);
                 assert_eq!(
                     exact_rows(&got),
                     exact_rows(&want),
                     "density={density} W={workers} query={q}"
                 );
+                densified += got.stats.dispatch.densified;
+            }
+            // Tiles past DENSIFY_ABOVE: the densify arm ran and still
+            // produced the dense twin's bits.
+            if density > lardb::dispatch::DENSIFY_ABOVE {
+                assert!(densified > 0, "density={density} W={workers}: nothing densified");
             }
         }
     }
-    dispatch::set_dispatch_mode(DispatchMode::Adaptive);
-}
-
-/// Forced-sparse mode must agree too — sparse kernels are exact
-/// no-op-skipping rewrites of the dense loops.
-#[test]
-fn forced_sparse_mode_matches_forced_dense() {
-    let _g = mode_lock();
-    let sparse_db = tile_db(
-        config(
-            4,
-            TransportMode::Pointer,
-            None,
-            DispatchMode::Sparse,
-            "forced-sparse",
-        ),
-        true,
-        0.1,
-    );
-    let dense_db = tile_db(
-        config(
-            4,
-            TransportMode::Pointer,
-            None,
-            DispatchMode::Dense,
-            "forced-sparse-dense",
-        ),
-        false,
-        0.1,
-    );
-    for q in QUERIES {
-        let got = run(&sparse_db, DispatchMode::Sparse, q);
-        let want = run(&dense_db, DispatchMode::Dense, q);
-        assert_eq!(exact_rows(&got), exact_rows(&want), "query={q}");
-    }
-    dispatch::set_dispatch_mode(DispatchMode::Adaptive);
 }
 
 /// Serialized transport (tag-8 sparse wire frames) + a 1 MiB spill
@@ -255,40 +190,22 @@ fn forced_sparse_mode_matches_forced_dense() {
 /// pointer-mode dense twin.
 #[test]
 fn serialized_budgeted_sparse_matches_unbounded_dense() {
-    let _g = mode_lock();
-    let arm = sparse_arm_mode();
     for density in [0.01, 0.5] {
         let tag = format!("ser-d{density}");
-        let budgeted = tile_db(
-            config(
-                4,
-                TransportMode::Serialized,
-                Some(1),
-                arm,
-                &tag,
-            ),
-            true,
-            density,
-        );
+        let budgeted =
+            tile_db(config(4, TransportMode::Serialized, Some(1), &tag), true, density);
         let unbounded = tile_db(
-            config(
-                4,
-                TransportMode::Pointer,
-                None,
-                DispatchMode::Dense,
-                &format!("{tag}-dense"),
-            ),
+            config(4, TransportMode::Pointer, None, &format!("{tag}-dense")),
             false,
             density,
         );
         for q in QUERIES {
-            let got = run(&budgeted, arm, q);
-            let want = run(&unbounded, DispatchMode::Dense, q);
+            let got = run(&budgeted, q);
+            let want = run(&unbounded, q);
             assert_eq!(exact_rows(&got), exact_rows(&want), "density={density} query={q}");
         }
         assert_spill_dir_empty(&spill_dir(&tag));
     }
-    dispatch::set_dispatch_mode(DispatchMode::Adaptive);
 }
 
 /// Serialized exchanges ship sparse tiles proportionally to nnz: the
@@ -297,32 +214,13 @@ fn serialized_budgeted_sparse_matches_unbounded_dense() {
 /// is 32 KiB; its 1% CSR twin is under a kilobyte).
 #[test]
 fn exchange_bytes_scale_with_nnz_not_shape() {
-    let _g = mode_lock();
     let q = QUERIES[0]; // the tile join repartitions both tables' cells
-    let sparse_db = tile_db(
-        config(
-            4,
-            TransportMode::Serialized,
-            None,
-            DispatchMode::Adaptive,
-            "nnz-sparse",
-        ),
-        true,
-        0.01,
-    );
-    let dense_db = tile_db(
-        config(
-            4,
-            TransportMode::Serialized,
-            None,
-            DispatchMode::Dense,
-            "nnz-dense",
-        ),
-        false,
-        0.01,
-    );
-    let got = run(&sparse_db, DispatchMode::Adaptive, q);
-    let want = run(&dense_db, DispatchMode::Dense, q);
+    let sparse_db =
+        tile_db(config(4, TransportMode::Serialized, None, "nnz-sparse"), true, 0.01);
+    let dense_db =
+        tile_db(config(4, TransportMode::Serialized, None, "nnz-dense"), false, 0.01);
+    let got = run(&sparse_db, q);
+    let want = run(&dense_db, q);
     assert_eq!(exact_rows(&got), exact_rows(&want));
     let (sparse_bytes, dense_bytes) =
         (got.stats.total_bytes_shuffled(), want.stats.total_bytes_shuffled());
@@ -334,23 +232,15 @@ fn exchange_bytes_scale_with_nnz_not_shape() {
         sparse_bytes * 10 < dense_bytes,
         "sparse exchange not nnz-proportional: {sparse_bytes} vs dense {dense_bytes}"
     );
-    dispatch::set_dispatch_mode(DispatchMode::Adaptive);
 }
 
 /// `MATRIX_FROM_ENTRIES` over a W=4 edge table: duplicates sum, the
-/// result matches a hand-built COO assembly bit-for-bit, forced-dense
-/// mode yields the dense representation of the same matrix, and bad
+/// result matches a hand-built COO assembly bit-for-bit, entries denser
+/// than `DENSIFY_ABOVE` come back as the dense representation, and bad
 /// coordinates surface as typed errors (never a truncated matrix).
 #[test]
 fn matrix_from_entries_sql_end_to_end() {
-    let _g = mode_lock();
-    let db = Database::with_config(config(
-        4,
-        TransportMode::Pointer,
-        None,
-        DispatchMode::Adaptive,
-        "mfe",
-    ));
+    let db = Database::with_config(config(4, TransportMode::Pointer, None, "mfe"));
     db.create_table(
         "edges",
         Schema::from_pairs(&[
@@ -390,19 +280,19 @@ fn matrix_from_entries_sql_end_to_end() {
     let expected = expected.build_inferred();
     assert_eq!(expected.shape(), (40, 30));
 
-    dispatch::set_dispatch_mode(DispatchMode::Adaptive);
     let r = db.query("SELECT MATRIX_FROM_ENTRIES(i, j, w) AS m FROM edges").unwrap();
     assert_eq!(r.rows.len(), 1);
-    let got = r.rows[0].value(0).as_sparse_matrix().expect("adaptive result is sparse");
+    let got = r.rows[0].value(0).as_sparse_matrix().expect("a sparse result stays sparse");
     assert_eq!(got.shape(), (40, 30));
     assert_eq!(got.csr_parts(), expected.csr_parts(), "duplicate summation diverged");
 
-    // Forced dense: same matrix, dense representation.
-    dispatch::set_dispatch_mode(DispatchMode::Dense);
-    let r = db.query("SELECT MATRIX_FROM_ENTRIES(i, j, w) AS m FROM edges").unwrap();
-    let dense = r.rows[0].value(0).as_matrix().expect("forced-dense result is dense");
-    assert_eq!(dense.as_ref(), &expected.to_dense());
-    dispatch::set_dispatch_mode(DispatchMode::Adaptive);
+    // The filled 40 × 1 column is past DENSIFY_ABOVE: same entries, dense
+    // representation, and the densification is counted.
+    let r = db.query("SELECT MATRIX_FROM_ENTRIES(i, 0, w) AS m FROM edges").unwrap();
+    let dense = r.rows[0].value(0).as_matrix().expect("a dense result is a MATRIX");
+    assert_eq!(dense.shape(), (40, 1));
+    assert_eq!(dense.sum_elements(), expected.sum_elements());
+    assert!(r.stats.dispatch.densified > 0);
 
     // Grouped construction splits the same edges into per-group matrices
     // whose sum of entries matches the whole.
@@ -457,15 +347,9 @@ fn stochastic_graph(n: usize) -> SparseMatrix {
 }
 
 /// One database holding a single-row `graph(m)` table.
-fn graph_db(mode: DispatchMode, sparse: bool, m: &SparseMatrix, tag: &str) -> Database {
+fn graph_db(sparse: bool, m: &SparseMatrix, tag: &str) -> Database {
     let (n, _) = m.shape();
-    let db = Database::with_config(config(
-        2,
-        TransportMode::Pointer,
-        None,
-        mode,
-        tag,
-    ));
+    let db = Database::with_config(config(2, TransportMode::Pointer, None, tag));
     db.create_table(
         "graph",
         Schema::from_pairs(&[("m", DataType::Matrix(Some(n), Some(n)))]),
@@ -481,7 +365,7 @@ fn graph_db(mode: DispatchMode, sparse: bool, m: &SparseMatrix, tag: &str) -> Da
 /// One damped PageRank step driven through SQL SpMV: inserts the rank
 /// vector as `rank_k(x)`, queries `M · x`, applies damping in the
 /// driver, and returns the next vector.
-fn pagerank_step(db: &Database, mode: DispatchMode, k: usize, rank: &[f64]) -> Vec<f64> {
+fn pagerank_step(db: &Database, k: usize, rank: &[f64]) -> Vec<f64> {
     let n = rank.len();
     let table = format!("rank_{k}");
     db.create_table(
@@ -497,7 +381,6 @@ fn pagerank_step(db: &Database, mode: DispatchMode, k: usize, rank: &[f64]) -> V
     .unwrap();
     let r = run(
         db,
-        mode,
         &format!("SELECT matrix_vector_multiply(g.m, r.x) AS y FROM graph AS g, {table} AS r"),
     );
     assert_eq!(r.rows.len(), 1);
@@ -509,20 +392,18 @@ fn pagerank_step(db: &Database, mode: DispatchMode, k: usize, rank: &[f64]) -> V
 /// bit-for-bit and converges.
 #[test]
 fn pagerank_sparse_trajectory_matches_dense() {
-    let _g = mode_lock();
     const N: usize = 200;
-    let arm = sparse_arm_mode();
     let m = stochastic_graph(N);
     assert!(m.density() < 0.05, "graph should be sparse, got {}", m.density());
-    let sparse_db = graph_db(arm, true, &m, "pr-sparse");
-    let dense_db = graph_db(DispatchMode::Dense, false, &m, "pr-dense");
+    let sparse_db = graph_db(true, &m, "pr-sparse");
+    let dense_db = graph_db(false, &m, "pr-dense");
 
     let mut rank_s = vec![1.0 / N as f64; N];
     let mut rank_d = rank_s.clone();
     let mut last_delta = f64::INFINITY;
     for k in 0..60 {
-        let next_s = pagerank_step(&sparse_db, arm, k, &rank_s);
-        let next_d = pagerank_step(&dense_db, DispatchMode::Dense, k, &rank_d);
+        let next_s = pagerank_step(&sparse_db, k, &rank_s);
+        let next_d = pagerank_step(&dense_db, k, &rank_d);
         assert_eq!(next_s, next_d, "PageRank diverged at iteration {k}");
         last_delta =
             next_s.iter().zip(&rank_s).map(|(a, b)| (a - b).abs()).sum::<f64>();
@@ -532,7 +413,6 @@ fn pagerank_sparse_trajectory_matches_dense() {
     assert!(last_delta < 1e-8, "PageRank did not converge: L1 delta {last_delta}");
     let total: f64 = rank_s.iter().sum();
     assert!((total - 1.0).abs() < 1e-9, "ranks must stay a distribution: {total}");
-    dispatch::set_dispatch_mode(DispatchMode::Adaptive);
 }
 
 /// Logistic-regression batch gradient descent: `z = X·w` and the
@@ -542,21 +422,14 @@ fn pagerank_sparse_trajectory_matches_dense() {
 /// with decreasing loss.
 #[test]
 fn logreg_sparse_trajectory_matches_dense() {
-    let _g = mode_lock();
     const ROWS: usize = 120;
     const FEATS: usize = 16;
     let x = sparse_tile(0x10919, ROWS, FEATS, 0.1);
     let mut rng = rngish(0x1abe1);
     let y: Vec<f64> = (0..ROWS).map(|_| (rng() % 2) as f64).collect();
 
-    let make = |mode, sparse: bool, tag: &str| {
-        let db = Database::with_config(config(
-            2,
-            TransportMode::Pointer,
-            None,
-            mode,
-            tag,
-        ));
+    let make = |sparse: bool, tag: &str| {
+        let db = Database::with_config(config(2, TransportMode::Pointer, None, tag));
         db.create_table(
             "feats",
             Schema::from_pairs(&[("m", DataType::Matrix(Some(ROWS), Some(FEATS)))]),
@@ -571,11 +444,10 @@ fn logreg_sparse_trajectory_matches_dense() {
         db.insert_rows("feats", std::iter::once(Row::new(vec![cell]))).unwrap();
         db
     };
-    let arm = sparse_arm_mode();
-    let sparse_db = make(arm, true, "lr-sparse");
-    let dense_db = make(DispatchMode::Dense, false, "lr-dense");
+    let sparse_db = make(true, "lr-sparse");
+    let dense_db = make(false, "lr-dense");
 
-    let spmv = |db: &Database, mode, k: usize, tag: &str, v: &[f64], transpose: bool| {
+    let spmv = |db: &Database, k: usize, tag: &str, v: &[f64], transpose: bool| {
         let table = format!("v_{tag}_{k}");
         db.create_table(
             &table,
@@ -593,11 +465,7 @@ fn logreg_sparse_trajectory_matches_dense() {
         } else {
             "matrix_vector_multiply(f.m, r.x)"
         };
-        let r = run(
-            db,
-            mode,
-            &format!("SELECT {expr} AS y FROM feats AS f, {table} AS r"),
-        );
+        let r = run(db, &format!("SELECT {expr} AS y FROM feats AS f, {table} AS r"));
         r.rows[0].value(0).as_vector().unwrap().as_slice().to_vec()
     };
 
@@ -617,14 +485,14 @@ fn logreg_sparse_trajectory_matches_dense() {
     let mut w_d = w_s.clone();
     let mut losses = Vec::new();
     for k in 0..25 {
-        let z_s = spmv(&sparse_db, arm, k, "z", &w_s, false);
-        let z_d = spmv(&dense_db, DispatchMode::Dense, k, "z", &w_d, false);
+        let z_s = spmv(&sparse_db, k, "z", &w_s, false);
+        let z_d = spmv(&dense_db, k, "z", &w_d, false);
         assert_eq!(z_s, z_d, "X·w diverged at iteration {k}");
         let p: Vec<f64> = z_s.iter().map(|&z| sigmoid(z)).collect();
         losses.push(loss(&p));
         let resid: Vec<f64> = p.iter().zip(&y).map(|(&p, &yi)| p - yi).collect();
-        let g_s = spmv(&sparse_db, arm, k, "g", &resid, true);
-        let g_d = spmv(&dense_db, DispatchMode::Dense, k, "g", &resid, true);
+        let g_s = spmv(&sparse_db, k, "g", &resid, true);
+        let g_d = spmv(&dense_db, k, "g", &resid, true);
         assert_eq!(g_s, g_d, "Xᵀ·r diverged at iteration {k}");
         for i in 0..FEATS {
             w_s[i] -= 0.05 / ROWS as f64 * g_s[i];
@@ -636,33 +504,20 @@ fn logreg_sparse_trajectory_matches_dense() {
         losses.last().unwrap() < &losses[0],
         "loss did not decrease: {losses:?}"
     );
-    dispatch::set_dispatch_mode(DispatchMode::Adaptive);
 }
 
 /// Per-query dispatch attribution surfaces in EXPLAIN ANALYZE and the
 /// `la.dispatch.*` SHOW METRICS counters.
 #[test]
 fn dispatch_choices_surface_in_explain_and_metrics() {
-    let _g = mode_lock();
-    let db = tile_db(
-        config(
-            2,
-            TransportMode::Pointer,
-            None,
-            DispatchMode::Adaptive,
-            "explain",
-        ),
-        true,
-        0.01,
-    );
-    dispatch::set_dispatch_mode(DispatchMode::Adaptive);
+    let db = tile_db(config(2, TransportMode::Pointer, None, "explain"), true, 0.01);
     let out = db.execute(&format!("EXPLAIN ANALYZE {}", QUERIES[0])).unwrap();
     let lardb::database::Response::Explained(text) = out else {
         panic!("EXPLAIN ANALYZE should return Explained");
     };
     let line = text
         .lines()
-        .find(|l| l.contains("la dispatch (adaptive):"))
+        .find(|l| l.contains("la dispatch:"))
         .unwrap_or_else(|| panic!("no dispatch line in EXPLAIN ANALYZE:\n{text}"));
     assert!(line.contains("spgemm"), "dispatch line lacks kernel counts: {line}");
 
@@ -677,5 +532,4 @@ fn dispatch_choices_surface_in_explain_and_metrics() {
     let spgemm = value_of("la.dispatch.spgemm")
         .unwrap_or_else(|| panic!("la.dispatch.spgemm missing from SHOW METRICS"));
     assert!(spgemm >= 1.0, "la.dispatch.spgemm = {spgemm}");
-    dispatch::set_dispatch_mode(DispatchMode::Adaptive);
 }

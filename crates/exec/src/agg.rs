@@ -605,16 +605,15 @@ mod tests {
         assert_eq!(m.get(2, 0).unwrap(), 5.0);
         assert_eq!(m.nnz(), 2);
 
-        // Forced-dense mode yields an ordinary MATRIX from the same input.
-        lardb_la::dispatch::set_dispatch_mode(lardb_la::DispatchMode::Dense);
+        // Entries denser than DENSIFY_ABOVE yield an ordinary MATRIX.
         let mut a = Accumulator::new(AggFunc::MatrixFromEntries);
-        a.update(&entry(0.0, 0.0, 1.0)).unwrap();
-        a.update(&entry(3.0, 3.0, 2.0)).unwrap();
+        for (i, j) in [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)] {
+            a.update(&entry(i, j, i + 2.0 * j + 1.0)).unwrap();
+        }
         let out = a.finish();
-        lardb_la::dispatch::set_dispatch_mode(lardb_la::DispatchMode::Adaptive);
-        let m = out.as_matrix().expect("forced dense yields MATRIX");
-        assert_eq!(m.shape(), (4, 4));
-        assert_eq!(m.get(3, 3).unwrap(), 2.0);
+        let m = out.as_matrix().expect("a full tile densifies");
+        assert_eq!(m.shape(), (2, 2));
+        assert_eq!(m.get(1, 1).unwrap(), 4.0);
     }
 
     #[test]

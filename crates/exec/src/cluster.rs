@@ -54,6 +54,21 @@ pub(crate) fn flag_abort(cancel: &CancelToken, e: &ExecError) {
     }
 }
 
+/// The error a set of sibling failures reports: the first, in the order
+/// given, that is not a cancellation echo. `Cancelled` surfaces only when
+/// every failure is one (KILL, disconnect, or a fault elsewhere in the
+/// query). Shared by the task scheduler and the exchange threads.
+pub(crate) fn root_cause(errors: impl IntoIterator<Item = ExecError>) -> Option<ExecError> {
+    let mut echo = None;
+    for e in errors {
+        if !matches!(e, ExecError::Cancelled(_)) {
+            return Some(e);
+        }
+        echo = echo.or(Some(e));
+    }
+    echo
+}
+
 /// Best-effort extraction of a panic payload's message.
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -307,15 +322,14 @@ impl Cluster {
                 .collect()
         };
         let mut out = Vec::with_capacity(results.len());
-        let mut echo = None;
+        let mut errors = Vec::new();
         for r in results {
             match r {
                 Ok(v) => out.push(v),
-                Err(e @ ExecError::Cancelled(_)) => echo = echo.or(Some(e)),
-                Err(root_cause) => return Err(root_cause),
+                Err(e) => errors.push(e),
             }
         }
-        echo.map_or(Ok(out), Err)
+        root_cause(errors).map_or(Ok(out), Err)
     }
 }
 
@@ -428,6 +442,21 @@ mod tests {
             .morsel_map(vec![vec![0, 1]], |_, rows| task(c.cancel_token(), rows[0]))
             .unwrap_err();
         assert!(is_root(&err), "morsel_map reported {err:?}");
+    }
+
+    #[test]
+    fn root_cause_is_first_non_cancelled_in_order() {
+        let echo = |m: &str| ExecError::Cancelled(m.into());
+        let fault = |m: &str| ExecError::Runtime(m.into());
+        // The exchange's shape: a low-index sender echoes the abort, a
+        // later receiver holds the fault that caused it.
+        assert_eq!(
+            root_cause([echo("sender 0"), echo("sender 1"), fault("receiver 2"), fault("receiver 3")]),
+            Some(fault("receiver 2")),
+        );
+        // Only echoes: the first one is reported.
+        assert_eq!(root_cause([echo("a"), echo("b")]), Some(echo("a")));
+        assert_eq!(root_cause([]), None);
     }
 
     #[test]

@@ -1,4 +1,22 @@
 //! The physical-plan interpreter.
+//!
+//! Operators run one at a time over `Vec<Row>` partitions. Three jobs are
+//! each done in exactly one place:
+//!
+//! * rows cross partitions in `Executor::exchange`: every exchange kind is
+//!   routed once into `routed[from][to]` buckets and assembled once, and
+//!   the transport mode only picks the carrier of a boundary-crossing
+//!   bucket (handed over, or encoded → mesh → decoded in `ship`);
+//! * a join table is probed in `probe_join_table`, which the morselized
+//!   probe, the grace join and the fused join→aggregate call with
+//!   different `emit` callbacks;
+//! * rows enter an aggregate on the compiled path through
+//!   `ChunkPipeline::aggregate`, fed by a materialized child or by the
+//!   fused join→aggregate producer.
+//!
+//! The `ExprEngine::Interpret` arms of `Executor::run` and the test-only
+//! `Executor::with_fusion(false)` are the references the equivalence
+//! suites compare against.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -25,7 +43,7 @@ use lardb_storage::{Catalog, Partitioning, Row, Schema, Value};
 
 use crate::agg::{state_arity, Accumulator};
 use crate::batch::{Col, ColumnBatch};
-use crate::cluster::{flag_abort, panic_message, CancelToken, Cluster};
+use crate::cluster::{flag_abort, panic_message, root_cause, CancelToken, Cluster};
 use crate::compile::{ExprEngine, Program};
 use crate::eval::{eval, eval_predicate_with, eval_with};
 use crate::kernels;
@@ -48,6 +66,13 @@ const CANCEL_CHECK_PAIRS: usize = 8192;
 /// to amortize the pivot and per-instruction dispatch, small enough that
 /// a batch's columns stay cache-resident.
 pub const DEFAULT_BATCH_ROWS: usize = 1024;
+
+/// Byte cap on a chunk the fused join→aggregate producer buffers: a chunk
+/// is cut at `batch_rows` rows or once its rows' [`Row::byte_size`] reaches
+/// this, whichever comes first. Column-at-a-time evaluation materializes
+/// one argument value per buffered row, so with tile-sized payloads a
+/// row-count cut alone would hold a thousand intermediate tiles at once.
+const CHUNK_BYTES: usize = 1 << 20;
 
 /// Partitioned rows: one `Vec<Row>` per worker.
 type Parts = Vec<Vec<Row>>;
@@ -382,29 +407,29 @@ impl<'a> Executor<'a> {
                 out
             }
             PhysicalPlan::HashAggregate { input, group_by, aggs, mode, .. } => {
-                // Pipelined join→aggregate fusion: when the aggregate sits
-                // on a (possibly projected/filtered) join, stream joined
-                // rows straight into the aggregation hash table instead of
-                // materializing them — the combiner structure SimSQL's
-                // MapReduce substrate provides, and the only way the
-                // tuple-based workloads survive realistic scales.
-                if self.fuse
-                    && matches!(mode, AggMode::Partial | AggMode::Complete)
-                {
-                    if let Some((transforms, join)) = peel_fusable(input) {
+                if matches!(mode, AggMode::Partial | AggMode::Complete) {
+                    // Any Filter/Project chain under the aggregate runs
+                    // inside its chunk pipeline.
+                    let (chain, base) = peel_chain(input);
+                    let on_join = matches!(
+                        base,
+                        PhysicalPlan::HashJoin { .. } | PhysicalPlan::NestedLoopJoin { .. }
+                    );
+                    // Pipelined join→aggregate fusion: stream joined rows
+                    // into the pipeline in chunks instead of materializing
+                    // them — the combiner structure SimSQL's MapReduce
+                    // substrate provides, and the only way the tuple-based
+                    // workloads survive realistic scales.
+                    if self.fuse && on_join {
                         return self.run_fused_aggregate(
-                            plan, group_by, aggs, *mode, &transforms, join, stats,
+                            plan, group_by, aggs, *mode, &chain, base, stats,
                         );
                     }
-                }
-                if self.engine == ExprEngine::Compiled
-                    && matches!(mode, AggMode::Partial | AggMode::Complete)
-                {
-                    // Vectorized path: any Filter/Project chain under the
-                    // aggregate fuses into its per-partition kernel.
-                    return self.run_vectorized_aggregate(
-                        plan, input, group_by, aggs, *mode, stats,
-                    );
+                    if self.engine == ExprEngine::Compiled {
+                        return self.run_vectorized_aggregate(
+                            plan, group_by, aggs, *mode, &chain, base, stats,
+                        );
+                    }
                 }
                 let child = self.run(input, stats)?;
                 let t0 = Instant::now();
@@ -421,32 +446,7 @@ impl<'a> Executor<'a> {
                     }
                     Ok(agg)
                 })?;
-                // Under a memory budget, grouped merges go through the
-                // spilling path (identical to the in-memory merge while the
-                // reservation holds). Global aggregates hold a single
-                // group's state and gain nothing from bucketing it.
-                let mut spill = SpillStats::default();
-                let mut out = Vec::with_capacity(partials.len());
-                if self.mem.bounded() && !group_by.is_empty() {
-                    for pp in partials {
-                        let (rows, sp) =
-                            merge_partials_spilling(pp, group_by.len(), aggs, *mode, &self.mem)?;
-                        spill.merge(sp);
-                        out.push(rows);
-                    }
-                } else {
-                    for pp in partials {
-                        out.push(merge_partials(pp)?);
-                    }
-                }
-                // Global aggregates produce exactly one row even over empty
-                // input — but only on partition 0 of a gathered stream.
-                if group_by.is_empty()
-                    && matches!(mode, AggMode::Final | AggMode::Complete)
-                    && out.iter().all(Vec::is_empty)
-                {
-                    out[0] = vec![empty_global_row(aggs)];
-                }
+                let (out, spill) = self.merge_partitions(partials, group_by, aggs, *mode)?;
                 self.record_spill(plan, stats, t0, &out, ShuffleStats::default(), spill);
                 out
             }
@@ -542,7 +542,15 @@ impl<'a> Executor<'a> {
         let morsels = self.cluster.morsel_map(probe_parts, |p, rows| {
             match &prepped[p].0 {
                 BuildSide::InMem { table, .. } => {
-                    probe_join_table(table, rows, right_keys, residual)
+                    let mut out = Vec::new();
+                    let mut scratch = Vec::new();
+                    for r in &rows {
+                        probe_join_table(table, r, right_keys, residual, &mut scratch, |j| {
+                            out.push(j);
+                            Ok(())
+                        })?;
+                    }
+                    Ok(out)
                 }
                 // Spilled partitions got an empty probe vector above.
                 BuildSide::Spilled { .. } => Ok(Vec::new()),
@@ -574,9 +582,12 @@ impl<'a> Executor<'a> {
         Ok((out, spill_total))
     }
 
-    /// Pipelined join→aggregate execution. Joined rows flow through the
-    /// projection/filter chain straight into the aggregation hash table,
-    /// in chunks so join time and aggregation time can still be attributed
+    /// Pipelined join→aggregate execution: the join is a producer for the
+    /// same chunk pipeline a scan-fed aggregate uses. Joined rows are
+    /// buffered into chunks — cut at `batch_rows` rows or [`CHUNK_BYTES`]
+    /// buffered bytes, whichever comes first — and each chunk goes through
+    /// the Filter/Project chain and the aggregate's programs into the hash
+    /// table, so join time and aggregation time can still be attributed
     /// separately (Figure 4's breakdown).
     #[allow(clippy::too_many_arguments)]
     fn run_fused_aggregate(
@@ -585,12 +596,10 @@ impl<'a> Executor<'a> {
         group_by: &[Expr],
         aggs: &[AggExpr],
         mode: AggMode,
-        transforms: &[RowTransform<'_>],
+        chain: &[&PhysicalPlan],
         join: &PhysicalPlan,
         stats: &mut ExecStats,
     ) -> Result<Parts> {
-        const CHUNK: usize = 1024;
-
         struct PartOut {
             rows: Vec<Row>,
             joined_rows: usize,
@@ -599,88 +608,66 @@ impl<'a> Executor<'a> {
             spill: SpillStats,
         }
 
+        let (left, right) = match join {
+            PhysicalPlan::HashJoin { left, right, .. }
+            | PhysicalPlan::NestedLoopJoin { left, right, .. } => (left, right),
+            other => unreachable!("not a join: {}", other.label()),
+        };
+        let l = self.run(left, stats)?;
+        let r = self.run(right, stats)?;
+        // No per-chunk kernel spans here: a join feeds chunks in proportion
+        // to its joined rows (n·d² tuples for the Gram query), which would
+        // fill the trace's event cap and the flight recorder's ring.
+        let pipe = ChunkPipeline::new(self.engine, None, chain, group_by, aggs);
         let mem = &self.mem;
-        let cancel = self.cluster.cancel_token().clone();
-        let fuse_partition = |lp: Vec<Row>,
-                              rp: Vec<Row>,
-                              join: &PhysicalPlan|
-         -> Result<PartOut> {
+        let cancel = self.cluster.cancel_token();
+        let batch_rows = self.batch_rows;
+        let fuse_partition = |lp: Vec<Row>, rp: Vec<Row>| -> Result<PartOut> {
             let fused_cancelled =
                 || ExecError::Cancelled("fused join-aggregate cancelled".into());
             let t_start = Instant::now();
             let mut agg = GroupedAgg::new(group_by, aggs, mode);
-            let mut buf: Vec<Row> = Vec::with_capacity(CHUNK);
-            let mut scratch: Vec<Value> = Vec::new();
+            let mut buf: Vec<Row> = Vec::new();
+            let mut buf_bytes = 0usize;
             let mut joined_rows = 0usize;
             let mut agg_ns = 0u64;
+            let mut agg_scratch: Vec<Value> = Vec::new();
             let mut spill = SpillStats::default();
 
-            let mut flush = |buf: &mut Vec<Row>,
-                             agg: &mut GroupedAgg,
-                             scratch: &mut Vec<Value>|
-             -> Result<()> {
-                let t = Instant::now();
-                for row in buf.drain(..) {
-                    agg.update_row(&row, scratch)?;
-                }
-                add_elapsed(&mut agg_ns, t);
-                Ok(())
-            };
-
-            let mut emit = |row: Row,
-                            buf: &mut Vec<Row>,
-                            agg: &mut GroupedAgg,
-                            scratch: &mut Vec<Value>|
-             -> Result<()> {
-                if let Some(row) = apply_transforms(row, transforms, scratch)? {
-                    joined_rows += 1;
-                    buf.push(row);
-                    if buf.len() >= CHUNK {
-                        flush(buf, agg, scratch)?;
-                    }
+            let mut emit = |row: Row| -> Result<()> {
+                joined_rows += 1;
+                buf_bytes += row.byte_size();
+                buf.push(row);
+                if buf.len() >= batch_rows || buf_bytes >= CHUNK_BYTES {
+                    let t = Instant::now();
+                    pipe.aggregate(&buf, &mut agg, &mut agg_scratch)?;
+                    add_elapsed(&mut agg_ns, t);
+                    buf.clear();
+                    buf_bytes = 0;
                 }
                 Ok(())
             };
 
+            let mut scratch: Vec<Value> = Vec::new();
             match join {
                 PhysicalPlan::HashJoin { left_keys, right_keys, residual, .. } => {
-                    let footprint = rows_footprint(&lp);
-                    match mem.governor().try_reserve(footprint) {
+                    match mem.governor().try_reserve(rows_footprint(&lp)) {
                         Some(_res) => {
                             let table = build_join_table(lp, left_keys)?;
-                            let mut probed = 0usize;
-                            'probe: for r in rp {
-                                probed += 1;
-                                if probed.is_multiple_of(CANCEL_CHECK_PAIRS)
+                            for (i, r) in rp.into_iter().enumerate() {
+                                if (i + 1).is_multiple_of(CANCEL_CHECK_PAIRS)
                                     && cancel.is_cancelled()
                                 {
                                     return Err(fused_cancelled());
                                 }
-                                let mut vals = Vec::with_capacity(right_keys.len());
-                                for k in right_keys {
-                                    let v = eval_with(k, &r, &mut scratch)?;
-                                    if v.is_null() {
-                                        continue 'probe;
-                                    }
-                                    vals.push(v);
-                                }
-                                if let Some(matches) =
-                                    table.get(&CompositeKey::from_values(vals))
-                                {
-                                    for l in matches {
-                                        let joined = l.concat(&r);
-                                        if let Some(res) = residual {
-                                            if !eval_predicate_with(
-                                                res,
-                                                &joined,
-                                                &mut scratch,
-                                            )? {
-                                                continue;
-                                            }
-                                        }
-                                        emit(joined, &mut buf, &mut agg, &mut scratch)?;
-                                    }
-                                }
+                                probe_join_table(
+                                    &table,
+                                    &r,
+                                    right_keys,
+                                    residual.as_ref(),
+                                    &mut scratch,
+                                    &mut emit,
+                                )?;
                             }
                         }
                         None => {
@@ -702,7 +689,7 @@ impl<'a> Executor<'a> {
                             )?;
                             spill.merge(sp);
                             for row in joined {
-                                emit(row, &mut buf, &mut agg, &mut scratch)?;
+                                emit(row)?;
                             }
                         }
                     }
@@ -728,13 +715,16 @@ impl<'a> Executor<'a> {
                                     continue;
                                 }
                             }
-                            emit(joined, &mut buf, &mut agg, &mut scratch)?;
+                            emit(joined)?;
                         }
                     }
                 }
-                _ => unreachable!("peel_fusable only yields joins"),
+                other => unreachable!("not a join: {}", other.label()),
             }
-            flush(&mut buf, &mut agg, &mut scratch)?;
+            // The tail chunk (possibly empty).
+            let t = Instant::now();
+            pipe.aggregate(&buf, &mut agg, &mut agg_scratch)?;
+            add_elapsed(&mut agg_ns, t);
             let total_ns = t_start.elapsed().as_nanos() as u64;
             Ok(PartOut {
                 rows: agg.finish(),
@@ -745,19 +735,13 @@ impl<'a> Executor<'a> {
             })
         };
 
-        let (left, right) = match join {
-            PhysicalPlan::HashJoin { left, right, .. }
-            | PhysicalPlan::NestedLoopJoin { left, right, .. } => (left, right),
-            _ => unreachable!(),
-        };
-        let l = self.run(left, stats)?;
-        let r = self.run(right, stats)?;
         let pairs: Vec<(Vec<Row>, Vec<Row>)> = l.into_iter().zip(r).collect();
-        let parts =
-            self.cluster.par_map(pairs, |_, (lp, rp)| fuse_partition(lp, rp, join))?;
+        let parts = self.cluster.par_map(pairs, |_, (lp, rp)| fuse_partition(lp, rp))?;
 
         // Attribute wall time across workers as the max (they ran in
-        // parallel), matching how the unfused operators are timed.
+        // parallel), matching how the unfused operators are timed. The
+        // join's wall is its partition's wall minus the time that
+        // partition spent inside the pipeline.
         let join_ns = parts.iter().map(|p| p.join_ns).max().unwrap_or(0);
         let agg_ns = parts.iter().map(|p| p.agg_ns).max().unwrap_or(0);
         let joined_rows: usize = parts.iter().map(|p| p.joined_rows).sum();
@@ -766,32 +750,23 @@ impl<'a> Executor<'a> {
             join_spill.merge(p.spill);
         }
         let mut out: Parts = parts.into_iter().map(|p| p.rows).collect();
-
-        if group_by.is_empty()
-            && mode == AggMode::Complete
-            && out.iter().all(Vec::is_empty)
-        {
-            out[0] = vec![empty_global_row(aggs)];
-        }
+        ensure_global_row(&mut out, group_by, aggs, mode);
 
         stats.record(OperatorStats {
             id: join.id(),
             label: join.label(),
-            wall: std::time::Duration::from_nanos(join_ns),
+            wall: Duration::from_nanos(join_ns),
             rows_out: joined_rows,
             shuffle: ShuffleStats::default(),
             spill: join_spill,
             batch: BatchStats::default(),
         });
-        stats.record(OperatorStats {
-            id: agg_plan.id(),
-            label: agg_plan.label(),
-            wall: std::time::Duration::from_nanos(agg_ns),
-            rows_out: out.iter().map(Vec::len).sum(),
-            shuffle: ShuffleStats::default(),
-            spill: SpillStats::default(),
-            batch: BatchStats::default(),
-        });
+        pipe.record(
+            Some((agg_plan, SpillStats::default())),
+            Duration::from_nanos(agg_ns),
+            &out,
+            stats,
+        );
         Ok(out)
     }
 
@@ -809,206 +784,98 @@ impl<'a> Executor<'a> {
         plan: &PhysicalPlan,
         stats: &mut ExecStats,
     ) -> Result<Parts> {
-        // Peel the maximal adjacent chain top-down, then run it bottom-up
-        // over the base child's partitions.
-        let mut nodes: Vec<&PhysicalPlan> = Vec::new();
-        let mut base = plan;
-        while let PhysicalPlan::Filter { input, .. }
-        | PhysicalPlan::Project { input, .. } = base
-        {
-            nodes.push(base);
-            base = input;
-        }
+        let (chain, base) = peel_chain(plan);
         let child = self.run(base, stats)?;
         let t0 = Instant::now();
-        nodes.reverse(); // bottom-up: deepest stage first
-        let stages: Vec<VecStage<'_>> = nodes.iter().map(|n| VecStage::new(n)).collect();
-        let meters: Vec<StageMeter> = stages.iter().map(|_| StageMeter::default()).collect();
-        let counters = BatchMeter::default();
-        let hist = lardb_obs::global().histogram("exec.batch.rows_per_batch");
-        let trace = self.cluster.trace().cloned();
+        let pipe =
+            ChunkPipeline::new(self.engine, self.cluster.trace().cloned(), &chain, &[], &[]);
         let batch_rows = self.batch_rows;
-
         let morsels = self.cluster.morsel_map(child, |_, rows| {
             let mut out = Vec::with_capacity(rows.len());
             let mut scratch: Vec<Value> = Vec::new();
             for chunk in rows.chunks(batch_rows) {
-                hist.observe(chunk.len() as u64);
-                match run_vec_chunk(chunk, &stages, &meters, trace.as_ref(), &mut scratch)
-                {
-                    Ok(kept) => {
-                        counters.ok_chunk(chunk.len());
-                        out.extend(kept);
-                    }
-                    // Kernel declined: replay the whole chunk through the
-                    // interpreter and take *its* result (or error).
-                    Err(_) => {
-                        counters.fallback();
-                        interp_chunk_into(chunk, &stages, &meters, &mut scratch, &mut out)?;
-                    }
-                }
+                pipe.rows(chunk, &mut scratch, &mut out)?;
             }
             Ok(out)
         })?;
         let out = flatten_morsels(morsels);
-        record_vec_stages(
-            &stages,
-            &meters,
-            &counters,
-            None,
-            t0.elapsed(),
-            out.iter().map(Vec::len).sum(),
-            stats,
-        );
+        pipe.record(None, t0.elapsed(), &out, stats);
         Ok(out)
     }
 
-    /// Vectorized partial/complete aggregation: any Filter/Project chain
-    /// under the aggregate fuses into its kernel, and group keys /
-    /// aggregate inputs are themselves evaluated column-at-a-time. Each
-    /// partition accumulates sequentially in ascending row order (chunks
-    /// only batch the *expression work*), so group order and float
-    /// accumulation order are independent of scheduler, worker count and
-    /// batch size. Chunks a kernel declines replay through the interpreted
-    /// transform chain into the same hash table, preserving order.
+    /// Vectorized partial/complete aggregation over a materialized child:
+    /// every partition is cut into `batch_rows` chunks and fed to the
+    /// chunk pipeline. Each partition accumulates sequentially in
+    /// ascending row order (chunks only batch the *expression work*), so
+    /// group order and float accumulation order are independent of
+    /// scheduler, worker count and batch size.
+    #[allow(clippy::too_many_arguments)]
     fn run_vectorized_aggregate(
         &self,
         plan: &PhysicalPlan,
-        input: &PhysicalPlan,
         group_by: &[Expr],
         aggs: &[AggExpr],
         mode: AggMode,
+        chain: &[&PhysicalPlan],
+        base: &PhysicalPlan,
         stats: &mut ExecStats,
     ) -> Result<Parts> {
-        let mut nodes: Vec<&PhysicalPlan> = Vec::new();
-        let mut base = input;
-        while let PhysicalPlan::Filter { input, .. }
-        | PhysicalPlan::Project { input, .. } = base
-        {
-            nodes.push(base);
-            base = input;
-        }
         let child = self.run(base, stats)?;
         let t0 = Instant::now();
-        nodes.reverse();
-        let stages: Vec<VecStage<'_>> = nodes.iter().map(|n| VecStage::new(n)).collect();
-        let meters: Vec<StageMeter> = stages.iter().map(|_| StageMeter::default()).collect();
-        let agg_meter = StageMeter::default();
-        let counters = BatchMeter::default();
-        let key_progs: Vec<Program<'_>> = group_by.iter().map(Program::compile).collect();
-        let arg_progs: Vec<Option<Program<'_>>> =
-            aggs.iter().map(|a| a.arg.as_ref().map(Program::compile)).collect();
-        let agg_kernels: u64 = key_progs.iter().map(Program::kernels).sum::<u64>()
-            + arg_progs.iter().flatten().map(Program::kernels).sum::<u64>();
-        let hist = lardb_obs::global().histogram("exec.batch.rows_per_batch");
-        let trace = self.cluster.trace().cloned();
+        let pipe = ChunkPipeline::new(
+            self.engine,
+            self.cluster.trace().cloned(),
+            chain,
+            group_by,
+            aggs,
+        );
         let batch_rows = self.batch_rows;
-        let cancel = self.cluster.cancel_token().clone();
-
+        let cancel = self.cluster.cancel_token();
         let partials = self.cluster.par_map(child, |_, rows| {
             let mut agg = GroupedAgg::new(group_by, aggs, mode);
             let mut scratch: Vec<Value> = Vec::new();
-            let mut args_buf: Vec<Value> = Vec::with_capacity(aggs.len());
             for chunk in rows.chunks(batch_rows) {
                 if cancel.is_cancelled() {
                     return Err(ExecError::Cancelled(
                         "vectorized aggregate cancelled".into(),
                     ));
                 }
-                hist.observe(chunk.len() as u64);
-                // Evaluate everything *before* touching the hash table, so
-                // a declined chunk can still fall back cleanly.
-                match vec_agg_chunk(
-                    chunk,
-                    &stages,
-                    &meters,
-                    &key_progs,
-                    &arg_progs,
-                    trace.as_ref(),
-                    &mut scratch,
-                ) {
-                    Ok(None) => counters.ok_chunk(chunk.len()), // filtered to nothing
-                    Ok(Some((key_cols, arg_cols, sel, n))) => {
-                        counters.ok_chunk(chunk.len());
-                        let t = Instant::now();
-                        let mut upd = |i: usize| -> Result<()> {
-                            let kv: Vec<Value> =
-                                key_cols.iter().map(|c| c.value_at(i)).collect();
-                            args_buf.clear();
-                            for c in &arg_cols {
-                                args_buf.push(match c {
-                                    Some(col) => col.value_at(i),
-                                    None => Value::Integer(1), // COUNT(*)
-                                });
-                            }
-                            agg.update_precomputed(kv, &args_buf)
-                        };
-                        // Ascending lanes: accumulation order matches the
-                        // interpreter's row order exactly.
-                        match &sel {
-                            Some(s) => {
-                                for &i in s {
-                                    upd(i as usize)?;
-                                }
-                            }
-                            None => {
-                                for i in 0..n {
-                                    upd(i)?;
-                                }
-                            }
-                        }
-                        agg_meter.add(t, agg_kernels, n as u64);
-                    }
-                    Err(_) => {
-                        counters.fallback();
-                        let mut kept = Vec::new();
-                        interp_chunk_into(chunk, &stages, &meters, &mut scratch, &mut kept)?;
-                        for row in &kept {
-                            agg.update_row(row, &mut scratch)?;
-                        }
-                    }
-                }
+                pipe.aggregate(chunk, &mut agg, &mut scratch)?;
             }
-            Ok(agg)
+            // One table per partition: the merge degenerates to finish().
+            Ok(vec![agg])
         })?;
+        let (out, spill) = self.merge_partitions(partials, group_by, aggs, mode)?;
+        pipe.record(Some((plan, spill)), t0.elapsed(), &out, stats);
+        Ok(out)
+    }
 
-        // Merge tail: identical to the interpreted arm (one table per
-        // partition here, so the merge degenerates to finish()).
+    /// Merges every partition's aggregation tables (ascending morsel
+    /// order) into its output rows. Under a memory budget, grouped merges
+    /// go through the spilling path (identical to the in-memory merge
+    /// while the reservation holds). Global aggregates hold a single
+    /// group's state and gain nothing from bucketing it.
+    fn merge_partitions(
+        &self,
+        partials: Vec<Vec<GroupedAgg<'_>>>,
+        group_by: &[Expr],
+        aggs: &[AggExpr],
+        mode: AggMode,
+    ) -> Result<(Parts, SpillStats)> {
         let mut spill = SpillStats::default();
         let mut out = Vec::with_capacity(partials.len());
-        if self.mem.bounded() && !group_by.is_empty() {
-            for agg in partials {
-                let (rows, sp) = merge_partials_spilling(
-                    vec![agg],
-                    group_by.len(),
-                    aggs,
-                    mode,
-                    &self.mem,
-                )?;
+        for pp in partials {
+            if self.mem.bounded() && !group_by.is_empty() {
+                let (rows, sp) =
+                    merge_partials_spilling(pp, group_by.len(), aggs, mode, &self.mem)?;
                 spill.merge(sp);
                 out.push(rows);
-            }
-        } else {
-            for agg in partials {
-                out.push(agg.finish());
+            } else {
+                out.push(merge_partials(pp)?);
             }
         }
-        if group_by.is_empty()
-            && matches!(mode, AggMode::Final | AggMode::Complete)
-            && out.iter().all(Vec::is_empty)
-        {
-            out[0] = vec![empty_global_row(aggs)];
-        }
-        record_vec_stages(
-            &stages,
-            &meters,
-            &counters,
-            Some((plan, &agg_meter, spill)),
-            t0.elapsed(),
-            out.iter().map(Vec::len).sum(),
-            stats,
-        );
-        Ok(out)
+        ensure_global_row(&mut out, group_by, aggs, mode);
+        Ok((out, spill))
     }
 
     fn record(
@@ -1086,12 +953,14 @@ impl<'a> Executor<'a> {
 
     /// Moves rows between partitions, metering the traffic.
     ///
-    /// In `pointer` mode rows move as in-memory values and shuffle bytes
-    /// are estimated from payload sizes. Under a serialized transport
-    /// every boundary-crossing batch is codec-encoded, shipped through
-    /// the worker mesh, and decoded on the receiving side; the meter then
-    /// reports actual wire bytes and per-channel detail. Both paths
-    /// produce bit-identical output in the same row order.
+    /// Every kind is routed once into `routed[from][to]` buckets, each in
+    /// source-row order, and `out[to]` is their concatenation over `from`
+    /// ascending. The transport mode only picks how a boundary-crossing
+    /// bucket travels: `pointer` hands it over as it is and estimates
+    /// shuffle bytes from payload sizes; a serialized transport encodes
+    /// it, ships it through the worker mesh and decodes it on the
+    /// receiving side ([`Self::ship`]), metering actual wire bytes per
+    /// channel. Output rows and their order are identical either way.
     fn exchange(
         &self,
         input: Parts,
@@ -1099,96 +968,88 @@ impl<'a> Executor<'a> {
         schema: &Schema,
     ) -> Result<(Parts, ShuffleStats)> {
         let w = input.len();
-        // GatherReplica moves nothing, and a 1-worker cluster has no
-        // partition boundary to cross — nothing to serialize.
-        if self.mode.is_serialized() && w > 1 && !matches!(kind, ExchangeKind::GatherReplica) {
-            return self.exchange_serialized(input, kind, schema);
-        }
-        match kind {
+        let mut routed: Vec<Parts> = match kind {
             ExchangeKind::Hash(keys) => {
-                // Bucket row-range morsels in parallel, then merge the
-                // per-morsel buckets in (partition, morsel) order — the
-                // exact row order sequential per-partition routing gives.
-                let bucketed = self.cluster.morsel_map(input, |p, rows| {
-                    let mut buckets: Vec<Vec<Row>> = vec![Vec::new(); w];
-                    let mut moved_rows = 0;
-                    let mut moved_bytes = 0;
+                // Bucket row-range morsels in parallel, then append each
+                // partition's per-morsel buckets in ascending morsel order
+                // — the row order sequential routing gives.
+                let bucketed = self.cluster.morsel_map(input, |_, rows| {
+                    let mut buckets: Parts = vec![Vec::new(); w];
                     let mut scratch = Vec::new();
                     for r in rows {
-                        let target = hash_route(&r, keys, w, &mut scratch)?;
-                        if target != p {
-                            moved_rows += 1;
-                            moved_bytes += r.byte_size();
-                        }
-                        buckets[target].push(r);
+                        buckets[hash_route(&r, keys, w, &mut scratch)?].push(r);
                     }
-                    Ok((buckets, moved_rows, moved_bytes))
+                    Ok(buckets)
                 })?;
-                let mut out: Parts = vec![Vec::new(); w];
-                let mut rows_moved = 0;
-                let mut bytes_moved = 0;
-                for (buckets, mr, mb) in bucketed.into_iter().flatten() {
-                    rows_moved += mr;
-                    bytes_moved += mb;
-                    for (t, mut b) in buckets.into_iter().enumerate() {
-                        out[t].append(&mut b);
+                bucketed
+                    .into_iter()
+                    .map(|morsels| {
+                        let mut buckets: Parts = vec![Vec::new(); w];
+                        for morsel in morsels {
+                            for (bucket, mut more) in buckets.iter_mut().zip(morsel) {
+                                bucket.append(&mut more);
+                            }
+                        }
+                        buckets
+                    })
+                    .collect()
+            }
+            // `Row` is Arc-backed: the W copies share row storage.
+            ExchangeKind::Broadcast => input.into_iter().map(|rows| vec![rows; w]).collect(),
+            ExchangeKind::Gather | ExchangeKind::GatherReplica => input
+                .into_iter()
+                .enumerate()
+                .map(|(from, rows)| {
+                    let mut buckets: Parts = vec![Vec::new(); w];
+                    // Replicas hold the same rows; worker 0's copy is the
+                    // gathered stream and nothing moves.
+                    if from == 0 || matches!(kind, ExchangeKind::Gather) {
+                        buckets[0] = rows;
+                    }
+                    buckets
+                })
+                .collect(),
+        };
+
+        // A 1-worker cluster has no partition boundary to cross and
+        // GatherReplica moves nothing — nothing to serialize.
+        let shuffle = if self.mode.is_serialized()
+            && w > 1
+            && !matches!(kind, ExchangeKind::GatherReplica)
+        {
+            let (shipped, shuffle) = self.ship(routed, schema)?;
+            routed = shipped;
+            shuffle
+        } else {
+            let (mut rows, mut bytes) = (0, 0);
+            for (from, buckets) in routed.iter().enumerate() {
+                for (to, bucket) in buckets.iter().enumerate() {
+                    if to != from {
+                        rows += bucket.len();
+                        bytes += bucket.iter().map(Row::byte_size).sum::<usize>();
                     }
                 }
-                Ok((out, ShuffleStats::estimated(rows_moved, bytes_moved)))
             }
-            ExchangeKind::Broadcast => {
-                let all: Vec<Row> = input.into_iter().flatten().collect();
-                let bytes: usize = all.iter().map(Row::byte_size).sum();
-                let rows = all.len();
-                // Pointer mode: per-partition copies share row storage
-                // (Arc clones); the metered bytes still reflect what a
-                // real broadcast would ship.
-                let out: Parts = (0..w).map(|_| all.clone()).collect();
-                Ok((
-                    out,
-                    ShuffleStats::estimated(rows * (w - 1), bytes * (w.saturating_sub(1))),
-                ))
-            }
-            ExchangeKind::Gather => {
-                let mut rows_moved = 0;
-                let mut bytes_moved = 0;
-                let mut first = Vec::new();
-                for (p, rows) in input.into_iter().enumerate() {
-                    if p != 0 {
-                        rows_moved += rows.len();
-                        bytes_moved += rows.iter().map(Row::byte_size).sum::<usize>();
-                    }
-                    first.extend(rows);
-                }
-                let mut out: Parts = vec![Vec::new(); w];
-                out[0] = first;
-                Ok((out, ShuffleStats::estimated(rows_moved, bytes_moved)))
-            }
-            ExchangeKind::GatherReplica => {
-                let mut out: Parts = vec![Vec::new(); w];
-                if let Some(p0) = input.into_iter().next() {
-                    out[0] = p0;
-                }
-                Ok((out, ShuffleStats::default()))
+            ShuffleStats::estimated(rows, bytes)
+        };
+
+        let mut out: Parts = vec![Vec::new(); w];
+        for buckets in routed {
+            for (part, mut bucket) in out.iter_mut().zip(buckets) {
+                part.append(&mut bucket);
             }
         }
+        Ok((out, shuffle))
     }
 
-    /// The serialized exchange: `W` sender threads route, encode and ship
-    /// frames through a [`Mesh`]; `W` receiver threads drain, validate and
-    /// decode them. Local rows (target == source) never touch the mesh.
-    ///
-    /// Receivers bucket incoming frames per sender and the final partition
-    /// is assembled in sender order with local rows at the sender's own
-    /// index — reproducing exactly the row order of the pointer-mode
-    /// merge, so results are bit-identical across transports.
-    fn exchange_serialized(
-        &self,
-        input: Parts,
-        kind: &ExchangeKind,
-        schema: &Schema,
-    ) -> Result<(Parts, ShuffleStats)> {
-        let w = input.len();
+    /// The serialized carrier of [`Self::exchange`]: `W` sender threads
+    /// encode and ship every boundary-crossing bucket through a [`Mesh`];
+    /// `W` receiver threads drain, validate and decode them per sender.
+    /// Returns the buckets in the `routed[from][to]` layout they came in:
+    /// local buckets (`to == from`) never touch the mesh, every other one
+    /// is what its receiver decoded.
+    fn ship(&self, routed: Vec<Parts>, schema: &Schema) -> Result<(Vec<Parts>, ShuffleStats)> {
+        let w = routed.len();
         let base: Box<dyn Transport> = match self.mode {
             TransportMode::Serialized => Box::new(ChannelTransport {
                 max_frame_bytes: self.net.max_frame_bytes,
@@ -1199,7 +1060,7 @@ impl<'a> Executor<'a> {
                 max_frame_bytes: self.net.max_frame_bytes,
                 ..TcpTransport::default()
             }),
-            TransportMode::Pointer => unreachable!("pointer mode uses the in-memory exchange"),
+            TransportMode::Pointer => unreachable!("pointer mode hands buckets over as they are"),
         };
         let transport: Box<dyn Transport> = match &self.net.faults {
             Some(plan) => Box::new(FaultyTransport::new(base, plan.clone())),
@@ -1213,75 +1074,69 @@ impl<'a> Executor<'a> {
         // the flight recorder and attribute the channel to the query.
         let trace_id = self.cluster.trace().map(|t| t.id().0);
 
-        type SenderOut = (Vec<Row>, Vec<ChannelStats>);
-        type ScopeOut = (Vec<Vec<Row>>, Vec<Vec<Vec<Row>>>, Vec<ChannelStats>);
-        let (locals, received, mut channels) = std::thread::scope(
-            |s| -> Result<ScopeOut> {
-                let receivers: Vec<_> = (0..w)
-                    .map(|to| {
-                        s.spawn(move || {
-                            let r = receive_partition(mesh, w, to, schema, cancel);
-                            if let Err(e) = &r {
-                                flag_abort(cancel, e);
-                            }
-                            r
-                        })
+        let (sent, received) = std::thread::scope(|s| {
+            let receivers: Vec<_> = (0..w)
+                .map(|to| {
+                    s.spawn(move || {
+                        let r = receive_partition(mesh, w, to, schema, cancel);
+                        if let Err(e) = &r {
+                            flag_abort(cancel, e);
+                        }
+                        r
                     })
-                    .collect();
-                let senders: Vec<_> = input
-                    .into_iter()
-                    .enumerate()
-                    .map(|(p, rows)| {
-                        s.spawn(move || -> Result<SenderOut> {
-                            let r =
-                                send_partition(mesh, w, p, rows, kind, schema, cancel, trace_id);
-                            if let Err(e) = &r {
-                                flag_abort(cancel, e);
-                            }
-                            r
-                        })
+                })
+                .collect();
+            let senders: Vec<_> = routed
+                .into_iter()
+                .enumerate()
+                .map(|(p, buckets)| {
+                    s.spawn(move || {
+                        let r = send_partition(mesh, p, buckets, schema, cancel, trace_id);
+                        if let Err(e) = &r {
+                            flag_abort(cancel, e);
+                        }
+                        r
                     })
-                    .collect();
-                let mut locals = Vec::with_capacity(w);
-                let mut channels = Vec::new();
-                for h in senders {
-                    let (local, chs) = join_exchange_thread(h)?;
-                    locals.push(local);
+                })
+                .collect();
+            let sent: Vec<_> = senders.into_iter().map(join_exchange_thread).collect();
+            let received: Vec<_> = receivers.into_iter().map(join_exchange_thread).collect();
+            (sent, received)
+        });
+
+        // The fault that flipped the token, not a sibling's echo of it, is
+        // the exchange's error (senders before receivers, by index).
+        let mut errors = Vec::new();
+        let mut routed: Vec<Parts> = Vec::with_capacity(w);
+        let mut channels = Vec::new();
+        for r in sent {
+            match r {
+                Ok((buckets, chs)) => {
+                    routed.push(buckets);
                     channels.extend(chs);
                 }
-                let mut received = Vec::with_capacity(w);
-                for h in receivers {
-                    received.push(join_exchange_thread(h)?);
-                }
-                Ok((locals, received, channels))
-            },
-        )?;
-
-        let mut out: Parts = Vec::with_capacity(w);
-        for (q, (local, mut per_from)) in locals.into_iter().zip(received).enumerate() {
-            let mut part = Vec::new();
-            let mut local = Some(local);
-            for (from, received_rows) in per_from.iter_mut().enumerate() {
-                if from == q {
-                    // `from == q` holds exactly once per outer iteration;
-                    // a missing value is a logic bug, but surface it as a
-                    // typed error rather than panicking the coordinator.
-                    match local.take() {
-                        Some(mut l) => part.append(&mut l),
-                        None => {
-                            return Err(ExecError::Runtime(
-                                "exchange local rows consumed twice".into(),
-                            ))
-                        }
-                    }
-                } else {
-                    part.append(received_rows);
+                Err(e) => errors.push(e),
+            }
+        }
+        let mut inbound: Vec<Parts> = Vec::with_capacity(w);
+        for r in received {
+            match r {
+                Ok(per_from) => inbound.push(per_from),
+                Err(e) => errors.push(e),
+            }
+        }
+        if let Some(e) = root_cause(errors) {
+            return Err(e);
+        }
+        for (to, per_from) in inbound.into_iter().enumerate() {
+            for (from, rows) in per_from.into_iter().enumerate() {
+                if from != to {
+                    routed[from][to] = rows;
                 }
             }
-            out.push(part);
         }
         channels.sort_by_key(|c| (c.from, c.to));
-        Ok((out, ShuffleStats::from_channels(channels)))
+        Ok((routed, ShuffleStats::from_channels(channels)))
     }
 }
 
@@ -1335,9 +1190,10 @@ fn publish_metrics(stats: &ExecStats) {
     }
 }
 
-/// Sender side of one serialized exchange partition: routes rows, keeps
-/// local ones, encodes and ships the rest (a schema frame first, then
-/// row batches), and ends **every** channel with a fin frame carrying
+/// Sender side of one serialized exchange partition: keeps its local
+/// bucket, encodes and ships every other one (a schema frame first, then
+/// row batches; a bucket's rows are freed once shipped), and ends
+/// **every** channel with a fin frame carrying
 /// the channel's frame count, row count and checksum (protocol v2) —
 /// receivers prove completeness against it. The mesh endpoint always
 /// ends — closed on success, *failed* on error — so receivers never hang
@@ -1349,61 +1205,21 @@ fn publish_metrics(stats: &ExecStats) {
 /// frame carrying the query's trace id. The frame is counted and
 /// checksummed like any other pre-fin frame, so trace propagation rides
 /// inside the completeness proof instead of beside it.
-#[allow(clippy::too_many_arguments)]
 fn send_partition(
     mesh: &dyn Mesh,
-    w: usize,
     p: usize,
-    rows: Vec<Row>,
-    kind: &ExchangeKind,
+    mut buckets: Parts,
     schema: &Schema,
     cancel: &CancelToken,
     trace_id: Option<u64>,
-) -> Result<(Vec<Row>, Vec<ChannelStats>)> {
-    let (local, outbound): (Vec<Row>, Vec<Vec<Row>>) = match kind {
-        ExchangeKind::Hash(keys) => {
-            let mut local = Vec::new();
-            let mut outbound: Vec<Vec<Row>> = vec![Vec::new(); w];
-            let mut scratch = Vec::new();
-            for r in rows {
-                let target = hash_route(&r, keys, w, &mut scratch)?;
-                if target == p {
-                    local.push(r);
-                } else {
-                    outbound[target].push(r);
-                }
-            }
-            (local, outbound)
-        }
-        ExchangeKind::Broadcast => {
-            let mut outbound: Vec<Vec<Row>> = vec![Vec::new(); w];
-            for (q, slot) in outbound.iter_mut().enumerate() {
-                if q != p {
-                    *slot = rows.clone();
-                }
-            }
-            (rows, outbound)
-        }
-        ExchangeKind::Gather => {
-            if p == 0 {
-                (rows, vec![Vec::new(); w])
-            } else {
-                let mut outbound: Vec<Vec<Row>> = vec![Vec::new(); w];
-                outbound[0] = rows;
-                (Vec::new(), outbound)
-            }
-        }
-        ExchangeKind::GatherReplica => {
-            unreachable!("GatherReplica never takes the serialized path")
-        }
-    };
-
+) -> Result<(Parts, Vec<ChannelStats>)> {
     let mut channels = Vec::new();
     let send_result = (|| -> Result<()> {
-        for (to, bucket) in outbound.iter().enumerate() {
+        for (to, slot) in buckets.iter_mut().enumerate() {
             if to == p {
                 continue; // never ship to self; local rows stay in-process
             }
+            let bucket = std::mem::take(slot);
             let mut fin = FinSummary { frames: 0, rows: 0, checksum: CHECKSUM_SEED };
             let mut ch = ChannelStats {
                 from: p,
@@ -1474,7 +1290,7 @@ fn send_partition(
         }
     }
     send_result?;
-    Ok((local, channels))
+    Ok((buckets, channels))
 }
 
 /// Returns [`ExecError::Cancelled`] once the query-wide token flips —
@@ -1689,60 +1505,17 @@ fn receive_partition(
     }
 }
 
-/// A row-level transform between a join and a fused aggregate.
-enum RowTransform<'p> {
-    /// Projection through these expressions.
-    Project(&'p [Expr]),
-    /// Keep rows passing this predicate.
-    Filter(&'p Expr),
-}
-
-/// Walks down a Project/Filter chain to a join, if one is there.
-/// Transforms are returned top-down; apply them bottom-up.
-fn peel_fusable(plan: &PhysicalPlan) -> Option<(Vec<RowTransform<'_>>, &PhysicalPlan)> {
-    let mut transforms = Vec::new();
-    let mut cur = plan;
-    loop {
-        match cur {
-            PhysicalPlan::Project { input, exprs, .. } => {
-                transforms.push(RowTransform::Project(exprs));
-                cur = input;
-            }
-            PhysicalPlan::Filter { input, predicate, .. } => {
-                transforms.push(RowTransform::Filter(predicate));
-                cur = input;
-            }
-            PhysicalPlan::HashJoin { .. } | PhysicalPlan::NestedLoopJoin { .. } => {
-                return Some((transforms, cur))
-            }
-            _ => return None,
-        }
+/// Splits a plan into its maximal top Filter/Project chain — returned
+/// bottom-up, the order the stages run in — and the node under it.
+fn peel_chain(plan: &PhysicalPlan) -> (Vec<&PhysicalPlan>, &PhysicalPlan) {
+    let mut chain = Vec::new();
+    let mut base = plan;
+    while let PhysicalPlan::Filter { input, .. } | PhysicalPlan::Project { input, .. } = base {
+        chain.push(base);
+        base = input;
     }
-}
-
-/// Applies a transform chain (bottom-up) to one row; `None` = filtered out.
-fn apply_transforms(
-    mut row: Row,
-    transforms: &[RowTransform<'_>],
-    scratch: &mut Vec<Value>,
-) -> Result<Option<Row>> {
-    for t in transforms.iter().rev() {
-        match t {
-            RowTransform::Filter(p) => {
-                if !eval_predicate_with(p, &row, scratch)? {
-                    return Ok(None);
-                }
-            }
-            RowTransform::Project(exprs) => {
-                let mut vals = Vec::with_capacity(exprs.len());
-                for e in *exprs {
-                    vals.push(eval_with(e, &row, scratch)?);
-                }
-                row = Row::new(vals);
-            }
-        }
-    }
-    Ok(Some(row))
+    chain.reverse();
+    (chain, base)
 }
 
 /// One stage of a vectorized Filter/Project chain: the original
@@ -1754,6 +1527,7 @@ struct VecStage<'p> {
     /// `exec.batch.kernels` counter exactly, per executed chunk).
     kernels: u64,
     kind: VecStageKind<'p>,
+    meter: StageMeter,
 }
 
 enum VecStageKind<'p> {
@@ -1763,28 +1537,28 @@ enum VecStageKind<'p> {
 
 impl<'p> VecStage<'p> {
     fn new(node: &'p PhysicalPlan) -> VecStage<'p> {
-        match node {
+        let (kernels, kind) = match node {
             PhysicalPlan::Filter { predicate, .. } => {
                 let prog = Program::compile(predicate);
-                VecStage {
-                    id: node.id(),
-                    label: node.label(),
-                    // +1 for the selection-vector pass itself.
-                    kernels: prog.kernels() + 1,
-                    kind: VecStageKind::Filter { pred: predicate, prog },
-                }
+                // +1 for the selection-vector pass itself.
+                (prog.kernels() + 1, VecStageKind::Filter { pred: predicate, prog })
             }
             PhysicalPlan::Project { exprs, .. } => {
                 let progs: Vec<Program<'p>> =
                     exprs.iter().map(Program::compile).collect();
-                VecStage {
-                    id: node.id(),
-                    label: node.label(),
-                    kernels: progs.iter().map(Program::kernels).sum(),
-                    kind: VecStageKind::Project { exprs, progs },
-                }
+                (
+                    progs.iter().map(Program::kernels).sum(),
+                    VecStageKind::Project { exprs, progs },
+                )
             }
             other => unreachable!("not a vectorizable stage: {}", other.label()),
+        };
+        VecStage {
+            id: node.id(),
+            label: node.label(),
+            kernels,
+            kind,
+            meter: StageMeter::default(),
         }
     }
 }
@@ -1829,211 +1603,291 @@ impl BatchMeter {
 /// columns, and the chunk's lane count.
 type VecChunkState = (Vec<Arc<Col>>, Option<Vec<u32>>, bool, usize);
 
-/// Runs every chain stage over one pivoted chunk. Any `Err` means
-/// "replay this chunk through the row interpreter" — never a final query
-/// error. An empty selection short-circuits the remaining stages (the
-/// interpreter would not evaluate them on zero rows either).
-fn run_vec_stages(
-    chunk: &[Row],
-    stages: &[VecStage<'_>],
-    meters: &[StageMeter],
-    trace: Option<&Arc<lardb_obs::ActiveTrace>>,
-    scratch: &mut Vec<Value>,
-) -> Result<VecChunkState> {
-    let n = chunk.len();
-    let batch = ColumnBatch::from_rows(chunk)
-        .ok_or_else(|| ExecError::Runtime("ragged rows cannot be pivoted".into()))?;
-    let mut cols: Vec<Arc<Col>> = batch.cols().to_vec();
-    let mut sel: Option<Vec<u32>> = None;
-    let mut projected = false;
-    for (stage, m) in stages.iter().zip(meters) {
-        let _span =
-            trace.map(|t| t.span("kernel", "vec").arg("op", stage.label.clone()));
-        let t = Instant::now();
-        match &stage.kind {
-            VecStageKind::Filter { prog, .. } => {
-                let pred = prog.eval(&cols, n, sel.as_deref(), scratch)?;
-                sel = Some(kernels::selection(&pred, sel.as_deref(), n)?);
-            }
-            VecStageKind::Project { progs, .. } => {
-                let mut outs = Vec::with_capacity(progs.len());
-                for p in progs {
-                    outs.push(p.eval(&cols, n, sel.as_deref(), scratch)?);
-                }
-                cols = outs;
-                projected = true;
-            }
-        }
-        let live = sel.as_ref().map_or(n, Vec::len);
-        m.add(t, stage.kernels, live as u64);
-        if live == 0 {
-            break;
+/// The `k`-th live lane of a chunk under an optional selection vector.
+fn lane(sel: Option<&[u32]>, k: usize) -> usize {
+    sel.map_or(k, |s| s[k] as usize)
+}
+
+/// The one place `&[Row]` chunks are evaluated: a compiled Filter/Project
+/// chain and, when it feeds an aggregate, the compiled group-key and
+/// argument programs, with the meters every chunk reports into. Shared
+/// by all workers of one operator; chunks come from a scan-fed morsel or
+/// from the fused join→aggregate producer alike.
+struct ChunkPipeline<'p> {
+    engine: ExprEngine,
+    stages: Vec<VecStage<'p>>,
+    /// Empty for a bare chain.
+    key_progs: Vec<Program<'p>>,
+    arg_progs: Vec<Option<Program<'p>>>,
+    /// Kernel invocations the key and argument programs cost per chunk.
+    agg_kernels: u64,
+    agg_meter: StageMeter,
+    counters: BatchMeter,
+    hist: Arc<lardb_obs::Histogram>,
+    /// When set, every stage of every chunk opens a `kernel` span.
+    trace: Option<Arc<lardb_obs::ActiveTrace>>,
+}
+
+impl<'p> ChunkPipeline<'p> {
+    fn new(
+        engine: ExprEngine,
+        trace: Option<Arc<lardb_obs::ActiveTrace>>,
+        chain: &[&'p PhysicalPlan],
+        group_by: &'p [Expr],
+        aggs: &'p [AggExpr],
+    ) -> Self {
+        let key_progs: Vec<Program<'p>> = group_by.iter().map(Program::compile).collect();
+        let arg_progs: Vec<Option<Program<'p>>> =
+            aggs.iter().map(|a| a.arg.as_ref().map(Program::compile)).collect();
+        ChunkPipeline {
+            engine,
+            stages: chain.iter().map(|n| VecStage::new(n)).collect(),
+            agg_kernels: key_progs.iter().map(Program::kernels).sum::<u64>()
+                + arg_progs.iter().flatten().map(Program::kernels).sum::<u64>(),
+            key_progs,
+            arg_progs,
+            agg_meter: StageMeter::default(),
+            counters: BatchMeter::default(),
+            hist: lardb_obs::global().histogram("exec.batch.rows_per_batch"),
+            trace,
         }
     }
-    Ok((cols, sel, projected, n))
-}
 
-/// One chunk through the whole chain, rows out. Pass-through lanes reuse
-/// the input rows (`Arc` clones); only projected chunks rebuild rows.
-fn run_vec_chunk(
-    chunk: &[Row],
-    stages: &[VecStage<'_>],
-    meters: &[StageMeter],
-    trace: Option<&Arc<lardb_obs::ActiveTrace>>,
-    scratch: &mut Vec<Value>,
-) -> Result<Vec<Row>> {
-    let (cols, sel, projected, n) = run_vec_stages(chunk, stages, meters, trace, scratch)?;
-    Ok(match (projected, sel) {
-        (false, None) => chunk.to_vec(),
-        (false, Some(s)) => s.iter().map(|&i| chunk[i as usize].clone()).collect(),
-        (true, None) => (0..n)
-            .map(|i| Row::new(cols.iter().map(|c| c.value_at(i)).collect()))
-            .collect(),
-        (true, Some(s)) => s
-            .iter()
-            .map(|&i| Row::new(cols.iter().map(|c| c.value_at(i as usize)).collect()))
-            .collect(),
-    })
-}
-
-/// Chain stages plus group-key / aggregate-argument programs over one
-/// chunk, with *no* side effects — the caller only touches its hash table
-/// once everything evaluated cleanly, so a declined chunk can still fall
-/// back to the interpreter. `None` = the chunk filtered down to nothing.
-#[allow(clippy::type_complexity)]
-fn vec_agg_chunk<'p>(
-    chunk: &[Row],
-    stages: &[VecStage<'p>],
-    meters: &[StageMeter],
-    key_progs: &[Program<'p>],
-    arg_progs: &[Option<Program<'p>>],
-    trace: Option<&Arc<lardb_obs::ActiveTrace>>,
-    scratch: &mut Vec<Value>,
-) -> Result<Option<(Vec<Arc<Col>>, Vec<Option<Arc<Col>>>, Option<Vec<u32>>, usize)>> {
-    let (cols, sel, _projected, n) = run_vec_stages(chunk, stages, meters, trace, scratch)?;
-    if n == 0 || sel.as_ref().is_some_and(Vec::is_empty) {
-        return Ok(None);
-    }
-    let s = sel.as_deref();
-    let key_cols = key_progs
-        .iter()
-        .map(|p| p.eval(&cols, n, s, scratch))
-        .collect::<Result<Vec<_>>>()?;
-    let arg_cols = arg_progs
-        .iter()
-        .map(|p| p.as_ref().map(|p| p.eval(&cols, n, s, scratch)).transpose())
-        .collect::<Result<Vec<_>>>()?;
-    Ok(Some((key_cols, arg_cols, sel, n)))
-}
-
-/// Replays one chunk through the interpreted chain, row at a time,
-/// appending survivors to `out`. This is the fallback the vectorized path
-/// takes when a kernel declines a chunk: the interpreter's verdict —
-/// values or error — is authoritative, which is what makes the two
-/// engines agree by construction.
-fn interp_chunk_into(
-    chunk: &[Row],
-    stages: &[VecStage<'_>],
-    meters: &[StageMeter],
-    scratch: &mut Vec<Value>,
-    out: &mut Vec<Row>,
-) -> Result<()> {
-    'row: for r in chunk {
-        let mut row = r.clone();
-        for (stage, m) in stages.iter().zip(meters) {
+    /// Runs every chain stage over one pivoted chunk. Any `Err` means
+    /// "replay this chunk through the row interpreter" — never a final
+    /// query error. An empty selection short-circuits the remaining
+    /// stages (the interpreter would not evaluate them on zero rows
+    /// either).
+    fn run_stages(&self, chunk: &[Row], scratch: &mut Vec<Value>) -> Result<VecChunkState> {
+        let n = chunk.len();
+        let batch = ColumnBatch::from_rows(chunk)
+            .ok_or_else(|| ExecError::Runtime("ragged rows cannot be pivoted".into()))?;
+        let mut cols: Vec<Arc<Col>> = batch.cols().to_vec();
+        let mut sel: Option<Vec<u32>> = None;
+        let mut projected = false;
+        for stage in &self.stages {
+            let _span = self
+                .trace
+                .as_ref()
+                .map(|t| t.span("kernel", "vec").arg("op", stage.label.clone()));
+            let t = Instant::now();
             match &stage.kind {
-                VecStageKind::Filter { pred, .. } => {
-                    if !eval_predicate_with(pred, &row, scratch)? {
-                        continue 'row;
-                    }
+                VecStageKind::Filter { prog, .. } => {
+                    let pred = prog.eval(&cols, n, sel.as_deref(), scratch)?;
+                    sel = Some(kernels::selection(&pred, sel.as_deref(), n)?);
                 }
-                VecStageKind::Project { exprs, .. } => {
-                    let mut vals = Vec::with_capacity(exprs.len());
-                    for e in *exprs {
-                        vals.push(eval_with(e, &row, scratch)?);
+                VecStageKind::Project { progs, .. } => {
+                    let mut outs = Vec::with_capacity(progs.len());
+                    for p in progs {
+                        outs.push(p.eval(&cols, n, sel.as_deref(), scratch)?);
                     }
-                    row = Row::new(vals);
+                    cols = outs;
+                    projected = true;
                 }
             }
-            m.rows_out.fetch_add(1, AtomicOrdering::Relaxed);
+            let live = sel.as_ref().map_or(n, Vec::len);
+            stage.meter.add(t, stage.kernels, live as u64);
+            if live == 0 {
+                break;
+            }
         }
-        out.push(row);
+        Ok((cols, sel, projected, n))
     }
-    Ok(())
-}
 
-/// Records a vectorized chain's per-operator stats. The chain's measured
-/// wall time is split across stages proportionally to their metered
-/// kernel time (the last operator absorbs the remainder — pivot,
-/// materialize, fallback replay), batch counters land on the chain's top
-/// operator, and labels get a ` [vec]` / ` [vec fused]` *suffix* so
-/// label-prefix bucketing (the Figure 4 breakdown) still matches.
-fn record_vec_stages(
-    stages: &[VecStage<'_>],
-    meters: &[StageMeter],
-    counters: &BatchMeter,
-    agg: Option<(&PhysicalPlan, &StageMeter, SpillStats)>,
-    total: Duration,
-    rows_out_total: usize,
-    stats: &mut ExecStats,
-) {
-    let relaxed = AtomicOrdering::Relaxed;
-    let n_ops = stages.len() + usize::from(agg.is_some());
-    let suffix = if n_ops > 1 { " [vec fused]" } else { " [vec]" };
-    let mut ns: Vec<u64> = meters.iter().map(|m| m.ns.load(relaxed)).collect();
-    if let Some((_, am, _)) = &agg {
-        ns.push(am.ns.load(relaxed));
+    /// One chunk through the chain, survivors appended to `out`.
+    /// Pass-through lanes reuse the input rows (`Arc` clones); only
+    /// projected chunks rebuild rows.
+    fn rows(&self, chunk: &[Row], scratch: &mut Vec<Value>, out: &mut Vec<Row>) -> Result<()> {
+        self.hist.observe(chunk.len() as u64);
+        match self.run_stages(chunk, scratch) {
+            Ok((cols, sel, projected, n)) => {
+                self.counters.ok_chunk(chunk.len());
+                let sel = sel.as_deref();
+                let live = (0..sel.map_or(n, <[u32]>::len)).map(|k| lane(sel, k));
+                if projected {
+                    out.extend(
+                        live.map(|i| Row::new(cols.iter().map(|c| c.value_at(i)).collect())),
+                    );
+                } else {
+                    out.extend(live.map(|i| chunk[i].clone()));
+                }
+                Ok(())
+            }
+            // Kernel declined: replay the whole chunk through the
+            // interpreter and take *its* result (or error).
+            Err(_) => {
+                self.counters.fallback();
+                self.interpret(chunk, scratch, out)
+            }
+        }
     }
-    let sum = ns.iter().sum::<u64>().max(1);
-    let top_counters = BatchStats {
-        batches: counters.batches.load(relaxed) as usize,
-        rows: counters.rows.load(relaxed) as usize,
-        kernels: 0,
-        fallbacks: counters.fallbacks.load(relaxed) as usize,
-    };
-    let mut spent = Duration::ZERO;
-    for (i, (stage, m)) in stages.iter().zip(meters).enumerate() {
-        let top = i == n_ops - 1;
-        let wall = if top {
-            total.saturating_sub(spent)
-        } else {
-            Duration::from_nanos(
-                (total.as_nanos() * ns[i] as u128 / sum as u128) as u64,
-            )
-        };
-        spent += wall;
-        let kernels = m.kernels.load(relaxed) as usize;
-        let (batch, rows_out) = if top {
-            (BatchStats { kernels, ..top_counters }, rows_out_total)
-        } else {
-            (
-                BatchStats { kernels, ..BatchStats::default() },
-                m.rows_out.load(relaxed) as usize,
-            )
-        };
-        stats.record(OperatorStats {
-            id: stage.id,
-            label: format!("{}{}", stage.label, suffix),
-            wall,
-            rows_out,
-            shuffle: ShuffleStats::default(),
-            spill: SpillStats::default(),
-            batch,
-        });
+
+    /// One chunk through the chain and the group-key / argument programs
+    /// into `agg`, lanes ascending — so accumulation order is the
+    /// interpreter's row order exactly. Under `ExprEngine::Interpret`, and
+    /// for any chunk a kernel declines, the chunk is replayed whole
+    /// through the interpreted chain into the same table, in the same
+    /// order.
+    fn aggregate(
+        &self,
+        chunk: &[Row],
+        agg: &mut GroupedAgg<'_>,
+        scratch: &mut Vec<Value>,
+    ) -> Result<()> {
+        if chunk.is_empty() {
+            return Ok(());
+        }
+        if self.engine == ExprEngine::Compiled {
+            self.hist.observe(chunk.len() as u64);
+            // Evaluate everything *before* touching the hash table, so a
+            // declined chunk can still fall back cleanly.
+            let inputs = self.run_stages(chunk, scratch).and_then(|(cols, sel, _, n)| {
+                let s = sel.as_deref();
+                if s.is_some_and(<[u32]>::is_empty) {
+                    return Ok(None); // filtered to nothing
+                }
+                let keys = self
+                    .key_progs
+                    .iter()
+                    .map(|p| p.eval(&cols, n, s, scratch))
+                    .collect::<Result<Vec<_>>>()?;
+                let args = self
+                    .arg_progs
+                    .iter()
+                    .map(|p| p.as_ref().map(|p| p.eval(&cols, n, s, scratch)).transpose())
+                    .collect::<Result<Vec<_>>>()?;
+                Ok(Some((keys, args, sel, n)))
+            });
+            match inputs {
+                Ok(inputs) => {
+                    self.counters.ok_chunk(chunk.len());
+                    if let Some((key_cols, arg_cols, sel, n)) = inputs {
+                        let t = Instant::now();
+                        let sel = sel.as_deref();
+                        let mut args: Vec<Value> = Vec::with_capacity(arg_cols.len());
+                        for k in 0..sel.map_or(n, <[u32]>::len) {
+                            let i = lane(sel, k);
+                            let kv = key_cols.iter().map(|c| c.value_at(i)).collect();
+                            args.clear();
+                            args.extend(arg_cols.iter().map(|c| match c {
+                                Some(col) => col.value_at(i),
+                                None => Value::Integer(1), // COUNT(*)
+                            }));
+                            agg.update_precomputed(kv, &args)?;
+                        }
+                        self.agg_meter.add(t, self.agg_kernels, n as u64);
+                    }
+                    return Ok(());
+                }
+                Err(_) => self.counters.fallback(),
+            }
+        }
+        let mut kept = Vec::new();
+        self.interpret(chunk, scratch, &mut kept)?;
+        for row in &kept {
+            agg.update_row(row, scratch)?;
+        }
+        Ok(())
     }
-    if let Some((plan, am, spill)) = agg {
-        stats.record(OperatorStats {
-            id: plan.id(),
-            label: format!("{}{}", plan.label(), suffix),
-            wall: total.saturating_sub(spent),
-            rows_out: rows_out_total,
-            shuffle: ShuffleStats::default(),
-            spill,
-            batch: BatchStats {
-                kernels: am.kernels.load(relaxed) as usize,
-                ..top_counters
-            },
-        });
+
+    /// Replays one chunk through the interpreted chain, row at a time,
+    /// appending survivors to `out`. This is the fallback the vectorized
+    /// path takes when a kernel declines a chunk: the interpreter's
+    /// verdict — values or error — is authoritative, which is what makes
+    /// the two engines agree by construction.
+    fn interpret(
+        &self,
+        chunk: &[Row],
+        scratch: &mut Vec<Value>,
+        out: &mut Vec<Row>,
+    ) -> Result<()> {
+        'row: for r in chunk {
+            let mut row = r.clone();
+            for stage in &self.stages {
+                match &stage.kind {
+                    VecStageKind::Filter { pred, .. } => {
+                        if !eval_predicate_with(pred, &row, scratch)? {
+                            continue 'row;
+                        }
+                    }
+                    VecStageKind::Project { exprs, .. } => {
+                        let mut vals = Vec::with_capacity(exprs.len());
+                        for e in *exprs {
+                            vals.push(eval_with(e, &row, scratch)?);
+                        }
+                        row = Row::new(vals);
+                    }
+                }
+                stage.meter.rows_out.fetch_add(1, AtomicOrdering::Relaxed);
+            }
+            out.push(row);
+        }
+        Ok(())
+    }
+
+    /// Records the pipeline's per-operator stats. Its measured wall time
+    /// is split across stages proportionally to their metered kernel time
+    /// (the last operator absorbs the remainder — pivot, materialize,
+    /// fallback replay), batch counters land on the top operator, and
+    /// labels of compiled stages get a ` [vec]` / ` [vec fused]` *suffix*
+    /// so label-prefix bucketing (the Figure 4 breakdown) still matches.
+    fn record(
+        &self,
+        agg: Option<(&PhysicalPlan, SpillStats)>,
+        total: Duration,
+        out: &Parts,
+        stats: &mut ExecStats,
+    ) {
+        let relaxed = AtomicOrdering::Relaxed;
+        let mut ops: Vec<(usize, String, &StageMeter)> =
+            self.stages.iter().map(|s| (s.id, s.label.clone(), &s.meter)).collect();
+        let mut top_spill = SpillStats::default();
+        if let Some((plan, spill)) = agg {
+            ops.push((plan.id(), plan.label(), &self.agg_meter));
+            top_spill = spill;
+        }
+        let n_ops = ops.len();
+        let suffix = match (self.engine, n_ops) {
+            (ExprEngine::Interpret, _) => "",
+            (ExprEngine::Compiled, 1) => " [vec]",
+            (ExprEngine::Compiled, _) => " [vec fused]",
+        };
+        let sum = ops.iter().map(|(.., m)| m.ns.load(relaxed)).sum::<u64>().max(1);
+        let mut spent = Duration::ZERO;
+        for (i, (id, label, m)) in ops.into_iter().enumerate() {
+            let kernels = m.kernels.load(relaxed) as usize;
+            let (wall, rows_out, batch, spill) = if i + 1 == n_ops {
+                (
+                    total.saturating_sub(spent),
+                    out.iter().map(Vec::len).sum(),
+                    BatchStats {
+                        batches: self.counters.batches.load(relaxed) as usize,
+                        rows: self.counters.rows.load(relaxed) as usize,
+                        kernels,
+                        fallbacks: self.counters.fallbacks.load(relaxed) as usize,
+                    },
+                    top_spill,
+                )
+            } else {
+                let share = total.as_nanos() * m.ns.load(relaxed) as u128 / sum as u128;
+                (
+                    Duration::from_nanos(share as u64),
+                    m.rows_out.load(relaxed) as usize,
+                    BatchStats { kernels, ..BatchStats::default() },
+                    SpillStats::default(),
+                )
+            };
+            spent += wall;
+            stats.record(OperatorStats {
+                id,
+                label: format!("{label}{suffix}"),
+                wall,
+                rows_out,
+                shuffle: ShuffleStats::default(),
+                spill,
+                batch,
+            });
+        }
     }
 }
 
@@ -2092,38 +1946,38 @@ fn build_join_table(
     Ok(table)
 }
 
-/// Hash-join probe phase over any row range of the probe side; reads the
-/// build table, emitting joined rows in probe-row order.
+/// Hash-join probe of one probe-side row: every build row it matches that
+/// passes the residual is handed to `emit` as a joined row, in build
+/// order. The one probe loop — the morselized probe, the fused
+/// join→aggregate and the grace join differ only in what `emit` does.
 fn probe_join_table(
     table: &HashMap<CompositeKey, Vec<Row>>,
-    right: Vec<Row>,
+    r: &Row,
     right_keys: &[Expr],
     residual: Option<&Expr>,
-) -> Result<Vec<Row>> {
-    let mut out = Vec::new();
-    let mut scratch = Vec::new();
-    'right: for r in right {
-        let mut vals = Vec::with_capacity(right_keys.len());
-        for k in right_keys {
-            let v = eval_with(k, &r, &mut scratch)?;
-            if v.is_null() {
-                continue 'right;
-            }
-            vals.push(v);
+    scratch: &mut Vec<Value>,
+    mut emit: impl FnMut(Row) -> Result<()>,
+) -> Result<()> {
+    let mut vals = Vec::with_capacity(right_keys.len());
+    for k in right_keys {
+        let v = eval_with(k, r, scratch)?;
+        if v.is_null() {
+            return Ok(()); // NULL never joins
         }
-        if let Some(matches) = table.get(&CompositeKey::from_values(vals)) {
-            for l in matches {
-                let joined = l.concat(&r);
-                if let Some(res) = residual {
-                    if !eval_predicate_with(res, &joined, &mut scratch)? {
-                        continue;
-                    }
+        vals.push(v);
+    }
+    if let Some(matches) = table.get(&CompositeKey::from_values(vals)) {
+        for l in matches {
+            let joined = l.concat(r);
+            if let Some(res) = residual {
+                if !eval_predicate_with(res, &joined, scratch)? {
+                    continue;
                 }
-                out.push(joined);
             }
+            emit(joined)?;
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// A prepared hash-join build partition: resident (holding its memory
@@ -2288,26 +2142,11 @@ fn grace_bucket(
     };
     let table = build_join_table(rows, left_keys)?;
     let mut scratch = Vec::new();
-    'probe: for (i, r) in probes {
-        let mut vals = Vec::with_capacity(right_keys.len());
-        for k in right_keys {
-            let v = eval_with(k, &r, &mut scratch)?;
-            if v.is_null() {
-                continue 'probe;
-            }
-            vals.push(v);
-        }
-        if let Some(matches) = table.get(&CompositeKey::from_values(vals)) {
-            for l in matches {
-                let joined = l.concat(&r);
-                if let Some(res) = residual {
-                    if !eval_predicate_with(res, &joined, &mut scratch)? {
-                        continue;
-                    }
-                }
-                out.push((i, joined));
-            }
-        }
+    for (i, r) in &probes {
+        probe_join_table(&table, r, right_keys, residual, &mut scratch, |joined| {
+            out.push((*i, joined));
+            Ok(())
+        })?;
     }
     Ok(())
 }
@@ -2656,10 +2495,17 @@ fn drain_spilled_agg_bucket(
     Ok(())
 }
 
-/// The one row a global aggregate yields over an empty input
-/// (`SUM` → NULL, `COUNT` → 0, …).
-fn empty_global_row(aggs: &[AggExpr]) -> Row {
-    Row::new(aggs.iter().map(|a| Accumulator::new(a.func).finish()).collect())
+/// Global aggregates produce exactly one row even over empty input
+/// (`SUM` → NULL, `COUNT` → 0, …) — but only on partition 0 of a gathered
+/// stream.
+fn ensure_global_row(out: &mut Parts, group_by: &[Expr], aggs: &[AggExpr], mode: AggMode) {
+    if group_by.is_empty()
+        && matches!(mode, AggMode::Final | AggMode::Complete)
+        && out.iter().all(Vec::is_empty)
+    {
+        out[0] =
+            vec![Row::new(aggs.iter().map(|a| Accumulator::new(a.func).finish()).collect())];
+    }
 }
 
 /// Sorts rows by the key expressions (NULLs last).
@@ -3105,6 +2951,198 @@ mod tests {
             .find(|o| o.label == "HashJoin")
             .unwrap();
         assert_eq!(join_stat.rows_out, 20);
+    }
+
+    /// The same join→aggregate as above under a Filter: the join reports
+    /// what it produced, the chain stage what survived it.
+    #[test]
+    fn fused_stats_report_join_rows_before_the_filter() {
+        let c = setup();
+        let stats_src: std::collections::HashMap<String, usize> = Default::default();
+        let logical = LogicalPlan::aggregate(
+            LogicalPlan::Filter {
+                input: Box::new(self_join(&c)),
+                predicate: Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::lit(5i64)),
+            },
+            vec![],
+            vec![AggExpr { func: AggFunc::Count, arg: None, name: "n".into() }],
+        )
+        .unwrap();
+        let mut pp = PhysicalPlanner::new(&c, &stats_src);
+        let plan = pp.plan_gathered(&logical).unwrap();
+        let out = Executor::new(&c, Cluster::new(4)).execute(&plan).unwrap();
+        assert_eq!(out.rows()[0].value(0), &Value::Integer(5));
+        let op = |prefix: &str| {
+            out.stats
+                .operators()
+                .iter()
+                .find(|o| o.label.starts_with(prefix))
+                .unwrap_or_else(|| panic!("no {prefix} record"))
+        };
+        assert_eq!(op("HashJoin").rows_out, 20, "rows the join produced");
+        assert_eq!(op("Filter").label, "Filter [vec fused]");
+        assert_eq!(op("Filter").rows_out, 5, "rows the filter kept");
+        assert!(op("HashAggregate").label.ends_with(" [vec fused]"));
+    }
+
+    fn self_join(c: &Catalog) -> LogicalPlan {
+        LogicalPlan::Join {
+            left: Box::new(scan_plan(c, "nums")),
+            right: Box::new(scan_plan(c, "nums")),
+            kind: JoinKind::Inner,
+            equi: vec![(Expr::col(0), Expr::col(0))],
+            residual: None,
+        }
+    }
+
+    #[test]
+    fn fused_matches_unfused_at_any_batch_rows() {
+        use lardb_storage::ops::ArithOp;
+        let c = setup();
+        let stats_src: std::collections::HashMap<String, usize> = Default::default();
+        // SUM(l.v * r.v), COUNT(*) GROUP BY l.id - (l.id / 3) * 3 over the
+        // join's rows with l.id >= 2.
+        let bucket = Expr::arith(
+            ArithOp::Sub,
+            Expr::col(0),
+            Expr::arith(
+                ArithOp::Mul,
+                Expr::arith(ArithOp::Div, Expr::col(0), Expr::lit(3i64)),
+                Expr::lit(3i64),
+            ),
+        );
+        let logical = LogicalPlan::aggregate(
+            LogicalPlan::Filter {
+                input: Box::new(self_join(&c)),
+                predicate: Expr::cmp(CmpOp::GtEq, Expr::col(0), Expr::lit(2i64)),
+            },
+            vec![(bucket, "b".into())],
+            vec![
+                AggExpr {
+                    func: AggFunc::Sum,
+                    arg: Some(Expr::arith(ArithOp::Mul, Expr::col(1), Expr::col(3))),
+                    name: "s".into(),
+                },
+                AggExpr { func: AggFunc::Count, arg: None, name: "n".into() },
+            ],
+        )
+        .unwrap();
+        let mut pp = PhysicalPlanner::new(&c, &stats_src);
+        let plan = pp.plan_gathered(&logical).unwrap();
+        let unfused = Executor::new(&c, Cluster::new(4))
+            .with_fusion(false)
+            .execute(&plan)
+            .unwrap();
+        assert_eq!(unfused.num_rows(), 3);
+        for batch_rows in [1, 7, 4096] {
+            let fused = Executor::new(&c, Cluster::new(4))
+                .with_batch_rows(batch_rows)
+                .execute(&plan)
+                .unwrap();
+            assert_eq!(fused.partitions, unfused.partitions, "batch_rows={batch_rows}");
+            assert!(fused.stats.total_batches() > 0);
+            assert_eq!(fused.stats.total_fallbacks(), 0);
+        }
+    }
+
+    #[test]
+    fn fused_chunks_are_cut_by_bytes_under_large_payloads() {
+        use lardb_la::Matrix;
+        let c = Catalog::new();
+        let schema = Schema::from_pairs(&[
+            ("id", DataType::Integer),
+            ("m", DataType::Matrix(Some(128), Some(128))),
+        ]);
+        let mut t = Table::new("tiles", schema, 1, Partitioning::RoundRobin);
+        for i in 0..8i64 {
+            let m = Matrix::from_vec(128, 128, vec![i as f64 + 0.5; 128 * 128]).unwrap();
+            t.insert(Row::new(vec![Value::Integer(i), Value::matrix(m)])).unwrap();
+        }
+        c.create_table(t).unwrap();
+        let stats_src: std::collections::HashMap<String, usize> = Default::default();
+        let logical = LogicalPlan::aggregate(
+            LogicalPlan::Join {
+                left: Box::new(scan_plan(&c, "tiles")),
+                right: Box::new(scan_plan(&c, "tiles")),
+                kind: JoinKind::Inner,
+                equi: vec![(Expr::col(0), Expr::col(0))],
+                residual: None,
+            },
+            vec![],
+            vec![AggExpr {
+                func: AggFunc::Sum,
+                arg: Some(Expr::arith(
+                    lardb_storage::ops::ArithOp::Add,
+                    Expr::col(1),
+                    Expr::col(3),
+                )),
+                name: "s".into(),
+            }],
+        )
+        .unwrap();
+        let mut pp = PhysicalPlanner::new(&c, &stats_src);
+        let plan = pp.plan_gathered(&logical).unwrap();
+        let fused = Executor::new(&c, Cluster::new(1)).execute(&plan).unwrap();
+        let unfused = Executor::new(&c, Cluster::new(1))
+            .with_fusion(false)
+            .execute(&plan)
+            .unwrap();
+        assert_eq!(fused.partitions, unfused.partitions);
+        // 8 joined rows of 2 × 128 KiB each: far fewer than `batch_rows`
+        // rows, but 2 MiB of payload — the byte cap cuts them up.
+        assert!(
+            fused.stats.total_batches() > 1,
+            "{} batches",
+            fused.stats.total_batches()
+        );
+        assert_eq!(fused.stats.total_batch_rows(), 8);
+        assert_eq!(fused.stats.total_fallbacks(), 0);
+    }
+
+    /// Sender 3's rows do not fit a frame, so it fails while senders 0..3
+    /// are mid-stream and echo the abort: the exchange reports the
+    /// oversized frame, not the lower-indexed echo.
+    #[test]
+    fn exchange_reports_the_failing_sender_not_the_echo() {
+        let c = Catalog::new();
+        let schema = Schema::from_pairs(&[
+            ("k", DataType::Integer),
+            ("id", DataType::Integer),
+            ("pad", DataType::Varchar),
+        ]);
+        let mut t = Table::new("skewed", schema, 4, Partitioning::Hash(0));
+        for i in 0..40_000i64 {
+            let last = hash_partition(&Value::Integer(i), 4) == 3;
+            let pad = if last { "x".repeat(64 << 10) } else { String::new() };
+            if !last || i < 64 {
+                let row = vec![Value::Integer(i), Value::Integer(i), Value::Varchar(pad.into())];
+                t.insert(Row::new(row)).unwrap();
+            }
+        }
+        assert!(!t.partition(3).is_empty());
+        c.create_table(t).unwrap();
+        let stats_src: std::collections::HashMap<String, usize> = Default::default();
+        let join = LogicalPlan::Join {
+            left: Box::new(scan_plan(&c, "skewed")),
+            right: Box::new(scan_plan(&c, "skewed")),
+            kind: JoinKind::Inner,
+            equi: vec![(Expr::col(1), Expr::col(1))],
+            residual: None,
+        };
+        let mut pp = PhysicalPlanner::new(&c, &stats_src);
+        let plan = pp.plan_gathered(&join).unwrap();
+        let net = NetConfig { max_frame_bytes: 32 << 10, ..NetConfig::default() };
+        for run in 0..8 {
+            let err = Executor::new(&c, Cluster::new(4))
+                .with_transport(TransportMode::Serialized)
+                .with_net_config(net.clone())
+                .execute(&plan)
+                .unwrap_err();
+            assert!(
+                matches!(&err, ExecError::Runtime(m) if m.contains("exceeds")),
+                "run {run}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //! stage structure of the paper's SimSQL/Hadoop substrate, which also makes
 //! per-operator wall-clock attribution trivial — that attribution is what
 //! regenerates Figure 4 (join vs aggregation cost in the tuple-based Gram
-//! computation).
+//! computation). The one pipelined operator is the join→aggregate: joined
+//! rows are chunked straight into the same compiled chunk pipeline a
+//! scan-fed aggregate uses, and the join and the aggregate still report
+//! separately.
 
 pub mod agg;
 pub mod batch;

@@ -3,91 +3,22 @@
 //! Dense-typed tiles always run the dense loops in [`crate::gemm`]; this
 //! module decides what happens to *sparse-typed* tiles:
 //!
-//! * a process-wide [`DispatchMode`] — `dense` densifies sparse tiles at
-//!   kernel entry (the reference arm of the sparse ≡ dense suites),
-//!   `sparse` keeps them on sparse kernels, `adaptive` (default) picks
-//!   per tile from its stored density against [`DENSIFY_ABOVE`];
+//! * [`keep_sparse`] picks per tile from its stored density against
+//!   [`DENSIFY_ABOVE`] — the input decides, there is no setting;
 //! * monotone per-kind choice counters, snapshotted by the database layer
 //!   around each query to surface per-query kernel choices in
 //!   EXPLAIN ANALYZE and `la.dispatch.*` metrics in SHOW METRICS.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Which kernel family multiplies get routed to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DispatchMode {
-    /// Always the dense loops; sparse tiles densify first.
-    Dense,
-    /// Sparse tiles always stay on sparse kernels.
-    Sparse,
-    /// Pick per sparse tile from its stored density (the default).
-    Adaptive,
-}
-
-impl DispatchMode {
-    /// Parses the CLI/env spelling (`dense` / `sparse` / `adaptive`).
-    pub fn parse(s: &str) -> Option<DispatchMode> {
-        match s.to_ascii_lowercase().as_str() {
-            "dense" => Some(DispatchMode::Dense),
-            "sparse" => Some(DispatchMode::Sparse),
-            "adaptive" => Some(DispatchMode::Adaptive),
-            _ => None,
-        }
-    }
-
-    /// The canonical spelling.
-    pub fn name(&self) -> &'static str {
-        match self {
-            DispatchMode::Dense => "dense",
-            DispatchMode::Sparse => "sparse",
-            DispatchMode::Adaptive => "adaptive",
-        }
-    }
-}
-
-const MODE_DENSE: u8 = 0;
-const MODE_SPARSE: u8 = 1;
-const MODE_ADAPTIVE: u8 = 2;
-
-static MODE: AtomicU8 = AtomicU8::new(MODE_ADAPTIVE);
-
-/// Stored density above which adaptive dispatch densifies a sparse tile:
+/// Stored density above which a sparse tile densifies at kernel entry:
 /// past it the dense loop beats the indexed sparse kernels.
 pub const DENSIFY_ABOVE: f64 = 0.75;
 
-/// Sets the process-wide dispatch mode; returns the previous one.
-pub fn set_dispatch_mode(mode: DispatchMode) -> DispatchMode {
-    let raw = match mode {
-        DispatchMode::Dense => MODE_DENSE,
-        DispatchMode::Sparse => MODE_SPARSE,
-        DispatchMode::Adaptive => MODE_ADAPTIVE,
-    };
-    match MODE.swap(raw, Ordering::Relaxed) {
-        MODE_DENSE => DispatchMode::Dense,
-        MODE_SPARSE => DispatchMode::Sparse,
-        _ => DispatchMode::Adaptive,
-    }
-}
-
-/// Current process-wide dispatch mode.
-pub fn dispatch_mode() -> DispatchMode {
-    match MODE.load(Ordering::Relaxed) {
-        MODE_DENSE => DispatchMode::Dense,
-        MODE_SPARSE => DispatchMode::Sparse,
-        _ => DispatchMode::Adaptive,
-    }
-}
-
 /// Whether a *sparse-typed* tile of the given stored density should stay
-/// on sparse kernels (`true`) or densify first (`false`). Sparse tiles
-/// stay sparse except under forced-dense mode or when adaptive dispatch
-/// sees a tile denser than [`DENSIFY_ABOVE`].
+/// on sparse kernels (`true`) or densify first (`false`).
 pub fn keep_sparse(density: f64) -> bool {
-    match dispatch_mode() {
-        DispatchMode::Dense => false,
-        DispatchMode::Sparse => true,
-        DispatchMode::Adaptive => density <= DENSIFY_ABOVE,
-    }
+    density <= DENSIFY_ABOVE
 }
 
 /// The kernel families whose choices are counted.
@@ -210,25 +141,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mode_parse_roundtrip() {
-        for m in [DispatchMode::Dense, DispatchMode::Sparse, DispatchMode::Adaptive] {
-            assert_eq!(DispatchMode::parse(m.name()), Some(m));
-        }
-        assert_eq!(DispatchMode::parse("ADAPTIVE"), Some(DispatchMode::Adaptive));
-        assert_eq!(DispatchMode::parse("banana"), None);
-    }
-
-    #[test]
-    fn forced_modes_override_density() {
-        // Serialize against other tests touching the global mode.
-        let prev = set_dispatch_mode(DispatchMode::Dense);
-        assert!(!keep_sparse(0.0001));
-        set_dispatch_mode(DispatchMode::Sparse);
-        assert!(keep_sparse(0.9999));
-        set_dispatch_mode(DispatchMode::Adaptive);
+    fn density_decides() {
         assert!(keep_sparse(0.01));
+        assert!(keep_sparse(DENSIFY_ABOVE));
         assert!(!keep_sparse(0.9));
-        set_dispatch_mode(prev);
     }
 
     #[test]

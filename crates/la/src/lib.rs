@@ -52,7 +52,7 @@ pub mod vector;
 
 pub use builder::{ColMatrixBuilder, RowMatrixBuilder, VectorizeBuilder};
 pub use chol::CholeskyDecomposition;
-pub use dispatch::{DispatchCounters, DispatchMode};
+pub use dispatch::DispatchCounters;
 pub use error::{LaError, Result};
 pub use labeled::LabeledScalar;
 pub use lu::LuDecomposition;

@@ -24,7 +24,7 @@ use std::io::{BufRead, Write};
 use std::time::{Duration, Instant};
 
 use lardb::{
-    Database, DatabaseConfig, DispatchMode, FaultKind, FaultPlan, Response, TransportMode,
+    Database, DatabaseConfig, FaultKind, FaultPlan, Response, TransportMode,
 };
 use lardb_server::{Client, QueryOutput, Server, ServerConfig, ServerError};
 
@@ -390,13 +390,6 @@ fn parse_engine_flag(
         "--morsel-rows" => config.morsel_rows = next_parsed(argv),
         "--batch-rows" => config.batch_rows = std::cmp::max(1, next_parsed(argv)),
         "--plan-cache-entries" => config.plan_cache_entries = next_parsed(argv),
-        "--sparse-dispatch" => {
-            config.sparse_dispatch = Some(
-                argv.next()
-                    .and_then(|v| DispatchMode::parse(&v))
-                    .unwrap_or_else(|| usage()),
-            );
-        }
         "--net-timeout-ms" => config.net.timeout_ms = next_parsed(argv),
         "--max-frame-bytes" => config.net.max_frame_bytes = next_parsed(argv),
         "--fault-kind" => {
@@ -462,7 +455,6 @@ fn usage() -> ! {
          engine flags: [--workers N] [--transport pointer|serialized|tcp] \
          [--slow-ms MS] [--pool-workers N] [--morsel-rows N] \
          [--batch-rows N] [--plan-cache-entries N (0 = off)] \
-         [--sparse-dispatch dense|sparse|adaptive] \
          [--net-timeout-ms MS] [--max-frame-bytes N] \
          [--fault-kind drop|truncate|corrupt|delay|kill] [--fault-seed N] \
          [--fault-rate-ppm N] [--fault-after N] \
