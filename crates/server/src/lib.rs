@@ -9,7 +9,9 @@
 //!   results — the client verifies the fin checksum exactly like an
 //!   exchange receiver, so truncated results are detected, never
 //!   silently short.
-//! - **Sessions**: one thread per connection, registered in the shared
+//! - **Sessions**: two blocking threads per connection — one reads the
+//!   socket, one runs statements and writes replies (see [`session`]) —
+//!   registered in the shared
 //!   [`SessionRegistry`](lardb::SessionRegistry) so `SHOW SESSIONS` and
 //!   `KILL <query-id>` work across connections.
 //! - **Admission control**: a bounded FIFO queue in front of a global
@@ -21,8 +23,19 @@
 //!   admission) instead of eating another tenant's budget.
 //! - **Cancellation**: `KILL` flips the running query's
 //!   [`CancelToken`](lardb::CancelToken); client disconnects are
-//!   detected mid-query and cancel the same way. Both paths release the
-//!   governor ledger and spill files before the session ends.
+//!   detected mid-query and cancel the same way, and so does
+//!   [`Server::shutdown`], which disconnects every session. All three
+//!   release the governor ledger and spill files before the session ends.
+//!
+//! Nothing on the path from the socket to `Database::execute` waits on a
+//! timer: the accept loop blocks in `accept` (shutdown wakes it with one
+//! connection to itself), a session's reader blocks in `read`, its
+//! session thread blocks on the reader or in the statement. The one
+//! timed wait left is admission's `QUEUE_POLL`, which re-checks a tenant
+//! governor that has no way to notify a waiter and is never reached while
+//! a slot is free. (What a row reply still waits for is the kernel: its
+//! frames are separate small writes on a socket without `TCP_NODELAY`, so
+//! the second is held until the client's delayed ACK — DESIGN §12.)
 //!
 //! ```no_run
 //! use lardb::Database;
@@ -49,11 +62,10 @@ pub mod wire;
 
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use lardb::{Database, MemoryConfig};
 use lardb_buf::MemoryGovernor;
@@ -162,9 +174,11 @@ pub(crate) struct Shared {
     /// database's governor), kept so reconnecting tenants keep billing
     /// the same ledger.
     tenants: Mutex<HashMap<String, Arc<MemoryGovernor>>>,
-    pub(crate) shutdown: Arc<AtomicBool>,
+    /// Set by [`Server::stop`] before it wakes the accept loop.
+    shutdown: AtomicBool,
     /// Connections currently alive (pre- and post-handshake), enforced
-    /// against `max_sessions` at accept time.
+    /// against `max_sessions` at accept time. Counted by the accept loop,
+    /// uncounted by the session itself just before its last frame.
     pub(crate) connections: AtomicUsize,
 }
 
@@ -206,7 +220,7 @@ impl Shared {
 }
 
 /// A running query server. Dropping it (or calling [`shutdown`]) stops
-/// the accept loop and joins every session thread.
+/// the accept loop, disconnects every session and joins its threads.
 ///
 /// [`shutdown`]: Server::shutdown
 pub struct Server {
@@ -217,12 +231,11 @@ pub struct Server {
 
 impl Server {
     /// Binds `cfg.addr` and starts accepting connections. Each accepted
-    /// connection is served on its own thread; queries run under the
+    /// connection is served on its own threads; queries run under the
     /// shared admission controller.
     pub fn start(db: Database, cfg: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let admission = Arc::new(AdmissionController::new(AdmissionConfig {
             max_concurrent: cfg.max_concurrent.max(1),
             queue_depth: cfg.queue_depth,
@@ -235,7 +248,7 @@ impl Server {
             cfg,
             admission,
             tenants: Mutex::new(HashMap::new()),
-            shutdown: Arc::new(AtomicBool::new(false)),
+            shutdown: AtomicBool::new(false),
             connections: AtomicUsize::new(0),
         });
         let accept_shared = Arc::clone(&shared);
@@ -260,15 +273,17 @@ impl Server {
         self.shared.connections.load(Ordering::Relaxed)
     }
 
-    /// Stops accepting, waits for session threads to notice the shutdown
-    /// flag and exit, then returns. In-flight queries are cancelled.
+    /// Stops accepting, disconnects every session (which cancels its
+    /// in-flight query) and returns once their threads have ended.
     pub fn shutdown(mut self) {
         self.stop();
     }
 
     fn stop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
         if let Some(t) = self.accept_thread.take() {
+            self.shared.shutdown.store(true, Ordering::SeqCst);
+            // The accept loop blocks in `accept`; one connection wakes it.
+            let _ = TcpStream::connect(self.local_addr);
             let _ = t.join();
         }
     }
@@ -281,36 +296,42 @@ impl Drop for Server {
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    let mut sessions: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                let _ = stream.set_nonblocking(false);
-                sessions.retain(|h| !h.is_finished());
-                let session_shared = Arc::clone(&shared);
-                shared.connections.fetch_add(1, Ordering::SeqCst);
-                let handle = std::thread::Builder::new()
-                    .name(format!("lardb-session-{peer}"))
-                    .spawn(move || {
-                        session::run(&session_shared, stream, peer);
-                        session_shared.connections.fetch_sub(1, Ordering::SeqCst);
-                    });
-                match handle {
-                    Ok(h) => sessions.push(h),
-                    Err(_) => {
-                        // Thread spawn failed; the connection drops and the
-                        // count must not leak.
-                        shared.connections.fetch_sub(1, Ordering::SeqCst);
-                    }
-                }
+    // Every session that may still be alive: its thread, and a clone of its
+    // socket to disconnect it with at shutdown.
+    let mut sessions: Vec<(JoinHandle<()>, TcpStream)> = Vec::new();
+    loop {
+        let accepted = listener.accept();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        sessions.retain(|(thread, _)| !thread.is_finished());
+        let accepted = accepted.and_then(|(stream, peer)| Ok((stream.try_clone()?, stream, peer)));
+        let Ok((socket, stream, peer)) = accepted else {
+            // A connection reset before it was accepted, or no descriptor
+            // to accept it with until a session ends: try again.
+            std::thread::yield_now();
+            continue;
+        };
+        let session_shared = Arc::clone(&shared);
+        shared.connections.fetch_add(1, Ordering::SeqCst);
+        let thread = std::thread::Builder::new()
+            .name(format!("lardb-session-{peer}"))
+            .spawn(move || session::run(&session_shared, stream, peer));
+        match thread {
+            Ok(thread) => sessions.push((thread, socket)),
+            Err(_) => {
+                // Thread spawn failed; the connection drops and the
+                // count must not leak.
+                shared.connections.fetch_sub(1, Ordering::SeqCst);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
-    for h in sessions {
-        let _ = h.join();
+    // A shut-down socket is its session's reader's EOF, so shutdown takes
+    // the disconnect path: cancel, wait for the executor to unwind, release.
+    for (_, socket) in &sessions {
+        let _ = socket.shutdown(Shutdown::Both);
+    }
+    for (thread, _) in sessions {
+        let _ = thread.join();
     }
 }

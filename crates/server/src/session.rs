@@ -1,19 +1,38 @@
-//! One connection's lifecycle: handshake, query loop, result streaming,
+//! One connection's lifecycle: handshake, requests, result streaming,
 //! kill and disconnect handling.
 //!
-//! Each session owns its socket and runs queries on a helper thread so
-//! the socket stays pollable while a query executes: a `Kill` for any
-//! query, a `Close`, or an EOF (client vanished) arriving mid-query is
-//! acted on immediately — disconnects cancel the running query through
-//! its [`CancelToken`], which the executor's morsel loops poll. The
-//! session never returns to the idle loop until the helper thread has
-//! finished, so governor reservations and spill files are provably
-//! released before the session is deregistered.
+//! After the handshake a connection has two threads, and each blocks on
+//! the one thing it waits for:
+//!
+//! - the **reader** is the only one that reads the socket. It answers
+//!   `Kill` itself, hands `Query`/`Prepare`/`Execute` to the session
+//!   thread — one at a time; a request sent while another is in flight is
+//!   refused with `ERR_PROTOCOL`, so the hand-off never holds more than
+//!   the request in flight and at most one that arrived while its
+//!   reply was being written — and ends on `Close`, EOF or a read
+//!   error, cancelling the statement in flight through its
+//!   [`CancelToken`], which the executor's morsel loops poll.
+//! - the **session thread** takes requests from the reader, runs each
+//!   statement inline (admission → registry → execute → registry → permit
+//!   released) and writes its reply.
+//!
+//! Both write, so the write half sits behind a lock that is held for a
+//! whole reply: an ack or protocol error from the reader can land before
+//! or after a result stream, never inside one. Once the reader has seen
+//! `Close` or EOF no statement reply is written any more, and the session
+//! thread cannot outlive the statement it is running — so governor
+//! reservations and spill files are released before the session is
+//! deregistered, the connection uncounted and, last of all, `OK_CLOSED`
+//! sent. [`Server::shutdown`](crate::Server::shutdown) shuts the socket
+//! down, which the reader sees as EOF: shutdown is a disconnect.
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpStream};
+use std::io::{self, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use lardb::{CancelToken, Database, EngineError, PreparedStatement, QueryResult, Response};
@@ -21,25 +40,66 @@ use lardb_exec::ExecError;
 use lardb_net::codec::{checksum_update, FinSummary, Frame, CHECKSUM_SEED};
 use lardb_net::{msg, Message};
 
-use crate::wire::{recv_message, send_message, Recv};
+use crate::wire::{recv_message, send_bytes, send_message, Recv};
 use crate::Shared;
 
-/// Socket poll granularity: how quickly the session notices shutdown,
-/// kill traffic, and disconnects.
-const POLL_TIMEOUT: Duration = Duration::from_millis(25);
-
-/// How long a fresh connection may sit silent before `Hello`.
+/// How long a fresh connection may sit silent before `Hello` (the
+/// socket's read timeout until then; none afterwards).
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Rows per result frame (matches the exchange's batching scale).
 const ROWS_PER_FRAME: usize = 256;
 
+/// What the reader hands the session thread: a `Query`, `Prepare` or
+/// `Execute`, and the token that aborts it.
+type Request = (Message, CancelToken);
+
+/// The request in flight, as the two threads share it.
+#[derive(Default)]
+struct InFlight {
+    /// Token of the request handed over and not yet answered.
+    cancel: Option<CancelToken>,
+    /// The reader has seen `Close` or EOF: no statement reply may follow.
+    gone: bool,
+}
+
+/// An authenticated connection.
+struct Session<'a> {
+    shared: &'a Shared,
+    /// The tenant's database clone, labelled with this session.
+    db: Database,
+    id: u64,
+    tenant: String,
+    /// The read half: the reader thread's alone.
+    stream: &'a TcpStream,
+    /// The write half, locked for a whole reply.
+    writer: Mutex<&'a TcpStream>,
+    in_flight: Mutex<InFlight>,
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Serves one accepted connection to completion. Errors are terminal for
 /// the connection only; the server keeps running.
-pub(crate) fn run(shared: &Shared, mut stream: TcpStream, peer: SocketAddr) {
-    if stream.set_read_timeout(Some(POLL_TIMEOUT)).is_err() {
-        return;
+pub(crate) fn run(shared: &Shared, stream: TcpStream, peer: SocketAddr) {
+    let closed = serve(shared, &stream, peer);
+    // `OK_CLOSED` tells the client that nothing of the session is left,
+    // so it goes out after the connection is uncounted.
+    shared.connections.fetch_sub(1, Ordering::SeqCst);
+    if let Some(session_id) = closed {
+        let ack = Message::Ok { code: msg::OK_CLOSED, value: session_id, text: String::new() };
+        let _ = send_message(&mut &stream, &ack);
     }
+    // Dropping `stream` would not end the connection while the accept
+    // loop still holds its clone of the socket.
+    let _ = stream.shutdown(Shutdown::Both);
+}
+
+/// Everything up to the final ack. Returns the session id to acknowledge
+/// when the client asked for an orderly close.
+fn serve(shared: &Shared, mut stream: &TcpStream, peer: SocketAddr) -> Option<u64> {
     // Session cap: this connection was already counted by the accept
     // loop, so `>` (not `>=`) means someone beyond the cap.
     if shared.connections.load(Ordering::SeqCst) > shared.cfg.max_sessions {
@@ -51,414 +111,323 @@ pub(crate) fn run(shared: &Shared, mut stream: TcpStream, peer: SocketAddr) {
                 message: format!("server at max sessions ({})", shared.cfg.max_sessions),
             },
         );
-        return;
+        return None;
     }
-    let Some(tenant) = handshake(shared, &mut stream) else {
-        return;
+    stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT)).ok()?;
+    let tenant = handshake(shared, stream)?;
+    stream.set_read_timeout(None).ok()?;
+    let id = shared.db.sessions().open(&tenant, &peer.to_string());
+    let session = Session {
+        shared,
+        db: shared
+            .tenant_db(&tenant)
+            .with_session_label(format!("session {id} tenant {tenant}")),
+        id,
+        tenant,
+        stream,
+        writer: Mutex::new(stream),
+        in_flight: Mutex::default(),
     };
-    let session_id = shared.db.sessions().open(&tenant, &peer.to_string());
-    let db = shared
-        .tenant_db(&tenant)
-        .with_session_label(format!("session {session_id} tenant {tenant}"));
-    if send_message(
-        &mut stream,
-        &Message::Ok { code: msg::OK_HELLO, value: session_id, text: tenant.clone() },
-    )
-    .is_err()
-    {
-        shared.db.sessions().close(session_id);
-        return;
-    }
-    serve_session(shared, &db, &mut stream, session_id, &tenant);
-    shared.db.sessions().close(session_id);
+    let closed = session.run();
+    shared.db.sessions().close(id);
+    closed.then_some(id)
 }
 
 /// Waits for `Hello` and validates auth. Returns the tenant name, or
 /// `None` when the connection should just be dropped.
-fn handshake(shared: &Shared, stream: &mut TcpStream) -> Option<String> {
-    let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
-    loop {
-        match recv_message(stream) {
-            Ok(Recv::Msg(Message::Hello { tenant, auth })) => {
-                if let Some(expected) = &shared.cfg.auth_token {
-                    if &auth != expected {
-                        let _ = send_message(
-                            stream,
-                            &Message::Error {
-                                code: msg::ERR_AUTH,
-                                message: "bad auth token".to_string(),
-                            },
-                        );
-                        return None;
-                    }
-                }
-                let tenant = if tenant.is_empty() { "default".to_string() } else { tenant };
-                return Some(tenant);
+fn handshake(shared: &Shared, mut stream: &TcpStream) -> Option<String> {
+    let (code, message) = match recv_message(&mut stream) {
+        Ok(Recv::Msg(Message::Hello { tenant, auth })) => {
+            if shared.cfg.auth_token.as_ref().is_none_or(|expected| *expected == auth) {
+                return Some(if tenant.is_empty() { "default".to_string() } else { tenant });
             }
-            Ok(Recv::Msg(_)) => {
-                let _ = send_message(
-                    stream,
-                    &Message::Error {
-                        code: msg::ERR_PROTOCOL,
-                        message: "expected HELLO first".to_string(),
-                    },
-                );
-                return None;
-            }
-            Ok(Recv::TimedOut) => {
-                if shared.shutdown.load(Ordering::SeqCst) || Instant::now() >= deadline {
-                    return None;
-                }
-            }
-            Ok(Recv::Closed) | Err(_) => return None,
+            (msg::ERR_AUTH, "bad auth token")
         }
-    }
+        Ok(Recv::Msg(_)) => (msg::ERR_PROTOCOL, "expected HELLO first"),
+        Ok(Recv::Closed | Recv::TimedOut) | Err(_) => return None,
+    };
+    let _ = send_message(&mut stream, &Message::Error { code, message: message.to_string() });
+    None
 }
 
-/// The post-handshake request loop.
-fn serve_session(
-    shared: &Shared,
-    db: &Database,
-    stream: &mut TcpStream,
-    session_id: u64,
-    tenant: &str,
-) {
-    // Statements prepared on this session: parsed (and, for cacheable
-    // SELECTs, bound + optimized into the shared plan cache) exactly once
-    // at Prepare; every Execute reuses the stored handle instead of
-    // re-planning the SQL text. Keyed by statement id — sessions
-    // accumulate statements, so lookup must not degrade linearly.
-    let mut prepared: HashMap<u64, PreparedStatement> = HashMap::new();
-    let mut next_stmt: u64 = 1;
-    loop {
-        match recv_message(stream) {
-            Ok(Recv::TimedOut) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
+impl Session<'_> {
+    /// Runs the connection's two threads to their end. Returns whether
+    /// the client sent `Close`.
+    fn run(&self) -> bool {
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let reader = std::thread::Builder::new()
+                .name(format!("lardb-reader-{}", self.id))
+                .spawn_scoped(scope, || self.read_requests(tx));
+            let reader = match reader {
+                Ok(reader) => reader,
+                Err(e) => {
+                    let refusal = Message::Error {
+                        code: msg::ERR_SATURATED,
+                        message: format!("could not spawn the session's reader thread: {e}"),
+                    };
+                    let _ = send_message(&mut *lock(&self.writer), &refusal);
+                    return false;
+                }
+            };
+            let hello =
+                Message::Ok { code: msg::OK_HELLO, value: self.id, text: self.tenant.clone() };
+            // Its own `let`: the lock guard is a temporary and must be
+            // dropped before the first reply wants the lock.
+            let greeted = send_message(&mut *lock(&self.writer), &hello);
+            let served = catch_unwind(AssertUnwindSafe(|| {
+                greeted.and_then(|()| self.serve_requests(rx))
+            }));
+            if !matches!(served, Ok(Ok(()))) {
+                // The client cannot be written to, or a statement panicked
+                // (unwinding further would strand the reader and leak the
+                // session and its connection slot): the connection is
+                // over, so make that the reader's EOF as well.
+                let _ = self.stream.shutdown(Shutdown::Both);
+            }
+            reader.join().unwrap_or(false)
+        })
+    }
+
+    /// The reader thread. Returns whether it ended on `Close`.
+    fn read_requests(&self, requests: Sender<Request>) -> bool {
+        let mut stream = self.stream;
+        let closed = loop {
+            let message = match recv_message(&mut stream) {
+                Ok(Recv::Msg(Message::Close)) => break true,
+                Ok(Recv::Msg(message)) => message,
+                // EOF, a torn frame, or a socket the server shut down.
+                Ok(Recv::Closed | Recv::TimedOut) | Err(_) => break false,
+            };
+            let is_request = matches!(
+                message,
+                Message::Query { .. } | Message::Prepare { .. } | Message::Execute { .. }
+            );
+            if is_request {
+                if let Some(cancel) = self.begin() {
+                    if requests.send((message, cancel)).is_err() {
+                        break false;
+                    }
+                    continue;
                 }
             }
-            Ok(Recv::Closed) | Err(_) => return,
-            Ok(Recv::Msg(message)) => match message {
-                Message::Query { sql } => {
-                    if run_query(shared, db, stream, session_id, tenant, &sql, None).is_err() {
-                        return;
+            // Everything else is answered from here. The write lock is
+            // taken before a kill is delivered, so the ack precedes the
+            // killed statement's own reply.
+            let mut socket = lock(&self.writer);
+            let reply = match message {
+                Message::Kill { query_id } => {
+                    if self.db.sessions().kill(query_id) {
+                        Message::Ok { code: msg::OK_KILLED, value: query_id, text: String::new() }
+                    } else {
+                        Message::Error {
+                            code: msg::ERR_QUERY,
+                            message: format!(
+                                "no running query with id {query_id} (see SHOW SESSIONS)"
+                            ),
+                        }
                     }
                 }
+                other => Message::Error {
+                    code: msg::ERR_PROTOCOL,
+                    message: format!(
+                        "unexpected message{}: {other:?}",
+                        if is_request { " while a request is in flight" } else { "" }
+                    ),
+                },
+            };
+            if send_message(&mut *socket, &reply).is_err() {
+                break false;
+            }
+        };
+        // Client gone (or going): abort what it was waiting for. The
+        // session thread comes back once the executor has unwound.
+        let mut in_flight = lock(&self.in_flight);
+        in_flight.gone = true;
+        if let Some(cancel) = &in_flight.cancel {
+            cancel.cancel();
+        }
+        closed
+    }
+
+    /// Marks a request as in flight and returns the token that aborts it,
+    /// or `None` while another one is.
+    fn begin(&self) -> Option<CancelToken> {
+        let mut in_flight = lock(&self.in_flight);
+        if in_flight.cancel.is_some() {
+            return None;
+        }
+        let cancel = CancelToken::new();
+        in_flight.cancel = Some(cancel.clone());
+        Some(cancel)
+    }
+
+    /// Ends the request in flight and writes its reply under the write
+    /// lock — unless the reader has seen `Close` or EOF, after which the
+    /// client is owed `OK_CLOSED` at most.
+    fn reply(&self, write: impl FnOnce(&mut &TcpStream) -> io::Result<()>) -> io::Result<()> {
+        let mut socket = lock(&self.writer);
+        let gone = {
+            let mut in_flight = lock(&self.in_flight);
+            in_flight.cancel = None;
+            in_flight.gone
+        };
+        if gone {
+            return Ok(());
+        }
+        write(&mut socket)
+    }
+
+    /// The session thread: serves requests until the reader hangs up
+    /// (`Ok`) or a reply cannot be written (`Err`).
+    fn serve_requests(&self, requests: Receiver<Request>) -> io::Result<()> {
+        // Statements prepared on this session: parsed (and, for cacheable
+        // SELECTs, bound + optimized into the shared plan cache) exactly once
+        // at Prepare; every Execute reuses the stored handle instead of
+        // re-planning the SQL text. Keyed by statement id — sessions
+        // accumulate statements, so lookup must not degrade linearly.
+        let mut prepared: HashMap<u64, PreparedStatement> = HashMap::new();
+        let mut next_stmt: u64 = 1;
+        for (request, cancel) in requests {
+            match request {
+                Message::Query { sql } => self.run_query(&sql, None, &cancel)?,
                 Message::Prepare { sql } => {
-                    let reply = match db.prepare(&sql) {
+                    let reply = match self.db.prepare(&sql) {
                         Ok(stmt) => {
                             let id = next_stmt;
                             next_stmt += 1;
                             prepared.insert(id, stmt);
                             Message::Ok { code: msg::OK_PREPARED, value: id, text: String::new() }
                         }
-                        Err(e) => {
-                            Message::Error { code: msg::ERR_QUERY, message: e.to_string() }
-                        }
+                        Err(e) => Message::Error { code: msg::ERR_QUERY, message: e.to_string() },
                     };
-                    if send_message(stream, &reply).is_err() {
-                        return;
+                    self.reply(|out| send_message(out, &reply))?;
+                }
+                Message::Execute { stmt_id } => match prepared.get(&stmt_id) {
+                    Some(stmt) => self.run_query(stmt.sql(), Some(stmt), &cancel)?,
+                    None => {
+                        let reply = Message::Error {
+                            code: msg::ERR_QUERY,
+                            message: format!("unknown prepared statement id {stmt_id}"),
+                        };
+                        self.reply(|out| send_message(out, &reply))?;
                     }
-                }
-                Message::Execute { stmt_id } => {
-                    match prepared.get(&stmt_id) {
-                        Some(stmt) => {
-                            let stmt = stmt.clone();
-                            if run_query(
-                                shared,
-                                db,
-                                stream,
-                                session_id,
-                                tenant,
-                                stmt.sql(),
-                                Some(&stmt),
-                            )
-                            .is_err()
-                            {
-                                return;
-                            }
-                        }
-                        None => {
-                            let reply = Message::Error {
-                                code: msg::ERR_QUERY,
-                                message: format!("unknown prepared statement id {stmt_id}"),
-                            };
-                            if send_message(stream, &reply).is_err() {
-                                return;
-                            }
-                        }
-                    }
-                }
-                Message::Kill { query_id } => {
-                    if send_message(stream, &kill_reply(db, query_id)).is_err() {
-                        return;
-                    }
-                }
-                Message::Close => {
-                    let _ = send_message(
-                        stream,
-                        &Message::Ok { code: msg::OK_CLOSED, value: session_id, text: String::new() },
-                    );
-                    return;
-                }
-                other => {
-                    let reply = Message::Error {
-                        code: msg::ERR_PROTOCOL,
-                        message: format!("unexpected message in idle session: {other:?}"),
-                    };
-                    if send_message(stream, &reply).is_err() {
-                        return;
-                    }
-                }
-            },
-        }
-    }
-}
-
-fn kill_reply(db: &Database, query_id: u64) -> Message {
-    if db.sessions().kill(query_id) {
-        Message::Ok { code: msg::OK_KILLED, value: query_id, text: String::new() }
-    } else {
-        Message::Error {
-            code: msg::ERR_QUERY,
-            message: format!("no running query with id {query_id} (see SHOW SESSIONS)"),
-        }
-    }
-}
-
-/// Admits, executes, and streams one query. `Err(())` means the
-/// connection is gone and the session should end; protocol-level
-/// failures (saturation, query errors) are replies, not `Err`. With
-/// `prepared`, execution reuses the stored parse tree and shape key
-/// instead of re-planning `sql`.
-#[allow(clippy::too_many_arguments)]
-fn run_query(
-    shared: &Shared,
-    db: &Database,
-    stream: &mut TcpStream,
-    session_id: u64,
-    tenant: &str,
-    sql: &str,
-    prepared: Option<&PreparedStatement>,
-) -> Result<(), ()> {
-    // Mint the trace BEFORE admission so queue wait is on the trace; the
-    // recorder applies its sampling policy here.
-    let trace = lardb_obs::recorder().start(sql, tenant);
-    let floor_gov = shared.floor_governor(tenant);
-    let t_admit = Instant::now();
-    let permit = match shared.admission.admit(tenant, floor_gov.as_ref()) {
-        Ok(p) => p,
-        Err(e) => {
-            let (code, reason) = match e {
-                crate::ServerError::Saturated { reason } => (msg::ERR_SATURATED, reason),
-                other => (msg::ERR_QUERY, other.to_string()),
-            };
-            if let Some(t) = &trace {
-                lardb_obs::recorder().finish(t, Some(&reason));
-            }
-            let message = match &trace {
-                Some(t) => format!("{reason} [trace {}]", t.id()),
-                None => reason,
-            };
-            return send_message(stream, &Message::Error { code, message }).map_err(drop);
-        }
-    };
-    let queue_wait = t_admit.elapsed();
-    lardb_obs::global()
-        .histogram(&format!("server.tenant.{tenant}.queue_wait_ms"))
-        .observe(queue_wait.as_millis() as u64);
-    if let Some(t) = &trace {
-        t.set_queue_wait_us(queue_wait.as_micros() as u64);
-        t.record(
-            "admission.wait",
-            "admission",
-            t_admit,
-            queue_wait,
-            vec![("tenant", tenant.to_string())],
-        );
-    }
-
-    let cancel = CancelToken::new();
-    let query_id = db.sessions().begin_query(session_id, sql, &cancel);
-    if let Some(t) = &trace {
-        t.set_query_id(query_id);
-    }
-
-    // Execute on a helper thread so this thread can keep polling the
-    // socket for Kill/Close/disconnect.
-    let (tx, rx) = mpsc::channel();
-    let exec_db = db.clone();
-    let exec_sql = sql.to_string();
-    let exec_cancel = cancel.clone();
-    let exec_trace = trace.clone();
-    let exec_prepared = prepared.cloned();
-    let exec = std::thread::Builder::new()
-        .name(format!("lardb-query-{query_id}"))
-        .spawn(move || {
-            let result = match (&exec_trace, &exec_prepared) {
-                (Some(t), Some(p)) => {
-                    exec_db.execute_prepared_with_trace(p, &exec_cancel, t)
-                }
-                (None, Some(p)) => exec_db.execute_prepared_with_cancel(p, &exec_cancel),
-                (Some(t), None) => exec_db.execute_with_trace(&exec_sql, &exec_cancel, t),
-                (None, None) => exec_db.execute_with_cancel(&exec_sql, &exec_cancel),
-            };
-            let _ = tx.send(result);
-        });
-    let exec = match exec {
-        Ok(h) => h,
-        Err(e) => {
-            db.sessions().end_query(session_id);
-            drop(permit);
-            return send_message(
-                stream,
-                &Message::Error {
-                    code: msg::ERR_QUERY,
-                    message: format!("could not spawn query thread: {e}"),
                 },
-            )
-            .map_err(drop);
-        }
-    };
-
-    let mut disconnected = false;
-    let result = loop {
-        match rx.try_recv() {
-            Ok(result) => break result,
-            Err(mpsc::TryRecvError::Disconnected) => {
-                break Err(EngineError::Exec(ExecError::Cancelled(
-                    "query thread died".to_string(),
-                )))
-            }
-            Err(mpsc::TryRecvError::Empty) => {}
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            cancel.cancel();
-        }
-        // The read timeout doubles as the poll tick.
-        match recv_message(stream) {
-            Ok(Recv::TimedOut) => {}
-            Ok(Recv::Closed) | Err(_) => {
-                // Client vanished mid-query: cancel and wait for the
-                // executor to unwind (releasing memory + spill files).
-                cancel.cancel();
-                disconnected = true;
-                break rx.recv().unwrap_or_else(|_| {
-                    Err(EngineError::Exec(ExecError::Cancelled(
-                        "query thread died".to_string(),
-                    )))
-                });
-            }
-            Ok(Recv::Msg(Message::Kill { query_id: target })) => {
-                // In-band kill (possibly of this very query). The ack is
-                // sent before any result frames.
-                if send_message(stream, &kill_reply(db, target)).is_err() {
-                    cancel.cancel();
-                    disconnected = true;
-                }
-            }
-            Ok(Recv::Msg(Message::Close)) => {
-                // Orderly close while a query runs: abort it, then close.
-                cancel.cancel();
-                let result = rx.recv().unwrap_or_else(|_| {
-                    Err(EngineError::Exec(ExecError::Cancelled(
-                        "query thread died".to_string(),
-                    )))
-                });
-                let _ = exec.join();
-                db.sessions().end_query(session_id);
-                drop(permit);
-                drop(result);
-                let _ = send_message(
-                    stream,
-                    &Message::Ok { code: msg::OK_CLOSED, value: session_id, text: String::new() },
-                );
-                return Err(());
-            }
-            Ok(Recv::Msg(other)) => {
-                let reply = Message::Error {
-                    code: msg::ERR_PROTOCOL,
-                    message: format!("unexpected message while a query is running: {other:?}"),
-                };
-                if send_message(stream, &reply).is_err() {
-                    cancel.cancel();
-                    disconnected = true;
-                }
+                other => unreachable!("the reader hands over requests only, not {other:?}"),
             }
         }
-    };
-
-    let _ = exec.join();
-    db.sessions().end_query(session_id);
-    drop(permit);
-    lardb_obs::global()
-        .histogram(&format!("server.tenant.{tenant}.query_ms"))
-        .observe(t_admit.elapsed().saturating_sub(queue_wait).as_millis() as u64);
-
-    if disconnected {
-        drop(result);
-        return Err(());
+        Ok(())
     }
-    // Correlation stamp for error replies and the result stream: the
-    // query id (always) and the trace id (when this query was sampled).
-    let ids = match &trace {
-        Some(t) => format!(" [query {query_id} trace {}]", t.id()),
-        None => format!(" [query {query_id}]"),
-    };
-    let trace_id = trace.as_ref().map(|t| t.id().0);
-    match result {
-        Ok(Response::Rows(q)) => stream_rows(stream, q, trace_id).map_err(drop),
-        Ok(Response::Done) => send_message(
-            stream,
-            &Message::Ok { code: msg::OK_DONE, value: 0, text: String::new() },
-        )
-        .map_err(drop),
-        Ok(Response::Inserted(n)) => send_message(
-            stream,
-            &Message::Ok { code: msg::OK_INSERTED, value: n as u64, text: String::new() },
-        )
-        .map_err(drop),
-        Ok(Response::Explained(text)) => {
-            send_message(stream, &Message::Ok { code: msg::OK_TEXT, value: 0, text })
-                .map_err(drop)
+
+    /// Admits, executes, and answers one statement. `Err` means the reply
+    /// could not be written; saturation and query errors are replies, not
+    /// `Err`. With `prepared`, execution reuses the stored parse tree and
+    /// shape key instead of re-planning `sql`.
+    fn run_query(
+        &self,
+        sql: &str,
+        prepared: Option<&PreparedStatement>,
+        cancel: &CancelToken,
+    ) -> io::Result<()> {
+        let (shared, db, tenant) = (self.shared, &self.db, self.tenant.as_str());
+        // Mint the trace BEFORE admission so queue wait is on the trace; the
+        // recorder applies its sampling policy here.
+        let trace = lardb_obs::recorder().start(sql, tenant);
+        let floor_gov = shared.floor_governor(tenant);
+        let t_admit = Instant::now();
+        let permit = match shared.admission.admit(tenant, floor_gov.as_ref()) {
+            Ok(p) => p,
+            Err(e) => {
+                let (code, reason) = match e {
+                    crate::ServerError::Saturated { reason } => (msg::ERR_SATURATED, reason),
+                    other => (msg::ERR_QUERY, other.to_string()),
+                };
+                if let Some(t) = &trace {
+                    lardb_obs::recorder().finish(t, Some(&reason));
+                }
+                let message = match &trace {
+                    Some(t) => format!("{reason} [trace {}]", t.id()),
+                    None => reason,
+                };
+                return self.reply(|out| send_message(out, &Message::Error { code, message }));
+            }
+        };
+        let queue_wait = t_admit.elapsed();
+        lardb_obs::global()
+            .histogram(&format!("server.tenant.{tenant}.queue_wait_ms"))
+            .observe(queue_wait.as_millis() as u64);
+        if let Some(t) = &trace {
+            t.set_queue_wait_us(queue_wait.as_micros() as u64);
+            t.record(
+                "admission.wait",
+                "admission",
+                t_admit,
+                queue_wait,
+                vec![("tenant", tenant.to_string())],
+            );
         }
-        Err(EngineError::Exec(ExecError::Cancelled(m))) => send_message(
-            stream,
-            &Message::Error { code: msg::ERR_KILLED, message: format!("{m}{ids}") },
-        )
-        .map_err(drop),
-        Err(e) => send_message(
-            stream,
-            &Message::Error { code: msg::ERR_QUERY, message: format!("{e}{ids}") },
-        )
-        .map_err(drop),
+
+        let query_id = db.sessions().begin_query(self.id, sql, cancel);
+        if let Some(t) = &trace {
+            t.set_query_id(query_id);
+        }
+        let result = match (&trace, prepared) {
+            (Some(t), Some(p)) => db.execute_prepared_with_trace(p, cancel, t),
+            (None, Some(p)) => db.execute_prepared_with_cancel(p, cancel),
+            (Some(t), None) => db.execute_with_trace(sql, cancel, t),
+            (None, None) => db.execute_with_cancel(sql, cancel),
+        };
+        db.sessions().end_query(self.id);
+        drop(permit);
+        lardb_obs::global()
+            .histogram(&format!("server.tenant.{tenant}.query_ms"))
+            .observe(t_admit.elapsed().saturating_sub(queue_wait).as_millis() as u64);
+
+        // Correlation stamp for error replies and the result stream: the
+        // query id (always) and the trace id (when this query was sampled).
+        let ids = match &trace {
+            Some(t) => format!(" [query {query_id} trace {}]", t.id()),
+            None => format!(" [query {query_id}]"),
+        };
+        let reply = match result {
+            Ok(Response::Rows(q)) => {
+                let trace_id = trace.as_ref().map(|t| t.id().0);
+                return self.reply(|out| stream_rows(out, q, trace_id));
+            }
+            Ok(Response::Done) => Message::Ok { code: msg::OK_DONE, value: 0, text: String::new() },
+            Ok(Response::Inserted(n)) => {
+                Message::Ok { code: msg::OK_INSERTED, value: n as u64, text: String::new() }
+            }
+            Ok(Response::Explained(text)) => Message::Ok { code: msg::OK_TEXT, value: 0, text },
+            Err(EngineError::Exec(ExecError::Cancelled(m))) => {
+                Message::Error { code: msg::ERR_KILLED, message: format!("{m}{ids}") }
+            }
+            Err(e) => Message::Error { code: msg::ERR_QUERY, message: format!("{e}{ids}") },
+        };
+        self.reply(|out| send_message(out, &reply))
     }
 }
 
 /// Streams a result as exchange-format data frames: an optional trace
 /// frame (when the query was traced), schema, row batches, then a fin
 /// summary the client re-verifies (frames / rows / checksum).
-fn stream_rows(
-    stream: &mut TcpStream,
-    q: QueryResult,
-    trace_id: Option<u64>,
-) -> std::io::Result<()> {
+fn stream_rows(out: &mut impl Write, q: QueryResult, trace_id: Option<u64>) -> io::Result<()> {
     let mut frames: u64 = 0;
     let mut checksum = CHECKSUM_SEED;
-    let mut send_data = |stream: &mut TcpStream, frame: Frame| -> std::io::Result<()> {
+    let mut send_data = |frame: Frame| -> io::Result<()> {
         let bytes = lardb_net::encode_message(&Message::Data(frame));
         checksum = checksum_update(checksum, &bytes);
         frames += 1;
-        crate::wire::send_bytes(stream, &bytes)
+        send_bytes(out, &bytes)
     };
     if let Some(id) = trace_id {
-        send_data(stream, Frame::Trace(id))?;
+        send_data(Frame::Trace(id))?;
     }
-    send_data(stream, Frame::Schema(q.schema))?;
+    send_data(Frame::Schema(q.schema))?;
     let total_rows = q.rows.len() as u64;
     for chunk in q.rows.chunks(ROWS_PER_FRAME) {
-        send_data(stream, Frame::Rows(chunk.to_vec()))?;
+        send_data(Frame::Rows(chunk.to_vec()))?;
     }
     let fin = FinSummary { frames, rows: total_rows, checksum };
-    send_message(stream, &Message::Data(Frame::Fin(fin)))
+    send_message(out, &Message::Data(Frame::Fin(fin)))
 }

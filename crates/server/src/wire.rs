@@ -1,17 +1,17 @@
-//! Length-prefixed message framing over a [`TcpStream`].
+//! Length-prefixed message framing over a byte stream (a `TcpStream` or
+//! a shared `&TcpStream`: a session's two threads share one socket).
 //!
 //! Same discipline as the exchange transport: every message is one
 //! `u32`-LE length prefix followed by that many bytes of an encoded
 //! [`Message`]. The prefix and payload are written
 //! with a single `write_all` so a peer never observes a torn header.
 //!
-//! Reads distinguish three outcomes the session loop cares about:
+//! Reads distinguish three outcomes the session cares about:
 //! a complete message, an orderly close (EOF *between* messages), and a
 //! read timeout (EOF or timeout *inside* a message is a protocol error —
 //! the peer died mid-frame).
 
 use std::io::{self, ErrorKind, Read, Write};
-use std::net::TcpStream;
 
 use lardb_net::{decode_message, encode_message, Message};
 
@@ -37,13 +37,13 @@ fn is_timeout(e: &io::Error) -> bool {
 
 /// Sends one message: `u32` LE length prefix + encoded bytes, written as
 /// one buffer.
-pub fn send_message(stream: &mut TcpStream, msg: &Message) -> io::Result<()> {
+pub fn send_message(stream: &mut impl Write, msg: &Message) -> io::Result<()> {
     send_bytes(stream, &encode_message(msg))
 }
 
 /// Sends pre-encoded message bytes (used by the result streamer, which
 /// already has the bytes in hand for checksumming).
-pub fn send_bytes(stream: &mut TcpStream, body: &[u8]) -> io::Result<()> {
+pub fn send_bytes(stream: &mut impl Write, body: &[u8]) -> io::Result<()> {
     if body.len() > MAX_WIRE_BYTES {
         return Err(io::Error::new(
             ErrorKind::InvalidData,
@@ -63,7 +63,7 @@ pub fn send_bytes(stream: &mut TcpStream, body: &[u8]) -> io::Result<()> {
 /// [`Recv::TimedOut`]; EOF there yields [`Recv::Closed`]. Once the first
 /// byte has arrived the rest of the message must follow: EOF or timeout
 /// mid-message is an error (the peer vanished mid-frame).
-pub fn recv_message(stream: &mut TcpStream) -> io::Result<Recv> {
+pub fn recv_message(stream: &mut impl Read) -> io::Result<Recv> {
     let mut prefix = [0u8; 4];
     // First byte decides between idle-timeout / clean-close / traffic.
     let n = match stream.read(&mut prefix[..1]) {
@@ -91,7 +91,7 @@ pub fn recv_message(stream: &mut TcpStream) -> io::Result<Recv> {
 /// `read_exact` that retries timeouts: once a message has started, a
 /// pause mid-frame means "keep waiting", not "drop bytes on the floor".
 /// EOF mid-frame is an `UnexpectedEof` error.
-fn read_remaining(stream: &mut TcpStream, mut buf: &mut [u8]) -> io::Result<()> {
+fn read_remaining(stream: &mut impl Read, mut buf: &mut [u8]) -> io::Result<()> {
     while !buf.is_empty() {
         match stream.read(buf) {
             Ok(0) => {
@@ -111,7 +111,7 @@ fn read_remaining(stream: &mut TcpStream, mut buf: &mut [u8]) -> io::Result<()> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
+    use std::net::{TcpListener, TcpStream};
     use std::time::Duration;
 
     fn pair() -> (TcpStream, TcpStream) {

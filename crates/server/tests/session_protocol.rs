@@ -1,0 +1,256 @@
+//! What one connection may observe, frame by frame, over real loopback
+//! TCP: round-trip time, in-band `Kill`, `Close` and a second request
+//! while a statement runs, and `Server::shutdown` with sessions open.
+//! Raw `wire` framing is used where `Client` cannot express the exchange.
+
+use std::net::{TcpListener, TcpStream};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
+
+use lardb::{Database, DatabaseConfig, SessionRegistry};
+use lardb_net::codec::Frame;
+use lardb_net::{msg, Message};
+use lardb_server::wire::{recv_message, send_message, Recv};
+use lardb_server::{Client, QueryOutput, Server, ServerConfig};
+
+/// A three-way cross join that runs for minutes unless cancelled.
+const ENDLESS: &str =
+    "SELECT COUNT(*) AS n FROM big AS x, big AS y, big AS z WHERE x.a + y.a + z.a < 0";
+
+/// One test at a time: the timing test must not share the host's cores
+/// with another test's cross join.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// A database with its own governor (so `reserved()` is this test's
+/// ledger alone) and a 600-row `big` for [`ENDLESS`].
+fn db_with_big() -> Database {
+    let db = Database::with_config(DatabaseConfig {
+        workers: 2,
+        pool_workers: Some(2),
+        mem: Some(8),
+        ..DatabaseConfig::default()
+    });
+    db.execute("CREATE TABLE big (a INTEGER)").unwrap();
+    let vals: Vec<String> = (0..600).map(|i| format!("({i})")).collect();
+    db.execute(&format!("INSERT INTO big VALUES {}", vals.join(", "))).unwrap();
+    db
+}
+
+/// A handshaken connection speaking raw frames. Reads give up after 30 s
+/// so a missing reply fails the test instead of hanging it.
+struct Raw {
+    stream: TcpStream,
+    session_id: u64,
+}
+
+impl Raw {
+    fn connect(server: &Server, tenant: &str) -> Raw {
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        send_message(&mut stream, &Message::Hello { tenant: tenant.into(), auth: String::new() })
+            .unwrap();
+        match recv_message(&mut stream).unwrap() {
+            Recv::Msg(Message::Ok { code: msg::OK_HELLO, value, .. }) => {
+                Raw { stream, session_id: value }
+            }
+            other => panic!("handshake failed: {other:?}"),
+        }
+    }
+
+    fn send(&mut self, message: Message) {
+        send_message(&mut self.stream, &message).unwrap();
+    }
+
+    fn query(&mut self, sql: &str) {
+        self.send(Message::Query { sql: sql.into() });
+    }
+
+    fn recv(&mut self) -> Recv {
+        recv_message(&mut self.stream).unwrap()
+    }
+
+    /// Reads one schema/rows/fin result stream and returns its row count.
+    fn recv_rows(&mut self) -> u64 {
+        loop {
+            match self.recv() {
+                Recv::Msg(Message::Data(Frame::Fin(fin))) => return fin.rows,
+                Recv::Msg(Message::Data(_)) => {}
+                other => panic!("expected a result stream, got {other:?}"),
+            }
+        }
+    }
+
+    /// Waits until this connection's statement is registered as running
+    /// and returns its query id.
+    fn running_query(&self, sessions: &SessionRegistry) -> u64 {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let mine = sessions.snapshot().into_iter().find(|s| s.session_id == self.session_id);
+            if let Some(query_id) = mine.and_then(|s| s.query_id) {
+                return query_id;
+            }
+            assert!(Instant::now() < deadline, "statement never showed up as running");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+}
+
+fn expect_error(reply: Recv, code: u16) {
+    match reply {
+        Recv::Msg(Message::Error { code: got, .. }) if got == code => {}
+        other => panic!("expected error code {code}, got {other:?}"),
+    }
+}
+
+fn expect_ok(reply: Recv, code: u8) {
+    match reply {
+        Recv::Msg(Message::Ok { code: got, .. }) if got == code => {}
+        other => panic!("expected ok code {code}, got {other:?}"),
+    }
+}
+
+/// The server waits on no timer of its own between a statement and its
+/// reply. Single-frame replies (`INSERT`) are used so that the kernel's
+/// delayed ACK between the frames of a row reply, which this server still
+/// pays (ROADMAP item 1), does not hide what is pinned here.
+#[test]
+fn round_trips_wait_on_no_timer() {
+    let _one_at_a_time = serial();
+    let db = Database::with_config(DatabaseConfig { workers: 2, ..DatabaseConfig::default() });
+    db.execute("CREATE TABLE t (id INTEGER)").unwrap();
+    let server = Server::start(db, ServerConfig::default()).unwrap();
+    let mut client = Client::connect(&server.local_addr().to_string(), "t", "").unwrap();
+
+    let started = Instant::now();
+    for id in 0..100 {
+        match client.query(&format!("INSERT INTO t VALUES ({id})")).unwrap() {
+            QueryOutput::Inserted(1) => {}
+            other => panic!("expected one inserted row, got {other:?}"),
+        }
+    }
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "100 round trips took {took:?}");
+    match client.query("SELECT COUNT(*) AS n FROM t").unwrap() {
+        QueryOutput::Rows { rows, .. } => assert_eq!(rows[0].value(0).as_integer(), Some(100)),
+        other => panic!("expected rows, got {other:?}"),
+    }
+
+    client.close().unwrap();
+    server.shutdown();
+}
+
+/// `Kill` of the connection's own running statement: the ack comes
+/// first, then the statement's one `ERR_KILLED`, and the session goes on.
+#[test]
+fn in_band_kill_acks_then_fails_the_statement_once() {
+    let _one_at_a_time = serial();
+    let db = db_with_big();
+    let sessions = Arc::clone(db.sessions());
+    let server = Server::start(db, ServerConfig::default()).unwrap();
+
+    let mut conn = Raw::connect(&server, "self-kill");
+    conn.query(ENDLESS);
+    let query_id = conn.running_query(&sessions);
+    conn.send(Message::Kill { query_id });
+    match conn.recv() {
+        Recv::Msg(Message::Ok { code: msg::OK_KILLED, value, .. }) => assert_eq!(value, query_id),
+        other => panic!("the kill ack must come first, got {other:?}"),
+    }
+    expect_error(conn.recv(), msg::ERR_KILLED);
+
+    // The very next frames are the next statement's result: no second
+    // ERR_KILLED, and the session still serves.
+    conn.query("SELECT a FROM big WHERE a < 7");
+    assert_eq!(conn.recv_rows(), 7);
+    conn.send(Message::Close);
+    expect_ok(conn.recv(), msg::OK_CLOSED);
+    server.shutdown();
+}
+
+/// `Close` while a statement runs: the statement is aborted without a
+/// reply of its own, and by the time the client has seen `OK_CLOSED` and
+/// EOF nothing of the session is left.
+#[test]
+fn close_mid_query_replies_once_and_leaves_nothing() {
+    let _one_at_a_time = serial();
+    let db = db_with_big();
+    let sessions = Arc::clone(db.sessions());
+    let governor = Arc::clone(db.memory().governor());
+    let server = Server::start(db, ServerConfig::default()).unwrap();
+
+    let mut conn = Raw::connect(&server, "closer");
+    conn.query(ENDLESS);
+    conn.running_query(&sessions);
+    conn.send(Message::Close);
+    expect_ok(conn.recv(), msg::OK_CLOSED);
+    assert!(matches!(conn.recv(), Recv::Closed), "OK_CLOSED must be the last frame");
+
+    assert_eq!(sessions.active_sessions(), 0, "session still registered");
+    assert_eq!(server.connections(), 0, "connection still counted");
+    assert_eq!(governor.reserved(), 0, "aborted statement still holds memory");
+    server.shutdown();
+}
+
+/// One request at a time: a second `Query` is refused at once, and the
+/// statement it interrupted still ends with its own result.
+#[test]
+fn second_query_while_one_runs_is_a_protocol_error() {
+    let _one_at_a_time = serial();
+    let db = db_with_big();
+    let sessions = Arc::clone(db.sessions());
+    let server = Server::start(db, ServerConfig::default()).unwrap();
+
+    let mut conn = Raw::connect(&server, "eager");
+    // ≈1.7 M candidate triples: long enough to still be running when the
+    // second request arrives, short enough to finish on its own.
+    conn.query(
+        "SELECT COUNT(*) AS n FROM big AS x, big AS y, big AS z \
+         WHERE x.a < 120 AND y.a < 120 AND z.a < 120 AND x.a + y.a + z.a < 0",
+    );
+    conn.running_query(&sessions);
+    conn.query("SELECT 1 AS one");
+    expect_error(conn.recv(), msg::ERR_PROTOCOL);
+    assert_eq!(conn.recv_rows(), 1, "the first statement's own reply");
+
+    conn.send(Message::Close);
+    expect_ok(conn.recv(), msg::OK_CLOSED);
+    server.shutdown();
+}
+
+/// Shutdown is a disconnect of every session: an idle one and one in the
+/// middle of a statement both end, promptly and without leaks.
+#[test]
+fn shutdown_ends_idle_and_running_sessions() {
+    let _one_at_a_time = serial();
+    let db = db_with_big();
+    let sessions = Arc::clone(db.sessions());
+    let governor = Arc::clone(db.memory().governor());
+    let server = Server::start(db, ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+
+    let mut idle = Raw::connect(&server, "idle");
+    let mut busy = Raw::connect(&server, "busy");
+    busy.query(ENDLESS);
+    busy.running_query(&sessions);
+
+    let started = Instant::now();
+    server.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(5), "shutdown took {took:?}");
+
+    assert_eq!(sessions.active_sessions(), 0, "a session outlived shutdown");
+    assert_eq!(governor.reserved(), 0, "aborted statement still holds memory");
+    assert!(matches!(idle.recv(), Recv::Closed), "idle connection not closed");
+    // The aborted statement may or may not be answered before the EOF.
+    match busy.recv() {
+        Recv::Closed => {}
+        killed => {
+            expect_error(killed, msg::ERR_KILLED);
+            assert!(matches!(busy.recv(), Recv::Closed), "running connection not closed");
+        }
+    }
+    TcpListener::bind(addr).expect("port still bound after shutdown");
+}
