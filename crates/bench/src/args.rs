@@ -27,12 +27,6 @@ pub struct Args {
     /// stage timings + per-operator estimate-vs-actual records) to this
     /// path at the end of the run.
     pub profile_json: Option<String>,
-    /// Memory budget for pipeline-breaking operators, in MiB. `None` =
-    /// inherit the process default (`LARDB_MEM_BUDGET_MB` or unbounded);
-    /// `Some(0)` = explicitly unbounded; `Some(n)` = spill past `n` MiB.
-    pub mem_budget_mb: Option<u64>,
-    /// Spill directory override (default: `LARDB_SPILL_DIR` or OS temp).
-    pub spill_dir: Option<String>,
     /// Rows per column batch for the compiled engine; `None` inherits
     /// the default (or `LARDB_BATCH_ROWS`).
     pub batch_rows: Option<usize>,
@@ -50,8 +44,6 @@ impl Default for Args {
             quick: false,
             transport: TransportMode::Pointer,
             profile_json: None,
-            mem_budget_mb: None,
-            spill_dir: None,
             batch_rows: None,
         }
     }
@@ -90,11 +82,6 @@ impl Args {
                     });
                 }
                 "--profile-json" => args.profile_json = Some(value("--profile-json")),
-                "--mem-budget-mb" => {
-                    args.mem_budget_mb =
-                        Some(parse_num(&value("--mem-budget-mb")) as u64);
-                }
-                "--spill-dir" => args.spill_dir = Some(value("--spill-dir")),
                 "--batch-rows" => {
                     args.batch_rows = Some(parse_num(&value("--batch-rows")).max(1));
                 }
@@ -102,8 +89,7 @@ impl Args {
                     eprintln!(
                         "options: --n N --n-dist N --dims 10,100,1000 --workers W \
                          --block B --seed S --transport pointer|serialized|tcp \
-                         --profile-json PATH --mem-budget-mb N --spill-dir PATH \
-                         --batch-rows N --quick"
+                         --profile-json PATH --batch-rows N --quick"
                     );
                     std::process::exit(0);
                 }
@@ -194,16 +180,6 @@ mod tests {
             parse(&["--profile-json", "out.json"]).profile_json,
             Some("out.json".to_string())
         );
-    }
-
-    #[test]
-    fn memory_flags() {
-        let a = parse(&[]);
-        assert_eq!(a.mem_budget_mb, None);
-        assert_eq!(a.spill_dir, None);
-        let a = parse(&["--mem-budget-mb", "64", "--spill-dir", "/tmp/sp"]);
-        assert_eq!(a.mem_budget_mb, Some(64));
-        assert_eq!(a.spill_dir, Some("/tmp/sp".to_string()));
     }
 
     #[test]

@@ -93,28 +93,6 @@ impl RunOutcome {
 /// set of the exchanged tuple streams well inside a 16 GB machine.
 const TUPLE_ROW_BUDGET: usize = 40_000_000;
 
-/// Runs one cell of Figures 1–3 with the default (pointer) transport.
-pub fn run(
-    platform: Platform,
-    workload: Workload,
-    n: usize,
-    dims: usize,
-    block: usize,
-    workers: usize,
-    seed: u64,
-) -> RunOutcome {
-    run_with_transport(
-        platform,
-        workload,
-        n,
-        dims,
-        block,
-        workers,
-        seed,
-        TransportMode::Pointer,
-    )
-}
-
 /// Engine knobs shared by the lardb platforms. Baselines ignore them —
 /// they have neither exchange operators nor SQL expressions.
 #[derive(Debug, Clone, Copy, Default)]
@@ -123,22 +101,6 @@ pub struct EngineOpts {
     pub transport: TransportMode,
     /// Rows per column batch override; `None` inherits the default.
     pub batch_rows: Option<usize>,
-}
-
-/// Runs one cell of Figures 1–3 under an explicit exchange transport.
-#[allow(clippy::too_many_arguments)]
-pub fn run_with_transport(
-    platform: Platform,
-    workload: Workload,
-    n: usize,
-    dims: usize,
-    block: usize,
-    workers: usize,
-    seed: u64,
-    transport: TransportMode,
-) -> RunOutcome {
-    let opts = EngineOpts { transport, ..EngineOpts::default() };
-    run_with_opts(platform, workload, n, dims, block, workers, seed, opts)
 }
 
 /// Runs one cell of Figures 1–3 under explicit engine options.
@@ -588,7 +550,7 @@ fn distance_tuple(db: &Database) -> Timed {
 
 /// Loads the `lbl` helper table (0..dims) the tuple distance run needs to
 /// normalize the replicated metric matrix.
-pub fn load_label_table(db: &Database, dims: usize) {
+fn load_label_table(db: &Database, dims: usize) {
     db.execute("CREATE TABLE lbl (id INTEGER)").expect("ddl");
     db.insert_rows("lbl", (0..dims as i64).map(|i| Row::new(vec![Value::Integer(i)])))
         .expect("load");
@@ -603,7 +565,8 @@ mod tests {
         for platform in ALL_PLATFORMS {
             for workload in [Workload::Gram, Workload::Regression, Workload::Distance] {
                 let n = if workload == Workload::Distance { 24 } else { 40 };
-                let out = run(platform, workload, n, 4, 8, 2, 99);
+                let out =
+                    run_with_opts(platform, workload, n, 4, 8, 2, 99, EngineOpts::default());
                 assert!(
                     out.duration.is_some(),
                     "{platform:?}/{workload:?} failed: {:?}",
@@ -616,16 +579,9 @@ mod tests {
     #[test]
     fn lardb_cells_run_under_every_transport() {
         for transport in TransportMode::ALL {
-            let out = run_with_transport(
-                Platform::VectorSimSql,
-                Workload::Gram,
-                40,
-                4,
-                8,
-                2,
-                99,
-                transport,
-            );
+            let opts = EngineOpts { transport, ..EngineOpts::default() };
+            let out =
+                run_with_opts(Platform::VectorSimSql, Workload::Gram, 40, 4, 8, 2, 99, opts);
             assert!(out.duration.is_some(), "{transport:?} failed: {:?}", out.note);
             let stats = out.stats.expect("lardb platforms report stats");
             if transport.is_serialized() {

@@ -78,7 +78,7 @@ pub struct DatabaseConfig {
     /// `Some(0)` disables tracing entirely.
     pub trace_sample: Option<u64>,
     /// Completed-trace ring capacity. `None` leaves the process-wide
-    /// setting untouched (default 256, or `LARDB_TRACE_CAPACITY`).
+    /// setting untouched (default 256).
     pub trace_capacity: Option<usize>,
     /// Expression engine for scan→filter→project→aggregate pipelines:
     /// `Compiled` (the default) pivots morsels into column batches and

@@ -79,6 +79,46 @@ fn cached_matches_cold_across_workers() {
     }
 }
 
+/// A warm repeat skips the front end: parse, bind and optimize are
+/// elided, not merely fast, so their stage timings stay at exactly zero.
+#[test]
+fn warm_repeat_skips_the_front_end_exactly() {
+    const FRONT_END: [&str; 3] = ["parse", "bind", "optimize"];
+    // A scalar filter, a join + aggregate, and an LA expression.
+    let shapes = [
+        QUERIES[0],
+        "SELECT d.label, SUM(f.v) AS s FROM facts AS f, dims AS d
+         WHERE f.g = d.g GROUP BY d.label",
+        "SELECT inner_product(q.x, q.x) AS n2
+         FROM (SELECT VECTORIZE(label_scalar(v, id)) AS x FROM facts WHERE id < 8) AS q",
+    ];
+    for workers in [1usize, 4] {
+        let db = seed_db(config(workers));
+        for q in shapes {
+            let cold = db.query(q).unwrap();
+            let profile = db.last_profile().expect("statement just ran");
+            for stage in FRONT_END {
+                assert!(profile.stage_ms(stage).unwrap() > 0.0, "W={workers} cold {stage}: {q}");
+            }
+            for repeat in 1..=3 {
+                let hits = db.plan_cache_stats().hits;
+                let warm = db.query(q).unwrap();
+                let profile = db.last_profile().expect("statement just ran");
+                for stage in FRONT_END {
+                    assert_eq!(
+                        profile.stage_ms(stage),
+                        Some(0.0),
+                        "W={workers} repeat {repeat} ran {stage}: {q}"
+                    );
+                }
+                assert!(profile.stage_ms("execute").unwrap() > 0.0, "W={workers}: {q}");
+                assert_eq!(canon_rows(&cold), canon_rows(&warm), "W={workers} query={q}");
+                assert_eq!(db.plan_cache_stats().hits, hits + 1, "W={workers} query={q}");
+            }
+        }
+    }
+}
+
 #[test]
 fn literal_variants_do_not_collide() {
     // Same shape, different literals: both hit the cold path once, and

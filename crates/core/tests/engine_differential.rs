@@ -267,17 +267,38 @@ const STATEMENTS: &[&str] = &[
     "SELECT COUNT(*) AS c, SUM(e.y) AS sy FROM t AS a, empty AS e WHERE a.id = e.x",
 ];
 
-/// Statements that must fail under both engines with the same error.
-const FAILING: &[&str] = &[
-    // VARCHAR arithmetic: a runtime type error from the shared ops table.
-    "SELECT s + 1 FROM t",
-    "SELECT id FROM t WHERE s * 2 > 0",
+/// Statements that must fail under both engines with the same error,
+/// each with a fragment that error carries.
+const FAILING: &[(&str, &str)] = &[
+    // VARCHAR arithmetic: rejected by the binder, or at run time by the
+    // shared ops table.
+    ("SELECT s + 1 FROM t", "operator + undefined"),
+    ("SELECT id FROM t WHERE s * 2 > 0", "cannot apply *"),
     // The same under a join→aggregate, and an argument that only fails
     // when evaluated (the kernel declines, the interpreter's replay of
     // the chunk raises).
-    "SELECT a.g, SUM(a.s + 1) AS x FROM t AS a, t AS b WHERE a.id = b.id GROUP BY a.g",
-    "SELECT a.g, SUM(a.id / (b.id - b.id)) AS x FROM t AS a, t AS b
-     WHERE a.id = b.id GROUP BY a.g",
+    (
+        "SELECT a.g, SUM(a.s + 1) AS x FROM t AS a, t AS b WHERE a.id = b.id GROUP BY a.g",
+        "operator + undefined",
+    ),
+    (
+        "SELECT a.g, SUM(a.id / (b.id - b.id)) AS x FROM t AS a, t AS b
+         WHERE a.id = b.id GROUP BY a.g",
+        "integer division by zero",
+    ),
+    // INTEGER arithmetic leaving the 64-bit range: a product, `-MIN`,
+    // `MIN / -1`, and a SUM whose terms each fit (plain and under the
+    // join→aggregate). A typed error in debug and release builds alike,
+    // not a caught worker panic or a wrapped value.
+    ("SELECT id * 9223372036854775807 FROM t", "integer overflow in *"),
+    ("SELECT -(id - 9223372036854775807 - 1) FROM t", "integer overflow in -"),
+    ("SELECT (id - 9223372036854775807 - 1) / -1 FROM t", "integer overflow in /"),
+    ("SELECT SUM(id + 9223372036854775000) AS s FROM t", "integer overflow in +"),
+    (
+        "SELECT a.g, SUM(a.id + 9223372036854775000) AS x FROM t AS a, t AS b
+         WHERE a.id = b.id GROUP BY a.g",
+        "integer overflow in +",
+    ),
 ];
 
 #[test]
@@ -290,12 +311,13 @@ fn compiled_matches_interpreter_across_configs() {
             let want = interp.query(q).unwrap();
             assert_eq!(canon_rows(&got), canon_rows(&want), "W={workers} query={q}");
         }
-        for q in FAILING {
+        for (q, fragment) in FAILING {
             let got = compiled.query(q).expect_err("compiled should fail").to_string();
             let want = interp.query(q).expect_err("interpret should fail").to_string();
             // Workers race to fail first and the losers see the flipped
             // token, but the query reports the root cause, not the echo.
             assert_eq!(got, want, "W={workers} query={q}");
+            assert!(got.contains(fragment), "W={workers} query={q}: {got}");
         }
     }
 }

@@ -45,7 +45,7 @@ use crate::json::{array, escape, ObjectWriter};
 pub const MAX_EVENTS_PER_TRACE: usize = 8192;
 
 /// Default completed-trace ring capacity (overridable via
-/// `LARDB_TRACE_CAPACITY` or [`FlightRecorder::set_capacity`]).
+/// [`FlightRecorder::set_capacity`]).
 pub const DEFAULT_RING_CAPACITY: usize = 256;
 
 // ---------------------------------------------------------------- TraceId
@@ -551,16 +551,11 @@ pub struct FlightRecorder {
 
 impl FlightRecorder {
     fn new() -> FlightRecorder {
-        let capacity = std::env::var("LARDB_TRACE_CAPACITY")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_RING_CAPACITY);
         FlightRecorder {
             enabled: AtomicBool::new(true),
             sample_every: AtomicU64::new(1),
             seq: AtomicU64::new(0),
-            capacity: AtomicUsize::new(capacity),
+            capacity: AtomicUsize::new(DEFAULT_RING_CAPACITY),
             active: Mutex::new(BTreeMap::new()),
             completed: Mutex::new(VecDeque::new()),
         }

@@ -61,6 +61,8 @@ pub enum StorageError {
         /// Values in the offending row.
         got: usize,
     },
+    /// INTEGER arithmetic left the 64-bit range; carries the operator.
+    IntegerOverflow(&'static str),
     /// An error bubbled up from the linear-algebra kernel.
     La(lardb_la::LaError),
 }
@@ -76,6 +78,7 @@ impl std::fmt::Display for StorageError {
             StorageError::ArityMismatch { expected, got } => {
                 write!(f, "row has {got} values but schema has {expected} columns")
             }
+            StorageError::IntegerOverflow(op) => write!(f, "integer overflow in {op}"),
             StorageError::La(e) => write!(f, "linear algebra error: {e}"),
         }
     }

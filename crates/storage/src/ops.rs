@@ -61,19 +61,23 @@ pub fn arith(op: ArithOp, lhs: &Value, rhs: &Value) -> Result<Value> {
     match (lhs, rhs) {
         (Null, _) | (_, Null) => Ok(Null),
 
-        (Integer(a), Integer(b)) => Ok(match op {
-            ArithOp::Add => Integer(a + b),
-            ArithOp::Sub => Integer(a - b),
-            ArithOp::Mul => Integer(a * b),
+        // Checked: overflow (and `i64::MIN / -1`) is a typed error in
+        // debug and release builds alike, never a panic or a wrapped sum.
+        (Integer(a), Integer(b)) => match op {
+            ArithOp::Add => a.checked_add(*b),
+            ArithOp::Sub => a.checked_sub(*b),
+            ArithOp::Mul => a.checked_mul(*b),
             ArithOp::Div => {
                 if *b == 0 {
                     return Err(StorageError::TypeMismatch {
                         context: "integer division by zero".into(),
                     });
                 }
-                Integer(a / b)
+                a.checked_div(*b)
             }
-        }),
+        }
+        .map(Integer)
+        .ok_or(StorageError::IntegerOverflow(op.symbol())),
 
         // Vector ⊕ Vector (element-wise).
         (Vector(a), Vector(b)) => {
@@ -209,7 +213,10 @@ fn densify(s: &lardb_la::SparseMatrix) -> Matrix {
 pub fn negate(v: &Value) -> Result<Value> {
     match v {
         Value::Null => Ok(Value::Null),
-        Value::Integer(i) => Ok(Value::Integer(-i)),
+        Value::Integer(i) => i
+            .checked_neg()
+            .map(Value::Integer)
+            .ok_or(StorageError::IntegerOverflow("-")),
         Value::Double(d) => Ok(Value::Double(-d)),
         Value::Vector(x) => Ok(Value::vector(x.scalar_mul(-1.0))),
         Value::Matrix(x) => Ok(Value::matrix(x.scalar_mul(-1.0))),
