@@ -246,7 +246,10 @@ fn chaos_counters_surface_in_show_metrics() {
 /// Cancellation latency: a KILL delivered mid-flight to a long-running
 /// cross join must abort the query promptly (the executor's scan,
 /// nested-loop, and fused join-aggregate loops all poll the token), and
-/// the governor ledger must return to zero — no leaked reservations.
+/// the governor ledger must return to zero — no leaked reservations. The
+/// same holds for a fused hash join whose probe side is short but whose
+/// every row matches every build row: the token is polled per chunk of
+/// pairs, not per probe row.
 #[test]
 fn cancellation_latency_is_bounded() {
     use std::time::{Duration, Instant};
@@ -262,43 +265,49 @@ fn cancellation_latency_is_bounded() {
     let vals: Vec<String> =
         (0..600).map(|i| format!("({i}, {}.5)", i % 50)).collect();
     db.execute(&format!("INSERT INTO big VALUES {}", vals.join(", "))).unwrap();
+    // One key for all 8 000 rows: 64 million matched pairs in one partition.
+    db.execute("CREATE TABLE skew (k INTEGER, a INTEGER)").unwrap();
+    let vals: Vec<String> = (0..8000).map(|i| format!("(7, {i})")).collect();
+    db.execute(&format!("INSERT INTO skew VALUES {}", vals.join(", "))).unwrap();
 
-    let cancel = lardb::CancelToken::new();
-    let worker_cancel = cancel.clone();
-    let worker_db = db.clone();
-    let worker = std::thread::spawn(move || {
-        worker_db.execute_with_cancel(
-            "SELECT COUNT(*) AS n FROM big AS x, big AS y, big AS z \
-             WHERE x.b + y.b + z.b < 0.0",
-            &worker_cancel,
-        )
-    });
+    for sql in [
+        "SELECT COUNT(*) AS n FROM big AS x, big AS y, big AS z \
+         WHERE x.b + y.b + z.b < 0.0",
+        "SELECT COUNT(*) AS n FROM skew AS x, skew AS y WHERE x.k = y.k",
+    ] {
+        let cancel = lardb::CancelToken::new();
+        let worker_cancel = cancel.clone();
+        let worker_db = db.clone();
+        let worker =
+            std::thread::spawn(move || worker_db.execute_with_cancel(sql, &worker_cancel));
 
-    // Let the join get going, then kill it and time the unwind.
-    std::thread::sleep(Duration::from_millis(300));
-    cancel.cancel();
-    let killed_at = Instant::now();
-    let result = worker.join().unwrap();
-    let latency = killed_at.elapsed();
+        // Let the join get going, then kill it and time the unwind.
+        std::thread::sleep(Duration::from_millis(300));
+        cancel.cancel();
+        let killed_at = Instant::now();
+        let result = worker.join().unwrap();
+        let latency = killed_at.elapsed();
 
-    match result {
-        Err(lardb::EngineError::Exec(e)) => {
-            assert!(
-                e.to_string().contains("cancel") || e.to_string().contains("abort"),
-                "expected a cancellation error, got: {e}"
-            );
+        match result {
+            Err(lardb::EngineError::Exec(e)) => {
+                assert!(
+                    e.to_string().contains("cancel") || e.to_string().contains("abort"),
+                    "expected a cancellation error, got: {e} ({sql})"
+                );
+            }
+            other => panic!("expected Exec(Cancelled), got {other:?} ({sql})"),
         }
-        other => panic!("expected Exec(Cancelled), got {other:?}"),
+        // The 600^3 cross join runs for minutes uncancelled, the skewed
+        // equi-join for ten seconds or more; two seconds is generous
+        // headroom for the morsel-boundary + in-loop token checks.
+        assert!(
+            latency < Duration::from_secs(2),
+            "cancellation took {latency:?}, expected < 2s ({sql})"
+        );
+        assert_eq!(
+            governor.reserved(),
+            0,
+            "governor ledger must be zero after a cancelled query ({sql})"
+        );
     }
-    // The 600^3 cross join runs for minutes uncancelled; two seconds is
-    // generous headroom for the morsel-boundary + in-loop token checks.
-    assert!(
-        latency < Duration::from_secs(2),
-        "cancellation took {latency:?}, expected < 2s"
-    );
-    assert_eq!(
-        governor.reserved(),
-        0,
-        "governor ledger must be zero after a cancelled query"
-    );
 }

@@ -213,8 +213,9 @@ fn config(workers: usize, engine: ExprEngine) -> DatabaseConfig {
         workers,
         expr_engine: engine,
         // Tiny batches and morsels so even 400 rows cross many chunk and
-        // steal boundaries.
-        batch_rows: 16,
+        // steal boundaries; CI's `LARDB_BATCH_ROWS=1` row makes every row
+        // (and every joined pair) its own chunk.
+        batch_rows: DatabaseConfig::default().batch_rows.min(16),
         morsel_rows: 32,
         pool_workers: Some(4),
         ..DatabaseConfig::default()
@@ -265,7 +266,23 @@ const STATEMENTS: &[&str] = &[
     "SELECT a.g, COUNT(*) AS c, SUM(e.y) AS sy FROM t AS a, empty AS e
      WHERE a.id = e.x GROUP BY a.g",
     "SELECT COUNT(*) AS c, SUM(e.y) AS sy FROM t AS a, empty AS e WHERE a.id = e.x",
+    // Join residuals, evaluated on the pair chunk ahead of the chain: under
+    // a hash join; under a nested loop, NULL on the pairs with a NULL `v`;
+    // and one that rejects every pair of most 16-pair chunks.
+    "SELECT a.g, SUM(a.v * b.v) AS s, COUNT(*) AS c FROM t AS a, t AS b
+     WHERE a.g = b.g AND a.id <> b.id GROUP BY a.g",
+    "SELECT a.g, COUNT(*) AS c, SUM(a.v + b.v) AS s FROM t AS a, t AS b
+     WHERE a.id < 40 AND b.id >= 350 AND a.v + b.v < 0.0 GROUP BY a.g",
+    "SELECT a.g, COUNT(*) AS c, MIN(b.v) AS m FROM t AS a, t AS b
+     WHERE a.g = b.g AND b.id > a.id + 300 GROUP BY a.g",
+    DECLINED_RESIDUAL,
 ];
+
+/// A residual the eager kernels decline on every chunk holding an
+/// `a.id = b.id` pair (they divide by zero where the interpreter
+/// short-circuits), over chunks with a boxed VARCHAR column.
+const DECLINED_RESIDUAL: &str = "SELECT a.s, COUNT(*) AS c FROM t AS a, t AS b
+     WHERE a.g = b.g AND (a.id = b.id OR 1000 / (a.id - b.id) > 3) GROUP BY a.s";
 
 /// Statements that must fail under both engines with the same error,
 /// each with a fragment that error carries.
@@ -298,6 +315,18 @@ const FAILING: &[(&str, &str)] = &[
         "SELECT a.g, SUM(a.id + 9223372036854775000) AS x FROM t AS a, t AS b
          WHERE a.id = b.id GROUP BY a.g",
         "integer overflow in +",
+    ),
+    // The same SUM under a join that has a residual, and a residual that
+    // divides by zero on one pair (ids 8 and 15 share g = 1).
+    (
+        "SELECT a.g, SUM(a.id + 9223372036854775000) AS x FROM t AS a, t AS b
+         WHERE a.g = b.g AND a.id <> b.id GROUP BY a.g",
+        "integer overflow in +",
+    ),
+    (
+        "SELECT COUNT(*) AS c FROM t AS a, t AS b WHERE a.g = b.g
+         AND 1 / ((a.id - 8) * (a.id - 8) + (b.id - 15) * (b.id - 15)) >= 0",
+        "integer division by zero",
     ),
 ];
 
@@ -374,6 +403,9 @@ fn vectorized_counters_surface_in_stats_and_metrics() {
     let rj = db.query(join_agg).unwrap();
     assert!(rj.stats.total_batches() > 0, "join→aggregate should report batches");
     assert_eq!(rj.stats.total_fallbacks(), 0);
+    // A declined pair chunk is counted, replayed, and not a batch.
+    let rd = db.query(DECLINED_RESIDUAL).unwrap();
+    assert!(rd.stats.total_fallbacks() > 0, "the residual kernel should decline");
     // The interpreted engine reports no vectorized work.
     let idb = seed_db(config(4, ExprEngine::Interpret));
     for q in ["SELECT id FROM t WHERE v > -50.0", join_agg] {

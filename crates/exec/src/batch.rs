@@ -193,8 +193,25 @@ impl ColumnBatch {
         if rows.iter().any(|r| r.arity() != arity) {
             return None;
         }
-        let cols = (0..arity).map(|j| Arc::new(build_col(rows, j))).collect();
-        Some(ColumnBatch { cols, len: rows.len() })
+        let n = rows.len();
+        let cols = (0..arity).map(|j| Arc::new(build_col(n, |i| rows[i].value(j)))).collect();
+        Some(ColumnBatch { cols, len: n })
+    }
+
+    /// Pivots matched join pairs `(build row, probe row)` into the batch
+    /// [`Self::from_rows`] would build from the concatenated rows — the
+    /// same `Col` variants, validity and bits, column for column —
+    /// without materializing one. Returns `None` when either side is
+    /// ragged.
+    pub fn from_pairs(pairs: &[(&Row, &Row)]) -> Option<ColumnBatch> {
+        let (la, ra) = pairs.first().map_or((0, 0), |(l, r)| (l.arity(), r.arity()));
+        if pairs.iter().any(|(l, r)| l.arity() != la || r.arity() != ra) {
+            return None;
+        }
+        let n = pairs.len();
+        let left = (0..la).map(|j| Arc::new(build_col(n, |i| pairs[i].0.value(j))));
+        let right = (0..ra).map(|j| Arc::new(build_col(n, |i| pairs[i].1.value(j))));
+        Some(ColumnBatch { cols: left.chain(right).collect(), len: n })
     }
 
     /// Number of rows (lanes).
@@ -218,11 +235,12 @@ impl ColumnBatch {
     }
 }
 
-/// Builds column `j` from `rows`, sniffing the lane types first.
-fn build_col(rows: &[Row], j: usize) -> Col {
+/// Builds one `n`-lane column from its lane accessor, sniffing the lane
+/// types first.
+fn build_col<'a>(n: usize, lane: impl Fn(usize) -> &'a Value) -> Col {
     let (mut ints, mut doubles, mut bools, mut others) = (0usize, 0usize, 0usize, 0usize);
-    for r in rows {
-        match r.value(j) {
+    for i in 0..n {
+        match lane(i) {
             Value::Integer(_) => ints += 1,
             Value::Double(_) => doubles += 1,
             Value::Boolean(_) => bools += 1,
@@ -230,13 +248,12 @@ fn build_col(rows: &[Row], j: usize) -> Col {
             _ => others += 1,
         }
     }
-    let n = rows.len();
     if others == 0 && ints > 0 && doubles == 0 && bools == 0 {
         let mut data = vec![0i64; n];
         let mut valid = Bitmap::new_invalid(n);
-        for (i, r) in rows.iter().enumerate() {
-            if let Value::Integer(x) = r.value(j) {
-                data[i] = *x;
+        for (i, slot) in data.iter_mut().enumerate() {
+            if let Value::Integer(x) = lane(i) {
+                *slot = *x;
                 valid.set_valid(i);
             }
         }
@@ -244,9 +261,9 @@ fn build_col(rows: &[Row], j: usize) -> Col {
     } else if others == 0 && doubles > 0 && ints == 0 && bools == 0 {
         let mut data = vec![0.0f64; n];
         let mut valid = Bitmap::new_invalid(n);
-        for (i, r) in rows.iter().enumerate() {
-            if let Value::Double(x) = r.value(j) {
-                data[i] = *x;
+        for (i, slot) in data.iter_mut().enumerate() {
+            if let Value::Double(x) = lane(i) {
+                *slot = *x;
                 valid.set_valid(i);
             }
         }
@@ -254,9 +271,9 @@ fn build_col(rows: &[Row], j: usize) -> Col {
     } else if others == 0 && bools > 0 && ints == 0 && doubles == 0 {
         let mut data = vec![false; n];
         let mut valid = Bitmap::new_invalid(n);
-        for (i, r) in rows.iter().enumerate() {
-            if let Value::Boolean(x) = r.value(j) {
-                data[i] = *x;
+        for (i, slot) in data.iter_mut().enumerate() {
+            if let Value::Boolean(x) = lane(i) {
+                *slot = *x;
                 valid.set_valid(i);
             }
         }
@@ -265,7 +282,7 @@ fn build_col(rows: &[Row], j: usize) -> Col {
         // All NULL: typed-but-empty; reconstruction yields Value::Null.
         Col::F64 { data: vec![0.0; n], valid: Bitmap::new_invalid(n) }
     } else {
-        Col::Boxed(rows.iter().map(|r| r.value(j).clone()).collect())
+        Col::Boxed((0..n).map(|i| lane(i).clone()).collect())
     }
 }
 

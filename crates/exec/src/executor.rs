@@ -7,12 +7,14 @@
 //!   routed once into `routed[from][to]` buckets and assembled once, and
 //!   the transport mode only picks the carrier of a boundary-crossing
 //!   bucket (handed over, or encoded → mesh → decoded in `ship`);
-//! * a join table is probed in `probe_join_table`, which the morselized
-//!   probe, the grace join and the fused join→aggregate call with
-//!   different `emit` callbacks;
-//! * rows enter an aggregate on the compiled path through
-//!   `ChunkPipeline::aggregate`, fed by a materialized child or by the
-//!   fused join→aggregate producer.
+//! * a join table is probed in `probe_matches` (key evaluation + lookup):
+//!   the fused join→aggregate buffers the matches as pairs, and
+//!   `probe_join_table` concatenates them for the morselized probe and
+//!   the grace join, which must produce rows;
+//! * chunks enter an aggregate on the compiled path through
+//!   `ChunkPipeline::aggregate`, as rows from a materialized child or as
+//!   matched pairs from the fused join→aggregate producer — no `Row` is
+//!   built between the probe and the aggregate.
 //!
 //! The `ExprEngine::Interpret` arms of `Executor::run` and the test-only
 //! `Executor::with_fusion(false)` are the references the equivalence
@@ -45,7 +47,7 @@ use crate::agg::{state_arity, Accumulator};
 use crate::batch::{Col, ColumnBatch};
 use crate::cluster::{flag_abort, panic_message, root_cause, CancelToken, Cluster};
 use crate::compile::{ExprEngine, Program};
-use crate::eval::{eval, eval_predicate_with, eval_with};
+use crate::eval::{eval_predicate_with, eval_with};
 use crate::kernels;
 use crate::stats::{
     BatchStats, ChannelStats, ExecStats, OperatorStats, ShuffleStats, SpillStats,
@@ -57,9 +59,10 @@ use crate::{ExecError, Result};
 /// spans several frames and real backpressure can occur.
 const ROWS_PER_FRAME: usize = 256;
 
-/// How often tight row loops (nested-loop join pairs, scan re-deals)
-/// re-check the cancel token: every this many iterations. Cheap enough to
-/// be noise, frequent enough that a KILL lands in milliseconds.
+/// How often tight row loops (nested-loop join pairs, probe rows, scan
+/// re-deals) re-check the cancel token: every this many iterations. Cheap
+/// enough to be noise, frequent enough that a KILL lands in milliseconds.
+/// The fused join→aggregate also polls at every chunk it cuts.
 const CANCEL_CHECK_PAIRS: usize = 8192;
 
 /// Rows per [`ColumnBatch`] chunk in the vectorized engine: large enough
@@ -68,10 +71,11 @@ const CANCEL_CHECK_PAIRS: usize = 8192;
 pub const DEFAULT_BATCH_ROWS: usize = 1024;
 
 /// Byte cap on a chunk the fused join→aggregate producer buffers: a chunk
-/// is cut at `batch_rows` rows or once its rows' [`Row::byte_size`] reaches
-/// this, whichever comes first. Column-at-a-time evaluation materializes
-/// one argument value per buffered row, so with tile-sized payloads a
-/// row-count cut alone would hold a thousand intermediate tiles at once.
+/// is cut at `batch_rows` pairs or once the [`Row::byte_size`] of its
+/// pairs' two sides reaches this, whichever comes first. Column-at-a-time
+/// evaluation materializes one argument value per buffered pair, so with
+/// tile-sized payloads a count cut alone would hold a thousand
+/// intermediate tiles at once.
 const CHUNK_BYTES: usize = 1 << 20;
 
 /// Partitioned rows: one `Vec<Row>` per worker.
@@ -199,6 +203,15 @@ impl<'a> Executor<'a> {
     /// Creates an executor (join→aggregate fusion enabled, pointer
     /// transport, compiled expression engine).
     pub fn new(catalog: &'a Catalog, cluster: Cluster) -> Self {
+        // This crate's unit tests take CI's `LARDB_BATCH_ROWS` stress
+        // setting the way `DatabaseConfig::default` does for the others.
+        #[cfg(test)]
+        let batch_rows = std::env::var("LARDB_BATCH_ROWS")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .map_or(DEFAULT_BATCH_ROWS, |n: usize| n.max(1));
+        #[cfg(not(test))]
+        let batch_rows = DEFAULT_BATCH_ROWS;
         Executor {
             catalog,
             cluster,
@@ -207,7 +220,7 @@ impl<'a> Executor<'a> {
             net: NetConfig::default(),
             mem: MemoryConfig::default(),
             engine: ExprEngine::default(),
-            batch_rows: DEFAULT_BATCH_ROWS,
+            batch_rows,
         }
     }
 
@@ -583,12 +596,22 @@ impl<'a> Executor<'a> {
     }
 
     /// Pipelined join→aggregate execution: the join is a producer for the
-    /// same chunk pipeline a scan-fed aggregate uses. Joined rows are
-    /// buffered into chunks — cut at `batch_rows` rows or [`CHUNK_BYTES`]
-    /// buffered bytes, whichever comes first — and each chunk goes through
-    /// the Filter/Project chain and the aggregate's programs into the hash
-    /// table, so join time and aggregation time can still be attributed
-    /// separately (Figure 4's breakdown).
+    /// same chunk pipeline a scan-fed aggregate uses, and no `Row` is built
+    /// between the probe and the aggregate. Both in-memory arms buffer
+    /// matched `(build row, probe row)` pairs — the build rows stay owned
+    /// by the join table, the probe rows by the partition — cut a chunk at
+    /// `batch_rows` pairs or [`CHUNK_BYTES`] buffered bytes, whichever
+    /// comes first, and hand it to the pipeline, which pivots the pairs
+    /// straight into columns and runs the join residual as the chunk's
+    /// first filter, then the Filter/Project chain and the aggregate's
+    /// programs into the hash table. Chunks are therefore cut *before* the
+    /// residual, and the cancel token is polled at every cut. Only the
+    /// grace arm (build reservation denied) still concatenates: its joined
+    /// rows enter the same pipeline as row chunks. Join time and
+    /// aggregation time stay separately attributed (Figure 4's
+    /// breakdown): the join's wall is the partition's wall minus the time
+    /// spent inside the pipeline, its `rows_out` the pairs that passed the
+    /// residual.
     #[allow(clippy::too_many_arguments)]
     fn run_fused_aggregate(
         &self,
@@ -608,9 +631,11 @@ impl<'a> Executor<'a> {
             spill: SpillStats,
         }
 
-        let (left, right) = match join {
-            PhysicalPlan::HashJoin { left, right, .. }
-            | PhysicalPlan::NestedLoopJoin { left, right, .. } => (left, right),
+        let (left, right, residual) = match join {
+            PhysicalPlan::HashJoin { left, right, residual, .. }
+            | PhysicalPlan::NestedLoopJoin { left, right, residual, .. } => {
+                (left, right, residual.as_ref())
+            }
             other => unreachable!("not a join: {}", other.label()),
         };
         let l = self.run(left, stats)?;
@@ -618,7 +643,7 @@ impl<'a> Executor<'a> {
         // No per-chunk kernel spans here: a join feeds chunks in proportion
         // to its joined rows (n·d² tuples for the Gram query), which would
         // fill the trace's event cap and the flight recorder's ring.
-        let pipe = ChunkPipeline::new(self.engine, None, chain, group_by, aggs);
+        let pipe = ChunkPipeline::new(self.engine, None, residual, chain, group_by, aggs);
         let mem = &self.mem;
         let cancel = self.cluster.cancel_token();
         let batch_rows = self.batch_rows;
@@ -627,48 +652,51 @@ impl<'a> Executor<'a> {
                 || ExecError::Cancelled("fused join-aggregate cancelled".into());
             let t_start = Instant::now();
             let mut agg = GroupedAgg::new(group_by, aggs, mode);
-            let mut buf: Vec<Row> = Vec::new();
-            let mut buf_bytes = 0usize;
             let mut joined_rows = 0usize;
             let mut agg_ns = 0u64;
             let mut agg_scratch: Vec<Value> = Vec::new();
             let mut spill = SpillStats::default();
-
-            let mut emit = |row: Row| -> Result<()> {
-                joined_rows += 1;
-                buf_bytes += row.byte_size();
-                buf.push(row);
-                if buf.len() >= batch_rows || buf_bytes >= CHUNK_BYTES {
-                    let t = Instant::now();
-                    pipe.aggregate(&buf, &mut agg, &mut agg_scratch)?;
-                    add_elapsed(&mut agg_ns, t);
-                    buf.clear();
-                    buf_bytes = 0;
+            // One chunk into the pipeline; every cut polls the token, so a
+            // KILL waits out at most one chunk however skewed the keys.
+            let mut feed = |chunk: Chunk<'_>| -> Result<()> {
+                if cancel.is_cancelled() {
+                    return Err(fused_cancelled());
                 }
+                let t = Instant::now();
+                joined_rows += pipe.aggregate(chunk, &mut agg, &mut agg_scratch)?;
+                add_elapsed(&mut agg_ns, t);
                 Ok(())
             };
+            let full = |len: usize, bytes: usize| len >= batch_rows || bytes >= CHUNK_BYTES;
 
             let mut scratch: Vec<Value> = Vec::new();
+            let mut bytes = 0usize;
             match join {
-                PhysicalPlan::HashJoin { left_keys, right_keys, residual, .. } => {
+                PhysicalPlan::HashJoin { left_keys, right_keys, .. } => {
                     match mem.governor().try_reserve(rows_footprint(&lp)) {
                         Some(_res) => {
                             let table = build_join_table(lp, left_keys)?;
-                            for (i, r) in rp.into_iter().enumerate() {
+                            let mut pairs: Vec<(&Row, &Row)> = Vec::new();
+                            for (i, r) in rp.iter().enumerate() {
+                                // Probe rows that match nothing cut no chunk.
                                 if (i + 1).is_multiple_of(CANCEL_CHECK_PAIRS)
                                     && cancel.is_cancelled()
                                 {
                                     return Err(fused_cancelled());
                                 }
-                                probe_join_table(
-                                    &table,
-                                    &r,
-                                    right_keys,
-                                    residual.as_ref(),
-                                    &mut scratch,
-                                    &mut emit,
-                                )?;
+                                let matches = probe_matches(&table, r, right_keys, &mut scratch)?;
+                                let r_bytes = if matches.is_empty() { 0 } else { r.byte_size() };
+                                for (l, l_bytes) in matches {
+                                    pairs.push((l, r));
+                                    bytes += l_bytes + r_bytes;
+                                    if full(pairs.len(), bytes) {
+                                        feed(Chunk::Pairs(&pairs))?;
+                                        pairs.clear();
+                                        bytes = 0;
+                                    }
+                                }
                             }
+                            feed(Chunk::Pairs(&pairs))?;
                         }
                         None => {
                             // Out-of-core fused join: grace-join the
@@ -680,51 +708,48 @@ impl<'a> Executor<'a> {
                                 lp, left_keys, mem, 0, &mut spill,
                             )?;
                             let (joined, sp) = grace_join_partition(
-                                buckets,
-                                rp,
-                                left_keys,
-                                right_keys,
-                                residual.as_ref(),
-                                mem,
+                                buckets, rp, left_keys, right_keys, residual, mem,
                             )?;
                             spill.merge(sp);
-                            for row in joined {
-                                emit(row)?;
+                            let mut start = 0;
+                            for (i, row) in joined.iter().enumerate() {
+                                bytes += row.byte_size();
+                                if full(i + 1 - start, bytes) {
+                                    feed(Chunk::Rows(&joined[start..=i]))?;
+                                    start = i + 1;
+                                    bytes = 0;
+                                }
                             }
+                            feed(Chunk::Rows(&joined[start..]))?;
                         }
                     }
                 }
-                PhysicalPlan::NestedLoopJoin { residual, .. } => {
+                PhysicalPlan::NestedLoopJoin { .. } => {
                     // Same discipline as the unfused nested-loop join: a
                     // KILL must not wait out a cross join, so re-check the
-                    // token per outer row and every CANCEL_CHECK_PAIRS
-                    // pairs within one outer row's inner scan.
-                    let mut pairs = 0usize;
+                    // token per outer row (an empty inner side cuts no
+                    // chunk) on top of the poll at every cut.
+                    let r_bytes: Vec<usize> = rp.iter().map(Row::byte_size).collect();
+                    let mut pairs: Vec<(&Row, &Row)> = Vec::new();
                     for l in &lp {
                         if cancel.is_cancelled() {
                             return Err(fused_cancelled());
                         }
-                        for r in &rp {
-                            pairs += 1;
-                            if pairs.is_multiple_of(CANCEL_CHECK_PAIRS) && cancel.is_cancelled() {
-                                return Err(fused_cancelled());
+                        let l_bytes = l.byte_size();
+                        for (r, r_bytes) in rp.iter().zip(&r_bytes) {
+                            pairs.push((l, r));
+                            bytes += l_bytes + r_bytes;
+                            if full(pairs.len(), bytes) {
+                                feed(Chunk::Pairs(&pairs))?;
+                                pairs.clear();
+                                bytes = 0;
                             }
-                            let joined = l.concat(r);
-                            if let Some(res) = residual {
-                                if !eval_predicate_with(res, &joined, &mut scratch)? {
-                                    continue;
-                                }
-                            }
-                            emit(joined)?;
                         }
                     }
+                    feed(Chunk::Pairs(&pairs))?;
                 }
                 other => unreachable!("not a join: {}", other.label()),
             }
-            // The tail chunk (possibly empty).
-            let t = Instant::now();
-            pipe.aggregate(&buf, &mut agg, &mut agg_scratch)?;
-            add_elapsed(&mut agg_ns, t);
             let total_ns = t_start.elapsed().as_nanos() as u64;
             Ok(PartOut {
                 rows: agg.finish(),
@@ -788,7 +813,7 @@ impl<'a> Executor<'a> {
         let child = self.run(base, stats)?;
         let t0 = Instant::now();
         let pipe =
-            ChunkPipeline::new(self.engine, self.cluster.trace().cloned(), &chain, &[], &[]);
+            ChunkPipeline::new(self.engine, self.cluster.trace().cloned(), None, &chain, &[], &[]);
         let batch_rows = self.batch_rows;
         let morsels = self.cluster.morsel_map(child, |_, rows| {
             let mut out = Vec::with_capacity(rows.len());
@@ -825,6 +850,7 @@ impl<'a> Executor<'a> {
         let pipe = ChunkPipeline::new(
             self.engine,
             self.cluster.trace().cloned(),
+            None,
             chain,
             group_by,
             aggs,
@@ -840,7 +866,7 @@ impl<'a> Executor<'a> {
                         "vectorized aggregate cancelled".into(),
                     ));
                 }
-                pipe.aggregate(chunk, &mut agg, &mut scratch)?;
+                pipe.aggregate(Chunk::Rows(chunk), &mut agg, &mut scratch)?;
             }
             // One table per partition: the merge degenerates to finish().
             Ok(vec![agg])
@@ -1600,21 +1626,62 @@ impl BatchMeter {
 }
 
 /// Columns, selection vector, whether a projection replaced the input
-/// columns, and the chunk's lane count.
+/// columns, and how many of the chunk's lanes entered the chain (all of
+/// them, or the join residual's survivors).
 type VecChunkState = (Vec<Arc<Col>>, Option<Vec<u32>>, bool, usize);
+
+/// A chunk entering the pipeline: materialized rows, or a fused join's
+/// matched `(build row, probe row)` pairs, which stand for their
+/// concatenation without having been concatenated.
+#[derive(Clone, Copy)]
+enum Chunk<'a> {
+    Rows(&'a [Row]),
+    Pairs(&'a [(&'a Row, &'a Row)]),
+}
+
+impl<'a> Chunk<'a> {
+    fn len(&self) -> usize {
+        match self {
+            Chunk::Rows(rows) => rows.len(),
+            Chunk::Pairs(pairs) => pairs.len(),
+        }
+    }
+
+    fn pivot(&self) -> Option<ColumnBatch> {
+        match self {
+            Chunk::Rows(rows) => ColumnBatch::from_rows(rows),
+            Chunk::Pairs(pairs) => ColumnBatch::from_pairs(pairs),
+        }
+    }
+
+    /// The chunk as rows for the interpreter: pairs are concatenated, in
+    /// pair order.
+    fn rows(&self) -> std::borrow::Cow<'a, [Row]> {
+        match self {
+            Chunk::Rows(rows) => (*rows).into(),
+            Chunk::Pairs(pairs) => pairs.iter().map(|(l, r)| l.concat(r)).collect(),
+        }
+    }
+}
 
 /// The `k`-th live lane of a chunk under an optional selection vector.
 fn lane(sel: Option<&[u32]>, k: usize) -> usize {
     sel.map_or(k, |s| s[k] as usize)
 }
 
-/// The one place `&[Row]` chunks are evaluated: a compiled Filter/Project
-/// chain and, when it feeds an aggregate, the compiled group-key and
-/// argument programs, with the meters every chunk reports into. Shared
-/// by all workers of one operator; chunks come from a scan-fed morsel or
-/// from the fused join→aggregate producer alike.
+/// The one place chunks are evaluated: a compiled Filter/Project chain
+/// and, when it feeds an aggregate, the compiled group-key and argument
+/// programs, with the meters every chunk reports into. Shared by all
+/// workers of one operator. Two pivots, one pipeline: a [`Chunk`] of rows
+/// (a scan-fed morsel, the grace join's output) or of matched pairs (the
+/// fused join→aggregate's in-memory arms) becomes the same column batch
+/// and runs the same stage loop, aggregate-update loop and interpreter
+/// replay.
 struct ChunkPipeline<'p> {
     engine: ExprEngine,
+    /// The fused join's residual: the first filter of every pair chunk.
+    /// Row chunks have already passed it.
+    residual: Option<(&'p Expr, Program<'p>)>,
     stages: Vec<VecStage<'p>>,
     /// Empty for a bare chain.
     key_progs: Vec<Program<'p>>,
@@ -1632,6 +1699,7 @@ impl<'p> ChunkPipeline<'p> {
     fn new(
         engine: ExprEngine,
         trace: Option<Arc<lardb_obs::ActiveTrace>>,
+        residual: Option<&'p Expr>,
         chain: &[&'p PhysicalPlan],
         group_by: &'p [Expr],
         aggs: &'p [AggExpr],
@@ -1641,6 +1709,7 @@ impl<'p> ChunkPipeline<'p> {
             aggs.iter().map(|a| a.arg.as_ref().map(Program::compile)).collect();
         ChunkPipeline {
             engine,
+            residual: residual.map(|e| (e, Program::compile(e))),
             stages: chain.iter().map(|n| VecStage::new(n)).collect(),
             agg_kernels: key_progs.iter().map(Program::kernels).sum::<u64>()
                 + arg_progs.iter().flatten().map(Program::kernels).sum::<u64>(),
@@ -1653,19 +1722,33 @@ impl<'p> ChunkPipeline<'p> {
         }
     }
 
-    /// Runs every chain stage over one pivoted chunk. Any `Err` means
-    /// "replay this chunk through the row interpreter" — never a final
-    /// query error. An empty selection short-circuits the remaining
-    /// stages (the interpreter would not evaluate them on zero rows
-    /// either).
-    fn run_stages(&self, chunk: &[Row], scratch: &mut Vec<Value>) -> Result<VecChunkState> {
+    /// The residual a chunk must still pass: the join's, for pairs.
+    fn residual_of(&self, chunk: Chunk<'_>) -> Option<&(&'p Expr, Program<'p>)> {
+        self.residual.as_ref().filter(|_| matches!(chunk, Chunk::Pairs(_)))
+    }
+
+    /// Pivots one chunk and runs the residual, then every chain stage,
+    /// over it. Any `Err` means "replay this chunk through the row
+    /// interpreter" — never a final query error. An empty selection
+    /// short-circuits the remaining stages (the interpreter would not
+    /// evaluate them on zero rows either).
+    fn run_stages(&self, chunk: Chunk<'_>, scratch: &mut Vec<Value>) -> Result<VecChunkState> {
         let n = chunk.len();
-        let batch = ColumnBatch::from_rows(chunk)
+        let batch = chunk
+            .pivot()
             .ok_or_else(|| ExecError::Runtime("ragged rows cannot be pivoted".into()))?;
         let mut cols: Vec<Arc<Col>> = batch.cols().to_vec();
         let mut sel: Option<Vec<u32>> = None;
         let mut projected = false;
+        if let Some((_, prog)) = self.residual_of(chunk) {
+            let pred = prog.eval(&cols, n, None, scratch)?;
+            sel = Some(kernels::selection(&pred, None, n)?);
+        }
+        let joined = sel.as_ref().map_or(n, Vec::len);
         for stage in &self.stages {
+            if sel.as_ref().is_some_and(Vec::is_empty) {
+                break;
+            }
             let _span = self
                 .trace
                 .as_ref()
@@ -1685,23 +1768,20 @@ impl<'p> ChunkPipeline<'p> {
                     projected = true;
                 }
             }
-            let live = sel.as_ref().map_or(n, Vec::len);
-            stage.meter.add(t, stage.kernels, live as u64);
-            if live == 0 {
-                break;
-            }
+            stage.meter.add(t, stage.kernels, sel.as_ref().map_or(n, Vec::len) as u64);
         }
-        Ok((cols, sel, projected, n))
+        Ok((cols, sel, projected, joined))
     }
 
     /// One chunk through the chain, survivors appended to `out`.
     /// Pass-through lanes reuse the input rows (`Arc` clones); only
     /// projected chunks rebuild rows.
     fn rows(&self, chunk: &[Row], scratch: &mut Vec<Value>, out: &mut Vec<Row>) -> Result<()> {
-        self.hist.observe(chunk.len() as u64);
-        match self.run_stages(chunk, scratch) {
-            Ok((cols, sel, projected, n)) => {
-                self.counters.ok_chunk(chunk.len());
+        let n = chunk.len();
+        self.hist.observe(n as u64);
+        match self.run_stages(Chunk::Rows(chunk), scratch) {
+            Ok((cols, sel, projected, _)) => {
+                self.counters.ok_chunk(n);
                 let sel = sel.as_deref();
                 let live = (0..sel.map_or(n, <[u32]>::len)).map(|k| lane(sel, k));
                 if projected {
@@ -1717,34 +1797,36 @@ impl<'p> ChunkPipeline<'p> {
             // interpreter and take *its* result (or error).
             Err(_) => {
                 self.counters.fallback();
-                self.interpret(chunk, scratch, out)
+                self.interpret(chunk, None, scratch, out).map(|_| ())
             }
         }
     }
 
-    /// One chunk through the chain and the group-key / argument programs
-    /// into `agg`, lanes ascending — so accumulation order is the
-    /// interpreter's row order exactly. Under `ExprEngine::Interpret`, and
-    /// for any chunk a kernel declines, the chunk is replayed whole
-    /// through the interpreted chain into the same table, in the same
-    /// order.
+    /// One chunk through the residual, the chain and the group-key /
+    /// argument programs into `agg`, lanes ascending — so accumulation
+    /// order is the interpreter's row order exactly. Under
+    /// `ExprEngine::Interpret`, and for any chunk a kernel declines, the
+    /// chunk is materialized and replayed whole through the interpreter
+    /// into the same table, in the same order. Returns how many of the
+    /// chunk's rows entered the chain: what the join under it produced.
     fn aggregate(
         &self,
-        chunk: &[Row],
+        chunk: Chunk<'_>,
         agg: &mut GroupedAgg<'_>,
         scratch: &mut Vec<Value>,
-    ) -> Result<()> {
-        if chunk.is_empty() {
-            return Ok(());
+    ) -> Result<usize> {
+        let n = chunk.len();
+        if n == 0 {
+            return Ok(0);
         }
         if self.engine == ExprEngine::Compiled {
-            self.hist.observe(chunk.len() as u64);
+            self.hist.observe(n as u64);
             // Evaluate everything *before* touching the hash table, so a
             // declined chunk can still fall back cleanly.
-            let inputs = self.run_stages(chunk, scratch).and_then(|(cols, sel, _, n)| {
+            let inputs = self.run_stages(chunk, scratch).and_then(|(cols, sel, _, joined)| {
                 let s = sel.as_deref();
                 if s.is_some_and(<[u32]>::is_empty) {
-                    return Ok(None); // filtered to nothing
+                    return Ok((joined, None)); // filtered to nothing
                 }
                 let keys = self
                     .key_progs
@@ -1756,12 +1838,12 @@ impl<'p> ChunkPipeline<'p> {
                     .iter()
                     .map(|p| p.as_ref().map(|p| p.eval(&cols, n, s, scratch)).transpose())
                     .collect::<Result<Vec<_>>>()?;
-                Ok(Some((keys, args, sel, n)))
+                Ok((joined, Some((keys, args, sel))))
             });
             match inputs {
-                Ok(inputs) => {
-                    self.counters.ok_chunk(chunk.len());
-                    if let Some((key_cols, arg_cols, sel, n)) = inputs {
+                Ok((joined, inputs)) => {
+                    self.counters.ok_chunk(n);
+                    if let Some((key_cols, arg_cols, sel)) = inputs {
                         let t = Instant::now();
                         let sel = sel.as_deref();
                         let mut args: Vec<Value> = Vec::with_capacity(arg_cols.len());
@@ -1777,31 +1859,41 @@ impl<'p> ChunkPipeline<'p> {
                         }
                         self.agg_meter.add(t, self.agg_kernels, n as u64);
                     }
-                    return Ok(());
+                    return Ok(joined);
                 }
                 Err(_) => self.counters.fallback(),
             }
         }
         let mut kept = Vec::new();
-        self.interpret(chunk, scratch, &mut kept)?;
+        let residual = self.residual_of(chunk).map(|(pred, _)| *pred);
+        let joined = self.interpret(&chunk.rows(), residual, scratch, &mut kept)?;
         for row in &kept {
             agg.update_row(row, scratch)?;
         }
-        Ok(())
+        Ok(joined)
     }
 
-    /// Replays one chunk through the interpreted chain, row at a time,
-    /// appending survivors to `out`. This is the fallback the vectorized
-    /// path takes when a kernel declines a chunk: the interpreter's
-    /// verdict — values or error — is authoritative, which is what makes
-    /// the two engines agree by construction.
+    /// Replays one chunk through the interpreted residual and chain, row
+    /// at a time, appending survivors to `out`; returns how many rows
+    /// passed the residual. This is the fallback the vectorized path
+    /// takes when a kernel declines a chunk: the interpreter's verdict —
+    /// values or error — is authoritative, which is what makes the two
+    /// engines agree by construction.
     fn interpret(
         &self,
         chunk: &[Row],
+        residual: Option<&Expr>,
         scratch: &mut Vec<Value>,
         out: &mut Vec<Row>,
-    ) -> Result<()> {
+    ) -> Result<usize> {
+        let mut joined = 0;
         'row: for r in chunk {
+            if let Some(pred) = residual {
+                if !eval_predicate_with(pred, r, scratch)? {
+                    continue;
+                }
+            }
+            joined += 1;
             let mut row = r.clone();
             for stage in &self.stages {
                 match &stage.kind {
@@ -1822,7 +1914,7 @@ impl<'p> ChunkPipeline<'p> {
             }
             out.push(row);
         }
-        Ok(())
+        Ok(joined)
     }
 
     /// Records the pipeline's per-operator stats. Its measured wall time
@@ -1925,57 +2017,57 @@ fn flatten_morsels(morsels: Vec<Vec<Vec<Row>>>) -> Parts {
     morsels.into_iter().map(|ms| ms.into_iter().flatten().collect()).collect()
 }
 
+/// A partition's build side keyed for probing. Every build row carries its
+/// [`Row::byte_size`], computed once here, for the fused producer's
+/// byte-cut chunks.
+type JoinTable = HashMap<CompositeKey, Vec<(Row, usize)>>;
+
 /// Hash-join build phase: one partition's build side keyed for probing.
-fn build_join_table(
-    left: Vec<Row>,
-    left_keys: &[Expr],
-) -> Result<HashMap<CompositeKey, Vec<Row>>> {
-    let mut table: HashMap<CompositeKey, Vec<Row>> = HashMap::with_capacity(left.len());
+fn build_join_table(left: Vec<Row>, left_keys: &[Expr]) -> Result<JoinTable> {
+    let mut table = JoinTable::with_capacity(left.len());
     let mut scratch = Vec::new();
-    'left: for r in left {
-        let mut vals = Vec::with_capacity(left_keys.len());
-        for k in left_keys {
-            let v = eval_with(k, &r, &mut scratch)?;
-            if v.is_null() {
-                continue 'left; // NULL never joins
-            }
-            vals.push(v);
+    for r in left {
+        if let Some(key) = join_key(&r, left_keys, &mut scratch)? {
+            let bytes = r.byte_size();
+            table.entry(key).or_default().push((r, bytes));
         }
-        table.entry(CompositeKey::from_values(vals)).or_default().push(r);
     }
     Ok(table)
 }
 
-/// Hash-join probe of one probe-side row: every build row it matches that
-/// passes the residual is handed to `emit` as a joined row, in build
-/// order. The one probe loop — the morselized probe, the fused
-/// join→aggregate and the grace join differ only in what `emit` does.
+/// The build rows one probe-side row matches, in build order: its key
+/// evaluated and looked up. The one probe-key loop — the fused
+/// join→aggregate buffers the matches as pairs, [`probe_join_table`]
+/// concatenates them.
+fn probe_matches<'t>(
+    table: &'t JoinTable,
+    r: &Row,
+    right_keys: &[Expr],
+    scratch: &mut Vec<Value>,
+) -> Result<&'t [(Row, usize)]> {
+    let key = join_key(r, right_keys, scratch)?;
+    Ok(key.and_then(|k| table.get(&k)).map_or(&[], Vec::as_slice))
+}
+
+/// Hash-join probe for the consumers that must *produce* joined rows (the
+/// morselized probe and the grace join): every match of `r` that passes
+/// the residual is concatenated and handed to `emit`, in build order.
 fn probe_join_table(
-    table: &HashMap<CompositeKey, Vec<Row>>,
+    table: &JoinTable,
     r: &Row,
     right_keys: &[Expr],
     residual: Option<&Expr>,
     scratch: &mut Vec<Value>,
     mut emit: impl FnMut(Row) -> Result<()>,
 ) -> Result<()> {
-    let mut vals = Vec::with_capacity(right_keys.len());
-    for k in right_keys {
-        let v = eval_with(k, r, scratch)?;
-        if v.is_null() {
-            return Ok(()); // NULL never joins
-        }
-        vals.push(v);
-    }
-    if let Some(matches) = table.get(&CompositeKey::from_values(vals)) {
-        for l in matches {
-            let joined = l.concat(r);
-            if let Some(res) = residual {
-                if !eval_predicate_with(res, &joined, scratch)? {
-                    continue;
-                }
+    for (l, _) in probe_matches(table, r, right_keys, scratch)? {
+        let joined = l.concat(r);
+        if let Some(res) = residual {
+            if !eval_predicate_with(res, &joined, scratch)? {
+                continue;
             }
-            emit(joined)?;
         }
+        emit(joined)?;
     }
     Ok(())
 }
@@ -1984,7 +2076,7 @@ fn probe_join_table(
 /// reservation for the probe's duration) or spilled to hashed bucket files.
 enum BuildSide {
     InMem {
-        table: HashMap<CompositeKey, Vec<Row>>,
+        table: JoinTable,
         _res: MemoryReservation,
     },
     Spilled { buckets: Vec<SpillFile> },
@@ -1998,10 +2090,14 @@ fn rows_footprint(rows: &[Row]) -> u64 {
 
 /// The composite join key of `row`, or `None` when any key column is NULL
 /// (NULL never joins).
-fn join_key(row: &Row, keys: &[Expr]) -> Result<Option<CompositeKey>> {
+fn join_key(
+    row: &Row,
+    keys: &[Expr],
+    scratch: &mut Vec<Value>,
+) -> Result<Option<CompositeKey>> {
     let mut vals = Vec::with_capacity(keys.len());
     for k in keys {
-        let v = eval(k, row)?;
+        let v = eval_with(k, row, scratch)?;
         if v.is_null() {
             return Ok(None);
         }
@@ -2042,8 +2138,9 @@ fn spill_build_buckets(
     }
     spill.partitions += fanout;
     let mut bufs: Vec<Vec<Row>> = vec![Vec::new(); fanout];
+    let mut scratch = Vec::new();
     for r in rows {
-        let Some(key) = join_key(&r, keys)? else { continue };
+        let Some(key) = join_key(&r, keys, &mut scratch)? else { continue };
         let b = bucket_of(&key, level, fanout);
         bufs[b].push(r);
         if bufs[b].len() >= ROWS_PER_FRAME {
@@ -2079,8 +2176,9 @@ fn grace_join_partition(
     let mut spill = SpillStats::default();
     let fanout = buckets.len();
     let mut probe_buckets: Vec<Vec<(usize, Row)>> = vec![Vec::new(); fanout];
+    let mut scratch = Vec::new();
     for (i, r) in probe.into_iter().enumerate() {
-        if let Some(key) = join_key(&r, right_keys)? {
+        if let Some(key) = join_key(&r, right_keys, &mut scratch)? {
             probe_buckets[bucket_of(&key, 0, fanout)].push((i, r));
         }
     }
@@ -2116,6 +2214,7 @@ fn grace_bucket(
     let rows = file.read_rows()?;
     spill.bytes_read += file.bytes() as usize;
     drop(file); // delete before building: halves peak disk usage
+    let mut scratch = Vec::new();
     let footprint = rows_footprint(&rows);
     let _res = match mem.governor().try_reserve(footprint) {
         Some(res) => res,
@@ -2125,7 +2224,7 @@ fn grace_bucket(
             let fanout = sub.len();
             let mut sub_probes: Vec<Vec<(usize, Row)>> = vec![Vec::new(); fanout];
             for (i, r) in probes {
-                if let Some(key) = join_key(&r, right_keys)? {
+                if let Some(key) = join_key(&r, right_keys, &mut scratch)? {
                     sub_probes[bucket_of(&key, level, fanout)].push((i, r));
                 }
             }
@@ -2141,7 +2240,6 @@ fn grace_bucket(
         None => mem.governor().force_reserve(footprint),
     };
     let table = build_join_table(rows, left_keys)?;
-    let mut scratch = Vec::new();
     for (i, r) in &probes {
         probe_join_table(&table, r, right_keys, residual, &mut scratch, |joined| {
             out.push((*i, joined));
@@ -2562,6 +2660,24 @@ mod tests {
         let mut t = Table::new("nums", schema, 4, Partitioning::RoundRobin);
         for i in 0..20i64 {
             t.insert(Row::new(vec![Value::Integer(i), Value::Double(i as f64)])).unwrap();
+        }
+        catalog.create_table(t).unwrap();
+        // NULL-bearing keys and a VARCHAR (boxed) payload column.
+        let schema = Schema::from_pairs(&[
+            ("id", DataType::Integer),
+            ("k", DataType::Integer),
+            ("v", DataType::Double),
+            ("s", DataType::Varchar),
+        ]);
+        let mut t = Table::new("pts", schema, 4, Partitioning::RoundRobin);
+        for i in 0..24i64 {
+            t.insert(Row::new(vec![
+                Value::Integer(i),
+                if i % 5 == 0 { Value::Null } else { Value::Integer(i % 4) },
+                Value::Double(i as f64 * 0.5),
+                Value::Varchar(format!("s{}", i % 3).into()),
+            ]))
+            .unwrap();
         }
         catalog.create_table(t).unwrap();
         catalog
@@ -2995,54 +3111,348 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fused_matches_unfused_at_any_batch_rows() {
+    /// `table ⋈ table` with an optional equi key `col k = col k` and a
+    /// residual over the concatenated row.
+    fn join_of(c: &Catalog, table: &str, key: Option<usize>, residual: Option<Expr>) -> LogicalPlan {
+        LogicalPlan::Join {
+            left: Box::new(scan_plan(c, table)),
+            right: Box::new(scan_plan(c, table)),
+            kind: if key.is_some() { JoinKind::Inner } else { JoinKind::Cross },
+            equi: key.map(|k| (Expr::col(k), Expr::col(k))).into_iter().collect(),
+            residual,
+        }
+    }
+
+    /// `col - (col / k) * k`: an INTEGER column modulo `k`.
+    fn modulo(col: usize, k: i64) -> Expr {
         use lardb_storage::ops::ArithOp;
-        let c = setup();
-        let stats_src: std::collections::HashMap<String, usize> = Default::default();
-        // SUM(l.v * r.v), COUNT(*) GROUP BY l.id - (l.id / 3) * 3 over the
-        // join's rows with l.id >= 2.
-        let bucket = Expr::arith(
-            ArithOp::Sub,
-            Expr::col(0),
-            Expr::arith(
-                ArithOp::Mul,
-                Expr::arith(ArithOp::Div, Expr::col(0), Expr::lit(3i64)),
-                Expr::lit(3i64),
-            ),
-        );
-        let logical = LogicalPlan::aggregate(
-            LogicalPlan::Filter {
-                input: Box::new(self_join(&c)),
-                predicate: Expr::cmp(CmpOp::GtEq, Expr::col(0), Expr::lit(2i64)),
-            },
-            vec![(bucket, "b".into())],
+        let floor = Expr::arith(ArithOp::Div, Expr::col(col), Expr::lit(k));
+        Expr::arith(ArithOp::Sub, Expr::col(col), Expr::arith(ArithOp::Mul, floor, Expr::lit(k)))
+    }
+
+    /// `SUM(col x * col y), COUNT(*) GROUP BY col g modulo 3`.
+    fn bucketed_sum(input: LogicalPlan, g: usize, x: usize, y: usize) -> LogicalPlan {
+        use lardb_storage::ops::ArithOp;
+        LogicalPlan::aggregate(
+            input,
+            vec![(modulo(g, 3), "b".into())],
             vec![
                 AggExpr {
                     func: AggFunc::Sum,
-                    arg: Some(Expr::arith(ArithOp::Mul, Expr::col(1), Expr::col(3))),
+                    arg: Some(Expr::arith(ArithOp::Mul, Expr::col(x), Expr::col(y))),
                     name: "s".into(),
                 },
                 AggExpr { func: AggFunc::Count, arg: None, name: "n".into() },
             ],
         )
-        .unwrap();
-        let mut pp = PhysicalPlanner::new(&c, &stats_src);
-        let plan = pp.plan_gathered(&logical).unwrap();
-        let unfused = Executor::new(&c, Cluster::new(4))
-            .with_fusion(false)
-            .execute(&plan)
-            .unwrap();
-        assert_eq!(unfused.num_rows(), 3);
-        for batch_rows in [1, 7, 4096] {
-            let fused = Executor::new(&c, Cluster::new(4))
-                .with_batch_rows(batch_rows)
+        .unwrap()
+    }
+
+    fn physical(c: &Catalog, logical: &LogicalPlan) -> PhysicalPlan {
+        let stats_src: std::collections::HashMap<String, usize> = Default::default();
+        PhysicalPlanner::new(c, &stats_src).plan_gathered(logical).unwrap()
+    }
+
+    #[test]
+    fn fused_matches_unfused_at_any_batch_rows() {
+        use lardb_storage::ops::ArithOp;
+        let c = setup();
+        let ne = |a, b| Expr::cmp(CmpOp::NotEq, Expr::col(a), Expr::col(b));
+        let filtered = |input, col| LogicalPlan::Filter {
+            input: Box::new(input),
+            predicate: Expr::cmp(CmpOp::GtEq, Expr::col(col), Expr::lit(2i64)),
+        };
+        // (what, plan, groups, whether a kernel declines some chunk)
+        let cases = [
+            (
+                "hash join, no residual",
+                bucketed_sum(filtered(self_join(&c), 0), 0, 1, 3),
+                3,
+                false,
+            ),
+            (
+                "hash join + residual, NULL keys",
+                bucketed_sum(join_of(&c, "pts", Some(1), Some(ne(0, 4))), 0, 2, 6),
+                3,
+                false,
+            ),
+            (
+                "nested loop + residual",
+                bucketed_sum(filtered(join_of(&c, "nums", None, Some(ne(0, 2))), 0), 0, 1, 3),
+                3,
+                false,
+            ),
+            (
+                "residual NULL on some pairs",
+                bucketed_sum(
+                    join_of(&c, "pts", None, Some(Expr::cmp(CmpOp::Lt, Expr::col(1), Expr::col(5)))),
+                    0,
+                    2,
+                    6,
+                ),
+                3,
+                false,
+            ),
+            (
+                // Every pair of a probe row below 15: whole chunks have an
+                // empty selection and skip the Filter and the aggregate.
+                "residual rejecting whole chunks",
+                bucketed_sum(
+                    filtered(
+                        join_of(
+                            &c,
+                            "nums",
+                            None,
+                            Some(Expr::cmp(CmpOp::GtEq, Expr::col(2), Expr::lit(15i64))),
+                        ),
+                        0,
+                    ),
+                    0,
+                    1,
+                    3,
+                ),
+                3,
+                false,
+            ),
+            (
+                // `a.id = 0 OR 10 / a.id > b.k`: the eager kernel divides by
+                // zero on a.id = 0 and declines the chunk (boxed VARCHAR
+                // payloads and all); the interpreter short-circuits.
+                "declined residual over boxed payloads",
+                bucketed_sum(
+                    join_of(
+                        &c,
+                        "pts",
+                        None,
+                        Some(Expr::Or(
+                            Box::new(Expr::cmp(CmpOp::Eq, Expr::col(0), Expr::lit(0i64))),
+                            Box::new(Expr::cmp(
+                                CmpOp::Gt,
+                                Expr::arith(ArithOp::Div, Expr::lit(10i64), Expr::col(0)),
+                                Expr::col(5),
+                            )),
+                        )),
+                    ),
+                    0,
+                    2,
+                    6,
+                ),
+                3,
+                true,
+            ),
+        ];
+        for (what, logical, groups, declines) in &cases {
+            let plan = physical(&c, logical);
+            let unfused = Executor::new(&c, Cluster::new(4))
+                .with_fusion(false)
                 .execute(&plan)
                 .unwrap();
-            assert_eq!(fused.partitions, unfused.partitions, "batch_rows={batch_rows}");
-            assert!(fused.stats.total_batches() > 0);
-            assert_eq!(fused.stats.total_fallbacks(), 0);
+            assert_eq!(unfused.num_rows(), *groups, "{what}");
+            for batch_rows in [1, 7, 1024, 4096] {
+                let fused = Executor::new(&c, Cluster::new(4))
+                    .with_batch_rows(batch_rows)
+                    .execute(&plan)
+                    .unwrap();
+                assert_eq!(fused.partitions, unfused.partitions, "{what} batch_rows={batch_rows}");
+                // (At 1024 and up the declining case is one chunk per partition.)
+                assert!(fused.stats.total_batches() > 0 || *declines, "{what}");
+                assert_eq!(fused.stats.total_fallbacks() > 0, *declines, "{what}");
+                let interpreted = Executor::new(&c, Cluster::new(4))
+                    .with_batch_rows(batch_rows)
+                    .with_expr_engine(ExprEngine::Interpret)
+                    .execute(&plan)
+                    .unwrap();
+                assert_eq!(interpreted.partitions, unfused.partitions, "{what} interpreted");
+            }
         }
+    }
+
+    /// With the residual inside the pipeline, the fused join still reports
+    /// the pairs that passed it, the chain's first stage what *it* kept.
+    #[test]
+    fn fused_join_rows_out_counts_residual_survivors() {
+        let c = setup();
+        let ne = Expr::cmp(CmpOp::NotEq, Expr::col(0), Expr::col(2));
+        // id % 4 as the hash key: 4 keys × 5 ids, so 80 pairs differ in id;
+        // the cross join has 20 × 19 of them.
+        let hash = LogicalPlan::Join {
+            left: Box::new(scan_plan(&c, "nums")),
+            right: Box::new(scan_plan(&c, "nums")),
+            kind: JoinKind::Inner,
+            equi: vec![(modulo(0, 4), modulo(0, 4))],
+            residual: Some(ne.clone()),
+        };
+        let cross = join_of(&c, "nums", None, Some(ne));
+        for (join, label, joined, kept) in
+            [(hash, "HashJoin", 80, 20), (cross, "NestedLoopJoin", 380, 95)]
+        {
+            let logical = LogicalPlan::aggregate(
+                LogicalPlan::Filter {
+                    input: Box::new(join),
+                    predicate: Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::lit(5i64)),
+                },
+                vec![],
+                vec![AggExpr { func: AggFunc::Count, arg: None, name: "n".into() }],
+            )
+            .unwrap();
+            let plan = physical(&c, &logical);
+            for w in [1, 4] {
+                let rows_out = |fuse: bool| {
+                    let out = Executor::new(&c, Cluster::new(w))
+                        .with_fusion(fuse)
+                        .with_batch_rows(7)
+                        .execute(&plan)
+                        .unwrap();
+                    assert_eq!(out.rows()[0].value(0), &Value::Integer(kept));
+                    let mut ops: Vec<(usize, usize)> =
+                        out.stats.operators().iter().map(|o| (o.id, o.rows_out)).collect();
+                    ops.sort();
+                    let of = |prefix: &str| {
+                        let op = out.stats.operators().iter().find(|o| o.label.starts_with(prefix));
+                        op.unwrap_or_else(|| panic!("no {prefix} record")).rows_out
+                    };
+                    (ops, of(label), of("Filter"))
+                };
+                let fused = rows_out(true);
+                assert_eq!(fused, rows_out(false), "{label} W={w}");
+                assert_eq!((fused.1, fused.2), (joined, kept as usize), "{label} W={w}");
+            }
+        }
+    }
+
+    /// A failing residual, and a failing aggregate under a join that has
+    /// one, report the interpreter's message whichever path ran them.
+    #[test]
+    fn fused_errors_match_unfused_with_a_residual() {
+        use lardb_storage::ops::ArithOp;
+        let c = setup();
+        let sq = |col, k: i64| {
+            let d = Expr::arith(ArithOp::Sub, Expr::col(col), Expr::lit(k));
+            Expr::arith(ArithOp::Mul, d.clone(), d)
+        };
+        // 1 / ((a.id - 3)² + (b.id - k)²) >= 0 divides by zero on one pair.
+        let one_bad_pair = |k| {
+            Expr::cmp(
+                CmpOp::GtEq,
+                Expr::arith(
+                    ArithOp::Div,
+                    Expr::lit(1i64),
+                    Expr::arith(ArithOp::Add, sq(0, 3), sq(2, k)),
+                ),
+                Expr::lit(0i64),
+            )
+        };
+        let count = |input| {
+            LogicalPlan::aggregate(
+                input,
+                vec![],
+                vec![AggExpr { func: AggFunc::Count, arg: None, name: "n".into() }],
+            )
+            .unwrap()
+        };
+        let overflowing_sum = LogicalPlan::aggregate(
+            join_of(&c, "nums", None, Some(Expr::cmp(CmpOp::NotEq, Expr::col(0), Expr::col(2)))),
+            vec![],
+            vec![AggExpr {
+                func: AggFunc::Sum,
+                arg: Some(Expr::arith(
+                    ArithOp::Add,
+                    Expr::col(0),
+                    Expr::lit(9_223_372_036_854_775_000i64),
+                )),
+                name: "s".into(),
+            }],
+        )
+        .unwrap();
+        for (logical, fragment) in [
+            (count(join_of(&c, "nums", None, Some(one_bad_pair(5)))), "division by zero"),
+            (count(join_of(&c, "nums", Some(1), Some(one_bad_pair(3)))), "division by zero"),
+            (overflowing_sum, "integer overflow in +"),
+        ] {
+            let plan = physical(&c, &logical);
+            for w in [1, 4] {
+                let message = |fuse: bool, engine: ExprEngine| {
+                    Executor::new(&c, Cluster::new(w))
+                        .with_fusion(fuse)
+                        .with_expr_engine(engine)
+                        .with_batch_rows(7)
+                        .execute(&plan)
+                        .expect_err("must fail")
+                        .to_string()
+                };
+                let want = message(false, ExprEngine::Interpret);
+                assert!(want.contains(fragment), "{want}");
+                assert_eq!(message(true, ExprEngine::Compiled), want, "W={w}");
+                assert_eq!(message(true, ExprEngine::Interpret), want, "W={w}");
+                assert_eq!(message(false, ExprEngine::Compiled), want, "W={w}");
+            }
+        }
+    }
+
+    /// A payload column mixing INTEGER and DOUBLE lanes — boxed, so every
+    /// lane round-trips exactly — through the pair entry, the row entry
+    /// and the interpreter: same groups, same bits, also when a kernel
+    /// declines the chunk.
+    #[test]
+    fn mixed_typed_pair_chunks_replay_like_row_chunks() {
+        use lardb_storage::ops::ArithOp;
+        let side = |base: i64| -> Vec<Row> {
+            (0..6i64)
+                .map(|i| {
+                    let mixed =
+                        if i % 2 == 0 { Value::Integer(base + i) } else { Value::Double(-0.0) };
+                    Row::new(vec![Value::Integer(i % 3), mixed])
+                })
+                .collect()
+        };
+        let (lrows, rrows) = (side(0), side(10));
+        let pairs: Vec<(&Row, &Row)> =
+            lrows.iter().flat_map(|l| rrows.iter().map(move |r| (l, r))).collect();
+        let rows: Vec<Row> = pairs.iter().map(|(l, r)| l.concat(r)).collect();
+        // l.k = 0 OR 6 / l.k > r.k: eager division by zero on l.k = 0.
+        let residual = Expr::Or(
+            Box::new(Expr::cmp(CmpOp::Eq, Expr::col(0), Expr::lit(0i64))),
+            Box::new(Expr::cmp(
+                CmpOp::Gt,
+                Expr::arith(ArithOp::Div, Expr::lit(6i64), Expr::col(0)),
+                Expr::col(2),
+            )),
+        );
+        let group_by = [Expr::col(2)];
+        let aggs = [
+            AggExpr {
+                func: AggFunc::Min,
+                arg: Some(Expr::arith(ArithOp::Add, Expr::col(1), Expr::col(3))),
+                name: "m".into(),
+            },
+            AggExpr { func: AggFunc::Count, arg: None, name: "n".into() },
+        ];
+        let run = |engine: ExprEngine, as_pairs: bool| {
+            let pipe = ChunkPipeline::new(engine, None, Some(&residual), &[], &group_by, &aggs);
+            let mut agg = GroupedAgg::new(&group_by, &aggs, AggMode::Complete);
+            let mut scratch = Vec::new();
+            let mut joined = 0;
+            for (p, r) in pairs.chunks(5).zip(rows.chunks(5)) {
+                // A row chunk has passed the residual already: keep its
+                // survivors only, as the grace arm would.
+                let kept: Vec<Row> = r
+                    .iter()
+                    .filter(|row| eval_predicate_with(&residual, row, &mut Vec::new()).unwrap())
+                    .cloned()
+                    .collect();
+                let chunk = if as_pairs { Chunk::Pairs(p) } else { Chunk::Rows(&kept) };
+                joined += pipe.aggregate(chunk, &mut agg, &mut scratch).unwrap();
+            }
+            let fallbacks = pipe.counters.fallbacks.load(AtomicOrdering::Relaxed);
+            (agg.finish(), joined, fallbacks)
+        };
+        let (want, joined, _) = run(ExprEngine::Interpret, true);
+        assert_eq!(want.len(), 3);
+        let (got, got_joined, fallbacks) = run(ExprEngine::Compiled, true);
+        assert_eq!((got, got_joined), (want.clone(), joined));
+        assert!(fallbacks > 0, "the residual kernel must decline the l.k = 0 chunks");
+        let (got, got_joined, fallbacks) = run(ExprEngine::Compiled, false);
+        assert_eq!((got, got_joined, fallbacks), (want, joined, 0));
     }
 
     #[test]
