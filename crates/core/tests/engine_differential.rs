@@ -414,3 +414,56 @@ fn vectorized_counters_surface_in_stats_and_metrics() {
         assert_eq!(ri.stats.total_kernels(), 0, "{q}");
     }
 }
+
+/// A NaN group key is one group: the table compares key doubles by
+/// canonical bits (every NaN one key, `-0.0` folded into `0.0`), while
+/// `=` predicates and join keys keep `NaN <> NaN`. The exchange in front
+/// of the final aggregate routes every NaN to one worker for the same
+/// reason.
+#[test]
+fn nan_group_key_is_one_group() {
+    for workers in [1usize, 4] {
+        let dbs = [ExprEngine::Compiled, ExprEngine::Interpret].map(|engine| {
+            let db = seed_db(config(workers, engine));
+            let doubles = Schema::from_pairs(&[("v", DataType::Double)]);
+            db.create_table("z", doubles.clone(), Partitioning::RoundRobin).unwrap();
+            let z = [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0];
+            db.insert_rows("z", z.map(|v| Row::new(vec![Value::Double(v)]))).unwrap();
+            db.create_table(
+                "p",
+                Schema::from_pairs(&[("payload", DataType::Integer), ("v", DataType::Double)]),
+                Partitioning::Hash(0),
+            )
+            .unwrap();
+            db.insert_rows(
+                "p",
+                (0..6000i64)
+                    .map(|i| Row::new(vec![Value::Integer(i % 3000), Value::Double(i as f64)])),
+            )
+            .unwrap();
+            // Stored NaNs of different sign and payload, and both zeros.
+            db.create_table("n", doubles, Partitioning::RoundRobin).unwrap();
+            let n = [0x7FF8_0000_0000_0000u64, 0xFFF8_0000_0000_0000, 0x7FF8_0000_0000_00AB];
+            let n = n.map(f64::from_bits).into_iter().chain([0.0, -0.0, f64::NAN, 2.5]);
+            db.insert_rows("n", n.map(|v| Row::new(vec![Value::Double(v)]))).unwrap();
+            db
+        });
+        for (q, groups) in [
+            ("SELECT v / v AS k, COUNT(*) AS c FROM z GROUP BY v / v", 2),
+            (
+                "SELECT payload, (v - v) / (v - v) AS k, COUNT(*) AS c FROM p
+                 GROUP BY payload, (v - v) / (v - v)",
+                3000,
+            ),
+            ("SELECT v, COUNT(*) AS c FROM n GROUP BY v", 3),
+        ] {
+            let got = dbs[0].query(q).unwrap();
+            let want = dbs[1].query(q).unwrap();
+            assert_eq!(got.rows.len(), groups, "W={workers} query={q}");
+            assert_eq!(canon_rows(&got), canon_rows(&want), "W={workers} query={q}");
+        }
+        // NaN still equals nothing outside the group table.
+        let joined = dbs[0].query("SELECT COUNT(*) AS c FROM n AS a, n AS b WHERE a.v = b.v");
+        assert_eq!(joined.unwrap().rows[0].value(0), &Value::Integer(5));
+    }
+}

@@ -243,3 +243,51 @@ fn spill_metrics_surface_in_show_metrics() {
     }
     assert_spill_dir_empty(&spill_dir("metrics"));
 }
+
+/// A NaN group key under the spilling merge: its first-seen order map and
+/// its bucket routing use the group table's hash and key equality, so the
+/// NaN half of every key neither straddles buckets nor misses its order
+/// entry, and 6 000 rows over 3 000 payloads come back as 3 000 groups —
+/// the rows, order and float bits of the unbounded run.
+#[test]
+fn nan_group_keys_spill_like_they_merge_in_memory() {
+    let query = "SELECT payload, (v - v) / (v - v) AS k, COUNT(*) AS c, SUM(v) AS s
+                 FROM wide GROUP BY payload, (v - v) / (v - v)";
+    let make = |mem: Option<u64>, tag: &str, workers: usize| {
+        let db = Database::with_config(config(workers, TransportMode::Pointer, mem, tag));
+        db.create_table(
+            "wide",
+            Schema::from_pairs(&[("v", DataType::Double), ("payload", DataType::Varchar)]),
+            Partitioning::RoundRobin,
+        )
+        .unwrap();
+        let rows = (0..6000i64).map(|i| {
+            let payload = Value::varchar(format!("payload-{:0>256}", i % 3000));
+            Row::new(vec![Value::Double(i as f64 * 0.125), payload])
+        });
+        db.insert_rows("wide", rows).unwrap();
+        db
+    };
+    // NaN != NaN under `Value`'s `==`: compare doubles by their bits.
+    let bit_rows = |r: &QueryResult| -> Vec<Vec<String>> {
+        let bits = |v: &Value| match v {
+            Value::Double(d) => format!("D:{:016x}", d.to_bits()),
+            other => format!("{other:?}"),
+        };
+        r.rows.iter().map(|row| row.values().iter().map(bits).collect()).collect()
+    };
+    for workers in [1usize, 4] {
+        let tag = format!("nan-w{workers}");
+        let budgeted = make(Some(1), &tag, workers);
+        let unbounded = make(None, &format!("{tag}-unbounded"), workers);
+        let got = budgeted.query(query).unwrap();
+        let want = unbounded.query(query).unwrap();
+        assert_eq!(got.rows.len(), 3000, "W={workers}");
+        assert!(got.rows.iter().all(|r| r.value(1).as_double().is_some_and(f64::is_nan)));
+        assert_eq!(bit_rows(&got), bit_rows(&want), "W={workers}");
+        if workers == 1 {
+            assert!(got.stats.total_spill_bytes() > 0, "the aggregate did not spill");
+        }
+        assert_spill_dir_empty(&spill_dir(&tag));
+    }
+}

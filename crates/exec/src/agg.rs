@@ -7,14 +7,29 @@
 //! those states. This is the combiner structure the paper's Hadoop
 //! substrate relies on; without it, the distributed `SUM` of Gram-matrix
 //! outer products would serialize on one worker.
+//!
+//! The grouped-aggregation table lives here too: `GroupedAgg` keeps one
+//! row of accumulators per group behind a `KeyTable` — group keys stored
+//! once, as `Value`s in first-seen order, indexed by an open-addressed
+//! array of group numbers. Rows (`update_row`), evaluated column chunks
+//! (`update_columns`), other tables (`merge`) and spilled state rows
+//! (`merge_state_row`) all find their group through the same key hash and
+//! the same key equality (`KeyLane`), which compare a typed lane against
+//! the stored key without boxing it. Group keys treat `-0.0` as `0.0` and
+//! every NaN as one key; nothing else in the engine does.
 
 use lardb_la::dispatch::{self, Kernel};
 use lardb_la::{CooBuilder, LabeledScalar, Matrix, RowMatrixBuilder, Vector, VectorizeBuilder};
-use lardb_planner::AggFunc;
+use lardb_planner::physical::AggMode;
+use lardb_planner::{AggExpr, AggFunc, Expr};
 use lardb_storage::ops::{self, ArithOp};
-use lardb_storage::Value;
+use lardb_storage::{Row, Value};
+use std::collections::hash_map::DefaultHasher;
+use std::hash::Hasher;
 use std::sync::Arc;
 
+use crate::batch::Col;
+use crate::eval::eval_with;
 use crate::{ExecError, Result};
 
 /// Number of state values a partial aggregate emits (fixed per function).
@@ -106,6 +121,34 @@ impl Accumulator {
                 let (r, c, x) = unpack_entry(v)?;
                 b.push(r, c, x)?;
             }
+        }
+        Ok(())
+    }
+
+    /// [`Self::update`] for one non-NULL `DOUBLE` lane. The states whose
+    /// running value is already a `Double` fold it in place — the same
+    /// `+` and comparisons `update` reaches through `ops::arith` and
+    /// `ops::compare` — and every other state takes `update` itself.
+    pub fn update_f64(&mut self, x: f64) -> Result<()> {
+        match self {
+            Accumulator::Count(n) => *n += 1,
+            Accumulator::Sum(Some(Value::Double(acc))) => *acc += x,
+            Accumulator::Avg(Some(Value::Double(acc)), n) => {
+                *acc += x;
+                *n += 1;
+            }
+            // A NaN on either side keeps the running value, as `compare` does.
+            Accumulator::Min(Some(Value::Double(acc))) => {
+                if *acc > x {
+                    *acc = x;
+                }
+            }
+            Accumulator::Max(Some(Value::Double(acc))) => {
+                if *acc < x {
+                    *acc = x;
+                }
+            }
+            _ => return self.update(&Value::Double(x)),
         }
         Ok(())
     }
@@ -418,6 +461,394 @@ fn bad_state(agg: &str) -> ExecError {
     ExecError::Runtime(format!("{agg}: malformed partial aggregate state"))
 }
 
+/// Bit patterns no canonical double has (every NaN folds to `f64::NAN`'s),
+/// so a NULL or a boolean key never hashes like a number.
+const NULL_BITS: u64 = 0x7FF8_0000_0000_0001;
+const BOOL_BITS: u64 = 0x7FF8_0000_0000_0002;
+const HASH_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The bits a `DOUBLE` key is hashed and compared by: `-0.0` folds into
+/// `0.0` and every NaN into one, so each is a single group.
+#[inline]
+fn canonical_bits(x: f64) -> u64 {
+    if x == 0.0 {
+        0
+    } else if x.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        x.to_bits()
+    }
+}
+
+/// Folds one key lane's bits into a running key hash (the splitmix64
+/// finalizer: every input bit reaches the low bits the slot index uses).
+#[inline]
+fn fold_hash(h: u64, bits: u64) -> u64 {
+    let mut x = h ^ bits;
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// One lane of a group-key column, unboxed: what the table hashes and
+/// compares against the key `Value`s it stores. Scalars never travel as
+/// `Other`, so a key hashes and compares the same whether it arrives as a
+/// typed lane or as a `Value`.
+#[derive(Clone, Copy)]
+enum KeyLane<'a> {
+    Null,
+    I64(i64),
+    F64(f64),
+    Bool(bool),
+    Other(&'a Value),
+}
+
+impl<'a> KeyLane<'a> {
+    #[inline]
+    fn of_value(v: &'a Value) -> Self {
+        match v {
+            Value::Null => KeyLane::Null,
+            Value::Integer(i) => KeyLane::I64(*i),
+            Value::Double(d) => KeyLane::F64(*d),
+            Value::Boolean(b) => KeyLane::Bool(*b),
+            other => KeyLane::Other(other),
+        }
+    }
+
+    #[inline]
+    fn of_col(col: &'a Col, i: usize) -> Self {
+        match col {
+            Col::I64 { data, valid } if valid.get(i) => KeyLane::I64(data[i]),
+            Col::F64 { data, valid } if valid.get(i) => KeyLane::F64(data[i]),
+            Col::Bool { data, valid } if valid.get(i) => KeyLane::Bool(data[i]),
+            Col::Boxed(v) => KeyLane::of_value(&v[i]),
+            _ => KeyLane::Null,
+        }
+    }
+
+    /// The key hash's input for this lane. An integer hashes as the double
+    /// it equals, so `1` and `1.0` meet in one group.
+    #[inline]
+    fn bits(self) -> u64 {
+        match self {
+            KeyLane::Null => NULL_BITS,
+            KeyLane::I64(i) => canonical_bits(i as f64),
+            KeyLane::F64(d) => canonical_bits(d),
+            KeyLane::Bool(b) => BOOL_BITS + b as u64,
+            KeyLane::Other(v) => {
+                let mut s = DefaultHasher::new();
+                ops::hash_key(v, &mut s);
+                s.finish()
+            }
+        }
+    }
+
+    /// Key equality against a stored key value: `Value`'s `==`, except
+    /// that doubles compare by [`canonical_bits`] — NaN is one key.
+    #[inline]
+    fn matches(self, stored: &Value) -> bool {
+        match (self, stored) {
+            (KeyLane::Null, Value::Null) => true,
+            (KeyLane::I64(a), Value::Integer(b)) => a == *b,
+            (KeyLane::I64(a), Value::Double(b)) => a as f64 == *b,
+            (KeyLane::F64(a), Value::Integer(b)) => a == *b as f64,
+            (KeyLane::F64(a), Value::Double(b)) => canonical_bits(a) == canonical_bits(*b),
+            (KeyLane::Bool(a), Value::Boolean(b)) => a == *b,
+            (KeyLane::Other(v), stored) => v == stored,
+            _ => false,
+        }
+    }
+}
+
+/// The group-key hash of a materialized key — the hash `update_columns`
+/// folds column-at-a-time over typed lanes.
+pub(crate) fn hash_values(kv: &[Value]) -> u64 {
+    kv.iter().fold(HASH_SEED, |h, v| fold_hash(h, KeyLane::of_value(v).bits()))
+}
+
+/// The spill bucket of a key hash: its high bits, so the keys of one
+/// bucket still spread over a table's low-bit slot index.
+pub(crate) fn spill_bucket(hash: u64, fanout: usize) -> usize {
+    ((hash >> 32) % fanout as u64) as usize
+}
+
+/// The slot entry of group number `group` (`group + 1`; 0 marks an empty
+/// slot), or a typed error once group numbers outgrow the `u32` slots.
+fn slot_entry(group: usize) -> Result<u32> {
+    u32::try_from(group + 1)
+        .map_err(|_| ExecError::Runtime("hash aggregate: more than 2^32 - 1 groups".into()))
+}
+
+/// Group keys in first-seen order behind an open-addressed index:
+/// power-of-two `u32` slots, linear probing, load < ½. Keys are stored once,
+/// as the `Value`s that are emitted; the index holds only group numbers,
+/// and the per-group hash makes growth and most mismatches key-free.
+pub(crate) struct KeyTable {
+    slots: Vec<u32>,
+    hashes: Vec<u64>,
+    keys: Vec<Vec<Value>>,
+}
+
+impl KeyTable {
+    pub(crate) fn new() -> Self {
+        KeyTable { slots: vec![0; 16], hashes: Vec::new(), keys: Vec::new() }
+    }
+
+    /// The group whose hash is `hash` and whose stored key satisfies `eq`,
+    /// or the empty slot that ends its probe sequence.
+    #[inline]
+    fn probe(
+        &self,
+        hash: u64,
+        eq: impl Fn(&[Value]) -> bool,
+    ) -> std::result::Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            match self.slots[slot] {
+                0 => return Err(slot),
+                entry => {
+                    let g = (entry - 1) as usize;
+                    if self.hashes[g] == hash && eq(&self.keys[g]) {
+                        return Ok(g);
+                    }
+                }
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Appends a group at the empty `slot` a failed [`Self::probe`] for
+    /// `hash` returned; its number is the count of groups before it.
+    fn insert(&mut self, mut slot: usize, hash: u64, key: Vec<Value>) -> Result<usize> {
+        let g = self.keys.len();
+        let entry = slot_entry(g)?;
+        if (g + 1) * 2 >= self.slots.len() {
+            // Re-seated in group order, so equal hashes keep probing in
+            // first-seen order; the stored hashes make this key-free.
+            self.slots = vec![0; self.slots.len() * 2];
+            let end_of = |t: &Self, h| t.probe(h, |_| false).unwrap_or_else(|empty| empty);
+            for old in 0..g {
+                let s = end_of(self, self.hashes[old]);
+                self.slots[s] = old as u32 + 1;
+            }
+            slot = end_of(self, hash);
+        }
+        self.slots[slot] = entry;
+        self.hashes.push(hash);
+        self.keys.push(key);
+        Ok(g)
+    }
+
+    /// The group of `kv` (whose [`hash_values`] is `hash`), if present.
+    pub(crate) fn get(&self, hash: u64, kv: &[Value]) -> Option<usize> {
+        self.probe(hash, |stored| values_match(stored, kv)).ok()
+    }
+
+    /// The group of `kv`, appended in first-seen order when new.
+    pub(crate) fn group_of(&mut self, hash: u64, kv: &[Value]) -> Result<usize> {
+        match self.probe(hash, |stored| values_match(stored, kv)) {
+            Ok(g) => Ok(g),
+            Err(slot) => self.insert(slot, hash, kv.to_vec()),
+        }
+    }
+}
+
+fn values_match(stored: &[Value], kv: &[Value]) -> bool {
+    stored.iter().zip(kv).all(|(s, v)| KeyLane::of_value(v).matches(s))
+}
+
+/// A grouped-aggregation hash table: one [`KeyTable`] and, per group, one
+/// accumulator per aggregate. Every aggregate mode and both expression
+/// engines fill the same table — rows through [`Self::update_row`],
+/// column chunks through [`Self::update_columns`], other tables through
+/// [`Self::merge`] — and groups come out in first-seen order.
+pub(crate) struct GroupedAgg<'a> {
+    group_by: &'a [Expr],
+    aggs: &'a [AggExpr],
+    mode: AggMode,
+    table: KeyTable,
+    accs: Vec<Vec<Accumulator>>,
+    /// Per live lane of the chunk in `update_columns`, its key hash.
+    lane_hashes: Vec<u64>,
+}
+
+impl<'a> GroupedAgg<'a> {
+    pub(crate) fn new(group_by: &'a [Expr], aggs: &'a [AggExpr], mode: AggMode) -> Self {
+        GroupedAgg {
+            group_by,
+            aggs,
+            mode,
+            table: KeyTable::new(),
+            accs: Vec::new(),
+            lane_hashes: Vec::new(),
+        }
+    }
+
+    /// The group of `kv`, with fresh accumulators when the table appended it.
+    fn group_index(&mut self, hash: u64, kv: &[Value]) -> Result<usize> {
+        let idx = self.table.group_of(hash, kv)?;
+        if idx == self.accs.len() {
+            self.accs.push(self.aggs.iter().map(|a| Accumulator::new(a.func)).collect());
+        }
+        Ok(idx)
+    }
+
+    pub(crate) fn update_row(&mut self, row: &Row, scratch: &mut Vec<Value>) -> Result<()> {
+        let mut kv = Vec::with_capacity(self.group_by.len());
+        for g in self.group_by {
+            kv.push(eval_with(g, row, scratch)?);
+        }
+        let idx = self.group_index(hash_values(&kv), &kv)?;
+        match self.mode {
+            AggMode::Partial | AggMode::Complete => {
+                for (a, acc) in self.aggs.iter().zip(self.accs[idx].iter_mut()) {
+                    match &a.arg {
+                        Some(e) => acc.update(&eval_with(e, row, scratch)?)?,
+                        None => acc.update(&Value::Integer(1))?, // COUNT(*)
+                    }
+                }
+                Ok(())
+            }
+            AggMode::Final => self.merge_states(idx, row),
+        }
+    }
+
+    /// Folds the state columns of a `[group cols][state cols per agg]` row
+    /// into group `idx`.
+    fn merge_states(&mut self, idx: usize, row: &Row) -> Result<()> {
+        let mut off = self.group_by.len();
+        for (a, acc) in self.aggs.iter().zip(self.accs[idx].iter_mut()) {
+            let n = state_arity(a.func);
+            let state = row.values().get(off..off + n).ok_or_else(|| {
+                ExecError::Runtime(format!(
+                    "partial row arity {} too short for state columns at {off}..{}",
+                    row.arity(),
+                    off + n
+                ))
+            })?;
+            acc.merge_state(state)?;
+            off += n;
+        }
+        if off != row.arity() {
+            return Err(ExecError::Runtime(format!(
+                "partial row arity {} does not match states ({off})",
+                row.arity()
+            )));
+        }
+        Ok(())
+    }
+
+    /// Folds one state row whose group key is its leading columns — what
+    /// [`Self::into_state_rows`] emits and the spilling merge reads back.
+    pub(crate) fn merge_state_row(&mut self, row: &Row) -> Result<()> {
+        let kv = row.values().get(..self.group_by.len()).ok_or_else(|| {
+            ExecError::Runtime("aggregate state row shorter than its group key".to_string())
+        })?;
+        let idx = self.group_index(hash_values(kv), kv)?;
+        self.merge_states(idx, row)
+    }
+
+    /// Folds the live lanes of one evaluated chunk, ascending — exactly
+    /// what [`Self::update_row`] does with the rows those lanes stand for
+    /// (Partial/Complete modes). Key hashes are folded column-at-a-time;
+    /// a lane is compared unboxed against the stored key and only a new
+    /// group materializes its key. `arg_cols[a]` is `None` for `COUNT(*)`.
+    pub(crate) fn update_columns(
+        &mut self,
+        key_cols: &[Arc<Col>],
+        arg_cols: &[Option<Arc<Col>>],
+        sel: Option<&[u32]>,
+        n: usize,
+    ) -> Result<()> {
+        let lane = |k: usize| sel.map_or(k, |s| s[k] as usize);
+        self.lane_hashes.clear();
+        self.lane_hashes.resize(sel.map_or(n, <[u32]>::len), HASH_SEED);
+        for col in key_cols {
+            for (k, h) in self.lane_hashes.iter_mut().enumerate() {
+                *h = fold_hash(*h, KeyLane::of_col(col, lane(k)).bits());
+            }
+        }
+        for (k, &hash) in self.lane_hashes.iter().enumerate() {
+            let i = lane(k);
+            let same_key = |stored: &[Value]| {
+                stored.iter().zip(key_cols).all(|(s, c)| KeyLane::of_col(c, i).matches(s))
+            };
+            let idx = match self.table.probe(hash, same_key) {
+                Ok(idx) => idx,
+                Err(slot) => {
+                    let key = key_cols.iter().map(|c| c.value_at(i)).collect();
+                    let idx = self.table.insert(slot, hash, key)?;
+                    self.accs.push(self.aggs.iter().map(|a| Accumulator::new(a.func)).collect());
+                    idx
+                }
+            };
+            for (acc, col) in self.accs[idx].iter_mut().zip(arg_cols) {
+                match col.as_deref() {
+                    None => acc.update(&Value::Integer(1))?, // COUNT(*)
+                    Some(Col::F64 { data, valid }) => {
+                        if valid.get(i) {
+                            acc.update_f64(data[i])?;
+                        }
+                    }
+                    Some(Col::Boxed(vals)) => acc.update(&vals[i])?,
+                    Some(col) => acc.update(&col.value_at(i))?,
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Folds another aggregation table (e.g. a later morsel's partial
+    /// result) into this one by merging accumulator states. `other`'s
+    /// groups arrive in its first-seen order, so folding partials in
+    /// ascending morsel order yields a deterministic group order.
+    pub(crate) fn merge(&mut self, other: GroupedAgg<'a>) -> Result<()> {
+        let KeyTable { hashes, keys, .. } = other.table;
+        for ((hash, kv), accs) in hashes.into_iter().zip(keys).zip(other.accs) {
+            let idx = self.group_index(hash, &kv)?;
+            for (mine, theirs) in self.accs[idx].iter_mut().zip(accs) {
+                mine.merge_state(&theirs.state())?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Approximate heap bytes of this table's state (group keys +
+    /// accumulator payloads + per-group bookkeeping), as charged against
+    /// the memory governor by the spilling merge.
+    pub(crate) fn state_bytes(&self) -> usize {
+        let keys: usize = self.table.keys.iter().flatten().map(Value::byte_size).sum();
+        let states: usize = self.accs.iter().flatten().map(Accumulator::state_bytes).sum();
+        keys + states + self.accs.len() * 64
+    }
+
+    /// Consumes the table into `[group cols][state cols]` rows in
+    /// first-seen order — the same layout `AggMode::Final` consumes, and
+    /// what the spilling merge writes to its bucket files.
+    pub(crate) fn into_state_rows(mut self) -> Vec<Row> {
+        self.mode = AggMode::Partial;
+        self.finish()
+    }
+
+    /// Emits groups in first-seen order.
+    pub(crate) fn finish(self) -> Vec<Row> {
+        let mode = self.mode;
+        let mut out = Vec::with_capacity(self.accs.len());
+        for (kv, group_accs) in self.table.keys.into_iter().zip(self.accs) {
+            let mut vals = kv;
+            for acc in group_accs {
+                match mode {
+                    AggMode::Partial => vals.extend(acc.state()),
+                    AggMode::Final | AggMode::Complete => vals.push(acc.finish()),
+                }
+            }
+            out.push(Row::new(vals));
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -675,5 +1106,288 @@ mod tests {
         let m = m.as_matrix().unwrap();
         // min(1, -5) = -5; min(-2, implicit 0) = -2
         assert_eq!(m.row(0), &[-5.0, -2.0]);
+    }
+    // ------------------------------------------------------- group table
+
+    use crate::batch::ColumnBatch;
+    use proptest::prelude::*;
+
+    /// Exact rendering: float bits, so `-0.0`, NaN payloads and `Integer`
+    /// vs `Double` are all told apart.
+    fn exact(rows: &[Row]) -> Vec<Vec<String>> {
+        let one = |v: &Value| match v {
+            Value::Double(d) => format!("D:{:016x}", d.to_bits()),
+            other => format!("{other:?}"),
+        };
+        rows.iter().map(|r| r.values().iter().map(one).collect()).collect()
+    }
+
+    /// splitmix64 (the vendored proptest has scalar strategies only).
+    struct Gen(u64);
+
+    impl Gen {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
+            fold_hash(self.0, 0) % n
+        }
+
+        fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+            from[self.below(from.len() as u64) as usize]
+        }
+    }
+
+    const BIG: i64 = 1 << 53;
+    const INTS: [i64; 7] = [0, 1, 2, -1, BIG, BIG + 1, BIG + 2];
+    const NAN_A: f64 = f64::NAN;
+
+    fn doubles() -> [f64; 9] {
+        let nan_b = f64::from_bits(0xFFF8_0000_0000_0BAD);
+        [0.0, -0.0, 1.0, 2.0, -1.0, NAN_A, nan_b, BIG as f64, (BIG + 2) as f64]
+    }
+
+    /// One key lane of a column whose chunk has the given kind: the same
+    /// logical column is `I64`, `F64`, `Bool`, all-NULL or `Boxed` (mixed
+    /// numerics, VARCHAR, VECTOR) from one chunk to the next.
+    fn key_lane(g: &mut Gen, kind: u64) -> Value {
+        if g.below(5) == 0 {
+            return Value::Null;
+        }
+        match kind {
+            0 => Value::Integer(g.pick(&INTS)),
+            1 => Value::Double(g.pick(&doubles())),
+            2 => Value::Boolean(g.below(2) == 0),
+            3 => Value::Null,
+            4 if g.below(2) == 0 => Value::Integer(g.pick(&INTS)),
+            4 => Value::Double(g.pick(&doubles())),
+            5 => Value::varchar(g.pick(&["a", "b", ""])),
+            _ => Value::vector(Vector::from_slice(&[g.pick(&[0.0, -0.0, 1.0]), 2.0])),
+        }
+    }
+
+    fn arg_lane(g: &mut Gen, kind: u64) -> Value {
+        let double = |g: &mut Gen| {
+            Value::Double(g.pick(&[0.0, -0.0, 0.1, 0.2, 0.3, 1e300, -1e300, f64::INFINITY, NAN_A]))
+        };
+        match (g.below(6), kind) {
+            (0, _) => Value::Null,
+            (_, 0) => double(g),
+            (_, 1) => Value::Integer(g.below(2000) as i64 - 1000),
+            (n, _) if n % 2 == 0 => double(g),
+            _ => Value::Integer(g.below(2000) as i64 - 1000),
+        }
+    }
+
+    /// Random chunks as `(rows, selection)`; every row is `keys ++ args`.
+    fn gen_chunks(g: &mut Gen, keys: usize, args: usize) -> Vec<(Vec<Row>, Option<Vec<u32>>)> {
+        (0..1 + g.below(4))
+            .map(|_| {
+                let n = g.below(65) as usize;
+                let key_kinds: Vec<u64> = (0..keys).map(|_| g.below(7)).collect();
+                let arg_kinds: Vec<u64> = (0..args).map(|_| g.below(3)).collect();
+                let rows = (0..n)
+                    .map(|_| {
+                        let k = key_kinds.iter().map(|&kind| key_lane(g, kind));
+                        let k: Vec<Value> = k.collect();
+                        let a = arg_kinds.iter().map(|&kind| arg_lane(g, kind));
+                        Row::new(k.into_iter().chain(a.collect::<Vec<_>>()).collect())
+                    })
+                    .collect();
+                let sel = (g.below(2) == 0)
+                    .then(|| (0..n as u32).filter(|_| g.below(3) != 0).collect());
+                (rows, sel)
+            })
+            .collect()
+    }
+
+    /// Feeds the chunks column-at-a-time (`columns`) or as the rows their
+    /// live lanes stand for.
+    fn fill(agg: &mut GroupedAgg<'_>, chunks: &[(Vec<Row>, Option<Vec<u32>>)], columns: bool) {
+        let (keys, aggs) = (agg.group_by.len(), agg.aggs);
+        // (A zero-row chunk pivots to no columns; the pipeline skips it.)
+        for (rows, sel) in chunks.iter().filter(|(rows, _)| !rows.is_empty()) {
+            if columns {
+                let batch = ColumnBatch::from_rows(rows).unwrap();
+                let cols = batch.cols();
+                let mut next_arg = keys;
+                let arg_cols: Vec<Option<Arc<Col>>> = aggs
+                    .iter()
+                    .map(|a| {
+                        a.arg.as_ref().map(|_| {
+                            next_arg += 1;
+                            cols[next_arg - 1].clone()
+                        })
+                    })
+                    .collect();
+                agg.update_columns(&cols[..keys], &arg_cols, sel.as_deref(), rows.len()).unwrap();
+            } else {
+                let live: Vec<usize> = match sel {
+                    Some(s) => s.iter().map(|&i| i as usize).collect(),
+                    None => (0..rows.len()).collect(),
+                };
+                for i in live {
+                    agg.update_row(&rows[i], &mut Vec::new()).unwrap();
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `update_columns` ≡ `update_row`: same groups in the same order,
+        /// same `Value` variants, same float bits — also after a merge.
+        #[test]
+        fn update_columns_matches_update_row(seed in 0u64..u64::MAX) {
+            let mut g = Gen(seed);
+            let keys = g.below(4) as usize;
+            let group_by: Vec<Expr> = (0..keys).map(Expr::col).collect();
+            let mut next_arg = keys;
+            let aggs: Vec<AggExpr> = (0..1 + g.below(3))
+                .map(|_| {
+                    let func = g.pick(&[
+                        AggFunc::Sum, AggFunc::Count, AggFunc::Count, AggFunc::Avg,
+                        AggFunc::Min, AggFunc::Max,
+                    ]);
+                    // COUNT(*) has no argument column.
+                    let arg = (func != AggFunc::Count || g.below(2) == 0).then(|| {
+                        next_arg += 1;
+                        Expr::col(next_arg - 1)
+                    });
+                    AggExpr { func, arg, name: "a".into() }
+                })
+                .collect();
+            let first = gen_chunks(&mut g, keys, next_arg - keys);
+            let second = gen_chunks(&mut g, keys, next_arg - keys);
+            for mode in [AggMode::Partial, AggMode::Complete] {
+                let table = |chunks, columns| {
+                    let mut agg = GroupedAgg::new(&group_by, &aggs, mode);
+                    fill(&mut agg, chunks, columns);
+                    agg
+                };
+                let (by_col, by_row) = (table(&first, true), table(&first, false));
+                prop_assert_eq!(by_col.state_bytes(), by_row.state_bytes());
+                prop_assert_eq!(exact(&by_col.finish()), exact(&by_row.finish()));
+                let (mut by_col, mut by_row) = (table(&first, true), table(&first, false));
+                by_col.merge(table(&second, true)).unwrap();
+                by_row.merge(table(&second, false)).unwrap();
+                prop_assert_eq!(exact(&by_col.finish()), exact(&by_row.finish()));
+            }
+        }
+    }
+
+    /// The hash folded over a typed lane is the hash of the `Value` that
+    /// lane materializes to, for every column variant.
+    #[test]
+    fn typed_lane_hash_equals_value_hash() {
+        let mut g = Gen(7);
+        let mut lanes = 0;
+        let mut agree = true;
+        while lanes < 10_000 {
+            let kind = g.below(7);
+            let rows: Vec<Row> = (0..50).map(|_| Row::new(vec![key_lane(&mut g, kind)])).collect();
+            let batch = ColumnBatch::from_rows(&rows).unwrap();
+            let col = &batch.cols()[0];
+            for (i, row) in rows.iter().enumerate() {
+                let typed = fold_hash(HASH_SEED, KeyLane::of_col(col, i).bits());
+                agree &= typed == hash_values(&[col.value_at(i)]);
+                agree &= typed == hash_values(row.values());
+            }
+            lanes += rows.len();
+        }
+        assert!(agree);
+    }
+
+    #[test]
+    fn key_equality_folds_zeros_and_nans_only() {
+        let mut t = KeyTable::new();
+        let mut group = |v: Value| t.group_of(hash_values(&[v.clone()]), &[v]).unwrap();
+        assert_eq!(group(Value::Double(-0.0)), 0);
+        assert_eq!(group(Value::Double(0.0)), 0);
+        assert_eq!(group(Value::Integer(0)), 0);
+        assert_eq!(group(Value::Double(f64::NAN)), 1);
+        assert_eq!(group(Value::Double(f64::from_bits(0xFFF8_0000_0000_0001))), 1);
+        assert_eq!(group(Value::Null), 2);
+        assert_eq!(group(Value::Boolean(false)), 3);
+        assert_eq!(group(Value::Integer(BIG + 1)), 4);
+        assert_eq!(group(Value::Integer(BIG)), 5); // exact among integers
+        assert_eq!(group(Value::Double(BIG as f64)), 4); // first-seen `Value ==` match
+        assert_eq!(t.keys[0], vec![Value::Double(-0.0)], "the first-seen value is kept");
+    }
+
+    #[test]
+    fn index_numbers_groups_densely_through_growth() {
+        let mut t = KeyTable::new();
+        for i in 0..100_000i64 {
+            let kv = [Value::Integer(i * 7919)];
+            assert_eq!(t.group_of(hash_values(&kv), &kv).unwrap(), i as usize);
+        }
+        assert_eq!(t.keys.len(), 100_000);
+        assert!(t.slots.len().is_power_of_two() && t.slots.len() > 2 * t.keys.len());
+        for i in (0..100_000i64).step_by(997) {
+            let kv = [Value::Integer(i * 7919)];
+            assert_eq!(t.get(hash_values(&kv), &kv), Some(i as usize));
+            assert_eq!(t.group_of(hash_values(&kv), &kv).unwrap(), i as usize);
+        }
+        assert_eq!(t.get(hash_values(&[Value::Integer(1)]), &[Value::Integer(1)]), None);
+    }
+
+    #[test]
+    fn keys_sharing_one_hash_stay_distinct() {
+        let mut t = KeyTable::new();
+        for i in 0..300i64 {
+            assert_eq!(t.group_of(42, &[Value::Integer(i)]).unwrap(), i as usize);
+        }
+        for i in 0..300i64 {
+            assert_eq!(t.get(42, &[Value::Integer(i)]), Some(i as usize));
+        }
+        assert_eq!(t.get(42, &[Value::Integer(300)]), None);
+    }
+
+    #[test]
+    fn group_numbers_outgrowing_the_slots_are_a_typed_error() {
+        assert_eq!(slot_entry(0).unwrap(), 1);
+        assert_eq!(slot_entry(u32::MAX as usize - 1).unwrap(), u32::MAX);
+        let err = slot_entry(u32::MAX as usize).unwrap_err();
+        assert!(matches!(err, ExecError::Runtime(m) if m.contains("groups")));
+    }
+
+    /// Slots looked at to find each group of `keys`: (worst, mean).
+    fn probe_lengths(keys: impl Iterator<Item = Vec<Value>>) -> (usize, f64) {
+        let mut t = KeyTable::new();
+        for kv in keys {
+            t.group_of(hash_values(&kv), &kv).unwrap();
+        }
+        let mask = t.slots.len() - 1;
+        let lengths = t.hashes.iter().enumerate().map(|(g, &h)| {
+            let home = h as usize & mask;
+            (0..).find(|d| t.slots[(home + d) & mask] == g as u32 + 1).unwrap() + 1
+        });
+        let lengths: Vec<usize> = lengths.collect();
+        let mean = lengths.iter().sum::<usize>() as f64 / lengths.len() as f64;
+        (lengths.into_iter().max().unwrap(), mean)
+    }
+
+    /// Patterned keys must not cluster: a multiply-only hash leaves the low
+    /// bits of small integers stored as `f64` bits all zero.
+    #[test]
+    fn patterned_keys_probe_short() {
+        let ints = |step: i64| (0..4096i64).map(move |i| vec![Value::Integer(i * step)]);
+        let patterns: Vec<(&str, Box<dyn Iterator<Item = Vec<Value>>>)> = vec![
+            ("0..4096 as I64", Box::new(ints(1))),
+            ("0..4096 as F64", Box::new((0..4096).map(|i| vec![Value::Double(i as f64)]))),
+            ("multiples of 1024", Box::new(ints(1024))),
+            (
+                "64 x 64 grid",
+                Box::new((0..4096i64).map(|i| vec![Value::Integer(i / 64), Value::Integer(i % 64)])),
+            ),
+            (
+                "exponent-only doubles",
+                Box::new((1..=1024u64).map(|e| vec![Value::Double(f64::from_bits(e << 52))])),
+            ),
+        ];
+        for (what, keys) in patterns {
+            let (worst, mean) = probe_lengths(keys);
+            assert!(worst <= 8 && mean <= 2.0, "{what}: worst {worst}, mean {mean:.3}");
+        }
     }
 }

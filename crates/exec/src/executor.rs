@@ -14,7 +14,10 @@
 //! * chunks enter an aggregate on the compiled path through
 //!   `ChunkPipeline::aggregate`, as rows from a materialized child or as
 //!   matched pairs from the fused join→aggregate producer — no `Row` is
-//!   built between the probe and the aggregate.
+//!   built between the probe and the aggregate, and the group table
+//!   (`crate::agg::GroupedAgg`, which moved out of this file with its
+//!   index and key hash) is handed the evaluated key and argument
+//!   *columns*, not per-lane values.
 //!
 //! The `ExprEngine::Interpret` arms of `Executor::run` and the test-only
 //! `Executor::with_fusion(false)` are the references the equivalence
@@ -43,7 +46,7 @@ use lardb_storage::ops::CompositeKey;
 use lardb_storage::table::hash_partition;
 use lardb_storage::{Catalog, Partitioning, Row, Schema, Value};
 
-use crate::agg::{state_arity, Accumulator};
+use crate::agg::{hash_values, spill_bucket, Accumulator, GroupedAgg, KeyTable};
 use crate::batch::{Col, ColumnBatch};
 use crate::cluster::{flag_abort, panic_message, root_cause, CancelToken, Cluster};
 use crate::compile::{ExprEngine, Program};
@@ -893,7 +896,7 @@ impl<'a> Executor<'a> {
         for pp in partials {
             if self.mem.bounded() && !group_by.is_empty() {
                 let (rows, sp) =
-                    merge_partials_spilling(pp, group_by.len(), aggs, mode, &self.mem)?;
+                    merge_partials_spilling(pp, group_by, aggs, mode, &self.mem)?;
                 spill.merge(sp);
                 out.push(rows);
             } else {
@@ -1626,9 +1629,12 @@ impl BatchMeter {
 }
 
 /// Columns, selection vector, whether a projection replaced the input
-/// columns, and how many of the chunk's lanes entered the chain (all of
-/// them, or the join residual's survivors).
-type VecChunkState = (Vec<Arc<Col>>, Option<Vec<u32>>, bool, usize);
+/// columns, how many of the chunk's lanes entered the chain (all of
+/// them, or the join residual's survivors), and the rows surviving each
+/// stage that ran — which the caller commits to the stage meters with
+/// [`ChunkPipeline::commit_rows`] once nothing can decline the chunk any
+/// more (a replayed chunk is counted by the replay).
+type VecChunkState = (Vec<Arc<Col>>, Option<Vec<u32>>, bool, usize, Vec<u64>);
 
 /// A chunk entering the pipeline: materialized rows, or a fused join's
 /// matched `(build row, probe row)` pairs, which stand for their
@@ -1745,6 +1751,7 @@ impl<'p> ChunkPipeline<'p> {
             sel = Some(kernels::selection(&pred, None, n)?);
         }
         let joined = sel.as_ref().map_or(n, Vec::len);
+        let mut stage_rows = Vec::with_capacity(self.stages.len());
         for stage in &self.stages {
             if sel.as_ref().is_some_and(Vec::is_empty) {
                 break;
@@ -1768,9 +1775,18 @@ impl<'p> ChunkPipeline<'p> {
                     projected = true;
                 }
             }
-            stage.meter.add(t, stage.kernels, sel.as_ref().map_or(n, Vec::len) as u64);
+            // Time and kernels were spent whatever happens next; the rows
+            // wait for `commit_rows`.
+            stage.meter.add(t, stage.kernels, 0);
+            stage_rows.push(sel.as_ref().map_or(n, Vec::len) as u64);
         }
-        Ok((cols, sel, projected, joined))
+        Ok((cols, sel, projected, joined, stage_rows))
+    }
+
+    fn commit_rows(&self, stage_rows: &[u64]) {
+        for (stage, &rows) in self.stages.iter().zip(stage_rows) {
+            stage.meter.rows_out.fetch_add(rows, AtomicOrdering::Relaxed);
+        }
     }
 
     /// One chunk through the chain, survivors appended to `out`.
@@ -1780,8 +1796,9 @@ impl<'p> ChunkPipeline<'p> {
         let n = chunk.len();
         self.hist.observe(n as u64);
         match self.run_stages(Chunk::Rows(chunk), scratch) {
-            Ok((cols, sel, projected, _)) => {
+            Ok((cols, sel, projected, _, stage_rows)) => {
                 self.counters.ok_chunk(n);
+                self.commit_rows(&stage_rows);
                 let sel = sel.as_deref();
                 let live = (0..sel.map_or(n, <[u32]>::len)).map(|k| lane(sel, k));
                 if projected {
@@ -1823,10 +1840,10 @@ impl<'p> ChunkPipeline<'p> {
             self.hist.observe(n as u64);
             // Evaluate everything *before* touching the hash table, so a
             // declined chunk can still fall back cleanly.
-            let inputs = self.run_stages(chunk, scratch).and_then(|(cols, sel, _, joined)| {
+            let inputs = self.run_stages(chunk, scratch).and_then(|(cols, sel, _, joined, rows)| {
                 let s = sel.as_deref();
                 if s.is_some_and(<[u32]>::is_empty) {
-                    return Ok((joined, None)); // filtered to nothing
+                    return Ok((joined, rows, None)); // filtered to nothing
                 }
                 let keys = self
                     .key_progs
@@ -1838,25 +1855,15 @@ impl<'p> ChunkPipeline<'p> {
                     .iter()
                     .map(|p| p.as_ref().map(|p| p.eval(&cols, n, s, scratch)).transpose())
                     .collect::<Result<Vec<_>>>()?;
-                Ok((joined, Some((keys, args, sel))))
+                Ok((joined, rows, Some((keys, args, sel))))
             });
             match inputs {
-                Ok((joined, inputs)) => {
+                Ok((joined, stage_rows, inputs)) => {
                     self.counters.ok_chunk(n);
+                    self.commit_rows(&stage_rows);
                     if let Some((key_cols, arg_cols, sel)) = inputs {
                         let t = Instant::now();
-                        let sel = sel.as_deref();
-                        let mut args: Vec<Value> = Vec::with_capacity(arg_cols.len());
-                        for k in 0..sel.map_or(n, <[u32]>::len) {
-                            let i = lane(sel, k);
-                            let kv = key_cols.iter().map(|c| c.value_at(i)).collect();
-                            args.clear();
-                            args.extend(arg_cols.iter().map(|c| match c {
-                                Some(col) => col.value_at(i),
-                                None => Value::Integer(1), // COUNT(*)
-                            }));
-                            agg.update_precomputed(kv, &args)?;
-                        }
+                        agg.update_columns(&key_cols, &arg_cols, sel.as_deref(), n)?;
                         self.agg_meter.add(t, self.agg_kernels, n as u64);
                     }
                     return Ok(joined);
@@ -2249,165 +2256,6 @@ fn grace_bucket(
     Ok(())
 }
 
-/// A grouped-aggregation hash table, usable both batch-at-a-time and
-/// streamed (the fused join→aggregate path feeds it row by row).
-struct GroupedAgg<'a> {
-    group_by: &'a [Expr],
-    aggs: &'a [AggExpr],
-    mode: AggMode,
-    groups: HashMap<CompositeKey, usize>,
-    key_vals: Vec<Vec<Value>>,
-    accs: Vec<Vec<Accumulator>>,
-}
-
-impl<'a> GroupedAgg<'a> {
-    fn new(group_by: &'a [Expr], aggs: &'a [AggExpr], mode: AggMode) -> Self {
-        GroupedAgg {
-            group_by,
-            aggs,
-            mode,
-            groups: HashMap::new(),
-            key_vals: Vec::new(),
-            accs: Vec::new(),
-        }
-    }
-
-    /// Index of the group keyed by `kv`, creating it (in first-seen
-    /// order) when new.
-    fn group_index(&mut self, kv: Vec<Value>) -> usize {
-        let key = CompositeKey::from_values(kv.clone());
-        match self.groups.get(&key) {
-            Some(&i) => i,
-            None => {
-                let i = self.accs.len();
-                self.groups.insert(key, i);
-                self.key_vals.push(kv);
-                self.accs
-                    .push(self.aggs.iter().map(|a| Accumulator::new(a.func)).collect());
-                i
-            }
-        }
-    }
-
-    fn update_row(&mut self, row: &Row, scratch: &mut Vec<Value>) -> Result<()> {
-        let mut kv = Vec::with_capacity(self.group_by.len());
-        for g in self.group_by {
-            kv.push(eval_with(g, row, scratch)?);
-        }
-        let idx = self.group_index(kv);
-        match self.mode {
-            AggMode::Partial | AggMode::Complete => {
-                for (a, acc) in self.aggs.iter().zip(self.accs[idx].iter_mut()) {
-                    match &a.arg {
-                        Some(e) => acc.update(&eval_with(e, row, scratch)?)?,
-                        None => acc.update(&Value::Integer(1))?, // COUNT(*)
-                    }
-                }
-            }
-            AggMode::Final => {
-                // Row layout: [group cols][state cols per agg].
-                let mut off = self.group_by.len();
-                for (a, acc) in self.aggs.iter().zip(self.accs[idx].iter_mut()) {
-                    let n = state_arity(a.func);
-                    let state = row.values().get(off..off + n).ok_or_else(|| {
-                        ExecError::Runtime(format!(
-                            "partial row arity {} too short for state columns at {off}..{}",
-                            row.arity(),
-                            off + n
-                        ))
-                    })?;
-                    acc.merge_state(state)?;
-                    off += n;
-                }
-                if off != row.arity() {
-                    return Err(ExecError::Runtime(format!(
-                        "partial row arity {} does not match states ({off})",
-                        row.arity()
-                    )));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Streamed update with pre-evaluated group keys and aggregate
-    /// arguments (the vectorized path computes both column-at-a-time).
-    /// Must receive exactly the values [`Self::update_row`] would have
-    /// computed, in the same row order; Partial/Complete modes only.
-    fn update_precomputed(&mut self, kv: Vec<Value>, args: &[Value]) -> Result<()> {
-        let idx = self.group_index(kv);
-        for (acc, v) in self.accs[idx].iter_mut().zip(args) {
-            acc.update(v)?;
-        }
-        Ok(())
-    }
-
-    /// Folds another aggregation table (e.g. a later morsel's partial
-    /// result) into this one by merging accumulator states. `other`'s
-    /// groups arrive in its first-seen order, so folding partials in
-    /// ascending morsel order yields a deterministic group order.
-    fn merge(&mut self, other: GroupedAgg<'a>) -> Result<()> {
-        for (kv, accs) in other.key_vals.into_iter().zip(other.accs) {
-            let idx = self.group_index(kv);
-            for (mine, theirs) in self.accs[idx].iter_mut().zip(accs) {
-                mine.merge_state(&theirs.state())?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Approximate heap bytes of this table's state (group keys +
-    /// accumulator payloads + per-group bookkeeping), as charged against
-    /// the memory governor by the spilling merge.
-    fn state_bytes(&self) -> usize {
-        let keys: usize = self
-            .key_vals
-            .iter()
-            .map(|kv| kv.iter().map(Value::byte_size).sum::<usize>())
-            .sum();
-        let states: usize = self
-            .accs
-            .iter()
-            .map(|group| group.iter().map(Accumulator::state_bytes).sum::<usize>())
-            .sum();
-        keys + states + self.accs.len() * 64
-    }
-
-    /// Consumes the table into `[group cols][state cols]` rows in
-    /// first-seen order — the same layout `AggMode::Final` consumes, and
-    /// what the spilling merge writes to its bucket files.
-    fn into_state_rows(self) -> Vec<Row> {
-        self.key_vals
-            .into_iter()
-            .zip(self.accs)
-            .map(|(kv, accs)| {
-                let mut vals = kv;
-                for a in accs {
-                    vals.extend(a.state());
-                }
-                Row::new(vals)
-            })
-            .collect()
-    }
-
-    /// Emits groups in first-seen order.
-    fn finish(self) -> Vec<Row> {
-        let mode = self.mode;
-        let mut out = Vec::with_capacity(self.accs.len());
-        for (kv, group_accs) in self.key_vals.into_iter().zip(self.accs) {
-            let mut vals = kv;
-            for acc in group_accs {
-                match mode {
-                    AggMode::Partial => vals.extend(acc.state()),
-                    AggMode::Final | AggMode::Complete => vals.push(acc.finish()),
-                }
-            }
-            out.push(Row::new(vals));
-        }
-        out
-    }
-}
-
 /// Merges one partition's per-morsel aggregation tables (ascending
 /// morsel order) into that partition's output rows. A merge via
 /// accumulator *states* is mode-agnostic, so this works for Partial,
@@ -2437,7 +2285,7 @@ fn merge_partials(partials: Vec<GroupedAgg<'_>>) -> Result<Vec<Row>> {
 /// float accumulation included.
 fn merge_partials_spilling(
     partials: Vec<GroupedAgg<'_>>,
-    group_by_len: usize,
+    group_by: &[Expr],
     aggs: &[AggExpr],
     mode: AggMode,
     mem: &MemoryConfig,
@@ -2475,19 +2323,14 @@ fn merge_partials_spilling(
     }
     spill.partitions += fanout;
     let mut bufs: Vec<Vec<Row>> = vec![Vec::new(); fanout];
-    let mut order: HashMap<CompositeKey, usize> = HashMap::new();
+    let mut order = KeyTable::new();
     let rest: Vec<GroupedAgg> = overflow.into_iter().chain(parts).collect();
     for g in std::iter::once(acc).chain(rest) {
         for row in g.into_state_rows() {
-            let kv = row.values().get(..group_by_len).ok_or_else(|| {
-                ExecError::Runtime(
-                    "aggregate state row shorter than its group key".to_string(),
-                )
-            })?;
-            let key = CompositeKey::from_values(kv.to_vec());
-            let next = order.len();
-            order.entry(key.clone()).or_insert(next);
-            let b = bucket_of(&key, 0, fanout);
+            let kv = &row.values()[..group_by.len()];
+            let hash = hash_values(kv);
+            order.group_of(hash, kv)?;
+            let b = spill_bucket(hash, fanout);
             bufs[b].push(row);
             if bufs[b].len() >= ROWS_PER_FRAME {
                 writers[b].write_rows(&bufs[b])?;
@@ -2508,7 +2351,7 @@ fn merge_partials_spilling(
 
     // Drain: merge each bucket independently (a group never straddles
     // buckets), then restore first-seen output order.
-    let mut tagged: Vec<(usize, Row)> = Vec::with_capacity(order.len());
+    let mut tagged: Vec<(usize, Row)> = Vec::new();
     for f in files {
         if f.rows() == 0 {
             continue;
@@ -2520,77 +2363,23 @@ fn merge_partials_spilling(
         let _res = gov
             .try_reserve(footprint)
             .unwrap_or_else(|| gov.force_reserve(footprint));
-        drain_spilled_agg_bucket(rows, group_by_len, aggs, mode, &order, &mut tagged)?;
+        // Replay the bucket's state rows into a fresh table (file order =
+        // in-memory merge order per group) and tag each output row with
+        // its global first-seen index.
+        let mut bucket = GroupedAgg::new(group_by, aggs, mode);
+        for row in &rows {
+            bucket.merge_state_row(row)?;
+        }
+        for row in bucket.finish() {
+            let kv = &row.values()[..group_by.len()];
+            let ord = order.get(hash_values(kv), kv).ok_or_else(|| {
+                ExecError::Runtime("spilled group missing from first-seen order map".to_string())
+            })?;
+            tagged.push((ord, row));
+        }
     }
     tagged.sort_by_key(|&(i, _)| i);
     Ok((tagged.into_iter().map(|(_, r)| r).collect(), spill))
-}
-
-/// Replays one bucket's `[group cols][state cols]` rows into fresh
-/// accumulators (file order = in-memory merge order per group) and emits
-/// each group's output row tagged with its global first-seen index.
-fn drain_spilled_agg_bucket(
-    rows: Vec<Row>,
-    group_by_len: usize,
-    aggs: &[AggExpr],
-    out_mode: AggMode,
-    order: &HashMap<CompositeKey, usize>,
-    out: &mut Vec<(usize, Row)>,
-) -> Result<()> {
-    let mut groups: HashMap<CompositeKey, usize> = HashMap::new();
-    let mut key_vals: Vec<Vec<Value>> = Vec::new();
-    let mut accs: Vec<Vec<Accumulator>> = Vec::new();
-    for row in rows {
-        let vals = row.values();
-        let kv = vals.get(..group_by_len).ok_or_else(|| {
-            ExecError::Runtime("spilled aggregate row shorter than its group key".to_string())
-        })?;
-        let key = CompositeKey::from_values(kv.to_vec());
-        let idx = match groups.get(&key) {
-            Some(&i) => i,
-            None => {
-                let i = accs.len();
-                groups.insert(key, i);
-                key_vals.push(kv.to_vec());
-                accs.push(aggs.iter().map(|a| Accumulator::new(a.func)).collect());
-                i
-            }
-        };
-        let mut off = group_by_len;
-        for (a, acc) in aggs.iter().zip(accs[idx].iter_mut()) {
-            let n = state_arity(a.func);
-            let state = vals.get(off..off + n).ok_or_else(|| {
-                ExecError::Runtime(format!(
-                    "spilled state row arity {} too short for state columns at {off}..{}",
-                    row.arity(),
-                    off + n
-                ))
-            })?;
-            acc.merge_state(state)?;
-            off += n;
-        }
-        if off != row.arity() {
-            return Err(ExecError::Runtime(format!(
-                "spilled state row arity {} does not match states ({off})",
-                row.arity()
-            )));
-        }
-    }
-    for (kv, group_accs) in key_vals.into_iter().zip(accs) {
-        let key = CompositeKey::from_values(kv.clone());
-        let ord = *order.get(&key).ok_or_else(|| {
-            ExecError::Runtime("spilled group missing from first-seen order map".to_string())
-        })?;
-        let mut vals = kv;
-        for acc in group_accs {
-            match out_mode {
-                AggMode::Partial => vals.extend(acc.state()),
-                AggMode::Final | AggMode::Complete => vals.push(acc.finish()),
-            }
-        }
-        out.push((ord, Row::new(vals)));
-    }
-    Ok(())
 }
 
 /// Global aggregates produce exactly one row even over empty input
@@ -3316,6 +3105,61 @@ mod tests {
                 let fused = rows_out(true);
                 assert_eq!(fused, rows_out(false), "{label} W={w}");
                 assert_eq!((fused.1, fused.2), (joined, kept as usize), "{label} W={w}");
+            }
+        }
+    }
+
+    /// A chunk some *later* program declines is replayed whole, and the
+    /// replay counts its stage rows: the stages that had already run it
+    /// must not have counted them too.
+    #[test]
+    fn declined_chunks_count_stage_rows_once() {
+        use lardb_storage::ops::ArithOp;
+        let c = setup();
+        let kept = LogicalPlan::Filter {
+            input: Box::new(scan_plan(&c, "pts")),
+            predicate: Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::lit(20i64)),
+        };
+        // `id = 0 OR 10 / id > k`: the eager kernel divides by zero on the
+        // id = 0 lane and declines; the interpreter short-circuits.
+        let declining = Expr::Or(
+            Box::new(Expr::cmp(CmpOp::Eq, Expr::col(0), Expr::lit(0i64))),
+            Box::new(Expr::cmp(
+                CmpOp::Gt,
+                Expr::arith(ArithOp::Div, Expr::lit(10i64), Expr::col(0)),
+                Expr::col(1),
+            )),
+        );
+        let project =
+            LogicalPlan::project(kept.clone(), vec![(declining.clone(), "d".into())]).unwrap();
+        let count = LogicalPlan::aggregate(
+            kept,
+            vec![(Expr::col(3), "s".into())],
+            vec![AggExpr { func: AggFunc::Count, arg: Some(declining), name: "n".into() }],
+        )
+        .unwrap();
+        for (what, logical) in [("Filter → Project", project), ("Filter → aggregate", count)] {
+            let plan = physical(&c, &logical);
+            for w in [1, 4] {
+                for batch_rows in [1, 7, 4096] {
+                    let run = |engine: ExprEngine| {
+                        let out = Executor::new(&c, Cluster::new(w))
+                            .with_batch_rows(batch_rows)
+                            .with_expr_engine(engine)
+                            .execute(&plan)
+                            .unwrap();
+                        let filter =
+                            out.stats.operators().iter().find(|o| o.label.starts_with("Filter"));
+                        let kept = filter.expect("no Filter record").rows_out;
+                        (kept, out.stats.total_fallbacks(), out.partitions)
+                    };
+                    let (want, _, want_rows) = run(ExprEngine::Interpret);
+                    assert_eq!(want, 20, "{what}");
+                    let (got, fallbacks, rows) = run(ExprEngine::Compiled);
+                    assert!(fallbacks > 0, "{what}: the id = 0 chunk must decline");
+                    assert_eq!(got, want, "{what} W={w} batch_rows={batch_rows}");
+                    assert_eq!(rows, want_rows, "{what} W={w} batch_rows={batch_rows}");
+                }
             }
         }
     }

@@ -260,58 +260,73 @@ impl Eq for KeyValue {}
 
 impl Hash for KeyValue {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        match &self.0 {
-            Value::Null => state.write_u8(0),
-            Value::Integer(i) => {
-                state.write_u8(1);
-                canonical_f64_hash(*i as f64, state);
+        hash_key(&self.0, state)
+    }
+}
+
+/// [`KeyValue`]'s hash over a borrowed value, for callers that hash keys
+/// in place instead of wrapping an owned copy.
+pub fn hash_key<H: Hasher>(v: &Value, state: &mut H) {
+    match v {
+        Value::Null => state.write_u8(0),
+        Value::Integer(i) => {
+            state.write_u8(1);
+            canonical_f64_hash(*i as f64, state);
+        }
+        Value::Double(d) => {
+            state.write_u8(1);
+            canonical_f64_hash(*d, state);
+        }
+        Value::Boolean(b) => {
+            state.write_u8(2);
+            b.hash(state);
+        }
+        Value::Varchar(s) => {
+            state.write_u8(3);
+            s.hash(state);
+        }
+        Value::LabeledScalar(s) => {
+            state.write_u8(4);
+            canonical_f64_hash(s.value, state);
+            s.label.hash(state);
+        }
+        Value::Vector(v) => {
+            state.write_u8(5);
+            for &x in v.as_slice() {
+                canonical_f64_hash(x, state);
             }
-            Value::Double(d) => {
-                state.write_u8(1);
-                canonical_f64_hash(*d, state);
+        }
+        Value::Matrix(m) => {
+            state.write_u8(6);
+            state.write_usize(m.rows());
+            for &x in m.as_slice() {
+                canonical_f64_hash(x, state);
             }
-            Value::Boolean(b) => {
-                state.write_u8(2);
-                b.hash(state);
-            }
-            Value::Varchar(s) => {
-                state.write_u8(3);
-                s.hash(state);
-            }
-            Value::LabeledScalar(s) => {
-                state.write_u8(4);
-                canonical_f64_hash(s.value, state);
-                s.label.hash(state);
-            }
-            Value::Vector(v) => {
-                state.write_u8(5);
-                for &x in v.as_slice() {
-                    canonical_f64_hash(x, state);
-                }
-            }
-            Value::Matrix(m) => {
-                state.write_u8(6);
-                state.write_usize(m.rows());
-                for &x in m.as_slice() {
-                    canonical_f64_hash(x, state);
-                }
-            }
-            // Same tag and element stream as the dense arm: a sparse
-            // matrix equals its dense counterpart, so it must hash
-            // identically too.
-            Value::SparseMatrix(m) => {
-                state.write_u8(6);
-                state.write_usize(m.rows());
-                for &x in m.to_dense().as_slice() {
-                    canonical_f64_hash(x, state);
-                }
+        }
+        // Same tag and element stream as the dense arm: a sparse
+        // matrix equals its dense counterpart, so it must hash
+        // identically too.
+        Value::SparseMatrix(m) => {
+            state.write_u8(6);
+            state.write_usize(m.rows());
+            for &x in m.to_dense().as_slice() {
+                canonical_f64_hash(x, state);
             }
         }
     }
 }
 
 fn canonical_f64_hash<H: Hasher>(x: f64, state: &mut H) {
-    let x = if x == 0.0 { 0.0 } else { x }; // fold -0.0 into 0.0
+    // Fold -0.0 into 0.0, and every NaN into one: NaN equals nothing here,
+    // but a GROUP BY keeps it as one key, and hash routing must send all of
+    // that key's rows to one worker.
+    let x = if x == 0.0 {
+        0.0
+    } else if x.is_nan() {
+        f64::NAN
+    } else {
+        x
+    };
     state.write_u64(x.to_bits());
 }
 

@@ -1,12 +1,12 @@
 //! Horizontally partitioned tables.
 
-use crate::ops::KeyValue;
+use crate::ops::hash_key;
 use crate::row::Row;
 use crate::schema::Schema;
 use crate::value::Value;
 use crate::{Result, StorageError};
 use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 
 /// How a table's rows are placed across the simulated cluster's workers.
 ///
@@ -203,7 +203,7 @@ impl Table {
 /// Stable partition assignment by key hash.
 pub fn hash_partition(v: &Value, num_partitions: usize) -> usize {
     let mut h = DefaultHasher::new();
-    KeyValue(v.clone()).hash(&mut h);
+    hash_key(v, &mut h);
     (h.finish() % num_partitions as u64) as usize
 }
 
