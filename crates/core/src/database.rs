@@ -1,15 +1,32 @@
-//! The `Database` façade: the full query path in one object.
+//! The `Database` façade: the one door every statement enters through.
+//!
+//! The statement path, top to bottom:
+//!
+//! 1. the outermost caller — [`Database::execute`] when embedded, the
+//!    server session (before admission) when served — asks the flight
+//!    recorder *once* whether the statement is traced, then calls
+//! 2. [`Database::run`], which builds the statement's one record (text or
+//!    prepared tree, cancel token, trace, [`QueryProfile`]) for
+//! 3. `dispatch`: a warm bare SELECT takes its plan from the cache and goes
+//!    straight to 4; anything else is parsed and matched on. Every SELECT
+//!    body (SELECT, EXPLAIN, CREATE … AS) the cache has no plan for gets
+//!    one from `optimized_for` — bind → optimize → insert — and ends in
+//! 4. `run_plan`: physical planning, then `Executor::execute`.
+//! 5. Back in `run` the trace is finished and exported (`EXPLAIN TRACE`
+//!    replies with it), counters and slow-query log are fed, and the
+//!    profile — every stage timed once, by [`QueryProfile::time`] —
+//!    becomes [`Database::last_profile`].
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use lardb_exec::{
     CancelToken, Cluster, ExecStats, Executor, MemoryConfig, NetConfig, TransportMode,
 };
 use lardb_pool::WorkerPool;
-use lardb_obs::{CollectingSink, OperatorProfile, QueryProfile, SpanGuard, Stage};
+use lardb_obs::trace::{push_current, CurrentGuard};
+use lardb_obs::{ActiveTrace, OperatorProfile, QueryProfile, Stage};
 use lardb_planner::physical::PhysicalPlanner;
 use lardb_planner::{LogicalPlan, Optimizer, OptimizerConfig, PlanEstimate};
 use lardb_sql::ast::{SelectStatement, Statement, TableRef};
@@ -71,15 +88,9 @@ pub struct DatabaseConfig {
     /// Directory where each completed query trace is written as Chrome
     /// trace-event JSON (`trace-<id>.json`, loadable in Perfetto /
     /// `chrome://tracing`). `None` (the default) keeps traces only in the
-    /// in-memory flight recorder.
+    /// in-memory flight recorder. *Which* statements are traced is set on
+    /// the process-wide recorder (`lardb_obs::recorder()`), not here.
     pub trace_dir: Option<std::path::PathBuf>,
-    /// Trace 1 of every `n` queries. `None` leaves the process-wide
-    /// flight-recorder sampling untouched (default: every query);
-    /// `Some(0)` disables tracing entirely.
-    pub trace_sample: Option<u64>,
-    /// Completed-trace ring capacity. `None` leaves the process-wide
-    /// setting untouched (default 256).
-    pub trace_capacity: Option<usize>,
     /// Expression engine for scan→filter→project→aggregate pipelines:
     /// `Compiled` (the default) pivots morsels into column batches and
     /// evaluates register bytecode with fused vectorized kernels, falling
@@ -113,8 +124,6 @@ impl Default for DatabaseConfig {
             mem: None,
             spill_dir: None,
             trace_dir: None,
-            trace_sample: None,
-            trace_capacity: None,
             expr_engine: lardb_exec::ExprEngine::default(),
             batch_rows: std::env::var("LARDB_BATCH_ROWS")
                 .ok()
@@ -187,6 +196,66 @@ impl Response {
     }
 }
 
+/// What [`Database::run`] executes: SQL text, or a statement prepared once
+/// whose parse tree and plan-cache shape are reused.
+#[derive(Debug, Clone, Copy)]
+pub enum Source<'a> {
+    /// SQL text, parsed (and normalized for the plan cache) here.
+    Sql(&'a str),
+    /// A handle from [`Database::prepare`]; never re-parsed.
+    Prepared(&'a PreparedStatement),
+}
+
+/// Everything one statement carries through the path: what it arrived
+/// with and what the path learns about it on the way. Built by
+/// [`Database::run`] for a statement, and with nothing but a label for an
+/// engine-internal query (materialized-view maintenance).
+#[derive(Default)]
+pub(crate) struct StatementRun<'a> {
+    sql: &'a str,
+    prepared: Option<&'a PreparedStatement>,
+    /// Externally owned (KILL / disconnect wiring): polled, never re-armed.
+    cancel: Option<&'a CancelToken>,
+    trace: Option<Arc<ActiveTrace>>,
+    /// Keeps `trace` the thread's current trace while the statement runs.
+    current: Option<CurrentGuard>,
+    profile: QueryProfile,
+    /// When parsing the SQL text began: an `EXPLAIN TRACE` that arrived
+    /// untraced puts the parse it measured on the trace it forces.
+    parse_started: Option<Instant>,
+    /// `EXPLAIN TRACE`: the reply is the finished trace.
+    reply_with_trace: bool,
+}
+
+impl<'a> StatementRun<'a> {
+    pub(crate) fn new(
+        sql: &'a str,
+        prepared: Option<&'a PreparedStatement>,
+        cancel: Option<&'a CancelToken>,
+    ) -> Self {
+        let profile = QueryProfile::new(sql);
+        StatementRun { sql, prepared, cancel, profile, ..StatementRun::default() }
+    }
+
+    /// Makes `trace` the statement's trace and the thread's current one,
+    /// so stages, morsel workers and exchange channels attribute to it.
+    fn attach(&mut self, trace: Arc<ActiveTrace>) {
+        trace.set_running();
+        self.current = Some(push_current(Some(Arc::clone(&trace))));
+        self.trace = Some(trace);
+    }
+}
+
+/// A SELECT-shaped statement's plan-cache key parts, captured once and
+/// before any bind: the cache is asked under this version and a plan is
+/// inserted under it, so a plan is only ever cached under the catalog
+/// version it was bound at (a concurrent DDL drops the insert).
+pub(crate) struct Shape {
+    norm: NormalizedStatement,
+    fingerprint: u64,
+    version: u64,
+}
+
 /// A parallel relational database with the paper's linear-algebra
 /// extensions. Cloning shares the catalog (sessions over one store).
 ///
@@ -202,19 +271,15 @@ impl Response {
 pub struct Database {
     catalog: Arc<Catalog>,
     config: DatabaseConfig,
-    /// The [`QueryProfile`] of the most recent statement that ran a plan
-    /// (shared across clones, like the catalog).
+    /// The [`QueryProfile`] of the most recent statement (shared across
+    /// clones, like the catalog).
     last_profile: Arc<Mutex<Option<QueryProfile>>>,
-    /// True when the `metrics` catalog table was auto-materialized by the
-    /// engine (and may therefore be refreshed/replaced); a user-created
-    /// `metrics` table is never touched.
-    metrics_table_auto: Arc<AtomicBool>,
-    /// Same auto-materialization marker for the `queries` virtual table
-    /// (the flight recorder's in-flight queries).
-    queries_table_auto: Arc<AtomicBool>,
-    /// Same marker for the `sessions` virtual table (the session
-    /// registry, as rendered by `SHOW SESSIONS`).
-    sessions_table_auto: Arc<AtomicBool>,
+    /// Names of the introspection relations ([`RELATIONS`]) the engine has
+    /// materialized in the catalog and may therefore replace; a table of
+    /// such a name that is *not* in here is the user's and is never
+    /// touched. The lock is held across check-and-replace, so concurrent
+    /// readers of one relation refresh it one after the other.
+    auto_tables: Arc<Mutex<HashSet<&'static str>>>,
     /// The dedicated worker pool when [`DatabaseConfig::pool_workers`] is
     /// set — created once here and shared by every query's cluster (and
     /// by clones of this database). `None` ⇒ the process-wide pool.
@@ -228,9 +293,9 @@ pub struct Database {
     /// renders it, `KILL <query-id>` cancels through it. The query server
     /// registers each connection here.
     sessions: Arc<SessionRegistry>,
-    /// Label appended to this clone's slow-query log lines (e.g.
-    /// `session 3 tenant acme`); per-clone, not shared.
-    session_label: Option<String>,
+    /// The server session this clone serves, as (session id, tenant);
+    /// per-clone, not shared.
+    session: Option<(u64, String)>,
     /// The normalized plan cache, shared across clones like the catalog
     /// (a schema change seen by one session must invalidate them all).
     plan_cache: Arc<PlanCache>,
@@ -246,21 +311,10 @@ impl Database {
         })
     }
 
-    /// A database with explicit configuration.
+    /// A database with explicit configuration. Touches nothing outside
+    /// the returned value: the flight recorder, the metrics registry and
+    /// the shared pool and governor are the process's, not a database's.
     pub fn with_config(config: DatabaseConfig) -> Self {
-        // Flight-recorder knobs are process-global: applied once at
-        // construction.
-        match config.trace_sample {
-            Some(0) => lardb_obs::recorder().set_enabled(false),
-            Some(n) => {
-                lardb_obs::recorder().set_enabled(true);
-                lardb_obs::recorder().set_sample_every(n);
-            }
-            None => {}
-        }
-        if let Some(cap) = config.trace_capacity {
-            lardb_obs::recorder().set_capacity(cap);
-        }
         let pool = config.pool_workers.map(|n| Arc::new(WorkerPool::new(n)));
         let mem = match config.mem {
             None => match &config.spill_dir {
@@ -277,13 +331,11 @@ impl Database {
             catalog: Arc::new(Catalog::new()),
             config,
             last_profile: Arc::new(Mutex::new(None)),
-            metrics_table_auto: Arc::new(AtomicBool::new(false)),
-            queries_table_auto: Arc::new(AtomicBool::new(false)),
-            sessions_table_auto: Arc::new(AtomicBool::new(false)),
+            auto_tables: Arc::default(),
             pool,
             mem,
             sessions: Arc::new(SessionRegistry::new()),
-            session_label: None,
+            session: None,
             plan_cache,
         }
     }
@@ -336,10 +388,12 @@ impl Database {
         self
     }
 
-    /// Tags this clone's slow-query log lines with a session label
-    /// (builder style), e.g. `session 3 tenant acme`.
-    pub fn with_session_label(mut self, label: impl Into<String>) -> Self {
-        self.session_label = Some(label.into());
+    /// Makes this clone the one serving session `id` of `tenant` (builder
+    /// style): its slow-query log lines are tagged `session <id> tenant
+    /// <tenant>`, and a trace it has to force (`EXPLAIN TRACE` on an
+    /// unsampled statement) is the tenant's.
+    pub fn with_session(mut self, id: u64, tenant: impl Into<String>) -> Self {
+        self.session = Some((id, tenant.into()));
         self
     }
 
@@ -354,11 +408,6 @@ impl Database {
     pub fn with_transport(mut self, transport: TransportMode) -> Self {
         self.config.transport = transport;
         self
-    }
-
-    /// Mutates the exchange transport mode in place.
-    pub fn set_transport(&mut self, transport: TransportMode) {
-        self.config.transport = transport;
     }
 
     /// The configured exchange transport mode.
@@ -384,18 +433,6 @@ impl Database {
         self.config.optimizer = cfg;
     }
 
-    /// Fingerprint of the configuration knobs an optimized plan depends
-    /// on — part of every plan-cache key, so clones with diverged
-    /// optimizer settings never share entries.
-    fn config_fingerprint(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.config.optimizer.size_inference.hash(&mut h);
-        self.config.optimizer.early_projection.hash(&mut h);
-        self.config.optimizer.max_dp_inputs.hash(&mut h);
-        h.finish()
-    }
-
     /// The shared plan cache (version bumps, stats).
     pub fn plan_cache(&self) -> &PlanCache {
         &self.plan_cache
@@ -408,23 +445,19 @@ impl Database {
         self.plan_cache.stats()
     }
 
-    /// Enables the slow-query log (builder style): statements taking at
-    /// least `ms` milliseconds are reported on stderr and counted under
-    /// the `db.slow_queries` metric.
-    pub fn with_slow_query_threshold(mut self, ms: f64) -> Self {
-        self.config.slow_query_ms = Some(ms);
-        self
-    }
-
-    /// The [`QueryProfile`] of the most recent statement that ran a plan
-    /// (SELECT, EXPLAIN ANALYZE, or CREATE TABLE AS), or `None` if no
-    /// plan has run yet. The profile carries all five lifecycle stage
-    /// timings plus per-operator estimate-vs-actual records.
+    /// The [`QueryProfile`] of the most recent statement that went through
+    /// [`Database::run`] on any clone — DDL and INSERT included, their
+    /// plan-stage timings zero and `operators` empty — or `None` before
+    /// the first one. A statement that ran a plan (SELECT, EXPLAIN
+    /// ANALYZE, CREATE TABLE AS) carries the lifecycle stage timings plus
+    /// per-operator estimate-vs-actual records. Engine-internal queries
+    /// (materialized-view maintenance) never show up here.
     pub fn last_profile(&self) -> Option<QueryProfile> {
         self.last_profile.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
-    /// Executes one SQL statement.
+    /// Executes one SQL statement: asks the flight recorder whether to
+    /// trace it, then [`Database::run`]s it.
     ///
     /// ```
     /// # use lardb::{Database, Response};
@@ -438,162 +471,74 @@ impl Database {
     /// assert!(db.query("SELECT matrix_vector_multiply(mat, vec) AS x FROM bad").is_err());
     /// ```
     pub fn execute(&self, sql: &str) -> Result<Response> {
-        self.execute_cancellable(sql, None)
-    }
-
-    /// Executes one SQL statement under an externally-owned cancel token:
-    /// flipping `cancel` (from any thread) aborts the statement at the
-    /// next morsel/row-batch boundary with `ExecError::Cancelled`. The
-    /// query server wires `KILL <query-id>` and client-disconnect
-    /// detection to this. A token already cancelled when execution starts
-    /// aborts immediately.
-    pub fn execute_with_cancel(&self, sql: &str, cancel: &CancelToken) -> Result<Response> {
-        self.execute_cancellable(sql, Some(cancel))
-    }
-
-    /// Executes one SQL statement under an externally-minted flight
-    /// recorder trace. The query server mints the trace *before*
-    /// admission (so queue wait is on the trace) and hands it in here;
-    /// the statement runs with the trace as the thread-local current
-    /// trace, and the trace is finished (frozen into the recorder ring)
-    /// when the statement completes.
-    pub fn execute_with_trace(
-        &self,
-        sql: &str,
-        cancel: &CancelToken,
-        trace: &Arc<lardb_obs::ActiveTrace>,
-    ) -> Result<Response> {
-        self.execute_inner(sql, Some(cancel), Some(Arc::clone(trace)), None)
-    }
-
-    fn execute_cancellable(&self, sql: &str, cancel: Option<&CancelToken>) -> Result<Response> {
-        // Embedded entry point: mint a (sampled) trace here; the server
-        // path pre-mints via `execute_with_trace` to capture queue wait.
         let trace = lardb_obs::recorder().start(sql, "embedded");
-        self.execute_inner(sql, cancel, trace, None)
+        self.run(Source::Sql(sql), None, trace.as_ref())
     }
 
-    /// Parses and validates a statement once, precomputing its plan-cache
-    /// shape. Executing the returned handle skips re-parsing; cacheable
-    /// SELECT shapes are bound and optimized right here (best-effort), so
-    /// the first [`Database::execute_prepared`] is already a cache hit.
-    /// Bind errors still surface at execute time, preserving the
-    /// prepare-then-create-table workflow.
-    pub fn prepare(&self, sql: &str) -> Result<PreparedStatement> {
-        let statement = parse_statement(sql)?;
-        let norm = if self.plan_cache.enabled() { normalize(sql) } else { None };
-        let prepared = PreparedStatement { sql: sql.into(), statement, norm };
-        self.warm_plan_cache(&prepared);
-        Ok(prepared)
-    }
-
-    /// Best-effort bind + optimize of a cacheable prepared SELECT into
-    /// the plan cache. Failures are swallowed: they will surface (typed)
-    /// when the statement is executed. The catalog version is captured
-    /// *before* binding, so a concurrent DDL drops the insert instead of
-    /// caching a plan bound against the pre-DDL catalog.
-    fn warm_plan_cache(&self, prepared: &PreparedStatement) {
-        let Some(norm) = &prepared.norm else { return };
-        if norm.kind != StatementKind::Select {
-            return;
-        }
-        let Statement::Select(sel) = &prepared.statement else { return };
-        if references_virtual(sel) {
-            return;
-        }
-        let version = self.plan_cache.version();
-        let Ok(plan) = Binder::new(&self.catalog).bind_select(sel) else { return };
-        let optimizer =
-            Optimizer::new(self.catalog.as_ref(), self.config.optimizer.clone());
-        let Ok(optimized) = optimizer.optimize(plan) else { return };
-        self.plan_cache.insert(
-            norm,
-            self.config_fingerprint(),
-            version,
-            &crate::matview::scan_tables(&optimized),
-            Arc::new(optimized),
-        );
-    }
-
-    /// Executes a prepared statement. The stored parse tree is reused and
-    /// the precomputed shape key routes SELECTs through the plan cache —
-    /// repeat executions skip parse, bind *and* optimize.
+    /// Executes a prepared statement, sampled like [`Database::execute`].
+    /// The stored parse tree is reused and the precomputed shape key
+    /// routes SELECTs through the plan cache — repeat executions skip
+    /// parse, bind *and* optimize.
     pub fn execute_prepared(&self, prepared: &PreparedStatement) -> Result<Response> {
         let trace = lardb_obs::recorder().start(&prepared.sql, "embedded");
-        self.execute_inner(&prepared.sql, None, trace, Some(prepared))
+        self.run(Source::Prepared(prepared), None, trace.as_ref())
     }
 
-    /// [`Database::execute_prepared`] under an externally-owned cancel
-    /// token (sampling decides whether a trace is minted, as in
-    /// [`Database::execute_with_cancel`]).
-    pub fn execute_prepared_with_cancel(
+    /// The one statement entry; `execute*` and the query server both land
+    /// here.
+    ///
+    /// * `cancel` — an externally-owned token: flipping it (from any
+    ///   thread) aborts the statement at the next morsel/row-batch
+    ///   boundary with `ExecError::Cancelled`. The server wires `KILL
+    ///   <query-id>` and client-disconnect detection to it. A token
+    ///   already cancelled aborts before execution; it is never re-armed.
+    /// * `trace` — the caller's sampling decision. `run` never asks the
+    ///   recorder to sample: the caller did (the server before admission,
+    ///   so queue wait is on the trace), and `None` means untraced. The
+    ///   trace is the thread's current trace while the statement runs and
+    ///   is finished here — frozen into the recorder ring with the error,
+    ///   if any, and exported to [`DatabaseConfig::trace_dir`] — exactly
+    ///   once; the caller must not finish it again.
+    pub fn run(
         &self,
-        prepared: &PreparedStatement,
-        cancel: &CancelToken,
-    ) -> Result<Response> {
-        let trace = lardb_obs::recorder().start(&prepared.sql, "embedded");
-        self.execute_inner(&prepared.sql, Some(cancel), trace, Some(prepared))
-    }
-
-    /// [`Database::execute_prepared`] under an externally-owned cancel
-    /// token and pre-minted flight-recorder trace — the query server's
-    /// `Execute` message lands here.
-    pub fn execute_prepared_with_trace(
-        &self,
-        prepared: &PreparedStatement,
-        cancel: &CancelToken,
-        trace: &Arc<lardb_obs::ActiveTrace>,
-    ) -> Result<Response> {
-        self.execute_inner(
-            &prepared.sql,
-            Some(cancel),
-            Some(Arc::clone(trace)),
-            Some(prepared),
-        )
-    }
-
-    fn execute_inner(
-        &self,
-        sql: &str,
+        source: Source<'_>,
         cancel: Option<&CancelToken>,
-        trace: Option<Arc<lardb_obs::ActiveTrace>>,
-        prepared: Option<&PreparedStatement>,
+        trace: Option<&Arc<ActiveTrace>>,
     ) -> Result<Response> {
         let t0 = Instant::now();
-        if let Some(t) = &trace {
-            t.set_running();
+        let (sql, prepared) = match source {
+            Source::Sql(sql) => (sql, None),
+            Source::Prepared(p) => (&*p.sql, Some(p)),
+        };
+        let mut st = StatementRun::new(sql, prepared, cancel);
+        if let Some(trace) = trace {
+            st.attach(Arc::clone(trace));
         }
-        let cur = trace
-            .as_ref()
-            .map(|t| lardb_obs::trace::push_current(Some(Arc::clone(t))));
-        let sink = CollectingSink::new();
-        let mut profile = QueryProfile::new(sql);
-        let result = self.execute_traced(sql, cancel, &sink, &mut profile, prepared);
-        profile.add_spans(&sink.take());
-        if let (Some(t), Ok(Response::Rows(q))) = (&trace, &result) {
-            t.add_rows(q.rows.len() as u64);
-        }
-        drop(cur);
-        let trace_ids = trace.as_ref().map(|t| (t.id(), t.query_id()));
-        if let Some(t) = trace {
+        let mut result = self.dispatch(&mut st);
+        let StatementRun { trace, current, profile, reply_with_trace, .. } = st;
+        drop(current);
+        let mut trace_ids = None;
+        if let Some(trace) = trace {
+            if let Ok(Response::Rows(q)) = &result {
+                trace.add_rows(q.rows.len() as u64);
+            }
             let err = result.as_ref().err().map(|e| e.to_string());
-            let done = lardb_obs::recorder().finish(&t, err.as_deref());
-            self.write_trace_file(&done);
+            let done = lardb_obs::recorder().finish(&trace, err.as_deref());
+            // Best-effort export: tracing must never fail a query.
+            if let Some(dir) = &self.config.trace_dir {
+                let _ = std::fs::create_dir_all(dir);
+                let _ = std::fs::write(
+                    dir.join(format!("trace-{}.json", done.id)),
+                    done.to_chrome_json(),
+                );
+            }
+            trace_ids = Some((done.id, done.query_id));
+            if reply_with_trace && result.is_ok() {
+                result = Ok(Response::Explained(done.to_chrome_json()));
+            }
         }
         self.finish_statement(sql, t0, result.is_err(), profile, trace_ids);
         result
-    }
-
-    /// Best-effort export of one completed trace as Chrome trace-event
-    /// JSON under [`DatabaseConfig::trace_dir`]. I/O failures are
-    /// swallowed: tracing must never fail a query.
-    fn write_trace_file(&self, done: &lardb_obs::CompletedTrace) {
-        let Some(dir) = &self.config.trace_dir else { return };
-        let _ = std::fs::create_dir_all(dir);
-        let _ = std::fs::write(
-            dir.join(format!("trace-{}.json", done.id)),
-            done.to_chrome_json(),
-        );
     }
 
     /// Bookkeeping for one finished statement: process-wide counters, the
@@ -624,62 +569,88 @@ impl Database {
                     Some((tid, qid)) => format!(" trace {tid} query {qid}"),
                     None => String::new(),
                 };
-                match &self.session_label {
-                    Some(label) => eprintln!(
-                        "[lardb] slow query ({ms:.1} ms ≥ {threshold:.1} ms) \
-                         [{label}]{ids}: {sql}"
-                    ),
-                    None => eprintln!(
-                        "[lardb] slow query ({ms:.1} ms ≥ {threshold:.1} ms){ids}: {sql}"
-                    ),
-                }
+                let label = match &self.session {
+                    Some((id, tenant)) => format!(" [session {id} tenant {tenant}]"),
+                    None => String::new(),
+                };
+                eprintln!(
+                    "[lardb] slow query ({ms:.1} ms ≥ {threshold:.1} ms){label}{ids}: {sql}"
+                );
             }
         }
         *self.last_profile.lock().unwrap_or_else(|e| e.into_inner()) = Some(profile);
     }
 
-    /// Statement dispatch with lifecycle spans recorded into `sink` and
-    /// per-operator estimate-vs-actual records into `profile`. With
-    /// `prepared`, the stored parse tree and shape key are reused instead
-    /// of re-deriving them from `sql`.
-    fn execute_traced(
-        &self,
-        sql: &str,
-        cancel: Option<&CancelToken>,
-        sink: &CollectingSink,
-        profile: &mut QueryProfile,
-        prepared: Option<&PreparedStatement>,
-    ) -> Result<Response> {
-        let fingerprint = self.config_fingerprint();
-        // Captured once, before any bind: lookups read under it and
-        // inserts are keyed (and validity-checked) against it, so a plan
-        // is only ever cached under the catalog version it was bound at.
-        let cache_version = self.plan_cache.version();
-        let norm = match prepared {
+    /// Parses and validates a statement once, precomputing its plan-cache
+    /// shape. Executing the returned handle skips re-parsing; cacheable
+    /// SELECT shapes are bound and optimized right here (best-effort), so
+    /// the first [`Database::execute_prepared`] is already a cache hit.
+    /// Bind errors still surface at execute time, preserving the
+    /// prepare-then-create-table workflow.
+    pub fn prepare(&self, sql: &str) -> Result<PreparedStatement> {
+        let statement = parse_statement(sql)?;
+        let norm = if self.plan_cache.enabled() { normalize(sql) } else { None };
+        let prepared = PreparedStatement { sql: sql.into(), statement, norm };
+        self.warm_plan_cache(&prepared);
+        Ok(prepared)
+    }
+
+    /// Best-effort bind + optimize of a cacheable prepared SELECT into
+    /// the plan cache, by the path a cold execution takes. Failures are
+    /// swallowed: they will surface (typed) when the statement is executed.
+    fn warm_plan_cache(&self, prepared: &PreparedStatement) {
+        let (Some(norm), Statement::Select(sel)) = (&prepared.norm, &prepared.statement) else {
+            return;
+        };
+        if norm.kind == StatementKind::Select && !references_virtual(sel) {
+            let shape = self.shape(norm.clone());
+            let mut st = StatementRun::new(&prepared.sql, None, None);
+            let _ = self.optimized_for(&mut st, Some(&shape), sel);
+        }
+    }
+
+    /// `norm` with the rest of its plan-cache key, as of now: the catalog
+    /// version, and a fingerprint of the configuration knobs an optimized
+    /// plan depends on, so clones with diverged optimizer settings never
+    /// share entries.
+    fn shape(&self, norm: NormalizedStatement) -> Shape {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        self.config.optimizer.size_inference.hash(&mut h);
+        self.config.optimizer.early_projection.hash(&mut h);
+        self.config.optimizer.max_dp_inputs.hash(&mut h);
+        Shape { norm, fingerprint: h.finish(), version: self.plan_cache.version() }
+    }
+
+    /// Statement dispatch. Every lifecycle stage that runs is timed into
+    /// `st.profile` (and the current trace); a stage that is skipped — the
+    /// front end of a warm SELECT, the parse of a prepared statement —
+    /// stays at the profile's pre-seeded zero and leaves no span.
+    fn dispatch(&self, st: &mut StatementRun<'_>) -> Result<Response> {
+        let norm = match st.prepared {
             Some(p) => p.norm.clone(),
-            None if self.plan_cache.enabled() => normalize(sql),
+            None if self.plan_cache.enabled() => normalize(st.sql),
             None => None,
         };
-        // Fast path: a bare SELECT whose shape, literals, catalog version
-        // and config fingerprint are all cached skips parse, bind and
-        // optimize entirely — their lifecycle stages stay at the
-        // profile's pre-seeded zero, which is how the repeat-query bench
-        // verifies the elision. Cached shapes never reference virtual
-        // tables (gated at insert), so skipping their refresh is sound.
-        if let Some(n) = &norm {
-            if n.kind == StatementKind::Select {
-                if let Some(cached) = self.plan_cache.lookup(n, fingerprint, cache_version) {
-                    let (result, _) =
-                        self.run_optimized(&cached, true, cancel, sink, profile)?;
-                    return Ok(Response::Rows(result));
-                }
-            }
+        let shape = norm.map(|norm| self.shape(norm));
+        // The one question a SELECT-shaped statement asks the plan cache,
+        // before it is parsed. A bare SELECT that hits skips parse, bind
+        // and optimize entirely. Cached shapes never reference the
+        // introspection relations (gated at insert), so skipping their
+        // refresh is sound.
+        let cached = shape
+            .as_ref()
+            .and_then(|s| self.plan_cache.lookup(&s.norm, s.fingerprint, s.version));
+        let bare_select = shape.as_ref().is_some_and(|s| s.norm.kind == StatementKind::Select);
+        if let (Some(plan), true) = (&cached, bare_select) {
+            let (result, _) = self.run_plan(st, plan, true)?;
+            return Ok(Response::Rows(result));
         }
-        let statement = match prepared {
+        let statement = match st.prepared {
             Some(p) => p.statement.clone(),
             None => {
-                let _g = SpanGuard::enter(sink, Stage::Parse, "");
-                parse_statement(sql)?
+                st.parse_started = Some(Instant::now());
+                st.profile.time(Stage::Parse, || parse_statement(st.sql))?
             }
         };
         match statement {
@@ -694,29 +665,16 @@ impl Database {
                 Ok(Response::Done)
             }
             Statement::CreateTableAs { name, query } => {
-                let plan = {
-                    let _g = SpanGuard::enter(sink, Stage::Bind, "");
-                    Binder::new(&self.catalog).bind_select(&query)?
-                };
-                let (result, _) =
-                    self.run_traced(plan, /*gather=*/ false, cancel, sink, profile)?;
-                let mut table = Table::new(
-                    &name,
-                    result.schema.clone(),
-                    self.config.workers,
-                    Partitioning::RoundRobin,
-                );
-                let n = result.rows.len();
-                table.insert_all(result.rows)?;
-                self.catalog.create_table(table)?;
+                let (optimized, _) = self.optimized_for(st, None, &query)?;
+                let (result, _) = self.run_plan(st, &optimized, /*gather=*/ false)?;
+                let n = self.materialize(&name, result.schema, result.rows, false)?;
                 self.plan_cache.bump(InvalidationReason::Ddl);
                 Ok(Response::Inserted(n))
             }
             Statement::CreateView { name, columns, query, sql } => {
                 // Validate now so errors surface at CREATE VIEW time.
-                Binder::new(&self.catalog).bind_select(&query)?;
+                let plan = Binder::new(&self.catalog).bind_select(&query)?;
                 if let Some(cols) = &columns {
-                    let plan = Binder::new(&self.catalog).bind_select(&query)?;
                     if plan.schema().arity() != cols.len() {
                         return Err(EngineError::Usage(format!(
                             "view column list has {} names but query yields {}",
@@ -730,17 +688,14 @@ impl Database {
                 Ok(Response::Done)
             }
             Statement::CreateMaterializedView { name, query, sql } => {
-                let plan = {
-                    let _g = SpanGuard::enter(sink, Stage::Bind, "");
-                    Binder::new(&self.catalog).bind_select(&query)?
-                };
-                // Lineage from the *bound* plan: views are expanded, so
-                // these are the base tables whose INSERTs must maintain
-                // the view. Lineage through another materialized view is
+                let (optimized, _) = self.optimized_for(st, None, &query)?;
+                // Lineage from the *plan*: views are expanded, so these
+                // are the base tables whose INSERTs must maintain the
+                // view. Lineage through another materialized view is
                 // rejected outright: maintenance writes to backing tables
                 // directly (not through INSERT dispatch), so a view over
                 // a view's backing table would silently go stale.
-                let base_tables = crate::matview::scan_tables(&plan);
+                let base_tables = crate::matview::scan_tables(&optimized);
                 if let Some(mv) = base_tables.iter().find(|t| self.catalog.has_matview(t))
                 {
                     return Err(EngineError::Usage(format!(
@@ -749,17 +704,8 @@ impl Database {
                          materialized views"
                     )));
                 }
-                let (result, _) =
-                    self.run_traced(plan, /*gather=*/ false, cancel, sink, profile)?;
-                let mut table = Table::new(
-                    &name,
-                    result.schema.clone(),
-                    self.config.workers,
-                    Partitioning::RoundRobin,
-                );
-                let n = result.rows.len();
-                table.insert_all(result.rows)?;
-                self.catalog.create_table(table)?;
+                let (result, _) = self.run_plan(st, &optimized, /*gather=*/ false)?;
+                let n = self.materialize(&name, result.schema, result.rows, false)?;
                 if let Err(e) =
                     self.catalog.create_matview(&name, MatViewDef { sql, base_tables })
                 {
@@ -824,154 +770,65 @@ impl Database {
                 let binder = Binder::new(&self.catalog);
                 let empty = Schema::default();
                 let empty_row = Row::default();
-                let mut materialized = Vec::with_capacity(rows.len());
+                let mut literals = Vec::with_capacity(rows.len());
                 for r in rows {
                     let mut vals = Vec::with_capacity(r.len());
                     for e in &r {
                         let bound = binder.bind_expr(e, &empty)?;
                         vals.push(lardb_exec::eval::eval(&bound, &empty_row)?);
                     }
-                    materialized.push(Row::new(vals));
+                    literals.push(Row::new(vals));
                 }
-                let n = materialized.len();
-                let handle = self.catalog.table(&table)?;
-                // Clone the delta only when some materialized view's
-                // lineage includes this table.
-                if self.catalog.matviews_on(&table).is_empty() {
-                    handle.write().insert_all(materialized)?;
-                } else {
-                    let delta = materialized.clone();
-                    handle.write().insert_all(materialized)?;
-                    self.maintain_matviews_on(&table, &delta)?;
-                }
-                // Per-table: only cached plans reading this table (or a
-                // maintained view, bumped during maintenance) go stale.
-                self.plan_cache.bump_stats(&table);
-                Ok(Response::Inserted(n))
+                Ok(Response::Inserted(self.insert_rows(&table, literals)?))
             }
             Statement::Select(sel) => {
                 self.refresh_virtual_tables(&sel)?;
-                let cacheable = norm
-                    .as_ref()
-                    .is_some_and(|n| n.kind == StatementKind::Select)
-                    && !references_virtual(&sel);
-                let plan = {
-                    let _g = SpanGuard::enter(sink, Stage::Bind, "");
-                    Binder::new(&self.catalog).bind_select(&sel)?
-                };
-                if cacheable {
-                    let optimized = {
-                        let _g = SpanGuard::enter(sink, Stage::Optimize, "");
-                        let optimizer = Optimizer::new(
-                            self.catalog.as_ref(),
-                            self.config.optimizer.clone(),
-                        );
-                        Arc::new(optimizer.optimize(plan)?)
-                    };
-                    self.plan_cache.insert(
-                        norm.as_ref().expect("cacheable implies normalized"),
-                        fingerprint,
-                        cache_version,
-                        &crate::matview::scan_tables(&optimized),
-                        Arc::clone(&optimized),
-                    );
-                    let (result, _) =
-                        self.run_optimized(&optimized, true, cancel, sink, profile)?;
-                    return Ok(Response::Rows(result));
-                }
-                if self.plan_cache.enabled() {
+                let shape = shape.filter(|_| !references_virtual(&sel));
+                if shape.is_none() && self.plan_cache.enabled() {
                     self.plan_cache.note_uncacheable();
                 }
-                let (result, _) = self.run_traced(plan, true, cancel, sink, profile)?;
+                let (optimized, _) = self.optimized_for(st, shape.as_ref(), &sel)?;
+                let (result, _) = self.run_plan(st, &optimized, true)?;
                 Ok(Response::Rows(result))
             }
             Statement::Explain { query, analyze, trace } => {
                 self.refresh_virtual_tables(&query)?;
-                if trace {
-                    // EXPLAIN TRACE: run the query under a *forced* trace
-                    // (sampling does not apply) and return its Chrome
-                    // trace-event JSON instead of the plan text. The
-                    // statement was already parsed, so a measured re-parse
-                    // stands in for the parse span; bind onward runs live
-                    // under the forced trace.
-                    let forced = lardb_obs::recorder().start_forced(sql, "explain");
-                    forced.set_running();
-                    let run = {
-                        let _cur = lardb_obs::trace::push_current(Some(Arc::clone(&forced)));
-                        let t_parse = Instant::now();
-                        let _ = parse_statement(sql);
-                        forced.record("parse", "query", t_parse, t_parse.elapsed(), Vec::new());
-                        let bound = {
-                            let _g = SpanGuard::enter(sink, Stage::Bind, "");
-                            Binder::new(&self.catalog).bind_select(&query)
-                        };
-                        match bound {
-                            Ok(plan) => {
-                                self.run_traced(plan, true, cancel, sink, profile)
-                            }
-                            Err(e) => Err(e.into()),
-                        }
-                    };
-                    let err = run.as_ref().err().map(|e| e.to_string());
-                    if let Ok((result, _)) = &run {
-                        forced.add_rows(result.rows.len() as u64);
+                if trace && st.trace.is_none() {
+                    // EXPLAIN TRACE on a statement nobody sampled: force a
+                    // trace now (bind onward runs live under it) and put
+                    // the parse that was just measured on it.
+                    let tenant = self.session.as_ref().map_or("embedded", |(_, t)| t);
+                    let forced = lardb_obs::recorder().start_forced(st.sql, tenant);
+                    if let Some(at) = st.parse_started {
+                        let ms = st.profile.stage_ms(Stage::Parse.name()).unwrap_or(0.0);
+                        let parse = Duration::from_secs_f64(ms / 1e3);
+                        forced.record(Stage::Parse.name(), "query", at, parse, Vec::new());
                     }
-                    let done = lardb_obs::recorder().finish(&forced, err.as_deref());
-                    self.write_trace_file(&done);
-                    run?;
-                    return Ok(Response::Explained(done.to_chrome_json()));
+                    st.attach(forced);
                 }
-                let plan = {
-                    let _g = SpanGuard::enter(sink, Stage::Bind, "");
-                    Binder::new(&self.catalog).bind_select(&query)?
-                };
                 // EXPLAIN shares the wrapped SELECT's cache shape (the
                 // prefix is stripped during normalization): a hit reuses
                 // the cached optimized plan and says so; a miss seeds the
                 // cache for the bare statement.
-                let cacheable = norm.is_some() && !references_virtual(&query);
-                let (optimized, cache_note) = if cacheable {
-                    let n = norm.as_ref().expect("cacheable implies normalized");
-                    match self.plan_cache.lookup(n, fingerprint, cache_version) {
-                        Some(cached) => (cached, "hit"),
-                        None => {
-                            let optimized = {
-                                let _g = SpanGuard::enter(sink, Stage::Optimize, "");
-                                let optimizer = Optimizer::new(
-                                    self.catalog.as_ref(),
-                                    self.config.optimizer.clone(),
-                                );
-                                Arc::new(optimizer.optimize(plan)?)
-                            };
-                            self.plan_cache.insert(
-                                n,
-                                fingerprint,
-                                cache_version,
-                                &crate::matview::scan_tables(&optimized),
-                                Arc::clone(&optimized),
-                            );
-                            (optimized, "miss")
-                        }
-                    }
-                } else {
-                    let optimized = {
-                        let _g = SpanGuard::enter(sink, Stage::Optimize, "");
-                        let optimizer = Optimizer::new(
-                            self.catalog.as_ref(),
-                            self.config.optimizer.clone(),
-                        );
-                        Arc::new(optimizer.optimize(plan)?)
-                    };
-                    (optimized, "off")
+                let shape = shape.filter(|_| !references_virtual(&query));
+                let (optimized, cache_note) = match cached {
+                    Some(plan) => (plan, "hit"),
+                    None => self.optimized_for(st, shape.as_ref(), &query)?,
                 };
+                if trace {
+                    // The reply is the statement's finished trace, which
+                    // only `run` can produce; hand it the rows to count.
+                    st.reply_with_trace = true;
+                    let (result, _) = self.run_plan(st, &optimized, true)?;
+                    return Ok(Response::Rows(result));
+                }
                 let mut text = self.explain_optimized(&optimized)?;
                 if !text.ends_with('\n') {
                     text.push('\n');
                 }
                 text.push_str(&format!("plan cache: {cache_note}\n"));
                 if analyze {
-                    let (result, operators) =
-                        self.run_optimized(&optimized, true, cancel, sink, profile)?;
+                    let (result, operators) = self.run_plan(st, &optimized, true)?;
                     if !text.ends_with('\n') {
                         text.push('\n');
                     }
@@ -1015,11 +872,9 @@ impl Database {
                 }
                 Ok(Response::Explained(text))
             }
-            Statement::ShowMetrics => Ok(Response::Rows(metrics_snapshot_result())),
-            Statement::ShowSessions => {
-                Ok(Response::Rows(sessions_snapshot_result(&self.sessions)))
-            }
-            Statement::ShowQueries => Ok(Response::Rows(queries_snapshot_result())),
+            Statement::ShowMetrics => Ok(Response::Rows(self.relation("metrics"))),
+            Statement::ShowSessions => Ok(Response::Rows(self.relation("sessions"))),
+            Statement::ShowQueries => Ok(Response::Rows(self.relation("queries"))),
             Statement::Kill { query_id } => {
                 if self.sessions.kill(query_id) {
                     Ok(Response::Done)
@@ -1043,17 +898,10 @@ impl Database {
         match parse_statement(sql)? {
             Statement::Select(sel) | Statement::Explain { query: sel, .. } => {
                 let plan = Binder::new(&self.catalog).bind_select(&sel)?;
-                self.explain_logical(plan)
+                self.explain_optimized(&self.optimize(plan)?)
             }
             _ => Err(EngineError::Usage("EXPLAIN expects a SELECT".into())),
         }
-    }
-
-    fn explain_logical(&self, plan: LogicalPlan) -> Result<String> {
-        let optimizer =
-            Optimizer::new(self.catalog.as_ref(), self.config.optimizer.clone());
-        let optimized = optimizer.optimize(plan)?;
-        self.explain_optimized(&optimized)
     }
 
     /// Renders the EXPLAIN text for an already-optimized plan (the
@@ -1069,58 +917,55 @@ impl Database {
         ))
     }
 
-    /// Runs a bound logical plan end-to-end (optimize → physical plan →
-    /// parallel execute). Exposed for tests and the benchmark harness.
-    /// The run's [`QueryProfile`] (with zeroed parse/bind stages, since
-    /// the plan arrives pre-bound) is published to [`Database::last_profile`].
-    pub fn run_logical(&self, plan: LogicalPlan, gather: bool) -> Result<QueryResult> {
-        let sink = CollectingSink::new();
-        let mut profile = QueryProfile::new("<logical plan>");
-        let result = self.run_traced(plan, gather, None, &sink, &mut profile);
-        profile.add_spans(&sink.take());
-        *self.last_profile.lock().unwrap_or_else(|e| e.into_inner()) = Some(profile);
-        result.map(|(q, _)| q)
+    /// Logical rewrites + cost-based join ordering under this database's
+    /// optimizer knobs.
+    fn optimize(&self, plan: LogicalPlan) -> Result<LogicalPlan> {
+        let optimizer = Optimizer::new(self.catalog.as_ref(), self.config.optimizer.clone());
+        Ok(optimizer.optimize(plan)?)
     }
 
-    /// The traced query back half: optimize → physical plan → execute,
-    /// with one span per stage and per-operator estimate-vs-actual
-    /// records appended to `profile`. Also returns the operator records
-    /// so EXPLAIN ANALYZE can render them.
+    /// Bind → optimize for a SELECT the plan cache had no plan for, and
+    /// what becomes of the plan: `miss` — inserted under the version
+    /// `shape` captured before the bind; `off` — no cacheable shape (cache
+    /// disabled, a SELECT over an introspection relation, CREATE … AS, an
+    /// engine-internal query), so not inserted.
+    pub(crate) fn optimized_for(
+        &self,
+        st: &mut StatementRun<'_>,
+        shape: Option<&Shape>,
+        sel: &SelectStatement,
+    ) -> Result<(Arc<LogicalPlan>, &'static str)> {
+        let binder = Binder::new(&self.catalog);
+        let plan = st.profile.time(Stage::Bind, || binder.bind_select(sel))?;
+        let optimized = Arc::new(st.profile.time(Stage::Optimize, || self.optimize(plan))?);
+        let Some(shape) = shape else { return Ok((optimized, "off")) };
+        self.plan_cache.insert(
+            &shape.norm,
+            shape.fingerprint,
+            shape.version,
+            &crate::matview::scan_tables(&optimized),
+            Arc::clone(&optimized),
+        );
+        Ok((optimized, "miss"))
+    }
+
+    /// The back half every plan goes through: physical planning and
+    /// execution under their stages, per-operator estimate-vs-actual
+    /// records appended to the statement's profile (and returned, for
+    /// EXPLAIN ANALYZE to render). Plan-cache hits enter here directly,
+    /// which is exactly what makes the parse/bind/optimize stages
+    /// disappear from their profiles.
     ///
     /// Actual bytes are the metered shuffle bytes for exchanges; other
     /// operators don't move data across workers, so their "actual" bytes
     /// are derived as measured rows × the cost model's row width.
-    pub(crate) fn run_traced(
+    pub(crate) fn run_plan(
         &self,
-        plan: LogicalPlan,
-        gather: bool,
-        cancel: Option<&CancelToken>,
-        sink: &CollectingSink,
-        profile: &mut QueryProfile,
-    ) -> Result<(QueryResult, Vec<OperatorProfile>)> {
-        let optimized = {
-            let _g = SpanGuard::enter(sink, Stage::Optimize, "");
-            let optimizer =
-                Optimizer::new(self.catalog.as_ref(), self.config.optimizer.clone());
-            optimizer.optimize(plan)?
-        };
-        self.run_optimized(&optimized, gather, cancel, sink, profile)
-    }
-
-    /// The back half of [`Database::run_traced`] from an already-optimized
-    /// plan: physical planning and execution under their spans. Plan-cache
-    /// hits enter here directly, which is exactly what makes the
-    /// parse/bind/optimize stages disappear from their profiles.
-    fn run_optimized(
-        &self,
+        st: &mut StatementRun<'_>,
         optimized: &LogicalPlan,
         gather: bool,
-        cancel: Option<&CancelToken>,
-        sink: &CollectingSink,
-        profile: &mut QueryProfile,
     ) -> Result<(QueryResult, Vec<OperatorProfile>)> {
-        let (physical, estimates) = {
-            let _g = SpanGuard::enter(sink, Stage::Plan, "");
+        let (physical, estimates) = st.profile.time(Stage::Plan, || {
             let mut pp = PhysicalPlanner::new(&self.catalog, self.catalog.as_ref());
             let physical = if gather {
                 pp.plan_gathered(optimized)?
@@ -1128,19 +973,18 @@ impl Database {
                 pp.plan(optimized)?
             };
             let estimates = pp.estimates(&physical);
-            (physical, estimates)
-        };
+            Ok::<_, EngineError>((physical, estimates))
+        })?;
         let dispatch_before = lardb_la::dispatch::dispatch_counters();
-        let mut result = {
-            let _g = SpanGuard::enter(sink, Stage::Execute, "");
-            let executor = Executor::new(&self.catalog, self.cluster(cancel))
+        let mut result = st.profile.time(Stage::Execute, || {
+            Executor::new(&self.catalog, self.cluster(st.cancel))
                 .with_transport(self.config.transport)
                 .with_net_config(self.config.net.clone())
                 .with_memory(self.mem.clone())
                 .with_expr_engine(self.config.expr_engine)
-                .with_batch_rows(self.config.batch_rows);
-            executor.execute(&physical)?
-        };
+                .with_batch_rows(self.config.batch_rows)
+                .execute(&physical)
+        })?;
         // Per-query kernel-dispatch attribution: the delta of the
         // process-wide counters across execution (concurrent queries may
         // bleed into each other's deltas). Also bridged to the global
@@ -1157,7 +1001,7 @@ impl Database {
             m.counter("la.dispatch.densified").add(d.densified);
         }
         let operators = join_estimates(&estimates, &result.stats);
-        profile.operators.extend(operators.iter().cloned());
+        st.profile.operators.extend(operators.iter().cloned());
         let schema = result.schema.clone();
         let stats = std::mem::take(&mut result.stats);
         Ok((
@@ -1166,51 +1010,58 @@ impl Database {
         ))
     }
 
-    /// Re-materializes the introspection virtual tables (`metrics`,
-    /// `queries`, `sessions`) when `sel` references them (directly or in
-    /// a subquery), so live engine state can be filtered, joined and
-    /// aggregated with ordinary SQL. A user-created table with one of
-    /// these names is never touched.
-    fn refresh_virtual_tables(&self, sel: &SelectStatement) -> Result<()> {
-        if references_table(sel, "metrics") {
-            self.refresh_virtual("metrics", &self.metrics_table_auto, || {
-                (metrics_schema(), metric_rows())
-            })?;
-        }
-        if references_table(sel, "queries") {
-            self.refresh_virtual("queries", &self.queries_table_auto, || {
-                (queries_schema(), queries_rows())
-            })?;
-        }
-        if references_table(sel, "sessions") {
-            self.refresh_virtual("sessions", &self.sessions_table_auto, || {
-                (sessions_schema(), sessions_rows(&self.sessions))
-            })?;
-        }
-        Ok(())
-    }
-
-    /// Drops and re-creates one auto-materialized virtual table from a
-    /// fresh snapshot. The `auto` flag distinguishes engine-created
-    /// tables (refreshable) from a user's table of the same name (never
-    /// clobbered).
-    fn refresh_virtual(
+    /// The one way a query result becomes a catalog table: `name` is built
+    /// fully from `rows` (moved in, not copied) and only then placed —
+    /// created when `swap` is false (an existing name is an error), else
+    /// swapped through the existing catalog handle under its write lock,
+    /// so a concurrent SELECT sees the old rows or the new, never a
+    /// missing table. An error while building leaves the catalog as it
+    /// was. Returns the row count.
+    pub(crate) fn materialize(
         &self,
         name: &str,
-        auto: &AtomicBool,
-        snapshot: impl FnOnce() -> (Schema, Vec<Row>),
-    ) -> Result<()> {
-        if self.catalog.has_table(name) {
-            if !auto.load(Ordering::Acquire) {
-                return Ok(()); // the user's own table; never clobber it
-            }
-            self.catalog.drop_table(name)?;
-        }
-        let (schema, rows) = snapshot();
+        schema: Schema,
+        rows: Vec<Row>,
+        swap: bool,
+    ) -> Result<usize> {
+        let n = rows.len();
         let mut table = Table::new(name, schema, self.config.workers, Partitioning::RoundRobin);
         table.insert_all(rows)?;
-        self.catalog.create_table(table)?;
-        auto.store(true, Ordering::Release);
+        if swap {
+            *self.catalog.table(name)?.write() = table;
+        } else {
+            self.catalog.create_table(table)?;
+        }
+        Ok(n)
+    }
+
+    /// The current rows of one of the [`RELATIONS`], as `SHOW <NAME>`
+    /// replies with them.
+    fn relation(&self, name: &str) -> QueryResult {
+        let (_, schema, rows) = RELATIONS
+            .iter()
+            .find(|(relation, ..)| *relation == name)
+            .expect("SHOW names a relation of RELATIONS");
+        QueryResult { schema: schema(), rows: rows(self), stats: ExecStats::new() }
+    }
+
+    /// Re-materializes each of the [`RELATIONS`] that `sel` references
+    /// (directly or in a subquery) from a fresh snapshot, so live engine
+    /// state can be filtered, joined and aggregated with ordinary SQL. A
+    /// user-created table with one of these names is never touched.
+    fn refresh_virtual_tables(&self, sel: &SelectStatement) -> Result<()> {
+        for (name, schema, rows) in RELATIONS {
+            if !references_table(sel, name) {
+                continue;
+            }
+            let mut auto = self.auto_tables.lock().unwrap_or_else(|e| e.into_inner());
+            let exists = self.catalog.has_table(name);
+            if exists && !auto.contains(name) {
+                continue; // the user's own table; never clobber it
+            }
+            self.materialize(name, schema(), rows(self), exists)?;
+            auto.insert(name);
+        }
         Ok(())
     }
 
@@ -1229,25 +1080,30 @@ impl Database {
         Ok(())
     }
 
-    /// Programmatic bulk load (used by generators: vectors and matrices
-    /// cannot be written as SQL literals). Maintains materialized views
-    /// over the table and invalidates the plan cache's stats version,
-    /// like SQL `INSERT`.
+    /// Appends `rows` to `table`: SQL `INSERT` lands here with its
+    /// evaluated literals, generators call it directly (vectors and
+    /// matrices cannot be written as SQL literals). Maintains the
+    /// materialized views over the table and invalidates the cached plans
+    /// that read it.
     pub fn insert_rows(
         &self,
         table: &str,
         rows: impl IntoIterator<Item = Row>,
     ) -> Result<usize> {
-        let materialized: Vec<Row> = rows.into_iter().collect();
-        let n = materialized.len();
+        let rows: Vec<Row> = rows.into_iter().collect();
+        let n = rows.len();
         let handle = self.catalog.table(table)?;
+        // Clone the delta only when some materialized view's lineage
+        // includes this table.
         if self.catalog.matviews_on(table).is_empty() {
-            handle.write().insert_all(materialized)?;
+            handle.write().insert_all(rows)?;
         } else {
-            let delta = materialized.clone();
-            handle.write().insert_all(materialized)?;
+            let delta = rows.clone();
+            handle.write().insert_all(rows)?;
             self.maintain_matviews_on(table, &delta)?;
         }
+        // Per-table: only cached plans reading this table (or a
+        // maintained view, bumped during maintenance) go stale.
         self.plan_cache.bump_stats(table);
         Ok(n)
     }
@@ -1270,14 +1126,23 @@ impl PreparedStatement {
     }
 }
 
-/// True when the SELECT references any auto-materialized introspection
-/// table. Their contents change between executions (each reference
-/// re-snapshots live engine state from the AST), so plans over them must
-/// never be served from the cache.
+/// The introspection relations, each as (name, schema, current rows).
+/// `SHOW METRICS|SESSIONS|QUERIES` replies with one directly; a SELECT
+/// that names one reads the same schema and rows, materialized into the
+/// catalog for the statement.
+type Relation = (&'static str, fn() -> Schema, fn(&Database) -> Vec<Row>);
+const RELATIONS: [Relation; 3] = [
+    ("metrics", metrics_schema, |_| metric_rows()),
+    ("queries", queries_schema, |_| queries_rows()),
+    ("sessions", sessions_schema, |db| sessions_rows(&db.sessions)),
+];
+
+/// True when the SELECT references one of the [`RELATIONS`]. Their
+/// contents change between executions (each reference re-snapshots live
+/// engine state from the AST), so plans over them must never be served
+/// from the cache.
 fn references_virtual(sel: &SelectStatement) -> bool {
-    ["metrics", "queries", "sessions"]
-        .iter()
-        .any(|t| references_table(sel, t))
+    RELATIONS.iter().any(|(name, ..)| references_table(sel, name))
 }
 
 /// True when the SELECT references `name` in any FROM clause, including
@@ -1360,24 +1225,6 @@ fn sessions_rows(sessions: &SessionRegistry) -> Vec<Row> {
         .collect()
 }
 
-/// Builds the `SHOW SESSIONS` response relation.
-fn sessions_snapshot_result(sessions: &SessionRegistry) -> QueryResult {
-    QueryResult {
-        schema: sessions_schema(),
-        rows: sessions_rows(sessions),
-        stats: ExecStats::new(),
-    }
-}
-
-/// Builds the `SHOW METRICS` response relation.
-fn metrics_snapshot_result() -> QueryResult {
-    QueryResult {
-        schema: metrics_schema(),
-        rows: metric_rows(),
-        stats: ExecStats::new(),
-    }
-}
-
 /// Schema of the `queries` relation (`SHOW QUERIES`): one row per
 /// in-flight traced query, straight from the flight recorder.
 fn queries_schema() -> Schema {
@@ -1418,15 +1265,6 @@ fn queries_rows() -> Vec<Row> {
             ])
         })
         .collect()
-}
-
-/// Builds the `SHOW QUERIES` response relation.
-fn queries_snapshot_result() -> QueryResult {
-    QueryResult {
-        schema: queries_schema(),
-        rows: queries_rows(),
-        stats: ExecStats::new(),
-    }
 }
 
 /// Joins the planner's per-operator estimates against the executor's
@@ -1723,9 +1561,8 @@ mod tests {
         let db = Database::new(2);
         db.execute("CREATE TABLE t (id INTEGER, v DOUBLE)").unwrap();
         db.execute("INSERT INTO t VALUES (1, 0.5), (2, 1.5)").unwrap();
-        let Response::Explained(json) =
-            db.execute("EXPLAIN TRACE SELECT SUM(v) AS s FROM t").unwrap()
-        else {
+        let sql = "EXPLAIN TRACE SELECT SUM(v) AS s FROM t";
+        let Response::Explained(json) = db.execute(sql).unwrap() else {
             panic!("expected Explained");
         };
         assert!(json.contains("\"traceEvents\""), "{json}");
@@ -1734,6 +1571,41 @@ mod tests {
         }
         // The umbrella event carries the SQL and the row count.
         assert!(json.contains("SUM(v)"), "{json}");
+        // One statement, one trace: the reply is the ring's only entry for
+        // it, with every stage on it once (the parse is not run again).
+        let mut traces = lardb_obs::recorder().completed_snapshot();
+        traces.retain(|t| t.sql == sql);
+        assert_eq!(traces.len(), 1);
+        for stage in Stage::LIFECYCLE {
+            let spans = traces[0].events.iter().filter(|e| e.name == stage.name()).count();
+            assert_eq!(spans, 1, "{} spans", stage.name());
+        }
+        assert_eq!(traces[0].rows, 1);
+        assert!(json.contains(&traces[0].id.to_string()), "the reply is another trace");
+    }
+
+    /// Readers of one introspection relation refresh it in turn and swap
+    /// it in whole: none ever finds it missing or already there.
+    #[test]
+    fn introspection_relations_survive_concurrent_readers() {
+        let db = Database::new(2);
+        for (name, ..) in RELATIONS {
+            let sql = format!("SELECT COUNT(*) AS n FROM {name}");
+            // Untraced: 3 600 statements would flush the recorder ring other
+            // tests of this process look their traces up in.
+            let reader = || (0..300).filter(|_| db.run(Source::Sql(&sql), None, None).is_err());
+            let errors: usize = std::thread::scope(|scope| {
+                let readers: Vec<_> = (0..4).map(|_| scope.spawn(|| reader().count())).collect();
+                readers.into_iter().map(|r| r.join().unwrap()).sum()
+            });
+            assert_eq!(errors, 0, "{name}");
+            // SHOW and SELECT read one definition of the relation.
+            let columns = |sql: String| -> Vec<(String, DataType)> {
+                let schema = db.query(&sql).unwrap().schema;
+                schema.columns().iter().map(|c| (c.name.clone(), c.dtype.clone())).collect()
+            };
+            assert_eq!(columns(format!("SHOW {name}")), columns(format!("SELECT * FROM {name}")));
+        }
     }
 
     #[test]
@@ -1800,7 +1672,11 @@ mod tests {
     fn slow_query_log_counts_slow_statements() {
         let registry = lardb_obs::global();
         let before = registry.counter("db.slow_queries").get();
-        let db = Database::new(2).with_slow_query_threshold(0.0);
+        let db = Database::with_config(DatabaseConfig {
+            workers: 2,
+            slow_query_ms: Some(0.0),
+            ..DatabaseConfig::default()
+        });
         db.execute("CREATE TABLE t (id INTEGER)").unwrap();
         assert!(registry.counter("db.slow_queries").get() > before);
     }
@@ -1842,7 +1718,7 @@ mod tests {
         db.execute("INSERT INTO t VALUES (1), (2)").unwrap();
         let cancel = lardb_exec::CancelToken::new();
         cancel.cancel();
-        let err = db.execute_with_cancel("SELECT id FROM t", &cancel).unwrap_err();
+        let err = db.run(Source::Sql("SELECT id FROM t"), Some(&cancel), None).unwrap_err();
         assert!(
             err.to_string().contains("killed") || err.to_string().contains("cancel"),
             "unexpected error: {err}"

@@ -38,7 +38,9 @@ mod matview;
 pub mod plan_cache;
 pub mod sessions;
 
-pub use database::{Database, DatabaseConfig, PreparedStatement, QueryResult, Response};
+pub use database::{
+    Database, DatabaseConfig, PreparedStatement, QueryResult, Response, Source,
+};
 pub use error::{EngineError, Result};
 pub use plan_cache::{CacheStats, InvalidationReason, PlanCache};
 pub use sessions::{SessionRegistry, SessionSnapshot};

@@ -36,13 +36,12 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use lardb_obs::{CollectingSink, QueryProfile};
 use lardb_planner::{AggFunc, LogicalPlan};
 use lardb_sql::ast::{AstExpr, SelectItem, SelectStatement, Statement, TableRef};
-use lardb_sql::{parse_statement, Binder};
-use lardb_storage::{Partitioning, Row, Table};
+use lardb_sql::parse_statement;
+use lardb_storage::{Row, Schema};
 
-use crate::database::{Database, QueryResult};
+use crate::database::{Database, QueryResult, StatementRun};
 use crate::error::{EngineError, Result};
 
 /// Unique suffix for temporary delta tables (process-wide; the tables
@@ -206,15 +205,13 @@ fn key_of(row: &Row, roles: &[Option<AggFunc>]) -> String {
 }
 
 impl Database {
-    /// Binds and runs a SELECT with a throwaway sink/profile: the
-    /// maintenance machinery's internal queries must not disturb
-    /// [`Database::last_profile`] or the plan cache.
-    pub(crate) fn run_select_internal(&self, sel: &SelectStatement) -> Result<QueryResult> {
-        let plan = Binder::new(self.catalog()).bind_select(sel)?;
-        let sink = CollectingSink::new();
-        let mut profile = QueryProfile::new("<matview maintenance>");
-        let (result, _) = self.run_traced(plan, false, None, &sink, &mut profile)?;
-        Ok(result)
+    /// Binds and runs a SELECT under a statement record of its own, which
+    /// is then dropped: the maintenance machinery's internal queries must
+    /// not disturb [`Database::last_profile`] or the plan cache.
+    fn run_select_internal(&self, sel: &SelectStatement) -> Result<QueryResult> {
+        let mut st = StatementRun::new("<matview maintenance>", None, None);
+        let (optimized, _) = self.optimized_for(&mut st, None, sel)?;
+        Ok(self.run_plan(&mut st, &optimized, /*gather=*/ false)?.0)
     }
 
     /// Parses a materialized view's stored definition.
@@ -227,22 +224,12 @@ impl Database {
         }
     }
 
-    /// Replaces the backing table of view `name` with `result`. The new
-    /// table is built fully first and then swapped through the existing
-    /// catalog handle under its write lock: a concurrent SELECT sees
-    /// either the old rows or the new, never a missing table, and an
-    /// error while building leaves the old rows intact. Cached plans
-    /// over the view are invalidated via its per-table stats version.
-    fn replace_matview_table(&self, name: &str, result: QueryResult) -> Result<usize> {
-        let mut table = Table::new(
-            name,
-            result.schema.clone(),
-            self.workers(),
-            Partitioning::RoundRobin,
-        );
-        let n = result.rows.len();
-        table.insert_all(result.rows)?;
-        *self.catalog().table(name)?.write() = table;
+    /// Replaces the rows of view `name`'s backing table (swapped in whole
+    /// by [`Database::materialize`], so a concurrent SELECT never sees the
+    /// table missing) and invalidates the cached plans over the view via
+    /// its per-table stats version.
+    fn replace_matview_table(&self, name: &str, schema: Schema, rows: Vec<Row>) -> Result<usize> {
+        let n = self.materialize(name, schema, rows, true)?;
         self.plan_cache().bump_stats(name);
         Ok(n)
     }
@@ -256,7 +243,7 @@ impl Database {
         })?;
         let sel = self.matview_select(name, &def.sql)?;
         let result = self.run_select_internal(&sel)?;
-        let n = self.replace_matview_table(name, result)?;
+        let n = self.replace_matview_table(name, result.schema, result.rows)?;
         let registry = lardb_obs::global();
         registry.counter("mv.refresh.recompute").inc();
         registry.counter("mv.refresh_rows").add(n as u64);
@@ -308,10 +295,7 @@ impl Database {
         let delta_name =
             format!("__lardb_delta_{}", DELTA_SEQ.fetch_add(1, Ordering::Relaxed));
         let schema = self.catalog().table_schema(base)?;
-        let mut table =
-            Table::new(&delta_name, schema, self.workers(), Partitioning::RoundRobin);
-        table.insert_all(delta.iter().cloned())?;
-        self.catalog().create_table(table)?;
+        self.materialize(&delta_name, schema, delta.to_vec(), false)?;
         let mut rewritten = sel.clone();
         for r in &mut rewritten.from {
             if let TableRef::Table { name, alias } = r {
@@ -374,10 +358,7 @@ impl Database {
                 }
             }
         }
-        self.replace_matview_table(
-            view,
-            QueryResult { schema, rows, stats: lardb_exec::ExecStats::new() },
-        )?;
+        self.replace_matview_table(view, schema, rows)?;
         let registry = lardb_obs::global();
         registry.counter("mv.refresh.incremental").inc();
         registry.counter("mv.refresh_rows").add(n as u64);

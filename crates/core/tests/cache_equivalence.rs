@@ -447,3 +447,85 @@ fn cache_and_mv_metrics_surface_in_show_metrics() {
         );
     }
 }
+
+/// Every way into `Database::run` — text or prepared × no token, a live
+/// one, one cancelled beforehand × untraced or under the caller's trace —
+/// gives the same answer for a cold SELECT, its warm repeat, a CREATE
+/// TABLE AS and an EXPLAIN ANALYZE; a supplied trace is finished exactly
+/// once; and profile and trace agree on which lifecycle stages ran.
+#[test]
+fn every_entry_agrees_and_profile_and_trace_match() {
+    use lardb::{CancelToken, EngineError, Source};
+    let recorder = lardb_obs::recorder();
+    for workers in [1usize, 4] {
+        let db = seed_db(config(workers));
+        let mut answers: Vec<Vec<String>> = vec![Vec::new(); 4];
+        let cells = (0..12).map(|cell| (cell, cell % 2 == 0, (cell / 2) % 3, cell / 6 == 1));
+        for (cell, as_text, token, traced) in cells {
+            // A literal of its own keeps each cell's first SELECT cold.
+            let select = format!("SELECT g, SUM(v) AS s FROM facts WHERE id < {} GROUP BY g", 900 + cell);
+            let statements = [
+                select.clone(),
+                select.clone(),
+                format!("CREATE TABLE w{workers}c{cell} AS {select}"),
+                format!("EXPLAIN ANALYZE {select}"),
+            ];
+            let cancel = (token > 0).then(CancelToken::new);
+            if token == 2 {
+                cancel.as_ref().unwrap().cancel();
+            }
+            for (kind, sql) in statements.iter().enumerate() {
+                // (Preparing a SELECT plans it, so text cells must not.)
+                let prepared = (!as_text).then(|| db.prepare(sql).unwrap());
+                let source = prepared.as_ref().map_or(Source::Sql(sql), Source::Prepared);
+                let trace = traced.then(|| recorder.start_forced(sql, "matrix"));
+                let result = db.run(source, cancel.as_ref(), trace.as_ref());
+                let at = format!("W={workers} cell {cell} statement {kind}");
+                if let Some(trace) = &trace {
+                    let mut ring = recorder.completed_snapshot();
+                    ring.retain(|t| t.id == trace.id());
+                    assert_eq!(ring.len(), 1, "finished once, by run: {at}");
+                    assert_eq!(ring[0].error, result.as_ref().err().map(|e| e.to_string()), "{at}");
+                    let profile = db.last_profile().unwrap();
+                    for stage in ["parse", "bind", "optimize", "plan", "execute"] {
+                        let timed = profile.stage_ms(stage).unwrap() > 0.0;
+                        assert_eq!(timed, ring[0].has_span(stage), "{stage}: {at}");
+                        // The warm repeat has no front end, a prepared
+                        // statement no parse; a cold SELECT and a CREATE
+                        // TABLE AS sent as text go through every stage.
+                        let skipped = (kind == 1 || !as_text) && stage == "parse"
+                            || kind == 1 && matches!(stage, "bind" | "optimize");
+                        assert!(!(skipped && timed), "{stage} ran: {at}");
+                        assert!(timed || !as_text || kind % 2 == 1, "{stage} did not run: {at}");
+                    }
+                }
+                match (token, result) {
+                    (2, Err(EngineError::Exec(lardb_exec::ExecError::Cancelled(_)))) => {
+                        assert!(cancel.as_ref().unwrap().is_cancelled(), "re-armed: {at}");
+                    }
+                    (2, other) => panic!("a cancelled token must abort, got {other:?}: {at}"),
+                    (_, Ok(Response::Rows(rows))) => answers[kind].push(canon_rows(&rows).join(";")),
+                    (_, Ok(Response::Explained(text))) => {
+                        answers[kind].push(text.contains("plan cache:").to_string())
+                    }
+                    (_, other) => answers[kind].push(format!("{other:?}")),
+                }
+            }
+        }
+        for (kind, answers) in answers.iter().enumerate() {
+            assert_eq!(answers.len(), 8, "statement {kind}");
+            assert!(answers.iter().all(|a| *a == answers[0]), "statement {kind}: {answers:?}");
+        }
+        // Materialized-view maintenance runs queries of its own; they are
+        // not the statement, so neither its profile nor the cache sees them.
+        db.execute("CREATE MATERIALIZED VIEW mv_q AS SELECT g, SUM(v) AS s FROM facts GROUP BY g")
+            .unwrap();
+        let insert = "INSERT INTO facts VALUES (2000, 1, 0.5)";
+        let before = db.plan_cache_stats();
+        db.execute(insert).unwrap();
+        let (after, profile) = (db.plan_cache_stats(), db.last_profile().unwrap());
+        assert_eq!((after.hits, after.misses, after.entries), (before.hits, before.misses, before.entries));
+        assert_eq!((profile.query.as_str(), profile.operators.len()), (insert, 0));
+        assert_eq!(profile.stage_ms("execute"), Some(0.0));
+    }
+}

@@ -278,8 +278,9 @@ fn cancellation_latency_is_bounded() {
         let cancel = lardb::CancelToken::new();
         let worker_cancel = cancel.clone();
         let worker_db = db.clone();
-        let worker =
-            std::thread::spawn(move || worker_db.execute_with_cancel(sql, &worker_cancel));
+        let worker = std::thread::spawn(move || {
+            worker_db.run(lardb::Source::Sql(sql), Some(&worker_cancel), None)
+        });
 
         // Let the join get going, then kill it and time the unwind.
         std::thread::sleep(Duration::from_millis(300));

@@ -6,9 +6,10 @@
 //! intermediate (§4.1's 80 GB vs 80 MB plans). This crate provides the
 //! instrumentation that keeps both honest, with zero external dependencies:
 //!
-//! * [`span`] — structured spans over the query lifecycle
-//!   (parse → bind → optimize → plan → execute) via a [`TraceSink`]
-//!   collector, cheap enough to leave always-on;
+//! * [`span`] — the five query-lifecycle [`Stage`]s
+//!   (parse → bind → optimize → plan → execute); [`QueryProfile::time`]
+//!   times one, feeding the profile and the current trace from one clock
+//!   reading;
 //! * [`metrics`] — a process-wide [`MetricsRegistry`] of counters, gauges
 //!   and log-scale-bucket histograms, fed by the executor and the
 //!   `lardb-net` transports and queryable through `SHOW METRICS`;
@@ -31,7 +32,7 @@ pub use metrics::{
     global, Counter, Gauge, Histogram, MetricKind, MetricSample, MetricsRegistry, TableSample,
 };
 pub use profile::{q_error, OperatorProfile, QueryProfile, StageTiming};
-pub use span::{CollectingSink, SpanGuard, SpanRecord, Stage, TraceSink};
+pub use span::Stage;
 pub use trace::{
     recorder, ActiveTrace, CompletedTrace, FlightRecorder, SpanEvent, TraceId, TraceSpan,
 };

@@ -8,8 +8,10 @@
 //! crate's hand-rolled [`crate::json`] writer) for the bench harness's
 //! `--profile-json` export.
 
+use std::time::Instant;
+
 use crate::json::{array, ObjectWriter};
-use crate::span::{SpanRecord, Stage};
+use crate::span::Stage;
 
 /// q-error of an estimate against an actual: `max(est/act, act/est)`.
 ///
@@ -117,11 +119,21 @@ impl QueryProfile {
         }
     }
 
-    /// Folds a batch of finished spans into the stage timings.
-    pub fn add_spans(&mut self, spans: &[SpanRecord]) {
-        for span in spans {
-            self.add_stage(span.stage.name(), span.wall_ms);
+    /// Runs `f` as lifecycle stage `stage`. One clock reading feeds both
+    /// views of the stage: the wall time is added to [`Self::stages`] and
+    /// recorded as the same-named span on the thread's current trace
+    /// ([`crate::trace::current`]), if there is one. `f`'s value is handed
+    /// back as it is, so a stage that fails is timed like one that
+    /// succeeds (`profile.time(stage, || …)?`).
+    pub fn time<T>(&mut self, stage: Stage, f: impl FnOnce() -> T) -> T {
+        let started = Instant::now();
+        let out = f();
+        let wall = started.elapsed();
+        self.add_stage(stage.name(), wall.as_secs_f64() * 1e3);
+        if let Some(trace) = crate::trace::current() {
+            trace.record(stage.name(), "query", started, wall, Vec::new());
         }
+        out
     }
 
     /// Wall time of the named stage, if present.

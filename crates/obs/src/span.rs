@@ -1,16 +1,11 @@
-//! Structured spans over the query lifecycle.
+//! The query-lifecycle stages.
 //!
 //! A query moves through five stages — parse, bind, optimize, plan,
-//! execute — and a [`TraceSink`] collects one [`SpanRecord`] per stage
-//! (plus any per-worker execution spans the executor chooses to emit).
-//! Spans are RAII: open one with [`SpanGuard::enter`] and the record is
-//! delivered to the sink on drop, so early returns and `?` propagation
-//! are timed correctly for free.
+//! execute. [`QueryProfile::time`](crate::QueryProfile::time) times one:
+//! the wall time lands in the profile's stage timings and, from the same
+//! clock reading, as a span on the thread's current trace.
 
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
-
-/// The five query-lifecycle stages, plus worker-local execution spans.
+/// The five query-lifecycle stages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// SQL text → AST.
@@ -23,12 +18,10 @@ pub enum Stage {
     Plan,
     /// Physical plan execution across the worker pool.
     Execute,
-    /// A single worker's slice of the execute stage.
-    Worker,
 }
 
 impl Stage {
-    /// Stable lowercase name used in profiles and JSON exports.
+    /// Stable lowercase name used in profiles, traces and JSON exports.
     pub fn name(self) -> &'static str {
         match self {
             Stage::Parse => "parse",
@@ -36,11 +29,10 @@ impl Stage {
             Stage::Optimize => "optimize",
             Stage::Plan => "plan",
             Stage::Execute => "execute",
-            Stage::Worker => "worker",
         }
     }
 
-    /// The five top-level lifecycle stages, in pipeline order.
+    /// The lifecycle stages, in pipeline order.
     pub const LIFECYCLE: [Stage; 5] = [
         Stage::Parse,
         Stage::Bind,
@@ -50,132 +42,50 @@ impl Stage {
     ];
 }
 
-/// One finished span.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanRecord {
-    /// Which stage the span covers.
-    pub stage: Stage,
-    /// Free-form detail (e.g. `worker 3` or the statement kind).
-    pub detail: String,
-    /// Wall-clock duration in milliseconds.
-    pub wall_ms: f64,
-}
-
-/// A destination for finished spans.
-///
-/// Implementations must be cheap and non-blocking-ish; spans are emitted
-/// from the query hot path (albeit once per stage, not per row).
-pub trait TraceSink: Send + Sync {
-    /// Receives one finished span.
-    fn record(&self, span: SpanRecord);
-}
-
-/// A [`TraceSink`] that buffers spans in memory, for tests and for the
-/// profile builder in `core`.
-#[derive(Debug, Default, Clone)]
-pub struct CollectingSink {
-    spans: Arc<Mutex<Vec<SpanRecord>>>,
-}
-
-impl CollectingSink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        CollectingSink::default()
-    }
-
-    /// Drains and returns all spans recorded so far.
-    pub fn take(&self) -> Vec<SpanRecord> {
-        std::mem::take(&mut *self.spans.lock().unwrap_or_else(|e| e.into_inner()))
-    }
-
-    /// Clones the spans recorded so far without draining.
-    pub fn spans(&self) -> Vec<SpanRecord> {
-        self.spans.lock().unwrap_or_else(|e| e.into_inner()).clone()
-    }
-}
-
-impl TraceSink for CollectingSink {
-    fn record(&self, span: SpanRecord) {
-        self.spans.lock().unwrap_or_else(|e| e.into_inner()).push(span);
-    }
-}
-
-/// RAII guard: times a stage and reports it to the sink on drop.
-///
-/// When the thread has a current end-to-end trace (see
-/// [`crate::trace::current`]), the guard also mirrors the span into that
-/// trace's flight-recorder event log, so lifecycle stages show up in
-/// Chrome trace exports without any extra call-site plumbing.
-pub struct SpanGuard<'a> {
-    sink: &'a dyn TraceSink,
-    stage: Stage,
-    detail: String,
-    started: Instant,
-    _trace_span: Option<crate::trace::TraceSpan>,
-}
-
-impl<'a> SpanGuard<'a> {
-    /// Opens a span; the clock starts now.
-    pub fn enter(sink: &'a dyn TraceSink, stage: Stage, detail: impl Into<String>) -> Self {
-        let detail = detail.into();
-        let trace_span = crate::trace::current().map(|t| {
-            let s = t.span(stage.name(), "query");
-            if detail.is_empty() {
-                s
-            } else {
-                s.arg("detail", detail.clone())
-            }
-        });
-        SpanGuard {
-            sink,
-            stage,
-            detail,
-            started: Instant::now(),
-            _trace_span: trace_span,
-        }
-    }
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        self.sink.record(SpanRecord {
-            stage: self.stage,
-            detail: std::mem::take(&mut self.detail),
-            wall_ms: self.started.elapsed().as_secs_f64() * 1e3,
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::QueryProfile;
+    use crate::trace::{push_current, recorder};
+    use std::sync::Arc;
 
     #[test]
     fn guard_records_on_drop() {
-        let sink = CollectingSink::new();
+        let trace = recorder().start_forced("SELECT 1", "test");
+        let mut profile = QueryProfile::new("SELECT 1");
         {
-            let _g = SpanGuard::enter(&sink, Stage::Parse, "select");
+            let _cur = push_current(Some(Arc::clone(&trace)));
+            let out = profile.time(Stage::Parse, || {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                7
+            });
+            assert_eq!(out, 7);
         }
-        let spans = sink.take();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].stage, Stage::Parse);
-        assert_eq!(spans[0].detail, "select");
-        assert!(spans[0].wall_ms >= 0.0);
-        assert!(sink.take().is_empty());
+        // One clock reading feeds both views.
+        let events = trace.events();
+        assert_eq!(events.len(), 1);
+        assert_eq!((events[0].name, events[0].cat), ("parse", "query"));
+        let wall_ms = profile.stage_ms("parse").unwrap();
+        assert!(wall_ms >= 1.0);
+        assert!((events[0].dur_us as f64 - wall_ms * 1e3).abs() <= 1.0);
+        recorder().finish(&trace, None);
+        // Without a current trace only the profile is fed, and a stage
+        // timed twice adds up.
+        profile.time(Stage::Parse, || ());
+        assert!(profile.stage_ms("parse").unwrap() >= wall_ms);
+        assert_eq!(trace.events().len(), 1);
     }
 
     #[test]
     fn guard_records_on_early_return() {
-        fn inner(sink: &CollectingSink, fail: bool) -> Result<(), ()> {
-            let _g = SpanGuard::enter(sink, Stage::Bind, "");
-            if fail {
-                return Err(());
-            }
-            Ok(())
+        fn inner(profile: &mut QueryProfile, fail: bool) -> Result<u8, ()> {
+            let bound = profile.time(Stage::Bind, || if fail { Err(()) } else { Ok(1) })?;
+            Ok(bound + 1)
         }
-        let sink = CollectingSink::new();
-        let _ = inner(&sink, true);
-        assert_eq!(sink.spans().len(), 1);
+        let mut profile = QueryProfile::new("q");
+        assert_eq!(inner(&mut profile, true), Err(()));
+        assert!(profile.stage_ms("bind").unwrap() > 0.0, "a failing stage is still timed");
+        assert_eq!(inner(&mut profile, false), Ok(2));
     }
 
     #[test]

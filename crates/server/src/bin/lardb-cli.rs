@@ -409,8 +409,16 @@ fn parse_engine_flag(
             config.trace_dir =
                 Some(argv.next().map(std::path::PathBuf::from).unwrap_or_else(|| usage()));
         }
-        "--trace-sample" => config.trace_sample = Some(next_parsed(argv)),
-        "--trace-capacity" => config.trace_capacity = Some(next_parsed(argv)),
+        // The flight recorder is the process's, and this binary owns the
+        // process: the two flags configure it directly.
+        "--trace-sample" => match next_parsed(argv) {
+            0 => lardb_obs::recorder().set_enabled(false),
+            n => {
+                lardb_obs::recorder().set_enabled(true);
+                lardb_obs::recorder().set_sample_every(n);
+            }
+        },
+        "--trace-capacity" => lardb_obs::recorder().set_capacity(next_parsed(argv)),
         _ => return false,
     }
     true

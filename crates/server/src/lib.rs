@@ -27,7 +27,7 @@
 //!   [`Server::shutdown`], which disconnects every session. All three
 //!   release the governor ledger and spill files before the session ends.
 //!
-//! Nothing on the path from the socket to `Database::execute` waits on a
+//! Nothing on the path from the socket to `Database::run` waits on a
 //! timer: the accept loop blocks in `accept` (shutdown wakes it with one
 //! connection to itself), a session's reader blocks in `read`, its
 //! session thread blocks on the reader or in the statement. The one

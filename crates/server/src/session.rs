@@ -35,7 +35,7 @@ use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use lardb::{CancelToken, Database, EngineError, PreparedStatement, QueryResult, Response};
+use lardb::{CancelToken, Database, EngineError, PreparedStatement, QueryResult, Response, Source};
 use lardb_exec::ExecError;
 use lardb_net::codec::{checksum_update, FinSummary, Frame, CHECKSUM_SEED};
 use lardb_net::{msg, Message};
@@ -119,9 +119,7 @@ fn serve(shared: &Shared, mut stream: &TcpStream, peer: SocketAddr) -> Option<u6
     let id = shared.db.sessions().open(&tenant, &peer.to_string());
     let session = Session {
         shared,
-        db: shared
-            .tenant_db(&tenant)
-            .with_session_label(format!("session {id} tenant {tenant}")),
+        db: shared.tenant_db(&tenant).with_session(id, tenant.as_str()),
         id,
         tenant,
         stream,
@@ -290,7 +288,7 @@ impl Session<'_> {
         let mut next_stmt: u64 = 1;
         for (request, cancel) in requests {
             match request {
-                Message::Query { sql } => self.run_query(&sql, None, &cancel)?,
+                Message::Query { sql } => self.run_query(Source::Sql(&sql), &cancel)?,
                 Message::Prepare { sql } => {
                     let reply = match self.db.prepare(&sql) {
                         Ok(stmt) => {
@@ -304,7 +302,7 @@ impl Session<'_> {
                     self.reply(|out| send_message(out, &reply))?;
                 }
                 Message::Execute { stmt_id } => match prepared.get(&stmt_id) {
-                    Some(stmt) => self.run_query(stmt.sql(), Some(stmt), &cancel)?,
+                    Some(stmt) => self.run_query(Source::Prepared(stmt), &cancel)?,
                     None => {
                         let reply = Message::Error {
                             code: msg::ERR_QUERY,
@@ -321,17 +319,16 @@ impl Session<'_> {
 
     /// Admits, executes, and answers one statement. `Err` means the reply
     /// could not be written; saturation and query errors are replies, not
-    /// `Err`. With `prepared`, execution reuses the stored parse tree and
-    /// shape key instead of re-planning `sql`.
-    fn run_query(
-        &self,
-        sql: &str,
-        prepared: Option<&PreparedStatement>,
-        cancel: &CancelToken,
-    ) -> io::Result<()> {
+    /// `Err`.
+    fn run_query(&self, source: Source<'_>, cancel: &CancelToken) -> io::Result<()> {
         let (shared, db, tenant) = (self.shared, &self.db, self.tenant.as_str());
-        // Mint the trace BEFORE admission so queue wait is on the trace; the
-        // recorder applies its sampling policy here.
+        let sql = match source {
+            Source::Sql(sql) => sql,
+            Source::Prepared(stmt) => stmt.sql(),
+        };
+        // Mint the trace BEFORE admission so queue wait is on the trace. This
+        // is the one place a served statement is sampled: `Database::run`
+        // takes the decision as it is, and finishes the trace.
         let trace = lardb_obs::recorder().start(sql, tenant);
         let floor_gov = shared.floor_governor(tenant);
         let t_admit = Instant::now();
@@ -371,12 +368,7 @@ impl Session<'_> {
         if let Some(t) = &trace {
             t.set_query_id(query_id);
         }
-        let result = match (&trace, prepared) {
-            (Some(t), Some(p)) => db.execute_prepared_with_trace(p, cancel, t),
-            (None, Some(p)) => db.execute_prepared_with_cancel(p, cancel),
-            (Some(t), None) => db.execute_with_trace(sql, cancel, t),
-            (None, None) => db.execute_with_cancel(sql, cancel),
-        };
+        let result = db.run(source, Some(cancel), trace.as_ref());
         db.sessions().end_query(self.id);
         drop(permit);
         lardb_obs::global()

@@ -254,3 +254,52 @@ fn shutdown_ends_idle_and_running_sessions() {
     }
     TcpListener::bind(addr).expect("port still bound after shutdown");
 }
+
+/// The server decides once per statement whether it is traced, before
+/// admission; `Database::run` takes that decision as it is. (The flight
+/// recorder is the process's: every test here holds `serial()`.)
+#[test]
+fn a_served_statement_is_sampled_once_by_the_server() {
+    let _one_at_a_time = serial();
+    let db = db_with_big();
+    let server = Server::start(db, ServerConfig::default()).unwrap();
+    let mut client = Client::connect(&server.local_addr().to_string(), "acme", "").unwrap();
+    let recorder = lardb_obs::recorder();
+    let completed = |sql: &str| -> Vec<_> {
+        recorder.completed_snapshot().into_iter().filter(|t| t.sql == sql).collect()
+    };
+
+    let sql = "SELECT COUNT(*) AS sampled_once_probe FROM big";
+    recorder.set_sample_every(2);
+    let mut reply_ids = Vec::new();
+    for _ in 0..20 {
+        client.query(sql).unwrap();
+        reply_ids.extend(client.last_trace_id());
+    }
+    recorder.set_sample_every(1);
+    let traces = completed(sql);
+    assert_eq!(traces.len(), 10, "1-in-2 sampling of 20 served statements");
+    for t in &traces {
+        assert_eq!(t.tenant, "acme");
+        assert!(t.has_span("admission.wait") && t.has_span("execute"));
+        assert_ne!(t.query_id, 0);
+    }
+    assert_eq!(reply_ids, traces.iter().map(|t| t.id.0).collect::<Vec<_>>());
+
+    // EXPLAIN TRACE replies with its statement's one trace: the sampled
+    // one when there is one, else one forced for the session's tenant.
+    for enabled in [true, false] {
+        let sql = format!("EXPLAIN TRACE SELECT COUNT(*) AS traced_{enabled} FROM big");
+        recorder.set_enabled(enabled);
+        let reply = client.query(&sql);
+        recorder.set_enabled(true);
+        let QueryOutput::Text(json) = reply.unwrap() else { panic!("expected the trace") };
+        let traces = completed(&sql);
+        assert_eq!(traces.len(), 1, "tracing enabled: {enabled}");
+        assert_eq!(traces[0].tenant, "acme");
+        assert_eq!(traces[0].has_span("admission.wait"), enabled);
+        assert!(json.contains(&traces[0].id.to_string()), "the reply is not that trace");
+    }
+    client.close().unwrap();
+    server.shutdown();
+}
