@@ -101,17 +101,16 @@ fn par_over<T: Send, R: Send>(
     if parts.len() <= 1 {
         return parts.into_iter().map(f).collect();
     }
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = parts
             .into_iter()
             .map(|p| {
                 let f = &f;
-                scope.spawn(move |_| f(p))
+                scope.spawn(move || f(p))
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("executor died")).collect()
     })
-    .expect("scope")
 }
 
 /// The miniature Spark engine.

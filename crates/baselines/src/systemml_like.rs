@@ -134,17 +134,16 @@ impl Engine {
         if items.len() <= 1 {
             return items.into_iter().map(f).collect();
         }
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = items
                 .into_iter()
                 .map(|item| {
                     let f = &f;
-                    scope.spawn(move |_| f(item))
+                    scope.spawn(move || f(item))
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
         })
-        .expect("scope")
     }
 }
 

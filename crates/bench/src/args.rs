@@ -28,7 +28,7 @@ pub struct Args {
     /// path at the end of the run.
     pub profile_json: Option<String>,
     /// Rows per column batch for the compiled engine; `None` inherits
-    /// the default (or `LARDB_BATCH_ROWS`).
+    /// the default.
     pub batch_rows: Option<usize>,
 }
 

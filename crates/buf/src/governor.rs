@@ -13,7 +13,7 @@ use std::sync::Arc;
 ///
 /// Governors form a tree: a *child* governor (see [`MemoryGovernor::child`])
 /// charges every byte against its own budget **and** its parent's, so a
-/// tenant's sub-budget can never grant memory the process-wide governor
+/// tenant's sub-budget can never grant memory the database's governor
 /// does not have. Releases cascade the same way, keeping both ledgers
 /// consistent no matter which side aborts.
 #[derive(Debug)]

@@ -2,7 +2,7 @@
 //!
 //! This crate gives the executor two primitives:
 //!
-//! * [`MemoryGovernor`] — a process-wide (or per-database) accountant that
+//! * [`MemoryGovernor`] — a per-database (or per-tenant) accountant that
 //!   operators ask for byte reservations before materialising large state
 //!   (hash-join build tables, aggregation maps). A denied reservation is the
 //!   backpressure signal that flips an operator into its out-of-core path.
@@ -23,7 +23,6 @@ pub use spill::{SpillFile, SpillWriter};
 
 use lardb_net::codec::CodecError;
 use std::path::PathBuf;
-use std::sync::{Arc, OnceLock};
 
 /// Errors from the spill subsystem. IO errors carry the path and operation so
 /// a failed spill names the file that broke; integrity failures distinguish
@@ -74,26 +73,3 @@ impl From<CodecError> for BufError {
 /// Result alias for the spill subsystem.
 pub type Result<T> = std::result::Result<T, BufError>;
 
-/// The process-wide governor, sized by `LARDB_MEM_BUDGET_MB` (unset or `0`
-/// means unbounded). Databases without an explicit `mem` config share this
-/// instance, so a single env var turns on spilling for a whole test suite.
-pub fn global() -> &'static Arc<MemoryGovernor> {
-    static GLOBAL: OnceLock<Arc<MemoryGovernor>> = OnceLock::new();
-    GLOBAL.get_or_init(|| {
-        let budget = std::env::var("LARDB_MEM_BUDGET_MB")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&mb| mb > 0)
-            .map(|mb| mb * 1024 * 1024);
-        Arc::new(MemoryGovernor::new(budget))
-    })
-}
-
-/// Where spill files go: `LARDB_SPILL_DIR` if set and non-empty, else the
-/// OS temp dir. Callers with an explicit `--spill-dir` bypass this.
-pub fn default_spill_dir() -> PathBuf {
-    match std::env::var("LARDB_SPILL_DIR") {
-        Ok(d) if !d.trim().is_empty() => PathBuf::from(d),
-        _ => std::env::temp_dir(),
-    }
-}

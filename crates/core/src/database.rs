@@ -73,17 +73,16 @@ pub struct DatabaseConfig {
     /// maximum accepted frame size, and an optional deterministic fault
     /// injection plan (see `lardb_exec::FaultPlan`) for chaos testing.
     pub net: NetConfig,
-    /// Memory budget for pipeline-breaking operators, in MiB. `None`
-    /// (the default) shares the process-wide governor sized from
-    /// `LARDB_MEM_BUDGET_MB` (unset ⇒ unbounded); `Some(0)` gives this
-    /// database a dedicated *unbounded* governor; `Some(n)` gives it a
-    /// dedicated `n`-MiB governor. When a hash join or grouped aggregate
-    /// cannot reserve its working set it spills partitions to disk and
-    /// finishes out-of-core (see `lardb_buf`).
+    /// Memory budget for pipeline-breaking operators, in MiB: `Some(n)`
+    /// is an `n`-MiB budget, `None` (the default) and `Some(0)` are
+    /// unbounded. Either way the governor is this database's own (shared
+    /// with its clones, never with another database). When a hash join or
+    /// grouped aggregate cannot reserve its working set it spills
+    /// partitions to disk and finishes out-of-core (see `lardb_buf`).
     pub mem: Option<u64>,
-    /// Directory for spill files. `None` (the default) uses
-    /// `LARDB_SPILL_DIR`, falling back to the OS temp dir. Spill files
-    /// are removed as soon as they are drained (and on abort).
+    /// Directory for spill files. `None` (the default) uses the OS temp
+    /// dir. Spill files are removed as soon as they are drained (and on
+    /// abort).
     pub spill_dir: Option<std::path::PathBuf>,
     /// Directory where each completed query trace is written as Chrome
     /// trace-event JSON (`trace-<id>.json`, loadable in Perfetto /
@@ -99,15 +98,15 @@ pub struct DatabaseConfig {
     /// (the differential suite's oracle).
     pub expr_engine: lardb_exec::ExprEngine,
     /// Rows per column batch in the compiled engine (default
-    /// [`lardb_exec::DEFAULT_BATCH_ROWS`]; env `LARDB_BATCH_ROWS`).
+    /// [`lardb_exec::DEFAULT_BATCH_ROWS`]).
     /// Smaller batches stay cache-resident; larger ones amortize the
     /// pivot and dispatch further.
     pub batch_rows: usize,
     /// Capacity of the normalized plan cache in entries (default
-    /// [`crate::plan_cache::DEFAULT_PLAN_CACHE_ENTRIES`]; env
-    /// `LARDB_PLAN_CACHE`). Repeat SELECTs whose shape, literals, catalog
-    /// version and optimizer knobs all match a cached entry skip
-    /// parse/bind/optimize entirely. `0` disables caching.
+    /// [`crate::plan_cache::DEFAULT_PLAN_CACHE_ENTRIES`]). Repeat SELECTs
+    /// whose shape, literals, catalog version and optimizer knobs all
+    /// match a cached entry skip parse/bind/optimize entirely. `0`
+    /// disables caching.
     pub plan_cache_entries: usize,
 }
 
@@ -125,15 +124,8 @@ impl Default for DatabaseConfig {
             spill_dir: None,
             trace_dir: None,
             expr_engine: lardb_exec::ExprEngine::default(),
-            batch_rows: std::env::var("LARDB_BATCH_ROWS")
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .filter(|&n: &usize| n > 0)
-                .unwrap_or(lardb_exec::DEFAULT_BATCH_ROWS),
-            plan_cache_entries: std::env::var("LARDB_PLAN_CACHE")
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(DEFAULT_PLAN_CACHE_ENTRIES),
+            batch_rows: lardb_exec::DEFAULT_BATCH_ROWS,
+            plan_cache_entries: DEFAULT_PLAN_CACHE_ENTRIES,
         }
     }
 }
@@ -312,20 +304,13 @@ impl Database {
     }
 
     /// A database with explicit configuration. Touches nothing outside
-    /// the returned value: the flight recorder, the metrics registry and
-    /// the shared pool and governor are the process's, not a database's.
+    /// the returned value, and its memory governor is its own: the flight
+    /// recorder, the metrics registry and the shared pool
+    /// (`pool_workers: None`) are the process's, not a database's.
     pub fn with_config(config: DatabaseConfig) -> Self {
         let pool = config.pool_workers.map(|n| Arc::new(WorkerPool::new(n)));
-        let mem = match config.mem {
-            None => match &config.spill_dir {
-                None => MemoryConfig::shared(),
-                Some(dir) => MemoryConfig::shared().with_spill_dir(dir.clone()),
-            },
-            Some(0) => MemoryConfig::with_budget(None, config.spill_dir.clone()),
-            Some(mb) => {
-                MemoryConfig::with_budget(Some(mb * 1024 * 1024), config.spill_dir.clone())
-            }
-        };
+        let budget = config.mem.filter(|&mb| mb > 0).map(|mb| mb * 1024 * 1024);
+        let mem = MemoryConfig::with_budget(budget, config.spill_dir.clone());
         let plan_cache = Arc::new(PlanCache::new(config.plan_cache_entries));
         Database {
             catalog: Arc::new(Catalog::new()),
@@ -379,10 +364,10 @@ impl Database {
     }
 
     /// Replaces the memory configuration (builder style). The query server
-    /// uses this to give a clone a *tenant* governor: a sub-budget of the
-    /// shared governor, so one tenant's reservations are capped without
-    /// losing process-wide accounting. Catalog, pool, profile slot and
-    /// session registry stay shared with the original.
+    /// uses this to give a clone a *tenant* governor: a sub-budget of this
+    /// database's governor, so one tenant's reservations are capped
+    /// without losing database-wide accounting. Catalog, pool, profile
+    /// slot and session registry stay shared with the original.
     pub fn with_memory_config(mut self, mem: MemoryConfig) -> Self {
         self.mem = mem;
         self

@@ -36,7 +36,8 @@ use std::sync::{Arc, Mutex};
 use lardb_planner::LogicalPlan;
 use lardb_sql::lexer::{tokenize, Token};
 
-/// Default cache capacity (entries) when `LARDB_PLAN_CACHE` is unset.
+/// Default cache capacity in entries
+/// ([`crate::DatabaseConfig::plan_cache_entries`]).
 pub const DEFAULT_PLAN_CACHE_ENTRIES: usize = 256;
 
 /// A literal value captured during normalization. Floats are stored as

@@ -7,67 +7,31 @@
 //! test data uses dyadic rationals so float aggregation is exact and
 //! "bit-identical" is meaningful.
 
-use lardb::{Database, DatabaseConfig, Response, Value};
+mod common;
 
-/// Canonical, bit-exact rendering of a result row: doubles render as
-/// their IEEE-754 bit pattern so `0.1 + 0.2`-style drift can't hide
-/// behind display rounding.
-fn canon_rows(result: &lardb::QueryResult) -> Vec<String> {
-    let mut rows: Vec<String> = result
-        .rows
-        .iter()
-        .map(|row| {
-            row.values()
-                .iter()
-                .map(|v| match v {
-                    Value::Double(d) => format!("f64:{:016x}", d.to_bits()),
-                    other => format!("{other:?}"),
-                })
-                .collect::<Vec<_>>()
-                .join("|")
-        })
-        .collect();
-    rows.sort();
-    rows
+use common::compare::{canon_rows, metric, sweep};
+use common::corpus::{self, FACTS_FILTER, FACTS_JOIN_AGG, FACTS_LA};
+use common::fixtures::Fixture;
+use common::lattice::{self, cell};
+use lardb::{Database, Response};
+
+/// The fact and dimension tables on `workers` workers, default cache.
+fn seeded(workers: usize) -> Database {
+    Fixture::Facts.open(&cell(|c| c.workers = workers))
 }
 
-fn config(workers: usize) -> DatabaseConfig {
-    // Pin the capacity: these tests assert hit/miss counters, so they
-    // must not inherit a `LARDB_PLAN_CACHE` override from the
-    // environment (CI runs the tier-1 suites with the cache forced off
-    // and forced tiny).
-    DatabaseConfig { workers, plan_cache_entries: 256, ..DatabaseConfig::default() }
+/// Every axis alone — the 2- and 256-entry caches among them, each
+/// statement repeated so the second run is the cached plan's.
+#[test]
+fn every_axis_alone_matches_the_oracle_on_facts() {
+    sweep(Fixture::Facts, corpus::on(Fixture::Facts), &lattice::single_axis());
 }
-
-/// A small schema exercised by every test: a fact table with integer
-/// keys and dyadic-rational doubles, plus a dimension to join against.
-fn seed_db(config: DatabaseConfig) -> Database {
-    let db = Database::with_config(config);
-    db.execute("CREATE TABLE facts (id INTEGER, g INTEGER, v DOUBLE)").unwrap();
-    let mut values = Vec::new();
-    for i in 0..200i64 {
-        // 0.25 steps: exactly representable, so SUM/AVG are exact.
-        values.push(format!("({}, {}, {})", i, i % 5, (i as f64) * 0.25));
-    }
-    db.execute(&format!("INSERT INTO facts VALUES {}", values.join(", "))).unwrap();
-    db.execute("CREATE TABLE dims (g INTEGER, label INTEGER)").unwrap();
-    db.execute("INSERT INTO dims VALUES (0, 100), (1, 101), (2, 102), (3, 103), (4, 104)")
-        .unwrap();
-    db
-}
-
-const QUERIES: &[&str] = &[
-    "SELECT id, v * 2 AS vv FROM facts WHERE id >= 150",
-    "SELECT g, COUNT(*) AS c, SUM(v) AS s FROM facts GROUP BY g",
-    "SELECT COUNT(*) AS n, SUM(g) AS sg FROM facts",
-    "SELECT f.id, d.label FROM facts AS f, dims AS d WHERE f.g = d.g AND f.id >= 190",
-];
 
 #[test]
 fn cached_matches_cold_across_workers() {
     for workers in [1usize, 4] {
-        let db = seed_db(config(workers));
-        for q in QUERIES {
+        let db = seeded(workers);
+        for q in corpus::on(Fixture::Facts).iter().map(|s| s.sql) {
             let cold = db.query(q).unwrap();
             let misses = db.plan_cache_stats().misses;
             let warm = db.query(q).unwrap();
@@ -85,16 +49,9 @@ fn cached_matches_cold_across_workers() {
 fn warm_repeat_skips_the_front_end_exactly() {
     const FRONT_END: [&str; 3] = ["parse", "bind", "optimize"];
     // A scalar filter, a join + aggregate, and an LA expression.
-    let shapes = [
-        QUERIES[0],
-        "SELECT d.label, SUM(f.v) AS s FROM facts AS f, dims AS d
-         WHERE f.g = d.g GROUP BY d.label",
-        "SELECT inner_product(q.x, q.x) AS n2
-         FROM (SELECT VECTORIZE(label_scalar(v, id)) AS x FROM facts WHERE id < 8) AS q",
-    ];
     for workers in [1usize, 4] {
-        let db = seed_db(config(workers));
-        for q in shapes {
+        let db = seeded(workers);
+        for q in [FACTS_FILTER, FACTS_JOIN_AGG, FACTS_LA] {
             let cold = db.query(q).unwrap();
             let profile = db.last_profile().expect("statement just ran");
             for stage in FRONT_END {
@@ -123,7 +80,7 @@ fn warm_repeat_skips_the_front_end_exactly() {
 fn literal_variants_do_not_collide() {
     // Same shape, different literals: both hit the cold path once, and
     // neither is served the other's rows.
-    let db = seed_db(config(2));
+    let db = seeded(2);
     let one = db.query("SELECT id FROM facts WHERE id = 1").unwrap();
     let two = db.query("SELECT id FROM facts WHERE id = 2").unwrap();
     assert_eq!(one.rows.len(), 1);
@@ -139,7 +96,7 @@ fn literal_variants_do_not_collide() {
 
 #[test]
 fn ddl_invalidates_cached_plans() {
-    let db = seed_db(config(2));
+    let db = seeded(2);
     let q = "SELECT g, COUNT(*) AS c FROM facts GROUP BY g";
     db.query(q).unwrap();
     db.query(q).unwrap();
@@ -156,7 +113,7 @@ fn ddl_invalidates_cached_plans() {
 
 #[test]
 fn insert_into_unrelated_table_keeps_cached_plans() {
-    let db = seed_db(config(2));
+    let db = seeded(2);
     let q = "SELECT g, label FROM dims WHERE g >= 0";
     db.query(q).unwrap(); // seeds the cache with a plan over dims only
     // A write to facts must not invalidate plans that never read facts.
@@ -176,7 +133,7 @@ fn insert_into_unrelated_table_keeps_cached_plans() {
 
 #[test]
 fn prepared_statement_reexecution_hits_cache() {
-    let db = seed_db(config(2));
+    let db = seeded(2);
     let prepared = db.prepare("SELECT id, v FROM facts WHERE id >= 195").unwrap();
     // Prepare warmed the cache, so even the *first* execute is a hit.
     let before = db.plan_cache_stats();
@@ -197,7 +154,7 @@ fn prepared_statement_reexecution_hits_cache() {
 
 #[test]
 fn explain_analyze_reports_cache_hit() {
-    let db = seed_db(config(2));
+    let db = seeded(2);
     let q = "SELECT g, SUM(v) AS s FROM facts GROUP BY g";
     db.query(q).unwrap(); // seeds the cache
     let text = match db.execute(&format!("EXPLAIN ANALYZE {q}")).unwrap() {
@@ -212,12 +169,11 @@ fn explain_analyze_reports_cache_hit() {
 
 #[test]
 fn disabled_cache_is_correct_and_silent() {
-    let db = seed_db(DatabaseConfig {
-        workers: 2,
-        plan_cache_entries: 0,
-        ..DatabaseConfig::default()
-    });
-    for q in QUERIES {
+    let db = Fixture::Facts.open(&cell(|c| {
+        c.workers = 2;
+        c.plan_cache_entries = 0;
+    }));
+    for q in corpus::on(Fixture::Facts).iter().map(|s| s.sql) {
         let a = db.query(q).unwrap();
         let b = db.query(q).unwrap();
         assert_eq!(canon_rows(&a), canon_rows(&b), "query={q}");
@@ -267,7 +223,7 @@ fn mv_incremental_refresh_matches_recompute() {
             "SELECT id, label FROM mv_join",
         ),
     ];
-    let db = seed_db(config(2));
+    let db = seeded(2);
     for (name, defining, _) in cases {
         db.execute(&format!("CREATE MATERIALIZED VIEW {name} AS {defining}")).unwrap();
     }
@@ -303,7 +259,7 @@ fn mv_incremental_refresh_matches_recompute() {
 
 #[test]
 fn refresh_statement_matches_recompute() {
-    let db = seed_db(config(2));
+    let db = seeded(2);
     db.execute(
         "CREATE MATERIALIZED VIEW mv_r AS \
          SELECT g, SUM(v) AS s FROM facts GROUP BY g",
@@ -323,7 +279,7 @@ fn refresh_statement_matches_recompute() {
 
 #[test]
 fn matview_over_matview_is_rejected() {
-    let db = seed_db(config(2));
+    let db = seeded(2);
     db.execute(
         "CREATE MATERIALIZED VIEW mv_base AS \
          SELECT g, SUM(v) AS s FROM facts GROUP BY g",
@@ -349,7 +305,7 @@ fn matview_over_matview_is_rejected() {
 
 #[test]
 fn drop_matview_with_dependents_is_refused() {
-    let db = seed_db(config(2));
+    let db = seeded(2);
     db.execute("CREATE MATERIALIZED VIEW mv_d AS SELECT id FROM facts WHERE g = 0")
         .unwrap();
     // CREATE rejects matview-over-matview, so fabricate a dependent
@@ -378,7 +334,7 @@ fn drop_matview_with_dependents_is_refused() {
 fn concurrent_select_during_maintenance_never_fails() {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
-    let db = seed_db(config(2));
+    let db = seeded(2);
     // AVG forces the recompute strategy, which replaces the backing table.
     db.execute(
         "CREATE MATERIALIZED VIEW mv_swap AS \
@@ -414,7 +370,7 @@ fn concurrent_select_during_maintenance_never_fails() {
 
 #[test]
 fn drop_guards_protect_matviews_and_bases() {
-    let db = seed_db(config(2));
+    let db = seeded(2);
     db.execute("CREATE MATERIALIZED VIEW mv_g AS SELECT id FROM facts WHERE g = 0")
         .unwrap();
     // The backing table is not a plain table.
@@ -430,21 +386,15 @@ fn drop_guards_protect_matviews_and_bases() {
 
 #[test]
 fn cache_and_mv_metrics_surface_in_show_metrics() {
-    let db = seed_db(config(2));
+    let db = seeded(2);
     db.execute("CREATE MATERIALIZED VIEW mv_m AS SELECT g, SUM(v) AS s FROM facts GROUP BY g")
         .unwrap();
     db.execute("INSERT INTO facts VALUES (700, 1, 1.5)").unwrap();
     let q = "SELECT COUNT(*) AS n FROM facts";
     db.query(q).unwrap();
     db.query(q).unwrap();
-    let r = db.query("SHOW METRICS").unwrap();
-    let names: Vec<String> =
-        r.rows.iter().map(|row| row.value(0).to_string()).collect();
-    for metric in ["cache.hits", "cache.misses", "mv.created", "mv.refresh_rows"] {
-        assert!(
-            names.iter().any(|n| n == metric),
-            "metric {metric} missing from SHOW METRICS: {names:?}"
-        );
+    for name in ["cache.hits", "cache.misses", "mv.created", "mv.refresh_rows"] {
+        metric(&db, name);
     }
 }
 
@@ -458,7 +408,7 @@ fn every_entry_agrees_and_profile_and_trace_match() {
     use lardb::{CancelToken, EngineError, Source};
     let recorder = lardb_obs::recorder();
     for workers in [1usize, 4] {
-        let db = seed_db(config(workers));
+        let db = seeded(workers);
         let mut answers: Vec<Vec<String>> = vec![Vec::new(); 4];
         let cells = (0..12).map(|cell| (cell, cell % 2 == 0, (cell / 2) % 3, cell / 6 == 1));
         for (cell, as_text, token, traced) in cells {

@@ -8,123 +8,21 @@
 //! `Err` — never a short or corrupted result set. A killed TCP peer in
 //! particular must be detected 100% of the time.
 
-use lardb::{
-    CooBuilder, Database, DatabaseConfig, DataType, FaultKind, FaultPlan,
-    Partitioning, QueryResult, Row, Schema, Table, TransportMode, Value,
-};
+mod common;
 
-/// Builds the same skewed database as the scheduler-equivalence suite:
-/// 90% of `skew` rows hash into one partition, plus a 7-row `dim` table.
-fn skewed_db(config: DatabaseConfig) -> Database {
-    let workers = config.workers;
-    let db = Database::with_config(config);
-    let schema = Schema::from_pairs(&[
-        ("k", DataType::Integer),
-        ("g", DataType::Integer),
-        ("v", DataType::Double),
-    ]);
-    let mut t = Table::new("skew", schema, workers, Partitioning::Hash(0));
-    for i in 0..900i64 {
-        t.insert(Row::new(vec![
-            Value::Integer(0),
-            Value::Integer(i % 7),
-            Value::Double(i as f64 * 0.25),
-        ]))
-        .unwrap();
-    }
-    for i in 0..100i64 {
-        t.insert(Row::new(vec![
-            Value::Integer(i + 1),
-            Value::Integer(i % 7),
-            Value::Double(i as f64 * 1.5),
-        ]))
-        .unwrap();
-    }
-    db.catalog().create_table(t).unwrap();
+use common::compare::{canon_rows, metric, sweep};
+use common::corpus::{self, SKEW_GROUPS};
+use common::fixtures::Fixture;
+use common::lattice::{cell, Cell};
+use lardb::{Database, DatabaseConfig, FaultKind, FaultPlan, TransportMode};
 
-    let dim_schema =
-        Schema::from_pairs(&[("g", DataType::Integer), ("label", DataType::Integer)]);
-    let mut dim = Table::new("dim", dim_schema, workers, Partitioning::Hash(0));
-    for g in 0..7i64 {
-        dim.insert(Row::new(vec![Value::Integer(g), Value::Integer(g * 100)]))
-            .unwrap();
-    }
-    db.catalog().create_table(dim).unwrap();
-
-    // A 3×3 grid of sparse 32×32 CSR tiles: their exchange frames take
-    // the sparse (tag-8) wire encoding, so drop/truncate/corrupt faults
-    // cover the sparse codec path too — a corrupted sparse frame must be
-    // a typed error, never a short or silently-densified answer.
-    let tile_schema = Schema::from_pairs(&[
-        ("tr", DataType::Integer),
-        ("tc", DataType::Integer),
-        ("mat", DataType::Matrix(Some(32), Some(32))),
-    ]);
-    let mut stile = Table::new("stile", tile_schema, workers, Partitioning::Hash(0));
-    let mut seed = 0x7153u64;
-    let mut rng = move || {
-        seed ^= seed << 13;
-        seed ^= seed >> 7;
-        seed ^= seed << 17;
-        seed
-    };
-    for tr in 0..3i64 {
-        for tc in 0..3i64 {
-            let mut b = CooBuilder::new();
-            for _ in 0..50 {
-                b.push((rng() % 32) as i64, (rng() % 32) as i64, (rng() % 100 + 1) as f64 / 16.0)
-                    .unwrap();
-            }
-            stile
-                .insert(Row::new(vec![
-                    Value::Integer(tr),
-                    Value::Integer(tc),
-                    Value::sparse_matrix(b.build(32, 32).unwrap()),
-                ]))
-                .unwrap();
-        }
-    }
-    db.catalog().create_table(stile).unwrap();
-    db
-}
-
-fn sorted_rows(r: &QueryResult) -> Vec<String> {
-    let mut rows: Vec<String> = r.rows.iter().map(|row| row.to_string()).collect();
-    rows.sort();
-    rows
-}
-
-const QUERIES: &[&str] = &[
-    "SELECT k * 2 AS kk, g FROM skew WHERE k >= 10",
-    "SELECT g, COUNT(*) AS c, SUM(k) AS s FROM skew GROUP BY g",
-    "SELECT COUNT(*) AS n, SUM(g) AS sg FROM skew",
-    "SELECT s.k, d.label FROM skew AS s, dim AS d WHERE s.g = d.g AND s.k >= 990",
-    // Sparse tiles cross the wire twice here: raw CSR cells into the
-    // repartitioning join, sparse SUM partials into the final aggregate.
-    "SELECT a.tr, b.tc, sum_elements(SUM(matrix_multiply(a.mat, b.mat))) AS s
-     FROM stile AS a, stile AS b WHERE a.tc = b.tr GROUP BY a.tr, b.tc",
-];
-
-fn config(
-    workers: usize,
-    transport: TransportMode,
-    faults: Option<FaultPlan>,
-) -> DatabaseConfig {
-    let mut cfg = DatabaseConfig {
-        workers,
-        transport,
-        morsel_rows: 16,
-        pool_workers: Some(4),
-        ..DatabaseConfig::default()
-    };
-    cfg.net.faults = faults;
-    cfg
-}
-
-/// Fault-free answers for every query at this worker count/transport.
-fn baselines(workers: usize, transport: TransportMode) -> Vec<Vec<String>> {
-    let db = skewed_db(config(workers, transport, None));
-    QUERIES.iter().map(|q| sorted_rows(&db.query(q).unwrap())).collect()
+/// The pivot on `workers` workers over `transport`, under a fault plan.
+fn faulted(workers: usize, transport: TransportMode, faults: Option<FaultPlan>) -> Cell {
+    cell(|c| {
+        c.workers = workers;
+        c.transport = transport;
+        c.net.faults = faults;
+    })
 }
 
 /// The core chaos matrix: under every fault kind, at three distinct seeds,
@@ -141,21 +39,25 @@ fn faults_never_shorten_answers_silently() {
         std::collections::HashMap::new();
     for workers in [1usize, 4] {
         for transport in [TransportMode::Serialized, TransportMode::Tcp] {
-            let want = baselines(workers, transport);
+            // Fault-free answers, themselves held to the oracle cell's.
+            let statements = corpus::on(Fixture::Skew);
+            let clean = [faulted(workers, transport, None)];
+            let clean = sweep(Fixture::Skew, statements.clone(), &clean);
+            let want: Vec<_> = clean[0].outcomes.iter().flatten().map(canon_rows).collect();
             for kind in FaultKind::ALL {
                 for seed in [1u64, 2, 3] {
                     let mut plan = FaultPlan::new(kind, seed);
                     // High enough that multi-frame exchanges almost always
                     // take at least one hit.
                     plan.rate_ppm = 300_000;
-                    let db = skewed_db(config(workers, transport, Some(plan)));
-                    for (q, base) in QUERIES.iter().zip(&want) {
+                    let db = Fixture::Skew.open(&faulted(workers, transport, Some(plan)));
+                    for (q, base) in statements.iter().map(|s| s.sql).zip(&want) {
                         let ctx = format!(
                             "W={workers} transport={transport:?} fault={kind} seed={seed} query={q}"
                         );
                         match db.query(q) {
                             Ok(got) => assert_eq!(
-                                &sorted_rows(&got),
+                                &canon_rows(&got),
                                 base,
                                 "silent wrong answer under fault: {ctx}"
                             ),
@@ -199,9 +101,8 @@ fn killed_peer_is_always_detected() {
         for seed in [1u64, 2, 3, 4, 5] {
             let mut plan = FaultPlan::new(FaultKind::KillSender, seed);
             plan.kill_after = 1;
-            let db = skewed_db(config(4, transport, Some(plan)));
-            let q = "SELECT g, COUNT(*) AS c, SUM(k) AS s FROM skew GROUP BY g";
-            let err = db.query(q).expect_err(&format!(
+            let db = Fixture::Skew.open(&faulted(4, transport, Some(plan)));
+            let err = db.query(SKEW_GROUPS).expect_err(&format!(
                 "killed peer went undetected: transport={transport:?} seed={seed}"
             ));
             let msg = err.to_string();
@@ -220,26 +121,15 @@ fn chaos_counters_surface_in_show_metrics() {
     // Guarantee at least one detected truncation + abort in this process.
     let mut plan = FaultPlan::new(FaultKind::KillSender, 7);
     plan.kill_after = 1;
-    let db = skewed_db(config(4, TransportMode::Tcp, Some(plan)));
+    let db = Fixture::Skew.open(&faulted(4, TransportMode::Tcp, Some(plan)));
     let _ = db.query("SELECT g, COUNT(*) AS c FROM skew GROUP BY g");
 
     // Read the process-wide registry through a fault-free database so the
     // metrics query itself can't be chaos-injected.
     let clean = Database::new(2);
-    let r = clean.query("SHOW METRICS").unwrap();
-    let value_of = |name: &str| -> Option<f64> {
-        r.rows
-            .iter()
-            .find(|row| row.value(0).to_string() == name)
-            .and_then(|row| row.value(2).as_double())
-    };
-    for metric in
-        ["net.faults_injected", "exchange.truncations_detected", "query.aborts"]
-    {
-        let v = value_of(metric).unwrap_or_else(|| {
-            panic!("metric {metric} missing from SHOW METRICS")
-        });
-        assert!(v >= 1.0, "metric {metric} = {v}, expected >= 1");
+    for name in ["net.faults_injected", "exchange.truncations_detected", "query.aborts"] {
+        let v = metric(&clean, name);
+        assert!(v >= 1.0, "metric {name} = {v}, expected >= 1");
     }
 }
 

@@ -1,0 +1,149 @@
+//! The configuration lattice: the one place the axes a result must not
+//! depend on are enumerated. A [`Cell`] is a `DatabaseConfig` under a name;
+//! [`oracle`] is the cell every other is compared with, [`single_axis`]
+//! moves one axis at a time away from the pivot (`cell(|_| {})`), and the
+//! suites build the pairs they pin (W × transport × morsel size, W ×
+//! budget, ...) with [`cell`].
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use lardb::{Database, DatabaseConfig, ExprEngine, TransportMode};
+
+/// Morsels small enough that a 900-row partition splits into dozens of
+/// stealable pieces.
+pub const SPLIT: usize = 16;
+/// One morsel per partition.
+pub const WHOLE: usize = usize::MAX;
+
+/// One configuration of the engine.
+#[derive(Debug, Clone)]
+pub struct Cell {
+    /// Every axis value, for failure messages.
+    pub name: String,
+    pub config: DatabaseConfig,
+    /// Run each statement twice back to back: the repeat is served from the
+    /// plan cache and must be the answer the cold run gave. Set on the
+    /// cell that moves the cache axis.
+    pub repeat: bool,
+}
+
+/// The pivot — four workers over an oversubscribed pool of four (on any
+/// core count, preemption forces cross-queue stealing), [`SPLIT`] morsels,
+/// every other field the product default — with `set` applied.
+pub fn cell(set: impl FnOnce(&mut DatabaseConfig)) -> Cell {
+    let mut config = DatabaseConfig {
+        workers: 4,
+        pool_workers: Some(4),
+        morsel_rows: SPLIT,
+        ..DatabaseConfig::default()
+    };
+    set(&mut config);
+    Cell { name: name(&config), config, repeat: false }
+}
+
+/// The pair the out-of-core suites pin: `workers` over 64-row morsels,
+/// unbounded (`None`) or under a budget of `mem` MiB.
+pub fn budget_cell(workers: usize, transport: TransportMode, mem: Option<u64>) -> Cell {
+    cell(|c| {
+        c.workers = workers;
+        c.transport = transport;
+        c.morsel_rows = 64;
+        c.mem = mem;
+    })
+}
+
+/// The pair the engine differential pins: `engine` on `workers` workers
+/// over 32-row morsels, so that with `batch_rows` at 16 even 400 rows
+/// cross many chunk and steal boundaries.
+pub fn engine_cell(workers: usize, engine: ExprEngine, batch_rows: usize) -> Cell {
+    cell(|c| {
+        c.workers = workers;
+        c.expr_engine = engine;
+        c.batch_rows = batch_rows;
+        c.morsel_rows = 32;
+    })
+}
+
+/// The cell that defines the right answer: the row interpreter on one
+/// worker over whole partitions, nothing cached, nothing shipped, nothing
+/// spilled.
+pub fn oracle() -> Cell {
+    cell(|c| {
+        c.workers = 1;
+        c.expr_engine = ExprEngine::Interpret;
+        c.morsel_rows = WHOLE;
+        c.plan_cache_entries = 0;
+    })
+}
+
+/// The pivot and each value of the axes that decide how much data is in
+/// one place at a time: workers, memory budget, transport. The only axes
+/// that change what a fixture built to spill or to ship tiles goes through.
+pub fn capacity_axes() -> Vec<Cell> {
+    let mut cells = vec![cell(|_| {}), cell(|c| c.workers = 1), cell(|c| c.mem = Some(1))];
+    cells.extend(
+        [TransportMode::Serialized, TransportMode::Tcp].map(|t| cell(|c| c.transport = t)),
+    );
+    cells
+}
+
+/// The pivot and every axis alone. One axis away from the *pivot*, not
+/// from the oracle: one worker ships nothing whatever the transport, and
+/// the interpreter cuts no batches whatever `batch_rows`. The values the
+/// pivot does not have are the oracle's or a cell's here.
+pub fn single_axis() -> Vec<Cell> {
+    let mut cells = capacity_axes();
+    cells.push(cell(|c| c.expr_engine = ExprEngine::Interpret));
+    cells.extend([1, 16].map(|rows| cell(|c| c.batch_rows = rows)));
+    cells.push(cell(|c| c.morsel_rows = WHOLE));
+    cells.push(Cell { repeat: true, ..cell(|c| c.plan_cache_entries = 2) });
+    cells.push(cell(|c| c.pool_workers = Some(64)));
+    cells
+}
+
+/// Names a configuration by its axes. The destructuring is exhaustive on
+/// purpose: a new `DatabaseConfig` field does not compile until it is
+/// given a place here — an axis (then [`single_axis`] needs its values) or
+/// a field results may not depend on, with the reason.
+fn name(config: &DatabaseConfig) -> String {
+    let DatabaseConfig {
+        workers,
+        transport,
+        mem,
+        expr_engine,
+        batch_rows,
+        morsel_rows,
+        plan_cache_entries,
+        pool_workers,
+        // Plan choice, pinned against the unoptimized plan by
+        // `tests/optimizer_plans.rs`; every cell runs the default.
+        optimizer: _,
+        // Faults (the chaos suite sets a plan), timeouts, the frame cap.
+        net: _,
+        // Where spill files go: `Cell::open` gives every database its own.
+        spill_dir: _,
+        // Reporting only.
+        slow_query_ms: _,
+        trace_dir: _,
+    } = config;
+    let morsel = if *morsel_rows == WHOLE { "whole".into() } else { morsel_rows.to_string() };
+    format!(
+        "W={workers} {transport:?} mem={mem:?} {expr_engine:?} batch={batch_rows} \
+         morsel={morsel} cache={plan_cache_entries} pool={pool_workers:?}"
+    )
+}
+
+impl Cell {
+    /// An empty database under this configuration, spilling into a
+    /// directory no other database uses, so `compare::assert_clean` can
+    /// tell whose file was left behind.
+    pub fn open(&self) -> Database {
+        static OPENED: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "lardb-eq-{}-{}",
+            std::process::id(),
+            OPENED.fetch_add(1, Ordering::Relaxed)
+        ));
+        Database::with_config(DatabaseConfig { spill_dir: Some(dir), ..self.config.clone() })
+    }
+}

@@ -19,10 +19,13 @@
 //!   errors to the interpreter and the scheduler reports the root cause,
 //!   never a sibling's cancellation echo.
 
-use lardb::{
-    Database, DatabaseConfig, DataType, ExprEngine, Partitioning, QueryResult, Row,
-    Schema, Value,
-};
+mod common;
+
+use common::compare::{canon, canon_rows, metric, sweep};
+use common::corpus::{self, DECLINED_RESIDUAL, MIXED_FILTER, MIXED_JOIN_AGG};
+use common::fixtures::Fixture;
+use common::lattice::{self, engine_cell};
+use lardb::{ExprEngine, Row, Value};
 use lardb_exec::batch::ColumnBatch;
 use lardb_exec::compile::Program;
 use lardb_exec::eval::eval;
@@ -31,15 +34,6 @@ use lardb_storage::ops::ArithOp;
 use proptest::prelude::*;
 
 const ARITY: usize = 3;
-
-/// Canonical rendering with exact float bits, so `-0.0 != 0.0` and NaN
-/// payloads are compared faithfully.
-fn canon(v: &Value) -> String {
-    match v {
-        Value::Double(d) => format!("D:{:016x}", d.to_bits()),
-        other => format!("{other:?}"),
-    }
-}
 
 // ------------------------------------------------------ unit differential
 
@@ -174,186 +168,34 @@ fn zero_length_batch_evaluates_to_empty_column() {
 
 // ---------------------------------------------------- engine differential
 
-/// Mixed-type table: exact-in-float doubles (halves) so aggregate results
-/// are order-independent, NULLs in every column, and a VARCHAR column for
-/// type-error statements.
-fn seed_db(config: DatabaseConfig) -> Database {
-    let db = Database::with_config(config);
-    db.create_table(
-        "t",
-        Schema::from_pairs(&[
-            ("id", DataType::Integer),
-            ("g", DataType::Integer),
-            ("v", DataType::Double),
-            ("s", DataType::Varchar),
-        ]),
-        Partitioning::Hash(0),
-    )
-    .unwrap();
-    let rows = (0..400i64).map(|i| {
-        Row::new(vec![
-            Value::Integer(i),
-            if i % 11 == 0 { Value::Null } else { Value::Integer(i % 7) },
-            if i % 13 == 0 { Value::Null } else { Value::Double(i as f64 * 0.5 - 100.0) },
-            Value::Varchar(format!("s{}", i % 3).into()),
-        ])
-    });
-    db.insert_rows("t", rows).unwrap();
-    db.create_table(
-        "empty",
-        Schema::from_pairs(&[("x", DataType::Integer), ("y", DataType::Double)]),
-        Partitioning::RoundRobin,
-    )
-    .unwrap();
-    db
+/// Both engines on one worker and on four.
+fn engine_cells() -> Vec<lattice::Cell> {
+    let engines = [ExprEngine::Compiled, ExprEngine::Interpret];
+    [1usize, 4].iter().flat_map(|&w| engines.map(|e| engine_cell(w, e, 16))).collect()
 }
 
-fn config(workers: usize, engine: ExprEngine) -> DatabaseConfig {
-    DatabaseConfig {
-        workers,
-        expr_engine: engine,
-        // Tiny batches and morsels so even 400 rows cross many chunk and
-        // steal boundaries; CI's `LARDB_BATCH_ROWS=1` row makes every row
-        // (and every joined pair) its own chunk.
-        batch_rows: DatabaseConfig::default().batch_rows.min(16),
-        morsel_rows: 32,
-        pool_workers: Some(4),
-        ..DatabaseConfig::default()
-    }
-}
-
-fn canon_rows(r: &QueryResult) -> Vec<String> {
-    let mut rows: Vec<String> = r
-        .rows
-        .iter()
-        .map(|row| {
-            row.values().iter().map(canon).collect::<Vec<_>>().join("|")
-        })
-        .collect();
-    rows.sort();
-    rows
-}
-
-const STATEMENTS: &[&str] = &[
-    // Filter + project with arithmetic, NULLs flowing through 3VL.
-    "SELECT id * 2, v + 0.5, v * v - id FROM t WHERE v > -50.0 AND id < 350",
-    // Eager OR/AND over NULL-bearing predicates.
-    "SELECT id FROM t WHERE g = 3 OR v < -90.0",
-    "SELECT id, g FROM t WHERE NOT (g = 2) AND v <= 50.0",
-    // Highly selective and empty-result filters.
-    "SELECT id FROM t WHERE v = 0.0",
-    "SELECT id FROM t WHERE v > 1e18",
-    // Fused filter→aggregate (halves are exact in f64, so SUM order is
-    // immaterial).
-    "SELECT g, COUNT(*) AS c, SUM(v) AS sv, MIN(v) AS mn FROM t WHERE id >= 10 GROUP BY g",
-    // Global aggregate, and one over an empty input.
-    "SELECT COUNT(*) AS n, SUM(v) AS s FROM t WHERE v < -98.0",
-    "SELECT COUNT(*) AS n, SUM(y) AS s FROM empty",
-    "SELECT x, y * 2.0 FROM empty WHERE x > 0",
-    // Projection only (no filter in the chain).
-    "SELECT v - 1.0, id + g FROM t",
-    // Fused join→aggregate: a self equi-join with NULL keys and NULL
-    // values (products of halves are exact, so SUM order is immaterial).
-    "SELECT a.g, SUM(a.v * b.v) AS s, COUNT(*) AS c FROM t AS a, t AS b
-     WHERE a.g = b.g GROUP BY a.g",
-    // A cross join with a projection and a filter between join and
-    // aggregate.
-    "SELECT k, COUNT(*) AS c, SUM(p) AS sp
-     FROM (SELECT a.g + b.g AS k, a.v * b.v AS p FROM t AS a, t AS b
-           WHERE a.id < 40 AND b.id >= 350) AS j
-     WHERE p > -8000.0 GROUP BY k",
-    // Joins with an empty side: no groups, and the one global row.
-    "SELECT a.g, COUNT(*) AS c, SUM(e.y) AS sy FROM t AS a, empty AS e
-     WHERE a.id = e.x GROUP BY a.g",
-    "SELECT COUNT(*) AS c, SUM(e.y) AS sy FROM t AS a, empty AS e WHERE a.id = e.x",
-    // Join residuals, evaluated on the pair chunk ahead of the chain: under
-    // a hash join; under a nested loop, NULL on the pairs with a NULL `v`;
-    // and one that rejects every pair of most 16-pair chunks.
-    "SELECT a.g, SUM(a.v * b.v) AS s, COUNT(*) AS c FROM t AS a, t AS b
-     WHERE a.g = b.g AND a.id <> b.id GROUP BY a.g",
-    "SELECT a.g, COUNT(*) AS c, SUM(a.v + b.v) AS s FROM t AS a, t AS b
-     WHERE a.id < 40 AND b.id >= 350 AND a.v + b.v < 0.0 GROUP BY a.g",
-    "SELECT a.g, COUNT(*) AS c, MIN(b.v) AS m FROM t AS a, t AS b
-     WHERE a.g = b.g AND b.id > a.id + 300 GROUP BY a.g",
-    DECLINED_RESIDUAL,
-];
-
-/// A residual the eager kernels decline on every chunk holding an
-/// `a.id = b.id` pair (they divide by zero where the interpreter
-/// short-circuits), over chunks with a boxed VARCHAR column.
-const DECLINED_RESIDUAL: &str = "SELECT a.s, COUNT(*) AS c FROM t AS a, t AS b
-     WHERE a.g = b.g AND (a.id = b.id OR 1000 / (a.id - b.id) > 3) GROUP BY a.s";
-
-/// Statements that must fail under both engines with the same error,
-/// each with a fragment that error carries.
-const FAILING: &[(&str, &str)] = &[
-    // VARCHAR arithmetic: rejected by the binder, or at run time by the
-    // shared ops table.
-    ("SELECT s + 1 FROM t", "operator + undefined"),
-    ("SELECT id FROM t WHERE s * 2 > 0", "cannot apply *"),
-    // The same under a join→aggregate, and an argument that only fails
-    // when evaluated (the kernel declines, the interpreter's replay of
-    // the chunk raises).
-    (
-        "SELECT a.g, SUM(a.s + 1) AS x FROM t AS a, t AS b WHERE a.id = b.id GROUP BY a.g",
-        "operator + undefined",
-    ),
-    (
-        "SELECT a.g, SUM(a.id / (b.id - b.id)) AS x FROM t AS a, t AS b
-         WHERE a.id = b.id GROUP BY a.g",
-        "integer division by zero",
-    ),
-    // INTEGER arithmetic leaving the 64-bit range: a product, `-MIN`,
-    // `MIN / -1`, and a SUM whose terms each fit (plain and under the
-    // join→aggregate). A typed error in debug and release builds alike,
-    // not a caught worker panic or a wrapped value.
-    ("SELECT id * 9223372036854775807 FROM t", "integer overflow in *"),
-    ("SELECT -(id - 9223372036854775807 - 1) FROM t", "integer overflow in -"),
-    ("SELECT (id - 9223372036854775807 - 1) / -1 FROM t", "integer overflow in /"),
-    ("SELECT SUM(id + 9223372036854775000) AS s FROM t", "integer overflow in +"),
-    (
-        "SELECT a.g, SUM(a.id + 9223372036854775000) AS x FROM t AS a, t AS b
-         WHERE a.id = b.id GROUP BY a.g",
-        "integer overflow in +",
-    ),
-    // The same SUM under a join that has a residual, and a residual that
-    // divides by zero on one pair (ids 8 and 15 share g = 1).
-    (
-        "SELECT a.g, SUM(a.id + 9223372036854775000) AS x FROM t AS a, t AS b
-         WHERE a.g = b.g AND a.id <> b.id GROUP BY a.g",
-        "integer overflow in +",
-    ),
-    (
-        "SELECT COUNT(*) AS c FROM t AS a, t AS b WHERE a.g = b.g
-         AND 1 / ((a.id - 8) * (a.id - 8) + (b.id - 15) * (b.id - 15)) >= 0",
-        "integer division by zero",
-    ),
-];
-
+/// Statements that succeed return bit-identical relations, and failing
+/// ones fail with the same message: workers race to fail first and the
+/// losers see the flipped token, but the query reports the root cause,
+/// not the echo.
 #[test]
 fn compiled_matches_interpreter_across_configs() {
-    for workers in [1usize, 4] {
-        let compiled = seed_db(config(workers, ExprEngine::Compiled));
-        let interp = seed_db(config(workers, ExprEngine::Interpret));
-        for q in STATEMENTS {
-            let got = compiled.query(q).unwrap();
-            let want = interp.query(q).unwrap();
-            assert_eq!(canon_rows(&got), canon_rows(&want), "W={workers} query={q}");
-        }
-        for (q, fragment) in FAILING {
-            let got = compiled.query(q).expect_err("compiled should fail").to_string();
-            let want = interp.query(q).expect_err("interpret should fail").to_string();
-            // Workers race to fail first and the losers see the flipped
-            // token, but the query reports the root cause, not the echo.
-            assert_eq!(got, want, "W={workers} query={q}");
-            assert!(got.contains(fragment), "W={workers} query={q}: {got}");
-        }
+    sweep(Fixture::Mixed, corpus::on(Fixture::Mixed), &engine_cells());
+}
+
+/// Every axis alone: the failing statements among them must report the
+/// oracle's message under a serialized transport, a 1 MiB budget, one-row
+/// batches and a 64-thread pool as well.
+#[test]
+fn every_axis_alone_matches_the_oracle_on_mixed_and_nan() {
+    for fixture in [Fixture::Mixed, Fixture::Nan] {
+        sweep(fixture, corpus::on(fixture), &lattice::single_axis());
     }
 }
 
 #[test]
 fn compiled_engine_is_deterministic_across_runs() {
-    let db = seed_db(config(4, ExprEngine::Compiled));
+    let db = Fixture::Mixed.open(&engine_cell(4, ExprEngine::Compiled, 16));
     let q = "SELECT g, AVG(v) AS a, SUM(v) AS s FROM t WHERE id < 390 GROUP BY g";
     let reference = canon_rows(&db.query(q).unwrap());
     for run in 1..5 {
@@ -363,22 +205,13 @@ fn compiled_engine_is_deterministic_across_runs() {
 
 #[test]
 fn batch_rows_knob_does_not_change_results() {
-    let mut cfgs = Vec::new();
-    for rows in [1usize, 7, 64, 4096] {
-        let mut c = config(4, ExprEngine::Compiled);
-        c.batch_rows = rows;
-        cfgs.push((rows, seed_db(c)));
-    }
-    let q = "SELECT id, v * 2.0 FROM t WHERE v > -80.0 AND g <= 5";
-    let reference = canon_rows(&cfgs[0].1.query(q).unwrap());
-    for (rows, db) in &cfgs[1..] {
-        assert_eq!(canon_rows(&db.query(q).unwrap()), reference, "batch_rows={rows}");
-    }
+    let cells = [1usize, 7, 64, 4096].map(|rows| engine_cell(4, ExprEngine::Compiled, rows));
+    sweep(Fixture::Mixed, corpus::named(&[MIXED_FILTER]), &cells);
 }
 
 #[test]
 fn vectorized_counters_surface_in_stats_and_metrics() {
-    let db = seed_db(config(4, ExprEngine::Compiled));
+    let db = Fixture::Mixed.open(&engine_cell(4, ExprEngine::Compiled, 16));
     let r = db.query("SELECT id FROM t WHERE v > -50.0").unwrap();
     assert!(r.stats.total_batches() > 0, "vectorized filter should report batches");
     assert!(r.stats.total_kernels() > 0, "vectorized filter should report kernels");
@@ -387,28 +220,20 @@ fn vectorized_counters_surface_in_stats_and_metrics() {
         "display_table should carry the vec sub-line:\n{}",
         r.stats.display_table()
     );
-    let metrics = db.query("SHOW METRICS").unwrap();
-    let names: Vec<String> =
-        metrics.rows.iter().map(|row| row.value(0).to_string()).collect();
-    for metric in ["exec.batch.batches", "exec.batch.rows", "exec.batch.kernels"] {
-        assert!(
-            names.iter().any(|n| n == metric),
-            "metric {metric} missing from SHOW METRICS: {names:?}"
-        );
+    for name in ["exec.batch.batches", "exec.batch.rows", "exec.batch.kernels"] {
+        metric(&db, name);
     }
     // A join→aggregate feeds its joined rows through the same compiled
     // pipeline.
-    let join_agg = "SELECT a.g, SUM(a.v * b.v) AS s FROM t AS a, t AS b \
-                    WHERE a.id = b.id GROUP BY a.g";
-    let rj = db.query(join_agg).unwrap();
+    let rj = db.query(MIXED_JOIN_AGG).unwrap();
     assert!(rj.stats.total_batches() > 0, "join→aggregate should report batches");
     assert_eq!(rj.stats.total_fallbacks(), 0);
     // A declined pair chunk is counted, replayed, and not a batch.
     let rd = db.query(DECLINED_RESIDUAL).unwrap();
     assert!(rd.stats.total_fallbacks() > 0, "the residual kernel should decline");
     // The interpreted engine reports no vectorized work.
-    let idb = seed_db(config(4, ExprEngine::Interpret));
-    for q in ["SELECT id FROM t WHERE v > -50.0", join_agg] {
+    let idb = Fixture::Mixed.open(&engine_cell(4, ExprEngine::Interpret, 16));
+    for q in ["SELECT id FROM t WHERE v > -50.0", MIXED_JOIN_AGG] {
         let ri = idb.query(q).unwrap();
         assert_eq!(ri.stats.total_batches(), 0, "{q}");
         assert_eq!(ri.stats.total_kernels(), 0, "{q}");
@@ -422,48 +247,10 @@ fn vectorized_counters_surface_in_stats_and_metrics() {
 /// reason.
 #[test]
 fn nan_group_key_is_one_group() {
-    for workers in [1usize, 4] {
-        let dbs = [ExprEngine::Compiled, ExprEngine::Interpret].map(|engine| {
-            let db = seed_db(config(workers, engine));
-            let doubles = Schema::from_pairs(&[("v", DataType::Double)]);
-            db.create_table("z", doubles.clone(), Partitioning::RoundRobin).unwrap();
-            let z = [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0];
-            db.insert_rows("z", z.map(|v| Row::new(vec![Value::Double(v)]))).unwrap();
-            db.create_table(
-                "p",
-                Schema::from_pairs(&[("payload", DataType::Integer), ("v", DataType::Double)]),
-                Partitioning::Hash(0),
-            )
-            .unwrap();
-            db.insert_rows(
-                "p",
-                (0..6000i64)
-                    .map(|i| Row::new(vec![Value::Integer(i % 3000), Value::Double(i as f64)])),
-            )
-            .unwrap();
-            // Stored NaNs of different sign and payload, and both zeros.
-            db.create_table("n", doubles, Partitioning::RoundRobin).unwrap();
-            let n = [0x7FF8_0000_0000_0000u64, 0xFFF8_0000_0000_0000, 0x7FF8_0000_0000_00AB];
-            let n = n.map(f64::from_bits).into_iter().chain([0.0, -0.0, f64::NAN, 2.5]);
-            db.insert_rows("n", n.map(|v| Row::new(vec![Value::Double(v)]))).unwrap();
-            db
-        });
-        for (q, groups) in [
-            ("SELECT v / v AS k, COUNT(*) AS c FROM z GROUP BY v / v", 2),
-            (
-                "SELECT payload, (v - v) / (v - v) AS k, COUNT(*) AS c FROM p
-                 GROUP BY payload, (v - v) / (v - v)",
-                3000,
-            ),
-            ("SELECT v, COUNT(*) AS c FROM n GROUP BY v", 3),
-        ] {
-            let got = dbs[0].query(q).unwrap();
-            let want = dbs[1].query(q).unwrap();
-            assert_eq!(got.rows.len(), groups, "W={workers} query={q}");
-            assert_eq!(canon_rows(&got), canon_rows(&want), "W={workers} query={q}");
-        }
+    for run in sweep(Fixture::Nan, corpus::on(Fixture::Nan), &engine_cells()) {
+        let groups: Vec<usize> = (0..3).map(|i| run.result(i).rows.len()).collect();
+        assert_eq!(groups, [2, 3000, 3], "{}", run.cell.name);
         // NaN still equals nothing outside the group table.
-        let joined = dbs[0].query("SELECT COUNT(*) AS c FROM n AS a, n AS b WHERE a.v = b.v");
-        assert_eq!(joined.unwrap().rows[0].value(0), &Value::Integer(5));
+        assert_eq!(run.result(3).rows[0].value(0), &Value::Integer(5), "{}", run.cell.name);
     }
 }

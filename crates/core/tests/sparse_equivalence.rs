@@ -13,140 +13,29 @@
 //! follow identical trajectories; and serialized exchanges must ship
 //! sparse tiles proportionally to nnz, not rows × cols.
 
+mod common;
+
+use common::compare::{check, exact_rows, metric, Run};
+use common::corpus::{self, TILE_JOIN};
+use common::fixtures::{rngish, sparse_tile, tile_db, Fixture};
+use common::lattice::{self, budget_cell, Cell};
+use lardb::TransportMode::{Pointer, Serialized};
 use lardb::{
-    CooBuilder, Database, DatabaseConfig, DataType, Partitioning, QueryResult, Row, Schema,
-    SparseMatrix, TransportMode, Value, Vector,
+    CooBuilder, Database, DataType, Partitioning, QueryResult, Row, Schema, SparseMatrix, Value,
+    Vector,
 };
 
-/// Tiny deterministic xorshift so tile contents are identical run-to-run
-/// and across the sparse/dense twins.
-fn rngish(seed: u64) -> impl FnMut() -> u64 {
-    let mut s = seed | 1;
-    move || {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        s
-    }
+/// The tile tables under `cell`: the CSR store, or its densified twin.
+fn open(cell: &Cell, sparse: bool, density: f64) -> (Cell, Database) {
+    let db = cell.open();
+    tile_db(&db, 4, sparse, density);
+    (cell.clone(), db)
 }
 
-/// A `rows × cols` CSR tile whose stored density is the given one (cells
-/// are drawn until that many distinct ones are filled). Values are
-/// positive 64ths (exactly representable; no cancellation, so stored nnz
-/// equals the dense nonzero count and `NNZ()` agrees across twins).
-fn sparse_tile(seed: u64, rows: usize, cols: usize, density: f64) -> SparseMatrix {
-    let mut rng = rngish(seed);
-    let mut b = CooBuilder::new();
-    let target = ((rows * cols) as f64 * density).ceil() as usize;
-    let mut filled = std::collections::HashSet::new();
-    while filled.len() < target {
-        let r = (rng() as usize % rows) as i64;
-        let c = (rng() as usize % cols) as i64;
-        let v = (rng() % 2000 + 1) as f64 / 64.0;
-        if filled.insert((r, c)) {
-            b.push(r, c, v).unwrap();
-        }
-    }
-    b.build(rows, cols).unwrap()
-}
-
-fn spill_dir(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("lardb-sparse-eq-{}-{tag}", std::process::id()))
-}
-
-fn assert_spill_dir_empty(dir: &std::path::Path) {
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        let left: Vec<_> = entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
-        assert!(left.is_empty(), "spill files leaked in {}: {left:?}", dir.display());
-    }
-    let _ = std::fs::remove_dir(dir);
-}
-
-fn config(
-    workers: usize,
-    transport: TransportMode,
-    mem: Option<u64>,
-    tag: &str,
-) -> DatabaseConfig {
-    DatabaseConfig {
-        workers,
-        transport,
-        morsel_rows: 64,
-        pool_workers: Some(4),
-        mem: Some(mem.unwrap_or(0)),
-        spill_dir: Some(spill_dir(tag)),
-        ..DatabaseConfig::default()
-    }
-}
-
-const TILES: usize = 4;
-const TILE: usize = 64;
-
-/// Two tile tables `ta`/`tb` plus a single-row vector table `vt`. The
-/// sparse build stores CSR tiles; the dense build stores the densified
-/// twins of the *same* tiles.
-fn tile_db(cfg: DatabaseConfig, sparse: bool, density: f64) -> Database {
-    let db = Database::with_config(cfg);
-    let schema = Schema::from_pairs(&[
-        ("tr", DataType::Integer),
-        ("tc", DataType::Integer),
-        ("mat", DataType::Matrix(Some(TILE), Some(TILE))),
-    ]);
-    for (name, base) in [("ta", 0x5eed_0001u64), ("tb", 0x5eed_0002)] {
-        db.create_table(name, schema.clone(), Partitioning::Hash(0)).unwrap();
-        let mut rows = Vec::new();
-        for tr in 0..TILES as i64 {
-            for tc in 0..TILES as i64 {
-                let m = sparse_tile(
-                    base ^ (tr as u64 * 31 + tc as u64) ^ density.to_bits(),
-                    TILE,
-                    TILE,
-                    density,
-                );
-                let cell = if sparse {
-                    Value::sparse_matrix(m)
-                } else {
-                    Value::matrix(m.to_dense())
-                };
-                rows.push(Row::new(vec![
-                    Value::Integer(tr),
-                    Value::Integer(tc),
-                    cell,
-                ]));
-            }
-        }
-        db.insert_rows(name, rows.into_iter()).unwrap();
-    }
-    db.create_table(
-        "vt",
-        Schema::from_pairs(&[("x", DataType::Vector(Some(TILE)))]),
-        Partitioning::Hash(0),
-    )
-    .unwrap();
-    let x = Vector::from_vec((0..TILE).map(|i| (i as f64 + 1.0) / 8.0).collect());
-    db.insert_rows("vt", std::iter::once(Row::new(vec![Value::vector(x)])))
-        .unwrap();
-    db
-}
-
-/// The differential query set: tiled SpGEMM + SUM mixing, SpMV, sparse
-/// transpose/Gram, elementwise Hadamard, and nnz bookkeeping.
-const QUERIES: &[&str] = &[
-    "SELECT a.tr, b.tc, SUM(matrix_multiply(a.mat, b.mat)) AS m
-     FROM ta AS a, tb AS b WHERE a.tc = b.tr GROUP BY a.tr, b.tc",
-    "SELECT a.tr, a.tc, matrix_vector_multiply(a.mat, v.x) AS y
-     FROM ta AS a, vt AS v",
-    "SELECT a.tr, a.tc, sum_elements(matrix_multiply(trans_matrix(a.mat), a.mat)) AS g
-     FROM ta AS a",
-    "SELECT a.tr, a.tc, frobenius_norm(a.mat * b.mat) AS f
-     FROM ta AS a, tb AS b WHERE a.tr = b.tr AND a.tc = b.tc",
-    "SELECT SUM(nnz(a.mat)) AS z, SUM(sum_elements(a.mat)) AS s FROM ta AS a",
-];
-
-/// Exact row values. `Value`'s mixed sparse/dense equality makes this
-/// representation-agnostic but float-bit-sensitive.
-fn exact_rows(r: &QueryResult) -> Vec<Vec<Value>> {
-    r.rows.iter().map(|row| row.values().to_vec()).collect()
+/// The differential query set on each of `stores`, against the dense twin
+/// under `cell`: the reference of this suite, whose axis is the store.
+fn check_against_dense(cell: &Cell, density: f64, stores: Vec<(Cell, Database)>) -> Vec<Run> {
+    check(&corpus::on(Fixture::Tiles), open(cell, false, density), stores)
 }
 
 fn run(db: &Database, q: &str) -> QueryResult {
@@ -156,30 +45,17 @@ fn run(db: &Database, q: &str) -> QueryResult {
 #[test]
 fn sparse_matches_dense_across_density_and_workers() {
     for density in [0.001, 0.01, 0.1, 0.5, 0.9] {
-        for workers in [1usize, 4] {
-            let tag = format!("d{density}-w{workers}");
-            let sparse_db =
-                tile_db(config(workers, TransportMode::Pointer, None, &tag), true, density);
-            let dense_db = tile_db(
-                config(workers, TransportMode::Pointer, None, &format!("{tag}-dense")),
-                false,
-                density,
-            );
-            let mut densified = 0;
-            for q in QUERIES {
-                let got = run(&sparse_db, q);
-                let want = run(&dense_db, q);
-                assert_eq!(
-                    exact_rows(&got),
-                    exact_rows(&want),
-                    "density={density} W={workers} query={q}"
-                );
-                densified += got.stats.dispatch.densified;
-            }
-            // Tiles past DENSIFY_ABOVE: the densify arm ran and still
-            // produced the dense twin's bits.
+        let [one, four] = [1usize, 4].map(|workers| budget_cell(workers, Pointer, None));
+        let stores =
+            vec![open(&one, true, density), open(&four, false, density), open(&four, true, density)];
+        let runs = check_against_dense(&one, density, stores);
+        // Tiles past DENSIFY_ABOVE: the densify arm ran and still
+        // produced the dense twin's bits.
+        for sparse in [&runs[0], &runs[2]] {
+            let densified: u64 =
+                sparse.outcomes.iter().flatten().map(|r| r.stats.dispatch.densified).sum();
             if density > lardb::dispatch::DENSIFY_ABOVE {
-                assert!(densified > 0, "density={density} W={workers}: nothing densified");
+                assert!(densified > 0, "density={density} {}: nothing densified", sparse.cell.name);
             }
         }
     }
@@ -191,21 +67,18 @@ fn sparse_matches_dense_across_density_and_workers() {
 #[test]
 fn serialized_budgeted_sparse_matches_unbounded_dense() {
     for density in [0.01, 0.5] {
-        let tag = format!("ser-d{density}");
-        let budgeted =
-            tile_db(config(4, TransportMode::Serialized, Some(1), &tag), true, density);
-        let unbounded = tile_db(
-            config(4, TransportMode::Pointer, None, &format!("{tag}-dense")),
-            false,
-            density,
-        );
-        for q in QUERIES {
-            let got = run(&budgeted, q);
-            let want = run(&unbounded, q);
-            assert_eq!(exact_rows(&got), exact_rows(&want), "density={density} query={q}");
-        }
-        assert_spill_dir_empty(&spill_dir(&tag));
+        let sparse = open(&budget_cell(4, Serialized, Some(1)), true, density);
+        check_against_dense(&budget_cell(4, Pointer, None), density, vec![sparse]);
     }
+}
+
+/// Every axis that decides how many tiles are in one place at a time,
+/// alone, over the CSR store at 1 % — against the dense twin under the
+/// oracle cell.
+#[test]
+fn every_capacity_axis_alone_matches_the_dense_oracle() {
+    let stores = lattice::capacity_axes().iter().map(|cell| open(cell, true, 0.01)).collect();
+    check_against_dense(&lattice::oracle(), 0.01, stores);
 }
 
 /// Serialized exchanges ship sparse tiles proportionally to nnz: the
@@ -214,13 +87,8 @@ fn serialized_budgeted_sparse_matches_unbounded_dense() {
 /// is 32 KiB; its 1% CSR twin is under a kilobyte).
 #[test]
 fn exchange_bytes_scale_with_nnz_not_shape() {
-    let q = QUERIES[0]; // the tile join repartitions both tables' cells
-    let sparse_db =
-        tile_db(config(4, TransportMode::Serialized, None, "nnz-sparse"), true, 0.01);
-    let dense_db =
-        tile_db(config(4, TransportMode::Serialized, None, "nnz-dense"), false, 0.01);
-    let got = run(&sparse_db, q);
-    let want = run(&dense_db, q);
+    let cell = budget_cell(4, Serialized, None);
+    let [want, got] = [false, true].map(|sparse| run(&open(&cell, sparse, 0.01).1, TILE_JOIN));
     assert_eq!(exact_rows(&got), exact_rows(&want));
     let (sparse_bytes, dense_bytes) =
         (got.stats.total_bytes_shuffled(), want.stats.total_bytes_shuffled());
@@ -240,7 +108,7 @@ fn exchange_bytes_scale_with_nnz_not_shape() {
 /// coordinates surface as typed errors (never a truncated matrix).
 #[test]
 fn matrix_from_entries_sql_end_to_end() {
-    let db = Database::with_config(config(4, TransportMode::Pointer, None, "mfe"));
+    let db = budget_cell(4, Pointer, None).open();
     db.create_table(
         "edges",
         Schema::from_pairs(&[
@@ -346,19 +214,20 @@ fn stochastic_graph(n: usize) -> SparseMatrix {
     b.build(n, n).unwrap()
 }
 
-/// One database holding a single-row `graph(m)` table.
-fn graph_db(sparse: bool, m: &SparseMatrix, tag: &str) -> Database {
-    let (n, _) = m.shape();
-    let db = Database::with_config(config(2, TransportMode::Pointer, None, tag));
-    db.create_table(
-        "graph",
-        Schema::from_pairs(&[("m", DataType::Matrix(Some(n), Some(n)))]),
-        Partitioning::Hash(0),
-    )
-    .unwrap();
+/// A table of one row and one column holding `value`.
+fn one_cell(db: &Database, table: &str, column: (&str, DataType), value: Value) {
+    db.create_table(table, Schema::from_pairs(&[column]), Partitioning::Hash(0)).unwrap();
+    db.insert_rows(table, [Row::new(vec![value])]).unwrap();
+}
+
+/// A two-worker database whose single-row `table(m)` holds `m`, stored
+/// sparse or densified.
+fn matrix_db(table: &str, sparse: bool, m: &SparseMatrix) -> Database {
+    let (rows, cols) = m.shape();
+    let db = budget_cell(2, Pointer, None).open();
     let cell =
         if sparse { Value::sparse_matrix(m.clone()) } else { Value::matrix(m.to_dense()) };
-    db.insert_rows("graph", std::iter::once(Row::new(vec![cell]))).unwrap();
+    one_cell(&db, table, ("m", DataType::Matrix(Some(rows), Some(cols))), cell);
     db
 }
 
@@ -368,17 +237,8 @@ fn graph_db(sparse: bool, m: &SparseMatrix, tag: &str) -> Database {
 fn pagerank_step(db: &Database, k: usize, rank: &[f64]) -> Vec<f64> {
     let n = rank.len();
     let table = format!("rank_{k}");
-    db.create_table(
-        &table,
-        Schema::from_pairs(&[("x", DataType::Vector(Some(n)))]),
-        Partitioning::Hash(0),
-    )
-    .unwrap();
-    db.insert_rows(
-        &table,
-        std::iter::once(Row::new(vec![Value::vector(Vector::from_vec(rank.to_vec()))])),
-    )
-    .unwrap();
+    let x = Value::vector(Vector::from_vec(rank.to_vec()));
+    one_cell(db, &table, ("x", DataType::Vector(Some(n))), x);
     let r = run(
         db,
         &format!("SELECT matrix_vector_multiply(g.m, r.x) AS y FROM graph AS g, {table} AS r"),
@@ -395,8 +255,8 @@ fn pagerank_sparse_trajectory_matches_dense() {
     const N: usize = 200;
     let m = stochastic_graph(N);
     assert!(m.density() < 0.05, "graph should be sparse, got {}", m.density());
-    let sparse_db = graph_db(true, &m, "pr-sparse");
-    let dense_db = graph_db(false, &m, "pr-dense");
+    let sparse_db = matrix_db("graph", true, &m);
+    let dense_db = matrix_db("graph", false, &m);
 
     let mut rank_s = vec![1.0 / N as f64; N];
     let mut rank_d = rank_s.clone();
@@ -428,38 +288,13 @@ fn logreg_sparse_trajectory_matches_dense() {
     let mut rng = rngish(0x1abe1);
     let y: Vec<f64> = (0..ROWS).map(|_| (rng() % 2) as f64).collect();
 
-    let make = |sparse: bool, tag: &str| {
-        let db = Database::with_config(config(2, TransportMode::Pointer, None, tag));
-        db.create_table(
-            "feats",
-            Schema::from_pairs(&[("m", DataType::Matrix(Some(ROWS), Some(FEATS)))]),
-            Partitioning::Hash(0),
-        )
-        .unwrap();
-        let cell = if sparse {
-            Value::sparse_matrix(x.clone())
-        } else {
-            Value::matrix(x.to_dense())
-        };
-        db.insert_rows("feats", std::iter::once(Row::new(vec![cell]))).unwrap();
-        db
-    };
-    let sparse_db = make(true, "lr-sparse");
-    let dense_db = make(false, "lr-dense");
+    let sparse_db = matrix_db("feats", true, &x);
+    let dense_db = matrix_db("feats", false, &x);
 
     let spmv = |db: &Database, k: usize, tag: &str, v: &[f64], transpose: bool| {
         let table = format!("v_{tag}_{k}");
-        db.create_table(
-            &table,
-            Schema::from_pairs(&[("x", DataType::Vector(Some(v.len())))]),
-            Partitioning::Hash(0),
-        )
-        .unwrap();
-        db.insert_rows(
-            &table,
-            std::iter::once(Row::new(vec![Value::vector(Vector::from_vec(v.to_vec()))])),
-        )
-        .unwrap();
+        let x = Value::vector(Vector::from_vec(v.to_vec()));
+        one_cell(db, &table, ("x", DataType::Vector(Some(v.len()))), x);
         let expr = if transpose {
             "matrix_vector_multiply(trans_matrix(f.m), r.x)"
         } else {
@@ -510,8 +345,8 @@ fn logreg_sparse_trajectory_matches_dense() {
 /// `la.dispatch.*` SHOW METRICS counters.
 #[test]
 fn dispatch_choices_surface_in_explain_and_metrics() {
-    let db = tile_db(config(2, TransportMode::Pointer, None, "explain"), true, 0.01);
-    let out = db.execute(&format!("EXPLAIN ANALYZE {}", QUERIES[0])).unwrap();
+    let db = Fixture::Tiles.open(&budget_cell(2, Pointer, None));
+    let out = db.execute(&format!("EXPLAIN ANALYZE {TILE_JOIN}")).unwrap();
     let lardb::database::Response::Explained(text) = out else {
         panic!("EXPLAIN ANALYZE should return Explained");
     };
@@ -521,15 +356,6 @@ fn dispatch_choices_surface_in_explain_and_metrics() {
         .unwrap_or_else(|| panic!("no dispatch line in EXPLAIN ANALYZE:\n{text}"));
     assert!(line.contains("spgemm"), "dispatch line lacks kernel counts: {line}");
 
-    let metrics = db.query("SHOW METRICS").unwrap();
-    let value_of = |name: &str| -> Option<f64> {
-        metrics
-            .rows
-            .iter()
-            .find(|row| row.value(0).to_string() == name)
-            .and_then(|row| row.value(2).as_double())
-    };
-    let spgemm = value_of("la.dispatch.spgemm")
-        .unwrap_or_else(|| panic!("la.dispatch.spgemm missing from SHOW METRICS"));
+    let spgemm = metric(&db, "la.dispatch.spgemm");
     assert!(spgemm >= 1.0, "la.dispatch.spgemm = {spgemm}");
 }

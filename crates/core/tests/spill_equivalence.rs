@@ -1,138 +1,30 @@
 //! Out-of-core equivalence tests: a memory budget must be a pure
 //! capacity change, never a semantic one.
 //!
-//! Every query here runs twice — once unbounded, once under a budget
-//! small enough that the hash-join build side and the grouped-aggregate
-//! state spill to disk — and the budgeted result must be **bit-identical**
-//! to the unbounded one (same rows, same order, same float bits), across
-//! worker counts and transports. Spill files must be gone when the query
-//! finishes.
+//! Every query here runs unbounded and under a budget small enough that
+//! the hash-join build side and the grouped-aggregate state spill to disk,
+//! and the budgeted result must be **bit-identical** to the unbounded one
+//! (same rows, same order, same float bits), across worker counts and
+//! transports. Spill files must be gone when the query finishes (the
+//! comparator asserts it after every cell).
 
-use lardb::{
-    Database, DatabaseConfig, DataType, Partitioning, QueryResult, Row, Schema,
-    TransportMode, Value,
-};
-use lardb_storage::gen::tiled_matrix_rows;
+mod common;
 
-/// A per-test spill directory so emptiness checks don't race across
-/// tests in the same binary.
-fn spill_dir(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("lardb-spill-eq-{}-{tag}", std::process::id()))
-}
-
-fn assert_spill_dir_empty(dir: &std::path::Path) {
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        let left: Vec<_> = entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
-        assert!(left.is_empty(), "spill files leaked in {}: {left:?}", dir.display());
-    }
-    let _ = std::fs::remove_dir(dir);
-}
-
-/// `mem = Some(1)`: a dedicated 1 MiB governor; `None`: unbounded
-/// (dedicated, so this test is immune to `LARDB_MEM_BUDGET_MB` in the
-/// environment — `Some(0)` means explicitly unbounded).
-fn config(
-    workers: usize,
-    transport: TransportMode,
-    mem: Option<u64>,
-    tag: &str,
-) -> DatabaseConfig {
-    DatabaseConfig {
-        workers,
-        transport,
-        morsel_rows: 64,
-        pool_workers: Some(4),
-        mem: Some(mem.unwrap_or(0)),
-        spill_dir: Some(spill_dir(tag)),
-        ..DatabaseConfig::default()
-    }
-}
-
-/// A table fat enough that one partition's hash-join build side and the
-/// `GROUP BY payload` aggregate state both exceed a 1 MiB budget: 6000
-/// rows with a ~140-byte VARCHAR payload (~1.2 MiB footprint), 90% of
-/// them hash-skewed into a single partition.
-fn fat_db(config: DatabaseConfig) -> Database {
-    let db = Database::with_config(config);
-    db.create_table(
-        "fat",
-        Schema::from_pairs(&[
-            ("id", DataType::Integer),
-            ("k", DataType::Integer),
-            ("g", DataType::Integer),
-            ("v", DataType::Double),
-            ("payload", DataType::Varchar),
-        ]),
-        Partitioning::Hash(1),
-    )
-    .unwrap();
-    let rows = (0..6000i64).map(|i| {
-        let k = if i % 10 != 0 { 0 } else { i };
-        Row::new(vec![
-            Value::Integer(i),
-            Value::Integer(k),
-            Value::Integer(i % 7),
-            Value::Double(i as f64 * 0.125),
-            Value::varchar(format!("payload-{i:0>128}")),
-        ])
-    });
-    db.insert_rows("fat", rows).unwrap();
-    db
-}
-
-const QUERIES: &[&str] = &[
-    // Wide grouped aggregation: 6000 distinct VARCHAR keys, state larger
-    // than the budget — exercises the spilling aggregate path.
-    "SELECT payload, COUNT(*) AS c FROM fat GROUP BY payload",
-    // Self-join on the unique id: the build side is the whole fat table —
-    // exercises the Grace-partitioned join path.
-    "SELECT a.id, b.v FROM fat AS a, fat AS b WHERE a.id = b.id AND a.k >= 10",
-    // Join + float aggregation on top (fused path under the optimizer).
-    "SELECT a.g, SUM(a.v * b.v) AS s, COUNT(*) AS c
-     FROM fat AS a, fat AS b WHERE a.id = b.id GROUP BY a.g",
-    // Small grouped aggregate + global aggregate: must not regress when
-    // nothing needs to spill.
-    "SELECT g, COUNT(*) AS c, SUM(v) AS s FROM fat GROUP BY g",
-    "SELECT COUNT(*) AS n FROM fat",
-];
-
-/// Exact row values (order-sensitive, float-bit-sensitive).
-fn exact_rows(r: &QueryResult) -> Vec<Vec<Value>> {
-    r.rows.iter().map(|row| row.values().to_vec()).collect()
-}
+use common::compare::{assert_clean, check, exact_rows, metric, sweep};
+use common::corpus::{self, FAT_GROUPS, TILE_JOIN, WIDE_NAN_GROUPS};
+use common::fixtures::{tile_db, Fixture};
+use common::lattice::{self, budget_cell, cell, Cell};
+use lardb::Database;
+use lardb::TransportMode::{Pointer, Serialized};
 
 #[test]
 fn budgeted_queries_match_unbounded_bit_exactly() {
     for workers in [1usize, 4] {
-        let tag = format!("eq-w{workers}");
-        let budgeted =
-            fat_db(config(workers, TransportMode::Pointer, Some(1), &tag));
-        let unbounded = fat_db(config(
-            workers,
-            TransportMode::Pointer,
-            None,
-            &format!("{tag}-unbounded"),
-        ));
-        let mut spilled_bytes = 0usize;
-        for q in QUERIES {
-            let got = budgeted.query(q).unwrap();
-            let want = unbounded.query(q).unwrap();
-            assert_eq!(
-                exact_rows(&got),
-                exact_rows(&want),
-                "W={workers} query={q}"
-            );
-            spilled_bytes += got.stats.total_spill_bytes();
-            assert_eq!(
-                want.stats.total_spill_bytes(),
-                0,
-                "unbounded run must never spill (query={q})"
-            );
-        }
+        let cells = [budget_cell(workers, Pointer, None), budget_cell(workers, Pointer, Some(1))];
+        let runs = sweep(Fixture::Fat, corpus::on(Fixture::Fat), &cells);
+        assert_eq!(runs[0].spilled(), 0, "W={workers}: an unbounded run must never spill");
         // The whole point: the budgeted runs actually went out of core.
-        assert!(spilled_bytes > 0, "W={workers}: no query spilled under 1 MiB");
-        assert_spill_dir_empty(&spill_dir(&tag));
-        assert_spill_dir_empty(&spill_dir(&format!("{tag}-unbounded")));
+        assert!(runs[1].spilled() > 0, "W={workers}: no query spilled under 1 MiB");
     }
 }
 
@@ -140,24 +32,17 @@ fn budgeted_queries_match_unbounded_bit_exactly() {
 fn budgeted_serialized_transport_matches_pointer() {
     // Transport changes how exchanges move bytes; spilling must compose
     // with both. Compare serialized-budgeted against pointer-unbounded.
-    let budgeted = fat_db(config(
-        4,
-        TransportMode::Serialized,
-        Some(1),
-        "ser",
-    ));
-    let unbounded = fat_db(config(
-        4,
-        TransportMode::Pointer,
-        None,
-        "ser-unbounded",
-    ));
-    for q in QUERIES {
-        let got = budgeted.query(q).unwrap();
-        let want = unbounded.query(q).unwrap();
-        assert_eq!(exact_rows(&got), exact_rows(&want), "query={q}");
+    let cells = [budget_cell(4, Pointer, None), budget_cell(4, Serialized, Some(1))];
+    sweep(Fixture::Fat, corpus::on(Fixture::Fat), &cells);
+}
+
+/// Every axis that decides how much is in memory at once, alone, over the
+/// two fixtures built to overflow 1 MiB.
+#[test]
+fn every_capacity_axis_alone_matches_the_oracle_on_fat_and_wide() {
+    for fixture in [Fixture::Fat, Fixture::Wide] {
+        sweep(fixture, corpus::on(fixture), &lattice::capacity_axes());
     }
-    assert_spill_dir_empty(&spill_dir("ser"));
 }
 
 /// The paper's §3.4 chunked (tiled) matrix multiply: `SUM(A_ik · B_kj)
@@ -168,80 +53,37 @@ fn budgeted_serialized_transport_matches_pointer() {
 #[test]
 fn chunked_matmul_spills_and_matches_unbounded() {
     const TILES: usize = 6;
-    const TILE: usize = 64;
-    let schema = Schema::from_pairs(&[
-        ("tr", DataType::Integer),
-        ("tc", DataType::Integer),
-        ("mat", DataType::Matrix(Some(TILE), Some(TILE))),
-    ]);
-    let query = "SELECT a.tr, b.tc, SUM(matrix_multiply(a.mat, b.mat)) AS m
-                 FROM ta AS a, tb AS b WHERE a.tc = b.tr
-                 GROUP BY a.tr, b.tc";
-
-    let make = |mem: Option<u64>, tag: &str, workers: usize| {
-        let db = Database::with_config(config(
-            workers,
-            TransportMode::Pointer,
-            mem,
-            tag,
-        ));
-        for name in ["ta", "tb"] {
-            db.create_table(name, schema.clone(), Partitioning::Hash(0)).unwrap();
-            let seed = if name == "ta" { 7 } else { 11 };
-            db.insert_rows(name, tiled_matrix_rows(seed, TILES, TILE).into_iter())
-                .unwrap();
-        }
-        db
+    let open = |cell: &Cell| {
+        let db = cell.open();
+        tile_db(&db, TILES, false, 1.0);
+        (cell.clone(), db)
     };
-
-    for workers in [1usize, 4] {
-        let tag = format!("matmul-w{workers}");
-        let budgeted = make(Some(1), &tag, workers);
-        let unbounded = make(None, &format!("{tag}-unbounded"), workers);
-        let got = budgeted.query(query).unwrap();
-        let want = unbounded.query(query).unwrap();
-        assert_eq!(got.rows.len(), TILES * TILES);
-        assert_eq!(exact_rows(&got), exact_rows(&want), "W={workers}");
-        if workers == 1 {
-            // One partition holds the entire 1.2 MiB build side: the spill
-            // is deterministic, not a scheduling accident.
-            assert!(
-                got.stats.total_spill_bytes() > 0,
-                "W=1 chunked matmul did not spill under 1 MiB"
-            );
-        }
-        // The budget caps live reservations even while spilling.
-        assert_spill_dir_empty(&spill_dir(&tag));
+    let cells: Vec<Cell> = [1usize, 4]
+        .iter()
+        .flat_map(|&w| [None, Some(1)].map(|mem| budget_cell(w, Pointer, mem)))
+        .collect();
+    // The reference is the unbounded run on one worker.
+    let budgeted_and_wider = cells[1..].iter().map(open).collect();
+    let runs = check(&corpus::named(&[TILE_JOIN]), open(&cells[0]), budgeted_and_wider);
+    for budgeted in [&runs[0], &runs[2]] {
+        assert_eq!(budgeted.result(0).rows.len(), TILES * TILES);
     }
+    // One partition holds the entire 1.2 MiB build side: the spill is
+    // deterministic, not a scheduling accident.
+    assert!(runs[0].spilled() > 0, "W=1 chunked matmul did not spill under 1 MiB");
 }
 
 #[test]
 fn spill_metrics_surface_in_show_metrics() {
-    let db = fat_db(config(
-        2,
-        TransportMode::Pointer,
-        Some(1),
-        "metrics",
-    ));
-    let r = db
-        .query("SELECT payload, COUNT(*) AS c FROM fat GROUP BY payload")
-        .unwrap();
+    let db = Fixture::Fat.open(&budget_cell(2, Pointer, Some(1)));
+    let r = db.query(FAT_GROUPS).unwrap();
     assert!(r.stats.total_spill_bytes() > 0, "query did not spill");
 
-    let metrics = db.query("SHOW METRICS").unwrap();
-    let value_of = |name: &str| -> Option<f64> {
-        metrics
-            .rows
-            .iter()
-            .find(|row| row.value(0).to_string() == name)
-            .map(|row| row.value(2).as_double().unwrap())
-    };
-    for metric in ["spill.files", "spill.bytes_written", "spill.bytes_read"] {
-        let v = value_of(metric)
-            .unwrap_or_else(|| panic!("metric {metric} missing from SHOW METRICS"));
-        assert!(v > 0.0, "{metric} = {v}");
+    for name in ["spill.files", "spill.bytes_written", "spill.bytes_read"] {
+        let v = metric(&db, name);
+        assert!(v > 0.0, "{name} = {v}");
     }
-    assert_spill_dir_empty(&spill_dir("metrics"));
+    assert_clean(&db, "metrics");
 }
 
 /// A NaN group key under the spilling merge: its first-seen order map and
@@ -251,43 +93,99 @@ fn spill_metrics_surface_in_show_metrics() {
 /// the rows, order and float bits of the unbounded run.
 #[test]
 fn nan_group_keys_spill_like_they_merge_in_memory() {
-    let query = "SELECT payload, (v - v) / (v - v) AS k, COUNT(*) AS c, SUM(v) AS s
-                 FROM wide GROUP BY payload, (v - v) / (v - v)";
-    let make = |mem: Option<u64>, tag: &str, workers: usize| {
-        let db = Database::with_config(config(workers, TransportMode::Pointer, mem, tag));
-        db.create_table(
-            "wide",
-            Schema::from_pairs(&[("v", DataType::Double), ("payload", DataType::Varchar)]),
-            Partitioning::RoundRobin,
-        )
-        .unwrap();
-        let rows = (0..6000i64).map(|i| {
-            let payload = Value::varchar(format!("payload-{:0>256}", i % 3000));
-            Row::new(vec![Value::Double(i as f64 * 0.125), payload])
-        });
-        db.insert_rows("wide", rows).unwrap();
-        db
-    };
-    // NaN != NaN under `Value`'s `==`: compare doubles by their bits.
-    let bit_rows = |r: &QueryResult| -> Vec<Vec<String>> {
-        let bits = |v: &Value| match v {
-            Value::Double(d) => format!("D:{:016x}", d.to_bits()),
-            other => format!("{other:?}"),
-        };
-        r.rows.iter().map(|row| row.values().iter().map(bits).collect()).collect()
-    };
     for workers in [1usize, 4] {
-        let tag = format!("nan-w{workers}");
-        let budgeted = make(Some(1), &tag, workers);
-        let unbounded = make(None, &format!("{tag}-unbounded"), workers);
-        let got = budgeted.query(query).unwrap();
-        let want = unbounded.query(query).unwrap();
+        let cells = [budget_cell(workers, Pointer, None), budget_cell(workers, Pointer, Some(1))];
+        let runs = sweep(Fixture::Wide, corpus::named(&[WIDE_NAN_GROUPS]), &cells);
+        let got = runs[1].result(0);
         assert_eq!(got.rows.len(), 3000, "W={workers}");
         assert!(got.rows.iter().all(|r| r.value(1).as_double().is_some_and(f64::is_nan)));
-        assert_eq!(bit_rows(&got), bit_rows(&want), "W={workers}");
         if workers == 1 {
-            assert!(got.stats.total_spill_bytes() > 0, "the aggregate did not spill");
+            assert!(runs[1].spilled() > 0, "the aggregate did not spill");
         }
-        assert_spill_dir_empty(&spill_dir(&tag));
     }
+}
+
+/// What a database can show of a run of `statements`: per statement its
+/// rows in order (or its error message) and its shuffle and batch totals.
+/// The database is unbounded, so it never spills.
+fn footprint(db: &Database, statements: &[corpus::Statement]) -> Vec<String> {
+    let seen = statements.iter().map(|s| match db.query(s.sql) {
+        Err(e) => e.to_string(),
+        Ok(r) => {
+            let s = &r.stats;
+            assert_eq!(s.total_spill_bytes(), 0, "an unbounded database spilled");
+            let totals = [
+                s.total_rows_shuffled(),
+                s.total_bytes_shuffled(),
+                s.total_frames(),
+                s.total_batches(),
+                s.total_fallbacks(),
+            ];
+            format!("{totals:?} {:?}", exact_rows(&r))
+        }
+    });
+    let seen = seen.collect();
+    assert_clean(db, "footprint");
+    seen
+}
+
+/// Two databases in one process share no governor and no pool: while A
+/// (1 MiB, a pool of 2) is driven through the spilling statements in a
+/// loop on its own thread, B (unbounded, a pool of 4) answers the whole
+/// corpus exactly as it did before A started — rows, error messages,
+/// spill, shuffle and batch totals — and its governor's high-water mark
+/// does not move. The mark is read off a one-worker twin of B over the
+/// `fat` statements: reservations are taken per partition task, so on four
+/// workers how many overlap is a scheduling outcome even alone.
+/// `stats.dispatch` is left out: it is read off `la::dispatch::COUNTERS`,
+/// the one counter two databases in a process still share (ROADMAP item
+/// 4), so A's kernels show up in it by design.
+#[test]
+fn a_spilling_neighbour_changes_nothing() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let everything: Vec<_> = corpus::all().map(|(_, s)| s).collect();
+    let fat = corpus::on(Fixture::Fat);
+    let a = Fixture::Fat.open(&cell(|c| {
+        c.mem = Some(1);
+        c.pool_workers = Some(2);
+    }));
+    let b = cell(|_| {}).open();
+    corpus::CORPUS.iter().for_each(|(fixture, ..)| fixture.load(&b));
+    let narrow = Fixture::Fat.open(&cell(|c| c.workers = 1));
+    // `mem: None` and `Some(0)` are both unbounded, and every database's
+    // governor is its own.
+    let zero = cell(|c| c.mem = Some(0)).open();
+    let governors = [&b, &narrow, &zero, &a].map(|db| db.memory().governor());
+    assert!(governors[..3].iter().all(|g| g.budget().is_none()));
+    for (i, g) in governors.iter().enumerate() {
+        assert!(governors[..i].iter().all(|other| !std::sync::Arc::ptr_eq(g, other)));
+    }
+    let observe_b = || {
+        let seen = (footprint(&b, &everything), footprint(&narrow, &fat));
+        (seen, narrow.memory().governor().peak())
+    };
+    let alone = observe_b();
+
+    // A reports its first spill, then keeps lapping until B is done.
+    let (stop, (spilling, spilled)) = (AtomicBool::new(false), std::sync::mpsc::channel());
+    let beside = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut bytes = 0;
+            for s in fat.iter().cycle() {
+                bytes += a.query(s.sql).unwrap().stats.total_spill_bytes();
+                if bytes > 0 {
+                    let _ = spilling.send(());
+                }
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
+            }
+        });
+        spilled.recv().unwrap();
+        let beside = observe_b();
+        stop.store(true, Ordering::Relaxed);
+        beside
+    });
+    assert!(beside == alone, "B answered differently beside A");
+    assert_clean(&a, "the neighbour");
 }

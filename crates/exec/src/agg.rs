@@ -16,7 +16,8 @@
 //! (`merge_state_row`) all find their group through the same key hash and
 //! the same key equality (`KeyLane`), which compare a typed lane against
 //! the stored key without boxing it. Group keys treat `-0.0` as `0.0` and
-//! every NaN as one key; nothing else in the engine does.
+//! every NaN as one key (and emit `0.0` and the canonical NaN for them);
+//! nothing else in the engine does.
 
 use lardb_la::dispatch::{self, Kernel};
 use lardb_la::{CooBuilder, LabeledScalar, Matrix, RowMatrixBuilder, Vector, VectorizeBuilder};
@@ -620,7 +621,16 @@ impl KeyTable {
 
     /// Appends a group at the empty `slot` a failed [`Self::probe`] for
     /// `hash` returned; its number is the count of groups before it.
-    fn insert(&mut self, mut slot: usize, hash: u64, key: Vec<Value>) -> Result<usize> {
+    fn insert(&mut self, mut slot: usize, hash: u64, mut key: Vec<Value>) -> Result<usize> {
+        // The key a group emits is the canonical double of its class, not
+        // the lane that got here first: which of `-0.0`/`0.0`, or which
+        // NaN payload, a table sees first depends on how rows were dealt
+        // to workers, and results may not.
+        for v in &mut key {
+            if let Value::Double(d) = v {
+                *d = f64::from_bits(canonical_bits(*d));
+            }
+        }
         let g = self.keys.len();
         let entry = slot_entry(g)?;
         if (g + 1) * 2 >= self.slots.len() {
@@ -1311,7 +1321,8 @@ mod tests {
         assert_eq!(group(Value::Integer(BIG + 1)), 4);
         assert_eq!(group(Value::Integer(BIG)), 5); // exact among integers
         assert_eq!(group(Value::Double(BIG as f64)), 4); // first-seen `Value ==` match
-        assert_eq!(t.keys[0], vec![Value::Double(-0.0)], "the first-seen value is kept");
+        let Value::Double(zero) = t.keys[0][0] else { panic!("{:?}", t.keys[0]) };
+        assert_eq!(zero.to_bits(), 0, "the canonical zero is kept, not the first-seen -0.0");
     }
 
     #[test]

@@ -104,22 +104,12 @@ pub struct MemoryConfig {
 }
 
 impl MemoryConfig {
-    /// The shared process-wide governor, sized by `LARDB_MEM_BUDGET_MB`
-    /// (unset or `0` = unbounded), spilling to `LARDB_SPILL_DIR` or the OS
-    /// temp dir.
-    pub fn shared() -> Self {
-        MemoryConfig {
-            governor: Arc::clone(lardb_buf::global()),
-            spill_dir: lardb_buf::default_spill_dir(),
-        }
-    }
-
-    /// A dedicated governor with an explicit budget in bytes (`None` =
-    /// unbounded) and an optional spill directory override.
+    /// A governor of its own with a budget in bytes (`None` = unbounded),
+    /// spilling to `spill_dir` (`None` = the OS temp dir).
     pub fn with_budget(budget: Option<u64>, spill_dir: Option<PathBuf>) -> Self {
         MemoryConfig {
             governor: Arc::new(MemoryGovernor::new(budget)),
-            spill_dir: spill_dir.unwrap_or_else(lardb_buf::default_spill_dir),
+            spill_dir: spill_dir.unwrap_or_else(std::env::temp_dir),
         }
     }
 
@@ -127,13 +117,6 @@ impl MemoryConfig {
     /// [`MemoryGovernor::child`]) with the given spill directory.
     pub fn with_governor(governor: Arc<MemoryGovernor>, spill_dir: PathBuf) -> Self {
         MemoryConfig { governor, spill_dir }
-    }
-
-    /// Overrides the spill directory (builder style), keeping the
-    /// governor unchanged.
-    pub fn with_spill_dir(mut self, dir: PathBuf) -> Self {
-        self.spill_dir = dir;
-        self
     }
 
     /// The governor operators reserve bytes against.
@@ -150,12 +133,6 @@ impl MemoryConfig {
     /// out-of-core paths can engage.
     pub fn bounded(&self) -> bool {
         self.governor.budget().is_some()
-    }
-}
-
-impl Default for MemoryConfig {
-    fn default() -> Self {
-        MemoryConfig::shared()
     }
 }
 
@@ -204,26 +181,18 @@ pub struct Executor<'a> {
 
 impl<'a> Executor<'a> {
     /// Creates an executor (join→aggregate fusion enabled, pointer
-    /// transport, compiled expression engine).
+    /// transport, compiled expression engine, an unbounded governor of
+    /// its own).
     pub fn new(catalog: &'a Catalog, cluster: Cluster) -> Self {
-        // This crate's unit tests take CI's `LARDB_BATCH_ROWS` stress
-        // setting the way `DatabaseConfig::default` does for the others.
-        #[cfg(test)]
-        let batch_rows = std::env::var("LARDB_BATCH_ROWS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map_or(DEFAULT_BATCH_ROWS, |n: usize| n.max(1));
-        #[cfg(not(test))]
-        let batch_rows = DEFAULT_BATCH_ROWS;
         Executor {
             catalog,
             cluster,
             fuse: true,
             mode: TransportMode::default(),
             net: NetConfig::default(),
-            mem: MemoryConfig::default(),
+            mem: MemoryConfig::with_budget(None, None),
             engine: ExprEngine::default(),
-            batch_rows,
+            batch_rows: DEFAULT_BATCH_ROWS,
         }
     }
 

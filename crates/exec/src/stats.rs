@@ -175,7 +175,9 @@ pub struct ExecStats {
     /// Kernel-dispatch choices (dense vs sparse kernels) made
     /// while this query executed. Attributed by snapshotting the
     /// process-wide dispatch counters around execution, so concurrent
-    /// queries' kernels can overlap into each other's counts.
+    /// queries' kernels — this database's or any other's in the process —
+    /// can overlap into each other's counts. The one field here that is
+    /// not the query's own.
     pub dispatch: lardb_la::DispatchCounters,
 }
 

@@ -15,7 +15,7 @@
 //!   byte, and checked decode errors that never panic on corrupt input.
 //! * [`transport`] — a [`Transport`] abstraction over
 //!   worker-to-worker frame channels, with two implementations: an
-//!   in-process bounded-channel mesh (crossbeam, with backpressure — the
+//!   in-process bounded-channel mesh (`std::sync::mpsc`, with backpressure — the
 //!   default for `serialized` mode) and a loopback-TCP mesh (`std::net`)
 //!   that pushes every frame through real sockets for
 //!   multi-process-shaped testing.

@@ -17,7 +17,7 @@
 //!
 //! Two implementations:
 //!
-//! * [`ChannelTransport`] — crossbeam bounded channels, one inbox per
+//! * [`ChannelTransport`] — one bounded `std::sync::mpsc` inbox per
 //!   destination. `send` blocks when the inbox is full: real backpressure,
 //!   measurable as enqueue-block time. This is the default for
 //!   `serialized` mode.
@@ -34,10 +34,9 @@
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{bounded, Receiver, Sender};
 
 use crate::{NetError, Result, DEFAULT_MAX_FRAME_BYTES, DEFAULT_NET_TIMEOUT_MS};
 
@@ -109,7 +108,7 @@ type Msg = (usize, SenderEvent);
 /// quietly toward end-of-stream, `Errored` counts too but surfaces once
 /// as [`NetError::Sender`].
 fn drain_inbox(
-    rx: &Receiver<Msg>,
+    rx: &Mutex<Receiver<Msg>>,
     eofs: &AtomicUsize,
     workers: usize,
     to: usize,
@@ -118,7 +117,11 @@ fn drain_inbox(
         if eofs.load(Ordering::Acquire) >= workers {
             return Ok(None);
         }
+        // One thread drains an inbox, so the lock is uncontended; it is
+        // there because a `Receiver` alone is not `Sync`.
         let (from, event) = rx
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
             .recv()
             .map_err(|_| NetError::Transport(format!("inbox of worker {to} disconnected")))?;
         match event {
@@ -136,7 +139,7 @@ fn drain_inbox(
 
 // --------------------------------------------------- in-process channels
 
-/// Bounded-crossbeam-channel mesh: the in-process transport.
+/// Bounded-channel mesh: the in-process transport.
 #[derive(Debug, Clone)]
 pub struct ChannelTransport {
     /// Inbox capacity per destination, in frames. Small on purpose: a full
@@ -154,8 +157,8 @@ impl Default for ChannelTransport {
 }
 
 struct ChannelMesh {
-    txs: Vec<Sender<Msg>>,
-    rxs: Vec<Receiver<Msg>>,
+    txs: Vec<SyncSender<Msg>>,
+    rxs: Vec<Mutex<Receiver<Msg>>>,
     /// Per-destination count of senders that have ended (closed or
     /// failed).
     eofs: Vec<AtomicUsize>,
@@ -168,9 +171,9 @@ impl Transport for ChannelTransport {
         let mut txs = Vec::with_capacity(workers);
         let mut rxs = Vec::with_capacity(workers);
         for _ in 0..workers {
-            let (tx, rx) = bounded(self.capacity.max(1));
+            let (tx, rx) = sync_channel(self.capacity.max(1));
             txs.push(tx);
-            rxs.push(rx);
+            rxs.push(Mutex::new(rx));
         }
         let eofs = (0..workers).map(|_| AtomicUsize::new(0)).collect();
         Ok(Box::new(ChannelMesh {
@@ -256,7 +259,7 @@ impl Default for TcpTransport {
 struct TcpMesh {
     /// Outgoing streams, indexed `from * workers + to`.
     streams: Vec<Mutex<TcpStream>>,
-    rxs: Vec<Receiver<Msg>>,
+    rxs: Vec<Mutex<Receiver<Msg>>>,
     eofs: Vec<AtomicUsize>,
     workers: usize,
     max_frame_bytes: usize,
@@ -367,7 +370,7 @@ impl Transport for TcpTransport {
         let max_frame_bytes = self.max_frame_bytes.max(1);
         let mut rxs = Vec::with_capacity(workers);
         for (to, listener) in listeners.into_iter().enumerate() {
-            let (tx, rx) = bounded::<Msg>(self.capacity.max(1));
+            let (tx, rx) = sync_channel::<Msg>(self.capacity.max(1));
             let deadline = Instant::now() + timeout;
             for _ in 0..workers {
                 let mut conn = accept_with_deadline(&listener, deadline, to)?;
@@ -388,7 +391,7 @@ impl Transport for TcpTransport {
                     .spawn(move || reader_loop(conn, from, tx, max_frame_bytes))
                     .map_err(|e| io_err("spawn reader", e))?;
             }
-            rxs.push(rx);
+            rxs.push(Mutex::new(rx));
         }
         let eofs = (0..workers).map(|_| AtomicUsize::new(0)).collect();
         Ok(Box::new(TcpMesh { streams, rxs, eofs, workers, max_frame_bytes }))
@@ -442,7 +445,7 @@ fn read_len_prefix(conn: &mut TcpStream) -> LenRead {
 /// anything else — mid-frame EOF, read errors, timeouts, an oversized
 /// length prefix — reports `Errored` so the receiver can flag truncation
 /// instead of silently accepting a short stream.
-fn reader_loop(mut conn: TcpStream, from: usize, tx: Sender<Msg>, max_frame_bytes: usize) {
+fn reader_loop(mut conn: TcpStream, from: usize, tx: SyncSender<Msg>, max_frame_bytes: usize) {
     loop {
         let len = match read_len_prefix(&mut conn) {
             LenRead::Closed => {
@@ -608,7 +611,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let client = TcpStream::connect(addr).unwrap();
         let (server, _) = listener.accept().unwrap();
-        let (tx, rx) = bounded::<Msg>(8);
+        let (tx, rx) = sync_channel::<Msg>(8);
         let h = std::thread::spawn(move || reader_loop(server, 0, tx, max_frame_bytes));
         (client, rx, h)
     }

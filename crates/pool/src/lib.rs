@@ -7,8 +7,7 @@
 //! [`WorkerPool::scope`], which hands out a [`Scope`] that can spawn
 //! closures borrowing from the caller's stack — the scope blocks until
 //! every spawned task has finished, which is what makes the lifetime
-//! erasure inside sound (the same trick the vendored crossbeam scope
-//! uses).
+//! erasure inside sound.
 //!
 //! Two properties matter for the engine:
 //!

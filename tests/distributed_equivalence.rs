@@ -2,34 +2,25 @@
 //! the general guarantee that worker count / partitioning / shuffling are
 //! invisible in query answers.
 
+#[path = "../crates/core/tests/common/mod.rs"]
+mod common;
+
+use common::compare::{sweep, Run};
+use common::corpus::{self, GRAM_BLOCK, GRAM_TUPLE, GRAM_VECTOR, TILE_MULTIPLY};
+use common::fixtures::{big_matrix, points, Fixture, POINTS};
+use common::lattice::{self, cell};
 use lardb::{DataType, Database, Matrix, Partitioning, Row, Schema, TransportMode, Value};
+use lardb_baselines::{systemml_like, WorkloadData};
 use lardb_storage::gen;
 
-/// Loads a tiled square matrix as `name(tileRow, tileCol, mat)` — §3.4's
-/// bigMatrix layout.
+/// Loads a random tiled square matrix as `name(tileRow, tileCol, mat)` —
+/// §3.4's bigMatrix layout, round-robin — and returns it whole.
 fn load_tiled(db: &Database, name: &str, seed: u64, tiles: usize, tile: usize) -> Matrix {
-    db.create_table(
-        name,
-        Schema::from_pairs(&[
-            ("tileRow", DataType::Integer),
-            ("tileCol", DataType::Integer),
-            ("mat", DataType::Matrix(None, None)),
-        ]),
-        Partitioning::RoundRobin,
-    )
-    .unwrap();
     let rows = gen::tiled_matrix_rows(seed, tiles, tile);
     let full = gen::assemble_tiles(&rows, tiles, tile);
-    db.insert_rows(name, rows).unwrap();
+    big_matrix(db, name, Partitioning::RoundRobin, rows);
     full
 }
-
-/// The paper's §3.4 distributed tile multiply, verbatim.
-const TILE_MULTIPLY: &str = "SELECT lhs.tileRow, rhs.tileCol,
-        SUM(matrix_multiply(lhs.mat, rhs.mat)) AS mat
- FROM bigMatrix AS lhs, anotherBigMat AS rhs
- WHERE lhs.tileCol = rhs.tileRow
- GROUP BY lhs.tileRow, rhs.tileCol";
 
 #[test]
 fn tiled_matrix_multiply_matches_kernel() {
@@ -53,38 +44,10 @@ fn tiled_matrix_multiply_matches_kernel() {
 
 #[test]
 fn tiled_multiply_is_worker_count_invariant() {
-    let (tiles, tile) = (2, 5);
-    let mut reference: Option<Vec<(i64, i64, Vec<f64>)>> = None;
-    for workers in [1, 2, 5, 8] {
-        let db = Database::new(workers);
-        load_tiled(&db, "bigMatrix", 5, tiles, tile);
-        load_tiled(&db, "anotherBigMat", 6, tiles, tile);
-        let r = db.query(TILE_MULTIPLY).unwrap();
-        let mut rows: Vec<(i64, i64, Vec<f64>)> = r
-            .rows
-            .iter()
-            .map(|row| {
-                (
-                    row.value(0).as_integer().unwrap(),
-                    row.value(1).as_integer().unwrap(),
-                    row.value(2).as_matrix().unwrap().as_slice().to_vec(),
-                )
-            })
-            .collect();
-        rows.sort_by_key(|(r, c, _)| (*r, *c));
-        match &reference {
-            None => reference = Some(rows),
-            Some(expect) => {
-                assert_eq!(expect.len(), rows.len());
-                for (e, g) in expect.iter().zip(&rows) {
-                    assert_eq!((e.0, e.1), (g.0, g.1));
-                    for (x, y) in e.2.iter().zip(&g.2) {
-                        assert!((x - y).abs() < 1e-9, "workers={workers}");
-                    }
-                }
-            }
-        }
-    }
+    // Over sixteenths every tile sum is exact, so more workers may not
+    // move a bit.
+    let cells = [1usize, 2, 5, 8].map(|workers| cell(|c| c.workers = workers));
+    sweep(Fixture::Paper, corpus::on(Fixture::Paper), &cells);
 }
 
 #[test]
@@ -95,29 +58,8 @@ fn hash_partitioned_tiles_reduce_shuffles() {
 
     let run = |left_part: Partitioning, right_part: Partitioning| -> usize {
         let db = Database::new(4);
-        db.create_table(
-            "bigMatrix",
-            Schema::from_pairs(&[
-                ("tileRow", DataType::Integer),
-                ("tileCol", DataType::Integer),
-                ("mat", DataType::Matrix(None, None)),
-            ]),
-            left_part,
-        )
-        .unwrap();
-        db.create_table(
-            "anotherBigMat",
-            Schema::from_pairs(&[
-                ("tileRow", DataType::Integer),
-                ("tileCol", DataType::Integer),
-                ("mat", DataType::Matrix(None, None)),
-            ]),
-            right_part,
-        )
-        .unwrap();
-        db.insert_rows("bigMatrix", gen::tiled_matrix_rows(31, tiles, tile)).unwrap();
-        db.insert_rows("anotherBigMat", gen::tiled_matrix_rows(32, tiles, tile))
-            .unwrap();
+        big_matrix(&db, "bigMatrix", left_part, gen::tiled_matrix_rows(31, tiles, tile));
+        big_matrix(&db, "anotherBigMat", right_part, gen::tiled_matrix_rows(32, tiles, tile));
         let r = db.query(TILE_MULTIPLY).unwrap();
         r.stats.total_bytes_shuffled()
     };
@@ -197,125 +139,70 @@ fn replicated_dimension_table_joins_without_exchange() {
     assert!(join_exchanges <= 1, "{}", r.stats.display_table());
 }
 
-/// Canonical row order for comparing result sets that may be produced in
-/// different (hash-map-dependent) orders across runs.
-fn canonicalized(mut rows: Vec<Row>) -> Vec<Row> {
-    rows.sort_by_cached_key(|r| format!("{r:?}"));
-    rows
-}
-
-fn setup_vector_tables(db: &Database, n: usize, dims: usize, seed: u64) {
-    db.create_table(
-        "x_vm",
-        Schema::from_pairs(&[
-            ("id", DataType::Integer),
-            ("value", DataType::Vector(Some(dims))),
-        ]),
-        Partitioning::RoundRobin,
-    )
-    .unwrap();
-    db.insert_rows("x_vm", gen::vector_rows(seed, n, dims)).unwrap();
-    db.create_table(
-        "y",
-        Schema::from_pairs(&[("i", DataType::Integer), ("y_i", DataType::Double)]),
-        Partitioning::RoundRobin,
-    )
-    .unwrap();
-    db.insert_rows("y", gen::regression_targets(seed, n, dims, 0.01)).unwrap();
-}
-
-fn setup_tuple_table(db: &Database, n: usize, dims: usize, seed: u64) {
-    db.create_table(
-        "x",
-        Schema::from_pairs(&[
-            ("row_index", DataType::Integer),
-            ("col_index", DataType::Integer),
-            ("value", DataType::Double),
-        ]),
-        Partitioning::RoundRobin,
-    )
-    .unwrap();
-    db.insert_rows("x", gen::tuple_rows(seed, n, dims)).unwrap();
-}
-
-/// Every workload (the paper's Gram / regression / distance in both tuple
-/// and vector form, plus the §3.4 tile multiply) must return identical
-/// rows whether exchanges move `Arc` pointers, wire-encoded frames over
-/// channels, or wire-encoded frames over loopback TCP — at one worker
-/// (no exchange traffic) and at four (real shuffles).
+/// Every workload (the paper's Gram in all three forms, regression and
+/// distance in vector form, plus the §3.4 tile multiply) must return
+/// identical rows whether exchanges move `Arc` pointers, wire-encoded
+/// frames over channels, or wire-encoded frames over loopback TCP — at one
+/// worker (no exchange traffic) and at four (real shuffles).
 #[test]
 fn all_workloads_identical_under_every_transport() {
-    type Setup = fn(&Database);
-    let workloads: &[(&str, Setup, &str)] = &[
-        (
-            "tile_multiply",
-            |db| {
-                load_tiled(db, "bigMatrix", 11, 3, 6);
-                load_tiled(db, "anotherBigMat", 22, 3, 6);
-            },
-            TILE_MULTIPLY,
-        ),
-        (
-            "gram_vector",
-            |db| setup_vector_tables(db, 60, 5, 7),
-            "SELECT SUM(outer_product(x.value, x.value)) AS g FROM x_vm AS x",
-        ),
-        (
-            "gram_tuple",
-            |db| setup_tuple_table(db, 40, 4, 9),
-            "SELECT x1.col_index, x2.col_index, SUM(x1.value * x2.value) AS v
-             FROM x AS x1, x AS x2
-             WHERE x1.row_index = x2.row_index
-             GROUP BY x1.col_index, x2.col_index",
-        ),
-        (
-            "regression_vector",
-            |db| setup_vector_tables(db, 60, 5, 13),
-            "SELECT matrix_vector_multiply(
-                 matrix_inverse(SUM(outer_product(x.value, x.value))),
-                 SUM(x.value * y.y_i)) AS beta
-             FROM x_vm AS x, y
-             WHERE x.id = y.i",
-        ),
-        (
-            "distance_vector",
-            |db| setup_vector_tables(db, 30, 4, 17),
-            "SELECT a.id, MIN(inner_product(a.value, b.value)) AS d
-             FROM x_vm AS a, x_vm AS b
-             WHERE a.id <> b.id
-             GROUP BY a.id",
-        ),
-    ];
-
-    for (name, setup, sql) in workloads {
-        for workers in [1usize, 4] {
-            let mut reference: Option<Vec<Row>> = None;
-            for transport in TransportMode::ALL {
-                let db = Database::new(workers).with_transport(transport);
-                setup(&db);
-                let r = db
-                    .query(sql)
-                    .unwrap_or_else(|e| panic!("{name} W={workers} {transport:?}: {e}"));
-                if transport.is_serialized() && workers > 1 {
-                    assert!(
-                        r.stats.total_frames() > 0,
-                        "{name} W={workers} {transport:?}: no encoded frames metered"
-                    );
-                    assert!(
-                        r.stats.total_bytes_shuffled() > 0,
-                        "{name} W={workers} {transport:?}: no encoded bytes metered"
-                    );
-                }
-                let rows = canonicalized(r.rows);
-                match &reference {
-                    None => reference = Some(rows),
-                    Some(expect) => assert_eq!(
-                        expect, &rows,
-                        "{name} W={workers} {transport:?} diverged from pointer mode"
-                    ),
+    let mut cells = Vec::new();
+    for workers in [1usize, 4] {
+        for transport in TransportMode::ALL {
+            cells.push(cell(|c| {
+                c.workers = workers;
+                c.transport = transport;
+            }));
+        }
+    }
+    for fixture in [Fixture::Paper, Fixture::Points] {
+        for run in sweep(fixture, corpus::on(fixture), &cells) {
+            let config = &run.cell.config;
+            for r in run.outcomes.iter().flatten() {
+                if config.transport.is_serialized() && config.workers > 1 {
+                    let at = &run.cell.name;
+                    assert!(r.stats.total_frames() > 0, "{at}: no encoded frames metered");
+                    assert!(r.stats.total_bytes_shuffled() > 0, "{at}: no encoded bytes metered");
                 }
             }
         }
+    }
+}
+
+/// The Gram matrix a run's three formulations produced: the tuple-based
+/// one assembled from its `(i, j, v)` rows.
+fn grams(run: &Run) -> [Matrix; 3] {
+    let dims = POINTS.1;
+    let mut tuple = Matrix::zeros(dims, dims);
+    for row in &run.result(0).rows {
+        let at = |c| row.value(c).as_integer().unwrap() as usize;
+        tuple.set(at(0), at(1), row.value(2).as_double().unwrap()).unwrap();
+    }
+    let matrix = |i: usize| Matrix::clone(run.result(i).scalar().unwrap().as_matrix().unwrap());
+    [tuple, matrix(1), matrix(2)]
+}
+
+/// Join is multiply and group is add (paper §2, Fig. 1): over sixteenths,
+/// where every partial sum is exact, the tuple-, vector- and block-based
+/// Gram statements produce `==`-equal matrices under every cell — the
+/// matrix a block engine with no SQL, planner or executor computes.
+#[test]
+fn gram_formulations_are_one_matrix_under_every_axis() {
+    let want = systemml_like::Engine::new(3).gram(&WorkloadData::from_x(points()));
+    let statements = corpus::named(&[GRAM_TUPLE, GRAM_VECTOR, GRAM_BLOCK]);
+    for run in sweep(Fixture::Points, statements, &lattice::single_axis()) {
+        for (form, got) in ["tuple", "vector", "block"].iter().zip(grams(&run)) {
+            assert_eq!(got, want, "{form}-based Gram under {}", run.cell.name);
+        }
+    }
+}
+
+/// Every axis alone, over the paper's tile multiply and the remaining
+/// point workloads.
+#[test]
+fn every_axis_alone_matches_the_oracle_on_paper_and_points() {
+    for fixture in [Fixture::Paper, Fixture::Points] {
+        sweep(fixture, corpus::on(fixture), &lattice::single_axis());
     }
 }
 
