@@ -15,9 +15,10 @@ use common::fixtures::Fixture;
 use common::lattice::{self, cell};
 use lardb::{Database, Response};
 
-/// The fact and dimension tables on `workers` workers, default cache.
+/// The fact and dimension tables on `workers` workers of the product as
+/// shipped.
 fn seeded(workers: usize) -> Database {
-    Fixture::Facts.open(&cell(|c| c.workers = workers))
+    Fixture::Facts.open(&lattice::shipped(workers))
 }
 
 /// Every axis alone — the 2- and 256-entry caches among them, each

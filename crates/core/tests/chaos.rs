@@ -13,16 +13,14 @@ mod common;
 use common::compare::{canon_rows, metric, sweep};
 use common::corpus::{self, SKEW_GROUPS};
 use common::fixtures::Fixture;
-use common::lattice::{cell, Cell};
+use common::lattice::at;
 use lardb::{Database, DatabaseConfig, FaultKind, FaultPlan, TransportMode};
 
-/// The pivot on `workers` workers over `transport`, under a fault plan.
-fn faulted(workers: usize, transport: TransportMode, faults: Option<FaultPlan>) -> Cell {
-    cell(|c| {
-        c.workers = workers;
-        c.transport = transport;
-        c.net.faults = faults;
-    })
+/// The skewed tables on `workers` workers over `transport`, under `plan`.
+fn faulted(workers: usize, transport: TransportMode, plan: FaultPlan) -> Database {
+    let mut cell = at(workers, transport, None);
+    cell.config.net.faults = Some(plan);
+    Fixture::Skew.open(&cell)
 }
 
 /// The core chaos matrix: under every fault kind, at three distinct seeds,
@@ -41,8 +39,7 @@ fn faults_never_shorten_answers_silently() {
         for transport in [TransportMode::Serialized, TransportMode::Tcp] {
             // Fault-free answers, themselves held to the oracle cell's.
             let statements = corpus::on(Fixture::Skew);
-            let clean = [faulted(workers, transport, None)];
-            let clean = sweep(Fixture::Skew, statements.clone(), &clean);
+            let clean = sweep(Fixture::Skew, statements.clone(), &[at(workers, transport, None)]);
             let want: Vec<_> = clean[0].outcomes.iter().flatten().map(canon_rows).collect();
             for kind in FaultKind::ALL {
                 for seed in [1u64, 2, 3] {
@@ -50,7 +47,7 @@ fn faults_never_shorten_answers_silently() {
                     // High enough that multi-frame exchanges almost always
                     // take at least one hit.
                     plan.rate_ppm = 300_000;
-                    let db = Fixture::Skew.open(&faulted(workers, transport, Some(plan)));
+                    let db = faulted(workers, transport, plan);
                     for (q, base) in statements.iter().map(|s| s.sql).zip(&want) {
                         let ctx = format!(
                             "W={workers} transport={transport:?} fault={kind} seed={seed} query={q}"
@@ -101,7 +98,7 @@ fn killed_peer_is_always_detected() {
         for seed in [1u64, 2, 3, 4, 5] {
             let mut plan = FaultPlan::new(FaultKind::KillSender, seed);
             plan.kill_after = 1;
-            let db = Fixture::Skew.open(&faulted(4, transport, Some(plan)));
+            let db = faulted(4, transport, plan);
             let err = db.query(SKEW_GROUPS).expect_err(&format!(
                 "killed peer went undetected: transport={transport:?} seed={seed}"
             ));
@@ -121,7 +118,7 @@ fn chaos_counters_surface_in_show_metrics() {
     // Guarantee at least one detected truncation + abort in this process.
     let mut plan = FaultPlan::new(FaultKind::KillSender, 7);
     plan.kill_after = 1;
-    let db = Fixture::Skew.open(&faulted(4, TransportMode::Tcp, Some(plan)));
+    let db = faulted(4, TransportMode::Tcp, plan);
     let _ = db.query("SELECT g, COUNT(*) AS c FROM skew GROUP BY g");
 
     // Read the process-wide registry through a fault-free database so the

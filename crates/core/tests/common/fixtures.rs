@@ -3,6 +3,9 @@
 //! re-associating an aggregate (more workers, smaller morsels, a spilled
 //! partition) cannot move a bit and `==` is the contract, not a tolerance.
 //! Table names are disjoint across fixtures: one database can hold them all.
+//! The loaders that take rows ([`tile_table`], [`big_matrix`],
+//! [`points_tables`]) also serve a suite's full-mantissa random twin of a
+//! fixture, for comparisons that stay at one worker count.
 
 use lardb::{
     CooBuilder, DataType, Database, Matrix, Partitioning, Row, Schema, SparseMatrix, Value,
@@ -253,6 +256,11 @@ fn dense_tile(seed: u64, rows: usize, cols: usize, density: f64) -> Matrix {
 /// Side of a [`tile_db`] tile.
 pub const TILE: usize = 64;
 
+/// `name(tr, tc, mat)`: a grid of [`TILE`]-sided tiles, hashed on `tr`.
+pub fn tile_table(db: &Database, name: &str, tiles: Vec<Row>) {
+    table(db, name, &tile_columns(TILE), Partitioning::Hash(0), tiles);
+}
+
 /// Two `tiles × tiles` grids of 64 × 64 tiles, `ta` and `tb`, plus a
 /// single-row vector table `vt`. `sparse` stores CSR tiles; otherwise the
 /// densified twins of the *same* tiles, so only dense kernels ever run.
@@ -267,7 +275,7 @@ pub fn tile_db(db: &Database, tiles: usize, sparse: bool, density: f64) {
             };
             Row::new(vec![int((t / tiles) as i64), int((t % tiles) as i64), cell])
         });
-        table(db, name, &tile_columns(TILE), Partitioning::Hash(0), rows.collect());
+        tile_table(db, name, rows.collect());
     }
     let x = Vector::from_vec((0..TILE).map(|i| (i as f64 + 1.0) / 8.0).collect());
     let columns = [("x", DataType::Vector(Some(TILE)))];
@@ -311,11 +319,18 @@ pub fn points() -> Matrix {
     Matrix::from_fn(POINTS.0, POINTS.1, |_, _| sixteenth(&mut rng))
 }
 
+/// [`points_tables`] of [`points`], with targets that are sixteenths too.
+pub fn points_db(db: &Database) {
+    let mut rng = rngish(0x7a49);
+    let y: Vec<f64> = (0..POINTS.0).map(|_| sixteenth(&mut rng)).collect();
+    points_tables(db, &points(), &y);
+}
+
 /// One data set in each representation the paper compares: `x_vm(id,
 /// value VECTOR)`, `x(row_index, col_index, value)`, the §5 blocking view
 /// `MLX` over `block_index` (blocks of 8 points), and targets `y`.
-pub fn points_db(db: &Database) {
-    let (x, (n, dims)) = (points(), POINTS);
+pub fn points_tables(db: &Database, x: &Matrix, y: &[f64]) {
+    let (n, dims) = POINTS;
     let vectors = (0..n).map(|i| {
         Row::new(vec![int(i as i64), Value::vector(Vector::from_slice(x.row(i)))])
     });
@@ -331,8 +346,7 @@ pub fn points_db(db: &Database) {
         ("value", DataType::Double),
     ];
     table(db, "x", &columns, Partitioning::RoundRobin, tuples.collect());
-    let mut rng = rngish(0x7a49);
-    let targets = (0..n).map(|i| Row::new(vec![int(i as i64), Value::Double(sixteenth(&mut rng))]));
+    let targets = (0..n).map(|i| Row::new(vec![int(i as i64), Value::Double(y[i])]));
     let columns = [("i", DataType::Integer), ("y_i", DataType::Double)];
     table(db, "y", &columns, Partitioning::RoundRobin, targets.collect());
     let blocks = (0..5).map(|b| Row::new(vec![int(b)]));

@@ -2,8 +2,8 @@
 //! depend on are enumerated. A [`Cell`] is a `DatabaseConfig` under a name;
 //! [`oracle`] is the cell every other is compared with, [`single_axis`]
 //! moves one axis at a time away from the pivot (`cell(|_| {})`), and the
-//! suites build the pairs they pin (W × transport × morsel size, W ×
-//! budget, ...) with [`cell`].
+//! suites build the pairs they pin (W × transport × budget, engine ×
+//! batch size, ...) with [`at`] and [`cell`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -41,27 +41,21 @@ pub fn cell(set: impl FnOnce(&mut DatabaseConfig)) -> Cell {
     Cell { name: name(&config), config, repeat: false }
 }
 
-/// The pair the out-of-core suites pin: `workers` over 64-row morsels,
-/// unbounded (`None`) or under a budget of `mem` MiB.
-pub fn budget_cell(workers: usize, transport: TransportMode, mem: Option<u64>) -> Cell {
+/// The pivot with its capacity axes set: `workers` workers over `transport`,
+/// unbounded (`None`) or under a budget of `mem` MiB. The pairs the
+/// out-of-core, sparse, chaos and transport suites pin are among these.
+pub fn at(workers: usize, transport: TransportMode, mem: Option<u64>) -> Cell {
     cell(|c| {
         c.workers = workers;
         c.transport = transport;
-        c.morsel_rows = 64;
         c.mem = mem;
     })
 }
 
-/// The pair the engine differential pins: `engine` on `workers` workers
-/// over 32-row morsels, so that with `batch_rows` at 16 even 400 rows
-/// cross many chunk and steal boundaries.
-pub fn engine_cell(workers: usize, engine: ExprEngine, batch_rows: usize) -> Cell {
-    cell(|c| {
-        c.workers = workers;
-        c.expr_engine = engine;
-        c.batch_rows = batch_rows;
-        c.morsel_rows = 32;
-    })
+/// The product as shipped, `Database::new(workers)`: the process-level pool
+/// at its own size and the default morsels, which the pivot moves off.
+pub fn shipped(workers: usize) -> Cell {
+    cell(|c| *c = DatabaseConfig { workers, ..DatabaseConfig::default() })
 }
 
 /// The cell that defines the right answer: the row interpreter on one
@@ -90,7 +84,8 @@ pub fn capacity_axes() -> Vec<Cell> {
 /// The pivot and every axis alone. One axis away from the *pivot*, not
 /// from the oracle: one worker ships nothing whatever the transport, and
 /// the interpreter cuts no batches whatever `batch_rows`. The values the
-/// pivot does not have are the oracle's or a cell's here.
+/// pivot does not have are the oracle's or a cell's here; the last cell is
+/// the product's own defaults.
 pub fn single_axis() -> Vec<Cell> {
     let mut cells = capacity_axes();
     cells.push(cell(|c| c.expr_engine = ExprEngine::Interpret));
@@ -98,6 +93,7 @@ pub fn single_axis() -> Vec<Cell> {
     cells.push(cell(|c| c.morsel_rows = WHOLE));
     cells.push(Cell { repeat: true, ..cell(|c| c.plan_cache_entries = 2) });
     cells.push(cell(|c| c.pool_workers = Some(64)));
+    cells.push(shipped(4));
     cells
 }
 

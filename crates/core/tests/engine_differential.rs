@@ -24,7 +24,7 @@ mod common;
 use common::compare::{canon, canon_rows, metric, sweep};
 use common::corpus::{self, DECLINED_RESIDUAL, MIXED_FILTER, MIXED_JOIN_AGG};
 use common::fixtures::Fixture;
-use common::lattice::{self, engine_cell};
+use common::lattice::{self, cell};
 use lardb::{ExprEngine, Row, Value};
 use lardb_exec::batch::ColumnBatch;
 use lardb_exec::compile::Program;
@@ -168,10 +168,20 @@ fn zero_length_batch_evaluates_to_empty_column() {
 
 // ---------------------------------------------------- engine differential
 
-/// Both engines on one worker and on four.
+/// Both engines on one worker and on four, at two 8-row batches to the
+/// pivot's 16-row morsel: 400 rows cross many chunk and steal boundaries.
 fn engine_cells() -> Vec<lattice::Cell> {
-    let engines = [ExprEngine::Compiled, ExprEngine::Interpret];
-    [1usize, 4].iter().flat_map(|&w| engines.map(|e| engine_cell(w, e, 16))).collect()
+    let mut cells = Vec::new();
+    for workers in [1usize, 4] {
+        for engine in [ExprEngine::Compiled, ExprEngine::Interpret] {
+            cells.push(cell(|c| {
+                c.workers = workers;
+                c.expr_engine = engine;
+                c.batch_rows = 8;
+            }));
+        }
+    }
+    cells
 }
 
 /// Statements that succeed return bit-identical relations, and failing
@@ -195,7 +205,7 @@ fn every_axis_alone_matches_the_oracle_on_mixed_and_nan() {
 
 #[test]
 fn compiled_engine_is_deterministic_across_runs() {
-    let db = Fixture::Mixed.open(&engine_cell(4, ExprEngine::Compiled, 16));
+    let db = Fixture::Mixed.open(&cell(|c| c.batch_rows = 16));
     let q = "SELECT g, AVG(v) AS a, SUM(v) AS s FROM t WHERE id < 390 GROUP BY g";
     let reference = canon_rows(&db.query(q).unwrap());
     for run in 1..5 {
@@ -205,13 +215,13 @@ fn compiled_engine_is_deterministic_across_runs() {
 
 #[test]
 fn batch_rows_knob_does_not_change_results() {
-    let cells = [1usize, 7, 64, 4096].map(|rows| engine_cell(4, ExprEngine::Compiled, rows));
+    let cells = [1usize, 7, 64, 4096].map(|rows| cell(|c| c.batch_rows = rows));
     sweep(Fixture::Mixed, corpus::named(&[MIXED_FILTER]), &cells);
 }
 
 #[test]
 fn vectorized_counters_surface_in_stats_and_metrics() {
-    let db = Fixture::Mixed.open(&engine_cell(4, ExprEngine::Compiled, 16));
+    let db = Fixture::Mixed.open(&cell(|c| c.batch_rows = 16));
     let r = db.query("SELECT id FROM t WHERE v > -50.0").unwrap();
     assert!(r.stats.total_batches() > 0, "vectorized filter should report batches");
     assert!(r.stats.total_kernels() > 0, "vectorized filter should report kernels");
@@ -232,7 +242,7 @@ fn vectorized_counters_surface_in_stats_and_metrics() {
     let rd = db.query(DECLINED_RESIDUAL).unwrap();
     assert!(rd.stats.total_fallbacks() > 0, "the residual kernel should decline");
     // The interpreted engine reports no vectorized work.
-    let idb = Fixture::Mixed.open(&engine_cell(4, ExprEngine::Interpret, 16));
+    let idb = Fixture::Mixed.open(&cell(|c| c.expr_engine = ExprEngine::Interpret));
     for q in ["SELECT id FROM t WHERE v > -50.0", MIXED_JOIN_AGG] {
         let ri = idb.query(q).unwrap();
         assert_eq!(ri.stats.total_batches(), 0, "{q}");

@@ -18,7 +18,7 @@ mod common;
 use common::compare::{check, exact_rows, metric, Run};
 use common::corpus::{self, TILE_JOIN};
 use common::fixtures::{rngish, sparse_tile, tile_db, Fixture};
-use common::lattice::{self, budget_cell, Cell};
+use common::lattice::{self, at, Cell};
 use lardb::TransportMode::{Pointer, Serialized};
 use lardb::{
     CooBuilder, Database, DataType, Partitioning, QueryResult, Row, Schema, SparseMatrix, Value,
@@ -45,7 +45,7 @@ fn run(db: &Database, q: &str) -> QueryResult {
 #[test]
 fn sparse_matches_dense_across_density_and_workers() {
     for density in [0.001, 0.01, 0.1, 0.5, 0.9] {
-        let [one, four] = [1usize, 4].map(|workers| budget_cell(workers, Pointer, None));
+        let [one, four] = [1usize, 4].map(|workers| at(workers, Pointer, None));
         let stores =
             vec![open(&one, true, density), open(&four, false, density), open(&four, true, density)];
         let runs = check_against_dense(&one, density, stores);
@@ -67,8 +67,8 @@ fn sparse_matches_dense_across_density_and_workers() {
 #[test]
 fn serialized_budgeted_sparse_matches_unbounded_dense() {
     for density in [0.01, 0.5] {
-        let sparse = open(&budget_cell(4, Serialized, Some(1)), true, density);
-        check_against_dense(&budget_cell(4, Pointer, None), density, vec![sparse]);
+        let sparse = open(&at(4, Serialized, Some(1)), true, density);
+        check_against_dense(&at(4, Pointer, None), density, vec![sparse]);
     }
 }
 
@@ -87,7 +87,7 @@ fn every_capacity_axis_alone_matches_the_dense_oracle() {
 /// is 32 KiB; its 1% CSR twin is under a kilobyte).
 #[test]
 fn exchange_bytes_scale_with_nnz_not_shape() {
-    let cell = budget_cell(4, Serialized, None);
+    let cell = at(4, Serialized, None);
     let [want, got] = [false, true].map(|sparse| run(&open(&cell, sparse, 0.01).1, TILE_JOIN));
     assert_eq!(exact_rows(&got), exact_rows(&want));
     let (sparse_bytes, dense_bytes) =
@@ -108,7 +108,7 @@ fn exchange_bytes_scale_with_nnz_not_shape() {
 /// coordinates surface as typed errors (never a truncated matrix).
 #[test]
 fn matrix_from_entries_sql_end_to_end() {
-    let db = budget_cell(4, Pointer, None).open();
+    let db = at(4, Pointer, None).open();
     db.create_table(
         "edges",
         Schema::from_pairs(&[
@@ -144,7 +144,7 @@ fn matrix_from_entries_sql_end_to_end() {
             Value::Double(1.0),
         ]));
     }
-    db.insert_rows("edges", rows.into_iter()).unwrap();
+    db.insert_rows("edges", rows).unwrap();
     let expected = expected.build_inferred();
     assert_eq!(expected.shape(), (40, 30));
 
@@ -224,7 +224,7 @@ fn one_cell(db: &Database, table: &str, column: (&str, DataType), value: Value) 
 /// sparse or densified.
 fn matrix_db(table: &str, sparse: bool, m: &SparseMatrix) -> Database {
     let (rows, cols) = m.shape();
-    let db = budget_cell(2, Pointer, None).open();
+    let db = at(2, Pointer, None).open();
     let cell =
         if sparse { Value::sparse_matrix(m.clone()) } else { Value::matrix(m.to_dense()) };
     one_cell(&db, table, ("m", DataType::Matrix(Some(rows), Some(cols))), cell);
@@ -345,7 +345,7 @@ fn logreg_sparse_trajectory_matches_dense() {
 /// `la.dispatch.*` SHOW METRICS counters.
 #[test]
 fn dispatch_choices_surface_in_explain_and_metrics() {
-    let db = Fixture::Tiles.open(&budget_cell(2, Pointer, None));
+    let db = Fixture::Tiles.open(&at(2, Pointer, None));
     let out = db.execute(&format!("EXPLAIN ANALYZE {TILE_JOIN}")).unwrap();
     let lardb::database::Response::Explained(text) = out else {
         panic!("EXPLAIN ANALYZE should return Explained");

@@ -12,15 +12,16 @@ mod common;
 
 use common::compare::{assert_clean, check, exact_rows, metric, sweep};
 use common::corpus::{self, FAT_GROUPS, TILE_JOIN, WIDE_NAN_GROUPS};
-use common::fixtures::{tile_db, Fixture};
-use common::lattice::{self, budget_cell, cell, Cell};
+use common::fixtures::{tile_table, Fixture, TILE};
+use common::lattice::{self, at, cell, Cell};
 use lardb::Database;
 use lardb::TransportMode::{Pointer, Serialized};
+use lardb_storage::gen::tiled_matrix_rows;
 
 #[test]
 fn budgeted_queries_match_unbounded_bit_exactly() {
     for workers in [1usize, 4] {
-        let cells = [budget_cell(workers, Pointer, None), budget_cell(workers, Pointer, Some(1))];
+        let cells = [at(workers, Pointer, None), at(workers, Pointer, Some(1))];
         let runs = sweep(Fixture::Fat, corpus::on(Fixture::Fat), &cells);
         assert_eq!(runs[0].spilled(), 0, "W={workers}: an unbounded run must never spill");
         // The whole point: the budgeted runs actually went out of core.
@@ -32,7 +33,7 @@ fn budgeted_queries_match_unbounded_bit_exactly() {
 fn budgeted_serialized_transport_matches_pointer() {
     // Transport changes how exchanges move bytes; spilling must compose
     // with both. Compare serialized-budgeted against pointer-unbounded.
-    let cells = [budget_cell(4, Pointer, None), budget_cell(4, Serialized, Some(1))];
+    let cells = [at(4, Pointer, None), at(4, Serialized, Some(1))];
     sweep(Fixture::Fat, corpus::on(Fixture::Fat), &cells);
 }
 
@@ -49,33 +50,33 @@ fn every_capacity_axis_alone_matches_the_oracle_on_fat_and_wide() {
 /// GROUP BY i, j` over 64×64 tiles. Both the join build side (~1.2 MiB
 /// of tiles) and the aggregate state (36 running 64×64 sums) exceed the
 /// 1 MiB budget, so the query must finish out-of-core and still produce
-/// float-bit-identical tiles.
+/// float-bit-identical tiles. The tiles are full-mantissa random doubles
+/// and the two runs have the same worker count, so a spilled partial sum
+/// merged in another order, or written back a bit short, shows.
 #[test]
 fn chunked_matmul_spills_and_matches_unbounded() {
     const TILES: usize = 6;
-    let open = |cell: &Cell| {
+    let open = |cell: Cell| {
         let db = cell.open();
-        tile_db(&db, TILES, false, 1.0);
-        (cell.clone(), db)
+        tile_table(&db, "ta", tiled_matrix_rows(7, TILES, TILE));
+        tile_table(&db, "tb", tiled_matrix_rows(11, TILES, TILE));
+        (cell, db)
     };
-    let cells: Vec<Cell> = [1usize, 4]
-        .iter()
-        .flat_map(|&w| [None, Some(1)].map(|mem| budget_cell(w, Pointer, mem)))
-        .collect();
-    // The reference is the unbounded run on one worker.
-    let budgeted_and_wider = cells[1..].iter().map(open).collect();
-    let runs = check(&corpus::named(&[TILE_JOIN]), open(&cells[0]), budgeted_and_wider);
-    for budgeted in [&runs[0], &runs[2]] {
-        assert_eq!(budgeted.result(0).rows.len(), TILES * TILES);
+    for workers in [1usize, 4] {
+        let [unbounded, budgeted] = [None, Some(1)].map(|mem| open(at(workers, Pointer, mem)));
+        let runs = check(&corpus::named(&[TILE_JOIN]), unbounded, vec![budgeted]);
+        assert_eq!(runs[0].result(0).rows.len(), TILES * TILES);
+        // One partition holds the entire 1.2 MiB build side: the spill is
+        // deterministic, not a scheduling accident.
+        if workers == 1 {
+            assert!(runs[0].spilled() > 0, "W=1 chunked matmul did not spill under 1 MiB");
+        }
     }
-    // One partition holds the entire 1.2 MiB build side: the spill is
-    // deterministic, not a scheduling accident.
-    assert!(runs[0].spilled() > 0, "W=1 chunked matmul did not spill under 1 MiB");
 }
 
 #[test]
 fn spill_metrics_surface_in_show_metrics() {
-    let db = Fixture::Fat.open(&budget_cell(2, Pointer, Some(1)));
+    let db = Fixture::Fat.open(&at(2, Pointer, Some(1)));
     let r = db.query(FAT_GROUPS).unwrap();
     assert!(r.stats.total_spill_bytes() > 0, "query did not spill");
 
@@ -94,7 +95,7 @@ fn spill_metrics_surface_in_show_metrics() {
 #[test]
 fn nan_group_keys_spill_like_they_merge_in_memory() {
     for workers in [1usize, 4] {
-        let cells = [budget_cell(workers, Pointer, None), budget_cell(workers, Pointer, Some(1))];
+        let cells = [at(workers, Pointer, None), at(workers, Pointer, Some(1))];
         let runs = sweep(Fixture::Wide, corpus::named(&[WIDE_NAN_GROUPS]), &cells);
         let got = runs[1].result(0);
         assert_eq!(got.rows.len(), 3000, "W={workers}");
@@ -166,26 +167,29 @@ fn a_spilling_neighbour_changes_nothing() {
     };
     let alone = observe_b();
 
-    // A reports its first spill, then keeps lapping until B is done.
+    // A reports its spilled bytes after every statement and keeps lapping
+    // until B is done; B starts once A has spilled, which one pass over
+    // `fat` must do.
     let (stop, (spilling, spilled)) = (AtomicBool::new(false), std::sync::mpsc::channel());
-    let beside = std::thread::scope(|scope| {
+    let (spilt, beside) = std::thread::scope(|scope| {
         scope.spawn(|| {
+            // Owned here: a failure of A ends the wait below.
+            let spilling = spilling;
             let mut bytes = 0;
             for s in fat.iter().cycle() {
                 bytes += a.query(s.sql).unwrap().stats.total_spill_bytes();
-                if bytes > 0 {
-                    let _ = spilling.send(());
-                }
+                let _ = spilling.send(bytes);
                 if stop.load(Ordering::Relaxed) {
                     break;
                 }
             }
         });
-        spilled.recv().unwrap();
+        let spilt = spilled.iter().take(fat.len()).any(|bytes| bytes > 0);
         let beside = observe_b();
         stop.store(true, Ordering::Relaxed);
-        beside
+        (spilt, beside)
     });
+    assert!(spilt, "A went through `fat` under 1 MiB without spilling");
     assert!(beside == alone, "B answered differently beside A");
     assert_clean(&a, "the neighbour");
 }

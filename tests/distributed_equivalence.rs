@@ -5,13 +5,16 @@
 #[path = "../crates/core/tests/common/mod.rs"]
 mod common;
 
-use common::compare::{sweep, Run};
+use common::compare::{check, sweep, Run};
 use common::corpus::{self, GRAM_BLOCK, GRAM_TUPLE, GRAM_VECTOR, TILE_MULTIPLY};
-use common::fixtures::{big_matrix, points, Fixture, POINTS};
+use common::fixtures::{big_matrix, points, points_tables, Fixture, POINTS};
 use common::lattice::{self, cell};
-use lardb::{DataType, Database, Matrix, Partitioning, Row, Schema, TransportMode, Value};
+use lardb::{
+    DataType, Database, DatabaseConfig, Matrix, Partitioning, Row, Schema, TransportMode, Value,
+};
 use lardb_baselines::{systemml_like, WorkloadData};
 use lardb_storage::gen;
+use rand::{rngs::StdRng, SeedableRng};
 
 /// Loads a random tiled square matrix as `name(tileRow, tileCol, mat)` —
 /// §3.4's bigMatrix layout, round-robin — and returns it whole.
@@ -46,7 +49,7 @@ fn tiled_matrix_multiply_matches_kernel() {
 fn tiled_multiply_is_worker_count_invariant() {
     // Over sixteenths every tile sum is exact, so more workers may not
     // move a bit.
-    let cells = [1usize, 2, 5, 8].map(|workers| cell(|c| c.workers = workers));
+    let cells = [1usize, 2, 5, 8].map(lattice::shipped);
     sweep(Fixture::Paper, corpus::on(Fixture::Paper), &cells);
 }
 
@@ -143,23 +146,31 @@ fn replicated_dimension_table_joins_without_exchange() {
 /// distance in vector form, plus the §3.4 tile multiply) must return
 /// identical rows whether exchanges move `Arc` pointers, wire-encoded
 /// frames over channels, or wire-encoded frames over loopback TCP — at one
-/// worker (no exchange traffic) and at four (real shuffles).
+/// worker (no exchange traffic) and at four (real shuffles). The data are
+/// full-mantissa random doubles and a comparison stays at one worker
+/// count: a codec that drops the low bit of a tile, a vector or a
+/// single-row `SUM`, or an exchange that hands partial sums over in another
+/// order, shows here and could not over the fixtures' sixteenths.
 #[test]
 fn all_workloads_identical_under_every_transport() {
-    let mut cells = Vec::new();
+    let statements: Vec<_> =
+        [Fixture::Paper, Fixture::Points].into_iter().flat_map(corpus::on).collect();
+    let open = |workers: usize, transport: TransportMode| {
+        let shipped = DatabaseConfig { workers, transport, ..DatabaseConfig::default() };
+        let cell = cell(|c| *c = shipped);
+        let db = cell.open();
+        load_tiled(&db, "bigMatrix", 11, 3, 6);
+        load_tiled(&db, "anotherBigMat", 22, 3, 6);
+        let mut rng = StdRng::seed_from_u64(7);
+        let x = gen::random_matrix(&mut rng, POINTS.0, POINTS.1);
+        points_tables(&db, &x, gen::random_vector(&mut rng, POINTS.0).as_slice());
+        (cell, db)
+    };
     for workers in [1usize, 4] {
-        for transport in TransportMode::ALL {
-            cells.push(cell(|c| {
-                c.workers = workers;
-                c.transport = transport;
-            }));
-        }
-    }
-    for fixture in [Fixture::Paper, Fixture::Points] {
-        for run in sweep(fixture, corpus::on(fixture), &cells) {
-            let config = &run.cell.config;
+        let [pointer, wire @ ..] = TransportMode::ALL.map(|transport| open(workers, transport));
+        for run in check(&statements, pointer, wire.into()) {
             for r in run.outcomes.iter().flatten() {
-                if config.transport.is_serialized() && config.workers > 1 {
+                if workers > 1 {
                     let at = &run.cell.name;
                     assert!(r.stats.total_frames() > 0, "{at}: no encoded frames metered");
                     assert!(r.stats.total_bytes_shuffled() > 0, "{at}: no encoded bytes metered");
