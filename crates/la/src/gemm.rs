@@ -1,84 +1,277 @@
-//! Cache-blocked dense matrix-multiplication kernels.
+//! Register-tiled dense matrix-multiplication kernel.
 //!
-//! The engine's `matrix_multiply` built-in bottoms out here. The kernel is a
-//! straightforward i-k-j loop order (streaming through rows of both operands
-//! so the inner loop is a unit-stride fused multiply-add over contiguous
-//! memory) with an outer cache-blocking over `k` and `j`. This is not a
-//! hand-tuned BLAS, but it is within a small factor of one for the sizes the
-//! paper manipulates (tiles up to a few thousand on a side) and — crucially
-//! for the reproduction — its cost *scales* exactly like the paper's GEMM
-//! calls, so relative results are preserved.
+//! The engine's `matrix_multiply` built-in and the Gram kernel bottom out
+//! here, in one microkernel: an `MR × NR` tile of `out` is loaded into
+//! registers, the `k` extent is run over it as an IEEE multiply followed by
+//! an IEEE add per term — two roundings, never a fused multiply-add — and
+//! the tile is stored back. The right operand is packed once per
+//! `(k-block, j-block)` into `NR`-wide strips on the stack, so the inner
+//! loop streams it contiguously; the left operand is read through a
+//! `(row stride, k stride)` pair, which is what lets SYRK be the same
+//! kernel over `aᵀ` restricted to upper-triangle tiles. Rows and columns
+//! left over after whole tiles run the same statement one row at a time.
+//! This is not a BLAS: there is no `a` packing, no prefetch and no FMA.
 //!
-//! There is one dense inner loop: every `a[i][k] * b[k][j]` term is
-//! accumulated, zeros included, so non-finite operands follow IEEE 754
-//! (`0 × inf = NaN`) whatever the density of `a`. Sparsity is expressed
-//! with a sparse-typed tile ([`crate::sparse`]), not sampled here.
+//! Every output element accumulates its terms in ascending `k`, starting
+//! from the value already in `out`, whatever the tile, strip or morsel it
+//! falls in. Lane width is therefore free to follow the host — `NR = 8`
+//! under AVX when the CPU has it, `NR = 4` otherwise — while every output
+//! bit stays the same on every machine, equal to a plain i-k-j loop and to
+//! the CSR kernels in [`crate::sparse`]. A fused multiply-add or a
+//! reassociated sum would break that; neither is used anywhere (CI greps).
 //!
-//! Above `PAR_FLOPS` multiply-adds the output is tiled into
-//! `(i-block, j-block)` cache blocks scheduled as morsels on the
-//! process-wide [`lardb_pool`] worker pool. Each morsel owns a disjoint
-//! block of `out` and runs the *full* `k` loop in the same block order
-//! as the sequential kernel, so per-element accumulation order — and
-//! therefore every output bit — is identical to a sequential run.
+//! Every `a[i][k] * b[k][j]` term is accumulated, zeros included, so
+//! non-finite operands follow IEEE 754 (`0 × inf = NaN`) whatever the
+//! density of `a`. Sparsity is expressed with a sparse-typed tile
+//! ([`crate::sparse`]), not sampled here.
+//!
+//! At `PAR_FLOPS` multiply-adds and above, an output that spans at least
+//! two `PAR_BLOCK`-square blocks is scheduled block by block as morsels on
+//! the process-wide [`lardb_pool`] worker pool. Each morsel owns a
+//! disjoint block of `out` and runs the *full* `k` loop, so the parallel
+//! result is bit-identical to the inline one.
+
+use std::mem::MaybeUninit;
 
 use crate::matrix::Matrix;
 
-/// Cache-block edge (in elements). 64×64 f64 tiles = 32 KiB per operand
-/// block, comfortably inside L1+L2 on every machine we target.
+/// Edge (in elements) of the packed `b` panel: `BLOCK` values of `k` by
+/// `BLOCK` columns, 32 KiB of stack — it stays in L1 while every row tile
+/// of the block runs over it.
 const BLOCK: usize = 64;
 
+/// Rows of the register tile. With `NR = 8` under AVX the accumulators
+/// fill 8 of 16 vector registers, with `NR = 4` on baseline SSE2 likewise,
+/// leaving room for the `b` strip row and the broadcast `a` value.
+const MR: usize = 4;
+
 /// Edge of one parallel morsel: a `PAR_BLOCK × PAR_BLOCK` block of `out`
-/// (two cache blocks on a side, so each morsel amortizes scheduling over
-/// several inner-kernel block iterations).
+/// (two panel widths on a side, so each morsel amortizes scheduling over
+/// several panels).
 const PAR_BLOCK: usize = 2 * BLOCK;
 
-/// Minimum multiply-add count (`m·n·k`) before GEMM/SYRK fan their
-/// output blocks out onto the worker pool.
+/// Minimum multiply-add count before GEMM/SYRK fan their output blocks
+/// out onto the worker pool.
 const PAR_FLOPS: usize = 2_000_000;
 
-/// A raw pointer into `out` that can cross thread boundaries. Safety is
-/// by construction: every parallel morsel writes a disjoint
-/// `(i-block, j-block)` element set.
+/// A raw pointer into `out` that can cross thread boundaries.
 #[derive(Clone, Copy)]
 struct OutPtr(*mut f64);
+// SAFETY: the pointer is only dereferenced by `block`, whose callers hand
+// every concurrent call a disjoint `(i-block, j-block)` element set of a
+// buffer that outlives the pool scope.
 unsafe impl Send for OutPtr {}
 unsafe impl Sync for OutPtr {}
 
-/// The blocked inner kernel over one `[i0,i1) × [j0,j1)` block of `out`,
-/// running the full `k` extent in the canonical `kb`-block order.
-///
-/// # Safety
-/// `out` must point at an `m × n` row-major buffer; no other thread may
-/// touch elements in `[i0,i1) × [j0,j1)` while this runs.
-unsafe fn gemm_block(
-    a_data: &[f64],
-    b_data: &[f64],
-    out: OutPtr,
+/// One accumulation `out += a × b` as the microkernel sees it: `out` is
+/// `m × n` row-major, `b` is `k × n` row-major, and `a(i, kk)` lives at
+/// `a[i * a_row + kk * a_k]`.
+#[derive(Clone, Copy)]
+struct Product<'a> {
+    a: &'a [f64],
+    a_row: usize,
+    a_k: usize,
+    b: &'a [f64],
+    m: usize,
     k: usize,
     n: usize,
+    /// Only elements on or above the diagonal of `out` are needed.
+    upper: bool,
+}
+
+impl<'a> Product<'a> {
+    /// `a × b`.
+    fn gemm(a: &'a Matrix, b: &'a Matrix) -> Self {
+        let (m, k) = a.shape();
+        assert_eq!(b.rows(), k, "gemm shape mismatch");
+        let p = Product {
+            a: a.as_slice(),
+            a_row: k,
+            a_k: 1,
+            b: b.as_slice(),
+            m,
+            k,
+            n: b.cols(),
+            upper: false,
+        };
+        p.check();
+        p
+    }
+
+    /// The upper triangle of `aᵀ × a`: the left operand is `a` read with
+    /// its strides swapped.
+    fn syrk(a: &'a Matrix) -> Self {
+        let (rows, n) = a.shape();
+        let p = Product {
+            a: a.as_slice(),
+            a_row: 1,
+            a_k: n,
+            b: a.as_slice(),
+            m: n,
+            k: rows,
+            n,
+            upper: true,
+        };
+        p.check();
+        p
+    }
+
+    /// The bounds `block` relies on for its unchecked reads of `a`.
+    fn check(&self) {
+        assert_eq!(self.b.len(), self.k * self.n);
+        if self.m > 0 && self.k > 0 {
+            assert!((self.m - 1) * self.a_row + (self.k - 1) * self.a_k < self.a.len());
+        }
+    }
+}
+
+/// The microkernel over one `[i0,i1) × [j0,j1)` block of `out`, running
+/// the full `k` extent in ascending order for every element.
+///
+/// # Safety
+/// `p` must come from a [`Product`] constructor, `out` must point at its
+/// `m × n` row-major output with `i1 <= m` and `j1 <= n`, and no other
+/// thread may touch elements in `[i0,i1) × [j0,j1)` while this runs.
+#[inline(always)]
+unsafe fn block<const NR: usize>(
+    p: &Product<'_>,
+    out: OutPtr,
     (i0, i1): (usize, usize),
     (j0, j1): (usize, usize),
 ) {
+    let Product { a, a_row, a_k, b, k, n, upper, .. } = *p;
+    let mut panel = [MaybeUninit::<f64>::uninit(); BLOCK * BLOCK];
+    let ifull = i0 + (i1 - i0) / MR * MR;
     for kb in (0..k).step_by(BLOCK) {
-        let kmax = (kb + BLOCK).min(k);
+        let kc = BLOCK.min(k - kb);
         for jb in (j0..j1).step_by(BLOCK) {
             let jmax = (jb + BLOCK).min(j1);
-            for i in i0..i1 {
-                let a_row = &a_data[i * k..(i + 1) * k];
-                let out_row = std::slice::from_raw_parts_mut(
-                    out.0.add(i * n + jb),
-                    jmax - jb,
-                );
-                for kk in kb..kmax {
-                    let aik = a_row[kk];
-                    let b_row = &b_data[kk * n + jb..kk * n + jmax];
-                    for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
-                        *o += aik * bv;
+            let strips = (jmax - jb) / NR;
+            let jfull = jb + strips * NR;
+            // Pack: strip `s` holds rows `kb..kb+kc` of columns
+            // `jb + s*NR ..` back to back.
+            for (s, strip) in panel.chunks_exact_mut(kc * NR).take(strips).enumerate() {
+                for (kk, dst) in strip.chunks_exact_mut(NR).enumerate() {
+                    let src = (kb + kk) * n + jb + s * NR;
+                    for (d, &v) in dst.iter_mut().zip(&b[src..src + NR]) {
+                        d.write(v);
                     }
                 }
             }
+            // SAFETY: the loop above initialized the first
+            // `strips * kc * NR` elements.
+            let packed = std::slice::from_raw_parts(panel.as_ptr().cast::<f64>(), strips * kc * NR);
+            for i in (i0..ifull).step_by(MR) {
+                for (s, strip) in packed.chunks_exact(kc * NR).enumerate() {
+                    let j = jb + s * NR;
+                    // A tile wholly below the diagonal has nothing to do.
+                    if upper && j + NR <= i {
+                        continue;
+                    }
+                    let mut acc = [[0.0f64; NR]; MR];
+                    for (r, row) in acc.iter_mut().enumerate() {
+                        let o = out.0.add((i + r) * n + j);
+                        for (c, v) in row.iter_mut().enumerate() {
+                            *v = *o.add(c);
+                        }
+                    }
+                    // SAFETY: `Product::check` bounds `a(i + r, kb + kk)`
+                    // for every `i + r < m` and `kb + kk < k`; unchecked
+                    // because the index checks cost a fifth of the rate.
+                    let mut ap = a.as_ptr().add(i * a_row + kb * a_k);
+                    for b_row in strip.chunks_exact(NR) {
+                        for (r, row) in acc.iter_mut().enumerate() {
+                            let av = *ap.add(r * a_row);
+                            for (v, &bv) in row.iter_mut().zip(b_row) {
+                                *v += av * bv;
+                            }
+                        }
+                        ap = ap.add(a_k);
+                    }
+                    for (r, row) in acc.iter().enumerate() {
+                        let o = out.0.add((i + r) * n + j);
+                        for (c, &v) in row.iter().enumerate() {
+                            *o.add(c) = v;
+                        }
+                    }
+                }
+            }
+            // Rows past the last whole tile, then columns past the last
+            // whole strip.
+            edge(p, out, (ifull, i1), (jb, jfull), (kb, kb + kc));
+            edge(p, out, (i0, i1), (jfull, jmax), (kb, kb + kc));
         }
     }
+}
+
+/// The tail of [`block`]: the same statement over `[i0,i1) × [j0,j1)` for
+/// `k` in `[k0,k1)`, a row of `out` at a time.
+///
+/// # Safety
+/// As for [`block`].
+#[inline(always)]
+unsafe fn edge(
+    p: &Product<'_>,
+    out: OutPtr,
+    (i0, i1): (usize, usize),
+    (j0, j1): (usize, usize),
+    (k0, k1): (usize, usize),
+) {
+    for i in i0..i1 {
+        let j0 = if p.upper { j0.max(i) } else { j0 };
+        if j0 >= j1 {
+            continue;
+        }
+        let out_row = std::slice::from_raw_parts_mut(out.0.add(i * p.n + j0), j1 - j0);
+        for kk in k0..k1 {
+            let av = p.a[i * p.a_row + kk * p.a_k];
+            let b_row = &p.b[kk * p.n + j0..kk * p.n + j1];
+            for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                *o += av * bv;
+            }
+        }
+    }
+}
+
+/// [`block`] as compiled for one lane width.
+type BlockFn = unsafe fn(&Product<'_>, OutPtr, (usize, usize), (usize, usize));
+
+/// [`block`] for the baseline ISA (SSE2 on x86-64): 2-wide lanes, `NR = 4`.
+///
+/// # Safety
+/// As for [`block`].
+unsafe fn block_baseline(
+    p: &Product<'_>,
+    out: OutPtr,
+    rows: (usize, usize),
+    cols: (usize, usize),
+) {
+    block::<4>(p, out, rows, cols)
+}
+
+/// [`block`] with 4-wide lanes, `NR = 8`. Only `avx` is enabled, so the
+/// compiler has no fused instruction to reach for.
+///
+/// # Safety
+/// As for [`block`], and the CPU must support AVX.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn block_avx(
+    p: &Product<'_>,
+    out: OutPtr,
+    rows: (usize, usize),
+    cols: (usize, usize),
+) {
+    block::<8>(p, out, rows, cols)
+}
+
+/// The widest [`block`] this host can run.
+fn block_fn() -> BlockFn {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx") {
+        return block_avx;
+    }
+    block_baseline
 }
 
 /// Splits `0..len` into `PAR_BLOCK`-sized ranges.
@@ -86,10 +279,40 @@ fn par_ranges(len: usize) -> Vec<(usize, usize)> {
     (0..len).step_by(PAR_BLOCK).map(|lo| (lo, (lo + PAR_BLOCK).min(len))).collect()
 }
 
+/// Runs `p` over all of `out`: inline, or as one pool morsel per
+/// `PAR_BLOCK`-square output block when the product is large and has at
+/// least two of them (a scope around a single morsel buys nothing and
+/// costs a boxed closure, a wake-up and a wait).
+///
+/// # Safety
+/// `out` must point at `p`'s exclusively borrowed `m × n` output.
+unsafe fn run(pool: &lardb_pool::WorkerPool, p: &Product<'_>, out: OutPtr) {
+    let block = block_fn();
+    let (m, n) = (p.m, p.n);
+    // An upper-triangle product does about half the multiplies.
+    let flops = m.saturating_mul(n).saturating_mul(p.k) / if p.upper { 2 } else { 1 };
+    let several = m > PAR_BLOCK || n > PAR_BLOCK;
+    if flops >= PAR_FLOPS && pool.workers() > 1 && several {
+        let cols = par_ranges(n);
+        pool.scope(|s| {
+            for ib in par_ranges(m) {
+                // Blocks wholly below the diagonal have nothing to do.
+                for &jb in cols.iter().filter(|jb| !p.upper || jb.1 > ib.0) {
+                    // SAFETY: disjoint (ib, jb) block of `out` per morsel.
+                    s.spawn(move || unsafe { block(p, out, ib, jb) });
+                }
+            }
+        })
+        .expect("dense kernel morsel panicked");
+    } else {
+        block(p, out, (0, m), (0, n))
+    }
+}
+
 /// `out += a × b`. Shapes must already be validated by the caller.
 ///
-/// Runs inline or pool-parallel over output cache blocks depending on
-/// size; both produce bit-identical output.
+/// Runs inline or pool-parallel over output blocks depending on size;
+/// both produce bit-identical output.
 pub(crate) fn gemm_acc(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     gemm_acc_pooled(lardb_pool::global(), a, b, out)
 }
@@ -103,70 +326,12 @@ pub fn gemm_acc_pooled(
     b: &Matrix,
     out: &mut Matrix,
 ) {
-    let (m, k) = a.shape();
-    let n = b.cols();
-    debug_assert_eq!(b.rows(), k);
-    debug_assert_eq!(out.shape(), (m, n));
-
+    let p = Product::gemm(a, b);
+    assert_eq!(out.shape(), (p.m, p.n), "gemm output shape mismatch");
     crate::dispatch::note_kernel(crate::dispatch::Kernel::Dense);
-    let flops = m.saturating_mul(n).saturating_mul(k);
-    let a_data = a.as_slice();
-    let b_data = b.as_slice();
     let ptr = OutPtr(out.as_mut_slice().as_mut_ptr());
-    if flops >= PAR_FLOPS && pool.workers() > 1 && m * n > PAR_BLOCK {
-        pool.scope(|s| {
-            for ib in par_ranges(m) {
-                for jb in par_ranges(n) {
-                    // SAFETY: disjoint (ib, jb) block of `out` per morsel.
-                    s.spawn(move || unsafe {
-                        gemm_block(a_data, b_data, ptr, k, n, ib, jb)
-                    });
-                }
-            }
-        })
-        .expect("gemm morsel panicked");
-    } else {
-        // SAFETY: `out` is m × n and exclusively borrowed.
-        unsafe { gemm_block(a_data, b_data, ptr, k, n, (0, m), (0, n)) }
-    }
-}
-
-/// `out += a × b` through the dense inner loop, sequentially. Public for
-/// differential tests and the kernel bench.
-pub fn gemm_acc_dense(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    let (m, k) = a.shape();
-    let n = b.cols();
-    assert_eq!(b.rows(), k, "gemm shape mismatch");
-    assert_eq!(out.shape(), (m, n), "gemm output shape mismatch");
-    let ptr = OutPtr(out.as_mut_slice().as_mut_ptr());
-    unsafe { gemm_block(a.as_slice(), b.as_slice(), ptr, k, n, (0, m), (0, n)) }
-}
-
-/// The SYRK inner kernel: accumulates `aᵀa` rows `[p0,p1)` of the upper
-/// triangle into `out`, iterating input rows outermost (the canonical
-/// order, so parallel row-blocks accumulate bit-identically).
-///
-/// # Safety
-/// `out` must point at an `n × n` row-major buffer; no other thread may
-/// touch rows `[p0,p1)` while this runs.
-unsafe fn syrk_rows(
-    data: &[f64],
-    out: OutPtr,
-    m: usize,
-    n: usize,
-    (p0, p1): (usize, usize),
-) {
-    for i in 0..m {
-        let row = &data[i * n..(i + 1) * n];
-        for p in p0..p1 {
-            let v = row[p];
-            let out_row =
-                std::slice::from_raw_parts_mut(out.0.add(p * n + p), n - p);
-            for (o, &w) in out_row.iter_mut().zip(row[p..].iter()) {
-                *o += v * w;
-            }
-        }
-    }
+    // SAFETY: `out` is m × n and exclusively borrowed.
+    unsafe { run(pool, &p, ptr) }
 }
 
 /// Symmetric rank-k update: computes `aᵀ × a`, touching only the upper
@@ -174,32 +339,19 @@ unsafe fn syrk_rows(
 /// the kernel behind Gram-matrix computation (Figure 1) and the normal
 /// equations of least squares (Figure 2).
 ///
-/// Large updates parallelize over output-row blocks on the worker pool.
+/// Large updates parallelize over upper-triangle blocks on the worker pool.
 pub(crate) fn syrk_t(a: &Matrix) -> Matrix {
     syrk_t_pooled(lardb_pool::global(), a)
 }
 
 /// `syrk_t` scheduled on a caller-supplied pool.
 pub fn syrk_t_pooled(pool: &lardb_pool::WorkerPool, a: &Matrix) -> Matrix {
-    let (m, n) = a.shape();
-    let data = a.as_slice();
+    let n = a.cols();
     let mut out = Matrix::zeros(n, n);
     crate::dispatch::note_kernel(crate::dispatch::Kernel::Dense);
-    // ~half the multiplies of a full m×n×n GEMM.
-    let flops = m.saturating_mul(n).saturating_mul(n) / 2;
     let ptr = OutPtr(out.as_mut_slice().as_mut_ptr());
-    if flops >= PAR_FLOPS && pool.workers() > 1 && n > PAR_BLOCK {
-        pool.scope(|s| {
-            for pb in par_ranges(n) {
-                // SAFETY: disjoint output rows [pb.0, pb.1) per morsel.
-                s.spawn(move || unsafe { syrk_rows(data, ptr, m, n, pb) });
-            }
-        })
-        .expect("syrk morsel panicked");
-    } else {
-        // SAFETY: `out` is n × n and exclusively borrowed.
-        unsafe { syrk_rows(data, ptr, m, n, (0, n)) }
-    }
+    // SAFETY: `out` is n × n and exclusively borrowed.
+    unsafe { run(pool, &Product::syrk(a), ptr) }
     // Mirror the strict upper triangle into the lower one.
     for p in 0..n {
         for q in (p + 1)..n {
@@ -210,9 +362,20 @@ pub fn syrk_t_pooled(pool: &lardb_pool::WorkerPool, a: &Matrix) -> Matrix {
     out
 }
 
-/// Naive triple-loop reference multiply, kept for differential testing and
-/// the blocking ablation bench.
-pub fn gemm_naive(a: &Matrix, b: &Matrix) -> Matrix {
+/// `out += a × b` through the microkernel, sequentially: what the
+/// pool-parallel path must reproduce bit for bit.
+#[cfg(test)]
+pub(crate) fn gemm_acc_dense(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    let p = Product::gemm(a, b);
+    assert_eq!(out.shape(), (p.m, p.n), "gemm output shape mismatch");
+    let ptr = OutPtr(out.as_mut_slice().as_mut_ptr());
+    // SAFETY: `out` is m × n and exclusively borrowed.
+    unsafe { block_fn()(&p, ptr, (0, p.m), (0, p.n)) }
+}
+
+/// Naive triple-loop reference multiply for differential tests.
+#[cfg(test)]
+pub(crate) fn gemm_naive(a: &Matrix, b: &Matrix) -> Matrix {
     let (m, k) = a.shape();
     let n = b.cols();
     assert_eq!(b.rows(), k, "gemm_naive shape mismatch");
@@ -232,6 +395,197 @@ pub fn gemm_naive(a: &Matrix, b: &Matrix) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The kernel this module had before the register tile, kept verbatim
+    /// as the oracle: a 64-blocked i-k-j loop over one block of `out`.
+    unsafe fn gemm_block(
+        a_data: &[f64],
+        b_data: &[f64],
+        out: OutPtr,
+        k: usize,
+        n: usize,
+        (i0, i1): (usize, usize),
+        (j0, j1): (usize, usize),
+    ) {
+        for kb in (0..k).step_by(BLOCK) {
+            let kmax = (kb + BLOCK).min(k);
+            for jb in (j0..j1).step_by(BLOCK) {
+                let jmax = (jb + BLOCK).min(j1);
+                for i in i0..i1 {
+                    let a_row = &a_data[i * k..(i + 1) * k];
+                    let out_row = std::slice::from_raw_parts_mut(
+                        out.0.add(i * n + jb),
+                        jmax - jb,
+                    );
+                    for kk in kb..kmax {
+                        let aik = a_row[kk];
+                        let b_row = &b_data[kk * n + jb..kk * n + jmax];
+                        for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
+                            *o += aik * bv;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The SYRK loop this module had before, kept verbatim as the oracle:
+    /// input rows outermost, upper triangle only.
+    unsafe fn syrk_rows(
+        data: &[f64],
+        out: OutPtr,
+        m: usize,
+        n: usize,
+        (p0, p1): (usize, usize),
+    ) {
+        for i in 0..m {
+            let row = &data[i * n..(i + 1) * n];
+            for p in p0..p1 {
+                let v = row[p];
+                let out_row =
+                    std::slice::from_raw_parts_mut(out.0.add(p * n + p), n - p);
+                for (o, &w) in out_row.iter_mut().zip(row[p..].iter()) {
+                    *o += v * w;
+                }
+            }
+        }
+    }
+
+    /// Every instantiation of the microkernel this host can run, narrow
+    /// one first: the baseline is tested on an AVX host without a switch.
+    fn instantiations() -> Vec<(&'static str, BlockFn)> {
+        let mut all: Vec<(&'static str, BlockFn)> = vec![("baseline", block_baseline)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx") {
+            all.push(("avx", block_avx));
+        }
+        all
+    }
+
+    /// Same bits, except that any NaN equals any NaN (which operand's
+    /// payload a NaN result carries is the instruction's choice).
+    fn same_bits(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+    }
+
+    /// Asserts that `init + a × b` comes out of every instantiation with
+    /// the bits the reference loop gives.
+    fn assert_gemm_matches_reference(what: &str, a: &Matrix, b: &Matrix, init: &Matrix) {
+        let (k, n) = b.shape();
+        let mut want = init.clone();
+        let ptr = OutPtr(want.as_mut_slice().as_mut_ptr());
+        unsafe { gemm_block(a.as_slice(), b.as_slice(), ptr, k, n, (0, a.rows()), (0, n)) };
+        let p = Product::gemm(a, b);
+        for (name, block) in instantiations() {
+            let mut got = init.clone();
+            let ptr = OutPtr(got.as_mut_slice().as_mut_ptr());
+            unsafe { block(&p, ptr, (0, p.m), (0, p.n)) };
+            assert!(same_bits(got.as_slice(), want.as_slice()), "{name} gemm differs: {what}");
+        }
+    }
+
+    #[test]
+    fn microkernel_is_bit_identical_to_the_reference_gemm() {
+        for &(m, k, n) in &[
+            (1, 1, 1),
+            (3, 5, 7),
+            (17, 9, 33),
+            (70, 65, 80),
+            (128, 64, 1),
+            (129, 257, 131),
+            (400, 500, 400),
+        ] {
+            let a = Matrix::from_vec(m, k, rngish(42 + m as u64, m * k)).unwrap();
+            let b = Matrix::from_vec(k, n, rngish(99 + n as u64, k * n)).unwrap();
+            let what = format!("{m}x{k}x{n}");
+            assert_gemm_matches_reference(&what, &a, &b, &Matrix::zeros(m, n));
+            // Accumulation starts from what `out` already holds.
+            let init = Matrix::from_vec(m, n, rngish(7 + k as u64, m * n)).unwrap();
+            assert_gemm_matches_reference(&format!("{what} into non-zero out"), &a, &b, &init);
+        }
+    }
+
+    /// `rngish` data with every special value planted at a stride coprime
+    /// to the tile and block sizes, so each lands in tiles and in tails.
+    fn with_specials(seed: u64, len: usize) -> Vec<f64> {
+        const SPECIALS: [f64; 9] = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            5e-324,
+            -5e-324,
+            f64::MIN_POSITIVE / 2.0,
+            1e300,
+        ];
+        let mut data = rngish(seed, len);
+        for (slot, v) in data.iter_mut().step_by(13).zip(SPECIALS.iter().cycle()) {
+            *slot = *v;
+        }
+        data
+    }
+
+    #[test]
+    fn microkernel_is_bit_identical_on_zeros_infinities_nans_and_subnormals() {
+        for &(m, k, n) in &[(17, 9, 33), (70, 65, 80)] {
+            let a = Matrix::from_vec(m, k, with_specials(3, m * k)).unwrap();
+            let b = Matrix::from_vec(k, n, with_specials(5, k * n)).unwrap();
+            let plain_a = Matrix::from_vec(m, k, rngish(3, m * k)).unwrap();
+            let plain_b = Matrix::from_vec(k, n, rngish(5, k * n)).unwrap();
+            let init = Matrix::from_vec(m, n, with_specials(9, m * n)).unwrap();
+            let zeros = Matrix::zeros(m, n);
+            assert_gemm_matches_reference("specials on the left", &a, &plain_b, &zeros);
+            assert_gemm_matches_reference("specials on the right", &plain_a, &b, &zeros);
+            assert_gemm_matches_reference("specials on both sides", &a, &b, &zeros);
+            assert_gemm_matches_reference("specials in out", &plain_a, &plain_b, &init);
+            // Tiny products that underflow and sums that cancel to ±0.
+            let small = plain_a.scalar_mul(1e-160);
+            assert_gemm_matches_reference("underflow", &small, &plain_b.scalar_mul(1e-160), &zeros);
+        }
+    }
+
+    #[test]
+    fn microkernel_is_bit_identical_to_the_reference_syrk() {
+        for &(m, n) in &[(5, 3), (33, 17), (200, 260)] {
+            for data in [rngish(7 + m as u64, m * n), with_specials(11, m * n)] {
+                let a = Matrix::from_vec(m, n, data).unwrap();
+                let mut want = Matrix::zeros(n, n);
+                let ptr = OutPtr(want.as_mut_slice().as_mut_ptr());
+                unsafe { syrk_rows(a.as_slice(), ptr, m, n, (0, n)) };
+                let p = Product::syrk(&a);
+                for (name, block) in instantiations() {
+                    let mut got = Matrix::zeros(n, n);
+                    let ptr = OutPtr(got.as_mut_slice().as_mut_ptr());
+                    unsafe { block(&p, ptr, (0, n), (0, n)) };
+                    // The reference leaves the strict lower triangle zero;
+                    // a tile on the diagonal may write below it, and the
+                    // mirror in `syrk_t_pooled` overwrites all of it.
+                    for i in 0..n {
+                        let upper = i * n + i..(i + 1) * n;
+                        assert!(
+                            same_bits(&got.as_slice()[upper.clone()], &want.as_slice()[upper]),
+                            "{name} syrk differs at {m}x{n}, row {i}"
+                        );
+                    }
+                }
+                // The public entry: mirrored, inline and pool-parallel.
+                for i in 0..n {
+                    for j in 0..i {
+                        want.as_mut_slice()[i * n + j] = want.as_slice()[j * n + i];
+                    }
+                }
+                for workers in [1, 4] {
+                    let pool = lardb_pool::WorkerPool::new(workers);
+                    let got = syrk_t_pooled(&pool, &a);
+                    assert!(same_bits(got.as_slice(), want.as_slice()), "syrk_t at {m}x{n}");
+                }
+            }
+        }
+    }
 
     fn rngish(seed: u64, len: usize) -> Vec<f64> {
         // Small deterministic pseudo-random generator (xorshift) so the

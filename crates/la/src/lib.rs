@@ -7,7 +7,7 @@
 //! together with every numeric routine the paper's 22 built-in functions
 //! need:
 //!
-//! * cache-blocked dense GEMM ([`Matrix::multiply`]) and matrix–vector
+//! * register-tiled dense GEMM ([`Matrix::multiply`]) and matrix–vector
 //!   products,
 //! * LU factorization with partial pivoting ([`lu::LuDecomposition`]) for
 //!   `matrix_inverse` and `solve`,

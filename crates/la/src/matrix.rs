@@ -200,7 +200,7 @@ impl Matrix {
         out
     }
 
-    /// Matrix × matrix — the `matrix_multiply` built-in; cache-blocked GEMM.
+    /// Matrix × matrix — the `matrix_multiply` built-in; register-tiled GEMM.
     ///
     /// ```
     /// use lardb_la::Matrix;
