@@ -1,35 +1,30 @@
 //! Disk-backed row batches with end-to-end integrity checking.
 //!
-//! File format: a sequence of `[u32 le length][wire frame]` records — zero or
-//! more rows frames followed by exactly one fin frame carrying the frame
-//! count, row count and running FNV-1a-64 checksum of every rows frame, in
-//! order (the same protocol-v2 discipline the exchange channels use). A file
-//! that ends before its fin frame is [`BufError::Truncated`]; a file whose
-//! contents disagree with the fin, or that has bytes after it, is
-//! [`BufError::Corrupt`].
+//! A spill file is a checked row stream (`lardb_net::stream`): zero or more
+//! rows frames, cut by the stream's one cutter under this carrier's cap,
+//! then the fin frame that proves the file complete. What is spill's own:
+//! no schema or trace frame belongs in a file; a file that ends before its
+//! fin frame is [`BufError::Truncated`]; one whose contents disagree with
+//! the fin, or that has bytes after it, is [`BufError::Corrupt`].
 //!
 //! Both [`SpillWriter`] (before `finish`) and [`SpillFile`] delete their file
 //! on drop, so neither a completed query nor an abort mid-spill leaves
 //! anything behind in the spill directory.
 
 use crate::{BufError, Result};
-use lardb_net::codec::{
-    checksum_update, decode_frame, encode_fin_frame, encode_rows_frame, FinSummary, Frame,
-    CHECKSUM_SEED,
-};
+use lardb_net::codec::{decode_frame, Frame};
+use lardb_net::stream::{read_frame, write_frame, Check, FrameError, FrameRead, Seal, Stall};
 use lardb_storage::Row;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Rows per encoded frame — matches the exchange transports' batch size.
-const ROWS_PER_FRAME: usize = 256;
-
-/// Refuse to allocate for a frame whose length prefix exceeds this. Spill
-/// frames hold ≤256 rows; anything near this size is corruption, not data.
-const MAX_SPILL_FRAME_BYTES: u32 = 256 * 1024 * 1024;
+/// Cap on one spill frame: the writer cuts frames to fit it, and the reader
+/// refuses to allocate for a length prefix beyond it — that is corruption,
+/// not data.
+const MAX_SPILL_FRAME_BYTES: usize = 256 * 1024 * 1024;
 
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -62,8 +57,7 @@ pub struct SpillWriter {
 struct WriterInner {
     out: BufWriter<File>,
     path: PathBuf,
-    fin: FinSummary,
-    rows: u64,
+    seal: Seal,
     bytes: u64,
     started: Instant,
 }
@@ -86,35 +80,28 @@ impl SpillWriter {
             inner: Some(WriterInner {
                 out: BufWriter::new(file),
                 path,
-                fin: FinSummary {
-                    frames: 0,
-                    rows: 0,
-                    checksum: CHECKSUM_SEED,
-                },
-                rows: 0,
+                seal: Seal::default(),
                 bytes: 0,
                 started: Instant::now(),
             }),
         })
     }
 
-    /// Append `rows`, encoded as ≤256-row wire frames.
+    /// Append `rows`, encoded as wire frames of ≤256 rows that fit the
+    /// spill frame cap.
     pub fn write_rows(&mut self, rows: &[Row]) -> Result<()> {
         // `finish()` consumes the writer, so `inner` is always present
         // here; stay panic-free anyway and surface a typed error.
         let Some(w) = self.inner.as_mut() else {
             return Err(stale_writer("write"));
         };
-        for chunk in rows.chunks(ROWS_PER_FRAME) {
-            let frame = encode_rows_frame(chunk);
-            w.out
-                .write_all(&(frame.len() as u32).to_le_bytes())
-                .and_then(|()| w.out.write_all(&frame))
-                .map_err(|e| io_err(&w.path, "write", e))?;
-            w.fin.frames += 1;
-            w.fin.rows += chunk.len() as u64;
-            w.fin.checksum = checksum_update(w.fin.checksum, &frame);
-            w.rows += chunk.len() as u64;
+        for frame in w.seal.rows(rows, MAX_SPILL_FRAME_BYTES) {
+            let frame = frame.map_err(|e| BufError::Io {
+                path: w.path.clone(),
+                op: "write",
+                err: e.to_string(),
+            })?;
+            write_frame(&mut w.out, &frame).map_err(|e| io_err(&w.path, "write", e))?;
             w.bytes += 4 + frame.len() as u64;
         }
         Ok(())
@@ -122,7 +109,7 @@ impl SpillWriter {
 
     /// Rows written so far.
     pub fn rows(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |w| w.rows)
+        self.inner.as_ref().map_or(0, |w| w.seal.summary().rows)
     }
 
     /// Seal the file with its fin frame and flush it to disk.
@@ -130,13 +117,9 @@ impl SpillWriter {
         let Some(mut w) = self.inner.take() else {
             return Err(stale_writer("finish"));
         };
-        let fin = encode_fin_frame(&w.fin);
-        let r = w
-            .out
-            .write_all(&(fin.len() as u32).to_le_bytes())
-            .and_then(|()| w.out.write_all(&fin))
-            .and_then(|()| w.out.flush());
-        if let Err(e) = r {
+        let fin = w.seal.fin();
+        let rows = w.seal.summary().rows;
+        if let Err(e) = write_frame(&mut w.out, &fin).and_then(|()| w.out.flush()) {
             let err = io_err(&w.path, "finish", e);
             drop(w.out);
             let _ = std::fs::remove_file(&w.path);
@@ -155,14 +138,14 @@ impl SpillWriter {
                 w.started.elapsed(),
                 vec![
                     ("path", w.path.display().to_string()),
-                    ("rows", w.rows.to_string()),
+                    ("rows", rows.to_string()),
                     ("bytes", w.bytes.to_string()),
                 ],
             );
         }
         Ok(SpillFile {
             path: w.path,
-            rows: w.rows,
+            rows,
             bytes: w.bytes,
         })
     }
@@ -209,124 +192,53 @@ impl SpillFile {
         let file = File::open(&self.path).map_err(|e| io_err(&self.path, "open", e))?;
         let mut r = BufReader::new(file);
         let mut rows: Vec<Row> = Vec::with_capacity(self.rows as usize);
-        let mut running = FinSummary {
-            frames: 0,
-            rows: 0,
-            checksum: CHECKSUM_SEED,
-        };
+        let mut check = Check::default();
         let mut bytes_read: u64 = 0;
+        let corrupt = |detail: String| BufError::Corrupt { path: self.path.clone(), detail };
+        let truncated = |detail: String| BufError::Truncated { path: self.path.clone(), detail };
         loop {
-            let mut len_buf = [0u8; 4];
-            match read_exact_or_eof(&mut r, &mut len_buf) {
-                Ok(false) => {
-                    return Err(BufError::Truncated {
-                        path: self.path.clone(),
-                        detail: format!(
-                            "ended after {} frames ({} rows) with no fin frame",
-                            running.frames, running.rows
-                        ),
-                    });
+            let frame = match read_frame(&mut r, MAX_SPILL_FRAME_BYTES, Stall::Wait) {
+                Ok(FrameRead::Closed) => break,
+                // Exactly one fin, and nothing after it.
+                _ if check.sealed() => return Err(corrupt("bytes after fin frame".to_string())),
+                Ok(FrameRead::Frame(frame)) => frame,
+                Err(e @ FrameError::Truncated { .. }) => {
+                    return Err(truncated(format!("{e}, {} complete frames in", check.seen().frames)))
                 }
-                Ok(true) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-                    return Err(BufError::Truncated {
-                        path: self.path.clone(),
-                        detail: format!(
-                            "mid-length-prefix EOF after {} complete frames",
-                            running.frames
-                        ),
-                    });
+                Err(e @ FrameError::TooLarge { .. }) => return Err(corrupt(e.to_string())),
+                Ok(FrameRead::Idle) | Err(FrameError::Stalled) => {
+                    return Err(io_err(&self.path, "read", std::io::ErrorKind::TimedOut.into()))
                 }
-                Err(e) => return Err(io_err(&self.path, "read", e)),
-            }
-            let len = u32::from_le_bytes(len_buf);
-            if len > MAX_SPILL_FRAME_BYTES {
-                return Err(BufError::Corrupt {
-                    path: self.path.clone(),
-                    detail: format!("frame length prefix {len} exceeds spill frame cap"),
-                });
-            }
-            let mut frame = vec![0u8; len as usize];
-            r.read_exact(&mut frame).map_err(|e| {
-                if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                    BufError::Truncated {
-                        path: self.path.clone(),
-                        detail: format!(
-                            "mid-frame EOF after {} complete frames",
-                            running.frames
-                        ),
-                    }
-                } else {
-                    io_err(&self.path, "read", e)
-                }
-            })?;
-            bytes_read += 4 + len as u64;
-            match decode_frame(&frame)? {
-                Frame::Rows(batch) => {
-                    running.frames += 1;
-                    running.rows += batch.len() as u64;
-                    running.checksum = checksum_update(running.checksum, &frame);
-                    rows.extend(batch);
-                }
-                Frame::Schema(_) => {
-                    return Err(BufError::Corrupt {
-                        path: self.path.clone(),
-                        detail: "unexpected schema frame in spill file".to_string(),
-                    });
-                }
-                Frame::Trace(_) => {
-                    return Err(BufError::Corrupt {
-                        path: self.path.clone(),
-                        detail: "unexpected trace frame in spill file".to_string(),
-                    });
-                }
-                Frame::Fin(fin) => {
-                    if fin != running {
-                        return Err(BufError::Corrupt {
-                            path: self.path.clone(),
-                            detail: format!(
-                                "fin mismatch: fin says {} frames/{} rows/checksum {:#x}, \
-                                 file has {} frames/{} rows/checksum {:#x}",
-                                fin.frames,
-                                fin.rows,
-                                fin.checksum,
-                                running.frames,
-                                running.rows,
-                                running.checksum
-                            ),
-                        });
-                    }
-                    // Exactly one fin, and nothing after it.
-                    let mut trailing = [0u8; 1];
-                    match read_exact_or_eof(&mut r, &mut trailing) {
-                        Ok(false) => {}
-                        Ok(true) => {
-                            return Err(BufError::Corrupt {
-                                path: self.path.clone(),
-                                detail: "bytes after fin frame".to_string(),
-                            });
-                        }
-                        Err(e) => return Err(io_err(&self.path, "read", e)),
-                    }
-                    lardb_obs::global().counter("spill.bytes_read").add(bytes_read);
-                    if let Some(t) = lardb_obs::trace::current() {
-                        t.add_spill_read(bytes_read);
-                        t.record(
-                            "spill.read",
-                            "spill",
-                            t0,
-                            t0.elapsed(),
-                            vec![
-                                ("path", self.path.display().to_string()),
-                                ("rows", rows.len().to_string()),
-                                ("bytes", bytes_read.to_string()),
-                            ],
-                        );
-                    }
-                    return Ok(rows);
+                Err(FrameError::Io(e)) => return Err(io_err(&self.path, "read", e)),
+            };
+            bytes_read += 4 + frame.len() as u64;
+            let decoded = decode_frame(&frame)?;
+            check.accept(&frame, &decoded).map_err(|e| corrupt(e.to_string()))?;
+            match decoded {
+                Frame::Rows(batch) => rows.extend(batch),
+                Frame::Fin(_) => {}
+                Frame::Schema(_) | Frame::Trace(_) => {
+                    return Err(corrupt("unexpected schema or trace frame in spill file".into()))
                 }
             }
         }
+        check.finish().map_err(|e| truncated(e.to_string()))?;
+        lardb_obs::global().counter("spill.bytes_read").add(bytes_read);
+        if let Some(t) = lardb_obs::trace::current() {
+            t.add_spill_read(bytes_read);
+            t.record(
+                "spill.read",
+                "spill",
+                t0,
+                t0.elapsed(),
+                vec![
+                    ("path", self.path.display().to_string()),
+                    ("rows", rows.len().to_string()),
+                    ("bytes", bytes_read.to_string()),
+                ],
+            );
+        }
+        Ok(rows)
     }
 }
 
@@ -334,28 +246,6 @@ impl Drop for SpillFile {
     fn drop(&mut self) {
         let _ = std::fs::remove_file(&self.path);
     }
-}
-
-/// `Ok(true)` if `buf` was filled, `Ok(false)` on clean EOF at offset 0.
-fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> std::io::Result<bool> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                if filled == 0 {
-                    return Ok(false);
-                }
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "eof mid-record",
-                ));
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
 }
 
 #[cfg(test)]

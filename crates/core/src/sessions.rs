@@ -137,29 +137,9 @@ impl SessionRegistry {
         false
     }
 
-    /// The tenant and session a query id belongs to, if running.
-    pub fn find_query(&self, query_id: u64) -> Option<(u64, String)> {
-        let s = self.lock();
-        for (sid, entry) in s.iter() {
-            if let Some(q) = &entry.current {
-                if q.query_id == query_id {
-                    return Some((*sid, entry.tenant.clone()));
-                }
-            }
-        }
-        None
-    }
-
     /// Number of open sessions.
     pub fn active_sessions(&self) -> usize {
         self.lock().len()
-    }
-
-    /// True while `session_id` has a query in flight.
-    pub fn is_running(&self, session_id: u64) -> bool {
-        self.lock()
-            .get(&session_id)
-            .is_some_and(|e| e.current.is_some())
     }
 
     /// One snapshot row per open session, in session-id order.
@@ -198,17 +178,23 @@ impl SessionRegistry {
 mod tests {
     use super::*;
 
+    /// `(session, tenant)` of every session with a query in flight and
+    /// that query's id.
+    fn running(reg: &SessionRegistry) -> Vec<(u64, String, u64)> {
+        let all = reg.snapshot().into_iter();
+        all.filter_map(|s| Some((s.session_id, s.tenant, s.query_id?))).collect()
+    }
+
     #[test]
     fn open_query_kill_close_lifecycle() {
         let reg = SessionRegistry::new();
         let sid = reg.open("acme", "local");
         assert_eq!(reg.active_sessions(), 1);
-        assert!(!reg.is_running(sid));
+        assert_eq!(running(&reg), []);
 
         let cancel = CancelToken::new();
         let qid = reg.begin_query(sid, "SELECT 1", &cancel);
-        assert!(reg.is_running(sid));
-        assert_eq!(reg.find_query(qid), Some((sid, "acme".to_string())));
+        assert_eq!(running(&reg), [(sid, "acme".to_string(), qid)]);
 
         let snap = reg.snapshot();
         assert_eq!(snap.len(), 1);
@@ -220,7 +206,7 @@ mod tests {
         assert!(cancel.is_cancelled(), "kill flips the query's token");
 
         reg.end_query(sid);
-        assert!(!reg.is_running(sid));
+        assert_eq!(running(&reg), []);
         assert!(!reg.kill(qid), "finished query no longer killable");
 
         reg.close(sid);
@@ -237,8 +223,7 @@ mod tests {
         assert_ne!(qa, qb);
         // Killing one query leaves the other running.
         assert!(reg.kill(qa));
-        assert!(reg.is_running(b));
-        assert_eq!(reg.find_query(qb), Some((b, "t2".to_string())));
+        assert!(running(&reg).contains(&(b, "t2".to_string(), qb)));
     }
 
     #[test]

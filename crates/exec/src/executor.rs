@@ -3,10 +3,10 @@
 //! Operators run one at a time over `Vec<Row>` partitions. Three jobs are
 //! each done in exactly one place:
 //!
-//! * rows cross partitions in `Executor::exchange`: every exchange kind is
-//!   routed once into `routed[from][to]` buckets and assembled once, and
-//!   the transport mode only picks the carrier of a boundary-crossing
-//!   bucket (handed over, or encoded → mesh → decoded in `ship`);
+//! * rows cross partitions in `Executor::exchange` (`crate::exchange`):
+//!   every exchange kind is routed once into `routed[from][to]` buckets
+//!   and assembled once, and the transport mode only picks the carrier of
+//!   a boundary-crossing bucket (handed over, or encoded → mesh → decoded);
 //! * a join table is probed in `probe_matches` (key evaluation + lookup):
 //!   the fused join→aggregate buffers the matches as pairs, and
 //!   `probe_join_table` concatenates them for the morselized probe and
@@ -32,35 +32,22 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lardb_buf::{MemoryGovernor, MemoryReservation, SpillFile, SpillWriter};
-use lardb_net::codec::{
-    checksum_update, decode_frame, encode_fin_frame, encode_rows_frame, encode_schema_frame,
-    encode_trace_frame, FinSummary, Frame, CHECKSUM_SEED,
-};
-use lardb_net::{
-    ChannelTransport, FaultyTransport, Mesh, NetConfig, NetError, TcpTransport, Transport,
-    TransportMode,
-};
-use lardb_planner::physical::{AggMode, ExchangeKind, PhysicalPlan};
+use lardb_net::{NetConfig, TransportMode, ROWS_PER_FRAME};
+use lardb_planner::physical::{AggMode, PhysicalPlan};
 use lardb_planner::{AggExpr, Expr};
 use lardb_storage::ops::CompositeKey;
-use lardb_storage::table::hash_partition;
 use lardb_storage::{Catalog, Partitioning, Row, Schema, Value};
 
 use crate::agg::{hash_values, spill_bucket, Accumulator, GroupedAgg, KeyTable};
 use crate::batch::{Col, ColumnBatch};
-use crate::cluster::{flag_abort, panic_message, root_cause, CancelToken, Cluster};
+use crate::cluster::Cluster;
 use crate::compile::{ExprEngine, Program};
 use crate::eval::{eval_predicate_with, eval_with};
 use crate::kernels;
 use crate::stats::{
-    BatchStats, ChannelStats, ExecStats, OperatorStats, ShuffleStats, SpillStats,
+    BatchStats, ExecStats, OperatorStats, ShuffleStats, SpillStats,
 };
 use crate::{ExecError, Result};
-
-/// Rows per encoded frame on serialized transports: large enough to
-/// amortize the frame header, small enough that a partition's stream
-/// spans several frames and real backpressure can occur.
-const ROWS_PER_FRAME: usize = 256;
 
 /// How often tight row loops (nested-loop join pairs, probe rows, scan
 /// re-deals) re-check the cancel token: every this many iterations. Cheap
@@ -82,7 +69,7 @@ pub const DEFAULT_BATCH_ROWS: usize = 1024;
 const CHUNK_BYTES: usize = 1 << 20;
 
 /// Partitioned rows: one `Vec<Row>` per worker.
-type Parts = Vec<Vec<Row>>;
+pub(crate) type Parts = Vec<Vec<Row>>;
 
 /// Buckets a spilled build side (or aggregation state) fans out into per
 /// spill level. 8 buckets per level × up to [`MAX_SPILL_DEPTH`] levels
@@ -170,10 +157,10 @@ impl ExecutionResult {
 /// Executes physical plans against a catalog on a simulated cluster.
 pub struct Executor<'a> {
     catalog: &'a Catalog,
-    cluster: Cluster,
+    pub(crate) cluster: Cluster,
     fuse: bool,
-    mode: TransportMode,
-    net: NetConfig,
+    pub(crate) mode: TransportMode,
+    pub(crate) net: NetConfig,
     mem: MemoryConfig,
     engine: ExprEngine,
     batch_rows: usize,
@@ -247,11 +234,6 @@ impl<'a> Executor<'a> {
     /// The expression engine this executor evaluates with.
     pub fn expr_engine(&self) -> ExprEngine {
         self.engine
-    }
-
-    /// The transport mode exchanges run under.
-    pub fn transport_mode(&self) -> TransportMode {
-        self.mode
     }
 
     /// The cluster this executor runs on.
@@ -948,205 +930,6 @@ impl<'a> Executor<'a> {
         }
         Ok(out)
     }
-
-    /// Moves rows between partitions, metering the traffic.
-    ///
-    /// Every kind is routed once into `routed[from][to]` buckets, each in
-    /// source-row order, and `out[to]` is their concatenation over `from`
-    /// ascending. The transport mode only picks how a boundary-crossing
-    /// bucket travels: `pointer` hands it over as it is and estimates
-    /// shuffle bytes from payload sizes; a serialized transport encodes
-    /// it, ships it through the worker mesh and decodes it on the
-    /// receiving side ([`Self::ship`]), metering actual wire bytes per
-    /// channel. Output rows and their order are identical either way.
-    fn exchange(
-        &self,
-        input: Parts,
-        kind: &ExchangeKind,
-        schema: &Schema,
-    ) -> Result<(Parts, ShuffleStats)> {
-        let w = input.len();
-        let mut routed: Vec<Parts> = match kind {
-            ExchangeKind::Hash(keys) => {
-                // Bucket row-range morsels in parallel, then append each
-                // partition's per-morsel buckets in ascending morsel order
-                // — the row order sequential routing gives.
-                let bucketed = self.cluster.morsel_map(input, |_, rows| {
-                    let mut buckets: Parts = vec![Vec::new(); w];
-                    let mut scratch = Vec::new();
-                    for r in rows {
-                        buckets[hash_route(&r, keys, w, &mut scratch)?].push(r);
-                    }
-                    Ok(buckets)
-                })?;
-                bucketed
-                    .into_iter()
-                    .map(|morsels| {
-                        let mut buckets: Parts = vec![Vec::new(); w];
-                        for morsel in morsels {
-                            for (bucket, mut more) in buckets.iter_mut().zip(morsel) {
-                                bucket.append(&mut more);
-                            }
-                        }
-                        buckets
-                    })
-                    .collect()
-            }
-            // `Row` is Arc-backed: the W copies share row storage.
-            ExchangeKind::Broadcast => input.into_iter().map(|rows| vec![rows; w]).collect(),
-            ExchangeKind::Gather | ExchangeKind::GatherReplica => input
-                .into_iter()
-                .enumerate()
-                .map(|(from, rows)| {
-                    let mut buckets: Parts = vec![Vec::new(); w];
-                    // Replicas hold the same rows; worker 0's copy is the
-                    // gathered stream and nothing moves.
-                    if from == 0 || matches!(kind, ExchangeKind::Gather) {
-                        buckets[0] = rows;
-                    }
-                    buckets
-                })
-                .collect(),
-        };
-
-        // A 1-worker cluster has no partition boundary to cross and
-        // GatherReplica moves nothing — nothing to serialize.
-        let shuffle = if self.mode.is_serialized()
-            && w > 1
-            && !matches!(kind, ExchangeKind::GatherReplica)
-        {
-            let (shipped, shuffle) = self.ship(routed, schema)?;
-            routed = shipped;
-            shuffle
-        } else {
-            let (mut rows, mut bytes) = (0, 0);
-            for (from, buckets) in routed.iter().enumerate() {
-                for (to, bucket) in buckets.iter().enumerate() {
-                    if to != from {
-                        rows += bucket.len();
-                        bytes += bucket.iter().map(Row::byte_size).sum::<usize>();
-                    }
-                }
-            }
-            ShuffleStats::estimated(rows, bytes)
-        };
-
-        let mut out: Parts = vec![Vec::new(); w];
-        for buckets in routed {
-            for (part, mut bucket) in out.iter_mut().zip(buckets) {
-                part.append(&mut bucket);
-            }
-        }
-        Ok((out, shuffle))
-    }
-
-    /// The serialized carrier of [`Self::exchange`]: `W` sender threads
-    /// encode and ship every boundary-crossing bucket through a [`Mesh`];
-    /// `W` receiver threads drain, validate and decode them per sender.
-    /// Returns the buckets in the `routed[from][to]` layout they came in:
-    /// local buckets (`to == from`) never touch the mesh, every other one
-    /// is what its receiver decoded.
-    fn ship(&self, routed: Vec<Parts>, schema: &Schema) -> Result<(Vec<Parts>, ShuffleStats)> {
-        let w = routed.len();
-        let base: Box<dyn Transport> = match self.mode {
-            TransportMode::Serialized => Box::new(ChannelTransport {
-                max_frame_bytes: self.net.max_frame_bytes,
-                ..ChannelTransport::default()
-            }),
-            TransportMode::Tcp => Box::new(TcpTransport {
-                timeout_ms: self.net.timeout_ms,
-                max_frame_bytes: self.net.max_frame_bytes,
-                ..TcpTransport::default()
-            }),
-            TransportMode::Pointer => unreachable!("pointer mode hands buckets over as they are"),
-        };
-        let transport: Box<dyn Transport> = match &self.net.faults {
-            Some(plan) => Box::new(FaultyTransport::new(base, plan.clone())),
-            None => base,
-        };
-        let mesh_box = transport.mesh(w)?;
-        let mesh: &dyn Mesh = mesh_box.as_ref();
-        let cancel = self.cluster.cancel_token();
-        // When the query is traced, each sender leads every channel with a
-        // trace frame carrying the trace id — receivers resolve it against
-        // the flight recorder and attribute the channel to the query.
-        let trace_id = self.cluster.trace().map(|t| t.id().0);
-
-        let (sent, received) = std::thread::scope(|s| {
-            let receivers: Vec<_> = (0..w)
-                .map(|to| {
-                    s.spawn(move || {
-                        let r = receive_partition(mesh, w, to, schema, cancel);
-                        if let Err(e) = &r {
-                            flag_abort(cancel, e);
-                        }
-                        r
-                    })
-                })
-                .collect();
-            let senders: Vec<_> = routed
-                .into_iter()
-                .enumerate()
-                .map(|(p, buckets)| {
-                    s.spawn(move || {
-                        let r = send_partition(mesh, p, buckets, schema, cancel, trace_id);
-                        if let Err(e) = &r {
-                            flag_abort(cancel, e);
-                        }
-                        r
-                    })
-                })
-                .collect();
-            let sent: Vec<_> = senders.into_iter().map(join_exchange_thread).collect();
-            let received: Vec<_> = receivers.into_iter().map(join_exchange_thread).collect();
-            (sent, received)
-        });
-
-        // The fault that flipped the token, not a sibling's echo of it, is
-        // the exchange's error (senders before receivers, by index).
-        let mut errors = Vec::new();
-        let mut routed: Vec<Parts> = Vec::with_capacity(w);
-        let mut channels = Vec::new();
-        for r in sent {
-            match r {
-                Ok((buckets, chs)) => {
-                    routed.push(buckets);
-                    channels.extend(chs);
-                }
-                Err(e) => errors.push(e),
-            }
-        }
-        let mut inbound: Vec<Parts> = Vec::with_capacity(w);
-        for r in received {
-            match r {
-                Ok(per_from) => inbound.push(per_from),
-                Err(e) => errors.push(e),
-            }
-        }
-        if let Some(e) = root_cause(errors) {
-            return Err(e);
-        }
-        for (to, per_from) in inbound.into_iter().enumerate() {
-            for (from, rows) in per_from.into_iter().enumerate() {
-                if from != to {
-                    routed[from][to] = rows;
-                }
-            }
-        }
-        channels.sort_by_key(|c| (c.from, c.to));
-        Ok((routed, ShuffleStats::from_channels(channels)))
-    }
-}
-
-/// Joins one exchange worker thread, converting panics to errors.
-fn join_exchange_thread<T>(h: std::thread::ScopedJoinHandle<'_, Result<T>>) -> Result<T> {
-    h.join().unwrap_or_else(|payload| {
-        lardb_obs::global().counter("exec.worker_panics").inc();
-        Err(ExecError::Runtime(format!(
-            "exchange thread panicked: {}",
-            panic_message(payload.as_ref())
-        )))
-    })
 }
 
 /// Publishes one execution's totals into the process-wide metrics
@@ -1185,321 +968,6 @@ fn publish_metrics(stats: &ExecStats) {
         registry.counter("exec.batch.rows").add(stats.total_batch_rows() as u64);
         registry.counter("exec.batch.kernels").add(stats.total_kernels() as u64);
         registry.counter("exec.batch.fallbacks").add(fallbacks as u64);
-    }
-}
-
-/// Sender side of one serialized exchange partition: keeps its local
-/// bucket, encodes and ships every other one (a schema frame first, then
-/// row batches; a bucket's rows are freed once shipped), and ends
-/// **every** channel with a fin frame carrying
-/// the channel's frame count, row count and checksum (protocol v2) —
-/// receivers prove completeness against it. The mesh endpoint always
-/// ends — closed on success, *failed* on error — so receivers never hang
-/// waiting for EOF and a partial stream is never mistaken for a full
-/// one. Senders check the query's cancellation token between frames and
-/// stop shuffling as soon as a sibling fails.
-///
-/// When `trace_id` is set the sender leads every channel with a trace
-/// frame carrying the query's trace id. The frame is counted and
-/// checksummed like any other pre-fin frame, so trace propagation rides
-/// inside the completeness proof instead of beside it.
-fn send_partition(
-    mesh: &dyn Mesh,
-    p: usize,
-    mut buckets: Parts,
-    schema: &Schema,
-    cancel: &CancelToken,
-    trace_id: Option<u64>,
-) -> Result<(Parts, Vec<ChannelStats>)> {
-    let mut channels = Vec::new();
-    let send_result = (|| -> Result<()> {
-        for (to, slot) in buckets.iter_mut().enumerate() {
-            if to == p {
-                continue; // never ship to self; local rows stay in-process
-            }
-            let bucket = std::mem::take(slot);
-            let mut fin = FinSummary { frames: 0, rows: 0, checksum: CHECKSUM_SEED };
-            let mut ch = ChannelStats {
-                from: p,
-                to,
-                rows: 0,
-                bytes: 0,
-                frames: 0,
-                enqueue_block: Duration::ZERO,
-            };
-            if let Some(id) = trace_id {
-                let trace_frame = encode_trace_frame(id);
-                fin.frames += 1;
-                fin.checksum = checksum_update(fin.checksum, &trace_frame);
-                ch.bytes += trace_frame.len();
-                ch.frames += 1;
-                check_cancelled(cancel)?;
-                let t = Instant::now();
-                mesh.send(p, to, trace_frame)?;
-                ch.enqueue_block += t.elapsed();
-            }
-            if !bucket.is_empty() {
-                let schema_frame = encode_schema_frame(schema);
-                fin.frames += 1;
-                fin.checksum = checksum_update(fin.checksum, &schema_frame);
-                ch.bytes += schema_frame.len();
-                ch.frames += 1;
-                check_cancelled(cancel)?;
-                let t = Instant::now();
-                mesh.send(p, to, schema_frame)?;
-                ch.enqueue_block += t.elapsed();
-                for chunk in bucket.chunks(ROWS_PER_FRAME) {
-                    let frame = encode_rows_frame(chunk);
-                    fin.frames += 1;
-                    fin.rows += chunk.len() as u64;
-                    fin.checksum = checksum_update(fin.checksum, &frame);
-                    ch.rows += chunk.len();
-                    ch.bytes += frame.len();
-                    ch.frames += 1;
-                    check_cancelled(cancel)?;
-                    let t = Instant::now();
-                    mesh.send(p, to, frame)?;
-                    ch.enqueue_block += t.elapsed();
-                }
-            }
-            // Protocol v2: EVERY channel ends with a fin — an empty one
-            // proves "I really had nothing for you", so a dropped stream
-            // can't masquerade as an empty stream.
-            let fin_frame = encode_fin_frame(&fin);
-            ch.bytes += fin_frame.len();
-            ch.frames += 1;
-            check_cancelled(cancel)?;
-            let t = Instant::now();
-            mesh.send(p, to, fin_frame)?;
-            ch.enqueue_block += t.elapsed();
-            if ch.rows > 0 {
-                channels.push(ch);
-            }
-        }
-        Ok(())
-    })();
-    match &send_result {
-        // A clean close is only ever sent after every fin went out.
-        Ok(()) => mesh.close(p)?,
-        // On failure the endpoint ends abnormally: receivers see a
-        // sender error, not EOF, and can never accept the partial stream.
-        Err(e) => {
-            let _ = mesh.fail(p, &e.to_string());
-        }
-    }
-    send_result?;
-    Ok((buckets, channels))
-}
-
-/// Returns [`ExecError::Cancelled`] once the query-wide token flips —
-/// the exchange sender's fast-abort check, run before every frame.
-fn check_cancelled(cancel: &CancelToken) -> Result<()> {
-    if cancel.is_cancelled() {
-        return Err(ExecError::Cancelled("exchange stopped: query aborted".into()));
-    }
-    Ok(())
-}
-
-/// Receiver side of one serialized exchange partition: drains the mesh
-/// until every sender ends, validating that each channel leads with a
-/// schema frame matching the exchange schema, and buckets decoded rows
-/// per sender. On any error it keeps draining (so senders never block
-/// forever against a full channel) and reports the first error.
-///
-/// Protocol v2 completeness proof: per channel the receiver counts
-/// frames and rows and folds every frame's bytes into a running
-/// checksum; the sender's fin frame must arrive and match all three.
-/// A missing fin (channel ended early), a mismatching fin (frames lost
-/// or mangled in flight), or an abnormal channel end all surface as
-/// errors and bump `exchange.truncations_detected` — a dead worker can
-/// shorten the answer *only* into an error, never silently.
-fn receive_partition(
-    mesh: &dyn Mesh,
-    w: usize,
-    to: usize,
-    schema: &Schema,
-    cancel: &CancelToken,
-) -> Result<Vec<Vec<Row>>> {
-    /// Per-sender channel bookkeeping.
-    #[derive(Default)]
-    struct ChannelRecv {
-        frames: u64,
-        rows: u64,
-        checksum: u64,
-        fin: Option<FinSummary>,
-        errored: bool,
-        /// Trace id propagated by the sender's leading trace frame.
-        trace_id: Option<u64>,
-    }
-    let recv_start = Instant::now();
-    let truncation = |from: usize, what: String| -> ExecError {
-        lardb_obs::global().counter("exchange.truncations_detected").inc();
-        ExecError::Runtime(format!("exchange channel {from}→{to} truncated: {what}"))
-    };
-
-    let mut per_from: Vec<Vec<Row>> = vec![Vec::new(); w];
-    let mut schema_seen = vec![false; w];
-    let mut chans: Vec<ChannelRecv> = (0..w)
-        .map(|_| ChannelRecv { checksum: CHECKSUM_SEED, ..ChannelRecv::default() })
-        .collect();
-    let mut first_err: Option<ExecError> = None;
-    let record_err = |e: ExecError, first_err: &mut Option<ExecError>| {
-        if first_err.is_none() {
-            *first_err = Some(e);
-        }
-    };
-    loop {
-        match mesh.recv(to) {
-            Ok(Some((from, frame))) => {
-                if first_err.is_some() {
-                    continue; // drain to EOF so senders don't deadlock
-                }
-                let chan = &mut chans[from];
-                match decode_frame(&frame) {
-                    Ok(Frame::Fin(fin)) => {
-                        if chan.fin.is_some() {
-                            record_err(
-                                truncation(from, "second fin frame".into()),
-                                &mut first_err,
-                            );
-                            continue;
-                        }
-                        chan.fin = Some(fin);
-                        if fin.frames != chan.frames
-                            || fin.rows != chan.rows
-                            || fin.checksum != chan.checksum
-                        {
-                            record_err(
-                                truncation(
-                                    from,
-                                    format!(
-                                        "sender shipped {} frames / {} rows, receiver saw {} / {} \
-                                         (checksum {})",
-                                        fin.frames,
-                                        fin.rows,
-                                        chan.frames,
-                                        chan.rows,
-                                        if fin.checksum == chan.checksum {
-                                            "ok"
-                                        } else {
-                                            "MISMATCH"
-                                        },
-                                    ),
-                                ),
-                                &mut first_err,
-                            );
-                        }
-                    }
-                    other => {
-                        if chan.fin.is_some() {
-                            record_err(
-                                truncation(from, "frame after fin".into()),
-                                &mut first_err,
-                            );
-                            continue;
-                        }
-                        chan.frames += 1;
-                        chan.checksum = checksum_update(chan.checksum, &frame);
-                        match other {
-                            Ok(Frame::Schema(s)) => {
-                                if s == *schema {
-                                    schema_seen[from] = true;
-                                } else {
-                                    record_err(
-                                        ExecError::Runtime(format!(
-                                            "exchange schema mismatch from worker {from}"
-                                        )),
-                                        &mut first_err,
-                                    );
-                                }
-                            }
-                            Ok(Frame::Rows(rows)) => {
-                                if schema_seen[from] {
-                                    chan.rows += rows.len() as u64;
-                                    per_from[from].extend(rows);
-                                } else {
-                                    record_err(
-                                        ExecError::Runtime(format!(
-                                            "rows frame before schema frame from worker {from}"
-                                        )),
-                                        &mut first_err,
-                                    );
-                                }
-                            }
-                            Ok(Frame::Trace(id)) => {
-                                // Wire-propagated trace context: remember
-                                // which query this channel belongs to; the
-                                // exchange span is recorded once the
-                                // channel completes.
-                                chan.trace_id = Some(id);
-                            }
-                            Ok(Frame::Fin(_)) => unreachable!("handled above"),
-                            Err(e) => {
-                                record_err(NetError::from(e).into(), &mut first_err)
-                            }
-                        }
-                    }
-                }
-            }
-            Ok(None) => break,
-            Err(NetError::Sender { from, reason }) => {
-                // One channel died; its stream is untrustworthy, but the
-                // rest must still be drained so no sender deadlocks.
-                chans[from].errored = true;
-                record_err(
-                    truncation(from, format!("channel ended abnormally: {reason}")),
-                    &mut first_err,
-                );
-            }
-            Err(e) => {
-                // The whole inbox is gone — nothing left to drain.
-                record_err(e.into(), &mut first_err);
-                break;
-            }
-        }
-    }
-    // End of stream: every remote channel must have proven completeness.
-    for (from, chan) in chans.iter().enumerate() {
-        if from == to || chan.errored || first_err.is_some() {
-            continue;
-        }
-        if chan.fin.is_none() {
-            record_err(
-                truncation(from, "channel closed without a fin frame".into()),
-                &mut first_err,
-            );
-        }
-    }
-    // Attribute completed channels to their query: resolve each
-    // wire-propagated trace id against the flight recorder and record an
-    // exchange span on the owning trace. Only ids that resolve to a query
-    // still in flight attach — a stale id is silently dropped.
-    for (from, chan) in chans.iter().enumerate() {
-        let Some(id) = chan.trace_id else { continue };
-        if let Some(t) = lardb_obs::recorder().lookup(id) {
-            t.record(
-                "exchange",
-                "exchange",
-                recv_start,
-                recv_start.elapsed(),
-                vec![
-                    ("from", from.to_string()),
-                    ("to", to.to_string()),
-                    ("trace_id", format!("{id:016x}")),
-                    ("rows", chan.rows.to_string()),
-                    ("frames", chan.frames.to_string()),
-                ],
-            );
-        }
-    }
-    match first_err {
-        Some(e) => {
-            // Fast abort: tell every sibling to stop shuffling data this
-            // query will never use.
-            flag_abort(cancel, &e);
-            Err(e)
-        }
-        None => Ok(per_from),
     }
 }
 
@@ -1965,29 +1433,6 @@ fn add_elapsed(acc: &mut u64, t: Instant) {
     *acc += t.elapsed().as_nanos() as u64;
 }
 
-/// Routes a row to a partition by hashing its key expressions. Single-key
-/// routing matches the storage layer's [`hash_partition`] so that tables
-/// hash-partitioned at load time co-locate with exchanged streams.
-fn hash_route(
-    row: &Row,
-    keys: &[Expr],
-    w: usize,
-    scratch: &mut Vec<Value>,
-) -> Result<usize> {
-    if keys.len() == 1 {
-        let v = eval_with(&keys[0], row, scratch)?;
-        return Ok(hash_partition(&v, w));
-    }
-    let mut vals = Vec::with_capacity(keys.len());
-    for k in keys {
-        vals.push(eval_with(k, row, scratch)?);
-    }
-    let key = CompositeKey::from_values(vals);
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    Ok((h.finish() % w as u64) as usize)
-}
-
 /// Concatenates each partition's morsel outputs (already in row order).
 fn flatten_morsels(morsels: Vec<Vec<Vec<Row>>>) -> Parts {
     morsels.into_iter().map(|ms| ms.into_iter().flatten().collect()).collect()
@@ -2410,6 +1855,7 @@ mod tests {
     use super::*;
     use lardb_planner::physical::PhysicalPlanner;
     use lardb_planner::{AggFunc, CmpOp, JoinKind, LogicalPlan};
+    use lardb_storage::table::hash_partition;
     use lardb_storage::{Column, DataType, Partitioning, Table};
 
     fn setup() -> Catalog {

@@ -26,6 +26,7 @@ pub mod batch;
 pub mod cluster;
 pub mod compile;
 pub mod eval;
+mod exchange;
 pub mod executor;
 pub mod kernels;
 pub mod stats;

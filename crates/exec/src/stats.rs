@@ -197,12 +197,6 @@ impl ExecStats {
         &self.ops
     }
 
-    /// Total wall time across operators (approximates query time; operators
-    /// run sequentially stage-by-stage).
-    pub fn total_time(&self) -> Duration {
-        self.ops.iter().map(|o| o.wall).sum()
-    }
-
     /// Total bytes shuffled across all exchanges.
     pub fn total_bytes_shuffled(&self) -> usize {
         self.ops.iter().map(|o| o.shuffle.bytes).sum()
@@ -264,11 +258,6 @@ impl ExecStats {
             *m.entry(o.label.clone()).or_insert(Duration::ZERO) += o.wall;
         }
         m
-    }
-
-    /// Wall time for labels matching a predicate — e.g. all joins.
-    pub fn time_where(&self, pred: impl Fn(&str) -> bool) -> Duration {
-        self.ops.iter().filter(|o| pred(&o.label)).map(|o| o.wall).sum()
     }
 
     /// Merges another execution's stats into this one (multi-statement
@@ -378,15 +367,11 @@ mod tests {
         s.record(op(1, "HashJoin", 10, 0));
         s.record(op(2, "HashJoin", 5, 0));
         s.record(op(3, "Exchange(Hash)", 2, 100));
-        assert_eq!(s.total_time(), Duration::from_millis(17));
         assert_eq!(s.total_bytes_shuffled(), 100);
         assert_eq!(s.total_rows_shuffled(), 6);
         let by = s.time_by_label();
         assert_eq!(by["HashJoin"], Duration::from_millis(15));
-        assert_eq!(
-            s.time_where(|l| l.starts_with("Exchange")),
-            Duration::from_millis(2)
-        );
+        assert_eq!(by["Exchange(Hash)"], Duration::from_millis(2));
     }
 
     #[test]

@@ -616,16 +616,6 @@ pub fn decode_value(buf: &[u8]) -> Result<Value> {
     Ok(v)
 }
 
-/// Decodes one row from the start of `buf` (no frame header).
-pub fn decode_row(buf: &[u8]) -> Result<Row> {
-    let mut r = Reader::new(buf);
-    let row = decode_row_inner(&mut r)?;
-    if r.remaining() > 0 {
-        return Err(CodecError::TrailingBytes(r.remaining()));
-    }
-    Ok(row)
-}
-
 /// Decodes a full frame (magic + version + kind + payload).
 pub fn decode_frame(buf: &[u8]) -> Result<Frame> {
     let mut r = Reader::new(buf);
@@ -718,6 +708,16 @@ pub fn encoded_value_size(v: &Value) -> usize {
             size
         }
     }
+}
+
+/// Bytes of a rows frame before its first row: magic, version, kind and
+/// the `u32` row count.
+pub const ROWS_FRAME_HEADER_BYTES: usize = 7;
+
+/// Encoded size of one row inside a rows frame: its `u32` arity plus its
+/// values. What the frame cutter sizes a frame with before encoding it.
+pub fn encoded_row_size(row: &Row) -> usize {
+    4 + row.values().iter().map(encoded_value_size).sum::<usize>()
 }
 
 /// Bit-exact value equality: like `PartialEq` but comparing doubles by
@@ -817,6 +817,8 @@ mod tests {
             Row::new(vec![Value::Integer(7)]),
         ];
         let frame = encode_rows_frame(&rows);
+        let sized = ROWS_FRAME_HEADER_BYTES + rows.iter().map(encoded_row_size).sum::<usize>();
+        assert_eq!(frame.len(), sized);
         match decode_frame(&frame).unwrap() {
             Frame::Rows(back) => {
                 assert_eq!(back.len(), rows.len());

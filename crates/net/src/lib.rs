@@ -4,7 +4,7 @@
 //! arithmetic is plain distributed relational algebra over tiles. For that
 //! claim to be *exercised* rather than simulated, data crossing a partition
 //! boundary has to move as bytes through a real channel, not as `Arc`
-//! pointers between threads. This crate provides the two pieces that make
+//! pointers between threads. This crate provides the three pieces that make
 //! the exchange operators honest:
 //!
 //! * [`codec`] — a hand-rolled, dependency-free binary wire format for
@@ -13,6 +13,12 @@
 //!   `MATRIX[r][c]`, `VECTOR[n]` with its §3.3 label, and
 //!   `LABELED_SCALAR`), with explicit little-endian framing, a version
 //!   byte, and checked decode errors that never panic on corrupt input.
+//! * [`stream`] — the checked row stream: the one length-prefix frame
+//!   reader, the one frame cutter (rows → frames of at most
+//!   [`ROWS_PER_FRAME`] rows and the carrier's cap in bytes) and the one
+//!   completeness proof (sender's `Seal`, receiver's `Check`) that the
+//!   exchange, the spill files, the TCP mesh and the server's reply stream
+//!   all carry.
 //! * [`transport`] — a [`Transport`] abstraction over
 //!   worker-to-worker frame channels, with two implementations: an
 //!   in-process bounded-channel mesh (`std::sync::mpsc`, with backpressure — the
@@ -28,11 +34,13 @@
 pub mod codec;
 pub mod fault;
 pub mod msg;
+pub mod stream;
 pub mod transport;
 
 pub use codec::{CodecError, FinSummary, Frame, FRAME_MAGIC, WIRE_VERSION};
 pub use msg::{decode_message, encode_message, Message};
 pub use fault::{FaultKind, FaultPlan, FaultyTransport};
+pub use stream::ROWS_PER_FRAME;
 pub use transport::{ChannelTransport, Mesh, TcpTransport, Transport};
 
 /// How exchange operators move rows between workers.

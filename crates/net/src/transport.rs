@@ -38,6 +38,7 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use crate::stream::{is_timeout, read_frame, write_frame, FrameRead, Stall};
 use crate::{NetError, Result, DEFAULT_MAX_FRAME_BYTES, DEFAULT_NET_TIMEOUT_MS};
 
 /// Bumps the process-wide per-transport send counters
@@ -273,15 +274,6 @@ fn io_err(context: &str, e: std::io::Error) -> NetError {
     }
 }
 
-/// Both `WouldBlock` and `TimedOut` mean "read deadline expired" here
-/// (platforms disagree on which a `set_read_timeout` expiry raises).
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
 /// Connects with a deadline and bounded exponential-backoff retries
 /// (transient refusals happen while the peer's listener backlog churns).
 fn connect_with_retry(
@@ -402,79 +394,23 @@ impl Transport for TcpTransport {
     }
 }
 
-/// What reading the 4-byte length prefix produced.
-enum LenRead {
-    /// EOF on a frame boundary: the sender closed cleanly.
-    Closed,
-    /// A complete prefix.
-    Len(u32),
-    /// Partial prefix, mid-stream EOF, or a read error — all abnormal.
-    Error(String),
-}
-
-/// Reads the length prefix byte-at-a-boundary so a clean close (EOF with
-/// zero prefix bytes read) is distinguishable from truncation (EOF after
-/// a partial prefix) — `read_exact` alone erases that difference.
-fn read_len_prefix(conn: &mut TcpStream) -> LenRead {
-    let mut buf = [0u8; 4];
-    let mut got = 0usize;
-    while got < 4 {
-        match conn.read(&mut buf[got..]) {
-            Ok(0) => {
-                return if got == 0 {
-                    LenRead::Closed
-                } else {
-                    LenRead::Error(format!(
-                        "connection ended after {got} of 4 length-prefix bytes"
-                    ))
-                };
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) if is_timeout(&e) => {
-                return LenRead::Error(format!("read timeout waiting for a frame: {e}"));
-            }
-            Err(e) => return LenRead::Error(format!("read error: {e}")),
-        }
-    }
-    LenRead::Len(u32::from_le_bytes(buf))
-}
-
-/// Drains one incoming connection: length-prefixed frames until the
-/// channel ends. A clean EOF on a frame boundary reports `Closed`;
-/// anything else — mid-frame EOF, read errors, timeouts, an oversized
-/// length prefix — reports `Errored` so the receiver can flag truncation
-/// instead of silently accepting a short stream.
+/// Drains one incoming connection frame by frame ([`read_frame`]) until
+/// the channel ends. A clean EOF on a frame boundary reports `Closed`;
+/// anything else — mid-frame EOF, read errors, a timeout before or inside
+/// a frame, an oversized length prefix — reports `Errored` so the receiver
+/// can flag truncation instead of silently accepting a short stream.
 fn reader_loop(mut conn: TcpStream, from: usize, tx: SyncSender<Msg>, max_frame_bytes: usize) {
     loop {
-        let len = match read_len_prefix(&mut conn) {
-            LenRead::Closed => {
-                let _ = tx.send((from, SenderEvent::Closed));
-                return;
-            }
-            LenRead::Error(reason) => {
-                let _ = tx.send((from, SenderEvent::Errored(reason)));
-                return;
-            }
-            LenRead::Len(len) => len as usize,
+        let event = match read_frame(&mut conn, max_frame_bytes, Stall::Fail) {
+            Ok(FrameRead::Frame(frame)) => SenderEvent::Frame(frame),
+            Ok(FrameRead::Closed) => SenderEvent::Closed,
+            Ok(FrameRead::Idle) => SenderEvent::Errored("read timeout waiting for a frame".into()),
+            Err(e) => SenderEvent::Errored(e.to_string()),
         };
-        // Cap the attacker-controlled prefix BEFORE vec![0u8; len].
-        if len > max_frame_bytes {
-            let _ = tx.send((
-                from,
-                SenderEvent::Errored(format!(
-                    "frame length {len} exceeds maximum {max_frame_bytes} bytes"
-                )),
-            ));
+        let last = !matches!(event, SenderEvent::Frame(_));
+        // A failed send means the receiver went away: stop pulling.
+        if tx.send((from, event)).is_err() || last {
             return;
-        }
-        let mut frame = vec![0u8; len];
-        if let Err(e) = conn.read_exact(&mut frame) {
-            let _ = tx.send((from, SenderEvent::Errored(format!("mid-frame read: {e}"))));
-            return;
-        }
-        if tx.send((from, SenderEvent::Frame(frame))).is_err() {
-            return; // receiver went away; stop pulling
         }
     }
 }
@@ -491,9 +427,7 @@ impl Mesh for TcpMesh {
         let mut s = self.streams[from * self.workers + to]
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        s.write_all(&(frame.len() as u32).to_le_bytes())
-            .and_then(|_| s.write_all(&frame))
-            .map_err(|e| io_err(&format!("send {from}→{to}"), e))
+        write_frame(&mut *s, &frame).map_err(|e| io_err(&format!("send {from}→{to}"), e))
     }
 
     fn close(&self, from: usize) -> Result<()> {

@@ -214,13 +214,6 @@ impl ActiveTrace {
         self.tenant.lock().map(|t| t.clone()).unwrap_or_default()
     }
 
-    /// Re-labels the tenant (the embedded path mints before it knows).
-    pub fn set_tenant(&self, tenant: &str) {
-        if let Ok(mut t) = self.tenant.lock() {
-            *t = tenant.to_string();
-        }
-    }
-
     /// The session-registry query id, 0 until assigned.
     pub fn query_id(&self) -> u64 {
         self.query_id.load(Ordering::Relaxed)
@@ -521,11 +514,6 @@ impl CompletedTrace {
         doc.raw("traceEvents", &events)
             .string("displayTimeUnit", "ms");
         doc.finish()
-    }
-
-    /// Wall times of the named spans, for quick assertions.
-    pub fn span_names(&self) -> Vec<&'static str> {
-        self.events.iter().map(|e| e.name).collect()
     }
 
     /// Whether any recorded event has the given name.

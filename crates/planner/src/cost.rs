@@ -9,6 +9,8 @@
 
 use lardb_storage::Schema;
 
+use crate::{AggExpr, AggFunc, CmpOp, Expr};
+
 /// Estimated size of a plan node's output.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanEstimate {
@@ -69,6 +71,48 @@ pub fn predicate_selectivity(is_equality: bool) -> f64 {
     } else {
         1.0 / 3.0
     }
+}
+
+// One formula per operator: the logical model (`Optimizer::estimate`) and
+// the physical one (`PhysicalPlanner::estimates`) both price with these.
+
+/// Rows a filter keeps: every conjunct at its default selectivity.
+pub fn filter_rows(input_rows: f64, predicate: &Expr) -> f64 {
+    let mut preds = Vec::new();
+    predicate.clone().split_conjunction(&mut preds);
+    let sel: f64 = preds
+        .iter()
+        .map(|p| predicate_selectivity(matches!(p, Expr::Cmp { op: CmpOp::Eq, .. })))
+        .product();
+    (input_rows * sel).max(1.0)
+}
+
+/// Rows of a join on `keys` equality pairs (none: the cross product).
+pub fn equi_join_rows(left_rows: f64, right_rows: f64, keys: usize) -> f64 {
+    let sel: f64 = (0..keys).map(|_| equi_join_selectivity(left_rows, right_rows)).product();
+    (left_rows * right_rows * sel).max(1.0)
+}
+
+/// Groups of a complete aggregate: one when global, else the square root
+/// of its input (no distinct counts are kept).
+pub fn group_rows(input_rows: f64, grouped: bool) -> f64 {
+    if grouped {
+        input_rows.sqrt().max(1.0)
+    } else {
+        1.0
+    }
+}
+
+/// An aggregate's row width: its schema's (`base`), with every
+/// `MATRIX_FROM_ENTRIES` column re-priced by [`sparse_agg_width`].
+pub fn aggregate_width(base: f64, aggs: &[AggExpr], input_rows: f64) -> f64 {
+    let sparse = aggs.iter().filter(|a| a.func == AggFunc::MatrixFromEntries).count();
+    sparse_agg_width(base, sparse, input_rows)
+}
+
+/// Rows a `LIMIT n` lets through.
+pub fn limit_rows(input_rows: f64, n: usize) -> f64 {
+    input_rows.min(n as f64)
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ use std::collections::HashMap;
 
 use lardb_storage::{Catalog, Schema};
 
-use crate::cost::{equi_join_selectivity, predicate_selectivity, PlanEstimate};
+use crate::cost::{self, equi_join_selectivity, predicate_selectivity, PlanEstimate};
 use crate::error::{PlanError, Result};
 use crate::expr::{CmpOp, Expr};
 use crate::logical::{AggExpr, JoinKind, LogicalPlan};
@@ -222,13 +222,7 @@ impl<'a> Optimizer<'a> {
             }
             LogicalPlan::Filter { input, predicate } => {
                 let e = self.estimate(input);
-                let mut preds = Vec::new();
-                predicate.clone().split_conjunction(&mut preds);
-                let sel: f64 = preds
-                    .iter()
-                    .map(|p| predicate_selectivity(matches!(p, Expr::Cmp { op: CmpOp::Eq, .. })))
-                    .product();
-                PlanEstimate::new((e.rows * sel).max(1.0), e.row_bytes)
+                PlanEstimate::new(cost::filter_rows(e.rows, predicate), e.row_bytes)
             }
             LogicalPlan::Project { input, schema, .. } => {
                 let e = self.estimate(input);
@@ -248,32 +242,27 @@ impl<'a> Optimizer<'a> {
             LogicalPlan::Join { left, right, kind, equi, .. } => {
                 let l = self.estimate(left);
                 let r = self.estimate(right);
-                let sel = match kind {
-                    JoinKind::Cross => 1.0,
-                    JoinKind::Inner => equi
-                        .iter()
-                        .map(|_| equi_join_selectivity(l.rows, r.rows))
-                        .product(),
+                let keys = match kind {
+                    JoinKind::Cross => 0,
+                    JoinKind::Inner => equi.len(),
                 };
-                PlanEstimate::new((l.rows * r.rows * sel).max(1.0), l.row_bytes + r.row_bytes)
+                PlanEstimate::new(
+                    cost::equi_join_rows(l.rows, r.rows, keys),
+                    l.row_bytes + r.row_bytes,
+                )
             }
             LogicalPlan::Aggregate { input, group_by, aggs, schema } => {
                 let e = self.estimate(input);
-                let rows = if group_by.is_empty() { 1.0 } else { e.rows.sqrt().max(1.0) };
                 let mut width = self.schema_width(schema);
                 if self.config.size_inference {
-                    let sparse = aggs
-                        .iter()
-                        .filter(|a| a.func == crate::AggFunc::MatrixFromEntries)
-                        .count();
-                    width = crate::cost::sparse_agg_width(width, sparse, e.rows);
+                    width = cost::aggregate_width(width, aggs, e.rows);
                 }
-                PlanEstimate::new(rows, width)
+                PlanEstimate::new(cost::group_rows(e.rows, !group_by.is_empty()), width)
             }
             LogicalPlan::Sort { input, .. } => self.estimate(input),
             LogicalPlan::Limit { input, n } => {
                 let e = self.estimate(input);
-                PlanEstimate::new(e.rows.min(*n as f64), e.row_bytes)
+                PlanEstimate::new(cost::limit_rows(e.rows, *n), e.row_bytes)
             }
         }
     }

@@ -742,7 +742,7 @@ impl<'a> PhysicalPlanner<'a> {
         plan: &PhysicalPlan,
         out: &mut std::collections::HashMap<usize, PlanEstimate>,
     ) -> PlanEstimate {
-        use crate::cost::{equi_join_selectivity, predicate_selectivity};
+        use crate::cost::{self, equi_join_selectivity};
         let est = match plan {
             PhysicalPlan::TableScan { table, schema, .. } => {
                 let rows = self
@@ -754,13 +754,7 @@ impl<'a> PhysicalPlanner<'a> {
             }
             PhysicalPlan::Filter { input, predicate, .. } => {
                 let e = self.estimate_into(input, out);
-                let mut preds = Vec::new();
-                predicate.clone().split_conjunction(&mut preds);
-                let sel: f64 = preds
-                    .iter()
-                    .map(|p| predicate_selectivity(matches!(p, Expr::Cmp { op: CmpOp::Eq, .. })))
-                    .product();
-                PlanEstimate::new((e.rows * sel).max(1.0), e.row_bytes)
+                PlanEstimate::new(cost::filter_rows(e.rows, predicate), e.row_bytes)
             }
             PhysicalPlan::Project { input, schema, .. } => {
                 let e = self.estimate_into(input, out);
@@ -769,12 +763,8 @@ impl<'a> PhysicalPlanner<'a> {
             PhysicalPlan::HashJoin { left, right, left_keys, schema, .. } => {
                 let l = self.estimate_into(left, out);
                 let r = self.estimate_into(right, out);
-                let sel: f64 = left_keys
-                    .iter()
-                    .map(|_| equi_join_selectivity(l.rows, r.rows))
-                    .product();
                 PlanEstimate::new(
-                    (l.rows * r.rows * sel).max(1.0),
+                    cost::equi_join_rows(l.rows, r.rows, left_keys.len()),
                     PlanEstimate::row_bytes_of(schema),
                 )
             }
@@ -797,25 +787,17 @@ impl<'a> PhysicalPlanner<'a> {
                     // Per-partition pre-aggregation can't shrink below the
                     // group count but we bound it by its input.
                     (AggMode::Partial, _) => e.rows,
-                    (_, true) => 1.0,
-                    (_, false) => e.rows.sqrt().max(1.0),
+                    (_, global) => cost::group_rows(e.rows, !global),
                 };
-                let sparse = aggs
-                    .iter()
-                    .filter(|a| a.func == AggFunc::MatrixFromEntries)
-                    .count();
-                let width = crate::cost::sparse_agg_width(
-                    PlanEstimate::row_bytes_of(schema),
-                    sparse,
-                    e.rows,
-                );
+                let width =
+                    cost::aggregate_width(PlanEstimate::row_bytes_of(schema), aggs, e.rows);
                 PlanEstimate::new(rows, width)
             }
             PhysicalPlan::Exchange { input, .. }
             | PhysicalPlan::Sort { input, .. } => self.estimate_into(input, out),
             PhysicalPlan::Limit { input, n, .. } => {
                 let e = self.estimate_into(input, out);
-                PlanEstimate::new(e.rows.min(*n as f64), e.row_bytes)
+                PlanEstimate::new(cost::limit_rows(e.rows, *n), e.row_bytes)
             }
         };
         out.insert(plan.id(), est);

@@ -10,11 +10,12 @@
 use std::net::TcpStream;
 use std::time::Duration;
 
-use lardb_net::codec::{checksum_update, Frame, CHECKSUM_SEED};
+use lardb_net::codec::Frame;
+use lardb_net::stream::{read_frame, Check, FrameRead, Stall};
 use lardb_net::{msg, Message};
 use lardb_storage::{Row, Schema};
 
-use crate::wire::{recv_message, send_message, Recv};
+use crate::wire::{self, send_message, MAX_WIRE_BYTES};
 use crate::ServerError;
 
 /// How long the client waits for one server reply before giving up.
@@ -153,16 +154,18 @@ impl Client {
     }
 
     /// Reads one statement outcome: an `Ok`/`Error` control frame, or a
-    /// schema/rows/fin data stream (verified against the fin summary).
+    /// schema/rows/fin data stream. The stream's [`Check`] folds the bytes
+    /// as they arrived; what is the client's own is to remember the schema
+    /// (and the trace id), which must precede any rows.
     fn read_result(&mut self) -> Result<QueryOutput, ServerError> {
         let mut schema: Option<Schema> = None;
         let mut rows: Vec<Row> = Vec::new();
-        let mut frames: u64 = 0;
-        let mut checksum = CHECKSUM_SEED;
+        let mut check = Check::default();
         self.last_trace_id = None;
+        let protocol = |what: String| ServerError::Protocol(format!("result stream: {what}"));
         loop {
-            let message = recv_reply(&mut self.stream)?;
-            match message {
+            let bytes = recv_bytes(&mut self.stream)?;
+            let frame = match wire::decode(&bytes)? {
                 Message::Ok { code: msg::OK_DONE, .. } => return Ok(QueryOutput::Done),
                 Message::Ok { code: msg::OK_INSERTED, value, .. } => {
                     return Ok(QueryOutput::Inserted(value))
@@ -171,76 +174,41 @@ impl Client {
                     return Ok(QueryOutput::Text(text))
                 }
                 Message::Error { code, message } => return Err(map_error(code, message)),
-                Message::Data(frame) => match frame {
-                    Frame::Schema(s) => {
-                        let bytes = lardb_net::encode_message(&Message::Data(Frame::Schema(
-                            s.clone(),
-                        )));
-                        checksum = checksum_update(checksum, &bytes);
-                        frames += 1;
-                        schema = Some(s);
-                    }
-                    Frame::Trace(id) => {
-                        // Trace context precedes the schema frame; counted
-                        // and checksummed like any other pre-fin frame.
-                        let bytes =
-                            lardb_net::encode_message(&Message::Data(Frame::Trace(id)));
-                        checksum = checksum_update(checksum, &bytes);
-                        frames += 1;
-                        self.last_trace_id = Some(id);
-                    }
-                    Frame::Rows(batch) => {
-                        let bytes = lardb_net::encode_message(&Message::Data(Frame::Rows(
-                            batch.clone(),
-                        )));
-                        checksum = checksum_update(checksum, &bytes);
-                        frames += 1;
-                        rows.extend(batch);
-                    }
-                    Frame::Fin(fin) => {
-                        let Some(schema) = schema else {
-                            return Err(ServerError::Protocol(
-                                "fin before schema in result stream".to_string(),
-                            ));
-                        };
-                        if fin.frames != frames
-                            || fin.rows != rows.len() as u64
-                            || fin.checksum != checksum
-                        {
-                            return Err(ServerError::Protocol(format!(
-                                "result stream failed fin verification: got {} frames / {} \
-                                 rows / checksum {:#x}, fin says {} / {} / {:#x}",
-                                frames,
-                                rows.len(),
-                                checksum,
-                                fin.frames,
-                                fin.rows,
-                                fin.checksum
-                            )));
-                        }
-                        return Ok(QueryOutput::Rows { schema, rows });
-                    }
-                },
-                other => {
-                    return Err(ServerError::Protocol(format!(
-                        "unexpected message in result stream: {other:?}"
-                    )))
+                Message::Data(frame) => frame,
+                other => return Err(protocol(format!("unexpected message {other:?}"))),
+            };
+            check
+                .accept(&bytes, &frame)
+                .map_err(|e| protocol(format!("failed fin verification: {e}")))?;
+            match frame {
+                Frame::Schema(s) => schema = Some(s),
+                Frame::Trace(id) => self.last_trace_id = Some(id),
+                Frame::Rows(batch) if schema.is_some() => rows.extend(batch),
+                Frame::Rows(_) => return Err(protocol("rows before schema".to_string())),
+                Frame::Fin(_) => {
+                    let schema = schema.ok_or_else(|| protocol("fin before schema".to_string()))?;
+                    return Ok(QueryOutput::Rows { schema, rows });
                 }
             }
         }
     }
 }
 
-/// One blocking reply (timeouts are errors client-side: the server
+/// One blocking reply frame (timeouts are errors client-side: the server
 /// always answers a request).
-fn recv_reply(stream: &mut TcpStream) -> Result<Message, ServerError> {
-    match recv_message(stream)? {
-        Recv::Msg(m) => Ok(m),
-        Recv::Closed => Err(ServerError::Io("server closed the connection".to_string())),
-        Recv::TimedOut => Err(ServerError::Io(format!(
+fn recv_bytes(stream: &mut TcpStream) -> Result<Vec<u8>, ServerError> {
+    match read_frame(stream, MAX_WIRE_BYTES, Stall::Wait).map_err(std::io::Error::from)? {
+        FrameRead::Frame(bytes) => Ok(bytes),
+        FrameRead::Closed => Err(ServerError::Io("server closed the connection".to_string())),
+        FrameRead::Idle => Err(ServerError::Io(format!(
             "no reply from server within {REPLY_TIMEOUT:?}"
         ))),
     }
+}
+
+/// One blocking reply, decoded.
+fn recv_reply(stream: &mut TcpStream) -> Result<Message, ServerError> {
+    Ok(wire::decode(&recv_bytes(stream)?)?)
 }
 
 fn map_error(code: u16, message: String) -> ServerError {

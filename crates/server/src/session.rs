@@ -37,18 +37,16 @@ use std::time::{Duration, Instant};
 
 use lardb::{CancelToken, Database, EngineError, PreparedStatement, QueryResult, Response, Source};
 use lardb_exec::ExecError;
-use lardb_net::codec::{checksum_update, FinSummary, Frame, CHECKSUM_SEED};
+use lardb_net::codec::{encode_schema_frame, encode_trace_frame};
+use lardb_net::stream::Seal;
 use lardb_net::{msg, Message};
 
-use crate::wire::{recv_message, send_bytes, send_message, Recv};
+use crate::wire::{recv_message, send_bytes, send_message, Recv, MAX_WIRE_BYTES};
 use crate::Shared;
 
 /// How long a fresh connection may sit silent before `Hello` (the
 /// socket's read timeout until then; none afterwards).
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// Rows per result frame (matches the exchange's batching scale).
-const ROWS_PER_FRAME: usize = 256;
 
 /// What the reader hands the session thread: a `Query`, `Prepare` or
 /// `Execute`, and the token that aborts it.
@@ -400,26 +398,24 @@ impl Session<'_> {
     }
 }
 
-/// Streams a result as exchange-format data frames: an optional trace
-/// frame (when the query was traced), schema, row batches, then a fin
-/// summary the client re-verifies (frames / rows / checksum).
+/// Streams a result as a checked row stream: an optional trace frame
+/// (when the query was traced), the schema, the rows cut to fit
+/// [`MAX_WIRE_BYTES`], then the fin the client re-verifies. A single row
+/// that fits no frame ends the stream with an error message in its place.
 fn stream_rows(out: &mut impl Write, q: QueryResult, trace_id: Option<u64>) -> io::Result<()> {
-    let mut frames: u64 = 0;
-    let mut checksum = CHECKSUM_SEED;
-    let mut send_data = |frame: Frame| -> io::Result<()> {
-        let bytes = lardb_net::encode_message(&Message::Data(frame));
-        checksum = checksum_update(checksum, &bytes);
-        frames += 1;
-        send_bytes(out, &bytes)
-    };
+    let mut seal = Seal::default();
     if let Some(id) = trace_id {
-        send_data(Frame::Trace(id))?;
+        send_bytes(out, &seal.frame(encode_trace_frame(id)))?;
     }
-    send_data(Frame::Schema(q.schema))?;
-    let total_rows = q.rows.len() as u64;
-    for chunk in q.rows.chunks(ROWS_PER_FRAME) {
-        send_data(Frame::Rows(chunk.to_vec()))?;
+    send_bytes(out, &seal.frame(encode_schema_frame(&q.schema)))?;
+    for frame in seal.rows(&q.rows, MAX_WIRE_BYTES) {
+        match frame {
+            Ok(frame) => send_bytes(out, &frame)?,
+            Err(e) => {
+                let message = format!("result row does not fit a reply frame: {e}");
+                return send_message(out, &Message::Error { code: msg::ERR_QUERY, message });
+            }
+        }
     }
-    let fin = FinSummary { frames, rows: total_rows, checksum };
-    send_message(out, &Message::Data(Frame::Fin(fin)))
+    send_bytes(out, &seal.fin())
 }

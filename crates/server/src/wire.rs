@@ -1,22 +1,24 @@
-//! Length-prefixed message framing over a byte stream (a `TcpStream` or
-//! a shared `&TcpStream`: a session's two threads share one socket).
+//! Message framing over a byte stream (a `TcpStream` or a shared
+//! `&TcpStream`: a session's two threads share one socket).
 //!
-//! Same discipline as the exchange transport: every message is one
-//! `u32`-LE length prefix followed by that many bytes of an encoded
-//! [`Message`]. The prefix and payload are written
-//! with a single `write_all` so a peer never observes a torn header.
+//! Every message is one frame of the checked row stream
+//! (`lardb_net::stream`) holding an encoded [`Message`]. The prefix and
+//! payload are written with a single `write_all` so a peer never observes
+//! a torn header.
 //!
 //! Reads distinguish three outcomes the session cares about:
 //! a complete message, an orderly close (EOF *between* messages), and a
-//! read timeout (EOF or timeout *inside* a message is a protocol error —
-//! the peer died mid-frame).
+//! read timeout before a message. Inside a message a timeout means "keep
+//! waiting" and EOF is a protocol error — the peer died mid-frame.
 
 use std::io::{self, ErrorKind, Read, Write};
 
+use lardb_net::stream::{read_frame, write_frame, FrameRead, Stall};
 use lardb_net::{decode_message, encode_message, Message};
 
-/// Default cap on one wire message (64 MiB, matching the exchange
-/// transport's `DEFAULT_MAX_FRAME_BYTES`).
+/// Cap on one wire message (64 MiB, matching the exchange transport's
+/// `DEFAULT_MAX_FRAME_BYTES`): what the result streamer cuts its rows
+/// frames to, and what either end refuses to allocate beyond.
 pub const MAX_WIRE_BYTES: usize = 64 * 1024 * 1024;
 
 /// Outcome of one read attempt.
@@ -31,18 +33,13 @@ pub enum Recv {
     TimedOut,
 }
 
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
-}
-
-/// Sends one message: `u32` LE length prefix + encoded bytes, written as
-/// one buffer.
+/// Sends one message as one frame.
 pub fn send_message(stream: &mut impl Write, msg: &Message) -> io::Result<()> {
     send_bytes(stream, &encode_message(msg))
 }
 
-/// Sends pre-encoded message bytes (used by the result streamer, which
-/// already has the bytes in hand for checksumming).
+/// Sends pre-encoded message bytes (the result streamer's frames) as one
+/// frame, written as one buffer and flushed.
 pub fn send_bytes(stream: &mut impl Write, body: &[u8]) -> io::Result<()> {
     if body.len() > MAX_WIRE_BYTES {
         return Err(io::Error::new(
@@ -51,61 +48,25 @@ pub fn send_bytes(stream: &mut impl Write, body: &[u8]) -> io::Result<()> {
         ));
     }
     let mut buf = Vec::with_capacity(4 + body.len());
-    buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    buf.extend_from_slice(body);
+    write_frame(&mut buf, body)?;
     stream.write_all(&buf)?;
     stream.flush()
 }
 
-/// Receives one message, honouring the stream's configured read timeout.
-///
-/// A timeout *before any byte* of the length prefix yields
-/// [`Recv::TimedOut`]; EOF there yields [`Recv::Closed`]. Once the first
-/// byte has arrived the rest of the message must follow: EOF or timeout
-/// mid-message is an error (the peer vanished mid-frame).
+/// Receives one message, honouring the stream's configured read timeout
+/// while no message is under way.
 pub fn recv_message(stream: &mut impl Read) -> io::Result<Recv> {
-    let mut prefix = [0u8; 4];
-    // First byte decides between idle-timeout / clean-close / traffic.
-    let n = match stream.read(&mut prefix[..1]) {
-        Ok(0) => return Ok(Recv::Closed),
-        Ok(n) => n,
-        Err(e) if is_timeout(&e) => return Ok(Recv::TimedOut),
-        Err(e) if e.kind() == ErrorKind::Interrupted => 0,
-        Err(e) => return Err(e),
-    };
-    read_remaining(stream, &mut prefix[n..])?;
-    let len = u32::from_le_bytes(prefix) as usize;
-    if len > MAX_WIRE_BYTES {
-        return Err(io::Error::new(
-            ErrorKind::InvalidData,
-            format!("incoming message claims {len} bytes (cap {MAX_WIRE_BYTES})"),
-        ));
-    }
-    let mut body = vec![0u8; len];
-    read_remaining(stream, &mut body)?;
-    let msg = decode_message(&body)
-        .map_err(|e| io::Error::new(ErrorKind::InvalidData, format!("bad message: {e}")))?;
-    Ok(Recv::Msg(msg))
+    Ok(match read_frame(stream, MAX_WIRE_BYTES, Stall::Wait)? {
+        FrameRead::Frame(body) => Recv::Msg(decode(&body)?),
+        FrameRead::Closed => Recv::Closed,
+        FrameRead::Idle => Recv::TimedOut,
+    })
 }
 
-/// `read_exact` that retries timeouts: once a message has started, a
-/// pause mid-frame means "keep waiting", not "drop bytes on the floor".
-/// EOF mid-frame is an `UnexpectedEof` error.
-fn read_remaining(stream: &mut impl Read, mut buf: &mut [u8]) -> io::Result<()> {
-    while !buf.is_empty() {
-        match stream.read(buf) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    ErrorKind::UnexpectedEof,
-                    "peer closed mid-message",
-                ))
-            }
-            Ok(n) => buf = &mut buf[n..],
-            Err(e) if is_timeout(&e) || e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
+/// Decodes one received frame as a message.
+pub(crate) fn decode(body: &[u8]) -> io::Result<Message> {
+    decode_message(body)
+        .map_err(|e| io::Error::new(ErrorKind::InvalidData, format!("bad message: {e}")))
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use lardb::{Database, DatabaseConfig, SessionRegistry};
+use lardb::{DataType, Database, DatabaseConfig, Matrix, Partitioning, Row, Schema, SessionRegistry, Value};
 use lardb_net::codec::Frame;
 use lardb_net::{msg, Message};
 use lardb_server::wire::{recv_message, send_message, Recv};
@@ -138,6 +138,40 @@ fn round_trips_wait_on_no_timer() {
         other => panic!("expected rows, got {other:?}"),
     }
 
+    client.close().unwrap();
+    server.shutdown();
+}
+
+/// A result whose first 256 rows encode to more than the 64 MiB message
+/// cap (100 tiles of 320 × 320 doubles are 82 MB) is framed under the cap,
+/// not refused: the client's fin check passes over every row and the
+/// session goes on.
+#[test]
+fn a_result_larger_than_a_message_is_framed_not_refused() {
+    let _one_at_a_time = serial();
+    let db = Database::with_config(DatabaseConfig { workers: 2, ..DatabaseConfig::default() });
+    let columns = [("id", DataType::Integer), ("m", DataType::Matrix(Some(320), Some(320)))];
+    db.create_table("tiles", Schema::from_pairs(&columns), Partitioning::RoundRobin).unwrap();
+    // One shared tile: only the wire and the client hold a hundred.
+    let tile = Value::matrix(Matrix::identity(320));
+    db.insert_rows("tiles", (0..100).map(|id| Row::new(vec![Value::Integer(id), tile.clone()])))
+        .unwrap();
+    let server = Server::start(db, ServerConfig::default()).unwrap();
+    let mut client = Client::connect(&server.local_addr().to_string(), "t", "").unwrap();
+
+    match client.query("SELECT id, m FROM tiles").unwrap() {
+        QueryOutput::Rows { rows, .. } => {
+            assert_eq!(rows.len(), 100);
+            let ids: i64 = rows.iter().map(|r| r.value(0).as_integer().unwrap()).sum();
+            assert_eq!(ids, 4950);
+            assert!(rows.iter().all(|r| r.value(1) == &tile));
+        }
+        other => panic!("expected rows, got {other:?}"),
+    }
+    match client.query("SELECT COUNT(*) AS n FROM tiles").unwrap() {
+        QueryOutput::Rows { rows, .. } => assert_eq!(rows[0].value(0).as_integer(), Some(100)),
+        other => panic!("expected rows, got {other:?}"),
+    }
     client.close().unwrap();
     server.shutdown();
 }

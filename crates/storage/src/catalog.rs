@@ -6,13 +6,35 @@
 //! (row count, total bytes) that feed the cost model.
 
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use parking_lot::RwLock;
+use std::sync::{Arc, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::schema::Schema;
 use crate::table::Table;
 use crate::{Result, StorageError};
+
+/// The catalog's reader-writer lock: `std`'s, with guards returned
+/// directly. A lock poisoned by a writer that panicked is recovered, not
+/// propagated — every catalog update leaves its map or table valid at
+/// each step, and one failed statement must not take the database down.
+#[derive(Debug, Default)]
+pub struct RwLock<T>(std::sync::RwLock<T>);
+
+impl<T> RwLock<T> {
+    /// Creates a new lock.
+    pub fn new(value: T) -> Self {
+        RwLock(std::sync::RwLock::new(value))
+    }
+
+    /// Acquires a shared read guard, blocking until available.
+    pub fn read(&self) -> RwLockReadGuard<'_, T> {
+        self.0.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Acquires an exclusive write guard, blocking until available.
+    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+        self.0.write().unwrap_or_else(|e| e.into_inner())
+    }
+}
 
 /// Statistics the optimizer reads for costing (§4.1 works entirely off
 /// cardinalities and per-row widths).
@@ -222,6 +244,20 @@ mod tests {
     use crate::table::Partitioning;
     use crate::types::DataType;
     use crate::{Row, Value};
+
+    #[test]
+    fn poison_recovered() {
+        let l = Arc::new(RwLock::new(0));
+        let l2 = l.clone();
+        let _ = std::thread::spawn(move || {
+            let _g = l2.write();
+            panic!("poison it");
+        })
+        .join();
+        assert_eq!(*l.read(), 0); // no panic on re-acquire
+        *l.write() += 1;
+        assert_eq!(*l.read(), 1);
+    }
 
     fn t(name: &str) -> Table {
         Table::new(

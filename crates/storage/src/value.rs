@@ -125,14 +125,6 @@ impl Value {
         }
     }
 
-    /// Extracts a boolean.
-    pub fn as_boolean(&self) -> Option<bool> {
-        match self {
-            Value::Boolean(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Extracts the vector payload.
     pub fn as_vector(&self) -> Option<&Arc<Vector>> {
         match self {
@@ -155,11 +147,6 @@ impl Value {
             Value::SparseMatrix(m) => Some(m),
             _ => None,
         }
-    }
-
-    /// True when the value is a matrix in either representation.
-    pub fn is_matrix_like(&self) -> bool {
-        matches!(self, Value::Matrix(_) | Value::SparseMatrix(_))
     }
 
     /// A dense matrix view of either matrix representation. Dense values

@@ -5,12 +5,13 @@
 #[path = "../crates/core/tests/common/mod.rs"]
 mod common;
 
-use common::compare::{check, sweep, Run};
+use common::compare::{check, exact_rows, sweep, Run};
 use common::corpus::{self, GRAM_BLOCK, GRAM_TUPLE, GRAM_VECTOR, TILE_MULTIPLY};
 use common::fixtures::{big_matrix, points, points_tables, Fixture, POINTS};
 use common::lattice::{self, cell};
 use lardb::{
-    DataType, Database, DatabaseConfig, Matrix, Partitioning, Row, Schema, TransportMode, Value,
+    DataType, Database, DatabaseConfig, Matrix, NetConfig, Partitioning, QueryResult, Row, Schema,
+    Source, TransportMode, Value, Vector,
 };
 use lardb_baselines::{systemml_like, WorkloadData};
 use lardb_storage::gen;
@@ -177,6 +178,81 @@ fn all_workloads_identical_under_every_transport() {
                 }
             }
         }
+    }
+}
+
+/// Two workers under a 32 KiB frame cap, holding `vecs`: 1 000 rows of
+/// `(id, VECTOR[64])`, 538 bytes each on the wire — 256 of them pass the
+/// cap, one does not — and `wide`, whose one 5 000-entry vector alone
+/// passes it.
+const FRAME_CAP: usize = 32 << 10;
+
+fn capped_db(transport: TransportMode) -> Database {
+    let db = Database::with_config(DatabaseConfig {
+        workers: 2,
+        transport,
+        net: NetConfig { max_frame_bytes: FRAME_CAP, ..NetConfig::default() },
+        ..DatabaseConfig::default()
+    });
+    let columns = [("id", DataType::Integer), ("value", DataType::Vector(None))];
+    for name in ["vecs", "wide"] {
+        db.create_table(name, Schema::from_pairs(&columns), Partitioning::RoundRobin).unwrap();
+    }
+    let row = |id: usize, dims: usize| {
+        let v = Vector::from_fn(dims, |j| ((id * 31 + j * 7) % 64) as f64 / 16.0);
+        Row::new(vec![Value::Integer(id as i64), Value::vector(v)])
+    };
+    db.insert_rows("vecs", (0..1000).map(|id| row(id, 64))).unwrap();
+    db.insert_rows("wide", (0..8).map(|id| row(id, if id == 5 { 5000 } else { 64 }))).unwrap();
+    db
+}
+
+/// The self-join of `table` on `id`: both sides ship their vectors through
+/// a hash exchange. Run untraced, so a channel carries no trace frame.
+fn vector_join(db: &Database, table: &str) -> lardb::Result<QueryResult> {
+    let sql = format!(
+        "SELECT a.id, inner_product(a.value, b.value) AS d \
+         FROM {table} AS a, {table} AS b WHERE a.id = b.id"
+    );
+    db.run(Source::Sql(&sql), None, None)?.into_rows()
+}
+
+/// Frames are cut by bytes as well as by rows: a bucket whose 256-row
+/// frames would pass the cap ships as more, smaller frames and the answer
+/// is the pointer transport's, bit for bit.
+#[test]
+fn frames_over_the_cap_are_cut_not_refused() {
+    let want = vector_join(&capped_db(TransportMode::Pointer), "vecs").unwrap();
+    assert_eq!(want.rows.len(), 1000);
+    let per_frame = (FRAME_CAP - 7) / 538;
+    for transport in [TransportMode::Serialized, TransportMode::Tcp] {
+        let got = vector_join(&capped_db(transport), "vecs").unwrap();
+        assert_eq!(exact_rows(&got), exact_rows(&want), "{transport}");
+        let hashed: Vec<_> = got
+            .stats
+            .operators()
+            .iter()
+            .filter(|o| o.label == "Exchange(Hash)")
+            .flat_map(|o| &o.shuffle.channels)
+            .collect();
+        assert!(hashed.iter().any(|ch| ch.rows > per_frame), "{transport}: no bucket over one frame");
+        for ch in hashed {
+            // Schema, the rows the cutter fits under the cap, fin.
+            assert_eq!(ch.frames, 2 + ch.rows.div_ceil(per_frame), "{transport} {}→{}", ch.from, ch.to);
+        }
+    }
+}
+
+/// A single row that fits no frame is still a typed error naming its
+/// length and the cap — never a short answer.
+#[test]
+fn a_row_over_the_cap_is_a_typed_error() {
+    let frame = 7 + 4 + 9 + 13 + 8 * 5000;
+    assert_eq!(vector_join(&capped_db(TransportMode::Pointer), "wide").unwrap().rows.len(), 8);
+    for transport in [TransportMode::Serialized, TransportMode::Tcp] {
+        let err = vector_join(&capped_db(transport), "wide").unwrap_err().to_string();
+        let want = format!("frame length {frame} exceeds maximum {FRAME_CAP} bytes");
+        assert!(err.contains(&want), "{transport}: {err}");
     }
 }
 
