@@ -3,8 +3,8 @@
 //! The least-squares workload (Figure 2) solves the normal equations
 //! `(XᵀX)·β = Xᵀy`; `XᵀX` is symmetric positive (semi-)definite, so a
 //! Cholesky solve is both faster and more numerically stable than a general
-//! LU inverse. The SQL surface exposes this through the `solve` built-in,
-//! which tries Cholesky first for symmetric inputs and falls back to LU.
+//! LU inverse. The comparator baselines solve with it; the SQL `solve` and
+//! `matrix_inverse` built-ins are LU ([`crate::lu`]) for every input.
 
 use crate::error::{LaError, Result};
 use crate::matrix::Matrix;
@@ -88,21 +88,6 @@ impl CholeskyDecomposition {
         Ok(Vector::from_vec(x))
     }
 
-    /// Inverse of the original matrix (solve against identity columns).
-    pub fn inverse(&self) -> Result<Matrix> {
-        let n = self.dim();
-        let mut out = Matrix::zeros(n, n);
-        for j in 0..n {
-            let mut e = Vector::zeros(n);
-            e.set(j, 1.0).expect("in range");
-            let col = self.solve(&e)?;
-            for i in 0..n {
-                out.set(i, j, col.get(i).expect("in range")).expect("in range");
-            }
-        }
-        Ok(out)
-    }
-
     /// log-determinant of the original matrix: `2·Σ log L[i][i]`. Stable for
     /// the large covariance matrices the distance workload builds.
     pub fn log_determinant(&self) -> f64 {
@@ -154,14 +139,6 @@ mod tests {
         let x_chol = CholeskyDecomposition::new(&a).unwrap().solve(&b).unwrap();
         let x_lu = a.solve(&b).unwrap();
         assert!(x_chol.approx_eq(&x_lu, 1e-8));
-    }
-
-    #[test]
-    fn inverse_matches_lu_inverse() {
-        let a = spd(5);
-        let inv_c = CholeskyDecomposition::new(&a).unwrap().inverse().unwrap();
-        let inv_l = a.inverse().unwrap();
-        assert!(inv_c.approx_eq(&inv_l, 1e-8));
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //! * register-tiled dense GEMM ([`Matrix::multiply`]) and matrix–vector
 //!   products,
 //! * LU factorization with partial pivoting ([`lu::LuDecomposition`]) for
-//!   `matrix_inverse` and `solve`,
+//!   `matrix_inverse` (every right-hand side substituted at once, a row at
+//!   a time) and `solve`,
 //! * Cholesky factorization ([`chol::CholeskyDecomposition`]) for symmetric
-//!   positive-definite systems (used by the least-squares workloads),
+//!   positive-definite systems (the comparator baselines' least-squares
+//!   solves; no SQL built-in uses it),
 //! * element-wise arithmetic with scalar broadcasting, exactly matching the
 //!   overloaded `+ - * /` semantics of the paper's SQL extension (§3.2),
 //! * the label machinery of §3.3 (`label_scalar`, `label_vector`,

@@ -8,8 +8,8 @@ use crate::error::{LaError, Result};
 use crate::matrix::Matrix;
 use crate::vector::Vector;
 
-/// Pivot magnitudes below this (relative to the column scale) are treated as
-/// exact zeros, i.e. the matrix is reported singular.
+/// Pivot magnitudes at or below this times the largest magnitude in the
+/// whole matrix are treated as exact zeros: the matrix is reported singular.
 const SINGULARITY_EPS: f64 = 1e-13;
 
 /// An LU factorization `P·A = L·U` of a square matrix, with partial
@@ -41,7 +41,7 @@ impl LuDecomposition {
         let mut sign = 1.0;
 
         // Scale of the whole matrix, for a relative singularity test.
-        let scale = lu.as_slice().iter().fold(0.0f64, |m, x| m.max(x.abs())).max(1.0);
+        let scale = lu.as_slice().iter().fold(0.0f64, |m, x| m.max(x.abs()));
 
         for col in 0..n {
             // Find the pivot row.
@@ -101,32 +101,42 @@ impl LuDecomposition {
         Ok(Vector::from_vec(x))
     }
 
-    /// Solves `A·X = B` column-by-column.
+    /// Solves `A·X = B` for every column of `B` at once.
     pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix> {
         let n = self.dim();
         if b.rows() != n {
-            return Err(LaError::DimMismatch {
-                op: "solve_matrix",
-                lhs: (n, n),
-                rhs: b.shape(),
-            });
+            return Err(LaError::DimMismatch { op: "solve_matrix", lhs: (n, n), rhs: b.shape() });
         }
         let cols = b.cols();
-        let mut out = Matrix::zeros(n, cols);
-        let mut work = vec![0.0; n];
-        for j in 0..cols {
-            for (i, &p) in self.perm.iter().enumerate() {
-                work[i] = b.as_slice()[p * cols + j];
-            }
-            self.solve_in_place(&mut work);
-            for i in 0..n {
-                out.as_mut_slice()[i * cols + j] = work[i];
+        let mut x: Vec<f64> = self.perm.iter().flat_map(|&p| b.row(p)).copied().collect();
+        // Row `i` takes `L[i,k]·row k`, then `U[i,k]·row k`, off itself for
+        // `k` ascending, a contiguous axpy. Each element still takes the
+        // multiplies, subtracts and division of `solve_in_place` in the same
+        // order, so every column agrees bit for bit with `solve`.
+        let lu = self.lu.as_slice();
+        let axpy = |xi: &mut [f64], f: f64, xk: &[f64]| {
+            xi.iter_mut().zip(xk).for_each(|(t, &v)| *t -= f * v)
+        };
+        // Forward: L·Y = P·B (L has unit diagonal).
+        for i in 1..n {
+            let (done, rest) = x.split_at_mut(i * cols);
+            for k in 0..i {
+                axpy(&mut rest[..cols], lu[i * n + k], &done[k * cols..][..cols]);
             }
         }
-        Ok(out)
+        // Back: U·X = Y.
+        for i in (0..n).rev() {
+            let (head, done) = x.split_at_mut((i + 1) * cols);
+            let xi = &mut head[i * cols..];
+            for k in (i + 1)..n {
+                axpy(xi, lu[i * n + k], &done[(k - i - 1) * cols..][..cols]);
+            }
+            xi.iter_mut().for_each(|t| *t /= lu[i * n + i]);
+        }
+        Matrix::from_vec(n, cols, x)
     }
 
-    /// Forward + back substitution on a permuted RHS.
+    /// Forward + back substitution on one permuted RHS, a dot product per row.
     fn solve_in_place(&self, x: &mut [f64]) {
         let n = self.dim();
         let lu = self.lu.as_slice();
@@ -259,5 +269,143 @@ mod tests {
         let a = Matrix::from_rows(&[&[4.0]]).unwrap();
         assert_eq!(a.solve(&Vector::from_slice(&[8.0])).unwrap().as_slice(), &[2.0]);
         assert!((a.determinant().unwrap() - 4.0).abs() < 1e-12);
+    }
+
+    /// The column-at-a-time `solve_matrix` this crate shipped until PR 25:
+    /// the oracle the row-oriented substitution must match bit for bit.
+    fn solve_matrix_by_columns(lu: &LuDecomposition, b: &Matrix) -> Matrix {
+        let n = lu.dim();
+        let cols = b.cols();
+        let mut out = Matrix::zeros(n, cols);
+        let mut work = vec![0.0; n];
+        for j in 0..cols {
+            for (i, &p) in lu.perm.iter().enumerate() {
+                work[i] = b.as_slice()[p * cols + j];
+            }
+            lu.solve_in_place(&mut work);
+            for i in 0..n {
+                out.as_mut_slice()[i * cols + j] = work[i];
+            }
+        }
+        out
+    }
+
+    /// Deterministic xorshift data in [-4, 4), so the tests need no RNG crate.
+    fn xorshift(seed: u64, len: usize) -> Vec<f64> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                ((x % 2000) as f64 - 1000.0) / 250.0
+            })
+            .collect()
+    }
+
+    /// `background` with `specials` planted at a stride of 11 (coprime to
+    /// every width below, so each lands in many rows and columns).
+    fn planted(mut background: Vec<f64>, specials: &[f64]) -> Vec<f64> {
+        for (slot, &v) in background.iter_mut().step_by(11).zip(specials.iter().cycle()) {
+            *slot = v;
+        }
+        background
+    }
+
+    /// Right-hand-side data of every operand class: plain, infinities and
+    /// NaN among plain values, and signed zeros among subnormals.
+    fn right_hand_sides(seed: u64, len: usize) -> [(&'static str, Vec<f64>); 3] {
+        let sub = f64::MIN_POSITIVE / 2.0;
+        [
+            ("plain", xorshift(seed, len)),
+            (
+                "inf/nan",
+                planted(xorshift(seed, len), &[f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 0.0]),
+            ),
+            ("zeros/subnormals", planted(vec![-0.0; len], &[5e-324, 0.0, -sub, sub, -5e-324])),
+        ]
+    }
+
+    /// One matrix that factors without a row swap and one whose tiny
+    /// diagonal makes partial pivoting swap at most steps.
+    fn operands(n: usize) -> [(&'static str, Matrix); 2] {
+        let dominant = Matrix::from_vec(n, n, xorshift(11 + n as u64, n * n)).unwrap();
+        let dominant = dominant.add(&Matrix::identity(n).scalar_mul(4.0 * n as f64)).unwrap();
+        let mut pivoting = Matrix::from_vec(n, n, xorshift(17 + n as u64, n * n)).unwrap();
+        for i in 0..n {
+            pivoting.as_mut_slice()[i * n + i] *= 1e-3;
+        }
+        [("dominant", dominant), ("pivoting", pivoting)]
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn row_substitution_is_bit_identical_to_the_column_oracle() {
+        for n in [1, 2, 7, 64, 129, 400] {
+            for (what, a) in operands(n) {
+                let lu = LuDecomposition::new(&a).unwrap();
+                if what == "pivoting" && n > 1 {
+                    let moved = lu.perm.iter().enumerate().filter(|&(i, &p)| i != p).count();
+                    assert!(2 * moved > n, "{what} n={n}: only {moved} rows moved");
+                }
+                for cols in [1, 3, n] {
+                    for (class, data) in right_hand_sides(n as u64 * 31 + cols as u64, n * cols) {
+                        let b = Matrix::from_vec(n, cols, data).unwrap();
+                        let got = lu.solve_matrix(&b).unwrap();
+                        let want = solve_matrix_by_columns(&lu, &b);
+                        assert_eq!(
+                            bits(got.as_slice()),
+                            bits(want.as_slice()),
+                            "{what} n={n} cols={cols} {class}"
+                        );
+                    }
+                }
+                let want = solve_matrix_by_columns(&lu, &Matrix::identity(n));
+                let got = lu.inverse().unwrap();
+                assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "{what} n={n} inverse");
+            }
+        }
+    }
+
+    #[test]
+    fn single_rhs_solve_is_bit_identical_to_solve_matrix() {
+        for n in [1, 2, 7, 64, 129, 400] {
+            for (what, a) in operands(n) {
+                let lu = LuDecomposition::new(&a).unwrap();
+                for (class, data) in right_hand_sides(n as u64 * 7, n) {
+                    let col = lu.solve_matrix(&Matrix::from_vec(n, 1, data.clone()).unwrap());
+                    let x = lu.solve(&Vector::from_vec(data)).unwrap();
+                    assert_eq!(
+                        bits(x.as_slice()),
+                        bits(col.unwrap().as_slice()),
+                        "{what} n={n} {class}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn small_well_conditioned_matrices_are_not_singular() {
+        // Each was `Singular` while the relative test's scale had a floor of 1.
+        for (s, a) in [
+            (2f64.powi(-50), Matrix::identity(4)),
+            (1e-300, Matrix::identity(2)),
+            (1e-14, well_conditioned(8)),
+        ] {
+            let n = a.rows();
+            let small = a.scalar_mul(s);
+            let inv = small.inverse().unwrap();
+            assert!(small.multiply(&inv).unwrap().approx_eq(&Matrix::identity(n), 1e-9));
+            assert!(inv.scalar_mul(s).approx_eq(&a.inverse().unwrap(), 1e-9));
+        }
+        // A zero matrix has scale 0 and stays singular.
+        assert!(matches!(
+            LuDecomposition::new(&Matrix::zeros(3, 3)),
+            Err(LaError::Singular { .. })
+        ));
     }
 }
