@@ -208,14 +208,14 @@ mod tests {
 
         // brute force
         let mut mins = vec![f64::INFINITY; n];
-        for i in 0..n {
+        for (i, min) in mins.iter_mut().enumerate() {
             let axi = a.matrix_vector_multiply(&x.row_vector(i).unwrap()).unwrap();
             for j in 0..n {
                 if i != j {
                     let v = x.row_vector(j).unwrap().inner_product(&axi).unwrap();
                     // d(i, j) as X·A·Xᵀ entry (i, j): row i of X·A times col j
                     // of Xᵀ — same as x_j · (A·x_i) because A is symmetric.
-                    mins[i] = mins[i].min(v);
+                    *min = min.min(v);
                 }
             }
         }

@@ -94,9 +94,10 @@ impl MemoryGovernor {
 
     /// Reserve `bytes` unconditionally, even past the budget. Used at the
     /// recursion floor of the grace join (a bucket that will not shrink no
-    /// matter how often we re-partition it): better to overcommit and finish
-    /// than to loop forever. Counts `mem.overcommits` when it actually
-    /// exceeds the budget.
+    /// matter how often we re-partition it) and for a cross product's
+    /// build, which hashing cannot split at all: better to overcommit and
+    /// finish than to loop forever. Counts `mem.overcommits` when it
+    /// actually exceeds the budget.
     pub fn force_reserve(self: &Arc<Self>, bytes: u64) -> MemoryReservation {
         self.add_forced(bytes);
         MemoryReservation::attributed(Arc::clone(self), bytes)

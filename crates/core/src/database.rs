@@ -1587,7 +1587,7 @@ mod tests {
             // SHOW and SELECT read one definition of the relation.
             let columns = |sql: String| -> Vec<(String, DataType)> {
                 let schema = db.query(&sql).unwrap().schema;
-                schema.columns().iter().map(|c| (c.name.clone(), c.dtype.clone())).collect()
+                schema.columns().iter().map(|c| (c.name.clone(), c.dtype)).collect()
             };
             assert_eq!(columns(format!("SHOW {name}")), columns(format!("SELECT * FROM {name}")));
         }

@@ -131,8 +131,8 @@ fn chaos_counters_surface_in_show_metrics() {
 }
 
 /// Cancellation latency: a KILL delivered mid-flight to a long-running
-/// cross join must abort the query promptly (the executor's scan,
-/// nested-loop, and fused join-aggregate loops all poll the token), and
+/// cross join must abort the query promptly (the executor's scan, join
+/// probe, and fused join-aggregate loops all poll the token), and
 /// the governor ledger must return to zero — no leaked reservations. The
 /// same holds for a fused hash join whose probe side is short but whose
 /// every row matches every build row: the token is polled per chunk of
@@ -197,5 +197,54 @@ fn cancellation_latency_is_bounded() {
             0,
             "governor ledger must be zero after a cancelled query ({sql})"
         );
+    }
+}
+
+/// The same bound without an aggregate on top: the unfused probe polls the
+/// token every few thousand matched pairs, so KILL waits out neither a
+/// morsel of a cross product nor a morsel of probe rows that each match
+/// 8 000 build rows. Both residuals reject every pair, so no output piles
+/// up while the join runs.
+#[test]
+fn unfused_join_cancellation_is_bounded() {
+    use std::time::{Duration, Instant};
+
+    let db = Database::with_config(DatabaseConfig {
+        workers: 2,
+        pool_workers: Some(2),
+        mem: Some(8),
+        ..DatabaseConfig::default()
+    });
+    let governor = std::sync::Arc::clone(db.memory().governor());
+    db.execute("CREATE TABLE big (a INTEGER, b DOUBLE)").unwrap();
+    let vals: Vec<String> = (0..600).map(|i| format!("({i}, {}.5)", i % 50)).collect();
+    db.execute(&format!("INSERT INTO big VALUES {}", vals.join(", "))).unwrap();
+    db.execute("CREATE TABLE skew (k INTEGER, a INTEGER)").unwrap();
+    let vals: Vec<String> = (0..8000).map(|i| format!("(7, {i})")).collect();
+    db.execute(&format!("INSERT INTO skew VALUES {}", vals.join(", "))).unwrap();
+
+    for sql in [
+        "SELECT x.a FROM big AS x, big AS y, big AS z WHERE x.b + y.b + z.b < 0.0",
+        "SELECT x.a FROM skew AS x, skew AS y WHERE x.k = y.k AND x.a + y.a < 0",
+    ] {
+        let cancel = lardb::CancelToken::new();
+        let (worker_cancel, worker_db) = (cancel.clone(), db.clone());
+        let worker = std::thread::spawn(move || {
+            worker_db.run(lardb::Source::Sql(sql), Some(&worker_cancel), None)
+        });
+        std::thread::sleep(Duration::from_millis(300));
+        cancel.cancel();
+        let killed_at = Instant::now();
+        let result = worker.join().unwrap();
+        let latency = killed_at.elapsed();
+        match result {
+            Err(lardb::EngineError::Exec(e)) => assert!(
+                e.to_string().contains("cancel") || e.to_string().contains("abort"),
+                "expected a cancellation error, got: {e} ({sql})"
+            ),
+            other => panic!("expected Exec(Cancelled), got {other:?} ({sql})"),
+        }
+        assert!(latency < Duration::from_secs(2), "cancellation took {latency:?} ({sql})");
+        assert_eq!(governor.reserved(), 0, "governor ledger not zero after KILL ({sql})");
     }
 }

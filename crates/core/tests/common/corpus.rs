@@ -44,6 +44,14 @@ pub const SKEW_GROUPS: &str = "SELECT g, COUNT(*) AS c, SUM(k) AS s FROM skew GR
 /// than a 1 MiB budget — the spilling aggregate path.
 pub const FAT_GROUPS: &str = "SELECT payload, COUNT(*) AS c FROM fat GROUP BY payload";
 
+/// Cross products whose build side, the right input, is all of `fat` with
+/// its payloads: over 1 MiB on one worker, and not splittable by hashing
+/// the empty key. One feeds rows, one feeds an aggregate.
+pub const FAT_CROSS: &str = "SELECT a.id, b.payload, a.v * b.v AS p FROM fat AS a, fat AS b
+     WHERE a.id < 3 AND b.id < a.id + 2";
+pub const FAT_CROSS_SUM: &str = "SELECT a.id, SUM(a.v * b.v) AS s, COUNT(*) AS c
+     FROM fat AS a, fat AS b WHERE a.id < 3 AND a.payload <> b.payload GROUP BY a.id";
+
 /// The tile join: tiled SpGEMM + SUM mixing. It repartitions both tables'
 /// cells; over 6 × 6 dense tiles it is the paper's §3.4 chunked multiply
 /// whose build side and 36 running sums both exceed 1 MiB.
@@ -126,6 +134,8 @@ pub static CORPUS: &[Entry] = &[
             // when nothing needs to spill.
             "SELECT g, COUNT(*) AS c, SUM(v) AS s FROM fat GROUP BY g",
             "SELECT COUNT(*) AS n FROM fat",
+            FAT_CROSS,
+            FAT_CROSS_SUM,
         ],
         &[],
     ),
@@ -178,9 +188,9 @@ pub static CORPUS: &[Entry] = &[
              WHERE a.id = e.x GROUP BY a.g",
             "SELECT COUNT(*) AS c, SUM(e.y) AS sy FROM t AS a, empty AS e WHERE a.id = e.x",
             // Join residuals, evaluated on the pair chunk ahead of the
-            // chain: under a hash join; under a nested loop, NULL on the
-            // pairs with a NULL `v`; and one that rejects every pair of most
-            // 16-pair chunks.
+            // chain: under a keyed hash join; under a cross product, NULL on
+            // the pairs with a NULL `v`; and one that rejects every pair of
+            // most 16-pair chunks.
             "SELECT a.g, SUM(a.v * b.v) AS s, COUNT(*) AS c FROM t AS a, t AS b
              WHERE a.g = b.g AND a.id <> b.id GROUP BY a.g",
             "SELECT a.g, COUNT(*) AS c, SUM(a.v + b.v) AS s FROM t AS a, t AS b

@@ -11,7 +11,7 @@
 mod common;
 
 use common::compare::{assert_clean, check, exact_rows, metric, sweep};
-use common::corpus::{self, FAT_GROUPS, TILE_JOIN, WIDE_NAN_GROUPS};
+use common::corpus::{self, FAT_CROSS, FAT_CROSS_SUM, FAT_GROUPS, TILE_JOIN, WIDE_NAN_GROUPS};
 use common::fixtures::{tile_table, Fixture, TILE};
 use common::lattice::{self, at, cell, Cell};
 use lardb::Database;
@@ -71,6 +71,35 @@ fn chunked_matmul_spills_and_matches_unbounded() {
         if workers == 1 {
             assert!(runs[0].spilled() > 0, "W=1 chunked matmul did not spill under 1 MiB");
         }
+    }
+}
+
+/// A cross product is the hash join on the empty key, and hashing cannot
+/// split that build side, so under 1 MiB it is reserved past the budget
+/// instead of spilled: the rows, order and float bits of the unbounded run,
+/// no spill, and at W=1 — where the build side is all of `fat` — the whole
+/// footprint on the governor's ledger while the join runs, none after.
+/// `FAT_CROSS` builds on `fat`'s `id`, `v` and `payload`, whose payload
+/// bytes bound that footprint from below.
+#[test]
+fn cross_products_are_accounted_not_spilled() {
+    let statements = corpus::named(&[FAT_CROSS, FAT_CROSS_SUM]);
+    let build = Fixture::Fat.open(&at(1, Pointer, None)).query("SELECT id, v, payload FROM fat");
+    let payload: usize = build.unwrap().rows.iter().map(lardb::Row::byte_size).sum();
+    for workers in [1usize, 4] {
+        let [unbounded, budgeted] = [None, Some(1)].map(|mem| {
+            let cell = at(workers, Pointer, mem);
+            let db = Fixture::Fat.open(&cell);
+            (cell, db)
+        });
+        let governor = std::sync::Arc::clone(budgeted.1.memory().governor());
+        let runs = check(&statements, unbounded, vec![budgeted]);
+        assert_eq!(runs[0].spilled(), 0, "W={workers}: a cross product spilled");
+        if workers == 1 {
+            let peak = governor.peak();
+            assert!(peak >= payload as u64 && peak > 1 << 20, "peak {peak} B, build {payload} B");
+        }
+        assert_eq!(governor.reserved(), 0, "W={workers}");
     }
 }
 

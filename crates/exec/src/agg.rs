@@ -1310,7 +1310,8 @@ mod tests {
     #[test]
     fn key_equality_folds_zeros_and_nans_only() {
         let mut t = KeyTable::new();
-        let mut group = |v: Value| t.group_of(hash_values(&[v.clone()]), &[v]).unwrap();
+        let mut group =
+            |v: Value| t.group_of(hash_values(std::slice::from_ref(&v)), &[v]).unwrap();
         assert_eq!(group(Value::Double(-0.0)), 0);
         assert_eq!(group(Value::Double(0.0)), 0);
         assert_eq!(group(Value::Integer(0)), 0);
@@ -1382,8 +1383,9 @@ mod tests {
     /// bits of small integers stored as `f64` bits all zero.
     #[test]
     fn patterned_keys_probe_short() {
+        type Keys = Box<dyn Iterator<Item = Vec<Value>>>;
         let ints = |step: i64| (0..4096i64).map(move |i| vec![Value::Integer(i * step)]);
-        let patterns: Vec<(&str, Box<dyn Iterator<Item = Vec<Value>>>)> = vec![
+        let patterns: Vec<(&str, Keys)> = vec![
             ("0..4096 as I64", Box::new(ints(1))),
             ("0..4096 as F64", Box::new((0..4096).map(|i| vec![Value::Double(i as f64)]))),
             ("multiples of 1024", Box::new(ints(1024))),

@@ -198,7 +198,7 @@ impl ColumnBatch {
         Some(ColumnBatch { cols, len: n })
     }
 
-    /// Pivots matched join pairs `(build row, probe row)` into the batch
+    /// Pivots matched join pairs `(left row, right row)` into the batch
     /// [`Self::from_rows`] would build from the concatenated rows — the
     /// same `Col` variants, validity and bits, column for column —
     /// without materializing one. Returns `None` when either side is

@@ -7,10 +7,12 @@
 //!   every exchange kind is routed once into `routed[from][to]` buckets
 //!   and assembled once, and the transport mode only picks the carrier of
 //!   a boundary-crossing bucket (handed over, or encoded → mesh → decoded);
-//! * a join table is probed in `probe_matches` (key evaluation + lookup):
-//!   the fused join→aggregate buffers the matches as pairs, and
-//!   `probe_join_table` concatenates them for the morselized probe and
-//!   the grace join, which must produce rows;
+//! * a join table is built in `prepare_build` (reserve, else spill) and
+//!   probed in `probe_matches` (key evaluation + lookup): the fused
+//!   join→aggregate buffers the matches as pairs, and `joined_row`
+//!   concatenates them for the morselized probe and the grace join, which
+//!   must produce rows. A cross product is the join on the empty key,
+//!   built on its right side (`BuildOn`);
 //! * chunks enter an aggregate on the compiled path through
 //!   `ChunkPipeline::aggregate`, as rows from a materialized child or as
 //!   matched pairs from the fused join→aggregate producer — no `Row` is
@@ -49,7 +51,7 @@ use crate::stats::{
 };
 use crate::{ExecError, Result};
 
-/// How often tight row loops (nested-loop join pairs, probe rows, scan
+/// How often tight row loops (matched join pairs, probe rows, scan
 /// re-deals) re-check the cancel token: every this many iterations. Cheap
 /// enough to be noise, frequent enough that a KILL lands in milliseconds.
 /// The fused join→aggregate also polls at every chunk it cuts.
@@ -327,67 +329,17 @@ impl<'a> Executor<'a> {
                 self.record_spill(plan, stats, t0, &out, ShuffleStats::default(), spill);
                 out
             }
-            PhysicalPlan::NestedLoopJoin { left, right, residual, .. } => {
-                let l = self.run(left, stats)?;
-                let r = self.run(right, stats)?;
-                let t0 = Instant::now();
-                // Morselize the outer (left) side; every morsel scans the
-                // whole co-partitioned right side. A morsel here can run
-                // for a long time (|morsel| × |right| pairs), so the
-                // cancel token is checked per outer row, not only at the
-                // morsel boundary — a KILL must not wait out a cross join.
-                let cancel = self.cluster.cancel_token().clone();
-                let morsels = self.cluster.morsel_map(l, |p, lrows| {
-                    let rp = &r[p];
-                    let mut rows = Vec::new();
-                    let mut pairs = 0usize;
-                    let mut scratch = Vec::new();
-                    for lr in &lrows {
-                        if cancel.is_cancelled() {
-                            return Err(ExecError::Cancelled(
-                                "nested-loop join cancelled".into(),
-                            ));
-                        }
-                        for rr in rp {
-                            // One outer row against a huge inner side is
-                            // still one iteration of the outer check, so
-                            // re-check every CANCEL_CHECK_PAIRS pairs.
-                            pairs += 1;
-                            if pairs.is_multiple_of(CANCEL_CHECK_PAIRS) && cancel.is_cancelled() {
-                                return Err(ExecError::Cancelled(
-                                    "nested-loop join cancelled".into(),
-                                ));
-                            }
-                            let joined = lr.concat(rr);
-                            if let Some(res) = residual {
-                                if !eval_predicate_with(res, &joined, &mut scratch)? {
-                                    continue;
-                                }
-                            }
-                            rows.push(joined);
-                        }
-                    }
-                    Ok(rows)
-                })?;
-                let out = flatten_morsels(morsels);
-                self.record(plan, stats, t0, &out, ShuffleStats::default());
-                out
-            }
             PhysicalPlan::HashAggregate { input, group_by, aggs, mode, .. } => {
                 if matches!(mode, AggMode::Partial | AggMode::Complete) {
                     // Any Filter/Project chain under the aggregate runs
                     // inside its chunk pipeline.
                     let (chain, base) = peel_chain(input);
-                    let on_join = matches!(
-                        base,
-                        PhysicalPlan::HashJoin { .. } | PhysicalPlan::NestedLoopJoin { .. }
-                    );
                     // Pipelined join→aggregate fusion: stream joined rows
                     // into the pipeline in chunks instead of materializing
                     // them — the combiner structure SimSQL's MapReduce
                     // substrate provides, and the only way the tuple-based
                     // workloads survive realistic scales.
-                    if self.fuse && on_join {
+                    if self.fuse && matches!(base, PhysicalPlan::HashJoin { .. }) {
                         return self.run_fused_aggregate(
                             plan, group_by, aggs, *mode, &chain, base, stats,
                         );
@@ -451,14 +403,15 @@ impl<'a> Executor<'a> {
     }
 
     /// Hash join with out-of-core fallback. Each partition's build side
-    /// first asks the memory governor for a reservation sized to its rows;
-    /// granted partitions build and probe exactly as before (morselized
-    /// probe). A denied partition runs as a Grace join: the build rows fan
-    /// out into hashed spill buckets on disk, the probe rows are routed to
-    /// the same buckets (tagged with their original position), and each
-    /// bucket joins independently — recursively re-partitioning while its
-    /// rows still exceed the budget. Output rows are restored to exact
-    /// probe order, so the result is bit-identical to the in-memory path.
+    /// is prepared by [`prepare_build`]: resident partitions probe
+    /// morselized, polling the cancel token every [`CANCEL_CHECK_PAIRS`]
+    /// matched pairs, since one morsel against a large build side (a
+    /// skewed key, a cross product) is many pairs. A spilled partition
+    /// runs as a Grace join: the probe rows are routed to the build's
+    /// buckets (tagged with their original position), and each bucket
+    /// joins independently — recursively re-partitioning while its rows
+    /// still exceed the budget. Output rows are restored to exact probe
+    /// order, so the result is bit-identical to the in-memory path.
     fn hash_join(
         &self,
         l: Parts,
@@ -468,60 +421,50 @@ impl<'a> Executor<'a> {
         residual: Option<&Expr>,
     ) -> Result<(Parts, SpillStats)> {
         let mem = &self.mem;
+        let on = BuildOn::of(left_keys);
+        let (build, probe) = on.split(l, r);
+        let (build_keys, probe_keys) = on.split(left_keys, right_keys);
         // Build phase: one hash table (or spilled bucket set) per partition
-        // (partition-granular; the build side is the smaller input and a
-        // shared-table build would need synchronization).
-        let prepped: Vec<(BuildSide, SpillStats)> =
-            self.cluster.par_map(l, |_, lp| {
-                let mut spill = SpillStats::default();
-                let footprint = rows_footprint(&lp);
-                match mem.governor().try_reserve(footprint) {
-                    Some(res) => Ok((
-                        BuildSide::InMem {
-                            table: build_join_table(lp, left_keys)?,
-                            _res: res,
-                        },
-                        spill,
-                    )),
-                    None => {
-                        let buckets =
-                            spill_build_buckets(lp, left_keys, mem, 0, &mut spill)?;
-                        Ok((BuildSide::Spilled { buckets }, spill))
-                    }
-                }
-            })?;
+        // (partition-granular; a shared-table build would need
+        // synchronization).
+        let prepped: Vec<(BuildSide, SpillStats)> = self.cluster.par_map(build, |_, bp| {
+            let mut spill = SpillStats::default();
+            Ok((prepare_build(bp, build_keys, mem, 0, &mut spill)?, spill))
+        })?;
         // Probe rows for spilled partitions are held aside; in-memory
-        // partitions go through the unchanged morselized probe.
-        let mut probe_parts: Parts = Vec::with_capacity(r.len());
-        let mut grace_probe: Vec<Vec<Row>> = Vec::with_capacity(r.len());
-        for (p, rp) in r.into_iter().enumerate() {
+        // partitions go through the morselized probe.
+        let mut probe_parts: Parts = Vec::with_capacity(probe.len());
+        let mut grace_probe: Vec<Vec<Row>> = Vec::with_capacity(probe.len());
+        for (p, pp) in probe.into_iter().enumerate() {
             match prepped.get(p).map(|(side, _)| side) {
                 Some(BuildSide::Spilled { .. }) => {
                     probe_parts.push(Vec::new());
-                    grace_probe.push(rp);
+                    grace_probe.push(pp);
                 }
                 _ => {
-                    probe_parts.push(rp);
+                    probe_parts.push(pp);
                     grace_probe.push(Vec::new());
                 }
             }
         }
+        let cancel = self.cluster.cancel_token();
         let morsels = self.cluster.morsel_map(probe_parts, |p, rows| {
-            match &prepped[p].0 {
-                BuildSide::InMem { table, .. } => {
-                    let mut out = Vec::new();
-                    let mut scratch = Vec::new();
-                    for r in &rows {
-                        probe_join_table(table, r, right_keys, residual, &mut scratch, |j| {
-                            out.push(j);
-                            Ok(())
-                        })?;
+            // Spilled partitions got an empty probe vector above.
+            let BuildSide::InMem { table, .. } = &prepped[p].0 else { return Ok(Vec::new()) };
+            let mut out = Vec::new();
+            let mut scratch = Vec::new();
+            let mut pairs = 0usize;
+            for pr in &rows {
+                for (br, _) in probe_matches(table, pr, probe_keys, &mut scratch)? {
+                    pairs += 1;
+                    if pairs.is_multiple_of(CANCEL_CHECK_PAIRS) && cancel.is_cancelled() {
+                        return Err(ExecError::Cancelled("hash join cancelled".into()));
                     }
-                    Ok(out)
+                    let (lr, rr) = on.split(br, pr);
+                    out.extend(joined_row(lr, rr, residual, &mut scratch)?);
                 }
-                // Spilled partitions got an empty probe vector above.
-                BuildSide::Spilled { .. } => Ok(Vec::new()),
             }
+            Ok(out)
         })?;
         let mut out = flatten_morsels(morsels);
         // Grace phase: spilled partitions join bucket-by-bucket, in
@@ -537,7 +480,7 @@ impl<'a> Executor<'a> {
         if !jobs.is_empty() {
             let results = self.cluster.par_map(jobs, |_, (p, buckets, probe)| {
                 let (rows, spill) = grace_join_partition(
-                    buckets, probe, left_keys, right_keys, residual, mem,
+                    buckets, probe, build_keys, probe_keys, residual, mem,
                 )?;
                 Ok((p, rows, spill))
             })?;
@@ -551,11 +494,11 @@ impl<'a> Executor<'a> {
 
     /// Pipelined join→aggregate execution: the join is a producer for the
     /// same chunk pipeline a scan-fed aggregate uses, and no `Row` is built
-    /// between the probe and the aggregate. Both in-memory arms buffer
-    /// matched `(build row, probe row)` pairs — the build rows stay owned
-    /// by the join table, the probe rows by the partition — cut a chunk at
+    /// between the probe and the aggregate. The in-memory arm buffers
+    /// matched `(left row, right row)` pairs — the build rows stay owned
+    /// by the join table, the probe rows by the partition — cuts a chunk at
     /// `batch_rows` pairs or [`CHUNK_BYTES`] buffered bytes, whichever
-    /// comes first, and hand it to the pipeline, which pivots the pairs
+    /// comes first, and hands it to the pipeline, which pivots the pairs
     /// straight into columns and runs the join residual as the chunk's
     /// first filter, then the Filter/Project chain and the aggregate's
     /// programs into the hash table. Chunks are therefore cut *before* the
@@ -585,13 +528,12 @@ impl<'a> Executor<'a> {
             spill: SpillStats,
         }
 
-        let (left, right, residual) = match join {
-            PhysicalPlan::HashJoin { left, right, residual, .. }
-            | PhysicalPlan::NestedLoopJoin { left, right, residual, .. } => {
-                (left, right, residual.as_ref())
-            }
-            other => unreachable!("not a join: {}", other.label()),
+        let PhysicalPlan::HashJoin { left, right, left_keys, right_keys, residual, .. } = join else {
+            unreachable!("not a join: {}", join.label())
         };
+        let residual = residual.as_ref();
+        let on = BuildOn::of(left_keys);
+        let (build_keys, probe_keys) = on.split(left_keys.as_slice(), right_keys);
         let l = self.run(left, stats)?;
         let r = self.run(right, stats)?;
         // No per-chunk kernel spans here: a join feeds chunks in proportion
@@ -625,74 +567,20 @@ impl<'a> Executor<'a> {
 
             let mut scratch: Vec<Value> = Vec::new();
             let mut bytes = 0usize;
-            match join {
-                PhysicalPlan::HashJoin { left_keys, right_keys, .. } => {
-                    match mem.governor().try_reserve(rows_footprint(&lp)) {
-                        Some(_res) => {
-                            let table = build_join_table(lp, left_keys)?;
-                            let mut pairs: Vec<(&Row, &Row)> = Vec::new();
-                            for (i, r) in rp.iter().enumerate() {
-                                // Probe rows that match nothing cut no chunk.
-                                if (i + 1).is_multiple_of(CANCEL_CHECK_PAIRS)
-                                    && cancel.is_cancelled()
-                                {
-                                    return Err(fused_cancelled());
-                                }
-                                let matches = probe_matches(&table, r, right_keys, &mut scratch)?;
-                                let r_bytes = if matches.is_empty() { 0 } else { r.byte_size() };
-                                for (l, l_bytes) in matches {
-                                    pairs.push((l, r));
-                                    bytes += l_bytes + r_bytes;
-                                    if full(pairs.len(), bytes) {
-                                        feed(Chunk::Pairs(&pairs))?;
-                                        pairs.clear();
-                                        bytes = 0;
-                                    }
-                                }
-                            }
-                            feed(Chunk::Pairs(&pairs))?;
-                        }
-                        None => {
-                            // Out-of-core fused join: grace-join the
-                            // partition, then stream the joined rows into
-                            // the aggregate in exact probe order, so the
-                            // result stays bit-identical to the in-memory
-                            // fused path.
-                            let buckets = spill_build_buckets(
-                                lp, left_keys, mem, 0, &mut spill,
-                            )?;
-                            let (joined, sp) = grace_join_partition(
-                                buckets, rp, left_keys, right_keys, residual, mem,
-                            )?;
-                            spill.merge(sp);
-                            let mut start = 0;
-                            for (i, row) in joined.iter().enumerate() {
-                                bytes += row.byte_size();
-                                if full(i + 1 - start, bytes) {
-                                    feed(Chunk::Rows(&joined[start..=i]))?;
-                                    start = i + 1;
-                                    bytes = 0;
-                                }
-                            }
-                            feed(Chunk::Rows(&joined[start..]))?;
-                        }
-                    }
-                }
-                PhysicalPlan::NestedLoopJoin { .. } => {
-                    // Same discipline as the unfused nested-loop join: a
-                    // KILL must not wait out a cross join, so re-check the
-                    // token per outer row (an empty inner side cuts no
-                    // chunk) on top of the poll at every cut.
-                    let r_bytes: Vec<usize> = rp.iter().map(Row::byte_size).collect();
+            let (bp, pp) = on.split(lp, rp);
+            match prepare_build(bp, build_keys, mem, 0, &mut spill)? {
+                BuildSide::InMem { table, _res } => {
                     let mut pairs: Vec<(&Row, &Row)> = Vec::new();
-                    for l in &lp {
-                        if cancel.is_cancelled() {
+                    for (i, pr) in pp.iter().enumerate() {
+                        // Probe rows that match nothing cut no chunk.
+                        if (i + 1).is_multiple_of(CANCEL_CHECK_PAIRS) && cancel.is_cancelled() {
                             return Err(fused_cancelled());
                         }
-                        let l_bytes = l.byte_size();
-                        for (r, r_bytes) in rp.iter().zip(&r_bytes) {
-                            pairs.push((l, r));
-                            bytes += l_bytes + r_bytes;
+                        let matches = probe_matches(&table, pr, probe_keys, &mut scratch)?;
+                        let p_bytes = if matches.is_empty() { 0 } else { pr.byte_size() };
+                        for (br, b_bytes) in matches {
+                            pairs.push(on.split(br, pr));
+                            bytes += b_bytes + p_bytes;
                             if full(pairs.len(), bytes) {
                                 feed(Chunk::Pairs(&pairs))?;
                                 pairs.clear();
@@ -702,7 +590,26 @@ impl<'a> Executor<'a> {
                     }
                     feed(Chunk::Pairs(&pairs))?;
                 }
-                other => unreachable!("not a join: {}", other.label()),
+                BuildSide::Spilled { buckets } => {
+                    // Out-of-core fused join: grace-join the partition,
+                    // then stream the joined rows into the aggregate in
+                    // exact probe order, so the result stays bit-identical
+                    // to the in-memory fused path.
+                    let (joined, sp) = grace_join_partition(
+                        buckets, pp, build_keys, probe_keys, residual, mem,
+                    )?;
+                    spill.merge(sp);
+                    let mut start = 0;
+                    for (i, row) in joined.iter().enumerate() {
+                        bytes += row.byte_size();
+                        if full(i + 1 - start, bytes) {
+                            feed(Chunk::Rows(&joined[start..=i]))?;
+                            start = i + 1;
+                            bytes = 0;
+                        }
+                    }
+                    feed(Chunk::Rows(&joined[start..]))?;
+                }
             }
             let total_ns = t_start.elapsed().as_nanos() as u64;
             Ok(PartOut {
@@ -1074,7 +981,7 @@ impl BatchMeter {
 type VecChunkState = (Vec<Arc<Col>>, Option<Vec<u32>>, bool, usize, Vec<u64>);
 
 /// A chunk entering the pipeline: materialized rows, or a fused join's
-/// matched `(build row, probe row)` pairs, which stand for their
+/// matched `(left row, right row)` pairs, which stand for their
 /// concatenation without having been concatenated.
 #[derive(Clone, Copy)]
 enum Chunk<'a> {
@@ -1117,7 +1024,7 @@ fn lane(sel: Option<&[u32]>, k: usize) -> usize {
 /// programs, with the meters every chunk reports into. Shared by all
 /// workers of one operator. Two pivots, one pipeline: a [`Chunk`] of rows
 /// (a scan-fed morsel, the grace join's output) or of matched pairs (the
-/// fused join→aggregate's in-memory arms) becomes the same column batch
+/// fused join→aggregate's in-memory arm) becomes the same column batch
 /// and runs the same stage loop, aggregate-update loop and interpreter
 /// replay.
 struct ChunkPipeline<'p> {
@@ -1443,12 +1350,43 @@ fn flatten_morsels(morsels: Vec<Vec<Vec<Row>>>) -> Parts {
 /// byte-cut chunks.
 type JoinTable = HashMap<CompositeKey, Vec<(Row, usize)>>;
 
+/// Which input a hash join builds its table on. Keyed joins build on the
+/// left. A join on the empty key — the cross product — builds on the right
+/// and probes with the left: every build row lands in the one bucket in
+/// partition order, so the morselized left side emits its `(l, r)` pairs
+/// left-major, a nested loop's order over the same morsels and chunk cuts.
+#[derive(Clone, Copy)]
+enum BuildOn {
+    Left,
+    Right,
+}
+
+impl BuildOn {
+    fn of(left_keys: &[Expr]) -> Self {
+        if left_keys.is_empty() {
+            BuildOn::Right
+        } else {
+            BuildOn::Left
+        }
+    }
+
+    /// `(build, probe)` of a `(left, right)` pair and — the swap being its
+    /// own inverse — `(left, right)` of a `(build, probe)` pair.
+    fn split<T>(self, left: T, right: T) -> (T, T) {
+        match self {
+            BuildOn::Left => (left, right),
+            BuildOn::Right => (right, left),
+        }
+    }
+}
+
 /// Hash-join build phase: one partition's build side keyed for probing.
-fn build_join_table(left: Vec<Row>, left_keys: &[Expr]) -> Result<JoinTable> {
-    let mut table = JoinTable::with_capacity(left.len());
+fn build_join_table(build: Vec<Row>, keys: &[Expr]) -> Result<JoinTable> {
+    // The empty key is one bucket, however many rows it holds.
+    let mut table = JoinTable::with_capacity(if keys.is_empty() { 1 } else { build.len() });
     let mut scratch = Vec::new();
-    for r in left {
-        if let Some(key) = join_key(&r, left_keys, &mut scratch)? {
+    for r in build {
+        if let Some(key) = join_key(&r, keys, &mut scratch)? {
             let bytes = r.byte_size();
             table.entry(key).or_default().push((r, bytes));
         }
@@ -1458,39 +1396,31 @@ fn build_join_table(left: Vec<Row>, left_keys: &[Expr]) -> Result<JoinTable> {
 
 /// The build rows one probe-side row matches, in build order: its key
 /// evaluated and looked up. The one probe-key loop — the fused
-/// join→aggregate buffers the matches as pairs, [`probe_join_table`]
+/// join→aggregate buffers the matches as pairs, [`joined_row`]
 /// concatenates them.
 fn probe_matches<'t>(
     table: &'t JoinTable,
-    r: &Row,
-    right_keys: &[Expr],
+    probe: &Row,
+    probe_keys: &[Expr],
     scratch: &mut Vec<Value>,
 ) -> Result<&'t [(Row, usize)]> {
-    let key = join_key(r, right_keys, scratch)?;
+    let key = join_key(probe, probe_keys, scratch)?;
     Ok(key.and_then(|k| table.get(&k)).map_or(&[], Vec::as_slice))
 }
 
-/// Hash-join probe for the consumers that must *produce* joined rows (the
-/// morselized probe and the grace join): every match of `r` that passes
-/// the residual is concatenated and handed to `emit`, in build order.
-fn probe_join_table(
-    table: &JoinTable,
+/// The joined row `l ++ r` for the consumers that must *produce* rows (the
+/// morselized probe and the grace join), if it passes the residual.
+fn joined_row(
+    l: &Row,
     r: &Row,
-    right_keys: &[Expr],
     residual: Option<&Expr>,
     scratch: &mut Vec<Value>,
-    mut emit: impl FnMut(Row) -> Result<()>,
-) -> Result<()> {
-    for (l, _) in probe_matches(table, r, right_keys, scratch)? {
-        let joined = l.concat(r);
-        if let Some(res) = residual {
-            if !eval_predicate_with(res, &joined, scratch)? {
-                continue;
-            }
-        }
-        emit(joined)?;
+) -> Result<Option<Row>> {
+    let joined = l.concat(r);
+    match residual {
+        Some(res) if !eval_predicate_with(res, &joined, scratch)? => Ok(None),
+        _ => Ok(Some(joined)),
     }
-    Ok(())
 }
 
 /// A prepared hash-join build partition: resident (holding its memory
@@ -1501,6 +1431,32 @@ enum BuildSide {
         _res: MemoryReservation,
     },
     Spilled { buckets: Vec<SpillFile> },
+}
+
+/// The one build preparation: `rows` become a resident table under a
+/// reservation of their footprint or, when the governor denies it, fan out
+/// into hashed spill buckets under `level`'s salt. Hashing cannot split an
+/// empty-key build, nor a bucket at [`MAX_SPILL_DEPTH`] (a duplicate-heavy
+/// key set), so a denied one of those overcommits and stays resident
+/// rather than loop.
+fn prepare_build(
+    rows: Vec<Row>,
+    keys: &[Expr],
+    mem: &MemoryConfig,
+    level: usize,
+    spill: &mut SpillStats,
+) -> Result<BuildSide> {
+    let gov = mem.governor();
+    let footprint = rows_footprint(&rows);
+    let res = match gov.try_reserve(footprint) {
+        Some(res) => res,
+        None if keys.is_empty() || level >= MAX_SPILL_DEPTH => gov.force_reserve(footprint),
+        None => {
+            let buckets = spill_build_buckets(rows, keys, mem, level, spill)?;
+            return Ok(BuildSide::Spilled { buckets });
+        }
+    };
+    Ok(BuildSide::InMem { table: build_join_table(rows, keys)?, _res: res })
 }
 
 /// Bytes a materialized row set is charged against the governor: payload
@@ -1585,7 +1541,8 @@ fn spill_build_buckets(
 /// Joins one spilled partition: probe rows are tagged with their original
 /// position, routed to the build's buckets, joined bucket-by-bucket
 /// (recursing while a bucket still exceeds the budget), and the output
-/// restored to exact probe order.
+/// restored to exact probe order. Only keyed joins spill, and they build
+/// on the left.
 fn grace_join_partition(
     buckets: Vec<SpillFile>,
     probe: Vec<Row>,
@@ -1636,36 +1593,29 @@ fn grace_bucket(
     spill.bytes_read += file.bytes() as usize;
     drop(file); // delete before building: halves peak disk usage
     let mut scratch = Vec::new();
-    let footprint = rows_footprint(&rows);
-    let _res = match mem.governor().try_reserve(footprint) {
-        Some(res) => res,
-        None if level < MAX_SPILL_DEPTH => {
-            // Still too big: re-partition under the next level's salt.
-            let sub = spill_build_buckets(rows, left_keys, mem, level, spill)?;
-            let fanout = sub.len();
+    match prepare_build(rows, left_keys, mem, level, spill)? {
+        BuildSide::InMem { table, _res } => {
+            for (i, r) in &probes {
+                for (l, _) in probe_matches(&table, r, right_keys, &mut scratch)? {
+                    out.extend(joined_row(l, r, residual, &mut scratch)?.map(|j| (*i, j)));
+                }
+            }
+        }
+        // Still too big: re-partitioned under this level's salt.
+        BuildSide::Spilled { buckets } => {
+            let fanout = buckets.len();
             let mut sub_probes: Vec<Vec<(usize, Row)>> = vec![Vec::new(); fanout];
             for (i, r) in probes {
                 if let Some(key) = join_key(&r, right_keys, &mut scratch)? {
                     sub_probes[bucket_of(&key, level, fanout)].push((i, r));
                 }
             }
-            for (f, ps) in sub.into_iter().zip(sub_probes) {
+            for (f, ps) in buckets.into_iter().zip(sub_probes) {
                 grace_bucket(
                     f, ps, left_keys, right_keys, residual, mem, level + 1, out, spill,
                 )?;
             }
-            return Ok(());
         }
-        // Recursion floor: a duplicate-heavy key set that re-partitioning
-        // cannot shrink. Overcommit and finish rather than loop forever.
-        None => mem.governor().force_reserve(footprint),
-    };
-    let table = build_join_table(rows, left_keys)?;
-    for (i, r) in &probes {
-        probe_join_table(&table, r, right_keys, residual, &mut scratch, |joined| {
-            out.push((*i, joined));
-            Ok(())
-        })?;
     }
     Ok(())
 }
@@ -2381,7 +2331,7 @@ mod tests {
                 false,
             ),
             (
-                "nested loop + residual",
+                "cross product + residual",
                 bucketed_sum(filtered(join_of(&c, "nums", None, Some(ne(0, 2))), 0), 0, 1, 3),
                 3,
                 false,
@@ -2488,7 +2438,7 @@ mod tests {
         };
         let cross = join_of(&c, "nums", None, Some(ne));
         for (join, label, joined, kept) in
-            [(hash, "HashJoin", 80, 20), (cross, "NestedLoopJoin", 380, 95)]
+            [(hash, "HashJoin", 80, 20), (cross, "HashJoin", 380, 95)]
         {
             let logical = LogicalPlan::aggregate(
                 LogicalPlan::Filter {

@@ -824,11 +824,11 @@ mod tests {
         assert_eq!(mv.as_vector().unwrap().as_slice(), &[3.0, 7.0]);
         let ip = Builtin::InnerProduct.evaluate(&[x.clone(), x.clone()]).unwrap();
         assert_eq!(ip, Value::Double(2.0));
-        let tr = Builtin::Trace.evaluate(&[a.clone()]).unwrap();
+        let tr = Builtin::Trace.evaluate(std::slice::from_ref(&a)).unwrap();
         assert_eq!(tr, Value::Double(5.0));
         let op = Builtin::OuterProduct.evaluate(&[x.clone(), x.clone()]).unwrap();
         assert_eq!(op.as_matrix().unwrap().shape(), (2, 2));
-        let inv = Builtin::MatrixInverse.evaluate(&[a.clone()]).unwrap();
+        let inv = Builtin::MatrixInverse.evaluate(std::slice::from_ref(&a)).unwrap();
         let prod = Builtin::MatrixMultiply.evaluate(&[a.clone(), inv]).unwrap();
         assert!(prod.as_matrix().unwrap().approx_eq(&Matrix::identity(2), 1e-10));
     }

@@ -14,7 +14,7 @@ use lardb_storage::{Catalog, Column, DataType, Partitioning, Schema};
 
 use crate::cost::PlanEstimate;
 use crate::error::{PlanError, Result};
-use crate::expr::{CmpOp, Expr};
+use crate::expr::Expr;
 use crate::functions::AggFunc;
 use crate::logical::{AggExpr, JoinKind, LogicalPlan};
 use crate::optimizer::StatsSource;
@@ -45,15 +45,6 @@ pub enum AggMode {
     /// Single-phase aggregation (input already on one partition or already
     /// partitioned by the group key).
     Complete,
-}
-
-/// Which join side is replicated for a nested-loop join.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BroadcastSide {
-    /// Left side replicated.
-    Left,
-    /// Right side replicated.
-    Right,
 }
 
 /// A physical operator. Every node has a stable `id` used by the executor
@@ -90,35 +81,22 @@ pub enum PhysicalPlan {
         /// Output schema.
         schema: Schema,
     },
-    /// Partitioned hash join (both sides co-partitioned on the keys).
+    /// Partitioned hash join: both sides co-partitioned on the keys, or one
+    /// of them broadcast. With no keys it is the cross product, every row
+    /// of a partition in one bucket.
     HashJoin {
-        /// Operator id.
-        id: usize,
-        /// Build side.
-        left: Box<PhysicalPlan>,
-        /// Probe side.
-        right: Box<PhysicalPlan>,
-        /// Key expressions over the left schema.
-        left_keys: Vec<Expr>,
-        /// Key expressions over the right schema.
-        right_keys: Vec<Expr>,
-        /// Residual predicate over the concatenated schema.
-        residual: Option<Expr>,
-        /// Output schema.
-        schema: Schema,
-    },
-    /// Nested-loop join; one side has been broadcast.
-    NestedLoopJoin {
         /// Operator id.
         id: usize,
         /// Left input.
         left: Box<PhysicalPlan>,
         /// Right input.
         right: Box<PhysicalPlan>,
+        /// Key expressions over the left schema (empty: cross product).
+        left_keys: Vec<Expr>,
+        /// Key expressions over the right schema.
+        right_keys: Vec<Expr>,
         /// Residual predicate over the concatenated schema.
         residual: Option<Expr>,
-        /// Which side was broadcast (the other side stays partitioned).
-        broadcast: BroadcastSide,
         /// Output schema.
         schema: Schema,
     },
@@ -175,7 +153,6 @@ impl PhysicalPlan {
             | PhysicalPlan::Filter { id, .. }
             | PhysicalPlan::Project { id, .. }
             | PhysicalPlan::HashJoin { id, .. }
-            | PhysicalPlan::NestedLoopJoin { id, .. }
             | PhysicalPlan::HashAggregate { id, .. }
             | PhysicalPlan::Exchange { id, .. }
             | PhysicalPlan::Sort { id, .. }
@@ -190,7 +167,6 @@ impl PhysicalPlan {
             PhysicalPlan::Filter { input, .. } => input.schema(),
             PhysicalPlan::Project { schema, .. } => schema.clone(),
             PhysicalPlan::HashJoin { schema, .. } => schema.clone(),
-            PhysicalPlan::NestedLoopJoin { schema, .. } => schema.clone(),
             PhysicalPlan::HashAggregate { schema, .. } => schema.clone(),
             PhysicalPlan::Exchange { input, .. } => input.schema(),
             PhysicalPlan::Sort { input, .. } => input.schema(),
@@ -208,8 +184,7 @@ impl PhysicalPlan {
             | PhysicalPlan::Exchange { input, .. }
             | PhysicalPlan::Sort { input, .. }
             | PhysicalPlan::Limit { input, .. } => vec![input],
-            PhysicalPlan::HashJoin { left, right, .. }
-            | PhysicalPlan::NestedLoopJoin { left, right, .. } => vec![left, right],
+            PhysicalPlan::HashJoin { left, right, .. } => vec![left, right],
         }
     }
 
@@ -220,7 +195,6 @@ impl PhysicalPlan {
             PhysicalPlan::Filter { .. } => "Filter".into(),
             PhysicalPlan::Project { .. } => "Project".into(),
             PhysicalPlan::HashJoin { .. } => "HashJoin".into(),
-            PhysicalPlan::NestedLoopJoin { .. } => "NestedLoopJoin".into(),
             PhysicalPlan::HashAggregate { mode, .. } => format!("HashAggregate({mode:?})"),
             PhysicalPlan::Exchange { kind, .. } => match kind {
                 ExchangeKind::Hash(_) => "Exchange(Hash)".into(),
@@ -256,7 +230,7 @@ impl PhysicalPlan {
                     .collect();
                 format!(": {}", items.join(", "))
             }
-            PhysicalPlan::HashJoin { left_keys, right_keys, left, right, .. } => {
+            PhysicalPlan::HashJoin { left_keys, right_keys, left, right, residual, schema, .. } => {
                 let (ls, rs) = (left.schema(), right.schema());
                 let keys: Vec<String> = left_keys
                     .iter()
@@ -265,12 +239,10 @@ impl PhysicalPlan {
                         format!("{} = {}", l.display(Some(&ls)), r.display(Some(&rs)))
                     })
                     .collect();
-                format!(" on {}", keys.join(", "))
-            }
-            PhysicalPlan::NestedLoopJoin { broadcast, residual, .. } => {
-                let mut d = format!(" (broadcast {:?})", broadcast);
+                let mut d =
+                    if keys.is_empty() { " cross".into() } else { format!(" on {}", keys.join(", ")) };
                 if let Some(r) = residual {
-                    d.push_str(&format!(" filter {}", r.display(None)));
+                    d.push_str(&format!(" filter {}", r.display(Some(schema))));
                 }
                 d
             }
@@ -557,55 +529,37 @@ impl<'a> PhysicalPlanner<'a> {
             return Ok((plan, out_dist));
         }
 
-        // Cross join (or inner with residual only): broadcast the smaller
-        // side, keep the bigger side partitioned.
+        // Cross join (or inner with residual only): a hash join on the
+        // empty key. Broadcast the smaller side, keep the bigger side
+        // partitioned.
         let opt = Optimizer::with_defaults(self.stats);
-        let l_bytes = opt.estimate(left).total_bytes();
-        let r_bytes = opt.estimate(right).total_bytes();
-        let broadcast = if l_bytes <= r_bytes { BroadcastSide::Left } else { BroadcastSide::Right };
-        let (lp, rp, dist) = match broadcast {
-            BroadcastSide::Left => {
-                let lb = if ld == Distribution::Replicated {
-                    lp
-                } else {
-                    PhysicalPlan::Exchange {
-                        id: self.id(),
-                        input: Box::new(lp),
-                        kind: ExchangeKind::Broadcast,
-                    }
-                };
-                // The kept side must not be replicated or output duplicates.
-                let (rk, dist) = if rd == Distribution::Replicated {
-                    (self.gather(rp, Distribution::Replicated), Distribution::Single)
-                } else {
-                    (rp, Distribution::Arbitrary)
-                };
-                (lb, rk, dist)
-            }
-            BroadcastSide::Right => {
-                let rb = if rd == Distribution::Replicated {
-                    rp
-                } else {
-                    PhysicalPlan::Exchange {
-                        id: self.id(),
-                        input: Box::new(rp),
-                        kind: ExchangeKind::Broadcast,
-                    }
-                };
-                let (lk, dist) = if ld == Distribution::Replicated {
-                    (self.gather(lp, Distribution::Replicated), Distribution::Single)
-                } else {
-                    (lp, Distribution::Arbitrary)
-                };
-                (lk, rb, dist)
+        let broadcast_left =
+            opt.estimate(left).total_bytes() <= opt.estimate(right).total_bytes();
+        let ((small, sd), (kept, kd)) =
+            if broadcast_left { ((lp, ld), (rp, rd)) } else { ((rp, rd), (lp, ld)) };
+        let small = if sd == Distribution::Replicated {
+            small
+        } else {
+            PhysicalPlan::Exchange {
+                id: self.id(),
+                input: Box::new(small),
+                kind: ExchangeKind::Broadcast,
             }
         };
-        let plan = PhysicalPlan::NestedLoopJoin {
+        // The kept side must not be replicated or output duplicates.
+        let (kept, dist) = if kd == Distribution::Replicated {
+            (self.gather(kept, Distribution::Replicated), Distribution::Single)
+        } else {
+            (kept, Distribution::Arbitrary)
+        };
+        let (lp, rp) = if broadcast_left { (small, kept) } else { (kept, small) };
+        let plan = PhysicalPlan::HashJoin {
             id: self.id(),
             left: Box::new(lp),
             right: Box::new(rp),
+            left_keys: vec![],
+            right_keys: vec![],
             residual: residual.clone(),
-            broadcast,
             schema,
         };
         Ok((plan, dist))
@@ -742,7 +696,7 @@ impl<'a> PhysicalPlanner<'a> {
         plan: &PhysicalPlan,
         out: &mut std::collections::HashMap<usize, PlanEstimate>,
     ) -> PlanEstimate {
-        use crate::cost::{self, equi_join_selectivity};
+        use crate::cost;
         let est = match plan {
             PhysicalPlan::TableScan { table, schema, .. } => {
                 let rows = self
@@ -765,19 +719,6 @@ impl<'a> PhysicalPlanner<'a> {
                 let r = self.estimate_into(right, out);
                 PlanEstimate::new(
                     cost::equi_join_rows(l.rows, r.rows, left_keys.len()),
-                    PlanEstimate::row_bytes_of(schema),
-                )
-            }
-            PhysicalPlan::NestedLoopJoin { left, right, residual, schema, .. } => {
-                let l = self.estimate_into(left, out);
-                let r = self.estimate_into(right, out);
-                let sel = match residual {
-                    Some(Expr::Cmp { op: CmpOp::Eq, .. }) => equi_join_selectivity(l.rows, r.rows),
-                    Some(_) => 1.0 / 3.0,
-                    None => 1.0,
-                };
-                PlanEstimate::new(
-                    (l.rows * r.rows * sel).max(1.0),
                     PlanEstimate::row_bytes_of(schema),
                 )
             }
@@ -835,6 +776,7 @@ fn remap_distribution(dist: Distribution, exprs: &[Expr]) -> Distribution {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::CmpOp;
     use lardb_storage::{Partitioning, Table};
     use std::collections::HashMap;
 
@@ -932,9 +874,31 @@ mod tests {
         });
         assert_eq!(bc, 1);
         assert_eq!(
-            count_ops(&plan, &|p| matches!(p, PhysicalPlan::NestedLoopJoin { .. })),
+            count_ops(&plan, &|p| matches!(
+                p,
+                PhysicalPlan::HashJoin { left_keys, right_keys, .. }
+                    if left_keys.is_empty() && right_keys.is_empty()
+            )),
             1
         );
+        assert!(plan.display_tree().contains("HashJoin cross\n"), "{}", plan.display_tree());
+    }
+
+    #[test]
+    fn hash_join_shows_its_residual() {
+        let cat = catalog();
+        let stats: HashMap<String, usize> = HashMap::new();
+        let mut pp = PhysicalPlanner::new(&cat, &stats);
+        let join = LogicalPlan::Join {
+            left: Box::new(scan(&cat, "rr")),
+            right: Box::new(scan(&cat, "hashed")),
+            kind: JoinKind::Inner,
+            equi: vec![(Expr::col(0), Expr::col(0))],
+            residual: Some(Expr::cmp(CmpOp::Lt, Expr::col(1), Expr::col(3))),
+        };
+        let tree = pp.plan(&join).unwrap().display_tree();
+        assert!(tree.contains("HashJoin on rr.id = hashed.id filter "), "{tree}");
+        assert!(tree.contains("rr.v < hashed.v"), "{tree}");
     }
 
     #[test]

@@ -113,9 +113,10 @@ fn paper_41_plan_uses_early_cross_product() {
     let plan = db.explain(RST_QUERY).unwrap();
     // The winning plan evaluates matrix_multiply inside the tree (early
     // projection) and joins R with S *before* T — visible as a
-    // NestedLoopJoin (cross product) whose projection carries the multiply.
+    // `HashJoin cross` (the empty-key join) whose projection carries the
+    // multiply.
     assert!(
-        plan.contains("NestedLoopJoin"),
+        plan.contains("HashJoin cross"),
         "expected a cross product between R and S:\n{plan}"
     );
     let logical = plan.split("== Physical Plan ==").next().unwrap();
@@ -145,7 +146,7 @@ fn blind_optimizer_produces_rule_based_plan_but_same_answer() {
     // Without size knowledge the optimizer avoids the cross product and
     // joins through T (π((S ⋈ T) ⋈ R)) — the paper's "bad plan".
     assert!(
-        !plan.contains("NestedLoopJoin"),
+        !plan.contains("HashJoin cross"),
         "blind optimizer should not choose the cross product:\n{plan}"
     );
     assert_close(&run_and_collect(&db), &expected_products());

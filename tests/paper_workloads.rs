@@ -265,7 +265,7 @@ fn expected_distance_winners(n: usize, dims: usize) -> Vec<i64> {
     let x = data_matrix(n, dims);
     let a = gen::spd_matrix(SEED ^ 7, dims);
     let mut mins = vec![f64::INFINITY; n];
-    for i in 0..n {
+    for (i, min) in mins.iter_mut().enumerate() {
         let xi = x.row_vector(i).unwrap();
         let axi = a.matrix_vector_multiply(&xi).unwrap();
         for j in 0..n {
@@ -273,8 +273,8 @@ fn expected_distance_winners(n: usize, dims: usize) -> Vec<i64> {
                 continue;
             }
             let d = x.row_vector(j).unwrap().inner_product(&axi).unwrap();
-            if d < mins[i] {
-                mins[i] = d;
+            if d < *min {
+                *min = d;
             }
         }
     }
