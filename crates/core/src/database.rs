@@ -17,7 +17,7 @@
 //!    profile — every stage timed once, by [`QueryProfile::time`] —
 //!    becomes [`Database::last_profile`].
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -27,7 +27,7 @@ use lardb_exec::{
 use lardb_pool::WorkerPool;
 use lardb_obs::trace::{push_current, CurrentGuard};
 use lardb_obs::{ActiveTrace, OperatorProfile, QueryProfile, Stage};
-use lardb_planner::physical::PhysicalPlanner;
+use lardb_planner::physical::{PhysicalPlan, PhysicalPlanner};
 use lardb_planner::{LogicalPlan, Optimizer, OptimizerConfig, PlanEstimate};
 use lardb_sql::ast::{SelectStatement, Statement, TableRef};
 use lardb_sql::{parse_statement, Binder};
@@ -807,16 +807,17 @@ impl Database {
                     let (result, _) = self.run_plan(st, &optimized, true)?;
                     return Ok(Response::Rows(result));
                 }
-                let mut text = self.explain_optimized(&optimized)?;
+                // EXPLAIN ANALYZE prints the physical plan it ran.
+                let ran = if analyze { Some(self.run_plan(st, &optimized, true)?) } else { None };
+                let mut text = match &ran {
+                    Some((_, physical)) => explain_text(&optimized, physical),
+                    None => self.explain_optimized(&optimized)?,
+                };
                 if !text.ends_with('\n') {
                     text.push('\n');
                 }
                 text.push_str(&format!("plan cache: {cache_note}\n"));
-                if analyze {
-                    let (result, operators) = self.run_plan(st, &optimized, true)?;
-                    if !text.ends_with('\n') {
-                        text.push('\n');
-                    }
+                if let Some((result, _)) = ran {
                     text.push_str(&format!(
                         "== Execution Statistics ==\n{}\
                          total: {} rows shuffled, {} bytes shuffled, \
@@ -853,7 +854,7 @@ impl Database {
                             d.densified,
                         ));
                     }
-                    text.push_str(&render_estimate_table(&operators));
+                    text.push_str(&render_estimate_table(&st.profile.operators, &result.stats));
                 }
                 Ok(Response::Explained(text))
             }
@@ -894,12 +895,7 @@ impl Database {
     /// plan in hand).
     fn explain_optimized(&self, optimized: &LogicalPlan) -> Result<String> {
         let mut pp = PhysicalPlanner::new(&self.catalog, self.catalog.as_ref());
-        let physical = pp.plan_gathered(optimized)?;
-        Ok(format!(
-            "== Optimized Logical Plan ==\n{}\n== Physical Plan ==\n{}",
-            optimized.display_tree(),
-            physical.display_tree()
-        ))
+        Ok(explain_text(optimized, &pp.plan_gathered(optimized)?))
     }
 
     /// Logical rewrites + cost-based join ordering under this database's
@@ -936,10 +932,10 @@ impl Database {
 
     /// The back half every plan goes through: physical planning and
     /// execution under their stages, per-operator estimate-vs-actual
-    /// records appended to the statement's profile (and returned, for
-    /// EXPLAIN ANALYZE to render). Plan-cache hits enter here directly,
-    /// which is exactly what makes the parse/bind/optimize stages
-    /// disappear from their profiles.
+    /// records appended to the statement's profile. Returns the result and
+    /// the physical plan that produced it (EXPLAIN ANALYZE prints that
+    /// plan). Plan-cache hits enter here directly, which is exactly what
+    /// makes the parse/bind/optimize stages disappear from their profiles.
     ///
     /// Actual bytes are the metered shuffle bytes for exchanges; other
     /// operators don't move data across workers, so their "actual" bytes
@@ -949,16 +945,14 @@ impl Database {
         st: &mut StatementRun<'_>,
         optimized: &LogicalPlan,
         gather: bool,
-    ) -> Result<(QueryResult, Vec<OperatorProfile>)> {
-        let (physical, estimates) = st.profile.time(Stage::Plan, || {
-            let mut pp = PhysicalPlanner::new(&self.catalog, self.catalog.as_ref());
-            let physical = if gather {
-                pp.plan_gathered(optimized)?
+    ) -> Result<(QueryResult, PhysicalPlan)> {
+        let mut pp = PhysicalPlanner::new(&self.catalog, self.catalog.as_ref());
+        let physical = st.profile.time(Stage::Plan, || {
+            if gather {
+                pp.plan_gathered(optimized)
             } else {
-                pp.plan(optimized)?
-            };
-            let estimates = pp.estimates(&physical);
-            Ok::<_, EngineError>((physical, estimates))
+                pp.plan(optimized)
+            }
         })?;
         let dispatch_before = lardb_la::dispatch::dispatch_counters();
         let mut result = st.profile.time(Stage::Execute, || {
@@ -985,14 +979,10 @@ impl Database {
             m.counter("la.dispatch.sp_syrk").add(d.sp_syrk);
             m.counter("la.dispatch.densified").add(d.densified);
         }
-        let operators = join_estimates(&estimates, &result.stats);
-        st.profile.operators.extend(operators.iter().cloned());
+        st.profile.operators.extend(join_estimates(pp.estimates(), &result.stats));
         let schema = result.schema.clone();
         let stats = std::mem::take(&mut result.stats);
-        Ok((
-            QueryResult { schema, rows: result.into_rows(), stats },
-            operators,
-        ))
+        Ok((QueryResult { schema, rows: result.into_rows(), stats }, physical))
     }
 
     /// The one way a query result becomes a catalog table: `name` is built
@@ -1257,18 +1247,12 @@ fn queries_rows() -> Vec<Row> {
 /// completion order. Exchange operators report metered shuffle bytes;
 /// for all other operators the "actual" bytes are derived (measured rows
 /// × the cost model's row width), since nothing was shipped.
-fn join_estimates(
-    estimates: &HashMap<usize, PlanEstimate>,
-    stats: &ExecStats,
-) -> Vec<OperatorProfile> {
+fn join_estimates(estimates: &[PlanEstimate], stats: &ExecStats) -> Vec<OperatorProfile> {
     stats
         .operators()
         .iter()
         .map(|op| {
-            let est = estimates
-                .get(&op.id)
-                .copied()
-                .unwrap_or(PlanEstimate::new(0.0, 0.0));
+            let est = estimates.get(op.id).copied().unwrap_or(PlanEstimate::new(0.0, 0.0));
             let actual_bytes = if op.label.starts_with("Exchange") {
                 op.shuffle.bytes as f64
             } else {
@@ -1287,24 +1271,43 @@ fn join_estimates(
         .collect()
 }
 
+/// The EXPLAIN text of an optimized plan and the physical plan made of it.
+fn explain_text(optimized: &LogicalPlan, physical: &PhysicalPlan) -> String {
+    format!(
+        "== Optimized Logical Plan ==\n{}\n== Physical Plan ==\n{}",
+        optimized.display_tree(),
+        physical.display_tree()
+    )
+}
+
 /// Renders the EXPLAIN ANALYZE estimate-vs-actual section: est/actual
-/// rows and megabytes plus the per-operator q-error of each.
-fn render_estimate_table(operators: &[OperatorProfile]) -> String {
+/// rows and megabytes plus the per-operator q-error of each. An `act_MB`
+/// that was modeled, not measured, is marked `~`, as in
+/// [`ExecStats::display_table`]: a pointer-mode exchange's, and every
+/// other operator's (measured rows × modeled width).
+fn render_estimate_table(operators: &[OperatorProfile], stats: &ExecStats) -> String {
+    let measured: HashSet<usize> = stats
+        .operators()
+        .iter()
+        .filter(|op| op.label.starts_with("Exchange") && !op.shuffle.estimated)
+        .map(|op| op.id)
+        .collect();
     let label_w = operators.iter().map(|o| o.label.len()).max().unwrap_or(0).max(24);
     let mut out = format!(
         "== Estimate vs Actual ==\n{:<5} {:<label_w$} {:>12} {:>12} {:>8} {:>10} {:>10} {:>8}\n",
         "id", "operator", "est_rows", "act_rows", "q_rows", "est_MB", "act_MB", "q_MB",
     );
     for o in operators {
+        let mark = if measured.contains(&o.id) { "" } else { "~" };
         out.push_str(&format!(
-            "{:<5} {:<label_w$} {:>12.0} {:>12.0} {:>8.2} {:>10.3} {:>10.3} {:>8.2}\n",
+            "{:<5} {:<label_w$} {:>12.0} {:>12.0} {:>8.2} {:>10.3} {:>10} {:>8.2}\n",
             o.id,
             o.label,
             o.est_rows,
             o.actual_rows,
             o.q_error_rows(),
             o.est_bytes / 1e6,
-            o.actual_bytes / 1e6,
+            format!("{mark}{:.3}", o.actual_bytes / 1e6),
             o.q_error_bytes(),
         ));
     }

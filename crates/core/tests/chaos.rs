@@ -91,22 +91,26 @@ fn faults_never_shorten_answers_silently() {
 /// A peer killed mid-exchange is detected 100% of the time: with
 /// `kill_after = 1` the victim always has more than one frame left to
 /// ship on a W=4 hash exchange (three fin frames at minimum), so every
-/// seed must produce an error, never a short answer.
+/// seed must produce an error, never a short answer. The pivot's pool of
+/// four threads, and an oversubscribed one of 64 where the abort races
+/// constant preemption and cross-queue stealing.
 #[test]
 fn killed_peer_is_always_detected() {
-    for transport in [TransportMode::Tcp, TransportMode::Serialized] {
-        for seed in [1u64, 2, 3, 4, 5] {
-            let mut plan = FaultPlan::new(FaultKind::KillSender, seed);
-            plan.kill_after = 1;
-            let db = faulted(4, transport, plan);
-            let err = db.query(SKEW_GROUPS).expect_err(&format!(
-                "killed peer went undetected: transport={transport:?} seed={seed}"
-            ));
-            let msg = err.to_string();
-            assert!(
-                !msg.is_empty(),
-                "empty error for killed peer: transport={transport:?} seed={seed}"
-            );
+    for pool in [4usize, 64] {
+        for transport in [TransportMode::Tcp, TransportMode::Serialized] {
+            for seed in [1u64, 2, 3, 4, 5] {
+                let mut plan = FaultPlan::new(FaultKind::KillSender, seed);
+                plan.kill_after = 1;
+                let mut cell = at(4, transport, None);
+                cell.config.pool_workers = Some(pool);
+                cell.config.net.faults = Some(plan);
+                let db = Fixture::Skew.open(&cell);
+                let ctx = format!("pool={pool} transport={transport:?} seed={seed}");
+                let err = db
+                    .query(SKEW_GROUPS)
+                    .expect_err(&format!("killed peer went undetected: {ctx}"));
+                assert!(!err.to_string().is_empty(), "empty error for killed peer: {ctx}");
+            }
         }
     }
 }

@@ -101,10 +101,19 @@ impl Run {
     }
 }
 
+/// Every operator the last statement executed was priced by the planner:
+/// an operator it never priced would show its estimate as zero rows.
+fn assert_priced(db: &Database, at: &str) {
+    for op in db.last_profile().map(|p| p.operators).unwrap_or_default() {
+        assert!(op.est_rows >= 1.0, "{} #{} unpriced: {at}", op.label, op.id);
+    }
+}
+
 fn run(cell: &Cell, db: &Database, statements: &[Statement]) -> Run {
     let (mut outcomes, mut answers) = (Vec::new(), Vec::new());
     for s in statements {
         let first = db.query(s.sql).map_err(|e| e.to_string());
+        assert_priced(db, &format!("{} statement={}", cell.name, s.sql));
         let rendered = answer(&first);
         if cell.repeat {
             let again = answer(&db.query(s.sql).map_err(|e| e.to_string()));

@@ -73,8 +73,9 @@ pub fn predicate_selectivity(is_equality: bool) -> f64 {
     }
 }
 
-// One formula per operator: the logical model (`Optimizer::estimate`) and
-// the physical one (`PhysicalPlanner::estimates`) both price with these.
+// One formula per operator, applied by the one pricing function,
+// `Optimizer::price`: `Optimizer::estimate` folds it over a logical tree,
+// and the physical planner calls it on each node as it plans it.
 
 /// Rows a filter keeps: every conjunct at its default selectivity.
 pub fn filter_rows(input_rows: f64, predicate: &Expr) -> f64 {

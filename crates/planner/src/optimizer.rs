@@ -44,8 +44,10 @@ pub trait StatsSource {
 }
 
 impl StatsSource for Catalog {
+    /// The row count alone: `table_stats` would also sum every row's bytes,
+    /// and the planner asks once per scan it prices.
     fn table_rows(&self, table: &str) -> Option<usize> {
-        self.table_stats(table).ok().map(|s| s.num_rows)
+        self.table(table).ok().map(|t| t.read().num_rows())
     }
 }
 
@@ -209,8 +211,19 @@ impl<'a> Optimizer<'a> {
         }
     }
 
-    /// Estimates the output size of a plan.
+    /// Estimates the output size of a plan: [`Optimizer::price`] folded
+    /// bottom-up over the tree.
     pub fn estimate(&self, plan: &LogicalPlan) -> PlanEstimate {
+        let inputs: Vec<PlanEstimate> =
+            plan.children().into_iter().map(|c| self.estimate(c)).collect();
+        self.price(plan, &inputs)
+    }
+
+    /// Prices one node from its inputs' estimates, in
+    /// [`LogicalPlan::children`] order. This is the one cost model: the
+    /// physical planner calls it on each node as it plans it, with the
+    /// estimates it got back for the node's inputs.
+    pub fn price(&self, plan: &LogicalPlan, inputs: &[PlanEstimate]) -> PlanEstimate {
         match plan {
             LogicalPlan::Scan { table, schema } => {
                 let rows = self
@@ -220,28 +233,21 @@ impl<'a> Optimizer<'a> {
                     .unwrap_or(DEFAULT_TABLE_ROWS);
                 PlanEstimate::new(rows.max(1.0), self.schema_width(schema))
             }
-            LogicalPlan::Filter { input, predicate } => {
-                let e = self.estimate(input);
+            LogicalPlan::Filter { predicate, .. } => {
+                let e = inputs[0];
                 PlanEstimate::new(cost::filter_rows(e.rows, predicate), e.row_bytes)
             }
-            LogicalPlan::Project { input, schema, .. } => {
-                let e = self.estimate(input);
-                PlanEstimate::new(e.rows, self.schema_width(schema))
+            LogicalPlan::Project { schema, .. } => {
+                PlanEstimate::new(inputs[0].rows, self.schema_width(schema))
             }
-            LogicalPlan::MultiJoin { inputs, predicates } => {
-                let mut rows = 1.0;
-                let mut width = 0.0;
-                for i in inputs {
-                    let e = self.estimate(i);
-                    rows *= e.rows;
-                    width += e.row_bytes;
-                }
+            LogicalPlan::MultiJoin { predicates, .. } => {
+                let rows: f64 = inputs.iter().map(|e| e.rows).product();
+                let width: f64 = inputs.iter().map(|e| e.row_bytes).sum();
                 let sel: f64 = predicates.iter().map(|_| 0.01).product();
                 PlanEstimate::new((rows * sel).max(1.0), width)
             }
-            LogicalPlan::Join { left, right, kind, equi, .. } => {
-                let l = self.estimate(left);
-                let r = self.estimate(right);
+            LogicalPlan::Join { kind, equi, .. } => {
+                let (l, r) = (inputs[0], inputs[1]);
                 let keys = match kind {
                     JoinKind::Cross => 0,
                     JoinKind::Inner => equi.len(),
@@ -251,17 +257,17 @@ impl<'a> Optimizer<'a> {
                     l.row_bytes + r.row_bytes,
                 )
             }
-            LogicalPlan::Aggregate { input, group_by, aggs, schema } => {
-                let e = self.estimate(input);
+            LogicalPlan::Aggregate { group_by, aggs, schema, .. } => {
+                let e = inputs[0];
                 let mut width = self.schema_width(schema);
                 if self.config.size_inference {
                     width = cost::aggregate_width(width, aggs, e.rows);
                 }
                 PlanEstimate::new(cost::group_rows(e.rows, !group_by.is_empty()), width)
             }
-            LogicalPlan::Sort { input, .. } => self.estimate(input),
-            LogicalPlan::Limit { input, n } => {
-                let e = self.estimate(input);
+            LogicalPlan::Sort { .. } => inputs[0],
+            LogicalPlan::Limit { n, .. } => {
+                let e = inputs[0];
                 PlanEstimate::new(cost::limit_rows(e.rows, *n), e.row_bytes)
             }
         }

@@ -12,7 +12,7 @@
 
 use lardb_storage::{Catalog, Column, DataType, Partitioning, Schema};
 
-use crate::cost::PlanEstimate;
+use crate::cost::{self, PlanEstimate};
 use crate::error::{PlanError, Result};
 use crate::expr::Expr;
 use crate::functions::AggFunc;
@@ -310,24 +310,40 @@ pub fn partial_state_types(func: AggFunc, input: DataType) -> Vec<DataType> {
     }
 }
 
-/// Translates optimized logical plans into physical plans.
+/// A planned subtree: its plan, how its output is spread, and its
+/// estimated size.
+type Planned = (PhysicalPlan, Distribution, PlanEstimate);
+
+/// Translates optimized logical plans into physical plans, pricing each
+/// operator once, as it plans it.
 pub struct PhysicalPlanner<'a> {
     catalog: &'a Catalog,
-    stats: &'a dyn StatsSource,
-    next_id: usize,
+    /// Prices every node under the default configuration, whatever knobs
+    /// chose the plan: broadcast choices must not depend on an ablation.
+    optimizer: Optimizer<'a>,
+    /// Each operator's estimate, indexed by its id.
+    estimates: Vec<PlanEstimate>,
 }
 
 impl<'a> PhysicalPlanner<'a> {
-    /// Creates a planner. `stats` is used for broadcast-side decisions; it
-    /// is usually the same catalog.
+    /// Creates a planner. `stats` prices the operators (and so the
+    /// broadcast-side decisions); it is usually the same catalog.
     pub fn new(catalog: &'a Catalog, stats: &'a dyn StatsSource) -> Self {
-        PhysicalPlanner { catalog, stats, next_id: 0 }
+        PhysicalPlanner { catalog, optimizer: Optimizer::with_defaults(stats), estimates: vec![] }
     }
 
-    fn id(&mut self) -> usize {
-        let id = self.next_id;
-        self.next_id += 1;
-        id
+    /// Allocates the next operator id, recording the operator's estimate
+    /// under it.
+    fn id(&mut self, est: PlanEstimate) -> usize {
+        self.estimates.push(est);
+        self.estimates.len() - 1
+    }
+
+    /// The estimated output size of every operator planned so far, indexed
+    /// by operator id. `EXPLAIN ANALYZE` joins it against the executor's
+    /// measured `OperatorStats` to compute per-operator q-errors.
+    pub fn estimates(&self) -> &[PlanEstimate] {
+        &self.estimates
     }
 
     /// Plans a logical tree. The result's rows may live on any partition;
@@ -339,22 +355,27 @@ impl<'a> PhysicalPlanner<'a> {
 
     /// Plans and gathers the final result onto one partition.
     pub fn plan_gathered(&mut self, logical: &LogicalPlan) -> Result<PhysicalPlan> {
-        let (plan, dist) = self.plan_dist(logical)?;
-        Ok(self.gather(plan, dist))
+        let (plan, dist, est) = self.plan_dist(logical)?;
+        Ok(self.gather(plan, dist, est))
     }
 
     /// Concentrates a plan's output on partition 0, choosing the cheapest
     /// correct movement for its current distribution.
-    fn gather(&mut self, plan: PhysicalPlan, dist: Distribution) -> PhysicalPlan {
+    fn gather(
+        &mut self,
+        plan: PhysicalPlan,
+        dist: Distribution,
+        est: PlanEstimate,
+    ) -> PhysicalPlan {
         let kind = match dist {
             Distribution::Single => return plan,
             Distribution::Replicated => ExchangeKind::GatherReplica,
             _ => ExchangeKind::Gather,
         };
-        PhysicalPlan::Exchange { id: self.id(), input: Box::new(plan), kind }
+        PhysicalPlan::Exchange { id: self.id(est), input: Box::new(plan), kind }
     }
 
-    fn plan_dist(&mut self, logical: &LogicalPlan) -> Result<(PhysicalPlan, Distribution)> {
+    fn plan_dist(&mut self, logical: &LogicalPlan) -> Result<Planned> {
         match logical {
             LogicalPlan::Scan { table, schema } => {
                 let dist = match self.catalog.table(table) {
@@ -365,55 +386,60 @@ impl<'a> PhysicalPlanner<'a> {
                     },
                     Err(_) => Distribution::Arbitrary,
                 };
+                let est = self.optimizer.price(logical, &[]);
                 let plan = PhysicalPlan::TableScan {
-                    id: self.id(),
+                    id: self.id(est),
                     table: table.clone(),
                     schema: schema.clone(),
                 };
-                Ok((plan, dist))
+                Ok((plan, dist, est))
             }
             LogicalPlan::Filter { input, predicate } => {
-                let (child, dist) = self.plan_dist(input)?;
+                let (child, dist, e) = self.plan_dist(input)?;
+                let est = self.optimizer.price(logical, &[e]);
                 let plan = PhysicalPlan::Filter {
-                    id: self.id(),
+                    id: self.id(est),
                     input: Box::new(child),
                     predicate: predicate.clone(),
                 };
-                Ok((plan, dist))
+                Ok((plan, dist, est))
             }
             LogicalPlan::Project { input, exprs, schema } => {
-                let (child, dist) = self.plan_dist(input)?;
+                let (child, dist, e) = self.plan_dist(input)?;
                 let dist = remap_distribution(dist, exprs);
+                let est = self.optimizer.price(logical, &[e]);
                 let plan = PhysicalPlan::Project {
-                    id: self.id(),
+                    id: self.id(est),
                     input: Box::new(child),
                     exprs: exprs.clone(),
                     schema: schema.clone(),
                 };
-                Ok((plan, dist))
+                Ok((plan, dist, est))
             }
             LogicalPlan::Join { left, right, kind, equi, residual } => {
-                self.plan_join(left, right, *kind, equi, residual, logical.schema())
+                self.plan_join(logical, left, right, *kind, equi, residual)
             }
             LogicalPlan::Aggregate { input, group_by, aggs, schema } => {
-                self.plan_aggregate(input, group_by, aggs, schema)
+                self.plan_aggregate(logical, input, group_by, aggs, schema)
             }
             LogicalPlan::Sort { input, keys } => {
-                let (child, dist) = self.plan_dist(input)?;
-                let gathered = self.gather(child, dist);
+                let (child, dist, e) = self.plan_dist(input)?;
+                let gathered = self.gather(child, dist, e);
+                let est = self.optimizer.price(logical, &[e]);
                 let plan = PhysicalPlan::Sort {
-                    id: self.id(),
+                    id: self.id(est),
                     input: Box::new(gathered),
                     keys: keys.clone(),
                 };
-                Ok((plan, Distribution::Single))
+                Ok((plan, Distribution::Single, est))
             }
             LogicalPlan::Limit { input, n } => {
-                let (child, dist) = self.plan_dist(input)?;
-                let gathered = self.gather(child, dist);
+                let (child, dist, e) = self.plan_dist(input)?;
+                let gathered = self.gather(child, dist, e);
+                let est = self.optimizer.price(logical, &[e]);
                 let plan =
-                    PhysicalPlan::Limit { id: self.id(), input: Box::new(gathered), n: *n };
-                Ok((plan, Distribution::Single))
+                    PhysicalPlan::Limit { id: self.id(est), input: Box::new(gathered), n: *n };
+                Ok((plan, Distribution::Single, est))
             }
             LogicalPlan::MultiJoin { .. } => Err(PlanError::Internal(
                 "MultiJoin must be optimized before physical planning".into(),
@@ -423,15 +449,17 @@ impl<'a> PhysicalPlanner<'a> {
 
     fn plan_join(
         &mut self,
+        logical: &LogicalPlan,
         left: &LogicalPlan,
         right: &LogicalPlan,
         kind: JoinKind,
         equi: &[(Expr, Expr)],
         residual: &Option<Expr>,
-        schema: Schema,
-    ) -> Result<(PhysicalPlan, Distribution)> {
-        let (lp, ld) = self.plan_dist(left)?;
-        let (rp, rd) = self.plan_dist(right)?;
+    ) -> Result<Planned> {
+        let (lp, ld, le) = self.plan_dist(left)?;
+        let (rp, rd, re) = self.plan_dist(right)?;
+        let est = self.optimizer.price(logical, &[le, re]);
+        let schema = logical.schema();
 
         if kind == JoinKind::Inner && !equi.is_empty() {
             let left_keys: Vec<Expr> = equi.iter().map(|(l, _)| l.clone()).collect();
@@ -451,9 +479,8 @@ impl<'a> PhysicalPlanner<'a> {
             // of two full shuffles) — the classic small-dimension-table
             // join, e.g. the distance workload's metric matrix.
             if !(l_ok || l_rep || r_ok || r_rep) {
-                let opt = Optimizer::with_defaults(self.stats);
-                let l_bytes = opt.estimate(left).total_bytes();
-                let r_bytes = opt.estimate(right).total_bytes();
+                let l_bytes = le.total_bytes();
+                let r_bytes = re.total_bytes();
                 let threshold = BROADCAST_THRESHOLD_BYTES;
                 if l_bytes.min(r_bytes) <= threshold
                     && l_bytes.max(r_bytes) > 4.0 * l_bytes.min(r_bytes)
@@ -461,21 +488,21 @@ impl<'a> PhysicalPlanner<'a> {
                     let broadcast_left = l_bytes <= r_bytes;
                     let (lp, rp, out_dist) = if broadcast_left {
                         let lb = PhysicalPlan::Exchange {
-                            id: self.id(),
+                            id: self.id(le),
                             input: Box::new(lp),
                             kind: ExchangeKind::Broadcast,
                         };
                         (lb, rp, Distribution::Arbitrary)
                     } else {
                         let rb = PhysicalPlan::Exchange {
-                            id: self.id(),
+                            id: self.id(re),
                             input: Box::new(rp),
                             kind: ExchangeKind::Broadcast,
                         };
                         (lp, rb, Distribution::Arbitrary)
                     };
                     let plan = PhysicalPlan::HashJoin {
-                        id: self.id(),
+                        id: self.id(est),
                         left: Box::new(lp),
                         right: Box::new(rp),
                         left_keys,
@@ -483,24 +510,26 @@ impl<'a> PhysicalPlanner<'a> {
                         residual: residual.clone(),
                         schema,
                     };
-                    return Ok((plan, out_dist));
+                    return Ok((plan, out_dist, est));
                 }
             }
 
             let (lp, rp) = match (l_ok || l_rep, r_ok || r_rep, l_rep && r_rep) {
                 (true, true, false) => (lp, rp),
                 (true, false, false) => {
-                    (lp, self.hash_exchange(rp, right_keys.clone()))
+                    (lp, self.hash_exchange(rp, right_keys.clone(), re))
                 }
-                (false, true, false) => (self.hash_exchange(lp, left_keys.clone()), rp),
+                (false, true, false) => (self.hash_exchange(lp, left_keys.clone(), le), rp),
                 _ => {
                     // Includes the both-replicated case: drop the extra
                     // replicas first, or hashing would emit duplicates.
-                    let lp = if l_rep { self.gather(lp, Distribution::Replicated) } else { lp };
-                    let rp = if r_rep { self.gather(rp, Distribution::Replicated) } else { rp };
+                    let lp =
+                        if l_rep { self.gather(lp, Distribution::Replicated, le) } else { lp };
+                    let rp =
+                        if r_rep { self.gather(rp, Distribution::Replicated, re) } else { rp };
                     (
-                        self.hash_exchange(lp, left_keys.clone()),
-                        self.hash_exchange(rp, right_keys.clone()),
+                        self.hash_exchange(lp, left_keys.clone(), le),
+                        self.hash_exchange(rp, right_keys.clone(), re),
                     )
                 }
             };
@@ -518,7 +547,7 @@ impl<'a> PhysicalPlanner<'a> {
                 Distribution::Hash(left_keys.clone())
             };
             let plan = PhysicalPlan::HashJoin {
-                id: self.id(),
+                id: self.id(est),
                 left: Box::new(lp),
                 right: Box::new(rp),
                 left_keys,
@@ -526,35 +555,33 @@ impl<'a> PhysicalPlanner<'a> {
                 residual: residual.clone(),
                 schema,
             };
-            return Ok((plan, out_dist));
+            return Ok((plan, out_dist, est));
         }
 
         // Cross join (or inner with residual only): a hash join on the
         // empty key. Broadcast the smaller side, keep the bigger side
         // partitioned.
-        let opt = Optimizer::with_defaults(self.stats);
-        let broadcast_left =
-            opt.estimate(left).total_bytes() <= opt.estimate(right).total_bytes();
-        let ((small, sd), (kept, kd)) =
-            if broadcast_left { ((lp, ld), (rp, rd)) } else { ((rp, rd), (lp, ld)) };
+        let broadcast_left = le.total_bytes() <= re.total_bytes();
+        let (l, r) = ((lp, ld, le), (rp, rd, re));
+        let ((small, sd, se), (kept, kd, ke)) = if broadcast_left { (l, r) } else { (r, l) };
         let small = if sd == Distribution::Replicated {
             small
         } else {
             PhysicalPlan::Exchange {
-                id: self.id(),
+                id: self.id(se),
                 input: Box::new(small),
                 kind: ExchangeKind::Broadcast,
             }
         };
         // The kept side must not be replicated or output duplicates.
         let (kept, dist) = if kd == Distribution::Replicated {
-            (self.gather(kept, Distribution::Replicated), Distribution::Single)
+            (self.gather(kept, Distribution::Replicated, ke), Distribution::Single)
         } else {
             (kept, Distribution::Arbitrary)
         };
         let (lp, rp) = if broadcast_left { (small, kept) } else { (kept, small) };
         let plan = PhysicalPlan::HashJoin {
-            id: self.id(),
+            id: self.id(est),
             left: Box::new(lp),
             right: Box::new(rp),
             left_keys: vec![],
@@ -562,22 +589,24 @@ impl<'a> PhysicalPlanner<'a> {
             residual: residual.clone(),
             schema,
         };
-        Ok((plan, dist))
+        Ok((plan, dist, est))
     }
 
     fn plan_aggregate(
         &mut self,
+        logical: &LogicalPlan,
         input: &LogicalPlan,
         group_by: &[Expr],
         aggs: &[AggExpr],
         schema: &Schema,
-    ) -> Result<(PhysicalPlan, Distribution)> {
-        let (child, dist) = self.plan_dist(input)?;
+    ) -> Result<Planned> {
+        let (child, dist, e) = self.plan_dist(input)?;
         let in_schema = input.schema();
+        let est = self.optimizer.price(logical, &[e]);
 
         // Replicated input: aggregate one replica, single phase.
         let (child, dist) = if dist == Distribution::Replicated {
-            (self.gather(child, Distribution::Replicated), Distribution::Single)
+            (self.gather(child, Distribution::Replicated, e), Distribution::Single)
         } else {
             (child, dist)
         };
@@ -592,20 +621,24 @@ impl<'a> PhysicalPlanner<'a> {
                 Distribution::Hash((0..group_by.len()).map(Expr::col).collect())
             };
             let plan = PhysicalPlan::HashAggregate {
-                id: self.id(),
+                id: self.id(est),
                 input: Box::new(child),
                 group_by: group_by.to_vec(),
                 aggs: aggs.to_vec(),
                 mode: AggMode::Complete,
                 schema: schema.clone(),
             };
-            return Ok((plan, out_dist));
+            return Ok((plan, out_dist, est));
         }
 
-        // Two phases: partial → exchange → final.
+        // Two phases: partial → exchange → final. Per-partition
+        // pre-aggregation is bounded by its input, not the group count.
         let partial_schema = self.partial_schema(&in_schema, group_by, aggs)?;
+        let partial_width =
+            cost::aggregate_width(PlanEstimate::row_bytes_of(&partial_schema), aggs, e.rows);
+        let partial_est = PlanEstimate::new(e.rows, partial_width);
         let partial = PhysicalPlan::HashAggregate {
-            id: self.id(),
+            id: self.id(partial_est),
             input: Box::new(child),
             group_by: group_by.to_vec(),
             aggs: aggs.to_vec(),
@@ -615,18 +648,14 @@ impl<'a> PhysicalPlanner<'a> {
 
         let exchange = if group_by.is_empty() {
             PhysicalPlan::Exchange {
-                id: self.id(),
+                id: self.id(partial_est),
                 input: Box::new(partial),
                 kind: ExchangeKind::Gather,
             }
         } else {
             // Partial output leads with the group-key columns.
             let keys: Vec<Expr> = (0..group_by.len()).map(Expr::col).collect();
-            PhysicalPlan::Exchange {
-                id: self.id(),
-                input: Box::new(partial),
-                kind: ExchangeKind::Hash(keys),
-            }
+            self.hash_exchange(partial, keys, partial_est)
         };
 
         let final_group: Vec<Expr> = (0..group_by.len()).map(Expr::col).collect();
@@ -636,14 +665,14 @@ impl<'a> PhysicalPlanner<'a> {
             Distribution::Hash(final_group.clone())
         };
         let plan = PhysicalPlan::HashAggregate {
-            id: self.id(),
+            id: self.id(est),
             input: Box::new(exchange),
             group_by: final_group,
             aggs: aggs.to_vec(),
             mode: AggMode::Final,
             schema: schema.clone(),
         };
-        Ok((plan, out_dist))
+        Ok((plan, out_dist, est))
     }
 
     /// Schema of a partial aggregate's output: group keys, then each
@@ -670,79 +699,19 @@ impl<'a> PhysicalPlanner<'a> {
         Ok(Schema::new(cols))
     }
 
-    fn hash_exchange(&mut self, input: PhysicalPlan, keys: Vec<Expr>) -> PhysicalPlan {
+    /// Repartitions by `keys`; the rows and their estimate `est` pass
+    /// through.
+    fn hash_exchange(
+        &mut self,
+        input: PhysicalPlan,
+        keys: Vec<Expr>,
+        est: PlanEstimate,
+    ) -> PhysicalPlan {
         PhysicalPlan::Exchange {
-            id: self.id(),
+            id: self.id(est),
             input: Box::new(input),
             kind: ExchangeKind::Hash(keys),
         }
-    }
-
-    /// Annotates a physical plan with the cost model's per-operator
-    /// estimates: a map from operator id to estimated output size, built
-    /// with the same statistics and selectivity assumptions the optimizer
-    /// used. `EXPLAIN ANALYZE` joins this side-map against the executor's
-    /// measured `OperatorStats` actuals to compute per-operator q-errors.
-    pub fn estimates(&self, plan: &PhysicalPlan) -> std::collections::HashMap<usize, PlanEstimate> {
-        let mut out = std::collections::HashMap::new();
-        self.estimate_into(plan, &mut out);
-        out
-    }
-
-    /// Recursive worker for [`PhysicalPlanner::estimates`]; returns the
-    /// node's own estimate after recording all children.
-    fn estimate_into(
-        &self,
-        plan: &PhysicalPlan,
-        out: &mut std::collections::HashMap<usize, PlanEstimate>,
-    ) -> PlanEstimate {
-        use crate::cost;
-        let est = match plan {
-            PhysicalPlan::TableScan { table, schema, .. } => {
-                let rows = self
-                    .stats
-                    .table_rows(table)
-                    .map(|r| r as f64)
-                    .unwrap_or(crate::optimizer::DEFAULT_TABLE_ROWS);
-                PlanEstimate::new(rows.max(1.0), PlanEstimate::row_bytes_of(schema))
-            }
-            PhysicalPlan::Filter { input, predicate, .. } => {
-                let e = self.estimate_into(input, out);
-                PlanEstimate::new(cost::filter_rows(e.rows, predicate), e.row_bytes)
-            }
-            PhysicalPlan::Project { input, schema, .. } => {
-                let e = self.estimate_into(input, out);
-                PlanEstimate::new(e.rows, PlanEstimate::row_bytes_of(schema))
-            }
-            PhysicalPlan::HashJoin { left, right, left_keys, schema, .. } => {
-                let l = self.estimate_into(left, out);
-                let r = self.estimate_into(right, out);
-                PlanEstimate::new(
-                    cost::equi_join_rows(l.rows, r.rows, left_keys.len()),
-                    PlanEstimate::row_bytes_of(schema),
-                )
-            }
-            PhysicalPlan::HashAggregate { input, group_by, mode, aggs, schema, .. } => {
-                let e = self.estimate_into(input, out);
-                let rows = match (mode, group_by.is_empty()) {
-                    // Per-partition pre-aggregation can't shrink below the
-                    // group count but we bound it by its input.
-                    (AggMode::Partial, _) => e.rows,
-                    (_, global) => cost::group_rows(e.rows, !global),
-                };
-                let width =
-                    cost::aggregate_width(PlanEstimate::row_bytes_of(schema), aggs, e.rows);
-                PlanEstimate::new(rows, width)
-            }
-            PhysicalPlan::Exchange { input, .. }
-            | PhysicalPlan::Sort { input, .. } => self.estimate_into(input, out),
-            PhysicalPlan::Limit { input, n, .. } => {
-                let e = self.estimate_into(input, out);
-                PlanEstimate::new(cost::limit_rows(e.rows, *n), e.row_bytes)
-            }
-        };
-        out.insert(plan.id(), est);
-        est
     }
 }
 
@@ -777,6 +746,7 @@ fn remap_distribution(dist: Distribution, exprs: &[Expr]) -> Distribution {
 mod tests {
     use super::*;
     use crate::expr::CmpOp;
+    use crate::functions::Builtin;
     use lardb_storage::{Partitioning, Table};
     use std::collections::HashMap;
 
@@ -1019,50 +989,101 @@ mod tests {
         ));
     }
 
+    /// Walks a physical plan beside the logical plan it came from. Every
+    /// node planned from a logical node carries the optimizer's estimate of
+    /// that logical subtree (its label goes into `seen`); an exchange passes
+    /// its input's estimate through, and a partial aggregate keeps its
+    /// input's rows.
+    fn priced_as_logical(
+        p: &PhysicalPlan,
+        l: &LogicalPlan,
+        opt: &Optimizer<'_>,
+        est: &[PlanEstimate],
+        seen: &mut std::collections::BTreeSet<String>,
+    ) {
+        match p {
+            PhysicalPlan::Exchange { input, .. } => {
+                assert_eq!(est[p.id()], est[input.id()], "an exchange passes through");
+                return priced_as_logical(input, l, opt, est, seen);
+            }
+            PhysicalPlan::HashAggregate { input, mode: AggMode::Partial, .. } => {
+                assert_eq!(est[p.id()].rows, est[input.id()].rows, "partial rows");
+                return priced_as_logical(input, l, opt, est, seen);
+            }
+            _ => {}
+        }
+        assert_eq!(est[p.id()], Optimizer::estimate(opt, l), "{}", p.label());
+        seen.insert(p.label());
+        assert_eq!(p.children().len(), l.children().len(), "{}", p.label());
+        for (pc, lc) in p.children().into_iter().zip(l.children()) {
+            priced_as_logical(pc, lc, opt, est, seen);
+        }
+    }
+
     #[test]
     fn estimates_cover_every_operator() {
         let cat = catalog();
         let mut stats = HashMap::new();
         stats.insert("rr".to_string(), 400);
-        let mut pp = PhysicalPlanner::new(&cat, &stats);
-        let plan = pp.plan_gathered(&join_on_id(&cat, "rr", "rr")).unwrap();
-        let est = pp.estimates(&plan);
+        stats.insert("hashed".to_string(), 90);
+        let sum_v =
+            || vec![AggExpr { func: AggFunc::Sum, arg: Some(Expr::col(1)), name: "s".into() }];
+        // Scan, filter, project, keyed join, sort and limit.
+        let filtered = LogicalPlan::Filter {
+            input: Box::new(join_on_id(&cat, "rr", "rr")),
+            predicate: Expr::cmp(CmpOp::Lt, Expr::col(1), Expr::col(3)),
+        };
+        let outputs = vec![(Expr::col(0), "id".into()), (Expr::col(3), "v".into())];
+        let projected = LogicalPlan::project(filtered, outputs).unwrap();
+        let sorted =
+            LogicalPlan::Sort { input: Box::new(projected), keys: vec![(Expr::col(1), true)] };
+        let keyed = LogicalPlan::Limit { input: Box::new(sorted), n: 10 };
+        // A cross join under a two-phase (partial, final) global aggregate.
+        let cross = LogicalPlan::Join {
+            left: Box::new(scan(&cat, "rr")),
+            right: Box::new(scan(&cat, "hashed")),
+            kind: JoinKind::Cross,
+            equi: vec![],
+            residual: None,
+        };
+        let cross = LogicalPlan::aggregate(cross, vec![], sum_v()).unwrap();
+        // A complete aggregate (`hashed` is already partitioned on its key)
+        // feeding a join its nnz-priced `MATRIX_FROM_ENTRIES` width, which
+        // the join must add up, not re-derive from its schema.
+        let coords = vec![Expr::col(0), Expr::col(0), Expr::col(1)];
+        let entry = Expr::call(Builtin::SparseEntry, coords);
+        let mfe = AggExpr { func: AggFunc::MatrixFromEntries, arg: Some(entry), name: "m".into() };
+        let by_id = vec![(Expr::col(0), "id".into())];
+        let tiles = LogicalPlan::aggregate(scan(&cat, "hashed"), by_id, vec![mfe]).unwrap();
+        let complete = LogicalPlan::Join {
+            left: Box::new(tiles),
+            right: Box::new(scan(&cat, "hashed")),
+            kind: JoinKind::Inner,
+            equi: vec![(Expr::col(0), Expr::col(0))],
+            residual: None,
+        };
 
-        // Every node in the tree has an estimate under its id.
-        fn ids(p: &PhysicalPlan, out: &mut Vec<usize>) {
-            out.push(p.id());
-            for c in p.children() {
-                ids(c, out);
-            }
+        let opt = Optimizer::with_defaults(&stats);
+        let mut seen = std::collections::BTreeSet::new();
+        for logical in [keyed, cross, complete] {
+            let mut pp = PhysicalPlanner::new(&cat, &stats);
+            let plan = pp.plan_gathered(&logical).unwrap();
+            // Every operator priced once, under its own id.
+            let est = pp.estimates();
+            assert_eq!(est.len(), count_ops(&plan, &|_| true), "{}", plan.display_tree());
+            priced_as_logical(&plan, &logical, &opt, est, &mut seen);
         }
-        let mut all = Vec::new();
-        ids(&plan, &mut all);
-        for id in &all {
-            assert!(est.contains_key(id), "no estimate for operator {id}");
-        }
-
-        // Scans use catalog stats; the join applies the Selinger equi
-        // selectivity: 400 * 400 / max(400, 400) = 400 rows.
-        fn find<'p>(
-            p: &'p PhysicalPlan,
-            pred: &dyn Fn(&PhysicalPlan) -> bool,
-        ) -> Option<&'p PhysicalPlan> {
-            if pred(p) {
-                return Some(p);
-            }
-            p.children().into_iter().find_map(|c| find(c, pred))
-        }
-        let scan_node =
-            find(&plan, &|p| matches!(p, PhysicalPlan::TableScan { .. })).unwrap();
-        assert_eq!(est[&scan_node.id()].rows, 400.0);
-        let join_node = find(&plan, &|p| matches!(p, PhysicalPlan::HashJoin { .. })).unwrap();
-        assert_eq!(est[&join_node.id()].rows, 400.0);
-        // Exchanges pass their input's estimate through unchanged.
-        let ex = find(&plan, &|p| {
-            matches!(p, PhysicalPlan::Exchange { kind: ExchangeKind::Gather, .. })
-        })
-        .unwrap();
-        assert_eq!(est[&ex.id()].rows, est[&join_node.id()].rows);
-        assert!(est[&scan_node.id()].total_bytes() > 0.0);
+        let want = [
+            "Filter",
+            "HashAggregate(Complete)",
+            "HashAggregate(Final)",
+            "HashJoin",
+            "Limit",
+            "Project",
+            "Sort",
+            "TableScan(hashed)",
+            "TableScan(rr)",
+        ];
+        assert_eq!(seen.iter().map(String::as_str).collect::<Vec<_>>(), want);
     }
 }

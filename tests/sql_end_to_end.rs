@@ -497,6 +497,30 @@ fn explain_analyze_marks_pointer_bytes_as_estimates() {
         !stats_block.lines().any(|l| l.contains("Exchange") && l.contains('~')),
         "serialized exchange bytes are measured, not estimated:\n{measured}"
     );
+
+    // The estimate table marks the same way: its `act_MB` (second column
+    // from the right) is modeled for a pointer exchange and for every
+    // operator that ships nothing, measured for a serialized exchange.
+    let act_mb = |text: &str, label: &str| -> Vec<String> {
+        let table = text.split("== Estimate vs Actual ==").nth(1).unwrap();
+        table
+            .lines()
+            .filter(|l| l.contains(label))
+            .map(|l| l.split_whitespace().rev().nth(1).unwrap().to_string())
+            .collect()
+    };
+    for (text, label, modeled) in [
+        (&text, "Exchange", true),
+        (&text, "TableScan", true),
+        (&measured, "Exchange", false),
+        (&measured, "TableScan", true),
+    ] {
+        let cells = act_mb(text, label);
+        assert!(!cells.is_empty(), "no {label} row in the estimate table:\n{text}");
+        for cell in cells {
+            assert_eq!(cell.starts_with('~'), modeled, "{label} act_MB {cell}:\n{text}");
+        }
+    }
 }
 
 #[test]
