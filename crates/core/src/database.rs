@@ -59,11 +59,11 @@ pub struct DatabaseConfig {
     /// least this long are reported on stderr and counted under the
     /// `db.slow_queries` metric. `None` (the default) disables the log.
     pub slow_query_ms: Option<f64>,
-    /// Threads in the persistent worker pool that executes morsels.
-    /// `None` (the default) shares the process-wide pool (sized from
-    /// `LARDB_POOL_WORKERS` or the machine's core count); `Some(n)` gives
-    /// this database a dedicated pool of `n` threads, created once and
-    /// reused by every query.
+    /// Threads in the persistent worker pool that executes morsels and
+    /// fans out large dense kernels. `None` (the default) runs on the
+    /// process pool, one thread per core; `Some(n)` gives this database a
+    /// dedicated pool of `n` threads, created once and reused by every
+    /// query. Either way a query's kernel counts are its own.
     pub pool_workers: Option<usize>,
     /// Rows per scheduled morsel (default
     /// [`lardb_exec::DEFAULT_MORSEL_ROWS`]). Smaller morsels balance skew
@@ -304,9 +304,9 @@ impl Database {
     }
 
     /// A database with explicit configuration. Touches nothing outside
-    /// the returned value, and its memory governor is its own: the flight
-    /// recorder, the metrics registry and the shared pool
-    /// (`pool_workers: None`) are the process's, not a database's.
+    /// the returned value; its governor and its queries' kernel counts are
+    /// its own. The flight recorder, the metrics registry and the process
+    /// pool (`pool_workers: None`) belong to the process by design.
     pub fn with_config(config: DatabaseConfig) -> Self {
         let pool = config.pool_workers.map(|n| Arc::new(WorkerPool::new(n)));
         let budget = config.mem.filter(|&mb| mb > 0).map(|mb| mb * 1024 * 1024);
@@ -844,13 +844,11 @@ impl Database {
                     if d.any() {
                         text.push_str(&format!(
                             "la dispatch: {} dense, {} spmv, \
-                             {} sp×dense, {} spgemm, {} sp-syrk, \
-                             {} densified\n",
+                             {} sp×dense, {} spgemm, {} densified\n",
                             d.dense,
                             d.spmv,
                             d.sp_dense,
                             d.spgemm,
-                            d.sp_syrk,
                             d.densified,
                         ));
                     }
@@ -954,7 +952,6 @@ impl Database {
                 pp.plan(optimized)
             }
         })?;
-        let dispatch_before = lardb_la::dispatch::dispatch_counters();
         let mut result = st.profile.time(Stage::Execute, || {
             Executor::new(&self.catalog, self.cluster(st.cancel))
                 .with_transport(self.config.transport)
@@ -964,21 +961,6 @@ impl Database {
                 .with_batch_rows(self.config.batch_rows)
                 .execute(&physical)
         })?;
-        // Per-query kernel-dispatch attribution: the delta of the
-        // process-wide counters across execution (concurrent queries may
-        // bleed into each other's deltas). Also bridged to the global
-        // `la.dispatch.*` metrics SHOW METRICS exposes.
-        let d = lardb_la::dispatch::dispatch_counters().since(&dispatch_before);
-        result.stats.dispatch = d;
-        if d.any() {
-            let m = lardb_obs::global();
-            m.counter("la.dispatch.dense").add(d.dense);
-            m.counter("la.dispatch.spmv").add(d.spmv);
-            m.counter("la.dispatch.sp_dense").add(d.sp_dense);
-            m.counter("la.dispatch.spgemm").add(d.spgemm);
-            m.counter("la.dispatch.sp_syrk").add(d.sp_syrk);
-            m.counter("la.dispatch.densified").add(d.densified);
-        }
         st.profile.operators.extend(join_estimates(pp.estimates(), &result.stats));
         let schema = result.schema.clone();
         let stats = std::mem::take(&mut result.stats);

@@ -52,8 +52,8 @@ pub fn at(workers: usize, transport: TransportMode, mem: Option<u64>) -> Cell {
     })
 }
 
-/// The product as shipped, `Database::new(workers)`: the process-level pool
-/// at its own size and the default morsels, which the pivot moves off.
+/// The product as shipped, `Database::new(workers)`: the process pool, one
+/// thread per core, and the default morsels, which the pivot moves off.
 pub fn shipped(workers: usize) -> Cell {
     cell(|c| *c = DatabaseConfig { workers, ..DatabaseConfig::default() })
 }

@@ -2,23 +2,26 @@
 //! least two morsels. The `pool.morsels` counter is process-wide, so this
 //! is the only test in its binary.
 
-use lardb_la::gemm::gemm_acc_pooled;
+use std::sync::Arc;
+
+use lardb_la::dispatch::{self, KernelContext};
 use lardb_la::Matrix;
 use lardb_pool::WorkerPool;
 
-/// Multiplies `m × 128` by `128 × 128` under a trace on a four-worker
-/// pool; returns the `pool.wait` spans recorded and the morsels counted.
-fn traced_multiply(pool: &WorkerPool, m: usize) -> (usize, u64) {
+/// Multiplies `m × 128` by `128 × 128` under a trace in a kernel context
+/// on a four-worker pool; returns the `pool.wait` spans recorded and the
+/// morsels counted.
+fn traced_multiply(pool: &Arc<WorkerPool>, m: usize) -> (usize, u64) {
     let a = Matrix::from_fn(m, 128, |i, j| (i + 2 * j) as f64);
     let b = Matrix::from_fn(128, 128, |i, j| (3 * i + j) as f64);
-    let mut out = Matrix::zeros(m, 128);
     let recorder = lardb_obs::recorder();
     let trace = recorder.start_forced("gemm", "test");
     let morsels = lardb_obs::global().counter("pool.morsels");
     let before = morsels.get();
     {
         let _current = lardb_obs::trace::push_current(Some(trace.clone()));
-        gemm_acc_pooled(pool, &a, &b, &mut out);
+        let _kernels = dispatch::enter(Some(KernelContext::new(Some(Arc::clone(pool)))));
+        a.multiply(&b).unwrap();
     }
     let waits = trace.events().iter().filter(|e| e.name == "pool.wait").count();
     recorder.finish(&trace, None);
@@ -27,7 +30,7 @@ fn traced_multiply(pool: &WorkerPool, m: usize) -> (usize, u64) {
 
 #[test]
 fn a_single_morsel_product_does_not_open_a_pool_scope() {
-    let pool = WorkerPool::new(4);
+    let pool = Arc::new(WorkerPool::new(4));
     // 128³ is above the flop cutoff but is one morsel: the tile product of
     // `matmul_tiled_ooc`, which used to box, push, wake and wait for it.
     assert_eq!(traced_multiply(&pool, 128), (0, 0));

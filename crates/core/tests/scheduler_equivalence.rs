@@ -12,7 +12,7 @@ use common::compare::{exact_rows, metric, sweep};
 use common::corpus;
 use common::fixtures::Fixture;
 use common::lattice::{self, cell, SPLIT, WHOLE};
-use lardb::TransportMode;
+use lardb::{DataType, Matrix, Partitioning, Row, Schema, Source, TransportMode, Value};
 
 #[test]
 fn split_morsels_match_whole_partitions_on_skew() {
@@ -69,10 +69,59 @@ fn repeated_grouped_aggregation_is_deterministic() {
 fn pool_metrics_surface_in_show_metrics() {
     let db = Fixture::Skew.open(&cell(|_| {}));
     db.query("SELECT g, COUNT(*) AS c FROM skew GROUP BY g").unwrap();
-    for name in ["pool.steals", "pool.queue_wait_us", "pool.size", "pool.utilization"] {
+    for name in ["pool.steals", "pool.queue_wait_us", "pool.size", "pool.busy"] {
         metric(&db, name);
     }
     // The query above ran real morsels through the pool.
     let morsels = metric(&db, "pool.morsels");
     assert!(morsels >= 1.0, "pool.morsels = {morsels}");
+}
+
+/// Two databases on the process pool, each looping a statement with dense
+/// and sparse kernels on its own thread: their tasks interleave on the
+/// same pool threads, yet every run counts exactly its own kernels — what
+/// it counted alone.
+#[test]
+fn neighbours_on_one_pool_count_only_their_own_kernels() {
+    let sql = "SELECT a.tr, b.tc, SUM(matrix_multiply(a.mat, b.mat)) AS s,
+                      SUM(matrix_multiply(densify(a.mat), b.mat)) AS d
+               FROM ta AS a, tb AS b WHERE a.tc = b.tr GROUP BY a.tr, b.tc";
+    let on_process_pool = cell(|c| c.pool_workers = None);
+    let dbs = [(); 2].map(|_| Fixture::Tiles.open(&on_process_pool));
+    let counts = |db: &lardb::Database| db.query(sql).unwrap().stats.dispatch;
+    let alone = dbs.each_ref().map(counts);
+    assert!(alone[0].dense > 0 && alone[0].spgemm > 0, "{:?}", alone[0]);
+    std::thread::scope(|scope| {
+        for (db, alone) in dbs.iter().zip(alone) {
+            scope.spawn(move || {
+                for run in 0..40 {
+                    assert_eq!(counts(db), alone, "run {run} counted a neighbour's kernels");
+                }
+            });
+        }
+    });
+}
+
+/// A query's large dense product fans out on the query's own pool: one
+/// traced 256² · 256² multiply on one worker records no `pool.wait` span
+/// on a pool of one thread and one per 128² output block on a pool of four.
+#[test]
+fn a_querys_dense_kernels_fan_out_on_its_own_pool() {
+    let sql = "SELECT matrix_multiply(m, m) AS p FROM big";
+    for (pool, waits) in [(1, 0), (4, 4)] {
+        let db = cell(|c| {
+            c.workers = 1;
+            c.pool_workers = Some(pool);
+        })
+        .open();
+        let m = Matrix::from_fn(256, 256, |i, j| (i + 2 * j) as f64);
+        let square = DataType::Matrix(Some(256), Some(256));
+        db.create_table("big", Schema::from_pairs(&[("m", square)]), Partitioning::Hash(0))
+            .unwrap();
+        db.insert_rows("big", [Row::new(vec![Value::matrix(m)])]).unwrap();
+        let trace = lardb_obs::recorder().start_forced(sql, "test");
+        db.run(Source::Sql(sql), None, Some(&trace)).unwrap();
+        let got = trace.events().iter().filter(|e| e.name == "pool.wait").count();
+        assert_eq!(got, waits, "pool of {pool}");
+    }
 }

@@ -21,8 +21,8 @@ use common::fixtures::{rngish, sparse_tile, tile_db, Fixture};
 use common::lattice::{self, at, Cell};
 use lardb::TransportMode::{Pointer, Serialized};
 use lardb::{
-    CooBuilder, Database, DataType, Partitioning, QueryResult, Row, Schema, SparseMatrix, Value,
-    Vector,
+    CooBuilder, Database, DataType, DispatchCounters, Partitioning, QueryResult, Row, Schema,
+    SparseMatrix, Value, Vector,
 };
 
 /// The tile tables under `cell`: the CSR store, or its densified twin.
@@ -341,21 +341,49 @@ fn logreg_sparse_trajectory_matches_dense() {
     );
 }
 
-/// Per-query dispatch attribution surfaces in EXPLAIN ANALYZE and the
-/// `la.dispatch.*` SHOW METRICS counters.
+/// Each of the five kernel kinds, one statement apiece on one worker:
+/// `stats.dispatch` and EXPLAIN ANALYZE's `la dispatch:` line count
+/// exactly the kernels the statement ran, and the `la.dispatch.*` SHOW
+/// METRICS counters carry them.
 #[test]
 fn dispatch_choices_surface_in_explain_and_metrics() {
-    let db = Fixture::Tiles.open(&at(2, Pointer, None));
-    let out = db.execute(&format!("EXPLAIN ANALYZE {TILE_JOIN}")).unwrap();
-    let lardb::database::Response::Explained(text) = out else {
-        panic!("EXPLAIN ANALYZE should return Explained");
-    };
-    let line = text
-        .lines()
-        .find(|l| l.contains("la dispatch:"))
-        .unwrap_or_else(|| panic!("no dispatch line in EXPLAIN ANALYZE:\n{text}"));
-    assert!(line.contains("spgemm"), "dispatch line lacks kernel counts: {line}");
+    let db = at(1, Pointer, None).open();
+    let s = sparse_tile(0xd15, 8, 8, 0.1);
+    let a = Value::matrix(s.to_dense().add(&lardb::Matrix::identity(8)).unwrap());
+    let x = Value::vector(Vector::from_vec((0..8).map(f64::from).collect()));
+    let square = DataType::Matrix(Some(8), Some(8));
+    db.create_table(
+        "t",
+        Schema::from_pairs(&[("a", square), ("s", square), ("x", DataType::Vector(Some(8)))]),
+        Partitioning::Hash(0),
+    )
+    .unwrap();
+    db.insert_rows("t", [Row::new(vec![a, Value::sparse_matrix(s), x])]).unwrap();
+
+    let none = DispatchCounters::default();
+    let kinds = [
+        ("matrix_multiply(a, a)", DispatchCounters { dense: 1, ..none }),
+        ("matrix_vector_multiply(s, x)", DispatchCounters { spmv: 1, ..none }),
+        ("matrix_multiply(s, a)", DispatchCounters { sp_dense: 1, ..none }),
+        ("matrix_multiply(s, s)", DispatchCounters { spgemm: 1, ..none }),
+        ("diag(s)", DispatchCounters { densified: 1, ..none }),
+    ];
+    for (expr, want) in kinds {
+        let sql = format!("SELECT {expr} AS y FROM t");
+        assert_eq!(run(&db, &sql).stats.dispatch, want, "{expr}");
+        let out = db.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
+        let lardb::database::Response::Explained(text) = out else {
+            panic!("EXPLAIN ANALYZE should return Explained");
+        };
+        let line = text.lines().find(|l| l.starts_with("la dispatch:"));
+        let DispatchCounters { dense, spmv, sp_dense, spgemm, densified } = want;
+        let counted = format!(
+            "la dispatch: {dense} dense, {spmv} spmv, {sp_dense} sp×dense, \
+             {spgemm} spgemm, {densified} densified"
+        );
+        assert_eq!(line, Some(counted.as_str()), "{expr}:\n{text}");
+    }
 
     let spgemm = metric(&db, "la.dispatch.spgemm");
-    assert!(spgemm >= 1.0, "la.dispatch.spgemm = {spgemm}");
+    assert!(spgemm >= 2.0, "la.dispatch.spgemm = {spgemm}");
 }

@@ -136,7 +136,8 @@ fn nan_group_keys_spill_like_they_merge_in_memory() {
 }
 
 /// What a database can show of a run of `statements`: per statement its
-/// rows in order (or its error message) and its shuffle and batch totals.
+/// rows in order (or its error message), its shuffle and batch totals and
+/// its kernel choices.
 /// The database is unbounded, so it never spills.
 fn footprint(db: &Database, statements: &[corpus::Statement]) -> Vec<String> {
     let seen = statements.iter().map(|s| match db.query(s.sql) {
@@ -151,7 +152,7 @@ fn footprint(db: &Database, statements: &[corpus::Statement]) -> Vec<String> {
                 s.total_batches(),
                 s.total_fallbacks(),
             ];
-            format!("{totals:?} {:?}", exact_rows(&r))
+            format!("{totals:?} {:?} {:?}", s.dispatch, exact_rows(&r))
         }
     });
     let seen = seen.collect();
@@ -163,13 +164,11 @@ fn footprint(db: &Database, statements: &[corpus::Statement]) -> Vec<String> {
 /// (1 MiB, a pool of 2) is driven through the spilling statements in a
 /// loop on its own thread, B (unbounded, a pool of 4) answers the whole
 /// corpus exactly as it did before A started — rows, error messages,
-/// spill, shuffle and batch totals — and its governor's high-water mark
-/// does not move. The mark is read off a one-worker twin of B over the
-/// `fat` statements: reservations are taken per partition task, so on four
-/// workers how many overlap is a scheduling outcome even alone.
-/// `stats.dispatch` is left out: it is read off `la::dispatch::COUNTERS`,
-/// the one counter two databases in a process still share (ROADMAP item
-/// 4), so A's kernels show up in it by design.
+/// spill, shuffle and batch totals, kernel choices — and its governor's
+/// high-water mark does not move. The mark is read off a one-worker twin
+/// of B over the `fat` statements: reservations are taken per partition
+/// task, so on four workers how many overlap is a scheduling outcome even
+/// alone.
 #[test]
 fn a_spilling_neighbour_changes_nothing() {
     use std::sync::atomic::{AtomicBool, Ordering};

@@ -3,6 +3,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use lardb_la::dispatch;
 use lardb_obs::ActiveTrace;
 use lardb_pool::WorkerPool;
 
@@ -101,8 +102,8 @@ pub const DEFAULT_MORSEL_ROWS: usize = 1024;
 #[derive(Debug, Clone)]
 pub struct Cluster {
     workers: usize,
-    /// `None` ⇒ use the process-wide [`lardb_pool::global`] pool.
-    pool: Option<Arc<WorkerPool>>,
+    /// Morsels' and dense kernels' pool; `None` ⇒ [`lardb_pool::global`].
+    pub(crate) pool: Option<Arc<WorkerPool>>,
     morsel_rows: usize,
     /// Query-wide cancellation token, shared by clones of this cluster.
     cancel: CancelToken,
@@ -254,7 +255,8 @@ impl Cluster {
     /// and any failure flips the token so siblings stop too. When the
     /// query is traced, the task runs under the trace (thread-local)
     /// inside a per-morsel span, so the flight recorder sees which pool
-    /// thread ran each morsel and leaf code attributes its events.
+    /// thread ran each morsel and leaf code attributes its events. Each
+    /// task runs in the calling thread's kernel context (`lardb_la`).
     ///
     /// A task that panics surfaces as [`ExecError::Runtime`] instead of
     /// tearing down the process — a query must not crash the database.
@@ -268,12 +270,14 @@ impl Cluster {
         R: Send,
         F: Fn(usize, T) -> Result<R> + Sync,
     {
+        let kernels = dispatch::current();
         let guarded = |i: usize, input: T| -> Result<R> {
             if self.cancel.is_cancelled() {
                 return Err(ExecError::Cancelled(
                     "a sibling worker failed first".into(),
                 ));
             }
+            let _kernels = dispatch::enter(kernels.clone());
             let _cur = self
                 .trace
                 .as_ref()
@@ -399,18 +403,21 @@ mod tests {
 
     #[test]
     fn par_map_converts_worker_panics_to_errors() {
-        let c = Cluster::new(2);
-        let out: Result<Vec<i32>> = c.par_map(vec![1, 2, 3], |_, x| {
-            if x == 2 {
-                panic!("kaboom on {x}");
+        // Also on a pool far wider than the machine (oversubscribed).
+        for width in [2, 64] {
+            let c = Cluster::new(2).with_pool(Arc::new(WorkerPool::new(width)));
+            let out: Result<Vec<i32>> = c.par_map(vec![1, 2, 3], |_, x| {
+                if x == 2 {
+                    panic!("kaboom on {x}");
+                }
+                Ok(x)
+            });
+            match out {
+                Err(ExecError::Runtime(msg)) => {
+                    assert!(msg.contains("kaboom"), "pool of {width}: {msg}")
+                }
+                other => panic!("pool of {width}: expected Runtime error, got {other:?}"),
             }
-            Ok(x)
-        });
-        match out {
-            Err(ExecError::Runtime(msg)) => {
-                assert!(msg.contains("kaboom"), "unexpected message: {msg}")
-            }
-            other => panic!("expected Runtime error, got {other:?}"),
         }
     }
 
@@ -498,21 +505,24 @@ mod tests {
     fn morsel_map_matches_sequential_on_skew() {
         // One partition holds nearly all rows; morsel outputs must still
         // arrive per partition in row order.
+        // Also on a pool far wider than the machine (oversubscribed).
         let parts: Vec<Vec<i64>> =
             vec![(0..900).collect(), (900..950).collect(), vec![], (950..1000).collect()];
-        let c = Cluster::new(4)
-            .with_pool(Arc::new(WorkerPool::new(4)))
-            .with_morsel_rows(16);
-        let out = c
-            .morsel_map(parts.clone(), |p, rows| {
-                Ok(rows.into_iter().map(|x| x * 2 + p as i64).collect::<Vec<_>>())
-            })
-            .unwrap();
-        assert_eq!(out.len(), 4);
-        for (p, (morsels, rows)) in out.into_iter().zip(parts).enumerate() {
-            let flat: Vec<i64> = morsels.into_iter().flatten().collect();
-            let want: Vec<i64> = rows.into_iter().map(|x| x * 2 + p as i64).collect();
-            assert_eq!(flat, want, "partition {p}");
+        for width in [4, 64] {
+            let c = Cluster::new(4)
+                .with_pool(Arc::new(WorkerPool::new(width)))
+                .with_morsel_rows(16);
+            let out = c
+                .morsel_map(parts.clone(), |p, rows| {
+                    Ok(rows.into_iter().map(|x| x * 2 + p as i64).collect::<Vec<_>>())
+                })
+                .unwrap();
+            assert_eq!(out.len(), 4);
+            for (p, (morsels, rows)) in out.into_iter().zip(parts.clone()).enumerate() {
+                let flat: Vec<i64> = morsels.into_iter().flatten().collect();
+                let want: Vec<i64> = rows.into_iter().map(|x| x * 2 + p as i64).collect();
+                assert_eq!(flat, want, "pool of {width}, partition {p}");
+            }
         }
     }
 

@@ -257,8 +257,12 @@ impl<'a> Executor<'a> {
         } else {
             self.cluster.cancel_token().reset();
         }
+        // `run_tasks` carries the context into every task of the query.
+        let kernels = lardb_la::dispatch::KernelContext::new(self.cluster.pool.clone());
+        let _kernels = lardb_la::dispatch::enter(Some(kernels.clone()));
         let mut stats = ExecStats::new();
         let partitions = self.run(plan, &mut stats)?;
+        stats.dispatch = kernels.counts();
         publish_metrics(&stats);
         Ok(ExecutionResult { schema: plan.schema(), partitions, stats })
     }
@@ -840,9 +844,10 @@ impl<'a> Executor<'a> {
 }
 
 /// Publishes one execution's totals into the process-wide metrics
-/// registry: counters for plans run, rows/bytes shuffled and frames
-/// encoded, plus an enqueue-block-time histogram (µs per exchange).
+/// registry: plans run, rows/bytes shuffled, frames encoded, kernel
+/// choices (`la.dispatch.*`) and an enqueue-block-time histogram (µs).
 fn publish_metrics(stats: &ExecStats) {
+    lardb_la::dispatch::publish(&stats.dispatch);
     let registry = lardb_obs::global();
     registry.counter("exec.plans_run").inc();
     registry

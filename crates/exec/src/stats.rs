@@ -172,12 +172,9 @@ impl OperatorStats {
 #[derive(Debug, Clone, Default)]
 pub struct ExecStats {
     ops: Vec<OperatorStats>,
-    /// Kernel-dispatch choices (dense vs sparse kernels) made
-    /// while this query executed. Attributed by snapshotting the
-    /// process-wide dispatch counters around execution, so concurrent
-    /// queries' kernels — this database's or any other's in the process —
-    /// can overlap into each other's counts. The one field here that is
-    /// not the query's own.
+    /// Kernel-dispatch choices (dense vs sparse kernels) this query
+    /// made: exactly its own, read from the kernel context its
+    /// coordinating thread and every one of its pool tasks ran in.
     pub dispatch: lardb_la::DispatchCounters,
 }
 

@@ -27,7 +27,8 @@
 //!
 //! At `PAR_FLOPS` multiply-adds and above, an output that spans at least
 //! two `PAR_BLOCK`-square blocks is scheduled block by block as morsels on
-//! the process-wide [`lardb_pool`] worker pool. Each morsel owns a
+//! the current query's worker pool ([`crate::dispatch::KernelContext`];
+//! the process pool outside a query). Each morsel owns a
 //! disjoint block of `out` and runs the *full* `k` loop, so the parallel
 //! result is bit-identical to the inline one.
 
@@ -279,34 +280,37 @@ fn par_ranges(len: usize) -> Vec<(usize, usize)> {
     (0..len).step_by(PAR_BLOCK).map(|lo| (lo, (lo + PAR_BLOCK).min(len))).collect()
 }
 
-/// Runs `p` over all of `out`: inline, or as one pool morsel per
-/// `PAR_BLOCK`-square output block when the product is large and has at
-/// least two of them (a scope around a single morsel buys nothing and
-/// costs a boxed closure, a wake-up and a wait).
+/// Runs `p` over all of `out`: inline, or as one morsel per
+/// `PAR_BLOCK`-square output block on the current query's pool
+/// ([`crate::dispatch`]) when the product is large, has at least two of
+/// them and the pool has several threads (a scope around one morsel buys
+/// nothing and costs a boxed closure, a wake-up and a wait).
 ///
 /// # Safety
 /// `out` must point at `p`'s exclusively borrowed `m × n` output.
-unsafe fn run(pool: &lardb_pool::WorkerPool, p: &Product<'_>, out: OutPtr) {
+unsafe fn run(p: &Product<'_>, out: OutPtr) {
     let block = block_fn();
     let (m, n) = (p.m, p.n);
     // An upper-triangle product does about half the multiplies.
     let flops = m.saturating_mul(n).saturating_mul(p.k) / if p.upper { 2 } else { 1 };
     let several = m > PAR_BLOCK || n > PAR_BLOCK;
-    if flops >= PAR_FLOPS && pool.workers() > 1 && several {
-        let cols = par_ranges(n);
-        pool.scope(|s| {
-            for ib in par_ranges(m) {
-                // Blocks wholly below the diagonal have nothing to do.
-                for &jb in cols.iter().filter(|jb| !p.upper || jb.1 > ib.0) {
-                    // SAFETY: disjoint (ib, jb) block of `out` per morsel.
-                    s.spawn(move || unsafe { block(p, out, ib, jb) });
+    crate::dispatch::on_pool(|pool| {
+        if flops >= PAR_FLOPS && pool.workers() > 1 && several {
+            let cols = par_ranges(n);
+            pool.scope(|s| {
+                for ib in par_ranges(m) {
+                    // Blocks wholly below the diagonal have nothing to do.
+                    for &jb in cols.iter().filter(|jb| !p.upper || jb.1 > ib.0) {
+                        // SAFETY: disjoint (ib, jb) block of `out` per morsel.
+                        s.spawn(move || unsafe { block(p, out, ib, jb) });
+                    }
                 }
-            }
-        })
-        .expect("dense kernel morsel panicked");
-    } else {
-        block(p, out, (0, m), (0, n))
-    }
+            })
+            .expect("dense kernel morsel panicked");
+        } else {
+            block(p, out, (0, m), (0, n))
+        }
+    })
 }
 
 /// `out += a × b`. Shapes must already be validated by the caller.
@@ -314,24 +318,12 @@ unsafe fn run(pool: &lardb_pool::WorkerPool, p: &Product<'_>, out: OutPtr) {
 /// Runs inline or pool-parallel over output blocks depending on size;
 /// both produce bit-identical output.
 pub(crate) fn gemm_acc(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    gemm_acc_pooled(lardb_pool::global(), a, b, out)
-}
-
-/// `gemm_acc` scheduled on a caller-supplied pool (tests use a
-/// dedicated multi-worker pool so the parallel path is exercised even on
-/// single-core machines).
-pub fn gemm_acc_pooled(
-    pool: &lardb_pool::WorkerPool,
-    a: &Matrix,
-    b: &Matrix,
-    out: &mut Matrix,
-) {
     let p = Product::gemm(a, b);
     assert_eq!(out.shape(), (p.m, p.n), "gemm output shape mismatch");
     crate::dispatch::note_kernel(crate::dispatch::Kernel::Dense);
     let ptr = OutPtr(out.as_mut_slice().as_mut_ptr());
     // SAFETY: `out` is m × n and exclusively borrowed.
-    unsafe { run(pool, &p, ptr) }
+    unsafe { run(&p, ptr) }
 }
 
 /// Symmetric rank-k update: computes `aᵀ × a`, touching only the upper
@@ -341,17 +333,12 @@ pub fn gemm_acc_pooled(
 ///
 /// Large updates parallelize over upper-triangle blocks on the worker pool.
 pub(crate) fn syrk_t(a: &Matrix) -> Matrix {
-    syrk_t_pooled(lardb_pool::global(), a)
-}
-
-/// `syrk_t` scheduled on a caller-supplied pool.
-pub fn syrk_t_pooled(pool: &lardb_pool::WorkerPool, a: &Matrix) -> Matrix {
     let n = a.cols();
     let mut out = Matrix::zeros(n, n);
     crate::dispatch::note_kernel(crate::dispatch::Kernel::Dense);
     let ptr = OutPtr(out.as_mut_slice().as_mut_ptr());
     // SAFETY: `out` is n × n and exclusively borrowed.
-    unsafe { run(pool, &Product::syrk(a), ptr) }
+    unsafe { run(&Product::syrk(a), ptr) }
     // Mirror the strict upper triangle into the lower one.
     for p in 0..n {
         for q in (p + 1)..n {
@@ -360,6 +347,14 @@ pub fn syrk_t_pooled(pool: &lardb_pool::WorkerPool, a: &Matrix) -> Matrix {
         }
     }
     out
+}
+
+/// Makes a fresh `workers`-thread pool the current query's pool until the
+/// guard drops, so tests reach the parallel path on any machine.
+#[cfg(test)]
+pub(crate) fn on_pool_of(workers: usize) -> crate::dispatch::Entered {
+    let pool = std::sync::Arc::new(lardb_pool::WorkerPool::new(workers));
+    crate::dispatch::enter(Some(crate::dispatch::KernelContext::new(Some(pool))))
 }
 
 /// `out += a × b` through the microkernel, sequentially: what the
@@ -563,7 +558,7 @@ mod tests {
                     unsafe { block(&p, ptr, (0, n), (0, n)) };
                     // The reference leaves the strict lower triangle zero;
                     // a tile on the diagonal may write below it, and the
-                    // mirror in `syrk_t_pooled` overwrites all of it.
+                    // mirror in `syrk_t` overwrites all of it.
                     for i in 0..n {
                         let upper = i * n + i..(i + 1) * n;
                         assert!(
@@ -579,8 +574,8 @@ mod tests {
                     }
                 }
                 for workers in [1, 4] {
-                    let pool = lardb_pool::WorkerPool::new(workers);
-                    let got = syrk_t_pooled(&pool, &a);
+                    let _pool = on_pool_of(workers);
+                    let got = syrk_t(&a);
                     assert!(same_bits(got.as_slice(), want.as_slice()), "syrk_t at {m}x{n}");
                 }
             }
@@ -663,9 +658,9 @@ mod tests {
         gemm_acc_dense(&a, &b, &mut inline_out);
         // A dedicated multi-worker pool forces the morsel path even on
         // single-core machines (the flop count is far above the cutoff).
-        let pool = lardb_pool::WorkerPool::new(4);
+        let _pool = on_pool_of(4);
         let mut par_out = Matrix::zeros(m, n);
-        gemm_acc_pooled(&pool, &a, &b, &mut par_out);
+        gemm_acc(&a, &b, &mut par_out);
         // Same per-element accumulation order ⇒ identical bits.
         assert_eq!(inline_out.as_slice(), par_out.as_slice());
     }
@@ -674,10 +669,12 @@ mod tests {
     fn parallel_syrk_is_bitwise_identical_to_inline() {
         let (m, n) = (200, 260);
         let a = Matrix::from_vec(m, n, rngish(31, m * n)).unwrap();
-        let inline_pool = lardb_pool::WorkerPool::new(1);
-        let inline_out = syrk_t_pooled(&inline_pool, &a);
-        let pool = lardb_pool::WorkerPool::new(4);
-        let par_out = syrk_t_pooled(&pool, &a);
+        let inline_out = {
+            let _pool = on_pool_of(1);
+            syrk_t(&a)
+        };
+        let _pool = on_pool_of(4);
+        let par_out = syrk_t(&a);
         assert_eq!(inline_out.as_slice(), par_out.as_slice());
     }
 

@@ -334,7 +334,7 @@ impl SparseMatrix {
     /// Sparse SYRK: the Gram matrix `selfᵀ · self`, dense output (Gram
     /// matrices of interesting feature sets are dense).
     ///
-    /// Mirrors [`crate::gemm::syrk_t_pooled`]'s order — input rows
+    /// Mirrors the dense SYRK's order (`gemm::syrk_t`) — input rows
     /// outermost, upper triangle accumulated then mirrored — so results
     /// are bit-identical to the dense kernel on finite data.
     pub fn gram(&self) -> Matrix {
@@ -600,7 +600,7 @@ impl CooBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::{gemm_naive, syrk_t_pooled};
+    use crate::gemm::{gemm_naive, on_pool_of, syrk_t};
 
     fn rngish(seed: u64, len: usize) -> Vec<f64> {
         let mut x = seed | 1;
@@ -731,8 +731,8 @@ mod tests {
     fn sparse_gram_matches_dense_syrk_bitwise() {
         let a = sparse_dense(41, 50, 35, 0.1);
         let s = SparseMatrix::from_dense(&a);
-        let pool = lardb_pool::WorkerPool::new(1);
-        let dense = syrk_t_pooled(&pool, &a);
+        let _pool = on_pool_of(1);
+        let dense = syrk_t(&a);
         let sparse = s.gram();
         assert_eq!(dense.as_slice(), sparse.as_slice());
     }

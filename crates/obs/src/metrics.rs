@@ -54,6 +54,12 @@ impl Gauge {
         self.bits.store(v.to_bits(), Ordering::Relaxed);
     }
 
+    /// Adds `delta` (negative to subtract), so several writers sum.
+    pub fn add(&self, delta: f64) {
+        let add = |bits| Some((f64::from_bits(bits) + delta).to_bits());
+        let _always_some = self.bits.fetch_update(Ordering::Relaxed, Ordering::Relaxed, add);
+    }
+
     /// Current value.
     pub fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))

@@ -830,10 +830,10 @@ impl JoinGraph {
             exprs.push((e, format!("__out{k}")));
         }
 
-        // A projection with no columns would be degenerate; keep one
-        // carried column arbitrarily (can happen for COUNT(*)-style roots).
+        // A projection with no columns would be degenerate; keep the
+        // input's first column (can happen for COUNT(*)-style roots).
         if exprs.is_empty() {
-            if let Some((slot, pos)) = map.iter().next() {
+            if let Some((slot, pos)) = map.iter().min_by_key(|&(_, pos)| *pos) {
                 new_map.insert(*slot, 0);
                 exprs.push((Expr::Column(*pos), "__keep".into()));
             }

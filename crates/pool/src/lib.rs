@@ -28,8 +28,8 @@
 //!
 //! The pool feeds `lardb-obs`: `pool.morsels` / `pool.steals` counters,
 //! a `pool.queue_wait_us` histogram (push-to-pop latency), and
-//! `pool.size` / `pool.utilization` gauges — all visible via
-//! `SHOW METRICS`. Tasks also carry their spawner's active query trace:
+//! `pool.size` / `pool.busy` gauges summed over live pools — all visible
+//! via `SHOW METRICS`. Tasks also carry their spawner's active query trace:
 //! a traced task records a `pool.wait` span (its own push-to-pop
 //! latency, steal flag included) and runs with the trace installed as
 //! the worker thread's current trace, so downstream spans attribute to
@@ -43,10 +43,6 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
 use lardb_obs::{Counter, Gauge, Histogram};
-
-/// Environment variable overriding the [`global()`] pool's worker count
-/// (used by CI to run the suite against an oversubscribed pool).
-pub const POOL_WORKERS_ENV: &str = "LARDB_POOL_WORKERS";
 
 /// One queued unit of work, tagged with its submission time (for the
 /// queue-wait histogram) and home queue (to tell steals from local pops).
@@ -69,8 +65,6 @@ struct Shared {
     /// Total tasks sitting in queues (checked under `gate` before
     /// sleeping, incremented before notify — prevents lost wakeups).
     queued: AtomicUsize,
-    /// Tasks currently executing (drives the utilization gauge).
-    active: AtomicUsize,
     shutdown: AtomicBool,
     /// Round-robin cursor for picking a home queue.
     next_home: AtomicUsize,
@@ -78,7 +72,7 @@ struct Shared {
     morsels: Arc<Counter>,
     steals: Arc<Counter>,
     queue_wait_us: Arc<Histogram>,
-    utilization: Arc<Gauge>,
+    busy: Arc<Gauge>,
 }
 
 impl Shared {
@@ -143,11 +137,9 @@ impl Shared {
                 vec![("stolen", stolen.to_string()), ("home", task.home.to_string())],
             );
         }
-        let busy = self.active.fetch_add(1, Ordering::SeqCst) + 1;
-        self.utilization.set(busy as f64 / self.queues.len() as f64);
+        self.busy.add(1.0);
         (task.run)();
-        let busy = self.active.fetch_sub(1, Ordering::SeqCst) - 1;
-        self.utilization.set(busy as f64 / self.queues.len() as f64);
+        self.busy.add(-1.0);
     }
 
     /// Worker main loop: drain tasks, sleep when every queue is empty.
@@ -212,20 +204,19 @@ impl WorkerPool {
     pub fn new(workers: usize) -> Self {
         let workers = workers.max(1);
         let registry = lardb_obs::global();
-        registry.gauge("pool.size").set(workers as f64);
         let shared = Arc::new(Shared {
             queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             gate: Mutex::new(()),
             cv: Condvar::new(),
             queued: AtomicUsize::new(0),
-            active: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             next_home: AtomicUsize::new(0),
             morsels: registry.counter("pool.morsels"),
             steals: registry.counter("pool.steals"),
             queue_wait_us: registry.histogram("pool.queue_wait_us"),
-            utilization: registry.gauge("pool.utilization"),
+            busy: registry.gauge("pool.busy"),
         });
+        registry.gauge("pool.size").add(workers as f64);
         let handles = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -305,6 +296,7 @@ impl Drop for WorkerPool {
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
+        lardb_obs::global().gauge("pool.size").add(-(self.workers() as f64));
     }
 }
 
@@ -359,20 +351,13 @@ impl<'env> Scope<'_, 'env> {
     }
 }
 
-/// The process-wide pool, created on first use. Sized from
-/// [`POOL_WORKERS_ENV`] when set, otherwise from
-/// `std::thread::available_parallelism()`.
+/// The process pool, created on first use with one thread per core. Like
+/// the metrics registry it belongs to the process by design: it serves
+/// clusters built without a pool and LA called outside any query.
 pub fn global() -> &'static WorkerPool {
     static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
     GLOBAL.get_or_init(|| {
-        let workers = std::env::var(POOL_WORKERS_ENV)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism().map_or(1, |n| n.get())
-            });
-        WorkerPool::new(workers)
+        WorkerPool::new(std::thread::available_parallelism().map_or(1, |n| n.get()))
     })
 }
 

@@ -218,8 +218,8 @@ pub enum Statement {
         /// Whether to execute the plan and return its Chrome trace JSON.
         trace: bool,
     },
-    /// `SHOW METRICS` — snapshot the process-wide metrics registry as a
-    /// relation of `(name, kind, value)`.
+    /// `SHOW METRICS` — snapshot the metrics registry, the process's by
+    /// design (totals over every database), as `(name, kind, value)`.
     ShowMetrics,
     /// `SHOW SESSIONS` — snapshot the open server sessions (and their
     /// running queries) as a relation.

@@ -283,3 +283,22 @@ fn four_way_join_order_is_correct() {
     let expected: i64 = (0..15).map(|i| i + 2 * i + 3 * i + 4 * i).sum();
     assert_eq!(r.scalar().unwrap().as_integer(), Some(expected));
 }
+
+/// A join none of whose columns the root needs still projects one: the
+/// optimizer keeps the column at the lowest input position, so every
+/// optimization of the statement prints the same plan.
+#[test]
+fn an_empty_projection_keeps_the_same_column_every_time() {
+    let db = Database::new(2);
+    db.execute("CREATE TABLE n (v INTEGER)").unwrap();
+    for i in 0..10 {
+        db.execute(&format!("INSERT INTO n VALUES ({i})")).unwrap();
+    }
+    let sql = "SELECT COUNT(*) FROM n AS a, n AS b WHERE a.v = b.v";
+    let first = db.explain(sql).unwrap();
+    assert!(first.contains("Project: a.v AS __keep"), "not the first column kept:\n{first}");
+    for run in 1..20 {
+        assert_eq!(db.explain(sql).unwrap(), first, "optimization {run}");
+    }
+    assert_eq!(db.query(sql).unwrap().scalar().unwrap().as_integer(), Some(10));
+}
