@@ -25,9 +25,11 @@ pub struct MemoryGovernor {
     /// semantics); `None` for root governors.
     parent: Option<Arc<MemoryGovernor>>,
     /// Metric prefix this governor publishes gauges under. Root governors
-    /// use the historical `mem.*` names; labeled children (tenant
-    /// sub-budgets) publish `{label}.reserved_bytes` / `{label}.peak_bytes`
-    /// instead so they never fight the root's gauges.
+    /// add their changes into `mem.reserved_bytes`, the sum over live root
+    /// governors, and raise `mem.peak_bytes` to that sum's high-water
+    /// mark; labeled children (tenant sub-budgets) set
+    /// `{label}.reserved_bytes` / `{label}.peak_bytes` instead so they
+    /// never fight the root's gauges.
     label: Option<String>,
 }
 
@@ -111,7 +113,7 @@ impl MemoryGovernor {
                 lardb_obs::global().counter("mem.overcommits").inc();
             }
         }
-        self.after_change(prev + bytes);
+        self.after_change(prev + bytes, bytes as f64);
         if let Some(p) = &self.parent {
             p.add_forced(bytes);
         }
@@ -139,11 +141,12 @@ impl MemoryGovernor {
                 Ok(_) => {
                     if let Some(p) = &self.parent {
                         if !p.try_add(bytes) {
-                            self.sub_local(bytes);
+                            // Never published, so taken back silently.
+                            self.reserved.fetch_sub(bytes, Ordering::Relaxed);
                             return false;
                         }
                     }
-                    self.after_change(self.reserved.load(Ordering::Relaxed));
+                    self.after_change(self.reserved.load(Ordering::Relaxed), bytes as f64);
                     return true;
                 }
                 Err(actual) => cur = actual,
@@ -151,26 +154,22 @@ impl MemoryGovernor {
         }
     }
 
-    fn sub_local(&self, bytes: u64) {
-        let prev = self.reserved.fetch_sub(bytes, Ordering::Relaxed);
-        self.after_change(prev.saturating_sub(bytes));
-    }
-
     fn release(&self, bytes: u64) {
-        self.sub_local(bytes);
+        let prev = self.reserved.fetch_sub(bytes, Ordering::Relaxed);
+        self.after_change(prev.saturating_sub(bytes), -(bytes as f64));
         if let Some(p) = &self.parent {
             p.release(bytes);
         }
     }
 
-    fn after_change(&self, now: u64) {
+    /// `now` is this governor's reserved bytes after a change of `delta`.
+    fn after_change(&self, now: u64, delta: f64) {
         self.peak.fetch_max(now, Ordering::Relaxed);
         let m = lardb_obs::global();
         match &self.label {
             None => {
-                m.gauge("mem.reserved_bytes").set(now as f64);
-                m.gauge("mem.peak_bytes")
-                    .set(self.peak.load(Ordering::Relaxed) as f64);
+                let sum = m.gauge("mem.reserved_bytes").add(delta);
+                m.gauge("mem.peak_bytes").set_max(sum);
             }
             Some(l) => {
                 m.gauge(&format!("{l}.reserved_bytes")).set(now as f64);

@@ -7,10 +7,10 @@
 //!   (hash-join build tables, aggregation maps). A denied reservation is the
 //!   backpressure signal that flips an operator into its out-of-core path.
 //! * [`SpillWriter`] / [`SpillFile`] — row batches serialized to temp files
-//!   through the `lardb-net` wire codec with the protocol-v2 fin discipline
-//!   (frame count, row count, FNV-1a-64 checksum), so a truncated or
-//!   corrupted spill file surfaces as a typed [`BufError`], never as silently
-//!   wrong rows.
+//!   through `lardb-net`'s checked row stream (each file ends with a fin
+//!   frame: frame count, row count, checksum over every byte), so a
+//!   truncated or corrupted spill file surfaces as a typed [`BufError`],
+//!   never as silently wrong rows.
 //!
 //! Governor and spill activity is reported through `lardb-obs` as the
 //! `mem.*` and `spill.*` metrics.

@@ -2,7 +2,7 @@
 //!
 //! Every combination of fault kind × seed × transport × worker count runs
 //! the scheduler-equivalence query set against a deterministic
-//! [`FaultPlan`]. The contract under test is exchange protocol v2's core
+//! [`FaultPlan`]. The contract under test is the checked row stream's core
 //! guarantee: a faulted query either returns exactly the fault-free
 //! answer (the fault missed, or was harmless like a delay) or a clean
 //! `Err` — never a short or corrupted result set. A killed TCP peer in

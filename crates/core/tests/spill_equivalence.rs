@@ -160,31 +160,35 @@ fn footprint(db: &Database, statements: &[corpus::Statement]) -> Vec<String> {
     seen
 }
 
-/// Two databases in one process share no governor and no pool: while A
-/// (1 MiB, a pool of 2) is driven through the spilling statements in a
-/// loop on its own thread, B (unbounded, a pool of 4) answers the whole
-/// corpus exactly as it did before A started — rows, error messages,
-/// spill, shuffle and batch totals, kernel choices — and its governor's
-/// high-water mark does not move. The mark is read off a one-worker twin
-/// of B over the `fat` statements: reservations are taken per partition
-/// task, so on four workers how many overlap is a scheduling outcome even
-/// alone.
+/// Databases in one process share no governor and no pool: while two
+/// neighbours (1 MiB each, each on a dedicated pool of 2) are driven
+/// through the spilling statements in a loop, each on its own thread, B
+/// (unbounded, a dedicated pool of 4) answers the whole corpus exactly as
+/// it did before they started — rows, error messages, spill, shuffle and
+/// batch totals, kernel choices — and its governor's high-water mark does
+/// not move. The mark is read off a one-worker twin of B over the `fat`
+/// statements: reservations are taken per partition task, so on four
+/// workers how many overlap is a scheduling outcome even alone.
 #[test]
 fn a_spilling_neighbour_changes_nothing() {
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc::channel;
     let everything: Vec<_> = corpus::all().map(|(_, s)| s).collect();
     let fat = corpus::on(Fixture::Fat);
-    let a = Fixture::Fat.open(&cell(|c| {
-        c.mem = Some(1);
-        c.pool_workers = Some(2);
-    }));
+    let neighbours = [(); 2].map(|()| {
+        Fixture::Fat.open(&cell(|c| {
+            c.mem = Some(1);
+            c.pool_workers = Some(2);
+        }))
+    });
     let b = cell(|_| {}).open();
     corpus::CORPUS.iter().for_each(|(fixture, ..)| fixture.load(&b));
     let narrow = Fixture::Fat.open(&cell(|c| c.workers = 1));
     // `mem: None` and `Some(0)` are both unbounded, and every database's
     // governor is its own.
     let zero = cell(|c| c.mem = Some(0)).open();
-    let governors = [&b, &narrow, &zero, &a].map(|db| db.memory().governor());
+    let [a, a2] = &neighbours;
+    let governors = [&b, &narrow, &zero, a, a2].map(|db| db.memory().governor());
     assert!(governors[..3].iter().all(|g| g.budget().is_none()));
     for (i, g) in governors.iter().enumerate() {
         assert!(governors[..i].iter().all(|other| !std::sync::Arc::ptr_eq(g, other)));
@@ -195,29 +199,34 @@ fn a_spilling_neighbour_changes_nothing() {
     };
     let alone = observe_b();
 
-    // A reports its spilled bytes after every statement and keeps lapping
-    // until B is done; B starts once A has spilled, which one pass over
-    // `fat` must do.
-    let (stop, (spilling, spilled)) = (AtomicBool::new(false), std::sync::mpsc::channel());
+    // Each neighbour reports its spilled bytes after every statement and
+    // keeps lapping until B is done; B starts once both have spilled,
+    // which one pass over `fat` must do.
+    let stop = AtomicBool::new(false);
     let (spilt, beside) = std::thread::scope(|scope| {
-        scope.spawn(|| {
-            // Owned here: a failure of A ends the wait below.
-            let spilling = spilling;
-            let mut bytes = 0;
-            for s in fat.iter().cycle() {
-                bytes += a.query(s.sql).unwrap().stats.total_spill_bytes();
-                let _ = spilling.send(bytes);
-                if stop.load(Ordering::Relaxed) {
-                    break;
+        let spilled = neighbours.each_ref().map(|db| {
+            let (spilling, spilled) = channel();
+            let (fat, stop) = (&fat, &stop);
+            // The thread owns `spilling`: a failure of the neighbour ends
+            // the wait below.
+            scope.spawn(move || {
+                let mut bytes = 0;
+                for s in fat.iter().cycle() {
+                    bytes += db.query(s.sql).unwrap().stats.total_spill_bytes();
+                    let _ = spilling.send(bytes);
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
-            }
+            });
+            spilled
         });
-        let spilt = spilled.iter().take(fat.len()).any(|bytes| bytes > 0);
+        let spilt = spilled.map(|rx| rx.iter().take(fat.len()).any(|bytes| bytes > 0));
         let beside = observe_b();
         stop.store(true, Ordering::Relaxed);
         (spilt, beside)
     });
-    assert!(spilt, "A went through `fat` under 1 MiB without spilling");
-    assert!(beside == alone, "B answered differently beside A");
-    assert_clean(&a, "the neighbour");
+    assert_eq!(spilt, [true; 2], "a neighbour went through `fat` under 1 MiB without spilling");
+    assert!(beside == alone, "B answered differently beside its neighbours");
+    neighbours.iter().for_each(|db| assert_clean(db, "a neighbour"));
 }

@@ -15,7 +15,8 @@
 //!   byte, and checked decode errors that never panic on corrupt input.
 //! * [`stream`] — the checked row stream: the one length-prefix frame
 //!   reader, the one frame cutter (rows → frames of at most
-//!   [`ROWS_PER_FRAME`] rows and the carrier's cap in bytes) and the one
+//!   [`ROWS_PER_FRAME`] rows and about a MiB, never past the carrier's
+//!   cap) and the one
 //!   completeness proof (sender's `Seal`, receiver's `Check`) that the
 //!   exchange, the spill files, the TCP mesh and the server's reply stream
 //!   all carry.

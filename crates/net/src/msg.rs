@@ -1,7 +1,7 @@
 //! Server control-protocol messages (`lardb serve`).
 //!
-//! The query server speaks the same wire discipline as exchange protocol
-//! v2 — every message is one frame with the [`FRAME_MAGIC`] byte, the
+//! The query server speaks the same wire discipline as the exchange —
+//! every message is one frame with the [`FRAME_MAGIC`] byte, the
 //! [`WIRE_VERSION`], a kind byte, and a `u32` count — but uses its own
 //! kind range (4–11) so the exchange decoder and the server decoder can
 //! never mistake each other's traffic:

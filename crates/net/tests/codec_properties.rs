@@ -11,6 +11,7 @@ use lardb_net::codec::{
     encode_schema_frame, encode_value, encoded_value_size, wire_eq, FinSummary, Frame,
     CHECKSUM_SEED,
 };
+use lardb_net::stream::{Check, Seal, StreamError};
 use lardb_net::{ChannelTransport, NetError, Transport};
 use lardb_storage::{Column, DataType, Row, Schema, Value};
 use proptest::collection::vec;
@@ -203,6 +204,41 @@ proptest! {
         let halves =
             checksum_update(checksum_update(CHECKSUM_SEED, &bytes[..split]), &bytes[split..]);
         prop_assert_eq!(whole, halves);
+    }
+
+    #[test]
+    fn a_flipped_byte_in_any_frame_fails_the_check(
+        schema in arb_schema(),
+        rows in vec(vec(arb_value(), 1..4), 1..40),
+        frame_sel in 0usize..10_000,
+        byte_sel in 0usize..10_000,
+        flip in 1u8..=255,
+    ) {
+        // A cap just over the largest row's frame: several rows frames.
+        let rows: Vec<Row> = rows.into_iter().map(Row::new).collect();
+        let max = rows.iter().map(|r| encode_rows_frame(std::slice::from_ref(r)).len()).max();
+        let mut seal = Seal::default();
+        let mut frames = vec![seal.frame(encode_schema_frame(&schema))];
+        frames.extend(seal.rows(&rows, max.unwrap() + 64).map(Result::unwrap));
+        let decoded: Vec<Frame> = frames.iter().map(|f| decode_frame(f).unwrap()).collect();
+
+        // The flipped frame is checked as it decoded before the flip, so
+        // only the fold can notice.
+        let at = frame_sel % frames.len();
+        let byte = byte_sel % frames[at].len();
+        frames[at][byte] ^= flip;
+        let mut check = Check::default();
+        for (bytes, frame) in frames.iter().zip(&decoded) {
+            prop_assert_eq!(check.accept(bytes, frame), Ok(()));
+        }
+        let fin_frame = seal.fin();
+        let got = check.accept(&fin_frame, &decode_frame(&fin_frame).unwrap());
+        prop_assert!(
+            matches!(&got, Err(StreamError::Mismatch { fin, seen })
+                if (fin.frames, fin.rows) == (seen.frames, seen.rows)
+                    && fin.checksum != seen.checksum),
+            "frame {} byte {} ^ {:#x}: {:?}", at, byte, flip, got
+        );
     }
 }
 

@@ -55,9 +55,18 @@ impl Gauge {
     }
 
     /// Adds `delta` (negative to subtract), so several writers sum.
-    pub fn add(&self, delta: f64) {
+    /// Returns the sum this add produced.
+    pub fn add(&self, delta: f64) -> f64 {
         let add = |bits| Some((f64::from_bits(bits) + delta).to_bits());
-        let _always_some = self.bits.fetch_update(Ordering::Relaxed, Ordering::Relaxed, add);
+        let prev = self.bits.fetch_update(Ordering::Relaxed, Ordering::Relaxed, add);
+        f64::from_bits(prev.unwrap_or_else(|never| never)) + delta
+    }
+
+    /// Raises the gauge to `v` if it reads less, so it keeps a high-water
+    /// mark over several writers.
+    pub fn set_max(&self, v: f64) {
+        let raise = |bits| (f64::from_bits(bits) < v).then_some(v.to_bits());
+        let _already_higher = self.bits.fetch_update(Ordering::Relaxed, Ordering::Relaxed, raise);
     }
 
     /// Current value.
@@ -365,6 +374,11 @@ mod tests {
         r.gauge("g").set(2.5);
         assert_eq!(r.counter("q").get(), 4);
         assert_eq!(r.gauge("g").get(), 2.5);
+        assert_eq!(r.gauge("g").add(1.5), 4.0);
+        r.gauge("g").set_max(3.0);
+        assert_eq!(r.gauge("g").get(), 4.0);
+        r.gauge("g").set_max(6.0);
+        assert_eq!(r.gauge("g").get(), 6.0);
     }
 
     #[test]

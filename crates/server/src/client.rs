@@ -2,8 +2,8 @@
 //! close.
 //!
 //! The client verifies every result stream against its fin summary —
-//! frame count, row count, and the FNV-1a checksum over the encoded
-//! frame bytes — exactly like an exchange receiver, so a truncated or
+//! frame count, row count, and the checksum over the encoded frame
+//! bytes — exactly like an exchange receiver, so a truncated or
 //! corrupted result surfaces as [`ServerError::Protocol`], never as a
 //! silently short row set.
 

@@ -5,10 +5,10 @@
 //! - **Wire protocol**: length-prefixed frames over TCP carrying the
 //!   server control messages (`Hello`/`Query`/`Prepare`/`Execute`/
 //!   `Kill`/`Close` → `Ok`/`Error`) from `lardb_net::msg`, plus the
-//!   *unchanged* exchange data frames (schema/rows/fin) for query
-//!   results — the client verifies the fin checksum exactly like an
-//!   exchange receiver, so truncated results are detected, never
-//!   silently short.
+//!   exchange's own data frames (schema/rows/fin) for query results —
+//!   the client verifies the fin (`lardb_net::stream::Check`) exactly
+//!   like an exchange receiver, so truncated results are detected,
+//!   never silently short.
 //! - **Sessions**: two blocking threads per connection — one reads the
 //!   socket, one runs statements and writes replies (see [`session`]) —
 //!   registered in the shared
