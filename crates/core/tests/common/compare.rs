@@ -82,6 +82,12 @@ fn sorted(answer: &Answer) -> Answer {
     answer
 }
 
+/// An outcome as a multiset of bit-exact rows, or its full message: what
+/// two statements that must mean the same are compared by.
+pub fn unordered(outcome: &Outcome) -> Result<Vec<String>, String> {
+    sorted(&answer(outcome))
+}
+
 /// One cell's outcomes, in the order of the statements it was given.
 pub struct Run {
     pub cell: Cell,

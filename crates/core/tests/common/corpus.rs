@@ -101,6 +101,14 @@ pub const GRAM_VECTOR: &str = "SELECT SUM(outer_product(x.value, x.value)) AS g 
 pub const GRAM_BLOCK: &str =
     "SELECT SUM(matrix_multiply(trans_matrix(mlx.m), mlx.m)) AS g FROM mlx";
 
+/// The paper's block-based regression (Fig. 2), as `linreg_block` runs it:
+/// `XᵀX` and `Xᵀy` summed over blocks, then `(XᵀX)⁻¹ Xᵀy`.
+pub const LINREG_BLOCK: &str = "SELECT matrix_vector_multiply(
+        matrix_inverse(SUM(matrix_multiply(trans_matrix(b.m), b.m))),
+        SUM(matrix_vector_multiply(trans_matrix(b.m), t.yv))) AS beta
+     FROM mlxi AS b, yb AS t
+     WHERE b.mi = t.mi";
+
 pub static CORPUS: &[Entry] = &[
     (
         Fixture::Skew,
@@ -281,6 +289,7 @@ pub static CORPUS: &[Entry] = &[
             GRAM_TUPLE,
             GRAM_VECTOR,
             GRAM_BLOCK,
+            LINREG_BLOCK,
             // The paper's §3.2 regression and §5 distance queries, vector
             // form.
             "SELECT matrix_vector_multiply(

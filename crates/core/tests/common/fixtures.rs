@@ -328,7 +328,9 @@ pub fn points_db(db: &Database) {
 
 /// One data set in each representation the paper compares: `x_vm(id,
 /// value VECTOR)`, `x(row_index, col_index, value)`, the §5 blocking view
-/// `MLX` over `block_index` (blocks of 8 points), and targets `y`.
+/// `MLX` over `block_index` (blocks of 8 points), targets `y`, and the
+/// block regression's views: `MLXI`, `MLX` with its block id `mi`, and
+/// `YB`, the targets blocked the same way.
 pub fn points_tables(db: &Database, x: &Matrix, y: &[f64]) {
     let (n, dims) = POINTS;
     let vectors = (0..n).map(|i| {
@@ -357,6 +359,22 @@ pub fn points_tables(db: &Database, x: &Matrix, y: &[f64]) {
          SELECT ROWMATRIX(label_vector(x.value, x.id - ind.mi*8)) AS m
          FROM x_vm AS x, block_index AS ind
          WHERE x.id/8 = ind.mi
+         GROUP BY ind.mi",
+    )
+    .unwrap();
+    db.execute(
+        "CREATE VIEW MLXI AS
+         SELECT ROWMATRIX(label_vector(x.value, x.id - ind.mi*8)) AS m, ind.mi AS mi
+         FROM x_vm AS x, block_index AS ind
+         WHERE x.id/8 = ind.mi
+         GROUP BY ind.mi",
+    )
+    .unwrap();
+    db.execute(
+        "CREATE VIEW YB AS
+         SELECT VECTORIZE(label_scalar(y.y_i, y.i - ind.mi*8)) AS yv, ind.mi AS mi
+         FROM y, block_index AS ind
+         WHERE y.i/8 = ind.mi
          GROUP BY ind.mi",
     )
     .unwrap();

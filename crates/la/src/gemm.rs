@@ -545,7 +545,8 @@ mod tests {
 
     #[test]
     fn microkernel_is_bit_identical_to_the_reference_syrk() {
-        for &(m, n) in &[(5, 3), (33, 17), (200, 260)] {
+        // The last shape is one `linreg_block` block: 500 rows of 400.
+        for &(m, n) in &[(5, 3), (33, 17), (200, 260), (500, 400)] {
             for data in [rngish(7 + m as u64, m * n), with_specials(11, m * n)] {
                 let a = Matrix::from_vec(m, n, data).unwrap();
                 let mut want = Matrix::zeros(n, n);
@@ -580,6 +581,41 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The two products the optimizer's type-directed rewrites replace,
+    /// against what they replace them with: `matrix_multiply(trans_matrix(x),
+    /// x)` against the Gram (SYRK), `matrix_vector_multiply(trans_matrix(x),
+    /// v)` against the transpose-free `xᵀv`. Shapes with tails on every
+    /// edge, one `linreg_block` block, and every special value in the
+    /// matrix and in the vector.
+    #[test]
+    fn rewritten_products_are_bit_identical_to_transpose_then_multiply() {
+        for &(m, n) in &[(1, 1), (5, 3), (3, 5), (33, 17), (70, 129), (500, 400)] {
+            let plain = [rngish(3 + m as u64, m * n), rngish(5 + n as u64, m)];
+            let special = [with_specials(7, m * n), with_specials(9, m)];
+            for (what, [x, v]) in [("plain", plain), ("specials", special)] {
+                let x = Matrix::from_vec(m, n, x).unwrap();
+                let v = crate::Vector::from_vec(v);
+                let at = format!("{what} {m}x{n}");
+                let want = x.transpose().multiply(&x).unwrap();
+                assert!(same_bits(x.gram().as_slice(), want.as_slice()), "gram {at}");
+                let want = x.transpose().matrix_vector_multiply(&v).unwrap();
+                let got = x.transpose_vector_multiply(&v).unwrap();
+                assert!(same_bits(got.as_slice(), want.as_slice()), "xᵀv {at}");
+            }
+        }
+        // A length mismatch is the transposed matvec's error, word for word.
+        let x = Matrix::zeros(4, 3);
+        let v = crate::Vector::zeros(3);
+        assert_eq!(
+            x.transpose_vector_multiply(&v),
+            x.transpose().matrix_vector_multiply(&v)
+        );
+        assert_eq!(
+            x.transpose_vector_multiply(&v).unwrap_err().to_string(),
+            "matrix_vector_multiply: dimension mismatch between 3x4 and 3x1"
+        );
     }
 
     fn rngish(seed: u64, len: usize) -> Vec<f64> {

@@ -271,6 +271,20 @@ impl Matrix {
         Ok(Vector::from_vec(out))
     }
 
+    /// `selfᵀ × v` without materializing the transpose: what
+    /// `matrix_vector_multiply(trans_matrix(m), v)` computes, bit for bit,
+    /// failing with that call's error on the transposed shape.
+    pub fn transpose_vector_multiply(&self, v: &Vector) -> Result<Vector> {
+        if self.rows != v.len() {
+            return Err(LaError::DimMismatch {
+                op: "matrix_vector_multiply",
+                lhs: (self.cols, self.rows),
+                rhs: (v.len(), 1),
+            });
+        }
+        Ok(v.combine_rows(self))
+    }
+
     fn check_same_shape(&self, other: &Matrix, op: &'static str) -> Result<()> {
         if self.shape() != other.shape() {
             return Err(LaError::DimMismatch { op, lhs: self.shape(), rhs: other.shape() });

@@ -325,17 +325,23 @@ impl Vector {
                 rhs: (m.rows(), m.cols()),
             });
         }
+        Ok(self.combine_rows(m))
+    }
+
+    /// `Σᵢ m[i] · self[i]`, the rows of `m` weighted by this vector's
+    /// entries: each output element accumulates its terms in ascending `i`
+    /// from `0.0`, every term included (`0 × inf = NaN` whatever the
+    /// density of `self`), each an IEEE multiply then an IEEE add with the
+    /// matrix entry on the left. That is, bit for bit, `mᵀ × self` as
+    /// [`Matrix::matrix_vector_multiply`] computes it on the transpose.
+    pub(crate) fn combine_rows(&self, m: &Matrix) -> Vector {
         let mut out = vec![0.0; m.cols()];
         for (i, &a) in self.data.iter().enumerate() {
-            if a == 0.0 {
-                continue;
-            }
-            let row = m.row(i);
-            for (o, &v) in out.iter_mut().zip(row.iter()) {
-                *o += a * v;
+            for (o, &w) in out.iter_mut().zip(m.row(i)) {
+                *o += w * a;
             }
         }
-        Ok(Vector::from_vec(out))
+        Vector::from_vec(out)
     }
 
     /// Reinterprets the vector as a 1×n matrix (used when a programmer wants
@@ -493,6 +499,26 @@ mod tests {
         let out = v.vector_matrix_multiply(&m).unwrap();
         assert_eq!(out.as_slice(), &[1.0, 2.0, 3.0]);
         assert!(Vector::zeros(3).vector_matrix_multiply(&m).is_err());
+    }
+
+    #[test]
+    fn vector_matrix_multiply_keeps_non_finite_terms_at_zero_weights() {
+        // `0 × inf` and `0 × NaN` are NaN: a zero entry of the vector may
+        // not drop its matrix row, or the answer would depend on density.
+        let v = Vector::from_slice(&[0.0, 2.0, -0.0]);
+        let m = Matrix::from_rows(&[
+            &[f64::INFINITY, 1.0, f64::NAN],
+            &[1.0, 2.0, 3.0],
+            &[4.0, f64::NEG_INFINITY, 5.0],
+        ])
+        .unwrap();
+        let out = v.vector_matrix_multiply(&m).unwrap();
+        assert!(out.as_slice().iter().all(|x| x.is_nan()), "{:?}", out.as_slice());
+        let finite = Vector::from_slice(&[0.0, 2.0, 0.0]);
+        let m = Matrix::from_rows(&[&[1.0, -1.0], &[3.0, 0.5], &[f64::NAN, 2.0]]).unwrap();
+        let out = finite.vector_matrix_multiply(&m).unwrap();
+        assert!(out.as_slice()[0].is_nan());
+        assert_eq!(out.as_slice()[1], 1.0);
     }
 
     #[test]

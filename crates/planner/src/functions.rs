@@ -48,7 +48,8 @@ impl ArgType {
 /// `MATRIX`. The paper reports 22 built-ins; this implementation has 32
 /// (the paper's suite plus `solve_ls`, `min_element`, `max_element`, a
 /// few constructors its examples imply, and the sparse-representation
-/// helpers `sparsify`, `densify`, `nnz` and `sparse_entry`).
+/// helpers `sparsify`, `densify`, `nnz` and `sparse_entry`), plus two
+/// internal ones only the optimizer's rewrites produce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Builtin {
     /// `matrix_multiply(MATRIX[a][b], MATRIX[b][c]) -> MATRIX[a][c]`
@@ -121,6 +122,15 @@ pub enum Builtin {
     /// `MATRIX_FROM_ENTRIES` aggregate; the binder synthesizes it, but it
     /// is also callable directly.
     SparseEntry,
+    /// `gram(MATRIX[a][b]) -> MATRIX[b][b]`: `matrix_multiply(trans_matrix(x),
+    /// x)` as the optimizer rewrites it (SYRK on a dense tile). Internal:
+    /// not in [`ALL_BUILTINS`], so SQL cannot name it.
+    Gram,
+    /// `trans_matrix_vector_multiply(MATRIX[a][b], VECTOR[a]) -> VECTOR[b]`:
+    /// `matrix_vector_multiply(trans_matrix(x), v)` as the optimizer
+    /// rewrites it (no transpose materialized on a dense tile). Internal,
+    /// like [`Builtin::Gram`].
+    TransMatrixVectorMultiply,
 }
 
 /// All built-ins, for registry listings and docs.
@@ -195,6 +205,19 @@ impl Builtin {
             Builtin::Densify => "densify",
             Builtin::Nnz => "nnz",
             Builtin::SparseEntry => "sparse_entry",
+            Builtin::Gram => "gram",
+            Builtin::TransMatrixVectorMultiply => "trans_matrix_vector_multiply",
+        }
+    }
+
+    /// For an internal built-in, the SQL built-in it stands for once its
+    /// first argument is transposed: `f(x, ..)` is `g(trans_matrix(x),
+    /// last)`, where `last` is its last argument (`x` itself for `gram`).
+    fn spelled_out(&self) -> Builtin {
+        match self {
+            Builtin::Gram => Builtin::MatrixMultiply,
+            Builtin::TransMatrixVectorMultiply => Builtin::MatrixVectorMultiply,
+            sql => *sql,
         }
     }
 
@@ -225,7 +248,8 @@ impl Builtin {
             | Builtin::MaxElement
             | Builtin::Sparsify
             | Builtin::Densify
-            | Builtin::Nnz => 1,
+            | Builtin::Nnz
+            | Builtin::Gram => 1,
             Builtin::GetEntry | Builtin::SparseEntry => 3,
             _ => 2,
         }
@@ -388,6 +412,10 @@ impl Builtin {
                 expect_numeric_scalar(self.name(), t(2))?;
                 Ok(DataType::Vector(Some(3)))
             }
+            Builtin::Gram | Builtin::TransMatrixVectorMultiply => {
+                let xt = ArgType::of(Builtin::TransMatrix.infer_type(&args[..1])?);
+                self.spelled_out().infer_type(&[xt, args[args.len() - 1]])
+            }
         }
     }
 
@@ -544,7 +572,26 @@ impl Builtin {
             Builtin::SparseEntry => {
                 Value::vector(Vector::from_slice(&[dbl(0)?, dbl(1)?, dbl(2)?]))
             }
+            // A dense tile takes the rewrite's kernel, which gives the bits
+            // the spelled-out call would (DESIGN.md §5); anything else runs
+            // the spelled-out call itself, sparse kernels and errors alike.
+            Builtin::Gram => match &args[0] {
+                Value::Matrix(x) => Value::matrix(x.gram()),
+                _ => return self.evaluate_spelled_out(args),
+            },
+            Builtin::TransMatrixVectorMultiply => match (&args[0], &args[1]) {
+                (Value::Matrix(x), Value::Vector(v)) => {
+                    Value::vector(x.transpose_vector_multiply(v)?)
+                }
+                _ => return self.evaluate_spelled_out(args),
+            },
         })
+    }
+
+    /// Evaluates an internal built-in as the call it stands for.
+    fn evaluate_spelled_out(&self, args: &[Value]) -> Result<Value> {
+        let xt = Builtin::TransMatrix.evaluate(&args[..1])?;
+        self.spelled_out().evaluate(&[xt, args[args.len() - 1].clone()])
     }
 }
 
@@ -760,6 +807,50 @@ mod tests {
         }
         assert_eq!(Builtin::from_name("nope"), None);
         assert_eq!(ALL_BUILTINS.len(), 32);
+    }
+
+    #[test]
+    fn internal_builtins_cannot_be_named() {
+        for b in [Builtin::Gram, Builtin::TransMatrixVectorMultiply] {
+            assert!(!ALL_BUILTINS.contains(&b));
+            assert_eq!(Builtin::from_name(b.name()), None);
+        }
+    }
+
+    #[test]
+    fn internal_builtins_type_as_the_call_they_stand_for() {
+        let x = |r, c| ArgType::of(DataType::Matrix(r, c));
+        let v = |n| ArgType::of(DataType::Vector(n));
+        let t = |a: ArgType| ArgType::of(Builtin::TransMatrix.infer_type(&[a]).unwrap());
+        for m in [x(Some(5), Some(3)), x(None, Some(3)), x(Some(5), None), x(None, None)] {
+            assert_eq!(
+                Builtin::Gram.infer_type(&[m]).unwrap(),
+                Builtin::MatrixMultiply.infer_type(&[t(m), m]).unwrap()
+            );
+            for n in [Some(5), Some(4), None] {
+                let spelled = Builtin::MatrixVectorMultiply.infer_type(&[t(m), v(n)]);
+                let got = Builtin::TransMatrixVectorMultiply.infer_type(&[m, v(n)]);
+                assert_eq!(format!("{got:?}"), format!("{spelled:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn internal_builtins_evaluate_as_the_call_they_stand_for() {
+        let dense = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]).unwrap();
+        let sparse = lardb_la::SparseMatrix::from_dense(&dense);
+        let v = |n: usize| Value::vector(Vector::from_fn(n, |i| i as f64 - 0.5));
+        for x in [Value::matrix(dense), Value::sparse_matrix(sparse), Value::Null] {
+            let xt = Builtin::TransMatrix.evaluate(std::slice::from_ref(&x)).unwrap();
+            let want = Builtin::MatrixMultiply.evaluate(&[xt.clone(), x.clone()]).unwrap();
+            assert_eq!(Builtin::Gram.evaluate(std::slice::from_ref(&x)).unwrap(), want);
+            // 3 is the matching length; 2 fails with the transposed shape.
+            for v in [v(3), v(2), Value::Null] {
+                let want = Builtin::MatrixVectorMultiply.evaluate(&[xt.clone(), v.clone()]);
+                let got = Builtin::TransMatrixVectorMultiply.evaluate(&[x.clone(), v]);
+                assert_eq!(format!("{got:?}"), format!("{want:?}"));
+            }
+        }
     }
 
     #[test]

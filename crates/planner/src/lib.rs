@@ -17,7 +17,9 @@
 //!   **early LA projection** rule that reproduces the paper's
 //!   `(π(S × R)) ⋈ T` plan: a size-reducing function call is evaluated at
 //!   the lowest join subtree covering its inputs, so 80 MB matrices never
-//!   flow through the rest of the plan (§4.1).
+//!   flow through the rest of the plan (§4.1) — followed by the
+//!   type-directed LA rewrites (`XᵀX` as a Gram, `Aᵀv` without a
+//!   transpose; `rewrite.rs`).
 //! * [`physical::PhysicalPlan`] — the executable operator tree, with
 //!   exchange placement driven by partitioning properties.
 
@@ -28,6 +30,7 @@ pub mod functions;
 pub mod logical;
 pub mod optimizer;
 pub mod physical;
+mod rewrite;
 
 pub use cost::PlanEstimate;
 pub use error::{PlanError, Result};

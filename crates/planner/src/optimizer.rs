@@ -100,8 +100,14 @@ impl<'a> Optimizer<'a> {
     }
 
     /// Rewrites a logical plan into its optimized form. All `MultiJoin`
-    /// nodes are replaced by concrete join trees.
+    /// nodes are replaced by concrete join trees, then every expression of
+    /// the tree gets the type-directed LA rewrites (`rewrite.rs`).
     pub fn optimize(&self, plan: LogicalPlan) -> Result<LogicalPlan> {
+        Ok(crate::rewrite::rewrite_plan(self.order_joins(plan)?))
+    }
+
+    /// Join planning: replaces every `MultiJoin` by a concrete join tree.
+    fn order_joins(&self, plan: LogicalPlan) -> Result<LogicalPlan> {
         match plan {
             LogicalPlan::Project { input, exprs, schema } => match *input {
                 LogicalPlan::MultiJoin { inputs, predicates } => {
@@ -115,7 +121,7 @@ impl<'a> Optimizer<'a> {
                     LogicalPlan::project(joined, names)
                 }
                 other => {
-                    let input = self.optimize(other)?;
+                    let input = self.order_joins(other)?;
                     Ok(LogicalPlan::Project { input: Box::new(input), exprs, schema })
                 }
             },
@@ -151,7 +157,7 @@ impl<'a> Optimizer<'a> {
                     })
                 }
                 other => {
-                    let input = self.optimize(other)?;
+                    let input = self.order_joins(other)?;
                     Ok(LogicalPlan::Aggregate {
                         input: Box::new(input),
                         group_by,
@@ -179,7 +185,7 @@ impl<'a> Optimizer<'a> {
                 LogicalPlan::project(joined, names)
             }
             LogicalPlan::Filter { input, predicate } => {
-                let input = self.optimize(*input)?;
+                let input = self.order_joins(*input)?;
                 // Merge adjacent filters for cleanliness.
                 if let LogicalPlan::Filter { input: inner, predicate: p2 } = input {
                     Ok(LogicalPlan::Filter {
@@ -192,19 +198,19 @@ impl<'a> Optimizer<'a> {
             }
             LogicalPlan::Join { left, right, kind, equi, residual } => {
                 Ok(LogicalPlan::Join {
-                    left: Box::new(self.optimize(*left)?),
-                    right: Box::new(self.optimize(*right)?),
+                    left: Box::new(self.order_joins(*left)?),
+                    right: Box::new(self.order_joins(*right)?),
                     kind,
                     equi,
                     residual,
                 })
             }
             LogicalPlan::Sort { input, keys } => Ok(LogicalPlan::Sort {
-                input: Box::new(self.optimize(*input)?),
+                input: Box::new(self.order_joins(*input)?),
                 keys,
             }),
             LogicalPlan::Limit { input, n } => Ok(LogicalPlan::Limit {
-                input: Box::new(self.optimize(*input)?),
+                input: Box::new(self.order_joins(*input)?),
                 n,
             }),
             leaf @ LogicalPlan::Scan { .. } => Ok(leaf),
@@ -294,7 +300,7 @@ impl<'a> Optimizer<'a> {
         outputs: Vec<Expr>,
     ) -> Result<(LogicalPlan, Vec<Expr>)> {
         let inputs: Vec<LogicalPlan> =
-            inputs.into_iter().map(|i| self.optimize(i)).collect::<Result<_>>()?;
+            inputs.into_iter().map(|i| self.order_joins(i)).collect::<Result<_>>()?;
         let n = inputs.len();
         if n == 0 {
             return Err(PlanError::Internal("MultiJoin with no inputs".into()));
