@@ -195,7 +195,7 @@ pub struct MemoryReservation {
 
 impl MemoryReservation {
     fn attributed(gov: Arc<MemoryGovernor>, bytes: u64) -> MemoryReservation {
-        let trace = lardb_obs::trace::current();
+        let trace = lardb_pool::QueryContext::current().and_then(|c| c.trace().cloned());
         if let Some(t) = &trace {
             t.add_reserved(bytes as i64);
         }

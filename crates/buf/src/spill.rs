@@ -129,7 +129,7 @@ impl SpillWriter {
         let m = lardb_obs::global();
         m.counter("spill.bytes_written").add(w.bytes);
         // Attribute the spill to the query tracing this thread, if any.
-        if let Some(t) = lardb_obs::trace::current() {
+        if let Some(t) = lardb_pool::QueryContext::current().and_then(|c| c.trace().cloned()) {
             t.add_spill_written(w.bytes);
             t.record(
                 "spill.write",
@@ -224,7 +224,7 @@ impl SpillFile {
         }
         check.finish().map_err(|e| truncated(e.to_string()))?;
         lardb_obs::global().counter("spill.bytes_read").add(bytes_read);
-        if let Some(t) = lardb_obs::trace::current() {
+        if let Some(t) = lardb_pool::QueryContext::current().and_then(|c| c.trace().cloned()) {
             t.add_spill_read(bytes_read);
             t.record(
                 "spill.read",

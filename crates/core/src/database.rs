@@ -5,8 +5,9 @@
 //! 1. the outermost caller — [`Database::execute`] when embedded, the
 //!    server session (before admission) when served — asks the flight
 //!    recorder *once* whether the statement is traced, then calls
-//! 2. [`Database::run`], which builds the statement's one record (text or
-//!    prepared tree, cancel token, trace, [`QueryProfile`]) for
+//! 2. [`Database::run`], which enters the statement's [`QueryContext`]
+//!    (cancel token, trace, pool) once and builds its one record (text or
+//!    prepared tree, context, [`QueryProfile`]) for
 //! 3. `dispatch`: a warm bare SELECT takes its plan from the cache and goes
 //!    straight to 4; anything else is parsed and matched on. Every SELECT
 //!    body (SELECT, EXPLAIN, CREATE … AS) the cache has no plan for gets
@@ -22,10 +23,10 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use lardb_exec::{
-    CancelToken, Cluster, ExecStats, Executor, MemoryConfig, NetConfig, TransportMode,
+    CancelToken, Cluster, ExecError, ExecStats, Executor, MemoryConfig, NetConfig,
+    TransportMode,
 };
-use lardb_pool::WorkerPool;
-use lardb_obs::trace::{push_current, CurrentGuard};
+use lardb_pool::{QueryContext, WorkerPool};
 use lardb_obs::{ActiveTrace, OperatorProfile, QueryProfile, Stage};
 use lardb_planner::physical::{PhysicalPlan, PhysicalPlanner};
 use lardb_planner::{LogicalPlan, Optimizer, OptimizerConfig, PlanEstimate};
@@ -202,15 +203,12 @@ pub enum Source<'a> {
 /// with and what the path learns about it on the way. Built by
 /// [`Database::run`] for a statement, and with nothing but a label for an
 /// engine-internal query (materialized-view maintenance).
-#[derive(Default)]
 pub(crate) struct StatementRun<'a> {
     sql: &'a str,
     prepared: Option<&'a PreparedStatement>,
-    /// Externally owned (KILL / disconnect wiring): polled, never re-armed.
-    cancel: Option<&'a CancelToken>,
-    trace: Option<Arc<ActiveTrace>>,
-    /// Keeps `trace` the thread's current trace while the statement runs.
-    current: Option<CurrentGuard>,
+    /// The context the statement runs in (entered by whoever built the
+    /// record); its stages are timed onto the context's trace.
+    ctx: QueryContext,
     profile: QueryProfile,
     /// When parsing the SQL text began: an `EXPLAIN TRACE` that arrived
     /// untraced puts the parse it measured on the trace it forces.
@@ -223,18 +221,10 @@ impl<'a> StatementRun<'a> {
     pub(crate) fn new(
         sql: &'a str,
         prepared: Option<&'a PreparedStatement>,
-        cancel: Option<&'a CancelToken>,
+        ctx: QueryContext,
     ) -> Self {
         let profile = QueryProfile::new(sql);
-        StatementRun { sql, prepared, cancel, profile, ..StatementRun::default() }
-    }
-
-    /// Makes `trace` the statement's trace and the thread's current one,
-    /// so stages, morsel workers and exchange channels attribute to it.
-    fn attach(&mut self, trace: Arc<ActiveTrace>) {
-        trace.set_running();
-        self.current = Some(push_current(Some(Arc::clone(&trace))));
-        self.trace = Some(trace);
+        StatementRun { sql, prepared, ctx, profile, parse_started: None, reply_with_trace: false }
     }
 }
 
@@ -275,7 +265,7 @@ pub struct Database {
     /// The dedicated worker pool when [`DatabaseConfig::pool_workers`] is
     /// set — created once here and shared by every query's cluster (and
     /// by clones of this database). `None` ⇒ the process-wide pool.
-    pool: Option<Arc<WorkerPool>>,
+    pub(crate) pool: Option<Arc<WorkerPool>>,
     /// Memory governor + spill directory every query's executor runs
     /// under, built once from [`DatabaseConfig::mem`] /
     /// [`DatabaseConfig::spill_dir`] so reservations and peak tracking
@@ -327,24 +317,16 @@ impl Database {
 
     /// The cluster every query of this database executes on: the
     /// configured worker count, morsel size, and (if dedicated) worker
-    /// pool. With `cancel`, the query runs under an externally-owned
-    /// token (KILL / disconnect wiring).
-    fn cluster(&self, cancel: Option<&CancelToken>) -> Cluster {
-        let mut cluster = Cluster::new(self.config.workers)
+    /// pool.
+    fn cluster(&self) -> Cluster {
+        let cluster = Cluster::new(self.config.workers)
             .with_morsel_rows(self.config.morsel_rows);
-        if let Some(pool) = &self.pool {
-            cluster = cluster.with_pool(Arc::clone(pool));
+        match &self.pool {
+            Some(pool) => cluster.with_pool(Arc::clone(pool)),
+            None => cluster,
         }
-        if let Some(token) = cancel {
-            cluster = cluster.with_cancel_token(token.clone());
-        }
-        // Attach the statement's flight-recorder trace (if sampled) so
-        // morsel workers and exchange channels attribute to the query.
-        if let Some(trace) = lardb_obs::trace::current() {
-            cluster = cluster.with_trace(trace);
-        }
-        cluster
     }
+
 
     /// The shared catalog.
     pub fn catalog(&self) -> &Catalog {
@@ -475,15 +457,19 @@ impl Database {
     /// * `cancel` — an externally-owned token: flipping it (from any
     ///   thread) aborts the statement at the next morsel/row-batch
     ///   boundary with `ExecError::Cancelled`. The server wires `KILL
-    ///   <query-id>` and client-disconnect detection to it. A token
-    ///   already cancelled aborts before execution; it is never re-armed.
+    ///   <query-id>` and client-disconnect detection to it. A statement
+    ///   whose token is already cancelled changes nothing: one that runs a
+    ///   plan stops when execution starts, any other before it writes.
+    ///   `None` gives the statement a token of its own.
     /// * `trace` — the caller's sampling decision. `run` never asks the
     ///   recorder to sample: the caller did (the server before admission,
     ///   so queue wait is on the trace), and `None` means untraced. The
-    ///   trace is the thread's current trace while the statement runs and
-    ///   is finished here — frozen into the recorder ring with the error,
-    ///   if any, and exported to [`DatabaseConfig::trace_dir`] — exactly
-    ///   once; the caller must not finish it again.
+    ///   trace is finished here — frozen into the recorder ring with the
+    ///   error, if any, and exported to [`DatabaseConfig::trace_dir`] —
+    ///   exactly once; the caller must not finish it again.
+    ///
+    /// Token, trace and this database's pool are the statement's
+    /// [`QueryContext`], entered once here for the whole statement.
     pub fn run(
         &self,
         source: Source<'_>,
@@ -495,20 +481,22 @@ impl Database {
             Source::Sql(sql) => (sql, None),
             Source::Prepared(p) => (&*p.sql, Some(p)),
         };
-        let mut st = StatementRun::new(sql, prepared, cancel);
+        let cancel = cancel.cloned().unwrap_or_default();
+        let ctx = QueryContext::new(cancel, trace.cloned(), self.pool.clone());
+        let _entered = ctx.enter();
         if let Some(trace) = trace {
-            st.attach(Arc::clone(trace));
+            trace.set_running();
         }
+        let mut st = StatementRun::new(sql, prepared, ctx);
         let mut result = self.dispatch(&mut st);
-        let StatementRun { trace, current, profile, reply_with_trace, .. } = st;
-        drop(current);
+        let StatementRun { ctx, profile, reply_with_trace, .. } = st;
         let mut trace_ids = None;
-        if let Some(trace) = trace {
+        if let Some(trace) = ctx.trace() {
             if let Ok(Response::Rows(q)) = &result {
                 trace.add_rows(q.rows.len() as u64);
             }
             let err = result.as_ref().err().map(|e| e.to_string());
-            let done = lardb_obs::recorder().finish(&trace, err.as_deref());
+            let done = lardb_obs::recorder().finish(trace, err.as_deref());
             // Best-effort export: tracing must never fail a query.
             if let Some(dir) = &self.config.trace_dir {
                 let _ = std::fs::create_dir_all(dir);
@@ -589,7 +577,8 @@ impl Database {
         };
         if norm.kind == StatementKind::Select && !references_virtual(sel) {
             let shape = self.shape(norm.clone());
-            let mut st = StatementRun::new(&prepared.sql, None, None);
+            let ctx = QueryContext::new(CancelToken::new(), None, None);
+            let mut st = StatementRun::new(&prepared.sql, None, ctx);
             let _ = self.optimized_for(&mut st, Some(&shape), sel);
         }
     }
@@ -608,7 +597,7 @@ impl Database {
     }
 
     /// Statement dispatch. Every lifecycle stage that runs is timed into
-    /// `st.profile` (and the current trace); a stage that is skipped — the
+    /// `st.profile` (and the statement's trace); a stage that is skipped — the
     /// front end of a warm SELECT, the parse of a prepared statement —
     /// stays at the profile's pre-seeded zero and leaves no span.
     fn dispatch(&self, st: &mut StatementRun<'_>) -> Result<Response> {
@@ -635,9 +624,17 @@ impl Database {
             Some(p) => p.statement.clone(),
             None => {
                 st.parse_started = Some(Instant::now());
-                st.profile.time(Stage::Parse, || parse_statement(st.sql))?
+                st.profile.time(Stage::Parse, st.ctx.trace(), || parse_statement(st.sql))?
             }
         };
+        // A killed statement changes nothing. One that runs a plan goes
+        // through its front end and stops where execution starts; any
+        // other stops here, before it writes.
+        use Statement::{CreateMaterializedView as Cmv, CreateTableAs as Ctas, Explain, Select};
+        let plans = matches!(statement, Select(_) | Explain { .. } | Ctas { .. } | Cmv { .. });
+        if !plans && st.ctx.cancel_token().is_cancelled() {
+            return Err(ExecError::Cancelled("query killed before execution".into()).into());
+        }
         match statement {
             Statement::CreateTable { name, columns } => {
                 let schema = Schema::new(
@@ -778,10 +775,10 @@ impl Database {
             }
             Statement::Explain { query, analyze, trace } => {
                 self.refresh_virtual_tables(&query)?;
-                if trace && st.trace.is_none() {
+                let _forced = if trace && st.ctx.trace().is_none() {
                     // EXPLAIN TRACE on a statement nobody sampled: force a
-                    // trace now (bind onward runs live under it) and put
-                    // the parse that was just measured on it.
+                    // trace now (bind onward runs live in a context under
+                    // it) and put the parse that was just measured on it.
                     let tenant = self.session.as_ref().map_or("embedded", |(_, t)| t);
                     let forced = lardb_obs::recorder().start_forced(st.sql, tenant);
                     if let Some(at) = st.parse_started {
@@ -789,8 +786,13 @@ impl Database {
                         let parse = Duration::from_secs_f64(ms / 1e3);
                         forced.record(Stage::Parse.name(), "query", at, parse, Vec::new());
                     }
-                    st.attach(forced);
-                }
+                    forced.set_running();
+                    let cancel = st.ctx.cancel_token().clone();
+                    st.ctx = QueryContext::new(cancel, Some(forced), self.pool.clone());
+                    Some(st.ctx.enter())
+                } else {
+                    None
+                };
                 // EXPLAIN shares the wrapped SELECT's cache shape (the
                 // prefix is stripped during normalization): a hit reuses
                 // the cached optimized plan and says so; a miss seeds the
@@ -915,8 +917,10 @@ impl Database {
         sel: &SelectStatement,
     ) -> Result<(Arc<LogicalPlan>, &'static str)> {
         let binder = Binder::new(&self.catalog);
-        let plan = st.profile.time(Stage::Bind, || binder.bind_select(sel))?;
-        let optimized = Arc::new(st.profile.time(Stage::Optimize, || self.optimize(plan))?);
+        let trace = st.ctx.trace();
+        let plan = st.profile.time(Stage::Bind, trace, || binder.bind_select(sel))?;
+        let optimized =
+            Arc::new(st.profile.time(Stage::Optimize, trace, || self.optimize(plan))?);
         let Some(shape) = shape else { return Ok((optimized, "off")) };
         self.plan_cache.insert(
             &shape.norm,
@@ -945,15 +949,17 @@ impl Database {
         gather: bool,
     ) -> Result<(QueryResult, PhysicalPlan)> {
         let mut pp = PhysicalPlanner::new(&self.catalog, self.catalog.as_ref());
-        let physical = st.profile.time(Stage::Plan, || {
+        let trace = st.ctx.trace();
+        let physical = st.profile.time(Stage::Plan, trace, || {
             if gather {
                 pp.plan_gathered(optimized)
             } else {
                 pp.plan(optimized)
             }
         })?;
-        let mut result = st.profile.time(Stage::Execute, || {
-            Executor::new(&self.catalog, self.cluster(st.cancel))
+        // Runs in a child of the thread's context, which is `st.ctx`.
+        let mut result = st.profile.time(Stage::Execute, trace, || {
+            Executor::new(&self.catalog, self.cluster())
                 .with_transport(self.config.transport)
                 .with_net_config(self.config.net.clone())
                 .with_memory(self.mem.clone())
@@ -1695,6 +1701,27 @@ mod tests {
         );
         // The same database still runs uncancelled statements fine.
         assert!(db.query("SELECT id FROM t").is_ok());
+    }
+
+    #[test]
+    fn a_statement_killed_before_it_starts_writes_nothing() {
+        let db = Database::new(2);
+        db.execute("CREATE TABLE t (id INTEGER)").unwrap();
+        db.execute("INSERT INTO t VALUES (1), (2)").unwrap();
+        let tables = db.catalog().table_names();
+        let cancel = lardb_exec::CancelToken::new();
+        cancel.cancel();
+        for sql in ["INSERT INTO t VALUES (3)", "CREATE TABLE u (id INTEGER)"] {
+            let err = db.run(Source::Sql(sql), Some(&cancel), None).unwrap_err();
+            assert!(
+                matches!(&err, EngineError::Exec(ExecError::Cancelled(m))
+                    if m == "query killed before execution"),
+                "{sql}: {err:?}"
+            );
+        }
+        let n = db.query("SELECT COUNT(*) AS n FROM t").unwrap();
+        assert_eq!(n.scalar().unwrap().as_integer(), Some(2));
+        assert_eq!(db.catalog().table_names(), tables);
     }
 
     #[test]

@@ -36,7 +36,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use lardb_exec::CancelToken;
 use lardb_planner::{AggFunc, LogicalPlan};
+use lardb_pool::QueryContext;
 use lardb_sql::ast::{AstExpr, SelectItem, SelectStatement, Statement, TableRef};
 use lardb_sql::parse_statement;
 use lardb_storage::{Row, Schema};
@@ -208,8 +210,18 @@ impl Database {
     /// Binds and runs a SELECT under a statement record of its own, which
     /// is then dropped: the maintenance machinery's internal queries must
     /// not disturb [`Database::last_profile`] or the plan cache.
+    ///
+    /// It runs in a child of the statement's context, so its stages,
+    /// morsels and pool waits land on the statement's trace, but with a
+    /// token of its own: cancelled after the base table was written, it
+    /// would leave the view behind its base.
     fn run_select_internal(&self, sel: &SelectStatement) -> Result<QueryResult> {
-        let mut st = StatementRun::new("<matview maintenance>", None, None);
+        let ctx = match QueryContext::current() {
+            Some(statement) => statement.child(CancelToken::new(), self.pool.clone()),
+            None => QueryContext::new(CancelToken::new(), None, self.pool.clone()),
+        };
+        let _entered = ctx.enter();
+        let mut st = StatementRun::new("<matview maintenance>", None, ctx);
         let (optimized, _) = self.optimized_for(&mut st, None, sel)?;
         Ok(self.run_plan(&mut st, &optimized, /*gather=*/ false)?.0)
     }

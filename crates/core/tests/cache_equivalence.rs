@@ -258,6 +258,34 @@ fn mv_incremental_refresh_matches_recompute() {
     }
 }
 
+/// Maintenance runs as a child of the statement that triggers it: the
+/// recompute of an AVG view under a traced INSERT puts its execute stage,
+/// its morsels and its pool waits on the INSERT's trace, leaves base and
+/// view agreeing, and leaves nothing behind.
+#[test]
+fn maintenance_runs_as_a_child_of_the_insert() {
+    use common::compare::assert_clean;
+    use lardb::Source;
+    let db = Fixture::Facts.open(&cell(|_| {}));
+    let defining = "SELECT g, AVG(v) AS a FROM facts GROUP BY g";
+    db.execute(&format!("CREATE MATERIALIZED VIEW mv_child AS {defining}")).unwrap();
+    let rows: Vec<String> =
+        (200..400).map(|i| format!("({i}, {}, {})", i % 7, i as f64 * 0.5)).collect();
+    let insert = format!("INSERT INTO facts VALUES {}", rows.join(", "));
+    let recorder = lardb_obs::recorder();
+    let trace = recorder.start_forced(&insert, "test");
+    db.run(Source::Sql(&insert), None, Some(&trace)).unwrap();
+    let done = recorder.find(trace.id()).expect("the INSERT's trace is finished");
+    for span in ["execute", "morsel", "pool.wait"] {
+        assert!(done.has_span(span), "no {span} span on the INSERT's trace");
+    }
+    let maintained = db.query("SELECT g, a FROM mv_child").unwrap();
+    assert_eq!(canon_rows(&maintained), canon_rows(&db.query(defining).unwrap()));
+    assert_clean(&db, "maintenance under a traced INSERT");
+    let names = db.catalog().table_names();
+    assert!(!names.iter().any(|n| n.starts_with("__lardb_delta_")), "{names:?}");
+}
+
 #[test]
 fn refresh_statement_matches_recompute() {
     let db = seeded(2);

@@ -4,12 +4,11 @@
 
 use std::sync::Arc;
 
-use lardb_la::dispatch::{self, KernelContext};
 use lardb_la::Matrix;
-use lardb_pool::WorkerPool;
+use lardb_pool::{CancelToken, QueryContext, WorkerPool};
 
-/// Multiplies `m × 128` by `128 × 128` under a trace in a kernel context
-/// on a four-worker pool; returns the `pool.wait` spans recorded and the
+/// Multiplies `m × 128` by `128 × 128` in a traced query context on a
+/// four-worker pool; returns the `pool.wait` spans recorded and the
 /// morsels counted.
 fn traced_multiply(pool: &Arc<WorkerPool>, m: usize) -> (usize, u64) {
     let a = Matrix::from_fn(m, 128, |i, j| (i + 2 * j) as f64);
@@ -19,8 +18,8 @@ fn traced_multiply(pool: &Arc<WorkerPool>, m: usize) -> (usize, u64) {
     let morsels = lardb_obs::global().counter("pool.morsels");
     let before = morsels.get();
     {
-        let _current = lardb_obs::trace::push_current(Some(trace.clone()));
-        let _kernels = dispatch::enter(Some(KernelContext::new(Some(Arc::clone(pool)))));
+        let pool = Some(Arc::clone(pool));
+        let _entered = QueryContext::new(CancelToken::new(), Some(trace.clone()), pool).enter();
         a.multiply(&b).unwrap();
     }
     let waits = trace.events().iter().filter(|e| e.name == "pool.wait").count();

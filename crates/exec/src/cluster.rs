@@ -1,45 +1,20 @@
 //! The simulated shared-nothing cluster and its morsel scheduler.
+//!
+//! A cluster is the query's shape — workers, pool, morsel size — and
+//! nothing of the query itself: the token and trace every task runs
+//! under come from the calling thread's [`QueryContext`], which the pool
+//! carries into each task.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use lardb_la::dispatch;
-use lardb_obs::ActiveTrace;
-use lardb_pool::WorkerPool;
+use lardb_pool::{CancelToken, QueryContext, WorkerPool};
 
 use crate::{ExecError, Result};
 
-/// A query-wide cancellation flag: the first worker to hit an error flips
-/// it, and every sibling checks it at morsel boundaries (and exchange
-/// senders before each frame), so a failing query stops shuffling instead
-/// of draining work whose result will be discarded.
-///
-/// Clones share the flag (it is the *query's* token, carried by the
-/// query's [`Cluster`] and all its clones).
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> Self {
-        CancelToken::default()
-    }
-
-    /// Flips the token. Returns `true` only for the flipping caller —
-    /// the winner of the race is the query's *first* failure.
-    pub fn cancel(&self) -> bool {
-        !self.0.swap(true, Ordering::AcqRel)
-    }
-
-    /// True once any worker has cancelled the query.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Acquire)
-    }
-
-    /// Re-arms the token (a fresh execution on a reused cluster).
-    pub fn reset(&self) {
-        self.0.store(false, Ordering::Release);
-    }
+/// The calling thread's query context. Outside any (a cluster driven
+/// directly), a fresh one whose token nobody else holds.
+pub(crate) fn context() -> QueryContext {
+    QueryContext::current().unwrap_or_else(|| QueryContext::new(CancelToken::new(), None, None))
 }
 
 /// Records a worker failure on the query token: the first (non-cancel)
@@ -105,18 +80,6 @@ pub struct Cluster {
     /// Morsels' and dense kernels' pool; `None` ⇒ [`lardb_pool::global`].
     pub(crate) pool: Option<Arc<WorkerPool>>,
     morsel_rows: usize,
-    /// Query-wide cancellation token, shared by clones of this cluster.
-    cancel: CancelToken,
-    /// True when the token was supplied by an external controller (a
-    /// server session wiring `KILL` / disconnect into the query). The
-    /// executor must not re-arm an external token at query start — a kill
-    /// that lands before execution begins must still abort the query.
-    external_cancel: bool,
-    /// The query's flight-recorder trace, if this query is sampled.
-    /// Worker closures run under it (thread-local) and open per-morsel
-    /// spans, so leaf code — spill, governor — attributes to the query
-    /// even on pool threads it never created.
-    trace: Option<Arc<ActiveTrace>>,
 }
 
 impl Cluster {
@@ -124,43 +87,7 @@ impl Cluster {
     /// pool with default morsel size.
     pub fn new(workers: usize) -> Self {
         assert!(workers > 0, "cluster needs at least one worker");
-        Cluster {
-            workers,
-            pool: None,
-            morsel_rows: DEFAULT_MORSEL_ROWS,
-            cancel: CancelToken::new(),
-            external_cancel: false,
-            trace: None,
-        }
-    }
-
-    /// Replaces the query's cancellation token with an externally-owned
-    /// one (e.g. a server session's), so `KILL` and client-disconnect
-    /// detection can abort the query from outside the executor. The
-    /// executor will not reset an external token at query start.
-    pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = token;
-        self.external_cancel = true;
-        self
-    }
-
-    /// True when the cancel token is externally owned (see
-    /// [`Self::with_cancel_token`]).
-    pub fn has_external_cancel(&self) -> bool {
-        self.external_cancel
-    }
-
-    /// Attaches the query's flight-recorder trace: worker closures run
-    /// under it as the thread-local current trace and open per-morsel
-    /// spans, and exchange senders ship its id across the wire.
-    pub fn with_trace(mut self, trace: Arc<ActiveTrace>) -> Self {
-        self.trace = Some(trace);
-        self
-    }
-
-    /// The query's trace, if one is attached (see [`Self::with_trace`]).
-    pub fn trace(&self) -> Option<&Arc<ActiveTrace>> {
-        self.trace.as_ref()
+        Cluster { workers, pool: None, morsel_rows: DEFAULT_MORSEL_ROWS }
     }
 
     /// Schedules on a dedicated pool instead of the global one.
@@ -183,11 +110,6 @@ impl Cluster {
     /// Rows per scheduled morsel.
     pub fn morsel_rows(&self) -> usize {
         self.morsel_rows
-    }
-
-    /// The query-wide cancellation token (shared across clones).
-    pub fn cancel_token(&self) -> &CancelToken {
-        &self.cancel
     }
 
     /// The pool this cluster schedules on.
@@ -250,45 +172,39 @@ impl Cluster {
     /// The one scheduling function: runs `f(index, input)` for every task
     /// on the pool and returns the results in task order.
     ///
-    /// Each task runs under the query's cancellation protocol: a
-    /// cancelled query skips the work outright (morsel-boundary abort),
-    /// and any failure flips the token so siblings stop too. When the
-    /// query is traced, the task runs under the trace (thread-local)
-    /// inside a per-morsel span, so the flight recorder sees which pool
-    /// thread ran each morsel and leaf code attributes its events. Each
-    /// task runs in the calling thread's kernel context (`lardb_la`).
+    /// Each task runs under the cancellation protocol of the calling
+    /// thread's query: a cancelled query skips the work outright
+    /// (morsel-boundary abort), and any failure flips the token so
+    /// siblings stop too. When the query is traced, each task runs inside
+    /// a per-morsel span, so the flight recorder sees which pool thread ran
+    /// each morsel. The pool runs every task in the caller's context, so
+    /// nothing is entered here.
     ///
     /// A task that panics surfaces as [`ExecError::Runtime`] instead of
     /// tearing down the process — a query must not crash the database.
     /// When several tasks fail, the first error in task order that is not
     /// a cancellation echo is returned; `Cancelled` surfaces only when no
     /// task has a root cause of its own (KILL, disconnect, or a failure in
-    /// an earlier call on this cluster).
+    /// an earlier call under the same query).
     fn run_tasks<T, R, F>(&self, tasks: Vec<(usize, T)>, f: F) -> Result<Vec<R>>
     where
         T: Send,
         R: Send,
         F: Fn(usize, T) -> Result<R> + Sync,
     {
-        let kernels = dispatch::current();
+        let ctx = context();
+        let cancel = ctx.cancel_token();
         let guarded = |i: usize, input: T| -> Result<R> {
-            if self.cancel.is_cancelled() {
+            if cancel.is_cancelled() {
                 return Err(ExecError::Cancelled(
                     "a sibling worker failed first".into(),
                 ));
             }
-            let _kernels = dispatch::enter(kernels.clone());
-            let _cur = self
-                .trace
-                .as_ref()
-                .map(|t| lardb_obs::trace::push_current(Some(t.clone())));
-            let _span = self
-                .trace
-                .as_ref()
-                .map(|t| t.span("morsel", "worker").arg("partition", i.to_string()));
+            let _span =
+                ctx.trace().map(|t| t.span("morsel", "worker").arg("partition", i.to_string()));
             let r = f(i, input);
             if let Err(e) = &r {
-                flag_abort(&self.cancel, e);
+                flag_abort(cancel, e);
             }
             r
         };
@@ -310,7 +226,7 @@ impl Cluster {
             if let Err(msg) = scoped {
                 lardb_obs::global().counter("exec.worker_panics").inc();
                 let e = ExecError::Runtime(format!("worker thread panicked: {msg}"));
-                flag_abort(&self.cancel, &e);
+                flag_abort(cancel, &e);
                 return Err(e);
             }
             // An unfilled slot means the pool dropped a task without
@@ -421,6 +337,12 @@ mod tests {
         }
     }
 
+    /// A fresh query context, entered until the guard drops.
+    fn query() -> (CancelToken, lardb_pool::Entered) {
+        let ctx = QueryContext::new(CancelToken::new(), None, None);
+        (ctx.cancel_token().clone(), ctx.enter())
+    }
+
     #[test]
     fn root_cause_beats_cancellation_echo() {
         // Task 0 waits for the token to flip and reports the echo; task 1
@@ -440,13 +362,14 @@ mod tests {
         };
         let is_root =
             |e: &ExecError| matches!(e, ExecError::Runtime(m) if m == "root cause");
+        let (token, _query) = query();
         let err = c
-            .par_map(vec![0, 1], |_, i| task(c.cancel_token(), i))
+            .par_map(vec![0, 1], |_, i| task(&token, i))
             .unwrap_err();
         assert!(is_root(&err), "par_map reported {err:?}");
-        c.cancel_token().reset();
+        let (token, _query) = query();
         let err = c
-            .morsel_map(vec![vec![0, 1]], |_, rows| task(c.cancel_token(), rows[0]))
+            .morsel_map(vec![vec![0, 1]], |_, rows| task(&token, rows[0]))
             .unwrap_err();
         assert!(is_root(&err), "morsel_map reported {err:?}");
     }
@@ -468,18 +391,16 @@ mod tests {
 
     #[test]
     fn first_error_cancels_siblings() {
-        // After one item fails, later items on the same cluster see the
+        // After one item fails, later items of the same query see the
         // flipped token and come back Cancelled instead of running.
         let c = Cluster::new(2);
+        let (token, _query) = query();
         let _ = c.par_map(vec![1], |_, _| -> Result<i32> {
             Err(ExecError::Runtime("first failure".into()))
         });
-        assert!(c.cancel_token().is_cancelled());
+        assert!(token.is_cancelled());
         let out: Result<Vec<i32>> = c.par_map(vec![1], |_, x| Ok(x));
         assert!(matches!(out, Err(ExecError::Cancelled(_))), "got {out:?}");
-        // Re-arming restores normal operation.
-        c.cancel_token().reset();
-        assert_eq!(c.par_map(vec![1], |_, x| Ok(x)).unwrap(), vec![1]);
     }
 
     #[test]
@@ -540,6 +461,7 @@ mod tests {
         let c = Cluster::new(2)
             .with_pool(Arc::new(WorkerPool::new(2)))
             .with_morsel_rows(1);
+        let (_, _query) = query();
         let err = c
             .morsel_map(vec![vec![1, 2, 3]], |_, rows| {
                 if rows == [2] {
@@ -550,9 +472,8 @@ mod tests {
             })
             .unwrap_err();
         assert!(matches!(err, ExecError::Runtime(ref m) if m.contains("bad morsel")));
-        // The error flipped the query-wide cancel token; re-arm it the way
-        // Executor::execute does at the start of each query.
-        c.cancel_token().reset();
+        // The error flipped the query's token; the next query has its own.
+        let (_, _query) = query();
         let err = c
             .morsel_map(vec![vec![1, 2, 3]], |_, rows: Vec<i32>| {
                 if rows == [3] {

@@ -26,7 +26,8 @@ use lardb_storage::ops::CompositeKey;
 use lardb_storage::table::hash_partition;
 use lardb_storage::{Row, Schema, Value};
 
-use crate::cluster::{flag_abort, panic_message, root_cause, CancelToken};
+use crate::cluster::{context, flag_abort, panic_message, root_cause};
+use crate::CancelToken;
 use crate::eval::eval_with;
 use crate::executor::{Executor, Parts};
 use crate::stats::{ChannelStats, ShuffleStats};
@@ -150,11 +151,12 @@ impl Executor<'_> {
         };
         let mesh_box = transport.mesh(w)?;
         let mesh: &dyn Mesh = mesh_box.as_ref();
-        let cancel = self.cluster.cancel_token();
+        let ctx = context();
+        let cancel = ctx.cancel_token();
         // When the query is traced, each sender leads every channel with a
         // trace frame carrying the trace id — receivers resolve it against
         // the flight recorder and attribute the channel to the query.
-        let trace_id = self.cluster.trace().map(|t| t.id().0);
+        let trace_id = ctx.trace().map(|t| t.id().0);
         let max = self.net.max_frame_bytes;
 
         let (sent, received) = std::thread::scope(|s| {

@@ -42,7 +42,7 @@ use lardb_storage::{Catalog, Partitioning, Row, Schema, Value};
 
 use crate::agg::{hash_values, spill_bucket, Accumulator, GroupedAgg, KeyTable};
 use crate::batch::{Col, ColumnBatch};
-use crate::cluster::Cluster;
+use crate::cluster::{context, Cluster};
 use crate::compile::{ExprEngine, Program};
 use crate::eval::{eval_predicate_with, eval_with};
 use crate::kernels;
@@ -238,31 +238,22 @@ impl<'a> Executor<'a> {
         self.engine
     }
 
-    /// The cluster this executor runs on.
-    pub fn cluster(&self) -> &Cluster {
-        &self.cluster
-    }
-
     /// Runs a plan to completion, materializing its output.
+    ///
+    /// The run has a context of its own, entered here and carried by the
+    /// pool into every task: the statement's token and trace when one is
+    /// entered (a fresh token otherwise), the cluster's pool, and a fresh
+    /// kernel tally, which becomes `ExecStats.dispatch`.
     pub fn execute(&self, plan: &PhysicalPlan) -> Result<ExecutionResult> {
-        // A reused cluster may carry a flipped token from an earlier
-        // failed execution; each run starts un-cancelled. An *external*
-        // token (a server session's KILL / disconnect wiring) is never
-        // re-armed here: a kill landing before execution starts must
-        // still abort the query.
-        if self.cluster.has_external_cancel() {
-            if self.cluster.cancel_token().is_cancelled() {
-                return Err(ExecError::Cancelled("query killed before execution".into()));
-            }
-        } else {
-            self.cluster.cancel_token().reset();
+        let statement = context();
+        let ctx = statement.child(statement.cancel_token().clone(), self.cluster.pool.clone());
+        let _entered = ctx.enter();
+        if ctx.cancel_token().is_cancelled() {
+            return Err(ExecError::Cancelled("query killed before execution".into()));
         }
-        // `run_tasks` carries the context into every task of the query.
-        let kernels = lardb_la::dispatch::KernelContext::new(self.cluster.pool.clone());
-        let _kernels = lardb_la::dispatch::enter(Some(kernels.clone()));
         let mut stats = ExecStats::new();
         let partitions = self.run(plan, &mut stats)?;
-        stats.dispatch = kernels.counts();
+        stats.dispatch = lardb_la::dispatch::counts(&ctx);
         publish_metrics(&stats);
         Ok(ExecutionResult { schema: plan.schema(), partitions, stats })
     }
@@ -451,7 +442,7 @@ impl<'a> Executor<'a> {
                 }
             }
         }
-        let cancel = self.cluster.cancel_token();
+        let cancel = context().cancel_token().clone();
         let morsels = self.cluster.morsel_map(probe_parts, |p, rows| {
             // Spilled partitions got an empty probe vector above.
             let BuildSide::InMem { table, .. } = &prepped[p].0 else { return Ok(Vec::new()) };
@@ -545,7 +536,7 @@ impl<'a> Executor<'a> {
         // fill the trace's event cap and the flight recorder's ring.
         let pipe = ChunkPipeline::new(self.engine, None, residual, chain, group_by, aggs);
         let mem = &self.mem;
-        let cancel = self.cluster.cancel_token();
+        let cancel = context().cancel_token().clone();
         let batch_rows = self.batch_rows;
         let fuse_partition = |lp: Vec<Row>, rp: Vec<Row>| -> Result<PartOut> {
             let fused_cancelled =
@@ -677,8 +668,8 @@ impl<'a> Executor<'a> {
         let (chain, base) = peel_chain(plan);
         let child = self.run(base, stats)?;
         let t0 = Instant::now();
-        let pipe =
-            ChunkPipeline::new(self.engine, self.cluster.trace().cloned(), None, &chain, &[], &[]);
+        let trace = context().trace().cloned();
+        let pipe = ChunkPipeline::new(self.engine, trace, None, &chain, &[], &[]);
         let batch_rows = self.batch_rows;
         let morsels = self.cluster.morsel_map(child, |_, rows| {
             let mut out = Vec::with_capacity(rows.len());
@@ -712,16 +703,10 @@ impl<'a> Executor<'a> {
     ) -> Result<Parts> {
         let child = self.run(base, stats)?;
         let t0 = Instant::now();
-        let pipe = ChunkPipeline::new(
-            self.engine,
-            self.cluster.trace().cloned(),
-            None,
-            chain,
-            group_by,
-            aggs,
-        );
+        let trace = context().trace().cloned();
+        let pipe = ChunkPipeline::new(self.engine, trace, None, chain, group_by, aggs);
         let batch_rows = self.batch_rows;
-        let cancel = self.cluster.cancel_token();
+        let cancel = context().cancel_token().clone();
         let partials = self.cluster.par_map(child, |_, rows| {
             let mut agg = GroupedAgg::new(group_by, aggs, mode);
             let mut scratch: Vec<Value> = Vec::new();
@@ -805,7 +790,7 @@ impl<'a> Executor<'a> {
     /// re-deal loop), so a killed query stops copying rows promptly
     /// instead of materializing a large scan it will never use.
     fn scan(&self, table: &str) -> Result<Parts> {
-        let cancel = self.cluster.cancel_token();
+        let cancel = context().cancel_token().clone();
         let scan_cancelled = || ExecError::Cancelled("table scan cancelled".into());
         if cancel.is_cancelled() {
             return Err(scan_cancelled());

@@ -31,10 +31,11 @@ pub mod executor;
 pub mod kernels;
 pub mod stats;
 
-pub use cluster::{CancelToken, Cluster, DEFAULT_MORSEL_ROWS};
+pub use cluster::{Cluster, DEFAULT_MORSEL_ROWS};
 pub use compile::ExprEngine;
 pub use executor::{ExecutionResult, Executor, MemoryConfig, DEFAULT_BATCH_ROWS};
 pub use lardb_net::{FaultKind, FaultPlan, NetConfig, TransportMode};
+pub use lardb_pool::CancelToken;
 pub use stats::{BatchStats, ChannelStats, ExecStats, OperatorStats, ShuffleStats, SpillStats};
 
 use lardb_net::NetError;

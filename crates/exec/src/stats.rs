@@ -173,8 +173,8 @@ impl OperatorStats {
 pub struct ExecStats {
     ops: Vec<OperatorStats>,
     /// Kernel-dispatch choices (dense vs sparse kernels) this query
-    /// made: exactly its own, read from the kernel context its
-    /// coordinating thread and every one of its pool tasks ran in.
+    /// made: exactly its own, read from the tally of the query context
+    /// its execution and every one of its pool tasks ran in.
     pub dispatch: lardb_la::DispatchCounters,
 }
 

@@ -1,19 +1,16 @@
-//! Density-adaptive kernel dispatch, and the per-query kernel context.
+//! Density-adaptive kernel dispatch, and what it counts.
 //!
 //! Dense-typed tiles always run the dense loops in [`crate::gemm`]; this
 //! module decides what happens to *sparse-typed* tiles:
 //!
 //! * [`keep_sparse`] picks per tile from its stored density against
 //!   [`DENSIFY_ABOVE`] — the input decides, there is no setting;
-//! * [`note_kernel`] counts each choice in the thread's [`KernelContext`],
-//!   the query's own tally: `ExecStats.dispatch`, [`publish`]ed as the
-//!   `la.dispatch.*` metrics. The context also names the query's pool.
+//! * [`note_kernel`] counts each choice in the tally of the thread's
+//!   [`QueryContext`], the query's own: `ExecStats.dispatch`, [`publish`]ed
+//!   as the `la.dispatch.*` metrics. Large dense kernels fan out on the
+//!   context's pool.
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use lardb_pool::WorkerPool;
+use lardb_pool::{QueryContext, WorkerPool};
 
 /// Stored density above which a sparse tile densifies at kernel entry:
 /// past it the dense loop beats the indexed sparse kernels.
@@ -26,7 +23,7 @@ pub fn keep_sparse(density: f64) -> bool {
 }
 
 /// The kernel families whose choices are counted, in [`DispatchCounters`]
-/// field order.
+/// field order (a kind is its index in the context's tally).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
     /// Dense GEMM or SYRK.
@@ -41,68 +38,28 @@ pub enum Kernel {
     Densified,
 }
 
-/// One query's kernel context, shared by every thread running its work:
-/// its dense kernels' pool (`None` ⇒ the process pool) and choice tally.
-#[derive(Debug, Clone)]
-pub struct KernelContext {
-    pool: Option<Arc<WorkerPool>>,
-    tally: Arc<[AtomicU64; 5]>,
-}
-
-impl KernelContext {
-    /// A fresh context with an empty tally, fanning out on `pool`.
-    pub fn new(pool: Option<Arc<WorkerPool>>) -> Self {
-        KernelContext { pool, tally: Arc::default() }
-    }
-
-    /// The kernel choices counted so far.
-    pub fn counts(&self) -> DispatchCounters {
-        DispatchCounters::from_fields(self.tally.each_ref().map(|n| n.load(Ordering::Relaxed)))
-    }
-}
-
-thread_local! {
-    static CURRENT: RefCell<Option<KernelContext>> = const { RefCell::new(None) };
-}
-
-/// The calling thread's kernel context, if it runs a query's work.
-pub fn current() -> Option<KernelContext> {
-    CURRENT.with(|c| c.borrow().clone())
-}
-
-/// Makes `ctx` the thread's kernel context until the guard drops and
-/// restores the previous one (a scope waiter's own, after helping a task).
-pub fn enter(ctx: Option<KernelContext>) -> Entered {
-    Entered(CURRENT.with(|c| c.replace(ctx)))
-}
-
-/// Restores the previously-current kernel context when dropped.
-#[derive(Debug)]
-pub struct Entered(Option<KernelContext>);
-
-impl Drop for Entered {
-    fn drop(&mut self) {
-        CURRENT.with(|c| c.replace(self.0.take()));
-    }
-}
-
 /// Records that a kernel (or a densification) ran, in the current
 /// query's tally. Outside a query it records nothing.
 pub fn note_kernel(kernel: Kernel) {
-    CURRENT.with(|c| {
-        if let Some(ctx) = c.borrow().as_ref() {
-            ctx.tally[kernel as usize].fetch_add(1, Ordering::Relaxed);
-        }
-    });
+    if let Some(ctx) = QueryContext::current() {
+        ctx.note(kernel as usize);
+    }
 }
 
 /// Runs `f` on the current query's pool, or on the process pool outside
-/// a query or for a query without a pool of its own.
+/// a query.
 pub(crate) fn on_pool<R>(f: impl FnOnce(&WorkerPool) -> R) -> R {
     // Cloned out: `f` may help run another query's task, which enters
     // that query's context on this thread.
-    let pool = CURRENT.with(|c| c.borrow().as_ref().and_then(|ctx| ctx.pool.clone()));
-    f(pool.as_deref().unwrap_or_else(|| lardb_pool::global()))
+    match QueryContext::current() {
+        Some(ctx) => f(ctx.pool()),
+        None => f(lardb_pool::global()),
+    }
+}
+
+/// The kernel choices counted in `ctx` so far.
+pub fn counts(ctx: &QueryContext) -> DispatchCounters {
+    DispatchCounters::from_fields(ctx.tally())
 }
 
 /// Counts of kernel choices, per kind: one query's (`ExecStats.dispatch`)
@@ -182,23 +139,24 @@ mod tests {
 
     #[test]
     fn choices_count_in_the_entered_context_only() {
+        use lardb_pool::CancelToken;
         note_kernel(Kernel::Spmv);
-        let outer = KernelContext::new(None);
-        let inner = KernelContext::new(None);
+        let outer = QueryContext::new(CancelToken::new(), None, None);
+        let inner = QueryContext::new(CancelToken::new(), None, None);
         {
-            let _o = enter(Some(outer.clone()));
+            let _o = outer.enter();
             note_kernel(Kernel::SpGemm);
             {
-                let _i = enter(Some(inner.clone()));
+                let _i = inner.enter();
                 note_kernel(Kernel::Densified);
             }
             note_kernel(Kernel::SpGemm);
         }
         note_kernel(Kernel::Dense);
-        assert!(current().is_none());
-        let o = outer.counts();
+        assert!(QueryContext::current().is_none());
+        let o = counts(&outer);
         assert_eq!(o, DispatchCounters { spgemm: 2, ..Default::default() });
-        let i = inner.counts();
+        let i = counts(&inner);
         assert_eq!(i, DispatchCounters { densified: 1, ..Default::default() });
         assert_eq!(o.plus(&i).since(&i), o);
     }

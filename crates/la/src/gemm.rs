@@ -27,8 +27,8 @@
 //!
 //! At `PAR_FLOPS` multiply-adds and above, an output that spans at least
 //! two `PAR_BLOCK`-square blocks is scheduled block by block as morsels on
-//! the current query's worker pool ([`crate::dispatch::KernelContext`];
-//! the process pool outside a query). Each morsel owns a
+//! the current query's worker pool ([`lardb_pool::QueryContext`]; the
+//! process pool outside a query). Each morsel owns a
 //! disjoint block of `out` and runs the *full* `k` loop, so the parallel
 //! result is bit-identical to the inline one.
 
@@ -352,9 +352,9 @@ pub(crate) fn syrk_t(a: &Matrix) -> Matrix {
 /// Makes a fresh `workers`-thread pool the current query's pool until the
 /// guard drops, so tests reach the parallel path on any machine.
 #[cfg(test)]
-pub(crate) fn on_pool_of(workers: usize) -> crate::dispatch::Entered {
+pub(crate) fn on_pool_of(workers: usize) -> lardb_pool::Entered {
     let pool = std::sync::Arc::new(lardb_pool::WorkerPool::new(workers));
-    crate::dispatch::enter(Some(crate::dispatch::KernelContext::new(Some(pool))))
+    lardb_pool::QueryContext::new(lardb_pool::CancelToken::new(), None, Some(pool)).enter()
 }
 
 /// `out += a × b` through the microkernel, sequentially: what the

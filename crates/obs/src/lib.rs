@@ -8,8 +8,8 @@
 //!
 //! * [`span`] — the five query-lifecycle [`Stage`]s
 //!   (parse → bind → optimize → plan → execute); [`QueryProfile::time`]
-//!   times one, feeding the profile and the current trace from one clock
-//!   reading;
+//!   times one, feeding the profile and the statement's trace from one
+//!   clock reading;
 //! * [`metrics`] — a process-wide [`MetricsRegistry`] of counters, gauges
 //!   and log-scale-bucket histograms, fed by the executor and the
 //!   `lardb-net` transports and queryable through `SHOW METRICS`;

@@ -8,10 +8,12 @@
 //! crate's hand-rolled [`crate::json`] writer) for the bench harness's
 //! `--profile-json` export.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::json::{array, ObjectWriter};
 use crate::span::Stage;
+use crate::trace::ActiveTrace;
 
 /// q-error of an estimate against an actual: `max(est/act, act/est)`.
 ///
@@ -121,16 +123,20 @@ impl QueryProfile {
 
     /// Runs `f` as lifecycle stage `stage`. One clock reading feeds both
     /// views of the stage: the wall time is added to [`Self::stages`] and
-    /// recorded as the same-named span on the thread's current trace
-    /// ([`crate::trace::current`]), if there is one. `f`'s value is handed
-    /// back as it is, so a stage that fails is timed like one that
-    /// succeeds (`profile.time(stage, || …)?`).
-    pub fn time<T>(&mut self, stage: Stage, f: impl FnOnce() -> T) -> T {
+    /// recorded as the same-named span on `trace`, if there is one. `f`'s
+    /// value is handed back as it is, so a stage that fails is timed like
+    /// one that succeeds (`profile.time(stage, trace, || …)?`).
+    pub fn time<T>(
+        &mut self,
+        stage: Stage,
+        trace: Option<&Arc<ActiveTrace>>,
+        f: impl FnOnce() -> T,
+    ) -> T {
         let started = Instant::now();
         let out = f();
         let wall = started.elapsed();
         self.add_stage(stage.name(), wall.as_secs_f64() * 1e3);
-        if let Some(trace) = crate::trace::current() {
+        if let Some(trace) = trace {
             trace.record(stage.name(), "query", started, wall, Vec::new());
         }
         out

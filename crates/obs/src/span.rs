@@ -3,7 +3,7 @@
 //! A query moves through five stages — parse, bind, optimize, plan,
 //! execute. [`QueryProfile::time`](crate::QueryProfile::time) times one:
 //! the wall time lands in the profile's stage timings and, from the same
-//! clock reading, as a span on the thread's current trace.
+//! clock reading, as a span on the statement's trace.
 
 /// The five query-lifecycle stages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -46,16 +46,14 @@ impl Stage {
 mod tests {
     use super::*;
     use crate::profile::QueryProfile;
-    use crate::trace::{push_current, recorder};
-    use std::sync::Arc;
+    use crate::trace::recorder;
 
     #[test]
     fn guard_records_on_drop() {
         let trace = recorder().start_forced("SELECT 1", "test");
         let mut profile = QueryProfile::new("SELECT 1");
         {
-            let _cur = push_current(Some(Arc::clone(&trace)));
-            let out = profile.time(Stage::Parse, || {
+            let out = profile.time(Stage::Parse, Some(&trace), || {
                 std::thread::sleep(std::time::Duration::from_millis(1));
                 7
             });
@@ -69,9 +67,9 @@ mod tests {
         assert!(wall_ms >= 1.0);
         assert!((events[0].dur_us as f64 - wall_ms * 1e3).abs() <= 1.0);
         recorder().finish(&trace, None);
-        // Without a current trace only the profile is fed, and a stage
-        // timed twice adds up.
-        profile.time(Stage::Parse, || ());
+        // Without a trace only the profile is fed, and a stage timed
+        // twice adds up.
+        profile.time(Stage::Parse, None, || ());
         assert!(profile.stage_ms("parse").unwrap() >= wall_ms);
         assert_eq!(trace.events().len(), 1);
     }
@@ -79,7 +77,7 @@ mod tests {
     #[test]
     fn guard_records_on_early_return() {
         fn inner(profile: &mut QueryProfile, fail: bool) -> Result<u8, ()> {
-            let bound = profile.time(Stage::Bind, || if fail { Err(()) } else { Ok(1) })?;
+            let bound = profile.time(Stage::Bind, None, || if fail { Err(()) } else { Ok(1) })?;
             Ok(bound + 1)
         }
         let mut profile = QueryProfile::new("q");

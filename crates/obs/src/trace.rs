@@ -8,16 +8,13 @@
 //! wire frame, and into spill read/write events — each layer appending
 //! [`SpanEvent`]s to the shared [`ActiveTrace`].
 //!
-//! Two propagation mechanisms cover every layer without threading a
-//! parameter through each call site:
-//!
-//! * an explicit handle (`Arc<ActiveTrace>`) carried by the structures
-//!   that already carry the cancel token (the executor's `Cluster`), and
-//! * a **thread-local current trace** ([`current`] / [`push_current`])
-//!   set by whoever owns a thread for the duration of a query — the
-//!   session thread, each pool worker inside a morsel, each exchange
-//!   sender/receiver thread — so leaf code (spill files, the memory
-//!   governor) can attribute events with no API change.
+//! This crate only records. Inside one process the trace handle
+//! (`Arc<ActiveTrace>`) travels in the query's context
+//! (`lardb_pool::QueryContext`), which the statement enters once and every
+//! pool task carries, so leaf code (spill files, the memory governor) finds
+//! it with no parameter. Across an exchange channel the *id* travels
+//! instead: the sender leads the channel with a trace frame and the
+//! receiver resolves it through [`FlightRecorder::lookup`].
 //!
 //! Completed traces land in the process-wide [`FlightRecorder`]: a
 //! bounded ring buffer (oldest evicted first) plus a live map of
@@ -368,39 +365,6 @@ impl Drop for TraceSpan {
     }
 }
 
-// --------------------------------------------------- thread-local current
-
-thread_local! {
-    static CURRENT: std::cell::RefCell<Option<Arc<ActiveTrace>>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// The trace currently attributed to this thread, if any.
-pub fn current() -> Option<Arc<ActiveTrace>> {
-    CURRENT.with(|c| c.borrow().clone())
-}
-
-/// Sets the thread's current trace for the guard's lifetime, restoring
-/// the previous value on drop (spans nest correctly across re-entrant
-/// executions, e.g. a virtual-table refresh inside a query).
-pub fn push_current(trace: Option<Arc<ActiveTrace>>) -> CurrentGuard {
-    let prev = CURRENT.with(|c| c.replace(trace));
-    CurrentGuard { prev }
-}
-
-/// Restores the previously-current trace when dropped.
-#[derive(Debug)]
-pub struct CurrentGuard {
-    prev: Option<Arc<ActiveTrace>>,
-}
-
-impl Drop for CurrentGuard {
-    fn drop(&mut self) {
-        let prev = self.prev.take();
-        CURRENT.with(|c| *c.borrow_mut() = prev);
-    }
-}
-
 // ------------------------------------------------------- completed traces
 
 /// An immutable, finished trace held by the flight recorder's ring.
@@ -717,23 +681,6 @@ mod tests {
         assert_eq!(events[0].name, "parse");
         assert_eq!(events[0].cat, "query");
         assert_eq!(events[0].args, vec![("detail", "1 stmt".to_string())]);
-        recorder().finish(&t, None);
-    }
-
-    #[test]
-    fn current_trace_nests_and_restores() {
-        assert!(current().is_none());
-        let t = recorder().start_forced("SELECT 1", "test");
-        {
-            let _g = push_current(Some(Arc::clone(&t)));
-            assert_eq!(current().unwrap().id(), t.id());
-            {
-                let _inner = push_current(None);
-                assert!(current().is_none());
-            }
-            assert_eq!(current().unwrap().id(), t.id());
-        }
-        assert!(current().is_none());
         recorder().finish(&t, None);
     }
 

@@ -29,11 +29,14 @@
 //! The pool feeds `lardb-obs`: `pool.morsels` / `pool.steals` counters,
 //! a `pool.queue_wait_us` histogram (push-to-pop latency), and
 //! `pool.size` / `pool.busy` gauges summed over live pools — all visible
-//! via `SHOW METRICS`. Tasks also carry their spawner's active query trace:
-//! a traced task records a `pool.wait` span (its own push-to-pop
-//! latency, steal flag included) and runs with the trace installed as
-//! the worker thread's current trace, so downstream spans attribute to
-//! the right query no matter which thread stole the work.
+//! via `SHOW METRICS`.
+//!
+//! The crate also owns [`QueryContext`], the one carrier of a query's
+//! state (cancel token, trace, pool, kernel tally), kept in the crate's
+//! only thread-local. Every task runs inside its spawner's context, so a
+//! worker that runs (or, waiting, helps run) another query's task works
+//! for that query and then gets its own context back; a traced task also
+//! records a `pool.wait` span (push-to-pop latency, steal flag included).
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -44,15 +47,20 @@ use std::time::Instant;
 
 use lardb_obs::{Counter, Gauge, Histogram};
 
+mod context;
+
+pub use context::{CancelToken, Entered, QueryContext, TALLY_KINDS};
+
 /// One queued unit of work, tagged with its submission time (for the
 /// queue-wait histogram) and home queue (to tell steals from local pops).
-/// Tasks carry the spawning thread's active query trace, so work that
-/// hops threads stays attributed to its query.
+/// Tasks carry the spawning thread's query context, so work that hops
+/// threads stays its query's, and the scope they complete.
 struct Task {
     run: Box<dyn FnOnce() + Send>,
     pushed: Instant,
     home: usize,
-    trace: Option<Arc<lardb_obs::ActiveTrace>>,
+    ctx: Option<QueryContext>,
+    group: Arc<Group>,
 }
 
 /// State shared between the pool handle and its worker threads.
@@ -112,34 +120,42 @@ impl Shared {
         None
     }
 
-    /// Runs one task, maintaining the pool metrics. A traced task runs
-    /// with its query's trace installed as this thread's current trace
-    /// (so nested spans and spill events attribute correctly), and the
-    /// push-to-pop latency is recorded as a `pool.wait` span — only the
-    /// pool sees the enqueue point, so this can't be measured elsewhere.
+    /// Runs one task inside its spawner's context, maintaining the pool
+    /// metrics, then tells its scope. A traced task's push-to-pop latency
+    /// is recorded as a `pool.wait` span — only the pool sees the enqueue
+    /// point, so this can't be measured elsewhere.
     fn run_task(&self, task: Task, stolen: bool) {
-        let waited = task.pushed.elapsed();
+        let Task { run, pushed, home, ctx, group } = task;
+        let waited = pushed.elapsed();
         self.queue_wait_us.observe(waited.as_micros() as u64);
         self.morsels.inc();
         if stolen {
             self.steals.inc();
         }
-        let _cur = task
-            .trace
-            .as_ref()
-            .map(|t| lardb_obs::trace::push_current(Some(Arc::clone(t))));
-        if let Some(t) = &task.trace {
+        if let Some(t) = ctx.as_ref().and_then(QueryContext::trace) {
             t.record(
                 "pool.wait",
                 "pool",
-                task.pushed,
+                pushed,
                 waited,
-                vec![("stolen", stolen.to_string()), ("home", task.home.to_string())],
+                vec![("stolen", stolen.to_string()), ("home", home.to_string())],
             );
         }
-        self.busy.add(1.0);
-        (task.run)();
-        self.busy.add(-1.0);
+        {
+            // Restored before the scope hears of it: once it has, the
+            // spawner may return and drop the last handle to what the
+            // context holds (this very pool, say).
+            let _ctx = context::install(ctx);
+            self.busy.add(1.0);
+            run();
+            self.busy.add(-1.0);
+        }
+        if group.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
+            // Wake waiters parked on the gate (under the lock, so the
+            // wakeup races neither the waiter's check nor its wait).
+            let _g = self.gate.lock().unwrap_or_else(|e| e.into_inner());
+            self.cv.notify_all();
+        }
     }
 
     /// Worker main loop: drain tasks, sleep when every queue is empty.
@@ -322,31 +338,22 @@ impl<'env> Scope<'_, 'env> {
             % shared.queues.len();
         self.group.pending.fetch_add(1, Ordering::SeqCst);
         let group = Arc::clone(&self.group);
-        let shared_for_task = Arc::clone(shared);
         let body: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
             if let Err(payload) = catch_unwind(AssertUnwindSafe(f)) {
                 group.record_panic(payload.as_ref());
             }
-            let left = group.pending.fetch_sub(1, Ordering::SeqCst) - 1;
-            if left == 0 {
-                // Wake waiters parked on the gate (under the lock, so the
-                // wakeup races neither the waiter's check nor its wait).
-                let _g = shared_for_task
-                    .gate
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner());
-                shared_for_task.cv.notify_all();
-            }
         });
         // Erase 'env. Sound because `scope` (and its panic path) block on
-        // group completion before the borrowed frame can be left.
+        // group completion before the borrowed frame can be left, and
+        // `run_task` completes the group only after the body has run.
         let body: Box<dyn FnOnce() + Send + 'static> =
             unsafe { std::mem::transmute(body) };
         shared.push(Task {
             run: body,
             pushed: Instant::now(),
             home,
-            trace: lardb_obs::trace::current(),
+            ctx: QueryContext::current(),
+            group: Arc::clone(&self.group),
         });
     }
 }
