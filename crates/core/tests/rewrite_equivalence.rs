@@ -208,3 +208,16 @@ fn internal_builtins_are_invisible_to_sql_and_count_as_the_gemm_did() {
     let dense_only = DispatchCounters { dense: blocks, ..DispatchCounters::default() };
     assert_eq!(r.stats.dispatch, dense_only);
 }
+
+/// The block regression counts one dense kernel per block, its Gram:
+/// `matrix_inverse` runs blocked LU on the same microkernel but counts no
+/// kernel, and neither do the products with vectors.
+#[test]
+fn block_regression_counts_one_dense_kernel_per_block() {
+    let db = Fixture::Points.open(&lattice::oracle());
+    let blocks = db.query("SELECT COUNT(*) AS n FROM mlxi").unwrap();
+    let blocks = blocks.scalar().and_then(|v| v.as_integer()).unwrap() as u64;
+    assert!(blocks > 1, "{blocks} blocks");
+    let r = db.query(LINREG_BLOCK).unwrap();
+    assert_eq!(r.stats.dispatch, DispatchCounters { dense: blocks, ..DispatchCounters::default() });
+}

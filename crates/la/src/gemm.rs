@@ -1,16 +1,20 @@
 //! Register-tiled dense matrix-multiplication kernel.
 //!
-//! The engine's `matrix_multiply` built-in and the Gram kernel bottom out
-//! here, in one microkernel: an `MR × NR` tile of `out` is loaded into
-//! registers, the `k` extent is run over it as an IEEE multiply followed by
-//! an IEEE add per term — two roundings, never a fused multiply-add — and
-//! the tile is stored back. The right operand is packed once per
-//! `(k-block, j-block)` into `NR`-wide strips on the stack, so the inner
-//! loop streams it contiguously; the left operand is read through a
-//! `(row stride, k stride)` pair, which is what lets SYRK be the same
-//! kernel over `aᵀ` restricted to upper-triangle tiles. Rows and columns
-//! left over after whole tiles run the same statement one row at a time.
-//! This is not a BLAS: there is no `a` packing, no prefetch and no FMA.
+//! The engine's `matrix_multiply` built-in, the Gram kernel and blocked LU
+//! bottom out here, in one microkernel: an `MR × NR` tile of `out` is
+//! loaded into registers, the `k` extent is run over it as an IEEE multiply
+//! followed by an IEEE add per term — or an IEEE subtract, in the
+//! instantiation LU's updates run ([`sub_product`]) — two roundings, never
+//! a fused multiply-add, and the tile is stored back. The right operand is
+//! packed once per `(k-block, j-block)` into `NR`-wide strips on the stack,
+//! so the inner loop streams it contiguously; it and `out` are read through
+//! row strides, so a product may run on a sub-block of a larger matrix. The
+//! left operand is read through a `(row stride, k stride)` pair, which is
+//! what lets SYRK be the same kernel over `aᵀ` restricted to upper-triangle
+//! tiles. Rows and columns left over after whole tiles run the same
+//! statement one row at a time. This is not a BLAS: there is no prefetch
+//! and no FMA, and `a` is packed only for LU (a copy of the block, read
+//! once).
 //!
 //! Every output element accumulates its terms in ascending `k`, starting
 //! from the value already in `out`, whatever the tile, strip or morsel it
@@ -25,12 +29,13 @@
 //! density of `a`. Sparsity is expressed with a sparse-typed tile
 //! ([`crate::sparse`]), not sampled here.
 //!
-//! At `PAR_FLOPS` multiply-adds and above, an output that spans at least
-//! two `PAR_BLOCK`-square blocks is scheduled block by block as morsels on
-//! the current query's worker pool ([`lardb_pool::QueryContext`]; the
-//! process pool outside a query). Each morsel owns a
+//! At `PAR_FLOPS` multiply-adds and above, a GEMM or SYRK output that spans
+//! at least two `PAR_BLOCK`-square blocks is scheduled block by block as
+//! morsels on the current query's worker pool ([`lardb_pool::QueryContext`];
+//! the process pool outside a query). Each morsel owns a
 //! disjoint block of `out` and runs the *full* `k` loop, so the parallel
-//! result is bit-identical to the inline one.
+//! result is bit-identical to the inline one. LU's products always run
+//! inline.
 
 use std::mem::MaybeUninit;
 
@@ -64,15 +69,17 @@ struct OutPtr(*mut f64);
 unsafe impl Send for OutPtr {}
 unsafe impl Sync for OutPtr {}
 
-/// One accumulation `out += a × b` as the microkernel sees it: `out` is
-/// `m × n` row-major, `b` is `k × n` row-major, and `a(i, kk)` lives at
-/// `a[i * a_row + kk * a_k]`.
+/// One accumulation `out += a × b` (or `out −= a × b`) as the microkernel
+/// sees it: `out` is `m × n` with row stride `o_row`, `b` is `k × n` with
+/// row stride `b_row`, and `a(i, kk)` lives at `a[i * a_row + kk * a_k]`.
 #[derive(Clone, Copy)]
 struct Product<'a> {
     a: &'a [f64],
     a_row: usize,
     a_k: usize,
     b: &'a [f64],
+    b_row: usize,
+    o_row: usize,
     m: usize,
     k: usize,
     n: usize,
@@ -85,14 +92,17 @@ impl<'a> Product<'a> {
     fn gemm(a: &'a Matrix, b: &'a Matrix) -> Self {
         let (m, k) = a.shape();
         assert_eq!(b.rows(), k, "gemm shape mismatch");
+        let n = b.cols();
         let p = Product {
             a: a.as_slice(),
             a_row: k,
             a_k: 1,
             b: b.as_slice(),
+            b_row: n,
+            o_row: n,
             m,
             k,
-            n: b.cols(),
+            n,
             upper: false,
         };
         p.check();
@@ -108,6 +118,8 @@ impl<'a> Product<'a> {
             a_row: 1,
             a_k: n,
             b: a.as_slice(),
+            b_row: n,
+            o_row: n,
             m: n,
             k: rows,
             n,
@@ -117,9 +129,12 @@ impl<'a> Product<'a> {
         p
     }
 
-    /// The bounds `block` relies on for its unchecked reads of `a`.
+    /// The bounds `block` relies on for its unchecked reads of `a`, and
+    /// those of `b`.
     fn check(&self) {
-        assert_eq!(self.b.len(), self.k * self.n);
+        if self.k > 0 && self.n > 0 {
+            assert!(self.n <= self.b_row && (self.k - 1) * self.b_row + self.n <= self.b.len());
+        }
         if self.m > 0 && self.k > 0 {
             assert!((self.m - 1) * self.a_row + (self.k - 1) * self.a_k < self.a.len());
         }
@@ -130,17 +145,18 @@ impl<'a> Product<'a> {
 /// the full `k` extent in ascending order for every element.
 ///
 /// # Safety
-/// `p` must come from a [`Product`] constructor, `out` must point at its
-/// `m × n` row-major output with `i1 <= m` and `j1 <= n`, and no other
-/// thread may touch elements in `[i0,i1) × [j0,j1)` while this runs.
+/// `p` must have passed [`Product::check`], `out` must point at its
+/// `m × n` output (row stride `o_row`) with `i1 <= m` and `j1 <= n`, and
+/// no other thread may touch elements in `[i0,i1) × [j0,j1)` while this
+/// runs.
 #[inline(always)]
-unsafe fn block<const NR: usize>(
+unsafe fn block<const NR: usize, const SUB: bool>(
     p: &Product<'_>,
     out: OutPtr,
     (i0, i1): (usize, usize),
     (j0, j1): (usize, usize),
 ) {
-    let Product { a, a_row, a_k, b, k, n, upper, .. } = *p;
+    let Product { a, a_row, a_k, b, b_row, o_row, k, upper, .. } = *p;
     let mut panel = [MaybeUninit::<f64>::uninit(); BLOCK * BLOCK];
     let ifull = i0 + (i1 - i0) / MR * MR;
     for kb in (0..k).step_by(BLOCK) {
@@ -153,7 +169,7 @@ unsafe fn block<const NR: usize>(
             // `jb + s*NR ..` back to back.
             for (s, strip) in panel.chunks_exact_mut(kc * NR).take(strips).enumerate() {
                 for (kk, dst) in strip.chunks_exact_mut(NR).enumerate() {
-                    let src = (kb + kk) * n + jb + s * NR;
+                    let src = (kb + kk) * b_row + jb + s * NR;
                     for (d, &v) in dst.iter_mut().zip(&b[src..src + NR]) {
                         d.write(v);
                     }
@@ -171,7 +187,7 @@ unsafe fn block<const NR: usize>(
                     }
                     let mut acc = [[0.0f64; NR]; MR];
                     for (r, row) in acc.iter_mut().enumerate() {
-                        let o = out.0.add((i + r) * n + j);
+                        let o = out.0.add((i + r) * o_row + j);
                         for (c, v) in row.iter_mut().enumerate() {
                             *v = *o.add(c);
                         }
@@ -184,13 +200,13 @@ unsafe fn block<const NR: usize>(
                         for (r, row) in acc.iter_mut().enumerate() {
                             let av = *ap.add(r * a_row);
                             for (v, &bv) in row.iter_mut().zip(b_row) {
-                                *v += av * bv;
+                                *v = term::<SUB>(*v, av, bv);
                             }
                         }
                         ap = ap.add(a_k);
                     }
                     for (r, row) in acc.iter().enumerate() {
-                        let o = out.0.add((i + r) * n + j);
+                        let o = out.0.add((i + r) * o_row + j);
                         for (c, &v) in row.iter().enumerate() {
                             *o.add(c) = v;
                         }
@@ -199,8 +215,8 @@ unsafe fn block<const NR: usize>(
             }
             // Rows past the last whole tile, then columns past the last
             // whole strip.
-            edge(p, out, (ifull, i1), (jb, jfull), (kb, kb + kc));
-            edge(p, out, (i0, i1), (jfull, jmax), (kb, kb + kc));
+            edge::<SUB>(p, out, (ifull, i1), (jb, jfull), (kb, kb + kc));
+            edge::<SUB>(p, out, (i0, i1), (jfull, jmax), (kb, kb + kc));
         }
     }
 }
@@ -211,7 +227,7 @@ unsafe fn block<const NR: usize>(
 /// # Safety
 /// As for [`block`].
 #[inline(always)]
-unsafe fn edge(
+unsafe fn edge<const SUB: bool>(
     p: &Product<'_>,
     out: OutPtr,
     (i0, i1): (usize, usize),
@@ -223,14 +239,26 @@ unsafe fn edge(
         if j0 >= j1 {
             continue;
         }
-        let out_row = std::slice::from_raw_parts_mut(out.0.add(i * p.n + j0), j1 - j0);
+        let out_row = std::slice::from_raw_parts_mut(out.0.add(i * p.o_row + j0), j1 - j0);
         for kk in k0..k1 {
             let av = p.a[i * p.a_row + kk * p.a_k];
-            let b_row = &p.b[kk * p.n + j0..kk * p.n + j1];
+            let b_row = &p.b[kk * p.b_row + j0..kk * p.b_row + j1];
             for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o += av * bv;
+                *o = term::<SUB>(*o, av, bv);
             }
         }
+    }
+}
+
+/// One term into an element: `t + a·b`, or `t − a·b` for a subtracting
+/// product — the statement of the loop it replaces, so that even a NaN
+/// result carries the bits that loop gives it.
+#[inline(always)]
+fn term<const SUB: bool>(t: f64, a: f64, b: f64) -> f64 {
+    if SUB {
+        t - a * b
+    } else {
+        t + a * b
     }
 }
 
@@ -241,13 +269,13 @@ type BlockFn = unsafe fn(&Product<'_>, OutPtr, (usize, usize), (usize, usize));
 ///
 /// # Safety
 /// As for [`block`].
-unsafe fn block_baseline(
+unsafe fn block_baseline<const SUB: bool>(
     p: &Product<'_>,
     out: OutPtr,
     rows: (usize, usize),
     cols: (usize, usize),
 ) {
-    block::<4>(p, out, rows, cols)
+    block::<4, SUB>(p, out, rows, cols)
 }
 
 /// [`block`] with 4-wide lanes, `NR = 8`. Only `avx` is enabled, so the
@@ -257,22 +285,22 @@ unsafe fn block_baseline(
 /// As for [`block`], and the CPU must support AVX.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-unsafe fn block_avx(
+unsafe fn block_avx<const SUB: bool>(
     p: &Product<'_>,
     out: OutPtr,
     rows: (usize, usize),
     cols: (usize, usize),
 ) {
-    block::<8>(p, out, rows, cols)
+    block::<8, SUB>(p, out, rows, cols)
 }
 
-/// The widest [`block`] this host can run.
-fn block_fn() -> BlockFn {
+/// The widest [`block`] this host can run, adding or subtracting.
+fn block_fn<const SUB: bool>() -> BlockFn {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx") {
-        return block_avx;
+        return block_avx::<SUB>;
     }
-    block_baseline
+    block_baseline::<SUB>
 }
 
 /// Splits `0..len` into `PAR_BLOCK`-sized ranges.
@@ -289,7 +317,7 @@ fn par_ranges(len: usize) -> Vec<(usize, usize)> {
 /// # Safety
 /// `out` must point at `p`'s exclusively borrowed `m × n` output.
 unsafe fn run(p: &Product<'_>, out: OutPtr) {
-    let block = block_fn();
+    let block = block_fn::<false>();
     let (m, n) = (p.m, p.n);
     // An upper-triangle product does about half the multiplies.
     let flops = m.saturating_mul(n).saturating_mul(p.k) / if p.upper { 2 } else { 1 };
@@ -349,6 +377,39 @@ pub(crate) fn syrk_t(a: &Matrix) -> Matrix {
     out
 }
 
+/// `a`'s `m × k` block, row-major, as the left operand of
+/// [`sub_product`]. Every `a(i, kk)` is read here, so `a` may live in rows
+/// that `out` shares.
+pub(crate) fn packed(m: usize, k: usize, a: impl Fn(usize, usize) -> f64) -> Vec<f64> {
+    let a = &a;
+    (0..m).flat_map(|i| (0..k).map(move |kk| a(i, kk))).collect()
+}
+
+/// `out −= a × b` through the microkernel on the calling thread: the
+/// trailing update and the substitutions of blocked LU ([`crate::lu`]).
+/// Each element takes `t − a·b` per term, `k` ascending, the statement of
+/// the plain loop. `a` is [`packed`], `b` is `k × n` with row stride
+/// `b_row`, `out` is `m × n` with row stride `o_row`. There is no morsel
+/// fan-out, and no kernel choice is noted: a factorization is not a dense
+/// product of the query's.
+pub(crate) fn sub_product(
+    a: &[f64],
+    (b, b_row): (&[f64], usize),
+    (out, o_row): (&mut [f64], usize),
+    (m, k, n): (usize, usize, usize),
+) {
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    assert_eq!(a.len(), m * k, "sub_product left operand shape");
+    assert!(n <= o_row && (m - 1) * o_row + n <= out.len(), "sub_product output bounds");
+    let p = Product { a, a_row: k, a_k: 1, b, b_row, o_row, m, k, n, upper: false };
+    p.check();
+    // SAFETY: `p.check()` bounds the reads of `a` and `b`, the assert
+    // above every element of `out`, which is exclusively borrowed.
+    unsafe { block_fn::<true>()(&p, OutPtr(out.as_mut_ptr()), (0, m), (0, n)) }
+}
+
 /// Makes a fresh `workers`-thread pool the current query's pool until the
 /// guard drops, so tests reach the parallel path on any machine.
 #[cfg(test)]
@@ -365,7 +426,7 @@ pub(crate) fn gemm_acc_dense(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(out.shape(), (p.m, p.n), "gemm output shape mismatch");
     let ptr = OutPtr(out.as_mut_slice().as_mut_ptr());
     // SAFETY: `out` is m × n and exclusively borrowed.
-    unsafe { block_fn()(&p, ptr, (0, p.m), (0, p.n)) }
+    unsafe { block_fn::<false>()(&p, ptr, (0, p.m), (0, p.n)) }
 }
 
 /// Naive triple-loop reference multiply for differential tests.
@@ -449,10 +510,15 @@ mod tests {
     /// Every instantiation of the microkernel this host can run, narrow
     /// one first: the baseline is tested on an AVX host without a switch.
     fn instantiations() -> Vec<(&'static str, BlockFn)> {
-        let mut all: Vec<(&'static str, BlockFn)> = vec![("baseline", block_baseline)];
+        instantiations_of::<false>()
+    }
+
+    /// [`instantiations`], adding or subtracting.
+    fn instantiations_of<const SUB: bool>() -> Vec<(&'static str, BlockFn)> {
+        let mut all: Vec<(&'static str, BlockFn)> = vec![("baseline", block_baseline::<SUB>)];
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx") {
-            all.push(("avx", block_avx));
+            all.push(("avx", block_avx::<SUB>));
         }
         all
     }
@@ -616,6 +682,54 @@ mod tests {
             x.transpose_vector_multiply(&v).unwrap_err().to_string(),
             "matrix_vector_multiply: dimension mismatch between 3x4 and 3x1"
         );
+    }
+
+    /// `out −= a × b` into an interior block of a larger buffer, `b` read
+    /// from an interior block of another, through the entry and through
+    /// every subtracting instantiation: every element of the block takes
+    /// the plain loop's subtracts, and nothing outside it moves.
+    #[test]
+    fn sub_product_updates_an_interior_block_only() {
+        // Tails on every edge of the register tile, `k` past one panel.
+        let (m, k, n) = (21, 70, 19);
+        let (o_row, o_at) = (60, 5 * 60 + 7);
+        let (b_row, b_at) = (40, 3 * 40 + 11);
+        for (what, specials) in [("plain", false), ("specials", true)] {
+            let data = |seed, len| if specials { with_specials(seed, len) } else { rngish(seed, len) };
+            let a = data(3, m * k);
+            let b = data(5, 80 * b_row);
+            let init = data(9, 50 * o_row);
+            let mut want = init.clone();
+            for i in 0..m {
+                for j in 0..n {
+                    let t = &mut want[o_at + i * o_row + j];
+                    for kk in 0..k {
+                        *t -= a[i * k + kk] * b[b_at + kk * b_row + j];
+                    }
+                }
+            }
+            let packed = packed(m, k, |i, kk| a[i * k + kk]);
+            let mut runs = vec![("entry", init.clone())];
+            sub_product(&packed, (&b[b_at..], b_row), (&mut runs[0].1[o_at..], o_row), (m, k, n));
+            let b = &b[b_at..];
+            let p = Product { a: &packed, a_row: k, a_k: 1, b, b_row, o_row, m, k, n, upper: false };
+            p.check();
+            for (name, block) in instantiations_of::<true>() {
+                let mut got = init.clone();
+                unsafe { block(&p, OutPtr(got[o_at..].as_mut_ptr()), (0, m), (0, n)) };
+                runs.push((name, got));
+            }
+            for (name, got) in runs {
+                for (at, (g, w)) in got.iter().zip(&want).enumerate() {
+                    let (i, j) = ((at / o_row).wrapping_sub(5), (at % o_row).wrapping_sub(7));
+                    if i < m && j < n {
+                        assert!(same_bits(&[*g], &[*w]), "{name} {what}: ({i}, {j}) is {g}, want {w}");
+                    } else {
+                        assert_eq!(g.to_bits(), init[at].to_bits(), "{name} {what}: {at} moved");
+                    }
+                }
+            }
+        }
     }
 
     fn rngish(seed: u64, len: usize) -> Vec<f64> {

@@ -10,8 +10,9 @@
 //! * register-tiled dense GEMM ([`Matrix::multiply`]) and matrix–vector
 //!   products,
 //! * LU factorization with partial pivoting ([`lu::LuDecomposition`]) for
-//!   `matrix_inverse` (every right-hand side substituted at once, a row at
-//!   a time) and `solve`,
+//!   `matrix_inverse` and `solve`, in LINPACK's element orders; the
+//!   factorization and `matrix_inverse`'s substitutions are blocked onto
+//!   the GEMM microkernel,
 //! * Cholesky factorization ([`chol::CholeskyDecomposition`]) for symmetric
 //!   positive-definite systems (the comparator baselines' least-squares
 //!   solves; no SQL built-in uses it),

@@ -853,6 +853,31 @@ mod tests {
         }
     }
 
+    /// `matrix_inverse` runs blocked LU, whose products on the dense
+    /// microkernel note no kernel choice: a query's tally counts its own
+    /// dense products, not the steps of a factorization.
+    #[test]
+    fn matrix_inverse_counts_no_kernel() {
+        use lardb_la::dispatch::{counts, DispatchCounters};
+        use lardb_pool::{CancelToken, QueryContext};
+        let n = 400;
+        let a = Value::matrix(Matrix::from_fn(n, n, |i, j| {
+            if i == j {
+                n as f64
+            } else {
+                1.0 / (i + 2 * j + 1) as f64
+            }
+        }));
+        let ctx = QueryContext::new(CancelToken::new(), None, None);
+        let _entered = ctx.enter();
+        let inv = Builtin::MatrixInverse.evaluate(std::slice::from_ref(&a)).unwrap();
+        assert_eq!(inv.data_type(), DataType::Matrix(Some(n), Some(n)));
+        assert_eq!(counts(&ctx), DispatchCounters::default());
+        // The tally is live: the product that checks the inverse counts.
+        Builtin::MatrixMultiply.evaluate(&[a, inv]).unwrap();
+        assert_eq!(counts(&ctx), DispatchCounters { dense: 1, ..Default::default() });
+    }
+
     #[test]
     fn matrix_multiply_signature_binds_dims() {
         // the paper's §4.2 example: U MATRIX[1000][100] × V MATRIX[100][10000]
