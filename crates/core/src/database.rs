@@ -1372,6 +1372,59 @@ mod tests {
         assert_eq!(g.get(0, 1).unwrap(), 0.0);
     }
 
+    /// The §5 distance shape over NULL, ±0, NaN-bearing and mismatched
+    /// vectors: compiled kernels answer as the interpreter, and a lane
+    /// of the wrong dimension replays its chunk so the query reports the
+    /// interpreter's own message.
+    #[test]
+    fn inner_product_lanes_answer_as_the_interpreter() {
+        let sql = "SELECT a.id, MIN(inner_product(a.val, b.val)) AS d, \
+                   MAX(norm2(b.val)) AS n FROM x AS a, x AS b GROUP BY a.id";
+        let run = |engine: lardb_exec::ExprEngine, extra: Option<Vec<f64>>| {
+            let db = Database::with_config(DatabaseConfig {
+                workers: 2,
+                expr_engine: engine,
+                ..DatabaseConfig::default()
+            });
+            db.create_table(
+                "x",
+                Schema::from_pairs(&[("id", DataType::Integer), ("val", DataType::Vector(None))]),
+                Partitioning::RoundRobin,
+            )
+            .unwrap();
+            let mut vals = vec![
+                Value::vector(Vector::from_slice(&[1.5, -2.0, 0.25])),
+                Value::Null,
+                Value::vector(Vector::from_slice(&[-0.0, 0.0, -0.0])),
+                Value::vector(Vector::from_slice(&[f64::NAN, 1.0, 2.0])),
+                Value::vector(Vector::from_slice(&[3.0, 4.0, 12.0])),
+            ];
+            vals.extend(extra.map(|v| Value::vector(Vector::from_slice(&v))));
+            let rows: Vec<Row> = vals
+                .into_iter()
+                .enumerate()
+                .map(|(i, v)| Row::new(vec![Value::Integer(i as i64), v]))
+                .collect();
+            db.insert_rows("x", rows).unwrap();
+            db.query(sql)
+        };
+        let bits = |r: QueryResult| -> Vec<String> {
+            let mut rows: Vec<String> = r.rows.iter().map(|row| format!("{row:?}")).collect();
+            rows.sort();
+            rows
+        };
+        let compiled = run(lardb_exec::ExprEngine::Compiled, None).unwrap();
+        assert_eq!(compiled.stats.total_fallbacks(), 0, "no lane here declines");
+        let interpreted = run(lardb_exec::ExprEngine::Interpret, None).unwrap();
+        assert_eq!(bits(compiled), bits(interpreted));
+
+        let bad = Some(vec![1.0, 2.0]);
+        let compiled = run(lardb_exec::ExprEngine::Compiled, bad.clone()).unwrap_err();
+        let interpreted = run(lardb_exec::ExprEngine::Interpret, bad).unwrap_err();
+        assert_eq!(compiled.to_string(), interpreted.to_string());
+        assert!(compiled.to_string().contains("inner_product"), "{compiled}");
+    }
+
     #[test]
     fn explain_shows_plans() {
         let db = Database::new(2);

@@ -113,8 +113,7 @@ proptest! {
         let rows = gen_rows(&mut g);
         let batch = ColumnBatch::from_rows(&rows).unwrap();
         let prog = Program::compile(&expr);
-        let mut scratch = Vec::new();
-        if let Ok(col) = prog.eval(batch.cols(), rows.len(), None, &mut scratch) {
+        if let Ok(col) = prog.eval(batch.cols(), rows.len(), None) {
             for (i, row) in rows.iter().enumerate() {
                 let want = eval(&expr, row).expect(
                     "compiled program succeeded on a batch whose row errors under \
@@ -137,8 +136,7 @@ proptest! {
         let batch = ColumnBatch::from_rows(&rows).unwrap();
         let sel: Vec<u32> = (0..rows.len() as u32).step_by(2).collect();
         let prog = Program::compile(&expr);
-        let mut scratch = Vec::new();
-        if let Ok(col) = prog.eval(batch.cols(), rows.len(), Some(&sel), &mut scratch) {
+        if let Ok(col) = prog.eval(batch.cols(), rows.len(), Some(&sel)) {
             for &i in &sel {
                 let want = eval(&expr, &rows[i as usize]).expect("fallback masks errors");
                 let got = canon(&col.value_at(i as usize));
@@ -155,14 +153,13 @@ fn zero_length_batch_evaluates_to_empty_column() {
     let batch = ColumnBatch::from_rows(&rows).unwrap();
     let e = Expr::arith(ArithOp::Add, Expr::col(0), Expr::lit(1i64));
     let prog = Program::compile(&e);
-    let mut scratch = Vec::new();
     // Column 0 is out of range on a zero-arity batch: the program must
     // error (and the executor would fall back), not fabricate lanes.
-    assert!(prog.eval(batch.cols(), 0, None, &mut scratch).is_err());
+    assert!(prog.eval(batch.cols(), 0, None).is_err());
     // A literal-only program over zero lanes succeeds with zero lanes.
     let lit = Expr::lit(2.5f64);
     let prog = Program::compile(&lit);
-    let col = prog.eval(batch.cols(), 0, None, &mut scratch).unwrap();
+    let col = prog.eval(batch.cols(), 0, None).unwrap();
     assert_eq!(col.len(), 0);
 }
 

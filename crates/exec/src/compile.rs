@@ -79,7 +79,7 @@ enum Instr<'e> {
     Not { a: usize, dst: usize },
     /// `dst ← -a`.
     Negate { a: usize, dst: usize },
-    /// `dst ← func(args…)` gathered per lane.
+    /// `dst ← func(args…)` over borrowed lanes.
     Call { func: &'e Builtin, args: Vec<usize>, dst: usize },
 }
 
@@ -186,13 +186,7 @@ impl<'e> Program<'e> {
     /// the result are unspecified and must not be read. Any `Err` means
     /// "replay this chunk through the row interpreter", not a final query
     /// error.
-    pub fn eval(
-        &self,
-        cols: &[Arc<Col>],
-        n: usize,
-        sel: Option<&[u32]>,
-        scratch: &mut Vec<Value>,
-    ) -> Result<Arc<Col>> {
+    pub fn eval(&self, cols: &[Arc<Col>], n: usize, sel: Option<&[u32]>) -> Result<Arc<Col>> {
         let mut regs: Vec<Option<Arc<Col>>> = vec![None; self.regs];
         for instr in &self.instrs {
             match instr {
@@ -237,7 +231,7 @@ impl<'e> Program<'e> {
                         .iter()
                         .map(|r| reg(&regs, *r))
                         .collect::<Result<_>>()?;
-                    let out = kernels::call(func, &arg_cols, sel, n, scratch)?;
+                    let out = kernels::call(func, &arg_cols, sel, n)?;
                     regs[*dst] = Some(Arc::new(out));
                 }
             }
@@ -281,8 +275,7 @@ mod tests {
         let rows = rows();
         let batch = ColumnBatch::from_rows(&rows).unwrap();
         let prog = Program::compile(e);
-        let mut scratch = Vec::new();
-        let out = prog.eval(batch.cols(), rows.len(), None, &mut scratch).unwrap();
+        let out = prog.eval(batch.cols(), rows.len(), None).unwrap();
         for (i, r) in rows.iter().enumerate() {
             let want = eval(e, r).unwrap();
             let got = out.value_at(i);
@@ -319,14 +312,13 @@ mod tests {
         let batch = ColumnBatch::from_rows(&rows).unwrap();
         let pred = Expr::cmp(CmpOp::GtEq, Expr::col(0), Expr::lit(4i64));
         let prog = Program::compile(&pred);
-        let mut scratch = Vec::new();
-        let c = prog.eval(batch.cols(), rows.len(), None, &mut scratch).unwrap();
+        let c = prog.eval(batch.cols(), rows.len(), None).unwrap();
         let sel = kernels::selection(&c, None, rows.len()).unwrap();
         assert_eq!(sel, vec![4, 5, 6, 7, 8, 9]);
         // Second predicate evaluated only on surviving lanes.
         let pred2 = Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::lit(7i64));
         let prog2 = Program::compile(&pred2);
-        let c2 = prog2.eval(batch.cols(), rows.len(), Some(&sel), &mut scratch).unwrap();
+        let c2 = prog2.eval(batch.cols(), rows.len(), Some(&sel)).unwrap();
         let sel2 = kernels::selection(&c2, Some(&sel), rows.len()).unwrap();
         assert_eq!(sel2, vec![4, 5, 6]);
     }
@@ -337,8 +329,7 @@ mod tests {
         let batch = ColumnBatch::from_rows(&rows).unwrap();
         let oor = Expr::col(17);
         let prog = Program::compile(&oor);
-        let mut scratch = Vec::new();
-        assert!(prog.eval(batch.cols(), rows.len(), None, &mut scratch).is_err());
+        assert!(prog.eval(batch.cols(), rows.len(), None).is_err());
     }
 
     #[test]

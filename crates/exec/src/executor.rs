@@ -1072,7 +1072,7 @@ impl<'p> ChunkPipeline<'p> {
     /// interpreter" — never a final query error. An empty selection
     /// short-circuits the remaining stages (the interpreter would not
     /// evaluate them on zero rows either).
-    fn run_stages(&self, chunk: Chunk<'_>, scratch: &mut Vec<Value>) -> Result<VecChunkState> {
+    fn run_stages(&self, chunk: Chunk<'_>) -> Result<VecChunkState> {
         let n = chunk.len();
         let batch = chunk
             .pivot()
@@ -1081,7 +1081,7 @@ impl<'p> ChunkPipeline<'p> {
         let mut sel: Option<Vec<u32>> = None;
         let mut projected = false;
         if let Some((_, prog)) = self.residual_of(chunk) {
-            let pred = prog.eval(&cols, n, None, scratch)?;
+            let pred = prog.eval(&cols, n, None)?;
             sel = Some(kernels::selection(&pred, None, n)?);
         }
         let joined = sel.as_ref().map_or(n, Vec::len);
@@ -1097,13 +1097,13 @@ impl<'p> ChunkPipeline<'p> {
             let t = Instant::now();
             match &stage.kind {
                 VecStageKind::Filter { prog, .. } => {
-                    let pred = prog.eval(&cols, n, sel.as_deref(), scratch)?;
+                    let pred = prog.eval(&cols, n, sel.as_deref())?;
                     sel = Some(kernels::selection(&pred, sel.as_deref(), n)?);
                 }
                 VecStageKind::Project { progs, .. } => {
                     let mut outs = Vec::with_capacity(progs.len());
                     for p in progs {
-                        outs.push(p.eval(&cols, n, sel.as_deref(), scratch)?);
+                        outs.push(p.eval(&cols, n, sel.as_deref())?);
                     }
                     cols = outs;
                     projected = true;
@@ -1129,7 +1129,7 @@ impl<'p> ChunkPipeline<'p> {
     fn rows(&self, chunk: &[Row], scratch: &mut Vec<Value>, out: &mut Vec<Row>) -> Result<()> {
         let n = chunk.len();
         self.hist.observe(n as u64);
-        match self.run_stages(Chunk::Rows(chunk), scratch) {
+        match self.run_stages(Chunk::Rows(chunk)) {
             Ok((cols, sel, projected, _, stage_rows)) => {
                 self.counters.ok_chunk(n);
                 self.commit_rows(&stage_rows);
@@ -1174,7 +1174,7 @@ impl<'p> ChunkPipeline<'p> {
             self.hist.observe(n as u64);
             // Evaluate everything *before* touching the hash table, so a
             // declined chunk can still fall back cleanly.
-            let inputs = self.run_stages(chunk, scratch).and_then(|(cols, sel, _, joined, rows)| {
+            let inputs = self.run_stages(chunk).and_then(|(cols, sel, _, joined, rows)| {
                 let s = sel.as_deref();
                 if s.is_some_and(<[u32]>::is_empty) {
                     return Ok((joined, rows, None)); // filtered to nothing
@@ -1182,12 +1182,12 @@ impl<'p> ChunkPipeline<'p> {
                 let keys = self
                     .key_progs
                     .iter()
-                    .map(|p| p.eval(&cols, n, s, scratch))
+                    .map(|p| p.eval(&cols, n, s))
                     .collect::<Result<Vec<_>>>()?;
                 let args = self
                     .arg_progs
                     .iter()
-                    .map(|p| p.as_ref().map(|p| p.eval(&cols, n, s, scratch)).transpose())
+                    .map(|p| p.as_ref().map(|p| p.eval(&cols, n, s)).transpose())
                     .collect::<Result<Vec<_>>>()?;
                 Ok((joined, rows, Some((keys, args, sel))))
             });

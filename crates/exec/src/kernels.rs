@@ -18,7 +18,11 @@
 //! branch-free tight loops over full slices; `Vector ⊕ scalar` and
 //! `Vector ⊕ Vector` lanes dispatch to the `lardb-la` slice kernels
 //! directly instead of going through `ops::arith`'s dynamic overload
-//! match per row.
+//! match per row. Built-in calls read their lanes by reference, and a
+//! DOUBLE-valued built-in writes a `Col::F64`; `inner_product` calls its
+//! `lardb-la` kernel directly on VECTOR lanes.
+
+use std::borrow::Borrow;
 
 use lardb_planner::{Builtin, CmpOp};
 use lardb_storage::ops::{self, ArithOp};
@@ -435,26 +439,78 @@ pub fn negate(a: &Col, sel: Option<&[u32]>, n: usize) -> Result<Col> {
     }
 }
 
-/// Lane-wise builtin call. Arguments are gathered per lane into the
-/// reusable `scratch` buffer; `Builtin::evaluate` handles its own
-/// NULL-in → NULL-out rule, so lane validity needs no special casing.
-pub fn call(
-    func: &Builtin,
-    args: &[&Col],
-    sel: Option<&[u32]>,
+/// A lane read that borrows boxed values and materializes typed ones is
+/// a `Builtin::evaluate` argument as it stands.
+impl Borrow<Value> for LaneVal<'_> {
+    #[inline]
+    fn borrow(&self) -> &Value {
+        self.get()
+    }
+}
+
+/// A DOUBLE result lane: NULL stays NULL, anything else is not this
+/// kernel's to decide.
+#[inline]
+fn double_lane(v: Value) -> Result<Option<f64>> {
+    match v {
+        Value::Double(x) => Ok(Some(x)),
+        Value::Null => Ok(None),
+        _ => Err(unsupported("DOUBLE built-in produced a non-DOUBLE lane")),
+    }
+}
+
+/// Runs `lane` over every selected lane into a `Col::F64`; `None` is a
+/// NULL lane.
+fn f64_lanes(
     n: usize,
-    scratch: &mut Vec<Value>,
+    sel: Option<&[u32]>,
+    mut lane: impl FnMut(usize) -> Result<Option<f64>>,
 ) -> Result<Col> {
-    let mut out = vec![Value::Null; n];
+    let mut data = vec![0.0f64; n];
+    let mut valid = Bitmap::new_invalid(n);
     for_lanes(n, sel, |i| {
-        scratch.clear();
-        for a in args {
-            scratch.push(a.value_at(i));
+        if let Some(x) = lane(i)? {
+            data[i] = x;
+            valid.set_valid(i);
         }
-        out[i] = func.evaluate(scratch)?;
         Ok(())
     })?;
-    Ok(Col::Boxed(out))
+    Ok(Col::F64 { data, valid })
+}
+
+/// Lane-wise builtin call over borrowed lanes: boxed arguments are read
+/// by reference, typed ones materialize as scalars, so no payload `Arc`
+/// is cloned or dropped. `Builtin::evaluate` handles its own NULL-in →
+/// NULL-out rule, and any lane it rejects makes the chunk `Err`.
+///
+/// The loop is chosen once per chunk. A DOUBLE-valued built-in writes a
+/// `Col::F64`. `inner_product` over two VECTOR lanes calls the `lardb-la`
+/// kernel that `evaluate` would, directly, and sends every other lane
+/// (NULL, a type the interpreter rejects) through `evaluate` itself.
+pub fn call(func: &Builtin, args: &[&Col], sel: Option<&[u32]>, n: usize) -> Result<Col> {
+    let mut lanes: Vec<LaneVal<'_>> = Vec::new();
+    let mut eval = |i: usize| -> Result<Value> {
+        lanes.clear();
+        lanes.extend(args.iter().map(|a| lane_val(a, i)));
+        Ok(func.evaluate(&lanes)?)
+    };
+    match (func, args) {
+        (Builtin::InnerProduct, [Col::Boxed(a), Col::Boxed(b)]) => {
+            f64_lanes(n, sel, |i| match (&a[i], &b[i]) {
+                (Value::Vector(x), Value::Vector(y)) => Ok(Some(x.inner_product(y)?)),
+                _ => double_lane(eval(i)?),
+            })
+        }
+        _ if func.returns_double() => f64_lanes(n, sel, |i| double_lane(eval(i)?)),
+        _ => {
+            let mut out = vec![Value::Null; n];
+            for_lanes(n, sel, |i| {
+                out[i] = eval(i)?;
+                Ok(())
+            })?;
+            Ok(Col::Boxed(out))
+        }
+    }
 }
 
 /// Builds the selection vector of lanes whose predicate lane is valid
@@ -517,7 +573,9 @@ pub fn selection(pred: &Col, sel: Option<&[u32]>, n: usize) -> Result<Vec<u32>> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::ColumnBatch;
     use lardb_la::Vector;
+    use lardb_storage::Row;
 
     fn f64_col(vals: &[Option<f64>]) -> Col {
         let mut data = vec![0.0; vals.len()];
@@ -644,13 +702,197 @@ mod tests {
     }
 
     #[test]
-    fn call_gathers_args_with_scratch() {
+    fn call_reads_boxed_lanes_by_reference() {
         let v = Value::vector(Vector::from_slice(&[3.0, 4.0]));
         let col = Col::Boxed(vec![v.clone(), Value::Null]);
-        let mut scratch = Vec::new();
-        let out = call(&Builtin::InnerProduct, &[&col, &col], None, 2, &mut scratch)
-            .unwrap();
+        let out = call(&Builtin::InnerProduct, &[&col, &col], None, 2).unwrap();
         assert_eq!(out.value_at(0), Value::Double(25.0));
         assert!(out.value_at(1).is_null());
+        // The lanes were borrowed: the column and `v` are the only owners.
+        let Value::Vector(arc) = &v else { unreachable!() };
+        assert_eq!(std::sync::Arc::strong_count(arc), 2);
+    }
+
+    fn vector(xs: &[f64]) -> Value {
+        Value::vector(Vector::from_slice(xs))
+    }
+
+    fn matrix(rows: usize, cols: usize, xs: &[f64]) -> Value {
+        Value::matrix(lardb_la::Matrix::from_vec(rows, cols, xs.to_vec()).unwrap())
+    }
+
+    /// One chunk per DOUBLE built-in: lanes whose results are NaN and
+    /// −0.0, NULL lanes in every argument position, lanes that take the
+    /// `evaluate` route (a matrix, an INTEGER index), and one lane the
+    /// interpreter rejects — a dimension mismatch, an index out of range
+    /// or a wrong runtime type.
+    fn double_cases() -> Vec<(Builtin, Vec<Vec<Value>>, Vec<Value>)> {
+        let nan = f64::NAN;
+        let (inf, tiny) = (f64::INFINITY, f64::MIN_POSITIVE / 4.0);
+        let v5 = vector(&[1.5, -2.0, 0.25, 8.0, -0.5]);
+        // Long enough that the four-lane order rounds unlike a naive sum.
+        let v9 = Value::vector(Vector::from_fn(9, |i| 0.1 * (i as f64 + 1.0)));
+        let vz = vector(&[-0.0, 0.0, -0.0]);
+        let m2 = matrix(2, 2, &[1.0, 2.0, 3.0, -4.5]);
+        let mz = matrix(1, 1, &[-0.0]);
+        let mn = matrix(2, 2, &[nan, 1.0, 2.0, 3.0]);
+        let int = Value::Integer;
+        vec![
+            (
+                Builtin::InnerProduct,
+                vec![
+                    vec![v5.clone(), v5.clone()],
+                    vec![Value::Null, v5.clone()],
+                    vec![vector(&[inf, 1.0]), vector(&[0.0, 1.0])],
+                    vec![vz.clone(), vz.clone()],
+                    vec![v5.clone(), Value::Null],
+                    vec![vector(&[tiny, -tiny, 3.0]), vector(&[0.5, 0.5, -1.0])],
+                    vec![vector(&[]), vector(&[])],
+                    vec![v9.clone(), vector(&[1.0; 9])],
+                ],
+                vec![v5.clone(), vector(&[1.0, 2.0])],
+            ),
+            (
+                Builtin::Norm2,
+                vec![
+                    vec![v5.clone()],
+                    vec![Value::Null],
+                    vec![vector(&[nan, 1.0])],
+                    vec![vz.clone()],
+                    vec![v9.clone()],
+                ],
+                vec![m2.clone()],
+            ),
+            (
+                Builtin::SumElements,
+                vec![
+                    vec![v5.clone()],
+                    vec![vector(&[-0.0, -0.0])],
+                    vec![Value::Null],
+                    vec![vector(&[inf, -inf])],
+                    vec![m2.clone()],
+                ],
+                vec![int(3)],
+            ),
+            (
+                Builtin::MinElement,
+                vec![
+                    vec![v5.clone()],
+                    vec![vector(&[-0.0])],
+                    vec![Value::Null],
+                    vec![vector(&[])],
+                    vec![mn.clone()],
+                ],
+                vec![Value::Varchar("v".into())],
+            ),
+            (
+                Builtin::MaxElement,
+                vec![
+                    vec![v5.clone()],
+                    vec![vector(&[nan])],
+                    vec![Value::Null],
+                    vec![vector(&[-0.0, -1.0])],
+                    vec![m2.clone()],
+                ],
+                vec![int(3)],
+            ),
+            (
+                Builtin::Trace,
+                vec![vec![m2.clone()], vec![Value::Null], vec![mz.clone()], vec![mn.clone()]],
+                vec![matrix(1, 2, &[1.0, 2.0])],
+            ),
+            (
+                Builtin::FrobeniusNorm,
+                vec![vec![m2.clone()], vec![mn.clone()], vec![Value::Null], vec![mz.clone()]],
+                vec![v5.clone()],
+            ),
+            (
+                Builtin::GetScalar,
+                vec![
+                    vec![v5.clone(), int(3)],
+                    vec![vz.clone(), int(0)],
+                    vec![Value::Null, int(1)],
+                    vec![vector(&[nan]), int(0)],
+                    vec![v5.clone(), Value::Null],
+                ],
+                vec![v5.clone(), int(9)],
+            ),
+            (
+                Builtin::GetEntry,
+                vec![
+                    vec![m2.clone(), int(1), int(1)],
+                    vec![mz.clone(), int(0), int(0)],
+                    vec![mn.clone(), int(0), int(0)],
+                    vec![m2.clone(), Value::Null, int(0)],
+                    vec![Value::Null, int(0), int(0)],
+                ],
+                vec![m2.clone(), int(2), int(0)],
+            ),
+        ]
+    }
+
+    /// Evaluates `func` over `rows` pivoted as the executor pivots them.
+    fn call_rows(func: Builtin, rows: &[Vec<Value>], sel: Option<&[u32]>) -> Result<Col> {
+        let rows: Vec<Row> = rows.iter().cloned().map(Row::new).collect();
+        let batch = ColumnBatch::from_rows(&rows).unwrap();
+        let args: Vec<&Col> = batch.cols().iter().map(|c| &**c).collect();
+        call(&func, &args, sel, rows.len())
+    }
+
+    /// The typed lane loop ≡ `Builtin::evaluate`: a `Col::F64` (never a
+    /// silent `Boxed`), with the interpreter's bits on every selected
+    /// lane and its NULLs as invalid bits; a lane the interpreter rejects
+    /// makes the chunk `Err`, so it replays and the interpreter reports.
+    #[test]
+    fn double_builtins_write_f64_lanes_bit_identical_to_evaluate() {
+        let (mut nans, mut neg_zeros) = (0, 0);
+        for (func, rows, bad) in double_cases() {
+            let n = rows.len();
+            let odd: Vec<u32> = (1..n as u32).step_by(2).collect();
+            for sel in [None, Some(odd.as_slice())] {
+                let out = call_rows(func, &rows, sel).unwrap();
+                let Col::F64 { data, valid } = &out else {
+                    panic!("{func:?}: expected Col::F64, got {out:?}");
+                };
+                let lanes: Vec<usize> = match sel {
+                    Some(s) => s.iter().map(|&i| i as usize).collect(),
+                    None => (0..n).collect(),
+                };
+                for i in lanes {
+                    match func.evaluate(&rows[i]).unwrap() {
+                        Value::Double(want) => {
+                            assert!(valid.get(i), "{func:?} lane {i} lost its value");
+                            assert_eq!(data[i].to_bits(), want.to_bits(), "{func:?} lane {i}");
+                            nans += want.is_nan() as usize;
+                            neg_zeros += (want == 0.0 && want.is_sign_negative()) as usize;
+                        }
+                        Value::Null => assert!(!valid.get(i), "{func:?} lane {i} not NULL"),
+                        other => panic!("{func:?} lane {i} evaluated to {other:?}"),
+                    }
+                }
+            }
+
+            // The rejected lane: the chunk declines, and the interpreter
+            // has an error of its own to report for that row.
+            let mut with_bad = rows.clone();
+            with_bad.insert(1, bad.clone());
+            assert!(func.evaluate(&bad).is_err(), "{func:?}: the bad lane must be an error");
+            assert!(call_rows(func, &with_bad, None).is_err(), "{func:?} kept a bad lane");
+            // A selection that skips it evaluates the rest as before.
+            let skip: Vec<u32> = (0..with_bad.len() as u32).filter(|&i| i != 1).collect();
+            let out = call_rows(func, &with_bad, Some(&skip)).unwrap();
+            assert!(matches!(out, Col::F64 { .. }), "{func:?}: {out:?}");
+        }
+        assert!(nans >= 4 && neg_zeros >= 4, "NaN {nans}, -0.0 {neg_zeros} result lanes");
+    }
+
+    #[test]
+    fn non_double_builtins_stay_boxed() {
+        let v = vector(&[1.0, 2.0]);
+        let rows = vec![vec![v.clone(), v.clone()], vec![Value::Null, v.clone()]];
+        let out = call_rows(Builtin::OuterProduct, &rows, None).unwrap();
+        let Col::Boxed(lanes) = &out else { panic!("{out:?}") };
+        assert_eq!(lanes[0], Builtin::OuterProduct.evaluate(&rows[0]).unwrap());
+        assert!(lanes[1].is_null());
     }
 }

@@ -421,13 +421,72 @@ mod tests {
         assert_eq!(a.scalar_div(2.0).as_slice(), &[1.0, 2.0]);
     }
 
+    /// `inner_product`'s order, spelled out: four lane accumulators over
+    /// the whole chunks of four, a tail over the rest, then
+    /// `acc0 + acc1 + acc2 + acc3 + tail` left to right — one IEEE
+    /// multiply then one add per term, no FMA.
+    fn spelled_out_inner_product(a: &[f64], b: &[f64]) -> f64 {
+        let whole = a.len() / 4 * 4;
+        let (mut acc0, mut acc1, mut acc2, mut acc3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+        for k in (0..whole).step_by(4) {
+            acc0 += a[k] * b[k];
+            acc1 += a[k + 1] * b[k + 1];
+            acc2 += a[k + 2] * b[k + 2];
+            acc3 += a[k + 3] * b[k + 3];
+        }
+        let mut tail = 0.0f64;
+        for i in whole..a.len() {
+            tail += a[i] * b[i];
+        }
+        (((acc0 + acc1) + acc2) + acc3) + tail
+    }
+
+    /// Deterministic xorshift data in [-4, 4).
+    fn xorshift(seed: u64, len: usize) -> Vec<f64> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                ((x % 2000) as f64 - 1000.0) / 250.0
+            })
+            .collect()
+    }
+
+    /// `background` with `specials` planted from `start` at a stride of 3.
+    fn planted(mut background: Vec<f64>, start: usize, specials: &[f64]) -> Vec<f64> {
+        let slots = background.iter_mut().skip(start).step_by(3);
+        for (slot, &v) in slots.zip(specials.iter().cycle()) {
+            *slot = v;
+        }
+        background
+    }
+
+    /// The kernel's bits are the spelled-out order's bits, over lengths
+    /// either side of every tail width and long vectors, with NaN, signed
+    /// zeros, infinities and subnormals planted. NaN and the infinities
+    /// are planted apart so that every NaN a case meets has one payload.
     #[test]
-    fn inner_product_matches_naive() {
-        // length not a multiple of 4 to exercise the tail loop
-        let a = Vector::from_fn(11, |i| i as f64);
-        let b = Vector::from_fn(11, |i| (i as f64) * 0.5);
-        let naive: f64 = (0..11).map(|i| (i * i) as f64 * 0.5).sum();
-        assert!((a.inner_product(&b).unwrap() - naive).abs() < 1e-12);
+    fn inner_product_order_is_pinned_bit_for_bit() {
+        let sub = f64::MIN_POSITIVE / 3.0;
+        let classes: [(&str, &[f64], &[f64]); 4] = [
+            ("plain", &[], &[]),
+            ("nan/zeros", &[f64::NAN, -0.0, 0.0], &[-0.0, f64::NAN]),
+            ("infinities", &[f64::INFINITY, 0.0, f64::NEG_INFINITY], &[f64::NEG_INFINITY, 1.0]),
+            ("subnormals", &[sub, -5e-324, -0.0], &[5e-324, -sub, f64::MIN_POSITIVE]),
+        ];
+        for len in (0..=9).chain([100, 1000]) {
+            for (class, in_a, in_b) in classes {
+                let a = planted(xorshift(7 + len as u64, len), 0, in_a);
+                let b = planted(xorshift(13 + len as u64, len), 1, in_b);
+                let want = spelled_out_inner_product(&a, &b);
+                let got = Vector::from_slice(&a)
+                    .inner_product(&Vector::from_slice(&b))
+                    .unwrap();
+                assert_eq!(got.to_bits(), want.to_bits(), "len {len} {class}: {got} vs {want}");
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //! Aggregates ([`AggFunc`]) follow the same pattern; their accumulators
 //! live in `lardb-exec`, but result-type inference is here.
 
+use std::borrow::{Borrow, Cow};
+
 use lardb_la::{LabeledScalar, Matrix, Vector};
 use lardb_storage::{DataType, Value};
 
@@ -255,6 +257,24 @@ impl Builtin {
         }
     }
 
+    /// True for the built-ins whose result is DOUBLE, which `infer_type`
+    /// types as `DataType::Double` whatever their arguments; the
+    /// vectorized kernels write their lanes as a typed DOUBLE column.
+    pub fn returns_double(&self) -> bool {
+        matches!(
+            self,
+            Builtin::InnerProduct
+                | Builtin::Trace
+                | Builtin::FrobeniusNorm
+                | Builtin::Norm2
+                | Builtin::SumElements
+                | Builtin::GetScalar
+                | Builtin::GetEntry
+                | Builtin::MinElement
+                | Builtin::MaxElement
+        )
+    }
+
     /// Templated-signature type inference (§4.2). Binds the signature's
     /// dimension parameters against the argument types, failing on
     /// impossible bindings and producing the exact output type when the
@@ -422,8 +442,13 @@ impl Builtin {
     /// Runtime evaluation. NULL inputs yield NULL (SQL semantics). Size
     /// errors that the static checker could not rule out (unknown dims)
     /// surface here as runtime errors, per §3.1.
-    pub fn evaluate(&self, args: &[Value]) -> Result<Value> {
-        if args.iter().any(Value::is_null) {
+    ///
+    /// Arguments are read by reference: the interpreter passes its owned
+    /// `&[Value]` window, the vectorized kernels pass lanes borrowed from
+    /// their columns, and no payload `Arc` is cloned to make the call.
+    pub fn evaluate<V: Borrow<Value>>(&self, args: &[V]) -> Result<Value> {
+        let arg = move |i: usize| args[i].borrow();
+        if args.iter().any(|v| v.borrow().is_null()) {
             return Ok(Value::Null);
         }
         let bad = |i: usize| -> PlanError {
@@ -431,30 +456,30 @@ impl Builtin {
                 "{}: argument {} has unsupported runtime type {}",
                 self.name(),
                 i + 1,
-                args[i].data_type()
+                arg(i).data_type()
             ))
         };
         // Dense view of a matrix argument in either representation. A
         // sparse tile reaching a builtin with no sparse kernel densifies
         // here, and the dispatch layer counts it so EXPLAIN ANALYZE can
         // show the fallback.
-        let mat = |i: usize| -> Result<std::sync::Arc<Matrix>> {
-            match &args[i] {
-                Value::Matrix(m) => Ok(std::sync::Arc::clone(m)),
+        let mat = |i: usize| -> Result<Cow<'_, Matrix>> {
+            match arg(i) {
+                Value::Matrix(m) => Ok(Cow::Borrowed(m)),
                 Value::SparseMatrix(m) => {
                     lardb_la::dispatch::note_kernel(lardb_la::dispatch::Kernel::Densified);
-                    Ok(std::sync::Arc::new(m.to_dense()))
+                    Ok(Cow::Owned(m.to_dense()))
                 }
                 _ => Err(bad(i)),
             }
         };
-        let vec = |i: usize| args[i].as_vector().ok_or_else(|| bad(i));
-        let int = |i: usize| args[i].as_integer().ok_or_else(|| bad(i));
-        let dbl = |i: usize| args[i].as_double().ok_or_else(|| bad(i));
+        let vec = |i: usize| arg(i).as_vector().ok_or_else(|| bad(i));
+        let int = |i: usize| arg(i).as_integer().ok_or_else(|| bad(i));
+        let dbl = |i: usize| arg(i).as_double().ok_or_else(|| bad(i));
         use lardb_la::dispatch::{self, Kernel};
 
         Ok(match self {
-            Builtin::MatrixMultiply => match (&args[0], &args[1]) {
+            Builtin::MatrixMultiply => match (arg(0), arg(1)) {
                 // Sparse × sparse: Gustavson SpGEMM; keep the product
                 // sparse only while it is still worth it.
                 (Value::SparseMatrix(a), Value::SparseMatrix(b)) => {
@@ -478,14 +503,14 @@ impl Builtin {
                     Value::matrix(a.multiply(&b)?)
                 }
             },
-            Builtin::MatrixVectorMultiply => match &args[0] {
+            Builtin::MatrixVectorMultiply => match arg(0) {
                 Value::SparseMatrix(a) => {
                     dispatch::note_kernel(Kernel::Spmv);
                     Value::vector(a.spmv(vec(1)?)?)
                 }
                 _ => Value::vector(mat(0)?.matrix_vector_multiply(vec(1)?)?),
             },
-            Builtin::VectorMatrixMultiply => match &args[1] {
+            Builtin::VectorMatrixMultiply => match arg(1) {
                 // xᵀA = (Aᵀx)ᵀ; the CSR transpose is O(nnz + cols).
                 Value::SparseMatrix(a) => {
                     dispatch::note_kernel(Kernel::Spmv);
@@ -498,7 +523,7 @@ impl Builtin {
             },
             Builtin::OuterProduct => Value::matrix(vec(0)?.outer_product(vec(1)?)),
             Builtin::InnerProduct => Value::Double(vec(0)?.inner_product(vec(1)?)?),
-            Builtin::TransMatrix => match &args[0] {
+            Builtin::TransMatrix => match arg(0) {
                 Value::SparseMatrix(a) => Value::sparse_matrix(a.transpose()),
                 _ => Value::matrix(mat(0)?.transpose()),
             },
@@ -514,7 +539,7 @@ impl Builtin {
             Builtin::Trace => Value::Double(mat(0)?.trace()?),
             Builtin::FrobeniusNorm => Value::Double(mat(0)?.frobenius_norm()),
             Builtin::Norm2 => Value::Double(vec(0)?.norm2()),
-            Builtin::SumElements => match &args[0] {
+            Builtin::SumElements => match arg(0) {
                 Value::Matrix(m) => Value::Double(m.sum_elements()),
                 Value::SparseMatrix(m) => Value::Double(m.sum_elements()),
                 Value::Vector(v) => Value::Double(v.sum_elements()),
@@ -534,22 +559,22 @@ impl Builtin {
             Builtin::LabelVector => Value::vector(vec(0)?.with_label(int(1)?)),
             Builtin::Solve => Value::vector(mat(0)?.solve(vec(1)?)?),
             Builtin::SolveLs => Value::vector(mat(0)?.solve_least_squares(vec(1)?)?),
-            Builtin::MinElement => match &args[0] {
+            Builtin::MinElement => match arg(0) {
                 Value::Matrix(m) => Value::Double(
                     m.as_slice().iter().copied().fold(f64::INFINITY, f64::min),
                 ),
                 Value::Vector(v) => Value::Double(v.min_element()),
                 _ => return Err(bad(0)),
             },
-            Builtin::MaxElement => match &args[0] {
+            Builtin::MaxElement => match arg(0) {
                 Value::Matrix(m) => Value::Double(
                     m.as_slice().iter().copied().fold(f64::NEG_INFINITY, f64::max),
                 ),
                 Value::Vector(v) => Value::Double(v.max_element()),
                 _ => return Err(bad(0)),
             },
-            Builtin::Sparsify => match &args[0] {
-                Value::SparseMatrix(_) => args[0].clone(),
+            Builtin::Sparsify => match arg(0) {
+                Value::SparseMatrix(_) => arg(0).clone(),
                 Value::Matrix(m) => {
                     Value::sparse_matrix(lardb_la::SparseMatrix::from_dense(m))
                 }
@@ -557,12 +582,12 @@ impl Builtin {
             },
             // Explicit representation change requested by the query; not a
             // dispatch decision, so it is not counted as a densification.
-            Builtin::Densify => match &args[0] {
+            Builtin::Densify => match arg(0) {
                 Value::SparseMatrix(m) => Value::matrix(m.to_dense()),
-                Value::Matrix(_) => args[0].clone(),
+                Value::Matrix(_) => arg(0).clone(),
                 _ => return Err(bad(0)),
             },
-            Builtin::Nnz => match &args[0] {
+            Builtin::Nnz => match arg(0) {
                 Value::SparseMatrix(m) => Value::Integer(m.nnz() as i64),
                 Value::Matrix(m) => Value::Integer(
                     m.as_slice().iter().filter(|&&x| x != 0.0).count() as i64,
@@ -575,11 +600,11 @@ impl Builtin {
             // A dense tile takes the rewrite's kernel, which gives the bits
             // the spelled-out call would (DESIGN.md §5); anything else runs
             // the spelled-out call itself, sparse kernels and errors alike.
-            Builtin::Gram => match &args[0] {
+            Builtin::Gram => match arg(0) {
                 Value::Matrix(x) => Value::matrix(x.gram()),
                 _ => return self.evaluate_spelled_out(args),
             },
-            Builtin::TransMatrixVectorMultiply => match (&args[0], &args[1]) {
+            Builtin::TransMatrixVectorMultiply => match (arg(0), arg(1)) {
                 (Value::Matrix(x), Value::Vector(v)) => {
                     Value::vector(x.transpose_vector_multiply(v)?)
                 }
@@ -589,9 +614,9 @@ impl Builtin {
     }
 
     /// Evaluates an internal built-in as the call it stands for.
-    fn evaluate_spelled_out(&self, args: &[Value]) -> Result<Value> {
+    fn evaluate_spelled_out<V: Borrow<Value>>(&self, args: &[V]) -> Result<Value> {
         let xt = Builtin::TransMatrix.evaluate(&args[..1])?;
-        self.spelled_out().evaluate(&[xt, args[args.len() - 1].clone()])
+        self.spelled_out().evaluate(&[&xt, args[args.len() - 1].borrow()])
     }
 }
 
@@ -850,6 +875,78 @@ mod tests {
                 let got = Builtin::TransMatrixVectorMultiply.evaluate(&[x.clone(), v]);
                 assert_eq!(format!("{got:?}"), format!("{want:?}"));
             }
+        }
+    }
+
+    /// `returns_double` lists exactly the built-ins `infer_type` types as
+    /// DOUBLE: over every argument tuple drawn from the LA and scalar
+    /// types, each one that types at all gives DOUBLE for those built-ins
+    /// and never DOUBLE for the others.
+    #[test]
+    fn returns_double_agrees_with_infer_type() {
+        let pool = [
+            m(3, 3),
+            ArgType::of(DataType::Matrix(None, None)),
+            v(3),
+            ArgType::of(DataType::Vector(None)),
+            ArgType::const_int(1),
+            ArgType::of(DataType::Double),
+            ArgType::of(DataType::LabeledScalar),
+        ];
+        let internal = [Builtin::Gram, Builtin::TransMatrixVectorMultiply];
+        for b in ALL_BUILTINS.iter().chain(&internal) {
+            let mut tuples: Vec<Vec<ArgType>> = vec![Vec::new()];
+            for _ in 0..b.arity() {
+                tuples = tuples
+                    .into_iter()
+                    .flat_map(|t| pool.iter().map(move |a| [t.clone(), vec![*a]].concat()))
+                    .collect();
+            }
+            let typed: Vec<DataType> =
+                tuples.iter().filter_map(|t| b.infer_type(t).ok()).collect();
+            assert!(!typed.is_empty(), "{}: no argument tuple types", b.name());
+            for t in typed {
+                assert_eq!(t == DataType::Double, b.returns_double(), "{} → {t}", b.name());
+            }
+        }
+    }
+
+    /// Borrowed arguments (`&[&Value]`, the vectorized kernels' lanes)
+    /// evaluate exactly as owned ones (the interpreter's window): same
+    /// value bits, same error message, for every built-in over every
+    /// argument tuple drawn from dense and sparse matrices, vectors,
+    /// scalars and NULL.
+    #[test]
+    fn borrowed_arguments_evaluate_as_owned_ones() {
+        let dense = Matrix::from_rows(&[&[4.0, 1.0, -0.0], &[1.0, 3.0, 0.5], &[0.0, 0.5, 2.0]])
+            .unwrap();
+        let pool = [
+            Value::sparse_matrix(lardb_la::SparseMatrix::from_dense(&dense)),
+            Value::matrix(dense),
+            Value::vector(Vector::from_slice(&[1.5, -2.0, f64::NAN])),
+            Value::vector(Vector::from_slice(&[0.25, -0.0, 3.0])),
+            Value::Integer(1),
+            Value::Double(0.5),
+            Value::Null,
+        ];
+        let internal = [Builtin::Gram, Builtin::TransMatrixVectorMultiply];
+        for b in ALL_BUILTINS.iter().chain(&internal) {
+            let mut tuples: Vec<Vec<&Value>> = vec![Vec::new()];
+            for _ in 0..b.arity() {
+                tuples = tuples
+                    .into_iter()
+                    .flat_map(|t| pool.iter().map(move |v| [t.clone(), vec![v]].concat()))
+                    .collect();
+            }
+            let mut ok = 0;
+            for borrowed in tuples {
+                let owned: Vec<Value> = borrowed.iter().map(|v| (*v).clone()).collect();
+                let want = format!("{:?}", b.evaluate(&owned));
+                let got = format!("{:?}", b.evaluate(&borrowed));
+                assert_eq!(got, want, "{} over {owned:?}", b.name());
+                ok += want.starts_with("Ok(") as usize;
+            }
+            assert!(ok > 0, "{}: no argument tuple evaluated", b.name());
         }
     }
 
