@@ -2,19 +2,26 @@
 //!
 //! A [`ColumnBatch`] is a morsel-sized chunk of rows pivoted into
 //! columns: fixed-width `f64` / `i64` / `bool` columns with validity
-//! bitmaps for NULLs, plus a fallback *boxed* column (plain `Value`s)
-//! for matrices, vectors, strings, and mixed-typed columns. Batches are
-//! built from the `Arc`-backed rows a scan (or any upstream operator)
-//! materialized, evaluated column-at-a-time by [`crate::compile::Program`]
-//! bytecode, and converted back to rows only at pipeline edges.
+//! bitmaps for NULLs, plus a fallback *boxed* column ([`Boxed`]: plain
+//! `Value`s) for matrices, vectors, strings, and mixed-typed columns.
+//! Batches are built from the `Arc`-backed rows a scan (or any upstream
+//! operator) materialized, evaluated column-at-a-time by
+//! [`crate::compile::Program`] bytecode, and converted back to rows only
+//! at pipeline edges.
 //!
-//! Column typing is decided per batch from the values actually present:
+//! Column typing is decided per pivot from the values actually present:
 //! a column whose non-NULL values are all `Integer` becomes `I64`, all
 //! `Double` becomes `F64`, all `Boolean` becomes `Bool`; anything else —
 //! including an `Integer`/`Double` mix, which must round-trip each
 //! `Value` exactly — stays boxed. Reconstruction ([`Col::value_at`]) is
 //! therefore bit-identical to the source values, `-0.0` included.
+//!
+//! A join partition's sides are each pivoted once, so each is typed over
+//! all of its rows, and a chunk of matched pairs is two index vectors
+//! over them ([`ColumnBatch::join`]): typed lanes are gathered, boxed
+//! ones read in place, and no value is cloned per pair.
 
+use std::ops::Index;
 use std::sync::Arc;
 
 use lardb_storage::{Row, Value};
@@ -66,6 +73,20 @@ impl Bitmap {
         rem == 0 || self.words[full] & ((1u64 << rem) - 1) == (1u64 << rem) - 1
     }
 
+    /// Bits `idx` of this bitmap, all set at once when no lane is NULL.
+    fn gather(&self, idx: &[u32]) -> Bitmap {
+        if self.all_valid() {
+            return Bitmap::new_valid(idx.len());
+        }
+        let mut out = Bitmap::new_invalid(idx.len());
+        for (i, &k) in idx.iter().enumerate() {
+            if self.get(k as usize) {
+                out.set_valid(i);
+            }
+        }
+        out
+    }
+
     /// Number of lanes.
     pub fn len(&self) -> usize {
         self.len
@@ -103,7 +124,34 @@ pub enum Col {
     },
     /// Fallback: one `Value` per lane (vectors, matrices, strings, mixed
     /// numeric columns). NULL lanes hold `Value::Null`.
-    Boxed(Vec<Value>),
+    Boxed(Boxed),
+}
+
+/// A boxed column's lanes, read by position through `Index`: owned
+/// values, or a column's values shared and read through an index vector
+/// — how a joined chunk reads its sides' boxed lanes in place.
+#[derive(Debug, Clone)]
+pub struct Boxed {
+    values: Arc<Vec<Value>>,
+    idx: Option<Arc<[u32]>>,
+}
+
+impl From<Vec<Value>> for Boxed {
+    fn from(values: Vec<Value>) -> Self {
+        Boxed { values: Arc::new(values), idx: None }
+    }
+}
+
+impl Index<usize> for Boxed {
+    type Output = Value;
+
+    #[inline]
+    fn index(&self, i: usize) -> &Value {
+        match &self.idx {
+            None => &self.values[i],
+            Some(idx) => &self.values[idx[i] as usize],
+        }
+    }
 }
 
 impl Col {
@@ -113,7 +161,7 @@ impl Col {
             Col::F64 { data, .. } => data.len(),
             Col::I64 { data, .. } => data.len(),
             Col::Bool { data, .. } => data.len(),
-            Col::Boxed(v) => v.len(),
+            Col::Boxed(v) => v.idx.as_ref().map_or(v.values.len(), |idx| idx.len()),
         }
     }
 
@@ -171,7 +219,30 @@ impl Col {
             Value::Double(x) => Col::F64 { data: vec![*x; n], valid: Bitmap::new_valid(n) },
             Value::Boolean(x) => Col::Bool { data: vec![*x; n], valid: Bitmap::new_valid(n) },
             Value::Null => Col::F64 { data: vec![0.0; n], valid: Bitmap::new_invalid(n) },
-            other => Col::Boxed(vec![other.clone(); n]),
+            other => Col::Boxed(vec![other.clone(); n].into()),
+        }
+    }
+
+    /// Lanes `idx` of this column: typed lanes gathered into an owned
+    /// column, boxed ones as a view of the same values through the one
+    /// index vector `view` that a side's boxed columns share.
+    fn gather(&self, idx: &[u32], view: &mut Option<Arc<[u32]>>) -> Col {
+        fn at<T: Copy>(data: &[T], idx: &[u32]) -> Vec<T> {
+            idx.iter().map(|&k| data[k as usize]).collect()
+        }
+        let bits = |valid: &Bitmap| valid.gather(idx);
+        match self {
+            Col::F64 { data, valid } => Col::F64 { data: at(data, idx), valid: bits(valid) },
+            Col::I64 { data, valid } => Col::I64 { data: at(data, idx), valid: bits(valid) },
+            Col::Bool { data, valid } => Col::Bool { data: at(data, idx), valid: bits(valid) },
+            Col::Boxed(b) => Col::Boxed(Boxed {
+                values: Arc::clone(&b.values),
+                idx: Some(match &b.idx {
+                    None => Arc::clone(view.get_or_insert_with(|| idx.into())),
+                    // A view of a view reads the first one's values.
+                    Some(own) => at(own, idx).into(),
+                }),
+            }),
         }
     }
 }
@@ -193,25 +264,22 @@ impl ColumnBatch {
         if rows.iter().any(|r| r.arity() != arity) {
             return None;
         }
-        let n = rows.len();
-        let cols = (0..arity).map(|j| Arc::new(build_col(n, |i| rows[i].value(j)))).collect();
-        Some(ColumnBatch { cols, len: n })
+        let cols = (0..arity).map(|j| Arc::new(build_col(rows, j))).collect();
+        Some(ColumnBatch { cols, len: rows.len() })
     }
 
-    /// Pivots matched join pairs `(left row, right row)` into the batch
-    /// [`Self::from_rows`] would build from the concatenated rows — the
-    /// same `Col` variants, validity and bits, column for column —
-    /// without materializing one. Returns `None` when either side is
-    /// ragged.
-    pub fn from_pairs(pairs: &[(&Row, &Row)]) -> Option<ColumnBatch> {
-        let (la, ra) = pairs.first().map_or((0, 0), |(l, r)| (l.arity(), r.arity()));
-        if pairs.iter().any(|(l, r)| l.arity() != la || r.arity() != ra) {
-            return None;
+    /// The joined chunk whose lane `k` is row `li[k]` of `left` followed
+    /// by row `ri[k]` of `right`: lane for lane the values and validity of
+    /// [`Self::from_rows`] over the concatenated rows, in the sides'
+    /// column variants.
+    pub fn join(left: &ColumnBatch, li: &[u32], right: &ColumnBatch, ri: &[u32]) -> ColumnBatch {
+        debug_assert_eq!(li.len(), ri.len());
+        let mut cols = Vec::with_capacity(left.arity() + right.arity());
+        for (side, idx) in [(left, li), (right, ri)] {
+            let mut view = None;
+            cols.extend(side.cols.iter().map(|c| Arc::new(c.gather(idx, &mut view))));
         }
-        let n = pairs.len();
-        let left = (0..la).map(|j| Arc::new(build_col(n, |i| pairs[i].0.value(j))));
-        let right = (0..ra).map(|j| Arc::new(build_col(n, |i| pairs[i].1.value(j))));
-        Some(ColumnBatch { cols: left.chain(right).collect(), len: n })
+        ColumnBatch { cols, len: li.len() }
     }
 
     /// Number of rows (lanes).
@@ -235,9 +303,9 @@ impl ColumnBatch {
     }
 }
 
-/// Builds one `n`-lane column from its lane accessor, sniffing the lane
-/// types first.
-fn build_col<'a>(n: usize, lane: impl Fn(usize) -> &'a Value) -> Col {
+/// Builds column `j` of `rows`, sniffing the lane types first.
+fn build_col(rows: &[Row], j: usize) -> Col {
+    let (n, lane) = (rows.len(), |i: usize| rows[i].value(j));
     let (mut ints, mut doubles, mut bools, mut others) = (0usize, 0usize, 0usize, 0usize);
     for i in 0..n {
         match lane(i) {
@@ -282,7 +350,7 @@ fn build_col<'a>(n: usize, lane: impl Fn(usize) -> &'a Value) -> Col {
         // All NULL: typed-but-empty; reconstruction yields Value::Null.
         Col::F64 { data: vec![0.0; n], valid: Bitmap::new_invalid(n) }
     } else {
-        Col::Boxed((0..n).map(|i| lane(i).clone()).collect())
+        Col::Boxed((0..n).map(|i| lane(i).clone()).collect::<Vec<_>>().into())
     }
 }
 

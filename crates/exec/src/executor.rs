@@ -9,7 +9,8 @@
 //!   a boundary-crossing bucket (handed over, or encoded → mesh → decoded);
 //! * a join table is built in `prepare_build` (reserve, else spill) and
 //!   probed in `probe_matches` (key evaluation + lookup): the fused
-//!   join→aggregate buffers the matches as pairs, and `joined_row`
+//!   join→aggregate buffers the matches as row-index pairs over sides
+//!   pivoted once (`probe_in_chunks`), and `joined_row`
 //!   concatenates them for the morselized probe and the grace join, which
 //!   must produce rows. A cross product is the join on the empty key,
 //!   built on its right side (`BuildOn`);
@@ -25,6 +26,7 @@
 //! `Executor::with_fusion(false)` are the references the equivalence
 //! suites compare against.
 
+use std::cell::OnceCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -49,7 +51,7 @@ use crate::kernels;
 use crate::stats::{
     BatchStats, ExecStats, OperatorStats, ShuffleStats, SpillStats,
 };
-use crate::{ExecError, Result};
+use crate::{CancelToken, ExecError, Result};
 
 /// How often tight row loops (matched join pairs, probe rows, scan
 /// re-deals) re-check the cancel token: every this many iterations. Cheap
@@ -450,12 +452,12 @@ impl<'a> Executor<'a> {
             let mut scratch = Vec::new();
             let mut pairs = 0usize;
             for pr in &rows {
-                for (br, _) in probe_matches(table, pr, probe_keys, &mut scratch)? {
+                for &b in probe_matches(table, pr, probe_keys, &mut scratch)? {
                     pairs += 1;
                     if pairs.is_multiple_of(CANCEL_CHECK_PAIRS) && cancel.is_cancelled() {
                         return Err(ExecError::Cancelled("hash join cancelled".into()));
                     }
-                    let (lr, rr) = on.split(br, pr);
+                    let (lr, rr) = on.split(&table.rows[b as usize], pr);
                     out.extend(joined_row(lr, rr, residual, &mut scratch)?);
                 }
             }
@@ -489,21 +491,22 @@ impl<'a> Executor<'a> {
 
     /// Pipelined join→aggregate execution: the join is a producer for the
     /// same chunk pipeline a scan-fed aggregate uses, and no `Row` is built
-    /// between the probe and the aggregate. The in-memory arm buffers
-    /// matched `(left row, right row)` pairs — the build rows stay owned
-    /// by the join table, the probe rows by the partition — cuts a chunk at
+    /// between the probe and the aggregate. The in-memory arm
+    /// ([`probe_in_chunks`]) buffers matched pairs as two row-index
+    /// vectors over the partition's sides — the build rows stay owned by
+    /// the join table, the probe rows by the partition — cuts a chunk at
     /// `batch_rows` pairs or [`CHUNK_BYTES`] buffered bytes, whichever
-    /// comes first, and hands it to the pipeline, which pivots the pairs
-    /// straight into columns and runs the join residual as the chunk's
-    /// first filter, then the Filter/Project chain and the aggregate's
-    /// programs into the hash table. Chunks are therefore cut *before* the
-    /// residual, and the cancel token is polled at every cut. Only the
-    /// grace arm (build reservation denied) still concatenates: its joined
-    /// rows enter the same pipeline as row chunks. Join time and
-    /// aggregation time stay separately attributed (Figure 4's
-    /// breakdown): the join's wall is the partition's wall minus the time
-    /// spent inside the pipeline, its `rows_out` the pairs that passed the
-    /// residual.
+    /// comes first, and hands it to the pipeline, which gathers the pairs'
+    /// columns by position from sides pivoted once and runs the join
+    /// residual as the chunk's first filter, then the Filter/Project chain
+    /// and the aggregate's programs into the hash table. Chunks are
+    /// therefore cut *before* the residual, and the cancel token is polled
+    /// after every chunk. Only the grace arm (build reservation denied)
+    /// still concatenates: its joined rows enter the same pipeline as row
+    /// chunks. Join time and aggregation time stay separately attributed
+    /// (Figure 4's breakdown): the join's wall is the partition's wall
+    /// minus the time spent inside the pipeline, its `rows_out` the pairs
+    /// that passed the residual.
     #[allow(clippy::too_many_arguments)]
     fn run_fused_aggregate(
         &self,
@@ -539,51 +542,31 @@ impl<'a> Executor<'a> {
         let cancel = context().cancel_token().clone();
         let batch_rows = self.batch_rows;
         let fuse_partition = |lp: Vec<Row>, rp: Vec<Row>| -> Result<PartOut> {
-            let fused_cancelled =
-                || ExecError::Cancelled("fused join-aggregate cancelled".into());
             let t_start = Instant::now();
             let mut agg = GroupedAgg::new(group_by, aggs, mode);
             let mut joined_rows = 0usize;
             let mut agg_ns = 0u64;
             let mut agg_scratch: Vec<Value> = Vec::new();
             let mut spill = SpillStats::default();
-            // One chunk into the pipeline; every cut polls the token, so a
-            // KILL waits out at most one chunk however skewed the keys.
+            // One chunk into the pipeline; the token is polled after every
+            // chunk, so a KILL waits out at most one chunk however skewed
+            // the keys, and an error in a partition's first chunk is not
+            // hidden by a sibling that failed sooner.
             let mut feed = |chunk: Chunk<'_>| -> Result<()> {
-                if cancel.is_cancelled() {
-                    return Err(fused_cancelled());
-                }
                 let t = Instant::now();
                 joined_rows += pipe.aggregate(chunk, &mut agg, &mut agg_scratch)?;
                 add_elapsed(&mut agg_ns, t);
+                if cancel.is_cancelled() {
+                    return Err(fused_cancelled());
+                }
                 Ok(())
             };
             let full = |len: usize, bytes: usize| len >= batch_rows || bytes >= CHUNK_BYTES;
 
-            let mut scratch: Vec<Value> = Vec::new();
-            let mut bytes = 0usize;
             let (bp, pp) = on.split(lp, rp);
             match prepare_build(bp, build_keys, mem, 0, &mut spill)? {
                 BuildSide::InMem { table, _res } => {
-                    let mut pairs: Vec<(&Row, &Row)> = Vec::new();
-                    for (i, pr) in pp.iter().enumerate() {
-                        // Probe rows that match nothing cut no chunk.
-                        if (i + 1).is_multiple_of(CANCEL_CHECK_PAIRS) && cancel.is_cancelled() {
-                            return Err(fused_cancelled());
-                        }
-                        let matches = probe_matches(&table, pr, probe_keys, &mut scratch)?;
-                        let p_bytes = if matches.is_empty() { 0 } else { pr.byte_size() };
-                        for (br, b_bytes) in matches {
-                            pairs.push(on.split(br, pr));
-                            bytes += b_bytes + p_bytes;
-                            if full(pairs.len(), bytes) {
-                                feed(Chunk::Pairs(&pairs))?;
-                                pairs.clear();
-                                bytes = 0;
-                            }
-                        }
-                    }
-                    feed(Chunk::Pairs(&pairs))?;
+                    probe_in_chunks(&table, &pp, probe_keys, on, full, &cancel, &mut feed)?;
                 }
                 BuildSide::Spilled { buckets } => {
                     // Out-of-core fused join: grace-join the partition,
@@ -594,7 +577,7 @@ impl<'a> Executor<'a> {
                         buckets, pp, build_keys, probe_keys, residual, mem,
                     )?;
                     spill.merge(sp);
-                    let mut start = 0;
+                    let (mut start, mut bytes) = (0, 0);
                     for (i, row) in joined.iter().enumerate() {
                         bytes += row.byte_size();
                         if full(i + 1 - start, bytes) {
@@ -970,27 +953,47 @@ impl BatchMeter {
 /// more (a replayed chunk is counted by the replay).
 type VecChunkState = (Vec<Arc<Col>>, Option<Vec<u32>>, bool, usize, Vec<u64>);
 
+/// One input of a fused join partition: its rows, for the interpreter's
+/// replay, and their columns, pivoted once, by the first chunk that needs
+/// them (so never under `ExprEngine::Interpret`); `None` when ragged.
+struct Side<'a> {
+    rows: &'a [Row],
+    cols: OnceCell<Option<ColumnBatch>>,
+}
+
+impl<'a> Side<'a> {
+    fn new(rows: &'a [Row]) -> Self {
+        Side { rows, cols: OnceCell::new() }
+    }
+
+    fn cols(&self) -> Option<&ColumnBatch> {
+        self.cols.get_or_init(|| ColumnBatch::from_rows(self.rows)).as_ref()
+    }
+}
+
 /// A chunk entering the pipeline: materialized rows, or a fused join's
-/// matched `(left row, right row)` pairs, which stand for their
-/// concatenation without having been concatenated.
+/// matched pairs as `(left, right)` row indices into their sides, which
+/// stand for the rows' concatenation without having been concatenated.
 #[derive(Clone, Copy)]
 enum Chunk<'a> {
     Rows(&'a [Row]),
-    Pairs(&'a [(&'a Row, &'a Row)]),
+    Pairs([(&'a Side<'a>, &'a [u32]); 2]),
 }
 
 impl<'a> Chunk<'a> {
     fn len(&self) -> usize {
         match self {
             Chunk::Rows(rows) => rows.len(),
-            Chunk::Pairs(pairs) => pairs.len(),
+            Chunk::Pairs([(_, li), _]) => li.len(),
         }
     }
 
     fn pivot(&self) -> Option<ColumnBatch> {
         match self {
             Chunk::Rows(rows) => ColumnBatch::from_rows(rows),
-            Chunk::Pairs(pairs) => ColumnBatch::from_pairs(pairs),
+            Chunk::Pairs([(l, li), (r, ri)]) => {
+                Some(ColumnBatch::join(l.cols()?, li, r.cols()?, ri))
+            }
         }
     }
 
@@ -999,7 +1002,11 @@ impl<'a> Chunk<'a> {
     fn rows(&self) -> std::borrow::Cow<'a, [Row]> {
         match self {
             Chunk::Rows(rows) => (*rows).into(),
-            Chunk::Pairs(pairs) => pairs.iter().map(|(l, r)| l.concat(r)).collect(),
+            Chunk::Pairs([(l, li), (r, ri)]) => li
+                .iter()
+                .zip(*ri)
+                .map(|(&a, &b)| l.rows[a as usize].concat(&r.rows[b as usize]))
+                .collect(),
         }
     }
 }
@@ -1014,9 +1021,9 @@ fn lane(sel: Option<&[u32]>, k: usize) -> usize {
 /// programs, with the meters every chunk reports into. Shared by all
 /// workers of one operator. Two pivots, one pipeline: a [`Chunk`] of rows
 /// (a scan-fed morsel, the grace join's output) or of matched pairs (the
-/// fused join→aggregate's in-memory arm) becomes the same column batch
-/// and runs the same stage loop, aggregate-update loop and interpreter
-/// replay.
+/// fused join→aggregate's in-memory arm, gathered from its sides) becomes
+/// a column batch and runs the same stage loop, aggregate-update loop and
+/// interpreter replay.
 struct ChunkPipeline<'p> {
     engine: ExprEngine,
     /// The fused join's residual: the first filter of every pair chunk.
@@ -1335,10 +1342,14 @@ fn flatten_morsels(morsels: Vec<Vec<Vec<Row>>>) -> Parts {
     morsels.into_iter().map(|ms| ms.into_iter().flatten().collect()).collect()
 }
 
-/// A partition's build side keyed for probing. Every build row carries its
-/// [`Row::byte_size`], computed once here, for the fused producer's
-/// byte-cut chunks.
-type JoinTable = HashMap<CompositeKey, Vec<(Row, usize)>>;
+/// A partition's build side keyed for probing: its rows with a non-NULL
+/// key, each one's [`Row::byte_size`] (for the fused producer's byte-cut
+/// chunks), and each key's row indices (`u32`, as lanes are) in order.
+struct JoinTable {
+    rows: Vec<Row>,
+    bytes: Vec<usize>,
+    index: HashMap<CompositeKey, Vec<u32>>,
+}
 
 /// Which input a hash join builds its table on. Keyed joins build on the
 /// left. A join on the empty key — the cross product — builds on the right
@@ -1373,29 +1384,78 @@ impl BuildOn {
 /// Hash-join build phase: one partition's build side keyed for probing.
 fn build_join_table(build: Vec<Row>, keys: &[Expr]) -> Result<JoinTable> {
     // The empty key is one bucket, however many rows it holds.
-    let mut table = JoinTable::with_capacity(if keys.is_empty() { 1 } else { build.len() });
+    let mut index = HashMap::with_capacity(if keys.is_empty() { 1 } else { build.len() });
+    let (mut rows, mut bytes) = (Vec::with_capacity(build.len()), Vec::new());
     let mut scratch = Vec::new();
     for r in build {
         if let Some(key) = join_key(&r, keys, &mut scratch)? {
-            let bytes = r.byte_size();
-            table.entry(key).or_default().push((r, bytes));
+            index.entry(key).or_insert_with(Vec::new).push(rows.len() as u32);
+            bytes.push(r.byte_size());
+            rows.push(r);
         }
     }
-    Ok(table)
+    Ok(JoinTable { rows, bytes, index })
 }
 
-/// The build rows one probe-side row matches, in build order: its key
-/// evaluated and looked up. The one probe-key loop — the fused
-/// join→aggregate buffers the matches as pairs, [`joined_row`]
-/// concatenates them.
+/// The indices of the build rows one probe-side row matches, in build
+/// order: its key evaluated and looked up. The one probe-key loop — the
+/// fused join→aggregate buffers the matches as index pairs,
+/// [`joined_row`] concatenates them.
 fn probe_matches<'t>(
     table: &'t JoinTable,
     probe: &Row,
     probe_keys: &[Expr],
     scratch: &mut Vec<Value>,
-) -> Result<&'t [(Row, usize)]> {
+) -> Result<&'t [u32]> {
     let key = join_key(probe, probe_keys, scratch)?;
-    Ok(key.and_then(|k| table.get(&k)).map_or(&[], Vec::as_slice))
+    Ok(key.and_then(|k| table.index.get(&k)).map_or(&[], Vec::as_slice))
+}
+
+/// The fused join's in-memory arm over one partition: each probe row's
+/// matches buffered as `(build, probe)` row indices over the two sides,
+/// in probe order, and fed as a chunk of pairs whenever `full(pairs,
+/// bytes)` holds, and once at the end. The probe loop polls the token
+/// every [`CANCEL_CHECK_PAIRS`] probe rows: rows that match nothing cut
+/// no chunk.
+fn probe_in_chunks(
+    table: &JoinTable,
+    probe: &[Row],
+    probe_keys: &[Expr],
+    on: BuildOn,
+    full: impl Fn(usize, usize) -> bool,
+    cancel: &CancelToken,
+    mut feed: impl FnMut(Chunk<'_>) -> Result<()>,
+) -> Result<()> {
+    let (build_side, probe_side) = (Side::new(&table.rows), Side::new(probe));
+    let (left, right) = on.split(&build_side, &probe_side);
+    let (mut bi, mut pi): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
+    let (mut bytes, mut scratch) = (0usize, Vec::new());
+    for (i, pr) in probe.iter().enumerate() {
+        if (i + 1).is_multiple_of(CANCEL_CHECK_PAIRS) && cancel.is_cancelled() {
+            return Err(fused_cancelled());
+        }
+        let matches = probe_matches(table, pr, probe_keys, &mut scratch)?;
+        let p_bytes = if matches.is_empty() { 0 } else { pr.byte_size() };
+        for &b in matches {
+            bi.push(b);
+            pi.push(i as u32);
+            bytes += table.bytes[b as usize] + p_bytes;
+            if full(bi.len(), bytes) {
+                let (li, ri) = on.split(&bi, &pi);
+                feed(Chunk::Pairs([(left, li), (right, ri)]))?;
+                bi.clear();
+                pi.clear();
+                bytes = 0;
+            }
+        }
+    }
+    let (li, ri) = on.split(&bi, &pi);
+    feed(Chunk::Pairs([(left, li), (right, ri)]))
+}
+
+/// The error a fused partition stops with once the query is cancelled.
+fn fused_cancelled() -> ExecError {
+    ExecError::Cancelled("fused join-aggregate cancelled".into())
 }
 
 /// The joined row `l ++ r` for the consumers that must *produce* rows (the
@@ -1586,7 +1646,8 @@ fn grace_bucket(
     match prepare_build(rows, left_keys, mem, level, spill)? {
         BuildSide::InMem { table, _res } => {
             for (i, r) in &probes {
-                for (l, _) in probe_matches(&table, r, right_keys, &mut scratch)? {
+                for &b in probe_matches(&table, r, right_keys, &mut scratch)? {
+                    let l = &table.rows[b as usize];
                     out.extend(joined_row(l, r, residual, &mut scratch)?.map(|j| (*i, j)));
                 }
             }
@@ -2605,9 +2666,11 @@ mod tests {
                 .collect()
         };
         let (lrows, rrows) = (side(0), side(10));
-        let pairs: Vec<(&Row, &Row)> =
-            lrows.iter().flat_map(|l| rrows.iter().map(move |r| (l, r))).collect();
-        let rows: Vec<Row> = pairs.iter().map(|(l, r)| l.concat(r)).collect();
+        let (left, right) = (Side::new(&lrows), Side::new(&rrows));
+        let (li, ri): (Vec<u32>, Vec<u32>) =
+            (0..6).flat_map(|l| (0..6).map(move |r| (l, r))).unzip();
+        let pair = |(&l, &r): (&u32, &u32)| lrows[l as usize].concat(&rrows[r as usize]);
+        let rows: Vec<Row> = li.iter().zip(&ri).map(pair).collect();
         // l.k = 0 OR 6 / l.k > r.k: eager division by zero on l.k = 0.
         let residual = Expr::Or(
             Box::new(Expr::cmp(CmpOp::Eq, Expr::col(0), Expr::lit(0i64))),
@@ -2631,7 +2694,7 @@ mod tests {
             let mut agg = GroupedAgg::new(&group_by, &aggs, AggMode::Complete);
             let mut scratch = Vec::new();
             let mut joined = 0;
-            for (p, r) in pairs.chunks(5).zip(rows.chunks(5)) {
+            for ((l, p), r) in li.chunks(5).zip(ri.chunks(5)).zip(rows.chunks(5)) {
                 // A row chunk has passed the residual already: keep its
                 // survivors only, as the grace arm would.
                 let kept: Vec<Row> = r
@@ -2639,7 +2702,8 @@ mod tests {
                     .filter(|row| eval_predicate_with(&residual, row, &mut Vec::new()).unwrap())
                     .cloned()
                     .collect();
-                let chunk = if as_pairs { Chunk::Pairs(p) } else { Chunk::Rows(&kept) };
+                let pairs = Chunk::Pairs([(&left, l), (&right, p)]);
+                let chunk = if as_pairs { pairs } else { Chunk::Rows(&kept) };
                 joined += pipe.aggregate(chunk, &mut agg, &mut scratch).unwrap();
             }
             let fallbacks = pipe.counters.fallbacks.load(AtomicOrdering::Relaxed);
@@ -2652,6 +2716,101 @@ mod tests {
         assert!(fallbacks > 0, "the residual kernel must decline the l.k = 0 chunks");
         let (got, got_joined, fallbacks) = run(ExprEngine::Compiled, false);
         assert_eq!((got, got_joined, fallbacks), (want, joined, 0));
+    }
+
+    /// A chunk of VECTOR pairs is read by position: gathering it from its
+    /// sides, running `inner_product` over it and aggregating the result
+    /// clone and drop no payload `Arc`.
+    #[test]
+    fn vector_pair_chunks_touch_no_payload_arc() {
+        use lardb_planner::Builtin;
+        let side = |base: f64| -> Vec<Row> {
+            let vector = |i| Value::vector(lardb_la::Vector::from_vec(vec![base + i as f64, -0.0]));
+            (0..4i64).map(|i| Row::new(vec![Value::Integer(i), vector(i)])).collect()
+        };
+        let (lrows, rrows) = (side(0.0), side(10.0));
+        let (left, right) = (Side::new(&lrows), Side::new(&rrows));
+        let counts = || -> Vec<usize> {
+            let count = |r: &Row| match r.value(1) {
+                Value::Vector(v) => Arc::strong_count(v),
+                _ => 0,
+            };
+            lrows.iter().chain(&rrows).map(count).collect()
+        };
+        // Each side's pivot holds one reference per row, once.
+        assert!(left.cols().is_some() && right.cols().is_some());
+        let before = counts();
+        let (li, ri): (Vec<u32>, Vec<u32>) =
+            (0..4).flat_map(|l| (0..4).map(move |r| (l, r))).unzip();
+        let chunk = Chunk::Pairs([(&left, &li), (&right, &ri)]);
+        let batch = chunk.pivot().unwrap();
+        assert_eq!(counts(), before, "pivot");
+        let cols = batch.cols();
+        let out = kernels::call(&Builtin::InnerProduct, &[&cols[1], &cols[3]], None, 16).unwrap();
+        assert_eq!(counts(), before, "inner_product");
+        for (k, row) in chunk.rows().iter().enumerate() {
+            let args = [row.value(1).clone(), row.value(3).clone()];
+            assert_eq!(out.value_at(k), Builtin::InnerProduct.evaluate(&args).unwrap());
+        }
+        drop((out, batch));
+        assert_eq!(counts(), before, "drop");
+        let arg = Expr::call(Builtin::InnerProduct, vec![Expr::col(1), Expr::col(3)]);
+        let aggs = [AggExpr { func: AggFunc::Min, arg: Some(arg), name: "m".into() }];
+        let pipe = ChunkPipeline::new(ExprEngine::Compiled, None, None, &[], &[], &aggs);
+        let mut agg = GroupedAgg::new(&[], &aggs, AggMode::Complete);
+        assert_eq!(pipe.aggregate(chunk, &mut agg, &mut Vec::new()).unwrap(), 16);
+        assert_eq!(counts(), before, "aggregate");
+        assert_eq!(pipe.counters.fallbacks.load(AtomicOrdering::Relaxed), 0);
+    }
+
+    /// The fused in-memory arm over a build side whose key column is
+    /// INTEGER in the first chunks' pairs and DOUBLE in the last ones'
+    /// (`2` joins `2.0`): the side is typed once, boxed, where a pivot per
+    /// chunk would have typed each chunk, and groups and sums still match
+    /// the interpreter's. A ragged probe side pivots no chunk: all replay.
+    #[test]
+    fn fused_pairs_over_sides_typed_once_match_the_interpreter() {
+        use lardb_storage::ops::ArithOp;
+        let build: Vec<Row> = (0..12i64)
+            .map(|i| {
+                let k = i % 2;
+                let k = if i < 8 { Value::Integer(k) } else { Value::Double((2 + k) as f64) };
+                Row::new(vec![k, Value::Double(i as f64 - 0.5)])
+            })
+            .collect();
+        // Keys 0 and 1 first (20 pairs), then 3 and 2 (8 pairs).
+        let probe = |ragged: bool| -> Vec<Row> {
+            let key = |i: i64| Value::Integer(if i < 5 { i % 2 } else { 2 + (i + 1) % 2 });
+            let row = |i| Row::new(vec![key(i), Value::Integer(i)]);
+            (0..9).map(|i| if ragged && i == 7 { row(i).concat(&row(i)) } else { row(i) }).collect()
+        };
+        let product = Expr::arith(ArithOp::Mul, Expr::col(1), Expr::col(3));
+        let aggs = [
+            AggExpr { func: AggFunc::Sum, arg: Some(product), name: "s".into() },
+            AggExpr { func: AggFunc::Count, arg: None, name: "n".into() },
+        ];
+        let keys = [Expr::col(0)];
+        let run = |engine: ExprEngine, probe: &[Row]| {
+            let table = build_join_table(build.clone(), &keys).unwrap();
+            let pipe = ChunkPipeline::new(engine, None, None, &[], &keys, &aggs);
+            let mut agg = GroupedAgg::new(&keys, &aggs, AggMode::Complete);
+            let (mut scratch, mut chunks) = (Vec::new(), 0);
+            let full = |pairs: usize, _| pairs >= 5;
+            probe_in_chunks(&table, probe, &keys, BuildOn::Left, full, &CancelToken::new(), |c| {
+                chunks += 1;
+                pipe.aggregate(c, &mut agg, &mut scratch).map(drop)
+            })
+            .unwrap();
+            (agg.finish(), chunks, pipe.counters.fallbacks.load(AtomicOrdering::Relaxed))
+        };
+        for ragged in [false, true] {
+            let probe = probe(ragged);
+            let (want, chunks, _) = run(ExprEngine::Interpret, &probe);
+            assert_eq!((want.len(), chunks), (4, 6));
+            let (got, got_chunks, fallbacks) = run(ExprEngine::Compiled, &probe);
+            assert_eq!((got, got_chunks), (want, chunks), "ragged: {ragged}");
+            assert_eq!(fallbacks, if ragged { chunks } else { 0 }, "ragged: {ragged}");
+        }
     }
 
     #[test]

@@ -179,7 +179,7 @@ fn boxed_arith(op: ArithOp, a: &Col, b: &Col, sel: Option<&[u32]>, n: usize) -> 
         out[i] = arith_lane(op, l.get(), r.get())?;
         Ok(())
     })?;
-    Ok(Col::Boxed(out))
+    Ok(Col::Boxed(out.into()))
 }
 
 /// One boxed arithmetic lane. The fast paths are *specializations* of
@@ -434,7 +434,7 @@ pub fn negate(a: &Col, sel: Option<&[u32]>, n: usize) -> Result<Col> {
                 out[i] = ops::negate(&v[i])?;
                 Ok(())
             })?;
-            Ok(Col::Boxed(out))
+            Ok(Col::Boxed(out.into()))
         }
     }
 }
@@ -508,7 +508,7 @@ pub fn call(func: &Builtin, args: &[&Col], sel: Option<&[u32]>, n: usize) -> Res
                 out[i] = eval(i)?;
                 Ok(())
             })?;
-            Ok(Col::Boxed(out))
+            Ok(Col::Boxed(out.into()))
         }
     }
 }
@@ -636,7 +636,7 @@ mod tests {
     #[test]
     fn vector_broadcast_matches_ops() {
         let v = Value::vector(Vector::from_slice(&[1.0, 2.0]));
-        let col = Col::Boxed(vec![v.clone()]);
+        let col = Col::Boxed(vec![v.clone()].into());
         let s = f64_col(&[Some(2.5)]);
         let out = arith(ArithOp::Mul, &col, &s, None, 1).unwrap();
         let want = ops::arith(ArithOp::Mul, &v, &Value::Double(2.5)).unwrap();
@@ -704,7 +704,7 @@ mod tests {
     #[test]
     fn call_reads_boxed_lanes_by_reference() {
         let v = Value::vector(Vector::from_slice(&[3.0, 4.0]));
-        let col = Col::Boxed(vec![v.clone(), Value::Null]);
+        let col = Col::Boxed(vec![v.clone(), Value::Null].into());
         let out = call(&Builtin::InnerProduct, &[&col, &col], None, 2).unwrap();
         assert_eq!(out.value_at(0), Value::Double(25.0));
         assert!(out.value_at(1).is_null());

@@ -1,8 +1,9 @@
-//! Property test on the two pivots into a [`ColumnBatch`]: pivoting matched
-//! join pairs directly must produce, column for column, exactly what
-//! pivoting their concatenated rows produces — the same `Col` variant,
-//! validity and bit patterns — so the fused join→aggregate can skip the
-//! concatenation without any kernel seeing a different chunk.
+//! Property test on the joined chunk: a join's matched pairs as two index
+//! vectors over sides pivoted once ([`ColumnBatch::join`]) must read,
+//! lane for lane, exactly what pivoting their concatenated rows reads —
+//! the same validity and bit patterns — so the fused join→aggregate can
+//! skip the concatenation without any kernel seeing a different value.
+//! Column variants are the sides', typed over all of a side's rows.
 
 use lardb_exec::batch::{Col, ColumnBatch};
 use lardb_la::Vector;
@@ -62,12 +63,9 @@ fn same_bits(a: &Value, b: &Value) -> bool {
     }
 }
 
-fn assert_same_col(got: &Col, want: &Col, j: usize) {
-    assert_eq!(
-        std::mem::discriminant(got),
-        std::mem::discriminant(want),
-        "column {j}: {got:?} vs {want:?}"
-    );
+/// `got` reads what `want` reads, lane for lane; typed columns of one
+/// variant also agree on their raw lanes, garbage under NULLs included.
+fn assert_same_lanes(got: &Col, want: &Col, j: usize) {
     assert_eq!(got.len(), want.len(), "column {j}");
     for i in 0..want.len() {
         assert_eq!(got.valid(i), want.valid(i), "column {j} lane {i} validity");
@@ -78,7 +76,6 @@ fn assert_same_col(got: &Col, want: &Col, j: usize) {
             want.value_at(i)
         );
     }
-    // Typed columns: the raw lanes too, garbage under NULLs included.
     match (got, want) {
         (Col::F64 { data: g, .. }, Col::F64 { data: w, .. }) => {
             let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -94,36 +91,57 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn from_pairs_equals_from_rows_of_the_concatenation(seed in 0u64..u64::MAX) {
+    fn joined_chunk_reads_like_from_rows_of_the_concatenation(seed in 0u64..u64::MAX) {
         let mut g = Gen(seed);
-        let n = g.below(10) as usize; // zero pairs included
+        let (nl, nr) = (g.below(8) as usize, g.below(8) as usize);
         let (la, ra) = (g.below(5) as usize, g.below(5) as usize);
-        let mut left = gen_side(&mut g, n, la);
-        let mut right = gen_side(&mut g, n, ra);
+        let mut left = gen_side(&mut g, nl, la);
+        let mut right = gen_side(&mut g, nr, ra);
         // One time in four, one row of one side gets another arity.
-        let ragged = n > 1 && g.below(4) == 0;
-        if ragged {
+        if nl.min(nr) > 1 && g.below(4) == 0 {
             let side = if g.below(2) == 0 { &mut left } else { &mut right };
-            let i = g.below(n as u64) as usize;
+            let i = g.below(side.len() as u64) as usize;
             let mut vals = side[i].values().to_vec();
             if vals.pop().is_none() {
                 vals.push(Value::Integer(1));
             }
             side[i] = Row::new(vals);
-        }
-        let pairs: Vec<(&Row, &Row)> = left.iter().zip(&right).collect();
-        let got = ColumnBatch::from_pairs(&pairs);
-        if ragged {
-            prop_assert!(got.is_none(), "ragged pairs must not pivot");
+            // A ragged side is refused, and with it every chunk over it.
+            prop_assert!(
+                ColumnBatch::from_rows(&left).is_none() || ColumnBatch::from_rows(&right).is_none(),
+                "a ragged side must not pivot"
+            );
             return Ok(());
         }
-        let rows: Vec<Row> = pairs.iter().map(|(l, r)| l.concat(r)).collect();
+        let lb = ColumnBatch::from_rows(&left).unwrap();
+        let rb = ColumnBatch::from_rows(&right).unwrap();
+        // Pairs in any order, repeats included; zero pairs when a side is empty.
+        let n = if nl.min(nr) == 0 { 0 } else { g.below(10) as usize };
+        let li: Vec<u32> = (0..n).map(|_| g.below(nl as u64) as u32).collect();
+        let ri: Vec<u32> = (0..n).map(|_| g.below(nr as u64) as u32).collect();
+        let got = ColumnBatch::join(&lb, &li, &rb, &ri);
+        let pair = |(&l, &r): (&u32, &u32)| left[l as usize].concat(&right[r as usize]);
+        let rows: Vec<Row> = li.iter().zip(&ri).map(pair).collect();
         let want = ColumnBatch::from_rows(&rows).unwrap();
-        let got = got.expect("even pairs pivot");
-        prop_assert_eq!(got.len(), want.len());
-        prop_assert_eq!(got.arity(), want.arity());
-        for (j, (g, w)) in got.cols().iter().zip(want.cols()).enumerate() {
-            assert_same_col(g, w, j);
+        prop_assert_eq!(got.len(), n);
+        // Zero rows pivot to zero columns; a chunk has its sides' columns.
+        prop_assert_eq!(got.arity(), lb.arity() + rb.arity());
+        prop_assert_eq!(want.arity(), if n == 0 { 0 } else { la + ra });
+        let sides = lb.cols().iter().chain(rb.cols());
+        for (j, ((c, w), s)) in got.cols().iter().zip(want.cols()).zip(sides).enumerate() {
+            assert_same_lanes(c, w, j);
+            assert_eq!(std::mem::discriminant(&**c), std::mem::discriminant(&**s), "column {j}");
+        }
+        // A chunk gathered from a joined chunk (boxed views of views)
+        // reads its lanes in the same way.
+        let perm: Vec<u32> = (0..n).rev().map(|k| k as u32).collect();
+        let none = ColumnBatch::from_rows(&[]).unwrap();
+        let again = ColumnBatch::join(&got, &perm, &none, &perm);
+        let rows: Vec<Row> = perm.iter().map(|&k| rows[k as usize].clone()).collect();
+        let want = ColumnBatch::from_rows(&rows).unwrap();
+        prop_assert_eq!(again.arity(), got.arity());
+        for (j, (c, w)) in again.cols().iter().zip(want.cols()).enumerate() {
+            assert_same_lanes(c, w, j);
         }
     }
 }

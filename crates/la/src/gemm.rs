@@ -4,7 +4,7 @@
 //! bottom out here, in one microkernel: an `MR × NR` tile of `out` is
 //! loaded into registers, the `k` extent is run over it as an IEEE multiply
 //! followed by an IEEE add per term — or an IEEE subtract, in the
-//! instantiation LU's updates run ([`sub_product`]) — two roundings, never
+//! instantiation LU's updates run (`sub_product`) — two roundings, never
 //! a fused multiply-add, and the tile is stored back. The right operand is
 //! packed once per `(k-block, j-block)` into `NR`-wide strips on the stack,
 //! so the inner loop streams it contiguously; it and `out` are read through

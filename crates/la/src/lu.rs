@@ -6,10 +6,10 @@
 //! every element of the back substitution `k` descending, one IEEE
 //! multiply and one IEEE subtract per term, zeros included. Within those
 //! orders the work runs on the register-tiled microkernel
-//! ([`crate::gemm::sub_product`]): the factorization is right-looking in
-//! [`PANEL`]-column panels (pivoting and elimination inside the panel, a
+//! (`gemm::sub_product`): the factorization is right-looking in
+//! `PANEL`-column panels (pivoting and elimination inside the panel, a
 //! row solve for the panel's rows right of it, then `A₂₂ −= L₂₁·U₁₂` in one
-//! product), and each [`ROWS`]-row block of a substitution takes the terms
+//! product), and each `ROWS`-row block of a substitution takes the terms
 //! of the rows solved before it in one product and the rest as axpys. The
 //! back substitution is the forward one over the row-reversed system. The
 //! unblocked loops are kept in the tests as oracles; the blocked results

@@ -199,13 +199,18 @@ fn quota_exhaustion_is_typed_saturation_not_a_crash() {
 }
 
 /// Queue overflow rejects immediately with `Saturated` instead of
-/// queueing unboundedly.
+/// queueing unboundedly. The single slot is held by a statement that
+/// cannot finish on its own in any build — a 2.56·10¹⁰-pair cross join
+/// — and is killed once the rejection has been seen, so occupancy does
+/// not depend on how fast the build runs.
 #[test]
 fn queue_overflow_rejects_immediately() {
     let db = small_db();
     db.execute("CREATE TABLE big (a INTEGER)").unwrap();
     let vals: Vec<String> = (0..400).map(|i| format!("({i})")).collect();
     db.execute(&format!("INSERT INTO big VALUES {}", vals.join(", "))).unwrap();
+    db.execute("CREATE TABLE wide AS SELECT x.a AS a FROM big AS x, big AS y").unwrap();
+    let sessions = Arc::clone(db.sessions());
 
     let server = Server::start(
         db,
@@ -219,21 +224,36 @@ fn queue_overflow_rejects_immediately() {
     .unwrap();
     let addr = addr_of(&server);
 
-    // Saturate the single slot + single queue spot with slow cross joins,
-    // then observe a fast rejection.
-    let slow_sql =
-        "SELECT COUNT(*) AS n FROM big AS x, big AS y, big AS z WHERE x.a < 30";
+    let holder = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let mut c = Client::connect(&addr, "holder", "").unwrap();
+            let r = c.query("SELECT COUNT(*) AS n FROM wide AS x, wide AS y WHERE x.a + y.a < 0");
+            let _ = c.close();
+            r
+        })
+    };
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let query_id = loop {
+        let running = sessions.snapshot().into_iter().find(|s| s.tenant == "holder");
+        if let Some(query_id) = running.and_then(|s| s.query_id) {
+            break query_id;
+        }
+        assert!(Instant::now() < deadline, "the slot holder never started running");
+        std::thread::sleep(Duration::from_millis(5));
+    };
+
+    // The slot is taken for good: one client takes the queue spot, the
+    // next is turned away.
     let saturated = Arc::new(AtomicUsize::new(0));
-    let workers: Vec<_> = (0..3)
+    let workers: Vec<_> = (0..2)
         .map(|i| {
             let addr = addr.clone();
             let saturated = Arc::clone(&saturated);
             std::thread::spawn(move || {
-                // Stagger arrivals so occupancy is deterministic: slot,
-                // queue spot, rejection.
                 std::thread::sleep(Duration::from_millis(i as u64 * 150));
                 let mut c = Client::connect(&addr, "load", "").unwrap();
-                match c.query(slow_sql) {
+                match c.query("SELECT COUNT(*) AS n FROM big") {
                     Ok(_) => {}
                     Err(ServerError::Saturated { .. }) => {
                         saturated.fetch_add(1, Ordering::SeqCst);
@@ -244,8 +264,17 @@ fn queue_overflow_rejects_immediately() {
             })
         })
         .collect();
+    while saturated.load(Ordering::SeqCst) == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut killer = Client::connect(&addr, "killer", "").unwrap();
+    killer.kill(query_id).expect("kill should reach the slot holder");
     for w in workers {
         w.join().unwrap();
+    }
+    match holder.join().unwrap() {
+        Err(ServerError::Killed(_)) => {}
+        other => panic!("the slot holder should die with Killed, got {other:?}"),
     }
     // 1 running + 1 queued fit; at least the third must have been turned
     // away (timing may reject the queued one too).
@@ -253,6 +282,7 @@ fn queue_overflow_rejects_immediately() {
         saturated.load(Ordering::SeqCst) >= 1,
         "expected at least one Saturated rejection"
     );
+    killer.close().unwrap();
     server.shutdown();
 }
 

@@ -229,28 +229,47 @@ fn close_mid_query_replies_once_and_leaves_nothing() {
 }
 
 /// One request at a time: a second `Query` is refused at once, and the
-/// statement it interrupted still ends with its own result.
+/// statement it interrupted still ends with its own result. The first
+/// statement waits for the server's one execution slot, which another
+/// session holds with a cross join that cannot finish on its own, so it
+/// is still in flight when the second request arrives however fast the
+/// build runs; the holder is killed once the refusal has been read.
 #[test]
 fn second_query_while_one_runs_is_a_protocol_error() {
     let _one_at_a_time = serial();
     let db = db_with_big();
+    db.execute("CREATE TABLE wide AS SELECT x.a AS a FROM big AS x, big AS y WHERE y.a < 200")
+        .unwrap();
     let sessions = Arc::clone(db.sessions());
-    let server = Server::start(db, ServerConfig::default()).unwrap();
+    let config = ServerConfig {
+        max_concurrent: 1,
+        queue_depth: 1,
+        queue_wait_ms: 30_000,
+        ..ServerConfig::default()
+    };
+    let server = Server::start(db, config).unwrap();
+
+    // 1.44·10¹⁰ pairs: the slot stays taken until the kill below.
+    let mut holder = Raw::connect(&server, "holder");
+    holder.query("SELECT COUNT(*) AS n FROM wide AS x, wide AS y WHERE x.a + y.a < 0");
+    let holding = holder.running_query(&sessions);
 
     let mut conn = Raw::connect(&server, "eager");
-    // ≈1.7 M candidate triples: long enough to still be running when the
-    // second request arrives, short enough to finish on its own.
     conn.query(
         "SELECT COUNT(*) AS n FROM big AS x, big AS y, big AS z \
          WHERE x.a < 120 AND y.a < 120 AND z.a < 120 AND x.a + y.a + z.a < 0",
     );
-    conn.running_query(&sessions);
     conn.query("SELECT 1 AS one");
     expect_error(conn.recv(), msg::ERR_PROTOCOL);
+    holder.send(Message::Kill { query_id: holding });
+    expect_ok(holder.recv(), msg::OK_KILLED);
+    expect_error(holder.recv(), msg::ERR_KILLED);
     assert_eq!(conn.recv_rows(), 1, "the first statement's own reply");
 
-    conn.send(Message::Close);
-    expect_ok(conn.recv(), msg::OK_CLOSED);
+    for mut c in [conn, holder] {
+        c.send(Message::Close);
+        expect_ok(c.recv(), msg::OK_CLOSED);
+    }
     server.shutdown();
 }
 
