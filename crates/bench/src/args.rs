@@ -19,9 +19,8 @@ pub struct Args {
     pub seed: u64,
     /// Quick mode: tiny sizes, for smoke-testing the harness.
     pub quick: bool,
-    /// Exchange transport: `pointer` (estimated shuffle bytes),
-    /// `serialized` (wire-encoded over channels), or `tcp` (loopback
-    /// sockets).
+    /// Exchange transport: `pointer` (estimated shuffle bytes) or
+    /// `serialized` (wire-encoded over channels).
     pub transport: TransportMode,
     /// When set, write a machine-readable `QueryProfile` JSON (lifecycle
     /// stage timings + per-operator estimate-vs-actual records) to this
@@ -75,9 +74,8 @@ impl Args {
                 "--seed" => args.seed = parse_num(&value("--seed")) as u64,
                 "--quick" => args.quick = true,
                 "--transport" => {
-                    let v = value("--transport");
-                    args.transport = TransportMode::parse(&v).unwrap_or_else(|| {
-                        eprintln!("bad --transport '{v}' (pointer|serialized|tcp)");
+                    args.transport = parse_transport(&value("--transport")).unwrap_or_else(|e| {
+                        eprintln!("{e}");
                         std::process::exit(2);
                     });
                 }
@@ -88,7 +86,7 @@ impl Args {
                 "--help" | "-h" => {
                     eprintln!(
                         "options: --n N --n-dist N --dims 10,100,1000 --workers W \
-                         --block B --seed S --transport pointer|serialized|tcp \
+                         --block B --seed S --transport pointer|serialized \
                          --profile-json PATH --batch-rows N --quick"
                     );
                     std::process::exit(0);
@@ -121,6 +119,11 @@ impl Args {
             batch_rows: self.batch_rows,
         }
     }
+}
+
+/// A `--transport` value, or the message that refuses it.
+fn parse_transport(v: &str) -> Result<TransportMode, String> {
+    TransportMode::parse(v).ok_or_else(|| format!("bad --transport '{v}' (pointer|serialized)"))
 }
 
 fn parse_num(s: &str) -> usize {
@@ -170,7 +173,10 @@ mod tests {
             parse(&["--transport", "serialized"]).transport,
             TransportMode::Serialized
         );
-        assert_eq!(parse(&["--transport", "TCP"]).transport, TransportMode::Tcp);
+        assert_eq!(
+            parse_transport("TCP").unwrap_err(),
+            "bad --transport 'TCP' (pointer|serialized)"
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use crate::{BufError, Result};
 use lardb_net::codec::{decode_frame, Frame};
-use lardb_net::stream::{read_frame, write_frame, Check, FrameError, FrameRead, Seal, Stall};
+use lardb_net::stream::{read_frame, write_frame, Check, FrameError, FrameRead, Seal};
 use lardb_storage::Row;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
@@ -197,7 +197,7 @@ impl SpillFile {
         let corrupt = |detail: String| BufError::Corrupt { path: self.path.clone(), detail };
         let truncated = |detail: String| BufError::Truncated { path: self.path.clone(), detail };
         loop {
-            let frame = match read_frame(&mut r, MAX_SPILL_FRAME_BYTES, Stall::Wait) {
+            let frame = match read_frame(&mut r, MAX_SPILL_FRAME_BYTES) {
                 Ok(FrameRead::Closed) => break,
                 // Exactly one fin, and nothing after it.
                 _ if check.sealed() => return Err(corrupt("bytes after fin frame".to_string())),
@@ -206,7 +206,7 @@ impl SpillFile {
                     return Err(truncated(format!("{e}, {} complete frames in", check.seen().frames)))
                 }
                 Err(e @ FrameError::TooLarge { .. }) => return Err(corrupt(e.to_string())),
-                Ok(FrameRead::Idle) | Err(FrameError::Stalled) => {
+                Ok(FrameRead::Idle) => {
                     return Err(io_err(&self.path, "read", std::io::ErrorKind::TimedOut.into()))
                 }
                 Err(FrameError::Io(e)) => return Err(io_err(&self.path, "read", e)),

@@ -52,9 +52,8 @@ pub struct DatabaseConfig {
     /// Optimizer switches (size inference, early projection, DP budget).
     pub optimizer: OptimizerConfig,
     /// How exchange operators move batches between workers: `Pointer`
-    /// (in-memory hand-off, estimated bytes), `Serialized` (wire-encoded
-    /// over bounded channels, actual bytes), or `Tcp` (wire-encoded over
-    /// loopback sockets).
+    /// (in-memory hand-off, estimated bytes) or `Serialized` (wire-encoded
+    /// over bounded channels, actual bytes).
     pub transport: TransportMode,
     /// Slow-query log threshold in milliseconds. Statements that take at
     /// least this long are reported on stderr and counted under the
@@ -70,8 +69,8 @@ pub struct DatabaseConfig {
     /// [`lardb_exec::DEFAULT_MORSEL_ROWS`]). Smaller morsels balance skew
     /// better; larger ones amortize scheduling further.
     pub morsel_rows: usize,
-    /// Network-layer knobs for serialized/TCP exchanges: I/O timeouts, the
-    /// maximum accepted frame size, and an optional deterministic fault
+    /// Network-layer knobs for serialized exchanges: the maximum accepted
+    /// frame size, and an optional deterministic fault
     /// injection plan (see `lardb_exec::FaultPlan`) for chaos testing.
     pub net: NetConfig,
     /// Memory budget for pipeline-breaking operators, in MiB: `Some(n)`
@@ -369,9 +368,9 @@ impl Database {
         self.config.workers
     }
 
-    /// Sets the exchange transport mode (builder style). `Serialized` and
-    /// `Tcp` encode every boundary-crossing batch through the `lardb-net`
-    /// wire codec and meter actual encoded bytes.
+    /// Sets the exchange transport mode (builder style). `Serialized`
+    /// encodes every boundary-crossing batch through the `lardb-net` wire
+    /// codec and meters actual encoded bytes.
     pub fn with_transport(mut self, transport: TransportMode) -> Self {
         self.config.transport = transport;
         self

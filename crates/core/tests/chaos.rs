@@ -1,11 +1,11 @@
 //! Chaos suite: fault injection must never yield a silent wrong answer.
 //!
-//! Every combination of fault kind × seed × transport × worker count runs
-//! the scheduler-equivalence query set against a deterministic
-//! [`FaultPlan`]. The contract under test is the checked row stream's core
-//! guarantee: a faulted query either returns exactly the fault-free
-//! answer (the fault missed, or was harmless like a delay) or a clean
-//! `Err` — never a short or corrupted result set. A killed TCP peer in
+//! Every combination of fault kind × seed × worker count runs the
+//! scheduler-equivalence query set over the serialized transport against
+//! a deterministic [`FaultPlan`]. The contract under test is the checked
+//! row stream's core guarantee: a faulted query either returns exactly
+//! the fault-free answer (the fault missed, or was harmless like a delay)
+//! or a clean `Err` — never a short or corrupted result set. A killed peer in
 //! particular must be detected 100% of the time.
 
 mod common;
@@ -24,7 +24,7 @@ fn faulted(workers: usize, transport: TransportMode, plan: FaultPlan) -> Databas
 }
 
 /// The core chaos matrix: under every fault kind, at three distinct seeds,
-/// across both wire transports and W ∈ {1, 4}, each query either matches
+/// over the serialized transport and W ∈ {1, 4}, each query either matches
 /// the fault-free answer exactly or fails with a clean error.
 #[test]
 fn faults_never_shorten_answers_silently() {
@@ -36,39 +36,38 @@ fn faults_never_shorten_answers_silently() {
     let mut detected: std::collections::HashMap<String, usize> =
         std::collections::HashMap::new();
     for workers in [1usize, 4] {
-        for transport in [TransportMode::Serialized, TransportMode::Tcp] {
-            // Fault-free answers, themselves held to the oracle cell's.
-            let statements = corpus::on(Fixture::Skew);
-            let clean = sweep(Fixture::Skew, statements.clone(), &[at(workers, transport, None)]);
-            let want: Vec<_> = clean[0].outcomes.iter().flatten().map(canon_rows).collect();
-            for kind in FaultKind::ALL {
-                for seed in [1u64, 2, 3] {
-                    let mut plan = FaultPlan::new(kind, seed);
-                    // High enough that multi-frame exchanges almost always
-                    // take at least one hit.
-                    plan.rate_ppm = 300_000;
-                    let db = faulted(workers, transport, plan);
-                    for (q, base) in statements.iter().map(|s| s.sql).zip(&want) {
-                        let ctx = format!(
-                            "W={workers} transport={transport:?} fault={kind} seed={seed} query={q}"
-                        );
-                        match db.query(q) {
-                            Ok(got) => assert_eq!(
-                                &canon_rows(&got),
-                                base,
-                                "silent wrong answer under fault: {ctx}"
-                            ),
-                            Err(e) => {
-                                // A clean, typed error is the other
-                                // acceptable outcome — but delays must
-                                // never fail a query.
-                                assert_ne!(
-                                    kind,
-                                    FaultKind::DelaySend,
-                                    "delay fault errored ({e}): {ctx}"
-                                );
-                                *detected.entry(kind.to_string()).or_default() += 1;
-                            }
+        let transport = TransportMode::Serialized;
+        // Fault-free answers, themselves held to the oracle cell's.
+        let statements = corpus::on(Fixture::Skew);
+        let clean = sweep(Fixture::Skew, statements.clone(), &[at(workers, transport, None)]);
+        let want: Vec<_> = clean[0].outcomes.iter().flatten().map(canon_rows).collect();
+        for kind in FaultKind::ALL {
+            for seed in [1u64, 2, 3] {
+                let mut plan = FaultPlan::new(kind, seed);
+                // High enough that multi-frame exchanges almost always
+                // take at least one hit.
+                plan.rate_ppm = 300_000;
+                let db = faulted(workers, transport, plan);
+                for (q, base) in statements.iter().map(|s| s.sql).zip(&want) {
+                    let ctx = format!(
+                        "W={workers} transport={transport:?} fault={kind} seed={seed} query={q}"
+                    );
+                    match db.query(q) {
+                        Ok(got) => assert_eq!(
+                            &canon_rows(&got),
+                            base,
+                            "silent wrong answer under fault: {ctx}"
+                        ),
+                        Err(e) => {
+                            // A clean, typed error is the other
+                            // acceptable outcome — but delays must
+                            // never fail a query.
+                            assert_ne!(
+                                kind,
+                                FaultKind::DelaySend,
+                                "delay fault errored ({e}): {ctx}"
+                            );
+                            *detected.entry(kind.to_string()).or_default() += 1;
                         }
                     }
                 }
@@ -97,20 +96,19 @@ fn faults_never_shorten_answers_silently() {
 #[test]
 fn killed_peer_is_always_detected() {
     for pool in [4usize, 64] {
-        for transport in [TransportMode::Tcp, TransportMode::Serialized] {
-            for seed in [1u64, 2, 3, 4, 5] {
-                let mut plan = FaultPlan::new(FaultKind::KillSender, seed);
-                plan.kill_after = 1;
-                let mut cell = at(4, transport, None);
-                cell.config.pool_workers = Some(pool);
-                cell.config.net.faults = Some(plan);
-                let db = Fixture::Skew.open(&cell);
-                let ctx = format!("pool={pool} transport={transport:?} seed={seed}");
-                let err = db
-                    .query(SKEW_GROUPS)
-                    .expect_err(&format!("killed peer went undetected: {ctx}"));
-                assert!(!err.to_string().is_empty(), "empty error for killed peer: {ctx}");
-            }
+        let transport = TransportMode::Serialized;
+        for seed in [1u64, 2, 3, 4, 5] {
+            let mut plan = FaultPlan::new(FaultKind::KillSender, seed);
+            plan.kill_after = 1;
+            let mut cell = at(4, transport, None);
+            cell.config.pool_workers = Some(pool);
+            cell.config.net.faults = Some(plan);
+            let db = Fixture::Skew.open(&cell);
+            let ctx = format!("pool={pool} transport={transport:?} seed={seed}");
+            let err = db
+                .query(SKEW_GROUPS)
+                .expect_err(&format!("killed peer went undetected: {ctx}"));
+            assert!(!err.to_string().is_empty(), "empty error for killed peer: {ctx}");
         }
     }
 }
@@ -122,7 +120,7 @@ fn chaos_counters_surface_in_show_metrics() {
     // Guarantee at least one detected truncation + abort in this process.
     let mut plan = FaultPlan::new(FaultKind::KillSender, 7);
     plan.kill_after = 1;
-    let db = faulted(4, TransportMode::Tcp, plan);
+    let db = faulted(4, TransportMode::Serialized, plan);
     let _ = db.query("SELECT g, COUNT(*) AS c FROM skew GROUP BY g");
 
     // Read the process-wide registry through a fault-free database so the

@@ -17,9 +17,7 @@ use std::time::{Duration, Instant};
 
 use lardb_net::codec::{decode_frame, encode_schema_frame, encode_trace_frame, Frame};
 use lardb_net::stream::{Check, Seal};
-use lardb_net::{
-    ChannelTransport, FaultyTransport, Mesh, NetError, TcpTransport, Transport, TransportMode,
-};
+use lardb_net::{ChannelTransport, FaultyTransport, Mesh, NetError, Transport};
 use lardb_planner::physical::ExchangeKind;
 use lardb_planner::Expr;
 use lardb_storage::ops::CompositeKey;
@@ -133,18 +131,10 @@ impl Executor<'_> {
     /// is what its receiver decoded.
     fn ship(&self, routed: Vec<Parts>, schema: &Schema) -> Result<(Vec<Parts>, ShuffleStats)> {
         let w = routed.len();
-        let base: Box<dyn Transport> = match self.mode {
-            TransportMode::Serialized => Box::new(ChannelTransport {
-                max_frame_bytes: self.net.max_frame_bytes,
-                ..ChannelTransport::default()
-            }),
-            TransportMode::Tcp => Box::new(TcpTransport {
-                timeout_ms: self.net.timeout_ms,
-                max_frame_bytes: self.net.max_frame_bytes,
-                ..TcpTransport::default()
-            }),
-            TransportMode::Pointer => unreachable!("pointer mode hands buckets over as they are"),
-        };
+        let base = Box::new(ChannelTransport {
+            max_frame_bytes: self.net.max_frame_bytes,
+            ..ChannelTransport::default()
+        });
         let transport: Box<dyn Transport> = match &self.net.faults {
             Some(plan) => Box::new(FaultyTransport::new(base, plan.clone())),
             None => base,

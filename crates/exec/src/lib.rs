@@ -7,10 +7,10 @@
 //! (std scoped threads), and data only crosses partitions through explicit
 //! **exchange** operators, which meter every row and byte "shuffled" — the
 //! simulation's stand-in for network cost. Under
-//! [`TransportMode::Serialized`] or [`TransportMode::Tcp`] the exchanges
-//! additionally encode every boundary-crossing batch through the
-//! `lardb-net` wire codec and ship it over a real channel or loopback
-//! socket, metering actual encoded bytes per worker-to-worker channel.
+//! [`TransportMode::Serialized`] the exchanges additionally encode every
+//! boundary-crossing batch through the `lardb-net` wire codec and ship it
+//! over a bounded in-process channel, metering actual encoded bytes per
+//! worker-to-worker channel.
 //!
 //! Execution is operator-at-a-time materialized, mirroring the MapReduce
 //! stage structure of the paper's SimSQL/Hadoop substrate, which also makes

@@ -4,10 +4,9 @@
 //! computation into per-operation running times (join vs aggregation).
 //! The executor records, for every physical operator instance: wall time,
 //! output rows, and — for exchanges — rows and bytes that crossed worker
-//! boundaries. Under a serialized transport (`serialized` / `tcp` modes)
-//! exchanges additionally report per-channel detail: encoded frames,
-//! actual wire bytes, and time spent blocked enqueueing into a full
-//! channel (backpressure).
+//! boundaries. Under the serialized transport exchanges additionally
+//! report per-channel detail: encoded frames, actual wire bytes, and time
+//! spent blocked enqueueing into a full channel (backpressure).
 
 use std::collections::BTreeMap;
 use std::time::Duration;

@@ -147,10 +147,6 @@ impl Transport for FaultyTransport {
             seq: (0..workers * workers).map(|_| AtomicU64::new(0)).collect(),
         }))
     }
-
-    fn name(&self) -> &'static str {
-        "faulty"
-    }
 }
 
 struct FaultyMesh {

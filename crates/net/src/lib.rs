@@ -18,19 +18,18 @@
 //!   [`ROWS_PER_FRAME`] rows and about a MiB, never past the carrier's
 //!   cap) and the one
 //!   completeness proof (sender's `Seal`, receiver's `Check`) that the
-//!   exchange, the spill files, the TCP mesh and the server's reply stream
-//!   all carry.
-//! * [`transport`] — a [`Transport`] abstraction over
-//!   worker-to-worker frame channels, with two implementations: an
-//!   in-process bounded-channel mesh (`std::sync::mpsc`, with backpressure — the
-//!   default for `serialized` mode) and a loopback-TCP mesh (`std::net`)
-//!   that pushes every frame through real sockets for
-//!   multi-process-shaped testing.
+//!   exchange, the spill files and the server's reply stream all carry.
+//! * [`transport`] — a [`Transport`] abstraction over worker-to-worker
+//!   frame channels, and its one carrier: an in-process bounded-channel
+//!   mesh (`std::sync::mpsc`, with backpressure). The chaos suite wraps
+//!   it in a [`FaultyTransport`]; a mesh across processes would be
+//!   another implementation of the same traits.
 //!
 //! The executor in `lardb-exec` picks a [`TransportMode`] per query:
 //! `pointer` keeps the historical zero-copy exchange (bytes *estimated*),
-//! while `serialized` and `tcp` encode every boundary-crossing batch
-//! through the codec and meter **actual encoded bytes**.
+//! while `serialized` encodes every boundary-crossing batch through the
+//! codec and meters **actual encoded bytes**. The only sockets are the
+//! query server's, which carry the same codec and checked stream.
 
 pub mod codec;
 pub mod fault;
@@ -42,7 +41,7 @@ pub use codec::{CodecError, FinSummary, Frame, FRAME_MAGIC, WIRE_VERSION};
 pub use msg::{decode_message, encode_message, Message};
 pub use fault::{FaultKind, FaultPlan, FaultyTransport};
 pub use stream::ROWS_PER_FRAME;
-pub use transport::{ChannelTransport, Mesh, TcpTransport, Transport};
+pub use transport::{ChannelTransport, Mesh, Transport};
 
 /// How exchange operators move rows between workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -55,23 +54,17 @@ pub enum TransportMode {
     /// wire codec and sent over an in-process bounded channel; shuffle
     /// bytes are the actual encoded frame sizes.
     Serialized,
-    /// Like `Serialized`, but frames travel through loopback TCP sockets —
-    /// the multi-process-shaped configuration.
-    Tcp,
 }
 
 impl TransportMode {
     /// All modes, in ablation order.
-    pub const ALL: [TransportMode; 3] =
-        [TransportMode::Pointer, TransportMode::Serialized, TransportMode::Tcp];
+    pub const ALL: [TransportMode; 2] = [TransportMode::Pointer, TransportMode::Serialized];
 
-    /// Parses a mode name as used by CLI flags (`pointer`, `serialized`,
-    /// `tcp`).
+    /// Parses a mode name as used by CLI flags (`pointer`, `serialized`).
     pub fn parse(s: &str) -> Option<TransportMode> {
         match s.to_ascii_lowercase().as_str() {
             "pointer" => Some(TransportMode::Pointer),
             "serialized" | "channel" => Some(TransportMode::Serialized),
-            "tcp" => Some(TransportMode::Tcp),
             _ => None,
         }
     }
@@ -81,7 +74,6 @@ impl TransportMode {
         match self {
             TransportMode::Pointer => "pointer",
             TransportMode::Serialized => "serialized",
-            TransportMode::Tcp => "tcp",
         }
     }
 
@@ -102,20 +94,12 @@ impl std::fmt::Display for TransportMode {
 /// hostile `u32` prefix must never drive `vec![0u8; len]` past this.
 pub const DEFAULT_MAX_FRAME_BYTES: usize = 64 * 1024 * 1024;
 
-/// Default network operation timeout (connect / accept / handshake /
-/// frame read), in milliseconds.
-pub const DEFAULT_NET_TIMEOUT_MS: u64 = 30_000;
-
-/// Network-layer knobs shared by every transport, plus the optional
+/// Network-layer knobs of the serialized exchange, plus the optional
 /// fault-injection plan for chaos testing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetConfig {
-    /// Timeout for connect/accept/handshake and per-frame reads, in
-    /// milliseconds. A stalled peer surfaces as [`NetError::Timeout`]
-    /// instead of hanging the query forever.
-    pub timeout_ms: u64,
-    /// Maximum accepted frame size in bytes, enforced on both the send
-    /// path and the receive path *before* the frame buffer is allocated.
+    /// Maximum frame size in bytes: the frame cutter cuts rows frames
+    /// under it, and the mesh refuses a larger frame on send.
     pub max_frame_bytes: usize,
     /// When set, serialized exchanges wrap their transport in a
     /// [`FaultyTransport`] driven by this deterministic schedule.
@@ -124,11 +108,7 @@ pub struct NetConfig {
 
 impl Default for NetConfig {
     fn default() -> Self {
-        NetConfig {
-            timeout_ms: DEFAULT_NET_TIMEOUT_MS,
-            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
-            faults: None,
-        }
+        NetConfig { max_frame_bytes: DEFAULT_MAX_FRAME_BYTES, faults: None }
     }
 }
 
@@ -137,13 +117,11 @@ impl Default for NetConfig {
 pub enum NetError {
     /// Malformed or truncated wire data.
     Codec(CodecError),
-    /// A channel or socket failed (peer gone, bind/connect refused, …).
+    /// A channel failed (its other end is gone).
     Transport(String),
-    /// A network operation exceeded its configured deadline.
-    Timeout(String),
     /// A frame's length prefix exceeded the configured maximum.
     FrameTooLarge { len: u64, max: u64 },
-    /// One sender's channel ended abnormally (mid-frame EOF, read error,
+    /// One sender's channel ended abnormally (a failed sender, an
     /// injected kill) — distinct from a clean close, so the receiver can
     /// flag truncation instead of silently accepting short results.
     Sender { from: usize, reason: String },
@@ -154,7 +132,6 @@ impl std::fmt::Display for NetError {
         match self {
             NetError::Codec(e) => write!(f, "codec error: {e}"),
             NetError::Transport(m) => write!(f, "transport error: {m}"),
-            NetError::Timeout(m) => write!(f, "network timeout: {m}"),
             NetError::FrameTooLarge { len, max } => {
                 write!(f, "frame length {len} exceeds maximum {max} bytes")
             }
@@ -188,6 +165,7 @@ mod tests {
         assert_eq!(TransportMode::parse("SERIALIZED"), Some(TransportMode::Serialized));
         assert_eq!(TransportMode::parse("bogus"), None);
         assert!(!TransportMode::Pointer.is_serialized());
-        assert!(TransportMode::Tcp.is_serialized());
+        assert!(TransportMode::Serialized.is_serialized());
+        assert_eq!(TransportMode::parse("tcp"), None);
     }
 }

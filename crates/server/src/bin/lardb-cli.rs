@@ -390,7 +390,6 @@ fn parse_engine_flag(
         "--morsel-rows" => config.morsel_rows = next_parsed(argv),
         "--batch-rows" => config.batch_rows = std::cmp::max(1, next_parsed(argv)),
         "--plan-cache-entries" => config.plan_cache_entries = next_parsed(argv),
-        "--net-timeout-ms" => config.net.timeout_ms = next_parsed(argv),
         "--max-frame-bytes" => config.net.max_frame_bytes = next_parsed(argv),
         "--fault-kind" => {
             faults.kind = Some(
@@ -460,10 +459,10 @@ fn usage() -> ! {
         "usage: lardb-cli [engine flags] [-c SQL]                      embedded shell\n\
                 lardb-cli --connect HOST:PORT [--tenant T] [--auth A] [-c SQL]\n\
                 lardb-cli serve [engine flags] [server flags]\n\
-         engine flags: [--workers N] [--transport pointer|serialized|tcp] \
+         engine flags: [--workers N] [--transport pointer|serialized] \
          [--slow-ms MS] [--pool-workers N] [--morsel-rows N] \
          [--batch-rows N] [--plan-cache-entries N (0 = off)] \
-         [--net-timeout-ms MS] [--max-frame-bytes N] \
+         [--max-frame-bytes N] \
          [--fault-kind drop|truncate|corrupt|delay|kill] [--fault-seed N] \
          [--fault-rate-ppm N] [--fault-after N] \
          [--mem-budget-mb N (0 = unbounded)] [--spill-dir PATH] \

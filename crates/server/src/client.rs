@@ -11,7 +11,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use lardb_net::codec::Frame;
-use lardb_net::stream::{read_frame, Check, FrameRead, Stall};
+use lardb_net::stream::{read_frame, Check, FrameRead};
 use lardb_net::{msg, Message};
 use lardb_storage::{Row, Schema};
 
@@ -197,7 +197,7 @@ impl Client {
 /// One blocking reply frame (timeouts are errors client-side: the server
 /// always answers a request).
 fn recv_bytes(stream: &mut TcpStream) -> Result<Vec<u8>, ServerError> {
-    match read_frame(stream, MAX_WIRE_BYTES, Stall::Wait).map_err(std::io::Error::from)? {
+    match read_frame(stream, MAX_WIRE_BYTES).map_err(std::io::Error::from)? {
         FrameRead::Frame(bytes) => Ok(bytes),
         FrameRead::Closed => Err(ServerError::Io("server closed the connection".to_string())),
         FrameRead::Idle => Err(ServerError::Io(format!(

@@ -13,7 +13,7 @@
 
 use std::io::{self, ErrorKind, Read, Write};
 
-use lardb_net::stream::{read_frame, write_frame, FrameRead, Stall};
+use lardb_net::stream::{read_frame, write_frame, FrameRead};
 use lardb_net::{decode_message, encode_message, Message};
 
 /// Cap on one wire message (64 MiB, matching the exchange transport's
@@ -56,7 +56,7 @@ pub fn send_bytes(stream: &mut impl Write, body: &[u8]) -> io::Result<()> {
 /// Receives one message, honouring the stream's configured read timeout
 /// while no message is under way.
 pub fn recv_message(stream: &mut impl Read) -> io::Result<Recv> {
-    Ok(match read_frame(stream, MAX_WIRE_BYTES, Stall::Wait)? {
+    Ok(match read_frame(stream, MAX_WIRE_BYTES)? {
         FrameRead::Frame(body) => Recv::Msg(decode(&body)?),
         FrameRead::Closed => Recv::Closed,
         FrameRead::Idle => Recv::TimedOut,

@@ -145,9 +145,9 @@ fn replicated_dimension_table_joins_without_exchange() {
 
 /// Every workload (the paper's Gram in all three forms, regression and
 /// distance in vector form, plus the §3.4 tile multiply) must return
-/// identical rows whether exchanges move `Arc` pointers, wire-encoded
-/// frames over channels, or wire-encoded frames over loopback TCP — at one
-/// worker (no exchange traffic) and at four (real shuffles). The data are
+/// identical rows whether exchanges move `Arc` pointers or wire-encoded
+/// frames over channels — at one worker (no exchange traffic) and at four
+/// (real shuffles). The data are
 /// full-mantissa random doubles and a comparison stays at one worker
 /// count: a codec that drops the low bit of a tile, a vector or a
 /// single-row `SUM`, or an exchange that hands partial sums over in another
@@ -225,21 +225,20 @@ fn frames_over_the_cap_are_cut_not_refused() {
     let want = vector_join(&capped_db(TransportMode::Pointer), "vecs").unwrap();
     assert_eq!(want.rows.len(), 1000);
     let per_frame = (FRAME_CAP - 7) / 538;
-    for transport in [TransportMode::Serialized, TransportMode::Tcp] {
-        let got = vector_join(&capped_db(transport), "vecs").unwrap();
-        assert_eq!(exact_rows(&got), exact_rows(&want), "{transport}");
-        let hashed: Vec<_> = got
-            .stats
-            .operators()
-            .iter()
-            .filter(|o| o.label == "Exchange(Hash)")
-            .flat_map(|o| &o.shuffle.channels)
-            .collect();
-        assert!(hashed.iter().any(|ch| ch.rows > per_frame), "{transport}: no bucket over one frame");
-        for ch in hashed {
-            // Schema, the rows the cutter fits under the cap, fin.
-            assert_eq!(ch.frames, 2 + ch.rows.div_ceil(per_frame), "{transport} {}→{}", ch.from, ch.to);
-        }
+    let transport = TransportMode::Serialized;
+    let got = vector_join(&capped_db(transport), "vecs").unwrap();
+    assert_eq!(exact_rows(&got), exact_rows(&want), "{transport}");
+    let hashed: Vec<_> = got
+        .stats
+        .operators()
+        .iter()
+        .filter(|o| o.label == "Exchange(Hash)")
+        .flat_map(|o| &o.shuffle.channels)
+        .collect();
+    assert!(hashed.iter().any(|ch| ch.rows > per_frame), "{transport}: no bucket over one frame");
+    for ch in hashed {
+        // Schema, the rows the cutter fits under the cap, fin.
+        assert_eq!(ch.frames, 2 + ch.rows.div_ceil(per_frame), "{transport} {}→{}", ch.from, ch.to);
     }
 }
 
@@ -249,11 +248,10 @@ fn frames_over_the_cap_are_cut_not_refused() {
 fn a_row_over_the_cap_is_a_typed_error() {
     let frame = 7 + 4 + 9 + 13 + 8 * 5000;
     assert_eq!(vector_join(&capped_db(TransportMode::Pointer), "wide").unwrap().rows.len(), 8);
-    for transport in [TransportMode::Serialized, TransportMode::Tcp] {
-        let err = vector_join(&capped_db(transport), "wide").unwrap_err().to_string();
-        let want = format!("frame length {frame} exceeds maximum {FRAME_CAP} bytes");
-        assert!(err.contains(&want), "{transport}: {err}");
-    }
+    let transport = TransportMode::Serialized;
+    let err = vector_join(&capped_db(transport), "wide").unwrap_err().to_string();
+    let want = format!("frame length {frame} exceeds maximum {FRAME_CAP} bytes");
+    assert!(err.contains(&want), "{transport}: {err}");
 }
 
 /// The Gram matrix a run's three formulations produced: the tuple-based
