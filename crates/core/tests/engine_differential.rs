@@ -4,14 +4,17 @@
 //! Two layers, matching the engine's correctness argument:
 //!
 //! * **Bytecode vs tree walker** (proptest): for random expression trees
-//!   over random column batches — NULLs, mixed types, zero-length batches
+//!   over random column batches — each column of a random type, its rows
+//!   conforming to it, NULLs, NaN, `±0.0` and zero-length batches
 //!   included — whenever the compiled program evaluates a batch
 //!   successfully, every lane must be *bit-identical* (`-0.0` and NaN
 //!   payloads included) to the interpreter's per-row answer. When the
 //!   program errors, the executor replays the chunk through the
 //!   interpreter and takes its result, so a program error is never a
 //!   wrong answer — which is exactly why success-implies-identical is the
-//!   whole invariant at this layer.
+//!   whole invariant at this layer. An expression that does not type
+//!   compiles to a program that errors on every batch, so at least half
+//!   of the generated expressions must type for the property to say much.
 //! * **Engine level** (SQL through [`Database`]): the same statements run
 //!   under `ExprEngine::Interpret` and `Compiled`, across worker counts,
 //!   must return bit-identical relations — and failing statements must
@@ -22,7 +25,7 @@
 mod common;
 
 use common::compare::{canon, canon_rows, metric, sweep};
-use common::corpus::{self, DECLINED_RESIDUAL, MIXED_FILTER, MIXED_JOIN_AGG};
+use common::corpus::{self, Statement, DECLINED_RESIDUAL, MIXED_FILTER, MIXED_JOIN_AGG};
 use common::fixtures::Fixture;
 use common::lattice::{self, cell};
 use lardb::{ExprEngine, Row, Value};
@@ -31,6 +34,7 @@ use lardb_exec::compile::Program;
 use lardb_exec::eval::eval;
 use lardb_planner::{CmpOp, Expr};
 use lardb_storage::ops::ArithOp;
+use lardb_storage::{Column, DataType, Schema};
 use proptest::prelude::*;
 
 const ARITY: usize = 3;
@@ -55,17 +59,45 @@ impl Gen {
     }
 }
 
-fn gen_value(g: &mut Gen) -> Value {
-    match g.below(9) {
-        0 => Value::Null,
-        1..=3 => Value::Integer(g.below(13) as i64 - 6),
-        4..=6 => Value::Double([0.0, -0.0, 1.5, -3.25, 0.125, f64::NAN][g.below(6) as usize]),
-        7 => Value::Boolean(g.below(2) == 0),
+/// The column and literal types the generator draws, the numeric ones
+/// most often.
+const TYPES: [DataType; 9] = [
+    DataType::Integer,
+    DataType::Integer,
+    DataType::Integer,
+    DataType::Double,
+    DataType::Double,
+    DataType::Double,
+    DataType::Double,
+    DataType::Boolean,
+    DataType::Varchar,
+];
+
+/// A value of type `t`, NULL one time in nine.
+fn gen_typed(g: &mut Gen, t: DataType) -> Value {
+    if g.below(9) == 0 {
+        return Value::Null;
+    }
+    match t {
+        DataType::Integer => Value::Integer(g.below(13) as i64 - 6),
+        DataType::Double => {
+            Value::Double([0.0, -0.0, 1.5, -3.25, 0.125, f64::NAN][g.below(6) as usize])
+        }
+        DataType::Boolean => Value::Boolean(g.below(2) == 0),
         _ => Value::Varchar(["s", "t"][g.below(2) as usize].into()),
     }
 }
 
-fn gen_expr(g: &mut Gen, depth: u32) -> Expr {
+/// A literal of any type the columns draw, or NULL.
+fn gen_value(g: &mut Gen) -> Value {
+    let t = TYPES[g.below(TYPES.len() as u64) as usize];
+    gen_typed(g, t)
+}
+
+/// A random expression over `schema`'s columns. Each operator is drawn
+/// up to three times over the same operands, and the first that types
+/// over them is kept, so most expressions type and the rest decline.
+fn gen_expr(g: &mut Gen, schema: &Schema, depth: u32) -> Expr {
     if depth == 0 || g.below(3) == 0 {
         return if g.below(2) == 0 {
             Expr::col(g.below(ARITY as u64) as usize)
@@ -73,8 +105,20 @@ fn gen_expr(g: &mut Gen, depth: u32) -> Expr {
             Expr::lit(gen_value(g))
         };
     }
-    let l = gen_expr(g, depth - 1);
-    let r = gen_expr(g, depth - 1);
+    let l = gen_expr(g, schema, depth - 1);
+    let r = gen_expr(g, schema, depth - 1);
+    let mut node = gen_op(g, l.clone(), r.clone());
+    for _ in 0..2 {
+        if node.infer_type(schema).is_ok() {
+            break;
+        }
+        node = gen_op(g, l.clone(), r.clone());
+    }
+    node
+}
+
+/// A random operator over `l` (and `r`, if it takes two operands).
+fn gen_op(g: &mut Gen, l: Expr, r: Expr) -> Expr {
     match g.below(6) {
         0 => Expr::arith(
             [ArithOp::Add, ArithOp::Sub, ArithOp::Mul, ArithOp::Div][g.below(4) as usize],
@@ -94,9 +138,24 @@ fn gen_expr(g: &mut Gen, depth: u32) -> Expr {
     }
 }
 
-fn gen_rows(g: &mut Gen) -> Vec<Row> {
+/// A schema of [`ARITY`] columns of drawn types, and rows conforming to it.
+fn gen_rows(g: &mut Gen) -> (Schema, Vec<Row>) {
+    let types: Vec<DataType> =
+        (0..ARITY).map(|_| TYPES[g.below(TYPES.len() as u64) as usize]).collect();
     let n = g.below(7) as usize; // 0..=6: zero-length batches included
-    (0..n).map(|_| Row::new((0..ARITY).map(|_| gen_value(g)).collect())).collect()
+    let rows = (0..n).map(|_| Row::new(types.iter().map(|&t| gen_typed(g, t)).collect()));
+    let rows = rows.collect();
+    (Schema::new(types.into_iter().map(|t| Column::new("c", t)).collect()), rows)
+}
+
+/// One differential case: an expression, and a batch of rows of a
+/// schema, pivoted with it.
+fn gen_case(seed: u64) -> (Expr, Schema, Vec<Row>, ColumnBatch) {
+    let mut g = Gen(seed);
+    let (schema, rows) = gen_rows(&mut g);
+    let expr = gen_expr(&mut g, &schema, 3);
+    let batch = ColumnBatch::pivot(&rows, &schema).expect("the rows conform to their schema");
+    (expr, schema, rows, batch)
 }
 
 proptest! {
@@ -108,11 +167,8 @@ proptest! {
     /// wrong answer — success-implies-identical is the whole invariant.
     #[test]
     fn compiled_success_is_bit_identical(seed in 0u64..u64::MAX) {
-        let mut g = Gen(seed);
-        let expr = gen_expr(&mut g, 3);
-        let rows = gen_rows(&mut g);
-        let batch = ColumnBatch::from_rows(&rows).unwrap();
-        let prog = Program::compile(&expr);
+        let (expr, schema, rows, batch) = gen_case(seed);
+        let prog = Program::compile(&expr, &schema);
         if let Ok(col) = prog.eval(batch.cols(), rows.len(), None) {
             for (i, row) in rows.iter().enumerate() {
                 let want = eval(&expr, row).expect(
@@ -130,12 +186,9 @@ proptest! {
     /// stay bit-identical there.
     #[test]
     fn compiled_respects_selection(seed in 0u64..u64::MAX) {
-        let mut g = Gen(seed);
-        let expr = gen_expr(&mut g, 3);
-        let rows = gen_rows(&mut g);
-        let batch = ColumnBatch::from_rows(&rows).unwrap();
+        let (expr, schema, rows, batch) = gen_case(seed);
         let sel: Vec<u32> = (0..rows.len() as u32).step_by(2).collect();
-        let prog = Program::compile(&expr);
+        let prog = Program::compile(&expr, &schema);
         if let Ok(col) = prog.eval(batch.cols(), rows.len(), Some(&sel)) {
             for &i in &sel {
                 let want = eval(&expr, &rows[i as usize]).expect("fallback masks errors");
@@ -147,18 +200,33 @@ proptest! {
     }
 }
 
+/// The share of the generated cases whose expression types, and so
+/// compiles to a program that can succeed: at least half of them.
+#[test]
+fn most_generated_expressions_type() {
+    let cases = 256;
+    let typed = (0..cases)
+        .filter(|&seed| {
+            let (expr, schema, ..) = gen_case(seed);
+            expr.infer_type(&schema).is_ok()
+        })
+        .count();
+    println!("{typed} of {cases} generated expressions type");
+    assert!(2 * typed >= cases as usize, "{typed} of {cases} generated expressions type");
+}
+
 #[test]
 fn zero_length_batch_evaluates_to_empty_column() {
     let rows: Vec<Row> = Vec::new();
     let batch = ColumnBatch::from_rows(&rows).unwrap();
     let e = Expr::arith(ArithOp::Add, Expr::col(0), Expr::lit(1i64));
-    let prog = Program::compile(&e);
+    let prog = Program::compile(&e, &Schema::new(Vec::new()));
     // Column 0 is out of range on a zero-arity batch: the program must
     // error (and the executor would fall back), not fabricate lanes.
     assert!(prog.eval(batch.cols(), 0, None).is_err());
     // A literal-only program over zero lanes succeeds with zero lanes.
     let lit = Expr::lit(2.5f64);
-    let prog = Program::compile(&lit);
+    let prog = Program::compile(&lit, &Schema::new(Vec::new()));
     let col = prog.eval(batch.cols(), 0, None).unwrap();
     assert_eq!(col.len(), 0);
 }
@@ -181,13 +249,22 @@ fn engine_cells() -> Vec<lattice::Cell> {
     cells
 }
 
+/// This suite's own statements over the mixed fixture, swept beside the
+/// corpus's but outside it (so the counters golden does not run them). A
+/// predicate that leans on the interpreter's lenient `AND`, which takes
+/// the INTEGER `g` as not FALSE: it does not type, so the compiled filter
+/// declines every chunk and the interpreter answers.
+const OWN: [Statement; 1] =
+    [Statement { sql: "SELECT id FROM t WHERE (g AND v < 0.0) OR id = 307", fails_with: None }];
+
 /// Statements that succeed return bit-identical relations, and failing
 /// ones fail with the same message: workers race to fail first and the
 /// losers see the flipped token, but the query reports the root cause,
 /// not the echo.
 #[test]
 fn compiled_matches_interpreter_across_configs() {
-    sweep(Fixture::Mixed, corpus::on(Fixture::Mixed), &engine_cells());
+    let statements = [corpus::on(Fixture::Mixed), OWN.to_vec()].concat();
+    sweep(Fixture::Mixed, statements, &engine_cells());
 }
 
 /// Every axis alone: the failing statements among them must report the
@@ -238,6 +315,12 @@ fn vectorized_counters_surface_in_stats_and_metrics() {
     // A declined pair chunk is counted, replayed, and not a batch.
     let rd = db.query(DECLINED_RESIDUAL).unwrap();
     assert!(rd.stats.total_fallbacks() > 0, "the residual kernel should decline");
+    // A predicate that does not type declines every chunk, and the
+    // interpreter keeps the rows its lenient `AND` passes.
+    let rl = db.query(OWN[0].sql).unwrap();
+    assert_eq!(rl.stats.total_batches(), 0);
+    assert!(rl.stats.total_fallbacks() > 0);
+    assert!(rl.rows.len() > 100, "{} rows", rl.rows.len());
     // The interpreted engine reports no vectorized work.
     let idb = Fixture::Mixed.open(&cell(|c| c.expr_engine = ExprEngine::Interpret));
     for q in ["SELECT id FROM t WHERE v > -50.0", MIXED_JOIN_AGG] {

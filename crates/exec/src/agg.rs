@@ -1156,8 +1156,9 @@ mod tests {
     }
 
     /// One key lane of a column whose chunk has the given kind: the same
-    /// logical column is `I64`, `F64`, `Bool`, all-NULL or `Boxed` (mixed
-    /// numerics, VARCHAR, VECTOR) from one chunk to the next.
+    /// logical column is `I64`, `F64`, `Bool`, all-NULL or `Boxed`
+    /// (VARCHAR, VECTOR) from one chunk to the next. (A column mixing
+    /// INTEGER and DOUBLE lanes is no type, and no pivot builds one.)
     fn key_lane(g: &mut Gen, kind: u64) -> Value {
         if g.below(5) == 0 {
             return Value::Null;
@@ -1167,9 +1168,7 @@ mod tests {
             1 => Value::Double(g.pick(&doubles())),
             2 => Value::Boolean(g.below(2) == 0),
             3 => Value::Null,
-            4 if g.below(2) == 0 => Value::Integer(g.pick(&INTS)),
-            4 => Value::Double(g.pick(&doubles())),
-            5 => Value::varchar(g.pick(&["a", "b", ""])),
+            4 => Value::varchar(g.pick(&["a", "b", ""])),
             _ => Value::vector(Vector::from_slice(&[g.pick(&[0.0, -0.0, 1.0]), 2.0])),
         }
     }
@@ -1181,8 +1180,6 @@ mod tests {
         match (g.below(6), kind) {
             (0, _) => Value::Null,
             (_, 0) => double(g),
-            (_, 1) => Value::Integer(g.below(2000) as i64 - 1000),
-            (n, _) if n % 2 == 0 => double(g),
             _ => Value::Integer(g.below(2000) as i64 - 1000),
         }
     }
@@ -1192,8 +1189,8 @@ mod tests {
         (0..1 + g.below(4))
             .map(|_| {
                 let n = g.below(65) as usize;
-                let key_kinds: Vec<u64> = (0..keys).map(|_| g.below(7)).collect();
-                let arg_kinds: Vec<u64> = (0..args).map(|_| g.below(3)).collect();
+                let key_kinds: Vec<u64> = (0..keys).map(|_| g.below(6)).collect();
+                let arg_kinds: Vec<u64> = (0..args).map(|_| g.below(2)).collect();
                 let rows = (0..n)
                     .map(|_| {
                         let k = key_kinds.iter().map(|&kind| key_lane(g, kind));
@@ -1293,7 +1290,7 @@ mod tests {
         let mut lanes = 0;
         let mut agree = true;
         while lanes < 10_000 {
-            let kind = g.below(7);
+            let kind = g.below(6);
             let rows: Vec<Row> = (0..50).map(|_| Row::new(vec![key_lane(&mut g, kind)])).collect();
             let batch = ColumnBatch::from_rows(&rows).unwrap();
             let col = &batch.cols()[0];

@@ -2,29 +2,31 @@
 //!
 //! A [`ColumnBatch`] is a morsel-sized chunk of rows pivoted into
 //! columns: fixed-width `f64` / `i64` / `bool` columns with validity
-//! bitmaps for NULLs, plus a fallback *boxed* column ([`Boxed`]: plain
-//! `Value`s) for matrices, vectors, strings, and mixed-typed columns.
-//! Batches are built from the `Arc`-backed rows a scan (or any upstream
-//! operator) materialized, evaluated column-at-a-time by
+//! bitmaps for NULLs, plus a *boxed* column ([`Boxed`]: plain `Value`s)
+//! for matrices, vectors, labeled scalars and strings. Batches are built
+//! from the `Arc`-backed rows a scan (or any upstream operator)
+//! materialized, evaluated column-at-a-time by
 //! [`crate::compile::Program`] bytecode, and converted back to rows only
 //! at pipeline edges.
 //!
-//! Column typing is decided per pivot from the values actually present:
-//! a column whose non-NULL values are all `Integer` becomes `I64`, all
-//! `Double` becomes `F64`, all `Boolean` becomes `Bool`; anything else —
-//! including an `Integer`/`Double` mix, which must round-trip each
-//! `Value` exactly — stays boxed. Reconstruction ([`Col::value_at`]) is
+//! The plan's types pick each column's representation, once per query:
+//! [`ColumnBatch::pivot`] fills a DOUBLE column as `F64`, INTEGER as
+//! `I64`, BOOLEAN as `Bool` and every other type boxed, in one pass. A
+//! lane of another variant than its column's declared type makes the
+//! pivot refuse the chunk, as a ragged row does, and the chunk replays
+//! through the row interpreter. Reconstruction ([`Col::value_at`]) is
 //! therefore bit-identical to the source values, `-0.0` included.
 //!
-//! A join partition's sides are each pivoted once, so each is typed over
-//! all of its rows, and a chunk of matched pairs is two index vectors
-//! over them ([`ColumnBatch::join`]): typed lanes are gathered, boxed
-//! ones read in place, and no value is cloned per pair.
+//! A join partition's sides are each pivoted once, with their own
+//! schemas, and a chunk of matched pairs is two index vectors over them
+//! ([`ColumnBatch::join`]): typed lanes are gathered, boxed ones read in
+//! place, and no value is cloned per pair.
 
+use std::mem::discriminant;
 use std::ops::Index;
 use std::sync::Arc;
 
-use lardb_storage::{Row, Value};
+use lardb_storage::{Column, DataType, Row, Schema, Value};
 
 /// A validity bitmap: bit `i` set ⇔ lane `i` holds a (non-NULL) value.
 #[derive(Debug, Clone)]
@@ -122,8 +124,8 @@ pub enum Col {
         /// Validity: unset ⇔ NULL.
         valid: Bitmap,
     },
-    /// Fallback: one `Value` per lane (vectors, matrices, strings, mixed
-    /// numeric columns). NULL lanes hold `Value::Null`.
+    /// One `Value` per lane (vectors, matrices, labeled scalars,
+    /// strings). NULL lanes hold `Value::Null`.
     Boxed(Boxed),
 }
 
@@ -255,23 +257,38 @@ pub struct ColumnBatch {
 }
 
 impl ColumnBatch {
-    /// Pivots rows into columns, choosing each column's representation
-    /// from the values present (see module docs). Returns `None` when the
-    /// rows disagree on arity — the caller falls back to the row
-    /// interpreter, which reports the per-row error.
-    pub fn from_rows(rows: &[Row]) -> Option<ColumnBatch> {
-        let arity = rows.first().map(Row::arity).unwrap_or(0);
-        if rows.iter().any(|r| r.arity() != arity) {
+    /// Pivots rows into columns of `schema`'s types (see module docs).
+    /// Returns `None` when a row's arity is not the schema's, or a lane is
+    /// not of its column's type: the caller replays the chunk through the
+    /// row interpreter, which decides what the rows mean.
+    pub fn pivot(rows: &[Row], schema: &Schema) -> Option<ColumnBatch> {
+        if rows.iter().any(|r| r.arity() != schema.arity()) {
             return None;
         }
-        let cols = (0..arity).map(|j| Arc::new(build_col(rows, j))).collect();
+        let col = |(j, c): (usize, &Column)| {
+            let mut w = ColWriter::new(&c.dtype, rows.len());
+            let fits = rows.iter().enumerate().all(|(i, r)| w.set(i, r.value(j)));
+            fits.then(|| Arc::new(w.finish()))
+        };
+        let cols = schema.columns().iter().enumerate().map(col).collect::<Option<_>>()?;
         Some(ColumnBatch { cols, len: rows.len() })
+    }
+
+    /// [`Self::pivot`] for rows without a schema: each column takes the
+    /// type of its first non-NULL lane, and an all-NULL one is DOUBLE, the
+    /// NULL literal's type.
+    pub fn from_rows(rows: &[Row]) -> Option<ColumnBatch> {
+        let arity = rows.first().map_or(0, Row::arity);
+        let dtype = |j: usize| {
+            let first = rows.iter().filter_map(|r| r.values().get(j)).find(|v| !v.is_null());
+            first.map_or(DataType::Double, Value::data_type)
+        };
+        Self::pivot(rows, &Schema::new((0..arity).map(|j| Column::new("", dtype(j))).collect()))
     }
 
     /// The joined chunk whose lane `k` is row `li[k]` of `left` followed
     /// by row `ri[k]` of `right`: lane for lane the values and validity of
-    /// [`Self::from_rows`] over the concatenated rows, in the sides'
-    /// column variants.
+    /// [`Self::pivot`] over the concatenated rows and schemas.
     pub fn join(left: &ColumnBatch, li: &[u32], right: &ColumnBatch, ri: &[u32]) -> ColumnBatch {
         debug_assert_eq!(li.len(), ri.len());
         let mut cols = Vec::with_capacity(left.arity() + right.arity());
@@ -303,54 +320,55 @@ impl ColumnBatch {
     }
 }
 
-/// Builds column `j` of `rows`, sniffing the lane types first.
-fn build_col(rows: &[Row], j: usize) -> Col {
-    let (n, lane) = (rows.len(), |i: usize| rows[i].value(j));
-    let (mut ints, mut doubles, mut bools, mut others) = (0usize, 0usize, 0usize, 0usize);
-    for i in 0..n {
-        match lane(i) {
-            Value::Integer(_) => ints += 1,
-            Value::Double(_) => doubles += 1,
-            Value::Boolean(_) => bools += 1,
-            Value::Null => {}
-            _ => others += 1,
+/// A column of one declared type filled lane by lane: every lane NULL
+/// until [`ColWriter::set`] writes it.
+pub(crate) enum ColWriter {
+    F64(Vec<f64>, Bitmap),
+    I64(Vec<i64>, Bitmap),
+    Bool(Vec<bool>, Bitmap),
+    Boxed(DataType, Vec<Value>),
+}
+
+impl ColWriter {
+    /// `n` NULL lanes of a column of type `t`.
+    pub(crate) fn new(t: &DataType, n: usize) -> Self {
+        match t {
+            DataType::Double => ColWriter::F64(vec![0.0; n], Bitmap::new_invalid(n)),
+            DataType::Integer => ColWriter::I64(vec![0; n], Bitmap::new_invalid(n)),
+            DataType::Boolean => ColWriter::Bool(vec![false; n], Bitmap::new_invalid(n)),
+            t => ColWriter::Boxed(*t, vec![Value::Null; n]),
         }
     }
-    if others == 0 && ints > 0 && doubles == 0 && bools == 0 {
-        let mut data = vec![0i64; n];
-        let mut valid = Bitmap::new_invalid(n);
-        for (i, slot) in data.iter_mut().enumerate() {
-            if let Value::Integer(x) = lane(i) {
-                *slot = *x;
-                valid.set_valid(i);
-            }
+
+    /// Writes lane `i`; false, writing nothing, when `v` is neither NULL
+    /// nor of the column's type.
+    #[inline]
+    pub(crate) fn set(&mut self, i: usize, v: &Value) -> bool {
+        fn put<T>(data: &mut [T], valid: &mut Bitmap, i: usize, x: T) {
+            data[i] = x;
+            valid.set_valid(i);
         }
-        Col::I64 { data, valid }
-    } else if others == 0 && doubles > 0 && ints == 0 && bools == 0 {
-        let mut data = vec![0.0f64; n];
-        let mut valid = Bitmap::new_invalid(n);
-        for (i, slot) in data.iter_mut().enumerate() {
-            if let Value::Double(x) = lane(i) {
-                *slot = *x;
-                valid.set_valid(i);
+        match (self, v) {
+            (_, Value::Null) => {}
+            (ColWriter::F64(data, valid), Value::Double(x)) => put(data, valid, i, *x),
+            (ColWriter::I64(data, valid), Value::Integer(x)) => put(data, valid, i, *x),
+            (ColWriter::Bool(data, valid), Value::Boolean(x)) => put(data, valid, i, *x),
+            (ColWriter::Boxed(t, lanes), v) if discriminant(&v.data_type()) == discriminant(t) => {
+                lanes[i] = v.clone()
             }
+            _ => return false,
         }
-        Col::F64 { data, valid }
-    } else if others == 0 && bools > 0 && ints == 0 && doubles == 0 {
-        let mut data = vec![false; n];
-        let mut valid = Bitmap::new_invalid(n);
-        for (i, slot) in data.iter_mut().enumerate() {
-            if let Value::Boolean(x) = lane(i) {
-                *slot = *x;
-                valid.set_valid(i);
-            }
+        true
+    }
+
+    /// The column, its lanes as written.
+    pub(crate) fn finish(self) -> Col {
+        match self {
+            ColWriter::F64(data, valid) => Col::F64 { data, valid },
+            ColWriter::I64(data, valid) => Col::I64 { data, valid },
+            ColWriter::Bool(data, valid) => Col::Bool { data, valid },
+            ColWriter::Boxed(_, lanes) => Col::Boxed(lanes.into()),
         }
-        Col::Bool { data, valid }
-    } else if others == 0 && ints == 0 && doubles == 0 && bools == 0 {
-        // All NULL: typed-but-empty; reconstruction yields Value::Null.
-        Col::F64 { data: vec![0.0; n], valid: Bitmap::new_invalid(n) }
-    } else {
-        Col::Boxed((0..n).map(|i| lane(i).clone()).collect::<Vec<_>>().into())
     }
 }
 
@@ -405,16 +423,26 @@ mod tests {
         }
     }
 
+    /// A lane of another variant than its column's declared type refuses
+    /// the chunk, as a ragged row does. NULL fits every type, and a
+    /// VECTOR of another length is still a VECTOR.
     #[test]
-    fn mixed_numeric_column_stays_boxed() {
-        let rows = vec![
-            Row::new(vec![Value::Integer(1)]),
-            Row::new(vec![Value::Double(2.0)]),
-        ];
-        let b = ColumnBatch::from_rows(&rows).unwrap();
-        assert!(matches!(*b.cols()[0].as_ref(), Col::Boxed(_)));
-        assert_eq!(b.cols()[0].value_at(0), Value::Integer(1));
-        assert_eq!(b.cols()[0].value_at(1), Value::Double(2.0));
+    fn a_lane_disagreeing_with_its_declared_type_is_refused() {
+        let schema =
+            Schema::from_pairs(&[("x", DataType::Double), ("v", DataType::Vector(Some(2)))]);
+        let vector = |n| Value::vector(lardb_la::Vector::from_vec(vec![0.5; n]));
+        let rows = |x: Value, v: Value| {
+            vec![Row::new(vec![Value::Double(2.0), vector(2)]), Row::new(vec![x, v])]
+        };
+        assert!(ColumnBatch::pivot(&rows(Value::Integer(1), vector(2)), &schema).is_none());
+        assert!(ColumnBatch::from_rows(&rows(Value::Integer(1), vector(2))).is_none());
+        let text = Value::Varchar("v".into());
+        assert!(ColumnBatch::pivot(&rows(Value::Double(1.0), text), &schema).is_none());
+        let b = ColumnBatch::pivot(&rows(Value::Null, vector(3)), &schema).unwrap();
+        assert!(matches!(*b.cols()[0].as_ref(), Col::F64 { .. }));
+        assert!(matches!(*b.cols()[1].as_ref(), Col::Boxed(_)));
+        assert!(b.cols()[0].value_at(1).is_null());
+        assert_eq!(b.cols()[1].value_at(1), vector(3));
     }
 
     #[test]

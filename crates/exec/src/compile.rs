@@ -2,14 +2,23 @@
 //!
 //! [`Program::compile`] flattens an [`Expr`] tree into a linear,
 //! register-based instruction sequence (`Instr`) evaluated
-//! column-at-a-time over a [`crate::batch::ColumnBatch`]: one virtual
-//! register holds one column, every instruction runs one kernel from
+//! column-at-a-time over a [`crate::batch::ColumnBatch`]: instruction `k`
+//! writes register `k`, one column, running one kernel from
 //! [`crate::kernels`] across all selected lanes before the next
 //! instruction starts. `AND`/`OR` are evaluated *eagerly* (both operand
 //! columns computed, then combined lane-wise under SQL three-valued
 //! logic) — safe because any lane error routes the whole chunk to the
 //! row interpreter, which applies its own short-circuit rules (see
 //! [`crate::kernels`] module docs for the fallback argument).
+//!
+//! Compilation is typed against the operator's input schema: every
+//! register records the `DataType` that [`Expr::infer_type`] gives its
+//! subexpression, and a built-in call writes the column that type names.
+//! A BOOLEAN register is therefore always a `Col::Bool`. An expression
+//! that does not type, and a predicate that is not BOOLEAN, compile to a
+//! program that declines every chunk, so the interpreter answers for it
+//! (the interpreter is lenient where the type checker is not: its `AND`
+//! takes any non-FALSE value as true).
 //!
 //! Programs borrow literals and builtin handles from the expression tree
 //! (`Program<'e>`), so compilation allocates only the instruction list
@@ -19,10 +28,10 @@ use std::sync::Arc;
 
 use lardb_planner::{Builtin, CmpOp, Expr};
 use lardb_storage::ops::ArithOp;
-use lardb_storage::Value;
+use lardb_storage::{DataType, Schema, Value};
 
 use crate::batch::Col;
-use crate::kernels;
+use crate::kernels::{self, unsupported};
 use crate::{ExecError, Result};
 
 /// Which expression engine executes scans, filters, projections and
@@ -59,126 +68,91 @@ impl std::str::FromStr for ExprEngine {
     }
 }
 
-/// One bytecode instruction; `a`/`b`/`args` and `dst` are virtual
-/// register indices (single-assignment, allocated post-order).
+/// One bytecode instruction; `a`/`b`/`args` are the registers of its
+/// operands, written by earlier instructions.
 #[derive(Debug)]
 enum Instr<'e> {
-    /// Load input column `col` into `dst` (zero-copy: an `Arc` bump).
-    Load { col: usize, dst: usize },
-    /// Splat a literal across the batch into `dst`.
-    Const { v: &'e Value, dst: usize },
-    /// `dst ← a ⊕ b` element-wise.
-    Arith { op: ArithOp, a: usize, b: usize, dst: usize },
-    /// `dst ← a <op> b` lane-wise comparison.
-    Cmp { op: CmpOp, a: usize, b: usize, dst: usize },
-    /// `dst ← a AND b` under three-valued logic.
-    And { a: usize, b: usize, dst: usize },
-    /// `dst ← a OR b` under three-valued logic.
-    Or { a: usize, b: usize, dst: usize },
-    /// `dst ← NOT a`.
-    Not { a: usize, dst: usize },
-    /// `dst ← -a`.
-    Negate { a: usize, dst: usize },
-    /// `dst ← func(args…)` over borrowed lanes.
-    Call { func: &'e Builtin, args: Vec<usize>, dst: usize },
+    /// Load input column `col` (zero-copy: an `Arc` bump).
+    Load { col: usize },
+    /// Splat a literal across the batch.
+    Const { v: &'e Value },
+    /// `a ⊕ b` element-wise.
+    Arith { op: ArithOp, a: usize, b: usize },
+    /// `a <op> b` lane-wise comparison.
+    Cmp { op: CmpOp, a: usize, b: usize },
+    /// `a AND b` under three-valued logic.
+    And { a: usize, b: usize },
+    /// `a OR b` under three-valued logic.
+    Or { a: usize, b: usize },
+    /// `NOT a`.
+    Not { a: usize },
+    /// `-a`.
+    Negate { a: usize },
+    /// `func(args…)` over borrowed lanes.
+    Call { func: &'e Builtin, args: Vec<usize> },
 }
 
-/// A compiled expression: flat bytecode whose final register is the
-/// expression's column result.
+/// A compiled expression: flat bytecode, each instruction beside the
+/// type of the register it writes, whose last register is the
+/// expression's column result. Empty when the expression does not type:
+/// such a program declines every chunk.
 #[derive(Debug)]
 pub struct Program<'e> {
-    instrs: Vec<Instr<'e>>,
-    out: usize,
-    regs: usize,
-    kernels: u64,
+    code: Vec<(Instr<'e>, DataType)>,
 }
 
 impl<'e> Program<'e> {
-    /// Compiles an expression tree. Compilation is total: type decisions
-    /// that need lane values (and the resulting "unsupported" fallbacks)
-    /// happen at kernel execution time, per batch.
-    pub fn compile(expr: &'e Expr) -> Program<'e> {
-        let mut p = Program { instrs: Vec::new(), out: 0, regs: 0, kernels: 0 };
-        p.out = p.emit(expr);
-        p.kernels = p
-            .instrs
-            .iter()
-            .filter(|i| !matches!(i, Instr::Load { .. } | Instr::Const { .. }))
-            .count() as u64;
+    /// Compiles an expression tree against the schema of the rows it
+    /// reads (see module docs).
+    pub fn compile(expr: &'e Expr, input: &Schema) -> Program<'e> {
+        let mut p = Program { code: Vec::new() };
+        if p.emit(expr, input).is_none() {
+            p.code.clear();
+        }
         p
     }
 
-    fn alloc(&mut self) -> usize {
-        let r = self.regs;
-        self.regs += 1;
-        r
+    /// [`Self::compile`] for a Filter's or a join residual's predicate:
+    /// one that is not BOOLEAN declines every chunk.
+    pub fn compile_predicate(expr: &'e Expr, input: &Schema) -> Program<'e> {
+        let mut p = Program::compile(expr, input);
+        if p.code.last().is_some_and(|(_, t)| *t != DataType::Boolean) {
+            p.code.clear();
+        }
+        p
     }
 
-    fn emit(&mut self, expr: &'e Expr) -> usize {
-        match expr {
-            Expr::Column(i) => {
-                let dst = self.alloc();
-                self.instrs.push(Instr::Load { col: *i, dst });
-                dst
-            }
-            Expr::Literal(v) => {
-                let dst = self.alloc();
-                self.instrs.push(Instr::Const { v, dst });
-                dst
-            }
+    /// Appends `expr`'s instructions, operands first, and returns the
+    /// register holding its value; `None` when it does not type.
+    fn emit(&mut self, expr: &'e Expr, input: &Schema) -> Option<usize> {
+        let t = expr.infer_type(input).ok()?;
+        let instr = match expr {
+            Expr::Column(col) => Instr::Load { col: *col },
+            Expr::Literal(v) => Instr::Const { v },
             Expr::Arith { op, lhs, rhs } => {
-                let a = self.emit(lhs);
-                let b = self.emit(rhs);
-                let dst = self.alloc();
-                self.instrs.push(Instr::Arith { op: *op, a, b, dst });
-                dst
+                Instr::Arith { op: *op, a: self.emit(lhs, input)?, b: self.emit(rhs, input)? }
             }
             Expr::Cmp { op, lhs, rhs } => {
-                let a = self.emit(lhs);
-                let b = self.emit(rhs);
-                let dst = self.alloc();
-                self.instrs.push(Instr::Cmp { op: *op, a, b, dst });
-                dst
+                Instr::Cmp { op: *op, a: self.emit(lhs, input)?, b: self.emit(rhs, input)? }
             }
-            Expr::And(l, r) => {
-                let a = self.emit(l);
-                let b = self.emit(r);
-                let dst = self.alloc();
-                self.instrs.push(Instr::And { a, b, dst });
-                dst
-            }
-            Expr::Or(l, r) => {
-                let a = self.emit(l);
-                let b = self.emit(r);
-                let dst = self.alloc();
-                self.instrs.push(Instr::Or { a, b, dst });
-                dst
-            }
-            Expr::Not(e) => {
-                let a = self.emit(e);
-                let dst = self.alloc();
-                self.instrs.push(Instr::Not { a, dst });
-                dst
-            }
-            Expr::Negate(e) => {
-                let a = self.emit(e);
-                let dst = self.alloc();
-                self.instrs.push(Instr::Negate { a, dst });
-                dst
-            }
-            Expr::Call { func, args } => {
-                let arg_regs: Vec<usize> = args.iter().map(|a| self.emit(a)).collect();
-                let dst = self.alloc();
-                self.instrs.push(Instr::Call { func, args: arg_regs, dst });
-                dst
-            }
-        }
+            Expr::And(l, r) => Instr::And { a: self.emit(l, input)?, b: self.emit(r, input)? },
+            Expr::Or(l, r) => Instr::Or { a: self.emit(l, input)?, b: self.emit(r, input)? },
+            Expr::Not(e) => Instr::Not { a: self.emit(e, input)? },
+            Expr::Negate(e) => Instr::Negate { a: self.emit(e, input)? },
+            Expr::Call { func, args } => Instr::Call {
+                func,
+                args: args.iter().map(|a| self.emit(a, input)).collect::<Option<_>>()?,
+            },
+        };
+        self.code.push((instr, t));
+        Some(self.code.len() - 1)
     }
 
     /// Kernel instructions per evaluation (loads and constants excluded) —
     /// feeds the `exec.batch.kernels` counter and EXPLAIN ANALYZE.
     pub fn kernels(&self) -> u64 {
-        self.kernels
+        let kernel = |i: &Instr| !matches!(i, Instr::Load { .. } | Instr::Const { .. });
+        self.code.iter().filter(|(i, _)| kernel(i)).count() as u64
     }
 
     /// Evaluates the program over a batch's columns. `sel` restricts
@@ -187,67 +161,35 @@ impl<'e> Program<'e> {
     /// "replay this chunk through the row interpreter", not a final query
     /// error.
     pub fn eval(&self, cols: &[Arc<Col>], n: usize, sel: Option<&[u32]>) -> Result<Arc<Col>> {
-        let mut regs: Vec<Option<Arc<Col>>> = vec![None; self.regs];
-        for instr in &self.instrs {
-            match instr {
-                Instr::Load { col, dst } => {
-                    let c = cols.get(*col).ok_or_else(|| {
+        let mut regs: Vec<Arc<Col>> = Vec::with_capacity(self.code.len());
+        for (instr, t) in &self.code {
+            let r = |i: usize| &*regs[i];
+            let out = match instr {
+                Instr::Load { col } => {
+                    regs.push(Arc::clone(cols.get(*col).ok_or_else(|| {
                         ExecError::Runtime(format!(
                             "column #{col} out of range for batch of arity {}",
                             cols.len()
                         ))
-                    })?;
-                    regs[*dst] = Some(Arc::clone(c));
+                    })?));
+                    continue;
                 }
-                Instr::Const { v, dst } => {
-                    regs[*dst] = Some(Arc::new(Col::splat(v, n)));
+                Instr::Const { v } => Col::splat(v, n),
+                Instr::Arith { op, a, b } => kernels::arith(*op, r(*a), r(*b), sel, n)?,
+                Instr::Cmp { op, a, b } => kernels::cmp(*op, r(*a), r(*b), sel, n)?,
+                Instr::And { a, b } => kernels::and(r(*a), r(*b), sel, n)?,
+                Instr::Or { a, b } => kernels::or(r(*a), r(*b), sel, n)?,
+                Instr::Not { a } => kernels::not(r(*a), sel, n)?,
+                Instr::Negate { a } => kernels::negate(r(*a), sel, n)?,
+                Instr::Call { func, args } => {
+                    let args: Vec<&Col> = args.iter().map(|&i| r(i)).collect();
+                    kernels::call(func, &args, t, sel, n)?
                 }
-                Instr::Arith { op, a, b, dst } => {
-                    let out = kernels::arith(*op, reg(&regs, *a)?, reg(&regs, *b)?, sel, n)?;
-                    regs[*dst] = Some(Arc::new(out));
-                }
-                Instr::Cmp { op, a, b, dst } => {
-                    let out = kernels::cmp(*op, reg(&regs, *a)?, reg(&regs, *b)?, sel, n)?;
-                    regs[*dst] = Some(Arc::new(out));
-                }
-                Instr::And { a, b, dst } => {
-                    let out = kernels::and(reg(&regs, *a)?, reg(&regs, *b)?, sel, n)?;
-                    regs[*dst] = Some(Arc::new(out));
-                }
-                Instr::Or { a, b, dst } => {
-                    let out = kernels::or(reg(&regs, *a)?, reg(&regs, *b)?, sel, n)?;
-                    regs[*dst] = Some(Arc::new(out));
-                }
-                Instr::Not { a, dst } => {
-                    let out = kernels::not(reg(&regs, *a)?, sel, n)?;
-                    regs[*dst] = Some(Arc::new(out));
-                }
-                Instr::Negate { a, dst } => {
-                    let out = kernels::negate(reg(&regs, *a)?, sel, n)?;
-                    regs[*dst] = Some(Arc::new(out));
-                }
-                Instr::Call { func, args, dst } => {
-                    let arg_cols: Vec<&Col> = args
-                        .iter()
-                        .map(|r| reg(&regs, *r))
-                        .collect::<Result<_>>()?;
-                    let out = kernels::call(func, &arg_cols, sel, n)?;
-                    regs[*dst] = Some(Arc::new(out));
-                }
-            }
+            };
+            regs.push(Arc::new(out));
         }
-        regs[self.out]
-            .take()
-            .ok_or_else(|| ExecError::Runtime("bytecode produced no output register".into()))
+        regs.pop().ok_or_else(|| unsupported("the expression does not type"))
     }
-}
-
-/// Reads a register that must have been assigned by an earlier
-/// instruction (guaranteed by post-order register allocation).
-fn reg(regs: &[Option<Arc<Col>>], i: usize) -> Result<&Col> {
-    regs.get(i)
-        .and_then(|r| r.as_deref())
-        .ok_or_else(|| ExecError::Runtime(format!("bytecode register {i} read before write")))
 }
 
 #[cfg(test)]
@@ -256,6 +198,11 @@ mod tests {
     use crate::batch::ColumnBatch;
     use crate::eval::eval;
     use lardb_storage::Row;
+
+    fn schema() -> Schema {
+        let int = DataType::Integer;
+        Schema::from_pairs(&[("i", int), ("x", DataType::Double), ("j", int)])
+    }
 
     fn rows() -> Vec<Row> {
         (0..10)
@@ -273,8 +220,8 @@ mod tests {
     /// lane, whenever the program evaluates successfully.
     fn assert_matches_interpreter(e: &Expr) {
         let rows = rows();
-        let batch = ColumnBatch::from_rows(&rows).unwrap();
-        let prog = Program::compile(e);
+        let batch = ColumnBatch::pivot(&rows, &schema()).unwrap();
+        let prog = Program::compile(e, &schema());
         let out = prog.eval(batch.cols(), rows.len(), None).unwrap();
         for (i, r) in rows.iter().enumerate() {
             let want = eval(e, r).unwrap();
@@ -309,15 +256,15 @@ mod tests {
     #[test]
     fn selection_respects_upstream_filter() {
         let rows = rows();
-        let batch = ColumnBatch::from_rows(&rows).unwrap();
+        let batch = ColumnBatch::pivot(&rows, &schema()).unwrap();
         let pred = Expr::cmp(CmpOp::GtEq, Expr::col(0), Expr::lit(4i64));
-        let prog = Program::compile(&pred);
+        let prog = Program::compile_predicate(&pred, &schema());
         let c = prog.eval(batch.cols(), rows.len(), None).unwrap();
         let sel = kernels::selection(&c, None, rows.len()).unwrap();
         assert_eq!(sel, vec![4, 5, 6, 7, 8, 9]);
         // Second predicate evaluated only on surviving lanes.
         let pred2 = Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::lit(7i64));
-        let prog2 = Program::compile(&pred2);
+        let prog2 = Program::compile_predicate(&pred2, &schema());
         let c2 = prog2.eval(batch.cols(), rows.len(), Some(&sel)).unwrap();
         let sel2 = kernels::selection(&c2, Some(&sel), rows.len()).unwrap();
         assert_eq!(sel2, vec![4, 5, 6]);
@@ -326,10 +273,31 @@ mod tests {
     #[test]
     fn out_of_range_column_errors() {
         let rows = rows();
-        let batch = ColumnBatch::from_rows(&rows).unwrap();
+        let batch = ColumnBatch::pivot(&rows, &schema()).unwrap();
         let oor = Expr::col(17);
-        let prog = Program::compile(&oor);
+        let prog = Program::compile(&oor, &schema());
         assert!(prog.eval(batch.cols(), rows.len(), None).is_err());
+    }
+
+    /// What does not type, and a predicate that is not BOOLEAN, decline
+    /// every chunk: `NOT` over an INTEGER, and the interpreter's lenient
+    /// `AND` over one.
+    #[test]
+    fn untyped_programs_decline_every_chunk() {
+        let rows = rows();
+        let batch = ColumnBatch::pivot(&rows, &schema()).unwrap();
+        let lt = Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::lit(5i64));
+        let lenient = Expr::And(Box::new(Expr::col(2)), Box::new(lt.clone()));
+        for e in [Expr::Not(Box::new(Expr::col(0))), lenient] {
+            let prog = Program::compile(&e, &schema());
+            assert_eq!(prog.kernels(), 0, "{e:?}");
+            assert!(prog.eval(batch.cols(), rows.len(), None).is_err(), "{e:?}");
+        }
+        let numeric = Expr::arith(ArithOp::Add, Expr::col(0), Expr::lit(1i64));
+        assert!(Program::compile(&numeric, &schema()).eval(batch.cols(), 10, None).is_ok());
+        let prog = Program::compile_predicate(&numeric, &schema());
+        assert!(prog.eval(batch.cols(), rows.len(), None).is_err());
+        assert!(Program::compile_predicate(&lt, &schema()).eval(batch.cols(), 10, None).is_ok());
     }
 
     #[test]
@@ -348,6 +316,6 @@ mod tests {
             Expr::col(0),
             Expr::lit(1i64),
         );
-        assert_eq!(Program::compile(&e).kernels(), 1);
+        assert_eq!(Program::compile(&e, &schema()).kernels(), 1);
     }
 }

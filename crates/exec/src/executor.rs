@@ -537,7 +537,9 @@ impl<'a> Executor<'a> {
         // No per-chunk kernel spans here: a join feeds chunks in proportion
         // to its joined rows (n·d² tuples for the Gram query), which would
         // fill the trace's event cap and the flight recorder's ring.
-        let pipe = ChunkPipeline::new(self.engine, None, residual, chain, group_by, aggs);
+        let pipe =
+            ChunkPipeline::new(self.engine, None, join.schema(), residual, chain, group_by, aggs);
+        let sides = [left.schema(), right.schema()];
         let mem = &self.mem;
         let cancel = context().cancel_token().clone();
         let batch_rows = self.batch_rows;
@@ -565,7 +567,7 @@ impl<'a> Executor<'a> {
             let (bp, pp) = on.split(lp, rp);
             match prepare_build(bp, build_keys, mem, 0, &mut spill)? {
                 BuildSide::InMem { table, _res } => {
-                    probe_in_chunks(&table, &pp, probe_keys, on, full, &cancel, &mut feed)?;
+                    probe_in_chunks(&table, &pp, probe_keys, on, &sides, full, &cancel, &mut feed)?;
                 }
                 BuildSide::Spilled { buckets } => {
                     // Out-of-core fused join: grace-join the partition,
@@ -637,11 +639,11 @@ impl<'a> Executor<'a> {
     /// chain compiles to bytecode once, every morsel is pivoted into
     /// [`ColumnBatch`] chunks, and all stages run over each chunk in one
     /// pass — filters produce selection vectors instead of intermediate
-    /// row vectors, projections evaluate only selected lanes. Any chunk a
-    /// kernel declines (a type mix it cannot promote, integer overflow, a
-    /// lane-level type error) is replayed wholesale through the row
-    /// interpreter, so values *and* error classes are identical to
-    /// `ExprEngine::Interpret` by construction.
+    /// row vectors, projections evaluate only selected lanes. Any chunk
+    /// the pivot or a kernel declines (a lane of another type than its
+    /// column's, integer overflow, a lane-level error) is replayed
+    /// wholesale through the row interpreter, so values *and* error
+    /// classes are identical to `ExprEngine::Interpret` by construction.
     fn run_vectorized_chain(
         &self,
         plan: &PhysicalPlan,
@@ -651,7 +653,7 @@ impl<'a> Executor<'a> {
         let child = self.run(base, stats)?;
         let t0 = Instant::now();
         let trace = context().trace().cloned();
-        let pipe = ChunkPipeline::new(self.engine, trace, None, &chain, &[], &[]);
+        let pipe = ChunkPipeline::new(self.engine, trace, base.schema(), None, &chain, &[], &[]);
         let batch_rows = self.batch_rows;
         let morsels = self.cluster.morsel_map(child, |_, rows| {
             let mut out = Vec::with_capacity(rows.len());
@@ -686,7 +688,8 @@ impl<'a> Executor<'a> {
         let child = self.run(base, stats)?;
         let t0 = Instant::now();
         let trace = context().trace().cloned();
-        let pipe = ChunkPipeline::new(self.engine, trace, None, chain, group_by, aggs);
+        let pipe =
+            ChunkPipeline::new(self.engine, trace, base.schema(), None, chain, group_by, aggs);
         let batch_rows = self.batch_rows;
         let cancel = context().cancel_token().clone();
         let partials = self.cluster.par_map(child, |_, rows| {
@@ -883,14 +886,15 @@ enum VecStageKind<'p> {
 impl<'p> VecStage<'p> {
     fn new(node: &'p PhysicalPlan) -> VecStage<'p> {
         let (kernels, kind) = match node {
-            PhysicalPlan::Filter { predicate, .. } => {
-                let prog = Program::compile(predicate);
+            PhysicalPlan::Filter { input, predicate, .. } => {
+                let prog = Program::compile_predicate(predicate, &input.schema());
                 // +1 for the selection-vector pass itself.
                 (prog.kernels() + 1, VecStageKind::Filter { pred: predicate, prog })
             }
-            PhysicalPlan::Project { exprs, .. } => {
+            PhysicalPlan::Project { input, exprs, .. } => {
+                let input = input.schema();
                 let progs: Vec<Program<'p>> =
-                    exprs.iter().map(Program::compile).collect();
+                    exprs.iter().map(|e| Program::compile(e, &input)).collect();
                 (
                     progs.iter().map(Program::kernels).sum(),
                     VecStageKind::Project { exprs, progs },
@@ -953,20 +957,22 @@ impl BatchMeter {
 type VecChunkState = (Vec<Arc<Col>>, Option<Vec<u32>>, bool, usize, Vec<u64>);
 
 /// One input of a fused join partition: its rows, for the interpreter's
-/// replay, and their columns, pivoted once, by the first chunk that needs
-/// them (so never under `ExprEngine::Interpret`); `None` when ragged.
+/// replay, and their columns, pivoted once with the join child's schema,
+/// by the first chunk that needs them (so never under
+/// `ExprEngine::Interpret`); `None` when the pivot refuses the rows.
 struct Side<'a> {
     rows: &'a [Row],
+    schema: &'a Schema,
     cols: OnceCell<Option<ColumnBatch>>,
 }
 
 impl<'a> Side<'a> {
-    fn new(rows: &'a [Row]) -> Self {
-        Side { rows, cols: OnceCell::new() }
+    fn new(rows: &'a [Row], schema: &'a Schema) -> Self {
+        Side { rows, schema, cols: OnceCell::new() }
     }
 
     fn cols(&self) -> Option<&ColumnBatch> {
-        self.cols.get_or_init(|| ColumnBatch::from_rows(self.rows)).as_ref()
+        self.cols.get_or_init(|| ColumnBatch::pivot(self.rows, self.schema)).as_ref()
     }
 }
 
@@ -987,9 +993,11 @@ impl<'a> Chunk<'a> {
         }
     }
 
-    fn pivot(&self) -> Option<ColumnBatch> {
+    /// The chunk's columns; rows are pivoted with `input`, the schema of
+    /// the pipeline's input, pairs gathered from their sides.
+    fn pivot(&self, input: &Schema) -> Option<ColumnBatch> {
         match self {
-            Chunk::Rows(rows) => ColumnBatch::from_rows(rows),
+            Chunk::Rows(rows) => ColumnBatch::pivot(rows, input),
             Chunk::Pairs([(l, li), (r, ri)]) => {
                 Some(ColumnBatch::join(l.cols()?, li, r.cols()?, ri))
             }
@@ -1025,6 +1033,10 @@ fn lane(sel: Option<&[u32]>, k: usize) -> usize {
 /// interpreter replay.
 struct ChunkPipeline<'p> {
     engine: ExprEngine,
+    /// The schema of the rows entering the pipeline: the chain base's, or
+    /// the join's for a fused join. Every program is compiled against
+    /// it or against a chain stage's input schema.
+    input: Schema,
     /// The fused join's residual: the first filter of every pair chunk.
     /// Row chunks have already passed it.
     residual: Option<(&'p Expr, Program<'p>)>,
@@ -1045,17 +1057,21 @@ impl<'p> ChunkPipeline<'p> {
     fn new(
         engine: ExprEngine,
         trace: Option<Arc<lardb_obs::ActiveTrace>>,
+        input: Schema,
         residual: Option<&'p Expr>,
         chain: &[&'p PhysicalPlan],
         group_by: &'p [Expr],
         aggs: &'p [AggExpr],
     ) -> Self {
-        let key_progs: Vec<Program<'p>> = group_by.iter().map(Program::compile).collect();
+        let top = chain.last().map_or_else(|| input.clone(), |n| n.schema());
+        let compile = |e| Program::compile(e, &top);
+        let key_progs: Vec<Program<'p>> = group_by.iter().map(compile).collect();
         let arg_progs: Vec<Option<Program<'p>>> =
-            aggs.iter().map(|a| a.arg.as_ref().map(Program::compile)).collect();
+            aggs.iter().map(|a| a.arg.as_ref().map(compile)).collect();
         ChunkPipeline {
             engine,
-            residual: residual.map(|e| (e, Program::compile(e))),
+            residual: residual.map(|e| (e, Program::compile_predicate(e, &input))),
+            input,
             stages: chain.iter().map(|n| VecStage::new(n)).collect(),
             agg_kernels: key_progs.iter().map(Program::kernels).sum::<u64>()
                 + arg_progs.iter().flatten().map(Program::kernels).sum::<u64>(),
@@ -1080,9 +1096,9 @@ impl<'p> ChunkPipeline<'p> {
     /// evaluate them on zero rows either).
     fn run_stages(&self, chunk: Chunk<'_>) -> Result<VecChunkState> {
         let n = chunk.len();
-        let batch = chunk
-            .pivot()
-            .ok_or_else(|| ExecError::Runtime("ragged rows cannot be pivoted".into()))?;
+        let batch = chunk.pivot(&self.input).ok_or_else(|| {
+            ExecError::Runtime("ragged rows or a lane of another type cannot be pivoted".into())
+        })?;
         let mut cols: Vec<Arc<Col>> = batch.cols().to_vec();
         let mut sel: Option<Vec<u32>> = None;
         let mut projected = false;
@@ -1413,19 +1429,24 @@ fn probe_matches<'t>(
 /// The fused join's in-memory arm over one partition: each probe row's
 /// matches buffered as `(build, probe)` row indices over the two sides,
 /// in probe order, and fed as a chunk of pairs whenever `full(pairs,
-/// bytes)` holds, and once at the end. The probe loop polls the token
+/// bytes)` holds, and once at the end. Each side is pivoted with its
+/// join child's schema, `left` or `right`. The probe loop polls the token
 /// every [`CANCEL_CHECK_PAIRS`] probe rows: rows that match nothing cut
 /// no chunk.
+#[allow(clippy::too_many_arguments)]
 fn probe_in_chunks(
     table: &JoinTable,
     probe: &[Row],
     probe_keys: &[Expr],
     on: BuildOn,
+    [left, right]: &[Schema; 2],
     full: impl Fn(usize, usize) -> bool,
     cancel: &CancelToken,
     mut feed: impl FnMut(Chunk<'_>) -> Result<()>,
 ) -> Result<()> {
-    let (build_side, probe_side) = (Side::new(&table.rows), Side::new(probe));
+    let (build_schema, probe_schema) = on.split(left, right);
+    let (build_side, probe_side) =
+        (Side::new(&table.rows, build_schema), Side::new(probe, probe_schema));
     let (left, right) = on.split(&build_side, &probe_side);
     let (mut bi, mut pi): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
     let (mut bytes, mut scratch) = (0usize, Vec::new());
@@ -2648,24 +2669,23 @@ mod tests {
         }
     }
 
-    /// A payload column mixing INTEGER and DOUBLE lanes — boxed, so every
-    /// lane round-trips exactly — through the pair entry, the row entry
-    /// and the interpreter: same groups, same bits, also when a kernel
-    /// declines the chunk.
+    /// Sides of an INTEGER key and a DOUBLE payload holding `-0.0` lanes
+    /// through the pair entry, the row entry and the interpreter: same
+    /// groups, same bits, also when a kernel declines the chunk.
     #[test]
     fn mixed_typed_pair_chunks_replay_like_row_chunks() {
         use lardb_storage::ops::ArithOp;
         let side = |base: i64| -> Vec<Row> {
             (0..6i64)
                 .map(|i| {
-                    let mixed =
-                        if i % 2 == 0 { Value::Integer(base + i) } else { Value::Double(-0.0) };
-                    Row::new(vec![Value::Integer(i % 3), mixed])
+                    let x = if i % 2 == 0 { (base + i) as f64 } else { -0.0 };
+                    Row::new(vec![Value::Integer(i % 3), Value::Double(x)])
                 })
                 .collect()
         };
+        let schema = Schema::from_pairs(&[("k", DataType::Integer), ("x", DataType::Double)]);
         let (lrows, rrows) = (side(0), side(10));
-        let (left, right) = (Side::new(&lrows), Side::new(&rrows));
+        let (left, right) = (Side::new(&lrows, &schema), Side::new(&rrows, &schema));
         let (li, ri): (Vec<u32>, Vec<u32>) =
             (0..6).flat_map(|l| (0..6).map(move |r| (l, r))).unzip();
         let pair = |(&l, &r): (&u32, &u32)| lrows[l as usize].concat(&rrows[r as usize]);
@@ -2689,7 +2709,9 @@ mod tests {
             AggExpr { func: AggFunc::Count, arg: None, name: "n".into() },
         ];
         let run = |engine: ExprEngine, as_pairs: bool| {
-            let pipe = ChunkPipeline::new(engine, None, Some(&residual), &[], &group_by, &aggs);
+            let input = schema.concat(&schema);
+            let pipe =
+                ChunkPipeline::new(engine, None, input, Some(&residual), &[], &group_by, &aggs);
             let mut agg = GroupedAgg::new(&group_by, &aggs, AggMode::Complete);
             let mut scratch = Vec::new();
             let mut joined = 0;
@@ -2727,8 +2749,9 @@ mod tests {
             let vector = |i| Value::vector(lardb_la::Vector::from_vec(vec![base + i as f64, -0.0]));
             (0..4i64).map(|i| Row::new(vec![Value::Integer(i), vector(i)])).collect()
         };
+        let schema = Schema::from_pairs(&[("i", DataType::Integer), ("x", DataType::Vector(None))]);
         let (lrows, rrows) = (side(0.0), side(10.0));
-        let (left, right) = (Side::new(&lrows), Side::new(&rrows));
+        let (left, right) = (Side::new(&lrows, &schema), Side::new(&rrows, &schema));
         let counts = || -> Vec<usize> {
             let count = |r: &Row| match r.value(1) {
                 Value::Vector(v) => Arc::strong_count(v),
@@ -2742,10 +2765,13 @@ mod tests {
         let (li, ri): (Vec<u32>, Vec<u32>) =
             (0..4).flat_map(|l| (0..4).map(move |r| (l, r))).unzip();
         let chunk = Chunk::Pairs([(&left, &li), (&right, &ri)]);
-        let batch = chunk.pivot().unwrap();
+        let input = schema.concat(&schema);
+        let batch = chunk.pivot(&input).unwrap();
         assert_eq!(counts(), before, "pivot");
         let cols = batch.cols();
-        let out = kernels::call(&Builtin::InnerProduct, &[&cols[1], &cols[3]], None, 16).unwrap();
+        let args = [&*cols[1], &*cols[3]];
+        let out = kernels::call(&Builtin::InnerProduct, &args, &DataType::Double, None, 16);
+        let out = out.unwrap();
         assert_eq!(counts(), before, "inner_product");
         for (k, row) in chunk.rows().iter().enumerate() {
             let args = [row.value(1).clone(), row.value(3).clone()];
@@ -2755,28 +2781,30 @@ mod tests {
         assert_eq!(counts(), before, "drop");
         let arg = Expr::call(Builtin::InnerProduct, vec![Expr::col(1), Expr::col(3)]);
         let aggs = [AggExpr { func: AggFunc::Min, arg: Some(arg), name: "m".into() }];
-        let pipe = ChunkPipeline::new(ExprEngine::Compiled, None, None, &[], &[], &aggs);
+        let pipe = ChunkPipeline::new(ExprEngine::Compiled, None, input, None, &[], &[], &aggs);
         let mut agg = GroupedAgg::new(&[], &aggs, AggMode::Complete);
         assert_eq!(pipe.aggregate(chunk, &mut agg, &mut Vec::new()).unwrap(), 16);
         assert_eq!(counts(), before, "aggregate");
         assert_eq!(pipe.counters.fallbacks.load(AtomicOrdering::Relaxed), 0);
     }
 
-    /// The fused in-memory arm over a build side whose key column is
-    /// INTEGER in the first chunks' pairs and DOUBLE in the last ones'
-    /// (`2` joins `2.0`): the side is typed once, boxed, where a pivot per
-    /// chunk would have typed each chunk, and groups and sums still match
+    /// The fused in-memory arm over sides whose key columns differ in type
+    /// (a DOUBLE build key, an INTEGER probe key: `2.0` joins `2`): each
+    /// side is pivoted once with its own schema, and groups and sums match
     /// the interpreter's. A ragged probe side pivots no chunk: all replay.
     #[test]
     fn fused_pairs_over_sides_typed_once_match_the_interpreter() {
         use lardb_storage::ops::ArithOp;
         let build: Vec<Row> = (0..12i64)
             .map(|i| {
-                let k = i % 2;
-                let k = if i < 8 { Value::Integer(k) } else { Value::Double((2 + k) as f64) };
-                Row::new(vec![k, Value::Double(i as f64 - 0.5)])
+                let k = (i % 2) as f64;
+                let k = if i < 8 { k } else { 2.0 + k };
+                Row::new(vec![Value::Double(k), Value::Double(i as f64 - 0.5)])
             })
             .collect();
+        let build_schema = Schema::from_pairs(&[("k", DataType::Double), ("v", DataType::Double)]);
+        let probe_schema =
+            Schema::from_pairs(&[("k", DataType::Integer), ("i", DataType::Integer)]);
         // Keys 0 and 1 first (20 pairs), then 3 and 2 (8 pairs).
         let probe = |ragged: bool| -> Vec<Row> {
             let key = |i: i64| Value::Integer(if i < 5 { i % 2 } else { 2 + (i + 1) % 2 });
@@ -2791,11 +2819,14 @@ mod tests {
         let keys = [Expr::col(0)];
         let run = |engine: ExprEngine, probe: &[Row]| {
             let table = build_join_table(build.clone(), &keys).unwrap();
-            let pipe = ChunkPipeline::new(engine, None, None, &[], &keys, &aggs);
+            let input = build_schema.concat(&probe_schema);
+            let pipe = ChunkPipeline::new(engine, None, input, None, &[], &keys, &aggs);
             let mut agg = GroupedAgg::new(&keys, &aggs, AggMode::Complete);
             let (mut scratch, mut chunks) = (Vec::new(), 0);
             let full = |pairs: usize, _| pairs >= 5;
-            probe_in_chunks(&table, probe, &keys, BuildOn::Left, full, &CancelToken::new(), |c| {
+            let sides = [build_schema.clone(), probe_schema.clone()];
+            let cancel = CancelToken::new();
+            probe_in_chunks(&table, probe, &keys, BuildOn::Left, &sides, full, &cancel, |c| {
                 chunks += 1;
                 pipe.aggregate(c, &mut agg, &mut scratch).map(drop)
             })
@@ -2810,6 +2841,37 @@ mod tests {
             assert_eq!((got, got_chunks), (want, chunks), "ragged: {ragged}");
             assert_eq!(fallbacks, if ragged { chunks } else { 0 }, "ragged: {ragged}");
         }
+    }
+
+    /// A lane of another type than its column's declared one refuses its
+    /// chunk's pivot, as a ragged row does: that chunk alone replays
+    /// through the interpreter, and the aggregate is the interpreter's.
+    #[test]
+    fn a_lane_of_another_type_replays_its_chunk_alone() {
+        use lardb_storage::ops::ArithOp;
+        let schema = Schema::from_pairs(&[("id", DataType::Integer), ("v", DataType::Double)]);
+        let rows: Vec<Row> = (0..20i64)
+            .map(|i| {
+                let v = if i == 13 { Value::Integer(7) } else { Value::Double(i as f64 * 0.5) };
+                Row::new(vec![Value::Integer(i), v])
+            })
+            .collect();
+        let twice = Expr::arith(ArithOp::Mul, Expr::col(1), Expr::lit(2.0));
+        let aggs = [
+            AggExpr { func: AggFunc::Sum, arg: Some(twice), name: "s".into() },
+            AggExpr { func: AggFunc::Max, arg: Some(Expr::col(1)), name: "m".into() },
+        ];
+        let run = |engine: ExprEngine| {
+            let pipe = ChunkPipeline::new(engine, None, schema.clone(), None, &[], &[], &aggs);
+            let mut agg = GroupedAgg::new(&[], &aggs, AggMode::Complete);
+            for chunk in rows.chunks(5) {
+                pipe.aggregate(Chunk::Rows(chunk), &mut agg, &mut Vec::new()).unwrap();
+            }
+            let count = |c: &AtomicU64| c.load(AtomicOrdering::Relaxed);
+            (agg.finish(), count(&pipe.counters.batches), count(&pipe.counters.fallbacks))
+        };
+        let (want, ..) = run(ExprEngine::Interpret);
+        assert_eq!((run(ExprEngine::Compiled)), (want, 3, 1));
     }
 
     #[test]

@@ -13,28 +13,34 @@
 //! interpreter would, so a compiled success implies interpreter agreement,
 //! and any disagreement route ends in `Err`, never in a wrong answer.
 //!
+//! Kernels run typed programs ([`crate::compile`]), so a BOOLEAN operand
+//! is always a `Col::Bool`: `AND`, `OR`, `NOT` and the selection pass take
+//! nothing else, and unary minus never sees one. A column of another
+//! variant there is not this kernel's to decide, and declines.
+//!
 //! Kernels take an optional *selection vector* (`sel`): the sorted lane
 //! indices still alive after upstream filters. With no selection they run
 //! branch-free tight loops over full slices; `Vector ⊕ scalar` and
 //! `Vector ⊕ Vector` lanes dispatch to the `lardb-la` slice kernels
 //! directly instead of going through `ops::arith`'s dynamic overload
-//! match per row. Built-in calls read their lanes by reference, and a
-//! DOUBLE-valued built-in writes a `Col::F64`; `inner_product` calls its
-//! `lardb-la` kernel directly on VECTOR lanes.
+//! match per row. Built-in calls read their lanes by reference and write
+//! the column their declared type names (a DOUBLE built-in a `Col::F64`,
+//! `nnz` a `Col::I64`); `inner_product` calls its `lardb-la` kernel
+//! directly on VECTOR lanes.
 
 use std::borrow::Borrow;
 
 use lardb_planner::{Builtin, CmpOp};
 use lardb_storage::ops::{self, ArithOp};
-use lardb_storage::Value;
+use lardb_storage::{DataType, Value};
 
-use crate::batch::{Bitmap, Col};
+use crate::batch::{Bitmap, Col, ColWriter};
 use crate::eval::cmp_holds;
 use crate::{ExecError, Result};
 
 /// The interpreter would have to decide this lane/type combination; the
 /// chunk is replayed through [`crate::eval`].
-fn unsupported(what: &str) -> ExecError {
+pub(crate) fn unsupported(what: &str) -> ExecError {
     ExecError::Runtime(format!("vectorized kernel fallback: {what}"))
 }
 
@@ -58,19 +64,6 @@ fn for_lanes(
         }
     }
     Ok(())
-}
-
-/// `ArithOp` over two `f64`s — must stay identical to the private
-/// `ArithOp::apply_f64` in `lardb_storage::ops` (plain IEEE ops; `x/0.0`
-/// is `inf`, not an error, exactly as the interpreter computes it).
-#[inline]
-fn apply_f64(op: ArithOp, a: f64, b: f64) -> f64 {
-    match op {
-        ArithOp::Add => a + b,
-        ArithOp::Sub => a - b,
-        ArithOp::Mul => a * b,
-        ArithOp::Div => a / b,
-    }
 }
 
 /// A lane read that borrows boxed values and materializes typed ones.
@@ -115,15 +108,14 @@ pub fn arith(op: ArithOp, a: &Col, b: &Col, sel: Option<&[u32]>, n: usize) -> Re
         (Col::F64 { data: ad, valid: av }, Col::F64 { data: bd, valid: bv }) => {
             if sel.is_none() && av.all_valid() && bv.all_valid() {
                 // Branch-free: one fused pass over both slices.
-                let data =
-                    ad.iter().zip(bd).map(|(&x, &y)| apply_f64(op, x, y)).collect();
+                let data = ad.iter().zip(bd).map(|(&x, &y)| op.apply_f64(x, y)).collect();
                 return Ok(Col::F64 { data, valid: Bitmap::new_valid(n) });
             }
             let mut data = vec![0.0f64; n];
             let mut valid = Bitmap::new_invalid(n);
             for_lanes(n, sel, |i| {
                 if av.get(i) && bv.get(i) {
-                    data[i] = apply_f64(op, ad[i], bd[i]);
+                    data[i] = op.apply_f64(ad[i], bd[i]);
                     valid.set_valid(i);
                 }
                 Ok(())
@@ -135,9 +127,9 @@ pub fn arith(op: ArithOp, a: &Col, b: &Col, sel: Option<&[u32]>, n: usize) -> Re
             let mut valid = Bitmap::new_invalid(n);
             for_lanes(n, sel, |i| {
                 if av.get(i) && bv.get(i) {
-                    // Checked ops: overflow (a debug-build panic on the
-                    // interpreted path) and division by zero both route to
-                    // the interpreter, which decides the actual outcome.
+                    // Checked ops: overflow and division by zero, typed
+                    // errors on the interpreted path, both route to the
+                    // interpreter, which reports them.
                     let out = match op {
                         ArithOp::Add => ad[i].checked_add(bd[i]),
                         ArithOp::Sub => ad[i].checked_sub(bd[i]),
@@ -158,7 +150,7 @@ pub fn arith(op: ArithOp, a: &Col, b: &Col, sel: Option<&[u32]>, n: usize) -> Re
             let mut valid = Bitmap::new_invalid(n);
             for_lanes(n, sel, |i| {
                 if let (Some(x), Some(y)) = (num_f64(a, i), num_f64(b, i)) {
-                    data[i] = apply_f64(op, x, y);
+                    data[i] = op.apply_f64(x, y);
                     valid.set_valid(i);
                 }
                 Ok(())
@@ -183,7 +175,8 @@ fn boxed_arith(op: ArithOp, a: &Col, b: &Col, sel: Option<&[u32]>, n: usize) -> 
 }
 
 /// One boxed arithmetic lane. The fast paths are *specializations* of
-/// `ops::arith` arms (same underlying `Vector` methods, same `apply_f64`),
+/// `ops::arith` arms (same underlying `Vector` methods, same
+/// `ArithOp::apply_f64`),
 /// so their results are bit-identical; everything else — including the
 /// error cases — goes through `ops::arith` itself. Integer pairs use
 /// checked ops so overflow routes to the interpreter (see module docs).
@@ -214,11 +207,11 @@ fn arith_lane(op: ArithOp, l: &Value, r: &Value) -> Result<Value> {
             Ok(Value::vector(out))
         }
         (Value::Vector(v), s) => match s.as_double() {
-            Some(s) => Ok(Value::vector(v.map(|x| apply_f64(op, x, s)))),
+            Some(s) => Ok(Value::vector(v.map(|x| op.apply_f64(x, s)))),
             None => Ok(ops::arith(op, l, r)?),
         },
         (s, Value::Vector(v)) => match s.as_double() {
-            Some(s) => Ok(Value::vector(v.map(|x| apply_f64(op, s, x)))),
+            Some(s) => Ok(Value::vector(v.map(|x| op.apply_f64(s, x)))),
             None => Ok(ops::arith(op, l, r)?),
         },
         _ => Ok(ops::arith(op, l, r)?),
@@ -271,65 +264,30 @@ pub fn cmp(op: CmpOp, a: &Col, b: &Col, sel: Option<&[u32]>, n: usize) -> Result
     Ok(Col::Bool { data, valid })
 }
 
-/// Three-valued truth of one lane, under `AND`'s classification: FALSE
-/// dominates, NULL is unknown, and any other non-NULL value — the
-/// interpreter is deliberately lenient here — behaves as "not FALSE".
-#[inline]
-fn tri_and(col: &Col, i: usize) -> Option<bool> {
-    match col {
-        Col::Bool { data, valid } => valid.get(i).then(|| data[i]),
-        Col::F64 { valid, .. } | Col::I64 { valid, .. } => valid.get(i).then_some(true),
-        Col::Boxed(v) => match &v[i] {
-            Value::Boolean(b) => Some(*b),
-            Value::Null => None,
-            _ => Some(true),
-        },
-    }
-}
-
-/// Three-valued truth of one lane under `OR`'s classification: TRUE
-/// dominates, NULL is unknown, any other non-NULL value is "not TRUE".
-#[inline]
-fn tri_or(col: &Col, i: usize) -> Option<bool> {
-    match col {
-        Col::Bool { data, valid } => valid.get(i).then(|| data[i]),
-        Col::F64 { valid, .. } | Col::I64 { valid, .. } => valid.get(i).then_some(false),
-        Col::Boxed(v) => match &v[i] {
-            Value::Boolean(b) => Some(*b),
-            Value::Null => None,
-            _ => Some(false),
-        },
-    }
-}
-
 /// Lane-wise SQL `AND` (eager: both sides were already evaluated).
 pub fn and(a: &Col, b: &Col, sel: Option<&[u32]>, n: usize) -> Result<Col> {
-    let mut data = vec![false; n];
-    let mut valid = Bitmap::new_invalid(n);
-    for_lanes(n, sel, |i| {
-        let out = match (tri_and(a, i), tri_and(b, i)) {
-            (Some(false), _) | (_, Some(false)) => Some(false),
-            (None, _) | (_, None) => None,
-            _ => Some(true),
-        };
-        if let Some(v) = out {
-            data[i] = v;
-            valid.set_valid(i);
-        }
-        Ok(())
-    })?;
-    Ok(Col::Bool { data, valid })
+    connective(false, a, b, sel, n)
 }
 
 /// Lane-wise SQL `OR` (eager: both sides were already evaluated).
 pub fn or(a: &Col, b: &Col, sel: Option<&[u32]>, n: usize) -> Result<Col> {
+    connective(true, a, b, sel, n)
+}
+
+/// `AND` (`dominant` FALSE) or `OR` (`dominant` TRUE) under three-valued
+/// logic: the dominant value wins over NULL, NULL over the other one.
+fn connective(dominant: bool, a: &Col, b: &Col, sel: Option<&[u32]>, n: usize) -> Result<Col> {
+    let (Col::Bool { data: ad, valid: av }, Col::Bool { data: bd, valid: bv }) = (a, b) else {
+        return Err(unsupported("AND/OR over non-BOOLEAN lanes"));
+    };
     let mut data = vec![false; n];
     let mut valid = Bitmap::new_invalid(n);
     for_lanes(n, sel, |i| {
-        let out = match (tri_or(a, i), tri_or(b, i)) {
-            (Some(true), _) | (_, Some(true)) => Some(true),
-            (None, _) | (_, None) => None,
-            _ => Some(false),
+        let (l, r) = (av.get(i).then(|| ad[i]), bv.get(i).then(|| bd[i]));
+        let out = if l == Some(dominant) || r == Some(dominant) {
+            Some(dominant)
+        } else {
+            l.and(r).map(|_| !dominant)
         };
         if let Some(v) = out {
             data[i] = v;
@@ -340,43 +298,20 @@ pub fn or(a: &Col, b: &Col, sel: Option<&[u32]>, n: usize) -> Result<Col> {
     Ok(Col::Bool { data, valid })
 }
 
-/// Lane-wise SQL `NOT`. Non-BOOLEAN lanes are a hard interpreter error
-/// (`NOT expects BOOLEAN`), so they fall back.
+/// Lane-wise SQL `NOT`.
 pub fn not(a: &Col, sel: Option<&[u32]>, n: usize) -> Result<Col> {
+    let Col::Bool { data: ad, valid: av } = a else {
+        return Err(unsupported("NOT over non-BOOLEAN lanes"));
+    };
     let mut data = vec![false; n];
     let mut valid = Bitmap::new_invalid(n);
-    match a {
-        Col::Bool { data: ad, valid: av } => {
-            for_lanes(n, sel, |i| {
-                if av.get(i) {
-                    data[i] = !ad[i];
-                    valid.set_valid(i);
-                }
-                Ok(())
-            })?;
+    for_lanes(n, sel, |i| {
+        if av.get(i) {
+            data[i] = !ad[i];
+            valid.set_valid(i);
         }
-        Col::F64 { valid: av, .. } | Col::I64 { valid: av, .. } => {
-            for_lanes(n, sel, |i| {
-                if av.get(i) {
-                    return Err(unsupported("NOT over non-BOOLEAN lane"));
-                }
-                Ok(())
-            })?;
-        }
-        Col::Boxed(v) => {
-            for_lanes(n, sel, |i| {
-                match &v[i] {
-                    Value::Boolean(b) => {
-                        data[i] = !b;
-                        valid.set_valid(i);
-                    }
-                    Value::Null => {}
-                    _ => return Err(unsupported("NOT over non-BOOLEAN lane")),
-                }
-                Ok(())
-            })?;
-        }
-    }
+        Ok(())
+    })?;
     Ok(Col::Bool { data, valid })
 }
 
@@ -415,19 +350,6 @@ pub fn negate(a: &Col, sel: Option<&[u32]>, n: usize) -> Result<Col> {
             })?;
             Ok(Col::I64 { data, valid })
         }
-        Col::Bool { valid: av, .. } => {
-            // Valid lanes are a hard error ("cannot negate BOOLEAN");
-            // all-NULL lanes legitimately negate to NULL.
-            let mut ok = true;
-            for_lanes(n, sel, |i| {
-                ok &= !av.get(i);
-                Ok(())
-            })?;
-            if !ok {
-                return Err(unsupported("negating BOOLEAN lanes"));
-            }
-            Ok(Col::F64 { data: vec![0.0; n], valid: Bitmap::new_invalid(n) })
-        }
         Col::Boxed(v) => {
             let mut out = vec![Value::Null; n];
             for_lanes(n, sel, |i| {
@@ -436,6 +358,7 @@ pub fn negate(a: &Col, sel: Option<&[u32]>, n: usize) -> Result<Col> {
             })?;
             Ok(Col::Boxed(out.into()))
         }
+        Col::Bool { .. } => Err(unsupported("negating BOOLEAN lanes")),
     }
 }
 
@@ -448,75 +371,53 @@ impl Borrow<Value> for LaneVal<'_> {
     }
 }
 
-/// A DOUBLE result lane: NULL stays NULL, anything else is not this
-/// kernel's to decide.
-#[inline]
-fn double_lane(v: Value) -> Result<Option<f64>> {
-    match v {
-        Value::Double(x) => Ok(Some(x)),
-        Value::Null => Ok(None),
-        _ => Err(unsupported("DOUBLE built-in produced a non-DOUBLE lane")),
-    }
-}
-
-/// Runs `lane` over every selected lane into a `Col::F64`; `None` is a
-/// NULL lane.
-fn f64_lanes(
-    n: usize,
-    sel: Option<&[u32]>,
-    mut lane: impl FnMut(usize) -> Result<Option<f64>>,
-) -> Result<Col> {
-    let mut data = vec![0.0f64; n];
-    let mut valid = Bitmap::new_invalid(n);
-    for_lanes(n, sel, |i| {
-        if let Some(x) = lane(i)? {
-            data[i] = x;
-            valid.set_valid(i);
-        }
-        Ok(())
-    })?;
-    Ok(Col::F64 { data, valid })
-}
-
 /// Lane-wise builtin call over borrowed lanes: boxed arguments are read
 /// by reference, typed ones materialize as scalars, so no payload `Arc`
 /// is cloned or dropped. `Builtin::evaluate` handles its own NULL-in →
 /// NULL-out rule, and any lane it rejects makes the chunk `Err`.
 ///
-/// The loop is chosen once per chunk. A DOUBLE-valued built-in writes a
-/// `Col::F64`. `inner_product` over two VECTOR lanes calls the `lardb-la`
-/// kernel that `evaluate` would, directly, and sends every other lane
-/// (NULL, a type the interpreter rejects) through `evaluate` itself.
-pub fn call(func: &Builtin, args: &[&Col], sel: Option<&[u32]>, n: usize) -> Result<Col> {
+/// The result is the column that `ty`, the call's declared type, names;
+/// a result lane of another type makes the chunk `Err`. `inner_product`
+/// over two VECTOR lanes calls the `lardb-la` kernel that `evaluate`
+/// would, directly, and sends every other lane (NULL, a type the
+/// interpreter rejects) through `evaluate` itself.
+pub fn call(
+    func: &Builtin,
+    args: &[&Col],
+    ty: &DataType,
+    sel: Option<&[u32]>,
+    n: usize,
+) -> Result<Col> {
     let mut lanes: Vec<LaneVal<'_>> = Vec::new();
     let mut eval = |i: usize| -> Result<Value> {
         lanes.clear();
         lanes.extend(args.iter().map(|a| lane_val(a, i)));
         Ok(func.evaluate(&lanes)?)
     };
+    let mut out = ColWriter::new(ty, n);
+    let mut put = |i: usize, v: Value| {
+        if out.set(i, &v) {
+            Ok(())
+        } else {
+            Err(unsupported("a result lane of another type than declared"))
+        }
+    };
     match (func, args) {
         (Builtin::InnerProduct, [Col::Boxed(a), Col::Boxed(b)]) => {
-            f64_lanes(n, sel, |i| match (&a[i], &b[i]) {
-                (Value::Vector(x), Value::Vector(y)) => Ok(Some(x.inner_product(y)?)),
-                _ => double_lane(eval(i)?),
-            })
+            for_lanes(n, sel, |i| match (&a[i], &b[i]) {
+                (Value::Vector(x), Value::Vector(y)) => put(i, Value::Double(x.inner_product(y)?)),
+                _ => put(i, eval(i)?),
+            })?
         }
-        _ if func.returns_double() => f64_lanes(n, sel, |i| double_lane(eval(i)?)),
-        _ => {
-            let mut out = vec![Value::Null; n];
-            for_lanes(n, sel, |i| {
-                out[i] = eval(i)?;
-                Ok(())
-            })?;
-            Ok(Col::Boxed(out.into()))
-        }
+        _ => for_lanes(n, sel, |i| put(i, eval(i)?))?,
     }
+    Ok(out.finish())
 }
 
 /// Builds the selection vector of lanes whose predicate lane is valid
-/// *and* TRUE (SQL: NULL filters the row out). The BOOLEAN path appends
-/// branch-free: write the lane index unconditionally, advance the length
-/// by the keep bit.
+/// *and* TRUE (SQL: NULL filters the row out) from a BOOLEAN column,
+/// appending branch-free: write the lane index unconditionally, advance
+/// the length by the keep bit.
 pub fn selection(pred: &Col, sel: Option<&[u32]>, n: usize) -> Result<Vec<u32>> {
     match pred {
         Col::Bool { data, valid } => {
@@ -544,29 +445,7 @@ pub fn selection(pred: &Col, sel: Option<&[u32]>, n: usize) -> Result<Vec<u32>> 
             out.truncate(k);
             Ok(out)
         }
-        Col::F64 { valid, .. } | Col::I64 { valid, .. } => {
-            // A valid lane is a non-BOOLEAN predicate value — a hard
-            // interpreter error; all-NULL lanes filter everything out.
-            for_lanes(n, sel, |i| {
-                if valid.get(i) {
-                    return Err(unsupported("non-BOOLEAN predicate lane"));
-                }
-                Ok(())
-            })?;
-            Ok(Vec::new())
-        }
-        Col::Boxed(v) => {
-            let mut out = Vec::new();
-            for_lanes(n, sel, |i| {
-                match &v[i] {
-                    Value::Boolean(true) => out.push(i as u32),
-                    Value::Boolean(false) | Value::Null => {}
-                    _ => return Err(unsupported("non-BOOLEAN predicate lane")),
-                }
-                Ok(())
-            })?;
-            Ok(out)
-        }
+        _ => Err(unsupported("non-BOOLEAN predicate lanes")),
     }
 }
 
@@ -662,15 +541,17 @@ mod tests {
     fn three_valued_and_or_lanes() {
         let t = Col::splat(&Value::Boolean(true), 1);
         let f = Col::splat(&Value::Boolean(false), 1);
-        let nl = Col::splat(&Value::Null, 1);
+        // A NULL BOOLEAN lane, as a comparison with a NULL operand gives.
+        let nl = Col::Bool { data: vec![false], valid: Bitmap::new_invalid(1) };
         assert_eq!(and(&f, &nl, None, 1).unwrap().value_at(0), Value::Boolean(false));
         assert!(and(&t, &nl, None, 1).unwrap().value_at(0).is_null());
         assert_eq!(or(&t, &nl, None, 1).unwrap().value_at(0), Value::Boolean(true));
         assert!(or(&f, &nl, None, 1).unwrap().value_at(0).is_null());
-        // Interpreter leniency: a non-BOOLEAN lane is "not FALSE" in AND.
+        // The interpreter's leniency (a non-BOOLEAN lane is "not FALSE" in
+        // AND) is its own: such an operand does not type, so it declines.
         let five = Col::splat(&Value::Integer(5), 1);
-        assert_eq!(and(&five, &t, None, 1).unwrap().value_at(0), Value::Boolean(true));
-        assert_eq!(or(&five, &f, None, 1).unwrap().value_at(0), Value::Boolean(false));
+        assert!(and(&five, &t, None, 1).is_err());
+        assert!(or(&five, &f, None, 1).is_err());
     }
 
     #[test]
@@ -705,7 +586,7 @@ mod tests {
     fn call_reads_boxed_lanes_by_reference() {
         let v = Value::vector(Vector::from_slice(&[3.0, 4.0]));
         let col = Col::Boxed(vec![v.clone(), Value::Null].into());
-        let out = call(&Builtin::InnerProduct, &[&col, &col], None, 2).unwrap();
+        let out = call(&Builtin::InnerProduct, &[&col, &col], &DataType::Double, None, 2).unwrap();
         assert_eq!(out.value_at(0), Value::Double(25.0));
         assert!(out.value_at(1).is_null());
         // The lanes were borrowed: the column and `v` are the only owners.
@@ -721,12 +602,13 @@ mod tests {
         Value::matrix(lardb_la::Matrix::from_vec(rows, cols, xs.to_vec()).unwrap())
     }
 
-    /// One chunk per DOUBLE built-in: lanes whose results are NaN and
-    /// −0.0, NULL lanes in every argument position, lanes that take the
-    /// `evaluate` route (a matrix, an INTEGER index), and one lane the
-    /// interpreter rejects — a dimension mismatch, an index out of range
-    /// or a wrong runtime type.
-    fn double_cases() -> Vec<(Builtin, Vec<Vec<Value>>, Vec<Value>)> {
+    /// One well-typed chunk per scalar built-in and argument type: lanes
+    /// whose results are NaN and −0.0, NULL lanes in every argument
+    /// position, lanes that take the `evaluate` route (a matrix, an
+    /// INTEGER index), dense and sparse tiles, and one lane the
+    /// interpreter rejects — a dimension mismatch, an index out of range,
+    /// a non-square or sparse matrix, or a lane of another type.
+    fn scalar_cases() -> Vec<(Builtin, Vec<Vec<Value>>, Vec<Value>)> {
         let nan = f64::NAN;
         let (inf, tiny) = (f64::INFINITY, f64::MIN_POSITIVE / 4.0);
         let v5 = vector(&[1.5, -2.0, 0.25, 8.0, -0.5]);
@@ -736,6 +618,9 @@ mod tests {
         let m2 = matrix(2, 2, &[1.0, 2.0, 3.0, -4.5]);
         let mz = matrix(1, 1, &[-0.0]);
         let mn = matrix(2, 2, &[nan, 1.0, 2.0, 3.0]);
+        let tile = [0.0, -0.0, 2.5, 0.0, nan, 0.0, 1.0, 0.0, 0.0];
+        let tile = lardb_la::Matrix::from_vec(3, 3, tile.to_vec()).unwrap();
+        let sparse = Value::sparse_matrix(lardb_la::SparseMatrix::from_dense(&tile));
         let int = Value::Integer;
         vec![
             (
@@ -770,20 +655,23 @@ mod tests {
                     vec![vector(&[-0.0, -0.0])],
                     vec![Value::Null],
                     vec![vector(&[inf, -inf])],
-                    vec![m2.clone()],
                 ],
                 vec![int(3)],
             ),
             (
+                Builtin::SumElements,
+                vec![vec![m2.clone()], vec![Value::Null], vec![sparse.clone()]],
+                vec![Value::Varchar("m".into())],
+            ),
+            (
                 Builtin::MinElement,
-                vec![
-                    vec![v5.clone()],
-                    vec![vector(&[-0.0])],
-                    vec![Value::Null],
-                    vec![vector(&[])],
-                    vec![mn.clone()],
-                ],
+                vec![vec![v5.clone()], vec![vector(&[-0.0])], vec![Value::Null], vec![vector(&[])]],
                 vec![Value::Varchar("v".into())],
+            ),
+            (
+                Builtin::MinElement,
+                vec![vec![mn.clone()], vec![Value::Null], vec![mz.clone()]],
+                vec![sparse.clone()],
             ),
             (
                 Builtin::MaxElement,
@@ -792,9 +680,13 @@ mod tests {
                     vec![vector(&[nan])],
                     vec![Value::Null],
                     vec![vector(&[-0.0, -1.0])],
-                    vec![m2.clone()],
                 ],
                 vec![int(3)],
+            ),
+            (
+                Builtin::MaxElement,
+                vec![vec![m2.clone()], vec![Value::Null], vec![mn.clone()]],
+                vec![sparse.clone()],
             ),
             (
                 Builtin::Trace,
@@ -828,46 +720,67 @@ mod tests {
                 ],
                 vec![m2.clone(), int(2), int(0)],
             ),
+            (
+                Builtin::Nnz,
+                vec![vec![mn.clone()], vec![sparse.clone()], vec![Value::Null], vec![mz.clone()]],
+                vec![v5.clone()],
+            ),
         ]
     }
 
-    /// Evaluates `func` over `rows` pivoted as the executor pivots them.
-    fn call_rows(func: Builtin, rows: &[Vec<Value>], sel: Option<&[u32]>) -> Result<Col> {
+    /// Evaluates `func`, declared `ty`, over `rows` pivoted with the types
+    /// of their first non-NULL lanes; `None` when the pivot refuses them.
+    fn call_rows(
+        func: Builtin,
+        ty: DataType,
+        rows: &[Vec<Value>],
+        sel: Option<&[u32]>,
+    ) -> Option<Result<Col>> {
         let rows: Vec<Row> = rows.iter().cloned().map(Row::new).collect();
-        let batch = ColumnBatch::from_rows(&rows).unwrap();
+        let batch = ColumnBatch::from_rows(&rows)?;
         let args: Vec<&Col> = batch.cols().iter().map(|c| &**c).collect();
-        call(&func, &args, sel, rows.len())
+        Some(call(&func, &args, &ty, sel, rows.len()))
     }
 
-    /// The typed lane loop ≡ `Builtin::evaluate`: a `Col::F64` (never a
-    /// silent `Boxed`), with the interpreter's bits on every selected
-    /// lane and its NULLs as invalid bits; a lane the interpreter rejects
-    /// makes the chunk `Err`, so it replays and the interpreter reports.
+    /// The typed lane loop ≡ `Builtin::evaluate`: the column the call's
+    /// type names (`Col::F64` for the DOUBLE built-ins, `Col::I64` for
+    /// `nnz`, never a silent `Boxed`), with the interpreter's bits on every
+    /// selected lane and its NULLs as invalid bits. A lane the interpreter
+    /// rejects makes the chunk decline, so it replays and the interpreter
+    /// reports: at the pivot when the lane is of another type than its
+    /// column, else in the kernel.
     #[test]
-    fn double_builtins_write_f64_lanes_bit_identical_to_evaluate() {
-        let (mut nans, mut neg_zeros) = (0, 0);
-        for (func, rows, bad) in double_cases() {
+    fn scalar_builtins_write_the_column_their_type_names_bit_identical_to_evaluate() {
+        let (mut nans, mut neg_zeros, mut refused, mut declined) = (0, 0, 0, 0);
+        for (func, rows, bad) in scalar_cases() {
+            let ty = if func == Builtin::Nnz { DataType::Integer } else { DataType::Double };
+            let typed = |out: &Col| match (out, ty) {
+                (Col::F64 { .. }, DataType::Double) | (Col::I64 { .. }, DataType::Integer) => {}
+                _ => panic!("{func:?}: expected the {ty} column, got {out:?}"),
+            };
             let n = rows.len();
             let odd: Vec<u32> = (1..n as u32).step_by(2).collect();
             for sel in [None, Some(odd.as_slice())] {
-                let out = call_rows(func, &rows, sel).unwrap();
-                let Col::F64 { data, valid } = &out else {
-                    panic!("{func:?}: expected Col::F64, got {out:?}");
-                };
+                let out = call_rows(func, ty, &rows, sel).unwrap().unwrap();
+                typed(&out);
                 let lanes: Vec<usize> = match sel {
                     Some(s) => s.iter().map(|&i| i as usize).collect(),
                     None => (0..n).collect(),
                 };
                 for i in lanes {
-                    match func.evaluate(&rows[i]).unwrap() {
-                        Value::Double(want) => {
+                    match (&out, func.evaluate(&rows[i]).unwrap()) {
+                        (Col::F64 { data, valid }, Value::Double(want)) => {
                             assert!(valid.get(i), "{func:?} lane {i} lost its value");
                             assert_eq!(data[i].to_bits(), want.to_bits(), "{func:?} lane {i}");
                             nans += want.is_nan() as usize;
                             neg_zeros += (want == 0.0 && want.is_sign_negative()) as usize;
                         }
-                        Value::Null => assert!(!valid.get(i), "{func:?} lane {i} not NULL"),
-                        other => panic!("{func:?} lane {i} evaluated to {other:?}"),
+                        (Col::I64 { data, valid }, Value::Integer(want)) => {
+                            assert!(valid.get(i), "{func:?} lane {i} lost its value");
+                            assert_eq!(data[i], want, "{func:?} lane {i}");
+                        }
+                        (_, Value::Null) => assert!(!out.valid(i), "{func:?} lane {i} not NULL"),
+                        (_, other) => panic!("{func:?} lane {i} evaluated to {other:?}"),
                     }
                 }
             }
@@ -877,20 +790,26 @@ mod tests {
             let mut with_bad = rows.clone();
             with_bad.insert(1, bad.clone());
             assert!(func.evaluate(&bad).is_err(), "{func:?}: the bad lane must be an error");
-            assert!(call_rows(func, &with_bad, None).is_err(), "{func:?} kept a bad lane");
+            let Some(got) = call_rows(func, ty, &with_bad, None) else {
+                refused += 1;
+                continue;
+            };
+            assert!(got.is_err(), "{func:?} kept a bad lane");
+            declined += 1;
             // A selection that skips it evaluates the rest as before.
             let skip: Vec<u32> = (0..with_bad.len() as u32).filter(|&i| i != 1).collect();
-            let out = call_rows(func, &with_bad, Some(&skip)).unwrap();
-            assert!(matches!(out, Col::F64 { .. }), "{func:?}: {out:?}");
+            typed(&call_rows(func, ty, &with_bad, Some(&skip)).unwrap().unwrap());
         }
         assert!(nans >= 4 && neg_zeros >= 4, "NaN {nans}, -0.0 {neg_zeros} result lanes");
+        assert!(refused >= 4 && declined >= 4, "{refused} refused, {declined} declined");
     }
 
     #[test]
     fn non_double_builtins_stay_boxed() {
         let v = vector(&[1.0, 2.0]);
         let rows = vec![vec![v.clone(), v.clone()], vec![Value::Null, v.clone()]];
-        let out = call_rows(Builtin::OuterProduct, &rows, None).unwrap();
+        let ty = DataType::Matrix(Some(2), Some(2));
+        let out = call_rows(Builtin::OuterProduct, ty, &rows, None).unwrap().unwrap();
         let Col::Boxed(lanes) = &out else { panic!("{out:?}") };
         assert_eq!(lanes[0], Builtin::OuterProduct.evaluate(&rows[0]).unwrap());
         assert!(lanes[1].is_null());

@@ -3,11 +3,13 @@
 //! lane for lane, exactly what pivoting their concatenated rows reads —
 //! the same validity and bit patterns — so the fused join→aggregate can
 //! skip the concatenation without any kernel seeing a different value.
-//! Column variants are the sides', typed over all of a side's rows.
+//! Each side is pivoted with its own schema, and the concatenation with
+//! both; a side holding a lane of another type than its column's is
+//! refused, as a ragged one is.
 
 use lardb_exec::batch::{Col, ColumnBatch};
 use lardb_la::Vector;
-use lardb_storage::{Row, Value};
+use lardb_storage::{Column, DataType, Row, Schema, Value};
 use proptest::prelude::*;
 
 /// splitmix64: deterministic shapes from one seed (the vendored proptest
@@ -27,6 +29,17 @@ impl Gen {
         self.next() % n
     }
 }
+
+/// The declared type of a column of the given kind; kind 4's DOUBLE
+/// column also draws INTEGER lanes.
+const TYPES: [DataType; 6] = [
+    DataType::Integer,
+    DataType::Double,
+    DataType::Boolean,
+    DataType::Double,
+    DataType::Double,
+    DataType::Vector(None),
+];
 
 /// One lane of a column of the given kind: INTEGER, DOUBLE, BOOLEAN,
 /// all-NULL, mixed INTEGER + DOUBLE, or VECTOR — NULLs sprinkled in all.
@@ -50,9 +63,17 @@ fn gen_lane(g: &mut Gen, kind: u64) -> Value {
     }
 }
 
-fn gen_side(g: &mut Gen, n: usize, arity: usize) -> Vec<Row> {
+/// A side's rows and schema, and whether a lane is of another type than
+/// its column's (an INTEGER lane in kind 4's DOUBLE column).
+fn gen_side(g: &mut Gen, n: usize, arity: usize) -> (Vec<Row>, Schema, bool) {
     let kinds: Vec<u64> = (0..arity).map(|_| g.below(6)).collect();
-    (0..n).map(|_| Row::new(kinds.iter().map(|&k| gen_lane(g, k)).collect())).collect()
+    let rows: Vec<Row> =
+        (0..n).map(|_| Row::new(kinds.iter().map(|&k| gen_lane(g, k)).collect())).collect();
+    let schema = Schema::new(kinds.iter().map(|&k| Column::new("c", TYPES[k as usize])).collect());
+    let mistyped = rows.iter().any(|r| {
+        r.values().iter().zip(&kinds).any(|(v, &k)| k == 4 && matches!(v, Value::Integer(_)))
+    });
+    (rows, schema, mistyped)
 }
 
 /// Exact lane equality: float bits, not float equality.
@@ -95,8 +116,8 @@ proptest! {
         let mut g = Gen(seed);
         let (nl, nr) = (g.below(8) as usize, g.below(8) as usize);
         let (la, ra) = (g.below(5) as usize, g.below(5) as usize);
-        let mut left = gen_side(&mut g, nl, la);
-        let mut right = gen_side(&mut g, nr, ra);
+        let (mut left, ls, l_mistyped) = gen_side(&mut g, nl, la);
+        let (mut right, rs, r_mistyped) = gen_side(&mut g, nr, ra);
         // One time in four, one row of one side gets another arity.
         if nl.min(nr) > 1 && g.below(4) == 0 {
             let side = if g.below(2) == 0 { &mut left } else { &mut right };
@@ -107,14 +128,18 @@ proptest! {
             }
             side[i] = Row::new(vals);
             // A ragged side is refused, and with it every chunk over it.
-            prop_assert!(
-                ColumnBatch::from_rows(&left).is_none() || ColumnBatch::from_rows(&right).is_none(),
-                "a ragged side must not pivot"
-            );
+            let refused = |rows: &[Row], schema| ColumnBatch::pivot(rows, schema).is_none();
+            prop_assert!(refused(&left, &ls) || refused(&right, &rs), "a ragged side pivoted");
             return Ok(());
         }
-        let lb = ColumnBatch::from_rows(&left).unwrap();
-        let rb = ColumnBatch::from_rows(&right).unwrap();
+        // So is a side with a lane of another type than its column's.
+        prop_assert_eq!(ColumnBatch::pivot(&left, &ls).is_none(), l_mistyped);
+        prop_assert_eq!(ColumnBatch::pivot(&right, &rs).is_none(), r_mistyped);
+        if l_mistyped || r_mistyped {
+            return Ok(());
+        }
+        let lb = ColumnBatch::pivot(&left, &ls).unwrap();
+        let rb = ColumnBatch::pivot(&right, &rs).unwrap();
         // Pairs in any order, repeats included; zero pairs when a side is empty.
         let n = if nl.min(nr) == 0 { 0 } else { g.below(10) as usize };
         let li: Vec<u32> = (0..n).map(|_| g.below(nl as u64) as u32).collect();
@@ -122,15 +147,19 @@ proptest! {
         let got = ColumnBatch::join(&lb, &li, &rb, &ri);
         let pair = |(&l, &r): (&u32, &u32)| left[l as usize].concat(&right[r as usize]);
         let rows: Vec<Row> = li.iter().zip(&ri).map(pair).collect();
-        let want = ColumnBatch::from_rows(&rows).unwrap();
+        let schema = ls.concat(&rs);
+        let want = ColumnBatch::pivot(&rows, &schema).unwrap();
         prop_assert_eq!(got.len(), n);
-        // Zero rows pivot to zero columns; a chunk has its sides' columns.
-        prop_assert_eq!(got.arity(), lb.arity() + rb.arity());
-        prop_assert_eq!(want.arity(), if n == 0 { 0 } else { la + ra });
+        // Zero rows pivot to their schema's columns, with no lanes.
+        prop_assert_eq!(got.arity(), la + ra);
+        prop_assert_eq!(want.arity(), la + ra);
         let sides = lb.cols().iter().chain(rb.cols());
+        // Every column has the variant its type names, pairs or rows.
+        let variant = |c: &Col| std::mem::discriminant(c);
         for (j, ((c, w), s)) in got.cols().iter().zip(want.cols()).zip(sides).enumerate() {
             assert_same_lanes(c, w, j);
-            assert_eq!(std::mem::discriminant(&**c), std::mem::discriminant(&**s), "column {j}");
+            assert_eq!(variant(c), variant(s), "column {j}");
+            assert_eq!(variant(c), variant(w), "column {j}");
         }
         // A chunk gathered from a joined chunk (boxed views of views)
         // reads its lanes in the same way.
@@ -138,7 +167,7 @@ proptest! {
         let none = ColumnBatch::from_rows(&[]).unwrap();
         let again = ColumnBatch::join(&got, &perm, &none, &perm);
         let rows: Vec<Row> = perm.iter().map(|&k| rows[k as usize].clone()).collect();
-        let want = ColumnBatch::from_rows(&rows).unwrap();
+        let want = ColumnBatch::pivot(&rows, &schema).unwrap();
         prop_assert_eq!(again.arity(), got.arity());
         for (j, (c, w)) in again.cols().iter().zip(want.cols()).enumerate() {
             assert_same_lanes(c, w, j);

@@ -257,24 +257,6 @@ impl Builtin {
         }
     }
 
-    /// True for the built-ins whose result is DOUBLE, which `infer_type`
-    /// types as `DataType::Double` whatever their arguments; the
-    /// vectorized kernels write their lanes as a typed DOUBLE column.
-    pub fn returns_double(&self) -> bool {
-        matches!(
-            self,
-            Builtin::InnerProduct
-                | Builtin::Trace
-                | Builtin::FrobeniusNorm
-                | Builtin::Norm2
-                | Builtin::SumElements
-                | Builtin::GetScalar
-                | Builtin::GetEntry
-                | Builtin::MinElement
-                | Builtin::MaxElement
-        )
-    }
-
     /// Templated-signature type inference (§4.2). Binds the signature's
     /// dimension parameters against the argument types, failing on
     /// impossible bindings and producing the exact output type when the
@@ -874,39 +856,6 @@ mod tests {
                 let want = Builtin::MatrixVectorMultiply.evaluate(&[xt.clone(), v.clone()]);
                 let got = Builtin::TransMatrixVectorMultiply.evaluate(&[x.clone(), v]);
                 assert_eq!(format!("{got:?}"), format!("{want:?}"));
-            }
-        }
-    }
-
-    /// `returns_double` lists exactly the built-ins `infer_type` types as
-    /// DOUBLE: over every argument tuple drawn from the LA and scalar
-    /// types, each one that types at all gives DOUBLE for those built-ins
-    /// and never DOUBLE for the others.
-    #[test]
-    fn returns_double_agrees_with_infer_type() {
-        let pool = [
-            m(3, 3),
-            ArgType::of(DataType::Matrix(None, None)),
-            v(3),
-            ArgType::of(DataType::Vector(None)),
-            ArgType::const_int(1),
-            ArgType::of(DataType::Double),
-            ArgType::of(DataType::LabeledScalar),
-        ];
-        let internal = [Builtin::Gram, Builtin::TransMatrixVectorMultiply];
-        for b in ALL_BUILTINS.iter().chain(&internal) {
-            let mut tuples: Vec<Vec<ArgType>> = vec![Vec::new()];
-            for _ in 0..b.arity() {
-                tuples = tuples
-                    .into_iter()
-                    .flat_map(|t| pool.iter().map(move |a| [t.clone(), vec![*a]].concat()))
-                    .collect();
-            }
-            let typed: Vec<DataType> =
-                tuples.iter().filter_map(|t| b.infer_type(t).ok()).collect();
-            assert!(!typed.is_empty(), "{}: no argument tuple types", b.name());
-            for t in typed {
-                assert_eq!(t == DataType::Double, b.returns_double(), "{} → {t}", b.name());
             }
         }
     }

@@ -39,7 +39,11 @@ impl ArithOp {
         }
     }
 
-    fn apply_f64(&self, a: f64, b: f64) -> f64 {
+    /// The operator over two doubles: plain IEEE operations, so `x / 0.0`
+    /// is an infinity, not an error. The interpreter and the vectorized
+    /// kernels both compute DOUBLE arithmetic here.
+    #[inline]
+    pub fn apply_f64(&self, a: f64, b: f64) -> f64 {
         match self {
             ArithOp::Add => a + b,
             ArithOp::Sub => a - b,
