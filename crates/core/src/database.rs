@@ -90,12 +90,13 @@ pub struct DatabaseConfig {
     /// in-memory flight recorder. *Which* statements are traced is set on
     /// the process-wide recorder (`lardb_obs::recorder()`), not here.
     pub trace_dir: Option<std::path::PathBuf>,
-    /// Expression engine for scan→filter→project→aggregate pipelines:
-    /// `Compiled` (the default) pivots morsels into column batches and
-    /// evaluates register bytecode with fused vectorized kernels, falling
-    /// back to the row interpreter per chunk on any kernel error;
-    /// `Interpret` runs everything through the row-at-a-time tree walker
-    /// (the differential suite's oracle).
+    /// Expression engine of the chunk pipeline that filters, projections
+    /// and aggregates run in: `Compiled` (the default) pivots chunks into
+    /// column batches and evaluates register bytecode with fused
+    /// vectorized kernels, falling back to the row interpreter per chunk
+    /// on any kernel error; `Interpret` runs every chunk through that
+    /// row-at-a-time tree walker (the differential suite's oracle). The
+    /// operators, the chunks and every result are the same under both.
     pub expr_engine: lardb_exec::ExprEngine,
     /// Rows per column batch in the compiled engine (default
     /// [`lardb_exec::DEFAULT_BATCH_ROWS`]).

@@ -1,7 +1,8 @@
 //! The tables the corpus runs over. Every double in them is a dyadic
 //! rational small enough that each partial sum and product is exact, so
-//! re-associating an aggregate (more workers, smaller morsels, a spilled
-//! partition) cannot move a bit and `==` is the contract, not a tolerance.
+//! re-associating an aggregate (more workers split it into partials merged
+//! by a Final) cannot move a bit and `==` is the contract, not a
+//! tolerance. Morsel size, engine and spilling re-associate nothing.
 //! Table names are disjoint across fixtures: one database can hold them all.
 //! The loaders that take rows ([`tile_table`], [`big_matrix`],
 //! [`points_tables`]) also serve a suite's full-mantissa random twin of a
@@ -23,7 +24,7 @@ pub enum Fixture {
     Fat,
     /// `facts`, `dims`: [`seed_db`].
     Facts,
-    /// `t`, `empty`: [`mixed_db`].
+    /// `t`, `empty`, `edge`: [`mixed_db`].
     Mixed,
     /// `z`, `p`, `n`: [`nan_db`].
     Nan,
@@ -162,7 +163,9 @@ pub fn seed_db(db: &Database) {
 }
 
 /// Mixed-type `t`: half-step doubles, NULLs in `g` and `v`, and a VARCHAR
-/// column for the type-error statements; `empty` has no rows.
+/// column for the type-error statements; `empty` has no rows; `edge` holds
+/// `(1, 1)` on the first partition and `(2, i64::MAX)` on the second, where
+/// workers allow.
 pub fn mixed_db(db: &Database) {
     let rows = (0..400i64).map(|i| {
         Row::new(vec![
@@ -181,6 +184,9 @@ pub fn mixed_db(db: &Database) {
     table(db, "t", &columns, Partitioning::Hash(0), rows.collect());
     let columns = [("x", DataType::Integer), ("y", DataType::Double)];
     table(db, "empty", &columns, Partitioning::RoundRobin, Vec::new());
+    let columns = [("a", DataType::Integer), ("b", DataType::Integer)];
+    let rows = [(1, 1), (2, i64::MAX)].map(|(a, b)| Row::new(vec![int(a), int(b)]));
+    table(db, "edge", &columns, Partitioning::RoundRobin, rows.to_vec());
 }
 
 /// Sources of NaN group keys: `z` (`v / v` is NaN on its zeros), `p`

@@ -84,9 +84,13 @@ pub fn capacity_axes() -> Vec<Cell> {
 
 /// The pivot and every axis alone. One axis away from the *pivot*, not
 /// from the oracle: one worker ships nothing whatever the transport, and
-/// the interpreter cuts no batches whatever `batch_rows`. The values the
+/// the interpreter pivots no batch whatever `batch_rows`. The values the
 /// pivot does not have are the oracle's or a cell's here; the last cell is
-/// the product's own defaults.
+/// the product's own defaults. Of these axes only the worker count
+/// re-associates an aggregate (through its Partial/Final split), which the
+/// fixtures' exact doubles hide; morsel size and engine move no bit over
+/// any doubles, since every aggregate folds one table per partition in
+/// row order (`scheduler_equivalence` checks that on full mantissas).
 pub fn single_axis() -> Vec<Cell> {
     let mut cells = capacity_axes();
     cells.push(cell(|c| c.expr_engine = ExprEngine::Interpret));

@@ -250,12 +250,20 @@ fn engine_cells() -> Vec<lattice::Cell> {
 }
 
 /// This suite's own statements over the mixed fixture, swept beside the
-/// corpus's but outside it (so the counters golden does not run them). A
-/// predicate that leans on the interpreter's lenient `AND`, which takes
-/// the INTEGER `g` as not FALSE: it does not type, so the compiled filter
-/// declines every chunk and the interpreter answers.
-const OWN: [Statement; 1] =
-    [Statement { sql: "SELECT id FROM t WHERE (g AND v < 0.0) OR id = 307", fails_with: None }];
+/// corpus's but outside it (so the counters golden does not run them):
+/// * a predicate that leans on the interpreter's lenient `AND`, which
+///   takes the INTEGER `g` as not FALSE: it does not type, so the compiled
+///   filter declines every chunk and the interpreter answers;
+/// * a chain that fails in two stages: the Filter overflows on `edge`'s
+///   second row, the Project divides by zero on its first. Both engines
+///   report the first failing row's error, the Project's.
+const OWN: [Statement; 2] = [
+    Statement { sql: "SELECT id FROM t WHERE (g AND v < 0.0) OR id = 307", fails_with: None },
+    Statement {
+        sql: "SELECT 10 / (b - 1) AS q FROM edge WHERE b + b > 0",
+        fails_with: Some("division by zero"),
+    },
+];
 
 /// Statements that succeed return bit-identical relations, and failing
 /// ones fail with the same message: workers race to fail first and the

@@ -10,9 +10,12 @@ mod common;
 
 use common::compare::{exact_rows, metric, sweep};
 use common::corpus;
-use common::fixtures::Fixture;
+use common::fixtures::{rngish, Fixture};
 use common::lattice::{self, cell, SPLIT, WHOLE};
-use lardb::{DataType, Matrix, Partitioning, Row, Schema, Source, TransportMode, Value};
+use lardb::{
+    DataType, DatabaseConfig, ExprEngine, Matrix, Partitioning, Row, Schema, Source,
+    TransportMode, Value,
+};
 
 #[test]
 fn split_morsels_match_whole_partitions_on_skew() {
@@ -37,25 +40,59 @@ fn every_axis_alone_matches_the_oracle_on_skew() {
     sweep(Fixture::Skew, corpus::on(Fixture::Skew), &lattice::single_axis());
 }
 
+/// Neither the morsel size nor the expression engine moves a bit of an
+/// aggregate: each partition folds its rows into one group table, in row
+/// order. The doubles carry full mantissas, so any re-association shows:
+/// a grouped `SUM`/`AVG`/`COUNT` over three groups, and 4 000 groups whose
+/// `Final` partitions hold some 4 000 state rows at four workers, more
+/// than a default morsel. Each worker count is compared with itself: more
+/// workers do re-associate, through the Partial/Final split.
 #[test]
-fn double_aggregates_match_within_tolerance() {
-    // Morsel splitting re-associates float addition; sums must agree with
-    // the one-morsel-per-partition run to rounding error only.
-    let split_db = Fixture::Skew.open(&cell(|_| {}));
-    let whole_db = Fixture::Skew.open(&cell(|c| c.morsel_rows = WHOLE));
-    let q = "SELECT SUM(v) AS s FROM skew";
-    let got = split_db.query(q).unwrap().scalar().unwrap().as_double().unwrap();
-    let want = whole_db.query(q).unwrap().scalar().unwrap().as_double().unwrap();
-    assert!(
-        (got - want).abs() <= 1e-9 * want.abs().max(1.0),
-        "split {got} vs whole {want}"
-    );
+fn morsel_size_and_engine_move_no_bit_of_an_aggregate() {
+    let statements = [
+        "SELECT g, SUM(v) AS s, AVG(v) AS a, COUNT(*) AS c FROM f GROUP BY g",
+        "SELECT k, SUM(v) AS s, AVG(v) AS a FROM many GROUP BY k",
+    ];
+    let load = |db: &lardb::Database| {
+        let mut rng = rngish(0xF00D);
+        let mut double = move || (rng() >> 11) as f64 / (1u64 << 53) as f64 * 1e3 - 500.0;
+        let columns =
+            |key| Schema::from_pairs(&[(key, DataType::Integer), ("v", DataType::Double)]);
+        for (table, key, rows, groups) in [("f", "g", 20_000, 3), ("many", "k", 32_000, 4_000)] {
+            db.create_table(table, columns(key), Partitioning::RoundRobin).unwrap();
+            let rows = (0..rows).map(|i: i64| {
+                Row::new(vec![Value::Integer(i % groups), Value::Double(double())])
+            });
+            db.insert_rows(table, rows.collect::<Vec<_>>()).unwrap();
+        }
+    };
+    let default_morsel = DatabaseConfig::default().morsel_rows;
+    for workers in [1usize, 4] {
+        let mut want: Option<(String, Vec<Vec<String>>)> = None;
+        for engine in [ExprEngine::Interpret, ExprEngine::Compiled] {
+            for morsel_rows in [SPLIT, default_morsel, WHOLE] {
+                let cell = cell(|c| {
+                    c.workers = workers;
+                    c.expr_engine = engine;
+                    c.morsel_rows = morsel_rows;
+                });
+                let db = cell.open();
+                load(&db);
+                let got: Vec<Vec<String>> =
+                    statements.iter().map(|q| exact_rows(&db.query(q).unwrap())).collect();
+                match &want {
+                    None => want = Some((cell.name, got)),
+                    Some((first, want)) => assert_eq!(&got, want, "{} vs {first}", cell.name),
+                }
+            }
+        }
+    }
 }
 
 #[test]
 fn repeated_grouped_aggregation_is_deterministic() {
-    // Per-partition partials merge in ascending morsel order no matter
-    // which worker ran which morsel, so repeated runs are bit-identical —
+    // Each partition folds its rows into one group table in row order,
+    // whichever worker ran it, so repeated runs are bit-identical —
     // including float AVG states.
     let db = Fixture::Skew.open(&cell(|_| {}));
     let q = "SELECT g, AVG(v) AS a, SUM(v) AS s, COUNT(*) AS c FROM skew GROUP BY g";

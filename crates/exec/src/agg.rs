@@ -12,10 +12,10 @@
 //! row of accumulators per group behind a `KeyTable` — group keys stored
 //! once, as `Value`s in first-seen order, indexed by an open-addressed
 //! array of group numbers. Rows (`update_row`), evaluated column chunks
-//! (`update_columns`), other tables (`merge`) and spilled state rows
-//! (`merge_state_row`) all find their group through the same key hash and
-//! the same key equality (`KeyLane`), which compare a typed lane against
-//! the stored key without boxing it. Group keys treat `-0.0` as `0.0` and
+//! (`update_columns`) and spilled state rows (`merge_state_row`) all find
+//! their group through the same key hash and the same key equality
+//! (`KeyLane`), which compare a typed lane against the stored key without
+//! boxing it. Group keys treat `-0.0` as `0.0` and
 //! every NaN as one key (and emit `0.0` and the canonical NaN for them);
 //! nothing else in the engine does.
 
@@ -670,9 +670,9 @@ fn values_match(stored: &[Value], kv: &[Value]) -> bool {
 
 /// A grouped-aggregation hash table: one [`KeyTable`] and, per group, one
 /// accumulator per aggregate. Every aggregate mode and both expression
-/// engines fill the same table — rows through [`Self::update_row`],
-/// column chunks through [`Self::update_columns`], other tables through
-/// [`Self::merge`] — and groups come out in first-seen order.
+/// engines fill the same table, one per partition — rows through
+/// [`Self::update_row`], column chunks through [`Self::update_columns`] —
+/// and groups come out in first-seen order.
 pub(crate) struct GroupedAgg<'a> {
     group_by: &'a [Expr],
     aggs: &'a [AggExpr],
@@ -750,7 +750,7 @@ impl<'a> GroupedAgg<'a> {
     }
 
     /// Folds one state row whose group key is its leading columns — what
-    /// [`Self::into_state_rows`] emits and the spilling merge reads back.
+    /// [`Self::into_state_rows`] emits and a spilling finish reads back.
     pub(crate) fn merge_state_row(&mut self, row: &Row) -> Result<()> {
         let kv = row.values().get(..self.group_by.len()).ok_or_else(|| {
             ExecError::Runtime("aggregate state row shorter than its group key".to_string())
@@ -809,24 +809,9 @@ impl<'a> GroupedAgg<'a> {
         Ok(())
     }
 
-    /// Folds another aggregation table (e.g. a later morsel's partial
-    /// result) into this one by merging accumulator states. `other`'s
-    /// groups arrive in its first-seen order, so folding partials in
-    /// ascending morsel order yields a deterministic group order.
-    pub(crate) fn merge(&mut self, other: GroupedAgg<'a>) -> Result<()> {
-        let KeyTable { hashes, keys, .. } = other.table;
-        for ((hash, kv), accs) in hashes.into_iter().zip(keys).zip(other.accs) {
-            let idx = self.group_index(hash, &kv)?;
-            for (mine, theirs) in self.accs[idx].iter_mut().zip(accs) {
-                mine.merge_state(&theirs.state())?;
-            }
-        }
-        Ok(())
-    }
-
     /// Approximate heap bytes of this table's state (group keys +
     /// accumulator payloads + per-group bookkeeping), as charged against
-    /// the memory governor by the spilling merge.
+    /// the memory governor when a budget finishes the table.
     pub(crate) fn state_bytes(&self) -> usize {
         let keys: usize = self.table.keys.iter().flatten().map(Value::byte_size).sum();
         let states: usize = self.accs.iter().flatten().map(Accumulator::state_bytes).sum();
@@ -835,7 +820,7 @@ impl<'a> GroupedAgg<'a> {
 
     /// Consumes the table into `[group cols][state cols]` rows in
     /// first-seen order — the same layout `AggMode::Final` consumes, and
-    /// what the spilling merge writes to its bucket files.
+    /// what a spilling finish writes to its bucket files.
     pub(crate) fn into_state_rows(mut self) -> Vec<Row> {
         self.mode = AggMode::Partial;
         self.finish()
@@ -1242,7 +1227,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// `update_columns` ≡ `update_row`: same groups in the same order,
-        /// same `Value` variants, same float bits — also after a merge.
+        /// same `Value` variants, same float bits.
         #[test]
         fn update_columns_matches_update_row(seed in 0u64..u64::MAX) {
             let mut g = Gen(seed);
@@ -1263,20 +1248,15 @@ mod tests {
                     AggExpr { func, arg, name: "a".into() }
                 })
                 .collect();
-            let first = gen_chunks(&mut g, keys, next_arg - keys);
-            let second = gen_chunks(&mut g, keys, next_arg - keys);
+            let chunks = gen_chunks(&mut g, keys, next_arg - keys);
             for mode in [AggMode::Partial, AggMode::Complete] {
                 let table = |chunks, columns| {
                     let mut agg = GroupedAgg::new(&group_by, &aggs, mode);
                     fill(&mut agg, chunks, columns);
                     agg
                 };
-                let (by_col, by_row) = (table(&first, true), table(&first, false));
+                let (by_col, by_row) = (table(&chunks, true), table(&chunks, false));
                 prop_assert_eq!(by_col.state_bytes(), by_row.state_bytes());
-                prop_assert_eq!(exact(&by_col.finish()), exact(&by_row.finish()));
-                let (mut by_col, mut by_row) = (table(&first, true), table(&first, false));
-                by_col.merge(table(&second, true)).unwrap();
-                by_row.merge(table(&second, false)).unwrap();
                 prop_assert_eq!(exact(&by_col.finish()), exact(&by_row.finish()));
             }
         }

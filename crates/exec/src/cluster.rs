@@ -58,8 +58,9 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Default rows per morsel. Small enough that a skewed partition splits
 /// into many stealable pieces, large enough that per-morsel scheduling
-/// cost is noise; also keeps small inputs on the single-morsel path,
-/// whose float accumulation order is identical to a sequential run.
+/// cost is noise. No result depends on it: morsels carry row-at-a-time
+/// work (filters, projections, probes, routing) whose outputs reassemble
+/// in row order, and aggregates fold each partition whole.
 pub const DEFAULT_MORSEL_ROWS: usize = 1024;
 
 /// A cluster of `W` shared-nothing workers.
@@ -143,11 +144,13 @@ impl Cluster {
     /// workers drain a skewed partition's tail instead of idling.
     ///
     /// Returns, per partition, the morsel results **in ascending row
-    /// order** (deterministic regardless of which worker ran what; the
-    /// caller's merge sees the same sequence a sequential run would).
-    /// Every partition yields at least one morsel, so empty partitions
-    /// still produce one result (preserving per-partition semantics such
-    /// as empty-input aggregates).
+    /// order** (deterministic regardless of which worker ran what), so
+    /// concatenating them gives what one pass over the partition would.
+    /// A morsel's result may therefore depend only on its own rows, never
+    /// on where the partition was cut: no caller folds a partition's
+    /// morsels into one state (aggregates run per partition through
+    /// [`Self::par_map`]). Every partition yields at least one morsel, so
+    /// empty partitions still produce one result.
     pub fn morsel_map<T, R, F>(&self, parts: Vec<Vec<T>>, f: F) -> Result<Vec<Vec<R>>>
     where
         T: Send,

@@ -34,11 +34,14 @@ use crate::batch::Col;
 use crate::kernels::{self, unsupported};
 use crate::{ExecError, Result};
 
-/// Which expression engine executes scans, filters, projections and
-/// aggregate inputs.
+/// How the chunk pipeline evaluates the expressions of filters,
+/// projections, join residuals and aggregate inputs. Both engines run the
+/// same operators over the same chunks and fill the same group tables in
+/// the same row order; only the evaluation of a chunk differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExprEngine {
-    /// Row-at-a-time tree-walking interpreter ([`crate::eval`]) — the
+    /// Row-at-a-time tree-walking interpreter ([`crate::eval`]) over every
+    /// chunk, with nothing compiled or pivoted — the compiled engine's
     /// per-chunk fallback and the differential suite's oracle.
     Interpret,
     /// Compiled bytecode over column batches with fused morsel kernels

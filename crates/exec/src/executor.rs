@@ -14,15 +14,18 @@
 //!   concatenates them for the morselized probe and the grace join, which
 //!   must produce rows. A cross product is the join on the empty key,
 //!   built on its right side (`BuildOn`);
-//! * chunks enter an aggregate on the compiled path through
-//!   `ChunkPipeline::aggregate`, as rows from a materialized child or as
-//!   matched pairs from the fused join→aggregate producer — no `Row` is
-//!   built between the probe and the aggregate, and the group table
-//!   (`crate::agg::GroupedAgg`, which moved out of this file with its
-//!   index and key hash) is handed the evaluated key and argument
-//!   *columns*, not per-lane values.
+//! * expressions are evaluated in `ChunkPipeline`: every Filter/Project
+//!   chain and every aggregate runs its chunks through it, as rows from a
+//!   materialized child or as matched pairs from the fused join→aggregate
+//!   producer — no `Row` is built between the probe and the aggregate.
+//!   Each aggregate fills one group table (`crate::agg::GroupedAgg`) per
+//!   partition, in row order, from the evaluated key and argument
+//!   *columns* or, for a replayed chunk, from rows.
 //!
-//! The `ExprEngine::Interpret` arms of `Executor::run` and the test-only
+//! The expression engine is a per-chunk choice inside that pipeline:
+//! under `ExprEngine::Interpret` it compiles nothing and every chunk takes
+//! the interpreter's path (`ChunkPipeline::interpret`), the one a declined
+//! compiled chunk replays through. That engine and the test-only
 //! `Executor::with_fusion(false)` are the references the equivalence
 //! suites compare against.
 
@@ -212,18 +215,18 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Applies network-layer knobs (timeouts, frame-size cap) and the
-    /// optional chaos-testing fault plan to this executor's serialized
-    /// exchanges.
+    /// Applies the network layer's frame-size cap and the optional
+    /// chaos-testing fault plan to this executor's serialized exchanges.
     pub fn with_net_config(mut self, net: NetConfig) -> Self {
         self.net = net;
         self
     }
 
     /// Selects the expression engine: `Compiled` (default) evaluates
-    /// filter/project/partial-aggregate chains column-at-a-time over
-    /// [`ColumnBatch`] morsels with compiled bytecode; `Interpret` keeps
-    /// the row-at-a-time reference path (the ablation arm).
+    /// filter/project/aggregate chunks column-at-a-time over
+    /// [`ColumnBatch`]es with compiled bytecode; `Interpret` compiles
+    /// nothing and evaluates every chunk row at a time (the reference and
+    /// the ablation arm). Both run the same operators.
     pub fn with_expr_engine(mut self, engine: ExprEngine) -> Self {
         self.engine = engine;
         self
@@ -233,11 +236,6 @@ impl<'a> Executor<'a> {
     pub fn with_batch_rows(mut self, rows: usize) -> Self {
         self.batch_rows = rows.max(1);
         self
-    }
-
-    /// The expression engine this executor evaluates with.
-    pub fn expr_engine(&self) -> ExprEngine {
-        self.engine
     }
 
     /// Runs a plan to completion, materializing its output.
@@ -270,50 +268,10 @@ impl<'a> Executor<'a> {
                 self.record(plan, stats, t0, &out, ShuffleStats::default());
                 out
             }
-            PhysicalPlan::Filter { .. } | PhysicalPlan::Project { .. }
-                if self.engine == ExprEngine::Compiled =>
-            {
-                // Vectorized path: the whole adjacent Filter/Project chain
-                // fuses into a single morsel kernel over column batches.
+            PhysicalPlan::Filter { .. } | PhysicalPlan::Project { .. } => {
+                // The whole adjacent Filter/Project chain runs as one stage
+                // of the chunk pipeline.
                 return self.run_vectorized_chain(plan, stats);
-            }
-            PhysicalPlan::Filter { input, predicate, .. } => {
-                let child = self.run(input, stats)?;
-                let t0 = Instant::now();
-                // Row-range morsels: a skewed partition is drained by
-                // whichever pool workers are idle.
-                let morsels = self.cluster.morsel_map(child, |_, rows| {
-                    let mut keep = Vec::new();
-                    let mut scratch = Vec::new();
-                    for r in rows {
-                        if eval_predicate_with(predicate, &r, &mut scratch)? {
-                            keep.push(r);
-                        }
-                    }
-                    Ok(keep)
-                })?;
-                let out = flatten_morsels(morsels);
-                self.record(plan, stats, t0, &out, ShuffleStats::default());
-                out
-            }
-            PhysicalPlan::Project { input, exprs, .. } => {
-                let child = self.run(input, stats)?;
-                let t0 = Instant::now();
-                let morsels = self.cluster.morsel_map(child, |_, rows| {
-                    let mut mapped = Vec::with_capacity(rows.len());
-                    let mut scratch = Vec::new();
-                    for r in rows {
-                        let mut vals = Vec::with_capacity(exprs.len());
-                        for e in exprs {
-                            vals.push(eval_with(e, &r, &mut scratch)?);
-                        }
-                        mapped.push(Row::new(vals));
-                    }
-                    Ok(mapped)
-                })?;
-                let out = flatten_morsels(morsels);
-                self.record(plan, stats, t0, &out, ShuffleStats::default());
-                out
             }
             PhysicalPlan::HashJoin {
                 left, right, left_keys, right_keys, residual, ..
@@ -327,44 +285,25 @@ impl<'a> Executor<'a> {
                 out
             }
             PhysicalPlan::HashAggregate { input, group_by, aggs, mode, .. } => {
-                if matches!(mode, AggMode::Partial | AggMode::Complete) {
-                    // Any Filter/Project chain under the aggregate runs
-                    // inside its chunk pipeline.
-                    let (chain, base) = peel_chain(input);
-                    // Pipelined join→aggregate fusion: stream joined rows
-                    // into the pipeline in chunks instead of materializing
-                    // them — the combiner structure SimSQL's MapReduce
-                    // substrate provides, and the only way the tuple-based
-                    // workloads survive realistic scales.
-                    if self.fuse && matches!(base, PhysicalPlan::HashJoin { .. }) {
-                        return self.run_fused_aggregate(
-                            plan, group_by, aggs, *mode, &chain, base, stats,
-                        );
-                    }
-                    if self.engine == ExprEngine::Compiled {
-                        return self.run_vectorized_aggregate(
-                            plan, group_by, aggs, *mode, &chain, base, stats,
-                        );
-                    }
+                // Any Filter/Project chain under the aggregate runs inside
+                // its chunk pipeline.
+                let (chain, base) = peel_chain(input);
+                // Pipelined join→aggregate fusion: stream joined rows into
+                // the pipeline in chunks instead of materializing them —
+                // the combiner structure SimSQL's MapReduce substrate
+                // provides, and the only way the tuple-based workloads
+                // survive realistic scales.
+                if self.fuse
+                    && !matches!(mode, AggMode::Final)
+                    && matches!(base, PhysicalPlan::HashJoin { .. })
+                {
+                    return self.run_fused_aggregate(
+                        plan, group_by, aggs, *mode, &chain, base, stats,
+                    );
                 }
-                let child = self.run(input, stats)?;
-                let t0 = Instant::now();
-                // Each morsel pre-aggregates into its own hash table;
-                // per-partition partials are then merged sequentially in
-                // ascending morsel order, so group order (first-seen) and
-                // accumulation order are deterministic no matter which
-                // worker ran which morsel.
-                let partials = self.cluster.morsel_map(child, |_, rows| {
-                    let mut agg = GroupedAgg::new(group_by, aggs, *mode);
-                    let mut scratch = Vec::new();
-                    for row in &rows {
-                        agg.update_row(row, &mut scratch)?;
-                    }
-                    Ok(agg)
-                })?;
-                let (out, spill) = self.merge_partitions(partials, group_by, aggs, *mode)?;
-                self.record_spill(plan, stats, t0, &out, ShuffleStats::default(), spill);
-                out
+                return self.run_vectorized_aggregate(
+                    plan, group_by, aggs, *mode, &chain, base, stats,
+                );
             }
             PhysicalPlan::Exchange { input, kind, .. } => {
                 let child = self.run(input, stats)?;
@@ -635,15 +574,17 @@ impl<'a> Executor<'a> {
         Ok(out)
     }
 
-    /// Executes a contiguous Filter/Project chain column-at-a-time: the
-    /// chain compiles to bytecode once, every morsel is pivoted into
-    /// [`ColumnBatch`] chunks, and all stages run over each chunk in one
-    /// pass — filters produce selection vectors instead of intermediate
-    /// row vectors, projections evaluate only selected lanes. Any chunk
-    /// the pivot or a kernel declines (a lane of another type than its
-    /// column's, integer overflow, a lane-level error) is replayed
-    /// wholesale through the row interpreter, so values *and* error
-    /// classes are identical to `ExprEngine::Interpret` by construction.
+    /// Executes a contiguous Filter/Project chain through one chunk
+    /// pipeline over row-range morsels. Under the compiled engine the
+    /// chain compiles to bytecode once, every chunk is pivoted into a
+    /// [`ColumnBatch`], and all stages run over it in one pass — filters
+    /// produce selection vectors instead of intermediate row vectors,
+    /// projections evaluate only selected lanes. Any chunk the pivot or a
+    /// kernel declines (a lane of another type than its column's, integer
+    /// overflow, a lane-level error) is replayed wholesale through the row
+    /// interpreter, which `ExprEngine::Interpret` runs every chunk
+    /// through, so values *and* errors are the same under both engines by
+    /// construction: the first failing row of the first failing morsel.
     fn run_vectorized_chain(
         &self,
         plan: &PhysicalPlan,
@@ -668,12 +609,14 @@ impl<'a> Executor<'a> {
         Ok(out)
     }
 
-    /// Vectorized partial/complete aggregation over a materialized child:
-    /// every partition is cut into `batch_rows` chunks and fed to the
-    /// chunk pipeline. Each partition accumulates sequentially in
-    /// ascending row order (chunks only batch the *expression work*), so
-    /// group order and float accumulation order are independent of
-    /// scheduler, worker count and batch size.
+    /// Aggregation over a materialized child: every partition is cut into
+    /// `batch_rows` chunks and fed to the chunk pipeline, which folds them
+    /// into one group table per partition, sequentially in ascending row
+    /// order (chunks only batch the *expression work*), so group order and
+    /// float accumulation order are independent of scheduler, morsel size,
+    /// engine and batch size. Under a memory budget a grouped table is
+    /// finished through [`finish_spilling`]; a global aggregate holds a
+    /// single group's state and gains nothing from bucketing it.
     #[allow(clippy::too_many_arguments)]
     fn run_vectorized_aggregate(
         &self,
@@ -688,11 +631,19 @@ impl<'a> Executor<'a> {
         let child = self.run(base, stats)?;
         let t0 = Instant::now();
         let trace = context().trace().cloned();
-        let pipe =
-            ChunkPipeline::new(self.engine, trace, base.schema(), None, chain, group_by, aggs);
+        // A Final aggregate's input rows are accumulator states, which no
+        // program evaluates (its arguments name the Partial's input
+        // columns): its pipeline compiles nothing and folds each row
+        // through `GroupedAgg::update_row`.
+        let engine = match mode {
+            AggMode::Final => ExprEngine::Interpret,
+            AggMode::Partial | AggMode::Complete => self.engine,
+        };
+        let pipe = ChunkPipeline::new(engine, trace, base.schema(), None, chain, group_by, aggs);
         let batch_rows = self.batch_rows;
         let cancel = context().cancel_token().clone();
-        let partials = self.cluster.par_map(child, |_, rows| {
+        let spilling = self.mem.bounded() && !group_by.is_empty();
+        let parts = self.cluster.par_map(child, |_, rows| {
             let mut agg = GroupedAgg::new(group_by, aggs, mode);
             let mut scratch: Vec<Value> = Vec::new();
             for chunk in rows.chunks(batch_rows) {
@@ -703,40 +654,22 @@ impl<'a> Executor<'a> {
                 }
                 pipe.aggregate(Chunk::Rows(chunk), &mut agg, &mut scratch)?;
             }
-            // One table per partition: the merge degenerates to finish().
-            Ok(vec![agg])
+            Ok(agg)
         })?;
-        let (out, spill) = self.merge_partitions(partials, group_by, aggs, mode)?;
-        pipe.record(Some((plan, spill)), t0.elapsed(), &out, stats);
-        Ok(out)
-    }
-
-    /// Merges every partition's aggregation tables (ascending morsel
-    /// order) into its output rows. Under a memory budget, grouped merges
-    /// go through the spilling path (identical to the in-memory merge
-    /// while the reservation holds). Global aggregates hold a single
-    /// group's state and gain nothing from bucketing it.
-    fn merge_partitions(
-        &self,
-        partials: Vec<Vec<GroupedAgg<'_>>>,
-        group_by: &[Expr],
-        aggs: &[AggExpr],
-        mode: AggMode,
-    ) -> Result<(Parts, SpillStats)> {
         let mut spill = SpillStats::default();
-        let mut out = Vec::with_capacity(partials.len());
-        for pp in partials {
-            if self.mem.bounded() && !group_by.is_empty() {
-                let (rows, sp) =
-                    merge_partials_spilling(pp, group_by, aggs, mode, &self.mem)?;
+        let mut out = Vec::with_capacity(parts.len());
+        for agg in parts {
+            if spilling {
+                let (rows, sp) = finish_spilling(agg, group_by, aggs, mode, &self.mem)?;
                 spill.merge(sp);
                 out.push(rows);
             } else {
-                out.push(merge_partials(pp)?);
+                out.push(agg.finish());
             }
         }
         ensure_global_row(&mut out, group_by, aggs, mode);
-        Ok((out, spill))
+        pipe.record(Some((plan, spill)), t0.elapsed(), &out, stats);
+        Ok(out)
     }
 
     fn record(
@@ -866,48 +799,53 @@ fn peel_chain(plan: &PhysicalPlan) -> (Vec<&PhysicalPlan>, &PhysicalPlan) {
     (chain, base)
 }
 
-/// One stage of a vectorized Filter/Project chain: the original
-/// expressions (for interpreter replay) plus their compiled bytecode.
+/// One stage of a Filter/Project chain: its expressions, which the
+/// interpreter evaluates, and the meters every chunk reports into.
 struct VecStage<'p> {
     id: usize,
     label: String,
-    /// Kernel invocations one chunk of this stage costs (feeds the
-    /// `exec.batch.kernels` counter exactly, per executed chunk).
-    kernels: u64,
     kind: VecStageKind<'p>,
     meter: StageMeter,
 }
 
+#[derive(Clone, Copy)]
 enum VecStageKind<'p> {
-    Filter { pred: &'p Expr, prog: Program<'p> },
-    Project { exprs: &'p [Expr], progs: Vec<Program<'p>> },
+    Filter(&'p Expr),
+    Project(&'p [Expr]),
+}
+
+/// A chain stage's compiled programs: a Filter's predicate or a
+/// Project's expressions.
+enum StageProgram<'p> {
+    Filter(Program<'p>),
+    Project(Vec<Program<'p>>),
 }
 
 impl<'p> VecStage<'p> {
     fn new(node: &'p PhysicalPlan) -> VecStage<'p> {
-        let (kernels, kind) = match node {
-            PhysicalPlan::Filter { input, predicate, .. } => {
-                let prog = Program::compile_predicate(predicate, &input.schema());
-                // +1 for the selection-vector pass itself.
-                (prog.kernels() + 1, VecStageKind::Filter { pred: predicate, prog })
-            }
-            PhysicalPlan::Project { input, exprs, .. } => {
-                let input = input.schema();
-                let progs: Vec<Program<'p>> =
-                    exprs.iter().map(|e| Program::compile(e, &input)).collect();
-                (
-                    progs.iter().map(Program::kernels).sum(),
-                    VecStageKind::Project { exprs, progs },
-                )
-            }
+        let kind = match node {
+            PhysicalPlan::Filter { predicate, .. } => VecStageKind::Filter(predicate),
+            PhysicalPlan::Project { exprs, .. } => VecStageKind::Project(exprs),
             other => unreachable!("not a vectorizable stage: {}", other.label()),
         };
-        VecStage {
-            id: node.id(),
-            label: node.label(),
-            kernels,
-            kind,
-            meter: StageMeter::default(),
+        VecStage { id: node.id(), label: node.label(), kind, meter: StageMeter::default() }
+    }
+
+    /// The stage's programs, typed against `input`, the schema of the rows
+    /// it reads, and the kernel invocations one chunk of them costs (feeds
+    /// the `exec.batch.kernels` counter exactly, per executed chunk).
+    fn compile(&self, input: &Schema) -> (u64, StageProgram<'p>) {
+        match self.kind {
+            VecStageKind::Filter(pred) => {
+                let prog = Program::compile_predicate(pred, input);
+                // +1 for the selection-vector pass itself.
+                (prog.kernels() + 1, StageProgram::Filter(prog))
+            }
+            VecStageKind::Project(exprs) => {
+                let progs: Vec<Program<'p>> =
+                    exprs.iter().map(|e| Program::compile(e, input)).collect();
+                (progs.iter().map(Program::kernels).sum(), StageProgram::Project(progs))
+            }
         }
     }
 }
@@ -1023,34 +961,44 @@ fn lane(sel: Option<&[u32]>, k: usize) -> usize {
     sel.map_or(k, |s| s[k] as usize)
 }
 
-/// The one place chunks are evaluated: a compiled Filter/Project chain
-/// and, when it feeds an aggregate, the compiled group-key and argument
-/// programs, with the meters every chunk reports into. Shared by all
-/// workers of one operator. Two pivots, one pipeline: a [`Chunk`] of rows
-/// (a scan-fed morsel, the grace join's output) or of matched pairs (the
-/// fused join→aggregate's in-memory arm, gathered from its sides) becomes
-/// a column batch and runs the same stage loop, aggregate-update loop and
-/// interpreter replay.
+/// The one place chunks are evaluated: a Filter/Project chain and, when
+/// it feeds an aggregate, the group keys and arguments, with the meters
+/// every chunk reports into. Shared by all workers of one operator. Two
+/// pivots, one pipeline: a [`Chunk`] of rows (a scan-fed morsel, the grace
+/// join's output) or of matched pairs (the fused join→aggregate's
+/// in-memory arm, gathered from its sides) becomes a column batch and runs
+/// the same stage loop and aggregate-update loop, or is replayed through
+/// the same interpreter. Under `ExprEngine::Interpret` the pipeline
+/// compiles nothing, pivots nothing and interprets every chunk.
 struct ChunkPipeline<'p> {
-    engine: ExprEngine,
     /// The schema of the rows entering the pipeline: the chain base's, or
-    /// the join's for a fused join. Every program is compiled against
-    /// it or against a chain stage's input schema.
+    /// the join's for a fused join.
     input: Schema,
     /// The fused join's residual: the first filter of every pair chunk.
     /// Row chunks have already passed it.
-    residual: Option<(&'p Expr, Program<'p>)>,
+    residual: Option<&'p Expr>,
     stages: Vec<VecStage<'p>>,
-    /// Empty for a bare chain.
-    key_progs: Vec<Program<'p>>,
-    arg_progs: Vec<Option<Program<'p>>>,
-    /// Kernel invocations the key and argument programs cost per chunk.
-    agg_kernels: u64,
+    /// `None` under `ExprEngine::Interpret`.
+    programs: Option<Programs<'p>>,
     agg_meter: StageMeter,
     counters: BatchMeter,
     hist: Arc<lardb_obs::Histogram>,
-    /// When set, every stage of every chunk opens a `kernel` span.
+    /// When set, every stage of every compiled chunk opens a `kernel` span.
     trace: Option<Arc<lardb_obs::ActiveTrace>>,
+}
+
+/// A pipeline's compiled programs, each typed against the schema of the
+/// rows it reads: the pipeline's input, a chain stage's, or the chain
+/// top's for the group keys and the aggregate arguments.
+struct Programs<'p> {
+    residual: Option<Program<'p>>,
+    /// Per chain stage, the kernels one chunk costs and the programs.
+    stages: Vec<(u64, StageProgram<'p>)>,
+    /// Empty for a bare chain.
+    keys: Vec<Program<'p>>,
+    args: Vec<Option<Program<'p>>>,
+    /// Kernel invocations the key and argument programs cost per chunk.
+    agg_kernels: u64,
 }
 
 impl<'p> ChunkPipeline<'p> {
@@ -1063,20 +1011,32 @@ impl<'p> ChunkPipeline<'p> {
         group_by: &'p [Expr],
         aggs: &'p [AggExpr],
     ) -> Self {
-        let top = chain.last().map_or_else(|| input.clone(), |n| n.schema());
-        let compile = |e| Program::compile(e, &top);
-        let key_progs: Vec<Program<'p>> = group_by.iter().map(compile).collect();
-        let arg_progs: Vec<Option<Program<'p>>> =
-            aggs.iter().map(|a| a.arg.as_ref().map(compile)).collect();
+        let stages: Vec<VecStage<'p>> = chain.iter().map(|n| VecStage::new(n)).collect();
+        let programs = (engine == ExprEngine::Compiled).then(|| {
+            let mut schema = input.clone();
+            let mut stage_progs = Vec::with_capacity(stages.len());
+            for (stage, node) in stages.iter().zip(chain) {
+                stage_progs.push(stage.compile(&schema));
+                schema = node.schema();
+            }
+            let compile = |e| Program::compile(e, &schema);
+            let keys: Vec<Program<'p>> = group_by.iter().map(compile).collect();
+            let args: Vec<Option<Program<'p>>> =
+                aggs.iter().map(|a| a.arg.as_ref().map(compile)).collect();
+            Programs {
+                residual: residual.map(|e| Program::compile_predicate(e, &input)),
+                stages: stage_progs,
+                agg_kernels: keys.iter().map(Program::kernels).sum::<u64>()
+                    + args.iter().flatten().map(Program::kernels).sum::<u64>(),
+                keys,
+                args,
+            }
+        });
         ChunkPipeline {
-            engine,
-            residual: residual.map(|e| (e, Program::compile_predicate(e, &input))),
             input,
-            stages: chain.iter().map(|n| VecStage::new(n)).collect(),
-            agg_kernels: key_progs.iter().map(Program::kernels).sum::<u64>()
-                + arg_progs.iter().flatten().map(Program::kernels).sum::<u64>(),
-            key_progs,
-            arg_progs,
+            residual,
+            stages,
+            programs,
             agg_meter: StageMeter::default(),
             counters: BatchMeter::default(),
             hist: lardb_obs::global().histogram("exec.batch.rows_per_batch"),
@@ -1085,16 +1045,16 @@ impl<'p> ChunkPipeline<'p> {
     }
 
     /// The residual a chunk must still pass: the join's, for pairs.
-    fn residual_of(&self, chunk: Chunk<'_>) -> Option<&(&'p Expr, Program<'p>)> {
-        self.residual.as_ref().filter(|_| matches!(chunk, Chunk::Pairs(_)))
+    fn residual_of(&self, chunk: Chunk<'_>) -> Option<&'p Expr> {
+        self.residual.filter(|_| matches!(chunk, Chunk::Pairs(_)))
     }
 
-    /// Pivots one chunk and runs the residual, then every chain stage,
-    /// over it. Any `Err` means "replay this chunk through the row
-    /// interpreter" — never a final query error. An empty selection
+    /// Pivots one chunk and runs the residual's program, then every chain
+    /// stage's, over it. Any `Err` means "replay this chunk through the
+    /// row interpreter" — never a final query error. An empty selection
     /// short-circuits the remaining stages (the interpreter would not
     /// evaluate them on zero rows either).
-    fn run_stages(&self, chunk: Chunk<'_>) -> Result<VecChunkState> {
+    fn run_stages(&self, progs: &Programs<'p>, chunk: Chunk<'_>) -> Result<VecChunkState> {
         let n = chunk.len();
         let batch = chunk.pivot(&self.input).ok_or_else(|| {
             ExecError::Runtime("ragged rows or a lane of another type cannot be pivoted".into())
@@ -1102,13 +1062,13 @@ impl<'p> ChunkPipeline<'p> {
         let mut cols: Vec<Arc<Col>> = batch.cols().to_vec();
         let mut sel: Option<Vec<u32>> = None;
         let mut projected = false;
-        if let Some((_, prog)) = self.residual_of(chunk) {
+        if let (Some(prog), Chunk::Pairs(_)) = (&progs.residual, chunk) {
             let pred = prog.eval(&cols, n, None)?;
             sel = Some(kernels::selection(&pred, None, n)?);
         }
         let joined = sel.as_ref().map_or(n, Vec::len);
         let mut stage_rows = Vec::with_capacity(self.stages.len());
-        for stage in &self.stages {
+        for (stage, (cost, prog)) in self.stages.iter().zip(&progs.stages) {
             if sel.as_ref().is_some_and(Vec::is_empty) {
                 break;
             }
@@ -1117,12 +1077,12 @@ impl<'p> ChunkPipeline<'p> {
                 .as_ref()
                 .map(|t| t.span("kernel", "vec").arg("op", stage.label.clone()));
             let t = Instant::now();
-            match &stage.kind {
-                VecStageKind::Filter { prog, .. } => {
+            match prog {
+                StageProgram::Filter(prog) => {
                     let pred = prog.eval(&cols, n, sel.as_deref())?;
                     sel = Some(kernels::selection(&pred, sel.as_deref(), n)?);
                 }
-                VecStageKind::Project { progs, .. } => {
+                StageProgram::Project(progs) => {
                     let mut outs = Vec::with_capacity(progs.len());
                     for p in progs {
                         outs.push(p.eval(&cols, n, sel.as_deref())?);
@@ -1133,7 +1093,7 @@ impl<'p> ChunkPipeline<'p> {
             }
             // Time and kernels were spent whatever happens next; the rows
             // wait for `commit_rows`.
-            stage.meter.add(t, stage.kernels, 0);
+            stage.meter.add(t, *cost, 0);
             stage_rows.push(sel.as_ref().map_or(n, Vec::len) as u64);
         }
         Ok((cols, sel, projected, joined, stage_rows))
@@ -1147,32 +1107,32 @@ impl<'p> ChunkPipeline<'p> {
 
     /// One chunk through the chain, survivors appended to `out`.
     /// Pass-through lanes reuse the input rows (`Arc` clones); only
-    /// projected chunks rebuild rows.
+    /// projected chunks rebuild rows. Under `ExprEngine::Interpret`, and
+    /// for any chunk a kernel declines, the chunk goes through the
+    /// interpreter, whose result (or error) is taken.
     fn rows(&self, chunk: &[Row], scratch: &mut Vec<Value>, out: &mut Vec<Row>) -> Result<()> {
-        let n = chunk.len();
-        self.hist.observe(n as u64);
-        match self.run_stages(Chunk::Rows(chunk)) {
-            Ok((cols, sel, projected, _, stage_rows)) => {
-                self.counters.ok_chunk(n);
-                self.commit_rows(&stage_rows);
-                let sel = sel.as_deref();
-                let live = (0..sel.map_or(n, <[u32]>::len)).map(|k| lane(sel, k));
-                if projected {
-                    out.extend(
-                        live.map(|i| Row::new(cols.iter().map(|c| c.value_at(i)).collect())),
-                    );
-                } else {
-                    out.extend(live.map(|i| chunk[i].clone()));
+        if let Some(progs) = &self.programs {
+            let n = chunk.len();
+            self.hist.observe(n as u64);
+            match self.run_stages(progs, Chunk::Rows(chunk)) {
+                Ok((cols, sel, projected, _, stage_rows)) => {
+                    self.counters.ok_chunk(n);
+                    self.commit_rows(&stage_rows);
+                    let sel = sel.as_deref();
+                    let live = (0..sel.map_or(n, <[u32]>::len)).map(|k| lane(sel, k));
+                    if projected {
+                        out.extend(
+                            live.map(|i| Row::new(cols.iter().map(|c| c.value_at(i)).collect())),
+                        );
+                    } else {
+                        out.extend(live.map(|i| chunk[i].clone()));
+                    }
+                    return Ok(());
                 }
-                Ok(())
-            }
-            // Kernel declined: replay the whole chunk through the
-            // interpreter and take *its* result (or error).
-            Err(_) => {
-                self.counters.fallback();
-                self.interpret(chunk, None, scratch, out).map(|_| ())
+                Err(_) => self.counters.fallback(),
             }
         }
+        self.interpret(chunk, None, scratch, out).map(drop)
     }
 
     /// One chunk through the residual, the chain and the group-key /
@@ -1192,22 +1152,19 @@ impl<'p> ChunkPipeline<'p> {
         if n == 0 {
             return Ok(0);
         }
-        if self.engine == ExprEngine::Compiled {
+        if let Some(progs) = &self.programs {
             self.hist.observe(n as u64);
             // Evaluate everything *before* touching the hash table, so a
             // declined chunk can still fall back cleanly.
-            let inputs = self.run_stages(chunk).and_then(|(cols, sel, _, joined, rows)| {
+            let inputs = self.run_stages(progs, chunk).and_then(|(cols, sel, _, joined, rows)| {
                 let s = sel.as_deref();
                 if s.is_some_and(<[u32]>::is_empty) {
                     return Ok((joined, rows, None)); // filtered to nothing
                 }
-                let keys = self
-                    .key_progs
-                    .iter()
-                    .map(|p| p.eval(&cols, n, s))
-                    .collect::<Result<Vec<_>>>()?;
-                let args = self
-                    .arg_progs
+                let keys =
+                    progs.keys.iter().map(|p| p.eval(&cols, n, s)).collect::<Result<Vec<_>>>()?;
+                let args = progs
+                    .args
                     .iter()
                     .map(|p| p.as_ref().map(|p| p.eval(&cols, n, s)).transpose())
                     .collect::<Result<Vec<_>>>()?;
@@ -1220,7 +1177,7 @@ impl<'p> ChunkPipeline<'p> {
                     if let Some((key_cols, arg_cols, sel)) = inputs {
                         let t = Instant::now();
                         agg.update_columns(&key_cols, &arg_cols, sel.as_deref(), n)?;
-                        self.agg_meter.add(t, self.agg_kernels, n as u64);
+                        self.agg_meter.add(t, progs.agg_kernels, n as u64);
                     }
                     return Ok(joined);
                 }
@@ -1228,20 +1185,20 @@ impl<'p> ChunkPipeline<'p> {
             }
         }
         let mut kept = Vec::new();
-        let residual = self.residual_of(chunk).map(|(pred, _)| *pred);
-        let joined = self.interpret(&chunk.rows(), residual, scratch, &mut kept)?;
+        let joined = self.interpret(&chunk.rows(), self.residual_of(chunk), scratch, &mut kept)?;
         for row in &kept {
             agg.update_row(row, scratch)?;
         }
         Ok(joined)
     }
 
-    /// Replays one chunk through the interpreted residual and chain, row
-    /// at a time, appending survivors to `out`; returns how many rows
-    /// passed the residual. This is the fallback the vectorized path
-    /// takes when a kernel declines a chunk: the interpreter's verdict —
-    /// values or error — is authoritative, which is what makes the two
-    /// engines agree by construction.
+    /// Runs one chunk through the interpreted residual and chain, row at
+    /// a time, appending survivors to `out`; returns how many rows passed
+    /// the residual. This is every chunk's path under
+    /// `ExprEngine::Interpret` and the replay the compiled engine takes
+    /// when a kernel declines a chunk: the interpreter's verdict — values
+    /// or error — is authoritative, which is what makes the two engines
+    /// agree by construction.
     fn interpret(
         &self,
         chunk: &[Row],
@@ -1259,15 +1216,15 @@ impl<'p> ChunkPipeline<'p> {
             joined += 1;
             let mut row = r.clone();
             for stage in &self.stages {
-                match &stage.kind {
-                    VecStageKind::Filter { pred, .. } => {
+                match stage.kind {
+                    VecStageKind::Filter(pred) => {
                         if !eval_predicate_with(pred, &row, scratch)? {
                             continue 'row;
                         }
                     }
-                    VecStageKind::Project { exprs, .. } => {
+                    VecStageKind::Project(exprs) => {
                         let mut vals = Vec::with_capacity(exprs.len());
-                        for e in *exprs {
+                        for e in exprs {
                             vals.push(eval_with(e, &row, scratch)?);
                         }
                         row = Row::new(vals);
@@ -1302,10 +1259,10 @@ impl<'p> ChunkPipeline<'p> {
             top_spill = spill;
         }
         let n_ops = ops.len();
-        let suffix = match (self.engine, n_ops) {
-            (ExprEngine::Interpret, _) => "",
-            (ExprEngine::Compiled, 1) => " [vec]",
-            (ExprEngine::Compiled, _) => " [vec fused]",
+        let suffix = match (&self.programs, n_ops) {
+            (None, _) => "",
+            (Some(_), 1) => " [vec]",
+            (Some(_), _) => " [vec fused]",
         };
         let sum = ops.iter().map(|(.., m)| m.ns.load(relaxed)).sum::<u64>().max(1);
         let mut spent = Duration::ZERO;
@@ -1691,35 +1648,15 @@ fn grace_bucket(
     Ok(())
 }
 
-/// Merges one partition's per-morsel aggregation tables (ascending
-/// morsel order) into that partition's output rows. A merge via
-/// accumulator *states* is mode-agnostic, so this works for Partial,
-/// Final, and Complete aggregates alike; with a single morsel — every
-/// small input — it degenerates to exactly the sequential computation.
-fn merge_partials(partials: Vec<GroupedAgg<'_>>) -> Result<Vec<Row>> {
-    let mut it = partials.into_iter();
-    let mut first = match it.next() {
-        Some(p) => p,
-        None => return Ok(Vec::new()),
-    };
-    for p in it {
-        first.merge(p)?;
-    }
-    Ok(first.finish())
-}
-
-/// [`merge_partials`] under a memory budget. While the governor lets the
-/// merged table's reservation grow this IS the in-memory merge. On the
-/// first denial the merged prefix is flushed once to hashed bucket files
-/// as `[group cols][state cols]` rows, every remaining partial streams its
-/// state rows to the same buckets, and the buckets are drained one at a
-/// time. Per group, a bucket file replays accumulator states in exactly
-/// the morsel order the in-memory merge would have applied them, and a
-/// first-seen order map (keys only — small next to the states being
-/// spilled) restores the output order, so the result is bit-identical,
-/// float accumulation included.
-fn merge_partials_spilling(
-    partials: Vec<GroupedAgg<'_>>,
+/// Finishes one partition's group table under a memory budget. While the
+/// governor grants the table's state bytes this IS [`GroupedAgg::finish`].
+/// On denial the table is flushed once to hashed bucket files as
+/// `[group cols][state cols]` rows and the buckets are drained one at a
+/// time; a first-seen order map (keys only — small next to the states
+/// being spilled) restores the output order, so the result is
+/// bit-identical, float accumulation included.
+fn finish_spilling(
+    agg: GroupedAgg<'_>,
     group_by: &[Expr],
     aggs: &[AggExpr],
     mode: AggMode,
@@ -1727,30 +1664,11 @@ fn merge_partials_spilling(
 ) -> Result<(Vec<Row>, SpillStats)> {
     let mut spill = SpillStats::default();
     let gov = mem.governor();
-    let mut parts = partials.into_iter();
-    let mut acc = match parts.next() {
-        Some(p) => p,
-        None => return Ok((Vec::new(), spill)),
-    };
-
-    // Phase 1: plain in-memory merge while the reservation can grow.
-    let mut reservation = gov.try_reserve(acc.state_bytes() as u64);
-    let mut overflow: Option<GroupedAgg> = None;
-    if let Some(res) = reservation.as_mut() {
-        for p in parts.by_ref() {
-            if !res.try_resize((acc.state_bytes() + p.state_bytes()) as u64) {
-                overflow = Some(p);
-                break;
-            }
-            acc.merge(p)?;
-        }
-        if overflow.is_none() {
-            return Ok((acc.finish(), spill));
-        }
+    if let Some(_res) = gov.try_reserve(agg.state_bytes() as u64) {
+        return Ok((agg.finish(), spill));
     }
-    drop(reservation); // the flush below is about to free that heap state
 
-    // Phase 2: out of core.
+    // Out of core.
     let fanout = SPILL_FANOUT;
     let mut writers = Vec::with_capacity(fanout);
     for b in 0..fanout {
@@ -1759,18 +1677,15 @@ fn merge_partials_spilling(
     spill.partitions += fanout;
     let mut bufs: Vec<Vec<Row>> = vec![Vec::new(); fanout];
     let mut order = KeyTable::new();
-    let rest: Vec<GroupedAgg> = overflow.into_iter().chain(parts).collect();
-    for g in std::iter::once(acc).chain(rest) {
-        for row in g.into_state_rows() {
-            let kv = &row.values()[..group_by.len()];
-            let hash = hash_values(kv);
-            order.group_of(hash, kv)?;
-            let b = spill_bucket(hash, fanout);
-            bufs[b].push(row);
-            if bufs[b].len() >= ROWS_PER_FRAME {
-                writers[b].write_rows(&bufs[b])?;
-                bufs[b].clear();
-            }
+    for row in agg.into_state_rows() {
+        let kv = &row.values()[..group_by.len()];
+        let hash = hash_values(kv);
+        order.group_of(hash, kv)?;
+        let b = spill_bucket(hash, fanout);
+        bufs[b].push(row);
+        if bufs[b].len() >= ROWS_PER_FRAME {
+            writers[b].write_rows(&bufs[b])?;
+            bufs[b].clear();
         }
     }
     let mut files = Vec::with_capacity(fanout);
@@ -1784,7 +1699,7 @@ fn merge_partials_spilling(
         files.push(f);
     }
 
-    // Drain: merge each bucket independently (a group never straddles
+    // Drain: finish each bucket independently (a group never straddles
     // buckets), then restore first-seen output order.
     let mut tagged: Vec<(usize, Row)> = Vec::new();
     for f in files {
@@ -1798,9 +1713,8 @@ fn merge_partials_spilling(
         let _res = gov
             .try_reserve(footprint)
             .unwrap_or_else(|| gov.force_reserve(footprint));
-        // Replay the bucket's state rows into a fresh table (file order =
-        // in-memory merge order per group) and tag each output row with
-        // its global first-seen index.
+        // Replay the bucket's state rows into a fresh table and tag each
+        // output row with its global first-seen index.
         let mut bucket = GroupedAgg::new(group_by, aggs, mode);
         for row in &rows {
             bucket.merge_state_row(row)?;

@@ -24,8 +24,8 @@ pub struct ChannelStats {
     pub bytes: usize,
     /// Frames shipped (one schema frame plus row batches).
     pub frames: usize,
-    /// Time the sender spent blocked in `send` because the channel (or
-    /// socket buffer) was full — observed backpressure.
+    /// Time the sender spent blocked in `send` because the channel was
+    /// full — observed backpressure.
     pub enqueue_block: Duration,
 }
 
