@@ -133,8 +133,8 @@ fn chaos_counters_surface_in_show_metrics() {
 }
 
 /// Cancellation latency: a KILL delivered mid-flight to a long-running
-/// cross join must abort the query promptly (the executor's scan, join
-/// probe, and fused join-aggregate loops all poll the token), and
+/// cross join must abort the query promptly (the executor's scan and join
+/// probe loops both poll the token), and
 /// the governor ledger must return to zero — no leaked reservations. The
 /// same holds for a fused hash join whose probe side is short but whose
 /// every row matches every build row: the token is polled per chunk of
@@ -202,11 +202,12 @@ fn cancellation_latency_is_bounded() {
     }
 }
 
-/// The same bound without an aggregate on top: the unfused probe polls the
-/// token every few thousand matched pairs, so KILL waits out neither a
-/// morsel of a cross product nor a morsel of probe rows that each match
-/// 8 000 build rows. Both residuals reject every pair, so no output piles
-/// up while the join runs.
+/// The same bound without an aggregate on top: a plain join is the same
+/// chunk producer as the fused one and polls the token after every chunk
+/// of pairs it cuts, before the residual, so KILL waits out neither a
+/// partition of a cross product nor probe rows that each match 8 000
+/// build rows. Both residuals reject every pair, so no output piles up
+/// while the join runs.
 #[test]
 fn unfused_join_cancellation_is_bounded() {
     use std::time::{Duration, Instant};

@@ -59,8 +59,9 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Default rows per morsel. Small enough that a skewed partition splits
 /// into many stealable pieces, large enough that per-morsel scheduling
 /// cost is noise. No result depends on it: morsels carry row-at-a-time
-/// work (filters, projections, probes, routing) whose outputs reassemble
-/// in row order, and aggregates fold each partition whole.
+/// work (filters and projections over materialized rows, exchange
+/// routing) whose outputs reassemble in row order, and joins and
+/// aggregates run each partition whole.
 pub const DEFAULT_MORSEL_ROWS: usize = 1024;
 
 /// A cluster of `W` shared-nothing workers.
@@ -126,9 +127,9 @@ impl Cluster {
     /// [`ExecError::Runtime`], and when several fail the first root cause
     /// in item order wins over any `Cancelled` echo.
     ///
-    /// Used for partition-granular stages (hash-table builds, sorts,
-    /// frame encoding) where splitting finer buys nothing; row-granular
-    /// stages go through [`Self::morsel_map`].
+    /// Used for partition-granular stages (hash joins, aggregates, sorts,
+    /// frame encoding); row-granular stages go through
+    /// [`Self::morsel_map`].
     pub fn par_map<T, R, F>(&self, items: Vec<T>, f: F) -> Result<Vec<R>>
     where
         T: Send,

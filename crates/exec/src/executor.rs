@@ -8,16 +8,18 @@
 //!   and assembled once, and the transport mode only picks the carrier of
 //!   a boundary-crossing bucket (handed over, or encoded → mesh → decoded);
 //! * a join table is built in `prepare_build` (reserve, else spill) and
-//!   probed in `probe_matches` (key evaluation + lookup): the fused
-//!   join→aggregate buffers the matches as row-index pairs over sides
-//!   pivoted once (`probe_in_chunks`), and `joined_row`
-//!   concatenates them for the morselized probe and the grace join, which
-//!   must produce rows. A cross product is the join on the empty key,
-//!   built on its right side (`BuildOn`);
+//!   probed in `probe_matches` (key evaluation + lookup). Every hash join
+//!   is the chunk producer of the pipeline above it (`run_join`): a
+//!   resident table's matches are buffered as row-index pairs over sides
+//!   pivoted once (`probe_in_chunks`), and only the grace join, which
+//!   must produce rows, concatenates them (`joined_row`). A cross product
+//!   is the join on the empty key, built on its right side (`BuildOn`);
 //! * expressions are evaluated in `ChunkPipeline`: every Filter/Project
 //!   chain and every aggregate runs its chunks through it, as rows from a
-//!   materialized child or as matched pairs from the fused join→aggregate
-//!   producer — no `Row` is built between the probe and the aggregate.
+//!   materialized child or as matched pairs from the join under it — no
+//!   `Row` is built between the probe and the operator above the join,
+//!   which folds the chunks into its group table or appends the rows
+//!   that survive.
 //!   Each aggregate fills one group table (`crate::agg::GroupedAgg`) per
 //!   partition, in row order, from the evaluated key and argument
 //!   *columns* or, for a replayed chunk, from rows.
@@ -27,7 +29,8 @@
 //! the interpreter's path (`ChunkPipeline::interpret`), the one a declined
 //! compiled chunk replays through. That engine and the test-only
 //! `Executor::with_fusion(false)` are the references the equivalence
-//! suites compare against.
+//! suites compare against; the latter runs every join with nothing above
+//! it in its pipeline, so the operator above reads materialized rows.
 
 use std::cell::OnceCell;
 use std::collections::hash_map::DefaultHasher;
@@ -56,10 +59,10 @@ use crate::stats::{
 };
 use crate::{CancelToken, ExecError, Result};
 
-/// How often tight row loops (matched join pairs, probe rows, scan
-/// re-deals) re-check the cancel token: every this many iterations. Cheap
-/// enough to be noise, frequent enough that a KILL lands in milliseconds.
-/// The fused join→aggregate also polls at every chunk it cuts.
+/// How often tight row loops (probe rows, scan re-deals) re-check the
+/// cancel token: every this many iterations. Cheap enough to be noise,
+/// frequent enough that a KILL lands in milliseconds. A join also polls
+/// at every chunk it cuts.
 const CANCEL_CHECK_PAIRS: usize = 8192;
 
 /// Rows per [`ColumnBatch`] chunk in the vectorized engine: large enough
@@ -67,7 +70,7 @@ const CANCEL_CHECK_PAIRS: usize = 8192;
 /// a batch's columns stay cache-resident.
 pub const DEFAULT_BATCH_ROWS: usize = 1024;
 
-/// Byte cap on a chunk the fused join→aggregate producer buffers: a chunk
+/// Byte cap on a chunk a join producer buffers: a chunk
 /// is cut at `batch_rows` pairs or once the [`Row::byte_size`] of its
 /// pairs' two sides reaches this, whichever comes first. Column-at-a-time
 /// evaluation materializes one argument value per buffered pair, so with
@@ -198,8 +201,10 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Disables pipelined join→aggregate fusion, so a test can use the
-    /// materialized plan as the reference for the fused one.
+    /// Disables pipelining a join into the operator above it: every join
+    /// then runs with nothing above it in its pipeline, and the operator
+    /// above reads its materialized rows — the reference a test compares
+    /// the fused plan with.
     #[cfg(test)]
     pub fn with_fusion(mut self, fuse: bool) -> Self {
         self.fuse = fuse;
@@ -270,20 +275,14 @@ impl<'a> Executor<'a> {
             }
             PhysicalPlan::Filter { .. } | PhysicalPlan::Project { .. } => {
                 // The whole adjacent Filter/Project chain runs as one stage
-                // of the chunk pipeline.
-                return self.run_vectorized_chain(plan, stats);
+                // of the chunk pipeline: the join's, when a join is under it.
+                let (chain, base) = peel_chain(plan);
+                if self.fuse && matches!(base, PhysicalPlan::HashJoin { .. }) {
+                    return self.run_join(base, &chain, None, stats);
+                }
+                return self.run_vectorized_chain(&chain, base, stats);
             }
-            PhysicalPlan::HashJoin {
-                left, right, left_keys, right_keys, residual, ..
-            } => {
-                let l = self.run(left, stats)?;
-                let r = self.run(right, stats)?;
-                let t0 = Instant::now();
-                let (out, spill) =
-                    self.hash_join(l, r, left_keys, right_keys, residual.as_ref())?;
-                self.record_spill(plan, stats, t0, &out, ShuffleStats::default(), spill);
-                out
-            }
+            PhysicalPlan::HashJoin { .. } => return self.run_join(plan, &[], None, stats),
             PhysicalPlan::HashAggregate { input, group_by, aggs, mode, .. } => {
                 // Any Filter/Project chain under the aggregate runs inside
                 // its chunk pipeline.
@@ -297,9 +296,8 @@ impl<'a> Executor<'a> {
                     && !matches!(mode, AggMode::Final)
                     && matches!(base, PhysicalPlan::HashJoin { .. })
                 {
-                    return self.run_fused_aggregate(
-                        plan, group_by, aggs, *mode, &chain, base, stats,
-                    );
+                    let sink = AggSink { plan, group_by, aggs, mode: *mode };
+                    return self.run_join(base, &chain, Some(sink), stats);
                 }
                 return self.run_vectorized_aggregate(
                     plan, group_by, aggs, *mode, &chain, base, stats,
@@ -338,130 +336,40 @@ impl<'a> Executor<'a> {
         Ok(out)
     }
 
-    /// Hash join with out-of-core fallback. Each partition's build side
-    /// is prepared by [`prepare_build`]: resident partitions probe
-    /// morselized, polling the cancel token every [`CANCEL_CHECK_PAIRS`]
-    /// matched pairs, since one morsel against a large build side (a
-    /// skewed key, a cross product) is many pairs. A spilled partition
-    /// runs as a Grace join: the probe rows are routed to the build's
-    /// buckets (tagged with their original position), and each bucket
-    /// joins independently — recursively re-partitioning while its rows
-    /// still exceed the budget. Output rows are restored to exact probe
-    /// order, so the result is bit-identical to the in-memory path.
-    fn hash_join(
-        &self,
-        l: Parts,
-        r: Parts,
-        left_keys: &[Expr],
-        right_keys: &[Expr],
-        residual: Option<&Expr>,
-    ) -> Result<(Parts, SpillStats)> {
-        let mem = &self.mem;
-        let on = BuildOn::of(left_keys);
-        let (build, probe) = on.split(l, r);
-        let (build_keys, probe_keys) = on.split(left_keys, right_keys);
-        // Build phase: one hash table (or spilled bucket set) per partition
-        // (partition-granular; a shared-table build would need
-        // synchronization).
-        let prepped: Vec<(BuildSide, SpillStats)> = self.cluster.par_map(build, |_, bp| {
-            let mut spill = SpillStats::default();
-            Ok((prepare_build(bp, build_keys, mem, 0, &mut spill)?, spill))
-        })?;
-        // Probe rows for spilled partitions are held aside; in-memory
-        // partitions go through the morselized probe.
-        let mut probe_parts: Parts = Vec::with_capacity(probe.len());
-        let mut grace_probe: Vec<Vec<Row>> = Vec::with_capacity(probe.len());
-        for (p, pp) in probe.into_iter().enumerate() {
-            match prepped.get(p).map(|(side, _)| side) {
-                Some(BuildSide::Spilled { .. }) => {
-                    probe_parts.push(Vec::new());
-                    grace_probe.push(pp);
-                }
-                _ => {
-                    probe_parts.push(pp);
-                    grace_probe.push(Vec::new());
-                }
-            }
-        }
-        let cancel = context().cancel_token().clone();
-        let morsels = self.cluster.morsel_map(probe_parts, |p, rows| {
-            // Spilled partitions got an empty probe vector above.
-            let BuildSide::InMem { table, .. } = &prepped[p].0 else { return Ok(Vec::new()) };
-            let mut out = Vec::new();
-            let mut scratch = Vec::new();
-            let mut pairs = 0usize;
-            for pr in &rows {
-                for &b in probe_matches(table, pr, probe_keys, &mut scratch)? {
-                    pairs += 1;
-                    if pairs.is_multiple_of(CANCEL_CHECK_PAIRS) && cancel.is_cancelled() {
-                        return Err(ExecError::Cancelled("hash join cancelled".into()));
-                    }
-                    let (lr, rr) = on.split(&table.rows[b as usize], pr);
-                    out.extend(joined_row(lr, rr, residual, &mut scratch)?);
-                }
-            }
-            Ok(out)
-        })?;
-        let mut out = flatten_morsels(morsels);
-        // Grace phase: spilled partitions join bucket-by-bucket, in
-        // parallel across partitions.
-        let mut spill_total = SpillStats::default();
-        let mut jobs: Vec<(usize, Vec<SpillFile>, Vec<Row>)> = Vec::new();
-        for (p, (side, sp)) in prepped.into_iter().enumerate() {
-            spill_total.merge(sp);
-            if let BuildSide::Spilled { buckets } = side {
-                jobs.push((p, buckets, std::mem::take(&mut grace_probe[p])));
-            }
-        }
-        if !jobs.is_empty() {
-            let results = self.cluster.par_map(jobs, |_, (p, buckets, probe)| {
-                let (rows, spill) = grace_join_partition(
-                    buckets, probe, build_keys, probe_keys, residual, mem,
-                )?;
-                Ok((p, rows, spill))
-            })?;
-            for (p, rows, sp) in results {
-                out[p] = rows;
-                spill_total.merge(sp);
-            }
-        }
-        Ok((out, spill_total))
-    }
-
-    /// Pipelined join→aggregate execution: the join is a producer for the
-    /// same chunk pipeline a scan-fed aggregate uses, and no `Row` is built
-    /// between the probe and the aggregate. The in-memory arm
-    /// ([`probe_in_chunks`]) buffers matched pairs as two row-index
+    /// Runs a hash join as the chunk producer of the pipeline above it:
+    /// `chain`, the Filter/Project stages between the join and its
+    /// consumer, then `agg`'s group table when an aggregate consumes the
+    /// join, or the surviving rows otherwise — no intermediate `Row` is
+    /// built between the probe and the consumer. Each partition prepares
+    /// its build side ([`prepare_build`]). A resident build is probed by
+    /// [`probe_in_chunks`], which buffers matched pairs as two row-index
     /// vectors over the partition's sides — the build rows stay owned by
     /// the join table, the probe rows by the partition — cuts a chunk at
     /// `batch_rows` pairs or [`CHUNK_BYTES`] buffered bytes, whichever
     /// comes first, and hands it to the pipeline, which gathers the pairs'
     /// columns by position from sides pivoted once and runs the join
-    /// residual as the chunk's first filter, then the Filter/Project chain
-    /// and the aggregate's programs into the hash table. Chunks are
-    /// therefore cut *before* the residual, and the cancel token is polled
-    /// after every chunk. Only the grace arm (build reservation denied)
-    /// still concatenates: its joined rows enter the same pipeline as row
-    /// chunks. Join time and aggregation time stay separately attributed
+    /// residual as the chunk's first filter, then the chain and the sink.
+    /// Chunks are therefore cut *before* the residual, and the cancel
+    /// token is polled after every chunk. A spilled build runs as a grace
+    /// join ([`grace_join_partition`]), whose joined rows, residual
+    /// applied and in exact probe order, enter the same pipeline as row
+    /// chunks. Join time and pipeline time stay separately attributed
     /// (Figure 4's breakdown): the join's wall is the partition's wall
     /// minus the time spent inside the pipeline, its `rows_out` the pairs
-    /// that passed the residual.
-    #[allow(clippy::too_many_arguments)]
-    fn run_fused_aggregate(
+    /// that passed the residual. A join with nothing above it in its
+    /// pipeline also books the pipeline's wall and batch counters.
+    fn run_join<'p>(
         &self,
-        agg_plan: &PhysicalPlan,
-        group_by: &[Expr],
-        aggs: &[AggExpr],
-        mode: AggMode,
-        chain: &[&PhysicalPlan],
-        join: &PhysicalPlan,
+        join: &'p PhysicalPlan,
+        chain: &[&'p PhysicalPlan],
+        agg: Option<AggSink<'p>>,
         stats: &mut ExecStats,
     ) -> Result<Parts> {
         struct PartOut {
             rows: Vec<Row>,
             joined_rows: usize,
             join_ns: u64,
-            agg_ns: u64,
+            pipe_ns: u64,
             spill: SpillStats,
         }
 
@@ -473,6 +381,10 @@ impl<'a> Executor<'a> {
         let (build_keys, probe_keys) = on.split(left_keys.as_slice(), right_keys);
         let l = self.run(left, stats)?;
         let r = self.run(right, stats)?;
+        let (group_by, aggs): (&[Expr], &[AggExpr]) = match agg {
+            Some(a) => (a.group_by, a.aggs),
+            None => (&[], &[]),
+        };
         // No per-chunk kernel spans here: a join feeds chunks in proportion
         // to its joined rows (n·d² tuples for the Gram query), which would
         // fill the trace's event cap and the flight recorder's ring.
@@ -482,22 +394,25 @@ impl<'a> Executor<'a> {
         let mem = &self.mem;
         let cancel = context().cancel_token().clone();
         let batch_rows = self.batch_rows;
-        let fuse_partition = |lp: Vec<Row>, rp: Vec<Row>| -> Result<PartOut> {
+        let run_partition = |lp: Vec<Row>, rp: Vec<Row>| -> Result<PartOut> {
             let t_start = Instant::now();
-            let mut agg = GroupedAgg::new(group_by, aggs, mode);
-            let mut joined_rows = 0usize;
-            let mut agg_ns = 0u64;
-            let mut agg_scratch: Vec<Value> = Vec::new();
+            let mut table = agg.map(|a| GroupedAgg::new(a.group_by, a.aggs, a.mode));
+            let mut rows = Vec::new();
+            let (mut joined_rows, mut pipe_ns) = (0usize, 0u64);
+            let mut scratch: Vec<Value> = Vec::new();
             let mut spill = SpillStats::default();
             // One chunk into the pipeline; the token is polled after every
             // chunk, so a KILL waits out at most one chunk however skewed
             // the keys.
             let mut feed = |chunk: Chunk<'_>| -> Result<()> {
                 let t = Instant::now();
-                joined_rows += pipe.aggregate(chunk, &mut agg, &mut agg_scratch)?;
-                add_elapsed(&mut agg_ns, t);
+                joined_rows += match &mut table {
+                    Some(table) => pipe.aggregate(chunk, table, &mut scratch)?,
+                    None => pipe.rows(chunk, &mut scratch, &mut rows)?,
+                };
+                add_elapsed(&mut pipe_ns, t);
                 if cancel.is_cancelled() {
-                    return Err(fused_cancelled());
+                    return Err(join_cancelled());
                 }
                 Ok(())
             };
@@ -509,10 +424,6 @@ impl<'a> Executor<'a> {
                     probe_in_chunks(&table, &pp, probe_keys, on, &sides, full, &cancel, &mut feed)?;
                 }
                 BuildSide::Spilled { buckets } => {
-                    // Out-of-core fused join: grace-join the partition,
-                    // then stream the joined rows into the aggregate in
-                    // exact probe order, so the result stays bit-identical
-                    // to the in-memory fused path.
                     let (joined, sp) = grace_join_partition(
                         buckets, pp, build_keys, probe_keys, residual, mem,
                     )?;
@@ -531,76 +442,78 @@ impl<'a> Executor<'a> {
             }
             let total_ns = t_start.elapsed().as_nanos() as u64;
             Ok(PartOut {
-                rows: agg.finish(),
+                rows: table.map_or(rows, GroupedAgg::finish),
                 joined_rows,
-                join_ns: total_ns.saturating_sub(agg_ns),
-                agg_ns,
+                join_ns: total_ns.saturating_sub(pipe_ns),
+                pipe_ns,
                 spill,
             })
         };
 
         let pairs: Vec<(Vec<Row>, Vec<Row>)> = l.into_iter().zip(r).collect();
-        let parts = self.cluster.par_map(pairs, |_, (lp, rp)| fuse_partition(lp, rp))?;
+        let parts = self.cluster.par_map(pairs, |_, (lp, rp)| run_partition(lp, rp))?;
 
         // Attribute wall time across workers as the max (they ran in
-        // parallel), matching how the unfused operators are timed. The
-        // join's wall is its partition's wall minus the time that
-        // partition spent inside the pipeline.
-        let join_ns = parts.iter().map(|p| p.join_ns).max().unwrap_or(0);
-        let agg_ns = parts.iter().map(|p| p.agg_ns).max().unwrap_or(0);
+        // parallel), matching how the other operators are timed.
+        let max_ns = |f: fn(&PartOut) -> u64| parts.iter().map(f).max().unwrap_or(0);
+        let (join_ns, pipe_ns) = (max_ns(|p| p.join_ns), max_ns(|p| p.pipe_ns));
+        let part_ns = max_ns(|p| p.join_ns + p.pipe_ns);
         let joined_rows: usize = parts.iter().map(|p| p.joined_rows).sum();
-        let mut join_spill = SpillStats::default();
+        let mut spill = SpillStats::default();
         for p in &parts {
-            join_spill.merge(p.spill);
+            spill.merge(p.spill);
         }
         let mut out: Parts = parts.into_iter().map(|p| p.rows).collect();
-        ensure_global_row(&mut out, group_by, aggs, mode);
-
+        if let Some(a) = agg {
+            ensure_global_row(&mut out, a.group_by, a.aggs, a.mode);
+        }
+        // With nothing above it in its pipeline, the join's record is the
+        // pipeline's too.
+        let bare = agg.is_none() && chain.is_empty();
         stats.record(OperatorStats {
             id: join.id(),
             label: join.label(),
-            wall: Duration::from_nanos(join_ns),
+            wall: Duration::from_nanos(if bare { part_ns } else { join_ns }),
             rows_out: joined_rows,
             shuffle: ShuffleStats::default(),
-            spill: join_spill,
-            batch: BatchStats::default(),
+            spill,
+            batch: if bare { pipe.batch_stats(0) } else { BatchStats::default() },
         });
-        pipe.record(
-            Some((agg_plan, SpillStats::default())),
-            Duration::from_nanos(agg_ns),
-            &out,
-            stats,
-        );
+        if !bare {
+            let agg = agg.map(|a| (a.plan, SpillStats::default()));
+            pipe.record(agg, Duration::from_nanos(pipe_ns), &out, stats);
+        }
         Ok(out)
     }
 
-    /// Executes a contiguous Filter/Project chain through one chunk
-    /// pipeline over row-range morsels. Under the compiled engine the
-    /// chain compiles to bytecode once, every chunk is pivoted into a
-    /// [`ColumnBatch`], and all stages run over it in one pass — filters
-    /// produce selection vectors instead of intermediate row vectors,
-    /// projections evaluate only selected lanes. Any chunk the pivot or a
-    /// kernel declines (a lane of another type than its column's, integer
-    /// overflow, a lane-level error) is replayed wholesale through the row
-    /// interpreter, which `ExprEngine::Interpret` runs every chunk
-    /// through, so values *and* errors are the same under both engines by
-    /// construction: the first failing row of the first failing morsel.
+    /// Executes a contiguous Filter/Project chain over a materialized
+    /// child through one chunk pipeline over row-range morsels. Under the
+    /// compiled engine the chain compiles to bytecode once, every chunk is
+    /// pivoted into a [`ColumnBatch`], and all stages run over it in one
+    /// pass — filters produce selection vectors instead of intermediate row
+    /// vectors, projections evaluate only selected lanes. Any chunk the
+    /// pivot or a kernel declines (a lane of another type than its
+    /// column's, integer overflow, a lane-level error) is replayed
+    /// wholesale through the row interpreter, which `ExprEngine::Interpret`
+    /// runs every chunk through, so values *and* errors are the same under
+    /// both engines by construction: the first failing row of the first
+    /// failing morsel.
     fn run_vectorized_chain(
         &self,
-        plan: &PhysicalPlan,
+        chain: &[&PhysicalPlan],
+        base: &PhysicalPlan,
         stats: &mut ExecStats,
     ) -> Result<Parts> {
-        let (chain, base) = peel_chain(plan);
         let child = self.run(base, stats)?;
         let t0 = Instant::now();
         let trace = context().trace().cloned();
-        let pipe = ChunkPipeline::new(self.engine, trace, base.schema(), None, &chain, &[], &[]);
+        let pipe = ChunkPipeline::new(self.engine, trace, base.schema(), None, chain, &[], &[]);
         let batch_rows = self.batch_rows;
         let morsels = self.cluster.morsel_map(child, |_, rows| {
             let mut out = Vec::with_capacity(rows.len());
             let mut scratch: Vec<Value> = Vec::new();
             for chunk in rows.chunks(batch_rows) {
-                pipe.rows(chunk, &mut scratch, &mut out)?;
+                pipe.rows(Chunk::Rows(chunk), &mut scratch, &mut out)?;
             }
             Ok(out)
         })?;
@@ -680,25 +593,13 @@ impl<'a> Executor<'a> {
         out: &Parts,
         shuffle: ShuffleStats,
     ) {
-        self.record_spill(plan, stats, t0, out, shuffle, SpillStats::default());
-    }
-
-    fn record_spill(
-        &self,
-        plan: &PhysicalPlan,
-        stats: &mut ExecStats,
-        t0: Instant,
-        out: &Parts,
-        shuffle: ShuffleStats,
-        spill: SpillStats,
-    ) {
         stats.record(OperatorStats {
             id: plan.id(),
             label: plan.label(),
             wall: t0.elapsed(),
             rows_out: out.iter().map(Vec::len).sum(),
             shuffle,
-            spill,
+            spill: SpillStats::default(),
             batch: BatchStats::default(),
         });
     }
@@ -799,6 +700,16 @@ fn peel_chain(plan: &PhysicalPlan) -> (Vec<&PhysicalPlan>, &PhysicalPlan) {
     (chain, base)
 }
 
+/// The aggregate a join's chunk pipeline folds into when one consumes the
+/// join (the fused join→aggregate).
+#[derive(Clone, Copy)]
+struct AggSink<'p> {
+    plan: &'p PhysicalPlan,
+    group_by: &'p [Expr],
+    aggs: &'p [AggExpr],
+    mode: AggMode,
+}
+
 /// One stage of a Filter/Project chain: its expressions, which the
 /// interpreter evaluates, and the meters every chunk reports into.
 struct VecStage<'p> {
@@ -894,7 +805,7 @@ impl BatchMeter {
 /// more (a replayed chunk is counted by the replay).
 type VecChunkState = (Vec<Arc<Col>>, Option<Vec<u32>>, bool, usize, Vec<u64>);
 
-/// One input of a fused join partition: its rows, for the interpreter's
+/// One input of a join partition: its rows, for the interpreter's
 /// replay, and their columns, pivoted once with the join child's schema,
 /// by the first chunk that needs them (so never under
 /// `ExprEngine::Interpret`); `None` when the pivot refuses the rows.
@@ -914,8 +825,8 @@ impl<'a> Side<'a> {
     }
 }
 
-/// A chunk entering the pipeline: materialized rows, or a fused join's
-/// matched pairs as `(left, right)` row indices into their sides, which
+/// A chunk entering the pipeline: materialized rows, or a join's matched
+/// pairs as `(left, right)` row indices into their sides, which
 /// stand for the rows' concatenation without having been concatenated.
 #[derive(Clone, Copy)]
 enum Chunk<'a> {
@@ -942,16 +853,22 @@ impl<'a> Chunk<'a> {
         }
     }
 
+    /// Lane `i` as a row: a pair is concatenated.
+    fn row(&self, i: usize) -> Row {
+        match self {
+            Chunk::Rows(rows) => rows[i].clone(),
+            Chunk::Pairs([(l, li), (r, ri)]) => {
+                l.rows[li[i] as usize].concat(&r.rows[ri[i] as usize])
+            }
+        }
+    }
+
     /// The chunk as rows for the interpreter: pairs are concatenated, in
     /// pair order.
     fn rows(&self) -> std::borrow::Cow<'a, [Row]> {
         match self {
             Chunk::Rows(rows) => (*rows).into(),
-            Chunk::Pairs([(l, li), (r, ri)]) => li
-                .iter()
-                .zip(*ri)
-                .map(|(&a, &b)| l.rows[a as usize].concat(&r.rows[b as usize]))
-                .collect(),
+            Chunk::Pairs(_) => (0..self.len()).map(|i| self.row(i)).collect(),
         }
     }
 }
@@ -965,16 +882,16 @@ fn lane(sel: Option<&[u32]>, k: usize) -> usize {
 /// it feeds an aggregate, the group keys and arguments, with the meters
 /// every chunk reports into. Shared by all workers of one operator. Two
 /// pivots, one pipeline: a [`Chunk`] of rows (a scan-fed morsel, the grace
-/// join's output) or of matched pairs (the fused join→aggregate's
-/// in-memory arm, gathered from its sides) becomes a column batch and runs
-/// the same stage loop and aggregate-update loop, or is replayed through
-/// the same interpreter. Under `ExprEngine::Interpret` the pipeline
+/// join's output) or of matched pairs (a join's in-memory arm, gathered
+/// from its sides) becomes a column batch and runs the same stage loop
+/// and aggregate-update loop, or is replayed through the same
+/// interpreter. Under `ExprEngine::Interpret` the pipeline
 /// compiles nothing, pivots nothing and interprets every chunk.
 struct ChunkPipeline<'p> {
     /// The schema of the rows entering the pipeline: the chain base's, or
-    /// the join's for a fused join.
+    /// the join's when a join produces the chunks.
     input: Schema,
-    /// The fused join's residual: the first filter of every pair chunk.
+    /// The join's residual: the first filter of every pair chunk.
     /// Row chunks have already passed it.
     residual: Option<&'p Expr>,
     stages: Vec<VecStage<'p>>,
@@ -1105,17 +1022,31 @@ impl<'p> ChunkPipeline<'p> {
         }
     }
 
-    /// One chunk through the chain, survivors appended to `out`.
-    /// Pass-through lanes reuse the input rows (`Arc` clones); only
-    /// projected chunks rebuild rows. Under `ExprEngine::Interpret`, and
-    /// for any chunk a kernel declines, the chunk goes through the
-    /// interpreter, whose result (or error) is taken.
-    fn rows(&self, chunk: &[Row], scratch: &mut Vec<Value>, out: &mut Vec<Row>) -> Result<()> {
+    /// One chunk through the residual and the chain, survivors appended
+    /// to `out`; returns how many of its rows passed the residual. A chunk
+    /// with nothing to evaluate (no residual, no stage) is appended as it
+    /// is, pairs concatenated, and counts no batch. Surviving lanes of a
+    /// chunk no Project ran reuse the input rows (`Arc` clones) or
+    /// concatenate their pairs; only a projected chunk builds rows from
+    /// its columns. Under `ExprEngine::Interpret`, and for any chunk a
+    /// kernel declines, the chunk goes through the interpreter, residual
+    /// first, whose result (or error) is taken.
+    fn rows(
+        &self,
+        chunk: Chunk<'_>,
+        scratch: &mut Vec<Value>,
+        out: &mut Vec<Row>,
+    ) -> Result<usize> {
+        let n = chunk.len();
+        let residual = self.residual_of(chunk);
+        if n == 0 || (residual.is_none() && self.stages.is_empty()) {
+            out.extend((0..n).map(|i| chunk.row(i)));
+            return Ok(n);
+        }
         if let Some(progs) = &self.programs {
-            let n = chunk.len();
             self.hist.observe(n as u64);
-            match self.run_stages(progs, Chunk::Rows(chunk)) {
-                Ok((cols, sel, projected, _, stage_rows)) => {
+            match self.run_stages(progs, chunk) {
+                Ok((cols, sel, projected, joined, stage_rows)) => {
                     self.counters.ok_chunk(n);
                     self.commit_rows(&stage_rows);
                     let sel = sel.as_deref();
@@ -1125,14 +1056,14 @@ impl<'p> ChunkPipeline<'p> {
                             live.map(|i| Row::new(cols.iter().map(|c| c.value_at(i)).collect())),
                         );
                     } else {
-                        out.extend(live.map(|i| chunk[i].clone()));
+                        out.extend(live.map(|i| chunk.row(i)));
                     }
-                    return Ok(());
+                    return Ok(joined);
                 }
                 Err(_) => self.counters.fallback(),
             }
         }
-        self.interpret(chunk, None, scratch, out).map(drop)
+        self.interpret(&chunk.rows(), residual, scratch, out)
     }
 
     /// One chunk through the residual, the chain and the group-key /
@@ -1237,6 +1168,18 @@ impl<'p> ChunkPipeline<'p> {
         Ok(joined)
     }
 
+    /// The pipeline's batch and fallback counters, with `kernels` kernel
+    /// invocations.
+    fn batch_stats(&self, kernels: usize) -> BatchStats {
+        let relaxed = AtomicOrdering::Relaxed;
+        BatchStats {
+            batches: self.counters.batches.load(relaxed) as usize,
+            rows: self.counters.rows.load(relaxed) as usize,
+            kernels,
+            fallbacks: self.counters.fallbacks.load(relaxed) as usize,
+        }
+    }
+
     /// Records the pipeline's per-operator stats. Its measured wall time
     /// is split across stages proportionally to their metered kernel time
     /// (the last operator absorbs the remainder — pivot, materialize,
@@ -1272,12 +1215,7 @@ impl<'p> ChunkPipeline<'p> {
                 (
                     total.saturating_sub(spent),
                     out.iter().map(Vec::len).sum(),
-                    BatchStats {
-                        batches: self.counters.batches.load(relaxed) as usize,
-                        rows: self.counters.rows.load(relaxed) as usize,
-                        kernels,
-                        fallbacks: self.counters.fallbacks.load(relaxed) as usize,
-                    },
+                    self.batch_stats(kernels),
                     top_spill,
                 )
             } else {
@@ -1315,7 +1253,7 @@ fn flatten_morsels(morsels: Vec<Vec<Vec<Row>>>) -> Parts {
 }
 
 /// A partition's build side keyed for probing: its rows with a non-NULL
-/// key, each one's [`Row::byte_size`] (for the fused producer's byte-cut
+/// key, each one's [`Row::byte_size`] (for the join producer's byte-cut
 /// chunks), and each key's row indices (`u32`, as lanes are) in order.
 struct JoinTable {
     rows: Vec<Row>,
@@ -1326,8 +1264,8 @@ struct JoinTable {
 /// Which input a hash join builds its table on. Keyed joins build on the
 /// left. A join on the empty key — the cross product — builds on the right
 /// and probes with the left: every build row lands in the one bucket in
-/// partition order, so the morselized left side emits its `(l, r)` pairs
-/// left-major, a nested loop's order over the same morsels and chunk cuts.
+/// partition order, so the left side emits its `(l, r)` pairs left-major,
+/// a nested loop's order.
 #[derive(Clone, Copy)]
 enum BuildOn {
     Left,
@@ -1370,9 +1308,9 @@ fn build_join_table(build: Vec<Row>, keys: &[Expr]) -> Result<JoinTable> {
 }
 
 /// The indices of the build rows one probe-side row matches, in build
-/// order: its key evaluated and looked up. The one probe-key loop — the
-/// fused join→aggregate buffers the matches as index pairs,
-/// [`joined_row`] concatenates them.
+/// order: its key evaluated and looked up. The one probe-key loop —
+/// [`probe_in_chunks`] buffers the matches as index pairs, the grace join
+/// concatenates them with [`joined_row`].
 fn probe_matches<'t>(
     table: &'t JoinTable,
     probe: &Row,
@@ -1383,10 +1321,10 @@ fn probe_matches<'t>(
     Ok(key.and_then(|k| table.index.get(&k)).map_or(&[], Vec::as_slice))
 }
 
-/// The fused join's in-memory arm over one partition: each probe row's
-/// matches buffered as `(build, probe)` row indices over the two sides,
-/// in probe order, and fed as a chunk of pairs whenever `full(pairs,
-/// bytes)` holds, and once at the end. Each side is pivoted with its
+/// A join's in-memory arm over one partition, and the only in-memory
+/// probe: each probe row's matches buffered as `(build, probe)` row
+/// indices over the two sides, in probe order, and fed as a chunk of
+/// pairs whenever `full(pairs, bytes)` holds, and once at the end. Each side is pivoted with its
 /// join child's schema, `left` or `right`. The probe loop polls the token
 /// every [`CANCEL_CHECK_PAIRS`] probe rows: rows that match nothing cut
 /// no chunk.
@@ -1409,7 +1347,7 @@ fn probe_in_chunks(
     let (mut bytes, mut scratch) = (0usize, Vec::new());
     for (i, pr) in probe.iter().enumerate() {
         if (i + 1).is_multiple_of(CANCEL_CHECK_PAIRS) && cancel.is_cancelled() {
-            return Err(fused_cancelled());
+            return Err(join_cancelled());
         }
         let matches = probe_matches(table, pr, probe_keys, &mut scratch)?;
         let p_bytes = if matches.is_empty() { 0 } else { pr.byte_size() };
@@ -1430,13 +1368,13 @@ fn probe_in_chunks(
     feed(Chunk::Pairs([(left, li), (right, ri)]))
 }
 
-/// The error a fused partition stops with once the query is cancelled.
-fn fused_cancelled() -> ExecError {
-    ExecError::Cancelled("fused join-aggregate cancelled".into())
+/// The error a join partition stops with once the query is cancelled.
+fn join_cancelled() -> ExecError {
+    ExecError::Cancelled("hash join cancelled".into())
 }
 
-/// The joined row `l ++ r` for the consumers that must *produce* rows (the
-/// morselized probe and the grace join), if it passes the residual.
+/// The joined row `l ++ r` for the grace join, which must *produce* rows,
+/// if it passes the residual.
 fn joined_row(
     l: &Row,
     r: &Row,
@@ -1479,7 +1417,11 @@ fn prepare_build(
         Some(res) => res,
         None if keys.is_empty() || level >= MAX_SPILL_DEPTH => gov.force_reserve(footprint),
         None => {
-            let buckets = spill_build_buckets(rows, keys, mem, level, spill)?;
+            // NULL-key rows are dropped here: they can never join.
+            let mut scratch = Vec::new();
+            let buckets = spill_buckets(rows, mem, &format!("join-l{level}"), spill, |r| {
+                Ok(join_key(r, keys, &mut scratch)?.map(|k| bucket_of(&k, level, SPILL_FANOUT)))
+            })?;
             return Ok(BuildSide::Spilled { buckets });
         }
     };
@@ -1521,38 +1463,34 @@ fn bucket_of(key: &CompositeKey, level: usize, fanout: usize) -> usize {
     (h.finish() % fanout as u64) as usize
 }
 
-/// Fans a build side out into [`SPILL_FANOUT`] hashed bucket files at the
-/// given recursion level, preserving relative row order within each bucket
-/// (what keeps grace output bit-identical to the in-memory join). NULL-key
-/// rows are dropped here — they can never join.
-fn spill_build_buckets(
-    rows: Vec<Row>,
-    keys: &[Expr],
+/// Fans `rows` out into [`SPILL_FANOUT`] bucket files named
+/// `{tag}-b{bucket}`: each row goes to the bucket `bucket` picks for it
+/// (`None` drops it), buffered per bucket up to [`ROWS_PER_FRAME`] rows,
+/// so relative row order is preserved within each bucket (what keeps
+/// grace output bit-identical to the in-memory join). The buckets, files
+/// and bytes written are tallied into `spill`.
+fn spill_buckets(
+    rows: impl IntoIterator<Item = Row>,
     mem: &MemoryConfig,
-    level: usize,
+    tag: &str,
     spill: &mut SpillStats,
+    mut bucket: impl FnMut(&Row) -> Result<Option<usize>>,
 ) -> Result<Vec<SpillFile>> {
-    let fanout = SPILL_FANOUT;
-    let mut writers = Vec::with_capacity(fanout);
-    for b in 0..fanout {
-        writers.push(SpillWriter::create(
-            mem.spill_dir(),
-            &format!("join-l{level}-b{b}"),
-        )?);
+    let mut writers = Vec::with_capacity(SPILL_FANOUT);
+    for b in 0..SPILL_FANOUT {
+        writers.push(SpillWriter::create(mem.spill_dir(), &format!("{tag}-b{b}"))?);
     }
-    spill.partitions += fanout;
-    let mut bufs: Vec<Vec<Row>> = vec![Vec::new(); fanout];
-    let mut scratch = Vec::new();
+    spill.partitions += SPILL_FANOUT;
+    let mut bufs: Vec<Vec<Row>> = vec![Vec::new(); SPILL_FANOUT];
     for r in rows {
-        let Some(key) = join_key(&r, keys, &mut scratch)? else { continue };
-        let b = bucket_of(&key, level, fanout);
+        let Some(b) = bucket(&r)? else { continue };
         bufs[b].push(r);
         if bufs[b].len() >= ROWS_PER_FRAME {
             writers[b].write_rows(&bufs[b])?;
             bufs[b].clear();
         }
     }
-    let mut files = Vec::with_capacity(fanout);
+    let mut files = Vec::with_capacity(SPILL_FANOUT);
     for (mut w, buf) in writers.into_iter().zip(bufs) {
         if !buf.is_empty() {
             w.write_rows(&buf)?;
@@ -1669,35 +1607,13 @@ fn finish_spilling(
     }
 
     // Out of core.
-    let fanout = SPILL_FANOUT;
-    let mut writers = Vec::with_capacity(fanout);
-    for b in 0..fanout {
-        writers.push(SpillWriter::create(mem.spill_dir(), &format!("agg-b{b}"))?);
-    }
-    spill.partitions += fanout;
-    let mut bufs: Vec<Vec<Row>> = vec![Vec::new(); fanout];
     let mut order = KeyTable::new();
-    for row in agg.into_state_rows() {
+    let files = spill_buckets(agg.into_state_rows(), mem, "agg", &mut spill, |row| {
         let kv = &row.values()[..group_by.len()];
         let hash = hash_values(kv);
         order.group_of(hash, kv)?;
-        let b = spill_bucket(hash, fanout);
-        bufs[b].push(row);
-        if bufs[b].len() >= ROWS_PER_FRAME {
-            writers[b].write_rows(&bufs[b])?;
-            bufs[b].clear();
-        }
-    }
-    let mut files = Vec::with_capacity(fanout);
-    for (mut w, buf) in writers.into_iter().zip(bufs) {
-        if !buf.is_empty() {
-            w.write_rows(&buf)?;
-        }
-        let f = w.finish()?;
-        spill.files += 1;
-        spill.bytes_written += f.bytes() as usize;
-        files.push(f);
-    }
+        Ok(Some(spill_bucket(hash, SPILL_FANOUT)))
+    })?;
 
     // Drain: finish each bucket independently (a group never straddles
     // buckets), then restore first-seen output order.
@@ -2301,7 +2217,12 @@ mod tests {
             input: Box::new(input),
             predicate: Expr::cmp(CmpOp::GtEq, Expr::col(col), Expr::lit(2i64)),
         };
-        // (what, plan, groups, whether a kernel declines some chunk)
+        let product = |a, b| Expr::arith(ArithOp::Mul, Expr::col(a), Expr::col(b));
+        let project = |input, exprs: Vec<Expr>| {
+            let named = exprs.into_iter().enumerate().map(|(i, e)| (e, format!("c{i}"))).collect();
+            LogicalPlan::project(input, named).unwrap()
+        };
+        // (what, plan, output rows, whether a kernel declines some chunk)
         let cases = [
             (
                 "hash join, no residual",
@@ -2378,6 +2299,22 @@ mod tests {
                 ),
                 3,
                 true,
+            ),
+            (
+                "project over a cross product + residual",
+                project(
+                    join_of(&c, "nums", None, Some(ne(0, 2))),
+                    vec![Expr::col(0), product(1, 3)],
+                ),
+                380,
+                false,
+            ),
+            (
+                // 19 non-NULL keys: 4 × 4 + 3 × 5 × 5 pairs.
+                "project over a keyed join, NULL keys",
+                project(join_of(&c, "pts", Some(1), None), vec![Expr::col(4), product(2, 6)]),
+                91,
+                false,
             ),
         ];
         for (what, logical, groups, declines) in &cases {
@@ -2457,6 +2394,54 @@ mod tests {
                 assert_eq!((fused.1, fused.2), (joined, kept as usize), "{label} W={w}");
             }
         }
+    }
+
+    /// A plain join's residual runs compiled in the join's pipeline, with
+    /// or without a Project above it: batches are counted, none declines,
+    /// the rows are the interpreter's bit for bit, and the join reports
+    /// the pairs that passed its residual. A join with nothing to evaluate
+    /// pivots nothing.
+    #[test]
+    fn plain_join_residuals_run_compiled() {
+        use lardb_storage::ops::ArithOp;
+        let c = setup();
+        // id % 4 as the hash key, a.id <> b.id as the residual: 80 pairs.
+        let join = LogicalPlan::Join {
+            left: Box::new(scan_plan(&c, "nums")),
+            right: Box::new(scan_plan(&c, "nums")),
+            kind: JoinKind::Inner,
+            equi: vec![(modulo(0, 4), modulo(0, 4))],
+            residual: Some(Expr::cmp(CmpOp::NotEq, Expr::col(0), Expr::col(2))),
+        };
+        let product = Expr::arith(ArithOp::Mul, Expr::col(1), Expr::col(3));
+        let exprs = vec![(Expr::col(2), "b".into()), (product, "p".into())];
+        let projected = LogicalPlan::project(join.clone(), exprs).unwrap();
+        for (what, logical) in [("bare join", join), ("Project over a join", projected)] {
+            let plan = physical(&c, &logical);
+            for w in [1, 4] {
+                let run = |engine: ExprEngine| {
+                    Executor::new(&c, Cluster::new(w))
+                        .with_expr_engine(engine)
+                        .with_batch_rows(7)
+                        .execute(&plan)
+                        .unwrap()
+                };
+                let compiled = run(ExprEngine::Compiled);
+                let interpreted = run(ExprEngine::Interpret);
+                assert!(compiled.stats.total_batches() > 0, "{what} W={w}");
+                assert_eq!(compiled.stats.total_fallbacks(), 0, "{what} W={w}");
+                assert_eq!(interpreted.stats.total_batches(), 0, "{what} W={w}");
+                assert_eq!(compiled.partitions, interpreted.partitions, "{what} W={w}");
+                assert_eq!(compiled.num_rows(), 80, "{what} W={w}");
+                for out in [&compiled, &interpreted] {
+                    let join = out.stats.operators().iter().find(|o| o.label == "HashJoin");
+                    assert_eq!(join.expect("no HashJoin record").rows_out, 80, "{what} W={w}");
+                }
+            }
+        }
+        let plan = physical(&c, &self_join(&c));
+        let bare = Executor::new(&c, Cluster::new(4)).execute(&plan).unwrap();
+        assert_eq!((bare.num_rows(), bare.stats.total_batches()), (20, 0));
     }
 
     /// A chunk some *later* program declines is replayed whole, and the
@@ -2559,6 +2544,7 @@ mod tests {
         )
         .unwrap();
         for (logical, fragment) in [
+            (join_of(&c, "nums", None, Some(one_bad_pair(5))), "division by zero"),
             (count(join_of(&c, "nums", None, Some(one_bad_pair(5)))), "division by zero"),
             (count(join_of(&c, "nums", Some(1), Some(one_bad_pair(3)))), "division by zero"),
             (overflowing_sum, "integer overflow in +"),

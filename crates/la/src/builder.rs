@@ -53,12 +53,6 @@ impl VectorizeBuilder {
         Ok(())
     }
 
-    /// Merges another accumulator (for partitioned / two-phase aggregation).
-    pub fn merge(&mut self, other: VectorizeBuilder) {
-        self.max_label = self.max_label.max(other.max_label);
-        self.entries.extend(other.entries);
-    }
-
     /// Number of values folded so far.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -124,14 +118,6 @@ impl RowMatrixBuilder {
         }
         self.max_label = self.max_label.max(v.label());
         self.vectors.push((v.label(), v));
-        Ok(())
-    }
-
-    /// Merges another accumulator (two-phase aggregation support).
-    pub fn merge(&mut self, other: RowMatrixBuilder) -> Result<()> {
-        for (_, v) in other.vectors {
-            self.push(v)?;
-        }
         Ok(())
     }
 
@@ -220,13 +206,11 @@ mod tests {
     }
 
     #[test]
-    fn vectorize_merge_combines_partials() {
-        let mut a = VectorizeBuilder::new();
-        a.push(LabeledScalar::new(1.0, 0)).unwrap();
+    fn vectorize_zero_fills_up_to_the_largest_label() {
         let mut b = VectorizeBuilder::new();
+        b.push(LabeledScalar::new(1.0, 0)).unwrap();
         b.push(LabeledScalar::new(2.0, 3)).unwrap();
-        a.merge(b);
-        assert_eq!(a.finish().as_slice(), &[1.0, 0.0, 0.0, 2.0]);
+        assert_eq!(b.finish().as_slice(), &[1.0, 0.0, 0.0, 2.0]);
     }
 
     #[test]
@@ -271,13 +255,11 @@ mod tests {
     }
 
     #[test]
-    fn rowmatrix_merge() {
-        let mut a = RowMatrixBuilder::new();
-        a.push(Vector::from_slice(&[1.0]).with_label(0)).unwrap();
+    fn rowmatrix_shape_follows_the_largest_label() {
         let mut b = RowMatrixBuilder::new();
+        b.push(Vector::from_slice(&[1.0]).with_label(0)).unwrap();
         b.push(Vector::from_slice(&[2.0]).with_label(1)).unwrap();
-        a.merge(b).unwrap();
-        let m = a.finish_rows();
+        let m = b.finish_rows();
         assert_eq!(m.shape(), (2, 1));
         assert_eq!(m.get(1, 0).unwrap(), 2.0);
     }

@@ -526,19 +526,6 @@ impl CooBuilder {
         Ok((row as u32, col as u32))
     }
 
-    /// Merges another builder's staged entries (exchange partial merge).
-    pub fn merge(&mut self, other: &CooBuilder) {
-        self.entries.extend_from_slice(&other.entries);
-        self.max_row = match (self.max_row, other.max_row) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-        self.max_col = match (self.max_col, other.max_col) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-    }
-
     /// Staged entries as parallel `(rows, cols, values)` arrays — the
     /// nnz-proportional partial-aggregate state shipped over exchanges.
     pub fn parts(&self) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
@@ -766,14 +753,12 @@ mod tests {
     }
 
     #[test]
-    fn builder_merge_is_order_preserving() {
-        let mut a = CooBuilder::new();
-        a.push(0, 0, 1.0).unwrap();
+    fn builder_sums_duplicates_and_infers_its_shape() {
         let mut b = CooBuilder::new();
+        b.push(0, 0, 1.0).unwrap();
         b.push(0, 0, 2.0).unwrap();
         b.push(3, 1, 4.0).unwrap();
-        a.merge(&b);
-        let s = a.build_inferred();
+        let s = b.build_inferred();
         assert_eq!(s.shape(), (4, 2));
         assert_eq!(s.get(0, 0).unwrap(), 3.0);
         assert_eq!(s.nnz(), 2);
