@@ -132,13 +132,37 @@ fn chaos_counters_surface_in_show_metrics() {
     }
 }
 
+/// Cancels `cancel` as soon as the statement `worker` runs is seen holding
+/// a governor reservation (`reserved`) — its join's build table, held for as long as
+/// the probe runs — or once it has ended, whichever comes first. A KILL
+/// sent after a fixed sleep races the statement (a faster build can finish
+/// it first); one sent on this signal lands while every probe pair is
+/// still ahead of it, however fast the build.
+fn cancel_once_running<T>(
+    reserved: impl Fn() -> bool,
+    worker: &std::thread::JoinHandle<T>,
+    cancel: &lardb::CancelToken,
+) {
+    use std::time::{Duration, Instant};
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !reserved() && !worker.is_finished() {
+        assert!(Instant::now() < deadline, "the statement never reserved its build side");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    cancel.cancel();
+}
+
 /// Cancellation latency: a KILL delivered mid-flight to a long-running
 /// cross join must abort the query promptly (the executor's scan and join
 /// probe loops both poll the token), and
 /// the governor ledger must return to zero — no leaked reservations. The
 /// same holds for a fused hash join whose probe side is short but whose
 /// every row matches every build row: the token is polled per chunk of
-/// pairs, not per probe row.
+/// pairs, not per probe row. The KILL is sent once the statement holds its
+/// build reservation ([`cancel_once_running`]), so it outlasts the wait in
+/// any build: the cross join has 2.16·10⁸ triples ahead of it (minutes
+/// uncancelled), the skewed join 6.4·10⁷ pairs (about 0.9 s in release on
+/// a 2-vCPU host, far longer in debug), against a 1 ms poll.
 #[test]
 fn cancellation_latency_is_bounded() {
     use std::time::{Duration, Instant};
@@ -171,9 +195,8 @@ fn cancellation_latency_is_bounded() {
             worker_db.run(lardb::Source::Sql(sql), Some(&worker_cancel), None)
         });
 
-        // Let the join get going, then kill it and time the unwind.
-        std::thread::sleep(Duration::from_millis(300));
-        cancel.cancel();
+        // Kill the join once it is probing, and time the unwind.
+        cancel_once_running(|| governor.reserved() > 0, &worker, &cancel);
         let killed_at = Instant::now();
         let result = worker.join().unwrap();
         let latency = killed_at.elapsed();
@@ -207,7 +230,10 @@ fn cancellation_latency_is_bounded() {
 /// of pairs it cuts, before the residual, so KILL waits out neither a
 /// partition of a cross product nor probe rows that each match 8 000
 /// build rows. Both residuals reject every pair, so no output piles up
-/// while the join runs.
+/// while the join runs. As above, the KILL is sent once the statement
+/// holds its build reservation, so it outlasts the wait in any build: the
+/// cross product has 2.16·10⁸ triples ahead of it, the skewed join
+/// 6.4·10⁷ pairs (about 1.7 s in release on a 2-vCPU host).
 #[test]
 fn unfused_join_cancellation_is_bounded() {
     use std::time::{Duration, Instant};
@@ -235,8 +261,7 @@ fn unfused_join_cancellation_is_bounded() {
         let worker = std::thread::spawn(move || {
             worker_db.run(lardb::Source::Sql(sql), Some(&worker_cancel), None)
         });
-        std::thread::sleep(Duration::from_millis(300));
-        cancel.cancel();
+        cancel_once_running(|| governor.reserved() > 0, &worker, &cancel);
         let killed_at = Instant::now();
         let result = worker.join().unwrap();
         let latency = killed_at.elapsed();

@@ -152,7 +152,7 @@ fn matrix_from_entries_sql_end_to_end() {
     assert_eq!(r.rows.len(), 1);
     let got = r.rows[0].value(0).as_sparse_matrix().expect("a sparse result stays sparse");
     assert_eq!(got.shape(), (40, 30));
-    assert_eq!(got.csr_parts(), expected.csr_parts(), "duplicate summation diverged");
+    assert_eq!(got.parts(), expected.parts(), "duplicate summation diverged");
 
     // The filled 40 × 1 column is past DENSIFY_ABOVE: same entries, dense
     // representation, and the densification is counted.

@@ -211,19 +211,14 @@ impl Accumulator {
                 decode_labeled_rows(b, state)?
             }
             Accumulator::MatrixFromEntries(b) => {
-                let get = |i: usize| {
-                    state[i].as_vector().ok_or_else(|| bad_state("MATRIX_FROM_ENTRIES"))
+                // One validation pass over the three lanes, then one
+                // extend: a corrupted partial is a typed error and must
+                // not assemble a bogus matrix.
+                let lane = |i: usize| {
+                    let v = state[i].as_vector().ok_or_else(|| bad_state("MATRIX_FROM_ENTRIES"))?;
+                    Ok::<_, ExecError>(v.as_slice())
                 };
-                let (rows, cols, vals) = (get(0)?, get(1)?, get(2)?);
-                if rows.len() != cols.len() || rows.len() != vals.len() {
-                    return Err(bad_state("MATRIX_FROM_ENTRIES"));
-                }
-                for i in 0..rows.len() {
-                    // Re-validate through the typed push path: a corrupted
-                    // partial must not assemble a bogus matrix.
-                    let (r, c) = (coord(rows.get(i)?)?, coord(cols.get(i)?)?);
-                    b.push(r, c, vals.get(i)?)?;
-                }
+                b.extend_parts(lane(0)?, lane(1)?, lane(2)?)?;
             }
         }
         Ok(())
@@ -270,7 +265,7 @@ impl Accumulator {
                 let m = b.build_inferred();
                 // The dispatch layer decides the output representation:
                 // forced-dense runs get an ordinary MATRIX, adaptive runs
-                // keep the CSR form while it is worth it.
+                // keep the sparse form while it is worth it.
                 if dispatch::keep_sparse(m.density()) {
                     Value::sparse_matrix(m)
                 } else {
@@ -298,7 +293,8 @@ fn unpack_entry(v: &Value) -> Result<(i64, i64, f64)> {
 /// fractional values, NaN, negatives — is a typed error rather than a
 /// silent truncation.
 fn coord(x: f64) -> Result<i64> {
-    if x.fract() == 0.0 && (0.0..9e15).contains(&x) {
+    // In range, the cast truncates exactly, so a round trip is integrality.
+    if (0.0..9e15).contains(&x) && x as i64 as f64 == x {
         Ok(x as i64)
     } else {
         Err(ExecError::Runtime(format!(
@@ -668,6 +664,39 @@ fn values_match(stored: &[Value], kv: &[Value]) -> bool {
     stored.iter().zip(kv).all(|(s, v)| KeyLane::of_value(v).matches(s))
 }
 
+/// One aggregate's argument, evaluated over a chunk.
+pub(crate) enum ArgCols {
+    /// `COUNT(*)`: no argument.
+    Star,
+    /// The argument's column.
+    One(Arc<Col>),
+    /// `MATRIX_FROM_ENTRIES`: the `(row, col, val)` operands of its
+    /// `sparse_entry` carrier, which is never built per lane.
+    Entry([Arc<Col>; 3]),
+}
+
+/// Folds lane `i` of `MATRIX_FROM_ENTRIES`'s numeric operand columns into
+/// `acc` as the interpreter folds the lane's `sparse_entry` carrier:
+/// integers go to `f64`, as the carrier holds them, and a NULL operand
+/// makes the carrier NULL, which folds nothing. The pipeline declines a
+/// chunk with an operand column of any other kind.
+fn fold_entry(acc: &mut Accumulator, lanes: &[Arc<Col>; 3], i: usize) -> Result<()> {
+    let number_at = |col: &Col| match col {
+        Col::F64 { data, valid } => Ok(valid.get(i).then(|| data[i])),
+        Col::I64 { data, valid } => Ok(valid.get(i).then(|| data[i] as f64)),
+        _ => Err(ExecError::Runtime("matrix_from_entries: a non-numeric operand column".into())),
+    };
+    let Accumulator::MatrixFromEntries(b) = acc else {
+        return Err(ExecError::Runtime("matrix_from_entries: operands of another aggregate".into()));
+    };
+    if let [Some(r), Some(c), Some(v)] =
+        [number_at(&lanes[0])?, number_at(&lanes[1])?, number_at(&lanes[2])?]
+    {
+        b.push(coord(r)?, coord(c)?, v)?;
+    }
+    Ok(())
+}
+
 /// A grouped-aggregation hash table: one [`KeyTable`] and, per group, one
 /// accumulator per aggregate. Every aggregate mode and both expression
 /// engines fill the same table, one per partition — rows through
@@ -763,11 +792,12 @@ impl<'a> GroupedAgg<'a> {
     /// what [`Self::update_row`] does with the rows those lanes stand for
     /// (Partial/Complete modes). Key hashes are folded column-at-a-time;
     /// a lane is compared unboxed against the stored key and only a new
-    /// group materializes its key. `arg_cols[a]` is `None` for `COUNT(*)`.
+    /// group materializes its key. `arg_cols[a]` is aggregate `a`'s
+    /// evaluated argument.
     pub(crate) fn update_columns(
         &mut self,
         key_cols: &[Arc<Col>],
-        arg_cols: &[Option<Arc<Col>>],
+        arg_cols: &[ArgCols],
         sel: Option<&[u32]>,
         n: usize,
     ) -> Result<()> {
@@ -793,16 +823,19 @@ impl<'a> GroupedAgg<'a> {
                     idx
                 }
             };
-            for (acc, col) in self.accs[idx].iter_mut().zip(arg_cols) {
-                match col.as_deref() {
-                    None => acc.update(&Value::Integer(1))?, // COUNT(*)
-                    Some(Col::F64 { data, valid }) => {
-                        if valid.get(i) {
-                            acc.update_f64(data[i])?;
+            for (acc, arg) in self.accs[idx].iter_mut().zip(arg_cols) {
+                match arg {
+                    ArgCols::Star => acc.update(&Value::Integer(1))?, // COUNT(*)
+                    ArgCols::One(col) => match &**col {
+                        Col::F64 { data, valid } => {
+                            if valid.get(i) {
+                                acc.update_f64(data[i])?;
+                            }
                         }
-                    }
-                    Some(Col::Boxed(vals)) => acc.update(&vals[i])?,
-                    Some(col) => acc.update(&col.value_at(i))?,
+                        Col::Boxed(vals) => acc.update(&vals[i])?,
+                        col => acc.update(&col.value_at(i))?,
+                    },
+                    ArgCols::Entry(lanes) => fold_entry(acc, lanes, i)?,
                 }
             }
         }
@@ -1201,13 +1234,14 @@ mod tests {
                 let batch = ColumnBatch::from_rows(rows).unwrap();
                 let cols = batch.cols();
                 let mut next_arg = keys;
-                let arg_cols: Vec<Option<Arc<Col>>> = aggs
+                let arg_cols: Vec<ArgCols> = aggs
                     .iter()
-                    .map(|a| {
-                        a.arg.as_ref().map(|_| {
+                    .map(|a| match a.arg {
+                        None => ArgCols::Star,
+                        Some(_) => {
                             next_arg += 1;
-                            cols[next_arg - 1].clone()
-                        })
+                            ArgCols::One(cols[next_arg - 1].clone())
+                        }
                     })
                     .collect();
                 agg.update_columns(&cols[..keys], &arg_cols, sel.as_deref(), rows.len()).unwrap();

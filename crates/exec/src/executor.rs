@@ -44,11 +44,11 @@ use std::time::{Duration, Instant};
 use lardb_buf::{MemoryGovernor, MemoryReservation, SpillFile, SpillWriter};
 use lardb_net::{NetConfig, TransportMode, ROWS_PER_FRAME};
 use lardb_planner::physical::{AggMode, PhysicalPlan};
-use lardb_planner::{AggExpr, Expr};
+use lardb_planner::{AggExpr, AggFunc, Builtin, Expr};
 use lardb_storage::ops::CompositeKey;
 use lardb_storage::{Catalog, Partitioning, Row, Schema, Value};
 
-use crate::agg::{hash_values, spill_bucket, Accumulator, GroupedAgg, KeyTable};
+use crate::agg::{hash_values, spill_bucket, Accumulator, ArgCols, GroupedAgg, KeyTable};
 use crate::batch::{Col, ColumnBatch};
 use crate::cluster::{context, Cluster};
 use crate::compile::{ExprEngine, Program};
@@ -468,8 +468,9 @@ impl<'a> Executor<'a> {
             ensure_global_row(&mut out, a.group_by, a.aggs, a.mode);
         }
         // With nothing above it in its pipeline, the join's record is the
-        // pipeline's too.
+        // pipeline's too. Either way it carries its residual's kernels.
         let bare = agg.is_none() && chain.is_empty();
+        let residual_kernels = pipe.residual_kernels.load(AtomicOrdering::Relaxed) as usize;
         stats.record(OperatorStats {
             id: join.id(),
             label: join.label(),
@@ -477,7 +478,11 @@ impl<'a> Executor<'a> {
             rows_out: joined_rows,
             shuffle: ShuffleStats::default(),
             spill,
-            batch: if bare { pipe.batch_stats(0) } else { BatchStats::default() },
+            batch: if bare {
+                pipe.batch_stats(residual_kernels)
+            } else {
+                BatchStats { kernels: residual_kernels, ..BatchStats::default() }
+            },
         });
         if !bare {
             let agg = agg.map(|a| (a.plan, SpillStats::default()));
@@ -897,6 +902,9 @@ struct ChunkPipeline<'p> {
     stages: Vec<VecStage<'p>>,
     /// `None` under `ExprEngine::Interpret`.
     programs: Option<Programs<'p>>,
+    /// Kernel invocations of the residual's program, counted like a
+    /// Filter stage's and reported on the join's record.
+    residual_kernels: AtomicU64,
     agg_meter: StageMeter,
     counters: BatchMeter,
     hist: Arc<lardb_obs::Histogram>,
@@ -913,9 +921,57 @@ struct Programs<'p> {
     stages: Vec<(u64, StageProgram<'p>)>,
     /// Empty for a bare chain.
     keys: Vec<Program<'p>>,
-    args: Vec<Option<Program<'p>>>,
+    args: Vec<ArgProgram<'p>>,
     /// Kernel invocations the key and argument programs cost per chunk.
     agg_kernels: u64,
+}
+
+/// An aggregate argument's compiled programs: none for `COUNT(*)`, or the
+/// argument's — for `MATRIX_FROM_ENTRIES`, the three operands of the
+/// binder-made `sparse_entry(row, col, val)` carrier, so the group table
+/// folds typed lanes and no `VECTOR[3]` is built per lane.
+enum ArgProgram<'p> {
+    Star,
+    One(Program<'p>),
+    Entry([Program<'p>; 3]),
+}
+
+impl<'p> ArgProgram<'p> {
+    fn compile(agg: &'p AggExpr, schema: &Schema) -> Self {
+        match (agg.func, &agg.arg) {
+            (_, None) => ArgProgram::Star,
+            (AggFunc::MatrixFromEntries, Some(Expr::Call { func: Builtin::SparseEntry, args }))
+                if args.len() == 3 =>
+            {
+                ArgProgram::Entry([0, 1, 2].map(|i| Program::compile(&args[i], schema)))
+            }
+            (_, Some(e)) => ArgProgram::One(Program::compile(e, schema)),
+        }
+    }
+
+    fn kernels(&self) -> u64 {
+        match self {
+            ArgProgram::Star => 0,
+            ArgProgram::One(p) => p.kernels(),
+            ArgProgram::Entry(ps) => ps.iter().map(Program::kernels).sum(),
+        }
+    }
+
+    fn eval(&self, cols: &[Arc<Col>], n: usize, sel: Option<&[u32]>) -> Result<ArgCols> {
+        Ok(match self {
+            ArgProgram::Star => ArgCols::Star,
+            ArgProgram::One(p) => ArgCols::One(p.eval(cols, n, sel)?),
+            ArgProgram::Entry([r, c, v]) => {
+                let lanes = [r.eval(cols, n, sel)?, c.eval(cols, n, sel)?, v.eval(cols, n, sel)?];
+                // Only numeric lanes fold typed; any other kind declines
+                // and the interpreter builds the carrier.
+                if !lanes.iter().all(|l| matches!(**l, Col::F64 { .. } | Col::I64 { .. })) {
+                    return Err(kernels::unsupported("matrix_from_entries operand"));
+                }
+                ArgCols::Entry(lanes)
+            }
+        })
+    }
 }
 
 impl<'p> ChunkPipeline<'p> {
@@ -936,15 +992,15 @@ impl<'p> ChunkPipeline<'p> {
                 stage_progs.push(stage.compile(&schema));
                 schema = node.schema();
             }
-            let compile = |e| Program::compile(e, &schema);
-            let keys: Vec<Program<'p>> = group_by.iter().map(compile).collect();
-            let args: Vec<Option<Program<'p>>> =
-                aggs.iter().map(|a| a.arg.as_ref().map(compile)).collect();
+            let keys: Vec<Program<'p>> =
+                group_by.iter().map(|e| Program::compile(e, &schema)).collect();
+            let args: Vec<ArgProgram<'p>> =
+                aggs.iter().map(|a| ArgProgram::compile(a, &schema)).collect();
             Programs {
                 residual: residual.map(|e| Program::compile_predicate(e, &input)),
                 stages: stage_progs,
                 agg_kernels: keys.iter().map(Program::kernels).sum::<u64>()
-                    + args.iter().flatten().map(Program::kernels).sum::<u64>(),
+                    + args.iter().map(ArgProgram::kernels).sum::<u64>(),
                 keys,
                 args,
             }
@@ -954,6 +1010,7 @@ impl<'p> ChunkPipeline<'p> {
             residual,
             stages,
             programs,
+            residual_kernels: AtomicU64::new(0),
             agg_meter: StageMeter::default(),
             counters: BatchMeter::default(),
             hist: lardb_obs::global().histogram("exec.batch.rows_per_batch"),
@@ -982,6 +1039,8 @@ impl<'p> ChunkPipeline<'p> {
         if let (Some(prog), Chunk::Pairs(_)) = (&progs.residual, chunk) {
             let pred = prog.eval(&cols, n, None)?;
             sel = Some(kernels::selection(&pred, None, n)?);
+            // +1 for the selection-vector pass, as for a Filter stage.
+            self.residual_kernels.fetch_add(prog.kernels() + 1, AtomicOrdering::Relaxed);
         }
         let joined = sel.as_ref().map_or(n, Vec::len);
         let mut stage_rows = Vec::with_capacity(self.stages.len());
@@ -1094,11 +1153,8 @@ impl<'p> ChunkPipeline<'p> {
                 }
                 let keys =
                     progs.keys.iter().map(|p| p.eval(&cols, n, s)).collect::<Result<Vec<_>>>()?;
-                let args = progs
-                    .args
-                    .iter()
-                    .map(|p| p.as_ref().map(|p| p.eval(&cols, n, s)).transpose())
-                    .collect::<Result<Vec<_>>>()?;
+                let args =
+                    progs.args.iter().map(|p| p.eval(&cols, n, s)).collect::<Result<Vec<_>>>()?;
                 Ok((joined, rows, Some((keys, args, sel))))
             });
             match inputs {
@@ -2399,8 +2455,8 @@ mod tests {
     /// A plain join's residual runs compiled in the join's pipeline, with
     /// or without a Project above it: batches are counted, none declines,
     /// the rows are the interpreter's bit for bit, and the join reports
-    /// the pairs that passed its residual. A join with nothing to evaluate
-    /// pivots nothing.
+    /// the pairs that passed its residual and the residual's kernels. A
+    /// join with nothing to evaluate pivots nothing.
     #[test]
     fn plain_join_residuals_run_compiled() {
         use lardb_storage::ops::ArithOp;
@@ -2437,11 +2493,136 @@ mod tests {
                     let join = out.stats.operators().iter().find(|o| o.label == "HashJoin");
                     assert_eq!(join.expect("no HashJoin record").rows_out, 80, "{what} W={w}");
                 }
+                let join = compiled.stats.operators().iter().find(|o| o.label == "HashJoin");
+                assert!(join.unwrap().batch.kernels > 0, "{what} W={w}: residual kernels");
+                assert!(compiled.stats.total_kernels() > 0, "{what} W={w}");
             }
         }
         let plan = physical(&c, &self_join(&c));
         let bare = Executor::new(&c, Cluster::new(4)).execute(&plan).unwrap();
         assert_eq!((bare.num_rows(), bare.stats.total_batches()), (20, 0));
+    }
+
+    /// The compiled `MATRIX_FROM_ENTRIES` fold reads its three operand
+    /// lanes and builds no `sparse_entry` carrier per lane, and folds what
+    /// the interpreter folds: NULL operands in each position skipped,
+    /// INTEGER and DOUBLE coordinates, duplicates summed in row order, and
+    /// the same error from the same first bad row (fractional, negative or
+    /// NaN coordinate), at W ∈ {1, 4} × batch_rows {16, 1 024}.
+    #[test]
+    fn compiled_matrix_from_entries_matches_the_interpreter() {
+        use lardb_net::codec::wire_eq;
+        let c = Catalog::new();
+        let schema = Schema::from_pairs(&[
+            ("g", DataType::Integer),
+            ("r", DataType::Integer),
+            ("c", DataType::Integer),
+            ("rd", DataType::Double),
+            ("cd", DataType::Double),
+            ("v", DataType::Double),
+            ("frac", DataType::Double),
+            ("neg", DataType::Integer),
+            ("nan", DataType::Double),
+        ]);
+        let mut t = Table::new("entries", schema, 4, Partitioning::RoundRobin);
+        let null_or = |skip: bool, v: Value| if skip { Value::Null } else { v };
+        for i in 0..300i64 {
+            // Coordinates repeat every 60 rows, so every group sums
+            // duplicates, and fill 1 % of a 40 × 50 tile.
+            let (r, col) = ((i % 60) * 7 % 40, (i % 60) * 3 % 50);
+            // Two bad rows each in the frac and neg columns, one NaN.
+            let frac = match i {
+                40 => 7.5,
+                173 => 2.5,
+                _ => col as f64,
+            };
+            let neg = match i {
+                99 => -1,
+                211 => -4,
+                _ => col,
+            };
+            let nan = if i == 257 { f64::NAN } else { col as f64 };
+            t.insert(Row::new(vec![
+                Value::Integer(i % 3),
+                null_or(i % 11 == 0, Value::Integer(r)),
+                null_or(i % 13 == 0, Value::Integer(col)),
+                null_or(i % 17 == 0, Value::Double(r as f64)),
+                null_or(i % 19 == 0, Value::Double(col as f64)),
+                null_or(i % 23 == 0, Value::Double(0.1 * (i as f64) - 3.3)),
+                Value::Double(frac),
+                Value::Integer(neg),
+                Value::Double(nan),
+            ]))
+            .unwrap();
+        }
+        c.create_table(t).unwrap();
+        let entry = |r, c, v| Expr::call(Builtin::SparseEntry, vec![r, c, v]);
+        let mfe = |arg| AggExpr {
+            func: AggFunc::MatrixFromEntries,
+            arg: Some(arg),
+            name: "m".into(),
+        };
+        let aggregate = |group_by, arg| {
+            LogicalPlan::aggregate(scan_plan(&c, "entries"), group_by, vec![mfe(arg)]).unwrap()
+        };
+        let by_g = |arg| aggregate(vec![(Expr::col(0), "g".into())], arg);
+        let col = Expr::col;
+        let ok = [
+            ("INTEGER coordinates", by_g(entry(col(1), col(2), col(5)))),
+            ("DOUBLE coordinates", by_g(entry(col(3), col(4), col(5)))),
+            ("mixed coordinates", by_g(entry(col(1), col(4), col(5)))),
+            ("global", aggregate(vec![], entry(col(3), col(2), col(5)))),
+        ];
+        // Which of two bad rows a query reports depends on W (the first
+        // error in task order), never on the engine.
+        let failing = [
+            ("fractional", by_g(entry(col(6), col(2), col(5))), "5 is not a non-negative integer"),
+            ("negative", by_g(entry(col(1), col(7), col(5))), "coordinate -"),
+            ("NaN", by_g(entry(col(3), col(8), col(5))), "coordinate NaN is not"),
+        ];
+        for w in [1, 4] {
+            for batch_rows in [16, 1024] {
+                let exec = |plan: &PhysicalPlan, engine: ExprEngine| {
+                    Executor::new(&c, Cluster::new(w))
+                        .with_expr_engine(engine)
+                        .with_batch_rows(batch_rows)
+                        .execute(plan)
+                };
+                let cell = format!("W={w} batch_rows={batch_rows}");
+                for (what, logical) in &ok {
+                    let plan = physical(&c, logical);
+                    let compiled = exec(&plan, ExprEngine::Compiled).unwrap();
+                    let interpreted = exec(&plan, ExprEngine::Interpret).unwrap();
+                    assert!(compiled.stats.total_batches() > 0, "{what} {cell}");
+                    assert_eq!(compiled.stats.total_fallbacks(), 0, "{what} {cell}");
+                    // Plain column operands and keys: no kernel runs at all.
+                    assert_eq!(compiled.stats.total_kernels(), 0, "{what} {cell}");
+                    let (got, want) = (compiled.rows(), interpreted.rows());
+                    assert_eq!(got.len(), want.len(), "{what} {cell}");
+                    for (a, b) in got.iter().zip(&want) {
+                        let same = a.values().iter().zip(b.values()).all(|(x, y)| wire_eq(x, y));
+                        assert!(same && a.arity() == b.arity(), "{what} {cell}: {a:?} != {b:?}");
+                        let m = a.values().last().and_then(Value::as_sparse_matrix);
+                        assert!(m.is_some_and(|m| m.nnz() > 0), "{what} {cell}: {a:?}");
+                    }
+                }
+                for (what, logical, fragment) in &failing {
+                    let plan = physical(&c, logical);
+                    let message = |engine| exec(&plan, engine).expect_err("must fail").to_string();
+                    let want = message(ExprEngine::Interpret);
+                    assert!(want.contains(fragment), "{what} {cell}: {want}");
+                    assert_eq!(message(ExprEngine::Compiled), want, "{what} {cell}");
+                }
+            }
+        }
+        // The carrier costs a kernel per chunk; its three operands, plain
+        // columns here, cost none.
+        let carrier = entry(col(1), col(2), col(5));
+        let schema = c.table_schema("entries").unwrap();
+        assert_eq!(Program::compile(&carrier, &schema).kernels(), 1);
+        let aggs = [mfe(carrier)];
+        let pipe = ChunkPipeline::new(ExprEngine::Compiled, None, schema, None, &[], &[], &aggs);
+        assert_eq!(pipe.programs.map(|p| p.agg_kernels), Some(0));
     }
 
     /// A chunk some *later* program declines is replayed whole, and the

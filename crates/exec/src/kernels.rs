@@ -620,7 +620,7 @@ mod tests {
         let mn = matrix(2, 2, &[nan, 1.0, 2.0, 3.0]);
         let tile = [0.0, -0.0, 2.5, 0.0, nan, 0.0, 1.0, 0.0, 0.0];
         let tile = lardb_la::Matrix::from_vec(3, 3, tile.to_vec()).unwrap();
-        let sparse = Value::sparse_matrix(lardb_la::SparseMatrix::from_dense(&tile));
+        let sparse = Value::sparse_matrix(lardb_la::SparseMatrix::from_dense(&tile).unwrap());
         let int = Value::Integer;
         vec![
             (

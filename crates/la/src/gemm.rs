@@ -21,7 +21,7 @@
 //! falls in. Lane width is therefore free to follow the host — `NR = 8`
 //! under AVX when the CPU has it, `NR = 4` otherwise — while every output
 //! bit stays the same on every machine, equal to a plain i-k-j loop and to
-//! the CSR kernels in [`crate::sparse`]. A fused multiply-add or a
+//! the sparse kernels in [`crate::sparse`]. A fused multiply-add or a
 //! reassociated sum would break that; neither is used anywhere (CI greps).
 //!
 //! Every `a[i][k] * b[k][j]` term is accumulated, zeros included, so

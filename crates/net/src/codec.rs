@@ -52,9 +52,11 @@
 //! column either absolute (first entry of a row) or as the gap from the
 //! previous column minus one (columns are strictly increasing within a
 //! row). Deltas are LEB128 varints, so a million-edge tile costs a few
-//! bytes per edge instead of `8·n²`. Decoded CSR structure is re-validated
-//! (monotone, in-bounds) before construction, so a corrupted frame is a
-//! typed error — never a mis-shapen tile.
+//! bytes per edge instead of `8·n²`. The decoder builds the tile's listed
+//! rows straight from the deltas (a new row closes the previous one), so
+//! it allocates nothing proportional to the declared row count, and the
+//! structure is re-validated (increasing, in-bounds) before construction,
+//! so a corrupted frame is a typed error — never a mis-shapen tile.
 //!
 //! Doubles travel as raw IEEE-754 bit patterns, so NaNs (any payload) and
 //! signed zeros roundtrip exactly. Decoding is *checked*: truncated or
@@ -604,32 +606,43 @@ fn decode_value_inner(r: &mut Reader<'_>) -> Result<Value> {
             let cols = r.checked_count("SPARSE_MATRIX cols", 0)?;
             // Each entry is ≥ 2 varint bytes + 8 value bytes.
             let nnz = r.checked_count("SPARSE_MATRIX nnz", 10)?;
-            let mut indptr = vec![0usize; rows + 1];
+            // Entries arrive row-major, so each new row closes the last
+            // one: the decode builds the listed rows directly, with nothing
+            // proportional to `rows`.
+            let mut row_ids: Vec<u32> = Vec::new();
+            let mut row_ptr: Vec<u32> = vec![0];
             let mut indices = Vec::with_capacity(nnz);
             let mut values = Vec::with_capacity(nnz);
+            let malformed = |what| CodecError::Malformed { what };
             let mut row = 0usize;
             let mut col = 0usize;
             for i in 0..nnz {
                 let drow = r.varint("SPARSE_MATRIX row delta")? as usize;
                 let dcol = r.varint("SPARSE_MATRIX col delta")? as usize;
                 let new_row = i == 0 || drow > 0;
-                row = row.checked_add(drow).ok_or(CodecError::Malformed {
-                    what: "SPARSE_MATRIX row index",
-                })?;
-                col = if new_row { dcol } else { col + dcol + 1 };
+                row = row.checked_add(drow).ok_or(malformed("SPARSE_MATRIX row index"))?;
+                col = if new_row {
+                    dcol
+                } else {
+                    col.checked_add(dcol).and_then(|c| c.checked_add(1)).unwrap_or(usize::MAX)
+                };
                 if row >= rows || col >= cols {
-                    return Err(CodecError::Malformed { what: "SPARSE_MATRIX index" });
+                    return Err(malformed("SPARSE_MATRIX index"));
                 }
-                // indptr[row+1] counts row's entries; prefix-summed below.
-                indptr[row + 1] += 1;
+                if new_row {
+                    if i > 0 {
+                        row_ptr.push(i as u32);
+                    }
+                    row_ids.push(row as u32);
+                }
                 indices.push(col as u32);
                 values.push(r.f64("SPARSE_MATRIX value")?);
             }
-            for i in 0..rows {
-                indptr[i + 1] += indptr[i];
+            if nnz > 0 {
+                row_ptr.push(nnz as u32);
             }
-            let m = SparseMatrix::from_csr(rows, cols, indptr, indices, values)
-                .map_err(|_| CodecError::Malformed { what: "SPARSE_MATRIX structure" })?;
+            let m = SparseMatrix::from_parts(rows, cols, row_ids, row_ptr, indices, values)
+                .map_err(|_| malformed("SPARSE_MATRIX structure"))?;
             Value::sparse_matrix(m)
         }
         tag => return Err(CodecError::BadTag { what: "value", tag }),
@@ -822,11 +835,10 @@ pub fn wire_eq(a: &Value, b: &Value) -> bool {
         // Structural, bit-exact: the wire must preserve the sparse
         // representation itself, not just its dense meaning.
         (Value::SparseMatrix(x), Value::SparseMatrix(y)) => {
-            let (xp, xi, xv) = x.csr_parts();
-            let (yp, yi, yv) = y.csr_parts();
+            let (xr, xp, xi, xv) = x.parts();
+            let (yr, yp, yi, yv) = y.parts();
             x.shape() == y.shape()
-                && xp == yp
-                && xi == yi
+                && (xr, xp, xi) == (yr, yp, yi)
                 && xv.iter().zip(yv).all(|(p, q)| bits_eq(*p, *q))
         }
         _ => false,
@@ -1096,6 +1108,25 @@ mod tests {
         for cut in 0..good.len() {
             assert!(decode_value(&good[..cut]).is_err(), "cut at {cut} decoded");
         }
+    }
+
+    #[test]
+    fn a_tall_sparse_frame_allocates_by_its_entries() {
+        // A 2³²−1-row tile with one entry decodes in O(1) memory: nothing
+        // is allocated per declared row.
+        let mut buf = vec![TAG_SPARSE_MATRIX];
+        buf.extend_from_slice(&u32::MAX.to_le_bytes()); // rows
+        buf.extend_from_slice(&u32::MAX.to_le_bytes()); // cols
+        buf.extend_from_slice(&1u32.to_le_bytes()); // nnz
+        put_varint(&mut buf, u64::from(u32::MAX) - 1); // Δrow
+        put_varint(&mut buf, 7); // col
+        put_f64(&mut buf, -2.5);
+        let Value::SparseMatrix(m) = decode_value(&buf).unwrap() else { panic!("not sparse") };
+        assert_eq!((m.nnz(), m.parts().0), (1, &[u32::MAX - 1][..]));
+        assert_eq!(m.get(u32::MAX as usize - 1, 7).unwrap(), -2.5);
+        let mut again = Vec::new();
+        encode_value(&Value::SparseMatrix(m), &mut again);
+        assert_eq!(again, buf);
     }
 
     #[test]

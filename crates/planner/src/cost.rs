@@ -38,7 +38,7 @@ impl PlanEstimate {
 }
 
 /// Bytes charged per COO entry of a `MATRIX_FROM_ENTRIES` aggregate —
-/// (row, col, val) coordinates plus CSR overhead. Matches the wire
+/// (row, col, val) coordinates plus row overhead. Matches the wire
 /// format's nnz-proportional sizing.
 pub const COO_ENTRY_BYTES: f64 = 16.0;
 

@@ -111,7 +111,7 @@ pub enum Builtin {
     MinElement,
     /// `max_element(MATRIX[a][b] | VECTOR[a]) -> DOUBLE`
     MaxElement,
-    /// `sparsify(MATRIX[a][b]) -> MATRIX[a][b]` — force the CSR sparse
+    /// `sparsify(MATRIX[a][b]) -> MATRIX[a][b]` — force the sparse
     /// representation (logically the identity function).
     Sparsify,
     /// `densify(MATRIX[a][b]) -> MATRIX[a][b]` — force the dense
@@ -493,7 +493,7 @@ impl Builtin {
                 _ => Value::vector(mat(0)?.matrix_vector_multiply(vec(1)?)?),
             },
             Builtin::VectorMatrixMultiply => match arg(1) {
-                // xᵀA = (Aᵀx)ᵀ; the CSR transpose is O(nnz + cols).
+                // xᵀA = (Aᵀx)ᵀ; the sparse transpose is O(nnz log nnz) at worst.
                 Value::SparseMatrix(a) => {
                     dispatch::note_kernel(Kernel::Spmv);
                     Value::vector(a.transpose().spmv(vec(0)?)?)
@@ -558,7 +558,7 @@ impl Builtin {
             Builtin::Sparsify => match arg(0) {
                 Value::SparseMatrix(_) => arg(0).clone(),
                 Value::Matrix(m) => {
-                    Value::sparse_matrix(lardb_la::SparseMatrix::from_dense(m))
+                    Value::sparse_matrix(lardb_la::SparseMatrix::from_dense(m)?)
                 }
                 _ => return Err(bad(0)),
             },
@@ -710,7 +710,10 @@ pub enum AggFunc {
     /// coordinates sum; negative or > `u32::MAX` coordinates are typed
     /// errors. The binder packs the three arguments into one
     /// `sparse_entry(row, col, val)` vector, so the planner-level aggregate
-    /// stays single-argument like every other.
+    /// stays single-argument like every other. The carrier exists at plan
+    /// level only: the interpreter folds it, while the compiled pipeline
+    /// compiles its three operands and folds their typed lanes, building
+    /// no vector per row.
     MatrixFromEntries,
 }
 
@@ -845,7 +848,7 @@ mod tests {
     #[test]
     fn internal_builtins_evaluate_as_the_call_they_stand_for() {
         let dense = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]).unwrap();
-        let sparse = lardb_la::SparseMatrix::from_dense(&dense);
+        let sparse = lardb_la::SparseMatrix::from_dense(&dense).unwrap();
         let v = |n: usize| Value::vector(Vector::from_fn(n, |i| i as f64 - 0.5));
         for x in [Value::matrix(dense), Value::sparse_matrix(sparse), Value::Null] {
             let xt = Builtin::TransMatrix.evaluate(std::slice::from_ref(&x)).unwrap();
@@ -870,7 +873,7 @@ mod tests {
         let dense = Matrix::from_rows(&[&[4.0, 1.0, -0.0], &[1.0, 3.0, 0.5], &[0.0, 0.5, 2.0]])
             .unwrap();
         let pool = [
-            Value::sparse_matrix(lardb_la::SparseMatrix::from_dense(&dense)),
+            Value::sparse_matrix(lardb_la::SparseMatrix::from_dense(&dense).unwrap()),
             Value::matrix(dense),
             Value::vector(Vector::from_slice(&[1.5, -2.0, f64::NAN])),
             Value::vector(Vector::from_slice(&[0.25, -0.0, 3.0])),

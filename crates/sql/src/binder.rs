@@ -253,7 +253,9 @@ impl<'a> Binder<'a> {
                         // SQL surface is MATRIX_FROM_ENTRIES(row, col, val);
                         // the three arguments are packed into one
                         // sparse_entry carrier so the aggregate machinery
-                        // stays single-argument.
+                        // stays single-argument. The carrier is plan-level:
+                        // the compiled pipeline reads its three operands as
+                        // typed lanes and never builds it per row.
                         if args.len() != 3 {
                             return Err(SqlError::Bind(format!(
                                 "{} takes exactly three arguments (row, col, val)",

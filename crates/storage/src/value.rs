@@ -31,9 +31,10 @@ pub enum Value {
     Vector(Arc<Vector>),
     /// `MATRIX` (§3.1).
     Matrix(Arc<Matrix>),
-    /// A `MATRIX` stored sparsely (CSR). Logically indistinguishable from
-    /// [`Value::Matrix`] — same SQL type, equality and arithmetic — but
-    /// storage, shuffle and spill accounting are proportional to nnz.
+    /// A `MATRIX` stored sparsely: only its nonempty rows and their
+    /// entries. Logically indistinguishable from [`Value::Matrix`] — same
+    /// SQL type, equality and arithmetic — but storage, shuffle and spill
+    /// accounting are proportional to nnz.
     SparseMatrix(Arc<SparseMatrix>),
 }
 
