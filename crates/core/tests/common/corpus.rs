@@ -208,10 +208,10 @@ pub static CORPUS: &[Entry] = &[
             DECLINED_RESIDUAL,
         ],
         &[
-            // VARCHAR arithmetic: rejected by the binder, or at run time by
-            // the shared ops table.
+            // VARCHAR arithmetic: rejected by the binder in a projection,
+            // by the planner in a predicate.
             ("SELECT s + 1 FROM t", "operator + undefined"),
-            ("SELECT id FROM t WHERE s * 2 > 0", "cannot apply *"),
+            ("SELECT id FROM t WHERE s * 2 > 0", "operator * undefined"),
             // The same under a join→aggregate, and an argument that only
             // fails when evaluated (the kernel declines, the interpreter's
             // replay of the chunk raises).

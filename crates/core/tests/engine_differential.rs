@@ -168,7 +168,7 @@ proptest! {
     #[test]
     fn compiled_success_is_bit_identical(seed in 0u64..u64::MAX) {
         let (expr, schema, rows, batch) = gen_case(seed);
-        let prog = Program::compile(&expr, &schema);
+        let Ok(prog) = Program::compile(&expr, &schema) else { return Ok(()) };
         if let Ok(col) = prog.eval(batch.cols(), rows.len(), None) {
             for (i, row) in rows.iter().enumerate() {
                 let want = eval(&expr, row).expect(
@@ -188,7 +188,7 @@ proptest! {
     fn compiled_respects_selection(seed in 0u64..u64::MAX) {
         let (expr, schema, rows, batch) = gen_case(seed);
         let sel: Vec<u32> = (0..rows.len() as u32).step_by(2).collect();
-        let prog = Program::compile(&expr, &schema);
+        let Ok(prog) = Program::compile(&expr, &schema) else { return Ok(()) };
         if let Ok(col) = prog.eval(batch.cols(), rows.len(), Some(&sel)) {
             for &i in &sel {
                 let want = eval(&expr, &rows[i as usize]).expect("fallback masks errors");
@@ -220,13 +220,12 @@ fn zero_length_batch_evaluates_to_empty_column() {
     let rows: Vec<Row> = Vec::new();
     let batch = ColumnBatch::from_rows(&rows).unwrap();
     let e = Expr::arith(ArithOp::Add, Expr::col(0), Expr::lit(1i64));
-    let prog = Program::compile(&e, &Schema::new(Vec::new()));
-    // Column 0 is out of range on a zero-arity batch: the program must
-    // error (and the executor would fall back), not fabricate lanes.
-    assert!(prog.eval(batch.cols(), 0, None).is_err());
+    // Column 0 is out of range on a zero-arity schema: it does not
+    // compile, rather than fabricate lanes.
+    assert!(Program::compile(&e, &Schema::new(Vec::new())).is_err());
     // A literal-only program over zero lanes succeeds with zero lanes.
     let lit = Expr::lit(2.5f64);
-    let prog = Program::compile(&lit, &Schema::new(Vec::new()));
+    let prog = Program::compile(&lit, &Schema::new(Vec::new())).unwrap();
     let col = prog.eval(batch.cols(), 0, None).unwrap();
     assert_eq!(col.len(), 0);
 }
@@ -251,14 +250,16 @@ fn engine_cells() -> Vec<lattice::Cell> {
 
 /// This suite's own statements over the mixed fixture, swept beside the
 /// corpus's but outside it (so the counters golden does not run them):
-/// * a predicate that leans on the interpreter's lenient `AND`, which
-///   takes the INTEGER `g` as not FALSE: it does not type, so the compiled
-///   filter declines every chunk and the interpreter answers;
+/// * a predicate that would lean on a lenient `AND` taking the INTEGER
+///   `g` as not FALSE: it does not type, so the planner rejects it;
 /// * a chain that fails in two stages: the Filter overflows on `edge`'s
 ///   second row, the Project divides by zero on its first. Both engines
 ///   report the first failing row's error, the Project's.
 const OWN: [Statement; 2] = [
-    Statement { sql: "SELECT id FROM t WHERE (g AND v < 0.0) OR id = 307", fails_with: None },
+    Statement {
+        sql: "SELECT id FROM t WHERE (g AND v < 0.0) OR id = 307",
+        fails_with: Some("left operand of AND/OR must be BOOLEAN, got INTEGER"),
+    },
     Statement {
         sql: "SELECT 10 / (b - 1) AS q FROM edge WHERE b + b > 0",
         fails_with: Some("division by zero"),
@@ -323,12 +324,6 @@ fn vectorized_counters_surface_in_stats_and_metrics() {
     // A declined pair chunk is counted, replayed, and not a batch.
     let rd = db.query(DECLINED_RESIDUAL).unwrap();
     assert!(rd.stats.total_fallbacks() > 0, "the residual kernel should decline");
-    // A predicate that does not type declines every chunk, and the
-    // interpreter keeps the rows its lenient `AND` passes.
-    let rl = db.query(OWN[0].sql).unwrap();
-    assert_eq!(rl.stats.total_batches(), 0);
-    assert!(rl.stats.total_fallbacks() > 0);
-    assert!(rl.rows.len() > 100, "{} rows", rl.rows.len());
     // The interpreted engine reports no vectorized work.
     let idb = Fixture::Mixed.open(&cell(|c| c.expr_engine = ExprEngine::Interpret));
     for q in ["SELECT id FROM t WHERE v > -50.0", MIXED_JOIN_AGG] {

@@ -14,11 +14,12 @@
 //! Compilation is typed against the operator's input schema: every
 //! register records the `DataType` that [`Expr::infer_type`] gives its
 //! subexpression, and a built-in call writes the column that type names.
-//! A BOOLEAN register is therefore always a `Col::Bool`. An expression
-//! that does not type, and a predicate that is not BOOLEAN, compile to a
-//! program that declines every chunk, so the interpreter answers for it
-//! (the interpreter is lenient where the type checker is not: its `AND`
-//! takes any non-FALSE value as true).
+//! A BOOLEAN register is therefore always a `Col::Bool`. The planner has
+//! typed every expression an operator evaluates — projections and
+//! aggregate arguments when bound, Filter predicates, HAVING and join
+//! residuals as BOOLEAN when planned — so an expression that does not
+//! type here, or a predicate that is not BOOLEAN, is a planner bug and
+//! compiles to `PlanError::Internal`.
 //!
 //! Programs borrow literals and builtin handles from the expression tree
 //! (`Program<'e>`), so compilation allocates only the instruction list
@@ -26,12 +27,12 @@
 
 use std::sync::Arc;
 
-use lardb_planner::{Builtin, CmpOp, Expr};
+use lardb_planner::{Builtin, CmpOp, Expr, PlanError};
 use lardb_storage::ops::ArithOp;
 use lardb_storage::{DataType, Schema, Value};
 
 use crate::batch::Col;
-use crate::kernels::{self, unsupported};
+use crate::kernels;
 use crate::{ExecError, Result};
 
 /// How the chunk pipeline evaluates the expressions of filters,
@@ -97,8 +98,7 @@ enum Instr<'e> {
 
 /// A compiled expression: flat bytecode, each instruction beside the
 /// type of the register it writes, whose last register is the
-/// expression's column result. Empty when the expression does not type:
-/// such a program declines every chunk.
+/// expression's column result.
 #[derive(Debug)]
 pub struct Program<'e> {
     code: Vec<(Instr<'e>, DataType)>,
@@ -106,29 +106,29 @@ pub struct Program<'e> {
 
 impl<'e> Program<'e> {
     /// Compiles an expression tree against the schema of the rows it
-    /// reads (see module docs).
-    pub fn compile(expr: &'e Expr, input: &Schema) -> Program<'e> {
+    /// reads (see module docs). The planner has typed every expression an
+    /// operator evaluates, so one that does not type here is a planner
+    /// bug: `PlanError::Internal`.
+    pub fn compile(expr: &'e Expr, input: &Schema) -> Result<Program<'e>> {
         let mut p = Program { code: Vec::new() };
-        if p.emit(expr, input).is_none() {
-            p.code.clear();
-        }
-        p
+        p.emit(expr, input)?;
+        Ok(p)
     }
 
-    /// [`Self::compile`] for a Filter's or a join residual's predicate:
-    /// one that is not BOOLEAN declines every chunk.
-    pub fn compile_predicate(expr: &'e Expr, input: &Schema) -> Program<'e> {
-        let mut p = Program::compile(expr, input);
-        if p.code.last().is_some_and(|(_, t)| *t != DataType::Boolean) {
-            p.code.clear();
+    /// [`Self::compile`] for a Filter's or a join residual's predicate,
+    /// which must be BOOLEAN.
+    pub fn compile_predicate(expr: &'e Expr, input: &Schema) -> Result<Program<'e>> {
+        let p = Program::compile(expr, input)?;
+        match p.code.last() {
+            Some((_, DataType::Boolean)) => Ok(p),
+            _ => Err(untyped(expr, "is not a BOOLEAN predicate")),
         }
-        p
     }
 
     /// Appends `expr`'s instructions, operands first, and returns the
-    /// register holding its value; `None` when it does not type.
-    fn emit(&mut self, expr: &'e Expr, input: &Schema) -> Option<usize> {
-        let t = expr.infer_type(input).ok()?;
+    /// register holding its value.
+    fn emit(&mut self, expr: &'e Expr, input: &Schema) -> Result<usize> {
+        let t = expr.infer_type(input).map_err(|e| untyped(expr, &e.to_string()))?;
         let instr = match expr {
             Expr::Column(col) => Instr::Load { col: *col },
             Expr::Literal(v) => Instr::Const { v },
@@ -144,11 +144,11 @@ impl<'e> Program<'e> {
             Expr::Negate(e) => Instr::Negate { a: self.emit(e, input)? },
             Expr::Call { func, args } => Instr::Call {
                 func,
-                args: args.iter().map(|a| self.emit(a, input)).collect::<Option<_>>()?,
+                args: args.iter().map(|a| self.emit(a, input)).collect::<Result<_>>()?,
             },
         };
         self.code.push((instr, t));
-        Some(self.code.len() - 1)
+        Ok(self.code.len() - 1)
     }
 
     /// Kernel instructions per evaluation (loads and constants excluded) —
@@ -191,8 +191,13 @@ impl<'e> Program<'e> {
             };
             regs.push(Arc::new(out));
         }
-        regs.pop().ok_or_else(|| unsupported("the expression does not type"))
+        Ok(regs.pop().expect("a compiled program has an instruction"))
     }
+}
+
+/// The planner let `expr` through untyped: a bug, not the query's error.
+fn untyped(expr: &Expr, why: &str) -> ExecError {
+    ExecError::Plan(PlanError::Internal(format!("{expr} reached the executor untyped: {why}")))
 }
 
 #[cfg(test)]
@@ -224,7 +229,7 @@ mod tests {
     fn assert_matches_interpreter(e: &Expr) {
         let rows = rows();
         let batch = ColumnBatch::pivot(&rows, &schema()).unwrap();
-        let prog = Program::compile(e, &schema());
+        let prog = Program::compile(e, &schema()).unwrap();
         let out = prog.eval(batch.cols(), rows.len(), None).unwrap();
         for (i, r) in rows.iter().enumerate() {
             let want = eval(e, r).unwrap();
@@ -261,46 +266,48 @@ mod tests {
         let rows = rows();
         let batch = ColumnBatch::pivot(&rows, &schema()).unwrap();
         let pred = Expr::cmp(CmpOp::GtEq, Expr::col(0), Expr::lit(4i64));
-        let prog = Program::compile_predicate(&pred, &schema());
+        let prog = Program::compile_predicate(&pred, &schema()).unwrap();
         let c = prog.eval(batch.cols(), rows.len(), None).unwrap();
         let sel = kernels::selection(&c, None, rows.len()).unwrap();
         assert_eq!(sel, vec![4, 5, 6, 7, 8, 9]);
         // Second predicate evaluated only on surviving lanes.
         let pred2 = Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::lit(7i64));
-        let prog2 = Program::compile_predicate(&pred2, &schema());
+        let prog2 = Program::compile_predicate(&pred2, &schema()).unwrap();
         let c2 = prog2.eval(batch.cols(), rows.len(), Some(&sel)).unwrap();
         let sel2 = kernels::selection(&c2, Some(&sel), rows.len()).unwrap();
         assert_eq!(sel2, vec![4, 5, 6]);
     }
 
-    #[test]
-    fn out_of_range_column_errors() {
-        let rows = rows();
-        let batch = ColumnBatch::pivot(&rows, &schema()).unwrap();
-        let oor = Expr::col(17);
-        let prog = Program::compile(&oor, &schema());
-        assert!(prog.eval(batch.cols(), rows.len(), None).is_err());
+    fn internal(r: Result<Program<'_>>) -> String {
+        match r {
+            Err(ExecError::Plan(PlanError::Internal(m))) => m,
+            other => panic!("expected an internal error, got {other:?}"),
+        }
     }
 
-    /// What does not type, and a predicate that is not BOOLEAN, decline
-    /// every chunk: `NOT` over an INTEGER, and the interpreter's lenient
-    /// `AND` over one.
     #[test]
-    fn untyped_programs_decline_every_chunk() {
-        let rows = rows();
-        let batch = ColumnBatch::pivot(&rows, &schema()).unwrap();
+    fn out_of_range_column_errors() {
+        let m = internal(Program::compile(&Expr::col(17), &schema()));
+        assert!(m.contains("out of range"), "{m}");
+    }
+
+    /// The planner types every expression the executor compiles, so one
+    /// that does not type — `NOT` over an INTEGER, the lenient `AND` over
+    /// one — and a predicate that is not BOOLEAN are planner bugs:
+    /// internal errors, raised before any chunk runs.
+    #[test]
+    fn untyped_programs_are_internal_errors() {
         let lt = Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::lit(5i64));
         let lenient = Expr::And(Box::new(Expr::col(2)), Box::new(lt.clone()));
         for e in [Expr::Not(Box::new(Expr::col(0))), lenient] {
-            let prog = Program::compile(&e, &schema());
-            assert_eq!(prog.kernels(), 0, "{e:?}");
-            assert!(prog.eval(batch.cols(), rows.len(), None).is_err(), "{e:?}");
+            let m = internal(Program::compile(&e, &schema()));
+            assert!(m.contains("untyped"), "{m}");
         }
         let numeric = Expr::arith(ArithOp::Add, Expr::col(0), Expr::lit(1i64));
-        assert!(Program::compile(&numeric, &schema()).eval(batch.cols(), 10, None).is_ok());
-        let prog = Program::compile_predicate(&numeric, &schema());
-        assert!(prog.eval(batch.cols(), rows.len(), None).is_err());
-        assert!(Program::compile_predicate(&lt, &schema()).eval(batch.cols(), 10, None).is_ok());
+        assert!(Program::compile(&numeric, &schema()).is_ok());
+        let m = internal(Program::compile_predicate(&numeric, &schema()));
+        assert!(m.contains("not a BOOLEAN predicate"), "{m}");
+        assert!(Program::compile_predicate(&lt, &schema()).is_ok());
     }
 
     #[test]
@@ -319,6 +326,6 @@ mod tests {
             Expr::col(0),
             Expr::lit(1i64),
         );
-        assert_eq!(Program::compile(&e, &schema()).kernels(), 1);
+        assert_eq!(Program::compile(&e, &schema()).unwrap().kernels(), 1);
     }
 }

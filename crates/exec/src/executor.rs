@@ -389,7 +389,7 @@ impl<'a> Executor<'a> {
         // to its joined rows (n·d² tuples for the Gram query), which would
         // fill the trace's event cap and the flight recorder's ring.
         let pipe =
-            ChunkPipeline::new(self.engine, None, join.schema(), residual, chain, group_by, aggs);
+            ChunkPipeline::new(self.engine, None, join.schema(), residual, chain, group_by, aggs)?;
         let sides = [left.schema(), right.schema()];
         let mem = &self.mem;
         let cancel = context().cancel_token().clone();
@@ -512,7 +512,7 @@ impl<'a> Executor<'a> {
         let child = self.run(base, stats)?;
         let t0 = Instant::now();
         let trace = context().trace().cloned();
-        let pipe = ChunkPipeline::new(self.engine, trace, base.schema(), None, chain, &[], &[]);
+        let pipe = ChunkPipeline::new(self.engine, trace, base.schema(), None, chain, &[], &[])?;
         let batch_rows = self.batch_rows;
         let morsels = self.cluster.morsel_map(child, |_, rows| {
             let mut out = Vec::with_capacity(rows.len());
@@ -557,7 +557,7 @@ impl<'a> Executor<'a> {
             AggMode::Final => ExprEngine::Interpret,
             AggMode::Partial | AggMode::Complete => self.engine,
         };
-        let pipe = ChunkPipeline::new(engine, trace, base.schema(), None, chain, group_by, aggs);
+        let pipe = ChunkPipeline::new(engine, trace, base.schema(), None, chain, group_by, aggs)?;
         let batch_rows = self.batch_rows;
         let cancel = context().cancel_token().clone();
         let spilling = self.mem.bounded() && !group_by.is_empty();
@@ -750,19 +750,19 @@ impl<'p> VecStage<'p> {
     /// The stage's programs, typed against `input`, the schema of the rows
     /// it reads, and the kernel invocations one chunk of them costs (feeds
     /// the `exec.batch.kernels` counter exactly, per executed chunk).
-    fn compile(&self, input: &Schema) -> (u64, StageProgram<'p>) {
-        match self.kind {
+    fn compile(&self, input: &Schema) -> Result<(u64, StageProgram<'p>)> {
+        Ok(match self.kind {
             VecStageKind::Filter(pred) => {
-                let prog = Program::compile_predicate(pred, input);
+                let prog = Program::compile_predicate(pred, input)?;
                 // +1 for the selection-vector pass itself.
                 (prog.kernels() + 1, StageProgram::Filter(prog))
             }
             VecStageKind::Project(exprs) => {
                 let progs: Vec<Program<'p>> =
-                    exprs.iter().map(|e| Program::compile(e, input)).collect();
+                    exprs.iter().map(|e| Program::compile(e, input)).collect::<Result<_>>()?;
                 (progs.iter().map(Program::kernels).sum(), StageProgram::Project(progs))
             }
-        }
+        })
     }
 }
 
@@ -937,16 +937,17 @@ enum ArgProgram<'p> {
 }
 
 impl<'p> ArgProgram<'p> {
-    fn compile(agg: &'p AggExpr, schema: &Schema) -> Self {
-        match (agg.func, &agg.arg) {
+    fn compile(agg: &'p AggExpr, schema: &Schema) -> Result<Self> {
+        Ok(match (agg.func, &agg.arg) {
             (_, None) => ArgProgram::Star,
             (AggFunc::MatrixFromEntries, Some(Expr::Call { func: Builtin::SparseEntry, args }))
                 if args.len() == 3 =>
             {
-                ArgProgram::Entry([0, 1, 2].map(|i| Program::compile(&args[i], schema)))
+                let [r, c, v] = [0, 1, 2].map(|i| Program::compile(&args[i], schema));
+                ArgProgram::Entry([r?, c?, v?])
             }
-            (_, Some(e)) => ArgProgram::One(Program::compile(e, schema)),
-        }
+            (_, Some(e)) => ArgProgram::One(Program::compile(e, schema)?),
+        })
     }
 
     fn kernels(&self) -> u64 {
@@ -983,29 +984,33 @@ impl<'p> ChunkPipeline<'p> {
         chain: &[&'p PhysicalPlan],
         group_by: &'p [Expr],
         aggs: &'p [AggExpr],
-    ) -> Self {
+    ) -> Result<Self> {
         let stages: Vec<VecStage<'p>> = chain.iter().map(|n| VecStage::new(n)).collect();
-        let programs = (engine == ExprEngine::Compiled).then(|| {
+        let compile = || -> Result<Programs<'p>> {
             let mut schema = input.clone();
             let mut stage_progs = Vec::with_capacity(stages.len());
             for (stage, node) in stages.iter().zip(chain) {
-                stage_progs.push(stage.compile(&schema));
+                stage_progs.push(stage.compile(&schema)?);
                 schema = node.schema();
             }
             let keys: Vec<Program<'p>> =
-                group_by.iter().map(|e| Program::compile(e, &schema)).collect();
+                group_by.iter().map(|e| Program::compile(e, &schema)).collect::<Result<_>>()?;
             let args: Vec<ArgProgram<'p>> =
-                aggs.iter().map(|a| ArgProgram::compile(a, &schema)).collect();
-            Programs {
-                residual: residual.map(|e| Program::compile_predicate(e, &input)),
+                aggs.iter().map(|a| ArgProgram::compile(a, &schema)).collect::<Result<_>>()?;
+            Ok(Programs {
+                residual: residual.map(|e| Program::compile_predicate(e, &input)).transpose()?,
                 stages: stage_progs,
                 agg_kernels: keys.iter().map(Program::kernels).sum::<u64>()
                     + args.iter().map(ArgProgram::kernels).sum::<u64>(),
                 keys,
                 args,
-            }
-        });
-        ChunkPipeline {
+            })
+        };
+        let programs = match engine {
+            ExprEngine::Compiled => Some(compile()?),
+            ExprEngine::Interpret => None,
+        };
+        Ok(ChunkPipeline {
             input,
             residual,
             stages,
@@ -1015,7 +1020,7 @@ impl<'p> ChunkPipeline<'p> {
             counters: BatchMeter::default(),
             hist: lardb_obs::global().histogram("exec.batch.rows_per_batch"),
             trace,
-        }
+        })
     }
 
     /// The residual a chunk must still pass: the join's, for pairs.
@@ -2619,9 +2624,9 @@ mod tests {
         // columns here, cost none.
         let carrier = entry(col(1), col(2), col(5));
         let schema = c.table_schema("entries").unwrap();
-        assert_eq!(Program::compile(&carrier, &schema).kernels(), 1);
+        assert_eq!(Program::compile(&carrier, &schema).unwrap().kernels(), 1);
         let aggs = [mfe(carrier)];
-        let pipe = ChunkPipeline::new(ExprEngine::Compiled, None, schema, None, &[], &[], &aggs);
+        let pipe = ChunkPipeline::new(ExprEngine::Compiled, None, schema, None, &[], &[], &aggs).unwrap();
         assert_eq!(pipe.programs.map(|p| p.agg_kernels), Some(0));
     }
 
@@ -2792,7 +2797,7 @@ mod tests {
         let run = |engine: ExprEngine, as_pairs: bool| {
             let input = schema.concat(&schema);
             let pipe =
-                ChunkPipeline::new(engine, None, input, Some(&residual), &[], &group_by, &aggs);
+                ChunkPipeline::new(engine, None, input, Some(&residual), &[], &group_by, &aggs).unwrap();
             let mut agg = GroupedAgg::new(&group_by, &aggs, AggMode::Complete);
             let mut scratch = Vec::new();
             let mut joined = 0;
@@ -2862,7 +2867,7 @@ mod tests {
         assert_eq!(counts(), before, "drop");
         let arg = Expr::call(Builtin::InnerProduct, vec![Expr::col(1), Expr::col(3)]);
         let aggs = [AggExpr { func: AggFunc::Min, arg: Some(arg), name: "m".into() }];
-        let pipe = ChunkPipeline::new(ExprEngine::Compiled, None, input, None, &[], &[], &aggs);
+        let pipe = ChunkPipeline::new(ExprEngine::Compiled, None, input, None, &[], &[], &aggs).unwrap();
         let mut agg = GroupedAgg::new(&[], &aggs, AggMode::Complete);
         assert_eq!(pipe.aggregate(chunk, &mut agg, &mut Vec::new()).unwrap(), 16);
         assert_eq!(counts(), before, "aggregate");
@@ -2901,7 +2906,7 @@ mod tests {
         let run = |engine: ExprEngine, probe: &[Row]| {
             let table = build_join_table(build.clone(), &keys).unwrap();
             let input = build_schema.concat(&probe_schema);
-            let pipe = ChunkPipeline::new(engine, None, input, None, &[], &keys, &aggs);
+            let pipe = ChunkPipeline::new(engine, None, input, None, &[], &keys, &aggs).unwrap();
             let mut agg = GroupedAgg::new(&keys, &aggs, AggMode::Complete);
             let (mut scratch, mut chunks) = (Vec::new(), 0);
             let full = |pairs: usize, _| pairs >= 5;
@@ -2943,7 +2948,7 @@ mod tests {
             AggExpr { func: AggFunc::Max, arg: Some(Expr::col(1)), name: "m".into() },
         ];
         let run = |engine: ExprEngine| {
-            let pipe = ChunkPipeline::new(engine, None, schema.clone(), None, &[], &[], &aggs);
+            let pipe = ChunkPipeline::new(engine, None, schema.clone(), None, &[], &[], &aggs).unwrap();
             let mut agg = GroupedAgg::new(&[], &aggs, AggMode::Complete);
             for chunk in rows.chunks(5) {
                 pipe.aggregate(Chunk::Rows(chunk), &mut agg, &mut Vec::new()).unwrap();

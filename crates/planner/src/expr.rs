@@ -149,6 +149,15 @@ impl Expr {
         Ok(self.infer_arg(input)?.dtype)
     }
 
+    /// Types a predicate — a Filter's, a HAVING's or a join residual —
+    /// against the rows it reads: it must type, and as BOOLEAN.
+    pub fn type_predicate(&self, input: &Schema) -> Result<()> {
+        match self.infer_type(input)? {
+            DataType::Boolean => Ok(()),
+            t => Err(PlanError::Type(format!("predicate must be BOOLEAN, got {t}"))),
+        }
+    }
+
     /// Type inference that also tracks integer-constant values, so
     /// size-from-argument constructors (`identity(10)`) type precisely.
     pub fn infer_arg(&self, input: &Schema) -> Result<ArgType> {

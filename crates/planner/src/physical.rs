@@ -396,6 +396,7 @@ impl<'a> PhysicalPlanner<'a> {
             }
             LogicalPlan::Filter { input, predicate } => {
                 let (child, dist, e) = self.plan_dist(input)?;
+                predicate.type_predicate(&input.schema())?;
                 let est = self.optimizer.price(logical, &[e]);
                 let plan = PhysicalPlan::Filter {
                     id: self.id(est),
@@ -458,8 +459,13 @@ impl<'a> PhysicalPlanner<'a> {
     ) -> Result<Planned> {
         let (lp, ld, le) = self.plan_dist(left)?;
         let (rp, rd, re) = self.plan_dist(right)?;
-        let est = self.optimizer.price(logical, &[le, re]);
         let schema = logical.schema();
+        // The residual reads the pair's concatenated row. The equi-join
+        // keys are hashed, never compiled, so they are not typed here.
+        if let Some(r) = residual {
+            r.type_predicate(&schema)?;
+        }
+        let est = self.optimizer.price(logical, &[le, re]);
 
         if kind == JoinKind::Inner && !equi.is_empty() {
             let left_keys: Vec<Expr> = equi.iter().map(|(l, _)| l.clone()).collect();
@@ -869,6 +875,38 @@ mod tests {
         let tree = pp.plan(&join).unwrap().display_tree();
         assert!(tree.contains("HashJoin on rr.id = hashed.id filter "), "{tree}");
         assert!(tree.contains("rr.v < hashed.v"), "{tree}");
+    }
+
+    /// A Filter's predicate and a join residual are typed when planned:
+    /// one that does not type, or is not BOOLEAN, is the statement's type
+    /// error, before anything runs. Equi-join keys are hashed, not typed.
+    #[test]
+    fn predicates_are_typed_when_planned() {
+        let cat = catalog();
+        let stats: HashMap<String, usize> = HashMap::new();
+        let filter = |predicate| LogicalPlan::Filter {
+            input: Box::new(scan(&cat, "rr")),
+            predicate,
+        };
+        let join = |residual| LogicalPlan::Join {
+            left: Box::new(scan(&cat, "rr")),
+            right: Box::new(scan(&cat, "hashed")),
+            kind: JoinKind::Inner,
+            equi: vec![(Expr::col(0), Expr::col(0))],
+            residual: Some(residual),
+        };
+        let lt = Expr::cmp(CmpOp::Lt, Expr::col(1), Expr::col(0));
+        let lenient = Expr::And(Box::new(Expr::col(0)), Box::new(lt.clone()));
+        for (plan, want) in [
+            (filter(Expr::col(0)), "predicate must be BOOLEAN, got INTEGER"),
+            (filter(lenient.clone()), "left operand of AND/OR must be BOOLEAN"),
+            (join(Expr::col(1)), "predicate must be BOOLEAN, got DOUBLE"),
+            (join(lenient), "left operand of AND/OR must be BOOLEAN"),
+        ] {
+            let err = PhysicalPlanner::new(&cat, &stats).plan(&plan).unwrap_err();
+            assert!(matches!(&err, PlanError::Type(m) if m.contains(want)), "{err}");
+        }
+        assert!(PhysicalPlanner::new(&cat, &stats).plan(&filter(lt)).is_ok());
     }
 
     #[test]
