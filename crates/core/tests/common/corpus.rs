@@ -79,10 +79,11 @@ pub const MIXED_FILTER: &str = "SELECT id, v * 2.0 FROM t WHERE v > -80.0 AND g 
 /// Fused join→aggregate on the unique id: no residual, never declines.
 pub const MIXED_JOIN_AGG: &str =
     "SELECT a.g, SUM(a.v * b.v) AS s FROM t AS a, t AS b WHERE a.id = b.id GROUP BY a.g";
-/// A residual the eager kernels decline on every chunk holding an
-/// `a.id = b.id` pair (they divide by zero where the interpreter
-/// short-circuits), over chunks with a boxed VARCHAR column.
-pub const DECLINED_RESIDUAL: &str = "SELECT a.s, COUNT(*) AS c FROM t AS a, t AS b
+/// A residual whose right operand divides by zero on every `a.id = b.id`
+/// pair, which its left operand decides: the `OR` must short-circuit
+/// there, in the kernels as in the interpreter, over chunks with a boxed
+/// VARCHAR column.
+pub const SHORT_CIRCUIT_RESIDUAL: &str = "SELECT a.s, COUNT(*) AS c FROM t AS a, t AS b
      WHERE a.g = b.g AND (a.id = b.id OR 1000 / (a.id - b.id) > 3) GROUP BY a.s";
 
 /// A NaN group key under the spilling merge: 6 000 rows over 3 000
@@ -205,7 +206,7 @@ pub static CORPUS: &[Entry] = &[
              WHERE a.id < 40 AND b.id >= 350 AND a.v + b.v < 0.0 GROUP BY a.g",
             "SELECT a.g, COUNT(*) AS c, MIN(b.v) AS m FROM t AS a, t AS b
              WHERE a.g = b.g AND b.id > a.id + 300 GROUP BY a.g",
-            DECLINED_RESIDUAL,
+            SHORT_CIRCUIT_RESIDUAL,
         ],
         &[
             // VARCHAR arithmetic: rejected by the binder in a projection,

@@ -3,29 +3,28 @@
 //!
 //! Two layers, matching the engine's correctness argument:
 //!
-//! * **Bytecode vs tree walker** (proptest): for random expression trees
-//!   over random column batches — each column of a random type, its rows
-//!   conforming to it, NULLs, NaN, `±0.0` and zero-length batches
-//!   included — whenever the compiled program evaluates a batch
-//!   successfully, every lane must be *bit-identical* (`-0.0` and NaN
-//!   payloads included) to the interpreter's per-row answer. When the
-//!   program errors, the executor replays the chunk through the
-//!   interpreter and takes its result, so a program error is never a
-//!   wrong answer — which is exactly why success-implies-identical is the
-//!   whole invariant at this layer. An expression that does not type
-//!   compiles to a program that errors on every batch, so at least half
-//!   of the generated expressions must type for the property to say much.
+//! * **Bytecode vs tree walker** (proptest): for random typed expression
+//!   trees over random column batches — each column of a random type, its
+//!   rows conforming to it, NULLs, NaN, `±0.0` and zero-length batches
+//!   included — the compiled program answers as the interpreter does:
+//!   every lane *bit-identical* (`-0.0` and NaN payloads included) to the
+//!   interpreter's per-row answer, or, cut at each failing lane and run
+//!   again as the chunk pipeline does, failing at the interpreter's first
+//!   failing row with the interpreter's message. An expression that does
+//!   not type is rejected when planned and never compiled, so at least
+//!   half of the generated expressions must type for the property to say
+//!   much.
 //! * **Engine level** (SQL through [`Database`]): the same statements run
 //!   under `ExprEngine::Interpret` and `Compiled`, across worker counts,
 //!   must return bit-identical relations — and failing statements must
-//!   fail with the same message, because the per-chunk fallback hands
-//!   errors to the interpreter and the scheduler reports the root cause,
-//!   never a sibling's cancellation echo.
+//!   fail with the same message, because the chunk pipeline raises the
+//!   interpreter's error of a chunk's first failing row and the scheduler
+//!   reports the root cause, never a sibling's cancellation echo.
 
 mod common;
 
 use common::compare::{canon, canon_rows, metric, sweep};
-use common::corpus::{self, Statement, DECLINED_RESIDUAL, MIXED_FILTER, MIXED_JOIN_AGG};
+use common::corpus::{self, Statement, SHORT_CIRCUIT_RESIDUAL, MIXED_FILTER, MIXED_JOIN_AGG};
 use common::fixtures::Fixture;
 use common::lattice::{self, cell};
 use lardb::{ExprEngine, Row, Value};
@@ -96,7 +95,8 @@ fn gen_value(g: &mut Gen) -> Value {
 
 /// A random expression over `schema`'s columns. Each operator is drawn
 /// up to three times over the same operands, and the first that types
-/// over them is kept, so most expressions type and the rest decline.
+/// over them is kept, so most expressions type and the rest are the
+/// planner's to reject.
 fn gen_expr(g: &mut Gen, schema: &Schema, depth: u32) -> Expr {
     if depth == 0 || g.below(3) == 0 {
         return if g.below(2) == 0 {
@@ -161,24 +161,47 @@ fn gen_case(seed: u64) -> (Expr, Schema, Vec<Row>, ColumnBatch) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Compiled success ⇒ bit-identical to the interpreter, lane by lane.
-    /// On Err the executor replays the chunk through the interpreter and
-    /// takes its result, so a program error is by construction never a
-    /// wrong answer — success-implies-identical is the whole invariant.
+    /// The compiled program answers as the interpreter, values and
+    /// errors: run over the batch, and over its first `L` rows again
+    /// whenever it fails at lane `L` (the chunk pipeline's cut), it either
+    /// succeeds on every row bit for bit, or its last cut is the
+    /// interpreter's first failing row, with that row's message, and every
+    /// row before it is bit-identical.
     #[test]
-    fn compiled_success_is_bit_identical(seed in 0u64..u64::MAX) {
-        let (expr, schema, rows, batch) = gen_case(seed);
+    fn compiled_matches_the_interpreter_on_values_and_errors(seed in 0u64..u64::MAX) {
+        let (expr, schema, rows, _) = gen_case(seed);
+        // An untyped expression never reaches the executor.
         let Ok(prog) = Program::compile(&expr, &schema) else { return Ok(()) };
-        if let Ok(col) = prog.eval(batch.cols(), rows.len(), None) {
-            for (i, row) in rows.iter().enumerate() {
-                let want = eval(&expr, row).expect(
-                    "compiled program succeeded on a batch whose row errors under \
-                     the interpreter — the fallback rule cannot mask this",
-                );
-                let got = canon(&col.value_at(i));
-                let want = canon(&want);
-                prop_assert!(got == want, "lane {i} of {expr:?}: {got} != {want}");
+        let want: Vec<_> = rows.iter().map(|row| eval(&expr, row)).collect();
+        let first_failing = want.iter().position(Result::is_err);
+        let (mut n, mut failed) = (rows.len(), None);
+        let col = loop {
+            let batch = ColumnBatch::pivot(&rows[..n], &schema).expect("rows conform");
+            match prog.eval(batch.cols(), n, None) {
+                Ok(col) => break col,
+                Err(e) => {
+                    let lane = e.lane.expect("a typed program raises no internal error");
+                    prop_assert!(lane < n, "lane {lane} of {n}");
+                    failed = Some((lane, e.error.to_string()));
+                    n = lane;
+                }
             }
+        };
+        match (&failed, first_failing) {
+            (None, None) => {}
+            (Some((lane, message)), Some(row)) => {
+                let want = want[row].as_ref().unwrap_err().to_string();
+                prop_assert!(*lane == row, "{expr:?}: lane {lane}, interpreter row {row}");
+                prop_assert!(*message == want, "{expr:?}: {message} != {want}");
+            }
+            (failed, row) => {
+                prop_assert!(false, "{expr:?}: compiled {failed:?}, interpreter row {row:?}")
+            }
+        }
+        for (i, want) in want.iter().enumerate().take(n) {
+            let got = canon(&col.value_at(i));
+            let want = canon(want.as_ref().expect("before the first failing row"));
+            prop_assert!(got == want, "lane {i} of {expr:?}: {got} != {want}");
         }
     }
 
@@ -191,7 +214,8 @@ proptest! {
         let Ok(prog) = Program::compile(&expr, &schema) else { return Ok(()) };
         if let Ok(col) = prog.eval(batch.cols(), rows.len(), Some(&sel)) {
             for &i in &sel {
-                let want = eval(&expr, &rows[i as usize]).expect("fallback masks errors");
+                let want = eval(&expr, &rows[i as usize])
+                    .expect("a program that succeeds ran no row that fails");
                 let got = canon(&col.value_at(i as usize));
                 let want = canon(&want);
                 prop_assert!(got == want, "lane {i} of {expr:?}: {got} != {want}");
@@ -321,9 +345,11 @@ fn vectorized_counters_surface_in_stats_and_metrics() {
     let rj = db.query(MIXED_JOIN_AGG).unwrap();
     assert!(rj.stats.total_batches() > 0, "join→aggregate should report batches");
     assert_eq!(rj.stats.total_fallbacks(), 0);
-    // A declined pair chunk is counted, replayed, and not a batch.
-    let rd = db.query(DECLINED_RESIDUAL).unwrap();
-    assert!(rd.stats.total_fallbacks() > 0, "the residual kernel should decline");
+    // A residual whose right operand divides by zero on lanes its left
+    // one decides short-circuits there: every chunk is a batch.
+    let rd = db.query(SHORT_CIRCUIT_RESIDUAL).unwrap();
+    assert!(rd.stats.total_batches() > 0, "the residual's chunks should be batches");
+    assert_eq!(rd.stats.total_fallbacks(), 0);
     // The interpreted engine reports no vectorized work.
     let idb = Fixture::Mixed.open(&cell(|c| c.expr_engine = ExprEngine::Interpret));
     for q in ["SELECT id FROM t WHERE v > -50.0", MIXED_JOIN_AGG] {

@@ -675,16 +675,21 @@ pub(crate) enum ArgCols {
     Entry([Arc<Col>; 3]),
 }
 
-/// Folds lane `i` of `MATRIX_FROM_ENTRIES`'s numeric operand columns into
-/// `acc` as the interpreter folds the lane's `sparse_entry` carrier:
-/// integers go to `f64`, as the carrier holds them, and a NULL operand
-/// makes the carrier NULL, which folds nothing. The pipeline declines a
-/// chunk with an operand column of any other kind.
+/// Folds lane `i` of `MATRIX_FROM_ENTRIES`'s operand columns, numeric
+/// scalars by their types, into `acc` as the interpreter folds the lane's
+/// `sparse_entry` carrier: integers and labeled scalars go to `f64`, as
+/// the carrier holds them, and a NULL operand makes the carrier NULL,
+/// which folds nothing.
 fn fold_entry(acc: &mut Accumulator, lanes: &[Arc<Col>; 3], i: usize) -> Result<()> {
     let number_at = |col: &Col| match col {
         Col::F64 { data, valid } => Ok(valid.get(i).then(|| data[i])),
         Col::I64 { data, valid } => Ok(valid.get(i).then(|| data[i] as f64)),
-        _ => Err(ExecError::Runtime("matrix_from_entries: a non-numeric operand column".into())),
+        other => match other.value_at(i) {
+            Value::Null => Ok(None),
+            v => v.as_double().map(Some).ok_or_else(|| {
+                ExecError::Runtime(format!("matrix_from_entries: a {} operand", v.data_type()))
+            }),
+        },
     };
     let Accumulator::MatrixFromEntries(b) = acc else {
         return Err(ExecError::Runtime("matrix_from_entries: operands of another aggregate".into()));

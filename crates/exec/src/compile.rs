@@ -5,11 +5,15 @@
 //! column-at-a-time over a [`crate::batch::ColumnBatch`]: instruction `k`
 //! writes register `k`, one column, running one kernel from
 //! [`crate::kernels`] across all selected lanes before the next
-//! instruction starts. `AND`/`OR` are evaluated *eagerly* (both operand
-//! columns computed, then combined lane-wise under SQL three-valued
-//! logic) — safe because any lane error routes the whole chunk to the
-//! row interpreter, which applies its own short-circuit rules (see
-//! [`crate::kernels`] module docs for the fallback argument).
+//! instruction starts. `AND`/`OR` short-circuit as the interpreter does:
+//! an `Undecided` instruction after the left operand narrows the
+//! selection to the lanes it leaves undecided, the right operand's
+//! instructions run under that selection, and the connective restores it
+//! and combines the two lane-wise under SQL three-valued logic. So every
+//! lane evaluates exactly the subexpressions its row evaluates in
+//! [`crate::eval`], in the same (post-)order, and the first instruction
+//! that fails on a lane raises the error the interpreter raises for its
+//! row (see the [`crate::kernels`] module docs).
 //!
 //! Compilation is typed against the operator's input schema: every
 //! register records the `DataType` that [`Expr::infer_type`] gives its
@@ -32,7 +36,7 @@ use lardb_storage::ops::ArithOp;
 use lardb_storage::{DataType, Schema, Value};
 
 use crate::batch::Col;
-use crate::kernels;
+use crate::kernels::{self, KernelError, KernelResult};
 use crate::{ExecError, Result};
 
 /// How the chunk pipeline evaluates the expressions of filters,
@@ -84,10 +88,14 @@ enum Instr<'e> {
     Arith { op: ArithOp, a: usize, b: usize },
     /// `a <op> b` lane-wise comparison.
     Cmp { op: CmpOp, a: usize, b: usize },
-    /// `a AND b` under three-valued logic.
-    And { a: usize, b: usize },
-    /// `a OR b` under three-valued logic.
-    Or { a: usize, b: usize },
+    /// Narrows the selection to the lanes `a`, the left operand of an
+    /// `AND` (`dominant` FALSE) or `OR` (`dominant` TRUE), leaves
+    /// undecided, for the right operand's instructions that follow. Its
+    /// register is `a`'s.
+    Undecided { a: usize, dominant: bool },
+    /// `a AND b` (`dominant` FALSE) or `a OR b` (`dominant` TRUE) under
+    /// three-valued logic; restores the selection `Undecided` narrowed.
+    Connective { a: usize, b: usize, dominant: bool },
     /// `NOT a`.
     Not { a: usize },
     /// `-a`.
@@ -138,8 +146,12 @@ impl<'e> Program<'e> {
             Expr::Cmp { op, lhs, rhs } => {
                 Instr::Cmp { op: *op, a: self.emit(lhs, input)?, b: self.emit(rhs, input)? }
             }
-            Expr::And(l, r) => Instr::And { a: self.emit(l, input)?, b: self.emit(r, input)? },
-            Expr::Or(l, r) => Instr::Or { a: self.emit(l, input)?, b: self.emit(r, input)? },
+            Expr::And(l, r) | Expr::Or(l, r) => {
+                let dominant = matches!(expr, Expr::Or(..));
+                let a = self.emit(l, input)?;
+                self.code.push((Instr::Undecided { a, dominant }, DataType::Boolean));
+                Instr::Connective { a, b: self.emit(r, input)?, dominant }
+            }
             Expr::Not(e) => Instr::Not { a: self.emit(e, input)? },
             Expr::Negate(e) => Instr::Negate { a: self.emit(e, input)? },
             Expr::Call { func, args } => Instr::Call {
@@ -151,26 +163,41 @@ impl<'e> Program<'e> {
         Ok(self.code.len() - 1)
     }
 
-    /// Kernel instructions per evaluation (loads and constants excluded) —
-    /// feeds the `exec.batch.kernels` counter and EXPLAIN ANALYZE.
+    /// Kernel instructions per evaluation (loads, constants and the
+    /// narrowing of `AND`/`OR` excluded) — feeds the `exec.batch.kernels`
+    /// counter and EXPLAIN ANALYZE.
     pub fn kernels(&self) -> u64 {
-        let kernel = |i: &Instr| !matches!(i, Instr::Load { .. } | Instr::Const { .. });
+        let kernel = |i: &Instr| {
+            !matches!(i, Instr::Load { .. } | Instr::Const { .. } | Instr::Undecided { .. })
+        };
         self.code.iter().filter(|(i, _)| kernel(i)).count() as u64
     }
 
     /// Evaluates the program over a batch's columns. `sel` restricts
     /// evaluation to the selected lanes (post-filter); unselected lanes of
-    /// the result are unspecified and must not be read. Any `Err` means
-    /// "replay this chunk through the row interpreter", not a final query
-    /// error.
-    pub fn eval(&self, cols: &[Arc<Col>], n: usize, sel: Option<&[u32]>) -> Result<Arc<Col>> {
+    /// the result are unspecified and must not be read. An error names
+    /// the first selected lane the first failing instruction fails on,
+    /// with the interpreter's error for that lane's row.
+    pub fn eval(
+        &self,
+        cols: &[Arc<Col>],
+        n: usize,
+        sel: Option<&[u32]>,
+    ) -> KernelResult<Arc<Col>> {
         let mut regs: Vec<Arc<Col>> = Vec::with_capacity(self.code.len());
+        // The selections `Undecided` narrowed, innermost last; `None`
+        // where it narrowed nothing.
+        let mut narrowed: Vec<Option<Vec<u32>>> = Vec::new();
         for (instr, t) in &self.code {
+            if let Instr::Connective { .. } = instr {
+                narrowed.pop();
+            }
+            let sel = narrowed.iter().rev().find_map(Option::as_deref).or(sel);
             let r = |i: usize| &*regs[i];
             let out = match instr {
                 Instr::Load { col } => {
                     regs.push(Arc::clone(cols.get(*col).ok_or_else(|| {
-                        ExecError::Runtime(format!(
+                        KernelError::internal(format!(
                             "column #{col} out of range for batch of arity {}",
                             cols.len()
                         ))
@@ -180,8 +207,14 @@ impl<'e> Program<'e> {
                 Instr::Const { v } => Col::splat(v, n),
                 Instr::Arith { op, a, b } => kernels::arith(*op, r(*a), r(*b), sel, n)?,
                 Instr::Cmp { op, a, b } => kernels::cmp(*op, r(*a), r(*b), sel, n)?,
-                Instr::And { a, b } => kernels::and(r(*a), r(*b), sel, n)?,
-                Instr::Or { a, b } => kernels::or(r(*a), r(*b), sel, n)?,
+                Instr::Undecided { a, dominant } => {
+                    narrowed.push(kernels::undecided(r(*a), *dominant, sel, n)?);
+                    regs.push(Arc::clone(&regs[*a]));
+                    continue;
+                }
+                Instr::Connective { a, b, dominant } => {
+                    kernels::connective(*dominant, r(*a), r(*b), sel, n)?
+                }
                 Instr::Not { a } => kernels::not(r(*a), sel, n)?,
                 Instr::Negate { a } => kernels::negate(r(*a), sel, n)?,
                 Instr::Call { func, args } => {

@@ -71,13 +71,7 @@ fn eval_ev<'a>(expr: &'a Expr, row: &'a Row, scratch: &mut Vec<Value>) -> Result
             if l.is_null() || r.is_null() {
                 return Ok(Ev::Owned(Value::Null));
             }
-            let ord = ops::compare(l, r).ok_or_else(|| {
-                ExecError::Runtime(format!(
-                    "cannot compare {} with {}",
-                    l.data_type(),
-                    r.data_type()
-                ))
-            })?;
+            let ord = ops::compare(l, r).ok_or_else(|| incomparable(l, r))?;
             Ok(Ev::Owned(Value::Boolean(cmp_holds(*op, ord))))
         }
         Expr::And(a, b) => {
@@ -135,6 +129,12 @@ fn eval_ev<'a>(expr: &'a Expr, row: &'a Row, scratch: &mut Vec<Value>) -> Result
             Ok(Ev::Owned(out?))
         }
     }
+}
+
+/// The error for comparing two non-NULL values that `ops::compare`
+/// cannot order (a NaN, a string beside a number).
+pub(crate) fn incomparable(l: &Value, r: &Value) -> ExecError {
+    ExecError::Runtime(format!("cannot compare {} with {}", l.data_type(), r.data_type()))
 }
 
 /// Whether a comparison outcome satisfies the operator.

@@ -53,7 +53,7 @@ use crate::batch::{Col, ColumnBatch};
 use crate::cluster::{context, Cluster};
 use crate::compile::{ExprEngine, Program};
 use crate::eval::{eval_predicate_with, eval_with};
-use crate::kernels;
+use crate::kernels::{self, KernelResult};
 use crate::stats::{
     BatchStats, ExecStats, OperatorStats, ShuffleStats, SpillStats,
 };
@@ -958,18 +958,12 @@ impl<'p> ArgProgram<'p> {
         }
     }
 
-    fn eval(&self, cols: &[Arc<Col>], n: usize, sel: Option<&[u32]>) -> Result<ArgCols> {
+    fn eval(&self, cols: &[Arc<Col>], n: usize, sel: Option<&[u32]>) -> KernelResult<ArgCols> {
         Ok(match self {
             ArgProgram::Star => ArgCols::Star,
             ArgProgram::One(p) => ArgCols::One(p.eval(cols, n, sel)?),
             ArgProgram::Entry([r, c, v]) => {
-                let lanes = [r.eval(cols, n, sel)?, c.eval(cols, n, sel)?, v.eval(cols, n, sel)?];
-                // Only numeric lanes fold typed; any other kind declines
-                // and the interpreter builds the carrier.
-                if !lanes.iter().all(|l| matches!(**l, Col::F64 { .. } | Col::I64 { .. })) {
-                    return Err(kernels::unsupported("matrix_from_entries operand"));
-                }
-                ArgCols::Entry(lanes)
+                ArgCols::Entry([r.eval(cols, n, sel)?, c.eval(cols, n, sel)?, v.eval(cols, n, sel)?])
             }
         })
     }
@@ -1156,10 +1150,10 @@ impl<'p> ChunkPipeline<'p> {
                 if s.is_some_and(<[u32]>::is_empty) {
                     return Ok((joined, rows, None)); // filtered to nothing
                 }
-                let keys =
-                    progs.keys.iter().map(|p| p.eval(&cols, n, s)).collect::<Result<Vec<_>>>()?;
-                let args =
-                    progs.args.iter().map(|p| p.eval(&cols, n, s)).collect::<Result<Vec<_>>>()?;
+                let keys = progs.keys.iter().map(|p| p.eval(&cols, n, s));
+                let keys = keys.collect::<KernelResult<Vec<_>>>()?;
+                let args = progs.args.iter().map(|p| p.eval(&cols, n, s));
+                let args = args.collect::<KernelResult<Vec<_>>>()?;
                 Ok((joined, rows, Some((keys, args, sel))))
             });
             match inputs {
@@ -2283,25 +2277,22 @@ mod tests {
             let named = exprs.into_iter().enumerate().map(|(i, e)| (e, format!("c{i}"))).collect();
             LogicalPlan::project(input, named).unwrap()
         };
-        // (what, plan, output rows, whether a kernel declines some chunk)
+        // (what, plan, output rows)
         let cases = [
             (
                 "hash join, no residual",
                 bucketed_sum(filtered(self_join(&c), 0), 0, 1, 3),
                 3,
-                false,
             ),
             (
                 "hash join + residual, NULL keys",
                 bucketed_sum(join_of(&c, "pts", Some(1), Some(ne(0, 4))), 0, 2, 6),
                 3,
-                false,
             ),
             (
                 "cross product + residual",
                 bucketed_sum(filtered(join_of(&c, "nums", None, Some(ne(0, 2))), 0), 0, 1, 3),
                 3,
-                false,
             ),
             (
                 "residual NULL on some pairs",
@@ -2312,7 +2303,6 @@ mod tests {
                     6,
                 ),
                 3,
-                false,
             ),
             (
                 // Every pair of a probe row below 15: whole chunks have an
@@ -2333,13 +2323,13 @@ mod tests {
                     3,
                 ),
                 3,
-                false,
             ),
             (
-                // `a.id = 0 OR 10 / a.id > b.k`: the eager kernel divides by
-                // zero on a.id = 0 and declines the chunk (boxed VARCHAR
-                // payloads and all); the interpreter short-circuits.
-                "declined residual over boxed payloads",
+                // `a.id = 0 OR 10 / a.id > b.k`: the division runs only on
+                // the lanes the left operand leaves undecided, as the
+                // interpreter's short-circuit, so a.id = 0 never divides
+                // (boxed VARCHAR payloads and all).
+                "short-circuit residual over boxed payloads",
                 bucketed_sum(
                     join_of(
                         &c,
@@ -2359,7 +2349,6 @@ mod tests {
                     6,
                 ),
                 3,
-                true,
             ),
             (
                 "project over a cross product + residual",
@@ -2368,17 +2357,15 @@ mod tests {
                     vec![Expr::col(0), product(1, 3)],
                 ),
                 380,
-                false,
             ),
             (
                 // 19 non-NULL keys: 4 × 4 + 3 × 5 × 5 pairs.
                 "project over a keyed join, NULL keys",
                 project(join_of(&c, "pts", Some(1), None), vec![Expr::col(4), product(2, 6)]),
                 91,
-                false,
             ),
         ];
-        for (what, logical, groups, declines) in &cases {
+        for (what, logical, groups) in &cases {
             let plan = physical(&c, logical);
             let unfused = Executor::new(&c, Cluster::new(4))
                 .with_fusion(false)
@@ -2391,9 +2378,8 @@ mod tests {
                     .execute(&plan)
                     .unwrap();
                 assert_eq!(fused.partitions, unfused.partitions, "{what} batch_rows={batch_rows}");
-                // (At 1024 and up the declining case is one chunk per partition.)
-                assert!(fused.stats.total_batches() > 0 || *declines, "{what}");
-                assert_eq!(fused.stats.total_fallbacks() > 0, *declines, "{what}");
+                assert!(fused.stats.total_batches() > 0, "{what}");
+                assert_eq!(fused.stats.total_fallbacks(), 0, "{what}");
                 let interpreted = Executor::new(&c, Cluster::new(4))
                     .with_batch_rows(batch_rows)
                     .with_expr_engine(ExprEngine::Interpret)
@@ -2677,7 +2663,7 @@ mod tests {
                     let (want, _, want_rows) = run(ExprEngine::Interpret);
                     assert_eq!(want, 20, "{what}");
                     let (got, fallbacks, rows) = run(ExprEngine::Compiled);
-                    assert!(fallbacks > 0, "{what}: the id = 0 chunk must decline");
+                    assert_eq!(fallbacks, 0, "{what}: the id = 0 lane short-circuits");
                     assert_eq!(got, want, "{what} W={w} batch_rows={batch_rows}");
                     assert_eq!(rows, want_rows, "{what} W={w} batch_rows={batch_rows}");
                 }
@@ -2820,7 +2806,7 @@ mod tests {
         assert_eq!(want.len(), 3);
         let (got, got_joined, fallbacks) = run(ExprEngine::Compiled, true);
         assert_eq!((got, got_joined), (want.clone(), joined));
-        assert!(fallbacks > 0, "the residual kernel must decline the l.k = 0 chunks");
+        assert_eq!(fallbacks, 0, "the l.k = 0 lanes short-circuit");
         let (got, got_joined, fallbacks) = run(ExprEngine::Compiled, false);
         assert_eq!((got, got_joined, fallbacks), (want, joined, 0));
     }

@@ -1,22 +1,26 @@
 //! Column-at-a-time kernels for the vectorized engine.
 //!
-//! Every kernel mirrors the row interpreter ([`crate::eval`]) exactly on
-//! the lanes it evaluates: when a kernel returns `Ok`, its output values
-//! are bit-identical to what per-row evaluation would produce. When a
-//! kernel cannot guarantee that — an unsupported type combination, an
-//! integer overflow the interpreter might or might not reach, a NaN
-//! comparison, a lane error inside an eagerly evaluated `AND`/`OR`
-//! branch — it returns `Err`, and the executor re-runs the whole chunk
-//! through the row interpreter and takes *its* result. That fallback rule
-//! is what makes eager (non-short-circuit) evaluation safe: the compiled
-//! path evaluates a superset of the (row, subexpression) pairs the
-//! interpreter would, so a compiled success implies interpreter agreement,
-//! and any disagreement route ends in `Err`, never in a wrong answer.
+//! Every kernel answers each lane it evaluates as the row interpreter
+//! ([`crate::eval`]) answers that row: with its value, bit for bit, or
+//! with its error. A kernel that fails stops at the first selected lane
+//! it fails on and reports that lane beside the error ([`KernelError`]),
+//! from which the chunk pipeline finds the interpreter's first failing
+//! row. The error is the interpreter's own: `ops::arith` and
+//! `ops::negate` run on the failing lane's values, `Builtin::evaluate` on
+//! a call's, and two values no order compares raise eval's `cannot
+//! compare` text.
 //!
 //! Kernels run typed programs ([`crate::compile`]), so a BOOLEAN operand
 //! is always a `Col::Bool`: `AND`, `OR`, `NOT` and the selection pass take
-//! nothing else, and unary minus never sees one. A column of another
-//! variant there is not this kernel's to decide, and declines.
+//! nothing else, and arithmetic and unary minus never see one. A column
+//! of another variant there, like a call's result lane of another type
+//! than declared, is a planner bug: `PlanError::Internal`.
+//!
+//! `AND` and `OR` are lazy, as the interpreter's short-circuit is: the
+//! right operand runs only on the lanes the left one leaves undecided
+//! ([`undecided`]), so no lane evaluates a subexpression its row would
+//! not. When the left operand decides no lane, the right one runs under
+//! the incoming selection unchanged, and its branch-free paths stay.
 //!
 //! Kernels take an optional *selection vector* (`sel`): the sorted lane
 //! indices still alive after upstream filters. With no selection they run
@@ -30,40 +34,91 @@
 
 use std::borrow::Borrow;
 
-use lardb_planner::{Builtin, CmpOp};
+use lardb_planner::{Builtin, CmpOp, PlanError};
 use lardb_storage::ops::{self, ArithOp};
-use lardb_storage::{DataType, Value};
+use lardb_storage::{DataType, StorageError, Value};
 
 use crate::batch::{Bitmap, Col, ColWriter};
-use crate::eval::cmp_holds;
+use crate::eval::{cmp_holds, incomparable};
 use crate::{ExecError, Result};
 
-/// The interpreter would have to decide this lane/type combination; the
-/// chunk is replayed through [`crate::eval`].
-pub(crate) fn unsupported(what: &str) -> ExecError {
-    ExecError::Runtime(format!("vectorized kernel fallback: {what}"))
+/// A kernel's failure: the interpreter's error for `lane`, the first
+/// selected lane the kernel fails on, or an internal error (`lane` is
+/// `None`), which no lane of a typed program raises.
+#[derive(Debug)]
+pub struct KernelError {
+    /// The failing lane; `None` for an internal error.
+    pub lane: Option<usize>,
+    /// What the interpreter raises for the lane's row.
+    pub error: ExecError,
 }
 
-/// Runs `f` over every selected lane.
+impl KernelError {
+    /// An invariant of typed programs does not hold: a planner bug.
+    pub(crate) fn internal(what: impl std::fmt::Display) -> Self {
+        KernelError { lane: None, error: internal(what) }
+    }
+}
+
+impl From<KernelError> for ExecError {
+    fn from(e: KernelError) -> Self {
+        e.error
+    }
+}
+
+/// What a kernel returns.
+pub type KernelResult<T> = std::result::Result<T, KernelError>;
+
+/// A planner bug surfaced where the executor meets it.
+pub(crate) fn internal(what: impl std::fmt::Display) -> ExecError {
+    ExecError::Plan(PlanError::Internal(what.to_string()))
+}
+
+/// Runs `f` over every selected lane, ascending; the first lane it fails
+/// on is the kernel's error.
 #[inline]
 fn for_lanes(
     n: usize,
     sel: Option<&[u32]>,
     mut f: impl FnMut(usize) -> Result<()>,
-) -> Result<()> {
+) -> KernelResult<()> {
+    let mut lane = |i: usize| f(i).map_err(|error| KernelError { lane: Some(i), error });
     match sel {
         Some(s) => {
             for &i in s {
-                f(i as usize)?;
+                lane(i as usize)?;
             }
         }
         None => {
             for i in 0..n {
-                f(i)?;
+                lane(i)?;
             }
         }
     }
     Ok(())
+}
+
+/// The interpreter's error for a lane whose checked INTEGER op failed
+/// (overflow, division by zero): `raised` is what the interpreter's own
+/// `ops` call gives for the lane's values.
+fn int_error(raised: std::result::Result<Value, StorageError>) -> ExecError {
+    match raised {
+        Err(e) => e.into(),
+        Ok(v) => internal(format!("a checked INTEGER op failed where ops gives {v:?}")),
+    }
+}
+
+/// `x op y` over INTEGER lanes, with the interpreter's error where the
+/// checked op fails.
+#[inline]
+fn int_op(op: ArithOp, x: i64, y: i64) -> Result<i64> {
+    let out = match op {
+        ArithOp::Add => x.checked_add(y),
+        ArithOp::Sub => x.checked_sub(y),
+        ArithOp::Mul => x.checked_mul(y),
+        ArithOp::Div => x.checked_div(y),
+    };
+    out.ok_or_else(|| int_error(ops::arith(op, &Value::Integer(x), &Value::Integer(y))))
 }
 
 /// A lane read that borrows boxed values and materializes typed ones.
@@ -102,7 +157,7 @@ fn num_f64(col: &Col, i: usize) -> Option<f64> {
 }
 
 /// Element-wise arithmetic, mirroring `ops::arith`'s overload matrix.
-pub fn arith(op: ArithOp, a: &Col, b: &Col, sel: Option<&[u32]>, n: usize) -> Result<Col> {
+pub fn arith(op: ArithOp, a: &Col, b: &Col, sel: Option<&[u32]>, n: usize) -> KernelResult<Col> {
     match (a, b) {
         (Col::Boxed(_), _) | (_, Col::Boxed(_)) => boxed_arith(op, a, b, sel, n),
         (Col::F64 { data: ad, valid: av }, Col::F64 { data: bd, valid: bv }) => {
@@ -127,17 +182,7 @@ pub fn arith(op: ArithOp, a: &Col, b: &Col, sel: Option<&[u32]>, n: usize) -> Re
             let mut valid = Bitmap::new_invalid(n);
             for_lanes(n, sel, |i| {
                 if av.get(i) && bv.get(i) {
-                    // Checked ops: overflow and division by zero, typed
-                    // errors on the interpreted path, both route to the
-                    // interpreter, which reports them.
-                    let out = match op {
-                        ArithOp::Add => ad[i].checked_add(bd[i]),
-                        ArithOp::Sub => ad[i].checked_sub(bd[i]),
-                        ArithOp::Mul => ad[i].checked_mul(bd[i]),
-                        ArithOp::Div => ad[i].checked_div(bd[i]),
-                    }
-                    .ok_or_else(|| unsupported("integer overflow or division by zero"))?;
-                    data[i] = out;
+                    data[i] = int_op(op, ad[i], bd[i])?;
                     valid.set_valid(i);
                 }
                 Ok(())
@@ -157,14 +202,20 @@ pub fn arith(op: ArithOp, a: &Col, b: &Col, sel: Option<&[u32]>, n: usize) -> Re
             })?;
             Ok(Col::F64 { data, valid })
         }
-        _ => Err(unsupported("arithmetic over BOOLEAN lanes")),
+        _ => Err(KernelError::internal("arithmetic over BOOLEAN lanes")),
     }
 }
 
 /// Arithmetic with at least one boxed side: per-lane by reference, with
 /// the LA broadcast cases dispatched straight to the `lardb-la` slice
 /// kernels (the same ones `ops::arith` would call).
-fn boxed_arith(op: ArithOp, a: &Col, b: &Col, sel: Option<&[u32]>, n: usize) -> Result<Col> {
+fn boxed_arith(
+    op: ArithOp,
+    a: &Col,
+    b: &Col,
+    sel: Option<&[u32]>,
+    n: usize,
+) -> KernelResult<Col> {
     let mut out = vec![Value::Null; n];
     for_lanes(n, sel, |i| {
         let (l, r) = (lane_val(a, i), lane_val(b, i));
@@ -178,25 +229,11 @@ fn boxed_arith(op: ArithOp, a: &Col, b: &Col, sel: Option<&[u32]>, n: usize) -> 
 /// `ops::arith` arms (same underlying `Vector` methods, same
 /// `ArithOp::apply_f64`),
 /// so their results are bit-identical; everything else — including the
-/// error cases — goes through `ops::arith` itself. Integer pairs use
-/// checked ops so overflow routes to the interpreter (see module docs).
+/// error cases — goes through `ops::arith` itself.
 fn arith_lane(op: ArithOp, l: &Value, r: &Value) -> Result<Value> {
     match (l, r) {
         (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
-        (Value::Integer(x), Value::Integer(y)) => {
-            if *y == 0 && op == ArithOp::Div {
-                // Let ops::arith produce its exact division-by-zero error.
-                return Ok(ops::arith(op, l, r)?);
-            }
-            let out = match op {
-                ArithOp::Add => x.checked_add(*y),
-                ArithOp::Sub => x.checked_sub(*y),
-                ArithOp::Mul => x.checked_mul(*y),
-                ArithOp::Div => x.checked_div(*y),
-            }
-            .ok_or_else(|| unsupported("integer overflow"))?;
-            Ok(Value::Integer(out))
-        }
+        (Value::Integer(x), Value::Integer(y)) => Ok(Value::Integer(int_op(op, *x, *y)?)),
         (Value::Vector(x), Value::Vector(y)) => {
             let out = match op {
                 ArithOp::Add => x.add(y),
@@ -219,25 +256,12 @@ fn arith_lane(op: ArithOp, l: &Value, r: &Value) -> Result<Value> {
 }
 
 /// Element-wise comparison to a BOOLEAN column; NULL operands produce
-/// NULL lanes, incomparable lanes (NaN, mixed string/number) fall back.
-pub fn cmp(op: CmpOp, a: &Col, b: &Col, sel: Option<&[u32]>, n: usize) -> Result<Col> {
+/// NULL lanes, and two values no order compares (a NaN, a string beside a
+/// number, a BOOLEAN beside a number) raise eval's error.
+pub fn cmp(op: CmpOp, a: &Col, b: &Col, sel: Option<&[u32]>, n: usize) -> KernelResult<Col> {
     let mut data = vec![false; n];
     let mut valid = Bitmap::new_invalid(n);
     match (a, b) {
-        (Col::Boxed(_), _) | (_, Col::Boxed(_)) => {
-            for_lanes(n, sel, |i| {
-                let (l, r) = (lane_val(a, i), lane_val(b, i));
-                let (l, r) = (l.get(), r.get());
-                if l.is_null() || r.is_null() {
-                    return Ok(());
-                }
-                let ord = ops::compare(l, r)
-                    .ok_or_else(|| unsupported("incomparable lane values"))?;
-                data[i] = cmp_holds(op, ord);
-                valid.set_valid(i);
-                Ok(())
-            })?;
-        }
         (Col::Bool { data: ad, valid: av }, Col::Bool { data: bd, valid: bv }) => {
             for_lanes(n, sel, |i| {
                 if av.get(i) && bv.get(i) {
@@ -252,42 +276,81 @@ pub fn cmp(op: CmpOp, a: &Col, b: &Col, sel: Option<&[u32]>, n: usize) -> Result
                 if let (Some(x), Some(y)) = (num_f64(a, i), num_f64(b, i)) {
                     let ord = x
                         .partial_cmp(&y)
-                        .ok_or_else(|| unsupported("NaN comparison"))?;
+                        .ok_or_else(|| incomparable(&a.value_at(i), &b.value_at(i)))?;
                     data[i] = cmp_holds(op, ord);
                     valid.set_valid(i);
                 } // else: NULL lane
                 Ok(())
             })?;
         }
-        _ => return Err(unsupported("comparing BOOLEAN with numeric lanes")),
+        // Boxed lanes, and BOOLEAN beside a number: lane by lane, as eval
+        // compares them.
+        _ => {
+            for_lanes(n, sel, |i| {
+                let (l, r) = (lane_val(a, i), lane_val(b, i));
+                let (l, r) = (l.get(), r.get());
+                if l.is_null() || r.is_null() {
+                    return Ok(());
+                }
+                let ord = ops::compare(l, r).ok_or_else(|| incomparable(l, r))?;
+                data[i] = cmp_holds(op, ord);
+                valid.set_valid(i);
+                Ok(())
+            })?;
+        }
     }
     Ok(Col::Bool { data, valid })
 }
 
-/// Lane-wise SQL `AND` (eager: both sides were already evaluated).
-pub fn and(a: &Col, b: &Col, sel: Option<&[u32]>, n: usize) -> Result<Col> {
-    connective(false, a, b, sel, n)
+/// The lanes of `sel` that `a`, the left operand of `AND` (`dominant`
+/// FALSE) or `OR` (`dominant` TRUE), leaves undecided — those where it
+/// is not `dominant` — which are the rows the interpreter evaluates the
+/// right operand on. `None` when `a` decides no lane: the right operand
+/// then runs under `sel` unchanged.
+pub fn undecided(
+    a: &Col,
+    dominant: bool,
+    sel: Option<&[u32]>,
+    n: usize,
+) -> KernelResult<Option<Vec<u32>>> {
+    let Col::Bool { data, valid } = a else {
+        return Err(KernelError::internal("AND/OR over non-BOOLEAN lanes"));
+    };
+    let open = |i: &u32| !(valid.get(*i as usize) && data[*i as usize] == dominant);
+    let lanes: Vec<u32> = match sel {
+        Some(s) => s.iter().copied().filter(open).collect(),
+        None => (0..n as u32).filter(open).collect(),
+    };
+    Ok((lanes.len() < sel.map_or(n, <[u32]>::len)).then_some(lanes))
 }
 
-/// Lane-wise SQL `OR` (eager: both sides were already evaluated).
-pub fn or(a: &Col, b: &Col, sel: Option<&[u32]>, n: usize) -> Result<Col> {
-    connective(true, a, b, sel, n)
-}
-
-/// `AND` (`dominant` FALSE) or `OR` (`dominant` TRUE) under three-valued
-/// logic: the dominant value wins over NULL, NULL over the other one.
-fn connective(dominant: bool, a: &Col, b: &Col, sel: Option<&[u32]>, n: usize) -> Result<Col> {
+/// Lane-wise `AND` (`dominant` FALSE) or `OR` (`dominant` TRUE) under
+/// three-valued logic: the dominant value wins over NULL, NULL over the
+/// other one. `b` is read only where `a` is not `dominant`, the lanes
+/// [`undecided`] left it to run on.
+pub fn connective(
+    dominant: bool,
+    a: &Col,
+    b: &Col,
+    sel: Option<&[u32]>,
+    n: usize,
+) -> KernelResult<Col> {
     let (Col::Bool { data: ad, valid: av }, Col::Bool { data: bd, valid: bv }) = (a, b) else {
-        return Err(unsupported("AND/OR over non-BOOLEAN lanes"));
+        return Err(KernelError::internal("AND/OR over non-BOOLEAN lanes"));
     };
     let mut data = vec![false; n];
     let mut valid = Bitmap::new_invalid(n);
     for_lanes(n, sel, |i| {
-        let (l, r) = (av.get(i).then(|| ad[i]), bv.get(i).then(|| bd[i]));
-        let out = if l == Some(dominant) || r == Some(dominant) {
+        let l = av.get(i).then(|| ad[i]);
+        let out = if l == Some(dominant) {
             Some(dominant)
         } else {
-            l.and(r).map(|_| !dominant)
+            let r = bv.get(i).then(|| bd[i]);
+            if r == Some(dominant) {
+                Some(dominant)
+            } else {
+                l.and(r).map(|_| !dominant)
+            }
         };
         if let Some(v) = out {
             data[i] = v;
@@ -299,9 +362,9 @@ fn connective(dominant: bool, a: &Col, b: &Col, sel: Option<&[u32]>, n: usize) -
 }
 
 /// Lane-wise SQL `NOT`.
-pub fn not(a: &Col, sel: Option<&[u32]>, n: usize) -> Result<Col> {
+pub fn not(a: &Col, sel: Option<&[u32]>, n: usize) -> KernelResult<Col> {
     let Col::Bool { data: ad, valid: av } = a else {
-        return Err(unsupported("NOT over non-BOOLEAN lanes"));
+        return Err(KernelError::internal("NOT over non-BOOLEAN lanes"));
     };
     let mut data = vec![false; n];
     let mut valid = Bitmap::new_invalid(n);
@@ -316,7 +379,7 @@ pub fn not(a: &Col, sel: Option<&[u32]>, n: usize) -> Result<Col> {
 }
 
 /// Lane-wise unary minus, mirroring `ops::negate`.
-pub fn negate(a: &Col, sel: Option<&[u32]>, n: usize) -> Result<Col> {
+pub fn negate(a: &Col, sel: Option<&[u32]>, n: usize) -> KernelResult<Col> {
     match a {
         Col::F64 { data: ad, valid: av } => {
             if sel.is_none() && av.all_valid() {
@@ -343,7 +406,7 @@ pub fn negate(a: &Col, sel: Option<&[u32]>, n: usize) -> Result<Col> {
                 if av.get(i) {
                     data[i] = ad[i]
                         .checked_neg()
-                        .ok_or_else(|| unsupported("integer negation overflow"))?;
+                        .ok_or_else(|| int_error(ops::negate(&Value::Integer(ad[i]))))?;
                     valid.set_valid(i);
                 }
                 Ok(())
@@ -358,7 +421,7 @@ pub fn negate(a: &Col, sel: Option<&[u32]>, n: usize) -> Result<Col> {
             })?;
             Ok(Col::Boxed(out.into()))
         }
-        Col::Bool { .. } => Err(unsupported("negating BOOLEAN lanes")),
+        Col::Bool { .. } => Err(KernelError::internal("negating BOOLEAN lanes")),
     }
 }
 
@@ -374,10 +437,10 @@ impl Borrow<Value> for LaneVal<'_> {
 /// Lane-wise builtin call over borrowed lanes: boxed arguments are read
 /// by reference, typed ones materialize as scalars, so no payload `Arc`
 /// is cloned or dropped. `Builtin::evaluate` handles its own NULL-in →
-/// NULL-out rule, and any lane it rejects makes the chunk `Err`.
+/// NULL-out rule, and the first lane it rejects is the kernel's error.
 ///
 /// The result is the column that `ty`, the call's declared type, names;
-/// a result lane of another type makes the chunk `Err`. `inner_product`
+/// a result lane of another type is an internal error. `inner_product`
 /// over two VECTOR lanes calls the `lardb-la` kernel that `evaluate`
 /// would, directly, and sends every other lane (NULL, a type the
 /// interpreter rejects) through `evaluate` itself.
@@ -387,7 +450,7 @@ pub fn call(
     ty: &DataType,
     sel: Option<&[u32]>,
     n: usize,
-) -> Result<Col> {
+) -> KernelResult<Col> {
     let mut lanes: Vec<LaneVal<'_>> = Vec::new();
     let mut eval = |i: usize| -> Result<Value> {
         lanes.clear();
@@ -399,13 +462,16 @@ pub fn call(
         if out.set(i, &v) {
             Ok(())
         } else {
-            Err(unsupported("a result lane of another type than declared"))
+            Err(internal(format!("{}: a result lane of another type than {ty}", func.name())))
         }
     };
     match (func, args) {
         (Builtin::InnerProduct, [Col::Boxed(a), Col::Boxed(b)]) => {
             for_lanes(n, sel, |i| match (&a[i], &b[i]) {
-                (Value::Vector(x), Value::Vector(y)) => put(i, Value::Double(x.inner_product(y)?)),
+                (Value::Vector(x), Value::Vector(y)) => {
+                    let dot = x.inner_product(y).map_err(PlanError::from)?;
+                    put(i, Value::Double(dot))
+                }
                 _ => put(i, eval(i)?),
             })?
         }
@@ -418,7 +484,7 @@ pub fn call(
 /// *and* TRUE (SQL: NULL filters the row out) from a BOOLEAN column,
 /// appending branch-free: write the lane index unconditionally, advance
 /// the length by the keep bit.
-pub fn selection(pred: &Col, sel: Option<&[u32]>, n: usize) -> Result<Vec<u32>> {
+pub fn selection(pred: &Col, sel: Option<&[u32]>, n: usize) -> KernelResult<Vec<u32>> {
     match pred {
         Col::Bool { data, valid } => {
             let cap = sel.map_or(n, <[u32]>::len);
@@ -445,7 +511,7 @@ pub fn selection(pred: &Col, sel: Option<&[u32]>, n: usize) -> Result<Vec<u32>> 
             out.truncate(k);
             Ok(out)
         }
-        _ => Err(unsupported("non-BOOLEAN predicate lanes")),
+        _ => Err(KernelError::internal("non-BOOLEAN predicate lanes")),
     }
 }
 
@@ -454,6 +520,7 @@ mod tests {
     use super::*;
     use crate::batch::ColumnBatch;
     use lardb_la::Vector;
+    use lardb_planner::Expr;
     use lardb_storage::Row;
 
     fn f64_col(vals: &[Option<f64>]) -> Col {
@@ -493,11 +560,27 @@ mod tests {
         assert!(out.value_at(1).is_null());
     }
 
+    /// The interpreter's error for a lane's values, as `ops` raises it.
+    fn ops_error(r: std::result::Result<Value, StorageError>) -> ExecError {
+        r.unwrap_err().into()
+    }
+
     #[test]
-    fn int_div_zero_falls_back_but_float_div_zero_does_not() {
-        let a = i64_col(&[Some(10)]);
-        let z = i64_col(&[Some(0)]);
-        assert!(arith(ArithOp::Div, &a, &z, None, 1).is_err());
+    fn int_div_zero_raises_but_float_div_zero_does_not() {
+        let a = i64_col(&[Some(10), Some(4), Some(i64::MAX)]);
+        let z = i64_col(&[Some(1), Some(0), Some(1)]);
+        // The first failing lane, with the error `ops` gives for it.
+        let err = arith(ArithOp::Div, &a, &z, None, 3).unwrap_err();
+        let want = ops_error(ops::arith(ArithOp::Div, &Value::Integer(4), &Value::Integer(0)));
+        assert_eq!((err.lane, err.error), (Some(1), want));
+        let err = arith(ArithOp::Add, &a, &z, Some(&[0, 2]), 3).unwrap_err();
+        let want = ops_error(ops::arith(ArithOp::Add, &Value::Integer(i64::MAX), &Value::Integer(1)));
+        assert_eq!((err.lane, err.error.to_string()), (Some(2), want.to_string()));
+        assert!(want.to_string().contains("integer overflow in +"), "{want}");
+        // Boxed INTEGER lanes raise the same.
+        let boxed = Col::Boxed(vec![Value::Integer(4)].into());
+        let err = arith(ArithOp::Div, &boxed, &i64_col(&[Some(0)]), None, 1).unwrap_err();
+        assert!(err.error.to_string().contains("integer division by zero"), "{:?}", err.error);
         let fa = f64_col(&[Some(10.0)]);
         let fz = f64_col(&[Some(0.0)]);
         let out = arith(ArithOp::Div, &fa, &fz, None, 1).unwrap();
@@ -533,25 +616,54 @@ mod tests {
         let out = cmp(CmpOp::Lt, &a, &b, Some(&[0, 1]), 3).unwrap();
         assert_eq!(out.value_at(0), Value::Boolean(true));
         assert!(out.value_at(1).is_null());
-        // NaN lane selected → fallback.
-        assert!(cmp(CmpOp::Lt, &a, &b, None, 3).is_err());
+        // A NaN lane selected raises eval's error for its row.
+        let err = cmp(CmpOp::Lt, &a, &b, None, 3).unwrap_err();
+        let row = Row::new(vec![Value::Double(f64::NAN), Value::Double(1.0)]);
+        let want = crate::eval::eval(&Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::col(1)), &row);
+        assert_eq!((err.lane, Err(err.error)), (Some(2), want));
+        // BOOLEAN beside a number: NULL where either is, else eval's error.
+        let t = Col::splat(&Value::Boolean(true), 2);
+        let null = Col::splat(&Value::Null, 2);
+        assert!(cmp(CmpOp::Eq, &t, &null, None, 2).unwrap().value_at(1).is_null());
+        let err = cmp(CmpOp::Eq, &t, &i64_col(&[None, Some(1)]), None, 2).unwrap_err();
+        assert_eq!(err.lane, Some(1));
+        assert_eq!(err.error.to_string(), "runtime error: cannot compare BOOLEAN with INTEGER");
     }
 
     #[test]
     fn three_valued_and_or_lanes() {
+        let (and, or) = (false, true);
         let t = Col::splat(&Value::Boolean(true), 1);
         let f = Col::splat(&Value::Boolean(false), 1);
         // A NULL BOOLEAN lane, as a comparison with a NULL operand gives.
         let nl = Col::Bool { data: vec![false], valid: Bitmap::new_invalid(1) };
-        assert_eq!(and(&f, &nl, None, 1).unwrap().value_at(0), Value::Boolean(false));
-        assert!(and(&t, &nl, None, 1).unwrap().value_at(0).is_null());
-        assert_eq!(or(&t, &nl, None, 1).unwrap().value_at(0), Value::Boolean(true));
-        assert!(or(&f, &nl, None, 1).unwrap().value_at(0).is_null());
-        // The interpreter's leniency (a non-BOOLEAN lane is "not FALSE" in
-        // AND) is its own: such an operand does not type, so it declines.
+        let eval = |dominant, a: &Col, b: &Col| connective(dominant, a, b, None, 1).unwrap();
+        assert_eq!(eval(and, &f, &nl).value_at(0), Value::Boolean(false));
+        assert!(eval(and, &t, &nl).value_at(0).is_null());
+        assert_eq!(eval(or, &t, &nl).value_at(0), Value::Boolean(true));
+        assert!(eval(or, &f, &nl).value_at(0).is_null());
+        assert!(eval(or, &nl, &f).value_at(0).is_null());
+        // A non-BOOLEAN operand does not type: an internal error.
         let five = Col::splat(&Value::Integer(5), 1);
-        assert!(and(&five, &t, None, 1).is_err());
-        assert!(or(&five, &f, None, 1).is_err());
+        assert!(connective(and, &five, &t, None, 1).is_err_and(|e| e.lane.is_none()));
+        assert!(undecided(&five, or, None, 1).is_err_and(|e| e.lane.is_none()));
+    }
+
+    /// The right operand of `AND` runs where the left is not FALSE, of
+    /// `OR` where it is not TRUE (NULL lanes included), within the
+    /// incoming selection; a left operand deciding no lane narrows
+    /// nothing.
+    #[test]
+    fn undecided_lanes_are_the_interpreters_short_circuit() {
+        let mut valid = Bitmap::new_valid(5);
+        valid.set_invalid(3);
+        let left = Col::Bool { data: vec![true, false, true, false, false], valid };
+        assert_eq!(undecided(&left, false, None, 5).unwrap(), Some(vec![0, 2, 3]));
+        assert_eq!(undecided(&left, true, None, 5).unwrap(), Some(vec![1, 3, 4]));
+        assert_eq!(undecided(&left, false, Some(&[1, 2, 4]), 5).unwrap(), Some(vec![2]));
+        assert_eq!(undecided(&left, true, Some(&[3, 4]), 5).unwrap(), None);
+        let t = Col::splat(&Value::Boolean(true), 3);
+        assert_eq!(undecided(&t, false, None, 3).unwrap(), None);
     }
 
     #[test]
@@ -566,9 +678,9 @@ mod tests {
         };
         assert_eq!(selection(&pred, None, 4).unwrap(), vec![0, 3]);
         assert_eq!(selection(&pred, Some(&[1, 3]), 4).unwrap(), vec![3]);
-        // Non-BOOLEAN predicate lane → fallback.
+        // A non-BOOLEAN predicate does not type: an internal error.
         let num = Col::splat(&Value::Integer(1), 2);
-        assert!(selection(&num, None, 2).is_err());
+        assert!(selection(&num, None, 2).is_err_and(|e| e.lane.is_none()));
     }
 
     #[test]
@@ -576,10 +688,16 @@ mod tests {
         let t = Col::splat(&Value::Boolean(true), 2);
         assert_eq!(not(&t, None, 2).unwrap().value_at(1), Value::Boolean(false));
         let five = Col::splat(&Value::Integer(5), 1);
-        assert!(not(&five, None, 1).is_err());
+        assert!(not(&five, None, 1).is_err_and(|e| e.lane.is_none()));
+        assert!(negate(&t, None, 2).is_err_and(|e| e.lane.is_none()));
         assert_eq!(negate(&five, None, 1).unwrap().value_at(0), Value::Integer(-5));
         let nl = Col::splat(&Value::Null, 1);
         assert!(negate(&nl, None, 1).unwrap().value_at(0).is_null());
+        // `-MIN` overflows on its lane with the error `ops` gives.
+        let min = i64_col(&[Some(1), Some(i64::MIN)]);
+        let err = negate(&min, None, 2).unwrap_err();
+        let want = ops_error(ops::negate(&Value::Integer(i64::MIN)));
+        assert_eq!((err.lane, err.error), (Some(1), want));
     }
 
     #[test]
@@ -735,7 +853,7 @@ mod tests {
         ty: DataType,
         rows: &[Vec<Value>],
         sel: Option<&[u32]>,
-    ) -> Option<Result<Col>> {
+    ) -> Option<KernelResult<Col>> {
         let rows: Vec<Row> = rows.iter().cloned().map(Row::new).collect();
         let batch = ColumnBatch::from_rows(&rows)?;
         let args: Vec<&Col> = batch.cols().iter().map(|c| &**c).collect();
@@ -746,12 +864,12 @@ mod tests {
     /// type names (`Col::F64` for the DOUBLE built-ins, `Col::I64` for
     /// `nnz`, never a silent `Boxed`), with the interpreter's bits on every
     /// selected lane and its NULLs as invalid bits. A lane the interpreter
-    /// rejects makes the chunk decline, so it replays and the interpreter
-    /// reports: at the pivot when the lane is of another type than its
-    /// column, else in the kernel.
+    /// rejects raises its error at that lane in the kernel, unless the
+    /// lane is of another type than its column's, which the pivot
+    /// refuses.
     #[test]
     fn scalar_builtins_write_the_column_their_type_names_bit_identical_to_evaluate() {
-        let (mut nans, mut neg_zeros, mut refused, mut declined) = (0, 0, 0, 0);
+        let (mut nans, mut neg_zeros, mut refused, mut raised) = (0, 0, 0, 0);
         for (func, rows, bad) in scalar_cases() {
             let ty = if func == Builtin::Nnz { DataType::Integer } else { DataType::Double };
             let typed = |out: &Col| match (out, ty) {
@@ -785,23 +903,23 @@ mod tests {
                 }
             }
 
-            // The rejected lane: the chunk declines, and the interpreter
-            // has an error of its own to report for that row.
+            // The rejected lane raises the interpreter's error for it.
             let mut with_bad = rows.clone();
             with_bad.insert(1, bad.clone());
-            assert!(func.evaluate(&bad).is_err(), "{func:?}: the bad lane must be an error");
+            let want = func.evaluate(&bad).expect_err("the bad lane must be an error");
             let Some(got) = call_rows(func, ty, &with_bad, None) else {
                 refused += 1;
                 continue;
             };
-            assert!(got.is_err(), "{func:?} kept a bad lane");
-            declined += 1;
+            let got = got.expect_err("a bad lane kept");
+            assert_eq!((got.lane, got.error), (Some(1), want.into()), "{func:?}");
+            raised += 1;
             // A selection that skips it evaluates the rest as before.
             let skip: Vec<u32> = (0..with_bad.len() as u32).filter(|&i| i != 1).collect();
             typed(&call_rows(func, ty, &with_bad, Some(&skip)).unwrap().unwrap());
         }
         assert!(nans >= 4 && neg_zeros >= 4, "NaN {nans}, -0.0 {neg_zeros} result lanes");
-        assert!(refused >= 4 && declined >= 4, "{refused} refused, {declined} declined");
+        assert!(refused >= 4 && raised >= 4, "{refused} refused, {raised} raised");
     }
 
     #[test]
