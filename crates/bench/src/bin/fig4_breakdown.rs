@@ -16,20 +16,9 @@
 //! JSON document containing, per platform, the merged query-lifecycle
 //! profile (parse/bind/optimize/plan/execute stage timings plus
 //! per-operator estimate-vs-actual records).
-//!
-//! The harness additionally runs a **filter-heavy segment ablation**: a
-//! nearest-centroid prefilter executed under both expression engines
-//! (`compiled` vectorized bytecode vs the row-at-a-time `interpret`
-//! tree walker), comparing the wall time attributed to its Filter/Project
-//! chain.
-//! The comparison is printed and included in the profile JSON under
-//! `filter_segment`.
 
 use std::time::Duration;
 
-use lardb::{
-    DataType, Database, DatabaseConfig, ExprEngine, Partitioning, Row, Schema, Value,
-};
 use lardb_bench::{format_duration, platforms, Args, Platform, Workload};
 
 fn bucket(label: &str) -> &'static str {
@@ -44,71 +33,6 @@ fn bucket(label: &str) -> &'static str {
     } else {
         "other"
     }
-}
-
-/// Rows in the filter-ablation table. Fixed (not tied to `--n`) so the
-/// segment timing is comparable across sweep configurations.
-const ABLATION_ROWS: i64 = 60_000;
-
-/// Filter-heavy probe: a k-means-style nearest-centroid prefilter —
-/// squared distance to each of four centroids, OR'd. Expression
-/// evaluation dominates the Filter operator's wall time, which is the
-/// segment the compiled engine's fused morsel kernels target.
-const ABLATION_QUERY: &str = "SELECT id FROM points \
-     WHERE (a - 120.0) * (a - 120.0) + (b - -30.0) * (b - -30.0) < 2500.0 \
-        OR (a - 900.0) * (a - 900.0) + (b - 10.0) * (b - 10.0) < 2500.0 \
-        OR (a - 2400.0) * (a - 2400.0) + (b - 40.0) * (b - 40.0) < 2500.0 \
-        OR (a - 5100.0) * (a - 5100.0) + (b - -12.0) * (b - -12.0) < 2500.0";
-
-fn ablation_db(engine: ExprEngine, args: &Args) -> Database {
-    let db = Database::with_config(DatabaseConfig {
-        workers: args.workers,
-        expr_engine: engine,
-        batch_rows: args.batch_rows.unwrap_or_else(|| DatabaseConfig::default().batch_rows),
-        ..DatabaseConfig::default()
-    });
-    db.create_table(
-        "points",
-        Schema::from_pairs(&[
-            ("id", DataType::Integer),
-            ("a", DataType::Double),
-            ("b", DataType::Double),
-        ]),
-        Partitioning::RoundRobin,
-    )
-    .unwrap();
-    let rows = (0..ABLATION_ROWS).map(|i| {
-        Row::new(vec![
-            Value::Integer(i),
-            Value::Double(i as f64 * 0.125),
-            Value::Double((i % 97) as f64 - 48.0),
-        ])
-    });
-    db.insert_rows("points", rows).unwrap();
-    db
-}
-
-/// Best-of-`runs` wall time of the Filter/Project chain (all operators
-/// whose label starts with `Filter` or `Project`), in milliseconds: the
-/// compiled engine splits the chain's wall across its stages, the
-/// interpreter books it on the top one, so only the sum times the same
-/// span under both. Best-of rather than median: the segment is the
-/// quantity under test, and min is the most noise-robust estimator of its
-/// intrinsic cost.
-fn filter_segment_ms(db: &Database, runs: usize) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..runs {
-        let out = db.query(ABLATION_QUERY).unwrap();
-        let seg: Duration = out
-            .stats
-            .time_by_label()
-            .into_iter()
-            .filter(|(label, _)| label.starts_with("Filter") || label.starts_with("Project"))
-            .map(|(_, wall)| wall)
-            .sum();
-        best = best.min(seg.as_secs_f64() * 1e3);
-    }
-    best
 }
 
 fn main() {
@@ -173,33 +97,12 @@ fn main() {
          aggregation, not the join (§5, Figure 4)."
     );
 
-    // Expression-engine ablation on a filter-heavy segment: the same
-    // nearest-centroid prefilter, compiled vectorized bytecode vs the
-    // row-at-a-time interpreter, comparing only the wall time attributed
-    // to the Filter/Project chain.
-    let compiled_ms = filter_segment_ms(&ablation_db(ExprEngine::Compiled, &args), 7);
-    let interpret_ms = filter_segment_ms(&ablation_db(ExprEngine::Interpret, &args), 7);
-    let speedup = interpret_ms / compiled_ms;
-    println!(
-        "\nFilter-heavy segment ablation ({ABLATION_ROWS} rows, nearest-centroid prefilter):\n  \
-         compiled  {compiled_ms:8.3} ms\n  \
-         interpret {interpret_ms:8.3} ms\n  \
-         speedup   {speedup:8.2}x"
-    );
-
     if let Some(path) = &args.profile_json {
         let runs: Vec<String> = profiles
             .iter()
             .map(|(label, json)| format!("{{\"platform\":\"{label}\",\"profile\":{json}}}"))
             .collect();
-        let doc = format!(
-            "{{\"bench\":\"fig4_breakdown\",\
-             \"filter_segment\":{{\"rows\":{ABLATION_ROWS},\
-             \"compiled_ms\":{compiled_ms:.3},\"interpret_ms\":{interpret_ms:.3},\
-             \"speedup\":{speedup:.3}}},\
-             \"runs\":[{}]}}",
-            runs.join(",")
-        );
+        let doc = format!("{{\"bench\":\"fig4_breakdown\",\"runs\":[{}]}}", runs.join(","));
         match std::fs::write(path, doc) {
             Ok(()) => println!("wrote query profiles to {path}"),
             Err(e) => {

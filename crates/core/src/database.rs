@@ -43,7 +43,10 @@ use crate::plan_cache::{
 };
 use crate::sessions::SessionRegistry;
 
-/// Engine configuration.
+/// Engine configuration. No field picks how expressions are evaluated:
+/// every query compiles them, typed when planned, and its kernels answer
+/// as the row interpreter would, which remains only the test suites'
+/// oracle ([`Database::interpreted_oracle`]).
 #[derive(Debug, Clone)]
 pub struct DatabaseConfig {
     /// Number of simulated shared-nothing workers (the paper used 10
@@ -90,16 +93,11 @@ pub struct DatabaseConfig {
     /// in-memory flight recorder. *Which* statements are traced is set on
     /// the process-wide recorder (`lardb_obs::recorder()`), not here.
     pub trace_dir: Option<std::path::PathBuf>,
-    /// Expression engine of the chunk pipeline that filters, projections
-    /// and aggregates run in: `Compiled` (the default) pivots chunks into
-    /// column batches and evaluates register bytecode with fused
-    /// vectorized kernels, falling back to the row interpreter per chunk
-    /// on any kernel error; `Interpret` runs every chunk through that
-    /// row-at-a-time tree walker (the differential suite's oracle). The
-    /// operators, the chunks and every result are the same under both.
-    pub expr_engine: lardb_exec::ExprEngine,
-    /// Rows per column batch in the compiled engine (default
-    /// [`lardb_exec::DEFAULT_BATCH_ROWS`]).
+    /// Rows per column batch of the chunk pipeline that filters,
+    /// projections, join residuals and aggregates run in (default
+    /// [`lardb_exec::DEFAULT_BATCH_ROWS`]): every chunk is pivoted into
+    /// columns and evaluated by compiled kernels, which answer each row as
+    /// the row interpreter does, values and errors.
     /// Smaller batches stay cache-resident; larger ones amortize the
     /// pivot and dispatch further.
     pub batch_rows: usize,
@@ -124,7 +122,6 @@ impl Default for DatabaseConfig {
             mem: None,
             spill_dir: None,
             trace_dir: None,
-            expr_engine: lardb_exec::ExprEngine::default(),
             batch_rows: lardb_exec::DEFAULT_BATCH_ROWS,
             plan_cache_entries: DEFAULT_PLAN_CACHE_ENTRIES,
         }
@@ -281,6 +278,9 @@ pub struct Database {
     /// The normalized plan cache, shared across clones like the catalog
     /// (a schema change seen by one session must invalidate them all).
     plan_cache: Arc<PlanCache>,
+    /// Every query runs on [`Executor::interpreted`]: set only by
+    /// [`Database::interpreted_oracle`].
+    interpreted: bool,
 }
 
 impl Database {
@@ -312,7 +312,17 @@ impl Database {
             sessions: Arc::new(SessionRegistry::new()),
             session: None,
             plan_cache,
+            interpreted: false,
         }
+    }
+
+    /// The differential suites' oracle, not a product setting: this
+    /// database runs every query on [`Executor::interpreted`], the row
+    /// interpreter over every chunk, with nothing compiled or pivoted.
+    #[doc(hidden)]
+    pub fn interpreted_oracle(mut self) -> Self {
+        self.interpreted = true;
+        self
     }
 
     /// The cluster every query of this database executes on: the
@@ -830,16 +840,12 @@ impl Database {
                         result.stats.total_frames(),
                         result.stats.total_enqueue_block().as_secs_f64() * 1e3,
                     ));
-                    if result.stats.total_batches() > 0
-                        || result.stats.total_fallbacks() > 0
-                    {
+                    if result.stats.total_batches() > 0 {
                         text.push_str(&format!(
-                            "vectorized: {} batches, {} rows, {} kernel \
-                             dispatches, {} interpreter fallbacks\n",
+                            "vectorized: {} batches, {} rows, {} kernel dispatches\n",
                             result.stats.total_batches(),
                             result.stats.total_batch_rows(),
                             result.stats.total_kernels(),
-                            result.stats.total_fallbacks(),
                         ));
                     }
                     let d = result.stats.dispatch;
@@ -959,13 +965,12 @@ impl Database {
         })?;
         // Runs in a child of the thread's context, which is `st.ctx`.
         let mut result = st.profile.time(Stage::Execute, trace, || {
-            Executor::new(&self.catalog, self.cluster())
+            let executor = Executor::new(&self.catalog, self.cluster())
                 .with_transport(self.config.transport)
                 .with_net_config(self.config.net.clone())
                 .with_memory(self.mem.clone())
-                .with_expr_engine(self.config.expr_engine)
-                .with_batch_rows(self.config.batch_rows)
-                .execute(&physical)
+                .with_batch_rows(self.config.batch_rows);
+            if self.interpreted { executor.interpreted() } else { executor }.execute(&physical)
         })?;
         st.profile.operators.extend(join_estimates(pp.estimates(), &result.stats));
         let schema = result.schema.clone();
@@ -1374,18 +1379,14 @@ mod tests {
 
     /// The §5 distance shape over NULL, ±0, NaN-bearing and mismatched
     /// vectors: compiled kernels answer as the interpreter, and a lane
-    /// of the wrong dimension replays its chunk so the query reports the
-    /// interpreter's own message.
+    /// of the wrong dimension raises the interpreter's own message.
     #[test]
     fn inner_product_lanes_answer_as_the_interpreter() {
         let sql = "SELECT a.id, MIN(inner_product(a.val, b.val)) AS d, \
                    MAX(norm2(b.val)) AS n FROM x AS a, x AS b GROUP BY a.id";
-        let run = |engine: lardb_exec::ExprEngine, extra: Option<Vec<f64>>| {
-            let db = Database::with_config(DatabaseConfig {
-                workers: 2,
-                expr_engine: engine,
-                ..DatabaseConfig::default()
-            });
+        let run = |compiled, extra: Option<Vec<f64>>| {
+            let db = Database::new(2);
+            let db = if compiled { db } else { db.interpreted_oracle() };
             db.create_table(
                 "x",
                 Schema::from_pairs(&[("id", DataType::Integer), ("val", DataType::Vector(None))]),
@@ -1413,14 +1414,14 @@ mod tests {
             rows.sort();
             rows
         };
-        let compiled = run(lardb_exec::ExprEngine::Compiled, None).unwrap();
-        assert_eq!(compiled.stats.total_fallbacks(), 0, "no lane here declines");
-        let interpreted = run(lardb_exec::ExprEngine::Interpret, None).unwrap();
+        let compiled = run(true, None).unwrap();
+        assert!(compiled.stats.total_batches() > 0);
+        let interpreted = run(false, None).unwrap();
         assert_eq!(bits(compiled), bits(interpreted));
 
         let bad = Some(vec![1.0, 2.0]);
-        let compiled = run(lardb_exec::ExprEngine::Compiled, bad.clone()).unwrap_err();
-        let interpreted = run(lardb_exec::ExprEngine::Interpret, bad).unwrap_err();
+        let compiled = run(true, bad.clone()).unwrap_err();
+        let interpreted = run(false, bad).unwrap_err();
         assert_eq!(compiled.to_string(), interpreted.to_string());
         assert!(compiled.to_string().contains("inner_product"), "{compiled}");
     }

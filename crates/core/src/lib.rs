@@ -47,9 +47,9 @@ pub use sessions::{SessionRegistry, SessionSnapshot};
 
 // Re-exports for downstream convenience (examples, benches, tests).
 pub use lardb_exec::{
-    BatchStats, CancelToken, ChannelStats, Cluster, ExecStats, Executor, ExprEngine,
-    FaultKind, FaultPlan, MemoryConfig, NetConfig, OperatorStats, ShuffleStats,
-    SpillStats, TransportMode,
+    BatchStats, CancelToken, ChannelStats, Cluster, ExecStats, Executor, FaultKind,
+    FaultPlan, MemoryConfig, NetConfig, OperatorStats, ShuffleStats, SpillStats,
+    TransportMode,
 };
 pub use lardb_la::{
     dispatch, CooBuilder, DispatchCounters, LabeledScalar, Matrix, SparseMatrix, Vector,

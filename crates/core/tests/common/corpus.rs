@@ -76,7 +76,7 @@ pub const FACTS_LA: &str = "SELECT inner_product(q.x, q.x) AS n2
 
 /// A filter whose selectivity makes every batch size cut differently.
 pub const MIXED_FILTER: &str = "SELECT id, v * 2.0 FROM t WHERE v > -80.0 AND g <= 5";
-/// Fused join→aggregate on the unique id: no residual, never declines.
+/// Fused join→aggregate on the unique id: no residual.
 pub const MIXED_JOIN_AGG: &str =
     "SELECT a.g, SUM(a.v * b.v) AS s FROM t AS a, t AS b WHERE a.id = b.id GROUP BY a.g";
 /// A residual whose right operand divides by zero on every `a.id = b.id`
@@ -214,8 +214,8 @@ pub static CORPUS: &[Entry] = &[
             ("SELECT s + 1 FROM t", "operator + undefined"),
             ("SELECT id FROM t WHERE s * 2 > 0", "operator * undefined"),
             // The same under a join→aggregate, and an argument that only
-            // fails when evaluated (the kernel declines, the interpreter's
-            // replay of the chunk raises).
+            // fails when evaluated (the kernel raises the interpreter's
+            // error for its first failing row).
             (
                 "SELECT a.g, SUM(a.s + 1) AS x FROM t AS a, t AS b
                  WHERE a.id = b.id GROUP BY a.g",

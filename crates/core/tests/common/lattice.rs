@@ -1,13 +1,14 @@
 //! The configuration lattice: the one place the axes a result must not
-//! depend on are enumerated. A [`Cell`] is a `DatabaseConfig` under a name;
-//! [`oracle`] is the cell every other is compared with, [`single_axis`]
-//! moves one axis at a time away from the pivot (`cell(|_| {})`), and the
-//! suites build the pairs they pin (W × transport × budget, engine ×
-//! batch size, ...) with [`at`] and [`cell`].
+//! depend on are enumerated. A [`Cell`] is a `DatabaseConfig` under a name,
+//! or the interpreted oracle over one; [`oracle`] is the cell every other
+//! is compared with, [`single_axis`] moves one axis at a time away from
+//! the pivot (`cell(|_| {})`), and the suites build the pairs they pin
+//! (W × transport × budget, interpreter × batch size, ...) with [`at`],
+//! [`cell`] and [`interpreted`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use lardb::{Database, DatabaseConfig, ExprEngine, TransportMode};
+use lardb::{Database, DatabaseConfig, TransportMode};
 
 /// Morsels small enough that a 900-row partition splits into dozens of
 /// stealable pieces.
@@ -21,6 +22,9 @@ pub struct Cell {
     /// Every axis value, for failure messages.
     pub name: String,
     pub config: DatabaseConfig,
+    /// Run every query through the row interpreter
+    /// (`Database::interpreted_oracle`) rather than compiled.
+    pub interpreted: bool,
     /// Run each statement twice back to back: the repeat is served from the
     /// plan cache and must be the answer the cold run gave. Set on the
     /// cell that moves the cache axis.
@@ -38,7 +42,13 @@ pub fn cell(set: impl FnOnce(&mut DatabaseConfig)) -> Cell {
         ..DatabaseConfig::default()
     };
     set(&mut config);
-    Cell { name: name(&config), config, repeat: false }
+    Cell { name: name(&config, false), config, interpreted: false, repeat: false }
+}
+
+/// `cell` run by the row interpreter, the reference the compiled pipeline
+/// must match, values and errors.
+pub fn interpreted(cell: Cell) -> Cell {
+    Cell { name: name(&cell.config, true), interpreted: true, ..cell }
 }
 
 /// The pivot with its capacity axes set: `workers` workers over `transport`,
@@ -62,12 +72,11 @@ pub fn shipped(workers: usize) -> Cell {
 /// worker over whole partitions, nothing cached, nothing shipped, nothing
 /// spilled.
 pub fn oracle() -> Cell {
-    cell(|c| {
+    interpreted(cell(|c| {
         c.workers = 1;
-        c.expr_engine = ExprEngine::Interpret;
         c.morsel_rows = WHOLE;
         c.plan_cache_entries = 0;
-    })
+    }))
 }
 
 /// The pivot and each value of the axes that decide how much data is in
@@ -93,7 +102,7 @@ pub fn capacity_axes() -> Vec<Cell> {
 /// row order (`scheduler_equivalence` checks that on full mantissas).
 pub fn single_axis() -> Vec<Cell> {
     let mut cells = capacity_axes();
-    cells.push(cell(|c| c.expr_engine = ExprEngine::Interpret));
+    cells.push(interpreted(cell(|_| {})));
     cells.extend([1, 16].map(|rows| cell(|c| c.batch_rows = rows)));
     cells.push(cell(|c| c.morsel_rows = WHOLE));
     cells.push(Cell { repeat: true, ..cell(|c| c.plan_cache_entries = 2) });
@@ -106,12 +115,11 @@ pub fn single_axis() -> Vec<Cell> {
 /// purpose: a new `DatabaseConfig` field does not compile until it is
 /// given a place here — an axis (then [`single_axis`] needs its values) or
 /// a field results may not depend on, with the reason.
-fn name(config: &DatabaseConfig) -> String {
+fn name(config: &DatabaseConfig, interpreted: bool) -> String {
     let DatabaseConfig {
         workers,
         transport,
         mem,
-        expr_engine,
         batch_rows,
         morsel_rows,
         plan_cache_entries,
@@ -128,8 +136,9 @@ fn name(config: &DatabaseConfig) -> String {
         trace_dir: _,
     } = config;
     let morsel = if *morsel_rows == WHOLE { "whole".into() } else { morsel_rows.to_string() };
+    let engine = if interpreted { "interpreted" } else { "compiled" };
     format!(
-        "W={workers} {transport:?} mem={mem:?} {expr_engine:?} batch={batch_rows} \
+        "W={workers} {transport:?} mem={mem:?} {engine} batch={batch_rows} \
          morsel={morsel} cache={plan_cache_entries} pool={pool_workers:?}"
     )
 }
@@ -145,6 +154,12 @@ impl Cell {
             std::process::id(),
             OPENED.fetch_add(1, Ordering::Relaxed)
         ));
-        Database::with_config(DatabaseConfig { spill_dir: Some(dir), ..self.config.clone() })
+        let config = DatabaseConfig { spill_dir: Some(dir), ..self.config.clone() };
+        let db = Database::with_config(config);
+        if self.interpreted {
+            db.interpreted_oracle()
+        } else {
+            db
+        }
     }
 }

@@ -9,7 +9,7 @@
 //! (`cargo test -p lardb --test counters -- --ignored`) and explains.
 //!
 //! Only counters one run fixes are here: kernel dispatch by kind, rows
-//! shuffled, column batches, interpreter fallbacks and spill bytes, plus
+//! shuffled, column batches and spill bytes, plus
 //! the encoded shuffle bytes and frames of the serialized transport. No
 //! timings, no means over passes and nothing the pointer transport
 //! estimates. The spilling cell runs one worker, where the partition that
@@ -49,7 +49,6 @@ fn counters(stats: &ExecStats, serialized: bool) -> Vec<(&'static str, usize)> {
         ("dispatch.densified", d.densified as usize),
         ("rows_shuffled", stats.total_rows_shuffled()),
         ("batches", stats.total_batches()),
-        ("fallbacks", stats.total_fallbacks()),
         ("spill_bytes", stats.total_spill_bytes()),
     ];
     if serialized {

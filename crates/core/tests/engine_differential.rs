@@ -15,7 +15,7 @@
 //!   half of the generated expressions must type for the property to say
 //!   much.
 //! * **Engine level** (SQL through [`Database`]): the same statements run
-//!   under `ExprEngine::Interpret` and `Compiled`, across worker counts,
+//!   compiled and on the interpreted oracle, across worker counts,
 //!   must return bit-identical relations — and failing statements must
 //!   fail with the same message, because the chunk pipeline raises the
 //!   interpreter's error of a chunk's first failing row and the scheduler
@@ -26,8 +26,8 @@ mod common;
 use common::compare::{canon, canon_rows, metric, sweep};
 use common::corpus::{self, Statement, SHORT_CIRCUIT_RESIDUAL, MIXED_FILTER, MIXED_JOIN_AGG};
 use common::fixtures::Fixture;
-use common::lattice::{self, cell};
-use lardb::{ExprEngine, Row, Value};
+use common::lattice::{self, cell, interpreted};
+use lardb::{Partitioning, Row, Value};
 use lardb_exec::batch::ColumnBatch;
 use lardb_exec::compile::Program;
 use lardb_exec::eval::eval;
@@ -256,18 +256,17 @@ fn zero_length_batch_evaluates_to_empty_column() {
 
 // ---------------------------------------------------- engine differential
 
-/// Both engines on one worker and on four, at two 8-row batches to the
-/// pivot's 16-row morsel: 400 rows cross many chunk and steal boundaries.
+/// Compiled and interpreted on one worker and on four, at two 8-row
+/// batches to the pivot's 16-row morsel: 400 rows cross many chunk and
+/// steal boundaries.
 fn engine_cells() -> Vec<lattice::Cell> {
     let mut cells = Vec::new();
     for workers in [1usize, 4] {
-        for engine in [ExprEngine::Compiled, ExprEngine::Interpret] {
-            cells.push(cell(|c| {
-                c.workers = workers;
-                c.expr_engine = engine;
-                c.batch_rows = 8;
-            }));
-        }
+        let compiled = cell(|c| {
+            c.workers = workers;
+            c.batch_rows = 8;
+        });
+        cells.extend([compiled.clone(), interpreted(compiled)]);
     }
     cells
 }
@@ -344,18 +343,56 @@ fn vectorized_counters_surface_in_stats_and_metrics() {
     // pipeline.
     let rj = db.query(MIXED_JOIN_AGG).unwrap();
     assert!(rj.stats.total_batches() > 0, "join→aggregate should report batches");
-    assert_eq!(rj.stats.total_fallbacks(), 0);
     // A residual whose right operand divides by zero on lanes its left
-    // one decides short-circuits there: every chunk is a batch.
+    // one decides short-circuits there: every chunk is a batch, and the
+    // rows are the oracle's.
     let rd = db.query(SHORT_CIRCUIT_RESIDUAL).unwrap();
     assert!(rd.stats.total_batches() > 0, "the residual's chunks should be batches");
-    assert_eq!(rd.stats.total_fallbacks(), 0);
-    // The interpreted engine reports no vectorized work.
-    let idb = Fixture::Mixed.open(&cell(|c| c.expr_engine = ExprEngine::Interpret));
+    let oracle = Fixture::Mixed.open(&lattice::oracle());
+    assert_eq!(canon_rows(&rd), canon_rows(&oracle.query(SHORT_CIRCUIT_RESIDUAL).unwrap()));
+    // SHOW METRICS lists no fallback counter.
+    let shown = db.query("SHOW METRICS").unwrap();
+    let names: Vec<String> = shown.rows.iter().map(|row| row.value(0).to_string()).collect();
+    assert!(!names.iter().any(|n| n.contains("fallback")), "{names:?}");
+    // The interpreted oracle reports no vectorized work.
+    let idb = Fixture::Mixed.open(&interpreted(cell(|c| c.batch_rows = 16)));
     for q in ["SELECT id FROM t WHERE v > -50.0", MIXED_JOIN_AGG] {
         let ri = idb.query(q).unwrap();
         assert_eq!(ri.stats.total_batches(), 0, "{q}");
         assert_eq!(ri.stats.total_kernels(), 0, "{q}");
+    }
+}
+
+/// A chunk reports its first failing row, across the chain and the fold:
+/// the SUM overflows on every partition's second row, the WHERE divides
+/// by zero on a later row of the same partition. The overflow comes
+/// first, so it is the error at every worker count and batch size —
+/// where a chunk holds both rows, after cutting it at the division and
+/// folding what is before.
+#[test]
+fn the_first_failing_row_wins_across_chain_and_fold() {
+    let sql = "SELECT SUM(id + 9223372036854775000) AS s FROM f WHERE 10 / d > 0";
+    for workers in [1usize, 4] {
+        for batch_rows in [1usize, 16, 1024] {
+            let compiled = cell(|c| {
+                c.workers = workers;
+                c.batch_rows = batch_rows;
+            });
+            for cell in [interpreted(compiled.clone()), compiled] {
+                let db = cell.open();
+                let int = DataType::Integer;
+                let schema = Schema::from_pairs(&[("id", int), ("d", int)]);
+                db.create_table("f", schema, Partitioning::RoundRobin).unwrap();
+                // Rows 40.. divide by zero: partition p's rows p, p + 4, ...
+                // reach them at its eleventh row (its 41st on one worker).
+                let rows = (0..64i64).map(|i| {
+                    Row::new(vec![Value::Integer(i), Value::Integer(i64::from(i < 40))])
+                });
+                db.insert_rows("f", rows.collect::<Vec<_>>()).unwrap();
+                let err = db.query(sql).expect_err("must fail").to_string();
+                assert!(err.contains("integer overflow in +"), "{}: {err}", cell.name);
+            }
+        }
     }
 }
 

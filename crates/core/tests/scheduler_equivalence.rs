@@ -11,9 +11,9 @@ mod common;
 use common::compare::{exact_rows, metric, sweep};
 use common::corpus;
 use common::fixtures::{rngish, Fixture};
-use common::lattice::{self, cell, SPLIT, WHOLE};
+use common::lattice::{self, cell, interpreted, SPLIT, WHOLE};
 use lardb::{
-    DataType, DatabaseConfig, ExprEngine, Matrix, Partitioning, Row, Schema, Source,
+    DataType, DatabaseConfig, Matrix, Partitioning, Row, Schema, Source,
     TransportMode, Value,
 };
 
@@ -69,13 +69,13 @@ fn morsel_size_and_engine_move_no_bit_of_an_aggregate() {
     let default_morsel = DatabaseConfig::default().morsel_rows;
     for workers in [1usize, 4] {
         let mut want: Option<(String, Vec<Vec<String>>)> = None;
-        for engine in [ExprEngine::Interpret, ExprEngine::Compiled] {
+        for compiled in [false, true] {
             for morsel_rows in [SPLIT, default_morsel, WHOLE] {
                 let cell = cell(|c| {
                     c.workers = workers;
-                    c.expr_engine = engine;
                     c.morsel_rows = morsel_rows;
                 });
+                let cell = if compiled { cell } else { interpreted(cell) };
                 let db = cell.open();
                 load(&db);
                 let got: Vec<Vec<String>> =

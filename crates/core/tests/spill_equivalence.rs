@@ -150,7 +150,6 @@ fn footprint(db: &Database, statements: &[corpus::Statement]) -> Vec<String> {
                 s.total_bytes_shuffled(),
                 s.total_frames(),
                 s.total_batches(),
-                s.total_fallbacks(),
             ];
             format!("{totals:?} {:?} {:?}", s.dispatch, exact_rows(&r))
         }

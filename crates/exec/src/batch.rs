@@ -13,9 +13,10 @@
 //! [`ColumnBatch::pivot`] fills a DOUBLE column as `F64`, INTEGER as
 //! `I64`, BOOLEAN as `Bool` and every other type boxed, in one pass. A
 //! lane of another variant than its column's declared type makes the
-//! pivot refuse the chunk, as a ragged row does, and the chunk replays
-//! through the row interpreter. Reconstruction ([`Col::value_at`]) is
-//! therefore bit-identical to the source values, `-0.0` included.
+//! pivot refuse the chunk, as a ragged row does; no operator writes
+//! either, so the chunk pipeline raises that as an internal error.
+//! Reconstruction ([`Col::value_at`]) is therefore bit-identical to the
+//! source values, `-0.0` included.
 //!
 //! A join partition's sides are each pivoted once, with their own
 //! schemas, and a chunk of matched pairs is two index vectors over them
@@ -259,8 +260,7 @@ pub struct ColumnBatch {
 impl ColumnBatch {
     /// Pivots rows into columns of `schema`'s types (see module docs).
     /// Returns `None` when a row's arity is not the schema's, or a lane is
-    /// not of its column's type: the caller replays the chunk through the
-    /// row interpreter, which decides what the rows mean.
+    /// not of its column's type.
     pub fn pivot(rows: &[Row], schema: &Schema) -> Option<ColumnBatch> {
         if rows.iter().any(|r| r.arity() != schema.arity()) {
             return None;

@@ -39,43 +39,6 @@ use crate::batch::Col;
 use crate::kernels::{self, KernelError, KernelResult};
 use crate::{ExecError, Result};
 
-/// How the chunk pipeline evaluates the expressions of filters,
-/// projections, join residuals and aggregate inputs. Both engines run the
-/// same operators over the same chunks and fill the same group tables in
-/// the same row order; only the evaluation of a chunk differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExprEngine {
-    /// Row-at-a-time tree-walking interpreter ([`crate::eval`]) over every
-    /// chunk, with nothing compiled or pivoted — the compiled engine's
-    /// per-chunk fallback and the differential suite's oracle.
-    Interpret,
-    /// Compiled bytecode over column batches with fused morsel kernels
-    /// (the default).
-    #[default]
-    Compiled,
-}
-
-impl std::fmt::Display for ExprEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExprEngine::Interpret => write!(f, "interpret"),
-            ExprEngine::Compiled => write!(f, "compiled"),
-        }
-    }
-}
-
-impl std::str::FromStr for ExprEngine {
-    type Err = String;
-
-    fn from_str(s: &str) -> std::result::Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "interpret" | "interpreted" => Ok(ExprEngine::Interpret),
-            "compiled" | "compile" => Ok(ExprEngine::Compiled),
-            other => Err(format!("unknown expression engine '{other}' (interpret|compiled)")),
-        }
-    }
-}
-
 /// One bytecode instruction; `a`/`b`/`args` are the registers of its
 /// operands, written by earlier instructions.
 #[derive(Debug)]
@@ -89,13 +52,12 @@ enum Instr<'e> {
     /// `a <op> b` lane-wise comparison.
     Cmp { op: CmpOp, a: usize, b: usize },
     /// Narrows the selection to the lanes `a`, the left operand of an
-    /// `AND` (`dominant` FALSE) or `OR` (`dominant` TRUE), leaves
-    /// undecided, for the right operand's instructions that follow. Its
-    /// register is `a`'s.
-    Undecided { a: usize, dominant: bool },
-    /// `a AND b` (`dominant` FALSE) or `a OR b` (`dominant` TRUE) under
-    /// three-valued logic; restores the selection `Undecided` narrowed.
-    Connective { a: usize, b: usize, dominant: bool },
+    /// `OR` (`or`) or `AND`, leaves undecided, for the right operand's
+    /// instructions that follow. Its register is `a`'s.
+    Undecided { a: usize, or: bool },
+    /// `a OR b` (`or`) or `a AND b` under three-valued logic; restores
+    /// the selection `Undecided` narrowed.
+    Connective { a: usize, b: usize, or: bool },
     /// `NOT a`.
     Not { a: usize },
     /// `-a`.
@@ -147,10 +109,10 @@ impl<'e> Program<'e> {
                 Instr::Cmp { op: *op, a: self.emit(lhs, input)?, b: self.emit(rhs, input)? }
             }
             Expr::And(l, r) | Expr::Or(l, r) => {
-                let dominant = matches!(expr, Expr::Or(..));
+                let or = matches!(expr, Expr::Or(..));
                 let a = self.emit(l, input)?;
-                self.code.push((Instr::Undecided { a, dominant }, DataType::Boolean));
-                Instr::Connective { a, b: self.emit(r, input)?, dominant }
+                self.code.push((Instr::Undecided { a, or }, DataType::Boolean));
+                Instr::Connective { a, b: self.emit(r, input)?, or }
             }
             Expr::Not(e) => Instr::Not { a: self.emit(e, input)? },
             Expr::Negate(e) => Instr::Negate { a: self.emit(e, input)? },
@@ -178,12 +140,7 @@ impl<'e> Program<'e> {
     /// the result are unspecified and must not be read. An error names
     /// the first selected lane the first failing instruction fails on,
     /// with the interpreter's error for that lane's row.
-    pub fn eval(
-        &self,
-        cols: &[Arc<Col>],
-        n: usize,
-        sel: Option<&[u32]>,
-    ) -> KernelResult<Arc<Col>> {
+    pub fn eval(&self, cols: &[Arc<Col>], n: usize, sel: Option<&[u32]>) -> KernelResult<Arc<Col>> {
         let mut regs: Vec<Arc<Col>> = Vec::with_capacity(self.code.len());
         // The selections `Undecided` narrowed, innermost last; `None`
         // where it narrowed nothing.
@@ -207,14 +164,12 @@ impl<'e> Program<'e> {
                 Instr::Const { v } => Col::splat(v, n),
                 Instr::Arith { op, a, b } => kernels::arith(*op, r(*a), r(*b), sel, n)?,
                 Instr::Cmp { op, a, b } => kernels::cmp(*op, r(*a), r(*b), sel, n)?,
-                Instr::Undecided { a, dominant } => {
-                    narrowed.push(kernels::undecided(r(*a), *dominant, sel, n)?);
+                Instr::Undecided { a, or } => {
+                    narrowed.push(kernels::undecided(r(*a), *or, sel, n)?);
                     regs.push(Arc::clone(&regs[*a]));
                     continue;
                 }
-                Instr::Connective { a, b, dominant } => {
-                    kernels::connective(*dominant, r(*a), r(*b), sel, n)?
-                }
+                Instr::Connective { a, b, or } => kernels::connective(*or, r(*a), r(*b), sel, n)?,
                 Instr::Not { a } => kernels::not(r(*a), sel, n)?,
                 Instr::Negate { a } => kernels::negate(r(*a), sel, n)?,
                 Instr::Call { func, args } => {
@@ -341,15 +296,6 @@ mod tests {
         let m = internal(Program::compile_predicate(&numeric, &schema()));
         assert!(m.contains("not a BOOLEAN predicate"), "{m}");
         assert!(Program::compile_predicate(&lt, &schema()).is_ok());
-    }
-
-    #[test]
-    fn engine_knob_parses() {
-        assert_eq!("interpret".parse::<ExprEngine>().unwrap(), ExprEngine::Interpret);
-        assert_eq!("Compiled".parse::<ExprEngine>().unwrap(), ExprEngine::Compiled);
-        assert_eq!(ExprEngine::default(), ExprEngine::Compiled);
-        assert!("jit".parse::<ExprEngine>().is_err());
-        assert_eq!(ExprEngine::Compiled.to_string(), "compiled");
     }
 
     #[test]

@@ -1,10 +1,15 @@
 //! Row-at-a-time expression evaluation.
 //!
-//! This is the *interpreted* engine (`ExprEngine::Interpret`) and the
-//! semantic reference for the vectorized engine in [`crate::compile`] /
-//! [`crate::kernels`]: whatever this module computes, per row, is by
-//! definition the right answer. Two allocation patterns matter on the
-//! hot path and are deliberately engineered away:
+//! The semantic reference for the compiled engine in [`crate::compile`] /
+//! [`crate::kernels`]: whatever this module computes, per row — a value
+//! or an error — is by definition the right answer, and the kernels give
+//! it lane for lane. It also evaluates what is never compiled: exchange
+//! routing keys, join keys and constants, and every chunk of the
+//! interpreted oracle (`Executor::interpreted`) the differential suites
+//! compare against. Expressions reach it typed: the planner rejects a
+//! predicate that is not BOOLEAN, so `AND`'s reading of a non-BOOLEAN
+//! operand as not FALSE is never exercised. Two allocation patterns
+//! matter on the hot path and are deliberately engineered away:
 //!
 //! * `Expr::Column` / `Expr::Literal` do **not** clone: evaluation is
 //!   internally borrow-based (`Ev`) and only materializes an owned

@@ -22,15 +22,17 @@
 //!   that survive.
 //!   Each aggregate fills one group table (`crate::agg::GroupedAgg`) per
 //!   partition, in row order, from the evaluated key and argument
-//!   *columns* or, for a replayed chunk, from rows.
+//!   *columns*. A chunk that fails is cut at its first failing lane and
+//!   run again, so the query raises the interpreter's error of its first
+//!   failing row.
 //!
-//! The expression engine is a per-chunk choice inside that pipeline:
-//! under `ExprEngine::Interpret` it compiles nothing and every chunk takes
-//! the interpreter's path (`ChunkPipeline::interpret`), the one a declined
-//! compiled chunk replays through. That engine and the test-only
-//! `Executor::with_fusion(false)` are the references the equivalence
-//! suites compare against; the latter runs every join with nothing above
-//! it in its pipeline, so the operator above reads materialized rows.
+//! Two references sit beside the product path, for the equivalence
+//! suites to compare against: `Executor::interpreted`, whose pipelines
+//! compile nothing and run every chunk row at a time through the
+//! interpreter (`ChunkPipeline::interpret`), and the test-only
+//! `Executor::with_fusion(false)`, which runs every join with nothing
+//! above it in its pipeline, so the operator above reads materialized
+//! rows.
 
 use std::cell::OnceCell;
 use std::collections::hash_map::DefaultHasher;
@@ -51,9 +53,9 @@ use lardb_storage::{Catalog, Partitioning, Row, Schema, Value};
 use crate::agg::{hash_values, spill_bucket, Accumulator, ArgCols, GroupedAgg, KeyTable};
 use crate::batch::{Col, ColumnBatch};
 use crate::cluster::{context, Cluster};
-use crate::compile::{ExprEngine, Program};
+use crate::compile::Program;
 use crate::eval::{eval_predicate_with, eval_with};
-use crate::kernels::{self, KernelResult};
+use crate::kernels::{self, KernelError, KernelResult};
 use crate::stats::{
     BatchStats, ExecStats, OperatorStats, ShuffleStats, SpillStats,
 };
@@ -172,14 +174,14 @@ pub struct Executor<'a> {
     pub(crate) mode: TransportMode,
     pub(crate) net: NetConfig,
     mem: MemoryConfig,
-    engine: ExprEngine,
+    interpreted: bool,
     batch_rows: usize,
 }
 
 impl<'a> Executor<'a> {
     /// Creates an executor (join→aggregate fusion enabled, pointer
-    /// transport, compiled expression engine, an unbounded governor of
-    /// its own).
+    /// transport, compiled expressions, an unbounded governor of its
+    /// own).
     pub fn new(catalog: &'a Catalog, cluster: Cluster) -> Self {
         Executor {
             catalog,
@@ -188,7 +190,7 @@ impl<'a> Executor<'a> {
             mode: TransportMode::default(),
             net: NetConfig::default(),
             mem: MemoryConfig::with_budget(None, None),
-            engine: ExprEngine::default(),
+            interpreted: false,
             batch_rows: DEFAULT_BATCH_ROWS,
         }
     }
@@ -227,13 +229,13 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Selects the expression engine: `Compiled` (default) evaluates
-    /// filter/project/aggregate chunks column-at-a-time over
-    /// [`ColumnBatch`]es with compiled bytecode; `Interpret` compiles
-    /// nothing and evaluates every chunk row at a time (the reference and
-    /// the ablation arm). Both run the same operators.
-    pub fn with_expr_engine(mut self, engine: ExprEngine) -> Self {
-        self.engine = engine;
+    /// The differential suites' oracle, not a product setting: every
+    /// pipeline compiles nothing, pivots nothing and runs each chunk row
+    /// at a time through the interpreter ([`crate::eval`]), over the same
+    /// operators and chunks.
+    #[doc(hidden)]
+    pub fn interpreted(mut self) -> Self {
+        self.interpreted = true;
         self
     }
 
@@ -285,8 +287,12 @@ impl<'a> Executor<'a> {
             PhysicalPlan::HashJoin { .. } => return self.run_join(plan, &[], None, stats),
             PhysicalPlan::HashAggregate { input, group_by, aggs, mode, .. } => {
                 // Any Filter/Project chain under the aggregate runs inside
-                // its chunk pipeline.
-                let (chain, base) = peel_chain(input);
+                // its chunk pipeline. A Final aggregate folds state rows,
+                // which no program evaluates: what is under it runs apart.
+                let (chain, base) = match mode {
+                    AggMode::Final => (Vec::new(), &**input),
+                    AggMode::Partial | AggMode::Complete => peel_chain(input),
+                };
                 // Pipelined join→aggregate fusion: stream joined rows into
                 // the pipeline in chunks instead of materializing them —
                 // the combiner structure SimSQL's MapReduce substrate
@@ -388,8 +394,8 @@ impl<'a> Executor<'a> {
         // No per-chunk kernel spans here: a join feeds chunks in proportion
         // to its joined rows (n·d² tuples for the Gram query), which would
         // fill the trace's event cap and the flight recorder's ring.
-        let pipe =
-            ChunkPipeline::new(self.engine, None, join.schema(), residual, chain, group_by, aggs)?;
+        let (compiled, input) = (!self.interpreted, join.schema());
+        let pipe = ChunkPipeline::new(compiled, None, input, residual, chain, group_by, aggs)?;
         let sides = [left.schema(), right.schema()];
         let mem = &self.mem;
         let cancel = context().cancel_token().clone();
@@ -492,17 +498,13 @@ impl<'a> Executor<'a> {
     }
 
     /// Executes a contiguous Filter/Project chain over a materialized
-    /// child through one chunk pipeline over row-range morsels. Under the
-    /// compiled engine the chain compiles to bytecode once, every chunk is
-    /// pivoted into a [`ColumnBatch`], and all stages run over it in one
-    /// pass — filters produce selection vectors instead of intermediate row
-    /// vectors, projections evaluate only selected lanes. Any chunk the
-    /// pivot or a kernel declines (a lane of another type than its
-    /// column's, integer overflow, a lane-level error) is replayed
-    /// wholesale through the row interpreter, which `ExprEngine::Interpret`
-    /// runs every chunk through, so values *and* errors are the same under
-    /// both engines by construction: the first failing row of the first
-    /// failing morsel.
+    /// child through one chunk pipeline over row-range morsels. The chain
+    /// compiles to bytecode once, every chunk is pivoted into a
+    /// [`ColumnBatch`], and all stages run over it in one pass — filters
+    /// produce selection vectors instead of intermediate row vectors,
+    /// projections evaluate only selected lanes. A failing chunk raises
+    /// the interpreter's error of its first failing row, so the query's
+    /// error is the first failing row of the first failing morsel.
     fn run_vectorized_chain(
         &self,
         chain: &[&PhysicalPlan],
@@ -512,7 +514,8 @@ impl<'a> Executor<'a> {
         let child = self.run(base, stats)?;
         let t0 = Instant::now();
         let trace = context().trace().cloned();
-        let pipe = ChunkPipeline::new(self.engine, trace, base.schema(), None, chain, &[], &[])?;
+        let pipe =
+            ChunkPipeline::new(!self.interpreted, trace, base.schema(), None, chain, &[], &[])?;
         let batch_rows = self.batch_rows;
         let morsels = self.cluster.morsel_map(child, |_, rows| {
             let mut out = Vec::with_capacity(rows.len());
@@ -531,10 +534,13 @@ impl<'a> Executor<'a> {
     /// `batch_rows` chunks and fed to the chunk pipeline, which folds them
     /// into one group table per partition, sequentially in ascending row
     /// order (chunks only batch the *expression work*), so group order and
-    /// float accumulation order are independent of scheduler, morsel size,
-    /// engine and batch size. Under a memory budget a grouped table is
-    /// finished through [`finish_spilling`]; a global aggregate holds a
-    /// single group's state and gains nothing from bucketing it.
+    /// float accumulation order are independent of scheduler, morsel size
+    /// and batch size. A Final aggregate's input rows are accumulator
+    /// states, which no program evaluates (its arguments name the
+    /// Partial's input columns): it has no pipeline and folds each row
+    /// through `GroupedAgg::update_row`. Under a memory budget a grouped
+    /// table is finished through [`finish_spilling`]; a global aggregate
+    /// holds a single group's state and gains nothing from bucketing it.
     #[allow(clippy::too_many_arguments)]
     fn run_vectorized_aggregate(
         &self,
@@ -548,16 +554,9 @@ impl<'a> Executor<'a> {
     ) -> Result<Parts> {
         let child = self.run(base, stats)?;
         let t0 = Instant::now();
-        let trace = context().trace().cloned();
-        // A Final aggregate's input rows are accumulator states, which no
-        // program evaluates (its arguments name the Partial's input
-        // columns): its pipeline compiles nothing and folds each row
-        // through `GroupedAgg::update_row`.
-        let engine = match mode {
-            AggMode::Final => ExprEngine::Interpret,
-            AggMode::Partial | AggMode::Complete => self.engine,
-        };
-        let pipe = ChunkPipeline::new(engine, trace, base.schema(), None, chain, group_by, aggs)?;
+        let (compiled, trace, input) = (!self.interpreted, context().trace().cloned(), base.schema());
+        let new_pipe = || ChunkPipeline::new(compiled, trace, input, None, chain, group_by, aggs);
+        let pipe = if mode == AggMode::Final { None } else { Some(new_pipe()?) };
         let batch_rows = self.batch_rows;
         let cancel = context().cancel_token().clone();
         let spilling = self.mem.bounded() && !group_by.is_empty();
@@ -570,7 +569,16 @@ impl<'a> Executor<'a> {
                         "vectorized aggregate cancelled".into(),
                     ));
                 }
-                pipe.aggregate(Chunk::Rows(chunk), &mut agg, &mut scratch)?;
+                match &pipe {
+                    Some(pipe) => {
+                        pipe.aggregate(Chunk::Rows(chunk), &mut agg, &mut scratch)?;
+                    }
+                    None => {
+                        for row in chunk {
+                            agg.update_row(row, &mut scratch)?;
+                        }
+                    }
+                }
             }
             Ok(agg)
         })?;
@@ -586,7 +594,18 @@ impl<'a> Executor<'a> {
             }
         }
         ensure_global_row(&mut out, group_by, aggs, mode);
-        pipe.record(Some((plan, spill)), t0.elapsed(), &out, stats);
+        match pipe {
+            Some(pipe) => pipe.record(Some((plan, spill)), t0.elapsed(), &out, stats),
+            None => stats.record(OperatorStats {
+                id: plan.id(),
+                label: plan.label(),
+                wall: t0.elapsed(),
+                rows_out: out.iter().map(Vec::len).sum(),
+                shuffle: ShuffleStats::default(),
+                spill,
+                batch: BatchStats::default(),
+            }),
+        }
         Ok(out)
     }
 
@@ -683,12 +702,10 @@ fn publish_metrics(stats: &ExecStats) {
     // Vectorized-engine totals. The rows-per-batch histogram is fed
     // inline as chunks run; the counters summarize per query here.
     let batches = stats.total_batches();
-    let fallbacks = stats.total_fallbacks();
-    if batches > 0 || fallbacks > 0 {
+    if batches > 0 {
         registry.counter("exec.batch.batches").add(batches as u64);
         registry.counter("exec.batch.rows").add(stats.total_batch_rows() as u64);
         registry.counter("exec.batch.kernels").add(stats.total_kernels() as u64);
-        registry.counter("exec.batch.fallbacks").add(fallbacks as u64);
     }
 }
 
@@ -783,41 +800,32 @@ impl StageMeter {
     }
 }
 
-/// Batch / fallback counters for one vectorized operator chain.
+/// Batch counters for one vectorized operator chain.
 #[derive(Default)]
 struct BatchMeter {
     batches: AtomicU64,
     rows: AtomicU64,
-    fallbacks: AtomicU64,
 }
 
 impl BatchMeter {
-    fn ok_chunk(&self, rows: usize) {
+    fn chunk(&self, rows: usize) {
         self.batches.fetch_add(1, AtomicOrdering::Relaxed);
         self.rows.fetch_add(rows as u64, AtomicOrdering::Relaxed);
-    }
-
-    fn fallback(&self) {
-        self.fallbacks.fetch_add(1, AtomicOrdering::Relaxed);
     }
 }
 
 /// Columns, selection vector, whether a projection replaced the input
-/// columns, how many of the chunk's lanes entered the chain (all of
-/// them, or the join residual's survivors), and the rows surviving each
-/// stage that ran — which the caller commits to the stage meters with
-/// [`ChunkPipeline::commit_rows`] once nothing can decline the chunk any
-/// more (a replayed chunk is counted by the replay).
-type VecChunkState = (Vec<Arc<Col>>, Option<Vec<u32>>, bool, usize, Vec<u64>);
+/// columns, and how many of the chunk's lanes entered the chain (all of
+/// them, or the join residual's survivors).
+type VecChunkState = (Vec<Arc<Col>>, Option<Vec<u32>>, bool, usize);
 
-/// One input of a join partition: its rows, for the interpreter's
-/// replay, and their columns, pivoted once with the join child's schema,
-/// by the first chunk that needs them (so never under
-/// `ExprEngine::Interpret`); `None` when the pivot refuses the rows.
+/// One input of a join partition: its rows, and their columns, pivoted
+/// once with the join child's schema by the first chunk that needs them
+/// (so never by the interpreted oracle, which reads the rows).
 struct Side<'a> {
     rows: &'a [Row],
     schema: &'a Schema,
-    cols: OnceCell<Option<ColumnBatch>>,
+    cols: OnceCell<ColumnBatch>,
 }
 
 impl<'a> Side<'a> {
@@ -825,9 +833,21 @@ impl<'a> Side<'a> {
         Side { rows, schema, cols: OnceCell::new() }
     }
 
-    fn cols(&self) -> Option<&ColumnBatch> {
-        self.cols.get_or_init(|| ColumnBatch::pivot(self.rows, self.schema)).as_ref()
+    fn cols(&self) -> KernelResult<&ColumnBatch> {
+        if let Some(cols) = self.cols.get() {
+            return Ok(cols);
+        }
+        let cols = ColumnBatch::pivot(self.rows, self.schema).ok_or_else(misfit)?;
+        Ok(self.cols.get_or_init(|| cols))
     }
+}
+
+/// The pivot refused rows: a row of another arity than its plan's
+/// schema, or a lane of another type than its column's. Scans read
+/// validated rows and every operator writes the types it was planned
+/// with, so this is a planner bug.
+fn misfit() -> KernelError {
+    KernelError::internal("rows that do not fit their plan's schema reached a pipeline")
 }
 
 /// A chunk entering the pipeline: materialized rows, or a join's matched
@@ -847,13 +867,23 @@ impl<'a> Chunk<'a> {
         }
     }
 
+    /// The chunk's first `l` lanes.
+    fn prefix(&self, l: usize) -> Chunk<'a> {
+        match *self {
+            Chunk::Rows(rows) => Chunk::Rows(&rows[..l]),
+            Chunk::Pairs([(l_side, li), (r_side, ri)]) => {
+                Chunk::Pairs([(l_side, &li[..l]), (r_side, &ri[..l])])
+            }
+        }
+    }
+
     /// The chunk's columns; rows are pivoted with `input`, the schema of
     /// the pipeline's input, pairs gathered from their sides.
-    fn pivot(&self, input: &Schema) -> Option<ColumnBatch> {
+    fn pivot(&self, input: &Schema) -> KernelResult<ColumnBatch> {
         match self {
-            Chunk::Rows(rows) => ColumnBatch::pivot(rows, input),
+            Chunk::Rows(rows) => ColumnBatch::pivot(rows, input).ok_or_else(misfit),
             Chunk::Pairs([(l, li), (r, ri)]) => {
-                Some(ColumnBatch::join(l.cols()?, li, r.cols()?, ri))
+                Ok(ColumnBatch::join(l.cols()?, li, r.cols()?, ri))
             }
         }
     }
@@ -868,14 +898,6 @@ impl<'a> Chunk<'a> {
         }
     }
 
-    /// The chunk as rows for the interpreter: pairs are concatenated, in
-    /// pair order.
-    fn rows(&self) -> std::borrow::Cow<'a, [Row]> {
-        match self {
-            Chunk::Rows(rows) => (*rows).into(),
-            Chunk::Pairs(_) => (0..self.len()).map(|i| self.row(i)).collect(),
-        }
-    }
 }
 
 /// The `k`-th live lane of a chunk under an optional selection vector.
@@ -889,9 +911,8 @@ fn lane(sel: Option<&[u32]>, k: usize) -> usize {
 /// pivots, one pipeline: a [`Chunk`] of rows (a scan-fed morsel, the grace
 /// join's output) or of matched pairs (a join's in-memory arm, gathered
 /// from its sides) becomes a column batch and runs the same stage loop
-/// and aggregate-update loop, or is replayed through the same
-/// interpreter. Under `ExprEngine::Interpret` the pipeline
-/// compiles nothing, pivots nothing and interprets every chunk.
+/// and aggregate-update loop. Under [`Executor::interpreted`] the
+/// pipeline compiles nothing, pivots nothing and interprets every chunk.
 struct ChunkPipeline<'p> {
     /// The schema of the rows entering the pipeline: the chain base's, or
     /// the join's when a join produces the chunks.
@@ -900,7 +921,7 @@ struct ChunkPipeline<'p> {
     /// Row chunks have already passed it.
     residual: Option<&'p Expr>,
     stages: Vec<VecStage<'p>>,
-    /// `None` under `ExprEngine::Interpret`.
+    /// `None` under [`Executor::interpreted`].
     programs: Option<Programs<'p>>,
     /// Kernel invocations of the residual's program, counted like a
     /// Filter stage's and reported on the join's record.
@@ -962,16 +983,20 @@ impl<'p> ArgProgram<'p> {
         Ok(match self {
             ArgProgram::Star => ArgCols::Star,
             ArgProgram::One(p) => ArgCols::One(p.eval(cols, n, sel)?),
-            ArgProgram::Entry([r, c, v]) => {
-                ArgCols::Entry([r.eval(cols, n, sel)?, c.eval(cols, n, sel)?, v.eval(cols, n, sel)?])
+            ArgProgram::Entry(ps) => {
+                let [r, c, v] = ps.each_ref().map(|p| p.eval(cols, n, sel));
+                ArgCols::Entry([r?, c?, v?])
             }
         })
     }
 }
 
 impl<'p> ChunkPipeline<'p> {
+    /// The pipeline of `chain` (and of `group_by` and `aggs` when it feeds
+    /// an aggregate) over rows of `input`, its programs compiled unless
+    /// `compiled` is false (the interpreted oracle).
     fn new(
-        engine: ExprEngine,
+        compiled: bool,
         trace: Option<Arc<lardb_obs::ActiveTrace>>,
         input: Schema,
         residual: Option<&'p Expr>,
@@ -1000,10 +1025,7 @@ impl<'p> ChunkPipeline<'p> {
                 args,
             })
         };
-        let programs = match engine {
-            ExprEngine::Compiled => Some(compile()?),
-            ExprEngine::Interpret => None,
-        };
+        let programs = if compiled { Some(compile()?) } else { None };
         Ok(ChunkPipeline {
             input,
             residual,
@@ -1023,15 +1045,12 @@ impl<'p> ChunkPipeline<'p> {
     }
 
     /// Pivots one chunk and runs the residual's program, then every chain
-    /// stage's, over it. Any `Err` means "replay this chunk through the
-    /// row interpreter" — never a final query error. An empty selection
-    /// short-circuits the remaining stages (the interpreter would not
-    /// evaluate them on zero rows either).
-    fn run_stages(&self, progs: &Programs<'p>, chunk: Chunk<'_>) -> Result<VecChunkState> {
+    /// stage's, over it. An empty selection short-circuits the remaining
+    /// stages (the interpreter would not evaluate them on zero rows
+    /// either).
+    fn run_stages(&self, progs: &Programs<'p>, chunk: Chunk<'_>) -> KernelResult<VecChunkState> {
         let n = chunk.len();
-        let batch = chunk.pivot(&self.input).ok_or_else(|| {
-            ExecError::Runtime("ragged rows or a lane of another type cannot be pivoted".into())
-        })?;
+        let batch = chunk.pivot(&self.input)?;
         let mut cols: Vec<Arc<Col>> = batch.cols().to_vec();
         let mut sel: Option<Vec<u32>> = None;
         let mut projected = false;
@@ -1042,7 +1061,6 @@ impl<'p> ChunkPipeline<'p> {
             self.residual_kernels.fetch_add(prog.kernels() + 1, AtomicOrdering::Relaxed);
         }
         let joined = sel.as_ref().map_or(n, Vec::len);
-        let mut stage_rows = Vec::with_capacity(self.stages.len());
         for (stage, (cost, prog)) in self.stages.iter().zip(&progs.stages) {
             if sel.as_ref().is_some_and(Vec::is_empty) {
                 break;
@@ -1066,18 +1084,9 @@ impl<'p> ChunkPipeline<'p> {
                     projected = true;
                 }
             }
-            // Time and kernels were spent whatever happens next; the rows
-            // wait for `commit_rows`.
-            stage.meter.add(t, *cost, 0);
-            stage_rows.push(sel.as_ref().map_or(n, Vec::len) as u64);
+            stage.meter.add(t, *cost, sel.as_ref().map_or(n, Vec::len) as u64);
         }
-        Ok((cols, sel, projected, joined, stage_rows))
-    }
-
-    fn commit_rows(&self, stage_rows: &[u64]) {
-        for (stage, &rows) in self.stages.iter().zip(stage_rows) {
-            stage.meter.rows_out.fetch_add(rows, AtomicOrdering::Relaxed);
-        }
+        Ok((cols, sel, projected, joined))
     }
 
     /// One chunk through the residual and the chain, survivors appended
@@ -1086,9 +1095,8 @@ impl<'p> ChunkPipeline<'p> {
     /// is, pairs concatenated, and counts no batch. Surviving lanes of a
     /// chunk no Project ran reuse the input rows (`Arc` clones) or
     /// concatenate their pairs; only a projected chunk builds rows from
-    /// its columns. Under `ExprEngine::Interpret`, and for any chunk a
-    /// kernel declines, the chunk goes through the interpreter, residual
-    /// first, whose result (or error) is taken.
+    /// its columns. A failing chunk raises the interpreter's error of its
+    /// first failing row ([`first_failure`]).
     fn rows(
         &self,
         chunk: Chunk<'_>,
@@ -1101,36 +1109,36 @@ impl<'p> ChunkPipeline<'p> {
             out.extend((0..n).map(|i| chunk.row(i)));
             return Ok(n);
         }
-        if let Some(progs) = &self.programs {
-            self.hist.observe(n as u64);
-            match self.run_stages(progs, chunk) {
-                Ok((cols, sel, projected, joined, stage_rows)) => {
-                    self.counters.ok_chunk(n);
-                    self.commit_rows(&stage_rows);
-                    let sel = sel.as_deref();
-                    let live = (0..sel.map_or(n, <[u32]>::len)).map(|k| lane(sel, k));
-                    if projected {
-                        out.extend(
-                            live.map(|i| Row::new(cols.iter().map(|c| c.value_at(i)).collect())),
-                        );
-                    } else {
-                        out.extend(live.map(|i| chunk.row(i)));
-                    }
-                    return Ok(joined);
-                }
-                Err(_) => self.counters.fallback(),
-            }
+        let Some(progs) = &self.programs else {
+            return self.interpret(chunk, residual, scratch, &mut |row, _| {
+                out.push(row);
+                Ok(())
+            });
+        };
+        self.hist.observe(n as u64);
+        let (evaluated, failed) = first_failure(chunk, |c| self.run_stages(progs, c))?;
+        if let Some(e) = failed {
+            return Err(e);
         }
-        self.interpret(&chunk.rows(), residual, scratch, out)
+        self.counters.chunk(n);
+        let (cols, sel, projected, joined) = evaluated;
+        let sel = sel.as_deref();
+        let live = (0..sel.map_or(n, <[u32]>::len)).map(|k| lane(sel, k));
+        if projected {
+            out.extend(live.map(|i| Row::new(cols.iter().map(|c| c.value_at(i)).collect())));
+        } else {
+            out.extend(live.map(|i| chunk.row(i)));
+        }
+        Ok(joined)
     }
 
     /// One chunk through the residual, the chain and the group-key /
     /// argument programs into `agg`, lanes ascending — so accumulation
-    /// order is the interpreter's row order exactly. Under
-    /// `ExprEngine::Interpret`, and for any chunk a kernel declines, the
-    /// chunk is materialized and replayed whole through the interpreter
-    /// into the same table, in the same order. Returns how many of the
-    /// chunk's rows entered the chain: what the join under it produced.
+    /// order is the interpreter's row order exactly. A failing chunk folds
+    /// the lanes before its first failing row, then raises the fold's
+    /// error, which comes from an earlier row, or else that row's
+    /// ([`first_failure`]). Returns how many of the chunk's rows entered
+    /// the chain: what the join under it produced.
     fn aggregate(
         &self,
         chunk: Chunk<'_>,
@@ -1141,66 +1149,63 @@ impl<'p> ChunkPipeline<'p> {
         if n == 0 {
             return Ok(0);
         }
-        if let Some(progs) = &self.programs {
-            self.hist.observe(n as u64);
-            // Evaluate everything *before* touching the hash table, so a
-            // declined chunk can still fall back cleanly.
-            let inputs = self.run_stages(progs, chunk).and_then(|(cols, sel, _, joined, rows)| {
-                let s = sel.as_deref();
-                if s.is_some_and(<[u32]>::is_empty) {
-                    return Ok((joined, rows, None)); // filtered to nothing
-                }
-                let keys = progs.keys.iter().map(|p| p.eval(&cols, n, s));
-                let keys = keys.collect::<KernelResult<Vec<_>>>()?;
-                let args = progs.args.iter().map(|p| p.eval(&cols, n, s));
-                let args = args.collect::<KernelResult<Vec<_>>>()?;
-                Ok((joined, rows, Some((keys, args, sel))))
-            });
-            match inputs {
-                Ok((joined, stage_rows, inputs)) => {
-                    self.counters.ok_chunk(n);
-                    self.commit_rows(&stage_rows);
-                    if let Some((key_cols, arg_cols, sel)) = inputs {
-                        let t = Instant::now();
-                        agg.update_columns(&key_cols, &arg_cols, sel.as_deref(), n)?;
-                        self.agg_meter.add(t, progs.agg_kernels, n as u64);
-                    }
-                    return Ok(joined);
-                }
-                Err(_) => self.counters.fallback(),
+        let Some(progs) = &self.programs else {
+            let residual = self.residual_of(chunk);
+            let mut fold = |row: Row, scratch: &mut Vec<Value>| agg.update_row(&row, scratch);
+            return self.interpret(chunk, residual, scratch, &mut fold);
+        };
+        self.hist.observe(n as u64);
+        // Every program runs before the group table is touched, in
+        // `update_row`'s order: residual, chain, keys, arguments.
+        let (evaluated, failed) = first_failure(chunk, |c| {
+            let (cols, sel, _, joined) = self.run_stages(progs, c)?;
+            let (m, s) = (c.len(), sel.as_deref());
+            if s.is_some_and(<[u32]>::is_empty) {
+                return Ok((joined, None)); // filtered to nothing
             }
+            let keys = progs.keys.iter().map(|p| p.eval(&cols, m, s));
+            let keys = keys.collect::<KernelResult<Vec<_>>>()?;
+            let args = progs.args.iter().map(|p| p.eval(&cols, m, s));
+            let args = args.collect::<KernelResult<Vec<_>>>()?;
+            Ok((joined, Some((keys, args, sel, m))))
+        })?;
+        let (joined, inputs) = evaluated;
+        if let Some((key_cols, arg_cols, sel, m)) = inputs {
+            let t = Instant::now();
+            agg.update_columns(&key_cols, &arg_cols, sel.as_deref(), m)?;
+            self.agg_meter.add(t, progs.agg_kernels, m as u64);
         }
-        let mut kept = Vec::new();
-        let joined = self.interpret(&chunk.rows(), self.residual_of(chunk), scratch, &mut kept)?;
-        for row in &kept {
-            agg.update_row(row, scratch)?;
+        if let Some(e) = failed {
+            return Err(e);
         }
+        self.counters.chunk(n);
         Ok(joined)
     }
 
     /// Runs one chunk through the interpreted residual and chain, row at
-    /// a time, appending survivors to `out`; returns how many rows passed
-    /// the residual. This is every chunk's path under
-    /// `ExprEngine::Interpret` and the replay the compiled engine takes
-    /// when a kernel declines a chunk: the interpreter's verdict — values
-    /// or error — is authoritative, which is what makes the two engines
-    /// agree by construction.
+    /// a time, handing each survivor to `sink` (which appends it, or folds
+    /// it into a group table) before the next row starts; returns how many
+    /// rows passed the residual. Every chunk's path under
+    /// [`Executor::interpreted`], the oracle the compiled pipeline is
+    /// compared against: its error is the first failing row's, whichever
+    /// stage or fold fails on it.
     fn interpret(
         &self,
-        chunk: &[Row],
+        chunk: Chunk<'_>,
         residual: Option<&Expr>,
         scratch: &mut Vec<Value>,
-        out: &mut Vec<Row>,
+        sink: &mut dyn FnMut(Row, &mut Vec<Value>) -> Result<()>,
     ) -> Result<usize> {
         let mut joined = 0;
-        'row: for r in chunk {
+        'row: for i in 0..chunk.len() {
+            // A pair is concatenated: the row the interpreter reads.
+            let mut row = chunk.row(i);
             if let Some(pred) = residual {
-                if !eval_predicate_with(pred, r, scratch)? {
+                if !eval_predicate_with(pred, &row, scratch)? {
                     continue;
                 }
             }
             joined += 1;
-            let mut row = r.clone();
             for stage in &self.stages {
                 match stage.kind {
                     VecStageKind::Filter(pred) => {
@@ -1218,27 +1223,25 @@ impl<'p> ChunkPipeline<'p> {
                 }
                 stage.meter.rows_out.fetch_add(1, AtomicOrdering::Relaxed);
             }
-            out.push(row);
+            sink(row, scratch)?;
         }
         Ok(joined)
     }
 
-    /// The pipeline's batch and fallback counters, with `kernels` kernel
-    /// invocations.
+    /// The pipeline's batch counters, with `kernels` kernel invocations.
     fn batch_stats(&self, kernels: usize) -> BatchStats {
         let relaxed = AtomicOrdering::Relaxed;
         BatchStats {
             batches: self.counters.batches.load(relaxed) as usize,
             rows: self.counters.rows.load(relaxed) as usize,
             kernels,
-            fallbacks: self.counters.fallbacks.load(relaxed) as usize,
         }
     }
 
     /// Records the pipeline's per-operator stats. Its measured wall time
     /// is split across stages proportionally to their metered kernel time
-    /// (the last operator absorbs the remainder — pivot, materialize,
-    /// fallback replay), batch counters land on the top operator, and
+    /// (the last operator absorbs the remainder — pivot, materialize),
+    /// batch counters land on the top operator, and
     /// labels of compiled stages get a ` [vec]` / ` [vec fused]` *suffix*
     /// so label-prefix bucketing (the Figure 4 breakdown) still matches.
     fn record(
@@ -1292,6 +1295,31 @@ impl<'p> ChunkPipeline<'p> {
                 spill,
                 batch,
             });
+        }
+    }
+}
+
+/// Runs `run` over `chunk` and, whenever it fails at lane `L`, over the
+/// chunk's first `L` lanes again, until a run is clean; returns the clean
+/// run's output and the error of the lane the last cut named. Every lane
+/// before that one passes every program, so it is the chunk's first
+/// failing row, and its error comes from the first instruction, in
+/// program (post-)order, that fails on it: the interpreter's error for
+/// the row. An internal error is raised at once. A chunk that fails
+/// costs its reruns; one that does not runs once.
+fn first_failure<'c, T>(
+    mut chunk: Chunk<'c>,
+    mut run: impl FnMut(Chunk<'c>) -> KernelResult<T>,
+) -> Result<(T, Option<ExecError>)> {
+    let mut failed = None;
+    loop {
+        match run(chunk) {
+            Ok(out) => return Ok((out, failed)),
+            Err(KernelError { lane: Some(l), error }) => {
+                chunk = chunk.prefix(l);
+                failed = Some(error);
+            }
+            Err(KernelError { lane: None, error }) => return Err(error),
         }
     }
 }
@@ -1760,7 +1788,7 @@ fn sort_rows(rows: &mut [Row], keys: &[(Expr, bool)]) -> Result<()> {
 mod tests {
     use super::*;
     use lardb_planner::physical::PhysicalPlanner;
-    use lardb_planner::{AggFunc, CmpOp, JoinKind, LogicalPlan};
+    use lardb_planner::{AggFunc, CmpOp, JoinKind, LogicalPlan, PlanError};
     use lardb_storage::table::hash_partition;
     use lardb_storage::{Column, DataType, Partitioning, Table};
 
@@ -2258,6 +2286,17 @@ mod tests {
         .unwrap()
     }
 
+    /// An executor on `w` workers: the product's, or the interpreted
+    /// oracle.
+    fn executor(c: &Catalog, w: usize, compiled: bool) -> Executor<'_> {
+        let e = Executor::new(c, Cluster::new(w));
+        if compiled {
+            e
+        } else {
+            e.interpreted()
+        }
+    }
+
     fn physical(c: &Catalog, logical: &LogicalPlan) -> PhysicalPlan {
         let stats_src: std::collections::HashMap<String, usize> = Default::default();
         PhysicalPlanner::new(c, &stats_src).plan_gathered(logical).unwrap()
@@ -2379,12 +2418,8 @@ mod tests {
                     .unwrap();
                 assert_eq!(fused.partitions, unfused.partitions, "{what} batch_rows={batch_rows}");
                 assert!(fused.stats.total_batches() > 0, "{what}");
-                assert_eq!(fused.stats.total_fallbacks(), 0, "{what}");
-                let interpreted = Executor::new(&c, Cluster::new(4))
-                    .with_batch_rows(batch_rows)
-                    .with_expr_engine(ExprEngine::Interpret)
-                    .execute(&plan)
-                    .unwrap();
+                let interpreted =
+                    executor(&c, 4, false).with_batch_rows(batch_rows).execute(&plan).unwrap();
                 assert_eq!(interpreted.partitions, unfused.partitions, "{what} interpreted");
             }
         }
@@ -2444,8 +2479,8 @@ mod tests {
     }
 
     /// A plain join's residual runs compiled in the join's pipeline, with
-    /// or without a Project above it: batches are counted, none declines,
-    /// the rows are the interpreter's bit for bit, and the join reports
+    /// or without a Project above it: batches are counted, the rows are
+    /// the interpreter's bit for bit, and the join reports
     /// the pairs that passed its residual and the residual's kernels. A
     /// join with nothing to evaluate pivots nothing.
     #[test]
@@ -2466,17 +2501,11 @@ mod tests {
         for (what, logical) in [("bare join", join), ("Project over a join", projected)] {
             let plan = physical(&c, &logical);
             for w in [1, 4] {
-                let run = |engine: ExprEngine| {
-                    Executor::new(&c, Cluster::new(w))
-                        .with_expr_engine(engine)
-                        .with_batch_rows(7)
-                        .execute(&plan)
-                        .unwrap()
+                let run = |compiled| {
+                    executor(&c, w, compiled).with_batch_rows(7).execute(&plan).unwrap()
                 };
-                let compiled = run(ExprEngine::Compiled);
-                let interpreted = run(ExprEngine::Interpret);
+                let (compiled, interpreted) = (run(true), run(false));
                 assert!(compiled.stats.total_batches() > 0, "{what} W={w}");
-                assert_eq!(compiled.stats.total_fallbacks(), 0, "{what} W={w}");
                 assert_eq!(interpreted.stats.total_batches(), 0, "{what} W={w}");
                 assert_eq!(compiled.partitions, interpreted.partitions, "{what} W={w}");
                 assert_eq!(compiled.num_rows(), 80, "{what} W={w}");
@@ -2573,19 +2602,15 @@ mod tests {
         ];
         for w in [1, 4] {
             for batch_rows in [16, 1024] {
-                let exec = |plan: &PhysicalPlan, engine: ExprEngine| {
-                    Executor::new(&c, Cluster::new(w))
-                        .with_expr_engine(engine)
-                        .with_batch_rows(batch_rows)
-                        .execute(plan)
+                let exec = |plan: &PhysicalPlan, compiled| {
+                    executor(&c, w, compiled).with_batch_rows(batch_rows).execute(plan)
                 };
                 let cell = format!("W={w} batch_rows={batch_rows}");
                 for (what, logical) in &ok {
                     let plan = physical(&c, logical);
-                    let compiled = exec(&plan, ExprEngine::Compiled).unwrap();
-                    let interpreted = exec(&plan, ExprEngine::Interpret).unwrap();
+                    let compiled = exec(&plan, true).unwrap();
+                    let interpreted = exec(&plan, false).unwrap();
                     assert!(compiled.stats.total_batches() > 0, "{what} {cell}");
-                    assert_eq!(compiled.stats.total_fallbacks(), 0, "{what} {cell}");
                     // Plain column operands and keys: no kernel runs at all.
                     assert_eq!(compiled.stats.total_kernels(), 0, "{what} {cell}");
                     let (got, want) = (compiled.rows(), interpreted.rows());
@@ -2599,10 +2624,10 @@ mod tests {
                 }
                 for (what, logical, fragment) in &failing {
                     let plan = physical(&c, logical);
-                    let message = |engine| exec(&plan, engine).expect_err("must fail").to_string();
-                    let want = message(ExprEngine::Interpret);
+                    let message = |compiled| exec(&plan, compiled).expect_err("fails").to_string();
+                    let want = message(false);
                     assert!(want.contains(fragment), "{what} {cell}: {want}");
-                    assert_eq!(message(ExprEngine::Compiled), want, "{what} {cell}");
+                    assert_eq!(message(true), want, "{what} {cell}");
                 }
             }
         }
@@ -2612,23 +2637,23 @@ mod tests {
         let schema = c.table_schema("entries").unwrap();
         assert_eq!(Program::compile(&carrier, &schema).unwrap().kernels(), 1);
         let aggs = [mfe(carrier)];
-        let pipe = ChunkPipeline::new(ExprEngine::Compiled, None, schema, None, &[], &[], &aggs).unwrap();
+        let pipe = ChunkPipeline::new(true, None, schema, None, &[], &[], &aggs).unwrap();
         assert_eq!(pipe.programs.map(|p| p.agg_kernels), Some(0));
     }
 
-    /// A chunk some *later* program declines is replayed whole, and the
-    /// replay counts its stage rows: the stages that had already run it
-    /// must not have counted them too.
+    /// A chunk whose `OR` short-circuits, in a later program than the
+    /// Filter, where its right operand would divide by zero: every chunk
+    /// is a batch, each stage counts its rows once, and rows and stage
+    /// rows are the oracle's.
     #[test]
-    fn declined_chunks_count_stage_rows_once() {
+    fn short_circuit_chunks_count_stage_rows_once() {
         use lardb_storage::ops::ArithOp;
         let c = setup();
         let kept = LogicalPlan::Filter {
             input: Box::new(scan_plan(&c, "pts")),
             predicate: Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::lit(20i64)),
         };
-        // `id = 0 OR 10 / id > k`: the eager kernel divides by zero on the
-        // id = 0 lane and declines; the interpreter short-circuits.
+        // `id = 0 OR 10 / id > k`: the division runs only where id <> 0.
         let declining = Expr::Or(
             Box::new(Expr::cmp(CmpOp::Eq, Expr::col(0), Expr::lit(0i64))),
             Box::new(Expr::cmp(
@@ -2649,21 +2674,20 @@ mod tests {
             let plan = physical(&c, &logical);
             for w in [1, 4] {
                 for batch_rows in [1, 7, 4096] {
-                    let run = |engine: ExprEngine| {
-                        let out = Executor::new(&c, Cluster::new(w))
+                    let run = |compiled| {
+                        let out = executor(&c, w, compiled)
                             .with_batch_rows(batch_rows)
-                            .with_expr_engine(engine)
                             .execute(&plan)
                             .unwrap();
                         let filter =
                             out.stats.operators().iter().find(|o| o.label.starts_with("Filter"));
                         let kept = filter.expect("no Filter record").rows_out;
-                        (kept, out.stats.total_fallbacks(), out.partitions)
+                        (kept, out.stats.total_batches(), out.partitions)
                     };
-                    let (want, _, want_rows) = run(ExprEngine::Interpret);
+                    let (want, _, want_rows) = run(false);
                     assert_eq!(want, 20, "{what}");
-                    let (got, fallbacks, rows) = run(ExprEngine::Compiled);
-                    assert_eq!(fallbacks, 0, "{what}: the id = 0 lane short-circuits");
+                    let (got, batches, rows) = run(true);
+                    assert!(batches > 0, "{what}");
                     assert_eq!(got, want, "{what} W={w} batch_rows={batch_rows}");
                     assert_eq!(rows, want_rows, "{what} W={w} batch_rows={batch_rows}");
                 }
@@ -2723,27 +2747,27 @@ mod tests {
         ] {
             let plan = physical(&c, &logical);
             for w in [1, 4] {
-                let message = |fuse: bool, engine: ExprEngine| {
-                    Executor::new(&c, Cluster::new(w))
+                let message = |fuse: bool, compiled| {
+                    executor(&c, w, compiled)
                         .with_fusion(fuse)
-                        .with_expr_engine(engine)
                         .with_batch_rows(7)
                         .execute(&plan)
                         .expect_err("must fail")
                         .to_string()
                 };
-                let want = message(false, ExprEngine::Interpret);
+                let want = message(false, false);
                 assert!(want.contains(fragment), "{want}");
-                assert_eq!(message(true, ExprEngine::Compiled), want, "W={w}");
-                assert_eq!(message(true, ExprEngine::Interpret), want, "W={w}");
-                assert_eq!(message(false, ExprEngine::Compiled), want, "W={w}");
+                assert_eq!(message(true, true), want, "W={w}");
+                assert_eq!(message(true, false), want, "W={w}");
+                assert_eq!(message(false, true), want, "W={w}");
             }
         }
     }
 
     /// Sides of an INTEGER key and a DOUBLE payload holding `-0.0` lanes
     /// through the pair entry, the row entry and the interpreter: same
-    /// groups, same bits, also when a kernel declines the chunk.
+    /// groups, same bits, also where the residual's `OR` short-circuits a
+    /// division by zero.
     #[test]
     fn mixed_typed_pair_chunks_replay_like_row_chunks() {
         use lardb_storage::ops::ArithOp;
@@ -2762,7 +2786,7 @@ mod tests {
             (0..6).flat_map(|l| (0..6).map(move |r| (l, r))).unzip();
         let pair = |(&l, &r): (&u32, &u32)| lrows[l as usize].concat(&rrows[r as usize]);
         let rows: Vec<Row> = li.iter().zip(&ri).map(pair).collect();
-        // l.k = 0 OR 6 / l.k > r.k: eager division by zero on l.k = 0.
+        // l.k = 0 OR 6 / l.k > r.k: divides by zero unless lazy.
         let residual = Expr::Or(
             Box::new(Expr::cmp(CmpOp::Eq, Expr::col(0), Expr::lit(0i64))),
             Box::new(Expr::cmp(
@@ -2780,10 +2804,10 @@ mod tests {
             },
             AggExpr { func: AggFunc::Count, arg: None, name: "n".into() },
         ];
-        let run = |engine: ExprEngine, as_pairs: bool| {
+        let run = |compiled, as_pairs: bool| {
             let input = schema.concat(&schema);
-            let pipe =
-                ChunkPipeline::new(engine, None, input, Some(&residual), &[], &group_by, &aggs).unwrap();
+            let on = Some(&residual);
+            let pipe = ChunkPipeline::new(compiled, None, input, on, &[], &group_by, &aggs).unwrap();
             let mut agg = GroupedAgg::new(&group_by, &aggs, AggMode::Complete);
             let mut scratch = Vec::new();
             let mut joined = 0;
@@ -2799,16 +2823,12 @@ mod tests {
                 let chunk = if as_pairs { pairs } else { Chunk::Rows(&kept) };
                 joined += pipe.aggregate(chunk, &mut agg, &mut scratch).unwrap();
             }
-            let fallbacks = pipe.counters.fallbacks.load(AtomicOrdering::Relaxed);
-            (agg.finish(), joined, fallbacks)
+            (agg.finish(), joined)
         };
-        let (want, joined, _) = run(ExprEngine::Interpret, true);
-        assert_eq!(want.len(), 3);
-        let (got, got_joined, fallbacks) = run(ExprEngine::Compiled, true);
-        assert_eq!((got, got_joined), (want.clone(), joined));
-        assert_eq!(fallbacks, 0, "the l.k = 0 lanes short-circuit");
-        let (got, got_joined, fallbacks) = run(ExprEngine::Compiled, false);
-        assert_eq!((got, got_joined, fallbacks), (want, joined, 0));
+        let want = run(false, true);
+        assert_eq!(want.0.len(), 3);
+        assert_eq!(run(true, true), want);
+        assert_eq!(run(true, false), want);
     }
 
     /// A chunk of VECTOR pairs is read by position: gathering it from its
@@ -2832,7 +2852,7 @@ mod tests {
             lrows.iter().chain(&rrows).map(count).collect()
         };
         // Each side's pivot holds one reference per row, once.
-        assert!(left.cols().is_some() && right.cols().is_some());
+        assert!(left.cols().is_ok() && right.cols().is_ok());
         let before = counts();
         let (li, ri): (Vec<u32>, Vec<u32>) =
             (0..4).flat_map(|l| (0..4).map(move |r| (l, r))).unzip();
@@ -2845,7 +2865,7 @@ mod tests {
         let out = kernels::call(&Builtin::InnerProduct, &args, &DataType::Double, None, 16);
         let out = out.unwrap();
         assert_eq!(counts(), before, "inner_product");
-        for (k, row) in chunk.rows().iter().enumerate() {
+        for (k, row) in (0..16).map(|k| (k, chunk.row(k))) {
             let args = [row.value(1).clone(), row.value(3).clone()];
             assert_eq!(out.value_at(k), Builtin::InnerProduct.evaluate(&args).unwrap());
         }
@@ -2853,17 +2873,17 @@ mod tests {
         assert_eq!(counts(), before, "drop");
         let arg = Expr::call(Builtin::InnerProduct, vec![Expr::col(1), Expr::col(3)]);
         let aggs = [AggExpr { func: AggFunc::Min, arg: Some(arg), name: "m".into() }];
-        let pipe = ChunkPipeline::new(ExprEngine::Compiled, None, input, None, &[], &[], &aggs).unwrap();
+        let pipe = ChunkPipeline::new(true, None, input, None, &[], &[], &aggs).unwrap();
         let mut agg = GroupedAgg::new(&[], &aggs, AggMode::Complete);
         assert_eq!(pipe.aggregate(chunk, &mut agg, &mut Vec::new()).unwrap(), 16);
         assert_eq!(counts(), before, "aggregate");
-        assert_eq!(pipe.counters.fallbacks.load(AtomicOrdering::Relaxed), 0);
     }
 
     /// The fused in-memory arm over sides whose key columns differ in type
     /// (a DOUBLE build key, an INTEGER probe key: `2.0` joins `2`): each
     /// side is pivoted once with its own schema, and groups and sums match
-    /// the interpreter's. A ragged probe side pivots no chunk: all replay.
+    /// the interpreter's. A ragged probe side, which no operator writes,
+    /// pivots no chunk: an internal error.
     #[test]
     fn fused_pairs_over_sides_typed_once_match_the_interpreter() {
         use lardb_storage::ops::ArithOp;
@@ -2889,10 +2909,10 @@ mod tests {
             AggExpr { func: AggFunc::Count, arg: None, name: "n".into() },
         ];
         let keys = [Expr::col(0)];
-        let run = |engine: ExprEngine, probe: &[Row]| {
+        let run = |compiled, probe: &[Row]| {
             let table = build_join_table(build.clone(), &keys).unwrap();
             let input = build_schema.concat(&probe_schema);
-            let pipe = ChunkPipeline::new(engine, None, input, None, &[], &keys, &aggs).unwrap();
+            let pipe = ChunkPipeline::new(compiled, None, input, None, &[], &keys, &aggs).unwrap();
             let mut agg = GroupedAgg::new(&keys, &aggs, AggMode::Complete);
             let (mut scratch, mut chunks) = (Vec::new(), 0);
             let full = |pairs: usize, _| pairs >= 5;
@@ -2902,24 +2922,22 @@ mod tests {
                 chunks += 1;
                 pipe.aggregate(c, &mut agg, &mut scratch).map(drop)
             })
-            .unwrap();
-            (agg.finish(), chunks, pipe.counters.fallbacks.load(AtomicOrdering::Relaxed))
+            .map(|()| (agg.finish(), chunks))
         };
-        for ragged in [false, true] {
-            let probe = probe(ragged);
-            let (want, chunks, _) = run(ExprEngine::Interpret, &probe);
-            assert_eq!((want.len(), chunks), (4, 6));
-            let (got, got_chunks, fallbacks) = run(ExprEngine::Compiled, &probe);
-            assert_eq!((got, got_chunks), (want, chunks), "ragged: {ragged}");
-            assert_eq!(fallbacks, if ragged { chunks } else { 0 }, "ragged: {ragged}");
-        }
+        let (want, chunks) = run(false, &probe(false)).unwrap();
+        assert_eq!((want.len(), chunks), (4, 6));
+        assert_eq!(run(true, &probe(false)).unwrap(), (want, chunks));
+        let ragged = run(true, &probe(true)).unwrap_err();
+        assert!(matches!(ragged, ExecError::Plan(PlanError::Internal(_))), "{ragged}");
     }
 
     /// A lane of another type than its column's declared one refuses its
-    /// chunk's pivot, as a ragged row does: that chunk alone replays
-    /// through the interpreter, and the aggregate is the interpreter's.
+    /// chunk's pivot, as a ragged row does. Scans read validated rows and
+    /// operators write their planned types, so no plan feeds a pipeline
+    /// such a lane: it is an internal error, raised at the chunk that
+    /// holds it, after the chunks before it were batches.
     #[test]
-    fn a_lane_of_another_type_replays_its_chunk_alone() {
+    fn a_lane_of_another_type_is_an_internal_error() {
         use lardb_storage::ops::ArithOp;
         let schema = Schema::from_pairs(&[("id", DataType::Integer), ("v", DataType::Double)]);
         let rows: Vec<Row> = (0..20i64)
@@ -2933,17 +2951,33 @@ mod tests {
             AggExpr { func: AggFunc::Sum, arg: Some(twice), name: "s".into() },
             AggExpr { func: AggFunc::Max, arg: Some(Expr::col(1)), name: "m".into() },
         ];
-        let run = |engine: ExprEngine| {
-            let pipe = ChunkPipeline::new(engine, None, schema.clone(), None, &[], &[], &aggs).unwrap();
-            let mut agg = GroupedAgg::new(&[], &aggs, AggMode::Complete);
-            for chunk in rows.chunks(5) {
-                pipe.aggregate(Chunk::Rows(chunk), &mut agg, &mut Vec::new()).unwrap();
-            }
-            let count = |c: &AtomicU64| c.load(AtomicOrdering::Relaxed);
-            (agg.finish(), count(&pipe.counters.batches), count(&pipe.counters.fallbacks))
+        let pipe = ChunkPipeline::new(true, None, schema, None, &[], &[], &aggs).unwrap();
+        let mut agg = GroupedAgg::new(&[], &aggs, AggMode::Complete);
+        let mut scratch = Vec::new();
+        let mut folded =
+            rows.chunks(5).map(|c| pipe.aggregate(Chunk::Rows(c), &mut agg, &mut scratch));
+        assert_eq!(folded.next().unwrap().unwrap(), 5);
+        assert_eq!(folded.next().unwrap().unwrap(), 5);
+        let err = folded.next().unwrap().unwrap_err();
+        assert!(matches!(err, ExecError::Plan(PlanError::Internal(_))), "{err}");
+        assert_eq!(pipe.counters.batches.load(AtomicOrdering::Relaxed), 2);
+    }
+
+    /// A Filter whose predicate does not type never comes from the
+    /// planner, which types every predicate: one that reaches the
+    /// executor is an internal error before any row is evaluated.
+    #[test]
+    fn an_untyped_program_is_an_internal_error() {
+        let c = setup();
+        let scan = physical(&c, &scan_plan(&c, "nums"));
+        let plan = PhysicalPlan::Filter {
+            id: 99,
+            input: Box::new(scan),
+            predicate: Expr::And(Box::new(Expr::col(0)), Box::new(Expr::lit(true))),
         };
-        let (want, ..) = run(ExprEngine::Interpret);
-        assert_eq!((run(ExprEngine::Compiled)), (want, 3, 1));
+        let err = Executor::new(&c, Cluster::new(2)).execute(&plan).unwrap_err();
+        let untyped = |m: &str| m.contains("untyped");
+        assert!(matches!(&err, ExecError::Plan(PlanError::Internal(m)) if untyped(m)), "{err}");
     }
 
     #[test]
@@ -2997,7 +3031,6 @@ mod tests {
             fused.stats.total_batches()
         );
         assert_eq!(fused.stats.total_batch_rows(), 8);
-        assert_eq!(fused.stats.total_fallbacks(), 0);
     }
 
     /// Sender 3's rows do not fit a frame, so it fails while senders 0..3

@@ -36,7 +36,7 @@ use std::borrow::Borrow;
 
 use lardb_planner::{Builtin, CmpOp, PlanError};
 use lardb_storage::ops::{self, ArithOp};
-use lardb_storage::{DataType, StorageError, Value};
+use lardb_storage::{DataType, Value};
 
 use crate::batch::{Bitmap, Col, ColWriter};
 use crate::eval::{cmp_holds, incomparable};
@@ -57,12 +57,6 @@ impl KernelError {
     /// An invariant of typed programs does not hold: a planner bug.
     pub(crate) fn internal(what: impl std::fmt::Display) -> Self {
         KernelError { lane: None, error: internal(what) }
-    }
-}
-
-impl From<KernelError> for ExecError {
-    fn from(e: KernelError) -> Self {
-        e.error
     }
 }
 
@@ -98,18 +92,9 @@ fn for_lanes(
     Ok(())
 }
 
-/// The interpreter's error for a lane whose checked INTEGER op failed
-/// (overflow, division by zero): `raised` is what the interpreter's own
-/// `ops` call gives for the lane's values.
-fn int_error(raised: std::result::Result<Value, StorageError>) -> ExecError {
-    match raised {
-        Err(e) => e.into(),
-        Ok(v) => internal(format!("a checked INTEGER op failed where ops gives {v:?}")),
-    }
-}
-
-/// `x op y` over INTEGER lanes, with the interpreter's error where the
-/// checked op fails.
+/// `x op y` over INTEGER lanes, checked. Where the checked op fails
+/// (overflow, division by zero) `ops::arith` raises the interpreter's
+/// error for the lane's values.
 #[inline]
 fn int_op(op: ArithOp, x: i64, y: i64) -> Result<i64> {
     let out = match op {
@@ -118,7 +103,10 @@ fn int_op(op: ArithOp, x: i64, y: i64) -> Result<i64> {
         ArithOp::Mul => x.checked_mul(y),
         ArithOp::Div => x.checked_div(y),
     };
-    out.ok_or_else(|| int_error(ops::arith(op, &Value::Integer(x), &Value::Integer(y))))
+    out.ok_or_else(|| match ops::arith(op, &Value::Integer(x), &Value::Integer(y)) {
+        Err(e) => e.into(),
+        Ok(v) => internal(format!("checked INTEGER {} failed where ops gives {v:?}", op.symbol())),
+    })
 }
 
 /// A lane read that borrows boxed values and materializes typed ones.
@@ -209,13 +197,7 @@ pub fn arith(op: ArithOp, a: &Col, b: &Col, sel: Option<&[u32]>, n: usize) -> Ke
 /// Arithmetic with at least one boxed side: per-lane by reference, with
 /// the LA broadcast cases dispatched straight to the `lardb-la` slice
 /// kernels (the same ones `ops::arith` would call).
-fn boxed_arith(
-    op: ArithOp,
-    a: &Col,
-    b: &Col,
-    sel: Option<&[u32]>,
-    n: usize,
-) -> KernelResult<Col> {
+fn boxed_arith(op: ArithOp, a: &Col, b: &Col, sel: Option<&[u32]>, n: usize) -> KernelResult<Col> {
     let mut out = vec![Value::Null; n];
     for_lanes(n, sel, |i| {
         let (l, r) = (lane_val(a, i), lane_val(b, i));
@@ -302,21 +284,21 @@ pub fn cmp(op: CmpOp, a: &Col, b: &Col, sel: Option<&[u32]>, n: usize) -> Kernel
     Ok(Col::Bool { data, valid })
 }
 
-/// The lanes of `sel` that `a`, the left operand of `AND` (`dominant`
-/// FALSE) or `OR` (`dominant` TRUE), leaves undecided — those where it
-/// is not `dominant` — which are the rows the interpreter evaluates the
-/// right operand on. `None` when `a` decides no lane: the right operand
-/// then runs under `sel` unchanged.
+/// The lanes of `sel` that `a`, the left operand of `OR` (`or`) or `AND`,
+/// leaves undecided — those where it is not TRUE for `OR`, not FALSE for
+/// `AND` — which are the rows the interpreter evaluates the right operand
+/// on. `None` when `a` decides no lane: the right operand then runs under
+/// `sel` unchanged.
 pub fn undecided(
     a: &Col,
-    dominant: bool,
+    or: bool,
     sel: Option<&[u32]>,
     n: usize,
 ) -> KernelResult<Option<Vec<u32>>> {
     let Col::Bool { data, valid } = a else {
         return Err(KernelError::internal("AND/OR over non-BOOLEAN lanes"));
     };
-    let open = |i: &u32| !(valid.get(*i as usize) && data[*i as usize] == dominant);
+    let open = |i: &u32| !(valid.get(*i as usize) && data[*i as usize] == or);
     let lanes: Vec<u32> = match sel {
         Some(s) => s.iter().copied().filter(open).collect(),
         None => (0..n as u32).filter(open).collect(),
@@ -324,34 +306,19 @@ pub fn undecided(
     Ok((lanes.len() < sel.map_or(n, <[u32]>::len)).then_some(lanes))
 }
 
-/// Lane-wise `AND` (`dominant` FALSE) or `OR` (`dominant` TRUE) under
-/// three-valued logic: the dominant value wins over NULL, NULL over the
-/// other one. `b` is read only where `a` is not `dominant`, the lanes
-/// [`undecided`] left it to run on.
-pub fn connective(
-    dominant: bool,
-    a: &Col,
-    b: &Col,
-    sel: Option<&[u32]>,
-    n: usize,
-) -> KernelResult<Col> {
+/// Lane-wise `OR` (`or`) or `AND` under three-valued logic: the dominant
+/// value (TRUE for `OR`, FALSE for `AND`) wins over NULL, NULL over the
+/// other one. Where `a` is dominant `b` may hold anything: those lanes
+/// are the ones [`undecided`] kept it from.
+pub fn connective(or: bool, a: &Col, b: &Col, sel: Option<&[u32]>, n: usize) -> KernelResult<Col> {
     let (Col::Bool { data: ad, valid: av }, Col::Bool { data: bd, valid: bv }) = (a, b) else {
         return Err(KernelError::internal("AND/OR over non-BOOLEAN lanes"));
     };
     let mut data = vec![false; n];
     let mut valid = Bitmap::new_invalid(n);
     for_lanes(n, sel, |i| {
-        let l = av.get(i).then(|| ad[i]);
-        let out = if l == Some(dominant) {
-            Some(dominant)
-        } else {
-            let r = bv.get(i).then(|| bd[i]);
-            if r == Some(dominant) {
-                Some(dominant)
-            } else {
-                l.and(r).map(|_| !dominant)
-            }
-        };
+        let (l, r) = (av.get(i).then(|| ad[i]), bv.get(i).then(|| bd[i]));
+        let out = if l == Some(or) || r == Some(or) { Some(or) } else { l.and(r).map(|_| !or) };
         if let Some(v) = out {
             data[i] = v;
             valid.set_valid(i);
@@ -404,9 +371,9 @@ pub fn negate(a: &Col, sel: Option<&[u32]>, n: usize) -> KernelResult<Col> {
             let mut valid = Bitmap::new_invalid(n);
             for_lanes(n, sel, |i| {
                 if av.get(i) {
-                    data[i] = ad[i]
-                        .checked_neg()
-                        .ok_or_else(|| int_error(ops::negate(&Value::Integer(ad[i]))))?;
+                    // `-x` is `0 - x` on INTEGER lanes, `-MIN`'s overflow
+                    // and its `integer overflow in -` included.
+                    data[i] = int_op(ArithOp::Sub, 0, ad[i])?;
                     valid.set_valid(i);
                 }
                 Ok(())
@@ -561,7 +528,7 @@ mod tests {
     }
 
     /// The interpreter's error for a lane's values, as `ops` raises it.
-    fn ops_error(r: std::result::Result<Value, StorageError>) -> ExecError {
+    fn ops_error(r: std::result::Result<Value, lardb_storage::StorageError>) -> ExecError {
         r.unwrap_err().into()
     }
 
@@ -574,7 +541,8 @@ mod tests {
         let want = ops_error(ops::arith(ArithOp::Div, &Value::Integer(4), &Value::Integer(0)));
         assert_eq!((err.lane, err.error), (Some(1), want));
         let err = arith(ArithOp::Add, &a, &z, Some(&[0, 2]), 3).unwrap_err();
-        let want = ops_error(ops::arith(ArithOp::Add, &Value::Integer(i64::MAX), &Value::Integer(1)));
+        let (max, one) = (Value::Integer(i64::MAX), Value::Integer(1));
+        let want = ops_error(ops::arith(ArithOp::Add, &max, &one));
         assert_eq!((err.lane, err.error.to_string()), (Some(2), want.to_string()));
         assert!(want.to_string().contains("integer overflow in +"), "{want}");
         // Boxed INTEGER lanes raise the same.

@@ -32,7 +32,6 @@ pub mod kernels;
 pub mod stats;
 
 pub use cluster::{Cluster, DEFAULT_MORSEL_ROWS};
-pub use compile::ExprEngine;
 pub use executor::{ExecutionResult, Executor, MemoryConfig, DEFAULT_BATCH_ROWS};
 pub use lardb_net::{FaultKind, FaultPlan, NetConfig, TransportMode};
 pub use lardb_pool::CancelToken;

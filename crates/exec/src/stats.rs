@@ -111,11 +111,8 @@ pub struct BatchStats {
     pub batches: usize,
     /// Rows that went through the compiled path.
     pub rows: usize,
-    /// Kernel invocations (bytecode instructions × successful batches).
+    /// Kernel invocations (bytecode instructions × batches).
     pub kernels: usize,
-    /// Chunks replayed through the row interpreter because a kernel
-    /// declined (unsupported type mix, overflow, lane error).
-    pub fallbacks: usize,
 }
 
 impl BatchStats {
@@ -124,12 +121,11 @@ impl BatchStats {
         self.batches += other.batches;
         self.rows += other.rows;
         self.kernels += other.kernels;
-        self.fallbacks += other.fallbacks;
     }
 
     /// True when any vectorized activity happened.
     pub fn vectorized(&self) -> bool {
-        self.batches > 0 || self.fallbacks > 0
+        self.batches > 0
     }
 }
 
@@ -241,10 +237,12 @@ impl ExecStats {
         self.ops.iter().map(|o| o.batch.kernels).sum()
     }
 
-    /// Total chunks replayed through the row interpreter after a kernel
-    /// declined.
+    /// Always 0: no chunk is replayed through the row interpreter any
+    /// more. Kept only because the benchmark (`benchmark/src/engine.rs`)
+    /// reads it for its `exec.fallbacks` metric, until that metric is
+    /// dropped there.
     pub fn total_fallbacks(&self) -> usize {
-        self.ops.iter().map(|o| o.batch.fallbacks).sum()
+        0
     }
 
     /// Wall time grouped by operator label — the Figure 4 breakdown.
@@ -320,11 +318,10 @@ impl ExecStats {
             }
             if o.batch.vectorized() {
                 out.push_str(&format!(
-                    "        vec: {} batches, {} rows, {}, {}\n",
+                    "        vec: {} batches, {} rows, {}\n",
                     o.batch.batches,
                     o.batch.rows,
                     plural(o.batch.kernels, "kernel"),
-                    plural(o.batch.fallbacks, "fallback"),
                 ));
             }
         }
@@ -488,25 +485,21 @@ mod tests {
     fn batch_totals_and_display() {
         let mut s = ExecStats::new();
         let mut o = op(1, "Filter [vec]", 2, 0);
-        o.batch = BatchStats { batches: 3, rows: 2048, kernels: 9, fallbacks: 1 };
+        o.batch = BatchStats { batches: 3, rows: 2048, kernels: 9 };
         assert!(o.batch.vectorized());
         s.record(o);
         s.record(op(2, "HashJoin", 1, 0)); // interpreted → no detail line
         assert_eq!(s.total_batches(), 3);
         assert_eq!(s.total_batch_rows(), 2048);
         assert_eq!(s.total_kernels(), 9);
-        assert_eq!(s.total_fallbacks(), 1);
         let table = s.display_table();
-        assert!(
-            table.contains("vec: 3 batches, 2048 rows, 9 kernels, 1 fallback"),
-            "{table}"
-        );
+        assert!(table.contains("vec: 3 batches, 2048 rows, 9 kernels\n"), "{table}");
         assert_eq!(table.matches("vec:").count(), 1, "{table}");
 
         let mut merged = BatchStats::default();
         assert!(!merged.vectorized());
-        merged.merge(BatchStats { batches: 1, rows: 10, kernels: 2, fallbacks: 0 });
-        merged.merge(BatchStats { batches: 2, rows: 20, kernels: 4, fallbacks: 1 });
-        assert_eq!(merged, BatchStats { batches: 3, rows: 30, kernels: 6, fallbacks: 1 });
+        merged.merge(BatchStats { batches: 1, rows: 10, kernels: 2 });
+        merged.merge(BatchStats { batches: 2, rows: 20, kernels: 4 });
+        assert_eq!(merged, BatchStats { batches: 3, rows: 30, kernels: 6 });
     }
 }

@@ -127,7 +127,9 @@ proptest! {
                 vals.push(Value::Integer(1));
             }
             side[i] = Row::new(vals);
-            // A ragged side is refused, and with it every chunk over it.
+            // A ragged side is refused, and with it every chunk over it:
+            // no operator writes one, so a pipeline raises an internal
+            // error.
             let refused = |rows: &[Row], schema| ColumnBatch::pivot(rows, schema).is_none();
             prop_assert!(refused(&left, &ls) || refused(&right, &rs), "a ragged side pivoted");
             return Ok(());
