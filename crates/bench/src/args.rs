@@ -19,8 +19,9 @@ pub struct Args {
     pub seed: u64,
     /// Quick mode: tiny sizes, for smoke-testing the harness.
     pub quick: bool,
-    /// Exchange transport: `pointer` (estimated shuffle bytes) or
-    /// `serialized` (wire-encoded over channels).
+    /// Exchange transport: `pointer` (zero-copy hand-off) or
+    /// `serialized` (wire-encoded over channels); both count the same
+    /// shuffle bytes.
     pub transport: TransportMode,
     /// When set, write a machine-readable `QueryProfile` JSON (lifecycle
     /// stage timings + per-operator estimate-vs-actual records) to this

@@ -578,21 +578,15 @@ mod tests {
 
     #[test]
     fn lardb_cells_run_under_every_transport() {
-        for transport in TransportMode::ALL {
+        let frames = TransportMode::ALL.map(|transport| {
             let opts = EngineOpts { transport, ..EngineOpts::default() };
             let out =
                 run_with_opts(Platform::VectorSimSql, Workload::Gram, 40, 4, 8, 2, 99, opts);
             assert!(out.duration.is_some(), "{transport:?} failed: {:?}", out.note);
-            let stats = out.stats.expect("lardb platforms report stats");
-            if transport.is_serialized() {
-                assert!(
-                    stats.total_frames() > 0,
-                    "{transport:?} should ship encoded frames"
-                );
-            } else {
-                assert_eq!(stats.total_frames(), 0);
-            }
-        }
+            out.stats.expect("lardb platforms report stats").total_frames()
+        });
+        assert!(frames[0] > 0, "no encoded frames counted");
+        assert!(frames.iter().all(|&f| f == frames[0]), "transports disagree: {frames:?}");
     }
 
     #[test]

@@ -55,8 +55,8 @@ pub struct DatabaseConfig {
     /// Optimizer switches (size inference, early projection, DP budget).
     pub optimizer: OptimizerConfig,
     /// How exchange operators move batches between workers: `Pointer`
-    /// (in-memory hand-off, estimated bytes) or `Serialized` (wire-encoded
-    /// over bounded channels, actual bytes).
+    /// (in-memory hand-off) or `Serialized` (wire-encoded over bounded
+    /// channels). Both count the same shuffle bytes and frames.
     pub transport: TransportMode,
     /// Slow-query log threshold in milliseconds. Statements that take at
     /// least this long are reported on stderr and counted under the
@@ -381,7 +381,8 @@ impl Database {
 
     /// Sets the exchange transport mode (builder style). `Serialized`
     /// encodes every boundary-crossing batch through the `lardb-net` wire
-    /// codec and meters actual encoded bytes.
+    /// codec and ships it; shuffle bytes and frames read alike under
+    /// either mode.
     pub fn with_transport(mut self, transport: TransportMode) -> Self {
         self.config.transport = transport;
         self
@@ -860,7 +861,7 @@ impl Database {
                             d.densified,
                         ));
                     }
-                    text.push_str(&render_estimate_table(&st.profile.operators, &result.stats));
+                    text.push_str(&render_estimate_table(&st.profile.operators));
                 }
                 Ok(Response::Explained(text))
             }
@@ -1275,23 +1276,16 @@ fn explain_text(optimized: &LogicalPlan, physical: &PhysicalPlan) -> String {
 
 /// Renders the EXPLAIN ANALYZE estimate-vs-actual section: est/actual
 /// rows and megabytes plus the per-operator q-error of each. An `act_MB`
-/// that was modeled, not measured, is marked `~`, as in
-/// [`ExecStats::display_table`]: a pointer-mode exchange's, and every
-/// other operator's (measured rows × modeled width).
-fn render_estimate_table(operators: &[OperatorProfile], stats: &ExecStats) -> String {
-    let measured: HashSet<usize> = stats
-        .operators()
-        .iter()
-        .filter(|op| op.label.starts_with("Exchange") && !op.shuffle.estimated)
-        .map(|op| op.id)
-        .collect();
+/// that was modeled, not counted, is marked `~`: every operator's but an
+/// exchange's (measured rows × modeled width).
+fn render_estimate_table(operators: &[OperatorProfile]) -> String {
     let label_w = operators.iter().map(|o| o.label.len()).max().unwrap_or(0).max(24);
     let mut out = format!(
         "== Estimate vs Actual ==\n{:<5} {:<label_w$} {:>12} {:>12} {:>8} {:>10} {:>10} {:>8}\n",
         "id", "operator", "est_rows", "act_rows", "q_rows", "est_MB", "act_MB", "q_MB",
     );
     for o in operators {
-        let mark = if measured.contains(&o.id) { "" } else { "~" };
+        let mark = if o.label.starts_with("Exchange") { "" } else { "~" };
         out.push_str(&format!(
             "{:<5} {:<label_w$} {:>12.0} {:>12.0} {:>8.2} {:>10.3} {:>10} {:>8.2}\n",
             o.id,

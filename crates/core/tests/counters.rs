@@ -9,10 +9,9 @@
 //! (`cargo test -p lardb --test counters -- --ignored`) and explains.
 //!
 //! Only counters one run fixes are here: kernel dispatch by kind, rows
-//! shuffled, column batches and spill bytes, plus
-//! the encoded shuffle bytes and frames of the serialized transport. No
-//! timings, no means over passes and nothing the pointer transport
-//! estimates. The spilling cell runs one worker, where the partition that
+//! shuffled, encoded shuffle bytes and frames (which both transports
+//! count alike), column batches and spill bytes. No timings and no means
+//! over passes. The spilling cell runs one worker, where the partition that
 //! overflows the budget is the whole table rather than whichever
 //! partition reserves first. A counter that reads 0 has no line, and a
 //! statement that must fail has no stats to count.
@@ -39,34 +38,30 @@ fn cells() -> Vec<(&'static str, Cell)> {
 }
 
 /// The exact counters of one statement's run, by name.
-fn counters(stats: &ExecStats, serialized: bool) -> Vec<(&'static str, usize)> {
+fn counters(stats: &ExecStats) -> Vec<(&'static str, usize)> {
     let d = &stats.dispatch;
-    let mut counted = vec![
+    vec![
         ("dispatch.dense", d.dense as usize),
         ("dispatch.spmv", d.spmv as usize),
         ("dispatch.sp_dense", d.sp_dense as usize),
         ("dispatch.spgemm", d.spgemm as usize),
         ("dispatch.densified", d.densified as usize),
         ("rows_shuffled", stats.total_rows_shuffled()),
+        ("bytes_shuffled", stats.total_bytes_shuffled()),
+        ("frames", stats.total_frames()),
         ("batches", stats.total_batches()),
         ("spill_bytes", stats.total_spill_bytes()),
-    ];
-    if serialized {
-        counted.push(("bytes_shuffled", stats.total_bytes_shuffled()));
-        counted.push(("frames", stats.total_frames()));
-    }
-    counted
+    ]
 }
 
 /// The golden lines of `statements` over `fixture` under one cell.
 fn lines(fixture: Fixture, statements: &[Statement], name: &str, cell: &Cell) -> Vec<String> {
     let db = fixture.open(cell);
-    let serialized = cell.config.transport.is_serialized();
     let mut out = Vec::new();
     for s in statements.iter().filter(|s| s.fails_with.is_none()) {
         let r = db.query(s.sql).unwrap_or_else(|e| panic!("{name}: {}: {e}", s.sql));
         let sql = s.sql.split_whitespace().collect::<Vec<_>>().join(" ");
-        for (counter, n) in counters(&r.stats, serialized) {
+        for (counter, n) in counters(&r.stats) {
             if n != 0 {
                 out.push(format!("{sql} | {name} | {counter} {n}"));
             }

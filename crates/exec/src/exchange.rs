@@ -2,22 +2,22 @@
 //!
 //! [`Executor::exchange`] routes every exchange kind once into
 //! `routed[from][to]` buckets and assembles them once; the transport mode
-//! only picks the carrier of a boundary-crossing bucket. Under a
-//! serialized transport that carrier is [`Executor::ship`]: each
-//! (sender, receiver) channel is one checked row stream
-//! (`lardb_net::stream`) over the worker mesh. What is the exchange's own:
-//! an optional trace frame leads the channel, the schema frame must equal
-//! the plan's and precede any rows, a channel is failed — never closed —
-//! when its sender dies, and every incomplete stream is an [`ExecError`]
-//! counted in `exchange.truncations_detected`.
+//! only picks the carrier of a boundary-crossing bucket, not what it
+//! counts. Under a serialized transport that carrier is
+//! [`Executor::ship`]: each (sender, receiver) channel is one checked row
+//! stream (`lardb_net::stream`) over the worker mesh. What is the
+//! exchange's own: an optional trace frame leads the channel, the schema
+//! frame must equal the plan's and precede any rows, a channel is failed
+//! — never closed — when its sender dies, and every incomplete stream is
+//! an [`ExecError`] counted in `exchange.truncations_detected`.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use lardb_net::codec::{decode_frame, encode_schema_frame, encode_trace_frame, Frame};
-use lardb_net::stream::{Check, Seal};
-use lardb_net::{ChannelTransport, FaultyTransport, Mesh, NetError, Transport};
+use lardb_net::stream::{frame_sizes, Check, Seal};
+use lardb_net::{ChannelTransport, FaultyTransport, Mesh, NetError, Transport, TransportMode};
 use lardb_planner::physical::ExchangeKind;
 use lardb_planner::Expr;
 use lardb_storage::ops::CompositeKey;
@@ -37,11 +37,11 @@ impl Executor<'_> {
     /// Every kind is routed once into `routed[from][to]` buckets, each in
     /// source-row order, and `out[to]` is their concatenation over `from`
     /// ascending. The transport mode only picks how a boundary-crossing
-    /// bucket travels: `pointer` hands it over as it is and estimates
-    /// shuffle bytes from payload sizes; a serialized transport encodes
-    /// it, ships it through the worker mesh and decodes it on the
-    /// receiving side ([`Self::ship`]), metering actual wire bytes per
-    /// channel. Output rows and their order are identical either way.
+    /// bucket travels: `pointer` hands it over as it is and sizes the
+    /// frames it would ship ([`size_channels`]); a serialized transport
+    /// encodes it, ships it through the worker mesh and decodes it on the
+    /// receiving side ([`Self::ship`]). Output rows, their order and every
+    /// channel's rows, bytes and frames are identical either way.
     pub(crate) fn exchange(
         &self,
         input: Parts,
@@ -93,25 +93,15 @@ impl Executor<'_> {
         };
 
         // A 1-worker cluster has no partition boundary to cross and
-        // GatherReplica moves nothing — nothing to serialize.
-        let shuffle = if self.mode.is_serialized()
-            && w > 1
-            && !matches!(kind, ExchangeKind::GatherReplica)
-        {
+        // GatherReplica moves nothing.
+        let shuffle = if w == 1 || matches!(kind, ExchangeKind::GatherReplica) {
+            ShuffleStats::default()
+        } else if self.mode == TransportMode::Pointer {
+            size_channels(&routed, schema, self.net.max_frame_bytes)
+        } else {
             let (shipped, shuffle) = self.ship(routed, schema)?;
             routed = shipped;
             shuffle
-        } else {
-            let (mut rows, mut bytes) = (0, 0);
-            for (from, buckets) in routed.iter().enumerate() {
-                for (to, bucket) in buckets.iter().enumerate() {
-                    if to != from {
-                        rows += bucket.len();
-                        bytes += bucket.iter().map(Row::byte_size).sum::<usize>();
-                    }
-                }
-            }
-            ShuffleStats::estimated(rows, bytes)
         };
 
         let mut out: Parts = vec![Vec::new(); w];
@@ -226,6 +216,31 @@ fn join_exchange_thread<T>(h: std::thread::ScopedJoinHandle<'_, Result<T>>) -> R
     })
 }
 
+/// The pointer carrier's meter: each channel that carries rows, sized as
+/// [`send_partition`] ships it (the trace frame when traced, the schema
+/// frame, the cutter's rows frames, the fin) with no row encoded. With no
+/// carrier, no cap refuses a row: one too large to ship is one frame.
+fn size_channels(routed: &[Parts], schema: &Schema, max_frame_bytes: usize) -> ShuffleStats {
+    let mut fixed = vec![encode_schema_frame(schema), Seal::default().fin()];
+    fixed.extend(context().trace().map(|t| encode_trace_frame(t.id().0)));
+    let mut channels = Vec::new();
+    for (from, buckets) in routed.iter().enumerate() {
+        for (to, bucket) in buckets.iter().enumerate() {
+            if to == from || bucket.is_empty() {
+                continue;
+            }
+            let mut ch = ChannelStats { from, to, rows: bucket.len(), ..ChannelStats::default() };
+            let cuts = frame_sizes(bucket, max_frame_bytes).map(|(_, bytes)| bytes);
+            for bytes in fixed.iter().map(Vec::len).chain(cuts) {
+                ch.bytes += bytes;
+                ch.frames += 1;
+            }
+            channels.push(ch);
+        }
+    }
+    ShuffleStats::from_channels(channels)
+}
+
 /// Sender side of one serialized exchange partition: keeps its local
 /// bucket and ships every other one as a checked row stream — an optional
 /// trace frame (when the query is traced, so the receiver can attribute
@@ -255,14 +270,7 @@ fn send_partition(
             }
             let bucket = std::mem::take(slot);
             let mut seal = Seal::default();
-            let mut ch = ChannelStats {
-                from: p,
-                to,
-                rows: 0,
-                bytes: 0,
-                frames: 0,
-                enqueue_block: Duration::ZERO,
-            };
+            let mut ch = ChannelStats { from: p, to, ..ChannelStats::default() };
             let mut send = |frame: Vec<u8>| -> Result<()> {
                 ch.bytes += frame.len();
                 ch.frames += 1;

@@ -214,9 +214,9 @@ impl<'a> Executor<'a> {
     }
 
     /// Selects how exchanges move rows between workers: `pointer` keeps
-    /// the zero-copy in-memory shuffle with byte *estimates*; `serialized`
-    /// pushes every boundary-crossing batch through the wire codec and
-    /// meters actual encoded bytes.
+    /// the zero-copy in-memory shuffle; `serialized` pushes every
+    /// boundary-crossing batch through the wire codec. Both meter the
+    /// same encoded bytes and frames per channel.
     pub fn with_transport(mut self, mode: TransportMode) -> Self {
         self.mode = mode;
         self
@@ -3098,8 +3098,8 @@ mod tests {
     #[test]
     fn serialized_transports_match_pointer_exchange() {
         // A self equi-join forces a hash exchange; the serialized transport
-        // must produce byte-identical rows in identical order, while
-        // metering actual encoded frames.
+        // must produce byte-identical rows in identical order, and both
+        // transports count the same rows, bytes and frames per channel.
         let c = setup();
         let stats_src: std::collections::HashMap<String, usize> = Default::default();
         let join = LogicalPlan::Join {
@@ -3111,8 +3111,11 @@ mod tests {
         };
         let mut pp = PhysicalPlanner::new(&c, &stats_src);
         let plan = pp.plan_gathered(&join).unwrap();
+        let channels = |stats: &ExecStats| -> Vec<_> {
+            let all = stats.operators().iter().flat_map(|o| &o.shuffle.channels);
+            all.map(|ch| (ch.from, ch.to, ch.rows, ch.bytes, ch.frames)).collect()
+        };
         let base = Executor::new(&c, Cluster::new(4)).execute(&plan).unwrap();
-        assert_eq!(base.stats.total_frames(), 0, "pointer mode ships no frames");
         let mode = TransportMode::Serialized;
         let out = Executor::new(&c, Cluster::new(4))
             .with_transport(mode)
@@ -3121,14 +3124,8 @@ mod tests {
         assert_eq!(out.partitions, base.partitions, "{mode} diverged");
         assert!(out.stats.total_frames() > 0, "{mode} shipped no frames");
         assert!(out.stats.total_bytes_shuffled() > 0);
-        // Per-channel detail is attached to the exchange operators.
-        let with_channels = out
-            .stats
-            .operators()
-            .iter()
-            .filter(|o| !o.shuffle.channels.is_empty())
-            .count();
-        assert!(with_channels > 0, "{mode} recorded no channel stats");
+        assert!(!channels(&out.stats).is_empty(), "{mode} recorded no channel stats");
+        assert_eq!(channels(&base.stats), channels(&out.stats), "pointer counts what {mode} ships");
     }
 
     #[test]

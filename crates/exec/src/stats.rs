@@ -4,15 +4,16 @@
 //! computation into per-operation running times (join vs aggregation).
 //! The executor records, for every physical operator instance: wall time,
 //! output rows, and — for exchanges — rows and bytes that crossed worker
-//! boundaries. Under the serialized transport exchanges additionally
-//! report per-channel detail: encoded frames, actual wire bytes, and time
-//! spent blocked enqueueing into a full channel (backpressure).
+//! boundaries, per channel: rows, encoded bytes and frames (shipped under
+//! the serialized transport, sized alike under pointer), and time spent
+//! blocked enqueueing into a full channel (backpressure; 0 under
+//! pointer).
 
 use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// Traffic over one directed worker-to-worker channel of an exchange.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChannelStats {
     /// Sending worker.
     pub from: usize,
@@ -29,36 +30,25 @@ pub struct ChannelStats {
     pub enqueue_block: Duration,
 }
 
-/// What one exchange moved, in aggregate and per channel.
-///
-/// In `pointer` mode `bytes` is an *estimate* from in-memory payload
-/// sizes and `channels` is empty; under a serialized transport `bytes`
-/// counts actual encoded frames and `channels` has one entry per
-/// directed channel that carried data.
+/// What one exchange moved, in aggregate and per channel: one entry per
+/// directed channel that carried rows, with the bytes and frames the
+/// serialized transport ships. Both transports count them alike; only
+/// `enqueue_block` is the serialized carrier's alone.
 #[derive(Debug, Clone, Default)]
 pub struct ShuffleStats {
     /// Rows that crossed a partition boundary.
     pub rows: usize,
     /// Bytes that crossed a partition boundary.
     pub bytes: usize,
-    /// Encoded frames shipped (0 in pointer mode).
+    /// Encoded frames shipped.
     pub frames: usize,
     /// Total sender time blocked on full channels, summed over channels.
     pub enqueue_block: Duration,
-    /// Per-channel detail (empty in pointer mode).
+    /// Per-channel detail.
     pub channels: Vec<ChannelStats>,
-    /// True when `bytes` is a pointer-mode estimate rather than a count of
-    /// actual encoded wire bytes. Display marks such values with `~` so
-    /// estimated and measured bytes are never conflated.
-    pub estimated: bool,
 }
 
 impl ShuffleStats {
-    /// Pointer-mode record: estimated bytes, no channel detail.
-    pub fn estimated(rows: usize, bytes: usize) -> Self {
-        ShuffleStats { rows, bytes, estimated: true, ..ShuffleStats::default() }
-    }
-
     /// Aggregates per-channel records into totals.
     pub fn from_channels(channels: Vec<ChannelStats>) -> Self {
         let mut s = ShuffleStats { channels, ..ShuffleStats::default() };
@@ -199,8 +189,7 @@ impl ExecStats {
         self.ops.iter().map(|o| o.shuffle.rows).sum()
     }
 
-    /// Total encoded frames shipped across all exchanges (0 unless a
-    /// serialized transport ran).
+    /// Total encoded frames shipped across all exchanges.
     pub fn total_frames(&self) -> usize {
         self.ops.iter().map(|o| o.shuffle.frames).sum()
     }
@@ -261,10 +250,8 @@ impl ExecStats {
         self.dispatch = self.dispatch.plus(&other.dispatch);
     }
 
-    /// Renders a human-readable table. Exchanges that ran over a
-    /// serialized transport get one indented sub-line per channel;
-    /// pointer-mode byte estimates are marked `~` to keep them distinct
-    /// from measured wire bytes.
+    /// Renders a human-readable table. Exchanges get one indented
+    /// sub-line per channel that carried rows.
     pub fn display_table(&self) -> String {
         // The operator column grows to fit the longest label so long
         // labels never push the numeric columns out of alignment.
@@ -280,19 +267,14 @@ impl ExecStats {
             "id", "operator", "time_ms", "rows", "shuffled_rows", "shuffled_MB", "frames", "blocked_ms",
         );
         for o in &self.ops {
-            let mb = format!(
-                "{}{:.3}",
-                if o.shuffle.estimated { "~" } else { "" },
-                o.shuffle.bytes as f64 / 1e6,
-            );
             out.push_str(&format!(
-                "{:<5} {:<label_w$} {:>9.3} {:>9} {:>15} {:>13} {:>8} {:>12.3}\n",
+                "{:<5} {:<label_w$} {:>9.3} {:>9} {:>15} {:>13.3} {:>8} {:>12.3}\n",
                 o.id,
                 o.label,
                 o.wall.as_secs_f64() * 1e3,
                 o.rows_out,
                 o.shuffle.rows,
-                mb,
+                o.shuffle.bytes as f64 / 1e6,
                 o.shuffle.frames,
                 o.shuffle.enqueue_block.as_secs_f64() * 1e3,
             ));
@@ -348,7 +330,7 @@ mod tests {
             label: label.into(),
             wall: Duration::from_millis(ms),
             rows_out: id * 10,
-            shuffle: ShuffleStats::estimated(id, bytes),
+            shuffle: ShuffleStats { rows: id, bytes, ..ShuffleStats::default() },
             spill: SpillStats::default(),
             batch: BatchStats::default(),
         }
@@ -424,9 +406,9 @@ mod tests {
     }
 
     #[test]
-    fn display_marks_estimated_bytes_and_fits_long_labels() {
+    fn display_prints_bytes_unmarked_and_fits_long_labels() {
         let mut s = ExecStats::new();
-        s.record(op(1, "Exchange(Hash)", 1, 2_000_000)); // estimated() helper
+        s.record(op(1, "Exchange(Hash)", 1, 2_000_000));
         let long = "HashJoin(some.very.long.column = other.even.longer.column)";
         s.record(OperatorStats {
             id: 2,
@@ -445,9 +427,9 @@ mod tests {
             batch: BatchStats::default(),
         });
         let table = s.display_table();
-        // Pointer-mode estimate is marked; measured bytes are not.
-        assert!(table.contains("~2.000"), "{table}");
-        assert!(table.contains(" 3.000") && !table.contains("~3.000"), "{table}");
+        // Shuffle bytes have one meaning under either transport: no mark.
+        assert!(table.contains(" 2.000") && table.contains(" 3.000"), "{table}");
+        assert!(!table.contains('~'), "{table}");
         // Long labels widen the column instead of breaking alignment: every
         // full-width row is the same length.
         let rows: Vec<&str> = table

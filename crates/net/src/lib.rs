@@ -26,9 +26,10 @@
 //!   another implementation of the same traits.
 //!
 //! The executor in `lardb-exec` picks a [`TransportMode`] per query:
-//! `pointer` keeps the historical zero-copy exchange (bytes *estimated*),
-//! while `serialized` encodes every boundary-crossing batch through the
-//! codec and meters **actual encoded bytes**. The only sockets are the
+//! `pointer` keeps the zero-copy exchange and sizes what it would ship
+//! with the frame cutter ([`stream::frame_sizes`]); `serialized` encodes
+//! every boundary-crossing batch through the codec and ships it. Both
+//! count the same shuffle bytes and frames. The only sockets are the
 //! query server's, which carry the same codec and checked stream.
 
 pub mod codec;
@@ -46,8 +47,9 @@ pub use transport::{ChannelTransport, Mesh, Transport};
 /// How exchange operators move rows between workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportMode {
-    /// Zero-copy: rows move as `Arc` pointers between threads and shuffle
-    /// bytes are *estimated* from payload sizes (the original simulation).
+    /// Zero-copy: rows move as `Arc` pointers between threads; shuffle
+    /// bytes and frames are what `Serialized` ships, sized by the frame
+    /// cutter without encoding (and with no cap to refuse a row).
     #[default]
     Pointer,
     /// Every batch crossing a partition boundary is encoded through the
@@ -64,7 +66,7 @@ impl TransportMode {
     pub fn parse(s: &str) -> Option<TransportMode> {
         match s.to_ascii_lowercase().as_str() {
             "pointer" => Some(TransportMode::Pointer),
-            "serialized" | "channel" => Some(TransportMode::Serialized),
+            "serialized" => Some(TransportMode::Serialized),
             _ => None,
         }
     }
@@ -75,12 +77,6 @@ impl TransportMode {
             TransportMode::Pointer => "pointer",
             TransportMode::Serialized => "serialized",
         }
-    }
-
-    /// True when exchanges move real encoded bytes (and therefore meter
-    /// exact sizes rather than estimates).
-    pub fn is_serialized(&self) -> bool {
-        !matches!(self, TransportMode::Pointer)
     }
 }
 
@@ -164,8 +160,7 @@ mod tests {
         }
         assert_eq!(TransportMode::parse("SERIALIZED"), Some(TransportMode::Serialized));
         assert_eq!(TransportMode::parse("bogus"), None);
-        assert!(!TransportMode::Pointer.is_serialized());
-        assert!(TransportMode::Serialized.is_serialized());
+        assert_eq!(TransportMode::parse("channel"), None);
         assert_eq!(TransportMode::parse("tcp"), None);
     }
 }

@@ -9,9 +9,11 @@
 //!   read timeout before a frame's first byte is an outcome
 //!   ([`FrameRead::Idle`]); one inside a frame means a slow peer, and the
 //!   reader keeps waiting for the rest.
-//! * **Cutter.** [`Seal::rows`] cuts rows into encoded rows frames of at
-//!   most [`ROWS_PER_FRAME`] rows and at most [`FRAME_TARGET_BYTES`]; a
-//!   row larger than the target ships alone, up to the carrier's cap.
+//! * **Cutter.** [`frame_sizes`] decides where rows frames end: at most
+//!   [`ROWS_PER_FRAME`] rows and at most [`FRAME_TARGET_BYTES`]; a row
+//!   larger than the target ships alone. [`Seal::rows`] encodes along
+//!   those cuts up to the carrier's cap; the pointer exchange only sums
+//!   them.
 //! * **Proof.** The sender folds every frame it ships into a [`Seal`] and
 //!   ends the stream with the seal's fin frame: frame count, row count and
 //!   the checksum ([`checksum_update`]) over every preceding frame's
@@ -39,6 +41,27 @@ pub const ROWS_PER_FRAME: usize = 256;
 /// than [`ROWS_PER_FRAME`] rows. Large tiles then travel as several
 /// mid-sized frames, not a few multi-megabyte ones in flight at once.
 pub const FRAME_TARGET_BYTES: usize = 1 << 20;
+
+/// Where the cutter cuts `rows`: each rows frame's `(rows, bytes)`, in
+/// order, sized by the codec ([`encoded_row_size`]) and not encoded. A
+/// frame ends at [`ROWS_PER_FRAME`] rows or before a row that would take
+/// it past [`FRAME_TARGET_BYTES`] or `max`; a first row larger than
+/// either ships alone, so a frame over `max` holds one row the carrier
+/// must refuse. Each row is sized once. A row in memory is no smaller
+/// than its encoding, so the sums cannot wrap.
+pub fn frame_sizes(rows: &[Row], max: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let limit = max.min(FRAME_TARGET_BYTES);
+    let mut sizes = rows.iter().map(encoded_row_size).peekable();
+    std::iter::from_fn(move || {
+        let (mut n, mut bytes) = (0, ROWS_FRAME_HEADER_BYTES);
+        while n < ROWS_PER_FRAME {
+            let Some(row) = sizes.next_if(|row| n == 0 || bytes + row <= limit) else { break };
+            n += 1;
+            bytes += row;
+        }
+        (n > 0).then_some((n, bytes))
+    })
+}
 
 // ------------------------------------------------------------------ frame
 
@@ -187,14 +210,10 @@ impl Seal {
         frame
     }
 
-    /// The frame cutter: `rows` as encoded, folded rows frames, in order.
-    /// A frame ends at [`ROWS_PER_FRAME`] rows or before a row that would
-    /// take it past [`FRAME_TARGET_BYTES`]; a first row larger than the
-    /// target ships alone if it fits `max` bytes. A row that alone does
-    /// not fit `max` ends the iteration with
-    /// [`NetError::FrameTooLarge`], raised before anything that large is
-    /// encoded. Sizes are the codec's own ([`encoded_row_size`]): a row
-    /// in memory is no smaller than its encoding, so the sums cannot wrap.
+    /// The frame cutter: `rows` as encoded, folded rows frames, cut where
+    /// [`frame_sizes`] cuts them. A row that alone does not fit `max`
+    /// bytes ends the iteration with [`NetError::FrameTooLarge`], raised
+    /// before anything that large is encoded.
     pub fn rows<'a>(
         &'a mut self,
         rows: &'a [Row],
@@ -202,25 +221,16 @@ impl Seal {
     ) -> impl Iterator<Item = Result<Vec<u8>, NetError>> + 'a {
         // Whatever the carrier allows, a frame must fit its u32 prefix.
         let max = max.min(u32::MAX as usize);
+        let mut cuts = frame_sizes(rows, max);
         let mut rest = rows;
         std::iter::from_fn(move || {
             if rest.is_empty() {
-                return None;
+                return None; // every row shipped, or one refused
             }
-            let mut bytes = ROWS_FRAME_HEADER_BYTES;
-            let mut n = 0;
-            while n < rest.len().min(ROWS_PER_FRAME) {
-                let with = bytes + encoded_row_size(&rest[n]);
-                if with > max || (n > 0 && with > FRAME_TARGET_BYTES) {
-                    break;
-                }
-                bytes = with;
-                n += 1;
-            }
-            if n == 0 {
-                let len = (ROWS_FRAME_HEADER_BYTES + encoded_row_size(&rest[0])) as u64;
+            let (n, bytes) = cuts.next()?;
+            if bytes > max {
                 rest = &[];
-                return Some(Err(NetError::FrameTooLarge { len, max: max as u64 }));
+                return Some(Err(NetError::FrameTooLarge { len: bytes as u64, max: max as u64 }));
             }
             let (chunk, tail) = rest.split_at(n);
             rest = tail;

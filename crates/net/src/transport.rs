@@ -132,9 +132,6 @@ impl Mesh for ChannelMesh {
                 max: self.max_frame_bytes as u64,
             });
         }
-        let registry = lardb_obs::global();
-        registry.counter("net.channel.frames_sent").inc();
-        registry.counter("net.channel.bytes_sent").add(frame.len() as u64);
         self.txs[to]
             .send((from, SenderEvent::Frame(frame)))
             .map_err(|_| NetError::Transport(format!("channel to worker {to} disconnected")))

@@ -48,7 +48,8 @@ pub struct OperatorProfile {
     pub actual_rows: f64,
     /// Optimizer-estimated output bytes.
     pub est_bytes: f64,
-    /// Measured (or estimated, in pointer-transport mode) output bytes.
+    /// Output bytes: an exchange's shuffle bytes as the exchange counted
+    /// them, any other operator's measured rows × modeled row width.
     pub actual_bytes: f64,
     /// Measured operator wall time in milliseconds.
     pub wall_ms: f64,

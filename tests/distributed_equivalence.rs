@@ -208,48 +208,78 @@ fn capped_db(transport: TransportMode) -> Database {
 }
 
 /// The self-join of `table` on `id`: both sides ship their vectors through
-/// a hash exchange. Run untraced, so a channel carries no trace frame.
-fn vector_join(db: &Database, table: &str) -> lardb::Result<QueryResult> {
+/// a hash exchange. A traced run leads every channel with a trace frame.
+fn vector_join(db: &Database, table: &str, traced: bool) -> lardb::Result<QueryResult> {
     let sql = format!(
         "SELECT a.id, inner_product(a.value, b.value) AS d \
          FROM {table} AS a, {table} AS b WHERE a.id = b.id"
     );
-    db.run(Source::Sql(&sql), None, None)?.into_rows()
+    let trace = traced.then(|| lardb_obs::recorder().start_forced(&sql, "test"));
+    db.run(Source::Sql(&sql), None, trace.as_ref())?.into_rows()
+}
+
+/// One exchange channel's `(from, to, rows, bytes, frames)`.
+type Channel = (usize, usize, usize, usize, usize);
+
+/// Every hash exchange channel.
+fn hash_channels(r: &QueryResult) -> Vec<Channel> {
+    let hashed = r.stats.operators().iter().filter(|o| o.label == "Exchange(Hash)");
+    let channels = hashed.flat_map(|o| &o.shuffle.channels);
+    channels.map(|ch| (ch.from, ch.to, ch.rows, ch.bytes, ch.frames)).collect()
 }
 
 /// Frames are cut by bytes as well as by rows: a bucket whose 256-row
 /// frames would pass the cap ships as more, smaller frames and the answer
-/// is the pointer transport's, bit for bit.
+/// is the pointer transport's, bit for bit. The pointer transport counts
+/// the frames the serialized one ships, the trace frame included.
 #[test]
 fn frames_over_the_cap_are_cut_not_refused() {
-    let want = vector_join(&capped_db(TransportMode::Pointer), "vecs").unwrap();
+    let want = vector_join(&capped_db(TransportMode::Pointer), "vecs", false).unwrap();
     assert_eq!(want.rows.len(), 1000);
     let per_frame = (FRAME_CAP - 7) / 538;
-    let transport = TransportMode::Serialized;
-    let got = vector_join(&capped_db(transport), "vecs").unwrap();
-    assert_eq!(exact_rows(&got), exact_rows(&want), "{transport}");
-    let hashed: Vec<_> = got
-        .stats
-        .operators()
-        .iter()
-        .filter(|o| o.label == "Exchange(Hash)")
-        .flat_map(|o| &o.shuffle.channels)
-        .collect();
-    assert!(hashed.iter().any(|ch| ch.rows > per_frame), "{transport}: no bucket over one frame");
-    for ch in hashed {
-        // Schema, the rows the cutter fits under the cap, fin.
-        assert_eq!(ch.frames, 2 + ch.rows.div_ceil(per_frame), "{transport} {}→{}", ch.from, ch.to);
+    for traced in [false, true] {
+        let [pointer, serialized] = TransportMode::ALL.map(|transport| {
+            let got = vector_join(&capped_db(transport), "vecs", traced).unwrap();
+            assert_eq!(exact_rows(&got), exact_rows(&want), "{transport}");
+            let hashed = hash_channels(&got);
+            let what = format!("{transport}, traced {traced}");
+            assert!(hashed.iter().any(|ch| ch.2 > per_frame), "{what}: no bucket over one frame");
+            for &(from, to, rows, _, frames) in &hashed {
+                // The trace frame when traced, schema, the rows the cutter
+                // fits under the cap, fin.
+                let want = usize::from(traced) + 2 + rows.div_ceil(per_frame);
+                assert_eq!(frames, want, "{what} {from}→{to}");
+            }
+            hashed
+        });
+        assert_eq!(pointer, serialized, "traced {traced}");
     }
 }
 
 /// A single row that fits no frame is still a typed error naming its
-/// length and the cap — never a short answer.
+/// length and the cap — never a short answer. The pointer transport has
+/// no cap to refuse it: it counts the row as one frame of that length.
 #[test]
 fn a_row_over_the_cap_is_a_typed_error() {
     let frame = 7 + 4 + 9 + 13 + 8 * 5000;
-    assert_eq!(vector_join(&capped_db(TransportMode::Pointer), "wide").unwrap().rows.len(), 8);
+    let pointer = vector_join(&capped_db(TransportMode::Pointer), "wide", false).unwrap();
+    assert_eq!(pointer.rows.len(), 8);
+    let channels = hash_channels(&pointer);
+    let (wide, narrow): (Vec<Channel>, _) = channels.iter().partition(|ch| ch.3 > frame);
+    assert!(!wide.is_empty() && !narrow.is_empty(), "{channels:?}");
+    // A narrow channel: schema and fin, then its 538-byte rows in one frame.
+    let fixed = narrow[0].3 - 7 - 538 * narrow[0].2;
+    for (from, to, rows, bytes, frames) in narrow {
+        assert_eq!((bytes, frames), (fixed + 7 + 538 * rows, 3), "{from}→{to}");
+    }
+    // A wide channel: the wide row alone in a frame of its length, the
+    // narrow row it carries in one more.
+    for (from, to, rows, bytes, frames) in wide {
+        assert_eq!(rows, 2, "{from}→{to}");
+        assert_eq!((bytes, frames), (fixed + frame + 7 + 538, 4), "{from}→{to}");
+    }
     let transport = TransportMode::Serialized;
-    let err = vector_join(&capped_db(transport), "wide").unwrap_err().to_string();
+    let err = vector_join(&capped_db(transport), "wide", false).unwrap_err().to_string();
     let want = format!("frame length {frame} exceeds maximum {FRAME_CAP} bytes");
     assert!(err.contains(&want), "{transport}: {err}");
 }

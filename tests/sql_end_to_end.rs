@@ -351,8 +351,7 @@ fn explain_analyze_reports_actual_encoded_bytes() {
     };
     assert!(text.contains("== Physical Plan =="), "{text}");
     assert!(text.contains("== Execution Statistics =="), "{text}");
-    // Per-channel detail lines prove the bytes are actual wire frames,
-    // not pointer-mode estimates.
+    // Each channel that carried rows gets a detail line with its frames.
     assert!(text.contains(" frames"), "{text}");
     assert!(text.contains("ch 0->"), "{text}");
 
@@ -481,26 +480,22 @@ fn explain_analyze_gram_prints_estimate_vs_actual() {
 }
 
 #[test]
-fn explain_analyze_marks_pointer_bytes_as_estimates() {
-    // Default transport is pointer mode: shuffled bytes are modeled, not
-    // measured, and the stats table marks them with `~`.
-    let text = explain_analyze_gram(&db());
-    let stats_block = text.split("== Execution Statistics ==").nth(1).unwrap();
-    assert!(
-        stats_block.lines().any(|l| l.contains("Exchange") && l.contains('~')),
-        "pointer-mode exchange rows should carry a ~ estimate marker:\n{text}"
-    );
-    // The serialized run above asserts measured bytes have no marker.
-    let measured = explain_analyze_gram(&db().with_transport(lardb::TransportMode::Serialized));
-    let stats_block = measured.split("== Execution Statistics ==").nth(1).unwrap();
-    assert!(
-        !stats_block.lines().any(|l| l.contains("Exchange") && l.contains('~')),
-        "serialized exchange bytes are measured, not estimated:\n{measured}"
-    );
+fn explain_analyze_marks_only_modeled_bytes() {
+    // Both transports count shuffle bytes alike: no exchange row carries
+    // a `~` in either table under either mode.
+    let pointer = explain_analyze_gram(&db());
+    let serialized = explain_analyze_gram(&db().with_transport(lardb::TransportMode::Serialized));
+    for text in [&pointer, &serialized] {
+        let stats_block = text.split("== Execution Statistics ==").nth(1).unwrap();
+        assert!(
+            !stats_block.lines().any(|l| l.contains("Exchange") && l.contains('~')),
+            "exchange bytes are counted, not estimated:\n{text}"
+        );
+    }
 
-    // The estimate table marks the same way: its `act_MB` (second column
-    // from the right) is modeled for a pointer exchange and for every
-    // operator that ships nothing, measured for a serialized exchange.
+    // The estimate table's `act_MB` (second column from the right) is
+    // modeled, and marked, for every operator that ships nothing; an
+    // exchange's is what it counted, the same under both transports.
     let act_mb = |text: &str, label: &str| -> Vec<String> {
         let table = text.split("== Estimate vs Actual ==").nth(1).unwrap();
         table
@@ -509,18 +504,16 @@ fn explain_analyze_marks_pointer_bytes_as_estimates() {
             .map(|l| l.split_whitespace().rev().nth(1).unwrap().to_string())
             .collect()
     };
-    for (text, label, modeled) in [
-        (&text, "Exchange", true),
-        (&text, "TableScan", true),
-        (&measured, "Exchange", false),
-        (&measured, "TableScan", true),
-    ] {
-        let cells = act_mb(text, label);
-        assert!(!cells.is_empty(), "no {label} row in the estimate table:\n{text}");
-        for cell in cells {
-            assert_eq!(cell.starts_with('~'), modeled, "{label} act_MB {cell}:\n{text}");
+    for text in [&pointer, &serialized] {
+        for (label, modeled) in [("Exchange", false), ("TableScan", true)] {
+            let cells = act_mb(text, label);
+            assert!(!cells.is_empty(), "no {label} row in the estimate table:\n{text}");
+            for cell in cells {
+                assert_eq!(cell.starts_with('~'), modeled, "{label} act_MB {cell}:\n{text}");
+            }
         }
     }
+    assert_eq!(act_mb(&pointer, "Exchange"), act_mb(&serialized, "Exchange"));
 }
 
 #[test]
