@@ -62,16 +62,12 @@ pub struct DatabaseConfig {
     /// least this long are reported on stderr and counted under the
     /// `db.slow_queries` metric. `None` (the default) disables the log.
     pub slow_query_ms: Option<f64>,
-    /// Threads in the persistent worker pool that executes morsels and
-    /// fans out large dense kernels. `None` (the default) runs on the
+    /// Threads in the persistent worker pool that runs every partition
+    /// task and fans out large dense kernels. `None` (the default) runs on the
     /// process pool, one thread per core; `Some(n)` gives this database a
     /// dedicated pool of `n` threads, created once and reused by every
     /// query. Either way a query's kernel counts are its own.
     pub pool_workers: Option<usize>,
-    /// Rows per scheduled morsel (default
-    /// [`lardb_exec::DEFAULT_MORSEL_ROWS`]). Smaller morsels balance skew
-    /// better; larger ones amortize scheduling further.
-    pub morsel_rows: usize,
     /// Network-layer knobs for serialized exchanges: the maximum accepted
     /// frame size, and an optional deterministic fault
     /// injection plan (see `lardb_exec::FaultPlan`) for chaos testing.
@@ -117,7 +113,6 @@ impl Default for DatabaseConfig {
             transport: TransportMode::Pointer,
             slow_query_ms: None,
             pool_workers: None,
-            morsel_rows: lardb_exec::DEFAULT_MORSEL_ROWS,
             net: NetConfig::default(),
             mem: None,
             spill_dir: None,
@@ -326,11 +321,9 @@ impl Database {
     }
 
     /// The cluster every query of this database executes on: the
-    /// configured worker count, morsel size, and (if dedicated) worker
-    /// pool.
+    /// configured worker count and (if dedicated) worker pool.
     fn cluster(&self) -> Cluster {
-        let cluster = Cluster::new(self.config.workers)
-            .with_morsel_rows(self.config.morsel_rows);
+        let cluster = Cluster::new(self.config.workers);
         match &self.pool {
             Some(pool) => cluster.with_pool(Arc::clone(pool)),
             None => cluster,
@@ -466,7 +459,7 @@ impl Database {
     /// here.
     ///
     /// * `cancel` — an externally-owned token: flipping it (from any
-    ///   thread) aborts the statement at the next morsel/row-batch
+    ///   thread) aborts the statement at the next task or chunk
     ///   boundary with `ExecError::Cancelled`. The server wires `KILL
     ///   <query-id>` and client-disconnect detection to it. A statement
     ///   whose token is already cancelled changes nothing: one that runs a

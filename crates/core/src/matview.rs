@@ -212,7 +212,7 @@ impl Database {
     /// not disturb [`Database::last_profile`] or the plan cache.
     ///
     /// It runs in a child of the statement's context, so its stages,
-    /// morsels and pool waits land on the statement's trace, but with a
+    /// pool tasks and pool waits land on the statement's trace, but with a
     /// token of its own: cancelled after the base table was written, it
     /// would leave the view behind its base.
     fn run_select_internal(&self, sel: &SelectStatement) -> Result<QueryResult> {

@@ -5,8 +5,8 @@
 //! (like the catalog), so any session can observe and cancel any other's
 //! work: `SHOW SESSIONS` renders the registry as a relation, and
 //! `KILL <query-id>` flips the target query's [`CancelToken`] — the same
-//! token the executor's morsel loops, matched join pairs, scans, and
-//! exchange senders already poll.
+//! token the executor's pipeline chunks, matched join pairs, scans,
+//! exchange routing and exchange senders already poll.
 //!
 //! [`Database`]: crate::Database
 

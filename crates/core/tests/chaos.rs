@@ -212,7 +212,7 @@ fn cancellation_latency_is_bounded() {
         }
         // The 600^3 cross join runs for minutes uncancelled, the skewed
         // equi-join for ten seconds or more; two seconds is generous
-        // headroom for the morsel-boundary + in-loop token checks.
+        // headroom for the per-chunk + in-loop token checks.
         assert!(
             latency < Duration::from_secs(2),
             "cancellation took {latency:?}, expected < 2s ({sql})"
@@ -275,4 +275,52 @@ fn unfused_join_cancellation_is_bounded() {
         assert!(latency < Duration::from_secs(2), "cancellation took {latency:?} ({sql})");
         assert_eq!(governor.reserved(), 0, "governor ledger not zero after KILL ({sql})");
     }
+}
+
+/// A KILL lands inside a scan-fed Filter/Project chain: the pipeline
+/// polls the token before every chunk it cuts from its partition, so with
+/// one worker and one-row chunks a KILL waits out one row's
+/// `matrix_multiply`, not the partition. Every row shares one matrix, so
+/// the scan clones `Arc`s for microseconds and the statement is all chain.
+/// The matrix is sized per build, as the dense kernel runs some 130×
+/// slower unoptimized: 384 × 384 in release (about 4.6 ms a row on a
+/// 2-vCPU host), 128 × 128 in debug (about 25 ms). Either way 1 024 rows
+/// outlast the 2 s bound, one row is far inside it, and the 8 192-row
+/// table runs for most of a minute or longer, which a KILL after a fixed
+/// sleep cannot outrun.
+#[test]
+fn a_kill_lands_inside_a_scan_fed_chain() {
+    use lardb::{DataType, Matrix, Partitioning, Row, Schema, Value};
+    use std::time::{Duration, Instant};
+
+    let db = Database::with_config(DatabaseConfig {
+        workers: 1,
+        batch_rows: 1,
+        ..DatabaseConfig::default()
+    });
+    let governor = std::sync::Arc::clone(db.memory().governor());
+    let n = if cfg!(debug_assertions) { 128 } else { 384 };
+    let m = Value::matrix(Matrix::from_fn(n, n, |i, j| ((i * 7 + j * 3) % 16) as f64 / 16.0));
+    let columns = Schema::from_pairs(&[("m", DataType::Matrix(Some(n), Some(n)))]);
+    db.create_table("t", columns, Partitioning::RoundRobin).unwrap();
+    db.insert_rows("t", (0..8192).map(|_| Row::new(vec![m.clone()]))).unwrap();
+
+    let sql = "SELECT sum_elements(matrix_multiply(m, m)) AS s FROM t";
+    let cancel = lardb::CancelToken::new();
+    let (worker_cancel, worker_db) = (cancel.clone(), db.clone());
+    let worker = std::thread::spawn(move || {
+        worker_db.run(lardb::Source::Sql(sql), Some(&worker_cancel), None)
+    });
+    std::thread::sleep(Duration::from_millis(300));
+    assert!(!worker.is_finished(), "the statement ended before the KILL");
+    cancel.cancel();
+    let killed_at = Instant::now();
+    let result = worker.join().unwrap();
+    let latency = killed_at.elapsed();
+    match result {
+        Err(lardb::EngineError::Exec(lardb_exec::ExecError::Cancelled(_))) => {}
+        other => panic!("expected Exec(Cancelled), got {other:?}"),
+    }
+    assert!(latency < Duration::from_secs(2), "cancellation took {latency:?}");
+    assert_eq!(governor.reserved(), 0, "governor ledger not zero after KILL");
 }

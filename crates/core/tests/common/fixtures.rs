@@ -2,7 +2,7 @@
 //! rational small enough that each partial sum and product is exact, so
 //! re-associating an aggregate (more workers split it into partials merged
 //! by a Final) cannot move a bit and `==` is the contract, not a
-//! tolerance. Morsel size, engine and spilling re-associate nothing.
+//! tolerance. Batch size, engine and spilling re-associate nothing.
 //! Table names are disjoint across fixtures: one database can hold them all.
 //! The loaders that take rows ([`tile_table`], [`big_matrix`],
 //! [`points_tables`]) also serve a suite's full-mantissa random twin of a

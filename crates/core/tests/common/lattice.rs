@@ -10,12 +10,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use lardb::{Database, DatabaseConfig, TransportMode};
 
-/// Morsels small enough that a 900-row partition splits into dozens of
-/// stealable pieces.
-pub const SPLIT: usize = 16;
-/// One morsel per partition.
-pub const WHOLE: usize = usize::MAX;
-
 /// One configuration of the engine.
 #[derive(Debug, Clone)]
 pub struct Cell {
@@ -32,15 +26,11 @@ pub struct Cell {
 }
 
 /// The pivot — four workers over an oversubscribed pool of four (on any
-/// core count, preemption forces cross-queue stealing), [`SPLIT`] morsels,
-/// every other field the product default — with `set` applied.
+/// core count, preemption forces cross-queue stealing), every other field
+/// the product default — with `set` applied.
 pub fn cell(set: impl FnOnce(&mut DatabaseConfig)) -> Cell {
-    let mut config = DatabaseConfig {
-        workers: 4,
-        pool_workers: Some(4),
-        morsel_rows: SPLIT,
-        ..DatabaseConfig::default()
-    };
+    let mut config =
+        DatabaseConfig { workers: 4, pool_workers: Some(4), ..DatabaseConfig::default() };
     set(&mut config);
     Cell { name: name(&config, false), config, interpreted: false, repeat: false }
 }
@@ -63,18 +53,16 @@ pub fn at(workers: usize, transport: TransportMode, mem: Option<u64>) -> Cell {
 }
 
 /// The product as shipped, `Database::new(workers)`: the process pool, one
-/// thread per core, and the default morsels, which the pivot moves off.
+/// thread per core, which the pivot moves off.
 pub fn shipped(workers: usize) -> Cell {
     cell(|c| *c = DatabaseConfig { workers, ..DatabaseConfig::default() })
 }
 
 /// The cell that defines the right answer: the row interpreter on one
-/// worker over whole partitions, nothing cached, nothing shipped, nothing
-/// spilled.
+/// worker, nothing cached, nothing shipped, nothing spilled.
 pub fn oracle() -> Cell {
     interpreted(cell(|c| {
         c.workers = 1;
-        c.morsel_rows = WHOLE;
         c.plan_cache_entries = 0;
     }))
 }
@@ -97,14 +85,13 @@ pub fn capacity_axes() -> Vec<Cell> {
 /// pivot does not have are the oracle's or a cell's here; the last cell is
 /// the product's own defaults. Of these axes only the worker count
 /// re-associates an aggregate (through its Partial/Final split), which the
-/// fixtures' exact doubles hide; morsel size and engine move no bit over
+/// fixtures' exact doubles hide; batch size and engine move no bit over
 /// any doubles, since every aggregate folds one table per partition in
 /// row order (`scheduler_equivalence` checks that on full mantissas).
 pub fn single_axis() -> Vec<Cell> {
     let mut cells = capacity_axes();
     cells.push(interpreted(cell(|_| {})));
     cells.extend([1, 16].map(|rows| cell(|c| c.batch_rows = rows)));
-    cells.push(cell(|c| c.morsel_rows = WHOLE));
     cells.push(Cell { repeat: true, ..cell(|c| c.plan_cache_entries = 2) });
     cells.push(cell(|c| c.pool_workers = Some(64)));
     cells.push(shipped(4));
@@ -121,7 +108,6 @@ fn name(config: &DatabaseConfig, interpreted: bool) -> String {
         transport,
         mem,
         batch_rows,
-        morsel_rows,
         plan_cache_entries,
         pool_workers,
         // Plan choice, pinned against the unoptimized plan by
@@ -135,11 +121,10 @@ fn name(config: &DatabaseConfig, interpreted: bool) -> String {
         slow_query_ms: _,
         trace_dir: _,
     } = config;
-    let morsel = if *morsel_rows == WHOLE { "whole".into() } else { morsel_rows.to_string() };
     let engine = if interpreted { "interpreted" } else { "compiled" };
     format!(
         "W={workers} {transport:?} mem={mem:?} {engine} batch={batch_rows} \
-         morsel={morsel} cache={plan_cache_entries} pool={pool_workers:?}"
+         cache={plan_cache_entries} pool={pool_workers:?}"
     )
 }
 

@@ -256,9 +256,8 @@ fn zero_length_batch_evaluates_to_empty_column() {
 
 // ---------------------------------------------------- engine differential
 
-/// Compiled and interpreted on one worker and on four, at two 8-row
-/// batches to the pivot's 16-row morsel: 400 rows cross many chunk and
-/// steal boundaries.
+/// Compiled and interpreted on one worker and on four, at 8-row batches:
+/// 400 rows cross many chunk boundaries within each partition.
 fn engine_cells() -> Vec<lattice::Cell> {
     let mut cells = Vec::new();
     for workers in [1usize, 4] {

@@ -1,34 +1,34 @@
-//! Morsel-scheduler equivalence and determinism tests.
+//! Scheduler equivalence and determinism tests.
 //!
-//! Morsel splitting and stealing must be a pure performance change: on
-//! heavily skewed partitions (one partition holding ~90% of rows), across
-//! worker counts and transports, execution over 16-row stolen morsels
-//! must produce the same relations as one morsel per partition — and
-//! repeated runs over stolen morsels must be bit-for-bit identical.
+//! Every stage runs one pool task per partition, and which thread runs
+//! (or steals) a task must not change a result: on heavily skewed
+//! partitions (one partition holding ~90% of rows), across worker counts
+//! and transports, execution must produce the oracle's relations — and
+//! repeated runs must be bit-for-bit identical.
 
 mod common;
 
 use common::compare::{exact_rows, metric, sweep};
 use common::corpus;
 use common::fixtures::{rngish, Fixture};
-use common::lattice::{self, cell, interpreted, SPLIT, WHOLE};
+use common::lattice::{self, cell, interpreted};
 use lardb::{
     DataType, DatabaseConfig, Matrix, Partitioning, Row, Schema, Source,
     TransportMode, Value,
 };
 
+/// One task per partition over the skewed tables, where one partition
+/// holds ~90% of the rows: every worker count × transport matches the
+/// oracle.
 #[test]
 fn split_morsels_match_whole_partitions_on_skew() {
     let mut cells = Vec::new();
     for workers in [1usize, 4] {
         for transport in [TransportMode::Pointer, TransportMode::Serialized] {
-            for morsel_rows in [SPLIT, WHOLE] {
-                cells.push(cell(|c| {
-                    c.workers = workers;
-                    c.transport = transport;
-                    c.morsel_rows = morsel_rows;
-                }));
-            }
+            cells.push(cell(|c| {
+                c.workers = workers;
+                c.transport = transport;
+            }));
         }
     }
     sweep(Fixture::Skew, corpus::on(Fixture::Skew), &cells);
@@ -40,12 +40,12 @@ fn every_axis_alone_matches_the_oracle_on_skew() {
     sweep(Fixture::Skew, corpus::on(Fixture::Skew), &lattice::single_axis());
 }
 
-/// Neither the morsel size nor the expression engine moves a bit of an
+/// Neither the batch size nor the expression engine moves a bit of an
 /// aggregate: each partition folds its rows into one group table, in row
 /// order. The doubles carry full mantissas, so any re-association shows:
 /// a grouped `SUM`/`AVG`/`COUNT` over three groups, and 4 000 groups whose
 /// `Final` partitions hold some 4 000 state rows at four workers, more
-/// than a default morsel. Each worker count is compared with itself: more
+/// than a default batch. Each worker count is compared with itself: more
 /// workers do re-associate, through the Partial/Final split.
 #[test]
 fn morsel_size_and_engine_move_no_bit_of_an_aggregate() {
@@ -66,14 +66,14 @@ fn morsel_size_and_engine_move_no_bit_of_an_aggregate() {
             db.insert_rows(table, rows.collect::<Vec<_>>()).unwrap();
         }
     };
-    let default_morsel = DatabaseConfig::default().morsel_rows;
+    let default_batch = DatabaseConfig::default().batch_rows;
     for workers in [1usize, 4] {
         let mut want: Option<(String, Vec<Vec<String>>)> = None;
         for compiled in [false, true] {
-            for morsel_rows in [SPLIT, default_morsel, WHOLE] {
+            for batch_rows in [1, 16, default_batch] {
                 let cell = cell(|c| {
                     c.workers = workers;
-                    c.morsel_rows = morsel_rows;
+                    c.batch_rows = batch_rows;
                 });
                 let cell = if compiled { cell } else { interpreted(cell) };
                 let db = cell.open();
@@ -109,7 +109,7 @@ fn pool_metrics_surface_in_show_metrics() {
     for name in ["pool.steals", "pool.queue_wait_us", "pool.size", "pool.busy"] {
         metric(&db, name);
     }
-    // The query above ran real morsels through the pool.
+    // The query above ran real tasks through the pool.
     let morsels = metric(&db, "pool.morsels");
     assert!(morsels >= 1.0, "pool.morsels = {morsels}");
 }

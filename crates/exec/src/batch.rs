@@ -1,6 +1,6 @@
-//! Columnar morsel batches for the vectorized engine.
+//! Columnar batches for the vectorized engine.
 //!
-//! A [`ColumnBatch`] is a morsel-sized chunk of rows pivoted into
+//! A [`ColumnBatch`] is a `batch_rows`-sized chunk of rows pivoted into
 //! columns: fixed-width `f64` / `i64` / `bool` columns with validity
 //! bitmaps for NULLs, plus a *boxed* column ([`Boxed`]: plain `Value`s)
 //! for matrices, vectors, labeled scalars and strings. Batches are built
@@ -250,7 +250,7 @@ impl Col {
     }
 }
 
-/// A morsel chunk pivoted into columns.
+/// A pipeline chunk pivoted into columns.
 #[derive(Debug, Clone)]
 pub struct ColumnBatch {
     cols: Vec<Arc<Col>>,

@@ -27,7 +27,7 @@ use lardb_storage::{Row, Schema, Value};
 use crate::cluster::{context, flag_abort, panic_message, root_cause};
 use crate::CancelToken;
 use crate::eval::eval_with;
-use crate::executor::{Executor, Parts};
+use crate::executor::{Executor, Parts, CANCEL_CHECK_PAIRS};
 use crate::stats::{ChannelStats, ShuffleStats};
 use crate::{ExecError, Result};
 
@@ -51,29 +51,20 @@ impl Executor<'_> {
         let w = input.len();
         let mut routed: Vec<Parts> = match kind {
             ExchangeKind::Hash(keys) => {
-                // Bucket row-range morsels in parallel, then append each
-                // partition's per-morsel buckets in ascending morsel order
-                // — the row order sequential routing gives.
-                let bucketed = self.cluster.morsel_map(input, |_, rows| {
+                // One task per partition, straight into its W buckets in
+                // source-row order, polling the token as `scan` does.
+                let cancel = context().cancel_token().clone();
+                self.cluster.par_map(input, |_, rows| {
                     let mut buckets: Parts = vec![Vec::new(); w];
                     let mut scratch = Vec::new();
-                    for r in rows {
+                    for (i, r) in rows.into_iter().enumerate() {
+                        if i % CANCEL_CHECK_PAIRS == 0 && cancel.is_cancelled() {
+                            return Err(ExecError::Cancelled("exchange routing cancelled".into()));
+                        }
                         buckets[hash_route(&r, keys, w, &mut scratch)?].push(r);
                     }
                     Ok(buckets)
-                })?;
-                bucketed
-                    .into_iter()
-                    .map(|morsels| {
-                        let mut buckets: Parts = vec![Vec::new(); w];
-                        for morsel in morsels {
-                            for (bucket, mut more) in buckets.iter_mut().zip(morsel) {
-                                bucket.append(&mut more);
-                            }
-                        }
-                        buckets
-                    })
-                    .collect()
+                })?
             }
             // `Row` is Arc-backed: the W copies share row storage.
             ExchangeKind::Broadcast => input.into_iter().map(|rows| vec![rows; w]).collect(),

@@ -61,11 +61,11 @@ use crate::stats::{
 };
 use crate::{CancelToken, ExecError, Result};
 
-/// How often tight row loops (probe rows, scan re-deals) re-check the
-/// cancel token: every this many iterations. Cheap enough to be noise,
-/// frequent enough that a KILL lands in milliseconds. A join also polls
-/// at every chunk it cuts.
-const CANCEL_CHECK_PAIRS: usize = 8192;
+/// How often tight row loops (probe rows, scan re-deals, exchange
+/// routing) re-check the cancel token: every this many iterations. Cheap
+/// enough to be noise, frequent enough that a KILL lands in milliseconds.
+/// A pipeline also polls at every chunk it cuts.
+pub(crate) const CANCEL_CHECK_PAIRS: usize = 8192;
 
 /// Rows per [`ColumnBatch`] chunk in the vectorized engine: large enough
 /// to amortize the pivot and per-instruction dispatch, small enough that
@@ -275,39 +275,24 @@ impl<'a> Executor<'a> {
                 self.record(plan, stats, t0, &out, ShuffleStats::default());
                 out
             }
-            PhysicalPlan::Filter { .. } | PhysicalPlan::Project { .. } => {
-                // The whole adjacent Filter/Project chain runs as one stage
-                // of the chunk pipeline: the join's, when a join is under it.
-                let (chain, base) = peel_chain(plan);
-                if self.fuse && matches!(base, PhysicalPlan::HashJoin { .. }) {
-                    return self.run_join(base, &chain, None, stats);
-                }
-                return self.run_vectorized_chain(&chain, base, stats);
-            }
             PhysicalPlan::HashJoin { .. } => return self.run_join(plan, &[], None, stats),
-            PhysicalPlan::HashAggregate { input, group_by, aggs, mode, .. } => {
-                // Any Filter/Project chain under the aggregate runs inside
-                // its chunk pipeline. A Final aggregate folds state rows,
-                // which no program evaluates: what is under it runs apart.
-                let (chain, base) = match mode {
-                    AggMode::Final => (Vec::new(), &**input),
-                    AggMode::Partial | AggMode::Complete => peel_chain(input),
-                };
-                // Pipelined join→aggregate fusion: stream joined rows into
-                // the pipeline in chunks instead of materializing them —
-                // the combiner structure SimSQL's MapReduce substrate
+            PhysicalPlan::Filter { .. }
+            | PhysicalPlan::Project { .. }
+            | PhysicalPlan::HashAggregate { .. } => {
+                // The adjacent Filter/Project chain, and the aggregate on
+                // top of it, run as one chunk pipeline, fed by the join
+                // under it or else by its materialized child. Pipelined
+                // join→aggregate fusion streams joined rows into the
+                // pipeline in chunks instead of materializing them — the
+                // combiner structure SimSQL's MapReduce substrate
                 // provides, and the only way the tuple-based workloads
                 // survive realistic scales.
-                if self.fuse
-                    && !matches!(mode, AggMode::Final)
-                    && matches!(base, PhysicalPlan::HashJoin { .. })
-                {
-                    let sink = AggSink { plan, group_by, aggs, mode: *mode };
-                    return self.run_join(base, &chain, Some(sink), stats);
+                let (chain, base, agg) = peel_pipeline(plan);
+                let folds_states = agg.is_some_and(|a| a.mode == AggMode::Final);
+                if self.fuse && !folds_states && matches!(base, PhysicalPlan::HashJoin { .. }) {
+                    return self.run_join(base, &chain, agg, stats);
                 }
-                return self.run_vectorized_aggregate(
-                    plan, group_by, aggs, *mode, &chain, base, stats,
-                );
+                return self.run_scan_fed(&chain, base, agg, stats);
             }
             PhysicalPlan::Exchange { input, kind, .. } => {
                 let child = self.run(input, stats)?;
@@ -402,8 +387,7 @@ impl<'a> Executor<'a> {
         let batch_rows = self.batch_rows;
         let run_partition = |lp: Vec<Row>, rp: Vec<Row>| -> Result<PartOut> {
             let t_start = Instant::now();
-            let mut table = agg.map(|a| GroupedAgg::new(a.group_by, a.aggs, a.mode));
-            let mut rows = Vec::new();
+            let mut sink = Sink::new(agg, 0);
             let (mut joined_rows, mut pipe_ns) = (0usize, 0u64);
             let mut scratch: Vec<Value> = Vec::new();
             let mut spill = SpillStats::default();
@@ -412,10 +396,7 @@ impl<'a> Executor<'a> {
             // the keys.
             let mut feed = |chunk: Chunk<'_>| -> Result<()> {
                 let t = Instant::now();
-                joined_rows += match &mut table {
-                    Some(table) => pipe.aggregate(chunk, table, &mut scratch)?,
-                    None => pipe.rows(chunk, &mut scratch, &mut rows)?,
-                };
+                joined_rows += pipe.feed(chunk, &mut sink, &mut scratch)?;
                 add_elapsed(&mut pipe_ns, t);
                 if cancel.is_cancelled() {
                     return Err(join_cancelled());
@@ -448,7 +429,7 @@ impl<'a> Executor<'a> {
             }
             let total_ns = t_start.elapsed().as_nanos() as u64;
             Ok(PartOut {
-                rows: table.map_or(rows, GroupedAgg::finish),
+                rows: sink.finish(),
                 joined_rows,
                 join_ns: total_ns.saturating_sub(pipe_ns),
                 pipe_ns,
@@ -497,106 +478,86 @@ impl<'a> Executor<'a> {
         Ok(out)
     }
 
-    /// Executes a contiguous Filter/Project chain over a materialized
-    /// child through one chunk pipeline over row-range morsels. The chain
-    /// compiles to bytecode once, every chunk is pivoted into a
-    /// [`ColumnBatch`], and all stages run over it in one pass — filters
-    /// produce selection vectors instead of intermediate row vectors,
-    /// projections evaluate only selected lanes. A failing chunk raises
-    /// the interpreter's error of its first failing row, so the query's
-    /// error is the first failing row of the first failing morsel.
-    fn run_vectorized_chain(
+    /// Runs a chunk pipeline over its materialized child, one task per
+    /// partition. Each task cuts its partition into `batch_rows` chunks,
+    /// polls the token before each, and feeds them in row order through
+    /// the one [`ChunkPipeline`] into the partition's [`Sink`], as
+    /// [`Self::run_join`] does: the rows that survive `chain`, or the
+    /// partition's group table when `agg` tops the pipeline. So group
+    /// order and float accumulation order are independent of scheduler
+    /// and batch size, and the query's error is the interpreter's for the
+    /// first failing row of the first failing partition. A Final
+    /// aggregate's input rows are accumulator states, which no program
+    /// evaluates (its arguments name the Partial's input columns): it has
+    /// no pipeline and folds each row through `GroupedAgg::update_row`.
+    /// Under a memory budget a grouped table is finished through
+    /// [`finish_spilling`]; a global aggregate holds a single group's
+    /// state and gains nothing from bucketing it.
+    fn run_scan_fed<'p>(
         &self,
-        chain: &[&PhysicalPlan],
-        base: &PhysicalPlan,
+        chain: &[&'p PhysicalPlan],
+        base: &'p PhysicalPlan,
+        agg: Option<AggSink<'p>>,
         stats: &mut ExecStats,
     ) -> Result<Parts> {
         let child = self.run(base, stats)?;
         let t0 = Instant::now();
-        let trace = context().trace().cloned();
-        let pipe =
-            ChunkPipeline::new(!self.interpreted, trace, base.schema(), None, chain, &[], &[])?;
-        let batch_rows = self.batch_rows;
-        let morsels = self.cluster.morsel_map(child, |_, rows| {
-            let mut out = Vec::with_capacity(rows.len());
-            let mut scratch: Vec<Value> = Vec::new();
-            for chunk in rows.chunks(batch_rows) {
-                pipe.rows(Chunk::Rows(chunk), &mut scratch, &mut out)?;
+        let (group_by, aggs): (&[Expr], &[AggExpr]) = match agg {
+            Some(a) => (a.group_by, a.aggs),
+            None => (&[], &[]),
+        };
+        let pipe = match agg {
+            Some(a) if a.mode == AggMode::Final => None,
+            _ => {
+                let (compiled, trace) = (!self.interpreted, context().trace().cloned());
+                let input = base.schema();
+                Some(ChunkPipeline::new(compiled, trace, input, None, chain, group_by, aggs)?)
             }
-            Ok(out)
-        })?;
-        let out = flatten_morsels(morsels);
-        pipe.record(None, t0.elapsed(), &out, stats);
-        Ok(out)
-    }
-
-    /// Aggregation over a materialized child: every partition is cut into
-    /// `batch_rows` chunks and fed to the chunk pipeline, which folds them
-    /// into one group table per partition, sequentially in ascending row
-    /// order (chunks only batch the *expression work*), so group order and
-    /// float accumulation order are independent of scheduler, morsel size
-    /// and batch size. A Final aggregate's input rows are accumulator
-    /// states, which no program evaluates (its arguments name the
-    /// Partial's input columns): it has no pipeline and folds each row
-    /// through `GroupedAgg::update_row`. Under a memory budget a grouped
-    /// table is finished through [`finish_spilling`]; a global aggregate
-    /// holds a single group's state and gains nothing from bucketing it.
-    #[allow(clippy::too_many_arguments)]
-    fn run_vectorized_aggregate(
-        &self,
-        plan: &PhysicalPlan,
-        group_by: &[Expr],
-        aggs: &[AggExpr],
-        mode: AggMode,
-        chain: &[&PhysicalPlan],
-        base: &PhysicalPlan,
-        stats: &mut ExecStats,
-    ) -> Result<Parts> {
-        let child = self.run(base, stats)?;
-        let t0 = Instant::now();
-        let (compiled, trace, input) = (!self.interpreted, context().trace().cloned(), base.schema());
-        let new_pipe = || ChunkPipeline::new(compiled, trace, input, None, chain, group_by, aggs);
-        let pipe = if mode == AggMode::Final { None } else { Some(new_pipe()?) };
+        };
         let batch_rows = self.batch_rows;
         let cancel = context().cancel_token().clone();
-        let spilling = self.mem.bounded() && !group_by.is_empty();
-        let parts = self.cluster.par_map(child, |_, rows| {
-            let mut agg = GroupedAgg::new(group_by, aggs, mode);
+        let sinks = self.cluster.par_map(child, |_, rows| {
+            let mut sink = Sink::new(agg, rows.len());
             let mut scratch: Vec<Value> = Vec::new();
             for chunk in rows.chunks(batch_rows) {
                 if cancel.is_cancelled() {
-                    return Err(ExecError::Cancelled(
-                        "vectorized aggregate cancelled".into(),
-                    ));
+                    return Err(ExecError::Cancelled("pipeline cancelled".into()));
                 }
-                match &pipe {
-                    Some(pipe) => {
-                        pipe.aggregate(Chunk::Rows(chunk), &mut agg, &mut scratch)?;
+                match (&pipe, &mut sink) {
+                    (Some(pipe), sink) => {
+                        pipe.feed(Chunk::Rows(chunk), sink, &mut scratch)?;
                     }
-                    None => {
+                    (None, Sink::Agg(table)) => {
                         for row in chunk {
-                            agg.update_row(row, &mut scratch)?;
+                            table.update_row(row, &mut scratch)?;
                         }
                     }
+                    (None, Sink::Rows(_)) => {
+                        unreachable!("only a Final aggregate has no pipeline")
+                    }
                 }
             }
-            Ok(agg)
+            Ok(sink)
         })?;
+        let spilling = self.mem.bounded() && !group_by.is_empty();
         let mut spill = SpillStats::default();
-        let mut out = Vec::with_capacity(parts.len());
-        for agg in parts {
-            if spilling {
-                let (rows, sp) = finish_spilling(agg, group_by, aggs, mode, &self.mem)?;
-                spill.merge(sp);
-                out.push(rows);
-            } else {
-                out.push(agg.finish());
-            }
+        let mut out = Vec::with_capacity(sinks.len());
+        for sink in sinks {
+            out.push(match (sink, agg) {
+                (Sink::Agg(table), Some(a)) if spilling => {
+                    let (rows, sp) = finish_spilling(table, group_by, aggs, a.mode, &self.mem)?;
+                    spill.merge(sp);
+                    rows
+                }
+                (sink, _) => sink.finish(),
+            });
         }
-        ensure_global_row(&mut out, group_by, aggs, mode);
-        match pipe {
-            Some(pipe) => pipe.record(Some((plan, spill)), t0.elapsed(), &out, stats),
-            None => stats.record(OperatorStats {
+        if let Some(a) = agg {
+            ensure_global_row(&mut out, a.group_by, a.aggs, a.mode);
+        }
+        let Some(pipe) = &pipe else {
+            let plan = agg.expect("only a Final aggregate has no pipeline").plan;
+            stats.record(OperatorStats {
                 id: plan.id(),
                 label: plan.label(),
                 wall: t0.elapsed(),
@@ -604,8 +565,10 @@ impl<'a> Executor<'a> {
                 shuffle: ShuffleStats::default(),
                 spill,
                 batch: BatchStats::default(),
-            }),
-        }
+            });
+            return Ok(out);
+        };
+        pipe.record(agg.map(|a| (a.plan, spill)), t0.elapsed(), &out, stats);
         Ok(out)
     }
 
@@ -709,27 +672,64 @@ fn publish_metrics(stats: &ExecStats) {
     }
 }
 
-/// Splits a plan into its maximal top Filter/Project chain — returned
-/// bottom-up, the order the stages run in — and the node under it.
-fn peel_chain(plan: &PhysicalPlan) -> (Vec<&PhysicalPlan>, &PhysicalPlan) {
+/// Splits a pipeline's top into the Filter/Project chain under it —
+/// returned bottom-up, the order the stages run in — the node that
+/// produces its chunks, and the aggregate that tops it, if `plan` is one.
+/// A Final aggregate folds state rows, which no program evaluates: what is
+/// under it runs apart.
+fn peel_pipeline(plan: &PhysicalPlan) -> (Vec<&PhysicalPlan>, &PhysicalPlan, Option<AggSink<'_>>) {
+    let (mut base, agg) = match plan {
+        PhysicalPlan::HashAggregate { input, group_by, aggs, mode, .. } => {
+            let sink = AggSink { plan, group_by, aggs, mode: *mode };
+            if *mode == AggMode::Final {
+                return (Vec::new(), input, Some(sink));
+            }
+            (&**input, Some(sink))
+        }
+        _ => (plan, None),
+    };
     let mut chain = Vec::new();
-    let mut base = plan;
     while let PhysicalPlan::Filter { input, .. } | PhysicalPlan::Project { input, .. } = base {
         chain.push(base);
         base = input;
     }
     chain.reverse();
-    (chain, base)
+    (chain, base, agg)
 }
 
-/// The aggregate a join's chunk pipeline folds into when one consumes the
-/// join (the fused join→aggregate).
+/// The aggregate a chunk pipeline folds into when one tops it.
 #[derive(Clone, Copy)]
 struct AggSink<'p> {
     plan: &'p PhysicalPlan,
     group_by: &'p [Expr],
     aggs: &'p [AggExpr],
     mode: AggMode,
+}
+
+/// Where one partition's chunks end up: the rows that survive the
+/// pipeline, or the partition's group table.
+enum Sink<'p> {
+    Rows(Vec<Row>),
+    Agg(GroupedAgg<'p>),
+}
+
+impl<'p> Sink<'p> {
+    /// The sink of a pipeline that `agg` tops, if any; a row sink
+    /// reserves `rows`.
+    fn new(agg: Option<AggSink<'p>>, rows: usize) -> Self {
+        match agg {
+            Some(a) => Sink::Agg(GroupedAgg::new(a.group_by, a.aggs, a.mode)),
+            None => Sink::Rows(Vec::with_capacity(rows)),
+        }
+    }
+
+    /// The partition's output rows.
+    fn finish(self) -> Vec<Row> {
+        match self {
+            Sink::Rows(rows) => rows,
+            Sink::Agg(table) => table.finish(),
+        }
+    }
 }
 
 /// One stage of a Filter/Project chain: its expressions, which the
@@ -783,7 +783,7 @@ impl<'p> VecStage<'p> {
     }
 }
 
-/// Per-stage meters shared across morsel workers (kernel wall time, rows
+/// Per-stage meters shared across partition tasks (kernel wall time, rows
 /// surviving the stage, kernel invocations).
 #[derive(Default)]
 struct StageMeter {
@@ -908,7 +908,7 @@ fn lane(sel: Option<&[u32]>, k: usize) -> usize {
 /// The one place chunks are evaluated: a Filter/Project chain and, when
 /// it feeds an aggregate, the group keys and arguments, with the meters
 /// every chunk reports into. Shared by all workers of one operator. Two
-/// pivots, one pipeline: a [`Chunk`] of rows (a scan-fed morsel, the grace
+/// pivots, one pipeline: a [`Chunk`] of rows (a materialized child's, the grace
 /// join's output) or of matched pairs (a join's in-memory arm, gathered
 /// from its sides) becomes a column batch and runs the same stage loop
 /// and aggregate-update loop. Under [`Executor::interpreted`] the
@@ -1182,6 +1182,15 @@ impl<'p> ChunkPipeline<'p> {
         Ok(joined)
     }
 
+    /// One chunk through the pipeline into `sink`: [`Self::rows`] or
+    /// [`Self::aggregate`]. Returns how many of its rows entered the chain.
+    fn feed(&self, chunk: Chunk<'_>, sink: &mut Sink<'_>, scratch: &mut Vec<Value>) -> Result<usize> {
+        match sink {
+            Sink::Rows(out) => self.rows(chunk, scratch, out),
+            Sink::Agg(table) => self.aggregate(chunk, table, scratch),
+        }
+    }
+
     /// Runs one chunk through the interpreted residual and chain, row at
     /// a time, handing each survivor to `sink` (which appends it, or folds
     /// it into a group table) before the next row starts; returns how many
@@ -1328,11 +1337,6 @@ fn first_failure<'c, T>(
 /// 500+ years, no overflow concern).
 fn add_elapsed(acc: &mut u64, t: Instant) {
     *acc += t.elapsed().as_nanos() as u64;
-}
-
-/// Concatenates each partition's morsel outputs (already in row order).
-fn flatten_morsels(morsels: Vec<Vec<Vec<Row>>>) -> Parts {
-    morsels.into_iter().map(|ms| ms.into_iter().flatten().collect()).collect()
 }
 
 /// A partition's build side keyed for probing: its rows with a non-NULL
@@ -1743,7 +1747,10 @@ fn ensure_global_row(out: &mut Parts, group_by: &[Expr], aggs: &[AggExpr], mode:
     }
 }
 
-/// Sorts rows by the key expressions (NULLs last).
+/// Sorts rows by the key expressions. NULLs sort last in either
+/// direction; NaN is greater than every number and equal to NaN (as in
+/// PostgreSQL), so it sorts last ascending and first descending, and the
+/// comparison stays a total order.
 fn sort_rows(rows: &mut [Row], keys: &[(Expr, bool)]) -> Result<()> {
     // Decorate with key values to avoid re-evaluating during comparisons.
     let mut decorated: Vec<(Vec<Value>, Row)> = Vec::with_capacity(rows.len());
@@ -1763,8 +1770,9 @@ fn sort_rows(rows: &mut [Row], keys: &[(Expr, bool)]) -> Result<()> {
                 (true, false) => std::cmp::Ordering::Greater,
                 (false, true) => std::cmp::Ordering::Less,
                 (false, false) => {
+                    let nan = |v: &Value| v.as_double().is_some_and(f64::is_nan);
                     let ord = lardb_storage::ops::compare(&a[i], &b[i])
-                        .unwrap_or(std::cmp::Ordering::Equal);
+                        .unwrap_or_else(|| nan(&a[i]).cmp(&nan(&b[i])));
                     if *asc {
                         ord
                     } else {

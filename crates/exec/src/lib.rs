@@ -31,7 +31,7 @@ pub mod executor;
 pub mod kernels;
 pub mod stats;
 
-pub use cluster::{Cluster, DEFAULT_MORSEL_ROWS};
+pub use cluster::Cluster;
 pub use executor::{ExecutionResult, Executor, MemoryConfig, DEFAULT_BATCH_ROWS};
 pub use lardb_net::{FaultKind, FaultPlan, NetConfig, TransportMode};
 pub use lardb_pool::CancelToken;
@@ -53,8 +53,8 @@ pub enum ExecError {
     Plan(PlanError),
     /// The query was aborted: some sibling worker hit an error first and
     /// flipped the query-wide cancellation token, so this worker stopped
-    /// at the next morsel / exchange boundary instead of finishing work
-    /// whose result will be thrown away.
+    /// at its next chunk, task or exchange boundary instead of finishing
+    /// work whose result will be thrown away.
     Cancelled(String),
     /// The out-of-core path failed: a spill file could not be written,
     /// or was truncated/corrupted when read back.

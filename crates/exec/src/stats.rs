@@ -97,7 +97,7 @@ impl SpillStats {
 /// that ran the row interpreter (or never take the vectorized path).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStats {
-    /// Column batches (morsel chunks) evaluated by compiled kernels.
+    /// Column batches (pipeline chunks) evaluated by compiled kernels.
     pub batches: usize,
     /// Rows that went through the compiled path.
     pub rows: usize,

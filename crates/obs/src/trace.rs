@@ -4,7 +4,7 @@
 //! Every query gets a [`TraceId`] minted at its entry point (the server's
 //! session thread, or `Database::execute` when embedded). The id travels
 //! with the query through admission wait, the parse→execute lifecycle,
-//! down into per-morsel pool-worker events, across exchange channels as a
+//! down into per-task pool-worker events, across exchange channels as a
 //! wire frame, and into spill read/write events — each layer appending
 //! [`SpanEvent`]s to the shared [`ActiveTrace`].
 //!
@@ -37,7 +37,7 @@ use std::time::Instant;
 use crate::json::{array, escape, ObjectWriter};
 
 /// Most events one trace will retain; further events are counted as
-/// dropped. Big enough for thousands of morsel spans, small enough that a
+/// dropped. Big enough for thousands of pool-task spans, small enough that a
 /// pathological query cannot OOM the recorder.
 pub const MAX_EVENTS_PER_TRACE: usize = 8192;
 

@@ -15,10 +15,10 @@ use lardb_obs::ActiveTrace;
 use crate::WorkerPool;
 
 /// A query-wide cancellation flag: a failed stage flips it (so do `KILL`
-/// and a client disconnect), and every worker checks it at morsel
-/// boundaries and exchange senders before each frame, so a failing query
-/// stops instead of draining work whose result will be discarded. Clones
-/// share the flag; it is never re-armed.
+/// and a client disconnect), and every worker checks it at task and
+/// chunk boundaries and exchange senders before each frame, so a failing
+/// query stops instead of draining work whose result will be discarded.
+/// Clones share the flag; it is never re-armed.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
 

@@ -1,8 +1,8 @@
 //! # lardb-pool — the persistent work-stealing worker pool
 //!
-//! Morsel-driven parallelism for the whole engine (see DESIGN.md
-//! "Scheduling"). One [`WorkerPool`] owns a fixed set of long-lived OS
-//! threads, each with its own task deque; idle workers steal from the
+//! Task parallelism for the whole engine (see DESIGN.md "Scheduling").
+//! One [`WorkerPool`] owns a fixed set of long-lived OS threads, each
+//! with its own task deque; idle workers steal from the
 //! back of busy workers' deques. Callers submit work through
 //! [`WorkerPool::scope`], which hands out a [`Scope`] that can spawn
 //! closures borrowing from the caller's stack — the scope blocks until
@@ -11,11 +11,10 @@
 //!
 //! Two properties matter for the engine:
 //!
-//! * **Skew resistance.** A partition that hashes 10× the rows of its
-//!   siblings is split into row-range morsels; once an idle worker runs
-//!   dry it steals morsels from the loaded worker's deque instead of
-//!   sitting out the stage — the §5 "100 blocks on 80 cores" imbalance
-//!   stops serializing the plan.
+//! * **Stealing.** The engine spawns one task per partition, and a dense
+//!   kernel one per cache block; once an idle worker runs dry it steals
+//!   queued tasks from a loaded worker's deque instead of sitting out the
+//!   stage.
 //! * **No per-operator thread spawns.** Threads are created once per
 //!   pool (once per process for [`global()`]), not once per partition
 //!   per operator, so operator boundaries cost a queue push, not a
@@ -24,10 +23,11 @@
 //! Waiting threads *help*: while a scope has unfinished tasks, the
 //! waiter pops and runs pool tasks itself rather than blocking, so a
 //! task that opens a nested scope (e.g. a partition closure scheduling
-//! GEMM cache-block morsels) can never deadlock the pool.
+//! GEMM cache-block tasks) can never deadlock the pool.
 //!
-//! The pool feeds `lardb-obs`: `pool.morsels` / `pool.steals` counters,
-//! a `pool.queue_wait_us` histogram (push-to-pop latency), and
+//! The pool feeds `lardb-obs`: `pool.morsels` (tasks run) /
+//! `pool.steals` counters, a `pool.queue_wait_us` histogram (push-to-pop
+//! latency), and
 //! `pool.size` / `pool.busy` gauges summed over live pools — all visible
 //! via `SHOW METRICS`.
 //!

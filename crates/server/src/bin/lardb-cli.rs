@@ -387,7 +387,6 @@ fn parse_engine_flag(
         }
         "--slow-ms" => config.slow_query_ms = Some(next_parsed(argv)),
         "--pool-workers" => config.pool_workers = Some(next_parsed(argv)),
-        "--morsel-rows" => config.morsel_rows = next_parsed(argv),
         "--batch-rows" => config.batch_rows = std::cmp::max(1, next_parsed(argv)),
         "--plan-cache-entries" => config.plan_cache_entries = next_parsed(argv),
         "--max-frame-bytes" => config.net.max_frame_bytes = next_parsed(argv),
@@ -460,8 +459,8 @@ fn usage() -> ! {
                 lardb-cli --connect HOST:PORT [--tenant T] [--auth A] [-c SQL]\n\
                 lardb-cli serve [engine flags] [server flags]\n\
          engine flags: [--workers N] [--transport pointer|serialized] \
-         [--slow-ms MS] [--pool-workers N] [--morsel-rows N] \
-         [--batch-rows N] [--plan-cache-entries N (0 = off)] \
+         [--slow-ms MS] [--pool-workers N] [--batch-rows N] \
+         [--plan-cache-entries N (0 = off)] \
          [--max-frame-bytes N] \
          [--fault-kind drop|truncate|corrupt|delay|kill] [--fault-seed N] \
          [--fault-rate-ppm N] [--fault-after N] \

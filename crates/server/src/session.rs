@@ -11,7 +11,7 @@
 //!   the request in flight and at most one that arrived while its
 //!   reply was being written — and ends on `Close`, EOF or a read
 //!   error, cancelling the statement in flight through its
-//!   [`CancelToken`], which the executor's morsel loops poll.
+//!   [`CancelToken`], which the executor's row and chunk loops poll.
 //! - the **session thread** takes requests from the reader, runs each
 //!   statement inline (admission → registry → execute → registry → permit
 //!   released) and writes its reply.

@@ -564,7 +564,6 @@ fn traced_server_query_yields_complete_chrome_trace() {
     let db = Database::with_config(DatabaseConfig {
         workers: 2,
         pool_workers: Some(4),
-        morsel_rows: 64,
         transport: TransportMode::Serialized,
         // 1 MiB budget: the fat self-join below must spill.
         mem: Some(1),

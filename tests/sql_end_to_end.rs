@@ -290,6 +290,54 @@ fn order_by_limit() {
     assert_eq!(ids, vec![9, 8, 7]);
 }
 
+/// ORDER BY over a DOUBLE column holding NaN: NaN is greater than every
+/// number and equal to NaN (PostgreSQL's rule), so it sorts last ascending
+/// and first descending, and NULLs stay last either way. 40 rows, 8 of
+/// them NaN: more than 20, so the sort checks its comparison is a total
+/// order.
+#[test]
+fn order_by_sorts_nan_above_every_number() {
+    // Class 0 is a number, 1 NaN, 2 NULL; the numbers are distinct.
+    let v = |i: i64| match (i % 5, i % 3) {
+        (0, _) => Value::Double(f64::NAN),
+        (1, 0) => Value::Null,
+        _ => Value::Double(((i * 37) % 41 - 20) as f64),
+    };
+    let class = |v: &Value| match v.as_double() {
+        None => 2,
+        Some(x) if x.is_nan() => 1,
+        Some(_) => 0,
+    };
+    for workers in [1, 4] {
+        let db = Database::new(workers);
+        db.execute("CREATE TABLE t (id INTEGER, v DOUBLE)").unwrap();
+        db.insert_rows("t", (0..40).map(|i| Row::new(vec![Value::Integer(i), v(i)]))).unwrap();
+        for desc in [false, true] {
+            let dir = if desc { "DESC" } else { "ASC" };
+            let r = db.query(&format!("SELECT id, v FROM t ORDER BY v {dir}, id")).unwrap();
+            let got: Vec<i64> = r.rows.iter().map(|r| r.value(0).as_integer().unwrap()).collect();
+            let mut want: Vec<i64> = (0..40).collect();
+            want.sort_by(|&a, &b| {
+                let (va, vb) = (v(a), v(b));
+                // Descending puts NaN, the greatest, ahead of the numbers.
+                let rank = |v: &Value| match (class(v), desc) {
+                    (1, true) => 0,
+                    (0, true) => 1,
+                    (c, _) => c,
+                };
+                let by_value = match (va.as_double(), vb.as_double()) {
+                    (Some(x), Some(y)) if !x.is_nan() && !y.is_nan() => {
+                        if desc { y.total_cmp(&x) } else { x.total_cmp(&y) }
+                    }
+                    _ => std::cmp::Ordering::Equal,
+                };
+                rank(&va).cmp(&rank(&vb)).then(by_value).then(a.cmp(&b))
+            });
+            assert_eq!(got, want, "W={workers} ORDER BY v {dir}");
+        }
+    }
+}
+
 #[test]
 fn worker_counts_do_not_change_answers() {
     // The same query on 1, 2, 3 and 8 workers must agree — distribution is
